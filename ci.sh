@@ -8,6 +8,11 @@ cargo build --release
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
+# Benchmark-package gate: perf/ is a workspace of its own that
+# path-depends on the crates above, so nothing else here compiles it and
+# a changed public signature would break it unnoticed. Build, harness
+# unit tests, and the --quick determinism self-check (about a minute).
+perf/check.sh
 # SIMD-fallback gate: the Morton suite (including the SIMD==scalar
 # property tests) must pass with the batch kernels pinned to the scalar
 # path, proving the dispatch override and the fallback itself.

@@ -153,23 +153,9 @@ impl LogHeap {
         s
     }
 
-    /// Is the log in the wrapped shape (newest records below the
-    /// oldest)? Diagnostic only: the next-fit allocator walks over live
-    /// islands and can still grow the base, so a wrapped log allocates
-    /// exactly like an unwrapped one — this is the steady state once the
-    /// head first laps the window.
-    pub fn is_wrapped(&self) -> bool {
-        self.order.front().is_some_and(|&tail| tail >= self.head)
-    }
-
     /// Is `off` a live record?
     pub fn is_live(&self, off: u64) -> bool {
         self.meta.get(&off).is_some_and(|m| m.live)
-    }
-
-    /// Footprint of the record at `off`, if tracked.
-    pub fn size_of(&self, off: u64) -> Option<u64> {
-        self.meta.get(&off).map(|m| m.size)
     }
 
     /// Live record offsets in ring order, oldest first.

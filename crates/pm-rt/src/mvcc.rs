@@ -117,11 +117,7 @@ impl PmRt {
     /// moment a reader attaches never perturbs recovery.
     pub fn snapshot_prefix(&self, arena: &mut NvbmArena, prefix: &str) -> Snapshot {
         let _s = arena.span("svc::snapshot_pin");
-        let entries = self
-            .committed_with_prefix(prefix)
-            .into_iter()
-            .map(|(n, e)| (n[prefix.len()..].to_string(), e))
-            .collect();
+        let entries = self.committed_with_prefix(prefix);
         let pin = arena.rt_pins().pin(self.epoch());
         arena.failpoint("svc::snapshot_pin");
         Snapshot { epoch: self.epoch(), entries, pin }

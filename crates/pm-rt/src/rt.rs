@@ -15,6 +15,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
+use std::ops::Bound;
+use std::sync::Arc;
 
 use pm_octree::PmError;
 use pmoctree_nvbm::{NvbmArena, POffset, HEADER_SIZE};
@@ -161,6 +163,21 @@ pub fn blob_footprint(encoded_len: usize) -> usize {
     record_size(OBJ_HEADER + encoded_len)
 }
 
+/// A name-ordered root map. Every view holding a root (staged, committed,
+/// staged-origin journal, reverse index) shares its one name allocation.
+type NameMap<V> = BTreeMap<Arc<str>, V>;
+
+/// The entries of `map` whose name starts with `prefix`. Names sharing a
+/// prefix are contiguous in byte order, so this is one seek plus the
+/// hits — O(log n + hits), not a scan of the map.
+fn prefix_range<'a, V>(
+    map: &'a NameMap<V>,
+    prefix: &'a str,
+) -> impl Iterator<Item = (&'a Arc<str>, &'a V)> {
+    map.range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+        .take_while(move |(n, _)| n.starts_with(prefix))
+}
+
 /// The orthogonal-persistence runtime.
 ///
 /// The runtime does not own the arena — verbs borrow it, so the octree
@@ -178,9 +195,13 @@ pub fn blob_footprint(encoded_len: usize) -> usize {
 /// *new* copy and retires the old one through exactly this deferral.
 pub struct PmRt {
     /// Staged view: name → entry as of the next commit.
-    table: BTreeMap<String, Entry>,
+    table: NameMap<Entry>,
     /// Committed view: name → entry as published by `rt_root`.
-    committed: BTreeMap<String, Entry>,
+    committed: NameMap<Entry>,
+    /// Reverse index of the committed view: blob record offset → name.
+    /// Both advance at commit by applying `staged_origin`; volatile, so
+    /// restore reseeds it from the table the chain walk rebuilds.
+    committed_at: BTreeMap<u64, Arc<str>>,
     heap: LogHeap,
     epoch: u64,
     /// Record offsets of committed blobs superseded since the last
@@ -200,7 +221,7 @@ pub struct PmRt {
     /// For every name modified since the last commit: the committed-time
     /// entry it had (`None` = name did not exist). Drives both
     /// [`PmRt::revert_staged_prefix`] and the commit record's delta.
-    staged_origin: BTreeMap<String, Option<Entry>>,
+    staged_origin: NameMap<Option<Entry>>,
 }
 
 impl PmRt {
@@ -215,6 +236,7 @@ impl PmRt {
         let mut rt = PmRt {
             table: BTreeMap::new(),
             committed: BTreeMap::new(),
+            committed_at: BTreeMap::new(),
             heap: LogHeap::new(limit, top),
             epoch: 0,
             retired: Vec::new(),
@@ -278,7 +300,7 @@ impl PmRt {
         }
         let epoch = walked[0].1.epoch;
         // Replay oldest → newest.
-        let mut table: BTreeMap<String, Entry> = BTreeMap::new();
+        let mut table: NameMap<Entry> = BTreeMap::new();
         for (_, rec, _) in walked.iter().rev() {
             for (name, e) in &rec.upserts {
                 table.insert(name.clone(), *e);
@@ -313,6 +335,7 @@ impl PmRt {
         let chain: Vec<u64> = walked.iter().rev().map(|(o, _, _)| *o).collect();
         Ok(PmRt {
             committed: table.clone(),
+            committed_at: table.iter().map(|(n, e)| (e.record_off(), n.clone())).collect(),
             table,
             heap,
             epoch,
@@ -368,18 +391,8 @@ impl PmRt {
         name: &str,
         value: &T,
     ) -> Result<PPtr<T>, PmError> {
-        self.stage_inner(arena, name, value).map_err(PmError::from)
-    }
-
-    fn stage_inner<T: PmData>(
-        &mut self,
-        arena: &mut NvbmArena,
-        name: &str,
-        value: &T,
-    ) -> Result<PPtr<T>, RtError> {
-        let payload = value.to_bytes();
-        let e = self.stage_bytes(arena, name, &payload)?;
-        Ok(PPtr { off: e.off, len: e.len, _t: PhantomData })
+        let e = self.stage_bytes(arena, name, &value.to_bytes())?;
+        Ok(PPtr::from_entry(e))
     }
 
     /// Stage raw payload bytes under `name`. A rewrite of a root already
@@ -401,22 +414,22 @@ impl PmRt {
         w.u32(OBJ_MAGIC);
         w.u32(len);
         blob.extend_from_slice(payload);
-        if let Some(&cur) = self.table.get(name) {
-            let staged_only = self.committed.get(name) != Some(&cur);
+        if let Some(cur) = self.table.get_mut(name) {
+            let staged_only = self.committed.get(name) != Some(cur);
             if staged_only && cur.footprint() == record_size(blob.len()) {
+                // Staged-only means this window already noted its origin.
+                debug_assert!(self.staged_origin.contains_key(name));
                 let seq = self.heap.next_seq();
                 arena.write(cur.record_off(), &encode_record(seq, RecordKind::Blob, &blob));
-                let e = Entry { off: cur.off, len };
-                self.note_origin(name);
-                self.table.insert(name.to_string(), e);
-                return Ok(e);
+                cur.len = len;
+                return Ok(*cur);
             }
         }
         let (rec_off, size) = self.append_record(arena, RecordKind::Blob, &blob)?;
         self.staged.push((rec_off, size as u32));
-        self.note_origin(name);
+        let key = self.note_origin(name);
         let e = Entry { off: rec_off + REC_HEADER as u64, len };
-        if let Some(old) = self.table.insert(name.to_string(), e) {
+        if let Some(old) = self.table.insert(key, e) {
             self.supersede(name, old);
         }
         Ok(e)
@@ -447,17 +460,9 @@ impl PmRt {
         arena: &mut NvbmArena,
         ptr: PPtr<T>,
     ) -> Result<T, PmError> {
-        self.load_ptr_inner(arena, ptr).map_err(PmError::from)
-    }
-
-    fn load_ptr_inner<T: PmData>(
-        &mut self,
-        arena: &mut NvbmArena,
-        ptr: PPtr<T>,
-    ) -> Result<T, RtError> {
         check_bounds(arena.rt_heap_top(), ptr.off, ptr.len)?;
         let payload = read_blob(arena, ptr.off, Some(ptr.len))?;
-        T::from_bytes(&payload)
+        Ok(T::from_bytes(&payload)?)
     }
 
     /// Unregister a named root. A committed blob is reclaimed after the
@@ -476,11 +481,18 @@ impl PmRt {
     }
 
     /// Record the committed-time entry for `name` on its first
-    /// modification in this commit window.
-    fn note_origin(&mut self, name: &str) {
-        if !self.staged_origin.contains_key(name) {
-            self.staged_origin.insert(name.to_string(), self.committed.get(name).copied());
+    /// modification in this commit window. Returns the shared name key
+    /// (the committed table's allocation when the root already exists).
+    fn note_origin(&mut self, name: &str) -> Arc<str> {
+        if let Some((key, _)) = self.staged_origin.get_key_value(name) {
+            return key.clone();
         }
+        let (key, origin) = match self.committed.get_key_value(name) {
+            Some((key, e)) => (key.clone(), Some(*e)),
+            None => (Arc::from(name), None),
+        };
+        self.staged_origin.insert(key.clone(), origin);
+        key
     }
 
     /// A staged or committed blob under `name` was replaced or removed.
@@ -557,8 +569,23 @@ impl PmRt {
             self.deferred.push((retired_at, off));
         }
         self.collect_inner(arena.rt_pins().min_pinned());
-        self.committed = self.table.clone();
-        self.staged_origin.clear();
+        // Advance the committed view and its reverse index by exactly the
+        // names this window touched.
+        for (name, origin) in std::mem::take(&mut self.staged_origin) {
+            if let Some(old) = origin {
+                self.committed_at.remove(&old.record_off());
+            }
+            match self.table.get(&name) {
+                Some(&e) => {
+                    self.committed_at.insert(e.record_off(), name.clone());
+                    self.committed.insert(name, e);
+                }
+                None => {
+                    self.committed.remove(&name);
+                }
+            }
+        }
+        debug_assert_eq!(self.committed, self.table);
         arena.publish_rt_floor(self.heap.floor());
         Ok(std::mem::take(&mut self.staged))
     }
@@ -570,33 +597,37 @@ impl PmRt {
         let mut upserts: Vec<(&str, Entry)> = Vec::new();
         let mut removes: Vec<&str> = Vec::new();
         if checkpoint {
-            upserts.extend(self.table.iter().map(|(n, e)| (n.as_str(), *e)));
+            upserts.extend(self.table.iter().map(|(n, e)| (&**n, *e)));
         } else {
-            for name in self.staged_origin.keys() {
+            for (name, origin) in &self.staged_origin {
                 match self.table.get(name) {
-                    Some(e) => upserts.push((name.as_str(), *e)),
-                    None => {
-                        if self.committed.contains_key(name) {
-                            removes.push(name.as_str());
-                        }
-                    }
+                    Some(e) => upserts.push((name, *e)),
+                    // Removing a name the committed table never held is
+                    // no delta at all.
+                    None if origin.is_some() => removes.push(name),
+                    None => {}
                 }
             }
         }
-        let mut payload = Vec::new();
+        // Sized exactly (4 u64 header fields; a u64 length per name; 12
+        // entry bytes per upsert): a checkpoint payload is the largest
+        // transient buffer of a commit.
+        let name_bytes: usize =
+            upserts.iter().map(|(n, _)| n).chain(&removes).map(|n| n.len()).sum();
+        let mut payload =
+            Vec::with_capacity(32 + 20 * upserts.len() + 8 * removes.len() + name_bytes);
         let mut w = ByteWriter::new(&mut payload);
         w.u64(self.epoch);
         w.u64(prev);
         w.u64(upserts.len() as u64);
         w.u64(removes.len() as u64);
         for (name, e) in &upserts {
-            name.to_string().encode(&mut payload);
-            let mut w = ByteWriter::new(&mut payload);
+            w.bytes(name.as_bytes());
             w.u64(e.off);
             w.u32(e.len);
         }
         for name in &removes {
-            name.to_string().encode(&mut payload);
+            w.bytes(name.as_bytes());
         }
         payload
     }
@@ -609,17 +640,7 @@ impl PmRt {
     fn wear_pass(&mut self, arena: &mut NvbmArena) -> Result<(), RtError> {
         let _s = arena.span("wear::relocate");
         arena.failpoint("wear::relocate");
-        let mut best: Option<(u32, String)> = None;
-        for (name, e) in &self.committed {
-            if self.table.get(name) != Some(e) {
-                continue; // modified this window; its old blob retires anyway
-            }
-            let w = arena.stats.block_wear(e.record_off());
-            if best.as_ref().is_none_or(|(bw, _)| w > *bw) {
-                best = Some((w, name.clone()));
-            }
-        }
-        if let Some((w, name)) = best {
+        if let Some((w, name)) = self.wear_victim(arena) {
             if w > 0 {
                 match self.relocate(arena, &name) {
                     // A full ring just means no headroom to level into;
@@ -630,6 +651,26 @@ impl PmRt {
             }
         }
         Ok(())
+    }
+
+    /// The committed, un-restaged blob on the hottest block (first in
+    /// name order among equals) and that block's wear. Both views are
+    /// name-ordered, so one lockstep pass pairs them without a search
+    /// per root.
+    fn wear_victim(&self, arena: &NvbmArena) -> Option<(u32, Arc<str>)> {
+        let mut staged = self.table.iter().peekable();
+        let mut best: Option<(u32, &Arc<str>)> = None;
+        for (name, e) in &self.committed {
+            while staged.next_if(|(n, _)| *n < name).is_some() {}
+            if staged.peek() != Some(&(name, e)) {
+                continue; // modified this window; its old blob retires anyway
+            }
+            let w = arena.stats.block_wear(e.record_off());
+            if best.is_none_or(|(bw, _)| w > bw) {
+                best = Some((w, name));
+            }
+        }
+        best.map(|(w, name)| (w, name.clone()))
     }
 
     /// Compaction pass: rotate the ring by relocating the oldest
@@ -658,17 +699,12 @@ impl PmRt {
     }
 
     /// The committed, un-restaged blob closest to the ring tail, if any.
-    fn oldest_relocatable(&self) -> Option<String> {
-        let by_rec: BTreeMap<u64, &String> = self
-            .committed
-            .iter()
-            .filter(|(n, e)| self.table.get(*n) == Some(*e))
-            .map(|(n, e)| (e.record_off(), n))
-            .collect();
-        if by_rec.is_empty() {
-            return None;
-        }
-        self.heap.ring_live().find_map(|off| by_rec.get(&off).map(|n| (*n).clone()))
+    fn oldest_relocatable(&self) -> Option<Arc<str>> {
+        self.heap.ring_live().find_map(|off| {
+            // Still staged under the record the committed view names?
+            let name = self.committed_at.get(&off)?;
+            (self.table.get(name).map(Entry::record_off) == Some(off)).then(|| name.clone())
+        })
     }
 
     /// Relocate a committed blob: re-stage a byte-identical copy at the
@@ -722,32 +758,28 @@ impl PmRt {
     /// tenant's batch all-or-nothing. Returns the number of roots
     /// reverted.
     pub fn revert_staged_prefix(&mut self, prefix: &str) -> usize {
-        let names: Vec<String> =
-            self.staged_origin.keys().filter(|n| n.starts_with(prefix)).cloned().collect();
-        for name in &names {
-            let origin = self.staged_origin.remove(name).flatten();
-            // Reclaim the record currently staged under the name (if the
-            // name still resolves and it is not the committed blob).
-            if let Some(&cur) = self.table.get(name) {
-                if self.committed.get(name) != Some(&cur) {
-                    self.heap.mark_dead(cur.record_off());
-                }
+        let reverted: Vec<(Arc<str>, Option<Entry>)> =
+            prefix_range(&self.staged_origin, prefix).map(|(n, o)| (n.clone(), *o)).collect();
+        for (name, origin) in &reverted {
+            self.staged_origin.remove(name);
+            // Reinstate the committed-time entry and reclaim the record
+            // staged under the name (unless it is that committed blob).
+            let staged = match origin {
+                Some(e) => self.table.insert(name.clone(), *e),
+                None => self.table.remove(name),
+            };
+            if let Some(cur) = staged.filter(|cur| Some(*cur) != *origin) {
+                self.heap.mark_dead(cur.record_off());
             }
-            match origin {
-                Some(e) => {
-                    self.table.insert(name.clone(), e);
-                    // Cancel the pending retirement: the committed blob
-                    // is reachable again.
-                    if let Some(i) = self.retired.iter().position(|&o| o == e.record_off()) {
-                        self.retired.swap_remove(i);
-                    }
-                }
-                None => {
-                    self.table.remove(name);
-                }
+            // Cancel the pending retirement: the committed blob is
+            // reachable again.
+            let retired =
+                origin.and_then(|e| self.retired.iter().position(|&o| o == e.record_off()));
+            if let Some(i) = retired {
+                self.retired.swap_remove(i);
             }
         }
-        names.len()
+        reverted.len()
     }
 
     /// Ring bytes (full record footprints) currently charged to roots
@@ -755,11 +787,7 @@ impl PmRt {
     /// check sees writes from the current batch. This is the service
     /// layer's quota currency.
     pub fn prefix_usage(&self, prefix: &str) -> u64 {
-        self.table
-            .iter()
-            .filter(|(n, _)| n.starts_with(prefix))
-            .map(|(_, e)| e.footprint() as u64)
-            .sum()
+        prefix_range(&self.table, prefix).map(|(_, e)| e.footprint() as u64).sum()
     }
 
     /// The staged entry's ring footprint for one name (0 if absent).
@@ -767,14 +795,11 @@ impl PmRt {
         self.table.get(name).map_or(0, |e| e.footprint() as u64)
     }
 
-    /// Committed table entries whose name starts with `prefix` (what an
-    /// MVCC snapshot captures).
+    /// Committed table entries whose name starts with `prefix`, keyed by
+    /// the rest of the name (what an MVCC snapshot captures).
     pub(crate) fn committed_with_prefix(&self, prefix: &str) -> BTreeMap<String, Entry> {
-        self.committed
-            .iter()
-            .filter(|(n, _)| n.starts_with(prefix))
-            .map(|(n, e)| (n.clone(), *e))
-            .collect()
+        let bare = |(n, e): (&Arc<str>, &Entry)| (n[prefix.len()..].to_string(), *e);
+        prefix_range(&self.committed, prefix).map(bare).collect()
     }
 
     /// Committed table epoch (increments at every commit).
@@ -794,12 +819,12 @@ impl PmRt {
 
     /// Registered root names, sorted.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.table.keys().map(String::as_str)
+        self.table.keys().map(|n| &**n)
     }
 
     /// Registered root names starting with `prefix`, sorted.
     pub fn names_with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a str> {
-        self.table.keys().map(String::as_str).filter(move |n| n.starts_with(prefix))
+        prefix_range(&self.table, prefix).map(|(n, _)| &**n)
     }
 
     /// The runtime ring floor (lowest arena byte the runtime owns).
@@ -838,8 +863,8 @@ impl PmRt {
 struct CommitPayload {
     epoch: u64,
     prev: u64,
-    upserts: Vec<(String, Entry)>,
-    removes: Vec<String>,
+    upserts: Vec<(Arc<str>, Entry)>,
+    removes: Vec<Arc<str>>,
 }
 
 /// Read and checksum-validate the commit record at `off` (bounds-checked
@@ -901,24 +926,21 @@ fn parse_commit_payload(payload: &[u8]) -> Result<CommitPayload, RtError> {
     let prev = r.u64()?;
     let nup = r.u64()?;
     let nrm = r.u64()?;
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    let mut upserts = Vec::new();
-    for _ in 0..nup {
-        let name = String::decode(&mut r)?;
-        let off = r.u64()?;
-        let len = r.u32()?;
+    let mut seen: BTreeSet<Arc<str>> = BTreeSet::new();
+    let mut fresh_name = |r: &mut ByteReader<'_>| {
+        let name: Arc<str> = String::decode(r)?.into();
         if !seen.insert(name.clone()) {
             return Err(RtError::Corrupt(format!("duplicate root name {name:?} in commit record")));
         }
-        upserts.push((name, Entry { off, len }));
+        Ok(name)
+    };
+    let mut upserts = Vec::new();
+    for _ in 0..nup {
+        upserts.push((fresh_name(&mut r)?, Entry { off: r.u64()?, len: r.u32()? }));
     }
     let mut removes = Vec::new();
     for _ in 0..nrm {
-        let name = String::decode(&mut r)?;
-        if !seen.insert(name.clone()) {
-            return Err(RtError::Corrupt(format!("duplicate root name {name:?} in commit record")));
-        }
-        removes.push(name);
+        removes.push(fresh_name(&mut r)?);
     }
     if !r.is_empty() {
         return Err(RtError::Corrupt("trailing bytes after commit record payload".into()));
@@ -1331,6 +1353,14 @@ mod tests {
         assert_eq!(r.load::<Vec<u8>>(&mut a, "cold").unwrap(), Some(vec![7u8; 200]));
     }
 
+    /// Deterministic LCG behind the random-interleaving tests.
+    fn lcg(mut rng: u64) -> impl FnMut() -> usize {
+        move || {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (rng >> 33) as usize
+        }
+    }
+
     /// Satellite property test: compaction preserves byte-identity of
     /// all live blobs under random put/remove/commit interleavings
     /// (deterministic LCG, shadow-model oracle, final crash+restore).
@@ -1340,11 +1370,7 @@ mod tests {
         let mut rt = PmRt::create(&mut a).unwrap();
         let mut shadow: BTreeMap<String, Vec<u8>> = BTreeMap::new();
         let mut committed_shadow: BTreeMap<String, Vec<u8>>;
-        let mut rng = 0x1234_5678_9abc_def0u64;
-        let mut step = move || {
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (rng >> 33) as usize
-        };
+        let mut step = lcg(0x1234_5678_9abc_def0);
         for op in 0..600 {
             let name = format!("r{}", step() % 12);
             match step() % 10 {
@@ -1377,6 +1403,112 @@ mod tests {
         assert_eq!(r.len(), committed_shadow.len());
         for (n, want) in &committed_shadow {
             assert_eq!(r.load::<Vec<u8>>(&mut a, n).unwrap().as_ref(), Some(want));
+        }
+    }
+
+    // Whole-table reference definitions of the state `commit` maintains
+    // by delta, recomputed from scratch on every call.
+
+    fn naive_index(rt: &PmRt) -> BTreeMap<u64, Arc<str>> {
+        rt.committed.iter().map(|(n, e)| (e.record_off(), n.clone())).collect()
+    }
+
+    fn naive_oldest_relocatable(rt: &PmRt) -> Option<Arc<str>> {
+        let by_rec: BTreeMap<u64, &Arc<str>> = rt
+            .committed
+            .iter()
+            .filter(|(n, e)| rt.table.get(*n) == Some(*e))
+            .map(|(n, e)| (e.record_off(), n))
+            .collect();
+        rt.heap.ring_live().find_map(|off| by_rec.get(&off).map(|n| (*n).clone()))
+    }
+
+    fn naive_wear_victim(rt: &PmRt, arena: &NvbmArena) -> Option<(u32, Arc<str>)> {
+        let mut best: Option<(u32, Arc<str>)> = None;
+        for (name, e) in &rt.committed {
+            if rt.table.get(name) != Some(e) {
+                continue;
+            }
+            let w = arena.stats.block_wear(e.record_off());
+            if best.as_ref().is_none_or(|(bw, _)| w > *bw) {
+                best = Some((w, name.clone()));
+            }
+        }
+        best
+    }
+
+    /// Differential test of the delta-maintained commit state: under
+    /// random stage/unregister/revert/commit/pin/unpin interleavings the
+    /// GC victims equal the whole-table definitions at every step, and
+    /// after every commit the committed view equals the staged one and
+    /// the reverse index equals one recomputed from scratch. A shadow
+    /// model checks the values themselves, through a final crash.
+    #[test]
+    fn delta_commit_state_matches_whole_table_references() {
+        for seed in [0x1234_5678_9abc_def0u64, 7] {
+            let mut a = arena();
+            let mut rt = PmRt::create(&mut a).unwrap();
+            let mut shadow: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+            let mut committed_shadow = shadow.clone();
+            // Names staged or unregistered since the last commit.
+            let mut dirty: BTreeSet<String> = BTreeSet::new();
+            let mut pins = Vec::new();
+            let mut relocated = false;
+            let mut step = lcg(seed);
+            for op in 0..1000 {
+                let tenant = format!("t{}/", step() % 4);
+                let name = format!("{tenant}r{}", step() % 5);
+                match step() % 16 {
+                    0..=7 => {
+                        let len = step() % 200;
+                        let payload: Vec<u8> = (0..len).map(|i| (i + op) as u8).collect();
+                        rt.stage(&mut a, &name, &payload).unwrap();
+                        shadow.insert(name.clone(), payload);
+                        dirty.insert(name);
+                    }
+                    8..=9 => {
+                        let existed = shadow.remove(&name).is_some();
+                        assert_eq!(rt.unregister(&name), existed);
+                        if existed {
+                            dirty.insert(name);
+                        }
+                    }
+                    10 => {
+                        let want = dirty.iter().filter(|n| n.starts_with(&tenant)).count();
+                        assert_eq!(rt.revert_staged_prefix(&tenant), want, "op {op}");
+                        dirty.retain(|n| !n.starts_with(&tenant));
+                        shadow.retain(|n, _| !n.starts_with(&tenant));
+                        let kept = committed_shadow.iter().filter(|(n, _)| n.starts_with(&tenant));
+                        shadow.extend(kept.map(|(n, v)| (n.clone(), v.clone())));
+                    }
+                    11 => pins.push(rt.snapshot(&mut a)),
+                    12 => drop(pins.pop()),
+                    _ => {
+                        let before = a.stats.relocations();
+                        rt.commit(&mut a).unwrap();
+                        relocated |= a.stats.relocations() > before;
+                        committed_shadow = shadow.clone();
+                        dirty.clear();
+                        assert_eq!(rt.committed, rt.table, "seed {seed:#x} op {op}");
+                        assert_eq!(rt.committed_at, naive_index(&rt), "seed {seed:#x} op {op}");
+                    }
+                }
+                assert_eq!(rt.oldest_relocatable(), naive_oldest_relocatable(&rt), "op {op}");
+                assert_eq!(rt.wear_victim(&a), naive_wear_victim(&rt, &a), "op {op}");
+                let names: Vec<&str> = rt.names().collect();
+                assert_eq!(names, shadow.keys().map(String::as_str).collect::<Vec<_>>());
+            }
+            assert!(relocated, "the interleaving must exercise the GC victims");
+            drop(pins);
+            rt.commit(&mut a).unwrap();
+            a.crash(CrashMode::LoseDirty);
+            let mut r = PmRt::restore(&mut a).unwrap();
+            assert_eq!(r.committed, r.table);
+            assert_eq!(r.committed_at, naive_index(&r), "restore reseeds the reverse index");
+            assert_eq!(r.len(), shadow.len());
+            for (n, want) in &shadow {
+                assert_eq!(r.load::<Vec<u8>>(&mut a, n).unwrap().as_ref(), Some(want));
+            }
         }
     }
 

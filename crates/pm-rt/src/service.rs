@@ -29,9 +29,8 @@ use pm_octree::PmError;
 use pmoctree_nvbm::{NvbmArena, RecKind};
 
 use crate::data::{ByteReader, PmData};
-use crate::log::record_size;
 use crate::mvcc::Snapshot;
-use crate::rt::{PmRt, RtError, OBJ_HEADER};
+use crate::rt::{blob_footprint, PmRt, RtError};
 use crate::tenant::{validate_component, TenantHandle};
 
 /// The unqualified registry root. Tenant data always lives under
@@ -385,8 +384,11 @@ impl StateService {
         self.stats.batches += 1;
         let t0_ns = arena.clock.now_ns();
         // Distinct tenants with commands in this batch, for the
-        // per-tenant flush-latency histogram below.
-        let batch_tenants: BTreeSet<String> = cmds.iter().map(|c| c.tenant().to_string()).collect();
+        // per-tenant flush-latency histogram below (traced runs only).
+        let mut batch_tenants: BTreeSet<String> = BTreeSet::new();
+        if arena.tracer.is_enabled() {
+            batch_tenants.extend(cmds.iter().map(|c| c.tenant().to_string()));
+        }
         let mut registry_dirty = false;
         let mut mutated = false;
         let mut replies = Vec::with_capacity(cmds.len());
@@ -463,36 +465,32 @@ impl StateService {
                 Ok(ServiceReply::Created)
             }
             ServiceCmd::Put { tenant, root, bytes } => {
-                let quota = self
-                    .tenants
-                    .get(&tenant)
-                    .map(|m| m.quota)
-                    .ok_or_else(|| PmError::NotFound(format!("tenant {tenant:?}")))?;
+                let quota = self.tenant_meta(&tenant)?.quota;
                 validate_component("root", &root)?;
                 let qualified = format!("{tenant}/{root}");
+                let prefix = &qualified[..=tenant.len()];
+                // Per-tenant series label, rendered for traced runs only.
+                let label = arena.tracer.is_enabled().then(|| format!("tenant=\"{tenant}\""));
                 // Charge the full log-record footprint the blob will
                 // occupy in the ring (record header + object header +
                 // u64 length prefix + payload + checksum trailer), net
                 // of the record it replaces.
-                let new_fp = record_size(OBJ_HEADER + 8 + bytes.len()) as u64;
-                let projected = self.usage(&tenant) - self.rt.entry_footprint(&qualified) + new_fp;
+                let new_fp = blob_footprint(8 + bytes.len()) as u64;
+                let projected =
+                    self.rt.prefix_usage(prefix) - self.rt.entry_footprint(&qualified) + new_fp;
                 if projected > quota {
                     self.stats.quota_rejections += 1;
-                    arena.tracer.counter_add_labeled(
-                        "svc.quota_rejections",
-                        &format!("tenant=\"{tenant}\""),
-                        1,
-                    );
+                    if let Some(label) = &label {
+                        arena.tracer.counter_add_labeled("svc.quota_rejections", label, 1);
+                    }
                     return Err(PmError::QuotaExceeded(format!(
                         "tenant {tenant:?}: {projected} B projected > quota {quota} B"
                     )));
                 }
                 self.rt.stage(arena, &qualified, &bytes)?;
-                arena.tracer.observe_labeled(
-                    "svc.write_bytes",
-                    &format!("tenant=\"{tenant}\""),
-                    new_fp,
-                );
+                if let Some(label) = &label {
+                    arena.tracer.observe_labeled("svc.write_bytes", label, new_fp);
+                }
                 Ok(ServiceReply::Put)
             }
             ServiceCmd::Commit { tenant } => {
@@ -505,16 +503,12 @@ impl StateService {
                 Ok(ServiceReply::Committed { lineage: meta.commits })
             }
             ServiceCmd::Restore { tenant } => {
-                if !self.tenants.contains_key(&tenant) {
-                    return Err(PmError::NotFound(format!("tenant {tenant:?}")));
-                }
+                self.tenant_meta(&tenant)?;
                 let reverted = self.rt.revert_staged_prefix(&format!("{tenant}/"));
                 Ok(ServiceReply::Restored { reverted })
             }
             ServiceCmd::Query { tenant, root } => {
-                if !self.tenants.contains_key(&tenant) {
-                    return Err(PmError::NotFound(format!("tenant {tenant:?}")));
-                }
+                self.tenant_meta(&tenant)?;
                 let v = self.rt.load::<Vec<u8>>(arena, &format!("{tenant}/{root}"))?;
                 Ok(ServiceReply::Value(v))
             }
@@ -533,6 +527,11 @@ impl StateService {
         }
     }
 
+    /// The bookkeeping of a registered tenant, or `NotFound`.
+    fn tenant_meta(&self, tenant: &str) -> Result<&TenantMeta, PmError> {
+        self.tenants.get(tenant).ok_or_else(|| PmError::NotFound(format!("tenant {tenant:?}")))
+    }
+
     fn stage_registry(&mut self, arena: &mut NvbmArena) -> Result<(), PmError> {
         let recs: Vec<TenantRec> = self
             .tenants
@@ -547,9 +546,7 @@ impl StateService {
     /// for it fail with [`PmError::TenantBusy`]; work through
     /// [`StateService::handle`] instead.
     pub fn checkout(&mut self, tenant: &str) -> Result<TenantLease, PmError> {
-        if !self.tenants.contains_key(tenant) {
-            return Err(PmError::NotFound(format!("tenant {tenant:?}")));
-        }
+        self.tenant_meta(tenant)?;
         if !self.leased.insert(tenant.to_string()) {
             return Err(PmError::TenantBusy(format!("tenant {tenant:?} already checked out")));
         }
@@ -572,9 +569,7 @@ impl StateService {
 
     /// Pin an MVCC snapshot of a tenant's committed roots (bare names).
     pub fn snapshot(&self, arena: &mut NvbmArena, tenant: &str) -> Result<Snapshot, PmError> {
-        if !self.tenants.contains_key(tenant) {
-            return Err(PmError::NotFound(format!("tenant {tenant:?}")));
-        }
+        self.tenant_meta(tenant)?;
         Ok(self.rt.snapshot_prefix(arena, &format!("{tenant}/")))
     }
 
