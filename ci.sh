@@ -4,6 +4,30 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# diff_gate <label> <subcommand…> -- <file…>: run the repro subcommand
+# with `--workers 1`, keep a copy of each named document, run it again
+# with `--workers 4`, and fail unless every document is byte-identical
+# (only wall-clock may differ between worker counts).
+diff_gate() {
+    local label=$1 cmd=() f
+    shift
+    while [ "$1" != "--" ]; do
+        cmd+=("$1")
+        shift
+    done
+    shift
+    cargo run --release -p pmoctree-bench --bin repro -- "${cmd[@]}" --workers 1
+    for f in "$@"; do cp "$f" "${f%.json}.w1.json"; done
+    cargo run --release -p pmoctree-bench --bin repro -- "${cmd[@]}" --workers 4
+    for f in "$@"; do
+        if ! diff -q "${f%.json}.w1.json" "$f"; then
+            echo "$label diverged between 1 and 4 workers" >&2
+            exit 1
+        fi
+        rm -f "${f%.json}.w1.json"
+    done
+}
+
 cargo build --release
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
@@ -39,38 +63,17 @@ cargo run --release -p pmoctree-bench --bin repro -- trace-check trace_smoke.jso
 rm -f trace_smoke.json
 # Worker-pool determinism gate: the cluster smoke must emit byte-identical
 # JSON whether the pool runs 1 worker or 4 (only wall-clock may differ).
-cargo run --release -p pmoctree-bench --bin repro -- cluster-smoke --workers 1
-mv BENCH_cluster_smoke.json BENCH_cluster_smoke.w1.json
-cargo run --release -p pmoctree-bench --bin repro -- cluster-smoke --workers 4
-if ! diff -q BENCH_cluster_smoke.w1.json BENCH_cluster_smoke.json; then
-    echo "cluster smoke diverged between 1 and 4 workers" >&2
-    exit 1
-fi
-rm -f BENCH_cluster_smoke.w1.json
+diff_gate "cluster smoke" cluster-smoke -- BENCH_cluster_smoke.json
 # Multi-tenant service gate: the Zipf-skewed service benchmark (>=100
 # tenants, pinned-snapshot isolation checks, quota rejections) must pass
 # its internal gates and emit byte-identical JSON under 1 and 4 workers
 # (the driver is single-threaded over the virtual clock by design).
-cargo run --release -p pmoctree-bench --bin repro -- service --smoke --workers 1
-mv BENCH_service.json BENCH_service.w1.json
-cargo run --release -p pmoctree-bench --bin repro -- service --smoke --workers 4
-if ! diff -q BENCH_service.w1.json BENCH_service.json; then
-    echo "service benchmark diverged between 1 and 4 workers" >&2
-    exit 1
-fi
-rm -f BENCH_service.w1.json
+diff_gate "service benchmark" service --smoke -- BENCH_service.json
 # Flight-recorder gate: the blackbox run (recorder on, recovered from the
 # arena's own media, overhead measured against a recorder-off run) must
 # pass its internal gates — well-formed dump, <=5% virtual-clock
 # inflation — and emit byte-identical JSON under 1 and 4 workers.
-cargo run --release -p pmoctree-bench --bin repro -- blackbox --quick --workers 1
-mv BENCH_blackbox.json BENCH_blackbox.w1.json
-cargo run --release -p pmoctree-bench --bin repro -- blackbox --quick --workers 4
-if ! diff -q BENCH_blackbox.w1.json BENCH_blackbox.json; then
-    echo "blackbox run diverged between 1 and 4 workers" >&2
-    exit 1
-fi
-rm -f BENCH_blackbox.w1.json
+diff_gate "blackbox run" blackbox --quick -- BENCH_blackbox.json
 # Wear-telemetry gate: after the write_fraction and service runs above,
 # BENCH_wear.json must hold complete per-region/per-phase attribution
 # for BOTH drivers (the shape is checked by trace-check below).
@@ -86,16 +89,7 @@ done
 # under relocation, bytes/commit and flatness against recorded baselines)
 # and both its documents — BENCH_wear_level.json and the merged
 # BENCH_wear.json — must be byte-identical under 1 and 4 workers.
-cargo run --release -p pmoctree-bench --bin repro -- wear-level --smoke --workers 1
-mv BENCH_wear_level.json BENCH_wear_level.w1.json
-cp BENCH_wear.json BENCH_wear.w1.json
-cargo run --release -p pmoctree-bench --bin repro -- wear-level --smoke --workers 4
-if ! diff -q BENCH_wear_level.w1.json BENCH_wear_level.json ||
-    ! diff -q BENCH_wear.w1.json BENCH_wear.json; then
-    echo "wear-level benchmark diverged between 1 and 4 workers" >&2
-    exit 1
-fi
-rm -f BENCH_wear_level.w1.json BENCH_wear.w1.json
+diff_gate "wear-level benchmark" wear-level --smoke -- BENCH_wear_level.json BENCH_wear.json
 if ! grep -q "\"driver\":\"wear-level\"" BENCH_wear.json; then
     echo "BENCH_wear.json is missing the wear-level driver" >&2
     exit 1

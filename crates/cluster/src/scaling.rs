@@ -18,7 +18,7 @@
 //! change which core runs which rank.
 
 use pmoctree_morton::{partition_by_weight, OctKey, ZRange};
-use pmoctree_nvbm::{Event, Metrics, NetworkModel, Tracer};
+use pmoctree_nvbm::{Event, NetworkModel, Tracer};
 use pmoctree_solver::{SimConfig, Simulation};
 use rayon::prelude::*;
 
@@ -278,16 +278,6 @@ impl ClusterSim {
                 .filter(|(_, ev)| !ev.is_empty())
                 .collect(),
         )
-    }
-
-    /// Metrics registries of all ranks merged into one (counters add,
-    /// gauges take the max, histograms merge cell-wise).
-    pub fn merged_metrics(&self) -> Metrics {
-        let mut out = Metrics::default();
-        for r in &self.ranks {
-            out.merge(&r.backend.tracer().metrics());
-        }
-        out
     }
 
     /// Bulk-synchronous barrier: every rank's clock jumps to the global

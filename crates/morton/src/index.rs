@@ -100,12 +100,6 @@ impl<const D: usize> LeafIndex<D> {
         ((n * ENTRY_BYTES).div_ceil(LINE)) as u64
     }
 
-    /// DRAM cachelines touched by one binary-search probe of this index.
-    pub fn probe_lines(&self) -> u64 {
-        let hops = usize::BITS - self.entries.len().leading_zeros();
-        Self::lines_for_entries(hops.max(1) as usize)
-    }
-
     /// Splice a refine into the sorted array: `parent` (a leaf) is replaced
     /// by its `FANOUT` children, child `i` receiving `child_slots[i]`.
     ///
@@ -158,17 +152,6 @@ impl<const D: usize> LeafIndex<D> {
                 }
             }
             _ => self.invalidate(),
-        }
-    }
-
-    /// Update the slot stored for `key` (payload moved; leaf set unchanged).
-    /// No-op while invalid or when `key` is absent.
-    pub fn set_slot(&mut self, key: Key<D>, slot: u64) {
-        if !self.valid {
-            return;
-        }
-        if let Ok(pos) = self.entries.binary_search_by(|e| e.0.zcmp(&key)) {
-            self.entries[pos].1 = slot;
         }
     }
 

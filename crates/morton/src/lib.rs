@@ -25,12 +25,10 @@
 
 pub mod bits;
 pub mod code;
-pub mod hilbert;
 pub mod index;
 pub mod range;
 pub mod simd;
 
 pub use code::{Key, OctKey, QuadKey};
-pub use hilbert::{hilbert_coords, hilbert_index, hilbert_of_key, hilbert_partition};
 pub use index::LeafIndex;
 pub use range::{anchor, anchor_end, partition_by_weight, ZRange};

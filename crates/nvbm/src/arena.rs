@@ -153,8 +153,40 @@ fn apply_overlay(cache: &BTreeMap<u64, [u8; CACHELINE]>, offset: u64, buf: &mut 
     }
 }
 
+/// Store `data` at `offset` into the line table `lines` with the
+/// read-modify-write cacheline discipline: a line not yet present is
+/// first seeded through `seed(line_start, buf)` with the `buf.len()`
+/// bytes (a whole line, short only at the device end `capacity`)
+/// underneath it. Shared by [`NvbmArena::write`] (seeded from the media)
+/// and [`ShardWriter::write`] (seeded from the snapshot).
+#[inline]
+fn store_lines(
+    lines: &mut BTreeMap<u64, [u8; CACHELINE]>,
+    capacity: usize,
+    offset: u64,
+    data: &[u8],
+    mut seed: impl FnMut(u64, &mut [u8]),
+) {
+    let first = offset / CACHELINE as u64;
+    let last = (offset + data.len() as u64 - 1) / CACHELINE as u64;
+    for line in first..=last {
+        let line_start = line * CACHELINE as u64;
+        let entry = lines.entry(line).or_insert_with(|| {
+            let mut l = [0u8; CACHELINE];
+            let len = CACHELINE.min(capacity - line_start as usize);
+            seed(line_start, &mut l[..len]);
+            l
+        });
+        let lo = line_start.max(offset);
+        let hi = (line_start + CACHELINE as u64).min(offset + data.len() as u64);
+        let src = (lo - offset) as usize..(hi - offset) as usize;
+        let dst = (lo - line_start) as usize..(hi - line_start) as usize;
+        entry[dst].copy_from_slice(&data[src]);
+    }
+}
+
 /// Commit one full cacheline to `media`, charging wear when stats are live.
-fn commit_line_to(
+pub(crate) fn commit_line_to(
     media: &mut [u8],
     stats: Option<&mut MemStats>,
     line: u64,
@@ -479,11 +511,6 @@ impl NvbmArena {
         self.plan.take()
     }
 
-    /// The installed plan, if any.
-    pub fn fail_plan(&self) -> Option<&FailPlan> {
-        self.plan.as_ref()
-    }
-
     /// An explicit, labelled crash opportunity: protocol code calls this
     /// between phases (e.g. `"gc::sweep"`, `"persist::root_swap"`) so
     /// sweeps can attribute opportunities to protocol phases. The label
@@ -569,24 +596,10 @@ impl NvbmArena {
         let lines = DeviceModel::lines(offset, data.len());
         self.clock.advance(lines * self.model.nvbm.write_ns);
         self.stats.nvbm_write(data.len(), lines);
-        let first = offset / CACHELINE as u64;
-        let last = (offset + data.len() as u64 - 1) / CACHELINE as u64;
-        for line in first..=last {
-            let line_start = line * CACHELINE as u64;
-            let entry = self.cache.entry(line).or_insert_with(|| {
-                // Read-modify-write: seed the cacheline from media.
-                let mut l = [0u8; CACHELINE];
-                let s = line_start as usize;
-                let e = (s + CACHELINE).min(self.media.len());
-                l[..e - s].copy_from_slice(&self.media[s..e]);
-                l
-            });
-            let lo = line_start.max(offset);
-            let hi = (line_start + CACHELINE as u64).min(offset + data.len() as u64);
-            let src = (lo - offset) as usize..(hi - offset) as usize;
-            let dst = (lo - line_start) as usize..(hi - line_start) as usize;
-            entry[dst].copy_from_slice(&data[src]);
-        }
+        let media = &self.media;
+        store_lines(&mut self.cache, media.len(), offset, data, |start, buf| {
+            buf.copy_from_slice(&media[start as usize..start as usize + buf.len()]);
+        });
         self.evict_over_cap();
     }
 
@@ -780,12 +793,6 @@ impl NvbmArena {
 
     // ---- live allocation boundaries --------------------------------------
 
-    /// The device's region manager: typed regions, live edges, checked
-    /// carve-out. Volatile; free to read (no media access).
-    pub fn regions(&self) -> &RegionManager {
-        &self.regions
-    }
-
     /// The octree allocator's live bump pointer: the `pm-rt` heap must
     /// not grow below this. Volatile; free to read (no media access).
     pub fn live_bump(&self) -> u64 {
@@ -819,30 +826,6 @@ impl NvbmArena {
     /// blobs; snapshot handles hold [`crate::pins::PinGuard`]s from it.
     pub fn rt_pins(&self) -> &EpochPins {
         &self.rt_pins
-    }
-
-    // ---- typed access helpers -------------------------------------------
-
-    /// Read a little-endian `u64`.
-    pub fn read_u64(&mut self, offset: u64) -> u64 {
-        let mut b = [0u8; 8];
-        self.read(offset, &mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Write a little-endian `u64`.
-    pub fn write_u64(&mut self, offset: u64, v: u64) {
-        self.write(offset, &v.to_le_bytes());
-    }
-
-    /// Read a little-endian `f64`.
-    pub fn read_f64(&mut self, offset: u64) -> f64 {
-        f64::from_bits(self.read_u64(offset))
-    }
-
-    /// Write a little-endian `f64`.
-    pub fn write_f64(&mut self, offset: u64, v: f64) {
-        self.write_u64(offset, v.to_bits());
     }
 
     // ---- whole-device persistence (node reboot) --------------------------
@@ -990,24 +973,9 @@ impl<'a> ShardWriter<'a> {
         self.write_lines += lines;
         self.write_bytes += data.len() as u64;
         let snap = self.snap;
-        let first = offset / CACHELINE as u64;
-        let last = (offset + data.len() as u64 - 1) / CACHELINE as u64;
-        for line in first..=last {
-            let line_start = line * CACHELINE as u64;
-            let entry = self.overlay.entry(line).or_insert_with(|| {
-                // Read-modify-write: seed the line from the snapshot view.
-                let mut l = [0u8; CACHELINE];
-                let s = line_start as usize;
-                let e = (s + CACHELINE).min(snap.capacity());
-                snap.read_into(line_start, &mut l[..e - s]);
-                l
-            });
-            let lo = line_start.max(offset);
-            let hi = (line_start + CACHELINE as u64).min(offset + data.len() as u64);
-            let src = (lo - offset) as usize..(hi - offset) as usize;
-            let dst = (lo - line_start) as usize..(hi - line_start) as usize;
-            entry[dst].copy_from_slice(&data[src]);
-        }
+        store_lines(&mut self.overlay, snap.capacity(), offset, data, |start, buf| {
+            snap.read_into(start, buf);
+        });
     }
 
     /// Number of dirty lines currently buffered.

@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::arena::{apply_crash, CrashMode};
+use crate::arena::{apply_crash, commit_line_to, CrashMode};
 use crate::model::CACHELINE;
 
 /// Callback invoked at every opportunity when a hook plan is installed.
@@ -77,9 +77,7 @@ impl<'a> CrashView<'a> {
     pub fn full_image(&self) -> Vec<u8> {
         let mut media = self.media.to_vec();
         for (&line, data) in self.dirty {
-            let s = line as usize * CACHELINE;
-            let e = (s + CACHELINE).min(media.len());
-            media[s..e].copy_from_slice(&data[..e - s]);
+            commit_line_to(&mut media, None, line, data);
         }
         media
     }

@@ -14,7 +14,7 @@
 //!   stores become persistent in an order the program did not choose;
 //! * [`NvbmArena::crash`] — drop or randomly commit the dirty lines, then
 //!   let recovery code prove it can live with the result;
-//! * a [`PmemAllocator`] whose free lists are volatile and rebuilt from
+//! * a [`PmemAllocator`] whose free stack is volatile and rebuilt from
 //!   the GC mark phase after a crash (no allocator logging);
 //! * persistent **root slots** in a device header written with atomic
 //!   8-byte flushed stores (`ADDR(V_i)` / `ADDR(V_{i-1})` in the paper);
@@ -37,7 +37,7 @@ pub mod stats;
 // the exporters (`nvbm::obsv::chrome`, …) without a separate dependency.
 pub use pmoctree_obsv as obsv;
 
-pub use alloc::{size_class, AllocLease, PmemAllocator, ReusePolicy};
+pub use alloc::{AllocLease, PmemAllocator};
 pub use arena::{
     ArenaSnapshot, CrashMode, NvbmArena, POffset, ShardDelta, ShardWriter, HEADER_SIZE, ROOT_SLOTS,
 };
@@ -47,7 +47,7 @@ pub use model::{BlockDeviceModel, DeviceModel, MemLatency, NetworkModel, CACHELI
 pub use pins::{EpochPins, PinGuard};
 pub use pmoctree_obsv::{Event, EventKind, Metrics, Span, Tracer};
 pub use recorder::{RecEntry, RecKind, RecorderDump, REC_LABEL_MAX};
-pub use region::{Region, RegionError, RegionKind, RegionManager};
+pub use region::{RegionKind, RegionManager};
 pub use stats::{MemStats, NamedBytes, TierStats, TraversalStats, WearReport, WEAR_BLOCK};
 
 /// Compile-time `Send`/`Sync` audit for everything a rank carries across

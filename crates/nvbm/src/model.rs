@@ -49,13 +49,6 @@ impl Default for DeviceModel {
 }
 
 impl DeviceModel {
-    /// A model where NVBM behaves exactly like DRAM — useful to isolate
-    /// algorithmic overhead from device overhead in ablations.
-    pub fn nvbm_as_dram() -> Self {
-        let d = DeviceModel::default();
-        DeviceModel { nvbm: d.dram, ..d }
-    }
-
     /// Number of cachelines spanned by a byte range.
     #[inline]
     pub fn lines(offset: u64, len: usize) -> u64 {
@@ -103,12 +96,6 @@ impl BlockDeviceModel {
         // fsync forces the on-disk write cache out: roughly one further
         // rotation + seek, ~10 ms.
         BlockDeviceModel { op_ns: 8_000_000, page_ns: 27_000, sync_ns: 10_000_000 }
-    }
-
-    /// A SATA SSD: ~60 us access, ~500 MB/s (≈8 us per page).
-    pub fn ssd() -> Self {
-        // FLUSH CACHE on consumer SSDs is notoriously expensive: ~1 ms.
-        BlockDeviceModel { op_ns: 60_000, page_ns: 8_000, sync_ns: 1_000_000 }
     }
 
     /// Cost of transferring `pages` pages in one operation.

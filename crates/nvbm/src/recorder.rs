@@ -139,8 +139,9 @@ impl RecorderDump {
     }
 }
 
-/// FNV-1a 32-bit over `bytes`.
-fn fnv32(bytes: &[u8]) -> u32 {
+/// FNV-1a 32-bit over `bytes` — the checksum of every self-validating
+/// on-media record (recorder slots here, `pm-rt` log records).
+pub fn fnv32(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
     for &b in bytes {
         h ^= b as u32;

@@ -1,12 +1,5 @@
-//! Typed region management for the NVBM address space.
-//!
-//! Historically the arena's address space was split by two hand-maintained
-//! volatile fields (`octree_bump_live` / `rt_floor_live`) that the octree
-//! allocator and the `pm-rt` heap published into and read from each other
-//! — correct, but implicit: nothing *named* the regions, and a new
-//! subsystem (the flight recorder, the log heap) had to re-derive the
-//! geometry from scattered accessors. [`RegionManager`] makes the split
-//! explicit: the device is four typed regions in a fixed address order —
+//! The NVBM address space as four typed regions in a fixed address
+//! order —
 //!
 //! ```text
 //! 0 ──────── HEADER_SIZE ───── octree_edge ──── rt_floor ──── rec_base ──── capacity
@@ -15,10 +8,11 @@
 //!
 //! The root-table and recorder spans are fixed at format time; the octree
 //! and rt-heap regions meet at two *live edges* that their owners publish
-//! after every allocation. [`RegionManager::carve`] is the checked
-//! carve-out every grower goes through: a span is only valid if it lies
-//! inside the maximal territory of its region — which for the two
-//! elastic regions means "not across the opposing live edge".
+//! into the [`RegionManager`] after every allocation. Each grower reads
+//! the opposing edge as its ceiling before it allocates (the octree
+//! allocator's `set_limit(live_rt_floor())`, the rt log heap's
+//! `set_limit(live_bump())`), which is where the "never cross into the
+//! other region" guarantee is enforced.
 
 use crate::arena::HEADER_SIZE;
 
@@ -37,80 +31,10 @@ pub enum RegionKind {
     Recorder,
 }
 
-impl RegionKind {
-    /// Stable attribution name, matching [`crate::stats::REGIONS`].
-    pub fn name(self) -> &'static str {
-        match self {
-            RegionKind::RootTable => "root_table",
-            RegionKind::Octree => "octree",
-            RegionKind::RtHeap => "rt_heap",
-            RegionKind::Recorder => "recorder",
-        }
-    }
-}
-
-/// One region's current span (half-open byte range).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Region {
-    /// Which region this span describes.
-    pub kind: RegionKind,
-    /// First byte of the span.
-    pub start: u64,
-    /// One past the last byte of the span.
-    pub end: u64,
-}
-
-impl Region {
-    /// Span length in bytes.
-    pub fn len(&self) -> u64 {
-        self.end.saturating_sub(self.start)
-    }
-
-    /// Is the span empty?
-    pub fn is_empty(&self) -> bool {
-        self.end <= self.start
-    }
-
-    /// Does `[off, off + len)` lie entirely inside this span?
-    pub fn contains(&self, off: u64, len: u64) -> bool {
-        off >= self.start && off.checked_add(len).is_some_and(|end| end <= self.end)
-    }
-}
-
-/// A rejected carve-out: the requested span does not fit the named
-/// region's current territory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegionError {
-    /// Region the carve was attempted in.
-    pub kind: RegionKind,
-    /// Requested span start.
-    pub off: u64,
-    /// Requested span length.
-    pub len: u64,
-    /// The region's territory at the time of the attempt.
-    pub territory: Region,
-}
-
-impl std::fmt::Display for RegionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "carve of [{}, {}) rejected: outside the {} territory [{}, {})",
-            self.off,
-            self.off.saturating_add(self.len),
-            self.kind.name(),
-            self.territory.start,
-            self.territory.end
-        )
-    }
-}
-
-impl std::error::Error for RegionError {}
-
 /// Classify a byte offset into a region given the two boundary hints —
-/// the single classification rule shared by [`RegionManager::classify`]
-/// and the [`crate::stats::MemStats`] wear attribution (`rec_base == 0`
-/// means "no recorder ring", `rt_floor == 0` means "rt heap never used").
+/// the classification rule of the [`crate::stats::MemStats`] wear
+/// attribution (`rec_base == 0` means "no recorder ring", `rt_floor == 0`
+/// means "rt heap never used").
 pub fn classify_at(offset: u64, rec_base: u64, rt_floor: u64) -> RegionKind {
     if offset < HEADER_SIZE {
         RegionKind::RootTable
@@ -123,15 +47,14 @@ pub fn classify_at(offset: u64, rec_base: u64, rt_floor: u64) -> RegionKind {
     }
 }
 
-/// Owner of the arena address space as explicit typed regions with live
-/// edges and checked carve-out. Volatile: rebuilt from the persisted
-/// header hints on restore, then corrected by each subsystem's recovery
-/// (exactly like the two loose fields it replaces).
+/// Owner of the two live edges between the octree and rt-heap regions.
+/// Volatile: rebuilt from the persisted header hints on restore, then
+/// corrected by each subsystem's recovery.
 #[derive(Debug, Clone)]
 pub struct RegionManager {
     capacity: u64,
-    /// Flight-recorder ring base; 0 = no ring.
-    rec_base: u64,
+    /// Highest offset the rt heap may occupy.
+    heap_top: u64,
     /// Live top of the octree allocator's territory (exclusive).
     octree_edge: u64,
     /// Live bottom of the rt heap's territory (inclusive).
@@ -139,11 +62,12 @@ pub struct RegionManager {
 }
 
 impl RegionManager {
-    /// A manager for a virgin device: octree edge at the header top, rt
-    /// floor at the heap top (no rt traffic yet).
+    /// A manager for a virgin device with its flight-recorder ring at
+    /// `rec_base` (0 = no ring): octree edge at the header top, rt floor
+    /// at the heap top (no rt traffic yet).
     pub fn new(capacity: u64, rec_base: u64) -> Self {
         let heap_top = if rec_base == 0 { capacity } else { rec_base };
-        RegionManager { capacity, rec_base, octree_edge: HEADER_SIZE, rt_floor: heap_top }
+        RegionManager { capacity, heap_top, octree_edge: HEADER_SIZE, rt_floor: heap_top }
     }
 
     /// A manager over recovered live bounds (e.g. the persisted header
@@ -156,24 +80,10 @@ impl RegionManager {
         m
     }
 
-    /// Device capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// The flight-recorder ring base (0 = no ring).
-    pub fn rec_base(&self) -> u64 {
-        self.rec_base
-    }
-
     /// Highest offset the rt heap may occupy: the recorder base when a
     /// ring is carved, the device capacity otherwise.
     pub fn heap_top(&self) -> u64 {
-        if self.rec_base == 0 {
-            self.capacity
-        } else {
-            self.rec_base
-        }
+        self.heap_top
     }
 
     /// The octree allocator's live edge (exclusive top of its territory).
@@ -184,12 +94,6 @@ impl RegionManager {
     /// The rt heap's live floor (inclusive bottom of its territory).
     pub fn rt_floor(&self) -> u64 {
         self.rt_floor
-    }
-
-    /// Bytes between the two live edges — the space either elastic
-    /// region may still claim.
-    pub fn free_gap(&self) -> u64 {
-        self.rt_floor.saturating_sub(self.octree_edge)
     }
 
     /// Publish the octree allocator's live edge (clamped into the
@@ -205,56 +109,6 @@ impl RegionManager {
         self.rt_floor = floor.clamp(HEADER_SIZE, self.capacity);
         self.rt_floor
     }
-
-    /// Which region owns byte `offset` right now.
-    pub fn classify(&self, offset: u64) -> RegionKind {
-        classify_at(offset, self.rec_base, self.rt_floor)
-    }
-
-    /// The *maximal territory* a region may carve from: its current span
-    /// plus, for the two elastic regions, the free gap up to the
-    /// opposing live edge.
-    pub fn territory(&self, kind: RegionKind) -> Region {
-        let (start, end) = match kind {
-            RegionKind::RootTable => (0, HEADER_SIZE.min(self.capacity)),
-            RegionKind::Octree => (HEADER_SIZE.min(self.capacity), self.rt_floor),
-            RegionKind::RtHeap => (self.octree_edge, self.heap_top()),
-            RegionKind::Recorder => {
-                if self.rec_base == 0 {
-                    (self.capacity, self.capacity)
-                } else {
-                    (self.rec_base, self.capacity)
-                }
-            }
-        };
-        Region { kind, start, end }
-    }
-
-    /// The region's *currently occupied* span (live edges, not maximal
-    /// territory).
-    pub fn region(&self, kind: RegionKind) -> Region {
-        match kind {
-            RegionKind::Octree => {
-                Region { kind, start: HEADER_SIZE.min(self.capacity), end: self.octree_edge }
-            }
-            RegionKind::RtHeap => Region { kind, start: self.rt_floor, end: self.heap_top() },
-            _ => self.territory(kind),
-        }
-    }
-
-    /// Checked carve-out: validate that `[off, off + len)` may be claimed
-    /// by `kind`. The span must lie inside the region's maximal
-    /// territory — for the elastic regions that means not crossing the
-    /// opposing live edge. The manager's edges are *not* moved; the
-    /// caller publishes its new edge after committing to the carve.
-    pub fn carve(&self, kind: RegionKind, off: u64, len: u64) -> Result<(), RegionError> {
-        let territory = self.territory(kind);
-        if territory.contains(off, len) {
-            Ok(())
-        } else {
-            Err(RegionError { kind, off, len, territory })
-        }
-    }
 }
 
 #[cfg(test)]
@@ -262,9 +116,11 @@ impl RegionManager {
 mod tests {
     use super::*;
 
+    const REC_BASE: u64 = (1 << 20) - (1 << 14);
+
     fn mgr() -> RegionManager {
         // 1 MiB device with a 16 KiB recorder ring at the top.
-        RegionManager::new(1 << 20, (1 << 20) - (1 << 14))
+        RegionManager::new(1 << 20, REC_BASE)
     }
 
     #[test]
@@ -272,11 +128,10 @@ mod tests {
         let m = mgr();
         assert_eq!(m.octree_edge(), HEADER_SIZE);
         assert_eq!(m.rt_floor(), m.heap_top());
-        assert_eq!(m.heap_top(), (1 << 20) - (1 << 14));
-        assert_eq!(m.free_gap(), m.heap_top() - HEADER_SIZE);
+        assert_eq!(m.heap_top(), REC_BASE);
         let no_ring = RegionManager::new(4096, 0);
         assert_eq!(no_ring.heap_top(), 4096);
-        assert!(no_ring.region(RegionKind::Recorder).is_empty());
+        assert_eq!(no_ring.rt_floor(), 4096);
     }
 
     #[test]
@@ -284,33 +139,12 @@ mod tests {
         let mut m = mgr();
         m.publish_octree_edge(8192);
         m.publish_rt_floor(m.heap_top() - 4096);
-        assert_eq!(m.classify(0), RegionKind::RootTable);
-        assert_eq!(m.classify(HEADER_SIZE), RegionKind::Octree);
-        assert_eq!(m.classify(8192), RegionKind::Octree, "free gap reads as octree");
-        assert_eq!(m.classify(m.rt_floor()), RegionKind::RtHeap);
-        assert_eq!(m.classify(m.rec_base()), RegionKind::Recorder);
-    }
-
-    #[test]
-    fn carve_checks_elastic_territories() {
-        let mut m = mgr();
-        m.publish_octree_edge(8192);
-        m.publish_rt_floor(m.heap_top() - 4096);
-        // Octree may claim through the free gap up to the rt floor…
-        assert!(m.carve(RegionKind::Octree, 8192, m.rt_floor() - 8192).is_ok());
-        // …but one byte across the floor is rejected.
-        let e = m.carve(RegionKind::Octree, 8192, m.rt_floor() - 8192 + 1).unwrap_err();
-        assert_eq!(e.kind, RegionKind::Octree);
-        assert_eq!(e.territory.end, m.rt_floor());
-        assert!(e.to_string().contains("octree territory"));
-        // The rt heap mirrors: down to the octree edge, not across it.
-        assert!(m.carve(RegionKind::RtHeap, 8192, 4096).is_ok());
-        assert!(m.carve(RegionKind::RtHeap, 8191, 4096).is_err());
-        // Fixed regions carve only inside their fixed spans.
-        assert!(m.carve(RegionKind::RootTable, 0, HEADER_SIZE).is_ok());
-        assert!(m.carve(RegionKind::RootTable, 8, HEADER_SIZE).is_err());
-        assert!(m.carve(RegionKind::Recorder, m.rec_base(), 1 << 14).is_ok());
-        assert!(m.carve(RegionKind::Recorder, m.rec_base() - 64, 64).is_err());
+        let classify = |off| classify_at(off, REC_BASE, m.rt_floor());
+        assert_eq!(classify(0), RegionKind::RootTable);
+        assert_eq!(classify(HEADER_SIZE), RegionKind::Octree);
+        assert_eq!(classify(8192), RegionKind::Octree, "free gap reads as octree");
+        assert_eq!(classify(m.rt_floor()), RegionKind::RtHeap);
+        assert_eq!(classify(REC_BASE), RegionKind::Recorder);
     }
 
     #[test]
@@ -327,13 +161,6 @@ mod tests {
         let m = RegionManager::from_bounds(1 << 20, 0, 4096, 65536);
         assert_eq!(m.octree_edge(), 4096);
         assert_eq!(m.rt_floor(), 65536);
-        assert_eq!(m.free_gap(), 65536 - 4096);
-        assert_eq!(m.region(RegionKind::RtHeap).len(), (1 << 20) - 65536);
-    }
-
-    #[test]
-    fn carve_overflow_is_rejected() {
-        let m = mgr();
-        assert!(m.carve(RegionKind::Octree, u64::MAX - 8, 64).is_err());
+        assert_eq!(m.heap_top(), 1 << 20);
     }
 }

@@ -3,7 +3,9 @@
 //! and the flight recorder recovers a clean suffix of its history from
 //! any torn media image.
 
-use pmoctree_nvbm::{recorder, CrashMode, DeviceModel, NvbmArena, PmemAllocator, HEADER_SIZE};
+use pmoctree_nvbm::{
+    recorder, CrashMode, DeviceModel, NvbmArena, POffset, PmemAllocator, HEADER_SIZE,
+};
 use proptest::prelude::*;
 
 const CAP: usize = 1 << 16;
@@ -145,29 +147,48 @@ proptest! {
         }
     }
 
-    /// Allocator invariant: live allocations never overlap, never cross
-    /// capacity, regardless of alloc/free interleaving.
+    /// Slab invariants under arbitrary alloc / free / lease traffic and a
+    /// moving ceiling: handed-out blocks never overlap, never leave
+    /// `[HEADER_SIZE, limit)`, and `live_bytes` is exactly blocks out ×
+    /// block size. The ceiling moves like the rt heap floor it stands
+    /// for: anywhere at or above the allocator's published bump pointer.
     #[test]
-    fn allocator_no_overlap(ops in prop::collection::vec((1usize..512, any::<bool>()), 1..200)) {
-        let mut a = PmemAllocator::new(CAP);
-        let mut live: Vec<(u64, usize)> = Vec::new();
-        for (size, do_free) in ops {
-            if do_free && !live.is_empty() {
-                let (off, sz) = live.swap_remove(live.len() / 2);
-                a.free(pmoctree_nvbm::POffset(off), sz);
-            } else if let Some(p) = a.alloc(size) {
-                let cls = pmoctree_nvbm::size_class(size);
-                prop_assert!(p.0 >= HEADER_SIZE);
-                prop_assert!(p.0 + cls as u64 <= CAP as u64);
-                for &(off, osz) in &live {
-                    let ocls = pmoctree_nvbm::size_class(osz) as u64;
-                    prop_assert!(
-                        p.0 + cls as u64 <= off || off + ocls <= p.0,
-                        "overlap: new ({}, {cls}) vs live ({off}, {ocls})", p.0
-                    );
+    fn allocator_blocks_disjoint_and_bounded(
+        block in prop::sample::select(vec![64u64, 128, 192]),
+        ops in prop::collection::vec((0u8..5, any::<u16>()), 1..200),
+    ) {
+        let mut a = PmemAllocator::new(CAP, block as usize);
+        let mut limit = CAP as u64;
+        let mut out: Vec<u64> = Vec::new();
+        for (kind, arg) in ops {
+            let arg = arg as usize;
+            let mut handed: Vec<u64> = Vec::new();
+            match kind {
+                1 if !out.is_empty() => a.free(POffset(out.swap_remove(arg % out.len()))),
+                0 | 1 => handed.extend(a.alloc().map(|p| p.0)),
+                2 | 3 => {
+                    // A write domain's lease: consume a prefix, release
+                    // the tail (kind 3: the domain failed, release all).
+                    if let Some(mut lease) = a.carve_lease(arg % 6 + 1) {
+                        let take = if kind == 3 { 0 } else { (arg / 8) % 8 };
+                        handed.extend((0..take).map_while(|_| lease.alloc()).map(|p| p.0));
+                        let from = if kind == 3 { lease.start() } else { lease.cursor() };
+                        a.release_lease(lease, from);
+                    }
                 }
-                live.push((p.0, size));
+                _ => {
+                    limit = (a.bump() + 37 * (arg as u64 % 512)).min(CAP as u64);
+                    a.set_limit(limit);
+                }
             }
+            for p in handed {
+                prop_assert!(p >= HEADER_SIZE && p + block <= limit, "{p} outside [header, {limit})");
+                for &q in &out {
+                    prop_assert!(p + block <= q || q + block <= p, "overlap: new {p} vs live {q}");
+                }
+                out.push(p);
+            }
+            prop_assert_eq!(a.live_bytes(), out.len() as u64 * block);
         }
     }
 }

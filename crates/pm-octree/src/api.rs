@@ -34,23 +34,6 @@ use crate::sampling::{self, FeatureFn};
 /// (see [`PmOctree::persist_with_hook`]).
 pub type PersistHook<'a> = dyn FnMut(&mut NvbmArena) -> Result<Vec<(u64, u32)>, PmError> + 'a;
 
-/// Phases of the persist protocol, for failpoint testing
-/// ([`PmOctree::persist_with_failpoint`]). A crash after `Merge` or
-/// `Flush` recovers the *previous* version; after `RootSwapHalf` or
-/// `RootSwap`, the *new* version (root slot 1 — the recovery root — is
-/// written last, so it always names a fully-flushed tree).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PersistPhase {
-    /// C0 subtrees merged into NVBM (nothing flushed or published).
-    Merge,
-    /// All octant data flushed to media; roots not yet swapped.
-    Flush,
-    /// Root slot 0 updated; recovery slot 1 still points at the old version.
-    RootSwapHalf,
-    /// Both root slots and the epoch published.
-    RootSwap,
-}
-
 /// Errors surfaced by the meshing and recovery interface.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PmError {
@@ -175,9 +158,6 @@ impl PmOctree {
     /// single-root version, and return the handle.
     pub fn create(arena: NvbmArena, cfg: PmConfig) -> Self {
         let mut store = PmStore::new(arena);
-        if cfg.wear_leveling {
-            store.alloc.set_policy(pmoctree_nvbm::ReusePolicy::WearAware);
-        }
         let root_octant = Octant::leaf(OctKey::root(), POffset::NULL, 1, CellData::default());
         let root = store.alloc_octant(&root_octant).expect("arena too small for the root");
         store.arena.flush_all();
@@ -248,9 +228,6 @@ impl PmOctree {
         }
         let header_epoch = arena.epoch() as u32;
         let mut store = PmStore::new(arena);
-        if cfg.wear_leveling {
-            store.alloc.set_policy(pmoctree_nvbm::ReusePolicy::WearAware);
-        }
         // Validated reachability scan: the recovery root must name a
         // structurally closed tree. V_i octants not in V_{i-1} are
         // implicitly discarded (the paper's "mark deleted, GC recycles in
@@ -263,20 +240,7 @@ impl PmOctree {
                 scan.max_epoch
             )));
         }
-        let bump_hint = store.arena.bump_hint().max(
-            scan.live
-                .last()
-                .map_or(pmoctree_nvbm::HEADER_SIZE, |p| p.0 + crate::octant::OCTANT_SIZE as u64),
-        );
-        let policy = store.alloc.policy();
-        store.alloc = pmoctree_nvbm::PmemAllocator::rebuild(
-            store.arena.capacity(),
-            bump_hint,
-            scan.live.iter().map(|&p| (p, crate::octant::OCTANT_SIZE)),
-        );
-        store.alloc.set_policy(policy);
-        store.arena.publish_bump(store.alloc.bump());
-        store.registry = scan.live.clone();
+        store.rebuild_from_live(scan.live);
         // Resume strictly above every persisted octant's epoch. The header
         // epoch alone is not enough: a crash between the root swap and the
         // epoch publish leaves slot 1 pointing at octants stamped
@@ -777,19 +741,16 @@ impl PmOctree {
     /// the persistent roots, GC the previous version, then (if enabled)
     /// run the dynamic layout transformation. On return, `V_{i-1}` is the
     /// tree as of this call.
+    ///
+    /// Crash-testing the protocol goes through the arena's
+    /// [`FailPlan`](pmoctree_nvbm::FailPlan): every phase boundary is a
+    /// labelled failpoint (`persist::merge`, `persist::flush`,
+    /// `persist::root_swap_half`, `persist::root_swap`). A crash at the
+    /// first three recovers the *previous* version; at `root_swap`, the
+    /// *new* one (root slot 1 — the recovery root — is written last, so
+    /// it always names a fully-flushed tree).
     pub fn persist(&mut self) {
-        self.persist_inner(None, None)
-            .expect("persist failed: NVBM device cannot hold the merged working set");
-    }
-
-    /// Failpoint-instrumented persist: execute the persist protocol only
-    /// up to (and including) `stop_after`, then return without completing
-    /// the remaining phases — as if the process died there. Combined with
-    /// [`NvbmArena::crash`], this lets tests and operators verify that a
-    /// failure at *any* point of the protocol recovers to a consistent
-    /// version. `None` runs the full protocol.
-    pub fn persist_with_failpoint(&mut self, stop_after: Option<PersistPhase>) {
-        self.persist_inner(stop_after, None)
+        self.persist_with_hook(&mut |_| Ok(Vec::new()))
             .expect("persist failed: NVBM device cannot hold the merged working set");
     }
 
@@ -819,17 +780,9 @@ impl PmOctree {
     /// failed: the hook's own volatile state (e.g. a `pm-rt` instance
     /// that died mid-commit) must be discarded and re-restored.
     pub fn persist_with_hook(&mut self, hook: &mut PersistHook<'_>) -> Result<(), PmError> {
-        self.persist_inner(None, Some(hook))
-    }
-
-    fn persist_inner(
-        &mut self,
-        stop_after: Option<PersistPhase>,
-        mut hook: Option<&mut PersistHook<'_>>,
-    ) -> Result<(), PmError> {
         // Span taxonomy mirrors the failpoint labels one-to-one; the
-        // guards close in reverse order on every early return, so a
-        // failpoint firing mid-protocol still leaves the journal balanced.
+        // guards close in reverse order on every early (error) return,
+        // so a failed persist still leaves the journal balanced.
         let _span_persist = self.store.arena.span("persist");
         self.store.arena.rec_mark(RecKind::SpanBegin, "persist", self.epoch as u64);
         // Wear attribution: committed bytes are charged to the protocol
@@ -862,10 +815,6 @@ impl PmOctree {
         }
         self.store.arena.failpoint("persist::merge");
         drop(span_merge);
-        if stop_after == Some(PersistPhase::Merge) {
-            self.store.arena.set_phase(prev_phase);
-            return Ok(());
-        }
         // (2) Overlap measurement (Fig. 3): shared = older than this epoch.
         let span_overlap = self.store.arena.span("persist::overlap");
         let overlap = c1::count_shared(&mut self.store, root, self.epoch);
@@ -878,10 +827,6 @@ impl PmOctree {
         self.store.arena.flush_all();
         self.store.arena.failpoint("persist::flush");
         drop(span_flush);
-        if stop_after == Some(PersistPhase::Flush) {
-            self.store.arena.set_phase(prev_phase);
-            return Ok(());
-        }
         self.store.arena.set_phase("persist::root_swap");
         let span_half = self.store.arena.span("persist::root_swap_half");
         // The header publication is batched into two media commits
@@ -896,18 +841,10 @@ impl PmOctree {
         self.store.arena.set_root(0, root);
         self.store.arena.failpoint("persist::root_swap_half");
         drop(span_half);
-        if stop_after == Some(PersistPhase::RootSwapHalf) {
-            self.store.arena.set_phase(prev_phase);
-            return Ok(());
-        }
         let span_swap = self.store.arena.span("persist::root_swap");
         self.store.arena.set_root(1, root);
         self.store.arena.failpoint("persist::root_swap");
         drop(span_swap);
-        if stop_after == Some(PersistPhase::RootSwap) {
-            self.store.arena.set_phase(prev_phase);
-            return Ok(());
-        }
         // (3b) Application-state commit (`pm-rt`): the runtime stages and
         // atomically publishes its root bundle while the superseded tree
         // version is still allocated (GC below has not run), so whichever
@@ -917,25 +854,22 @@ impl PmOctree {
         // a replica delta missing the runtime regions) would corrupt the
         // state whole-application resume restores at.
         self.store.arena.set_phase("rt::commit");
-        let extra_regions = match hook.as_mut() {
-            Some(h) => match h(&mut self.store.arena) {
-                Ok(regions) => regions,
-                Err(e) => {
-                    self.store.arena.set_phase(prev_phase);
-                    // The tree swap is durable; adopt it so the handle
-                    // stays coherent (the merged subtrees are already in
-                    // NVBM — dropping their DRAM copies loses nothing),
-                    // then surface the hook's error with the superseded
-                    // version still allocated and no delta shipped.
-                    self.prev_root = root;
-                    self.current_root = root;
-                    self.forest = C0Forest::new();
-                    self.shadows = Vec::new();
-                    self.epoch += 1;
-                    return Err(e);
-                }
-            },
-            None => Vec::new(),
+        let extra_regions = match hook(&mut self.store.arena) {
+            Ok(regions) => regions,
+            Err(e) => {
+                self.store.arena.set_phase(prev_phase);
+                // The tree swap is durable; adopt it so the handle
+                // stays coherent (the merged subtrees are already in
+                // NVBM — dropping their DRAM copies loses nothing),
+                // then surface the hook's error with the superseded
+                // version still allocated and no delta shipped.
+                self.prev_root = root;
+                self.current_root = root;
+                self.forest = C0Forest::new();
+                self.shadows = Vec::new();
+                self.epoch += 1;
+                return Err(e);
+            }
         };
         // (4) The previous version is now garbage; reclaim it.
         self.prev_root = root;

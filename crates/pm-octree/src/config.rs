@@ -34,17 +34,6 @@ pub struct PmConfig {
     pub seed_c0: bool,
     /// Keep remote replicas of `V_{i-1}` (§3.4, user-enabled feature).
     pub replicas: bool,
-    /// Use the wear-aware (FIFO-rotating) block reuse policy instead of
-    /// LIFO, spreading writes across the device ("extend the lifetime of
-    /// NVBM", §5.5; Table 2 endurance).
-    pub wear_leveling: bool,
-    /// Tree level at which batched mutations shard into concurrent write
-    /// domains: every octant key at or below this level belongs to the
-    /// domain of its level-`domain_level` ancestor (so `1` gives up to 8
-    /// domains, `2` up to 64). Batches always shard — for any worker
-    /// count — so results are byte-identical whether 1 or N workers
-    /// execute the domains.
-    pub domain_level: u8,
 }
 
 impl Default for PmConfig {
@@ -58,8 +47,6 @@ impl Default for PmConfig {
             dynamic_transform: true,
             seed_c0: true,
             replicas: false,
-            wear_leveling: false,
-            domain_level: 1,
         }
     }
 }
@@ -148,18 +135,6 @@ impl PmConfigBuilder {
         self
     }
 
-    /// Use the wear-aware block reuse policy.
-    pub fn wear_leveling(mut self, on: bool) -> Self {
-        self.cfg.wear_leveling = on;
-        self
-    }
-
-    /// Write-domain sharding level for batched mutations (≤ 5).
-    pub fn domain_level(mut self, level: u8) -> Self {
-        self.cfg.domain_level = level;
-        self
-    }
-
     /// Validate and produce the config. Violations come back as
     /// [`PmError::Recovery`](crate::PmError::Recovery) naming the field.
     pub fn build(self) -> Result<PmConfig, crate::api::PmError> {
@@ -188,12 +163,6 @@ impl PmConfigBuilder {
             return Err(PmError::Recovery(format!(
                 "t_transform {} must exceed 1 (a ratio at which a swap pays off)",
                 c.t_transform
-            )));
-        }
-        if c.domain_level > 5 {
-            return Err(PmError::Recovery(format!(
-                "domain_level {} too deep (8^level domains; 5 is already 32768)",
-                c.domain_level
             )));
         }
         Ok(c)
@@ -234,11 +203,10 @@ mod tests {
             .dynamic_transform(false)
             .seed_c0(false)
             .replicas(true)
-            .wear_leveling(true)
             .build()
             .unwrap();
         assert_eq!(c.c0_capacity_octants, (1 << 20) / 128);
-        assert!(c.replicas && c.wear_leveling);
+        assert!(c.replicas);
         assert!(!c.dynamic_transform && !c.seed_c0);
     }
 
@@ -254,7 +222,6 @@ mod tests {
             PmConfig::builder().n_sample(0).build(),
             PmConfig::builder().t_transform(1.0).build(),
             PmConfig::builder().threshold_dram(f64::NAN).build(),
-            PmConfig::builder().domain_level(6).build(),
         ];
         for b in bad {
             assert!(matches!(b, Err(PmError::Recovery(_))), "{b:?}");

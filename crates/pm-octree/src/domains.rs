@@ -2,7 +2,7 @@
 //! [`PmOctree`].
 //!
 //! A batch of refine/coarsen/set-data operations is partitioned by each
-//! key's ancestor at `cfg.domain_level` — a fixed shallow cut through the
+//! key's ancestor at `DOMAIN_LEVEL` — a fixed shallow cut through the
 //! key space — into disjoint *write domains*. Each domain gets its own
 //! [`ShardStore`]: a read view of the arena's fork-point snapshot, a
 //! private write overlay, and a pre-carved allocator lease, so N worker
@@ -56,7 +56,14 @@ use rayon::prelude::*;
 
 use crate::api::{PmError, PmOctree};
 use crate::c1::{self, Locate};
-use crate::octant::{CellData, OctAccess, ShardStore, OCTANT_SIZE};
+use crate::octant::{CellData, OctAccess, ShardStore};
+
+/// Tree level at which batched mutations shard into concurrent write
+/// domains: every octant key at or below this level belongs to the
+/// domain of its level-`DOMAIN_LEVEL` ancestor (up to 8 domains). Batches
+/// always shard — for any worker count — so results are byte-identical
+/// whether 1 or N workers execute the domains.
+pub(crate) const DOMAIN_LEVEL: u8 = 1;
 
 /// One batched mutation, routed to a write domain by its key.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -79,8 +86,8 @@ impl DomainOp {
     /// Upper bound on octant allocations this op can make inside its
     /// shard: one COW copy per level below the (already exclusive)
     /// domain root, plus 8 children for a refine.
-    fn lease_blocks(&self, domain_level: u8) -> usize {
-        let path = self.key().level().saturating_sub(domain_level) as usize;
+    fn lease_blocks(&self) -> usize {
+        let path = self.key().level().saturating_sub(DOMAIN_LEVEL) as usize;
         match self {
             DomainOp::Refine(_) => path + 8,
             DomainOp::Coarsen(_) | DomainOp::SetData(..) => path,
@@ -110,9 +117,8 @@ pub fn run_batch(t: &mut PmOctree, ops: &[DomainOp]) -> Vec<bool> {
     if ops.is_empty() {
         return results;
     }
-    let cut = t.cfg.domain_level;
     // Partition: C0-owned or above-the-cut keys run serially with full
-    // per-op semantics; everything else shards by level-`cut` ancestor.
+    // per-op semantics; everything else shards by domain ancestor.
     let mut residual: Vec<(usize, DomainOp)> = Vec::new();
     let mut domains: BTreeMap<OctKey, Vec<(usize, DomainOp)>> = BTreeMap::new();
     for (i, &op) in ops.iter().enumerate() {
@@ -123,10 +129,10 @@ pub fn run_batch(t: &mut PmOctree, ops: &[DomainOp]) -> Vec<bool> {
         let c0_children = matches!(op, DomainOp::Coarsen(_))
             && k.level() < pmoctree_morton::OctKey::MAX_LEVEL
             && (0..8).any(|c| t.forest.owner_of(&k.child(c)).is_some());
-        if k.level() < cut || t.forest.owner_of(&k).is_some() || c0_children {
+        if k.level() < DOMAIN_LEVEL || t.forest.owner_of(&k).is_some() || c0_children {
             residual.push((i, op));
         } else {
-            domains.entry(k.ancestor_at(cut)).or_default().push((i, op));
+            domains.entry(k.ancestor_at(DOMAIN_LEVEL)).or_default().push((i, op));
         }
     }
     for (i, op) in residual {
@@ -155,8 +161,8 @@ pub fn run_batch(t: &mut PmOctree, ops: &[DomainOp]) -> Vec<bool> {
     let mut tasks: Vec<Task> = Vec::new();
     let mut carve_failed = false;
     for (root, dops) in pending {
-        let blocks: usize = dops.iter().map(|(_, op)| op.lease_blocks(cut)).sum::<usize>().max(1);
-        match t.store.alloc.carve_lease(blocks, OCTANT_SIZE) {
+        let blocks: usize = dops.iter().map(|(_, op)| op.lease_blocks()).sum::<usize>().max(1);
+        match t.store.alloc.carve_lease(blocks) {
             Some(lease) => tasks.push(Task { root, ops: dops, lease, out: None }),
             None => {
                 late.extend(dops);
@@ -410,7 +416,7 @@ mod tests {
     #[test]
     fn shallow_keys_take_the_serial_path() {
         let mut t = tree();
-        // Root is above the domain cut (level 0 < domain_level 1).
+        // Root is above the domain cut (level 0 < DOMAIN_LEVEL).
         let ok = t.refine_many(&[OctKey::root()]);
         assert_eq!(ok, vec![true]);
         assert_eq!(t.leaf_count(), 8);

@@ -12,9 +12,9 @@
 
 use std::collections::HashSet;
 
-use pmoctree_nvbm::{POffset, PmemAllocator};
+use pmoctree_nvbm::POffset;
 
-use crate::octant::{ChildPtr, OctAccess, PmStore, OCTANT_SIZE};
+use crate::octant::{ChildPtr, OctAccess, PmStore};
 
 /// Result of a collection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,13 +68,6 @@ pub fn collect(store: &mut PmStore, roots: &[POffset]) -> GcReport {
         }
     }
     store.registry = kept;
-    // Under wear-aware reuse, steer the freshly-freed blocks so the next
-    // allocations land on the coldest lines: sort each free list by the
-    // device's measured per-block wear (coldest first, FIFO on ties).
-    if store.alloc.policy() == pmoctree_nvbm::ReusePolicy::WearAware && freed > 0 {
-        let stats = &store.arena.stats;
-        store.alloc.steer_cold(|off| stats.block_wear(off));
-    }
     store.arena.set_phase(prev_phase);
     GcReport { live: marked.len(), freed, freed_flagged }
 }
@@ -86,19 +79,7 @@ pub fn rebuild_after_crash(store: &mut PmStore, roots: &[POffset]) -> usize {
     let marked = mark(store, roots);
     let mut live: Vec<POffset> = marked.iter().copied().collect();
     live.sort_unstable();
-    let bump_hint = store
-        .arena
-        .bump_hint()
-        .max(live.last().map(|p| p.0 + OCTANT_SIZE as u64).unwrap_or(pmoctree_nvbm::HEADER_SIZE));
-    let policy = store.alloc.policy();
-    store.alloc = PmemAllocator::rebuild(
-        store.arena.capacity(),
-        bump_hint,
-        live.iter().map(|&p| (p, OCTANT_SIZE)),
-    );
-    store.alloc.set_policy(policy);
-    store.arena.publish_bump(store.alloc.bump());
-    store.registry = live;
+    store.rebuild_from_live(live);
     store.registry.len()
 }
 
@@ -107,9 +88,9 @@ pub fn rebuild_after_crash(store: &mut PmStore, roots: &[POffset]) -> usize {
 mod tests {
     use super::*;
     use crate::c1::{coarsen, refine};
-    use crate::octant::{CellData, Octant};
+    use crate::octant::{CellData, Octant, OCTANT_SIZE};
     use pmoctree_morton::OctKey;
-    use pmoctree_nvbm::{DeviceModel, NvbmArena};
+    use pmoctree_nvbm::{DeviceModel, NvbmArena, PmemAllocator};
 
     fn store() -> PmStore {
         PmStore::new(NvbmArena::new(4 << 20, DeviceModel::default()))
@@ -178,7 +159,7 @@ mod tests {
         // Simulate crash: volatile state gone.
         s.arena.crash(pmoctree_nvbm::CrashMode::LoseDirty);
         s.registry.clear();
-        s.alloc = PmemAllocator::new(s.arena.capacity());
+        s.alloc = PmemAllocator::new(s.arena.capacity(), OCTANT_SIZE);
         let root = s.arena.root(1);
         let live = rebuild_after_crash(&mut s, &[root]);
         assert_eq!(live, live_expected);

@@ -57,7 +57,7 @@ pub mod sampling;
 pub mod transform;
 pub mod verify;
 
-pub use api::{Events, PersistHook, PersistPhase, PmError, PmOctree};
+pub use api::{Events, PersistHook, PmError, PmOctree};
 pub use config::{PmConfig, PmConfigBuilder};
 pub use domains::DomainOp;
 pub use gc::GcReport;

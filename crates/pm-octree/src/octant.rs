@@ -247,13 +247,29 @@ impl PmStore {
     /// A store over a fresh arena.
     pub fn new(arena: NvbmArena) -> Self {
         let cap = arena.capacity();
-        PmStore { arena, alloc: PmemAllocator::new(cap), registry: Vec::new() }
+        PmStore { arena, alloc: PmemAllocator::new(cap, OCTANT_SIZE), registry: Vec::new() }
     }
 
     /// Free an octant's space (GC sweep). The registry entry must be
     /// removed separately (GC rebuilds the registry wholesale).
     pub fn free_octant(&mut self, p: POffset) {
-        self.alloc.free(p, OCTANT_SIZE);
+        self.alloc.free(p);
+    }
+
+    /// Crash recovery of the volatile state from the address-sorted set
+    /// of reachable octants: the allocator is rebuilt around them (every
+    /// orphan's space is reclaimed — the paper's "no allocator logging"),
+    /// its bump pointer published, and the registry replaced by the live
+    /// set.
+    pub fn rebuild_from_live(&mut self, live: Vec<POffset>) {
+        self.alloc = PmemAllocator::rebuild(
+            self.arena.capacity(),
+            OCTANT_SIZE,
+            self.arena.bump_hint(),
+            live.iter().copied(),
+        );
+        self.arena.publish_bump(self.alloc.bump());
+        self.registry = live;
     }
 }
 
@@ -270,7 +286,7 @@ impl OctAccess for PmStore {
         self.alloc.set_limit(self.arena.live_rt_floor());
         let p = self
             .alloc
-            .alloc(OCTANT_SIZE)
+            .alloc()
             .ok_or_else(|| PmError::Full("NVBM arena full allocating an octant".into()))?;
         self.arena.publish_bump(self.alloc.bump());
         self.registry.push(p);
@@ -762,7 +778,7 @@ mod tests {
             .alloc_octant(&Octant::leaf(OctKey::root(), POffset::NULL, 0, CellData::default()))
             .unwrap();
         s.alloc.set_limit(s.arena.live_rt_floor());
-        let lease = s.alloc.carve_lease(4, OCTANT_SIZE).unwrap();
+        let lease = s.alloc.carve_lease(4).unwrap();
         let (delta, lease, regs) = {
             let snap = s.arena.snapshot();
             let mut shard = ShardStore::new(&snap, lease);
@@ -786,7 +802,7 @@ mod tests {
     fn shard_lease_exhaustion_is_full_not_panic() {
         let mut s = store();
         s.alloc.set_limit(s.arena.live_rt_floor());
-        let lease = s.alloc.carve_lease(1, OCTANT_SIZE).unwrap();
+        let lease = s.alloc.carve_lease(1).unwrap();
         let snap = s.arena.snapshot();
         let mut shard = ShardStore::new(&snap, lease);
         let o = Octant::leaf(OctKey::root(), POffset::NULL, 0, CellData::default());

@@ -241,12 +241,12 @@ pub fn check_invariants(t: &mut PmOctree) -> Result<RecoveryReport, PmError> {
             off += CACHELINE as u64;
         }
     }
-    for (block, cls) in t.store.alloc.free_blocks() {
+    for block in t.store.alloc.free_blocks() {
         let mut off = block.0;
-        while off < block.0 + cls as u64 {
+        while off < block.0 + OCTANT_SIZE as u64 {
             if live_lines.contains(&off) {
                 return Err(PmError::Corrupt(format!(
-                    "free block {:#x}+{cls} overlaps a reachable octant at line {off:#x}",
+                    "free block {:#x}+{OCTANT_SIZE} overlaps a reachable octant at line {off:#x}",
                     block.0
                 )));
             }

@@ -4,12 +4,15 @@
 //! updating its newer version"; the only ordering point is the atomic
 //! root-slot publication.
 //!
-//! For every failpoint phase and a grid of cache-commit probabilities,
+//! For every persist failpoint and a grid of cache-commit probabilities,
 //! recovery must yield either the previous persisted version (crash
 //! before the recovery root moved) or the new one (after) — never a
 //! mixture, never corruption.
 
-use pm_octree::{CellData, PersistPhase, PmConfig, PmOctree};
+mod common;
+
+use common::{crash_in_persist, recovers_new, PHASES};
+use pm_octree::{CellData, PmConfig, PmOctree};
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::{CrashMode, DeviceModel, NvbmArena};
 use proptest::prelude::*;
@@ -37,35 +40,27 @@ fn mutate(t: &mut PmOctree) -> Vec<(OctKey, CellData)> {
 
 #[test]
 fn crash_after_each_phase_recovers_a_version() {
-    for phase in [
-        PersistPhase::Merge,
-        PersistPhase::Flush,
-        PersistPhase::RootSwapHalf,
-        PersistPhase::RootSwap,
-    ] {
+    for phase in PHASES {
         for seed in 0..8u64 {
             let (mut t, old) = build_and_persist();
             let mut new = mutate(&mut t);
             new.sort_by_key(|a| a.0);
             let cfg = t.cfg;
-            t.persist_with_failpoint(Some(phase));
-            let PmOctree { store, .. } = t;
-            let mut arena = store.arena;
-            arena.crash(CrashMode::CommitRandom { p: 0.5, seed });
+            let arena = crash_in_persist(&mut t, phase, CrashMode::CommitRandom { p: 0.5, seed });
             let mut r = PmOctree::restore(arena, cfg).unwrap();
             let got = r.leaves_sorted();
             match phase {
                 // Recovery root untouched: must be exactly the old version.
-                PersistPhase::Merge | PersistPhase::Flush => {
-                    assert_eq!(got, old, "phase {phase:?}, seed {seed}: expected old version");
+                "persist::merge" | "persist::flush" => {
+                    assert_eq!(got, old, "phase {phase}, seed {seed}: expected old version");
                 }
-                // Recovery root (slot 1) published only in RootSwap; at
-                // RootSwapHalf slot 1 still names the old version.
-                PersistPhase::RootSwapHalf => {
-                    assert_eq!(got, old, "phase {phase:?}, seed {seed}: slot 1 not yet moved");
+                // Recovery root (slot 1) published only in root_swap; at
+                // root_swap_half slot 1 still names the old version.
+                "persist::root_swap_half" => {
+                    assert_eq!(got, old, "phase {phase}, seed {seed}: slot 1 not yet moved");
                 }
-                PersistPhase::RootSwap => {
-                    assert_eq!(got, new, "phase {phase:?}, seed {seed}: expected new version");
+                _ => {
+                    assert_eq!(got, new, "phase {phase}, seed {seed}: expected new version");
                 }
             }
         }
@@ -78,11 +73,8 @@ fn interrupted_persist_can_be_retried() {
     // again: the second persist must succeed and be durable.
     let (mut t, old) = build_and_persist();
     mutate(&mut t);
-    t.persist_with_failpoint(Some(PersistPhase::Flush));
     let cfg = t.cfg;
-    let PmOctree { store, .. } = t;
-    let mut arena = store.arena;
-    arena.crash(CrashMode::LoseDirty);
+    let arena = crash_in_persist(&mut t, "persist::flush", CrashMode::LoseDirty);
     let mut r = PmOctree::restore(arena, cfg).unwrap();
     assert_eq!(r.leaves_sorted(), old);
     // Redo and complete.
@@ -110,12 +102,7 @@ proptest! {
         p in 0.0f64..=1.0,
         seed in any::<u64>(),
     ) {
-        let phase = [
-            PersistPhase::Merge,
-            PersistPhase::Flush,
-            PersistPhase::RootSwapHalf,
-            PersistPhase::RootSwap,
-        ][phase_i];
+        let phase = PHASES[phase_i];
         let (mut t, old) = build_and_persist();
         for (path, v) in &ops {
             let mut k = OctKey::root();
@@ -130,21 +117,18 @@ proptest! {
         let mut new = t.leaves_sorted();
         new.sort_by_key(|a| a.0);
         let cfg = t.cfg;
-        t.persist_with_failpoint(Some(phase));
-        let PmOctree { store, .. } = t;
-        let mut arena = store.arena;
-        arena.crash(CrashMode::CommitRandom { p, seed });
+        let arena = crash_in_persist(&mut t, phase, CrashMode::CommitRandom { p, seed });
         let mut r = PmOctree::restore(arena, cfg).unwrap();
         let got = r.leaves_sorted();
         prop_assert!(
             got == old || got == new,
-            "recovered a mixed state at {phase:?} (p={p}, seed={seed})"
+            "recovered a mixed state at {phase} (p={p}, seed={seed})"
         );
         // Before the recovery-root publication the result must be old.
-        if matches!(phase, PersistPhase::Merge | PersistPhase::Flush | PersistPhase::RootSwapHalf) {
-            prop_assert_eq!(got, old);
-        } else {
+        if recovers_new(phase) {
             prop_assert_eq!(got, new);
+        } else {
+            prop_assert_eq!(got, old);
         }
     }
 }

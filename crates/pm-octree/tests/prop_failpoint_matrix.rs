@@ -1,23 +1,23 @@
-//! The failpoint matrix: every persist-protocol phase × every crash mode
+//! The failpoint matrix: every persist-protocol failpoint × every crash mode
 //! (drop dirty lines, commit a random subset, tear each line at a random
 //! word boundary), driven by random mutation batches.
 //!
 //! Two things must hold for every cell of the matrix:
 //!
-//! 1. recovery yields *exactly* the version the [`PersistPhase`] contract
-//!    promises — the old tree before the recovery-root publication, the
-//!    new tree after — never a mixture;
+//! 1. recovery yields *exactly* the version the protocol promises — the
+//!    old tree before the recovery-root publication, the new tree after
+//!    — never a mixture;
 //! 2. the recovered handle passes the full invariant checker
 //!    ([`pm_octree::check_invariants`]): closed structure, index == walk,
 //!    free list disjoint from the live set, zero GC orphans.
 
-use pm_octree::{check_invariants, CellData, PersistPhase, PmConfig, PmOctree};
+mod common;
+
+use common::{crash_in_persist, recovers_new, PHASES};
+use pm_octree::{check_invariants, CellData, PmConfig, PmOctree};
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::{CrashMode, DeviceModel, NvbmArena};
 use proptest::prelude::*;
-
-const PHASES: [PersistPhase; 4] =
-    [PersistPhase::Merge, PersistPhase::Flush, PersistPhase::RootSwapHalf, PersistPhase::RootSwap];
 
 fn modes(seed: u64, p: f64) -> [CrashMode; 3] {
     [CrashMode::LoseDirty, CrashMode::CommitRandom { p, seed }, CrashMode::TornWrite { seed }]
@@ -57,34 +57,27 @@ fn full_matrix_recovers_contract_version() {
                 let mut new = t.leaves_sorted();
                 new.sort_by_key(|a| a.0);
                 let cfg = t.cfg;
-                t.persist_with_failpoint(Some(phase));
-                let PmOctree { store, .. } = t;
-                let mut arena = store.arena;
-                arena.crash(mode);
+                let arena = crash_in_persist(&mut t, phase, mode);
                 let mut r = PmOctree::restore(arena, cfg)
-                    .unwrap_or_else(|e| panic!("{phase:?}/{mode:?}/{seed}: {e}"));
+                    .unwrap_or_else(|e| panic!("{phase}/{mode:?}/{seed}: {e}"));
                 let rep = check_invariants(&mut r)
-                    .unwrap_or_else(|e| panic!("{phase:?}/{mode:?}/{seed}: invariants: {e}"));
+                    .unwrap_or_else(|e| panic!("{phase}/{mode:?}/{seed}: invariants: {e}"));
                 assert_eq!(rep.leaves, r.leaf_count());
                 let got = r.leaves_sorted();
-                match phase {
-                    PersistPhase::Merge | PersistPhase::Flush | PersistPhase::RootSwapHalf => {
-                        assert_eq!(got, old, "{phase:?}/{mode:?}/{seed}: want old version");
-                    }
-                    PersistPhase::RootSwap => {
-                        assert_eq!(got, new, "{phase:?}/{mode:?}/{seed}: want new version");
-                    }
+                if recovers_new(phase) {
+                    assert_eq!(got, new, "{phase}/{mode:?}/{seed}: want new version");
+                } else {
+                    assert_eq!(got, old, "{phase}/{mode:?}/{seed}: want old version");
                 }
             }
         }
     }
 }
 
-/// Span integrity under crash injection: the persist instrumentation
-/// uses RAII guards, so a persist that stops mid-protocol (the failpoint
-/// early-returns from inside a `persist::*` phase) must still leave a
-/// balanced, tree-shaped journal — and a restored tree with a fresh
-/// tracer must journal a complete persist again.
+/// Span integrity under crash injection: a persist run under a hook plan
+/// must leave a balanced, tree-shaped journal — and a tree restored from
+/// the image of a crash at any failpoint, given a fresh tracer, must
+/// journal a complete persist again.
 #[test]
 fn spans_stay_balanced_when_persist_crashes_mid_protocol() {
     use pmoctree_nvbm::obsv;
@@ -97,38 +90,34 @@ fn spans_stay_balanced_when_persist_crashes_mid_protocol() {
             t.set_data(OctKey::root().child(1), CellData { phi: 1.0, ..Default::default() })
                 .unwrap();
             let cfg = t.cfg;
-            t.persist_with_failpoint(Some(phase));
+            let arena = crash_in_persist(&mut t, phase, mode);
             let events = t.store.arena.tracer.events();
             obsv::chrome::validate_events(&events)
-                .unwrap_or_else(|e| panic!("{phase:?}/{mode:?}: journal after crash: {e}"));
+                .unwrap_or_else(|e| panic!("{phase}/{mode:?}: journal of the crashed run: {e}"));
             let tree = obsv::attribution::build_tree(&events)
-                .unwrap_or_else(|e| panic!("{phase:?}/{mode:?}: span tree: {e}"));
-            assert!(!tree.is_empty(), "{phase:?}/{mode:?}: nothing journalled");
-            // The truncated persist must still export as a valid trace.
+                .unwrap_or_else(|e| panic!("{phase}/{mode:?}: span tree: {e}"));
+            assert!(!tree.is_empty(), "{phase}/{mode:?}: nothing journalled");
             let json = obsv::chrome::trace_json(&[(0, events)]);
             assert!(json.contains("\"traceEvents\""));
 
             // Reboot: restore from the crashed media, attach a fresh
             // tracer, and persist for real — the new journal must hold a
             // complete persist span with its protocol children.
-            let PmOctree { store, .. } = t;
-            let mut arena = store.arena;
-            arena.crash(mode);
             let mut r = PmOctree::restore(arena, cfg)
-                .unwrap_or_else(|e| panic!("{phase:?}/{mode:?}: restore: {e}"));
+                .unwrap_or_else(|e| panic!("{phase}/{mode:?}: restore: {e}"));
             r.store.arena.tracer = Tracer::enabled(1);
             r.set_data(OctKey::root().child(2), CellData { phi: 2.0, ..Default::default() })
                 .unwrap();
             r.persist();
             let replay = r.store.arena.tracer.events();
             obsv::chrome::validate_events(&replay)
-                .unwrap_or_else(|e| panic!("{phase:?}/{mode:?}: journal after restore: {e}"));
+                .unwrap_or_else(|e| panic!("{phase}/{mode:?}: journal after restore: {e}"));
             let totals = obsv::inclusive_totals(&replay)
-                .unwrap_or_else(|e| panic!("{phase:?}/{mode:?}: totals: {e}"));
+                .unwrap_or_else(|e| panic!("{phase}/{mode:?}: totals: {e}"));
             for name in ["persist", "persist::merge", "persist::flush", "persist::root_swap"] {
                 assert!(
                     totals.iter().any(|row| row.name == name && row.count > 0),
-                    "{phase:?}/{mode:?}: no {name} span after recovery; got {totals:?}"
+                    "{phase}/{mode:?}: no {name} span after recovery; got {totals:?}"
                 );
             }
         }
@@ -164,20 +153,17 @@ proptest! {
         let mut new = t.leaves_sorted();
         new.sort_by_key(|a| a.0);
         let cfg = t.cfg;
-        t.persist_with_failpoint(Some(phase));
-        let PmOctree { store, .. } = t;
-        let mut arena = store.arena;
-        arena.crash(mode);
+        let arena = crash_in_persist(&mut t, phase, mode);
         let restored = PmOctree::restore(arena, cfg);
-        prop_assert!(restored.is_ok(), "restore at {:?}/{:?}: {:?}", phase, mode, restored.err());
+        prop_assert!(restored.is_ok(), "restore at {}/{:?}: {:?}", phase, mode, restored.err());
         let mut r = restored.unwrap();
         let inv = check_invariants(&mut r);
-        prop_assert!(inv.is_ok(), "invariants at {:?}/{:?}: {:?}", phase, mode, inv.err());
+        prop_assert!(inv.is_ok(), "invariants at {}/{:?}: {:?}", phase, mode, inv.err());
         let got = r.leaves_sorted();
-        if matches!(phase, PersistPhase::RootSwap) {
-            prop_assert_eq!(got, new, "want new version at {:?}/{:?}", phase, mode);
+        if recovers_new(phase) {
+            prop_assert_eq!(got, new, "want new version at {}/{:?}", phase, mode);
         } else {
-            prop_assert_eq!(got, old, "want old version at {:?}/{:?}", phase, mode);
+            prop_assert_eq!(got, old, "want old version at {}/{:?}", phase, mode);
         }
     }
 }

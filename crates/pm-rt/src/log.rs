@@ -30,6 +30,8 @@
 //! whose header or checksum does not validate, so a crash mid-append
 //! truncates to exactly the fully-written prefix.
 
+use pmoctree_nvbm::recorder::fnv32;
+
 /// Record magic: `"RTLG"` little-endian.
 pub const LOG_MAGIC: u32 = 0x474c_5452;
 
@@ -73,16 +75,6 @@ pub const fn record_size(payload_len: usize) -> usize {
     (REC_HEADER + payload_len + REC_TRAILER + 7) & !7
 }
 
-/// FNV-1a-32 (same constants as the flight recorder).
-pub fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
 /// Encode a full Blob/Commit record (header + payload + checksum +
 /// alignment padding). The returned buffer is exactly
 /// [`record_size`]`(payload.len())` bytes.
@@ -96,7 +88,7 @@ pub fn encode_record(seq: u64, kind: RecordKind, payload: &[u8]) -> Vec<u8> {
     out.push(kind as u8);
     out.extend_from_slice(&[0u8; 7]);
     out.extend_from_slice(payload);
-    let fnv = fnv1a32(&out);
+    let fnv = fnv32(&out);
     out.extend_from_slice(&fnv.to_le_bytes());
     out.resize(total, 0);
     out
@@ -157,7 +149,7 @@ pub fn decode_at(buf: &[u8], off: usize) -> Option<Record> {
         return None;
     }
     let body = &buf[off..off + REC_HEADER + len];
-    let want = fnv1a32(body);
+    let want = fnv32(body);
     let at = off + REC_HEADER + len;
     let got = u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]);
     if want != got {

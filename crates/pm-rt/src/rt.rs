@@ -19,12 +19,13 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use pm_octree::PmError;
+use pmoctree_nvbm::recorder::fnv32;
 use pmoctree_nvbm::{NvbmArena, POffset, HEADER_SIZE};
 
 use crate::data::{ByteReader, ByteWriter, PmData};
 use crate::heap::LogHeap;
 use crate::log::{
-    encode_pad, encode_record, fnv1a32, record_size, RecordKind, LOG_MAGIC, REC_HEADER, REC_TRAILER,
+    encode_pad, encode_record, record_size, RecordKind, LOG_MAGIC, REC_HEADER, REC_TRAILER,
 };
 
 /// A full-table checkpoint record is written every this many commits,
@@ -848,11 +849,6 @@ impl PmRt {
         self.heap.occupancy()
     }
 
-    /// Current ring window size in bytes.
-    pub fn log_window(&self) -> u64 {
-        self.heap.window()
-    }
-
     /// Number of times the ring head has wrapped.
     pub fn log_laps(&self) -> u64 {
         self.heap.laps()
@@ -909,7 +905,7 @@ fn read_commit_record(
     let mut hp = Vec::with_capacity(REC_HEADER + len);
     hp.extend_from_slice(&h);
     hp.extend_from_slice(&body[..len]);
-    let want = fnv1a32(&hp);
+    let want = fnv32(&hp);
     let got = u32::from_le_bytes([body[len], body[len + 1], body[len + 2], body[len + 3]]);
     if want != got {
         return Err(RtError::Corrupt(format!("commit record checksum mismatch at {off:#x}")));
