@@ -37,6 +37,29 @@ cargo fmt --check
 # a changed public signature would break it unnoticed. Build, harness
 # unit tests, and the --quick determinism self-check (about a minute).
 perf/check.sh
+# Host-bookkeeping gates: the two structures that carry the uncharged
+# host work of the mesh write path are checked against executable models
+# in optimized builds (where the wrapping arithmetic of the hash and the
+# probe loops is what ships) — the leaf index's edit delta against the
+# per-octant splice it replaced, the dirty-line table against a BTreeMap
+# under forced collisions, growth and deletion chains. The replaced
+# structures must be gone, not kept beside the new ones.
+cargo test --release -p pmoctree-morton --lib index::tests::model_parity -q
+cargo test --release -p pmoctree-nvbm --lib lines::tests -q
+# no_fork <pattern> <file…>: fail if <pattern> occurs in a file's code
+# above its `#[cfg(test)]` module (the models live below it).
+no_fork() {
+    local pattern=$1 f
+    shift
+    for f in "$@"; do
+        if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n "$pattern"; then
+            echo "$f: the replaced structure ($pattern) is back outside the tests" >&2
+            exit 1
+        fi
+    done
+}
+no_fork 'BTreeMap<u64, \[u8; CACHELINE\]>' crates/nvbm/src/*.rs
+no_fork '\.splice(' crates/morton/src/index.rs
 # SIMD-fallback gate: the Morton suite (including the SIMD==scalar
 # property tests) must pass with the batch kernels pinned to the scalar
 # path, proving the dispatch override and the fallback itself.

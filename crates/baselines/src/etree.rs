@@ -118,10 +118,13 @@ impl EtreeOctree {
         self.stats.dram_read(entries * pmoctree_morton::index::ENTRY_BYTES, lines);
     }
 
-    /// Rebuild the DRAM leaf view from a full page sweep (the sweep's page
-    /// I/O is charged through `fs` by `read_page`).
+    /// Bring the DRAM leaf view up to date before a query: fold the edits
+    /// the mutation hooks recorded since the last query, or rebuild it
+    /// from a full page sweep (the sweep's page I/O is charged through
+    /// `fs` by `read_page`).
     fn ensure_index(&mut self) {
         if self.leaf_view.is_valid() {
+            self.leaf_view.settle();
             return;
         }
         let pages: Vec<u32> =

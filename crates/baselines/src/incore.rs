@@ -82,10 +82,13 @@ impl InCoreOctree {
         self.stats.dram_read(entries * pmoctree_morton::index::ENTRY_BYTES, lines);
     }
 
-    /// Rebuild the leaf index if a wholesale change invalidated it. The
-    /// rebuild enumerates every node once and charges that DRAM traversal.
+    /// Bring the leaf index up to date before a query: fold the edits the
+    /// mutation hooks recorded since the last query, or rebuild it if a
+    /// wholesale change invalidated it. The rebuild enumerates every node
+    /// once and charges that DRAM traversal.
     fn ensure_index(&mut self) {
         if self.index.is_valid() {
+            self.index.settle();
             return;
         }
         let mut entries = Vec::with_capacity(self.leaves);

@@ -17,6 +17,8 @@
 //! traces are therefore byte-identical for any worker count; threads only
 //! change which core runs which rank.
 
+use std::collections::HashSet;
+
 use pmoctree_morton::{partition_by_weight, OctKey, ZRange};
 use pmoctree_nvbm::{Event, NetworkModel, Tracer};
 use pmoctree_solver::{SimConfig, Simulation};
@@ -193,13 +195,16 @@ impl ClusterSim {
                 .collect();
             let mut table: Vec<OctKey> = per_rank.iter().flatten().copied().collect();
             table.sort();
+            let anchors = pmoctree_morton::simd::anchors_many(&table);
             let containing = |k: &OctKey| -> OctKey {
                 let a = pmoctree_morton::anchor::<3>(k);
-                let i = table.partition_point(|l| pmoctree_morton::anchor::<3>(l) <= a);
+                let i = anchors.partition_point(|&l| l <= a);
                 table[i.saturating_sub(1)]
             };
-            // Detect violations; route refine requests to owners.
+            // Detect violations; route refine requests to owners (each
+            // leaf once, in first-seen order).
             let mut requests: Vec<Vec<OctKey>> = vec![Vec::new(); procs];
+            let mut requested: HashSet<OctKey> = HashSet::new();
             let mut any = false;
             for leaves in &per_rank {
                 for k in leaves {
@@ -207,16 +212,14 @@ impl ClusterSim {
                         for dir in [-1i8, 1] {
                             if let Some(nk) = k.face_neighbor(axis, dir) {
                                 let leaf = containing(&nk);
-                                if leaf.level() + 1 < k.level() {
+                                if leaf.level() + 1 < k.level() && requested.insert(leaf) {
                                     let owner = self
                                         .ranks
                                         .iter()
                                         .position(|r| r.owns(&leaf))
                                         .expect("every leaf has an owner");
-                                    if !requests[owner].contains(&leaf) {
-                                        requests[owner].push(leaf);
-                                        any = true;
-                                    }
+                                    requests[owner].push(leaf);
+                                    any = true;
                                 }
                             }
                         }

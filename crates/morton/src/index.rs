@@ -11,15 +11,21 @@
 //! place an NVBM access is still required.
 //!
 //! The index is *lazily maintained*: owners call [`LeafIndex::on_refine`] /
-//! [`LeafIndex::on_coarsen`] to splice the sorted array incrementally on
-//! mesh mutations, and [`LeafIndex::invalidate`] on wholesale changes
-//! (crash recovery, snapshot restore). An invalid index stays cheap: all
-//! incremental hooks become no-ops until the owner rebuilds it from a full
-//! leaf enumeration.
+//! [`LeafIndex::on_coarsen`] on every mesh mutation, and
+//! [`LeafIndex::invalidate`] on wholesale changes (crash recovery,
+//! snapshot restore). A hook does not touch the sorted array: it records
+//! its edit in a small ordered delta (O(log n) per hook), and
+//! [`LeafIndex::settle`] folds the whole delta into the array in one
+//! O(n + k log n) merge before the next query — one pass per refine/coarsen
+//! *sweep*, never one per octant (Kirilin & Burstedde). An invalid index
+//! stays cheap: all incremental hooks become no-ops until the owner
+//! rebuilds it from a full leaf enumeration.
 //!
 //! The index itself is DRAM-resident; owners are responsible for charging
 //! DRAM-read costs for probes (see [`LeafIndex::lines_for_entries`] and the
 //! touched-entry counts returned by the query methods).
+
+use std::collections::BTreeMap;
 
 use crate::code::Key;
 
@@ -34,18 +40,24 @@ const LINE: usize = 64;
 ///
 /// Invariants while [`LeafIndex::is_valid`]:
 /// * entries are sorted ascending by [`Key::zcmp`],
-/// * entries are exactly the owner's current leaf set (disjoint cells —
-///   no entry is an ancestor of another).
+/// * entries with the unsettled edits applied are exactly the owner's
+///   current leaf set (disjoint cells — no entry is an ancestor of
+///   another).
 #[derive(Clone, Debug, Default)]
 pub struct LeafIndex<const D: usize> {
     entries: Vec<(Key<D>, u64)>,
+    /// Edits since the last [`LeafIndex::settle`], in Z-order: `Some(slot)`
+    /// — the key is a leaf with that slot (overriding an entry of the same
+    /// key), `None` — the key's entry is gone. A `None` is only ever
+    /// recorded for a key that has an entry.
+    delta: BTreeMap<Key<D>, Option<u64>>,
     valid: bool,
 }
 
 impl<const D: usize> LeafIndex<D> {
     /// New, invalid (empty) index; call [`LeafIndex::rebuild`] before use.
     pub fn new() -> Self {
-        LeafIndex { entries: Vec::new(), valid: false }
+        LeafIndex { entries: Vec::new(), delta: BTreeMap::new(), valid: false }
     }
 
     /// Is the index current with the owner's leaf set?
@@ -59,6 +71,7 @@ impl<const D: usize> LeafIndex<D> {
     pub fn invalidate(&mut self) {
         self.valid = false;
         self.entries.clear();
+        self.delta.clear();
     }
 
     /// Rebuild from a full leaf enumeration (any order; sorted here).
@@ -72,26 +85,63 @@ impl<const D: usize> LeafIndex<D> {
         let keys: Vec<Key<D>> = entries.iter().map(|e| e.0).collect();
         let order = crate::simd::zorder_argsort(&keys);
         self.entries = order.into_iter().map(|i| entries[i]).collect();
+        self.delta.clear();
         self.valid = true;
         self.entries.len()
     }
 
+    /// Fold the edits recorded by the hooks since the last settle into the
+    /// sorted array: one merge for k edits (k binary searches, O(n + k)
+    /// copying). Owners call this once before a round of queries; a no-op
+    /// when nothing was edited.
+    pub fn settle(&mut self) {
+        if self.delta.is_empty() {
+            return;
+        }
+        let delta = std::mem::take(&mut self.delta);
+        let mut merged = Vec::with_capacity(self.entries.len() + delta.len());
+        let mut rest = &self.entries[..];
+        for (k, edit) in delta {
+            // Untouched entries below `k` move over as one block.
+            let cut = rest.partition_point(|e| e.0.zcmp(&k).is_lt());
+            merged.extend_from_slice(&rest[..cut]);
+            rest = &rest[cut..];
+            if rest.first().is_some_and(|e| e.0 == k) {
+                rest = &rest[1..];
+            }
+            if let Some(slot) = edit {
+                merged.push((k, slot));
+            }
+        }
+        merged.extend_from_slice(rest);
+        self.entries = merged;
+    }
+
     /// Number of leaves in the index (0 when invalid).
+    ///
+    /// # Panics
+    /// Panics if the index holds unsettled edits.
     pub fn len(&self) -> usize {
+        assert!(self.delta.is_empty(), "leaf index queried with unsettled edits");
         self.entries.len()
     }
 
     /// True when the index holds no entries.
+    ///
+    /// # Panics
+    /// Panics if the index holds unsettled edits.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// The sorted `(key, slot)` entries.
     ///
     /// # Panics
-    /// Panics if the index is invalid — callers must rebuild first.
+    /// Panics if the index is invalid — callers must rebuild first — or
+    /// holds unsettled edits.
     pub fn entries(&self) -> &[(Key<D>, u64)] {
         assert!(self.valid, "leaf index queried while invalid");
+        assert!(self.delta.is_empty(), "leaf index queried with unsettled edits");
         &self.entries
     }
 
@@ -100,59 +150,60 @@ impl<const D: usize> LeafIndex<D> {
         ((n * ENTRY_BYTES).div_ceil(LINE)) as u64
     }
 
-    /// Splice a refine into the sorted array: `parent` (a leaf) is replaced
-    /// by its `FANOUT` children, child `i` receiving `child_slots[i]`.
+    /// Record that `k` stops being a leaf; `false` if it was not one.
+    fn take(&mut self, k: Key<D>) -> bool {
+        if self.entries.binary_search_by(|e| e.0.zcmp(&k)).is_ok() {
+            self.delta.insert(k, None) != Some(None)
+        } else {
+            matches!(self.delta.remove(&k), Some(Some(_)))
+        }
+    }
+
+    /// Record a refine: `parent` (a leaf) is replaced by its `FANOUT`
+    /// children, child `i` receiving `child_slots[i]`.
     ///
-    /// No-op while invalid. If `parent` is not present the index can no
+    /// No-op while invalid. If `parent` is not a leaf the index can no
     /// longer be trusted and is invalidated (defensive, should not happen
     /// when owners hook every mutation).
     pub fn on_refine(&mut self, parent: Key<D>, child_slots: &[u64]) {
-        if !self.valid {
-            return;
-        }
         debug_assert_eq!(child_slots.len(), Key::<D>::FANOUT);
-        match self.entries.binary_search_by(|e| e.0.zcmp(&parent)) {
-            Ok(pos) => {
-                let children: Vec<(Key<D>, u64)> =
-                    parent.children().zip(child_slots.iter().copied()).collect();
-                self.entries.splice(pos..pos + 1, children);
-            }
-            Err(_) => self.invalidate(),
-        }
+        self.refine_with(parent, |i| child_slots[i]);
     }
 
     /// Like [`LeafIndex::on_refine`] with the same slot for every child.
     pub fn on_refine_uniform(&mut self, parent: Key<D>, slot: u64) {
+        self.refine_with(parent, |_| slot);
+    }
+
+    fn refine_with(&mut self, parent: Key<D>, slot_of: impl Fn(usize) -> u64) {
         if !self.valid {
             return;
         }
-        let slots = vec![slot; Key::<D>::FANOUT];
-        self.on_refine(parent, &slots);
+        if !self.take(parent) {
+            self.invalidate();
+            return;
+        }
+        for (i, c) in parent.children().enumerate() {
+            self.delta.insert(c, Some(slot_of(i)));
+        }
     }
 
-    /// Splice a coarsen: the `FANOUT` children of `parent` (all leaves)
+    /// Record a coarsen: the `FANOUT` children of `parent` (all leaves)
     /// are replaced by `parent` with slot `slot`.
     ///
-    /// No-op while invalid; invalidates defensively if the children are not
-    /// present contiguously.
+    /// No-op while invalid; invalidates defensively if a child is not a
+    /// leaf.
     pub fn on_coarsen(&mut self, parent: Key<D>, slot: u64) {
         if !self.valid {
             return;
         }
-        let fanout = Key::<D>::FANOUT;
-        let first = parent.child(0);
-        match self.entries.binary_search_by(|e| e.0.zcmp(&first)) {
-            Ok(pos) if pos + fanout <= self.entries.len() => {
-                let contiguous =
-                    parent.children().enumerate().all(|(i, c)| self.entries[pos + i].0 == c);
-                if contiguous {
-                    self.entries.splice(pos..pos + fanout, [(parent, slot)]);
-                } else {
-                    self.invalidate();
-                }
+        for c in parent.children() {
+            if !self.take(c) {
+                self.invalidate();
+                return;
             }
-            _ => self.invalidate(),
         }
+        self.delta.insert(parent, Some(slot));
     }
 
     /// Containing leaf of `query` by binary search: the greatest entry
@@ -164,14 +215,14 @@ impl<const D: usize> LeafIndex<D> {
     /// backends' `containing_leaf` semantics.
     ///
     /// # Panics
-    /// Panics if the index is invalid.
+    /// Panics if the index is invalid or holds unsettled edits.
     pub fn find(&self, query: &Key<D>) -> Option<(usize, Key<D>, u64)> {
-        assert!(self.valid, "leaf index queried while invalid");
-        let pos = self.entries.partition_point(|e| e.0.zcmp(query).is_le());
+        let entries = self.entries();
+        let pos = entries.partition_point(|e| e.0.zcmp(query).is_le());
         if pos == 0 {
             return None;
         }
-        let (k, slot) = self.entries[pos - 1];
+        let (k, slot) = entries[pos - 1];
         k.contains(query).then_some((pos - 1, k, slot))
     }
 
@@ -183,9 +234,9 @@ impl<const D: usize> LeafIndex<D> {
     /// are fine.
     ///
     /// # Panics
-    /// Panics if the index is invalid.
+    /// Panics if the index is invalid or holds unsettled edits.
     pub fn resolve_sorted(&self, queries: &[Key<D>]) -> (Vec<Option<usize>>, usize) {
-        assert!(self.valid, "leaf index queried while invalid");
+        let entries = self.entries();
         #[cfg(debug_assertions)]
         if queries.len() > 1 {
             assert!(
@@ -199,7 +250,7 @@ impl<const D: usize> LeafIndex<D> {
         let mut cur = 0usize; // number of entries known to be <= the query
         let mut touched = 0usize;
         for q in queries {
-            while cur < self.entries.len() && self.entries[cur].0.zcmp(q).is_le() {
+            while cur < entries.len() && entries[cur].0.zcmp(q).is_le() {
                 cur += 1;
                 touched += 1;
             }
@@ -207,7 +258,7 @@ impl<const D: usize> LeafIndex<D> {
                 out.push(None);
                 continue;
             }
-            let (k, _) = self.entries[cur - 1];
+            let (k, _) = entries[cur - 1];
             touched += 1;
             out.push(if k.contains(q) { Some(cur - 1) } else { None });
         }
@@ -271,10 +322,11 @@ mod tests {
     }
 
     #[test]
-    fn refine_coarsen_splices_match_rebuild() {
+    fn refine_coarsen_edits_match_rebuild() {
         let mut idx = build(&sample_leaves());
         let target = OctKey::root().child(5);
         idx.on_refine_uniform(target, 9);
+        idx.settle();
         let mut want = sample_leaves();
         want.retain(|k| *k != target);
         want.extend(target.children());
@@ -283,6 +335,7 @@ mod tests {
         assert_eq!(got, want);
 
         idx.on_coarsen(target, 11);
+        idx.settle();
         let mut want = sample_leaves();
         want.sort_unstable();
         let got: Vec<OctKey> = idx.entries().iter().map(|e| e.0).collect();
@@ -301,5 +354,191 @@ mod tests {
         // Refining a key that is not a leaf must invalidate, not corrupt.
         idx.on_refine_uniform(OctKey::root().child(3), 0);
         assert!(!idx.is_valid());
+    }
+
+    #[test]
+    #[should_panic(expected = "unsettled edits")]
+    fn queries_refuse_unsettled_edits() {
+        let mut idx = build(&sample_leaves());
+        idx.on_refine_uniform(OctKey::root().child(5), 0);
+        idx.find(&OctKey::root().child(5).child(1));
+    }
+
+    /// The per-octant splice maintenance the edit delta replaced, kept as
+    /// the executable specification: every hook rewrites the sorted array
+    /// on the spot.
+    struct SpliceModel {
+        entries: Vec<(OctKey, u64)>,
+        valid: bool,
+    }
+
+    impl SpliceModel {
+        fn invalidate(&mut self) {
+            self.valid = false;
+            self.entries.clear();
+        }
+
+        fn on_refine(&mut self, parent: OctKey, child_slots: &[u64]) {
+            if !self.valid {
+                return;
+            }
+            match self.entries.binary_search_by(|e| e.0.zcmp(&parent)) {
+                Ok(pos) => {
+                    let children: Vec<_> =
+                        parent.children().zip(child_slots.iter().copied()).collect();
+                    self.entries.splice(pos..pos + 1, children);
+                }
+                Err(_) => self.invalidate(),
+            }
+        }
+
+        fn on_coarsen(&mut self, parent: OctKey, slot: u64) {
+            if !self.valid {
+                return;
+            }
+            let fanout = OctKey::FANOUT;
+            let first = parent.child(0);
+            match self.entries.binary_search_by(|e| e.0.zcmp(&first)) {
+                Ok(pos)
+                    if pos + fanout <= self.entries.len()
+                        && parent
+                            .children()
+                            .enumerate()
+                            .all(|(i, c)| self.entries[pos + i].0 == c) =>
+                {
+                    self.entries.splice(pos..pos + fanout, [(parent, slot)]);
+                }
+                _ => self.invalidate(),
+            }
+        }
+    }
+
+    mod model_parity {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// Refine the `i % len`-th current leaf, child `c` getting slot
+            /// `base + c` (or `base` for every child when `uniform`).
+            RefineLeaf { i: usize, base: u64, uniform: bool },
+            /// Refine the last child of the previous refine's parent: a key
+            /// that, until a settle, exists only in the edit delta.
+            RefineFresh(u64),
+            /// Coarsen the parent of the `i % len`-th current leaf when all
+            /// its siblings are leaves too (skipped otherwise). Right after
+            /// a refine this undoes it before any settle.
+            CoarsenAt { i: usize, slot: u64 },
+            /// Refine or coarsen an arbitrary key — almost always not a
+            /// leaf / not a parent of leaves: both sides must invalidate.
+            Arbitrary { path: Vec<usize>, coarsen: bool },
+            /// Fold the delta and compare everything observable.
+            Settle,
+        }
+
+        fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+            prop::collection::vec(
+                prop_oneof![
+                    12 => (0usize..4096, 0u64..1000, any::<bool>())
+                        .prop_map(|(i, base, uniform)| Op::RefineLeaf { i, base, uniform }),
+                    6 => (0u64..1000).prop_map(Op::RefineFresh),
+                    8 => (0usize..4096, 0u64..1000)
+                        .prop_map(|(i, slot)| Op::CoarsenAt { i, slot }),
+                    1 => (prop::collection::vec(0usize..8, 0..4), any::<bool>())
+                        .prop_map(|(path, coarsen)| Op::Arbitrary { path, coarsen }),
+                    6 => Just(Op::Settle),
+                ],
+                1..60,
+            )
+        }
+
+        /// Settle, then everything a caller can observe must agree with
+        /// the model: validity, entries, `find`, and `resolve_sorted`
+        /// including its `touched` count.
+        fn check_settled(idx: &mut LeafIndex<3>, model: &SpliceModel) {
+            idx.settle();
+            assert_eq!(idx.is_valid(), model.valid);
+            if !model.valid {
+                assert_eq!(idx.len(), 0);
+                return;
+            }
+            assert_eq!(idx.entries(), &model.entries[..]);
+            let reference = LeafIndex { entries: model.entries.clone(), ..build(&[]) };
+            let mut queries: Vec<OctKey> = model
+                .entries
+                .iter()
+                .step_by(3)
+                .flat_map(|e| [e.0, e.0.child(5), e.0.parent().unwrap_or(e.0)])
+                .collect();
+            queries.sort_unstable();
+            for q in &queries {
+                assert_eq!(idx.find(q), reference.find(q));
+            }
+            assert_eq!(idx.resolve_sorted(&queries), reference.resolve_sorted(&queries));
+        }
+
+        fn refine(idx: &mut LeafIndex<3>, model: &mut SpliceModel, key: OctKey, slots: &[u64]) {
+            if slots.iter().all(|&s| s == slots[0]) {
+                idx.on_refine_uniform(key, slots[0]);
+            } else {
+                idx.on_refine(key, slots);
+            }
+            model.on_refine(key, slots);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn edit_delta_matches_splice_model(ops in arb_ops()) {
+                let mut idx = build(&sample_leaves());
+                let mut model = SpliceModel { entries: idx.entries().to_vec(), valid: true };
+                let mut last_parent: Option<OctKey> = None;
+                for op in ops {
+                    let n = model.entries.len();
+                    match op {
+                        Op::Settle => check_settled(&mut idx, &model),
+                        Op::RefineLeaf { i, base, uniform } if n > 0 => {
+                            let key = model.entries[i % n].0;
+                            if key.level() < 6 {
+                                let step = u64::from(!uniform);
+                                let slots: Vec<u64> = (0..8).map(|c| base + c * step).collect();
+                                refine(&mut idx, &mut model, key, &slots);
+                                last_parent = Some(key);
+                            }
+                        }
+                        Op::RefineFresh(slot) => {
+                            if let Some(p) = last_parent.take().filter(|p| p.level() < 5) {
+                                refine(&mut idx, &mut model, p.child(7), &[slot; 8]);
+                            }
+                        }
+                        Op::CoarsenAt { i, slot } if n > 0 => {
+                            let is_leaf = |k: OctKey| {
+                                model.entries.binary_search_by(|e| e.0.zcmp(&k)).is_ok()
+                            };
+                            match model.entries[i % n].0.parent() {
+                                Some(p) if p.children().all(is_leaf) => {
+                                    idx.on_coarsen(p, slot);
+                                    model.on_coarsen(p, slot);
+                                }
+                                _ => {}
+                            }
+                        }
+                        Op::Arbitrary { path, coarsen } => {
+                            let key = path.iter().fold(OctKey::root(), |k, &c| k.child(c));
+                            if coarsen {
+                                idx.on_coarsen(key, 7);
+                                model.on_coarsen(key, 7);
+                            } else {
+                                refine(&mut idx, &mut model, key, &[7; 8]);
+                            }
+                        }
+                        _ => {}
+                    }
+                    assert_eq!(idx.is_valid(), model.valid);
+                }
+                check_settled(&mut idx, &model);
+            }
+        }
     }
 }

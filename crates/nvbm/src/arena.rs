@@ -12,11 +12,11 @@
 //! Every access charges the Table 2 latency model onto a [`VirtualClock`]
 //! and updates [`MemStats`].
 
-use std::collections::BTreeMap;
 use std::path::Path;
 
 use crate::clock::VirtualClock;
 use crate::failplan::FailPlan;
+use crate::lines::LineTable;
 use crate::model::{DeviceModel, CACHELINE};
 use crate::pins::EpochPins;
 use crate::recorder::{self, RecKind, RecorderDump, OFF_REC_BASE, OFF_REC_SLOTS};
@@ -83,7 +83,7 @@ pub enum CrashMode {
 /// only when the caller is the live arena.
 pub(crate) fn apply_crash(
     media: &mut [u8],
-    cache: &BTreeMap<u64, [u8; CACHELINE]>,
+    cache: &LineTable,
     mode: CrashMode,
     mut stats: Option<&mut MemStats>,
 ) {
@@ -102,7 +102,7 @@ pub(crate) fn apply_crash(
     match mode {
         CrashMode::LoseDirty => {}
         CrashMode::CommitRandom { p, .. } => {
-            for (&line, data) in cache {
+            for (line, data) in cache.sorted() {
                 let u = (next() >> 11) as f64 / (1u64 << 53) as f64;
                 if u < p {
                     commit_line_to(media, stats.as_deref_mut(), line, data);
@@ -110,7 +110,7 @@ pub(crate) fn apply_crash(
             }
         }
         CrashMode::TornWrite { .. } => {
-            for (&line, data) in cache {
+            for (line, data) in cache.sorted() {
                 // Prefix of k words, k uniform in 0..=8.
                 let words = (next() % 9) as usize;
                 if words == 0 {
@@ -127,61 +127,6 @@ pub(crate) fn apply_crash(
                 }
             }
         }
-    }
-}
-
-/// Overlay the dirty cachelines in `cache` onto `buf`, which holds the
-/// media bytes at `[offset, offset + buf.len())`. Shared by the live
-/// arena's [`NvbmArena::read`], [`ArenaSnapshot::read_into`] and the
-/// per-domain [`ShardWriter`] overlay.
-fn apply_overlay(cache: &BTreeMap<u64, [u8; CACHELINE]>, offset: u64, buf: &mut [u8]) {
-    if buf.is_empty() {
-        return;
-    }
-    let first = offset / CACHELINE as u64;
-    let last = (offset + buf.len() as u64 - 1) / CACHELINE as u64;
-    for (&line, data) in cache.range(first..=last) {
-        let line_start = line * CACHELINE as u64;
-        // Intersection of [line_start, line_start+64) with [offset, offset+len).
-        let lo = line_start.max(offset);
-        let hi = (line_start + CACHELINE as u64).min(offset + buf.len() as u64);
-        if lo < hi {
-            let src = (lo - line_start) as usize..(hi - line_start) as usize;
-            let dst = (lo - offset) as usize..(hi - offset) as usize;
-            buf[dst].copy_from_slice(&data[src]);
-        }
-    }
-}
-
-/// Store `data` at `offset` into the line table `lines` with the
-/// read-modify-write cacheline discipline: a line not yet present is
-/// first seeded through `seed(line_start, buf)` with the `buf.len()`
-/// bytes (a whole line, short only at the device end `capacity`)
-/// underneath it. Shared by [`NvbmArena::write`] (seeded from the media)
-/// and [`ShardWriter::write`] (seeded from the snapshot).
-#[inline]
-fn store_lines(
-    lines: &mut BTreeMap<u64, [u8; CACHELINE]>,
-    capacity: usize,
-    offset: u64,
-    data: &[u8],
-    mut seed: impl FnMut(u64, &mut [u8]),
-) {
-    let first = offset / CACHELINE as u64;
-    let last = (offset + data.len() as u64 - 1) / CACHELINE as u64;
-    for line in first..=last {
-        let line_start = line * CACHELINE as u64;
-        let entry = lines.entry(line).or_insert_with(|| {
-            let mut l = [0u8; CACHELINE];
-            let len = CACHELINE.min(capacity - line_start as usize);
-            seed(line_start, &mut l[..len]);
-            l
-        });
-        let lo = line_start.max(offset);
-        let hi = (line_start + CACHELINE as u64).min(offset + data.len() as u64);
-        let src = (lo - offset) as usize..(hi - offset) as usize;
-        let dst = (lo - line_start) as usize..(hi - line_start) as usize;
-        entry[dst].copy_from_slice(&data[src]);
     }
 }
 
@@ -219,9 +164,10 @@ pub const ROOT_SLOTS: usize = 2;
 /// Emulated NVBM arena.
 pub struct NvbmArena {
     media: Vec<u8>,
-    /// Dirty cachelines (line index → line bytes). BTreeMap keeps eviction
-    /// deterministic; crash randomness comes from [`CrashMode`].
-    cache: BTreeMap<u64, [u8; CACHELINE]>,
+    /// Dirty cachelines (line index → line bytes). Eviction is
+    /// deterministic (lowest line first); crash randomness comes from
+    /// [`CrashMode`].
+    cache: LineTable,
     cache_cap: usize,
     model: DeviceModel,
     /// Virtual clock charged by every access.
@@ -316,7 +262,7 @@ impl NvbmArena {
         stats.set_region_bounds(rec_base, heap_top);
         let mut a = NvbmArena {
             media: vec![0; capacity],
-            cache: BTreeMap::new(),
+            cache: LineTable::default(),
             cache_cap: 4096,
             model,
             clock: VirtualClock::new(),
@@ -349,7 +295,7 @@ impl NvbmArena {
             RegionManager::from_bounds(media.len() as u64, rec_base, octree_edge, rt_floor);
         NvbmArena {
             media,
-            cache: BTreeMap::new(),
+            cache: LineTable::default(),
             cache_cap: 4096,
             model,
             clock: VirtualClock::new(),
@@ -581,8 +527,7 @@ impl NvbmArena {
         self.clock.advance(lines * self.model.nvbm.read_ns);
         self.stats.nvbm_read(buf.len(), lines);
         buf.copy_from_slice(&self.media[offset as usize..offset as usize + buf.len()]);
-        // Overlay dirty lines.
-        apply_overlay(&self.cache, offset, buf);
+        self.cache.apply_overlay(offset, buf);
     }
 
     /// Write `data` at `offset`. The store lands in the dirty-line cache;
@@ -597,7 +542,7 @@ impl NvbmArena {
         self.clock.advance(lines * self.model.nvbm.write_ns);
         self.stats.nvbm_write(data.len(), lines);
         let media = &self.media;
-        store_lines(&mut self.cache, media.len(), offset, data, |start, buf| {
+        self.cache.store(media.len(), offset, data, |start, buf| {
             buf.copy_from_slice(&media[start as usize..start as usize + buf.len()]);
         });
         self.evict_over_cap();
@@ -609,7 +554,7 @@ impl NvbmArena {
 
     fn evict_over_cap(&mut self) {
         while self.cache.len() > self.cache_cap {
-            let (line, data) = self.cache.pop_first().expect("cache non-empty");
+            let (line, data) = self.cache.pop_lowest().expect("cache non-empty");
             Self::commit_line(&mut self.media, &mut self.stats, line, &data);
         }
     }
@@ -618,10 +563,11 @@ impl NvbmArena {
     /// latency for the media commit.
     pub fn flush_line(&mut self, offset: u64) {
         let line = offset / CACHELINE as u64;
-        if self.cache.contains_key(&line) {
+        // The opportunity precedes the write-back, so it must see the line.
+        if self.plan.is_some() && self.cache.get(line).is_some() {
             self.opportunity(None);
         }
-        if let Some(data) = self.cache.remove(&line) {
+        if let Some(data) = self.cache.remove(line) {
             self.clock.advance(self.model.nvbm.write_ns);
             Self::commit_line(&mut self.media, &mut self.stats, line, &data);
         }
@@ -635,8 +581,8 @@ impl NvbmArena {
         }
         let cache = std::mem::take(&mut self.cache);
         self.clock.advance(cache.len() as u64 * self.model.nvbm.write_ns);
-        for (line, data) in cache {
-            Self::commit_line(&mut self.media, &mut self.stats, line, &data);
+        for (line, data) in cache.sorted() {
+            Self::commit_line(&mut self.media, &mut self.stats, line, data);
         }
     }
 
@@ -680,18 +626,16 @@ impl NvbmArena {
         self.rec_mark(RecKind::Failpoint, label, delta.overlay.len() as u64);
         if let Some(mut plan) = self.plan.take() {
             let mut merged = self.cache.clone();
-            for (&line, data) in &delta.overlay {
-                merged.insert(line, *data);
-            }
+            merged.merge(&delta.overlay);
             plan.observe_interleave(Some(label), &self.media, &merged);
             self.plan = Some(plan);
         }
         self.clock.advance(delta.clock_ns);
         self.stats.nvbm_read(delta.read_bytes as usize, delta.read_lines);
         self.stats.nvbm_write(delta.write_bytes as usize, delta.write_lines);
-        for (line, data) in delta.overlay {
-            self.cache.insert(line, data);
-        }
+        self.cache.merge(&delta.overlay);
+        // The overlay's copy of the lines is not needed while they drain.
+        drop(delta);
         self.evict_over_cap();
     }
 
@@ -879,7 +823,7 @@ impl NvbmArena {
 /// charge their own accounts and settle them at absorb time.
 pub struct ArenaSnapshot<'a> {
     media: &'a [u8],
-    dirty: BTreeMap<u64, [u8; CACHELINE]>,
+    dirty: LineTable,
     model: DeviceModel,
 }
 
@@ -904,7 +848,7 @@ impl ArenaSnapshot<'_> {
             self.media.len()
         );
         buf.copy_from_slice(&self.media[offset as usize..offset as usize + buf.len()]);
-        apply_overlay(&self.dirty, offset, buf);
+        self.dirty.apply_overlay(offset, buf);
     }
 }
 
@@ -922,7 +866,7 @@ impl ArenaSnapshot<'_> {
 /// per-thread interleaving opportunity.
 pub struct ShardWriter<'a> {
     snap: &'a ArenaSnapshot<'a>,
-    overlay: BTreeMap<u64, [u8; CACHELINE]>,
+    overlay: LineTable,
     clock_ns: u64,
     read_bytes: u64,
     read_lines: u64,
@@ -935,7 +879,7 @@ impl<'a> ShardWriter<'a> {
     pub fn new(snap: &'a ArenaSnapshot<'a>) -> Self {
         ShardWriter {
             snap,
-            overlay: BTreeMap::new(),
+            overlay: LineTable::default(),
             clock_ns: 0,
             read_bytes: 0,
             read_lines: 0,
@@ -952,7 +896,7 @@ impl<'a> ShardWriter<'a> {
         self.read_lines += lines;
         self.read_bytes += buf.len() as u64;
         self.snap.read_into(offset, buf);
-        apply_overlay(&self.overlay, offset, buf);
+        self.overlay.apply_overlay(offset, buf);
     }
 
     /// Buffer a store of `data` at `offset` into the overlay.
@@ -973,7 +917,7 @@ impl<'a> ShardWriter<'a> {
         self.write_lines += lines;
         self.write_bytes += data.len() as u64;
         let snap = self.snap;
-        store_lines(&mut self.overlay, snap.capacity(), offset, data, |start, buf| {
+        self.overlay.store(snap.capacity(), offset, data, |start, buf| {
             snap.read_into(start, buf);
         });
     }
@@ -1001,7 +945,7 @@ impl<'a> ShardWriter<'a> {
 /// [`NvbmArena::absorb_shard`] at the serial join point. Owns its data
 /// (no borrows), so it crosses thread boundaries freely.
 pub struct ShardDelta {
-    overlay: BTreeMap<u64, [u8; CACHELINE]>,
+    overlay: LineTable,
     clock_ns: u64,
     read_bytes: u64,
     read_lines: u64,

@@ -7,7 +7,7 @@
 //! ([`NvbmArena::failpoint`](crate::arena::NvbmArena::failpoint)).
 //!
 //! Because the whole simulator is deterministic (virtual clock, seeded
-//! RNGs, ordered dirty-line cache), the opportunity sequence of a workload
+//! RNGs, line-ordered dirty-line eviction), the opportunity sequence of a workload
 //! is reproducible: a counting run and a replay run visit the *same*
 //! opportunities in the same order. A crash injected at opportunity `k`
 //! therefore does not need to abort the process — the plan snapshots the
@@ -26,10 +26,8 @@
 //!   *every* opportunity, so a sweep can verify recovery for each
 //!   opportunity × mode pair in a single pass instead of `O(n)` replays.
 
-use std::collections::BTreeMap;
-
 use crate::arena::{apply_crash, commit_line_to, CrashMode};
-use crate::model::CACHELINE;
+use crate::lines::LineTable;
 
 /// Callback invoked at every opportunity when a hook plan is installed.
 /// `Send` so an arena carrying a plan can still move across rank threads.
@@ -44,7 +42,7 @@ pub struct CrashView<'a> {
     /// [`failpoint`](crate::arena::NvbmArena::failpoint) call.
     pub label: Option<&'static str>,
     media: &'a [u8],
-    dirty: &'a BTreeMap<u64, [u8; CACHELINE]>,
+    dirty: &'a LineTable,
 }
 
 impl<'a> CrashView<'a> {
@@ -52,7 +50,7 @@ impl<'a> CrashView<'a> {
         opportunity: u64,
         label: Option<&'static str>,
         media: &'a [u8],
-        dirty: &'a BTreeMap<u64, [u8; CACHELINE]>,
+        dirty: &'a LineTable,
     ) -> Self {
         CrashView { opportunity, label, media, dirty }
     }
@@ -76,7 +74,7 @@ impl<'a> CrashView<'a> {
     /// the dump recovered from this image.
     pub fn full_image(&self) -> Vec<u8> {
         let mut media = self.media.to_vec();
-        for (&line, data) in self.dirty {
+        for (line, data) in self.dirty.sorted() {
             commit_line_to(&mut media, None, line, data);
         }
         media
@@ -179,12 +177,7 @@ impl FailPlan {
 
     /// Called by the arena at each opportunity. `media`/`dirty` describe
     /// the device state *before* the operation the opportunity precedes.
-    pub(crate) fn observe(
-        &mut self,
-        label: Option<&'static str>,
-        media: &[u8],
-        dirty: &BTreeMap<u64, [u8; CACHELINE]>,
-    ) {
+    pub(crate) fn observe(&mut self, label: Option<&'static str>, media: &[u8], dirty: &LineTable) {
         let op = self.counter;
         self.counter += 1;
         if let Some(l) = label {
@@ -212,7 +205,7 @@ impl FailPlan {
         &mut self,
         label: Option<&'static str>,
         media: &[u8],
-        dirty: &BTreeMap<u64, [u8; CACHELINE]>,
+        dirty: &LineTable,
     ) {
         self.interleavings += 1;
         self.observe(label, media, dirty);

@@ -27,6 +27,7 @@ pub mod alloc;
 pub mod arena;
 pub mod clock;
 pub mod failplan;
+mod lines;
 pub mod model;
 pub mod pins;
 pub mod recorder;

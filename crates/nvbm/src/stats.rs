@@ -5,8 +5,6 @@
 //! counts saved by dynamic transformation (−31%, §5.5), and (c) implies
 //! endurance pressure (Table 2). This module supplies those counters.
 
-use std::collections::BTreeMap;
-
 use serde::Serialize;
 
 use crate::region::{classify_at, RegionKind};
@@ -173,8 +171,13 @@ pub struct MemStats {
     rt_floor: u64,
     /// Committed bytes per region, [`REGIONS`] order.
     bytes_by_region: [u64; REGIONS.len()],
-    /// Committed bytes per phase tag.
-    bytes_by_phase: BTreeMap<&'static str, u64>,
+    /// Committed bytes per phase tag, sorted by tag. A phase gets its
+    /// entry with its first commit.
+    bytes_by_phase: Vec<(&'static str, u64)>,
+    /// Position of `phase` in `bytes_by_phase`, if it has an entry:
+    /// resolved when the phase is set, so that each commit is an indexed
+    /// add instead of a string-keyed search.
+    phase_slot: Option<usize>,
 }
 
 /// Wear-map block granularity.
@@ -205,7 +208,8 @@ impl MemStats {
             rec_base: 0,
             rt_floor: 0,
             bytes_by_region: [0; REGIONS.len()],
-            bytes_by_phase: BTreeMap::new(),
+            bytes_by_phase: Vec::new(),
+            phase_slot: None,
         }
     }
 
@@ -215,7 +219,13 @@ impl MemStats {
     /// returns the previous phase so callers can restore it when the
     /// phase ends (phases nest, e.g. `rt::commit` inside a persist hook).
     pub fn set_phase(&mut self, phase: &'static str) -> &'static str {
+        self.phase_slot = self.find_phase(phase).ok();
         std::mem::replace(&mut self.phase, phase)
+    }
+
+    /// Position of `phase` in `bytes_by_phase`, or where it would go.
+    fn find_phase(&self, phase: &str) -> Result<usize, usize> {
+        self.bytes_by_phase.binary_search_by_key(&phase, |e| e.0)
     }
 
     /// The attribution phase in force.
@@ -254,7 +264,7 @@ impl MemStats {
 
     /// Committed bytes per phase tag, in name order.
     pub fn bytes_by_phase(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.bytes_by_phase.iter().map(|(k, v)| (*k, *v))
+        self.bytes_by_phase.iter().copied()
     }
 
     /// Record one full root-to-leaf descent.
@@ -330,7 +340,18 @@ impl MemStats {
             *w += 1;
         }
         self.bytes_by_region[self.region_index(offset)] += bytes as u64;
-        *self.bytes_by_phase.entry(self.phase).or_insert(0) += bytes as u64;
+        let slot = match self.phase_slot {
+            Some(slot) => slot,
+            None => {
+                let slot = self.find_phase(self.phase).unwrap_or_else(|at| {
+                    self.bytes_by_phase.insert(at, (self.phase, 0));
+                    at
+                });
+                self.phase_slot = Some(slot);
+                slot
+            }
+        };
+        self.bytes_by_phase[slot].1 += bytes as u64;
     }
 
     /// Record a wear-leveling relocation that moved `bytes` live bytes
@@ -433,7 +454,7 @@ impl MemStats {
             bytes_by_phase: self
                 .bytes_by_phase
                 .iter()
-                .map(|(n, &b)| NamedBytes { name: n.to_string(), bytes: b })
+                .map(|&(n, b)| NamedBytes { name: n.to_string(), bytes: b })
                 .collect(),
             wear_hist: self.wear_histogram().to_vec(),
             max_wear,
@@ -498,9 +519,13 @@ impl MemStats {
         for (a, b) in self.bytes_by_region.iter_mut().zip(&other.bytes_by_region) {
             *a += *b;
         }
-        for (k, v) in &other.bytes_by_phase {
-            *self.bytes_by_phase.entry(k).or_insert(0) += v;
+        for &(k, v) in &other.bytes_by_phase {
+            match self.find_phase(k) {
+                Ok(at) => self.bytes_by_phase[at].1 += v,
+                Err(at) => self.bytes_by_phase.insert(at, (k, v)),
+            }
         }
+        self.phase_slot = self.find_phase(self.phase).ok();
     }
 
     /// Zero all counters (keeps wear-map size and region bounds).
@@ -514,6 +539,7 @@ impl MemStats {
         self.relocated_bytes = 0;
         self.bytes_by_region = [0; REGIONS.len()];
         self.bytes_by_phase.clear();
+        self.phase_slot = None;
     }
 
     /// Snapshot of NVBM write-line count — convenient for deltas around a
@@ -631,6 +657,31 @@ mod tests {
         assert_eq!(rep.bytes_committed, 200);
         assert_eq!(rep.blocks_touched, 4);
         assert_eq!(rep.wear_hist[0], 4, "four blocks worn exactly once");
+    }
+
+    #[test]
+    fn phase_slots_survive_reordering_merge_and_reset() {
+        let mut s = MemStats::new(WEAR_BLOCK);
+        s.set_phase("persist::flush");
+        s.wear_commit(0, 1);
+        // A phase that is set but commits nothing gets no row.
+        s.set_phase("idle");
+        // A phase sorting before the existing rows shifts them.
+        s.set_phase("gc::sweep");
+        s.wear_commit(0, 2);
+        s.set_phase("persist::flush");
+        s.wear_commit(0, 4);
+        // Merging rows in below the current phase's moves its slot.
+        let mut other = MemStats::new(WEAR_BLOCK);
+        other.set_phase("a::first");
+        other.wear_commit(0, 8);
+        s.merge(&other);
+        s.wear_commit(0, 16);
+        let phases: Vec<_> = s.bytes_by_phase().collect();
+        assert_eq!(phases, vec![("a::first", 8), ("gc::sweep", 2), ("persist::flush", 21)]);
+        s.reset();
+        s.wear_commit(0, 32);
+        assert_eq!(s.bytes_by_phase().collect::<Vec<_>>(), vec![("persist::flush", 32)]);
     }
 
     #[test]

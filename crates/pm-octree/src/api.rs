@@ -640,11 +640,14 @@ impl PmOctree {
         self.store.arena.stats.dram_read(entries * pmoctree_morton::index::ENTRY_BYTES, lines);
     }
 
-    /// Rebuild the leaf index if stale. The enumeration runs through
-    /// [`PmOctree::for_each_leaf`], which charges each octant read to the
-    /// tier (C0/C1) it actually lives in.
+    /// Bring the leaf index up to date before a query: fold the edits the
+    /// mutation hooks recorded since the last query, or rebuild it if
+    /// stale. The enumeration runs through [`PmOctree::for_each_leaf`],
+    /// which charges each octant read to the tier (C0/C1) it actually
+    /// lives in.
     fn ensure_index(&mut self) {
         if self.index.is_valid() {
+            self.index.settle();
             return;
         }
         let mut entries: Vec<(OctKey, u64)> = Vec::with_capacity(self.leaves);

@@ -273,17 +273,21 @@ pub fn traverse(
     while let Some(cur) = stack.pop() {
         // One navigation-line read delivers children, key and mask.
         let nav = store.nav_line(cur);
-        let mut kids = Vec::new();
+        let mut kids = [POffset::NULL; FANOUT];
+        let mut n = 0;
         for i in (0..FANOUT).rev() {
             match nav.children[i] {
                 ChildPtr::Null => {}
-                ChildPtr::Nvbm(c) => kids.push(c),
+                ChildPtr::Nvbm(c) => {
+                    kids[n] = c;
+                    n += 1;
+                }
                 ChildPtr::Volatile(id) => on_volatile(id),
             }
         }
         let key = OctKey::from_raw(nav.code, nav.level);
         f(store, cur, key, nav.mask == 0);
-        stack.extend(kids);
+        stack.extend_from_slice(&kids[..n]);
     }
 }
 
