@@ -60,6 +60,28 @@ no_fork() {
 }
 no_fork 'BTreeMap<u64, \[u8; CACHELINE\]>' crates/nvbm/src/*.rs
 no_fork '\.splice(' crates/morton/src/index.rs
+# Descent-free time-step gates: the sweep that copies on write through
+# the path it stands on against the gather-then-re-descend loop it
+# replaced (same callbacks, allocations, stores and media; never more
+# reads), the Z-ordered cursor against one `locate` per key, and batched
+# coarsen legality against the per-key rule on all three backends — in
+# optimized builds. The replaced code must be gone, not kept beside them:
+# one NVBM walker, no re-locating the copy `cow_path` just allocated, no
+# per-leaf root re-entry in `update_leaves`, no per-key probe loop in
+# `can_coarsen`.
+cargo test --release -p pm-octree --lib c1::tests::sweep_parity -q
+cargo test --release -p pm-octree --lib c1::tests::cursor_parity -q
+cargo test --release -p pmoctree-amr --test prop_backends batched_coarsen_legality -q
+no_fork 'fn deepest\|fn traverse' crates/pm-octree/src/c1.rs crates/pm-octree/src/api.rs
+if sed -n '/pub fn update_leaves/,/^    }/p' crates/pm-octree/src/api.rs | grep -n 'update_data('; then
+    echo "api.rs: update_leaves re-enters from the root per updated leaf again" >&2
+    exit 1
+fi
+if sed -n '/^pub fn can_coarsen_many(/,/^pub fn coarsen_balanced(/p' crates/amr/src/balance.rs |
+    grep -n 'containing_leaf(\|is_leaf('; then
+    echo "balance.rs: coarsen legality probes per key again" >&2
+    exit 1
+fi
 # SIMD-fallback gate: the Morton suite (including the SIMD==scalar
 # property tests) must pass with the batch kernels pinned to the scalar
 # path, proving the dispatch override and the fallback itself.

@@ -40,35 +40,61 @@ pub fn refine_balanced(b: &mut dyn OctreeBackend, key: OctKey) -> bool {
     b.refine(key).is_ok()
 }
 
-/// Is it legal (2:1-wise) to coarsen the children of `key` away? All face
-/// neighbors of the would-be leaf must have leaves at level ≤ `key`+1,
-/// which, given the children are leaves at `key`+1, reduces to: no leaf
-/// adjacent to any child is deeper than `key`+1.
-pub fn can_coarsen(b: &mut dyn OctreeBackend, key: OctKey) -> bool {
-    if b.is_leaf(key) != Some(false) {
-        return false;
+/// Is it legal (2:1-wise) to coarsen the children of each of `parents`
+/// away? A parent qualifies iff it is internal, its 8 children are all
+/// leaves, and no leaf adjacent to any child is deeper than the children
+/// (all face neighbors of the would-be leaf then sit at level ≤
+/// parent + 1).
+///
+/// The whole batch is one [`OctreeBackend::containing_leaf_many`] over,
+/// per parent, the query set {parent, its 8 children, the children's
+/// out-of-family face neighbors}: the parent is internal ⇔ it resolves
+/// to `None`; a child is a leaf ⇔ it resolves to itself; a neighbor
+/// region is not refined deeper than the children ⇔ it resolves at all.
+/// Legality is judged against the tree as it stands, so batch only
+/// parents whose merges cannot affect each other (one level at a time).
+pub fn can_coarsen_many(b: &mut dyn OctreeBackend, parents: &[OctKey]) -> Vec<bool> {
+    if parents.is_empty() {
+        return Vec::new();
     }
-    for c in 0..8 {
-        let child = key.child(c);
-        if b.is_leaf(child) != Some(true) {
-            return false;
+    // 1 parent + 8 children + at most 24 out-of-family face neighbors.
+    let mut queries: Vec<OctKey> = Vec::with_capacity(parents.len() * 33);
+    let mut starts: Vec<usize> = Vec::with_capacity(parents.len() + 1);
+    for &parent in parents {
+        starts.push(queries.len());
+        queries.push(parent);
+        if parent.level() == OctKey::MAX_LEVEL {
+            continue; // cannot have children: resolves to a leaf, never `None`
         }
-        for axis in 0..3 {
-            for dir in [-1i8, 1] {
-                if let Some(nk) = child.face_neighbor(axis, dir) {
-                    if key.contains(&nk) {
-                        continue; // sibling: removed together
-                    }
-                    // The neighbor region must not be refined deeper than
-                    // the child level (key.level()+1).
-                    if b.containing_leaf(nk).is_none() {
-                        return false;
-                    }
+        queries.extend(parent.children());
+        for child in parent.children() {
+            for axis in 0..3 {
+                for dir in [-1i8, 1] {
+                    // Siblings are removed together; only out-of-family
+                    // neighbors constrain the merge.
+                    queries
+                        .extend(child.face_neighbor(axis, dir).filter(|nk| !parent.contains(nk)));
                 }
             }
         }
     }
-    true
+    starts.push(queries.len());
+    let resolved = b.containing_leaf_many(&queries);
+    starts
+        .windows(2)
+        .map(|w| {
+            let (q, r) = (&queries[w[0]..w[1]], &resolved[w[0]..w[1]]);
+            q.len() > 8
+                && r[0].is_none()
+                && q[1..9].iter().zip(&r[1..9]).all(|(child, leaf)| *leaf == Some(*child))
+                && r[9..].iter().all(Option::is_some)
+        })
+        .collect()
+}
+
+/// [`can_coarsen_many`] for a single family.
+pub fn can_coarsen(b: &mut dyn OctreeBackend, key: OctKey) -> bool {
+    can_coarsen_many(b, &[key])[0]
 }
 
 /// Coarsen with a 2:1 legality check. Returns whether it happened.

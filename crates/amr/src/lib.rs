@@ -25,8 +25,8 @@ pub mod vtk;
 
 pub use backend::{neighbor_queries, Cell, EtreeBackend, InCoreBackend, OctreeBackend, PmBackend};
 pub use balance::{
-    balance, balance26, balance_subset, can_coarsen, check_balance, check_balance26,
-    coarsen_balanced, refine_balanced,
+    balance, balance26, balance_subset, can_coarsen, can_coarsen_many, check_balance,
+    check_balance26, coarsen_balanced, refine_balanced,
 };
 pub use construct::{construct_path, construct_uniform};
 pub use extract::{extract, Mesh};

@@ -8,7 +8,7 @@
 use pmoctree_morton::OctKey;
 
 use crate::backend::{Cell, OctreeBackend};
-use crate::balance::{balance_from, can_coarsen};
+use crate::balance::{balance_from, can_coarsen_many};
 
 /// What adaptation wants for one leaf.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,19 +78,13 @@ pub fn adapt(b: &mut dyn OctreeBackend, criterion: &dyn AdaptCriterion) -> Adapt
     let mut parents: Vec<OctKey> = votes.iter().filter(|(_, &n)| n == 8).map(|(k, _)| *k).collect();
     // Deepest first, so nested coarsening cascades within one pass.
     // Families at one level cannot affect each other's 2:1 legality
-    // (coarsening only makes regions shallower), so each level's legal
-    // set merges as one batch.
+    // (coarsening only makes regions shallower), so each level's
+    // legality is one index batch and its legal set merges as one batch.
     parents.sort_by(|a, b| b.level().cmp(&a.level()).then(a.cmp(b)));
-    let mut i = 0;
-    while i < parents.len() {
-        let lvl = parents[i].level();
-        let mut batch = Vec::new();
-        while i < parents.len() && parents[i].level() == lvl {
-            if can_coarsen(b, parents[i]) {
-                batch.push(parents[i]);
-            }
-            i += 1;
-        }
+    for level in parents.chunk_by(|a, b| a.level() == b.level()) {
+        let legal = can_coarsen_many(b, level);
+        let batch: Vec<OctKey> =
+            level.iter().zip(legal).filter(|&(_, ok)| ok).map(|(&p, _)| p).collect();
         report.coarsened += b.coarsen_many(&batch).into_iter().filter(|&s| s).count();
     }
     report

@@ -4,8 +4,8 @@
 
 use pm_octree::{PmConfig, PmOctree};
 use pmoctree_amr::{
-    adapt, check_balance, coarsen_balanced, refine_balanced, AdaptCriterion, Cell, EtreeBackend,
-    InCoreBackend, OctreeBackend, PmBackend, Target,
+    adapt, can_coarsen_many, check_balance, coarsen_balanced, refine_balanced, AdaptCriterion,
+    Cell, EtreeBackend, InCoreBackend, OctreeBackend, PmBackend, Target,
 };
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::{DeviceModel, NvbmArena};
@@ -66,6 +66,29 @@ fn leaves(b: &mut dyn OctreeBackend) -> Vec<(OctKey, Cell)> {
     out
 }
 
+/// The per-key coarsen-legality rule `can_coarsen_many` replaced: one
+/// `is_leaf` / `containing_leaf` root descent per probe.
+fn can_coarsen_reference(b: &mut dyn OctreeBackend, key: OctKey) -> bool {
+    if b.is_leaf(key) != Some(false) {
+        return false;
+    }
+    for child in key.children() {
+        if b.is_leaf(child) != Some(true) {
+            return false;
+        }
+        for axis in 0..3 {
+            for dir in [-1i8, 1] {
+                if let Some(nk) = child.face_neighbor(axis, dir) {
+                    if !key.contains(&nk) && b.containing_leaf(nk).is_none() {
+                        return false;
+                    }
+                }
+            }
+        }
+    }
+    true
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -87,6 +110,38 @@ proptest! {
         prop_assert_eq!(pm.leaf_count(), lp.len());
         prop_assert_eq!(ic.leaf_count(), lp.len());
         prop_assert_eq!(et.leaf_count(), lp.len());
+    }
+
+    #[test]
+    fn batched_coarsen_legality_equals_per_key_rule(
+        ops in arb_ops(),
+        raw_refines in prop::collection::vec(prop::collection::vec(0usize..8, 0..4), 0..6),
+    ) {
+        let mut pm = pm_backend();
+        let mut ic = InCoreBackend::new();
+        let mut et = EtreeBackend::on_nvbm();
+        let backends: [&mut dyn OctreeBackend; 3] = [&mut pm, &mut ic, &mut et];
+        for b in backends {
+            for op in &ops {
+                apply(b, op);
+            }
+            // Unbalanced splits on top: families with one deeper neighbor.
+            for path in &raw_refines {
+                let _ = b.refine(key_of(path));
+            }
+            // Every family (legal or not, interior or on the domain
+            // boundary), every leaf, and absent keys below the leaves.
+            let leaves = b.leaf_keys_sorted();
+            let mut candidates: Vec<OctKey> = leaves
+                .iter()
+                .flat_map(|k| k.path_from_root().into_iter().chain([k.child(3)]))
+                .collect();
+            candidates.sort_unstable();
+            candidates.dedup();
+            let expected: Vec<bool> =
+                candidates.iter().map(|&k| can_coarsen_reference(b, k)).collect();
+            prop_assert_eq!(can_coarsen_many(b, &candidates), expected, "{}", b.name());
+        }
     }
 
     #[test]

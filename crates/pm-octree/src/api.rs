@@ -409,15 +409,20 @@ impl PmOctree {
     /// Read the payload of the octant at `key`.
     pub fn get_data(&mut self, key: OctKey) -> Option<CellData> {
         if let Some(id) = self.forest.owner_of(&key) {
-            let store = &mut self.store;
-            return self.forest.with_tree(id, |t| {
-                t.find(key, &mut store.arena).map(|i| t.data_of(i, &mut store.arena))
-            });
+            return self.c0_data(id, key);
         }
         match c1::locate(&mut self.store, self.current_root, key) {
             Locate::Nvbm(p) => Some(self.store.data(p)),
             _ => None,
         }
+    }
+
+    /// Payload of `key` inside the C0 tree `id` that owns its region.
+    fn c0_data(&mut self, id: u32, key: OctKey) -> Option<CellData> {
+        let store = &mut self.store;
+        self.forest.with_tree(id, |t| {
+            t.find(key, &mut store.arena).map(|i| t.data_of(i, &mut store.arena))
+        })
     }
 
     // ---- mesh mutation ----------------------------------------------------
@@ -594,18 +599,17 @@ impl PmOctree {
     /// order within each part is pre-order).
     pub fn for_each_leaf(&mut self, mut f: impl FnMut(OctKey, &CellData)) {
         let mut volatile_ids = Vec::new();
-        let root = self.current_root;
-        c1::traverse(
+        c1::sweep_leaves(
             &mut self.store,
-            root,
-            &mut |store, p, k, leaf| {
-                if leaf {
-                    let d = store.data(p);
-                    f(k, &d);
-                }
+            self.current_root,
+            self.epoch,
+            &mut |k, d| {
+                f(k, d);
+                None
             },
             &mut |id| volatile_ids.push(id),
-        );
+        )
+        .expect("a sweep that updates nothing allocates nothing");
         for id in volatile_ids {
             let store = &mut self.store;
             self.forest.with_tree(id, |t| t.for_each_leaf(&mut store.arena, &mut f));
@@ -683,9 +687,10 @@ impl PmOctree {
 
     /// Batched leaf payload reads. The DRAM index filters out keys that
     /// are not current leaves without touching NVBM; each resolved leaf's
-    /// payload is then fetched through the normal tiered path (octant
-    /// reads charge the tier they live in — the index never caches
-    /// payloads).
+    /// payload is then fetched from the tier it lives in (the index never
+    /// caches payloads). NVBM leaves are located in Z-order through one
+    /// [`c1::Cursor`], so a navigation line shared by several keys' paths
+    /// is read (and charged) once per batch.
     pub fn get_data_many(&mut self, keys: &[OctKey]) -> Vec<Option<CellData>> {
         self.ensure_index();
         let order = pmoctree_morton::simd::zorder_argsort(keys);
@@ -694,43 +699,33 @@ impl PmOctree {
         self.charge_index_entries(touched);
         self.store.arena.stats.index_hits(keys.len() as u64);
         let mut out = vec![None; keys.len()];
+        let mut cursor = c1::Cursor::new(self.current_root);
         for (pos, r) in order.into_iter().zip(resolved) {
-            if let Some(e) = r {
-                if self.index.entries()[e].0 == keys[pos] {
-                    out[pos] = self.get_data(keys[pos]);
-                }
+            let key = keys[pos];
+            if r.is_none_or(|e| self.index.entries()[e].0 != key) {
+                continue;
             }
+            out[pos] = match self.forest.owner_of(&key) {
+                Some(id) => self.c0_data(id, key),
+                None => match cursor.locate(&mut self.store, key) {
+                    Locate::Nvbm(p) => Some(self.store.data(p)),
+                    _ => None,
+                },
+            };
         }
         out
     }
 
     /// Solver sweep: `f` inspects each leaf and returns `Some(new_data)`
-    /// to update it. NVBM updates are copy-on-write.
+    /// to update it. NVBM updates are copy-on-write, made inside the one
+    /// tree walk ([`c1::sweep_leaves`]).
     pub fn update_leaves(&mut self, mut f: impl FnMut(OctKey, &CellData) -> Option<CellData>) {
-        // NVBM side: gather the updates first, then apply (applying
-        // mutates the tree shape via COW, which would invalidate a live
-        // traversal).
-        let mut updates: Vec<(OctKey, CellData)> = Vec::new();
         let mut volatile_ids = Vec::new();
-        let root = self.current_root;
-        c1::traverse(
-            &mut self.store,
-            root,
-            &mut |store, p, k, leaf| {
-                if leaf {
-                    let d = store.data(p);
-                    if let Some(nd) = f(k, &d) {
-                        updates.push((k, nd));
-                    }
-                }
-            },
-            &mut |id| volatile_ids.push(id),
-        );
-        for (k, nd) in updates {
-            self.current_root =
-                c1::update_data(&mut self.store, self.current_root, k, &nd, self.epoch)
-                    .expect("NVBM device full mid-sweep: updates need COW headroom");
-        }
+        self.current_root =
+            c1::sweep_leaves(&mut self.store, self.current_root, self.epoch, &mut f, &mut |id| {
+                volatile_ids.push(id)
+            })
+            .expect("NVBM device full mid-sweep: updates need COW headroom");
         for id in volatile_ids {
             let store = &mut self.store;
             self.forest.with_tree(id, |t| t.update_leaves(&mut store.arena, &mut f));

@@ -33,7 +33,7 @@ use pmoctree_morton::OctKey;
 use pmoctree_nvbm::POffset;
 
 use crate::api::PmError;
-use crate::octant::{CellData, ChildPtr, OctAccess, Octant, PmStore, FANOUT};
+use crate::octant::{CellData, ChildPtr, NavLine, OctAccess, Octant, PmStore, FANOUT};
 
 /// Outcome of a root-descent for `key`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,10 +67,102 @@ pub fn locate<S: OctAccess>(store: &mut S, root: POffset, key: OctKey) -> Locate
     Locate::Nvbm(cur)
 }
 
+/// One level of a remembered root-to-octant path: what a single
+/// navigation-line read delivered about the octant, plus where it hangs
+/// in its parent. Path walks ([`cow_path`], [`sweep_leaves`], [`Cursor`])
+/// keep these instead of re-descending from the root.
+///
+/// Invariants over a frame stack `frames[0..n]` (`frames[0]` the root):
+///
+/// * `frames[i + 1]` is the child in slot `frames[i + 1].slot` of
+///   `frames[i]`.
+/// * A frame whose `epoch` is older than the working epoch is *shared*
+///   and has not been written since it was read, so `children` is its
+///   on-media content. A frame at the working epoch is exclusive, and —
+///   exclusivity being hereditary — so is every frame above it.
+/// * [`make_exclusive`] re-points `off` at the copy it allocates; only
+///   the slot of the frame below ever changes in a copied or exclusive
+///   octant, so `children` stays valid for every slot not yet entered.
+#[derive(Clone, Copy)]
+struct Frame {
+    off: POffset,
+    slot: usize,
+    epoch: u32,
+    children: [ChildPtr; FANOUT],
+}
+
+/// Read the navigation line of the octant at `off` (one charged line)
+/// and push its frame.
+fn push_frame<S: OctAccess>(
+    store: &mut S,
+    frames: &mut Vec<Frame>,
+    off: POffset,
+    slot: usize,
+) -> NavLine {
+    let nav = store.nav_line(off);
+    frames.push(Frame { off, slot, epoch: nav.epoch, children: nav.children });
+    nav
+}
+
+/// Make the octant of the last frame exclusive to `epoch` (the paper's
+/// Figure 4 walk: copy 9→9', copy u→u', link, repeat to the root): copy
+/// it and its shared ancestors bottom-up until the first exclusive frame,
+/// re-pointing each copied frame, then publish with one `set_child` there
+/// — or return the new root when the root itself was copied.
+///
+/// On [`PmError::Full`] no link has been published: the copies allocated
+/// so far are unreachable and the tree is unchanged — but the frames
+/// below the failed copy already name those orphans, so the caller must
+/// drop the stack.
+fn make_exclusive<S: OctAccess>(
+    store: &mut S,
+    frames: &mut [Frame],
+    epoch: u32,
+) -> Result<Option<POffset>, PmError> {
+    let first_shared = frames.iter().rposition(|f| f.epoch == epoch).map_or(0, |i| i + 1);
+    debug_assert!(
+        frames[..first_shared].iter().all(|f| f.epoch == epoch),
+        "exclusive under shared"
+    );
+    if first_shared == frames.len() {
+        return Ok(None);
+    }
+    let mut below: Option<(usize, POffset)> = None;
+    for frame in frames[first_shared..].iter_mut().rev() {
+        let mut copy = store.read_octant(frame.off);
+        copy.epoch = epoch;
+        if let Some((slot, child)) = below {
+            copy.children[slot] = ChildPtr::Nvbm(child);
+        }
+        let off = store.alloc_octant(&copy)?;
+        if let Some((_, child)) = below {
+            store.set_parent(child, off);
+        }
+        frame.off = off;
+        frame.epoch = epoch;
+        below = Some((frame.slot, off));
+    }
+    let (slot, top) = below.expect("at least one shared frame was copied");
+    match first_shared.checked_sub(1) {
+        // Exclusive ancestor: this is the single publication write for
+        // the whole walk — every copy below is fully written before it
+        // lands.
+        Some(anc) => {
+            let anc = frames[anc].off;
+            store.set_child(anc, slot, ChildPtr::Nvbm(top));
+            store.set_parent(top, anc);
+            Ok(None)
+        }
+        None => {
+            store.set_parent(top, POffset::NULL);
+            Ok(Some(top))
+        }
+    }
+}
+
 /// Make the octant at `key` exclusive to the current epoch, copying the
-/// shared suffix of its root path (the paper's Figure 4 walk: copy 9→9',
-/// copy u→u', link, repeat to the root). Returns the possibly-new root
-/// and the exclusive octant's offset.
+/// shared suffix of its root path. Returns the possibly-new root and the
+/// exclusive octant's offset.
 ///
 /// `key` must exist as an NVBM octant under `root`. On [`PmError::Full`]
 /// no link has been published: copies allocated so far are unreachable
@@ -81,19 +173,13 @@ pub fn cow_path<S: OctAccess>(
     key: OctKey,
     epoch: u32,
 ) -> Result<(POffset, POffset), PmError> {
-    // Record the descent: (offset, child index taken from it).
-    let root_key = store.key(root);
-    debug_assert!(root_key.contains(&key), "cow_path outside tree");
-    let mut path: Vec<(POffset, usize)> =
-        Vec::with_capacity((key.level() - root_key.level()) as usize);
-    let mut cur = root;
-    for l in root_key.level()..key.level() {
+    let mut frames = Vec::with_capacity(key.level() as usize + 1);
+    let mut nav = push_frame(store, &mut frames, root, 0);
+    debug_assert!(OctKey::from_raw(nav.code, nav.level).contains(&key), "cow_path outside tree");
+    for l in nav.level..key.level() {
         let idx = key.ancestor_at(l + 1).sibling_index();
-        match store.child(cur, idx) {
-            ChildPtr::Nvbm(p) => {
-                path.push((cur, idx));
-                cur = p;
-            }
+        match nav.children[idx] {
+            ChildPtr::Nvbm(p) => nav = push_frame(store, &mut frames, p, idx),
             other => {
                 return Err(PmError::Corrupt(format!(
                     "cow_path: expected NVBM child on path, found {other:?}"
@@ -101,51 +187,8 @@ pub fn cow_path<S: OctAccess>(
             }
         }
     }
-    // `cur` is the target. Copy the shared suffix bottom-up.
-    if store.epoch_of(cur) == epoch {
-        return Ok((root, cur)); // already exclusive; ancestors are too.
-    }
-    let mut copy = store.read_octant(cur);
-    copy.epoch = epoch;
-    let mut child_off = store.alloc_octant(&copy)?;
-    let mut child_key_level = key.level();
-    // Walk ancestors from deepest to root, re-linking.
-    while let Some((anc, idx)) = path.pop() {
-        if store.epoch_of(anc) == epoch {
-            // Exclusive ancestor: just update its child slot in place.
-            // This is the single publication write for the whole walk —
-            // every copy below is fully written before it lands.
-            store.set_child(anc, idx, ChildPtr::Nvbm(child_off));
-            store.set_parent(child_off, anc);
-            return Ok((root, deepest(store, root, key, child_key_level)?));
-        }
-        let mut anc_copy = store.read_octant(anc);
-        anc_copy.epoch = epoch;
-        anc_copy.children[idx] = ChildPtr::Nvbm(child_off);
-        let anc_off = store.alloc_octant(&anc_copy)?;
-        store.set_parent(child_off, anc_off);
-        child_off = anc_off;
-        child_key_level -= 1;
-    }
-    // The root itself was copied: child_off is the new root.
-    store.set_parent(child_off, POffset::NULL);
-    let new_root = child_off;
-    let target = deepest(store, new_root, key, key.level())?;
-    Ok((new_root, target))
-}
-
-/// Re-locate `key` (must exist, as NVBM) under `root`. `_lvl` documents
-/// intent; descent is by key.
-fn deepest<S: OctAccess>(
-    store: &mut S,
-    root: POffset,
-    key: OctKey,
-    _lvl: u8,
-) -> Result<POffset, PmError> {
-    match locate(store, root, key) {
-        Locate::Nvbm(p) => Ok(p),
-        other => Err(PmError::Corrupt(format!("octant vanished during COW: {other:?}"))),
-    }
+    let root = make_exclusive(store, &mut frames, epoch)?.unwrap_or(root);
+    Ok((root, frames[frames.len() - 1].off))
 }
 
 /// Refine the NVBM leaf at `key`: create its 8 children (all exclusive),
@@ -261,33 +304,128 @@ pub fn replace_slot<S: OctAccess>(
     Ok(root)
 }
 
-/// Pre-order traversal of the NVBM part of the tree under `p`; volatile
-/// handles are reported to `on_volatile` and not descended.
-pub fn traverse(
-    store: &mut PmStore,
-    p: POffset,
-    f: &mut impl FnMut(&mut PmStore, POffset, OctKey, bool),
+/// Pre-order sweep over the NVBM leaves under `root`: `f` sees each
+/// leaf's key and payload once and returns `Some(new)` to overwrite it.
+/// Volatile handles are reported to `on_volatile` (per octant, highest
+/// slot first, before the octant's own callback) and not descended.
+/// Returns the possibly-new root.
+///
+/// The walker carries its root-to-leaf path as [`Frame`]s, so an update
+/// is made copy-on-write *through the path it is standing on*
+/// ([`make_exclusive`]) instead of re-entering from the root: the copies,
+/// the publication write and the payload store are exactly those of
+/// [`update_data`] on the same leaf, in the same order.
+///
+/// On [`PmError::Full`] the sweep stops: no link of the failing leaf has
+/// been published, earlier leaves keep their updates, and a shared
+/// `root` still walks to the pre-sweep tree.
+pub fn sweep_leaves<S: OctAccess>(
+    store: &mut S,
+    root: POffset,
+    epoch: u32,
+    f: &mut impl FnMut(OctKey, &CellData) -> Option<CellData>,
     on_volatile: &mut impl FnMut(u32),
-) {
-    let mut stack = vec![p];
-    while let Some(cur) = stack.pop() {
-        // One navigation-line read delivers children, key and mask.
-        let nav = store.nav_line(cur);
-        let mut kids = [POffset::NULL; FANOUT];
-        let mut n = 0;
-        for i in (0..FANOUT).rev() {
-            match nav.children[i] {
-                ChildPtr::Null => {}
-                ChildPtr::Nvbm(c) => {
-                    kids[n] = c;
-                    n += 1;
+) -> Result<POffset, PmError> {
+    let mut root = root;
+    let mut frames: Vec<Frame> = Vec::new();
+    // Each turn either enters an octant — `(offset, slot in the top
+    // frame)` — or, with none left to enter, scans the top frame from
+    // slot `from` for the next one and pops the frame when it has none.
+    let mut enter = Some((root, 0));
+    let mut from = 0;
+    loop {
+        if let Some((off, slot)) = enter.take() {
+            // One navigation-line read delivers children, key and mask.
+            let nav = push_frame(store, &mut frames, off, slot);
+            for c in nav.children.iter().rev() {
+                if let ChildPtr::Volatile(id) = *c {
+                    on_volatile(id);
                 }
-                ChildPtr::Volatile(id) => on_volatile(id),
+            }
+            if nav.mask == 0 {
+                let data = store.data(off);
+                if let Some(new) = f(OctKey::from_raw(nav.code, nav.level), &data) {
+                    if let Some(new_root) = make_exclusive(store, &mut frames, epoch)? {
+                        root = new_root;
+                    }
+                    store.set_data(frames[frames.len() - 1].off, &new);
+                }
+            }
+            from = 0;
+        }
+        let Some(top) = frames.last() else {
+            return Ok(root);
+        };
+        enter = (from..FANOUT).find_map(|i| match top.children[i] {
+            ChildPtr::Nvbm(c) => Some((c, i)),
+            _ => None,
+        });
+        if enter.is_none() {
+            from = top.slot + 1;
+            frames.pop();
+        }
+    }
+}
+
+/// Read-only descent cursor for batches of lookups against one tree: it
+/// remembers the frames of its last root-to-octant path and resumes each
+/// lookup from the deepest ancestor shared with the previous key, so a
+/// Z-ordered batch reads every navigation line on a shared prefix once
+/// instead of once per key. Answers are those of [`locate`].
+///
+/// Valid only while the tree under `root` is not mutated between
+/// lookups (the remembered child links would go stale).
+pub struct Cursor {
+    root: POffset,
+    /// Key of `frames[0]` (set by the first lookup, which reads the root).
+    root_key: OctKey,
+    /// The previous lookup's key: `frames[i]` is its ancestor at level
+    /// `root_key.level() + i`.
+    last: OctKey,
+    frames: Vec<Frame>,
+}
+
+impl Cursor {
+    /// A cursor over the tree under `root`. Reads nothing yet.
+    pub fn new(root: POffset) -> Self {
+        debug_assert!(!root.is_null());
+        Cursor { root, root_key: OctKey::root(), last: OctKey::root(), frames: Vec::new() }
+    }
+
+    /// [`locate`] `key`, re-reading only the part of its path that the
+    /// previous lookup did not already walk. The target's own line is not
+    /// read (a later, deeper key reads it if it has to pass through).
+    pub fn locate<S: OctAccess>(&mut self, store: &mut S, key: OctKey) -> Locate {
+        if self.frames.is_empty() {
+            let nav = push_frame(store, &mut self.frames, self.root, 0);
+            self.root_key = OctKey::from_raw(nav.code, nav.level);
+            self.last = self.root_key;
+        }
+        if !self.root_key.contains(&key) {
+            return Locate::Missing;
+        }
+        let base = self.root_key.level();
+        let shared = (base + 1..=key.level().min(self.last.level()))
+            .take_while(|&l| key.ancestor_at(l) == self.last.ancestor_at(l))
+            .count();
+        self.frames.truncate(shared + 1);
+        self.last = key;
+        loop {
+            let top = &self.frames[self.frames.len() - 1];
+            let level = base + (self.frames.len() - 1) as u8;
+            if level == key.level() {
+                return Locate::Nvbm(top.off);
+            }
+            let idx = key.ancestor_at(level + 1).sibling_index();
+            match top.children[idx] {
+                ChildPtr::Null => return Locate::Missing,
+                ChildPtr::Volatile(id) => return Locate::Volatile(id),
+                ChildPtr::Nvbm(p) if level + 1 == key.level() => return Locate::Nvbm(p),
+                ChildPtr::Nvbm(p) => {
+                    push_frame(store, &mut self.frames, p, idx);
+                }
             }
         }
-        let key = OctKey::from_raw(nav.code, nav.level);
-        f(store, cur, key, nav.mask == 0);
-        stack.extend_from_slice(&kids[..n]);
     }
 }
 
@@ -299,11 +437,13 @@ pub fn count_shared(store: &mut PmStore, p: POffset, epoch: u32) -> (usize, usiz
     let mut shared = 0usize;
     let mut stack = vec![p];
     while let Some(cur) = stack.pop() {
+        // Epoch and child links share the navigation line: one read.
+        let nav = store.nav_line(cur);
         total += 1;
-        if store.epoch_of(cur) < epoch {
+        if nav.epoch < epoch {
             shared += 1;
         }
-        for c in store.children(cur) {
+        for c in nav.children {
             if let ChildPtr::Nvbm(c) = c {
                 stack.push(c);
             }
@@ -519,6 +659,77 @@ mod tests {
     }
 
     #[test]
+    fn cow_path_returns_the_copy_it_allocated() {
+        let mut s = store();
+        let mut root = root_tree(&mut s, 1);
+        root = refine(&mut s, root, OctKey::root(), 1).unwrap();
+        root = refine(&mut s, root, OctKey::root().child(4), 1).unwrap();
+        let key = OctKey::root().child(4).child(6);
+        let at = |s: &mut PmStore, root, key| match locate(s, root, key) {
+            Locate::Nvbm(p) => p,
+            other => panic!("{other:?}"),
+        };
+        // Already exclusive: nothing is copied, the octant itself comes back.
+        let before = s.registry.len();
+        let here = at(&mut s, root, key);
+        assert_eq!(cow_path(&mut s, root, key, 1), Ok((root, here)));
+        assert_eq!(s.registry.len(), before);
+        // Everything shared: the whole path is copied, root included.
+        let (root2, target) = cow_path(&mut s, root, key, 2).unwrap();
+        assert_ne!(root2, root);
+        assert_eq!(s.registry.len(), before + 3);
+        assert_eq!(target, at(&mut s, root2, key));
+        assert_eq!(s.epoch_of(target), 2);
+        assert_eq!(at(&mut s, root, key), here, "the old version keeps the original");
+        // Exclusive ancestors (root2 and child 4 are at epoch 2 now): one
+        // copy, published into the exclusive parent.
+        let sibling = OctKey::root().child(4).child(1);
+        let (root3, target) = cow_path(&mut s, root2, sibling, 2).unwrap();
+        assert_eq!(root3, root2);
+        assert_eq!(s.registry.len(), before + 4);
+        assert_eq!(target, at(&mut s, root2, sibling));
+        assert_eq!(s.parent(target), at(&mut s, root2, OctKey::root().child(4)));
+    }
+
+    #[test]
+    fn full_mid_sweep_publishes_nothing_of_the_failing_leaf() {
+        // Fill a small device breadth-first at epoch 1, then sweep it at
+        // epoch 2 rewriting every leaf: the copies cannot fit.
+        let mut s = PmStore::new(NvbmArena::new(64 << 10, DeviceModel::default()));
+        let mut root = root_tree(&mut s, 1);
+        let mut frontier = std::collections::VecDeque::from([OctKey::root()]);
+        while let Some(k) = frontier.pop_front() {
+            match refine(&mut s, root, k, 1) {
+                Ok(r) => root = r,
+                Err(PmError::Full(_)) => break,
+                Err(other) => panic!("unexpected error: {other}"),
+            }
+            frontier.extend(k.children());
+        }
+        let leaves_of = |s: &mut PmStore, root| {
+            let mut out = Vec::new();
+            let f = &mut |k, d: &CellData| {
+                out.push((k, *d));
+                None
+            };
+            sweep_leaves(s, root, 2, f, &mut |_| {}).unwrap();
+            out
+        };
+        let before = leaves_of(&mut s, root);
+        assert!(before.len() > 64, "device too small to be interesting");
+        let mut updated = 0usize;
+        let f = &mut |_, d: &CellData| {
+            updated += 1;
+            Some(CellData { phi: d.phi + 1.0, ..*d })
+        };
+        let err = sweep_leaves(&mut s, root, 2, f, &mut |_| {}).unwrap_err();
+        assert!(matches!(err, PmError::Full(_)), "{err}");
+        assert!(updated < before.len(), "the sweep must stop at the failing leaf");
+        // The pre-sweep root is shared, so nothing under it was written.
+        assert_eq!(leaves_of(&mut s, root), before);
+    }
+
+    #[test]
     fn coarsen_unlinks_without_writing_shared_children() {
         let mut s = store();
         let mut root = root_tree(&mut s, 1);
@@ -606,8 +817,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // Every octant reachable from the root still decodes cleanly.
-        let mut count = 0usize;
-        traverse(&mut s, root, &mut |_, _, _, _| count += 1, &mut |_| {});
+        let (count, _) = count_shared(&mut s, root, 1);
         assert!(count >= 9, "tree collapsed after failed refine: {count} octants");
     }
 
@@ -694,16 +904,363 @@ mod tests {
     }
 
     #[test]
-    fn traverse_visits_all_and_reports_volatile() {
+    fn sweep_visits_every_leaf_and_reports_volatile() {
         let mut s = store();
         let mut root = root_tree(&mut s, 1);
         root = refine(&mut s, root, OctKey::root(), 1).unwrap();
-        root =
-            replace_slot(&mut s, root, OctKey::root().child(2), ChildPtr::Volatile(7), 1).unwrap();
+        for (slot, id) in [(2, 7), (5, 9)] {
+            let k = OctKey::root().child(slot);
+            root = replace_slot(&mut s, root, k, ChildPtr::Volatile(id), 1).unwrap();
+        }
         let mut keys = Vec::new();
         let mut vols = Vec::new();
-        traverse(&mut s, root, &mut |_, _, k, _| keys.push(k), &mut |id| vols.push(id));
-        assert_eq!(keys.len(), 8, "root + 7 NVBM children");
-        assert_eq!(vols, vec![7]);
+        let f = &mut |k, _: &CellData| {
+            keys.push(k);
+            None
+        };
+        assert_eq!(sweep_leaves(&mut s, root, 1, f, &mut |id| vols.push(id)), Ok(root));
+        let expect: Vec<OctKey> =
+            [0, 1, 3, 4, 6, 7].iter().map(|&i| OctKey::root().child(i)).collect();
+        assert_eq!(keys, expect, "the 6 NVBM leaves, pre-order");
+        assert_eq!(vols, vec![9, 7], "highest slot first");
+    }
+
+    /// Random trees for the parity suites: refine / coarsen / set-data /
+    /// persist cycles over three tier configurations, so that shared,
+    /// exclusive and C0-resident (volatile-handle) regions all occur.
+    mod random_trees {
+        use crate::api::PmOctree;
+        use crate::config::PmConfig;
+        use crate::octant::CellData;
+        use pmoctree_morton::OctKey;
+        use pmoctree_nvbm::{DeviceModel, NvbmArena};
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        pub enum Op {
+            /// Refine the `i % n`-th leaf.
+            Refine(usize),
+            /// Coarsen the parent of the `i % n`-th leaf (often refused).
+            Coarsen(usize),
+            /// Overwrite the `i % n`-th leaf's `phi`.
+            Set(usize, f64),
+            Persist,
+        }
+
+        pub fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+            prop::collection::vec(
+                prop_oneof![
+                    5 => (0usize..4096).prop_map(Op::Refine),
+                    2 => (0usize..4096).prop_map(Op::Coarsen),
+                    3 => (0usize..4096, -10.0f64..10.0).prop_map(|(i, v)| Op::Set(i, v)),
+                    2 => Just(Op::Persist),
+                ],
+                0..40,
+            )
+        }
+
+        pub const CONFIGS: usize = 3;
+
+        fn config(i: usize) -> PmConfig {
+            let base = PmConfig { dynamic_transform: false, ..PmConfig::default() };
+            match i {
+                // No DRAM tier at all.
+                0 => PmConfig { seed_c0: false, c0_capacity_octants: 0, ..base },
+                // DRAM tier under eviction pressure.
+                1 => PmConfig { c0_capacity_octants: 32, threshold_dram: 0.5, ..base },
+                // Roomy DRAM tier: seeded subtrees stay resident.
+                _ => PmConfig { c0_capacity_octants: 256, ..base },
+            }
+        }
+
+        /// Replay `ops` on a fresh device. Deterministic, so two calls
+        /// give two clones of one device. Also returns the leaves of the
+        /// last persisted version.
+        pub fn build(ops: &[Op], cfg: usize) -> (PmOctree, Vec<(OctKey, CellData)>) {
+            let arena = NvbmArena::new(4 << 20, DeviceModel::default());
+            let mut t = PmOctree::create(arena, config(cfg));
+            let mut persisted = t.leaves_sorted();
+            for op in ops {
+                let leaves = t.leaf_keys_sorted();
+                let pick = |i: usize| leaves[i % leaves.len()];
+                // Refusals (not a leaf family, device pressure) are part
+                // of the stream; both replays refuse identically.
+                match *op {
+                    Op::Refine(i) => {
+                        let _ = t.refine(pick(i));
+                    }
+                    Op::Coarsen(i) => {
+                        if let Some(p) = pick(i).parent() {
+                            let _ = t.coarsen(p);
+                        }
+                    }
+                    Op::Set(i, v) => {
+                        let _ = t.set_data(pick(i), CellData { phi: v, ..Default::default() });
+                    }
+                    Op::Persist => {
+                        t.persist();
+                        persisted = t.leaves_sorted();
+                    }
+                }
+            }
+            (t, persisted)
+        }
+    }
+
+    /// The fused sweep against the code it replaced: gather the updates
+    /// in one walk, then re-enter from the root once per updated leaf.
+    mod sweep_parity {
+        use super::random_trees::{arb_ops, build, CONFIGS};
+        use super::*;
+        use crate::api::PmOctree;
+        use pmoctree_nvbm::CrashMode;
+        use proptest::prelude::*;
+
+        /// The replaced `cow_path`, verbatim: descend by `child` reads,
+        /// probe `epoch_of` per ancestor, re-locate the copy afterwards.
+        fn model_cow_path(
+            store: &mut PmStore,
+            root: POffset,
+            key: OctKey,
+            epoch: u32,
+        ) -> Result<(POffset, POffset), PmError> {
+            let relocate = |store: &mut PmStore, root| match locate(store, root, key) {
+                Locate::Nvbm(p) => Ok(p),
+                other => Err(PmError::Corrupt(format!("octant vanished during COW: {other:?}"))),
+            };
+            let root_key = store.key(root);
+            let mut path: Vec<(POffset, usize)> = Vec::new();
+            let mut cur = root;
+            for l in root_key.level()..key.level() {
+                let idx = key.ancestor_at(l + 1).sibling_index();
+                match store.child(cur, idx) {
+                    ChildPtr::Nvbm(p) => {
+                        path.push((cur, idx));
+                        cur = p;
+                    }
+                    other => return Err(PmError::Corrupt(format!("{other:?} on the path"))),
+                }
+            }
+            if store.epoch_of(cur) == epoch {
+                return Ok((root, cur));
+            }
+            let mut copy = store.read_octant(cur);
+            copy.epoch = epoch;
+            let mut child_off = store.alloc_octant(&copy)?;
+            while let Some((anc, idx)) = path.pop() {
+                if store.epoch_of(anc) == epoch {
+                    store.set_child(anc, idx, ChildPtr::Nvbm(child_off));
+                    store.set_parent(child_off, anc);
+                    return Ok((root, relocate(store, root)?));
+                }
+                let mut anc_copy = store.read_octant(anc);
+                anc_copy.epoch = epoch;
+                anc_copy.children[idx] = ChildPtr::Nvbm(child_off);
+                let anc_off = store.alloc_octant(&anc_copy)?;
+                store.set_parent(child_off, anc_off);
+                child_off = anc_off;
+            }
+            store.set_parent(child_off, POffset::NULL);
+            Ok((child_off, relocate(store, child_off)?))
+        }
+
+        /// The replaced `PmOctree::update_leaves`, verbatim: stack walk
+        /// gathering `(key, new)` pairs, then one `update_data` per pair.
+        fn model_update_leaves(
+            t: &mut PmOctree,
+            mut f: impl FnMut(OctKey, &CellData) -> Option<CellData>,
+        ) {
+            let mut updates: Vec<(OctKey, CellData)> = Vec::new();
+            let mut volatile_ids = Vec::new();
+            let mut stack = vec![t.current_root];
+            while let Some(cur) = stack.pop() {
+                let nav = t.store.nav_line(cur);
+                let mut kids = Vec::new();
+                for c in nav.children.iter().rev() {
+                    match *c {
+                        ChildPtr::Null => {}
+                        ChildPtr::Nvbm(c) => kids.push(c),
+                        ChildPtr::Volatile(id) => volatile_ids.push(id),
+                    }
+                }
+                if nav.mask == 0 {
+                    let d = t.store.data(cur);
+                    if let Some(nd) = f(OctKey::from_raw(nav.code, nav.level), &d) {
+                        updates.push((OctKey::from_raw(nav.code, nav.level), nd));
+                    }
+                }
+                stack.extend(kids);
+            }
+            for (k, nd) in updates {
+                let (root, node) =
+                    model_cow_path(&mut t.store, t.current_root, k, t.epoch).unwrap();
+                t.store.set_data(node, &nd);
+                t.current_root = root;
+            }
+            for id in volatile_ids {
+                let store = &mut t.store;
+                t.forest.with_tree(id, |c| c.update_leaves(&mut store.arena, &mut f));
+            }
+            t.after_mutation();
+        }
+
+        #[derive(Debug, Clone, Copy)]
+        enum Pick {
+            None,
+            All,
+            /// Only the `n % leaves`-th leaf visited.
+            Single(usize),
+            /// Leaves whose key hashes below `per_mille`.
+            Some(u64, u64),
+        }
+
+        fn arb_pick() -> impl Strategy<Value = Pick> {
+            prop_oneof![
+                Just(Pick::None),
+                Just(Pick::All),
+                (0usize..4096).prop_map(Pick::Single),
+                (any::<u64>(), 0u64..1000).prop_map(|(salt, pm)| Pick::Some(salt, pm)),
+            ]
+        }
+
+        type Seen = Vec<(OctKey, CellData)>;
+
+        /// The update predicate as a sweep callback that also records
+        /// everything it is shown.
+        fn updater(
+            pick: Pick,
+            leaves: usize,
+            seen: &mut Seen,
+        ) -> impl FnMut(OctKey, &CellData) -> Option<CellData> + '_ {
+            move |k, d| {
+                let nth = seen.len();
+                seen.push((k, *d));
+                let hit = match pick {
+                    Pick::None => false,
+                    Pick::All => true,
+                    Pick::Single(n) => nth == n % leaves,
+                    Pick::Some(salt, per_mille) => {
+                        (k.raw() ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32 < per_mille << 22
+                    }
+                };
+                hit.then_some(CellData { pressure: d.pressure + 1.0, work: nth as f64, ..*d })
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn sweep_equals_gather_then_update(
+                ops in arb_ops(),
+                pick in arb_pick(),
+                cfg in 0..CONFIGS,
+                crash_seed in any::<u64>(),
+            ) {
+                let (mut new, persisted) = build(&ops, cfg);
+                let (mut old, _) = build(&ops, cfg);
+                let leaves = new.leaf_count();
+                let (mut seen_new, mut seen_old) = (Seen::new(), Seen::new());
+                new.update_leaves(updater(pick, leaves, &mut seen_new));
+                model_update_leaves(&mut old, updater(pick, leaves, &mut seen_old));
+                // Same callbacks, same allocations, same stores.
+                prop_assert_eq!(&seen_new, &seen_old);
+                prop_assert_eq!(seen_new.len(), leaves);
+                prop_assert_eq!(new.current_root, old.current_root);
+                prop_assert_eq!(&new.store.registry, &old.store.registry);
+                let (sn, so) = (&new.store.arena.stats, &old.store.arena.stats);
+                prop_assert_eq!(sn.nvbm.write_lines, so.nvbm.write_lines);
+                prop_assert_eq!(sn.dram.write_lines, so.dram.write_lines);
+                prop_assert!(sn.nvbm.read_lines <= so.nvbm.read_lines);
+                prop_assert!(new.store.arena.clock.now_ns() <= old.store.arena.clock.now_ns());
+                prop_assert_eq!(new.leaves_sorted(), old.leaves_sorted());
+                // A crash before the next persist restores V_{i-1}, whatever
+                // subset of the sweep's lines reached the media...
+                let (mut lossy, _) = build(&ops, cfg);
+                lossy.update_leaves(updater(pick, leaves, &mut Seen::new()));
+                let mut arena = lossy.store.arena;
+                arena.crash(CrashMode::CommitRandom { p: 0.5, seed: crash_seed });
+                let mut r = PmOctree::restore(arena, new.cfg).unwrap();
+                prop_assert_eq!(&r.leaves_sorted(), &persisted);
+                // ...including all of them: the media images are identical.
+                prop_assert_eq!(new.store.arena.clone_media(), old.store.arena.clone_media());
+                let (sn, so) = (&new.store.arena.stats, &old.store.arena.stats);
+                prop_assert_eq!(sn.bytes_by_region(), so.bytes_by_region());
+                prop_assert_eq!(sn.wear_report(), so.wear_report());
+                let mut r = PmOctree::restore(new.store.arena, new.cfg).unwrap();
+                prop_assert_eq!(&r.leaves_sorted(), &persisted);
+            }
+        }
+    }
+
+    /// The Z-ordered cursor against one `locate` per key.
+    mod cursor_parity {
+        use super::random_trees::{arb_ops, build, CONFIGS};
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Keys worth asking about: every leaf, its ancestors, a key below
+        /// it (absent, or inside a C0 subtree), in Z-order.
+        fn probe_keys(leaves: &[OctKey]) -> Vec<OctKey> {
+            let mut keys: Vec<OctKey> = leaves
+                .iter()
+                .flat_map(|k| {
+                    k.path_from_root().into_iter().chain([k.child(5), k.child(5).child(2)])
+                })
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys
+        }
+
+        fn reads(s: &PmStore) -> u64 {
+            s.arena.stats.nvbm.read_lines
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn cursor_equals_locate(
+                ops in arb_ops(),
+                cfg in 0..CONFIGS,
+                order in 0usize..4,
+                shuffle in any::<u64>(),
+                sub_root in 0usize..9,
+            ) {
+                let (mut t, _) = build(&ops, cfg);
+                let leaves = t.leaf_keys_sorted();
+                let mut keys = probe_keys(&leaves);
+                match order {
+                    0 => {}
+                    1 => keys.reverse(),
+                    2 => keys.sort_by_key(|k| (k.raw() ^ shuffle).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                    // Z-order with every key asked twice in a row.
+                    _ => keys = keys.iter().flat_map(|&k| [k, k]).collect(),
+                }
+                // Root the walk at the tree root, or at one of its NVBM
+                // children (then most keys lie outside the root).
+                let root = match sub_root.checked_sub(1).map(|i| t.store.child(t.current_root, i)) {
+                    Some(ChildPtr::Nvbm(p)) => p,
+                    _ => t.current_root,
+                };
+                let s = &mut t.store;
+                let before = reads(s);
+                let per_key: Vec<Locate> = keys.iter().map(|&k| locate(s, root, k)).collect();
+                let per_key_reads = reads(s) - before;
+                let mut cursor = Cursor::new(root);
+                let batched: Vec<Locate> = keys.iter().map(|&k| cursor.locate(s, k)).collect();
+                let batched_reads = reads(s) - before - per_key_reads;
+                prop_assert_eq!(batched, per_key);
+                prop_assert!(batched_reads <= per_key_reads, "{batched_reads} > {per_key_reads}");
+                // The public batch agrees with the per-key reads, C0 included.
+                let one_by_one: Vec<Option<CellData>> = keys.iter().map(|&k| t.get_data(k)).collect();
+                let is_leaf = |k: &OctKey| leaves.binary_search(k).is_ok();
+                let many = t.get_data_many(&keys);
+                for ((k, many), one) in keys.iter().zip(many).zip(one_by_one) {
+                    prop_assert_eq!(many, one.filter(|_| is_leaf(k)), "{:?}", k);
+                }
+            }
+        }
     }
 }

@@ -182,11 +182,11 @@ fn candidate_scan(
     off: POffset,
     l_sub: u8,
 ) -> (bool, Vec<(POffset, u8)>) {
-    let key = store.key(off);
-    let children = store.children(off);
+    // Level and child links share the navigation line: one read.
+    let nav = store.nav_line(off);
     let mut pure = true;
     let mut collected: Vec<(POffset, u8)> = Vec::new();
-    for c in children {
+    for c in nav.children {
         match c {
             ChildPtr::Null => {}
             ChildPtr::Volatile(_) => pure = false,
@@ -197,9 +197,9 @@ fn candidate_scan(
             }
         }
     }
-    if pure && key.level() >= l_sub {
+    if pure && nav.level >= l_sub {
         // Maximal: this whole subtree is one candidate.
-        (true, vec![(off, key.level())])
+        (true, vec![(off, nav.level)])
     } else {
         (pure, collected)
     }
