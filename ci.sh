@@ -82,6 +82,20 @@ if sed -n '/^pub fn can_coarsen_many(/,/^pub fn coarsen_balanced(/p' crates/amr/
     echo "balance.rs: coarsen legality probes per key again" >&2
     exit 1
 fi
+# Write-every-driver-once gates: the Criterion layer `perf/` superseded
+# must stay deleted, the index-batch protocol (argsort, gather,
+# merge-scan, scatter) is called from `LeafIndex::resolve_batch`, not
+# re-typed per backend, and a rank's time step is a call to
+# `Simulation::step_core`, not a copy of its six phases.
+if [ -e crates/bench/benches ] || [ -e compat/criterion ] ||
+    grep -ln criterion Cargo.toml crates/*/Cargo.toml compat/*/Cargo.toml perf/Cargo.toml; then
+    echo "the Criterion benches/shim are back (the perf/ ladder measures those kernels)" >&2
+    exit 1
+fi
+no_fork 'zorder_argsort' crates/pm-octree/src/api.rs crates/baselines/src/incore.rs crates/baselines/src/etree.rs
+no_fork 'balance_subset(' crates/cluster/src/rank.rs
+cargo test --release -p pmoctree-morton --lib index::tests::resolve_batch -q
+cargo test --release -p pmoctree-cluster --lib rank::tests::full_range_rank_step -q
 # SIMD-fallback gate: the Morton suite (including the SIMD==scalar
 # property tests) must pass with the batch kernels pinned to the scalar
 # path, proving the dispatch override and the fallback itself.

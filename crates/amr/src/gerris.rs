@@ -87,12 +87,6 @@ pub fn ftt_cell_refine(b: &mut dyn OctreeBackend, cell: OctKey) -> bool {
     crate::balance::refine_balanced(b, cell)
 }
 
-/// `ftt_cell_destroy()` on a family: coarsen the children of `cell`
-/// (2:1-checked).
-pub fn ftt_cell_coarsen(b: &mut dyn OctreeBackend, cell: OctKey) -> bool {
-    crate::balance::coarsen_balanced(b, cell)
-}
-
 /// `ftt_cell_write()`: store the cell payload.
 pub fn ftt_cell_write(b: &mut dyn OctreeBackend, cell: OctKey, data: &Cell) -> bool {
     b.set_data(cell, *data).is_ok()
@@ -160,7 +154,7 @@ mod tests {
         let mut leaves = 0;
         ftt_cell_traverse(&mut b, FttTraverseType::Leafs, &mut |_, _| leaves += 1);
         assert_eq!(leaves, 15);
-        assert!(ftt_cell_coarsen(&mut b, OctKey::root().child(2)));
+        assert!(crate::balance::coarsen_balanced(&mut b, OctKey::root().child(2)));
     }
 
     #[test]

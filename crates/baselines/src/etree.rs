@@ -152,16 +152,10 @@ impl EtreeOctree {
     /// Input order is arbitrary; results match input order.
     pub fn containing_leaf_many(&mut self, keys: &[OctKey]) -> Vec<Option<OctKey>> {
         self.ensure_index();
-        let order = pmoctree_morton::simd::zorder_argsort(keys);
-        let sorted: Vec<OctKey> = order.iter().map(|&i| keys[i]).collect();
-        let (resolved, touched) = self.leaf_view.resolve_sorted(&sorted);
+        let (resolved, touched) = self.leaf_view.resolve_batch(keys);
         self.charge_index_entries(touched);
         self.stats.index_hits(keys.len() as u64);
-        let mut out = vec![None; keys.len()];
-        for (slot, r) in order.into_iter().zip(resolved) {
-            out[slot] = r.map(|e| self.leaf_view.entries()[e].0);
-        }
-        out
+        resolved.into_iter().map(|r| r.map(|e| self.leaf_view.entries()[e].0)).collect()
     }
 
     /// Batched leaf payload reads: queries resolve against the DRAM leaf

@@ -119,21 +119,23 @@ impl InCoreOctree {
         self.index.entries().iter().map(|e| e.0).collect()
     }
 
+    /// The index half of a batched query: per key (input order) the
+    /// index entry of its containing leaf, with the merge-scan charged as
+    /// DRAM index reads.
+    fn resolve_charged(&mut self, keys: &[OctKey]) -> Vec<Option<usize>> {
+        self.ensure_index();
+        let (resolved, touched) = self.index.resolve_batch(keys);
+        self.charge_index_entries(touched);
+        self.stats.index_hits(keys.len() as u64);
+        resolved
+    }
+
     /// Resolve a batch of containment queries against the sorted leaf
     /// index in one merge-scan. Input order is arbitrary; results match
     /// input order. Each query costs DRAM index reads only.
     pub fn containing_leaf_many(&mut self, keys: &[OctKey]) -> Vec<Option<OctKey>> {
-        self.ensure_index();
-        let order = pmoctree_morton::simd::zorder_argsort(keys);
-        let sorted: Vec<OctKey> = order.iter().map(|&i| keys[i]).collect();
-        let (resolved, touched) = self.index.resolve_sorted(&sorted);
-        self.charge_index_entries(touched);
-        self.stats.index_hits(keys.len() as u64);
-        let mut out = vec![None; keys.len()];
-        for (slot, r) in order.into_iter().zip(resolved) {
-            out[slot] = r.map(|e| self.index.entries()[e].0);
-        }
-        out
+        let resolved = self.resolve_charged(keys);
+        resolved.into_iter().map(|r| r.map(|e| self.index.entries()[e].0)).collect()
     }
 
     /// Batched leaf payload reads: index probes (DRAM) locate each leaf's
@@ -141,23 +143,17 @@ impl InCoreOctree {
     /// resolved key — no per-key root descent. Keys that are not current
     /// leaves fall back to [`InCoreOctree::get_data`].
     pub fn get_data_many(&mut self, keys: &[OctKey]) -> Vec<Option<[f64; 4]>> {
-        self.ensure_index();
-        let order = pmoctree_morton::simd::zorder_argsort(keys);
-        let sorted: Vec<OctKey> = order.iter().map(|&i| keys[i]).collect();
-        let (resolved, touched) = self.index.resolve_sorted(&sorted);
-        self.charge_index_entries(touched);
-        self.stats.index_hits(keys.len() as u64);
+        let resolved = self.resolve_charged(keys);
         let mut out = vec![None; keys.len()];
         let mut payload_reads = 0u64;
         let mut fallbacks = Vec::new();
-        for (pos, r) in order.iter().zip(resolved) {
-            match r {
-                Some(e) if self.index.entries()[e].0 == keys[*pos] => {
-                    let slot = self.index.entries()[e].1 as usize;
-                    out[*pos] = Some(self.nodes[slot].data);
+        for (pos, r) in resolved.into_iter().enumerate() {
+            match r.map(|e| self.index.entries()[e]) {
+                Some((leaf, slot)) if leaf == keys[pos] => {
+                    out[pos] = Some(self.nodes[slot as usize].data);
                     payload_reads += 1;
                 }
-                _ => fallbacks.push(*pos),
+                _ => fallbacks.push(pos),
             }
         }
         self.charge_read(payload_reads);

@@ -11,7 +11,6 @@
 //! repro droplet [--quick] [--trace out.json] [--metrics out.prom]
 //! repro blackbox [--quick]
 //! repro cluster-smoke [--workers N]
-//! repro morton [--quick]
 //! repro trace-check FILE
 //! ```
 //!
@@ -75,12 +74,6 @@
 //! file is a `BENCH_*.json` document carrying an `"experiment"` key —
 //! checks that document's shape instead (wear reports must carry all
 //! four regions and the 16-bucket wear histogram).
-//!
-//! `morton` (not part of `all`) times the batched Morton kernels under
-//! the scalar fallback and under the hardware dispatch on real
-//! wall-clock nanoseconds, and writes the comparison to
-//! `BENCH_morton.json`. It is the only experiment whose output is
-//! machine-dependent, so it is excluded from the determinism gates.
 //!
 //! `--quick` shrinks problem sizes (used by CI/tests); default sizes take
 //! a few minutes. Output is plain text in the papers' row format —
@@ -386,14 +379,6 @@ fn main() {
             );
             std::process::exit(1);
         }
-    }
-    if what == "morton" {
-        // 2^14 keys keep the working set cache-resident, so the numbers
-        // compare kernel arithmetic rather than memory bandwidth.
-        let (keys, iters) = if quick { (1 << 12, 5) } else { (1 << 14, 50) };
-        let b = morton_bench(keys, iters);
-        print!("{}", morton_str(&b));
-        write_bench_json("morton", &morton_json(&b));
     }
     if what == "cluster-smoke" {
         let smoke = cluster_smoke();

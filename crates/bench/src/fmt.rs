@@ -116,21 +116,6 @@ pub fn cluster_smoke_str(s: &ClusterSmoke) -> String {
     out
 }
 
-/// Render the Morton kernel microbenchmark (scalar vs SIMD dispatch).
-pub fn morton_str(b: &crate::morton_bench::MortonBench) -> String {
-    let mut s = format!(
-        "Morton kernels: scalar vs {} ({} keys, best of {} iters; real ns, not virtual)\nkernel   | scalar ns/key | simd ns/key | speedup\n",
-        b.dispatch, b.keys, b.iters
-    );
-    for r in &b.rows {
-        s.push_str(&format!(
-            "{:<8} | {:>13.2} | {:>11.2} | {:>6.2}x\n",
-            r.kernel, r.scalar_ns_per_key, r.simd_ns_per_key, r.speedup
-        ));
-    }
-    s
-}
-
 /// Render Figure 10.
 pub fn fig10_str(rows: &[Fig10Row]) -> String {
     let mut s = String::from(

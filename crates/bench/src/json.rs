@@ -84,28 +84,6 @@ pub fn fig11_json(rows: &[Fig11Row]) -> String {
 }
 
 #[derive(Serialize)]
-struct MortonDoc {
-    experiment: &'static str,
-    dispatch: String,
-    keys: usize,
-    iters: u32,
-    rows: Vec<crate::morton_bench::MortonRow>,
-}
-
-/// JSON for the Morton kernel microbenchmark. Real wall-clock
-/// nanoseconds, machine-dependent by design — never part of the
-/// determinism gates.
-pub fn morton_json(b: &crate::morton_bench::MortonBench) -> String {
-    json_doc(&MortonDoc {
-        experiment: "morton",
-        dispatch: b.dispatch.clone(),
-        keys: b.keys,
-        iters: b.iters,
-        rows: b.rows.clone(),
-    })
-}
-
-#[derive(Serialize)]
 struct RecoveryDoc {
     experiment: &'static str,
     rows: Vec<pmoctree_cluster::RecoveryReport>,

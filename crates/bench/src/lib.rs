@@ -1,7 +1,7 @@
 //! Experiment harness: one function per table/figure of the paper's
-//! evaluation (§5), shared by the `repro` binary and the Criterion
-//! benches. Each function runs the scaled-down experiment and returns
-//! structured rows; `fmt` helpers print them in the paper's shape.
+//! evaluation (§5), driven by the `repro` binary. Each function runs
+//! the scaled-down experiment and returns structured rows; `fmt` helpers
+//! print them in the paper's shape.
 //!
 //! See DESIGN.md for the experiment index and EXPERIMENTS.md for the
 //! recorded paper-vs-measured comparison.
@@ -11,7 +11,6 @@ pub mod crash_sweep;
 pub mod experiments;
 pub mod fmt;
 pub mod json;
-pub mod morton_bench;
 pub mod recovery_rt;
 pub mod service_bench;
 pub mod trace_check;
@@ -19,7 +18,6 @@ pub mod wear_bench;
 
 pub use crash_sweep::*;
 pub use experiments::*;
-pub use morton_bench::{morton_bench, MortonBench, MortonRow};
 pub use recovery_rt::{recovery_rt, CrashResumeRow, RecoveryRt, RecoveryRtConfig};
 pub use service_bench::{service_bench, ServiceBench, ServiceBenchConfig};
 pub use trace_check::{check_bench_doc, check_trace, looks_like_bench_doc, TraceSummary};

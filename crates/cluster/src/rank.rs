@@ -11,12 +11,11 @@
 
 use pm_octree::{PmConfig, PmOctree};
 use pmoctree_amr::{
-    adapt, balance_subset, AdaptCriterion, Cell, EtreeBackend, InCoreBackend, OctreeBackend,
-    PmBackend, Target,
+    AdaptCriterion, Cell, EtreeBackend, InCoreBackend, OctreeBackend, PmBackend, Target,
 };
 use pmoctree_morton::{anchor, OctKey, ZRange};
 use pmoctree_nvbm::{DeviceModel, NvbmArena};
-use pmoctree_solver::Simulation;
+use pmoctree_solver::{InterfaceCriterion, Simulation, StepBreakdown};
 
 /// Which octree implementation a cluster run uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,6 +99,16 @@ impl AdaptCriterion for RangedCriterion<'_> {
     }
 }
 
+/// The application criterion every rank restricts to its own range.
+pub(crate) fn interface_criterion(sim: &Simulation) -> InterfaceCriterion {
+    InterfaceCriterion {
+        interface: sim.interface,
+        time: sim.time.clone(),
+        band_cells: sim.cfg.band_cells,
+        max_level: sim.cfg.max_level,
+    }
+}
+
 /// One simulated processor.
 ///
 /// A rank is the unit the worker pool schedules: `ClusterSim`'s parallel
@@ -154,73 +163,28 @@ impl Rank {
         n
     }
 
-    /// Run the local meshing + solve phases of one step. Returns the
-    /// virtual-time deltas `[refine, balance, solve, persist]`.
-    pub fn local_step(&mut self, sim: &Simulation, step_idx: usize, t: f64) -> [u64; 4] {
-        let crit = RangedCriterion {
-            inner: &pmoctree_solver::InterfaceCriterion {
-                interface: sim.interface,
-                time: sim.time.clone(),
-                band_cells: sim.cfg.band_cells,
-                max_level: sim.cfg.max_level,
-            },
-            range: self.range,
-        };
-        let b = self.backend.as_mut();
-        // Mirror the single-rank driver's span taxonomy so cluster traces
-        // line up with `pmoctree_solver::Simulation::step`.
-        let tr = b.tracer();
-        let t0 = b.elapsed_ns();
-        tr.begin("step", t0, Some(step_idx as u64));
-        tr.begin("step::refine", t0, None);
-        adapt(b, &crit);
-        let t1 = b.elapsed_ns();
-        tr.end("step::refine", t1);
-        tr.begin("step::balance", t1, None);
-        // Local balance: only the active band needs re-checking (the
-        // balanced adapt primitives keep the rest 2:1 by construction).
-        let mut active = Vec::new();
-        b.for_each_leaf(&mut |k, d: &Cell| {
-            if d[0].abs() < 8.0 * k.extent() {
-                active.push(k);
-            }
-        });
-        balance_subset(b, &active);
-        let t2 = b.elapsed_ns();
-        tr.end("step::balance", t2);
-        tr.begin("step::solve", t2, None);
-        pmoctree_solver::advect(b, &sim.interface, t);
-        pmoctree_solver::relax_pressure(b, sim.cfg.relax_iters);
-        pmoctree_solver::estimate_work(b);
-        let t3 = b.elapsed_ns();
-        tr.end("step::solve", t3);
-        tr.begin("step::persist", t3, None);
-        b.end_of_step(step_idx + 1);
-        let t4 = b.elapsed_ns();
-        tr.end("step::persist", t4);
-        tr.end("step", t4);
-        [t1 - t0, t2 - t1, t3 - t2, t4 - t3]
+    /// Run the local meshing + solve phases of one step:
+    /// [`Simulation::step_core`] under this rank's range-restricted
+    /// criterion, so cluster traces carry the single-rank span taxonomy.
+    pub fn local_step(&mut self, sim: &Simulation, step_idx: usize) -> StepBreakdown {
+        let crit = RangedCriterion { inner: &interface_criterion(sim), range: self.range };
+        let mut b: &mut dyn OctreeBackend = self.backend.as_mut();
+        sim.step_core(&mut b, &crit, step_idx, |b, _, _| {
+            b.end_of_step(step_idx + 1);
+            None
+        })
     }
 
-    /// Construct the initial local mesh for the rank's range.
+    /// Construct the initial local mesh for the rank's range. All ranks
+    /// constructing in parallel store the same t0 into the shared sim
+    /// clock: concurrent, but value-identical, atomic stores.
     pub fn construct(&mut self, sim: &Simulation) {
-        // All ranks constructing in parallel store the same t0 into the
-        // shared sim clock: concurrent, but value-identical, atomic stores.
-        sim.time.set(sim.cfg.t0);
-        pmoctree_amr::construct_uniform(self.backend.as_mut(), sim.cfg.base_level.min(2));
-        let crit = RangedCriterion {
-            inner: &pmoctree_solver::InterfaceCriterion {
-                interface: sim.interface,
-                time: sim.time.clone(),
-                band_cells: sim.cfg.band_cells,
-                max_level: sim.cfg.max_level,
-            },
-            range: self.range,
-        };
-        for _ in 0..sim.cfg.max_level.max(1) {
-            adapt(self.backend.as_mut(), &crit);
-        }
-        pmoctree_solver::advect(self.backend.as_mut(), &sim.interface, sim.cfg.t0);
+        let crit = RangedCriterion { inner: &interface_criterion(sim), range: self.range };
+        // Every rank starts from the whole domain, so the uniform grid
+        // stays coarse and each pass may have to coarsen foreign regions
+        // as well as refine owned ones.
+        let (base, passes) = (sim.cfg.base_level.min(2), sim.cfg.max_level.max(1));
+        sim.construct_with(self.backend.as_mut(), &crit, base, passes);
     }
 
     /// Is `key`'s leaf owned by this rank?
@@ -303,7 +267,7 @@ mod tests {
         // Shrink the range: next adaptation coarsens the lost half.
         r.range = ZRange { lo: 0, hi: pmoctree_morton::anchor_end::<3>(&OctKey::root().child(1)) };
         s.time.set(s.cfg.t0);
-        let _ = r.local_step(&s, 0, s.cfg.t0);
+        let _ = r.local_step(&s, 0);
         assert!(r.backend.leaf_count() < before, "lost region must coarsen away");
     }
 
@@ -312,9 +276,32 @@ mod tests {
         let s = sim();
         let mut r = Rank::new(0, &Scheme::pm_default(), 64 << 20, ZRange::all());
         r.construct(&s);
-        let dt = r.local_step(&s, 0, s.cfg.t0 + s.cfg.dt);
-        assert!(dt[3] > 0, "persist phase must cost time");
-        assert!(dt.iter().sum::<u64>() > 0);
+        let dt = r.local_step(&s, 0);
+        assert!(dt.persist_ns > 0, "persist phase must cost time");
+    }
+
+    #[test]
+    fn full_range_rank_step_is_the_single_rank_step() {
+        // `RangedCriterion` is the identity on a full range, so a rank that
+        // owns the whole domain must be indistinguishable from the
+        // single-rank driver: same breakdown, same span journal.
+        let s = sim();
+        let traced_rank = || {
+            let mut r = Rank::new(0, &Scheme::pm_default(), 64 << 20, ZRange::all());
+            r.backend.set_tracer(pmoctree_nvbm::Tracer::enabled(0));
+            r.construct(&s);
+            r
+        };
+        let (mut ours, mut theirs) = (traced_rank(), traced_rank());
+        for step in 0..3 {
+            let via_rank = ours.local_step(&s, step);
+            let direct = s.step(theirs.backend.as_mut(), step);
+            assert_eq!(via_rank, direct, "step {step}");
+            assert!(direct.total_ns() > 0 && direct.leaves > 0);
+        }
+        let journal = ours.backend.tracer().events();
+        assert!(journal.iter().any(|e| e.name == "step::balance"));
+        assert_eq!(journal, theirs.backend.tracer().events());
     }
 
     #[test]

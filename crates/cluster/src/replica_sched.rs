@@ -95,27 +95,6 @@ impl ReplicaScheduler {
         slot.used += bytes;
         Ok(Placement { source, target, bytes })
     }
-
-    /// Place replicas for every rank (called once per persist cadence).
-    /// Sources are processed largest-first so big replicas get first pick
-    /// of the empty nodes (classic LPT load balancing).
-    pub fn place_all(
-        &mut self,
-        sources: &[(usize, u64)],
-    ) -> Result<Vec<Placement>, PlacementError> {
-        let mut order: Vec<(usize, u64)> = sources.to_vec();
-        order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        order.into_iter().map(|(src, bytes)| self.place(src, bytes)).collect()
-    }
-
-    /// Spread of utilization after placement (max − min); the balance
-    /// quality metric.
-    pub fn utilization_spread(&self) -> f64 {
-        let us: Vec<f64> = self.nodes.iter().map(NodeNvbm::utilization).collect();
-        let max = us.iter().copied().fold(0.0, f64::max);
-        let min = us.iter().copied().fold(1.0, f64::min);
-        (max - min).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -156,33 +135,22 @@ mod tests {
     }
 
     #[test]
-    fn place_all_balances() {
+    fn equal_replicas_spread_evenly() {
         let mut s = ReplicaScheduler::new(nodes(4, 1000));
-        let sources: Vec<(usize, u64)> = (0..4).map(|i| (i, 300)).collect();
-        let ps = s.place_all(&sources).unwrap();
-        assert_eq!(ps.len(), 4);
+        for source in 0..4 {
+            s.place(source, 300).unwrap();
+        }
         // Every node ends with exactly one replica.
         for n in s.nodes() {
             assert_eq!(n.used, 300, "node {} has {}", n.id, n.used);
         }
-        assert!(s.utilization_spread() < 1e-12);
-    }
-
-    #[test]
-    fn large_replicas_first() {
-        let mut s = ReplicaScheduler::new(nodes(3, 1000));
-        // One big (800) and two small (300): the big one must not be
-        // stranded by small ones filling every node past 200 free.
-        let ps = s.place_all(&[(0, 300), (1, 800), (2, 300)]).unwrap();
-        assert_eq!(ps[0].bytes, 800, "largest placed first");
-        assert!(s.nodes().iter().all(|n| n.used <= n.capacity));
     }
 
     #[test]
     fn no_capacity_is_reported() {
         let mut s = ReplicaScheduler::new(nodes(2, 100));
         // The two cross placements fit; a third replica has nowhere to go.
-        assert!(s.place_all(&[(0, 90), (1, 90)]).is_ok());
+        assert!(s.place(0, 90).is_ok() && s.place(1, 90).is_ok());
         assert!(matches!(s.place(0, 90), Err(PlacementError::NoCapacity { source: 0 })));
     }
 }

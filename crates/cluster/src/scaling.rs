@@ -21,7 +21,7 @@ use std::collections::HashSet;
 
 use pmoctree_morton::{partition_by_weight, OctKey, ZRange};
 use pmoctree_nvbm::{Event, NetworkModel, Tracer};
-use pmoctree_solver::{SimConfig, Simulation};
+use pmoctree_solver::{SimConfig, Simulation, StepBreakdown};
 use rayon::prelude::*;
 
 use crate::rank::{Rank, Scheme};
@@ -155,12 +155,7 @@ impl ClusterSim {
         let sim = &self.sim;
         self.ranks.par_iter_mut().for_each(|r| {
             let crit = crate::rank::RangedCriterion {
-                inner: &pmoctree_solver::InterfaceCriterion {
-                    interface: sim.interface,
-                    time: sim.time.clone(),
-                    band_cells: sim.cfg.band_cells,
-                    max_level: sim.cfg.max_level,
-                },
+                inner: &crate::rank::interface_criterion(sim),
                 range: r.range,
             };
             for _ in 0..=sim.cfg.max_level {
@@ -346,14 +341,14 @@ impl ClusterSim {
     /// Execute one bulk-synchronous time step.
     pub fn step(&mut self, step_idx: usize) -> ClusterStep {
         let t = self.sim.cfg.t0 + self.sim.cfg.dt * (step_idx as f64 + 1.0);
-        self.sim.time.set(t);
-        // Local phases (parallel across ranks).
-        let deltas: Vec<[u64; 4]> = self
+        // Local phases (parallel across ranks; each stores the same `t`
+        // into the shared sim clock).
+        let deltas: Vec<StepBreakdown> = self
             .ranks
             .par_iter_mut()
             .map(|r| {
                 let s = &self.sim;
-                r.local_step(s, step_idx, t)
+                r.local_step(s, step_idx)
             })
             .collect();
         let max_elapsed =
@@ -371,12 +366,14 @@ impl ClusterSim {
         let partition_ns = max_elapsed(self) - t_part0;
         self.barrier();
         let elements: usize = self.ranks.iter_mut().map(|r| r.owned_leaf_count()).sum();
-        let maxof = |i: usize| deltas.iter().map(|d| d[i]).max().unwrap_or(0) as f64 * 1e-9;
+        let maxof = |phase: fn(&StepBreakdown) -> u64| {
+            deltas.iter().map(phase).max().unwrap_or(0) as f64 * 1e-9
+        };
         ClusterStep {
-            refine_s: maxof(0),
-            balance_s: maxof(1) + bal_extra as f64 * 1e-9,
-            solve_s: maxof(2),
-            persist_s: maxof(3),
+            refine_s: maxof(|d| d.refine_ns),
+            balance_s: maxof(|d| d.balance_ns) + bal_extra as f64 * 1e-9,
+            solve_s: maxof(|d| d.solve_ns),
+            persist_s: maxof(|d| d.persist_ns),
             partition_s: partition_ns as f64 * 1e-9,
             elements,
             migrated,

@@ -207,15 +207,6 @@ impl<const D: usize> Key<D> {
         Key { code: self.code << (D as u32 * (level - self.level) as u32), level }
     }
 
-    /// Last (Z-order largest) descendant at `level >= self.level()`.
-    #[inline]
-    pub fn last_descendant(&self, level: u8) -> Self {
-        assert!(level >= self.level && level <= Self::MAX_LEVEL);
-        let shift = D as u32 * (level - self.level) as u32;
-        let fill = if shift == 64 { u64::MAX } else { (1u64 << shift) - 1 };
-        Key { code: (self.code << shift) | fill, level }
-    }
-
     /// Z-order comparison as used for linear octrees: pre-order traversal
     /// position. An ancestor sorts immediately *before* all of its
     /// descendants; disjoint cells sort by spatial Z-order.
@@ -442,13 +433,11 @@ mod tests {
     }
 
     #[test]
-    fn descendant_range_brackets_children() {
+    fn first_descendant_bounds_children_below() {
         let k = OctKey::root().child(3);
         let lo = k.first_descendant(4);
-        let hi = k.last_descendant(4);
         for c in k.children() {
             assert!(lo.zcmp(&c.first_descendant(4)).is_le());
-            assert!(hi.zcmp(&c.last_descendant(4)).is_ge());
         }
     }
 
@@ -485,10 +474,10 @@ mod tests {
         assert!(s.starts_with("Key<2>(L31 "), "{s}");
         assert_eq!(s.matches('3').count(), 1 + QuadKey::MAX_LEVEL as usize, "{s}");
 
-        // First/last descendants of the root at MAX_LEVEL are the extreme
+        // The first and last cells at MAX_LEVEL are the extreme
         // representable codes; both must format without panicking.
         let lo = OctKey::root().first_descendant(OctKey::MAX_LEVEL);
-        let hi = OctKey::root().last_descendant(OctKey::MAX_LEVEL);
+        let hi = OctKey::from_coords([(1 << OctKey::MAX_LEVEL) - 1; 3], OctKey::MAX_LEVEL);
         assert!(format!("{lo:?}").contains("L21"));
         assert!(format!("{hi:?}").contains("L21"));
     }

@@ -226,6 +226,32 @@ impl<const D: usize> LeafIndex<D> {
         k.contains(query).then_some((pos - 1, k, slot))
     }
 
+    /// The merge-scan under both batch queries: `queries` ascend in
+    /// Z-order, `emit(j, hit)` receives the `j`-th query's entry index.
+    /// Returns the number of index entries the scan advanced over.
+    fn merge_scan<'q>(
+        &self,
+        queries: impl Iterator<Item = &'q Key<D>>,
+        mut emit: impl FnMut(usize, Option<usize>),
+    ) -> usize {
+        let entries = self.entries();
+        let mut cur = 0usize; // number of entries known to be <= the query
+        let mut touched = 0usize;
+        for (j, q) in queries.enumerate() {
+            while cur < entries.len() && entries[cur].0.zcmp(q).is_le() {
+                cur += 1;
+                touched += 1;
+            }
+            if cur == 0 {
+                emit(j, None);
+                continue;
+            }
+            touched += 1;
+            emit(j, entries[cur - 1].0.contains(q).then_some(cur - 1));
+        }
+        touched
+    }
+
     /// Resolve a Z-order-ascending batch of queries in one merge-scan.
     ///
     /// Returns per-query `Option<entry_index>` plus the number of index
@@ -236,7 +262,6 @@ impl<const D: usize> LeafIndex<D> {
     /// # Panics
     /// Panics if the index is invalid or holds unsettled edits.
     pub fn resolve_sorted(&self, queries: &[Key<D>]) -> (Vec<Option<usize>>, usize) {
-        let entries = self.entries();
         #[cfg(debug_assertions)]
         if queries.len() > 1 {
             assert!(
@@ -247,21 +272,25 @@ impl<const D: usize> LeafIndex<D> {
             );
         }
         let mut out = Vec::with_capacity(queries.len());
-        let mut cur = 0usize; // number of entries known to be <= the query
-        let mut touched = 0usize;
-        for q in queries {
-            while cur < entries.len() && entries[cur].0.zcmp(q).is_le() {
-                cur += 1;
-                touched += 1;
-            }
-            if cur == 0 {
-                out.push(None);
-                continue;
-            }
-            let (k, _) = entries[cur - 1];
-            touched += 1;
-            out.push(if k.contains(q) { Some(cur - 1) } else { None });
-        }
+        let touched = self.merge_scan(queries.iter(), |_, hit| out.push(hit));
+        (out, touched)
+    }
+
+    /// Resolve a batch of queries given in any order: Z-order argsort,
+    /// one merge-scan over the keys in that order, each result stored
+    /// where its key stands, so `out[i]` answers `keys[i]`. Returns the
+    /// per-key `Option<entry_index>` and the scan's touched-entry count
+    /// (the owner charges it) — what [`LeafIndex::resolve_sorted`] returns
+    /// on the sorted batch. Hits ascend in entry index exactly as their
+    /// keys ascend in Z-order.
+    ///
+    /// # Panics
+    /// Panics if the index is invalid or holds unsettled edits.
+    pub fn resolve_batch(&self, keys: &[Key<D>]) -> (Vec<Option<usize>>, usize) {
+        let order = crate::simd::zorder_argsort(keys);
+        let mut out = vec![None; keys.len()];
+        let touched =
+            self.merge_scan(order.iter().map(|&i| &keys[i]), |j, hit| out[order[j]] = hit);
         (out, touched)
     }
 }
@@ -319,6 +348,46 @@ mod tests {
         for (q, r) in queries.iter().zip(&resolved) {
             assert_eq!(r.map(|i| idx.entries()[i].0), idx.find(q).map(|(_, k, _)| k));
         }
+    }
+
+    #[test]
+    fn resolve_batch_answers_in_input_order_what_find_answers() {
+        // A sub-root index (the leaves under child 3, child 3·5 refined
+        // again), so the batch can hold keys outside the indexed root.
+        let sub = OctKey::root().child(3);
+        let mut leaves: Vec<OctKey> = (0..8).filter(|&i| i != 5).map(|i| sub.child(i)).collect();
+        leaves.extend(sub.child(5).children());
+        let idx = build(&leaves);
+        let mut sorted: Vec<OctKey> = leaves.clone();
+        sorted.extend(leaves.iter().map(|l| l.child(6).child(1))); // below the leaves
+        sorted.extend([sub, sub.child(5), OctKey::root()]); // above them
+        sorted.extend((0..8).filter(|&i| i != 3).map(|i| OctKey::root().child(i).child(2)));
+        sorted.sort_unstable();
+        let reversed: Vec<OctKey> = sorted.iter().rev().copied().collect();
+        let mut shuffled = sorted.clone();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for i in (1..shuffled.len()).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            shuffled.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let duplicated: Vec<OctKey> = shuffled.iter().chain(&reversed).copied().collect();
+
+        let touched_sorted = idx.resolve_sorted(&sorted).1;
+        for (name, batch) in [("sorted", &sorted), ("reversed", &reversed), ("shuffled", &shuffled)]
+        {
+            let (got, touched) = idx.resolve_batch(batch);
+            let want: Vec<Option<usize>> =
+                batch.iter().map(|q| idx.find(q).map(|(e, _, _)| e)).collect();
+            assert_eq!(got, want, "{name}");
+            assert_eq!(touched, touched_sorted, "{name}: one merge-scan over the sorted batch");
+        }
+        assert!(idx.resolve_batch(&sorted).0.iter().any(Option::is_some));
+        assert!(idx.resolve_batch(&sorted).0.iter().any(Option::is_none));
+        let (got, _) = idx.resolve_batch(&duplicated);
+        let want: Vec<Option<usize>> =
+            duplicated.iter().map(|q| idx.find(q).map(|(e, _, _)| e)).collect();
+        assert_eq!(got, want, "duplicated");
+        assert_eq!(idx.resolve_batch(&[]), (Vec::new(), 0));
     }
 
     #[test]

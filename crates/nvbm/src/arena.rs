@@ -161,6 +161,9 @@ const OFF_RT_BUMP: u64 = 48;
 /// Number of 8-byte root slots in the header.
 pub const ROOT_SLOTS: usize = 2;
 
+/// Dirty-line cache capacity in lines (256 KiB, an L2-ish footprint).
+const CACHE_LINES: usize = 4096;
+
 /// Emulated NVBM arena.
 pub struct NvbmArena {
     media: Vec<u8>,
@@ -227,8 +230,7 @@ fn derive_live_bounds(media: &[u8]) -> (u64, u64) {
 }
 
 impl NvbmArena {
-    /// Create a fresh, zeroed arena of `capacity` bytes with a default
-    /// dirty-cache of 4096 lines (256 KiB, an L2-ish footprint) and a
+    /// Create a fresh, zeroed arena of `capacity` bytes with a
     /// default-sized flight-recorder ring (see
     /// [`NvbmArena::default_recorder_slots`]).
     pub fn new(capacity: usize, model: DeviceModel) -> Self {
@@ -263,7 +265,7 @@ impl NvbmArena {
         let mut a = NvbmArena {
             media: vec![0; capacity],
             cache: LineTable::default(),
-            cache_cap: 4096,
+            cache_cap: CACHE_LINES,
             model,
             clock: VirtualClock::new(),
             stats,
@@ -296,7 +298,7 @@ impl NvbmArena {
         NvbmArena {
             media,
             cache: LineTable::default(),
-            cache_cap: 4096,
+            cache_cap: CACHE_LINES,
             model,
             clock: VirtualClock::new(),
             stats,
@@ -386,12 +388,6 @@ impl NvbmArena {
 
     // ---- flight recorder -------------------------------------------------
 
-    /// The flight-recorder ring geometry `(base, slots)`; `(0, 0)` when
-    /// the device carries no recorder.
-    pub fn recorder_region(&self) -> (u64, usize) {
-        (self.rec_base, self.rec_slots)
-    }
-
     /// Highest offset the downward-growing rt heap may occupy: the base
     /// of the recorder ring when one is carved, the device capacity
     /// otherwise. `pm-rt` uses this instead of [`NvbmArena::capacity`] so
@@ -478,8 +474,9 @@ impl NvbmArena {
         self.plan = Some(plan);
     }
 
-    /// Change the dirty-line cache capacity (lines).
-    pub fn set_cache_lines(&mut self, lines: usize) {
+    /// Shrink the dirty-line cache so a test can force evictions.
+    #[cfg(test)]
+    fn set_cache_lines(&mut self, lines: usize) {
         self.cache_cap = lines.max(1);
         self.evict_over_cap();
     }
@@ -1133,7 +1130,7 @@ mod tests {
         let mut a = arena();
         // The recorder ring carves the top of the device; the rt heap's
         // virgin floor sits just below it.
-        let (rec_base, rec_slots) = a.recorder_region();
+        let (rec_base, rec_slots) = (a.rec_base, a.rec_slots);
         assert_eq!(rec_slots, 256);
         assert_eq!(rec_base, (1 << 20) - 256 * 64);
         assert_eq!(a.live_bump(), HEADER_SIZE);
@@ -1246,7 +1243,7 @@ mod tests {
         // Tiny devices have no ring at all and never panic.
         let mut tiny = NvbmArena::new(HEADER_SIZE as usize, DeviceModel::default());
         tiny.failpoint("persist::merge");
-        assert_eq!(tiny.recorder_region(), (0, 0));
+        assert_eq!((tiny.rec_base, tiny.rec_slots), (0, 0));
     }
 
     #[test]

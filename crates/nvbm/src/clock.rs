@@ -3,7 +3,7 @@
 //! The paper emulates NVBM latency with RDTSCP spin loops; spinning makes
 //! wall-clock measurements real but non-deterministic and slow. We instead
 //! charge modeled latencies onto a per-rank [`VirtualClock`]. Experiment
-//! harnesses report virtual seconds; Criterion micro-benches may opt into
+//! harnesses report virtual seconds; a wall-clock harness may opt into
 //! [`SpinMode`] to burn real cycles like the original emulator.
 
 use std::sync::atomic::{AtomicU64, Ordering};

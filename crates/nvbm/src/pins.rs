@@ -58,11 +58,6 @@ impl EpochPins {
         self.0.lock().expect("pin registry lock").pins.values().map(|&n| n as usize).sum()
     }
 
-    /// Is `epoch` currently pinned?
-    pub fn is_pinned(&self, epoch: u64) -> bool {
-        self.0.lock().expect("pin registry lock").pins.contains_key(&epoch)
-    }
-
     /// Current generation (bumped by every [`EpochPins::invalidate`]).
     pub fn generation(&self) -> u64 {
         self.0.lock().expect("pin registry lock").generation
@@ -162,6 +157,6 @@ mod tests {
         let p = EpochPins::new();
         let q = p.clone();
         let _g = p.pin(1);
-        assert!(q.is_pinned(1));
+        assert_eq!(q.min_pinned(), Some(1));
     }
 }

@@ -667,22 +667,22 @@ impl PmOctree {
         self.index.entries().iter().map(|e| e.0).collect()
     }
 
-    /// Resolve a batch of containment queries against the sorted leaf
-    /// index in one merge-scan. Input order is arbitrary; results match
-    /// input order. Each query costs DRAM index reads only — no per-query
-    /// root-to-leaf NVBM descent.
-    pub fn containing_leaf_many(&mut self, keys: &[OctKey]) -> Vec<Option<OctKey>> {
+    /// The index half of a batched query: per key (input order) its leaf's
+    /// index entry, the merge-scan charged as DRAM reads — no NVBM descent.
+    fn resolve_charged(&mut self, keys: &[OctKey]) -> Vec<Option<usize>> {
         self.ensure_index();
-        let order = pmoctree_morton::simd::zorder_argsort(keys);
-        let sorted: Vec<OctKey> = order.iter().map(|&i| keys[i]).collect();
-        let (resolved, touched) = self.index.resolve_sorted(&sorted);
+        let (resolved, touched) = self.index.resolve_batch(keys);
         self.charge_index_entries(touched);
         self.store.arena.stats.index_hits(keys.len() as u64);
-        let mut out = vec![None; keys.len()];
-        for (slot, r) in order.into_iter().zip(resolved) {
-            out[slot] = r.map(|e| self.index.entries()[e].0);
-        }
-        out
+        resolved
+    }
+
+    /// Resolve a batch of containment queries against the sorted leaf
+    /// index in one merge-scan. Input order is arbitrary; results match
+    /// input order. Each query costs DRAM index reads only.
+    pub fn containing_leaf_many(&mut self, keys: &[OctKey]) -> Vec<Option<OctKey>> {
+        let resolved = self.resolve_charged(keys);
+        resolved.into_iter().map(|r| r.map(|e| self.index.entries()[e].0)).collect()
     }
 
     /// Batched leaf payload reads. The DRAM index filters out keys that
@@ -692,22 +692,21 @@ impl PmOctree {
     /// [`c1::Cursor`], so a navigation line shared by several keys' paths
     /// is read (and charged) once per batch.
     pub fn get_data_many(&mut self, keys: &[OctKey]) -> Vec<Option<CellData>> {
-        self.ensure_index();
-        let order = pmoctree_morton::simd::zorder_argsort(keys);
-        let sorted: Vec<OctKey> = order.iter().map(|&i| keys[i]).collect();
-        let (resolved, touched) = self.index.resolve_sorted(&sorted);
-        self.charge_index_entries(touched);
-        self.store.arena.stats.index_hits(keys.len() as u64);
+        let resolved = self.resolve_charged(keys);
+        // Exact leaf hits by entry: the Z-order the cursor needs.
+        let mut hits: Vec<(usize, usize)> = resolved
+            .into_iter()
+            .enumerate()
+            .filter_map(|(pos, r)| Some((r?, pos)))
+            .filter(|&(e, pos)| self.index.entries()[e].0 == keys[pos])
+            .collect();
+        hits.sort_unstable();
         let mut out = vec![None; keys.len()];
         let mut cursor = c1::Cursor::new(self.current_root);
-        for (pos, r) in order.into_iter().zip(resolved) {
-            let key = keys[pos];
-            if r.is_none_or(|e| self.index.entries()[e].0 != key) {
-                continue;
-            }
-            out[pos] = match self.forest.owner_of(&key) {
-                Some(id) => self.c0_data(id, key),
-                None => match cursor.locate(&mut self.store, key) {
+        for (_, pos) in hits {
+            out[pos] = match self.forest.owner_of(&keys[pos]) {
+                Some(id) => self.c0_data(id, keys[pos]),
+                None => match cursor.locate(&mut self.store, keys[pos]) {
                     Locate::Nvbm(p) => Some(self.store.data(p)),
                     _ => None,
                 },
@@ -1136,6 +1135,30 @@ mod tests {
         let mut r = PmOctree::restore(arena, small_cfg()).unwrap();
         assert_eq!(r.leaves_sorted(), persisted);
         assert_eq!(r.get_data(OctKey::root().child(1)).unwrap().phi, 42.0);
+    }
+
+    #[test]
+    fn restore_rebuilds_allocator_and_registry() {
+        let mut t = PmOctree::create(arena(), small_cfg());
+        t.refine(OctKey::root()).unwrap();
+        t.refine(OctKey::root().child(3)).unwrap();
+        t.persist();
+        // Unpersisted work leaves orphans the rebuild must reclaim.
+        t.refine(OctKey::root().child(0)).unwrap();
+        let mut arena = {
+            let PmOctree { store, .. } = t;
+            store.arena
+        };
+        arena.crash(CrashMode::LoseDirty);
+        let mut r = PmOctree::restore(arena, small_cfg()).unwrap();
+        assert_eq!(r.store.registry.len(), 17, "registry holds exactly the persisted octants");
+        // Allocator hands out fresh space that doesn't collide with live octants.
+        let live: std::collections::HashSet<POffset> = r.store.registry.iter().copied().collect();
+        for _ in 0..20 {
+            let o = Octant::leaf(OctKey::root(), POffset::NULL, r.epoch, CellData::default());
+            let p = r.store.alloc_octant(&o).unwrap();
+            assert!(!live.contains(&p), "allocator reused a live octant");
+        }
     }
 
     #[test]

@@ -156,11 +156,6 @@ impl C0Tree {
         Some(cur)
     }
 
-    /// Key of a node.
-    pub fn key_of(&self, i: u32) -> OctKey {
-        self.node(i).key
-    }
-
     /// The leaf containing `key`'s region (one incremental descent —
     /// `None` if `key` is internal or outside this subtree).
     pub fn containing_leaf(&mut self, key: OctKey, arena: &mut NvbmArena) -> Option<OctKey> {
@@ -517,7 +512,7 @@ mod tests {
         assert_eq!(t.octant_count(), 9);
         assert!(!t.is_leaf(root));
         for (c, &ki) in kids.iter().enumerate() {
-            assert_eq!(t.key_of(ki), k.child(c));
+            assert_eq!(t.node(ki).key, k.child(c));
             assert!(t.is_leaf(ki));
         }
     }
@@ -545,7 +540,7 @@ mod tests {
         t.refine(kids[3], &mut a);
         let deep = k.child(3).child(6);
         let i = t.find(deep, &mut a).unwrap();
-        assert_eq!(t.key_of(i), deep);
+        assert_eq!(t.node(i).key, deep);
         assert!(t.find(k.child(2).child(0), &mut a).is_none(), "unrefined region");
         assert!(t.find(OctKey::root().child(1), &mut a).is_none(), "outside subtree");
     }

@@ -57,13 +57,6 @@ impl PmConfig {
         self.c0_capacity_octants * crate::octant::OCTANT_SIZE
     }
 
-    /// Build a config whose C0 holds `bytes` of DRAM, like the paper's
-    /// "8GB DRAM is configured to store the octants of the C0 tree".
-    pub fn with_c0_bytes(mut self, bytes: usize) -> Self {
-        self.c0_capacity_octants = bytes / crate::octant::OCTANT_SIZE;
-        self
-    }
-
     /// Validating builder, starting from [`PmConfig::default`]. Prefer
     /// this over field-literal construction: [`PmConfigBuilder::build`]
     /// rejects configurations the runtime would silently misbehave under
@@ -185,7 +178,7 @@ mod tests {
 
     #[test]
     fn c0_bytes_roundtrip() {
-        let c = PmConfig::default().with_c0_bytes(1 << 20);
+        let c = PmConfig::builder().c0_capacity_bytes(1 << 20).build().unwrap();
         assert_eq!(c.c0_capacity_octants, (1 << 20) / 128);
         assert_eq!(c.c0_capacity_bytes(), 1 << 20);
     }

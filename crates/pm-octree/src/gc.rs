@@ -5,9 +5,9 @@
 //! NVBM fraction drops below `threshold_NVBM`. It is disabled during
 //! merging (the caller simply does not invoke it there).
 //!
-//! The sweep set is the volatile [`PmStore::registry`]; after a crash the
-//! registry is itself rebuilt from the mark set (see
-//! [`rebuild_after_crash`]), which doubles as allocator recovery — the
+//! The sweep set is the volatile [`PmStore::registry`]; after a crash
+//! [`PmOctree::restore`](crate::PmOctree::restore) rebuilds it, and the
+//! allocator with it, from the validated reachable set alone — the
 //! paper's "no allocator logging" property.
 
 use std::collections::HashSet;
@@ -72,17 +72,6 @@ pub fn collect(store: &mut PmStore, roots: &[POffset]) -> GcReport {
     GcReport { live: marked.len(), freed, freed_flagged }
 }
 
-/// Post-crash recovery of the volatile store state: mark from the
-/// persisted roots, then rebuild both the registry and the allocator from
-/// the live set alone. Returns the number of live octants.
-pub fn rebuild_after_crash(store: &mut PmStore, roots: &[POffset]) -> usize {
-    let marked = mark(store, roots);
-    let mut live: Vec<POffset> = marked.iter().copied().collect();
-    live.sort_unstable();
-    store.rebuild_from_live(live);
-    store.registry.len()
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -90,7 +79,7 @@ mod tests {
     use crate::c1::{coarsen, refine};
     use crate::octant::{CellData, Octant, OCTANT_SIZE};
     use pmoctree_morton::OctKey;
-    use pmoctree_nvbm::{DeviceModel, NvbmArena, PmemAllocator};
+    use pmoctree_nvbm::{DeviceModel, NvbmArena};
 
     fn store() -> PmStore {
         PmStore::new(NvbmArena::new(4 << 20, DeviceModel::default()))
@@ -145,31 +134,6 @@ mod tests {
         // New refinement reuses the freed blocks.
         let _ = refine(&mut s, root, OctKey::root(), 1);
         assert_eq!(s.alloc.live_bytes(), live_before + 8 * OCTANT_SIZE as u64);
-    }
-
-    #[test]
-    fn rebuild_after_crash_restores_allocator_and_registry() {
-        let mut s = store();
-        let mut root = root_tree(&mut s, 1);
-        root = refine(&mut s, root, OctKey::root(), 1).unwrap();
-        root = refine(&mut s, root, OctKey::root().child(3), 1).unwrap();
-        s.arena.flush_all();
-        s.arena.set_root(1, root);
-        let live_expected = 17;
-        // Simulate crash: volatile state gone.
-        s.arena.crash(pmoctree_nvbm::CrashMode::LoseDirty);
-        s.registry.clear();
-        s.alloc = PmemAllocator::new(s.arena.capacity(), OCTANT_SIZE);
-        let root = s.arena.root(1);
-        let live = rebuild_after_crash(&mut s, &[root]);
-        assert_eq!(live, live_expected);
-        // Allocator hands out fresh space that doesn't collide with live octants.
-        let live_set: HashSet<POffset> = s.registry.iter().copied().collect();
-        for _ in 0..20 {
-            let o = Octant::leaf(OctKey::root(), POffset::NULL, 2, CellData::default());
-            let p = s.alloc_octant(&o).unwrap();
-            assert!(!live_set.contains(&p), "allocator reused a live octant");
-        }
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl ReplicaSet {
     pub fn live_bytes(&self) -> u64 {
         self.live_octant_bytes.min(self.image.len() as u64)
     }
-
-    /// Has the replica ever been synced?
-    pub fn is_synced(&self) -> bool {
-        !self.image.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +108,7 @@ mod tests {
     #[test]
     fn replica_tracks_persists() {
         let mut t = PmOctree::create(NvbmArena::new(8 << 20, DeviceModel::default()), cfg());
-        assert!(t.replicas.as_ref().unwrap().is_synced());
+        assert!(!t.replicas.as_ref().unwrap().image().is_empty(), "create syncs in full");
         let full = t.replicas.as_ref().unwrap().bytes_shipped_total;
         t.refine(OctKey::root()).unwrap();
         t.persist();

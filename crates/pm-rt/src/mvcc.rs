@@ -152,7 +152,7 @@ mod tests {
             rt.commit(&mut a).unwrap();
             rt.collect(&mut a);
         }
-        assert!(rt.deferred_len() > 0, "pin must defer frees");
+        assert!(!rt.deferred.is_empty(), "pin must defer frees");
         assert_eq!(snap.get_bytes(&mut a, "x").unwrap().unwrap(), x0);
         assert_eq!(snap.get_bytes(&mut a, "y").unwrap().unwrap(), y0);
         assert_eq!(snap.get::<u64>(&mut a, "x").unwrap(), Some(0xAABB));
@@ -160,7 +160,7 @@ mod tests {
         // Dropping the snapshot lets collect reclaim the old versions.
         drop(snap);
         assert!(rt.collect(&mut a) > 0);
-        assert_eq!(rt.deferred_len(), 0);
+        assert!(rt.deferred.is_empty());
     }
 
     #[test]
@@ -220,7 +220,7 @@ mod tests {
         // offset: the pinned record was copied, not moved.
         assert_eq!(snap.get_bytes(&mut a, "cold").unwrap().unwrap(), raw0);
         assert_eq!(snap.get::<Vec<u8>>(&mut a, "cold").unwrap(), Some(cold.clone()));
-        assert!(rt.deferred_len() > 0, "old record must sit deferred, not freed");
+        assert!(!rt.deferred.is_empty(), "old record must sit deferred, not freed");
         // More churn while pinned: still byte-identical.
         for i in 0..40u64 {
             rt.stage(&mut a, "hot", &i).unwrap();
@@ -230,7 +230,7 @@ mod tests {
         // Only once the pin drops does collect reclaim the original.
         drop(snap);
         assert!(rt.collect(&mut a) > 0);
-        assert_eq!(rt.deferred_len(), 0);
+        assert!(rt.deferred.is_empty());
         assert_eq!(rt.load::<Vec<u8>>(&mut a, "cold").unwrap(), Some(cold));
     }
 
@@ -249,12 +249,12 @@ mod tests {
         assert!(rt.collect(&mut a) > 0, "deferred blobs reclaimed");
         // The reclaimed blocks feed the free lists: another burst of
         // commits reuses them instead of sinking the floor further.
-        let floor = rt.heap_floor();
+        let floor = rt.heap.floor();
         for i in 0..200u64 {
             rt.stage(&mut a, "x", &i).unwrap();
             rt.commit(&mut a).unwrap();
         }
-        assert!(floor - rt.heap_floor() < 1024, "recycled space must be reused");
+        assert!(floor - rt.heap.floor() < 1024, "recycled space must be reused");
         // And the committed state is intact.
         a.crash(CrashMode::LoseDirty);
         let mut r = PmRt::restore(&mut a).unwrap();

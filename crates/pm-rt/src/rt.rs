@@ -203,7 +203,7 @@ pub struct PmRt {
     /// Both advance at commit by applying `staged_origin`; volatile, so
     /// restore reseeds it from the table the chain walk rebuilds.
     committed_at: BTreeMap<u64, Arc<str>>,
-    heap: LogHeap,
+    pub(crate) heap: LogHeap,
     epoch: u64,
     /// Record offsets of committed blobs superseded since the last
     /// commit. They back the *committed* table until the next root swap,
@@ -212,7 +212,7 @@ pub struct PmRt {
     /// Records retired by the commit that produced epoch `e` — still
     /// reachable from pinned root-table versions older than `e`. Freed by
     /// [`PmRt::collect`] once `min_pinned >= e` (or no pins remain).
-    deferred: Vec<(u64, u64)>,
+    pub(crate) deferred: Vec<(u64, u64)>,
     /// Offsets of the live commit-record chain, oldest (the checkpoint)
     /// first. Retired wholesale when the next checkpoint cuts a new
     /// chain.
@@ -828,16 +828,6 @@ impl PmRt {
         prefix_range(&self.table, prefix).map(|(n, _)| &**n)
     }
 
-    /// The runtime ring floor (lowest arena byte the runtime owns).
-    pub fn heap_floor(&self) -> u64 {
-        self.heap.floor()
-    }
-
-    /// Records awaiting a pin release before they can be reclaimed.
-    pub fn deferred_len(&self) -> usize {
-        self.deferred.len()
-    }
-
     /// Live commit-chain length (1 right after a checkpoint).
     pub fn chain_len(&self) -> usize {
         self.chain.len()
@@ -847,11 +837,6 @@ impl PmRt {
     /// watermark input, surfaced for the wear-leveling bench.
     pub fn log_occupancy(&self) -> f64 {
         self.heap.occupancy()
-    }
-
-    /// Number of times the ring head has wrapped.
-    pub fn log_laps(&self) -> u64 {
-        self.heap.laps()
     }
 }
 
@@ -1176,7 +1161,7 @@ mod tests {
         let tag = "A".repeat(512);
         rt.stage(&mut t.store.arena, "tag", &tag).unwrap();
         rt.commit(&mut t.store.arena).unwrap();
-        let floor = rt.heap_floor();
+        let floor = rt.heap.floor();
         let mut n = 0u64;
         loop {
             let o = Octant::leaf(OctKey::root(), POffset::NULL, 1, CellData::default());
@@ -1231,7 +1216,7 @@ mod tests {
             Err(PmError::Recovery(m)) => assert!(m.contains("cross"), "wrong full cause: {m}"),
             other => panic!("expected Recovery(cross), got {other:?}"),
         }
-        assert!(rt.heap_floor() >= bump);
+        assert!(rt.heap.floor() >= bump);
         // Nothing was written: the persisted tree is untouched.
         let mut arena = {
             let PmOctree { store, .. } = t;
@@ -1296,12 +1281,12 @@ mod tests {
         // window stays within a few growth chunks of the top (which sits
         // just below the flight-recorder ring).
         assert!(
-            a.rt_heap_top() - rt.heap_floor() <= 4096,
+            a.rt_heap_top() - rt.heap.floor() <= 4096,
             "ring window grew to {} bytes",
-            a.rt_heap_top() - rt.heap_floor()
+            a.rt_heap_top() - rt.heap.floor()
         );
-        assert!(rt.log_laps() > 0, "the ring must actually wrap");
-        assert_eq!(rt.deferred_len(), 0, "no pins, nothing deferred");
+        assert!(rt.heap.laps() > 0, "the ring must actually wrap");
+        assert_eq!(rt.deferred.len(), 0, "no pins, nothing deferred");
     }
 
     #[test]
@@ -1310,14 +1295,14 @@ mod tests {
         let mut rt = PmRt::create(&mut a).unwrap();
         rt.stage(&mut a, "x", &1u64).unwrap();
         rt.commit(&mut a).unwrap();
-        let floor = rt.heap_floor();
+        let floor = rt.heap.floor();
         // Rewrite the same staged root many times without committing: the
         // same-footprint record slot is reused in place, so the floor
         // cannot sink.
         for i in 0..100u64 {
             rt.stage(&mut a, "x", &i).unwrap();
         }
-        assert!(floor - rt.heap_floor() < 256, "staged rewrites must recycle");
+        assert!(floor - rt.heap.floor() < 256, "staged rewrites must recycle");
         rt.commit(&mut a).unwrap();
         a.crash(CrashMode::LoseDirty);
         let mut r = PmRt::restore(&mut a).unwrap();

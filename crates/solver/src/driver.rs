@@ -2,7 +2,7 @@
 //! with per-routine timing breakdowns (the quantities behind Figures
 //! 6–11).
 
-use pmoctree_amr::{adapt, balance_subset, OctreeBackend};
+use pmoctree_amr::{adapt, balance_subset, AdaptCriterion, OctreeBackend};
 
 use crate::criteria::{InterfaceCriterion, SharedTime};
 use crate::interface::DropletEjection;
@@ -115,19 +115,33 @@ impl Simulation {
     pub fn construct(&self, b: &mut dyn OctreeBackend) {
         let tr = b.tracer();
         tr.begin("construct", b.elapsed_ns(), None);
-        pmoctree_amr::construct_uniform(b, self.cfg.base_level);
-        self.time.set(self.cfg.t0);
-        let crit = self.criterion();
         // Iterate adaptation to let refinement reach max_level.
-        for _ in 0..(self.cfg.max_level - self.cfg.base_level).max(1) {
-            adapt(b, &crit);
-        }
-        advect(b, &self.interface, self.cfg.t0);
+        let passes = (self.cfg.max_level - self.cfg.base_level).max(1);
+        self.construct_with(b, &self.criterion(), self.cfg.base_level, passes);
         estimate_work(b);
         tr.end("construct", b.elapsed_ns());
     }
 
-    fn criterion(&self) -> InterfaceCriterion {
+    /// The mesh-building core of [`Simulation::construct`] under a
+    /// caller-supplied criterion: a uniform grid at `base_level`, `passes`
+    /// adaptation passes at `t0`, then the level set at `t0`. A cluster
+    /// rank calls this with its range-restricted criterion.
+    pub fn construct_with(
+        &self,
+        b: &mut dyn OctreeBackend,
+        crit: &dyn AdaptCriterion,
+        base_level: u8,
+        passes: u8,
+    ) {
+        self.time.set(self.cfg.t0);
+        pmoctree_amr::construct_uniform(b, base_level);
+        for _ in 0..passes {
+            adapt(b, crit);
+        }
+        advect(b, &self.interface, self.cfg.t0);
+    }
+
+    pub(crate) fn criterion(&self) -> InterfaceCriterion {
         InterfaceCriterion {
             interface: self.interface,
             time: self.time.clone(),
@@ -138,30 +152,32 @@ impl Simulation {
 
     /// Run one time step, returning its breakdown.
     pub fn step(&self, mut b: &mut dyn OctreeBackend, step_idx: usize) -> StepBreakdown {
-        self.step_core(&mut b, step_idx, |b, _partial, _t3| {
+        self.step_core(&mut b, &self.criterion(), step_idx, |b, _partial, _t3| {
             b.end_of_step(step_idx + 1);
             None
         })
     }
 
-    /// One time step with a custom persistence action (the
-    /// whole-application-persistence seam; [`Simulation::step`] is this
-    /// with `end_of_step`). `persist` runs at the persist point and
-    /// receives the breakdown so far (refine/balance/solve/leaves filled)
-    /// plus the clock reading `t3` at persist entry; returning
-    /// `Some(ns)` overrides the recorded `persist_ns` (used when the
-    /// persisted run state must itself contain the value — anything the
-    /// persistence action spends *after* staging it is deliberately
-    /// unattributed, identically in original and resumed runs).
+    /// One time step under a caller-supplied criterion and persistence
+    /// action ([`Simulation::step`] is this with the interface criterion
+    /// and `end_of_step`; a cluster rank passes its range-restricted
+    /// criterion, whole-application persistence its combined commit).
+    /// `persist` runs at the persist point and receives the breakdown so
+    /// far (refine/balance/solve/leaves filled) plus the clock reading
+    /// `t3` at persist entry; returning `Some(ns)` overrides the recorded
+    /// `persist_ns` (used when the persisted run state must itself
+    /// contain the value — anything the persistence action spends *after*
+    /// staging it is deliberately unattributed, identically in original
+    /// and resumed runs).
     pub fn step_core<B: OctreeBackend>(
         &self,
         b: &mut B,
+        crit: &dyn AdaptCriterion,
         step_idx: usize,
         persist: impl FnOnce(&mut B, &StepBreakdown, u64) -> Option<u64>,
     ) -> StepBreakdown {
         let t = self.cfg.t0 + self.cfg.dt * (step_idx as f64 + 1.0);
         self.time.set(t);
-        let crit = self.criterion();
         let mut out = StepBreakdown::default();
         // Driver-level phases are emitted as explicit begin/end events at
         // the same clock reads used for the breakdown, so the trace and
@@ -171,7 +187,7 @@ impl Simulation {
         let t0 = b.elapsed_ns();
         tr.begin("step", t0, Some(step_idx as u64));
         tr.begin("step::refine", t0, None);
-        adapt(b, &crit);
+        adapt(b, crit);
         let t1 = b.elapsed_ns();
         tr.end("step::refine", t1);
         tr.begin("step::balance", t1, None);

@@ -237,7 +237,7 @@ fn drive(
             let done_ref = &done;
             let rt_ref = &mut *rt;
             let rt_failure = &mut rt_failure;
-            sim.step_core(backend, s, move |b, partial, t3| {
+            sim.step_core(backend, &sim.criterion(), s, move |b, partial, t3| {
                 let mut staged: Option<u64> = None;
                 let cfg = sim.cfg;
                 let committed = b.tree.persist_with_hook(&mut |arena| {
