@@ -96,6 +96,29 @@ no_fork 'zorder_argsort' crates/pm-octree/src/api.rs crates/baselines/src/incore
 no_fork 'balance_subset(' crates/cluster/src/rank.rs
 cargo test --release -p pmoctree-morton --lib index::tests::resolve_batch -q
 cargo test --release -p pmoctree-cluster --lib rank::tests::full_range_rank_step -q
+# One-kernel / one-census gates: a refine/coarsen/set-data meets the c1
+# COW routines in exactly one place outside c1.rs (`domains::apply`, under
+# the per-op API, the shards and a batch's serial route alike), and the Fig. 3
+# overlap and the replica delta are read off the GC mark walk — every
+# route against one oracle, the census against the walk and the registry
+# filter it replaced, in optimized builds. The replaced copies and the two
+# caller-less subsystems must be gone, not kept beside them.
+cargo test --release -p pm-octree --lib domains::tests::every_route_applies_an_op_the_same_way -q
+cargo test --release -p pm-octree --lib gc::tests::census_counts_what_count_shared_counted -q
+for call in 'c1::refine(' 'c1::coarsen(' 'c1::update_data('; do
+    sites=$(for f in crates/pm-octree/src/api.rs crates/pm-octree/src/domains.rs; do
+        sed '/^#\[cfg(test)\]/,$d' "$f"
+    done | grep -c "$call" || true)
+    if [ "$sites" != 1 ]; then
+        echo "$call has $sites call sites in api.rs + domains.rs, want exactly one (domains::apply)" >&2
+        exit 1
+    fi
+done
+no_fork 'fn count_shared\|fn apply_serial\|fn replay_serial' crates/pm-octree/src/c1.rs crates/pm-octree/src/domains.rs
+if [ -e crates/cluster/src/replica_sched.rs ]; then
+    echo "crates/cluster/src/replica_sched.rs is back (it had no non-test caller)" >&2
+    exit 1
+fi
 # SIMD-fallback gate: the Morton suite (including the SIMD==scalar
 # property tests) must pass with the batch kernels pinned to the scalar
 # path, proving the dispatch override and the fallback itself.

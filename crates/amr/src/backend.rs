@@ -667,6 +667,7 @@ impl OctreeBackend for EtreeBackend {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use pm_octree::PmConfig;

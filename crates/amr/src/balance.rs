@@ -221,6 +221,7 @@ pub fn check_balance(b: &mut dyn OctreeBackend) -> Option<(OctKey, OctKey)> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::backend::{EtreeBackend, InCoreBackend, OctreeBackend, PmBackend};

@@ -139,6 +139,7 @@ impl Mesh {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::backend::InCoreBackend;

@@ -130,6 +130,7 @@ pub fn pm_delete(b: PmBackend) -> NvbmArena {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use pmoctree_nvbm::{CrashMode, DeviceModel};

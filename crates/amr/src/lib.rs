@@ -13,6 +13,7 @@
 //! | Partition           | [`mod@partition`] |
 //! | Extract             | [`mod@extract`]   |
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 pub mod backend;
 pub mod balance;

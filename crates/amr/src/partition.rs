@@ -59,6 +59,7 @@ pub fn migration_plan(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::backend::InCoreBackend;

@@ -77,6 +77,7 @@ pub fn export_vtk_with_fields(b: &mut dyn OctreeBackend) -> String {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::backend::InCoreBackend;

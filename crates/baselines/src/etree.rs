@@ -470,6 +470,7 @@ impl EtreeOctree {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

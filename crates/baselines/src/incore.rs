@@ -440,6 +440,7 @@ impl InCoreOctree {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -12,6 +12,7 @@
 //! three implementations can be compared head-to-head by the `cluster`
 //! and `bench` crates.
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 pub mod btree;
 pub mod etree;

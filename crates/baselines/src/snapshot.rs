@@ -82,6 +82,7 @@ pub fn decode_octants(bytes: &[u8]) -> Result<Vec<OctantRecord>, String> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -89,11 +89,11 @@ pub fn fig3_overlap(steps: usize, max_level: u8) -> Vec<Fig3Row> {
         // Memory holding both versions at the persist point: the octants
         // kept live (shared + V_i exclusive) plus the previous version's
         // exclusive octants freed by this persist's GC.
-        let gc = b.tree.events.last_gc.unwrap_or(pm_octree::GcReport {
-            live: octants,
-            freed: 0,
-            freed_flagged: 0,
-        });
+        let gc = b
+            .tree
+            .events
+            .last_gc
+            .unwrap_or(pm_octree::GcReport { live: octants, ..Default::default() });
         let two_version_bytes = ((gc.live + gc.freed) * 128) as f64;
         rows.push(Fig3Row {
             step: s,
@@ -148,13 +148,7 @@ pub fn write_fraction(steps: usize, max_level: u8) -> WriteFraction {
         // the op mix the paper profiled.
         let t = sim.cfg.t0 + sim.cfg.dt * (s as f64 + 1.0);
         sim.time.set(t);
-        let crit = pmoctree_solver::InterfaceCriterion {
-            interface: sim.interface,
-            time: sim.time.clone(),
-            band_cells: sim.cfg.band_cells,
-            max_level: sim.cfg.max_level,
-        };
-        pmoctree_amr::adapt(&mut b, &crit);
+        pmoctree_amr::adapt(&mut b, &sim.criterion());
         pmoctree_solver::advect(&mut b, &sim.interface, t);
         pmoctree_solver::relax_pressure(&mut b, sim.cfg.relax_iters);
         let dr = b.tree.stats.dram.read_lines - r0;
@@ -206,14 +200,14 @@ pub fn layout_ablation() -> LayoutAblation {
             .build()
             .expect("valid config");
         let mut t = PmOctree::create(NvbmArena::new(ARENA_BYTES, DeviceModel::default()), cfg);
-        t.refine(pmoctree_morton::OctKey::root()).unwrap();
+        t.refine(pmoctree_morton::OctKey::root()).expect("a fresh tree's root is a leaf");
         for i in 0..8 {
             let phi = if i < 4 { 0.0 } else { 9.0 }; // octants 2-5 hot, 7-10 cold
             t.set_data(
                 pmoctree_morton::OctKey::root().child(i),
                 pm_octree::CellData { phi, ..Default::default() },
             )
-            .unwrap();
+            .expect("the root was just refined");
         }
         t.add_feature(Box::new(|_k, d| d.phi.abs() < 0.5));
         // Persist the setup: the burst then runs against a *shared*
@@ -228,9 +222,9 @@ pub fn layout_ablation() -> LayoutAblation {
         let before = t.store.arena.stats.nvbm.write_lines;
         for i in 0..4 {
             let k = pmoctree_morton::OctKey::root().child(i);
-            t.refine(k).unwrap();
+            t.refine(k).expect("level-1 octants are still leaves");
             for c in 0..8 {
-                t.refine(k.child(c)).unwrap();
+                t.refine(k.child(c)).expect("just created by the refine above");
             }
         }
         t.persist();
@@ -675,12 +669,12 @@ pub fn ablation_sampling(ns: &[usize]) -> Vec<SamplingRow> {
                 .build()
                 .expect("valid config");
             let mut t = PmOctree::create(NvbmArena::new(ARENA_BYTES, DeviceModel::default()), cfg);
-            t.refine(pmoctree_morton::OctKey::root()).unwrap();
+            t.refine(pmoctree_morton::OctKey::root()).expect("a fresh tree's root is a leaf");
             // Make child 0 deeply refined and hot, the rest cold.
             let k0 = pmoctree_morton::OctKey::root().child(0);
-            t.refine(k0).unwrap();
+            t.refine(k0).expect("the root was just refined");
             for c in 0..8 {
-                t.refine(k0.child(c)).unwrap();
+                t.refine(k0.child(c)).expect("just created by the refine above");
             }
             t.update_leaves(|k, d| {
                 let hot = k0.contains(&k);

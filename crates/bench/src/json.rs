@@ -382,6 +382,7 @@ fn json_doc<T: Serialize>(doc: &T) -> String {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

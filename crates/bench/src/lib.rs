@@ -6,6 +6,7 @@
 //! See DESIGN.md for the experiment index and EXPERIMENTS.md for the
 //! recorded paper-vs-measured comparison.
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 pub mod crash_sweep;
 pub mod experiments;

@@ -213,6 +213,7 @@ pub fn check_bench_doc(text: &str) -> Result<String, String> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use pmoctree_nvbm::Tracer;

@@ -283,6 +283,7 @@ pub fn recovery_comparison(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

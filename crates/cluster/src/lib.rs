@@ -12,10 +12,10 @@
 //!   weak/strong scaling reports behind Figures 6–10.
 //! * [`failure`] — the §5.6 kill-and-restart experiments.
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 pub mod failure;
 pub mod rank;
-pub mod replica_sched;
 pub mod scaling;
 
 pub use failure::{
@@ -23,5 +23,4 @@ pub use failure::{
     RtRecoveryReport,
 };
 pub use rank::{RangedCriterion, Rank, Scheme};
-pub use replica_sched::{NodeNvbm, Placement, PlacementError, ReplicaScheduler};
 pub use scaling::{max_level_for, ClusterReport, ClusterSim, ClusterStep};

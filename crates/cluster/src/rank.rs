@@ -15,7 +15,7 @@ use pmoctree_amr::{
 };
 use pmoctree_morton::{anchor, OctKey, ZRange};
 use pmoctree_nvbm::{DeviceModel, NvbmArena};
-use pmoctree_solver::{InterfaceCriterion, Simulation, StepBreakdown};
+use pmoctree_solver::{Simulation, StepBreakdown};
 
 /// Which octree implementation a cluster run uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,16 +99,6 @@ impl AdaptCriterion for RangedCriterion<'_> {
     }
 }
 
-/// The application criterion every rank restricts to its own range.
-pub(crate) fn interface_criterion(sim: &Simulation) -> InterfaceCriterion {
-    InterfaceCriterion {
-        interface: sim.interface,
-        time: sim.time.clone(),
-        band_cells: sim.cfg.band_cells,
-        max_level: sim.cfg.max_level,
-    }
-}
-
 /// One simulated processor.
 ///
 /// A rank is the unit the worker pool schedules: `ClusterSim`'s parallel
@@ -167,7 +157,7 @@ impl Rank {
     /// [`Simulation::step_core`] under this rank's range-restricted
     /// criterion, so cluster traces carry the single-rank span taxonomy.
     pub fn local_step(&mut self, sim: &Simulation, step_idx: usize) -> StepBreakdown {
-        let crit = RangedCriterion { inner: &interface_criterion(sim), range: self.range };
+        let crit = RangedCriterion { inner: &sim.criterion(), range: self.range };
         let mut b: &mut dyn OctreeBackend = self.backend.as_mut();
         sim.step_core(&mut b, &crit, step_idx, |b, _, _| {
             b.end_of_step(step_idx + 1);
@@ -179,7 +169,7 @@ impl Rank {
     /// constructing in parallel store the same t0 into the shared sim
     /// clock: concurrent, but value-identical, atomic stores.
     pub fn construct(&mut self, sim: &Simulation) {
-        let crit = RangedCriterion { inner: &interface_criterion(sim), range: self.range };
+        let crit = RangedCriterion { inner: &sim.criterion(), range: self.range };
         // Every rank starts from the whole domain, so the uniform grid
         // stays coarse and each pass may have to coarsen foreign regions
         // as well as refine owned ones.

@@ -154,10 +154,7 @@ impl ClusterSim {
         self.sim.time.set(t);
         let sim = &self.sim;
         self.ranks.par_iter_mut().for_each(|r| {
-            let crit = crate::rank::RangedCriterion {
-                inner: &crate::rank::interface_criterion(sim),
-                range: r.range,
-            };
+            let crit = crate::rank::RangedCriterion { inner: &sim.criterion(), range: r.range };
             for _ in 0..=sim.cfg.max_level {
                 let before = r.backend.leaf_count();
                 pmoctree_amr::adapt(r.backend.as_mut(), &crit);
@@ -417,6 +414,7 @@ pub fn max_level_for(target: usize) -> u8 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -296,6 +296,7 @@ impl<const D: usize> LeafIndex<D> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::code::OctKey;

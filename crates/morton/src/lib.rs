@@ -22,6 +22,7 @@
 //!   `PMOCTREE_MORTON_FORCE_SCALAR=1` to pin the fallback (CI does, so
 //!   dispatch is exercised even without the hardware).
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 pub mod bits;
 pub mod code;

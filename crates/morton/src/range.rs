@@ -127,6 +127,7 @@ pub fn partition_by_weight<const D: usize>(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::code::{OctKey, QuadKey};

@@ -163,6 +163,7 @@ pub fn step_table(events: &[Event]) -> Result<Vec<StepAttr>, String> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

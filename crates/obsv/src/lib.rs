@@ -19,6 +19,7 @@
 //! Perfetto), [`prom::text`] (Prometheus text exposition), and
 //! [`attribution`] tables for the `repro` harness.
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 pub mod attribution;
 pub mod chrome;

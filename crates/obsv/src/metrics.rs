@@ -183,6 +183,7 @@ impl Metrics {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

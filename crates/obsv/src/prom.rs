@@ -154,6 +154,7 @@ pub fn text(m: &Metrics) -> String {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -254,6 +254,7 @@ pub fn merge_threads(threads: Vec<(u32, Vec<Event>)>) -> Vec<(u32, Vec<Event>)> 
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};

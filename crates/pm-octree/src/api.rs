@@ -18,10 +18,10 @@ use pmoctree_nvbm::{NvbmArena, POffset, RecKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::c0::{C0Forest, C0Tree};
+use crate::c0::{C0Forest, C0Tree, CoarsenError};
 use crate::c1::{self, Locate};
 use crate::config::PmConfig;
-use crate::domains;
+use crate::domains::{self, DomainOp};
 use crate::gc::{self, GcReport};
 use crate::octant::{CellData, ChildPtr, OctAccess, Octant, PmStore};
 use crate::replica::ReplicaSet;
@@ -429,135 +429,141 @@ impl PmOctree {
 
     /// Refine the leaf at `key` into 8 children inheriting its payload.
     pub fn refine(&mut self, key: OctKey) -> Result<(), PmError> {
-        if let Some(id) = self.forest.owner_of(&key) {
-            let store = &mut self.store;
-            let r = self.forest.with_tree(id, |t| match t.find(key, &mut store.arena) {
-                None => Err(PmError::NotFound(format!("{key:?}"))),
-                Some(i) if !t.is_leaf(i) => Err(PmError::NotALeaf(format!("{key:?}"))),
-                Some(i) => {
-                    t.refine(i, &mut store.arena);
-                    Ok(())
-                }
-            });
-            r?;
-        } else {
-            match c1::locate(&mut self.store, self.current_root, key) {
-                Locate::Nvbm(p) => {
-                    if !self.store.is_leaf_octant(p) {
-                        return Err(PmError::NotALeaf(format!("{key:?}")));
-                    }
-                    // Seeding: if this region could become a DRAM subtree
-                    // and capacity allows, promote the leaf to C0 first so
-                    // the refinement happens at DRAM speed.
-                    if self.should_seed_c0(key) {
-                        let data = self.store.data(p);
-                        let tree = C0Tree::new(key, data);
-                        let id = self.register_c0(tree, p);
-                        self.current_root = c1::replace_slot(
-                            &mut self.store,
-                            self.current_root,
-                            key,
-                            ChildPtr::Volatile(id),
-                            self.epoch,
-                        )?;
-                        return self.refine(key);
-                    }
-                    self.current_root =
-                        c1::refine(&mut self.store, self.current_root, key, self.epoch)?;
-                }
-                Locate::Volatile(_) => unreachable!("owner_of covers volatile regions"),
-                Locate::Missing => return Err(PmError::NotFound(format!("{key:?}"))),
-            }
-        }
-        self.leaves += 7;
-        self.depth = self.depth.max(key.level() + 1);
-        self.index.on_refine_uniform(key, 0);
-        self.after_mutation();
-        Ok(())
+        self.apply_op(DomainOp::Refine(key))
     }
 
     /// Coarsen the octant at `key`: its children (which must all be
     /// leaves) are removed.
     pub fn coarsen(&mut self, key: OctKey) -> Result<(), PmError> {
-        if let Some(id) = self.forest.owner_of(&key) {
-            let store = &mut self.store;
-            let r = self.forest.with_tree(id, |t| match t.find(key, &mut store.arena) {
-                None => Err(PmError::NotFound(format!("{key:?}"))),
-                Some(i) => t.coarsen(i, &mut store.arena).map_err(|e| match e {
-                    crate::c0::CoarsenError::Leaf => PmError::NotALeaf(format!("{key:?}")),
-                    crate::c0::CoarsenError::DeepChildren => {
-                        PmError::NotCoarsenable(format!("{key:?}"))
-                    }
-                }),
-            });
-            r?;
-        } else {
-            match c1::locate(&mut self.store, self.current_root, key) {
-                Locate::Nvbm(p) => {
-                    // Children that are single-leaf DRAM subtrees get
-                    // merged back first so the coarsening can proceed
-                    // entirely in NVBM; deeper DRAM children mean the
-                    // region is refined and coarsening is illegal anyway.
-                    let mut absorb = Vec::new();
-                    let mut has_child = false;
-                    for i in 0..8 {
-                        match self.store.child(p, i) {
-                            ChildPtr::Null => {}
-                            ChildPtr::Volatile(id) => {
-                                has_child = true;
-                                if self.forest.get(id).octant_count() > 1 {
-                                    return Err(PmError::NotCoarsenable(format!("{key:?}")));
-                                }
-                                absorb.push(id);
-                            }
-                            ChildPtr::Nvbm(c) => {
-                                has_child = true;
-                                if !self.store.is_leaf_octant(c) {
-                                    return Err(PmError::NotCoarsenable(format!("{key:?}")));
-                                }
-                            }
-                        }
-                    }
-                    if !has_child {
-                        return Err(PmError::NotALeaf(format!("{key:?}")));
-                    }
-                    for id in absorb {
-                        self.evict_c0(id)?;
-                    }
-                    self.current_root =
-                        c1::coarsen(&mut self.store, self.current_root, key, self.epoch)?;
-                }
-                Locate::Volatile(_) => unreachable!("owner_of covers volatile regions"),
-                Locate::Missing => return Err(PmError::NotFound(format!("{key:?}"))),
-            }
-        }
-        self.leaves -= 7;
-        self.index.on_coarsen(key, 0);
-        self.after_mutation();
-        Ok(())
+        self.apply_op(DomainOp::Coarsen(key))
     }
 
     /// Overwrite the payload of the octant at `key`.
     pub fn set_data(&mut self, key: OctKey, data: CellData) -> Result<(), PmError> {
+        self.apply_op(DomainOp::SetData(key, data))
+    }
+
+    /// Apply one op to `V_i`: inside the DRAM tree that owns its key, or
+    /// — after the two C0 preludes — through the NVBM kernel
+    /// ([`domains::apply`]).
+    pub(crate) fn apply_op(&mut self, op: DomainOp) -> Result<(), PmError> {
+        let key = op.key();
         if let Some(id) = self.forest.owner_of(&key) {
-            let store = &mut self.store;
-            return self.forest.with_tree(id, |t| match t.find(key, &mut store.arena) {
-                None => Err(PmError::NotFound(format!("{key:?}"))),
-                Some(i) => {
-                    t.set_data(i, data, &mut store.arena);
-                    Ok(())
+            self.apply_c0(id, op)?;
+        } else {
+            match op {
+                DomainOp::Refine(_) if self.should_seed_c0(key) => {
+                    // Now C0-owned: the refinement happens at DRAM speed.
+                    self.seed_c0(key)?;
+                    return self.apply_op(op);
                 }
-            });
-        }
-        match c1::locate(&mut self.store, self.current_root, key) {
-            Locate::Nvbm(_) => {
-                self.current_root =
-                    c1::update_data(&mut self.store, self.current_root, key, &data, self.epoch)?;
-                Ok(())
+                DomainOp::Coarsen(_) if self.has_c0_children(key) => {
+                    self.absorb_c0_children(key)?
+                }
+                _ => {}
             }
-            Locate::Volatile(_) => unreachable!("owner_of covers volatile regions"),
-            Locate::Missing => Err(PmError::NotFound(format!("{key:?}"))),
+            self.current_root = domains::apply(&mut self.store, self.current_root, op, self.epoch)?;
         }
+        if self.account(op) {
+            self.after_mutation();
+        }
+        Ok(())
+    }
+
+    /// Leaf-count, depth and leaf-index bookkeeping for one applied op
+    /// (per-op return and batch join alike). Returns whether the op
+    /// changed the structure, i.e. whether `after_mutation` is due.
+    pub(crate) fn account(&mut self, op: DomainOp) -> bool {
+        match op {
+            DomainOp::Refine(k) => {
+                self.leaves += 7;
+                self.depth = self.depth.max(k.level() + 1);
+                self.index.on_refine_uniform(k, 0);
+                true
+            }
+            DomainOp::Coarsen(k) => {
+                self.leaves -= 7;
+                self.index.on_coarsen(k, 0);
+                true
+            }
+            DomainOp::SetData(..) => false,
+        }
+    }
+
+    /// `op` inside the DRAM tree `id` that owns its key.
+    fn apply_c0(&mut self, id: u32, op: DomainOp) -> Result<(), PmError> {
+        let key = op.key();
+        let arena = &mut self.store.arena;
+        self.forest.with_tree(id, |t| {
+            let i = t.find(key, arena).ok_or_else(|| PmError::NotFound(format!("{key:?}")))?;
+            match op {
+                DomainOp::Refine(_) if !t.is_leaf(i) => {
+                    return Err(PmError::NotALeaf(format!("{key:?}")))
+                }
+                DomainOp::Refine(_) => {
+                    t.refine(i, arena);
+                }
+                DomainOp::Coarsen(_) => t.coarsen(i, arena).map_err(|e| match e {
+                    CoarsenError::Leaf => PmError::NotALeaf(format!("{key:?}")),
+                    CoarsenError::DeepChildren => PmError::NotCoarsenable(format!("{key:?}")),
+                })?,
+                DomainOp::SetData(_, d) => t.set_data(i, d, arena),
+            }
+            Ok(())
+        })
+    }
+
+    /// Refine prelude: promote the NVBM leaf at `key` to a new DRAM
+    /// subtree.
+    fn seed_c0(&mut self, key: OctKey) -> Result<(), PmError> {
+        let Locate::Nvbm(p) = c1::locate(&mut self.store, self.current_root, key) else {
+            return Err(PmError::NotFound(format!("{key:?}")));
+        };
+        if !self.store.is_leaf_octant(p) {
+            return Err(PmError::NotALeaf(format!("{key:?}")));
+        }
+        let data = self.store.data(p);
+        let id = self.register_c0(C0Tree::new(key, data), p);
+        self.current_root = c1::replace_slot(
+            &mut self.store,
+            self.current_root,
+            key,
+            ChildPtr::Volatile(id),
+            self.epoch,
+        )?;
+        Ok(())
+    }
+
+    /// Is some child of the NVBM octant at `key` a DRAM subtree? Answered
+    /// from the forest, without touching NVBM.
+    pub(crate) fn has_c0_children(&self, key: OctKey) -> bool {
+        key.level() < OctKey::MAX_LEVEL
+            && (0..8).any(|c| self.forest.owner_of(&key.child(c)).is_some())
+    }
+
+    /// Coarsen prelude: children of `key` that are single-leaf DRAM
+    /// subtrees get merged back first so the coarsening can proceed
+    /// entirely in NVBM; deeper DRAM children mean the region is refined
+    /// and coarsening is illegal anyway. Refuses before the first merge.
+    fn absorb_c0_children(&mut self, key: OctKey) -> Result<(), PmError> {
+        let Locate::Nvbm(p) = c1::locate(&mut self.store, self.current_root, key) else {
+            return Ok(()); // nothing to absorb; the kernel reports the missing key
+        };
+        let mut absorb = Vec::new();
+        for c in self.store.children(p) {
+            let coarsenable = match c {
+                ChildPtr::Null => true,
+                ChildPtr::Volatile(id) => {
+                    absorb.push(id);
+                    self.forest.get(id).octant_count() == 1
+                }
+                ChildPtr::Nvbm(c) => self.store.is_leaf_octant(c),
+            };
+            if !coarsenable {
+                return Err(PmError::NotCoarsenable(format!("{key:?}")));
+            }
+        }
+        absorb.into_iter().try_for_each(|id| self.evict_c0(id))
     }
 
     // ---- domain-parallel batch mutation ----------------------------------
@@ -569,19 +575,13 @@ impl PmOctree {
     /// tree unchanged at that key. Deterministic: results, media, clock
     /// and trace are byte-identical for any worker count.
     pub fn refine_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
-        domains::run_batch(
-            self,
-            &keys.iter().map(|&k| domains::DomainOp::Refine(k)).collect::<Vec<_>>(),
-        )
+        domains::run_batch(self, &keys.iter().map(|&k| DomainOp::Refine(k)).collect::<Vec<_>>())
     }
 
     /// Coarsen a batch of octants domain-parallel; same contract as
     /// [`PmOctree::refine_many`].
     pub fn coarsen_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
-        domains::run_batch(
-            self,
-            &keys.iter().map(|&k| domains::DomainOp::Coarsen(k)).collect::<Vec<_>>(),
-        )
+        domains::run_batch(self, &keys.iter().map(|&k| DomainOp::Coarsen(k)).collect::<Vec<_>>())
     }
 
     /// Overwrite a batch of leaf payloads domain-parallel; same contract
@@ -589,7 +589,7 @@ impl PmOctree {
     pub fn set_data_many(&mut self, ops: &[(OctKey, CellData)]) -> Vec<bool> {
         domains::run_batch(
             self,
-            &ops.iter().map(|&(k, d)| domains::DomainOp::SetData(k, d)).collect::<Vec<_>>(),
+            &ops.iter().map(|&(k, d)| DomainOp::SetData(k, d)).collect::<Vec<_>>(),
         )
     }
 
@@ -812,12 +812,7 @@ impl PmOctree {
         }
         self.store.arena.failpoint("persist::merge");
         drop(span_merge);
-        // (2) Overlap measurement (Fig. 3): shared = older than this epoch.
-        let span_overlap = self.store.arena.span("persist::overlap");
-        let overlap = c1::count_shared(&mut self.store, root, self.epoch);
-        self.events.last_overlap = Some(overlap);
-        drop(span_overlap);
-        // (3) Flush everything, then the atomic root/epoch advance. Until
+        // (2) Flush everything, then the atomic root/epoch advance. Until
         // the set_root below lands, recovery uses the old V_{i-1}.
         self.store.arena.set_phase("persist::flush");
         let span_flush = self.store.arena.span("persist::flush");
@@ -842,7 +837,7 @@ impl PmOctree {
         self.store.arena.set_root(1, root);
         self.store.arena.failpoint("persist::root_swap");
         drop(span_swap);
-        // (3b) Application-state commit (`pm-rt`): the runtime stages and
+        // (3) Application-state commit (`pm-rt`): the runtime stages and
         // atomically publishes its root bundle while the superseded tree
         // version is still allocated (GC below has not run), so whichever
         // tree root the bundle names remains restorable. If it fails, GC
@@ -868,28 +863,24 @@ impl PmOctree {
                 return Err(e);
             }
         };
-        // (4) The previous version is now garbage; reclaim it.
+        // (4) The previous version is now garbage; reclaim it. The mark
+        // walk doubles as the census of the version just published: the
+        // Fig. 3 overlap (shared = older than this epoch) and the octants
+        // created this epoch.
         self.prev_root = root;
         self.current_root = root;
-        let report = gc::collect(&mut self.store, &[root]);
+        let (report, fresh) = gc::collect(&mut self.store, &[root], self.epoch);
         self.events.gc_runs += 1;
         self.events.last_gc = Some(report);
+        self.events.last_overlap = Some((report.live, report.shared));
         self.events.persists += 1;
-        // (5) Replica delta shipping (before the epoch advances). The
-        // registry now holds exactly the live set of the persisted tree;
-        // octants created this epoch are the delta.
-        if self.replicas.is_some() {
+        // (5) Replica delta shipping: the octants created this epoch.
+        if let Some(mut r) = self.replicas.take() {
             self.store.arena.set_phase("replica::ship");
             let _span_ship = self.store.arena.span("replica::ship");
-            let epoch = self.epoch;
-            let offsets: Vec<POffset> = self.store.registry.clone();
-            let new_octants: Vec<POffset> =
-                offsets.into_iter().filter(|&p| self.store.epoch_of(p) == epoch).collect();
-            if let Some(mut r) = self.replicas.take() {
-                self.store.arena.failpoint("replica::ship");
-                r.push_delta(&mut self.store.arena, &new_octants, &extra_regions);
-                self.replicas = Some(r);
-            }
+            self.store.arena.failpoint("replica::ship");
+            r.push_delta(&mut self.store.arena, &fresh, &extra_regions);
+            self.replicas = Some(r);
         }
         // (6) New working epoch; everything persisted is now shared.
         self.store.arena.set_phase("persist::reattach");
@@ -973,7 +964,7 @@ impl PmOctree {
         // NVBM pressure: on-demand GC.
         if self.store.alloc.available_fraction() < self.cfg.threshold_nvbm {
             let roots = [self.current_root, self.prev_root];
-            let report = gc::collect(&mut self.store, &roots);
+            let (report, _) = gc::collect(&mut self.store, &roots, self.epoch);
             self.events.gc_runs += 1;
             self.events.last_gc = Some(report);
         }

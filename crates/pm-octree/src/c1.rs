@@ -429,29 +429,6 @@ impl Cursor {
     }
 }
 
-/// Count octants reachable from `p` (NVBM only), and how many of them are
-/// *shared* (epoch older than `epoch`). Drives the Fig. 3 overlap-ratio
-/// measurement.
-pub fn count_shared(store: &mut PmStore, p: POffset, epoch: u32) -> (usize, usize) {
-    let mut total = 0usize;
-    let mut shared = 0usize;
-    let mut stack = vec![p];
-    while let Some(cur) = stack.pop() {
-        // Epoch and child links share the navigation line: one read.
-        let nav = store.nav_line(cur);
-        total += 1;
-        if nav.epoch < epoch {
-            shared += 1;
-        }
-        for c in nav.children {
-            if let ChildPtr::Nvbm(c) = c {
-                stack.push(c);
-            }
-        }
-    }
-    (total, shared)
-}
-
 /// Merge a pre-order list of (key, data, is_leaf) octants — a C0 subtree —
 /// into NVBM, *diffing against the shadow subtree* (the NVBM image this
 /// region had at the last persist) so unchanged octants are shared rather
@@ -817,7 +794,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // Every octant reachable from the root still decodes cleanly.
-        let (count, _) = count_shared(&mut s, root, 1);
+        let count = crate::gc::mark(&mut s, &[root], 1).live.len();
         assert!(count >= 9, "tree collapsed after failed refine: {count} octants");
     }
 
@@ -841,9 +818,9 @@ mod tests {
         let merged2 = merge_subtree(&mut s, &octants2, Some(shadow), 2).unwrap();
         assert_ne!(merged2, shadow);
         assert_eq!(s.registry.len() - alloc_before, 2, "new leaf + new subtree root only");
-        let (total, shared) = count_shared(&mut s, merged2, 2);
-        assert_eq!(total, 9);
-        assert_eq!(shared, 7);
+        let census = crate::gc::mark(&mut s, &[merged2], 2);
+        assert_eq!(census.live.len(), 9);
+        assert_eq!(census.shared, 7);
     }
 
     #[test]
@@ -864,9 +841,9 @@ mod tests {
         deep.extend((1..8).map(|i| (sub_key.child(i), CellData::default(), true)));
         let merged = merge_subtree(&mut s, &deep, Some(shadow), 2).unwrap();
         assert_ne!(merged, shadow);
-        let (total, shared) = count_shared(&mut s, merged, 2);
-        assert_eq!(total, 17);
-        assert_eq!(shared, 7, "the 7 untouched leaves are shared");
+        let census = crate::gc::mark(&mut s, &[merged], 2);
+        assert_eq!(census.live.len(), 17);
+        assert_eq!(census.shared, 7, "the 7 untouched leaves are shared");
     }
 
     #[test]

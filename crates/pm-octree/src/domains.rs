@@ -26,7 +26,8 @@
 //!    oracle view is the base image plus a deterministic *prefix* of the
 //!    domain overlays — exactly the per-thread interleaving schedules the
 //!    crash sweep enumerates. Lease tails are released, registries
-//!    appended, and leaf/depth/index bookkeeping replayed in input order.
+//!    appended, and leaf/depth/index bookkeeping
+//!    ([`PmOctree::account`]) replayed in input order.
 //!
 //! Why any interleaving of domain publication recovers cleanly (the
 //! NVTraverse flush-at-destination argument): the pre-pass made every
@@ -42,11 +43,16 @@
 //! fixed-order join make reports, media, clock and trace byte-identical
 //! for 1, 2, 4 or N workers.
 //!
-//! Batch semantics differ from the per-op API in two documented ways:
-//! batched refines never seed DRAM (C0) subtrees, and a batched coarsen
-//! whose children still live in DRAM reports `false` instead of absorbing
-//! them. Operations on C0-owned or above-the-cut keys fall out of the
-//! sharded path and run serially with full per-op semantics.
+//! Batch semantics: every route applies an op through the one kernel
+//! ([`apply`]: locate → precondition → COW), so a batched op succeeds,
+//! fails and mutates exactly as its per-op call would. Ops a shard cannot
+//! run go through [`PmOctree::apply_op`], the per-op API's own body, in
+//! input order: C0-owned or above-the-cut keys and coarsens whose children
+//! live in DRAM (absorbed first, which an NVBM-only shard view cannot do)
+//! *before* the pre-pass; domains whose root is absent, and every domain
+//! op when a lease cannot be carved or runs out, *after* the join. The
+//! only per-op/batch difference left: a sharded refine never seeds a DRAM
+//! (C0) subtree (a shard cannot touch the forest); a serial one may.
 
 use std::collections::BTreeMap;
 
@@ -65,7 +71,8 @@ use crate::octant::{CellData, OctAccess, ShardStore};
 /// whether 1 or N workers execute the domains.
 pub(crate) const DOMAIN_LEVEL: u8 = 1;
 
-/// One batched mutation, routed to a write domain by its key.
+/// One mesh mutation: what the per-op API applies directly and a batch
+/// routes to a write domain by its key.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DomainOp {
     /// Refine the leaf at this key into 8 children.
@@ -77,7 +84,7 @@ pub enum DomainOp {
 }
 
 impl DomainOp {
-    fn key(&self) -> OctKey {
+    pub(crate) fn key(&self) -> OctKey {
         match *self {
             DomainOp::Refine(k) | DomainOp::Coarsen(k) | DomainOp::SetData(k, _) => k,
         }
@@ -95,238 +102,189 @@ impl DomainOp {
     }
 }
 
+/// The op kernel — the one place an op meets the `c1` COW routines, for
+/// the serial [`PmStore`](crate::octant::PmStore) and a [`ShardStore`]
+/// overlay alike (only the publication edge needs ordering, so the same
+/// code is correct against both). Locates the target under `root`, checks
+/// the op's precondition — refine: a leaf; coarsen: *not* a leaf (the
+/// probe that keeps `c1::coarsen` from unlinking and re-averaging one);
+/// set-data: exists — and applies it copy-on-write. Returns the
+/// possibly-new root; a refusal ([`PmError::NotFound`],
+/// [`PmError::NotALeaf`], [`PmError::NotCoarsenable`]) or
+/// [`PmError::Full`] leaves the tree's content unchanged.
+pub(crate) fn apply<S: OctAccess>(
+    store: &mut S,
+    root: POffset,
+    op: DomainOp,
+    epoch: u32,
+) -> Result<POffset, PmError> {
+    let key = op.key();
+    let Locate::Nvbm(p) = c1::locate(store, root, key) else {
+        return Err(PmError::NotFound(format!("{key:?}")));
+    };
+    let refused = match op {
+        DomainOp::Refine(_) => !store.is_leaf_octant(p),
+        DomainOp::Coarsen(_) => store.is_leaf_octant(p),
+        DomainOp::SetData(..) => false,
+    };
+    if refused {
+        return Err(PmError::NotALeaf(format!("{key:?}")));
+    }
+    match op {
+        DomainOp::Refine(_) => c1::refine(store, root, key, epoch),
+        DomainOp::Coarsen(_) => c1::coarsen(store, root, key, epoch),
+        DomainOp::SetData(_, d) => c1::update_data(store, root, key, &d, epoch),
+    }
+}
+
 /// A domain's work order: its exclusive root, its slice of the batch (in
 /// input order), its allocator lease, and — after the parallel phase —
-/// its outcome.
+/// its outcome (`None`: the lease ran out).
 struct Task {
     root: POffset,
     ops: Vec<(usize, DomainOp)>,
     lease: AllocLease,
-    out: Option<Result<ShardOut, PmError>>,
+    out: Option<ShardOut>,
 }
 
 type ShardOut = (ShardDelta, AllocLease, Vec<POffset>, Vec<(usize, bool)>);
 
 /// Execute `ops` against `t`, domain-parallel where possible. Returns one
 /// success flag per op, in input order. Device-full inside a shard (lease
-/// exhausted) or at lease carving falls back to replaying the whole
-/// domain portion serially — the conditions are data-dependent, never
+/// exhausted) or at lease carving sends the whole domain portion down the
+/// serial route — the conditions are data-dependent, never
 /// worker-count-dependent, so results stay deterministic.
 pub fn run_batch(t: &mut PmOctree, ops: &[DomainOp]) -> Vec<bool> {
     let mut results = vec![false; ops.len()];
     if ops.is_empty() {
         return results;
     }
-    // Partition: C0-owned or above-the-cut keys run serially with full
-    // per-op semantics; everything else shards by domain ancestor.
-    let mut residual: Vec<(usize, DomainOp)> = Vec::new();
+    // Partition: what a shard cannot run is applied serially, up front;
+    // everything else shards by domain ancestor.
+    let mut tail: Vec<(usize, DomainOp)> = Vec::new();
     let mut domains: BTreeMap<OctKey, Vec<(usize, DomainOp)>> = BTreeMap::new();
     for (i, &op) in ops.iter().enumerate() {
         let k = op.key();
-        // A coarsen whose children are DRAM-resident needs the serial
-        // path too: the per-op API absorbs those C0 subtrees first, and a
-        // shard (NVBM-only view) cannot.
-        let c0_children = matches!(op, DomainOp::Coarsen(_))
-            && k.level() < pmoctree_morton::OctKey::MAX_LEVEL
-            && (0..8).any(|c| t.forest.owner_of(&k.child(c)).is_some());
+        let c0_children = matches!(op, DomainOp::Coarsen(_)) && t.has_c0_children(k);
         if k.level() < DOMAIN_LEVEL || t.forest.owner_of(&k).is_some() || c0_children {
-            residual.push((i, op));
+            tail.push((i, op));
         } else {
             domains.entry(k.ancestor_at(DOMAIN_LEVEL)).or_default().push((i, op));
         }
     }
-    for (i, op) in residual {
-        results[i] = apply_serial(t, op);
-    }
+    run_serial(t, std::mem::take(&mut tail), &mut results);
+    // From here on `tail` collects the domain ops that fall out of the
+    // sharded path; they run after the join.
     // Serial pre-pass: materialize each domain root as epoch-exclusive.
-    // Domains whose root is absent (or un-COW-able) run serially late.
     let mut pending: Vec<(POffset, Vec<(usize, DomainOp)>)> = Vec::new();
-    let mut late: Vec<(usize, DomainOp)> = Vec::new();
     for (dk, dops) in domains {
-        match c1::locate(&mut t.store, t.current_root, dk) {
-            Locate::Nvbm(_) => match c1::cow_path(&mut t.store, t.current_root, dk, t.epoch) {
-                Ok((root, off)) => {
-                    t.current_root = root;
-                    pending.push((off, dops));
-                }
-                Err(_) => late.extend(dops),
-            },
-            _ => late.extend(dops),
+        let cow = match c1::locate(&mut t.store, t.current_root, dk) {
+            Locate::Nvbm(_) => c1::cow_path(&mut t.store, t.current_root, dk, t.epoch).ok(),
+            _ => None,
+        };
+        match cow {
+            Some((root, off)) => {
+                t.current_root = root;
+                pending.push((off, dops));
+            }
+            None => tail.extend(dops),
         }
     }
     // Carve one bump-region lease per domain. Carving failure means the
-    // device cannot promise every domain its worst case up front: release
-    // everything and replay the whole domain portion serially.
+    // device cannot promise every domain its worst case up front.
     t.store.alloc.set_limit(t.store.arena.live_rt_floor());
     let mut tasks: Vec<Task> = Vec::new();
-    let mut carve_failed = false;
+    let mut carved = true;
     for (root, dops) in pending {
         let blocks: usize = dops.iter().map(|(_, op)| op.lease_blocks()).sum::<usize>().max(1);
         match t.store.alloc.carve_lease(blocks) {
             Some(lease) => tasks.push(Task { root, ops: dops, lease, out: None }),
             None => {
-                late.extend(dops);
-                carve_failed = true;
+                tail.extend(dops);
+                carved = false;
             }
         }
     }
     t.store.arena.publish_bump(t.store.alloc.bump());
-    if carve_failed {
-        for task in &tasks {
-            t.store.alloc.release_lease(task.lease, task.lease.start());
-        }
-        replay_serial(t, tasks, &mut results);
-        late.sort_unstable_by_key(|&(i, _)| i);
-        for (i, op) in late {
-            results[i] = apply_serial(t, op);
-        }
-        return results;
-    }
     // Parallel phase: one ShardStore per domain over a shared fork-point
     // snapshot. Buffered stores fire no crash opportunities; each shard
     // is single-threaded and deterministic.
-    let epoch = t.epoch;
-    {
+    if carved {
+        let epoch = t.epoch;
         let snap = t.store.arena.snapshot();
         tasks.par_iter_mut().for_each(|task| {
-            task.out = Some(run_shard(&snap, epoch, task.root, &task.ops, task.lease));
+            task.out = run_shard(&snap, epoch, task.root, &task.ops, task.lease);
         });
     }
-    if tasks.iter().any(|task| matches!(task.out, Some(Err(_)))) {
-        // A shard over-ran its lease (device effectively full). Discard
-        // every overlay — nothing was published — and replay serially.
-        for task in &tasks {
+    if tasks.iter().all(|task| task.out.is_some()) {
+        // Serial join, in fixed (sorted-domain) order: publish each
+        // overlay — one `sweep::interleave` crash opportunity per domain
+        // — release the unused lease tail, and append the domain's
+        // allocations; then bookkeeping in batch input order.
+        let mut flags: Vec<(usize, bool)> = Vec::new();
+        for (delta, lease, regs, shard_flags) in tasks.into_iter().filter_map(|task| task.out) {
+            t.store.arena.absorb_shard("sweep::interleave", delta);
+            t.store.alloc.release_lease(lease, lease.cursor());
+            t.store.registry.extend(regs);
+            flags.extend(shard_flags);
+        }
+        flags.sort_unstable_by_key(|&(i, _)| i);
+        let mut mutated = false;
+        for (i, ok) in flags {
+            results[i] = ok;
+            mutated |= ok && t.account(ops[i]);
+        }
+        if mutated {
+            t.after_mutation();
+        }
+    } else {
+        // No lease, or a shard over-ran its own (device effectively
+        // full): nothing was published — discard every overlay (the tree
+        // is untouched beyond content-identical pre-pass spine copies).
+        for task in tasks {
             t.store.alloc.release_lease(task.lease, task.lease.start());
-        }
-        replay_serial(t, tasks, &mut results);
-        for (i, op) in late {
-            results[i] = apply_serial(t, op);
-        }
-        return results;
-    }
-    // Serial join, in fixed (sorted-domain) order: publish each overlay —
-    // one `sweep::interleave` crash opportunity per domain — release the
-    // unused lease tail, and append the domain's allocations.
-    let mut flags: Vec<(usize, bool)> = Vec::new();
-    for task in tasks {
-        let (delta, lease, regs, shard_flags) =
-            task.out.expect("joined task").expect("checked above");
-        t.store.arena.absorb_shard("sweep::interleave", delta);
-        t.store.alloc.release_lease(lease, lease.cursor());
-        t.store.registry.extend(regs);
-        flags.extend(shard_flags);
-    }
-    // Bookkeeping replays in batch input order.
-    flags.sort_unstable_by_key(|&(i, _)| i);
-    let mut mutated = false;
-    for (i, ok) in flags {
-        results[i] = ok;
-        if !ok {
-            continue;
-        }
-        match ops[i] {
-            DomainOp::Refine(k) => {
-                t.leaves += 7;
-                t.depth = t.depth.max(k.level() + 1);
-                t.index.on_refine_uniform(k, 0);
-                mutated = true;
-            }
-            DomainOp::Coarsen(k) => {
-                t.leaves -= 7;
-                t.index.on_coarsen(k, 0);
-                mutated = true;
-            }
-            DomainOp::SetData(..) => {}
+            tail.extend(task.ops);
         }
     }
-    if mutated {
-        t.after_mutation();
-    }
-    for (i, op) in late {
-        results[i] = apply_serial(t, op);
-    }
+    run_serial(t, tail, &mut results);
     results
+}
+
+/// Apply `ops` one by one, in batch input order, through the body of the
+/// per-op API.
+fn run_serial(t: &mut PmOctree, mut ops: Vec<(usize, DomainOp)>, results: &mut [bool]) {
+    ops.sort_unstable_by_key(|&(i, _)| i);
+    for (i, op) in ops {
+        results[i] = t.apply_op(op).is_ok();
+    }
 }
 
 /// One domain's worker body: apply its ops in input order against a
 /// private shard. Only lease exhaustion ([`PmError::Full`]) aborts the
-/// shard (triggering the caller's serial fallback); per-op refusals —
-/// missing key, non-leaf refine, non-coarsenable node — report `false`
-/// exactly like their serial counterparts.
+/// shard (`None`, sending the batch down the serial route); per-op
+/// refusals report `false`.
 fn run_shard(
     snap: &ArenaSnapshot<'_>,
     epoch: u32,
     root: POffset,
     ops: &[(usize, DomainOp)],
     lease: AllocLease,
-) -> Result<ShardOut, PmError> {
+) -> Option<ShardOut> {
     let mut shard = ShardStore::new(snap, lease);
     let mut flags = Vec::with_capacity(ops.len());
     for &(i, op) in ops {
-        let ok = match op {
-            DomainOp::Refine(k) => match c1::locate(&mut shard, root, k) {
-                Locate::Nvbm(p) if shard.is_leaf_octant(p) => {
-                    match c1::refine(&mut shard, root, k, epoch) {
-                        Ok(r) => {
-                            debug_assert_eq!(r, root, "shard mutation moved the domain root");
-                            true
-                        }
-                        Err(e @ PmError::Full(_)) => return Err(e),
-                        Err(_) => false,
-                    }
-                }
-                _ => false,
-            },
-            DomainOp::Coarsen(k) => match c1::locate(&mut shard, root, k) {
-                Locate::Nvbm(p) if !shard.is_leaf_octant(p) => {
-                    match c1::coarsen(&mut shard, root, k, epoch) {
-                        Ok(r) => {
-                            debug_assert_eq!(r, root, "shard mutation moved the domain root");
-                            true
-                        }
-                        Err(e @ PmError::Full(_)) => return Err(e),
-                        Err(_) => false,
-                    }
-                }
-                _ => false,
-            },
-            DomainOp::SetData(k, d) => match c1::locate(&mut shard, root, k) {
-                Locate::Nvbm(_) => match c1::update_data(&mut shard, root, k, &d, epoch) {
-                    Ok(r) => {
-                        debug_assert_eq!(r, root, "shard mutation moved the domain root");
-                        true
-                    }
-                    Err(e @ PmError::Full(_)) => return Err(e),
-                    Err(_) => false,
-                },
-                _ => false,
-            },
+        let ok = match apply(&mut shard, root, op, epoch) {
+            Ok(r) => {
+                debug_assert_eq!(r, root, "shard mutation moved the domain root");
+                true
+            }
+            Err(PmError::Full(_)) => return None,
+            Err(_) => false,
         };
         flags.push((i, ok));
     }
     let (delta, lease, regs) = shard.into_parts();
-    Ok((delta, lease, regs, flags))
-}
-
-/// Serial fallback: replay every domain op through the per-op API in
-/// batch input order (overlays were discarded; the tree is untouched
-/// beyond content-identical pre-pass spine copies).
-fn replay_serial(t: &mut PmOctree, tasks: Vec<Task>, results: &mut [bool]) {
-    let mut all: Vec<(usize, DomainOp)> = tasks.into_iter().flat_map(|task| task.ops).collect();
-    all.sort_unstable_by_key(|&(i, _)| i);
-    for (i, op) in all {
-        results[i] = apply_serial(t, op);
-    }
-}
-
-/// Apply one op through the full per-op API (C0 routing, seeding, the
-/// lot), folding any error to `false`.
-fn apply_serial(t: &mut PmOctree, op: DomainOp) -> bool {
-    match op {
-        DomainOp::Refine(k) => t.refine(k).is_ok(),
-        DomainOp::Coarsen(k) => t.coarsen(k).is_ok(),
-        DomainOp::SetData(k, d) => t.set_data(k, d).is_ok(),
-    }
+    Some((delta, lease, regs, flags))
 }
 
 #[cfg(test)]
@@ -335,6 +293,8 @@ mod tests {
     use super::*;
     use crate::config::PmConfig;
     use pmoctree_nvbm::{CrashMode, DeviceModel, NvbmArena};
+    use proptest::prelude::*;
+    use routes::*;
 
     fn tree_with(bytes: usize) -> PmOctree {
         let arena = NvbmArena::new(bytes, DeviceModel::default());
@@ -482,5 +442,210 @@ mod tests {
             8,
             "one publication-boundary crash opportunity per domain"
         );
+    }
+    /// Fixtures of `every_route_applies_an_op_the_same_way`.
+    mod routes {
+        use super::*;
+
+        /// The octant reached from the root by these child indices.
+        fn c(path: &[usize]) -> OctKey {
+            path.iter().fold(OctKey::root(), |k, &i| k.child(i))
+        }
+
+        /// A tree with every tier situation an op can meet. Under the
+        /// root: child 0 refined two levels in NVBM; child 1 with a
+        /// *deep* DRAM child; child 2 with two single-leaf DRAM children
+        /// (coarsenable after absorbing them); child 3 with one
+        /// single-leaf DRAM child beside a refined NVBM one (not
+        /// coarsenable); child 5 refined; child 7 refined and never
+        /// offered to an op, so the root itself is never coarsenable.
+        /// Deterministic: every call returns a clone of one device.
+        pub(super) fn mixed_tier_tree() -> PmOctree {
+            let mut t = tree();
+            for path in [&[][..], &[0], &[1], &[2], &[3], &[5], &[7], &[0, 0], &[3, 1]] {
+                t.refine(c(path)).unwrap();
+            }
+            // Seeding is the per-op refine's prelude; switched off again
+            // below so all routes run under one config.
+            t.cfg.seed_c0 = true;
+            for path in [&[1, 1][..], &[2, 0], &[2, 6], &[3, 0]] {
+                t.refine(c(path)).unwrap();
+            }
+            for path in [&[2, 0][..], &[2, 6], &[3, 0]] {
+                t.coarsen(c(path)).unwrap();
+            }
+            t.cfg.seed_c0 = false;
+            assert_eq!(t.c0_subtree_keys().len(), 4);
+            assert_eq!(t.c0_octants(), 9 + 3);
+            t.persist();
+            t
+        }
+
+        /// Keys worth aiming an op at: every octant of the tree, the
+        /// (missing) children of its leaves, and the root — minus the
+        /// child-7 family.
+        pub(super) fn pool(t: &mut PmOctree) -> Vec<OctKey> {
+            let mut keys: Vec<OctKey> = t
+                .leaf_keys_sorted()
+                .into_iter()
+                .flat_map(|k| k.path_from_root().into_iter().chain([k.child(3)]))
+                .filter(|k| k.level() == 0 || k.ancestor_at(1) != OctKey::root().child(7))
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys
+        }
+
+        /// The named cases, ahead of the random stream.
+        pub(super) fn script() -> Vec<DomainOp> {
+            let d = CellData { phi: 7.5, ..Default::default() };
+            vec![
+                DomainOp::Coarsen(c(&[4])),       // coarsen of a leaf
+                DomainOp::Coarsen(c(&[0, 0, 2])), // ... a deep, sharded one
+                DomainOp::Refine(c(&[0])),        // non-leaf refine
+                DomainOp::Refine(c(&[4, 1])),     // missing key
+                DomainOp::SetData(c(&[6, 6]), d), // missing key
+                DomainOp::Refine(OctKey::root()), // above the cut
+                DomainOp::SetData(OctKey::root(), d),
+                DomainOp::Coarsen(OctKey::root()),
+                DomainOp::Refine(c(&[1, 1, 4])), // C0-owned
+                DomainOp::SetData(c(&[1, 1, 5]), d),
+                DomainOp::Coarsen(c(&[1])), // deep DRAM child
+                DomainOp::Coarsen(c(&[3])), // DRAM child beside a refined sibling
+                DomainOp::Coarsen(c(&[2])), // DRAM children, absorbed
+                DomainOp::SetData(c(&[2]), d),
+                DomainOp::Refine(c(&[0, 0, 1])), // plain sharded ops
+                DomainOp::Coarsen(c(&[5])),
+            ]
+        }
+
+        pub(super) fn arb_ops() -> impl Strategy<Value = Vec<(u8, usize, f64)>> {
+            prop::collection::vec((0u8..3, 0usize..4096, -9.0f64..9.0), 0..24)
+        }
+
+        fn outcome(r: &Result<(), PmError>) -> &'static str {
+            match r {
+                Ok(()) => "ok",
+                Err(PmError::NotFound(_)) => "not-found",
+                Err(PmError::NotALeaf(_)) => "not-a-leaf",
+                Err(PmError::NotCoarsenable(_)) => "not-coarsenable",
+                Err(_) => "other",
+            }
+        }
+
+        /// The per-op API, each call checked against what the tree said
+        /// about the key just before it.
+        fn per_op(t: &mut PmOctree, ops: &[DomainOp]) -> Vec<&'static str> {
+            ops.iter()
+                .map(|&op| {
+                    let key = op.key();
+                    let (was_leaf, data, c0) = (t.is_leaf(key), t.get_data(key), t.c0_octants());
+                    let r = match op {
+                        DomainOp::Refine(k) => t.refine(k),
+                        DomainOp::Coarsen(k) => t.coarsen(k),
+                        DomainOp::SetData(k, d) => t.set_data(k, d),
+                    };
+                    let got = outcome(&r);
+                    match (op, was_leaf) {
+                        (_, None) => assert_eq!(got, "not-found", "{op:?}"),
+                        (DomainOp::Refine(_), Some(false)) | (DomainOp::Coarsen(_), Some(true)) => {
+                            assert_eq!(got, "not-a-leaf", "{op:?}")
+                        }
+                        (DomainOp::Coarsen(_), Some(false)) => {
+                            assert!(got == "ok" || got == "not-coarsenable", "{op:?}: {got}")
+                        }
+                        _ => assert_eq!(got, "ok", "{op:?}"),
+                    }
+                    if r.is_err() {
+                        // A refusal touches nothing: not the payload, not
+                        // the structure, not the tier the children live in.
+                        assert_eq!(t.get_data(key), data, "{op:?} refused but rewrote the payload");
+                        assert_eq!(t.is_leaf(key), was_leaf, "{op:?}");
+                        assert_eq!(t.c0_octants(), c0, "{op:?} refused but moved DRAM subtrees");
+                    }
+                    got
+                })
+                .collect()
+        }
+
+        /// Everything the routes must agree on.
+        fn state(t: &mut PmOctree) -> (Vec<(OctKey, CellData)>, usize, u8, usize) {
+            let leaves = t.leaves_sorted();
+            assert_eq!(leaves.len(), t.leaf_count());
+            assert!(leaves.iter().all(|(k, _)| k.level() <= t.depth()));
+            (leaves, t.leaf_count(), t.depth(), t.c0_octants())
+        }
+
+        fn crash_and_restore(t: PmOctree) -> Vec<(OctKey, CellData)> {
+            let (mut arena, cfg) = (t.store.arena, t.cfg);
+            arena.crash(CrashMode::LoseDirty);
+            PmOctree::restore(arena, cfg).unwrap().leaves_sorted()
+        }
+
+        /// Drive `halves` (a persist after the first, so ops meet
+        /// exclusive and shared octants alike) down `route` on one tree
+        /// and through the per-op API on its clone: same flags, same
+        /// state, and after a crash both are back at the persist.
+        /// `batch_order` calls the per-op API in the order a batch
+        /// documents — the ops no shard can run, then the sharded ones
+        /// (domains are disjoint, so input order) — instead of input order.
+        pub(super) fn check_route(
+            halves: [&[DomainOp]; 2],
+            batch_order: bool,
+            route: impl Fn(&mut PmOctree, &[DomainOp]) -> Vec<bool>,
+        ) {
+            let (mut r, mut m) = (mixed_tier_tree(), mixed_tier_tree());
+            let mut persisted = None;
+            for half in halves {
+                let (mut order, sharded): (Vec<usize>, Vec<usize>) =
+                    (0..half.len()).partition(|&i| {
+                        let k = half[i].key();
+                        !batch_order
+                            || k.level() < DOMAIN_LEVEL
+                            || m.forest.owner_of(&k).is_some()
+                            || matches!(half[i], DomainOp::Coarsen(_)) && m.has_c0_children(k)
+                    });
+                order.extend(sharded);
+                let reordered: Vec<DomainOp> = order.iter().map(|&i| half[i]).collect();
+                let mut expect = vec![false; half.len()];
+                for (&i, o) in order.iter().zip(per_op(&mut m, &reordered)) {
+                    expect[i] = o == "ok";
+                }
+                assert_eq!(route(&mut r, half), expect);
+                assert_eq!(state(&mut r), state(&mut m));
+                if persisted.is_none() {
+                    r.persist();
+                    m.persist();
+                    persisted = Some(r.leaves_sorted());
+                }
+            }
+            assert_eq!(Some(crash_and_restore(r)), persisted);
+            assert_eq!(Some(crash_and_restore(m)), persisted);
+        }
+    }
+
+    // Every route an op can take — the per-op API, a batch of one, a mixed
+    // batch (serial ops + shards) — against one oracle.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn every_route_applies_an_op_the_same_way(picks in arb_ops(), cut in 0usize..40) {
+            let pool = pool(&mut mixed_tier_tree());
+            let mut ops = script();
+            ops.extend(picks.iter().map(|&(kind, i, v)| {
+                let k = pool[i % pool.len()];
+                match kind {
+                    0 => DomainOp::Refine(k),
+                    1 => DomainOp::Coarsen(k),
+                    _ => DomainOp::SetData(k, CellData { phi: v, ..Default::default() }),
+                }
+            }));
+            let (first, second) = ops.split_at(cut.min(ops.len()));
+            check_route([first, second], false, |t, ops| {
+                ops.iter().map(|&op| run_batch(t, &[op])[0]).collect()
+            });
+            check_route([first, second], true, run_batch);
+        }
     }
 }

@@ -256,7 +256,7 @@ pub fn check_invariants(t: &mut PmOctree) -> Result<RecoveryReport, PmError> {
     // (4) GC from the recovered roots reclaims nothing: restore already
     // dropped every orphan when it rebuilt the registry and allocator.
     let roots = [t.current_root, t.prev_root];
-    let report = gc::collect(&mut t.store, &roots);
+    let (report, _) = gc::collect(&mut t.store, &roots, t.epoch);
     if report.freed != 0 {
         return Err(PmError::Corrupt(format!(
             "GC after recovery freed {} orphans — restore did not rebuild the live set",

@@ -13,6 +13,7 @@
 //! [`VirtualClock`](pmoctree_nvbm::VirtualClock) the same way `pmoctree-nvbm` charges byte-level
 //! accesses.
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 pub mod file;
 pub mod posix;

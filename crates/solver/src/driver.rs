@@ -141,7 +141,9 @@ impl Simulation {
         advect(b, &self.interface, self.cfg.t0);
     }
 
-    pub(crate) fn criterion(&self) -> InterfaceCriterion {
+    /// The interface-band adaptation criterion at the shared simulation
+    /// time (the clock is shared, so it tracks later `time.set` calls).
+    pub fn criterion(&self) -> InterfaceCriterion {
         InterfaceCriterion {
             interface: self.interface,
             time: self.time.clone(),

@@ -9,6 +9,7 @@
 //! write-intensive access mix the paper measured. [`driver::Simulation`]
 //! ties it together with per-routine virtual-time breakdowns.
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 pub mod criteria;
 pub mod driver;
@@ -25,4 +26,4 @@ pub use persistent::{
     canonical_pm_cfg, reattach, resume_persistent, run_persistent, run_persistent_partial,
     PersistentRun, Reattach, RunState, RUN_ROOT, RUN_TENANT,
 };
-pub use sweeps::{advect, estimate_work, relax_pressure, relax_pressure_neighbors};
+pub use sweeps::{advect, estimate_work, relax_pressure};

@@ -278,6 +278,7 @@ fn drive(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use pmoctree_nvbm::{CrashMode, DeviceModel, FailPlan};

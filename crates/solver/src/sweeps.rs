@@ -69,45 +69,6 @@ pub fn relax_pressure(b: &mut dyn OctreeBackend, iters: usize) -> usize {
     writes
 }
 
-/// Neighbor-coupled relaxation: each leaf averages with its face
-/// neighbors' pressure, Gauss–Seidel style in Z-order. Exercises neighbor
-/// resolution heavily — formerly one `containing_leaf` root descent plus
-/// one payload read *per neighbor per leaf*; now the whole sweep is one
-/// leaf enumeration (each payload read exactly once from its tier) plus a
-/// single batched neighbor resolution against the sorted leaf index. Used
-/// by ablation benches; the plain [`relax_pressure`] is the default
-/// per-step solve.
-pub fn relax_pressure_neighbors(b: &mut dyn OctreeBackend) -> usize {
-    // Snapshot the leaves in Z-order: keys and payloads, read once.
-    let order = b.leaf_keys_sorted();
-    let mut data = b.get_data_many(&order);
-    // Resolve every leaf's face neighborhood in one batched merge-scan.
-    let neighborhoods = b.neighbor_leaves_many(&order, false);
-    let mut writes = 0usize;
-    for i in 0..order.len() {
-        let Some(d) = data[i] else { continue };
-        let mut sum = d[1];
-        let mut n = 1.0;
-        for leaf in &neighborhoods[i] {
-            // Gauss–Seidel: read the working copy, which already holds
-            // this sweep's updates for Z-order-earlier neighbors.
-            if let Ok(j) = order.binary_search(leaf) {
-                if let Some(nd) = data[j] {
-                    sum += nd[1];
-                    n += 1.0;
-                }
-            }
-        }
-        let p_new = sum / n;
-        if (p_new - d[1]).abs() > 1e-12 {
-            data[i] = Some([d[0], p_new, d[2], d[3]]);
-            let _ = b.set_data(order[i], [d[0], p_new, d[2], d[3]]);
-            writes += 1;
-        }
-    }
-    writes
-}
-
 /// Record per-leaf work estimates (partitioning weights): interface
 /// cells cost several times a bulk cell.
 pub fn estimate_work(b: &mut dyn OctreeBackend) {
@@ -157,33 +118,6 @@ mod tests {
         let w = relax_pressure(&mut b, 1);
         let leaves = b.leaf_count();
         assert!(w < leaves / 10, "{w} writes after convergence");
-    }
-
-    #[test]
-    fn neighbor_relaxation_smooths() {
-        let mut b = InCoreBackend::new();
-        construct_uniform(&mut b, 2);
-        // A pressure spike in one cell.
-        let mut first = None;
-        b.for_each_leaf(&mut |k, _| {
-            if first.is_none() {
-                first = Some(k);
-            }
-        });
-        let k = first.unwrap();
-        b.set_data(k, [0.0, 64.0, 0.0, 0.0]).unwrap();
-        relax_pressure_neighbors(&mut b);
-        let spiked = b.get_data(k).unwrap()[1];
-        assert!(spiked < 64.0, "spike must diffuse, got {spiked}");
-        // Total pressure should be conserved-ish (diffusion): some
-        // neighbor gained pressure.
-        let mut max_other = 0.0f64;
-        b.for_each_leaf(&mut |kk, d| {
-            if kk != k {
-                max_other = max_other.max(d[1]);
-            }
-        });
-        assert!(max_other > 0.0);
     }
 
     #[test]
