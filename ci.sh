@@ -119,10 +119,23 @@ if [ -e crates/cluster/src/replica_sched.rs ]; then
     echo "crates/cluster/src/replica_sched.rs is back (it had no non-test caller)" >&2
     exit 1
 fi
-# SIMD-fallback gate: the Morton suite (including the SIMD==scalar
-# property tests) must pass with the batch kernels pinned to the scalar
-# path, proving the dispatch override and the fallback itself.
-PMOCTREE_MORTON_FORCE_SCALAR=1 cargo test -p pmoctree-morton -q
+# One-Morton-path / zero-unsafe gate: the batch entry points are loops
+# over the per-key calculus (held to it in optimized builds, where the
+# shifts and asserts are what ships), and nothing under crates/ or compat/
+# — nor the recipes that describe them — forks on CPU features, reads a
+# knob to pick a path, or says `unsafe`; every crate root forbids it.
+cargo test --release -p pmoctree-morton --test prop_batch -q
+if grep -rn 'unsafe\|target_feature\|is_x86_feature_detected\|FORCE_SCALAR' \
+    crates/ compat/ README.md DESIGN.md .claude/ | grep -v ':#!\[forbid(unsafe_code)\]$'; then
+    echo "a second Morton path, its knob, or unsafe code is back" >&2
+    exit 1
+fi
+for root in crates/*/src/lib.rs compat/*/src/lib.rs; do
+    if ! grep -qx '#!\[forbid(unsafe_code)\]' "$root"; then
+        echo "$root does not carry #![forbid(unsafe_code)]" >&2
+        exit 1
+    fi
+done
 # Crash-consistency gate: every crash opportunity x every injection mode
 # must recover to exactly V_i or V_{i-1} (exits non-zero on violation).
 # The opportunity space includes the per-thread interleaving schedules at

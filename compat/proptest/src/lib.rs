@@ -9,6 +9,7 @@
 //! its values via the assertion message only — but generation is fully
 //! reproducible run-to-run, which is what the crash-consistency suites
 //! rely on.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Test-runner configuration and deterministic RNG.

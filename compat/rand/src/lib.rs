@@ -8,6 +8,7 @@
 //! with [`SeedableRng::seed_from_u64`] — so a splitmix64 generator is a
 //! faithful substitute: same API, same determinism guarantees, no
 //! cryptographic claims.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Low-level source of random 64-bit words.

@@ -33,6 +33,7 @@
 //! machine's available parallelism. [`set_num_threads`] overrides it at
 //! runtime; with one worker every combinator degenerates to the plain
 //! sequential loop with zero threading overhead.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::cell::Cell;

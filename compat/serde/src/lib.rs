@@ -11,6 +11,7 @@
 //! JSON encoding of `self` to a `String`. Output is deterministic — no
 //! maps with randomized iteration order, floats via Rust's shortest
 //! round-trip formatting — so byte-identical re-runs stay byte-identical.
+#![forbid(unsafe_code)]
 
 // Let `::serde::...` paths emitted by the derive macro resolve even when
 // the derive is used inside this crate (e.g. in the tests below).

@@ -9,6 +9,7 @@
 //! field. Tuple structs, unit structs, enums, and generic structs are
 //! rejected with a compile error — the workspace's experiment rows are all
 //! plain named-field structs.
+#![forbid(unsafe_code)]
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 

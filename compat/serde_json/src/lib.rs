@@ -3,6 +3,7 @@
 //! recursive-descent parser ([`from_str`]). The parser exists so tooling
 //! (`repro trace-check`, the trace acceptance test) can validate emitted
 //! JSON through a real parse rather than string matching.
+#![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 use std::fmt;

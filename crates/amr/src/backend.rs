@@ -220,10 +220,8 @@ impl<T: OctreeBackend + ?Sized> OctreeBackend for &mut T {
 }
 
 /// Generate the flat neighbor-key query batch for `sources` plus the
-/// per-source `[start, end)` spans into it. Delegates to the batched
-/// Morton kernels (BMI2 decode / re-encode where the CPU reports it),
-/// which emit neighbors in the same per-key order the scalar
-/// `face_neighbor` / `all_neighbors` calculus uses.
+/// per-source `[start, end)` spans into it: the batch form of the per-key
+/// `face_neighbors` / `all_neighbors` calculus, in its order.
 pub fn neighbor_queries(sources: &[OctKey], full: bool) -> (Vec<OctKey>, Vec<(usize, usize)>) {
     pmoctree_morton::simd::neighbors_many(sources, full)
 }

@@ -12,6 +12,7 @@
 //! | Balance (2:1)       | [`mod@balance`]   |
 //! | Partition           | [`mod@partition`] |
 //! | Extract             | [`mod@extract`]   |
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 

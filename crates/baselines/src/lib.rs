@@ -11,6 +11,7 @@
 //! Both charge the same virtual-clock cost models as PM-octree, so the
 //! three implementations can be compared head-to-head by the `cluster`
 //! and `bench` crates.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 

@@ -5,6 +5,7 @@
 //!
 //! See DESIGN.md for the experiment index and EXPERIMENTS.md for the
 //! recorded paper-vs-measured comparison.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 

@@ -11,6 +11,7 @@
 //! * [`scaling`] — bulk-synchronous stepping, repartitioning, and the
 //!   weak/strong scaling reports behind Figures 6–10.
 //! * [`failure`] — the §5.6 kill-and-restart experiments.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 

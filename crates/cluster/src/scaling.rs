@@ -187,7 +187,7 @@ impl ClusterSim {
                 .collect();
             let mut table: Vec<OctKey> = per_rank.iter().flatten().copied().collect();
             table.sort();
-            let anchors = pmoctree_morton::simd::anchors_many(&table);
+            let anchors: Vec<u64> = table.iter().map(pmoctree_morton::anchor::<3>).collect();
             let containing = |k: &OctKey| -> OctKey {
                 let a = pmoctree_morton::anchor::<3>(k);
                 let i = anchors.partition_point(|&l| l <= a);

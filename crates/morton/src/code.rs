@@ -8,6 +8,7 @@
 //! B-tree keys by the Etree baseline.
 
 use crate::bits::{deinterleave, interleave, max_level};
+use crate::range::anchor;
 
 /// Locational code of a cell in a `D`-dimensional linear 2^D-tree
 /// (`D = 2`: quadtree, `D = 3`: octree).
@@ -212,10 +213,7 @@ impl<const D: usize> Key<D> {
     /// descendants; disjoint cells sort by spatial Z-order.
     #[inline]
     pub fn zcmp(&self, other: &Self) -> std::cmp::Ordering {
-        let max = Self::MAX_LEVEL;
-        let a = self.code << (D as u32 * (max - self.level) as u32);
-        let b = other.code << (D as u32 * (max - other.level) as u32);
-        a.cmp(&b).then(self.level.cmp(&other.level))
+        anchor(self).cmp(&anchor(other)).then(self.level.cmp(&other.level))
     }
 
     /// Neighbor of the same level displaced by `dir[a] ∈ {-1, 0, +1}` cells
@@ -257,37 +255,41 @@ impl<const D: usize> Key<D> {
     /// up to `3^D - 1` keys.
     pub fn all_neighbors(&self) -> Vec<Self> {
         let mut out = Vec::with_capacity(3usize.pow(D as u32) - 1);
-        let combos = 3usize.pow(D as u32);
-        for m in 0..combos {
+        out.extend(self.all_neighbors_iter());
+        out
+    }
+
+    /// [`Self::all_neighbors`], one at a time (the batch form appends them
+    /// to a `Vec` of its own).
+    pub(crate) fn all_neighbors_iter(&self) -> impl Iterator<Item = Self> + '_ {
+        (0..3usize.pow(D as u32)).filter_map(move |m| {
             let mut dir = [0i8; D];
             let mut mm = m;
-            let mut zero = true;
             for slot in dir.iter_mut() {
                 *slot = (mm % 3) as i8 - 1;
-                zero &= *slot == 0;
                 mm /= 3;
             }
-            if zero {
-                continue;
+            // The zero displacement is the cell itself.
+            if dir == [0; D] {
+                None
+            } else {
+                self.neighbor(dir)
             }
-            if let Some(n) = self.neighbor(dir) {
-                out.push(n);
-            }
-        }
-        out
+        })
     }
 
     /// Face neighbors only (up to `2 * D`).
     pub fn face_neighbors(&self) -> Vec<Self> {
         let mut out = Vec::with_capacity(2 * D);
-        for axis in 0..D {
-            for dir in [-1i8, 1] {
-                if let Some(n) = self.face_neighbor(axis, dir) {
-                    out.push(n);
-                }
-            }
-        }
+        out.extend(self.face_neighbors_iter());
         out
+    }
+
+    /// [`Self::face_neighbors`], one at a time.
+    pub(crate) fn face_neighbors_iter(&self) -> impl Iterator<Item = Self> + '_ {
+        (0..D).flat_map(move |axis| {
+            [-1i8, 1].into_iter().filter_map(move |dir| self.face_neighbor(axis, dir))
+        })
     }
 
     /// The chain of keys from the root down to (and including) `self`.

@@ -80,8 +80,8 @@ impl<const D: usize> LeafIndex<D> {
     /// cost (the enumeration itself is charged by the owner's traversal).
     pub fn rebuild(&mut self, leaves: impl IntoIterator<Item = (Key<D>, u64)>) -> usize {
         let entries: Vec<(Key<D>, u64)> = leaves.into_iter().collect();
-        // Batched Z-order sort: one vectorized anchor pass instead of two
-        // alignment shifts inside every one of the n·log n comparisons.
+        // Batched Z-order sort: one anchor pass instead of two alignment
+        // shifts inside every one of the n·log n comparisons.
         let keys: Vec<Key<D>> = entries.iter().map(|e| e.0).collect();
         let order = crate::simd::zorder_argsort(&keys);
         self.entries = order.into_iter().map(|i| entries[i]).collect();
@@ -262,15 +262,10 @@ impl<const D: usize> LeafIndex<D> {
     /// # Panics
     /// Panics if the index is invalid or holds unsettled edits.
     pub fn resolve_sorted(&self, queries: &[Key<D>]) -> (Vec<Option<usize>>, usize) {
-        #[cfg(debug_assertions)]
-        if queries.len() > 1 {
-            assert!(
-                crate::simd::cmp_keys_many(&queries[..queries.len() - 1], &queries[1..])
-                    .iter()
-                    .all(|o| o.is_le()),
-                "resolve_sorted requires Z-order-ascending queries"
-            );
-        }
+        debug_assert!(
+            queries.windows(2).all(|w| w[0] <= w[1]),
+            "resolve_sorted requires Z-order-ascending queries"
+        );
         let mut out = Vec::with_capacity(queries.len());
         let touched = self.merge_scan(queries.iter(), |_, hit| out.push(hit));
         (out, touched)

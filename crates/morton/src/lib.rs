@@ -14,13 +14,11 @@
 //! * [`index`] — [`LeafIndex`]: a Morton-sorted linear view of a leaf set
 //!   with incremental refine/coarsen maintenance and merge-scan batch
 //!   containment queries,
-//! * [`simd`] — batched kernels (`encode_many`, `decode_many`,
-//!   `cmp_keys_many`, `children_many`, `neighbors_many`) behind a
-//!   **one-time runtime dispatch**: BMI2 `pdep`/`pext` + AVX2 shifts on
-//!   x86-64 CPUs that report them, the portable scalar cascades
-//!   everywhere else. The two paths are bit-identical; set
-//!   `PMOCTREE_MORTON_FORCE_SCALAR=1` to pin the fallback (CI does, so
-//!   dispatch is exercised even without the hardware).
+//! * [`simd`] — batch entry points (`encode_many`, `decode_many`,
+//!   `cmp_keys_many`, `zorder_argsort`, `neighbors_many`): the per-key
+//!   calculus of [`bits`] and [`code`] over a whole slice, one portable
+//!   path. The name is historical and stays because `perf/` imports it.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 

@@ -86,16 +86,10 @@ pub fn partition_by_weight<const D: usize>(
     parts: usize,
 ) -> Vec<ZRange<D>> {
     assert!(parts > 0, "cannot partition into zero parts");
-    #[cfg(debug_assertions)]
-    if leaves.len() > 1 {
-        let keys: Vec<Key<D>> = leaves.iter().map(|l| l.0).collect();
-        assert!(
-            crate::simd::cmp_keys_many(&keys[..keys.len() - 1], &keys[1..])
-                .iter()
-                .all(|o| o.is_lt()),
-            "leaves must be sorted by Z-order and unique"
-        );
-    }
+    debug_assert!(
+        leaves.windows(2).all(|w| w[0].0 < w[1].0),
+        "leaves must be sorted by Z-order and unique"
+    );
     let total: f64 = leaves.iter().map(|(_, w)| w.max(0.0)).sum();
     let mut out = Vec::with_capacity(parts);
     let mut cursor = 0u64; // current lower anchor

@@ -20,6 +20,7 @@
 //!   8-byte flushed stores (`ADDR(V_i)` / `ADDR(V_{i-1})` in the paper);
 //! * wear and access statistics ([`MemStats`]) for the write-reduction
 //!   experiments.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 

@@ -18,6 +18,7 @@
 //! Exporters: [`chrome::trace_json`] (loadable in `chrome://tracing` /
 //! Perfetto), [`prom::text`] (Prometheus text exposition), and
 //! [`attribution`] tables for the `repro` harness.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 

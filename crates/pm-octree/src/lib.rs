@@ -38,6 +38,7 @@
 //! tree.persist(); // V_{i-1} := V_i, crash-safe from here
 //! assert_eq!(tree.leaf_count(), 8);
 //! ```
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Restore and recovery must never panic on what they find on the media;
 // corruption is reported as `PmError::Corrupt`. The lint keeps `unwrap()`

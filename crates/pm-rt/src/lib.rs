@@ -39,6 +39,7 @@
 //!   with per-tenant quotas, leases, and one root swap per batch.
 //!
 //! All public verbs report the workspace [`PmError`] taxonomy.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 

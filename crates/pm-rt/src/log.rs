@@ -120,67 +120,81 @@ pub struct Record {
     pub size: usize,
 }
 
-/// Decode the record starting at `off`, validating magic, kind, bounds
-/// and checksum. Returns `None` for anything that does not validate —
-/// including a torn tail. For `Pad` records the payload is empty and
-/// `size` covers the skipped gap.
-pub fn decode_at(buf: &[u8], off: usize) -> Option<Record> {
-    if off + REC_HEADER > buf.len() {
-        return None;
+/// The fields of a record header whose magic validated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// Payload bytes (for a `Pad`: bytes to skip after the header).
+    pub len: usize,
+    /// Append sequence number.
+    pub seq: u64,
+    /// `None` for a kind byte no record carries (torn / garbage).
+    pub kind: Option<RecordKind>,
+}
+
+impl Header {
+    /// A non-pad record's bytes through its trailer, without the
+    /// alignment padding [`record_size`] adds.
+    pub fn unpadded_size(&self) -> usize {
+        REC_HEADER + self.len + REC_TRAILER
     }
-    let h = &buf[off..off + REC_HEADER];
+}
+
+/// Parse a record header: the one reader of the layout in the module
+/// docs. `Err` carries the word found where [`LOG_MAGIC`] belongs.
+pub fn parse_header(h: &[u8; REC_HEADER]) -> Result<Header, u32> {
     let magic = u32::from_le_bytes([h[0], h[1], h[2], h[3]]);
     if magic != LOG_MAGIC {
-        return None;
+        return Err(magic);
     }
-    let len = u32::from_le_bytes([h[4], h[5], h[6], h[7]]) as usize;
-    let seq = u64::from_le_bytes([h[8], h[9], h[10], h[11], h[12], h[13], h[14], h[15]]);
-    let kind = RecordKind::from_u8(h[16])?;
+    Ok(Header {
+        len: u32::from_le_bytes([h[4], h[5], h[6], h[7]]) as usize,
+        seq: u64::from_le_bytes([h[8], h[9], h[10], h[11], h[12], h[13], h[14], h[15]]),
+        kind: RecordKind::from_u8(h[16]),
+    })
+}
+
+/// Does `rec` — a record's header, payload and trailer, nothing after —
+/// end in the FNV-1a-32 of everything before the trailer?
+pub fn checksum_ok(rec: &[u8]) -> bool {
+    rec.split_last_chunk::<REC_TRAILER>()
+        .is_some_and(|(body, trailer)| fnv32(body).to_le_bytes() == *trailer)
+}
+
+/// Decode the record starting at `off`, validating magic, kind, bounds
+/// and checksum. Returns `None` for anything that does not validate —
+/// including a torn tail and an `off` outside `buf`. For `Pad` records
+/// the payload is empty and `size` covers the skipped gap.
+pub fn decode_at(buf: &[u8], off: usize) -> Option<Record> {
+    let tail = buf.get(off..)?;
+    let header = parse_header(tail.first_chunk()?).ok()?;
+    let Header { len, seq, .. } = header;
+    let kind = header.kind?;
     if kind == RecordKind::Pad {
         let size = REC_HEADER.checked_add(len)?;
-        if off.checked_add(size)? > buf.len() {
+        if size > tail.len() {
             return None;
         }
         return Some(Record { off, seq, kind, payload: Vec::new(), size });
     }
     let size = record_size(len);
-    let end = off.checked_add(size)?;
-    if end > buf.len() {
+    let rec = tail.get(..size)?;
+    if !checksum_ok(&rec[..header.unpadded_size()]) {
         return None;
     }
-    let body = &buf[off..off + REC_HEADER + len];
-    let want = fnv32(body);
-    let at = off + REC_HEADER + len;
-    let got = u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]);
-    if want != got {
-        return None;
-    }
-    Some(Record {
-        off,
-        seq,
-        kind,
-        payload: buf[off + REC_HEADER..off + REC_HEADER + len].to_vec(),
-        size,
-    })
+    Some(Record { off, seq, kind, payload: rec[REC_HEADER..REC_HEADER + len].to_vec(), size })
 }
 
 /// Forward-scan `[start, end)` for records, skipping pads, stopping at
 /// the first offset that does not validate (torn tail, garbage, or the
 /// end of the window). Returns the fully-written records in order.
 pub fn scan(buf: &[u8], start: usize, end: usize) -> Vec<Record> {
-    let end = end.min(buf.len());
     let mut out = Vec::new();
     let mut off = start;
-    while off + REC_HEADER <= end {
-        match decode_at(buf, off) {
-            Some(r) if r.off + r.size <= end => {
-                let size = r.size;
-                if r.kind != RecordKind::Pad {
-                    out.push(r);
-                }
-                off += size;
-            }
-            _ => break,
+    // A decoded record lies inside `buf`, so its end cannot overflow.
+    while let Some(r) = decode_at(buf, off).filter(|r| r.off + r.size <= end) {
+        off += r.size;
+        if r.kind != RecordKind::Pad {
+            out.push(r);
         }
     }
     out
@@ -203,6 +217,18 @@ mod tests {
             assert_eq!(d.kind, RecordKind::Blob);
             assert_eq!(d.payload, payload);
             assert_eq!(d.size, rec.len());
+        }
+    }
+
+    /// `decode_at` and `scan` are `pub`: an offset from outside must be
+    /// answered, not added to.
+    #[test]
+    fn offsets_outside_the_buffer_decode_to_nothing() {
+        let buf = [0u8; 64];
+        for off in [64, 65, usize::MAX - REC_HEADER, usize::MAX - 3, usize::MAX] {
+            assert_eq!(decode_at(&buf, off), None, "off {off:#x}");
+            assert!(scan(&buf, off, buf.len()).is_empty(), "off {off:#x}");
+            assert!(scan(&buf, off, usize::MAX).is_empty(), "off {off:#x}");
         }
     }
 

@@ -19,13 +19,12 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use pm_octree::PmError;
-use pmoctree_nvbm::recorder::fnv32;
 use pmoctree_nvbm::{NvbmArena, POffset, HEADER_SIZE};
 
 use crate::data::{ByteReader, ByteWriter, PmData};
 use crate::heap::LogHeap;
 use crate::log::{
-    encode_pad, encode_record, record_size, RecordKind, LOG_MAGIC, REC_HEADER, REC_TRAILER,
+    checksum_ok, encode_pad, encode_record, parse_header, record_size, RecordKind, REC_HEADER,
 };
 
 /// A full-table checkpoint record is written every this many commits,
@@ -866,12 +865,10 @@ fn read_commit_record(
     }
     let mut h = [0u8; REC_HEADER];
     arena.read(off, &mut h);
-    let magic = u32::from_le_bytes([h[0], h[1], h[2], h[3]]);
-    if magic != LOG_MAGIC {
-        return Err(RtError::Corrupt(format!("bad log record magic {magic:#x} at {off:#x}")));
-    }
-    let len = u32::from_le_bytes([h[4], h[5], h[6], h[7]]) as usize;
-    match RecordKind::from_u8(h[16]) {
+    let header = parse_header(&h).map_err(|magic| {
+        RtError::Corrupt(format!("bad log record magic {magic:#x} at {off:#x}"))
+    })?;
+    match header.kind {
         Some(RecordKind::Commit) => {}
         k => {
             return Err(RtError::Corrupt(format!(
@@ -879,24 +876,22 @@ fn read_commit_record(
             )))
         }
     }
-    let size = record_size(len);
+    let size = record_size(header.len);
     if off.checked_add(size as u64).is_none_or(|end| end > top) {
         return Err(RtError::Corrupt(format!(
             "commit record at {off:#x} ({size} bytes) past the rt region top {top:#x}"
         )));
     }
-    let mut body = vec![0u8; len + REC_TRAILER];
-    arena.read(off + REC_HEADER as u64, &mut body);
-    let mut hp = Vec::with_capacity(REC_HEADER + len);
-    hp.extend_from_slice(&h);
-    hp.extend_from_slice(&body[..len]);
-    let want = fnv32(&hp);
-    let got = u32::from_le_bytes([body[len], body[len + 1], body[len + 2], body[len + 3]]);
-    if want != got {
+    // Header, payload and trailer side by side, as the checksum covers them.
+    let mut rec = vec![0u8; header.unpadded_size()];
+    rec[..REC_HEADER].copy_from_slice(&h);
+    arena.read(off + REC_HEADER as u64, &mut rec[REC_HEADER..]);
+    if !checksum_ok(&rec) {
         return Err(RtError::Corrupt(format!("commit record checksum mismatch at {off:#x}")));
     }
-    body.truncate(len);
-    Ok((body, size))
+    rec.drain(..REC_HEADER);
+    rec.truncate(header.len);
+    Ok((rec, size))
 }
 
 /// Parse a commit record payload (bounds-checked; duplicate names within

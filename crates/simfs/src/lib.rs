@@ -12,6 +12,7 @@
 //! The device is chosen by a [`BlockDeviceModel`]; costs are charged to a
 //! [`VirtualClock`](pmoctree_nvbm::VirtualClock) the same way `pmoctree-nvbm` charges byte-level
 //! accesses.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 

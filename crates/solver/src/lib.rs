@@ -8,6 +8,7 @@
 //! it, and finite-volume-style sweeps ([`sweeps`]) reproduce the
 //! write-intensive access mix the paper measured. [`driver::Simulation`]
 //! ties it together with per-routine virtual-time breakdowns.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 
