@@ -71,6 +71,9 @@ no_fork '\.splice(' crates/morton/src/index.rs
 # `can_coarsen`.
 cargo test --release -p pm-octree --lib c1::tests::sweep_parity -q
 cargo test --release -p pm-octree --lib c1::tests::cursor_parity -q
+# A COW walk stores each copy once: d record writes and one publication
+# (or a new root), counted in write lines and in crash opportunities.
+cargo test --release -p pm-octree --lib c1::tests::cow_stores_each_copy_once -q
 cargo test --release -p pmoctree-amr --test prop_backends batched_coarsen_legality -q
 no_fork 'fn deepest\|fn traverse' crates/pm-octree/src/c1.rs crates/pm-octree/src/api.rs
 if sed -n '/pub fn update_leaves/,/^    }/p' crates/pm-octree/src/api.rs | grep -n 'update_data('; then

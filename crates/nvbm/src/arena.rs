@@ -780,8 +780,14 @@ impl NvbmArena {
 
     /// Load a media image saved by [`Self::save`]. Clock and stats start
     /// fresh; the dirty cache is empty (a rebooted CPU cache is cold).
+    /// A file shorter than the device header (truncated or empty) is
+    /// [`std::io::ErrorKind::InvalidData`].
     pub fn load(path: &Path, model: DeviceModel) -> std::io::Result<Self> {
         let media = std::fs::read(path)?;
+        if (media.len() as u64) < HEADER_SIZE {
+            let short = format!("{}-byte image is shorter than the arena header", media.len());
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, short));
+        }
         Ok(Self::from_media(media, model))
     }
 
@@ -1122,6 +1128,12 @@ mod tests {
         let mut buf = [0u8; 15];
         b.read(5000, &mut buf);
         assert_eq!(&buf, b"survives reboot");
+        // A truncated image is an error, not a panic.
+        for len in [0, HEADER_SIZE as usize - 1] {
+            std::fs::write(&path, vec![0u8; len]).unwrap();
+            let err = NvbmArena::load(&path, DeviceModel::default()).err().expect("too short");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{len} bytes: {err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

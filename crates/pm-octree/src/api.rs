@@ -158,7 +158,7 @@ impl PmOctree {
     /// single-root version, and return the handle.
     pub fn create(arena: NvbmArena, cfg: PmConfig) -> Self {
         let mut store = PmStore::new(arena);
-        let root_octant = Octant::leaf(OctKey::root(), POffset::NULL, 1, CellData::default());
+        let root_octant = Octant::leaf(OctKey::root(), 1, CellData::default());
         let root = store.alloc_octant(&root_octant).expect("arena too small for the root");
         store.arena.flush_all();
         store.arena.set_root(0, root);
@@ -1146,7 +1146,7 @@ mod tests {
         // Allocator hands out fresh space that doesn't collide with live octants.
         let live: std::collections::HashSet<POffset> = r.store.registry.iter().copied().collect();
         for _ in 0..20 {
-            let o = Octant::leaf(OctKey::root(), POffset::NULL, r.epoch, CellData::default());
+            let o = Octant::leaf(OctKey::root(), r.epoch, CellData::default());
             let p = r.store.alloc_octant(&o).unwrap();
             assert!(!live.contains(&p), "allocator reused a live octant");
         }

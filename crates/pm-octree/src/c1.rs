@@ -135,9 +135,6 @@ fn make_exclusive<S: OctAccess>(
             copy.children[slot] = ChildPtr::Nvbm(child);
         }
         let off = store.alloc_octant(&copy)?;
-        if let Some((_, child)) = below {
-            store.set_parent(child, off);
-        }
         frame.off = off;
         frame.epoch = epoch;
         below = Some((frame.slot, off));
@@ -148,15 +145,10 @@ fn make_exclusive<S: OctAccess>(
         // the whole walk — every copy below is fully written before it
         // lands.
         Some(anc) => {
-            let anc = frames[anc].off;
-            store.set_child(anc, slot, ChildPtr::Nvbm(top));
-            store.set_parent(top, anc);
+            store.set_child(frames[anc].off, slot, ChildPtr::Nvbm(top));
             Ok(None)
         }
-        None => {
-            store.set_parent(top, POffset::NULL);
-            Ok(Some(top))
-        }
+        None => Ok(Some(top)),
     }
 }
 
@@ -209,7 +201,7 @@ pub fn refine<S: OctAccess>(
     let data = store.data(leaf);
     let mut cs = [ChildPtr::Null; FANOUT];
     for (i, slot) in cs.iter_mut().enumerate() {
-        let o = Octant::leaf(key.child(i), leaf, epoch, data);
+        let o = Octant::leaf(key.child(i), epoch, data);
         let p = store.alloc_octant(&o)?;
         *slot = ChildPtr::Nvbm(p);
     }
@@ -298,9 +290,6 @@ pub fn replace_slot<S: OctAccess>(
         key.parent().ok_or_else(|| PmError::Corrupt("cannot replace the root slot".to_string()))?;
     let (root, parent) = cow_path(store, root, parent_key, epoch)?;
     store.set_child(parent, key.sibling_index(), ptr);
-    if let ChildPtr::Nvbm(p) = ptr {
-        store.set_parent(p, parent);
-    }
     Ok(root)
 }
 
@@ -499,10 +488,7 @@ fn merge_rec(
             }
         }
     }
-    // Parent pointers are advisory (no algorithm walks upward — see the
-    // module docs), so merged octants keep parent = NULL rather than
-    // paying an extra cacheline write per child to fix them up.
-    let o = Octant { children, parent: POffset::NULL, key, deleted: false, epoch, data };
+    let o = Octant { children, key, deleted: false, epoch, data };
     let off = store.alloc_octant(&o)?;
     Ok((off, false, consumed))
 }
@@ -545,7 +531,7 @@ fn collect_rec(store: &mut PmStore, p: POffset, out: &mut Vec<(OctKey, CellData)
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use pmoctree_nvbm::{DeviceModel, NvbmArena};
+    use pmoctree_nvbm::{DeviceModel, FailPlan, NvbmArena};
 
     fn store() -> PmStore {
         PmStore::new(NvbmArena::new(4 << 20, DeviceModel::default()))
@@ -553,7 +539,7 @@ mod tests {
 
     /// Build a fresh single-root tree at epoch `e`.
     fn root_tree(s: &mut PmStore, e: u32) -> POffset {
-        let o = Octant::leaf(OctKey::root(), POffset::NULL, e, CellData::default());
+        let o = Octant::leaf(OctKey::root(), e, CellData::default());
         s.alloc_octant(&o).unwrap()
     }
 
@@ -665,7 +651,42 @@ mod tests {
         assert_eq!(root3, root2);
         assert_eq!(s.registry.len(), before + 4);
         assert_eq!(target, at(&mut s, root2, sibling));
-        assert_eq!(s.parent(target), at(&mut s, root2, OctKey::root().child(4)));
+    }
+
+    #[test]
+    fn cow_stores_each_copy_once() {
+        // A chain root → child 0 → … → level 6, everything at epoch 1.
+        let deep = (0..6).fold(OctKey::root(), |k, _| k.child(0));
+        for (d, exclusive_ancestor) in
+            [(1u8, false), (3, false), (6, false), (1, true), (3, true), (6, true)]
+        {
+            let mut s = store();
+            let mut root = root_tree(&mut s, 1);
+            for l in 0..6 {
+                root = refine(&mut s, root, deep.ancestor_at(l), 1).unwrap();
+            }
+            // The `d` shared frames are the whole path (the root's copy
+            // is the new root), or hang under a root made exclusive first.
+            let target = if exclusive_ancestor {
+                root = cow_path(&mut s, root, OctKey::root(), 2).unwrap().0;
+                deep.ancestor_at(d)
+            } else {
+                deep.ancestor_at(d - 1)
+            };
+            let (lines, allocated) = (s.arena.stats.nvbm.write_lines, s.registry.len());
+            s.arena.set_fail_plan(FailPlan::count());
+            let (new_root, _) = cow_path(&mut s, root, target, 2).unwrap();
+            let stores = s.arena.take_fail_plan().unwrap().opportunities();
+            // One two-line record write per copy, then `set_child`'s link
+            // and mask stores — the publication — or nothing.
+            let publication = if exclusive_ancestor { 2 } else { 0 };
+            assert_eq!(
+                (s.registry.len() - allocated, s.arena.stats.nvbm.write_lines - lines, stores),
+                (d as usize, 2 * d as u64 + publication, d as u64 + publication),
+                "d = {d}, exclusive ancestor: {exclusive_ancestor}"
+            );
+            assert_eq!(new_root == root, exclusive_ancestor);
+        }
     }
 
     #[test]
@@ -1027,17 +1048,14 @@ mod tests {
             while let Some((anc, idx)) = path.pop() {
                 if store.epoch_of(anc) == epoch {
                     store.set_child(anc, idx, ChildPtr::Nvbm(child_off));
-                    store.set_parent(child_off, anc);
                     return Ok((root, relocate(store, root)?));
                 }
                 let mut anc_copy = store.read_octant(anc);
                 anc_copy.epoch = epoch;
                 anc_copy.children[idx] = ChildPtr::Nvbm(child_off);
                 let anc_off = store.alloc_octant(&anc_copy)?;
-                store.set_parent(child_off, anc_off);
                 child_off = anc_off;
             }
-            store.set_parent(child_off, POffset::NULL);
             Ok((child_off, relocate(store, child_off)?))
         }
 

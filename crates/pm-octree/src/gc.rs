@@ -110,7 +110,7 @@ mod tests {
     }
 
     fn root_tree(s: &mut PmStore, e: u32) -> POffset {
-        let o = Octant::leaf(OctKey::root(), POffset::NULL, e, CellData::default());
+        let o = Octant::leaf(OctKey::root(), e, CellData::default());
         s.alloc_octant(&o).unwrap()
     }
 

@@ -4,10 +4,10 @@
 //! cachelines, split **hot/cold** (layout v2): the first line carries
 //! *everything a root-to-leaf descent needs* — compact child links, the
 //! locational key, flags, the child-presence mask, and the epoch — while
-//! the second line holds the parent back-pointer and the solver payload.
-//! A tree walk therefore charges exactly one NVBM line per hop, including
-//! the key read at the root and the leaf test at the bottom (one mask
-//! byte, not eight pointer probes); data sweeps touch only the cold line.
+//! the second line holds the solver payload. A tree walk therefore
+//! charges exactly one NVBM line per hop, including the key read at the
+//! root and the leaf test at the bottom (one mask byte, not eight pointer
+//! probes); data sweeps touch only the cold line.
 //!
 //! ```text
 //! line 0 (hot / navigation):
@@ -18,8 +18,8 @@
 //!     58       child mask   u8  bit i set ⟺ children[i] non-null
 //!     59       (pad)
 //!     60..64   epoch        u32 creation epoch (version ownership)
-//! line 1 (cold / identity + payload):
-//!     64..72   parent       u64 NVBM offset (0 = none/root)
+//! line 1 (cold / payload):
+//!     64..72   (reserved, zero)
 //!     72..104  payload      4 × f64 (CellData)
 //!    104..128  (pad)
 //! ```
@@ -50,7 +50,6 @@ const OFF_LEVEL: u64 = 56;
 const OFF_FLAGS: u64 = 57;
 const OFF_MASK: u64 = 58;
 const OFF_EPOCH: u64 = 60;
-const OFF_PARENT: u64 = 64;
 const OFF_DATA: u64 = 72;
 
 const FLAG_DELETED: u8 = 1;
@@ -207,8 +206,6 @@ pub struct NavLine {
 pub struct Octant {
     /// Child pointers in Morton order.
     pub children: [ChildPtr; FANOUT],
-    /// Parent NVBM offset (null for the root).
-    pub parent: POffset,
     /// Locational code.
     pub key: OctKey,
     /// Deleted flag (§3.2 deferred deletion).
@@ -222,8 +219,8 @@ pub struct Octant {
 
 impl Octant {
     /// A fresh leaf octant.
-    pub fn leaf(key: OctKey, parent: POffset, epoch: u32, data: CellData) -> Self {
-        Octant { children: [ChildPtr::Null; FANOUT], parent, key, deleted: false, epoch, data }
+    pub fn leaf(key: OctKey, epoch: u32, data: CellData) -> Self {
+        Octant { children: [ChildPtr::Null; FANOUT], key, deleted: false, epoch, data }
     }
 
     /// Is this octant a leaf (no children at all)?
@@ -337,8 +334,6 @@ pub trait OctAccess {
         buf[OFF_FLAGS as usize] = if o.deleted { FLAG_DELETED } else { 0 };
         buf[OFF_MASK as usize] = mask;
         buf[OFF_EPOCH as usize..OFF_EPOCH as usize + 4].copy_from_slice(&o.epoch.to_le_bytes());
-        buf[OFF_PARENT as usize..OFF_PARENT as usize + 8]
-            .copy_from_slice(&o.parent.0.to_le_bytes());
         buf[OFF_DATA as usize..OFF_DATA as usize + 32].copy_from_slice(&o.data.to_bytes());
         self.io_write(p.0, &buf);
     }
@@ -351,9 +346,6 @@ pub trait OctAccess {
         for (i, c) in children.iter_mut().enumerate() {
             *c = ChildPtr::decode(get_link(&buf, i));
         }
-        let parent = POffset(u64::from_le_bytes(
-            buf[OFF_PARENT as usize..OFF_PARENT as usize + 8].try_into().expect("8"),
-        ));
         let code = u64::from_le_bytes(
             buf[OFF_CODE as usize..OFF_CODE as usize + 8].try_into().expect("8"),
         );
@@ -367,7 +359,6 @@ pub trait OctAccess {
         );
         Octant {
             children,
-            parent,
             key: OctKey::from_raw(code, level),
             deleted: flags & FLAG_DELETED != 0,
             epoch,
@@ -444,20 +435,6 @@ pub trait OctAccess {
     #[inline]
     fn is_leaf_octant(&mut self, p: POffset) -> bool {
         self.child_mask(p) == 0
-    }
-
-    /// Read the parent offset.
-    #[inline]
-    fn parent(&mut self, p: POffset) -> POffset {
-        let mut b = [0u8; 8];
-        self.io_read(p.0 + OFF_PARENT, &mut b);
-        POffset(u64::from_le_bytes(b))
-    }
-
-    /// Write the parent offset.
-    #[inline]
-    fn set_parent(&mut self, p: POffset, parent: POffset) {
-        self.io_write(p.0 + OFF_PARENT, &parent.0.to_le_bytes());
     }
 
     /// Read the locational code.
@@ -629,25 +606,24 @@ mod tests {
     fn octant_roundtrip() {
         let mut s = store();
         let key = OctKey::root().child(3).child(5);
-        let mut o = Octant::leaf(
-            key,
-            POffset(4242),
-            7,
-            CellData { phi: -0.5, pressure: 101.3, vof: 0.25, work: 2.0 },
-        );
+        let mut o =
+            Octant::leaf(key, 7, CellData { phi: -0.5, pressure: 101.3, vof: 0.25, work: 2.0 });
         o.children[2] = ChildPtr::Nvbm(POffset(0x1000));
         o.children[5] = ChildPtr::Volatile(17);
         o.deleted = true;
         let p = s.alloc_octant(&o).unwrap();
         let r = s.read_octant(p);
         assert_eq!(r, o);
+        let mut reserved = [0xffu8; 8];
+        s.arena.read(p.0 + 64, &mut reserved);
+        assert_eq!(reserved, [0; 8], "bytes 64..72 are reserved-zero");
     }
 
     #[test]
     fn field_accessors_match_bulk() {
         let mut s = store();
         let key = OctKey::root().child(1);
-        let o = Octant::leaf(key, POffset::NULL, 3, CellData { phi: 1.0, ..Default::default() });
+        let o = Octant::leaf(key, 3, CellData { phi: 1.0, ..Default::default() });
         let p = s.alloc_octant(&o).unwrap();
         assert_eq!(s.key(p), key);
         assert_eq!(s.epoch_of(p), 3);
@@ -665,7 +641,7 @@ mod tests {
     #[test]
     fn child_read_touches_one_line() {
         let mut s = store();
-        let o = Octant::leaf(OctKey::root(), POffset::NULL, 0, CellData::default());
+        let o = Octant::leaf(OctKey::root(), 0, CellData::default());
         let p = s.alloc_octant(&o).unwrap();
         let before = s.arena.stats.nvbm.read_lines;
         let _ = s.child(p, 3);
@@ -675,7 +651,7 @@ mod tests {
     #[test]
     fn octant_is_two_lines() {
         let mut s = store();
-        let o = Octant::leaf(OctKey::root(), POffset::NULL, 0, CellData::default());
+        let o = Octant::leaf(OctKey::root(), 0, CellData::default());
         let before = s.arena.stats.nvbm.write_lines;
         let p = s.alloc_octant(&o).unwrap();
         assert_eq!(s.arena.stats.nvbm.write_lines - before, 2);
@@ -701,7 +677,7 @@ mod tests {
     #[test]
     fn child_mask_tracks_links() {
         let mut s = store();
-        let o = Octant::leaf(OctKey::root(), POffset::NULL, 0, CellData::default());
+        let o = Octant::leaf(OctKey::root(), 0, CellData::default());
         let p = s.alloc_octant(&o).unwrap();
         assert_eq!(s.child_mask(p), 0);
         assert!(s.is_leaf_octant(p));
@@ -726,7 +702,7 @@ mod tests {
     fn nav_line_single_read_matches_fields() {
         let mut s = store();
         let key = OctKey::root().child(4).child(2);
-        let mut o = Octant::leaf(key, POffset(4096), 9, CellData::default());
+        let mut o = Octant::leaf(key, 9, CellData::default());
         o.children[5] = ChildPtr::Nvbm(POffset(0x1540));
         let p = s.alloc_octant(&o).unwrap();
         let before = s.arena.stats.nvbm.read_lines;
@@ -759,7 +735,7 @@ mod tests {
     #[test]
     fn nav_line_checked_reports_corruption() {
         let mut s = store();
-        let o = Octant::leaf(OctKey::root(), POffset::NULL, 0, CellData::default());
+        let o = Octant::leaf(OctKey::root(), 0, CellData::default());
         let p = s.alloc_octant(&o).unwrap();
         assert!(s.nav_line_checked(p).is_ok());
         // Poison child slot 0 with a volatile link carrying reserved bits.
@@ -774,9 +750,7 @@ mod tests {
     #[test]
     fn shard_store_is_invisible_until_absorbed() {
         let mut s = store();
-        let root = s
-            .alloc_octant(&Octant::leaf(OctKey::root(), POffset::NULL, 0, CellData::default()))
-            .unwrap();
+        let root = s.alloc_octant(&Octant::leaf(OctKey::root(), 0, CellData::default())).unwrap();
         s.alloc.set_limit(s.arena.live_rt_floor());
         let lease = s.alloc.carve_lease(4).unwrap();
         let (delta, lease, regs) = {
@@ -784,7 +758,7 @@ mod tests {
             let mut shard = ShardStore::new(&snap, lease);
             assert_eq!(shard.key(root), OctKey::root(), "shard reads the snapshot");
             let c = shard
-                .alloc_octant(&Octant::leaf(OctKey::root().child(2), root, 1, CellData::default()))
+                .alloc_octant(&Octant::leaf(OctKey::root().child(2), 1, CellData::default()))
                 .unwrap();
             shard.set_child(root, 2, ChildPtr::Nvbm(c));
             shard.into_parts()
@@ -805,7 +779,7 @@ mod tests {
         let lease = s.alloc.carve_lease(1).unwrap();
         let snap = s.arena.snapshot();
         let mut shard = ShardStore::new(&snap, lease);
-        let o = Octant::leaf(OctKey::root(), POffset::NULL, 0, CellData::default());
+        let o = Octant::leaf(OctKey::root(), 0, CellData::default());
         assert!(shard.alloc_octant(&o).is_ok());
         match shard.alloc_octant(&o) {
             Err(PmError::Full(_)) => {}
@@ -815,7 +789,7 @@ mod tests {
 
     #[test]
     fn leaf_detection() {
-        let o = Octant::leaf(OctKey::root(), POffset::NULL, 0, CellData::default());
+        let o = Octant::leaf(OctKey::root(), 0, CellData::default());
         assert!(o.is_leaf());
         let mut o2 = o;
         o2.children[7] = ChildPtr::Nvbm(POffset(64));

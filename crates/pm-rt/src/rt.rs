@@ -1159,7 +1159,7 @@ mod tests {
         let floor = rt.heap.floor();
         let mut n = 0u64;
         loop {
-            let o = Octant::leaf(OctKey::root(), POffset::NULL, 1, CellData::default());
+            let o = Octant::leaf(OctKey::root(), 1, CellData::default());
             match t.store.alloc_octant(&o) {
                 Ok(p) => {
                     assert!(
