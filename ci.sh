@@ -62,8 +62,8 @@ no_fork 'BTreeMap<u64, \[u8; CACHELINE\]>' crates/nvbm/src/*.rs
 no_fork '\.splice(' crates/morton/src/index.rs
 # Descent-free time-step gates: the sweep that copies on write through
 # the path it stands on against the gather-then-re-descend loop it
-# replaced (same callbacks, allocations, stores and media; never more
-# reads), the Z-ordered cursor against one `locate` per key, and batched
+# replaced (same callbacks, allocations and media; never more reads or
+# stores), the Z-ordered cursor against one `locate` per key, and batched
 # coarsen legality against the per-key rule on all three backends — in
 # optimized builds. The replaced code must be gone, not kept beside them:
 # one NVBM walker, no re-locating the copy `cow_path` just allocated, no
@@ -71,9 +71,14 @@ no_fork '\.splice(' crates/morton/src/index.rs
 # `can_coarsen`.
 cargo test --release -p pm-octree --lib c1::tests::sweep_parity -q
 cargo test --release -p pm-octree --lib c1::tests::cursor_parity -q
-# A COW walk stores each copy once: d record writes and one publication
-# (or a new root), counted in write lines and in crash opportunities.
+# A COW walk stores each copy once: d record writes and one link store
+# (or a new root), counted in write lines and in crash opportunities; a
+# rewritten shared leaf is one such copy carrying its new payload, read
+# from the two lines the walker holds, and the link store leaves the
+# presence mask as the recovery scan wants it.
 cargo test --release -p pm-octree --lib c1::tests::cow_stores_each_copy_once -q
+cargo test --release -p pm-octree --lib c1::tests::updating_a_shared_leaf_costs_one_copy_and_one_link -q
+cargo test --release -p pm-octree --lib octant::tests::set_link_leaves_the_mask_coherent -q
 cargo test --release -p pmoctree-amr --test prop_backends batched_coarsen_legality -q
 no_fork 'fn deepest\|fn traverse' crates/pm-octree/src/c1.rs crates/pm-octree/src/api.rs
 if sed -n '/pub fn update_leaves/,/^    }/p' crates/pm-octree/src/api.rs | grep -n 'update_data('; then

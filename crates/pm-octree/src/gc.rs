@@ -26,8 +26,6 @@ pub struct GcReport {
     pub shared: usize,
     /// Octants freed.
     pub freed: usize,
-    /// Of the freed octants, how many carried the `deleted` flag.
-    pub freed_flagged: usize,
 }
 
 /// What one mark walk learns about the octants reachable from its roots.
@@ -77,23 +75,19 @@ pub fn collect(store: &mut PmStore, roots: &[POffset], epoch: u32) -> (GcReport,
     store.arena.failpoint("gc::sweep");
     let Census { live, shared, fresh } = mark(store, roots, epoch);
     let mut freed = 0usize;
-    let mut freed_flagged = 0usize;
     let registry = std::mem::take(&mut store.registry);
     let mut kept = Vec::with_capacity(live.len());
     for p in registry {
         if live.contains(&p) {
             kept.push(p);
         } else {
-            if store.is_deleted(p) {
-                freed_flagged += 1;
-            }
             store.free_octant(p);
             freed += 1;
         }
     }
     store.registry = kept;
     store.arena.set_phase(prev_phase);
-    (GcReport { live: live.len(), shared, freed, freed_flagged }, fresh)
+    (GcReport { live: live.len(), shared, freed }, fresh)
 }
 
 #[cfg(test)]
@@ -120,12 +114,13 @@ mod tests {
         let mut root = root_tree(&mut s, 1);
         root = refine(&mut s, root, OctKey::root(), 1).unwrap();
         assert_eq!(s.registry.len(), 9);
+        let children = s.registry[1..].to_vec();
         // Coarsen at the same epoch: children flagged deleted + unlinked.
         let root = coarsen(&mut s, root, OctKey::root(), 1).unwrap();
+        assert!(children.iter().all(|&c| s.is_deleted(c)));
         let (r, _) = collect(&mut s, &[root], 1);
         assert_eq!(r.live, 1);
         assert_eq!(r.freed, 8);
-        assert_eq!(r.freed_flagged, 8);
         assert_eq!(s.registry.len(), 1);
     }
 

@@ -404,6 +404,19 @@ pub trait OctAccess {
         self.io_write(p.0 + OFF_MASK, &[nm]);
     }
 
+    /// Re-point the *occupied* slot `i` at `c` (non-null): the 6-byte link
+    /// store alone. A non-null link replacing a non-null link leaves the
+    /// presence mask as it is, so there is nothing to read or fix up — a
+    /// slot whose nullness changes goes through [`OctAccess::set_child`].
+    /// The caller vouches for the old link (it holds the line it came
+    /// from); probing it here would cost the read this call saves.
+    #[inline]
+    fn set_link(&mut self, p: POffset, i: usize, c: ChildPtr) {
+        debug_assert!(i < FANOUT);
+        debug_assert!(!c.is_null(), "set_link cannot empty a slot");
+        self.io_write(p.0 + OFF_LINKS + LINK_SIZE * i as u64, &c.encode().to_le_bytes()[..6]);
+    }
+
     /// Replace all 8 child pointers and the presence mask in two writes
     /// to the navigation line — the bulk form refine/coarsen use instead
     /// of eight `set_child` read-modify-writes.
@@ -696,6 +709,33 @@ mod tests {
         let r = s.read_octant(p);
         s.write_octant(p, &r);
         assert_eq!(s.child_mask(p), 1);
+    }
+
+    #[test]
+    fn set_link_leaves_the_mask_coherent() {
+        let mut s = store();
+        let leaf = |s: &mut PmStore, k| s.alloc_octant(&Octant::leaf(k, 0, CellData::default()));
+        let root = leaf(&mut s, OctKey::root()).unwrap();
+        let mut kids = [ChildPtr::Null; FANOUT];
+        for i in [2, 5] {
+            kids[i] = ChildPtr::Nvbm(leaf(&mut s, OctKey::root().child(i)).unwrap());
+        }
+        s.set_children(root, &kids);
+        let twin = leaf(&mut s, OctKey::root().child(5)).unwrap();
+        let (reads, writes) = (s.arena.stats.nvbm.read_lines, s.arena.stats.nvbm.write_lines);
+        // Nvbm → Volatile → Nvbm: the slot stays occupied throughout.
+        s.set_link(root, 5, ChildPtr::Volatile(7));
+        let nav = s.nav_line(root);
+        assert_eq!((nav.children[5], nav.mask), (ChildPtr::Volatile(7), (1 << 2) | (1 << 5)));
+        s.set_link(root, 5, ChildPtr::Nvbm(twin));
+        let stats = &s.arena.stats.nvbm;
+        assert_eq!((stats.read_lines - reads, stats.write_lines - writes), (1, 2), "one line each");
+        kids[5] = ChildPtr::Nvbm(twin);
+        let nav = s.nav_line(root);
+        assert_eq!((nav.children, nav.mask), (kids, (1 << 2) | (1 << 5)));
+        // The recovery scan checks the mask against the links it reads.
+        let scan = crate::verify::scan_tree(&mut s, root).unwrap();
+        assert_eq!((scan.live.len(), scan.leaves), (3, 2));
     }
 
     #[test]
