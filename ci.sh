@@ -63,14 +63,20 @@ no_fork '\.splice(' crates/morton/src/index.rs
 # Descent-free time-step gates: the sweep that copies on write through
 # the path it stands on against the gather-then-re-descend loop it
 # replaced (same callbacks, allocations and media; never more reads or
-# stores), the Z-ordered cursor against one `locate` per key, and batched
-# coarsen legality against the per-key rule on all three backends — in
-# optimized builds. The replaced code must be gone, not kept beside them:
-# one NVBM walker, no re-locating the copy `cow_path` just allocated, no
-# per-leaf root re-entry in `update_leaves`, no per-key probe loop in
-# `can_coarsen`.
+# stores), the one root walk (`c1::Cursor::locate`, per key and as a
+# Z-ordered batch) against the per-key `locate` loop it replaced, and
+# batched coarsen legality against the per-key rule on all three backends
+# — in optimized builds. The replaced code must be gone, not kept beside
+# them: one whole-tree NVBM walker (`c1::sweep_leaves`) and one
+# root-to-key walker (the cursor — an op descends its path once, a merge
+# reads each shadow octant once), no re-locating the copy `cow_path` just
+# allocated, no per-leaf root re-entry in `update_leaves`, no per-key
+# probe loop in `can_coarsen`.
 cargo test --release -p pm-octree --lib c1::tests::sweep_parity -q
 cargo test --release -p pm-octree --lib c1::tests::cursor_parity -q
+cargo test --release -p pm-octree --lib domains::tests::an_op_walks_its_path_once -q
+cargo test --release -p pm-octree --lib c1::tests::merge_reads_each_shadow_octant_once -q
+cargo test --release -p pm-octree --lib c1::tests::descend_outside_the_root_is_not_found -q
 # A COW walk stores each copy once: d record writes and one link store
 # (or a new root), counted in write lines and in crash opportunities; a
 # rewritten shared leaf is one such copy carrying its new payload, read

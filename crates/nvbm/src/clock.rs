@@ -3,12 +3,10 @@
 //! The paper emulates NVBM latency with RDTSCP spin loops; spinning makes
 //! wall-clock measurements real but non-deterministic and slow. We instead
 //! charge modeled latencies onto a per-rank [`VirtualClock`]. Experiment
-//! harnesses report virtual seconds; a wall-clock harness may opt into
-//! [`SpinMode`] to burn real cycles like the original emulator.
+//! harnesses report virtual seconds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Monotonic virtual clock, advanced by device/cost models.
 ///
@@ -90,26 +88,6 @@ impl VirtualClock {
     }
 }
 
-/// Real spin-loop delay, equivalent to the paper's RDTSCP-based emulation.
-///
-/// Only used by micro-benchmarks that want wall-clock effects; the
-/// experiment harness uses [`VirtualClock`] for determinism.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpinMode;
-
-impl SpinMode {
-    /// Busy-wait for approximately `ns` nanoseconds.
-    pub fn delay(&self, ns: u64) {
-        if ns == 0 {
-            return;
-        }
-        let start = Instant::now();
-        while (start.elapsed().as_nanos() as u64) < ns {
-            std::hint::spin_loop();
-        }
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -186,13 +164,5 @@ mod tests {
             }
         });
         assert_eq!(c.now_ns(), (THREADS - 1) * ITERS + (ITERS - 1));
-    }
-
-    #[test]
-    fn spin_waits_roughly() {
-        let s = SpinMode;
-        let t0 = Instant::now();
-        s.delay(200_000); // 200 us
-        assert!(t0.elapsed().as_nanos() >= 200_000);
     }
 }

@@ -4,8 +4,7 @@
 //! write is delayed per Table 2 (100 ns read / 150 ns write per cacheline
 //! vs 60/60 ns for DRAM). This crate reproduces that emulator with a
 //! deterministic twist — latencies are charged to a per-device
-//! [`VirtualClock`] instead of burned in spin loops (a [`SpinMode`] helper
-//! exists for wall-clock micro-benchmarks).
+//! [`VirtualClock`] instead of burned in spin loops.
 //!
 //! Beyond timing, the crate models what actually makes persistent-memory
 //! programming hard and what PM-octree is designed to survive:
@@ -43,7 +42,7 @@ pub use alloc::{AllocLease, PmemAllocator};
 pub use arena::{
     ArenaSnapshot, CrashMode, NvbmArena, POffset, ShardDelta, ShardWriter, HEADER_SIZE, ROOT_SLOTS,
 };
-pub use clock::{SpinMode, VirtualClock};
+pub use clock::VirtualClock;
 pub use failplan::{CrashCapture, CrashView, FailHook, FailPlan};
 pub use model::{BlockDeviceModel, DeviceModel, MemLatency, NetworkModel, CACHELINE, PAGE};
 pub use pins::{EpochPins, PinGuard};

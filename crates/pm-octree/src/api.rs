@@ -45,7 +45,7 @@ pub enum PmError {
     NotCoarsenable(String),
     /// On-media state failed structural validation: an out-of-bounds or
     /// misaligned pointer, a key inconsistent with its position, a cycle,
-    /// a reachable deleted octant, or a live octant on the free list.
+    /// a non-zero reserved byte, or a live octant on the free list.
     /// Recovery and the invariant checker report this instead of
     /// panicking on corrupt media.
     Corrupt(String),
@@ -355,7 +355,7 @@ impl PmOctree {
                 .with_tree(id, |t| t.find(key, &mut store.arena).map(|i| t.is_leaf(i)));
         }
         match c1::locate(&mut self.store, self.current_root, key) {
-            Locate::Nvbm(p) => Some(self.store.is_leaf_octant(p)),
+            Locate::Nvbm(p) => Some(self.store.nav_line(p).mask == 0),
             _ => None,
         }
     }
@@ -377,32 +377,14 @@ impl PmOctree {
             let store = &mut self.store;
             return self.forest.with_tree(id, |t| t.containing_leaf(key, &mut store.arena));
         }
-        // NVBM descent.
-        let root_key = self.store.key(self.current_root);
-        if !root_key.contains(&key) {
-            return None;
-        }
-        let mut cur = self.current_root;
-        let mut cur_key = root_key;
-        for l in root_key.level()..key.level() {
-            let idx = key.ancestor_at(l + 1).sibling_index();
-            match self.store.child(cur, idx) {
-                ChildPtr::Null => return Some(cur_key),
-                ChildPtr::Volatile(id) => {
-                    // Continue inside the C0 tree.
-                    let store = &mut self.store;
-                    return self.forest.with_tree(id, |t| t.containing_leaf(key, &mut store.arena));
-                }
-                ChildPtr::Nvbm(p) => {
-                    cur = p;
-                    cur_key = key.ancestor_at(l + 1);
-                }
+        match c1::locate(&mut self.store, self.current_root, key) {
+            Locate::Nvbm(p) => (self.store.nav_line(p).mask == 0).then_some(key),
+            // Continue inside the C0 tree.
+            Locate::Volatile(id) => {
+                let store = &mut self.store;
+                self.forest.with_tree(id, |t| t.containing_leaf(key, &mut store.arena))
             }
-        }
-        if self.store.is_leaf_octant(cur) {
-            Some(cur_key)
-        } else {
-            None
+            Locate::Missing(stopped_at) => stopped_at.map(|l| key.ancestor_at(l)),
         }
     }
 
@@ -519,7 +501,7 @@ impl PmOctree {
         let Locate::Nvbm(p) = c1::locate(&mut self.store, self.current_root, key) else {
             return Err(PmError::NotFound(format!("{key:?}")));
         };
-        if !self.store.is_leaf_octant(p) {
+        if self.store.nav_line(p).mask != 0 {
             return Err(PmError::NotALeaf(format!("{key:?}")));
         }
         let data = self.store.data(p);
@@ -550,14 +532,14 @@ impl PmOctree {
             return Ok(()); // nothing to absorb; the kernel reports the missing key
         };
         let mut absorb = Vec::new();
-        for c in self.store.children(p) {
+        for c in self.store.nav_line(p).children {
             let coarsenable = match c {
                 ChildPtr::Null => true,
                 ChildPtr::Volatile(id) => {
                     absorb.push(id);
                     self.forest.get(id).octant_count() == 1
                 }
-                ChildPtr::Nvbm(c) => self.store.is_leaf_octant(c),
+                ChildPtr::Nvbm(c) => self.store.nav_line(c).mask == 0,
             };
             if !coarsenable {
                 return Err(PmError::NotCoarsenable(format!("{key:?}")));

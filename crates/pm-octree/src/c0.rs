@@ -133,27 +133,38 @@ impl C0Tree {
         self.live -= 1;
     }
 
+    /// The one walk: from the subtree root down the child links towards
+    /// `key`, which must lie inside this subtree. Returns the last node on
+    /// the path that exists — `key`'s own, or the ancestor whose slot
+    /// towards it is empty — and the number of nodes visited. Charges
+    /// nothing; the callers do.
+    fn walk(&self, key: OctKey) -> (u32, u64) {
+        let mut cur = self.root;
+        let mut hops = 1u64;
+        for l in self.subtree_key.level()..key.level() {
+            let next = self.node(cur).children[key.ancestor_at(l + 1).sibling_index()];
+            if next == NIL {
+                break;
+            }
+            cur = next;
+            hops += 1;
+        }
+        (cur, hops)
+    }
+
     /// Walk from the subtree root to `key`; returns the slab index if the
     /// octant exists. Charges one DRAM node-read per hop.
     pub fn find(&mut self, key: OctKey, arena: &mut NvbmArena) -> Option<u32> {
         if !self.subtree_key.contains(&key) {
             return None;
         }
-        let mut cur = self.root;
-        let mut hops = 1u64;
-        for l in self.subtree_key.level()..key.level() {
-            let idx = key.ancestor_at(l + 1).sibling_index();
-            let next = self.node(cur).children[idx];
-            if next == NIL {
-                charge_read_lines(arena, hops);
-                return None;
-            }
-            cur = next;
-            hops += 1;
-        }
+        let (node, hops) = self.walk(key);
         charge_read_lines(arena, hops);
+        if self.node(node).key != key {
+            return None;
+        }
         self.access += 1.0;
-        Some(cur)
+        Some(node)
     }
 
     /// The leaf containing `key`'s region (one incremental descent —
@@ -162,30 +173,10 @@ impl C0Tree {
         if !self.subtree_key.contains(&key) {
             return None;
         }
-        let mut cur = self.root;
-        let mut cur_key = self.subtree_key;
-        let mut hops = 1u64;
-        for l in self.subtree_key.level()..key.level() {
-            if self.is_leaf(cur) {
-                charge_read_lines(arena, hops);
-                return Some(cur_key);
-            }
-            let idx = key.ancestor_at(l + 1).sibling_index();
-            let next = self.node(cur).children[idx];
-            if next == NIL {
-                charge_read_lines(arena, hops);
-                return Some(cur_key);
-            }
-            cur = next;
-            cur_key = key.ancestor_at(l + 1);
-            hops += 1;
-        }
+        let (node, hops) = self.walk(key);
         charge_read_lines(arena, hops);
-        if self.is_leaf(cur) {
-            Some(cur_key)
-        } else {
-            None
-        }
+        let stopped_at = self.node(node).key;
+        (stopped_at != key || self.is_leaf(node)).then_some(stopped_at)
     }
 
     /// Is node `i` a leaf?
@@ -355,30 +346,13 @@ impl C0Tree {
         for &(key, data) in &octants[1..] {
             // Parent is guaranteed present (pre-order).
             let parent_key = key.parent().expect("non-root octant has a parent");
-            let pi = t
-                .find_no_charge(parent_key)
-                .expect("pre-order promotion: parent must precede child");
+            let (pi, _) = t.walk(parent_key);
+            assert!(t.node(pi).key == parent_key, "pre-order promotion: parent must precede child");
             let idx = key.sibling_index();
             let ni = t.alloc_node(C0Node { key, children: [NIL; 8], data, live: true });
             t.nodes[pi as usize].children[idx] = ni;
         }
         t
-    }
-
-    fn find_no_charge(&self, key: OctKey) -> Option<u32> {
-        if !self.subtree_key.contains(&key) {
-            return None;
-        }
-        let mut cur = self.root;
-        for l in self.subtree_key.level()..key.level() {
-            let idx = key.ancestor_at(l + 1).sibling_index();
-            let next = self.node(cur).children[idx];
-            if next == NIL {
-                return None;
-            }
-            cur = next;
-        }
-        Some(cur)
     }
 }
 
@@ -600,7 +574,7 @@ mod tests {
         let id1 = f.insert(C0Tree::new(OctKey::root().child(1), CellData::default()));
         assert_eq!(f.total_octants, 2);
         f.with_tree(id0, |t| {
-            let r = t.find_no_charge(OctKey::root().child(0)).unwrap();
+            let (r, _) = t.walk(OctKey::root().child(0));
             t.refine(r, &mut a);
         });
         assert_eq!(f.total_octants, 10);
@@ -612,6 +586,46 @@ mod tests {
         // Slot reuse.
         let id2 = f.insert(C0Tree::new(OctKey::root().child(2), CellData::default()));
         assert_eq!(id2, id1);
+    }
+
+    #[test]
+    fn lookups_charge_a_line_per_node_visited() {
+        let mut a = arena();
+        let k = OctKey::root().child(5);
+        let mut t = C0Tree::new(k, CellData::default());
+        let root = t.find(k, &mut a).unwrap();
+        let kids = t.refine(root, &mut a);
+        t.refine(kids[3], &mut a);
+        // (lines charged, `access` bumps) of one lookup.
+        let mut cost = |t: &mut C0Tree, f: &mut dyn FnMut(&mut C0Tree, &mut NvbmArena)| {
+            let (lines, access) = (a.stats.dram.read_lines, t.access);
+            f(t, &mut a);
+            (a.stats.dram.read_lines - lines, t.access - access)
+        };
+        let deep = k.child(3).child(6);
+        // Found: every node on the path, and the tree counts as accessed.
+        assert_eq!(cost(&mut t, &mut |t, a| assert!(t.find(deep, a).is_some())), (3, 1.0));
+        assert_eq!(cost(&mut t, &mut |t, a| assert!(t.find(k, a).is_some())), (1, 1.0));
+        // Missing: the nodes up to the empty slot, no access.
+        let below_a_leaf = k.child(2).child(0).child(0);
+        assert_eq!(cost(&mut t, &mut |t, a| assert!(t.find(below_a_leaf, a).is_none())), (2, 0.0));
+        // Outside the subtree: nothing is visited.
+        let outside = OctKey::root().child(1);
+        assert_eq!(cost(&mut t, &mut |t, a| assert!(t.find(outside, a).is_none())), (0, 0.0));
+        assert_eq!(
+            cost(&mut t, &mut |t, a| assert!(t.containing_leaf(outside, a).is_none())),
+            (0, 0.0)
+        );
+        // `containing_leaf` visits the same nodes and never counts as access.
+        let mut leaf_of = |key, want, lines| {
+            assert_eq!(
+                cost(&mut t, &mut |t, a| assert_eq!(t.containing_leaf(key, a), want)),
+                (lines, 0.0)
+            );
+        };
+        leaf_of(deep, Some(deep), 3);
+        leaf_of(below_a_leaf, Some(k.child(2)), 2);
+        leaf_of(k.child(3), None, 2); // internal
     }
 
     #[test]

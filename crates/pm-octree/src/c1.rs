@@ -11,10 +11,13 @@
 //! 2. **Shared octants are immutable.** Octants with an older epoch may be
 //!    referenced by `V_{i-1}`; they are never written. Mutation copies
 //!    them (and their shared ancestors) — `V_{i-1}` keeps the originals.
-//! 3. **Deletion never writes shared octants.** Unlinking rewrites only
-//!    the (exclusive) parent; the shared child octant itself is untouched
-//!    and reclaimed by GC once no version references it. Exclusive
-//!    deleted octants get their `deleted` flag set for GC.
+//! 3. **Deletion writes only the parent.** Unlinking rewrites the
+//!    (exclusive) parent's links and nothing else: the unlinked octant,
+//!    shared or exclusive, is left as it is. A shared one is still
+//!    `V_{i-1}`'s; either kind is reclaimed by the next GC mark that no
+//!    longer reaches it from a root ([`crate::gc`]). Nothing recovery
+//!    reads lives in an unlinked octant, so there is nothing to store
+//!    there.
 //!
 //! Because of (1)–(3), a crash at *any* point leaves the tree reachable
 //! from the persisted `V_{i-1}` root byte-identical to what
@@ -29,13 +32,22 @@
 //! publication re-points an occupied slot with the link store alone.
 //! Nothing is read twice and no line of a copy is stored twice.
 //!
-//! Every mutation entry point is fallible: allocation exhaustion surfaces
-//! as [`PmError::Full`] *before* any publication write, so the
-//! pre-mutation version stays reachable and the partially-allocated
-//! copies are unreachable garbage for GC. The functions are generic over
-//! [`OctAccess`] so the same COW logic runs against the serial
-//! [`PmStore`] and against per-domain `ShardStore`s during
-//! domain-parallel sweeps.
+//! There is one root walk, [`Cursor::locate`]: every lookup ([`locate`])
+//! and every mutation ([`refine`], [`coarsen`], [`update_data`],
+//! [`cow_path`], [`replace_slot`]) steps down the child links through it,
+//! reading one navigation line per level and keeping it, so whatever is
+//! asked of an octant on the path afterwards — leaf? exclusive? which
+//! links? — is answered from the frame, not from the device.
+//!
+//! Every mutation entry point is fallible: a key that names no NVBM
+//! octant under the root is [`PmError::NotFound`] and an unmet
+//! precondition [`PmError::NotALeaf`], both before anything is copied;
+//! allocation exhaustion surfaces as [`PmError::Full`] *before* any
+//! publication write, so the pre-mutation version stays reachable and the
+//! partially-allocated copies are unreachable garbage for GC. The
+//! functions are generic over [`OctAccess`] so the same COW logic runs
+//! against the serial [`PmStore`] and against per-domain `ShardStore`s
+//! during domain-parallel sweeps.
 
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::POffset;
@@ -43,42 +55,32 @@ use pmoctree_nvbm::POffset;
 use crate::api::PmError;
 use crate::octant::{CellData, ChildPtr, NavLine, OctAccess, Octant, PmStore, FANOUT};
 
-/// Outcome of a root-descent for `key`.
+/// Outcome of a root walk towards `key`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Locate {
     /// Found as a persistent octant.
     Nvbm(POffset),
-    /// The descent hit a volatile handle at `ancestor_level`; the octant,
-    /// if it exists, lives in C0 tree `id`.
+    /// The walk hit a volatile handle; the octant, if it exists, lives in
+    /// C0 tree `id`.
     Volatile(u32),
-    /// No such octant in the tree.
-    Missing,
+    /// No such octant in the tree. `Some(level)`: the walk stopped at
+    /// `key`'s ancestor of that level, an NVBM octant with no link
+    /// towards `key` — in a well-formed tree the leaf that contains it.
+    /// `None`: `key` lies outside the root.
+    Missing(Option<u8>),
 }
 
 /// Walk from `root` towards `key`; stop at the octant, a volatile handle,
-/// or a missing link.
+/// or a missing link. A fresh [`Cursor`]'s lookup: one navigation line
+/// per level above `key`'s, the target's own line not read.
 pub fn locate<S: OctAccess>(store: &mut S, root: POffset, key: OctKey) -> Locate {
-    debug_assert!(!root.is_null());
-    let root_key = store.key(root);
-    if !root_key.contains(&key) {
-        return Locate::Missing;
-    }
-    let mut cur = root;
-    for l in root_key.level()..key.level() {
-        let idx = key.ancestor_at(l + 1).sibling_index();
-        match store.child(cur, idx) {
-            ChildPtr::Null => return Locate::Missing,
-            ChildPtr::Volatile(id) => return Locate::Volatile(id),
-            ChildPtr::Nvbm(p) => cur = p,
-        }
-    }
-    Locate::Nvbm(cur)
+    Cursor::new(root).locate(store, key)
 }
 
 /// One level of a remembered root-to-octant path: the navigation line a
 /// single read delivered about the octant, plus where the octant lives
-/// and hangs in its parent. Path walks ([`cow_path`], [`sweep_leaves`],
-/// [`Cursor`]) keep these instead of re-descending from the root, and
+/// and hangs in its parent. Path walks ([`Cursor`], [`sweep_leaves`])
+/// keep these instead of re-descending from the root, and
 /// [`make_exclusive`] builds every copy *from* them instead of reading
 /// the original again.
 ///
@@ -116,22 +118,82 @@ fn push_frame<S: OctAccess>(
     nav
 }
 
-/// The frames of the path from `root` to the NVBM octant at `key`: one
-/// navigation-line read per level.
-fn descend<S: OctAccess>(store: &mut S, root: POffset, key: OctKey) -> Result<Vec<Frame>, PmError> {
-    let mut frames = Vec::with_capacity(key.level() as usize + 1);
-    let mut nav = push_frame(store, &mut frames, root, 0);
-    debug_assert!(OctKey::from_raw(nav.code, nav.level).contains(&key), "cow_path outside tree");
-    for l in nav.level..key.level() {
-        let idx = key.ancestor_at(l + 1).sibling_index();
-        match nav.children[idx] {
-            ChildPtr::Nvbm(p) => nav = push_frame(store, &mut frames, p, idx),
-            other => {
-                return Err(PmError::Corrupt(format!(
-                    "cow_path: expected NVBM child on path, found {other:?}"
-                )))
+/// The root walk. It remembers the frames of its last root-to-octant path
+/// and resumes each lookup from the deepest ancestor shared with the
+/// previous key, so a Z-ordered batch reads every navigation line on a
+/// shared prefix once instead of once per key; a fresh cursor's first
+/// lookup is the plain per-key walk ([`locate`], [`descend`]).
+///
+/// Valid only while the tree under `root` is not mutated between
+/// lookups (the remembered child links would go stale).
+pub struct Cursor {
+    root: POffset,
+    /// Key of `frames[0]` (set by the first lookup, which reads the root).
+    root_key: OctKey,
+    /// The previous lookup's key: `frames[i]` is its ancestor at level
+    /// `root_key.level() + i`.
+    last: OctKey,
+    frames: Vec<Frame>,
+}
+
+impl Cursor {
+    /// A cursor over the tree under `root`. Reads nothing yet.
+    pub fn new(root: POffset) -> Self {
+        debug_assert!(!root.is_null());
+        Cursor { root, root_key: OctKey::root(), last: OctKey::root(), frames: Vec::new() }
+    }
+
+    /// Walk towards `key`, re-reading only the part of its path that the
+    /// previous lookup did not already walk. The target's own line is not
+    /// read (a later, deeper key reads it if it has to pass through).
+    pub fn locate<S: OctAccess>(&mut self, store: &mut S, key: OctKey) -> Locate {
+        if self.frames.is_empty() {
+            self.frames.reserve(key.level() as usize + 1);
+            let nav = push_frame(store, &mut self.frames, self.root, 0);
+            self.root_key = OctKey::from_raw(nav.code, nav.level);
+            self.last = self.root_key;
+        }
+        if !self.root_key.contains(&key) {
+            return Locate::Missing(None);
+        }
+        let base = self.root_key.level();
+        let shared = (base + 1..=key.level().min(self.last.level()))
+            .take_while(|&l| key.ancestor_at(l) == self.last.ancestor_at(l))
+            .count();
+        self.frames.truncate(shared + 1);
+        self.last = key;
+        loop {
+            let top = &self.frames[self.frames.len() - 1];
+            let level = base + (self.frames.len() - 1) as u8;
+            if level == key.level() {
+                return Locate::Nvbm(top.off);
+            }
+            let idx = key.ancestor_at(level + 1).sibling_index();
+            match top.nav.children[idx] {
+                ChildPtr::Null => return Locate::Missing(Some(level)),
+                ChildPtr::Volatile(id) => return Locate::Volatile(id),
+                ChildPtr::Nvbm(p) if level + 1 == key.level() => return Locate::Nvbm(p),
+                ChildPtr::Nvbm(p) => {
+                    push_frame(store, &mut self.frames, p, idx);
+                }
             }
         }
+    }
+}
+
+/// The frames of the path from `root` to the NVBM octant at `key`: the
+/// [`locate`] walk plus the target's own frame, one navigation-line read
+/// per level. [`PmError::NotFound`] when `key` names no NVBM octant under
+/// `root` — it lies outside the root, or the path ends in an empty slot
+/// or a volatile handle.
+fn descend<S: OctAccess>(store: &mut S, root: POffset, key: OctKey) -> Result<Vec<Frame>, PmError> {
+    let mut cursor = Cursor::new(root);
+    let Locate::Nvbm(p) = cursor.locate(store, key) else {
+        return Err(PmError::NotFound(format!("{key:?}")));
+    };
+    let mut frames = cursor.frames;
+    if frames[frames.len() - 1].off != p {
+        push_frame(store, &mut frames, p, key.sibling_index());
     }
     Ok(frames)
 }
@@ -177,7 +239,6 @@ fn make_exclusive<S: OctAccess>(
         let copy = Octant {
             children,
             key: OctKey::from_raw(frame.nav.code, frame.nav.level),
-            deleted: frame.nav.deleted,
             epoch,
             data: payload.take().unwrap_or_else(|| store.data(frame.off)),
         };
@@ -203,16 +264,16 @@ fn make_exclusive<S: OctAccess>(
     }
 }
 
-/// [`cow_path`], handing back the exclusive octant's whole frame: its
-/// offset and the navigation line the descent read (every link and the
-/// mask still valid — no frame was entered below it).
-fn cow_frame<S: OctAccess>(
+/// Make the last frame's octant exclusive without touching its payload.
+/// Hands back the possibly-new root and the octant's whole frame: its
+/// offset and the navigation line the walk read (every link and the mask
+/// still valid — no frame was entered below it).
+fn own<S: OctAccess>(
     store: &mut S,
     root: POffset,
-    key: OctKey,
+    mut frames: Vec<Frame>,
     epoch: u32,
 ) -> Result<(POffset, Frame), PmError> {
-    let mut frames = descend(store, root, key)?;
     let root = make_exclusive(store, &mut frames, epoch, None)?.unwrap_or(root);
     Ok((root, frames[frames.len() - 1]))
 }
@@ -221,16 +282,17 @@ fn cow_frame<S: OctAccess>(
 /// shared suffix of its root path. Returns the possibly-new root and the
 /// exclusive octant's offset.
 ///
-/// `key` must exist as an NVBM octant under `root`. On [`PmError::Full`]
-/// no link has been published: copies allocated so far are unreachable
-/// and the caller's tree is unchanged.
+/// [`PmError::NotFound`] when `key` is not an NVBM octant under `root`.
+/// On [`PmError::Full`] no link has been published: copies allocated so
+/// far are unreachable and the caller's tree is unchanged.
 pub fn cow_path<S: OctAccess>(
     store: &mut S,
     root: POffset,
     key: OctKey,
     epoch: u32,
 ) -> Result<(POffset, POffset), PmError> {
-    cow_frame(store, root, key, epoch).map(|(root, frame)| (root, frame.off))
+    let frames = descend(store, root, key)?;
+    own(store, root, frames, epoch).map(|(root, frame)| (root, frame.off))
 }
 
 /// Store `data` as the payload of the last frame's octant in `V_i`: in
@@ -253,6 +315,8 @@ fn store_payload<S: OctAccess>(
 
 /// Refine the NVBM leaf at `key`: create its 8 children (all exclusive),
 /// each inheriting the parent's payload. Returns the possibly-new root.
+/// One walk: the leaf test reads the frame the walk ended on, so a
+/// non-leaf is refused ([`PmError::NotALeaf`]) before anything is copied.
 ///
 /// All eight children are allocated before the single bulk link write,
 /// so a [`PmError::Full`] mid-way leaves the leaf a leaf.
@@ -262,10 +326,11 @@ pub fn refine<S: OctAccess>(
     key: OctKey,
     epoch: u32,
 ) -> Result<POffset, PmError> {
-    let (root, leaf) = cow_frame(store, root, key, epoch)?;
-    if leaf.nav.mask != 0 {
-        return Err(PmError::NotALeaf(format!("refine target {key:?} is not a leaf")));
+    let frames = descend(store, root, key)?;
+    if frames[frames.len() - 1].nav.mask != 0 {
+        return Err(PmError::NotALeaf(format!("{key:?}")));
     }
+    let (root, leaf) = own(store, root, frames, epoch)?;
     let data = store.data(leaf.off);
     let mut cs = [ChildPtr::Null; FANOUT];
     for (i, slot) in cs.iter_mut().enumerate() {
@@ -279,21 +344,26 @@ pub fn refine<S: OctAccess>(
 }
 
 /// Coarsen the NVBM octant at `key`: unlink its children (which must all
-/// be NVBM leaves), making it a leaf. Shared children are left untouched
-/// for `V_{i-1}`; exclusive children are flagged deleted for GC.
+/// be NVBM leaves), making it a leaf. The children themselves are not
+/// written — shared ones stay `V_{i-1}`'s, exclusive ones are garbage the
+/// moment the parent's links are gone. A leaf is refused
+/// ([`PmError::NotALeaf`]) before anything is copied, off the frame the
+/// one walk ended on.
 pub fn coarsen<S: OctAccess>(
     store: &mut S,
     root: POffset,
     key: OctKey,
     epoch: u32,
 ) -> Result<POffset, PmError> {
-    let (root, node) = cow_frame(store, root, key, epoch)?;
+    let frames = descend(store, root, key)?;
+    if frames[frames.len() - 1].nav.mask == 0 {
+        return Err(PmError::NotALeaf(format!("{key:?}")));
+    }
+    let (root, node) = own(store, root, frames, epoch)?;
     // Validate every child before the first in-place write so a refusal
     // leaves the tree untouched (COW copies from the path walk are
     // already linked but content-identical, so the tree is unchanged).
-    // One navigation-line read per child answers both questions asked of
-    // it: is it a leaf, and is it exclusive.
-    let mut kids: [Option<(POffset, u32)>; FANOUT] = [None; FANOUT];
+    let mut kids: [Option<POffset>; FANOUT] = [None; FANOUT];
     for (kid, c) in kids.iter_mut().zip(node.nav.children) {
         match c {
             ChildPtr::Nvbm(c) => {
@@ -304,7 +374,7 @@ pub fn coarsen<S: OctAccess>(
                         OctKey::from_raw(nav.code, nav.level)
                     )));
                 }
-                *kid = Some((c, nav.epoch));
+                *kid = Some(c);
             }
             ChildPtr::Null => {}
             ChildPtr::Volatile(id) => {
@@ -315,15 +385,12 @@ pub fn coarsen<S: OctAccess>(
         }
     }
     let mut mean = CellData::default();
-    for (c, child_epoch) in kids.into_iter().flatten() {
+    for c in kids.into_iter().flatten() {
         let d = store.data(c);
         mean.phi += d.phi / 8.0;
         mean.pressure += d.pressure / 8.0;
         mean.vof += d.vof / 8.0;
         mean.work += d.work / 8.0;
-        if child_epoch == epoch {
-            store.set_deleted(c, true);
-        }
     }
     // Unlink all children with one bulk write to the navigation line.
     store.set_children(node.off, &[ChildPtr::Null; FANOUT]);
@@ -347,7 +414,9 @@ pub fn update_data<S: OctAccess>(
 
 /// Replace the child slot that holds `key`'s position under `root` with
 /// `ptr` (used to attach merged subtrees and volatile handles). `key`
-/// must not be the root itself. Returns the possibly-new root.
+/// must not be the root itself, and its parent must be an NVBM octant
+/// under `root` ([`PmError::NotFound`] otherwise). Returns the
+/// possibly-new root.
 pub fn replace_slot<S: OctAccess>(
     store: &mut S,
     root: POffset,
@@ -357,7 +426,8 @@ pub fn replace_slot<S: OctAccess>(
 ) -> Result<POffset, PmError> {
     let parent_key =
         key.parent().ok_or_else(|| PmError::Corrupt("cannot replace the root slot".to_string()))?;
-    let (root, parent) = cow_frame(store, root, parent_key, epoch)?;
+    let frames = descend(store, root, parent_key)?;
+    let (root, parent) = own(store, root, frames, epoch)?;
     let slot = key.sibling_index();
     // Re-pointing an occupied slot cannot change the mask; only a slot
     // whose nullness changes pays the mask read-modify-write.
@@ -434,68 +504,6 @@ pub fn sweep_leaves<S: OctAccess>(
     }
 }
 
-/// Read-only descent cursor for batches of lookups against one tree: it
-/// remembers the frames of its last root-to-octant path and resumes each
-/// lookup from the deepest ancestor shared with the previous key, so a
-/// Z-ordered batch reads every navigation line on a shared prefix once
-/// instead of once per key. Answers are those of [`locate`].
-///
-/// Valid only while the tree under `root` is not mutated between
-/// lookups (the remembered child links would go stale).
-pub struct Cursor {
-    root: POffset,
-    /// Key of `frames[0]` (set by the first lookup, which reads the root).
-    root_key: OctKey,
-    /// The previous lookup's key: `frames[i]` is its ancestor at level
-    /// `root_key.level() + i`.
-    last: OctKey,
-    frames: Vec<Frame>,
-}
-
-impl Cursor {
-    /// A cursor over the tree under `root`. Reads nothing yet.
-    pub fn new(root: POffset) -> Self {
-        debug_assert!(!root.is_null());
-        Cursor { root, root_key: OctKey::root(), last: OctKey::root(), frames: Vec::new() }
-    }
-
-    /// [`locate`] `key`, re-reading only the part of its path that the
-    /// previous lookup did not already walk. The target's own line is not
-    /// read (a later, deeper key reads it if it has to pass through).
-    pub fn locate<S: OctAccess>(&mut self, store: &mut S, key: OctKey) -> Locate {
-        if self.frames.is_empty() {
-            let nav = push_frame(store, &mut self.frames, self.root, 0);
-            self.root_key = OctKey::from_raw(nav.code, nav.level);
-            self.last = self.root_key;
-        }
-        if !self.root_key.contains(&key) {
-            return Locate::Missing;
-        }
-        let base = self.root_key.level();
-        let shared = (base + 1..=key.level().min(self.last.level()))
-            .take_while(|&l| key.ancestor_at(l) == self.last.ancestor_at(l))
-            .count();
-        self.frames.truncate(shared + 1);
-        self.last = key;
-        loop {
-            let top = &self.frames[self.frames.len() - 1];
-            let level = base + (self.frames.len() - 1) as u8;
-            if level == key.level() {
-                return Locate::Nvbm(top.off);
-            }
-            let idx = key.ancestor_at(level + 1).sibling_index();
-            match top.nav.children[idx] {
-                ChildPtr::Null => return Locate::Missing,
-                ChildPtr::Volatile(id) => return Locate::Volatile(id),
-                ChildPtr::Nvbm(p) if level + 1 == key.level() => return Locate::Nvbm(p),
-                ChildPtr::Nvbm(p) => {
-                    push_frame(store, &mut self.frames, p, idx);
-                }
-            }
-        }
-    }
-}
-
 /// Merge a pre-order list of (key, data, is_leaf) octants — a C0 subtree —
 /// into NVBM, *diffing against the shadow subtree* (the NVBM image this
 /// region had at the last persist) so unchanged octants are shared rather
@@ -520,7 +528,10 @@ pub fn merge_subtree(
     Ok(off)
 }
 
-/// Returns (offset, was_shared, entries_consumed).
+/// Returns (offset, was_shared, entries_consumed). A shadow octant costs
+/// one navigation-line read — its links seed the children's shadows and
+/// settle "same structure" — and its payload line only when everything
+/// else already says it can be shared.
 fn merge_rec(
     store: &mut PmStore,
     octants: &[(OctKey, CellData, bool)],
@@ -529,6 +540,7 @@ fn merge_rec(
     epoch: u32,
 ) -> Result<(POffset, bool, usize), PmError> {
     let (key, data, is_leaf) = octants[at];
+    let shadow = shadow.map(|s| (s, store.nav_line(s)));
     let mut consumed = 1usize;
     let mut children = [ChildPtr::Null; FANOUT];
     let mut all_children_shared = true;
@@ -541,7 +553,7 @@ fn merge_rec(
                 break;
             }
             let idx = ck.sibling_index();
-            let child_shadow = shadow.and_then(|s| match store.child(s, idx) {
+            let child_shadow = shadow.and_then(|(_, nav)| match nav.children[idx] {
                 ChildPtr::Nvbm(p) => Some(p),
                 _ => None,
             });
@@ -553,29 +565,30 @@ fn merge_rec(
         }
     }
     // Try to share the shadow octant.
-    if let Some(s) = shadow {
-        if all_children_shared && !store.is_deleted(s) {
-            let old = store.read_octant(s);
-            let data_same = old.data.phi.to_bits() == data.phi.to_bits()
-                && old.data.pressure.to_bits() == data.pressure.to_bits()
-                && old.data.vof.to_bits() == data.vof.to_bits()
-                && old.data.work.to_bits() == data.work.to_bits();
-            let children_same = old.children == children && old.key == key;
-            if data_same && children_same {
+    if let Some((s, old)) = shadow {
+        let same_octant = all_children_shared
+            && old.children == children
+            && (old.code, old.level) == (key.raw(), key.level());
+        if same_octant {
+            let old = store.data(s);
+            let data_same = old.phi.to_bits() == data.phi.to_bits()
+                && old.pressure.to_bits() == data.pressure.to_bits()
+                && old.vof.to_bits() == data.vof.to_bits()
+                && old.work.to_bits() == data.work.to_bits();
+            if data_same {
                 return Ok((s, true, consumed));
             }
         }
     }
-    let o = Octant { children, key, deleted: false, epoch, data };
+    let o = Octant { children, key, epoch, data };
     let off = store.alloc_octant(&o)?;
     Ok((off, false, consumed))
 }
 
 /// Collect an NVBM subtree into a pre-order (key, data) list (used when
-/// promoting a hot subtree into DRAM). Deleted octants are skipped.
-/// Returns `None` when the subtree contains a volatile handle — such a
-/// region is already partly DRAM-resident and cannot be promoted
-/// wholesale.
+/// promoting a hot subtree into DRAM): two line reads per octant. Returns
+/// `None` when the subtree contains a volatile handle — such a region is
+/// already partly DRAM-resident and cannot be promoted wholesale.
 pub fn collect_subtree(store: &mut PmStore, p: POffset) -> Option<Vec<(OctKey, CellData)>> {
     let mut out = Vec::new();
     if collect_rec(store, p, &mut out) {
@@ -586,12 +599,9 @@ pub fn collect_subtree(store: &mut PmStore, p: POffset) -> Option<Vec<(OctKey, C
 }
 
 fn collect_rec(store: &mut PmStore, p: POffset, out: &mut Vec<(OctKey, CellData)>) -> bool {
-    if store.is_deleted(p) {
-        return true;
-    }
-    let o = store.read_octant(p);
-    out.push((o.key, o.data));
-    for c in o.children {
+    let nav = store.nav_line(p);
+    out.push((OctKey::from_raw(nav.code, nav.level), store.data(p)));
+    for c in nav.children {
         match c {
             ChildPtr::Nvbm(cp) => {
                 if !collect_rec(store, cp, out) {
@@ -609,6 +619,7 @@ fn collect_rec(store: &mut PmStore, p: POffset, out: &mut Vec<(OctKey, CellData)
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::octant::Probes;
     use pmoctree_nvbm::{DeviceModel, FailPlan, NvbmArena};
 
     fn store() -> PmStore {
@@ -631,7 +642,9 @@ mod tests {
             Locate::Nvbm(p) => assert_eq!(s.key(p), k),
             other => panic!("{other:?}"),
         }
-        assert_eq!(locate(&mut s, root, k.child(0)), Locate::Missing);
+        // `k` is a leaf: the walk stops on it, one level above the key.
+        assert_eq!(locate(&mut s, root, k.child(0)), Locate::Missing(Some(1)));
+        assert_eq!(locate(&mut s, root, k.child(0).child(6)), Locate::Missing(Some(1)));
     }
 
     #[test]
@@ -852,6 +865,28 @@ mod tests {
         assert_eq!(leaves_of(&mut s, root), before);
     }
 
+    /// The 128 bytes of each record, as the CPU sees them.
+    fn images(s: &mut PmStore, octants: &[POffset]) -> Vec<[u8; 128]> {
+        octants
+            .iter()
+            .map(|p| {
+                let mut b = [0u8; 128];
+                s.arena.read(p.0, &mut b);
+                b
+            })
+            .collect()
+    }
+
+    fn nvbm_children(s: &mut PmStore, p: POffset) -> Vec<POffset> {
+        let kids = s.nav_line(p).children;
+        kids.iter()
+            .map(|c| match *c {
+                ChildPtr::Nvbm(p) => p,
+                other => panic!("{other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn coarsen_unlinks_without_writing_shared_children() {
         let mut s = store();
@@ -859,37 +894,46 @@ mod tests {
         root = refine(&mut s, root, OctKey::root(), 1).unwrap();
         root = refine(&mut s, root, OctKey::root().child(0), 1).unwrap();
         let old_root = root;
-        let writes_before = s.arena.stats.nvbm.write_lines;
+        let Locate::Nvbm(old_c0) = locate(&mut s, old_root, OctKey::root().child(0)) else {
+            panic!()
+        };
+        let grandchildren = nvbm_children(&mut s, old_c0);
+        let before = images(&mut s, &grandchildren);
         let new_root = coarsen(&mut s, root, OctKey::root().child(0), 2).unwrap();
-        let _ = writes_before;
         // New version: child 0 is a leaf again.
         match locate(&mut s, new_root, OctKey::root().child(0)) {
-            Locate::Nvbm(p) => assert!((0..8).all(|i| s.child(p, i).is_null())),
+            Locate::Nvbm(p) => assert_eq!(s.nav_line(p).mask, 0),
             other => panic!("{other:?}"),
         }
-        // Old version: grandchildren still reachable and not deleted.
-        match locate(&mut s, old_root, OctKey::root().child(0).child(4)) {
-            Locate::Nvbm(p) => assert!(!s.is_deleted(p), "shared child must not be flagged"),
-            other => panic!("{other:?}"),
-        }
+        // Old version: grandchildren still reachable, not a byte changed.
+        assert_eq!(
+            locate(&mut s, old_root, OctKey::root().child(0).child(4)),
+            Locate::Nvbm(grandchildren[4])
+        );
+        assert_eq!(images(&mut s, &grandchildren), before);
     }
 
     #[test]
-    fn coarsen_flags_exclusive_children_deleted() {
+    fn coarsen_stores_nothing_in_the_children_it_unlinks() {
         let mut s = store();
         let mut root = root_tree(&mut s, 1);
         root = refine(&mut s, root, OctKey::root(), 1).unwrap();
-        // Children created at epoch 1; coarsen at the SAME epoch.
-        let before: Vec<POffset> = (0..8)
-            .map(|i| match s.child(root, i) {
-                ChildPtr::Nvbm(p) => p,
-                other => panic!("{other:?}"),
-            })
-            .collect();
-        let _ = coarsen(&mut s, root, OctKey::root(), 1).unwrap();
-        for p in before {
-            assert!(s.is_deleted(p), "exclusive child should be flagged for GC");
-        }
+        // Children created at epoch 1; coarsen at the SAME epoch: they are
+        // exclusive, and garbage the moment the root's links are gone.
+        let children = nvbm_children(&mut s, root);
+        let before = images(&mut s, &children);
+        let (reads, writes) = (s.arena.stats.nvbm.read_lines, s.arena.stats.nvbm.write_lines);
+        s.arena.set_fail_plan(FailPlan::count());
+        assert_eq!(coarsen(&mut s, root, OctKey::root(), 1), Ok(root));
+        let stores = s.arena.take_fail_plan().unwrap().opportunities();
+        // Three stores, one line each: the root's links, its mask, its
+        // payload. A flag per child was eight more, and eight more reads.
+        // Read: the root, then both lines of every child.
+        let stats = &s.arena.stats.nvbm;
+        assert_eq!((stats.read_lines - reads, stats.write_lines - writes, stores), (17, 3, 3));
+        assert_eq!(images(&mut s, &children), before, "an unlinked child was written");
+        assert_eq!(s.nav_line(root).mask, 0);
+        assert_eq!(crate::gc::collect(&mut s, &[root], 1).0.freed, 8);
     }
 
     #[test]
@@ -905,6 +949,37 @@ mod tests {
         // the NVBM siblings are all still in place.
         assert_eq!(locate(&mut s, root, OctKey::root().child(3)), Locate::Volatile(9));
         assert!(matches!(locate(&mut s, root, OctKey::root().child(4)), Locate::Nvbm(_)));
+    }
+
+    #[test]
+    fn descend_outside_the_root_is_not_found() {
+        // Release builds too: this used to be a debug_assert and then a
+        // walk down whatever links the wrong subtree happened to hold.
+        let mut s = store();
+        let mut root = root_tree(&mut s, 1);
+        root = refine(&mut s, root, OctKey::root(), 1).unwrap();
+        root = refine(&mut s, root, OctKey::root().child(2), 1).unwrap();
+        root = refine(&mut s, root, OctKey::root().child(5), 1).unwrap();
+        root =
+            replace_slot(&mut s, root, OctKey::root().child(6), ChildPtr::Volatile(4), 1).unwrap();
+        let Locate::Nvbm(sub) = locate(&mut s, root, OctKey::root().child(2)) else { panic!() };
+        let sibling = OctKey::root().child(5);
+        let (writes, allocated) = (s.arena.stats.nvbm.write_lines, s.registry.len());
+        let not_found =
+            |r: Result<POffset, PmError>| assert!(matches!(r, Err(PmError::NotFound(_))));
+        // A sibling subtree's keys, under the subtree at child 2...
+        assert_eq!(locate(&mut s, sub, sibling.child(1)), Locate::Missing(None));
+        not_found(cow_path(&mut s, sub, sibling.child(1), 2).map(|(root, _)| root));
+        not_found(replace_slot(&mut s, sub, sibling.child(1), ChildPtr::Null, 2));
+        not_found(update_data(&mut s, sub, sibling, &CellData::default(), 2));
+        // ...an ancestor of the walk's root...
+        not_found(refine(&mut s, sub, OctKey::root(), 2));
+        // ...a path that ends in an empty slot, or in a volatile handle.
+        not_found(coarsen(&mut s, root, OctKey::root().child(2).child(3).child(0), 2));
+        not_found(cow_path(&mut s, root, OctKey::root().child(6), 2).map(|(root, _)| root));
+        let deep = OctKey::root().child(6).child(1).child(1);
+        not_found(replace_slot(&mut s, root, deep, ChildPtr::Null, 2));
+        assert_eq!((s.arena.stats.nvbm.write_lines, s.registry.len()), (writes, allocated));
     }
 
     #[test]
@@ -967,6 +1042,39 @@ mod tests {
         let census = crate::gc::mark(&mut s, &[merged2], 2);
         assert_eq!(census.live.len(), 9);
         assert_eq!(census.shared, 7);
+    }
+
+    #[test]
+    fn merge_reads_each_shadow_octant_once() {
+        let mut s = store();
+        // A shadow of n = 1 + 8 + 16 octants: two of the children refined.
+        let sub_key = OctKey::root().child(6);
+        let leaf = |k: OctKey| (k, CellData { phi: k.raw() as f64, ..Default::default() }, true);
+        let mut octants = vec![(sub_key, CellData::default(), false)];
+        for i in 0..8 {
+            if i == 2 || i == 5 {
+                octants.push((sub_key.child(i), CellData::default(), false));
+                octants.extend(sub_key.child(i).children().map(leaf));
+            } else {
+                octants.push(leaf(sub_key.child(i)));
+            }
+        }
+        let n = octants.len() as u64;
+        let shadow = merge_subtree(&mut s, &octants, None, 1).unwrap();
+        let reads = |s: &PmStore| s.arena.stats.nvbm.read_lines;
+        // Fully shared: the navigation line and the payload line of every
+        // shadow octant, each once, and not a store.
+        let (before, writes) = (reads(&s), s.arena.stats.nvbm.write_lines);
+        assert_eq!(merge_subtree(&mut s, &octants, Some(shadow), 2), Ok(shadow));
+        assert_eq!(reads(&s) - before, 2 * n);
+        assert_eq!(s.arena.stats.nvbm.write_lines, writes);
+        // One payload differs: its ancestors' payload lines are not read
+        // (a changed child already rules sharing out).
+        let mut changed = octants.clone();
+        changed[4].1.phi = -1.0; // a leaf under child 2: depth 2 in the subtree
+        let before = reads(&s);
+        assert_ne!(merge_subtree(&mut s, &changed, Some(shadow), 2), Ok(shadow));
+        assert_eq!(reads(&s) - before, 2 * n - 2);
     }
 
     #[test]
@@ -1318,7 +1426,8 @@ mod tests {
         }
     }
 
-    /// The Z-ordered cursor against one `locate` per key.
+    /// The one walk — per key ([`locate`]) and as a Z-ordered [`Cursor`] —
+    /// against the per-key `locate` loop it replaced.
     mod cursor_parity {
         use super::random_trees::{arb_ops, build, CONFIGS};
         use super::*;
@@ -1342,11 +1451,31 @@ mod tests {
             s.arena.stats.nvbm.read_lines
         }
 
+        /// The replaced `locate`, verbatim but for saying where a missing
+        /// link stopped it: the root's key, then one `child` probe per
+        /// level (so the root's line is read twice).
+        fn model_locate(store: &mut PmStore, root: POffset, key: OctKey) -> Locate {
+            let root_key = store.key(root);
+            if !root_key.contains(&key) {
+                return Locate::Missing(None);
+            }
+            let mut cur = root;
+            for l in root_key.level()..key.level() {
+                let idx = key.ancestor_at(l + 1).sibling_index();
+                match store.child(cur, idx) {
+                    ChildPtr::Null => return Locate::Missing(Some(l)),
+                    ChildPtr::Volatile(id) => return Locate::Volatile(id),
+                    ChildPtr::Nvbm(p) => cur = p,
+                }
+            }
+            Locate::Nvbm(cur)
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
             #[test]
-            fn cursor_equals_locate(
+            fn one_walk_equals_the_old_locate(
                 ops in arb_ops(),
                 cfg in 0..CONFIGS,
                 order in 0usize..4,
@@ -1370,12 +1499,26 @@ mod tests {
                     _ => t.current_root,
                 };
                 let s = &mut t.store;
+                // Same answers, never more reads: a fresh walk per key
+                // against the old loop key by key, the cursor against
+                // the fresh walks over the batch.
+                let mut per_key_reads = 0;
+                let mut per_key = Vec::with_capacity(keys.len());
+                for &k in &keys {
+                    let before = reads(s);
+                    let old = model_locate(s, root, k);
+                    let old_reads = reads(s) - before;
+                    let new = locate(s, root, k);
+                    let new_reads = reads(s) - before - old_reads;
+                    prop_assert_eq!(new, old, "{:?}", k);
+                    prop_assert!(new_reads <= old_reads, "{:?}: {} > {}", k, new_reads, old_reads);
+                    per_key_reads += new_reads;
+                    per_key.push(new);
+                }
                 let before = reads(s);
-                let per_key: Vec<Locate> = keys.iter().map(|&k| locate(s, root, k)).collect();
-                let per_key_reads = reads(s) - before;
                 let mut cursor = Cursor::new(root);
                 let batched: Vec<Locate> = keys.iter().map(|&k| cursor.locate(s, k)).collect();
-                let batched_reads = reads(s) - before - per_key_reads;
+                let batched_reads = reads(s) - before;
                 prop_assert_eq!(batched, per_key);
                 prop_assert!(batched_reads <= per_key_reads, "{batched_reads} > {per_key_reads}");
                 // The public batch agrees with the per-key reads, C0 included.

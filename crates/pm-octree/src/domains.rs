@@ -44,7 +44,7 @@
 //! for 1, 2, 4 or N workers.
 //!
 //! Batch semantics: every route applies an op through the one kernel
-//! ([`apply`]: locate → precondition → COW), so a batched op succeeds,
+//! ([`apply`]: one walk → precondition → COW), so a batched op succeeds,
 //! fails and mutates exactly as its per-op call would. Ops a shard cannot
 //! run go through [`PmOctree::apply_op`], the per-op API's own body, in
 //! input order: C0-owned or above-the-cut keys and coarsens whose children
@@ -61,7 +61,7 @@ use pmoctree_nvbm::{AllocLease, ArenaSnapshot, POffset, ShardDelta};
 use rayon::prelude::*;
 
 use crate::api::{PmError, PmOctree};
-use crate::c1::{self, Locate};
+use crate::c1;
 use crate::octant::{CellData, OctAccess, ShardStore};
 
 /// Tree level at which batched mutations shard into concurrent write
@@ -105,11 +105,11 @@ impl DomainOp {
 /// The op kernel — the one place an op meets the `c1` COW routines, for
 /// the serial [`PmStore`](crate::octant::PmStore) and a [`ShardStore`]
 /// overlay alike (only the publication edge needs ordering, so the same
-/// code is correct against both). Locates the target under `root`, checks
-/// the op's precondition — refine: a leaf; coarsen: *not* a leaf (the
-/// probe that keeps `c1::coarsen` from unlinking and re-averaging one);
-/// set-data: exists — and applies it copy-on-write. Returns the
-/// possibly-new root; a refusal ([`PmError::NotFound`],
+/// code is correct against both). Each routine walks from `root` to the
+/// target once, checks the op's precondition on the navigation line the
+/// walk ended on — refine: a leaf; coarsen: *not* a leaf; set-data:
+/// exists — and applies the op copy-on-write through the frames it holds.
+/// Returns the possibly-new root; a refusal ([`PmError::NotFound`],
 /// [`PmError::NotALeaf`], [`PmError::NotCoarsenable`]) or
 /// [`PmError::Full`] leaves the tree's content unchanged.
 pub(crate) fn apply<S: OctAccess>(
@@ -118,22 +118,10 @@ pub(crate) fn apply<S: OctAccess>(
     op: DomainOp,
     epoch: u32,
 ) -> Result<POffset, PmError> {
-    let key = op.key();
-    let Locate::Nvbm(p) = c1::locate(store, root, key) else {
-        return Err(PmError::NotFound(format!("{key:?}")));
-    };
-    let refused = match op {
-        DomainOp::Refine(_) => !store.is_leaf_octant(p),
-        DomainOp::Coarsen(_) => store.is_leaf_octant(p),
-        DomainOp::SetData(..) => false,
-    };
-    if refused {
-        return Err(PmError::NotALeaf(format!("{key:?}")));
-    }
     match op {
-        DomainOp::Refine(_) => c1::refine(store, root, key, epoch),
-        DomainOp::Coarsen(_) => c1::coarsen(store, root, key, epoch),
-        DomainOp::SetData(_, d) => c1::update_data(store, root, key, &d, epoch),
+        DomainOp::Refine(key) => c1::refine(store, root, key, epoch),
+        DomainOp::Coarsen(key) => c1::coarsen(store, root, key, epoch),
+        DomainOp::SetData(key, d) => c1::update_data(store, root, key, &d, epoch),
     }
 }
 
@@ -178,16 +166,14 @@ pub fn run_batch(t: &mut PmOctree, ops: &[DomainOp]) -> Vec<bool> {
     // Serial pre-pass: materialize each domain root as epoch-exclusive.
     let mut pending: Vec<(POffset, Vec<(usize, DomainOp)>)> = Vec::new();
     for (dk, dops) in domains {
-        let cow = match c1::locate(&mut t.store, t.current_root, dk) {
-            Locate::Nvbm(_) => c1::cow_path(&mut t.store, t.current_root, dk, t.epoch).ok(),
-            _ => None,
-        };
-        match cow {
-            Some((root, off)) => {
+        // An absent domain root (`NotFound`) and a full device alike send
+        // the domain's ops down the serial route.
+        match c1::cow_path(&mut t.store, t.current_root, dk, t.epoch) {
+            Ok((root, off)) => {
                 t.current_root = root;
                 pending.push((off, dops));
             }
-            None => tail.extend(dops),
+            Err(_) => tail.extend(dops),
         }
     }
     // Carve one bump-region lease per domain. Carving failure means the
@@ -443,6 +429,111 @@ mod tests {
             "one publication-boundary crash opportunity per domain"
         );
     }
+
+    /// Counts what an op reads from the device before its first store.
+    struct Watch<'a, S> {
+        inner: &'a mut S,
+        nav_reads: usize,
+        payload_reads: usize,
+        stored: bool,
+    }
+
+    impl<S: OctAccess> OctAccess for Watch<'_, S> {
+        fn io_read(&mut self, offset: u64, buf: &mut [u8]) {
+            if !self.stored {
+                match buf.len() {
+                    64 => self.nav_reads += 1,
+                    32 => self.payload_reads += 1,
+                    n => panic!("a {n}-byte read: neither a navigation line nor a payload"),
+                }
+            }
+            self.inner.io_read(offset, buf);
+        }
+
+        fn io_write(&mut self, offset: u64, data: &[u8]) {
+            self.stored = true;
+            self.inner.io_write(offset, data);
+        }
+
+        fn alloc_block(&mut self) -> Result<POffset, PmError> {
+            self.inner.alloc_block()
+        }
+    }
+
+    #[test]
+    fn an_op_walks_its_path_once() {
+        use crate::octant::{Octant, PmStore};
+        // A chain root → child 3 → … → level 5, built at epoch 1. Seen
+        // from epoch 2 every octant is shared, so an op's first store is
+        // the copy of its target, and what it read before that is its
+        // walk. Copies never touch `root`'s tree: every op meets it whole.
+        let at = |d: u8| (0..d).fold(OctKey::root(), |k, _| k.child(3));
+        let mut s = PmStore::new(NvbmArena::new(1 << 20, DeviceModel::default()));
+        let mut root =
+            s.alloc_octant(&Octant::leaf(OctKey::root(), 1, CellData::default())).unwrap();
+        for d in 0..5 {
+            root = apply(&mut s, root, DomainOp::Refine(at(d)), 1).unwrap();
+        }
+        let walk = |store: &mut dyn FnMut(DomainOp) -> (usize, usize, bool), d: u8| {
+            let data = CellData { phi: 2.5, ..Default::default() };
+            let ops = [
+                (d == 5).then_some(DomainOp::Refine(at(d))),
+                (d == 4).then_some(DomainOp::Coarsen(at(d))),
+                Some(DomainOp::SetData(at(d), data)),
+            ];
+            for op in ops.into_iter().flatten() {
+                // d + 1 navigation lines, root to target; the target's
+                // copy reads the payload line unless the op brings one.
+                let payload = usize::from(!matches!(op, DomainOp::SetData(..)));
+                assert_eq!(store(op), (d as usize + 1, payload, true), "{op:?} at level {d}");
+            }
+        };
+        for d in 0..=5 {
+            let serial = &mut |op| {
+                let mut w = Watch { inner: &mut s, nav_reads: 0, payload_reads: 0, stored: false };
+                let new_root = apply(&mut w, root, op, 2).unwrap();
+                (w.nav_reads, w.payload_reads, new_root != root)
+            };
+            walk(serial, d);
+            s.alloc.set_limit(s.arena.live_rt_floor());
+            let lease = s.alloc.carve_lease(64).unwrap();
+            let snap = s.arena.snapshot();
+            let mut shard = ShardStore::new(&snap, lease);
+            let sharded = &mut |op| {
+                let mut w =
+                    Watch { inner: &mut shard, nav_reads: 0, payload_reads: 0, stored: false };
+                let new_root = apply(&mut w, root, op, 2).unwrap();
+                (w.nav_reads, w.payload_reads, new_root != root)
+            };
+            walk(sharded, d);
+        }
+        // Refusals come off the same walk, before the first copy: nothing
+        // is stored and nothing allocated.
+        let (writes, allocated) = (s.arena.stats.nvbm.write_lines, s.registry.len());
+        let d = CellData::default();
+        for (op, epoch, want) in [
+            (DomainOp::Refine(at(5).child(1)), 2, "not-found"),
+            (DomainOp::SetData(at(2).child(0).child(0), d), 2, "not-found"),
+            (DomainOp::Coarsen(at(4).child(6).child(6)), 2, "not-found"),
+            (DomainOp::Refine(at(2)), 2, "not-a-leaf"),
+            (DomainOp::Coarsen(at(5)), 2, "not-a-leaf"),
+            // Children are probed once the target is exclusive, which at
+            // their own epoch it already is.
+            (DomainOp::Coarsen(at(3)), 1, "not-coarsenable"),
+        ] {
+            let mut w = Watch { inner: &mut s, nav_reads: 0, payload_reads: 0, stored: false };
+            let got = match apply(&mut w, root, op, epoch) {
+                Err(PmError::NotFound(_)) => "not-found",
+                Err(PmError::NotALeaf(_)) => "not-a-leaf",
+                Err(PmError::NotCoarsenable(_)) => "not-coarsenable",
+                other => panic!("{op:?}: {other:?}"),
+            };
+            assert_eq!((got, w.stored), (want, false), "{op:?}");
+            assert!(w.nav_reads <= op.key().level() as usize + 9 && w.payload_reads == 0);
+        }
+        assert_eq!((s.arena.stats.nvbm.write_lines, s.registry.len()), (writes, allocated));
+    }
+
     /// Fixtures of `every_route_applies_an_op_the_same_way`.
     mod routes {
         use super::*;

@@ -95,7 +95,7 @@ pub fn collect(store: &mut PmStore, roots: &[POffset], epoch: u32) -> (GcReport,
 mod tests {
     use super::*;
     use crate::c1::{coarsen, refine, update_data};
-    use crate::octant::{CellData, Octant, OCTANT_SIZE};
+    use crate::octant::{CellData, Octant, Probes, OCTANT_SIZE};
     use pmoctree_morton::OctKey;
     use pmoctree_nvbm::{DeviceModel, NvbmArena};
 
@@ -115,9 +115,10 @@ mod tests {
         root = refine(&mut s, root, OctKey::root(), 1).unwrap();
         assert_eq!(s.registry.len(), 9);
         let children = s.registry[1..].to_vec();
-        // Coarsen at the same epoch: children flagged deleted + unlinked.
+        // Coarsen at the same epoch: the children are unlinked, nothing
+        // more — the mark from the root is what finds them gone.
         let root = coarsen(&mut s, root, OctKey::root(), 1).unwrap();
-        assert!(children.iter().all(|&c| s.is_deleted(c)));
+        assert!(children.iter().all(|&c| s.read_octant(c).epoch == 1));
         let (r, _) = collect(&mut s, &[root], 1);
         assert_eq!(r.live, 1);
         assert_eq!(r.freed, 8);
@@ -180,8 +181,9 @@ mod tests {
             let mut stack = vec![root];
             while let Some(p) = stack.pop() {
                 total += 1;
-                shared += usize::from(s.epoch_of(p) < epoch);
-                for c in s.children(p) {
+                let o = s.read_octant(p);
+                shared += usize::from(o.epoch < epoch);
+                for c in o.children {
                     if let ChildPtr::Nvbm(c) = c {
                         stack.push(c);
                     }
@@ -218,7 +220,7 @@ mod tests {
         // The replica delta persist used to gather: the swept registry
         // (now exactly the live set), filtered by epoch.
         let mut by_filter: Vec<POffset> = s.registry.clone();
-        by_filter.retain(|&p| s.epoch_of(p) == 2);
+        by_filter.retain(|&p| s.read_octant(p).epoch == 2);
         by_filter.sort_unstable();
         fresh.sort_unstable();
         assert_eq!(fresh, by_filter);

@@ -15,9 +15,10 @@
 //! * **Structural sharing** — unchanged subtrees are shared between
 //!   versions; merging diffs against a shadow image so that quiet time
 //!   steps persist almost for free ([`c1::merge_subtree`]).
-//! * **Deferred deletion + mark-and-sweep GC** — deletes never write
-//!   shared octants; space is reclaimed by [`gc`], whose mark pass also
-//!   rebuilds the allocator after a crash.
+//! * **Deferred deletion + mark-and-sweep GC** — a delete rewrites the
+//!   (exclusive) parent's links and never the octant it unlinks; space is
+//!   reclaimed by [`gc`], whose mark pass also rebuilds the allocator
+//!   after a crash.
 //! * **Feature-directed dynamic layout transformation** — application
 //!   feature functions are pre-executed on sampled octants to decide
 //!   which subtrees deserve DRAM ([`sampling`], [`transform`]).

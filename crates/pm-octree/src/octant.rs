@@ -3,18 +3,19 @@
 //! Each NVBM-resident octant is a fixed 128-byte record — exactly two
 //! cachelines, split **hot/cold** (layout v2): the first line carries
 //! *everything a root-to-leaf descent needs* — compact child links, the
-//! locational key, flags, the child-presence mask, and the epoch — while
-//! the second line holds the solver payload. A tree walk therefore
-//! charges exactly one NVBM line per hop, including the key read at the
-//! root and the leaf test at the bottom (one mask byte, not eight pointer
-//! probes); data sweeps touch only the cold line.
+//! locational key, the child-presence mask, and the epoch — while the
+//! second line holds the solver payload. A tree walk therefore charges
+//! exactly one NVBM line per hop: one read ([`OctAccess::nav_line`])
+//! answers every question asked of an octant on the way — which child,
+//! which key, leaf or not, shared or exclusive; data sweeps touch only
+//! the cold line.
 //!
 //! ```text
 //! line 0 (hot / navigation):
 //!      0..48   children[8]  8 × 6-byte compact links (see encoding)
 //!     48..56   key code     u64 Morton code
 //!     56       key level    u8
-//!     57       flags        u8  (bit0 DELETED, rest reserved)
+//!     57       (reserved, zero — the recovery scan rejects anything else)
 //!     58       child mask   u8  bit i set ⟺ children[i] non-null
 //!     59       (pad)
 //!     60..64   epoch        u32 creation epoch (version ownership)
@@ -47,12 +48,10 @@ const OFF_LINKS: u64 = 0;
 const LINK_SIZE: u64 = 6;
 const OFF_CODE: u64 = 48;
 const OFF_LEVEL: u64 = 56;
-const OFF_FLAGS: u64 = 57;
+const OFF_RESERVED: u64 = 57;
 const OFF_MASK: u64 = 58;
 const OFF_EPOCH: u64 = 60;
 const OFF_DATA: u64 = 72;
-
-const FLAG_DELETED: u8 = 1;
 
 /// Bit 47 of a compact child link marks a volatile (DRAM) handle.
 const VOLATILE_BIT: u64 = 1 << 47;
@@ -181,37 +180,35 @@ impl CellData {
     }
 }
 
-/// A decoded navigation line (octant line 0): every hot field a descent
-/// or recovery scan consults, delivered by one cacheline read
-/// ([`PmStore::nav_line`]).
+/// A decoded navigation line (octant line 0): every hot field of an
+/// octant, delivered by one cacheline read ([`OctAccess::nav_line`]).
+/// Whatever a walker wants to know about an octant short of its payload
+/// — a child link, the key, leaf or not (`mask == 0`), shared or exclusive
+/// (`epoch`) — it takes from here, so no octant is charged twice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NavLine {
     /// Child pointers in Morton order.
     pub children: [ChildPtr; FANOUT],
-    /// Raw Morton code (unvalidated — see [`PmStore::raw_key`]).
+    /// Raw Morton code. Unvalidated: `OctKey::from_raw` panics on a
+    /// malformed pair, so recovery checks it before decoding.
     pub code: u64,
     /// Raw refinement level (unvalidated).
     pub level: u8,
-    /// Deleted flag.
-    pub deleted: bool,
     /// Child-presence mask: bit `i` set iff `children[i]` is non-null.
     pub mask: u8,
-    /// Creation epoch.
+    /// Creation epoch: an octant with `epoch` older than the working
+    /// epoch is shared with `V_{i-1}` and must be copied before mutation.
     pub epoch: u32,
 }
 
-/// A fully decoded octant (for tests and bulk operations; hot paths use
-/// the field-level accessors on [`PmStore`]).
+/// A whole octant record, as [`OctAccess::alloc_octant`] stores it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Octant {
     /// Child pointers in Morton order.
     pub children: [ChildPtr; FANOUT],
     /// Locational code.
     pub key: OctKey,
-    /// Deleted flag (§3.2 deferred deletion).
-    pub deleted: bool,
-    /// Creation epoch: octants with `epoch < current` are shared with
-    /// `V_{i-1}` and must be copied before mutation.
+    /// Creation epoch.
     pub epoch: u32,
     /// Simulation payload.
     pub data: CellData,
@@ -220,12 +217,25 @@ pub struct Octant {
 impl Octant {
     /// A fresh leaf octant.
     pub fn leaf(key: OctKey, epoch: u32, data: CellData) -> Self {
-        Octant { children: [ChildPtr::Null; FANOUT], key, deleted: false, epoch, data }
+        Octant { children: [ChildPtr::Null; FANOUT], key, epoch, data }
     }
 
-    /// Is this octant a leaf (no children at all)?
-    pub fn is_leaf(&self) -> bool {
-        self.children.iter().all(ChildPtr::is_null)
+    /// The 128-byte on-media record (presence mask derived from the
+    /// links, reserved bytes zero).
+    fn to_bytes(self) -> [u8; OCTANT_SIZE] {
+        let mut buf = [0u8; OCTANT_SIZE];
+        for (i, c) in self.children.iter().enumerate() {
+            put_link(&mut buf, i, c.encode());
+            if !c.is_null() {
+                buf[OFF_MASK as usize] |= 1 << i;
+            }
+        }
+        buf[OFF_CODE as usize..OFF_CODE as usize + 8]
+            .copy_from_slice(&self.key.raw().to_le_bytes());
+        buf[OFF_LEVEL as usize] = self.key.level();
+        buf[OFF_EPOCH as usize..OFF_EPOCH as usize + 4].copy_from_slice(&self.epoch.to_le_bytes());
+        buf[OFF_DATA as usize..OFF_DATA as usize + 32].copy_from_slice(&self.data.to_bytes());
+        buf
     }
 }
 
@@ -299,6 +309,13 @@ impl OctAccess for PmStore {
 /// overlay and allocator lease (one write domain of a domain-parallel
 /// sweep). The COW mutation code in `c1` is generic over this trait, so
 /// the exact same path-copy discipline runs serially or sharded.
+///
+/// The read side is two questions, one per line of the record:
+/// [`OctAccess::nav_line`] (checked: [`OctAccess::nav_line_checked`]) and
+/// [`OctAccess::data`]. There are no per-field probes — a caller that
+/// wants a link, the key, the mask or the epoch decodes the navigation
+/// line once and keeps it, which is what makes "one charged line per
+/// octant visited" a property of the interface instead of a habit.
 pub trait OctAccess {
     /// Read `buf.len()` bytes at `offset` from this view of the device.
     fn io_read(&mut self, offset: u64, buf: &mut [u8]);
@@ -311,84 +328,62 @@ pub trait OctAccess {
     /// exhausted.
     fn alloc_block(&mut self) -> Result<POffset, PmError>;
 
-    /// Allocate and write a new octant; returns its offset, or
-    /// [`PmError::Full`] with nothing mutated when space is exhausted.
+    /// Allocate a new octant and store its whole record (one two-line
+    /// write); returns its offset, or [`PmError::Full`] with nothing
+    /// mutated when space is exhausted.
     fn alloc_octant(&mut self, o: &Octant) -> Result<POffset, PmError> {
         let p = self.alloc_block()?;
-        self.write_octant(p, o);
+        self.io_write(p.0, &o.to_bytes());
         Ok(p)
     }
 
-    /// Write a complete octant record.
-    fn write_octant(&mut self, p: POffset, o: &Octant) {
-        let mut buf = [0u8; OCTANT_SIZE];
-        let mut mask = 0u8;
-        for (i, c) in o.children.iter().enumerate() {
-            put_link(&mut buf, i, c.encode());
-            if !c.is_null() {
-                mask |= 1 << i;
-            }
-        }
-        buf[OFF_CODE as usize..OFF_CODE as usize + 8].copy_from_slice(&o.key.raw().to_le_bytes());
-        buf[OFF_LEVEL as usize] = o.key.level();
-        buf[OFF_FLAGS as usize] = if o.deleted { FLAG_DELETED } else { 0 };
-        buf[OFF_MASK as usize] = mask;
-        buf[OFF_EPOCH as usize..OFF_EPOCH as usize + 4].copy_from_slice(&o.epoch.to_le_bytes());
-        buf[OFF_DATA as usize..OFF_DATA as usize + 32].copy_from_slice(&o.data.to_bytes());
-        self.io_write(p.0, &buf);
-    }
-
-    /// Read a complete octant record.
-    fn read_octant(&mut self, p: POffset) -> Octant {
-        let mut buf = [0u8; OCTANT_SIZE];
+    /// Decode the whole navigation line in one 64-byte read: children,
+    /// raw key, presence mask, and epoch — exactly one charged line.
+    #[inline]
+    fn nav_line(&mut self, p: POffset) -> NavLine {
+        let mut buf = [0u8; 64];
         self.io_read(p.0, &mut buf);
         let mut children = [ChildPtr::Null; FANOUT];
         for (i, c) in children.iter_mut().enumerate() {
             *c = ChildPtr::decode(get_link(&buf, i));
         }
-        let code = u64::from_le_bytes(
-            buf[OFF_CODE as usize..OFF_CODE as usize + 8].try_into().expect("8"),
-        );
-        let level = buf[OFF_LEVEL as usize];
-        let flags = buf[OFF_FLAGS as usize];
-        let epoch = u32::from_le_bytes(
-            buf[OFF_EPOCH as usize..OFF_EPOCH as usize + 4].try_into().expect("4"),
-        );
-        let data = CellData::from_bytes(
-            buf[OFF_DATA as usize..OFF_DATA as usize + 32].try_into().expect("32"),
-        );
-        Octant {
-            children,
-            key: OctKey::from_raw(code, level),
-            deleted: flags & FLAG_DELETED != 0,
-            epoch,
-            data,
-        }
+        decode_nav_tail(&buf, children)
     }
 
-    // ---- field-level accessors (single-cacheline traffic) ----------------
-
-    /// Read one child pointer (touches only the navigation line).
-    #[inline]
-    fn child(&mut self, p: POffset, i: usize) -> ChildPtr {
-        debug_assert!(i < FANOUT);
-        let mut b = [0u8; 6];
-        self.io_read(p.0 + OFF_LINKS + LINK_SIZE * i as u64, &mut b);
-        ChildPtr::decode(get_link(&b, 0))
+    /// [`OctAccess::nav_line`] with checked decoding: a corrupted child
+    /// link or a non-zero reserved byte surfaces as [`PmError::Corrupt`]
+    /// instead of a panic (or of going unnoticed). Recovery validation
+    /// and `verify` scans use this — they run over media that a crash (or
+    /// a poison test) may have mangled, and must report, not abort.
+    fn nav_line_checked(&mut self, p: POffset) -> Result<NavLine, PmError> {
+        let mut buf = [0u8; 64];
+        self.io_read(p.0, &mut buf);
+        let mut children = [ChildPtr::Null; FANOUT];
+        for (i, c) in children.iter_mut().enumerate() {
+            *c = ChildPtr::try_decode(get_link(&buf, i))
+                .map_err(|e| PmError::Corrupt(format!("octant {:#x} child {i}: {e}", p.0)))?;
+        }
+        if buf[OFF_RESERVED as usize] != 0 {
+            return Err(PmError::Corrupt(format!(
+                "octant {:#x}: reserved byte {OFF_RESERVED} holds {:#04x}, nothing stores there",
+                p.0, buf[OFF_RESERVED as usize]
+            )));
+        }
+        Ok(decode_nav_tail(&buf, children))
     }
 
-    /// Read all 8 child pointers with a single cacheline access — the
-    /// compact links span 48 bytes of the navigation line, so traversals
-    /// pay one read per visited octant, not eight.
+    /// Read the payload (the cold line).
     #[inline]
-    fn children(&mut self, p: POffset) -> [ChildPtr; FANOUT] {
-        let mut buf = [0u8; 48];
-        self.io_read(p.0 + OFF_LINKS, &mut buf);
-        let mut out = [ChildPtr::Null; FANOUT];
-        for (i, c) in out.iter_mut().enumerate() {
-            *c = ChildPtr::decode(get_link(&buf, i));
-        }
-        out
+    fn data(&mut self, p: POffset) -> CellData {
+        let mut b = [0u8; 32];
+        self.io_read(p.0 + OFF_DATA, &mut b);
+        CellData::from_bytes(&b)
+    }
+
+    /// Write the payload.
+    #[inline]
+    fn set_data(&mut self, p: POffset, d: &CellData) {
+        self.io_write(p.0 + OFF_DATA, &d.to_bytes());
     }
 
     /// Write one child pointer, keeping the presence mask coherent (one
@@ -433,111 +428,6 @@ pub trait OctAccess {
         self.io_write(p.0 + OFF_LINKS, &buf);
         self.io_write(p.0 + OFF_MASK, &[mask]);
     }
-
-    /// Read the child-presence mask: bit `i` set iff `children[i]` is
-    /// non-null. One single-byte read on the navigation line — the leaf
-    /// test descents use instead of probing eight slots.
-    #[inline]
-    fn child_mask(&mut self, p: POffset) -> u8 {
-        let mut m = [0u8; 1];
-        self.io_read(p.0 + OFF_MASK, &mut m);
-        m[0]
-    }
-
-    /// Is the octant at `p` a leaf (no children)? Charges one line.
-    #[inline]
-    fn is_leaf_octant(&mut self, p: POffset) -> bool {
-        self.child_mask(p) == 0
-    }
-
-    /// Read the locational code.
-    #[inline]
-    fn key(&mut self, p: POffset) -> OctKey {
-        let (code, level) = self.raw_key(p);
-        OctKey::from_raw(code, level)
-    }
-
-    /// Read the raw `(code, level)` pair without constructing an
-    /// [`OctKey`] — `OctKey::from_raw` panics on malformed values, so
-    /// recovery validation decodes keys only after checking them. Code
-    /// and level are adjacent on the navigation line, so this is one
-    /// 9-byte, single-line read.
-    #[inline]
-    fn raw_key(&mut self, p: POffset) -> (u64, u8) {
-        let mut b = [0u8; 9];
-        self.io_read(p.0 + OFF_CODE, &mut b);
-        (u64::from_le_bytes(b[..8].try_into().expect("8 bytes")), b[8])
-    }
-
-    /// Decode the whole navigation line in one 64-byte read: children,
-    /// raw key, flags, presence mask, and epoch. Recovery scans and
-    /// traversals that need several hot fields of the same octant use
-    /// this to charge exactly one line instead of one per field.
-    #[inline]
-    fn nav_line(&mut self, p: POffset) -> NavLine {
-        let mut buf = [0u8; 64];
-        self.io_read(p.0, &mut buf);
-        let mut children = [ChildPtr::Null; FANOUT];
-        for (i, c) in children.iter_mut().enumerate() {
-            *c = ChildPtr::decode(get_link(&buf, i));
-        }
-        decode_nav_tail(&buf, children)
-    }
-
-    /// [`OctAccess::nav_line`] with checked link decoding: a corrupted
-    /// child link surfaces as [`PmError::Corrupt`] instead of a panic.
-    /// Recovery validation and `verify` scans use this — they run over
-    /// media that a crash (or a poison test) may have mangled, and must
-    /// report, not abort.
-    fn nav_line_checked(&mut self, p: POffset) -> Result<NavLine, PmError> {
-        let mut buf = [0u8; 64];
-        self.io_read(p.0, &mut buf);
-        let mut children = [ChildPtr::Null; FANOUT];
-        for (i, c) in children.iter_mut().enumerate() {
-            *c = ChildPtr::try_decode(get_link(&buf, i))
-                .map_err(|e| PmError::Corrupt(format!("octant {:#x} child {i}: {e}", p.0)))?;
-        }
-        Ok(decode_nav_tail(&buf, children))
-    }
-
-    /// Read the deleted flag.
-    #[inline]
-    fn is_deleted(&mut self, p: POffset) -> bool {
-        let mut f = [0u8; 1];
-        self.io_read(p.0 + OFF_FLAGS, &mut f);
-        f[0] & FLAG_DELETED != 0
-    }
-
-    /// Set or clear the deleted flag.
-    #[inline]
-    fn set_deleted(&mut self, p: POffset, deleted: bool) {
-        let mut f = [0u8; 1];
-        self.io_read(p.0 + OFF_FLAGS, &mut f);
-        let nf = if deleted { f[0] | FLAG_DELETED } else { f[0] & !FLAG_DELETED };
-        self.io_write(p.0 + OFF_FLAGS, &[nf]);
-    }
-
-    /// Read the creation epoch.
-    #[inline]
-    fn epoch_of(&mut self, p: POffset) -> u32 {
-        let mut b = [0u8; 4];
-        self.io_read(p.0 + OFF_EPOCH, &mut b);
-        u32::from_le_bytes(b)
-    }
-
-    /// Read the payload.
-    #[inline]
-    fn data(&mut self, p: POffset) -> CellData {
-        let mut b = [0u8; 32];
-        self.io_read(p.0 + OFF_DATA, &mut b);
-        CellData::from_bytes(&b)
-    }
-
-    /// Write the payload.
-    #[inline]
-    fn set_data(&mut self, p: POffset, d: &CellData) {
-        self.io_write(p.0 + OFF_DATA, &d.to_bytes());
-    }
 }
 
 /// Decode the non-link fields of a navigation-line buffer.
@@ -548,7 +438,6 @@ fn decode_nav_tail(buf: &[u8; 64], children: [ChildPtr; FANOUT]) -> NavLine {
             buf[OFF_CODE as usize..OFF_CODE as usize + 8].try_into().expect("8"),
         ),
         level: buf[OFF_LEVEL as usize],
-        deleted: buf[OFF_FLAGS as usize] & FLAG_DELETED != 0,
         mask: buf[OFF_MASK as usize],
         epoch: u32::from_le_bytes(
             buf[OFF_EPOCH as usize..OFF_EPOCH as usize + 4].try_into().expect("4"),
@@ -605,6 +494,56 @@ impl OctAccess for ShardStore<'_> {
     }
 }
 
+/// Test support: the whole-record reader and the per-field probes
+/// [`OctAccess`] offered before every question went to one `nav_line`
+/// decode, with the single-field reads (and charges) they had. The
+/// reference models that stand in for replaced code (`sweep_parity`,
+/// `cursor_parity`, the GC census) are written against them.
+#[cfg(test)]
+pub(crate) trait Probes: OctAccess {
+    fn read_octant(&mut self, p: POffset) -> Octant {
+        let mut buf = [0u8; OCTANT_SIZE];
+        self.io_read(p.0, &mut buf);
+        let line0: &[u8; 64] = buf[..64].try_into().expect("64");
+        let nav =
+            decode_nav_tail(line0, std::array::from_fn(|i| ChildPtr::decode(get_link(&buf, i))));
+        let data = buf[OFF_DATA as usize..OFF_DATA as usize + 32].try_into().expect("32");
+        Octant {
+            children: nav.children,
+            key: OctKey::from_raw(nav.code, nav.level),
+            epoch: nav.epoch,
+            data: CellData::from_bytes(data),
+        }
+    }
+
+    fn child(&mut self, p: POffset, i: usize) -> ChildPtr {
+        let mut b = [0u8; 6];
+        self.io_read(p.0 + OFF_LINKS + LINK_SIZE * i as u64, &mut b);
+        ChildPtr::decode(get_link(&b, 0))
+    }
+
+    fn key(&mut self, p: POffset) -> OctKey {
+        let mut b = [0u8; 9];
+        self.io_read(p.0 + OFF_CODE, &mut b);
+        OctKey::from_raw(u64::from_le_bytes(b[..8].try_into().expect("8 bytes")), b[8])
+    }
+
+    fn epoch_of(&mut self, p: POffset) -> u32 {
+        let mut b = [0u8; 4];
+        self.io_read(p.0 + OFF_EPOCH, &mut b);
+        u32::from_le_bytes(b)
+    }
+
+    fn is_leaf_octant(&mut self, p: POffset) -> bool {
+        let mut m = [0u8; 1];
+        self.io_read(p.0 + OFF_MASK, &mut m);
+        m[0] == 0
+    }
+}
+
+#[cfg(test)]
+impl<S: OctAccess> Probes for S {}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -623,42 +562,35 @@ mod tests {
             Octant::leaf(key, 7, CellData { phi: -0.5, pressure: 101.3, vof: 0.25, work: 2.0 });
         o.children[2] = ChildPtr::Nvbm(POffset(0x1000));
         o.children[5] = ChildPtr::Volatile(17);
-        o.deleted = true;
         let p = s.alloc_octant(&o).unwrap();
         let r = s.read_octant(p);
         assert_eq!(r, o);
-        let mut reserved = [0xffu8; 8];
-        s.arena.read(p.0 + 64, &mut reserved);
-        assert_eq!(reserved, [0; 8], "bytes 64..72 are reserved-zero");
+        let nav = s.nav_line(p);
+        assert_eq!((nav.children, nav.epoch, nav.mask), (o.children, 7, (1 << 2) | (1 << 5)));
+        assert_eq!(OctKey::from_raw(nav.code, nav.level), key);
+        assert_eq!(s.data(p), o.data);
+        let mut raw = [0xffu8; OCTANT_SIZE];
+        s.arena.read(p.0, &mut raw);
+        assert_eq!((raw[57], raw[59]), (0, 0), "byte 57 and the pad are reserved-zero");
+        assert_eq!(raw[64..72], [0; 8], "bytes 64..72 are reserved-zero");
+        assert_eq!(raw[104..], [0; 24]);
     }
 
     #[test]
-    fn field_accessors_match_bulk() {
+    fn field_stores_show_in_both_lines() {
         let mut s = store();
         let key = OctKey::root().child(1);
         let o = Octant::leaf(key, 3, CellData { phi: 1.0, ..Default::default() });
         let p = s.alloc_octant(&o).unwrap();
-        assert_eq!(s.key(p), key);
-        assert_eq!(s.epoch_of(p), 3);
-        assert!(!s.is_deleted(p));
-        assert_eq!(s.child(p, 0), ChildPtr::Null);
+        assert_eq!(s.nav_line(p).children[0], ChildPtr::Null);
         s.set_child(p, 0, ChildPtr::Nvbm(POffset(512)));
-        assert_eq!(s.child(p, 0), ChildPtr::Nvbm(POffset(512)));
-        s.set_deleted(p, true);
-        assert!(s.is_deleted(p));
         s.set_data(p, &CellData { vof: 0.75, ..Default::default() });
+        let nav = s.nav_line(p);
+        assert_eq!((nav.children[0], nav.mask, nav.epoch), (ChildPtr::Nvbm(POffset(512)), 1, 3));
         assert_eq!(s.data(p).vof, 0.75);
-        assert_eq!(s.read_octant(p).children[0], ChildPtr::Nvbm(POffset(512)));
-    }
-
-    #[test]
-    fn child_read_touches_one_line() {
-        let mut s = store();
-        let o = Octant::leaf(OctKey::root(), 0, CellData::default());
-        let p = s.alloc_octant(&o).unwrap();
-        let before = s.arena.stats.nvbm.read_lines;
-        let _ = s.child(p, 3);
-        assert_eq!(s.arena.stats.nvbm.read_lines - before, 1);
+        let mut expect = Octant::leaf(key, 3, CellData { vof: 0.75, ..Default::default() });
+        expect.children[0] = ChildPtr::Nvbm(POffset(512));
+        assert_eq!(s.read_octant(p), expect);
     }
 
     #[test]
@@ -692,23 +624,20 @@ mod tests {
         let mut s = store();
         let o = Octant::leaf(OctKey::root(), 0, CellData::default());
         let p = s.alloc_octant(&o).unwrap();
-        assert_eq!(s.child_mask(p), 0);
-        assert!(s.is_leaf_octant(p));
+        assert_eq!(s.nav_line(p).mask, 0);
         s.set_child(p, 3, ChildPtr::Nvbm(POffset(0x1000)));
         s.set_child(p, 6, ChildPtr::Volatile(2));
-        assert_eq!(s.child_mask(p), (1 << 3) | (1 << 6));
-        assert!(!s.is_leaf_octant(p));
+        assert_eq!(s.nav_line(p).mask, (1 << 3) | (1 << 6));
         s.set_child(p, 3, ChildPtr::Null);
-        assert_eq!(s.child_mask(p), 1 << 6);
+        assert_eq!(s.nav_line(p).mask, 1 << 6);
         let mut cs = [ChildPtr::Null; FANOUT];
         cs[0] = ChildPtr::Nvbm(POffset(0x2000));
         s.set_children(p, &cs);
-        assert_eq!(s.child_mask(p), 1);
-        assert_eq!(s.children(p), cs);
-        // write_octant recomputes the mask from the children array.
-        let r = s.read_octant(p);
-        s.write_octant(p, &r);
-        assert_eq!(s.child_mask(p), 1);
+        let nav = s.nav_line(p);
+        assert_eq!((nav.mask, nav.children), (1, cs));
+        // A stored record derives the mask from its children array.
+        let q = s.alloc_octant(&Octant { children: cs, ..o }).unwrap();
+        assert_eq!(s.nav_line(q).mask, 1);
     }
 
     #[test]
@@ -751,7 +680,6 @@ mod tests {
         assert_eq!(nav.children, o.children);
         assert_eq!((nav.code, nav.level), (key.raw(), key.level()));
         assert_eq!(nav.mask, 1 << 5);
-        assert!(!nav.deleted);
         assert_eq!(nav.epoch, 9);
     }
 
@@ -785,6 +713,13 @@ mod tests {
             Err(PmError::Corrupt(m)) => assert!(m.contains("child 0"), "{m}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
+        // The byte the deleted flag used to live in: nothing stores there.
+        let q = s.alloc_octant(&o).unwrap();
+        s.arena.write(q.0 + 57, &[1]);
+        match s.nav_line_checked(q) {
+            Err(PmError::Corrupt(m)) => assert!(m.contains("reserved byte 57"), "{m}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]
@@ -793,10 +728,11 @@ mod tests {
         let root = s.alloc_octant(&Octant::leaf(OctKey::root(), 0, CellData::default())).unwrap();
         s.alloc.set_limit(s.arena.live_rt_floor());
         let lease = s.alloc.carve_lease(4).unwrap();
+        let snap_root = s.nav_line(root);
         let (delta, lease, regs) = {
             let snap = s.arena.snapshot();
             let mut shard = ShardStore::new(&snap, lease);
-            assert_eq!(shard.key(root), OctKey::root(), "shard reads the snapshot");
+            assert_eq!(shard.nav_line(root), snap_root, "shard reads the snapshot");
             let c = shard
                 .alloc_octant(&Octant::leaf(OctKey::root().child(2), 1, CellData::default()))
                 .unwrap();
@@ -804,12 +740,13 @@ mod tests {
             shard.into_parts()
         };
         assert_eq!(regs, vec![POffset(lease.start())]);
-        assert!(s.is_leaf_octant(root), "buffered shard writes are invisible");
+        assert_eq!(s.nav_line(root), snap_root, "buffered shard writes are invisible");
         s.arena.absorb_shard("sweep::interleave", delta);
         s.alloc.release_lease(lease, lease.cursor());
         s.registry.extend(regs);
-        assert_eq!(s.child(root, 2), ChildPtr::Nvbm(POffset(lease.start())));
-        assert_eq!(s.key(POffset(lease.start())), OctKey::root().child(2));
+        let nav = s.nav_line(root);
+        assert_eq!((nav.children[2], nav.mask), (ChildPtr::Nvbm(POffset(lease.start())), 1 << 2));
+        assert_eq!(s.read_octant(POffset(lease.start())).key, OctKey::root().child(2));
     }
 
     #[test]
@@ -825,14 +762,5 @@ mod tests {
             Err(PmError::Full(_)) => {}
             other => panic!("expected Full, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn leaf_detection() {
-        let o = Octant::leaf(OctKey::root(), 0, CellData::default());
-        assert!(o.is_leaf());
-        let mut o2 = o;
-        o2.children[7] = ChildPtr::Nvbm(POffset(64));
-        assert!(!o2.is_leaf());
     }
 }

@@ -50,31 +50,27 @@ pub fn sample_nvbm_freq(
         return 0.0;
     }
     // A single-octant subtree needs exactly one evaluation, not n walks.
-    let root_children = store.children(off);
-    let root_is_leaf = root_children.iter().all(|c| !matches!(c, ChildPtr::Nvbm(_)));
+    let root_nav = store.nav_line(off);
+    let root_is_leaf = root_nav.children.iter().all(|c| !matches!(c, ChildPtr::Nvbm(_)));
     let walks = if root_is_leaf { 1 } else { n };
     let mut hits = 0usize;
     let mut evals = 0usize;
     for _ in 0..walks {
-        // Random walk from the subtree root to some leaf.
+        // Random walk from the subtree root to some leaf: one navigation
+        // line per octant stood on, the last one also giving the key.
         let mut cur = off;
+        let mut nav = root_nav;
         loop {
-            let children = if cur == off { root_children } else { store.children(cur) };
             let start = rng.gen_range(0..FANOUT);
-            let mut next = None;
-            for d in 0..FANOUT {
-                let i = (start + d) % FANOUT;
-                if let ChildPtr::Nvbm(c) = children[i] {
-                    next = Some(c);
-                    break;
-                }
-            }
-            match next {
-                Some(c) => cur = c,
-                None => break,
-            }
+            let next = (0..FANOUT).find_map(|d| match nav.children[(start + d) % FANOUT] {
+                ChildPtr::Nvbm(c) => Some(c),
+                _ => None,
+            });
+            let Some(c) = next else { break };
+            cur = c;
+            nav = store.nav_line(cur);
         }
-        let key = store.key(cur);
+        let key = OctKey::from_raw(nav.code, nav.level);
         let data = store.data(cur);
         for f in features {
             evals += 1;

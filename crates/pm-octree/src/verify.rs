@@ -8,8 +8,8 @@
 //!   Unlike [`gc::mark`](crate::gc::mark), which trusts every pointer it
 //!   follows (and would panic inside the arena on a torn offset), the scan
 //!   checks each step before taking it: bounds, cacheline alignment,
-//!   key/position consistency, no cycles, no reachable deleted octants, no
-//!   volatile handles in a persisted tree. A violation is reported as
+//!   key/position consistency, no cycles, reserved bytes of the navigation
+//!   line zero, no volatile handles in a persisted tree. A violation is reported as
 //!   [`PmError::Corrupt`] instead of a panic, so callers can distinguish
 //!   "this crash image is unrecoverable" from "the process blew up".
 //! * [`check_invariants`] — the post-restore contract: the structure is
@@ -96,9 +96,9 @@ pub fn scan_tree(store: &mut PmStore, root: POffset) -> Result<TreeScan, PmError
                 p.0
             )));
         }
-        // The whole hot line — children, raw key, flags, mask, epoch —
-        // arrives in one validated read; a torn child link surfaces as
-        // `Corrupt` here instead of a decode panic.
+        // The whole hot line — children, raw key, mask, epoch — arrives in
+        // one validated read; a torn child link (instead of a decode
+        // panic) or a non-zero reserved byte surfaces as `Corrupt` here.
         let nav = store.nav_line_checked(p)?;
         let key = checked_key(p, nav.code, nav.level)?;
         if let Some(want) = expected.remove(&p) {
@@ -108,12 +108,6 @@ pub fn scan_tree(store: &mut PmStore, root: POffset) -> Result<TreeScan, PmError
                     p.0
                 )));
             }
-        }
-        if nav.deleted {
-            return Err(PmError::Corrupt(format!(
-                "octant {:#x} ({key:?}) reachable but flagged deleted",
-                p.0
-            )));
         }
         // The presence mask is redundant with the links; a disagreement
         // means a torn navigation line.
@@ -386,6 +380,30 @@ mod tests {
         poison_link(&mut t, root, 1, (1u64 << 47) | 5);
         let err = scan_tree(&mut t.store, root).unwrap_err();
         assert!(err.to_string().contains("volatile"), "{err}");
+    }
+
+    #[test]
+    fn scan_rejects_nonzero_reserved_byte() {
+        let mut t = PmOctree::create(arena(), cfg());
+        t.refine(OctKey::root()).unwrap();
+        t.persist();
+        let root = t.store.arena.root(1);
+        let ChildPtr::Nvbm(leaf) = t.store.nav_line(root).children[4] else { panic!() };
+        // Hot-line offset 57 held the deleted flag once; nothing stores
+        // there now, so any bit set in a reachable octant is damage.
+        for byte in [1u8, 0x80] {
+            t.store.arena.write(leaf.0 + 57, &[byte]);
+            let err = scan_tree(&mut t.store, root).unwrap_err();
+            assert!(matches!(&err, PmError::Corrupt(m) if m.contains("reserved")), "{err}");
+        }
+        t.store.arena.write(leaf.0 + 57, &[0]);
+        assert_eq!(scan_tree(&mut t.store, root).unwrap().live.len(), 9);
+        // Recovery is that scan: a crash image with the byte set is refused.
+        t.store.arena.write(leaf.0 + 57, &[1]);
+        let mut a = t.store.arena;
+        a.flush_all();
+        a.crash(CrashMode::LoseDirty);
+        assert!(matches!(PmOctree::restore(a, cfg()), Err(PmError::Corrupt(_))));
     }
 
     #[test]

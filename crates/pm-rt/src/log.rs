@@ -41,9 +41,6 @@ pub const REC_HEADER: usize = 24;
 /// Checksum trailer size (bytes).
 pub const REC_TRAILER: usize = 4;
 
-/// Smallest non-pad record (empty payload, aligned).
-pub const MIN_RECORD: usize = record_size(0);
-
 /// What a record carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
