@@ -112,12 +112,16 @@ cargo test --release -p pmoctree-morton --lib index::tests::resolve_batch -q
 cargo test --release -p pmoctree-cluster --lib rank::tests::full_range_rank_step -q
 # One-kernel / one-census gates: a refine/coarsen/set-data meets the c1
 # COW routines in exactly one place outside c1.rs (`domains::apply`, under
-# the per-op API, the shards and a batch's serial route alike), and the Fig. 3
-# overlap and the replica delta are read off the GC mark walk — every
-# route against one oracle, the census against the walk and the registry
-# filter it replaced, in optimized builds. The replaced copies and the two
-# caller-less subsystems must be gone, not kept beside them.
+# the per-op API; a batch is that API in a loop, seeding and all), and the
+# Fig. 3 overlap and the replica delta are read off the GC mark walk —
+# every route against one oracle, a batch against the per-op calls down to
+# the flushed media, a seeding refine against the eviction line, the census
+# against the walk and the registry filter it replaced, in optimized
+# builds. The replaced copies and the two caller-less subsystems must be
+# gone, not kept beside them.
 cargo test --release -p pm-octree --lib domains::tests::every_route_applies_an_op_the_same_way -q
+cargo test --release -p pm-octree --lib domains::tests::a_batch_is_the_per_op_loop -q
+cargo test --release -p pm-octree --lib api::tests::seeding_stays_under_the_eviction_line -q
 cargo test --release -p pm-octree --lib gc::tests::census_counts_what_count_shared_counted -q
 for call in 'c1::refine(' 'c1::coarsen(' 'c1::update_data('; do
     sites=$(for f in crates/pm-octree/src/api.rs crates/pm-octree/src/domains.rs; do
@@ -152,12 +156,12 @@ for root in crates/*/src/lib.rs compat/*/src/lib.rs; do
 done
 # Crash-consistency gate: every crash opportunity x every injection mode
 # must recover to exactly V_i or V_{i-1} (exits non-zero on violation).
-# The opportunity space includes the per-thread interleaving schedules at
-# write-domain publication boundaries (exits non-zero if none fired).
+# The opportunity space is every store of every op the sweep's batches
+# apply, every write-back and every labelled protocol point.
 cargo run --release -p pmoctree-bench --bin repro -- crash-sweep --smoke
-# Concurrent-write-domain gate: batched refine/coarsen/solve sweeps on one
-# tree must be byte-identical (media, leaves, MemStats, reports) whether
-# 1, 2 or 4 workers execute the domains.
+# Worker-pool determinism gate: cluster runs (ranks on the pool, each with
+# its own tree and device) must report and trace byte-identically whether
+# 1, 2 or 4 workers execute the ranks.
 cargo test --release -p pmoctree-cluster --test thread_invariance -q
 # Orthogonal-persistence gate: runs crashed at sampled FailPlan
 # opportunities (including rt::commit) must resume to a report — and

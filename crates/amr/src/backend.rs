@@ -106,10 +106,8 @@ pub trait OctreeBackend {
         keys.iter().map(|&k| self.get_data(k)).collect()
     }
 
-    /// Batched [`OctreeBackend::refine`]: one success flag per key, in
-    /// input order. Backends with concurrent write domains (PM-octree)
-    /// override this to run the batch domain-parallel; the default keeps
-    /// the trait drop-in by looping the per-key entry point.
+    /// Batched [`OctreeBackend::refine`]: the per-key entry point in a
+    /// loop, one success flag per key, in input order.
     fn refine_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
         keys.iter().map(|&k| self.refine(k).is_ok()).collect()
     }
@@ -282,14 +280,6 @@ impl OctreeBackend for PmBackend {
 
     fn coarsen(&mut self, key: OctKey) -> Result<(), PmError> {
         self.tree.coarsen(key)
-    }
-
-    fn refine_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
-        self.tree.refine_many(keys)
-    }
-
-    fn coarsen_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
-        self.tree.coarsen_many(keys)
     }
 
     fn is_leaf(&mut self, key: OctKey) -> Option<bool> {

@@ -141,7 +141,7 @@ fn balance_worklist(b: &mut dyn OctreeBackend, mut worklist: Vec<OctKey>, full: 
         targets.sort_unstable();
         targets.dedup();
         // Violating coarse leaves are disjoint, so the whole round splits
-        // in one batched call (domain-parallel on backends that shard).
+        // in one batched call.
         let ok = b.refine_many(&targets);
         for (t, s) in targets.iter().zip(ok) {
             if s {

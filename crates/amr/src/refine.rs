@@ -43,11 +43,10 @@ pub struct AdaptReport {
 /// [`Target::Coarsen`] and whose merge is 2:1-legal.
 ///
 /// Both phases run through the backend's batched mutators
-/// ([`OctreeBackend::refine_many`] / [`OctreeBackend::coarsen_many`]), so
-/// a sharded backend adapts its voted cells domain-parallel. The mesh is
-/// the same as the former one-key-at-a-time pass: the 2:1 closure of a
-/// refinement set is unique, and same-level coarsen families are
-/// 2:1-independent of each other.
+/// ([`OctreeBackend::refine_many`] / [`OctreeBackend::coarsen_many`]).
+/// The mesh is the same as the former one-key-at-a-time pass: the 2:1
+/// closure of a refinement set is unique, and same-level coarsen families
+/// are 2:1-independent of each other.
 pub fn adapt(b: &mut dyn OctreeBackend, criterion: &dyn AdaptCriterion) -> AdaptReport {
     let mut report = AdaptReport::default();
     // --- refinement phase ---

@@ -248,13 +248,6 @@ fn main() {
             eprintln!("crash sweep found {} contract violations", sweep.total_violations());
             std::process::exit(1);
         }
-        if sweep.interleavings == 0 {
-            eprintln!(
-                "crash sweep fired no per-thread interleaving opportunities: the \
-                 domain-parallel sweeps did not run through the sharded path"
-            );
-            std::process::exit(1);
-        }
         let svc = service_crash_sweep(&cfg);
         println!("{}", service_sweep_str(&svc));
         if svc.total_violations() > 0 {

@@ -27,7 +27,7 @@ use pm_octree::{check_invariants, CellData, PmConfig, PmOctree};
 use pm_rt::{PmRt, ServiceCmd, ServiceConfig, StateService};
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::recorder::{self, RecorderDump};
-use pmoctree_nvbm::{CrashMode, DeviceModel, FailPlan, NvbmArena, RecKind};
+use pmoctree_nvbm::{CrashMode, CrashView, DeviceModel, FailPlan, NvbmArena, RecKind};
 
 /// The pm-rt tenant namespace the sweep workload commits each step.
 const RT_TENANT: &str = "sweep";
@@ -111,11 +111,6 @@ pub struct Violation {
 pub struct CrashSweep {
     /// Total crash opportunities the workload had.
     pub opportunities: u64,
-    /// Of those, per-thread interleaving opportunities: crash points at
-    /// write-domain publication boundaries, where the oracle sees the
-    /// base image plus a deterministic prefix of the domain overlays
-    /// (one thread-choice schedule per prefix).
-    pub interleavings: u64,
     /// Occurrence count per failpoint label (protocol coverage).
     pub label_counts: Vec<(String, u64)>,
     /// One row per crash mode.
@@ -152,6 +147,7 @@ struct Oracle {
     rt_valid: Vec<u64>,
 }
 
+/// Per-mode outcomes and the first violations, shared by both sweeps.
 struct SweepStats {
     rows: Vec<CrashModeRow>,
     violations: Vec<Violation>,
@@ -159,6 +155,67 @@ struct SweepStats {
 }
 
 const MAX_RECORDED_VIOLATIONS: usize = 16;
+
+impl SweepStats {
+    fn new(modes: &[(String, CrashMode)]) -> Self {
+        SweepStats {
+            rows: modes
+                .iter()
+                .map(|(name, _)| CrashModeRow {
+                    mode: name.clone(),
+                    checked: 0,
+                    recovered_committed: 0,
+                    recovered_in_flight: 0,
+                    violations: 0,
+                })
+                .collect(),
+            violations: Vec::new(),
+            recorder_checked: 0,
+        }
+    }
+
+    /// Count a violation against mode row `row`; the first
+    /// [`MAX_RECORDED_VIOLATIONS`] are kept for the report.
+    fn violation(&mut self, row: usize, v: Violation) {
+        self.rows[row].violations += 1;
+        if self.violations.len() < MAX_RECORDED_VIOLATIONS {
+            self.violations.push(v);
+        }
+    }
+
+    /// The verdict loop both sweeps run at one opportunity: under every
+    /// mode, build the crash image, check its flight recorder against a
+    /// clean shutdown's, and hand it to `verdict` — which valid version
+    /// the rebooted device holds (0: the committed one, else in flight),
+    /// or why it holds none.
+    fn check(
+        &mut self,
+        view: &CrashView<'_>,
+        modes: &[(String, CrashMode)],
+        mut verdict: impl FnMut(Vec<u8>) -> Result<usize, String>,
+    ) {
+        let full_dump = recorder::recover(&view.full_image());
+        for (i, (name, mode)) in modes.iter().enumerate() {
+            let violation = |reason| Violation {
+                opportunity: view.opportunity,
+                label: view.label,
+                mode: name.clone(),
+                reason,
+            };
+            self.rows[i].checked += 1;
+            let image = view.image(*mode);
+            self.recorder_checked += 1;
+            if let Err(reason) = check_recorder(&image, &full_dump, view.label) {
+                self.violation(i, violation(reason));
+            }
+            match verdict(image) {
+                Ok(0) => self.rows[i].recovered_committed += 1,
+                Ok(_) => self.rows[i].recovered_in_flight += 1,
+                Err(reason) => self.violation(i, violation(reason)),
+            }
+        }
+    }
+}
 
 /// Flight-recorder side of the recovery oracle, shared by both sweeps.
 /// The recorder recovered from a crash image must be well-formed: the
@@ -289,88 +346,35 @@ pub fn crash_sweep(cfg: &CrashSweepConfig) -> CrashSweep {
     }
 
     let oracle = Arc::new(Mutex::new(Oracle { valid: vec![v0], rt_valid: vec![0] }));
-    let stats = Arc::new(Mutex::new(SweepStats {
-        rows: modes
-            .iter()
-            .map(|(name, _)| CrashModeRow {
-                mode: name.clone(),
-                checked: 0,
-                recovered_committed: 0,
-                recovered_in_flight: 0,
-                violations: 0,
-            })
-            .collect(),
-        violations: Vec::new(),
-        recorder_checked: 0,
-    }));
+    let stats = Arc::new(Mutex::new(SweepStats::new(&modes)));
 
     let hook_oracle = oracle.clone();
     let hook_stats = stats.clone();
-    let hook_modes = modes.clone();
     t.store.arena.set_fail_plan(FailPlan::with_hook(Box::new(move |view| {
         let (valid, rt_valid) = {
             let o = hook_oracle.lock().expect("oracle lock");
             (o.valid.clone(), o.rt_valid.clone())
         };
-        // What a clean shutdown at this opportunity would preserve — the
-        // upper bound every crashed recorder dump is checked against.
-        let full_dump = recorder::recover(&view.full_image());
-        let mut st = hook_stats.lock().expect("stats lock");
-        for (i, (name, mode)) in hook_modes.iter().enumerate() {
-            st.rows[i].checked += 1;
-            let image = view.image(*mode);
-            st.recorder_checked += 1;
-            if let Err(reason) = check_recorder(&image, &full_dump, view.label) {
-                st.rows[i].violations += 1;
-                if st.violations.len() < MAX_RECORDED_VIOLATIONS {
-                    st.violations.push(Violation {
-                        opportunity: view.opportunity,
-                        label: view.label,
-                        mode: name.clone(),
-                        reason,
-                    });
-                }
-            }
+        hook_stats.lock().expect("stats lock").check(view, &modes, |image| {
             let rebooted = NvbmArena::from_media(image, DeviceModel::default());
-            let verdict: Result<usize, String> = match PmOctree::restore(rebooted, pm_cfg) {
-                Err(e) => Err(format!("restore failed: {e}")),
-                Ok(mut r) => match check_invariants(&mut r) {
-                    Err(e) => Err(format!("invariants violated: {e}")),
-                    Ok(_) => {
-                        let got = r.leaves_sorted();
-                        match valid.iter().position(|v| *v == got) {
-                            Some(i) => check_rt(&mut r, &rt_valid, i).map(|()| i),
-                            None => Err(format!(
-                                "recovered leaf set ({} leaves) is neither V_i nor V_i-1",
-                                got.len()
-                            )),
-                        }
-                    }
-                },
-            };
-            match verdict {
-                Ok(0) => st.rows[i].recovered_committed += 1,
-                Ok(_) => st.rows[i].recovered_in_flight += 1,
-                Err(reason) => {
-                    st.rows[i].violations += 1;
-                    if st.violations.len() < MAX_RECORDED_VIOLATIONS {
-                        st.violations.push(Violation {
-                            opportunity: view.opportunity,
-                            label: view.label,
-                            mode: name.clone(),
-                            reason,
-                        });
-                    }
-                }
+            let mut r =
+                PmOctree::restore(rebooted, pm_cfg).map_err(|e| format!("restore failed: {e}"))?;
+            check_invariants(&mut r).map_err(|e| format!("invariants violated: {e}"))?;
+            let got = r.leaves_sorted();
+            match valid.iter().position(|v| *v == got) {
+                Some(i) => check_rt(&mut r, &rt_valid, i).map(|()| i),
+                None => Err(format!(
+                    "recovered leaf set ({} leaves) is neither V_i nor V_i-1",
+                    got.len()
+                )),
             }
-        }
+        });
     })));
 
     // The droplet sweeps across the domain; every step updates the level
-    // set on all leaves, adapts the band, and persists. The sweeps run
-    // through the batched (domain-parallel) mutators, so the per-thread
-    // interleaving schedules at each domain-publication boundary are part
-    // of the opportunity space the oracle checks.
+    // set on all leaves, adapts the band, and persists — through the
+    // batched mutators, so every store of every op is a crash opportunity
+    // the oracle checks.
     for s in 0..cfg.steps {
         let tt = (s + 1) as f64 / cfg.steps as f64;
         let center = [0.25 + 0.5 * tt, 0.5, 0.5];
@@ -439,7 +443,6 @@ pub fn crash_sweep(cfg: &CrashSweepConfig) -> CrashSweep {
 
     let plan = t.store.arena.take_fail_plan().expect("plan installed");
     let opportunities = plan.opportunities();
-    let interleavings = plan.interleavings();
     let mut label_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
     for (_, l) in plan.labels() {
         *label_counts.entry(l).or_insert(0) += 1;
@@ -449,7 +452,6 @@ pub fn crash_sweep(cfg: &CrashSweepConfig) -> CrashSweep {
     let st = st.into_inner().expect("stats lock");
     CrashSweep {
         opportunities,
-        interleavings,
         label_counts: label_counts.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
         rows: st.rows,
         violations: st.violations,
@@ -548,69 +550,18 @@ pub fn service_crash_sweep(cfg: &CrashSweepConfig) -> ServiceSweep {
     let v0 = StateService::audit(&mut arena).expect("seed audit");
 
     let oracle: Arc<Mutex<Vec<AuditState>>> = Arc::new(Mutex::new(vec![v0]));
-    let stats = Arc::new(Mutex::new(SweepStats {
-        rows: modes
-            .iter()
-            .map(|(name, _)| CrashModeRow {
-                mode: name.clone(),
-                checked: 0,
-                recovered_committed: 0,
-                recovered_in_flight: 0,
-                violations: 0,
-            })
-            .collect(),
-        violations: Vec::new(),
-        recorder_checked: 0,
-    }));
+    let stats = Arc::new(Mutex::new(SweepStats::new(&modes)));
 
     let hook_oracle = oracle.clone();
     let hook_stats = stats.clone();
-    let hook_modes = modes.clone();
     arena.set_fail_plan(FailPlan::with_hook(Box::new(move |view| {
         let valid = hook_oracle.lock().expect("oracle lock").clone();
-        // Clean-shutdown recorder dump: the upper bound every crashed
-        // dump at this opportunity is checked against.
-        let full_dump = recorder::recover(&view.full_image());
-        let mut st = hook_stats.lock().expect("stats lock");
-        for (i, (name, mode)) in hook_modes.iter().enumerate() {
-            st.rows[i].checked += 1;
-            let image = view.image(*mode);
-            st.recorder_checked += 1;
-            if let Err(reason) = check_recorder(&image, &full_dump, view.label) {
-                st.rows[i].violations += 1;
-                if st.violations.len() < MAX_RECORDED_VIOLATIONS {
-                    st.violations.push(Violation {
-                        opportunity: view.opportunity,
-                        label: view.label,
-                        mode: name.clone(),
-                        reason,
-                    });
-                }
-            }
+        hook_stats.lock().expect("stats lock").check(view, &modes, |image| {
             let mut rebooted = NvbmArena::from_media(image, DeviceModel::default());
-            let verdict: Result<usize, String> = match StateService::audit(&mut rebooted) {
-                Err(e) => Err(format!("service audit failed: {e}")),
-                Ok(got) => match valid.iter().position(|v| *v == got) {
-                    Some(v) => Ok(v),
-                    None => Err(diagnose_service_state(&got, &valid)),
-                },
-            };
-            match verdict {
-                Ok(0) => st.rows[i].recovered_committed += 1,
-                Ok(_) => st.rows[i].recovered_in_flight += 1,
-                Err(reason) => {
-                    st.rows[i].violations += 1;
-                    if st.violations.len() < MAX_RECORDED_VIOLATIONS {
-                        st.violations.push(Violation {
-                            opportunity: view.opportunity,
-                            label: view.label,
-                            mode: name.clone(),
-                            reason,
-                        });
-                    }
-                }
-            }
-        }
+            let got = StateService::audit(&mut rebooted)
+                .map_err(|e| format!("service audit failed: {e}"))?;
+            valid.iter().position(|v| *v == got).ok_or_else(|| diagnose_service_state(&got, &valid))
+        });
     })));
 
     let batches = cfg.steps.max(2) * 2;
@@ -671,16 +622,15 @@ pub fn service_crash_sweep(cfg: &CrashSweepConfig) -> ServiceSweep {
         for (root, want) in pre {
             let got = snap.get_bytes(&mut arena, root).expect("snapshot read");
             if got.as_ref() != Some(want) {
-                let mut st = stats.lock().expect("stats lock");
-                st.rows[0].violations += 1;
-                if st.violations.len() < MAX_RECORDED_VIOLATIONS {
-                    st.violations.push(Violation {
+                stats.lock().expect("stats lock").violation(
+                    0,
+                    Violation {
                         opportunity: 0,
                         label: Some("svc::snapshot_pin"),
                         mode: "snapshot_isolation".into(),
                         reason: format!("pinned snapshot of t1/{root} changed after the batch"),
-                    });
-                }
+                    },
+                );
             }
         }
         drop(snap);
@@ -717,10 +667,6 @@ mod tests {
     fn smoke_sweep_is_clean_and_covers_the_protocol() {
         let sweep = crash_sweep(&CrashSweepConfig::smoke());
         assert!(sweep.opportunities > 100, "workload too small: {}", sweep.opportunities);
-        assert!(
-            sweep.interleavings > 0,
-            "domain-parallel sweeps must add interleaving crash opportunities"
-        );
         assert_eq!(sweep.total_violations(), 0, "violations: {:#?}", sweep.violations);
         for row in &sweep.rows {
             assert_eq!(row.checked, sweep.opportunities, "{}", row.mode);
@@ -742,7 +688,6 @@ mod tests {
             "heap::append",
             "heap::compact",
             "wear::relocate",
-            "sweep::interleave",
         ] {
             assert!(
                 sweep.label_counts.iter().any(|(l, n)| l == label && *n > 0),

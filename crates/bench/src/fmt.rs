@@ -450,10 +450,8 @@ pub fn blackbox_str(b: &crate::experiments::BlackboxRun) -> String {
 /// Render the crash-point sweep outcome.
 pub fn crash_sweep_str(sweep: &crate::crash_sweep::CrashSweep) -> String {
     let mut s = format!(
-        "Crash-point sweep: {} opportunities ({} interleaving) x {} modes over {} steps \
-         ({} final elements)\n",
+        "Crash-point sweep: {} opportunities x {} modes over {} steps ({} final elements)\n",
         sweep.opportunities,
-        sweep.interleavings,
         sweep.rows.len(),
         sweep.steps,
         sweep.elements

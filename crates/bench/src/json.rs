@@ -106,7 +106,6 @@ struct CrashSweepDoc {
     steps: usize,
     elements: usize,
     opportunities: u64,
-    interleavings: u64,
     total_violations: u64,
     labels: Vec<LabelCount>,
     rows: Vec<crate::crash_sweep::CrashModeRow>,
@@ -120,7 +119,6 @@ pub fn crash_sweep_json(sweep: &crate::crash_sweep::CrashSweep) -> String {
         steps: sweep.steps,
         elements: sweep.elements,
         opportunities: sweep.opportunities,
-        interleavings: sweep.interleavings,
         total_violations: sweep.total_violations(),
         labels: sweep
             .label_counts

@@ -61,16 +61,16 @@ impl PmemAllocator {
     pub fn alloc(&mut self) -> Option<POffset> {
         let off = match self.free.pop() {
             Some(off) => off,
-            None => self.grow(1)?,
+            None => self.grow()?,
         };
         self.live_bytes += self.block;
         Some(POffset(off))
     }
 
-    /// Advance the bump pointer over `blocks` fresh blocks; `None` when
-    /// that would cross the ceiling.
-    fn grow(&mut self, blocks: u64) -> Option<u64> {
-        let end = self.bump.checked_add(self.block.checked_mul(blocks)?)?;
+    /// Advance the bump pointer over one fresh block; `None` when that
+    /// would cross the ceiling.
+    fn grow(&mut self) -> Option<u64> {
+        let end = self.bump.checked_add(self.block)?;
         if end > self.limit {
             return None;
         }
@@ -148,72 +148,6 @@ impl PmemAllocator {
             self.free.push(lo);
             lo += self.block;
         }
-    }
-
-    /// Carve a private bump region of `blocks` blocks off the top of the
-    /// shared bump pointer, for one concurrent write domain. The whole
-    /// region is charged to `live_bytes` up front; release the unused
-    /// tail with [`PmemAllocator::release_lease`] so the charge nets out
-    /// to exactly the blocks actually consumed. Returns `None` when the
-    /// region would cross the bump ceiling — callers fall back to serial
-    /// allocation.
-    ///
-    /// Leases never draw from the free stack: every lease region is a
-    /// fresh, pairwise-disjoint address range, which is what lets N
-    /// domains allocate COW copies concurrently without contending on —
-    /// or interleaving lines with — each other.
-    pub fn carve_lease(&mut self, blocks: usize) -> Option<AllocLease> {
-        let start = self.grow(blocks as u64)?;
-        self.live_bytes += self.bump - start;
-        Some(AllocLease { start, next: start, limit: self.bump, block: self.block })
-    }
-
-    /// Return a lease's unconsumed blocks (from `from` to the lease end)
-    /// to the free stack, reversing their up-front `live_bytes` charge.
-    /// Pass `lease.cursor()` to keep the consumed prefix, or
-    /// `lease.start()` to discard the whole region (failed domain).
-    pub fn release_lease(&mut self, lease: AllocLease, from: u64) {
-        let mut off = from.clamp(lease.start, lease.limit);
-        while off + lease.block <= lease.limit {
-            self.free(POffset(off));
-            off += lease.block;
-        }
-    }
-}
-
-/// A private bump region carved from a [`PmemAllocator`] for one
-/// concurrent write domain ([`PmemAllocator::carve_lease`]). Allocation
-/// is a plain cursor advance — no shared state, so it is safe to hand
-/// each worker thread its own lease and let them allocate concurrently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AllocLease {
-    start: u64,
-    next: u64,
-    limit: u64,
-    block: u64,
-}
-
-impl AllocLease {
-    /// Allocate one block from the lease; `None` when it is exhausted
-    /// (the domain over-ran its pre-sized budget — callers treat this
-    /// as device-full and fall back to serial allocation).
-    pub fn alloc(&mut self) -> Option<POffset> {
-        if self.next + self.block > self.limit {
-            return None;
-        }
-        let off = self.next;
-        self.next += self.block;
-        Some(POffset(off))
-    }
-
-    /// First byte of the lease region.
-    pub fn start(&self) -> u64 {
-        self.start
-    }
-
-    /// Current cursor: the first unconsumed byte.
-    pub fn cursor(&self) -> u64 {
-        self.next
     }
 }
 
@@ -298,11 +232,12 @@ mod tests {
     }
 
     /// The reuse order is part of the device's observable behaviour (it
-    /// decides which lines wear and which are still cached). The expected
-    /// offsets were recorded by running this exact script against the
-    /// previous general-purpose allocator (size-class free lists) with
-    /// 128-byte requests under its default `Lifo` policy; the slab must
-    /// reproduce them.
+    /// decides which lines wear and which are still cached). The script
+    /// is the one recorded against the previous general-purpose allocator
+    /// (size-class free lists, 128-byte requests, default `Lifo` policy)
+    /// minus its two write-domain lease steps, which went with the leases;
+    /// the offsets after them follow from the same rules — LIFO reuse,
+    /// then bump growth; a rebuild pushes dead blocks in ascending order.
     #[test]
     fn golden_allocation_order() {
         let mut a = PmemAllocator::new(1 << 16, 128);
@@ -313,64 +248,20 @@ mod tests {
             a.free(p[i]);
         }
         got.extend((0..2).map(|_| a.alloc().unwrap().0));
-        // Lease of 4, two consumed, tail released.
-        let mut l = a.carve_lease(4).unwrap();
-        got.extend((0..2).map(|_| l.alloc().unwrap().0));
-        a.release_lease(l, l.cursor());
         got.extend((0..4).map(|_| a.alloc().unwrap().0));
-        // Failed domain: whole lease discarded.
-        let l2 = a.carve_lease(3).unwrap();
-        a.release_lease(l2, l2.start());
         got.push(a.alloc().unwrap().0);
         got.push(a.live_bytes());
         // Crash: rebuild with gaps from a sparse live set.
-        let live = [got[0], got[3], got[5], got[9], got[13]].map(POffset);
+        let live = [got[0], got[3], got[5], got[9], got[12]].map(POffset);
         let mut b = PmemAllocator::rebuild(1 << 16, 128, a.bump(), live);
         got.push(b.live_bytes());
         got.extend((0..12).map(|_| b.alloc().unwrap().0));
         got.push(b.bump());
         let golden = [
-            256, 384, 512, 640, 768, 896, 512, 768, 1024, 1152, 1408, 1280, 384, 1536, 1920, 1536,
-            640, 1920, 1792, 1664, 1408, 1280, 1024, 768, 512, 384, 2048, 2176, 2304, 2432,
+            256, 384, 512, 640, 768, 896, 512, 768, 384, 1024, 1152, 1280, 1408, 1280, 640, 1280,
+            1152, 768, 512, 384, 1536, 1664, 1792, 1920, 2048, 2176, 2304, 2432,
         ];
         assert_eq!(got, golden);
-    }
-
-    #[test]
-    fn lease_regions_are_disjoint_and_accounted() {
-        let mut a = PmemAllocator::new(1 << 20, 128);
-        let base = a.alloc().unwrap();
-        let mut l1 = a.carve_lease(4).unwrap();
-        let l2 = a.carve_lease(4).unwrap();
-        assert_eq!(a.live_bytes(), 128 + 2 * 4 * 128, "leases charged up front");
-        // Regions are disjoint from each other and from prior allocations.
-        assert!(l1.start() >= base.0 + 128);
-        assert_eq!(l2.start(), l1.start() + 4 * 128);
-        // Lease allocation is a cursor walk inside the region.
-        let p1 = l1.alloc().unwrap();
-        let p2 = l1.alloc().unwrap();
-        assert_eq!((p1.0, p2.0), (l1.start(), l1.start() + 128));
-        for _ in 0..2 {
-            assert!(l1.alloc().is_some());
-        }
-        assert!(l1.alloc().is_none(), "lease exhausts at its budget");
-        // Releasing the unused tail refunds the live-byte charge.
-        let consumed = l2.cursor();
-        a.release_lease(l1, l1.cursor()); // fully consumed: refunds nothing
-        a.release_lease(l2, consumed); // untouched: refunds all 4 blocks
-        assert_eq!(a.live_bytes(), 128 + 4 * 128);
-        // The refunded blocks are reusable.
-        let q = a.alloc().unwrap();
-        assert!(q.0 >= l2.start() && q.0 < l2.start() + 4 * 128);
-    }
-
-    #[test]
-    fn lease_respects_bump_limit() {
-        let mut a = PmemAllocator::new(HEADER_SIZE as usize + 512, 128);
-        assert!(a.carve_lease(8).is_none(), "lease must not cross the limit");
-        let l = a.carve_lease(4).unwrap();
-        assert_eq!(a.bump() - l.start(), 512);
-        assert!(a.alloc().is_none(), "lease consumed the remaining space");
     }
 
     #[test]

@@ -38,10 +38,8 @@ pub mod stats;
 // the exporters (`nvbm::obsv::chrome`, …) without a separate dependency.
 pub use pmoctree_obsv as obsv;
 
-pub use alloc::{AllocLease, PmemAllocator};
-pub use arena::{
-    ArenaSnapshot, CrashMode, NvbmArena, POffset, ShardDelta, ShardWriter, HEADER_SIZE, ROOT_SLOTS,
-};
+pub use alloc::PmemAllocator;
+pub use arena::{ArenaSnapshot, CrashMode, NvbmArena, POffset, HEADER_SIZE, ROOT_SLOTS};
 pub use clock::VirtualClock;
 pub use failplan::{CrashCapture, CrashView, FailHook, FailPlan};
 pub use model::{BlockDeviceModel, DeviceModel, MemLatency, NetworkModel, CACHELINE, PAGE};
@@ -72,11 +70,5 @@ mod send_audit {
         assert_sync::<crate::VirtualClock>();
         assert_send::<crate::Tracer>();
         assert_sync::<crate::Tracer>();
-        // Domain-parallel sweeps: workers share one snapshot and each
-        // sends its finished delta back to the serial join point.
-        assert_sync::<crate::ArenaSnapshot<'static>>();
-        assert_send::<crate::ShardWriter<'static>>();
-        assert_send::<crate::ShardDelta>();
-        assert_send::<crate::AllocLease>();
     }
 }

@@ -2,10 +2,8 @@
 //!
 //! One flat open-addressed hash table (linear probing, backward-shift
 //! deletion, no tombstones) serves every place the emulator keeps a set of
-//! dirty cachelines: the arena's write-back cache, the frozen copy inside
-//! an [`ArenaSnapshot`](crate::arena::ArenaSnapshot), and the per-domain
-//! overlays of [`ShardWriter`](crate::arena::ShardWriter) /
-//! [`ShardDelta`](crate::arena::ShardDelta). Every
+//! dirty cachelines: the arena's write-back cache and the frozen copy
+//! inside an [`ArenaSnapshot`](crate::arena::ArenaSnapshot). Every
 //! [`NvbmArena::read`](crate::arena::NvbmArena::read) and `write` consults
 //! it once per touched line, so a lookup is one multiply and (almost
 //! always) one probe.
@@ -14,8 +12,7 @@
 //! was last emptied, never to the device: the slot array holds 12 bytes a
 //! slot, and the 64-byte line bodies live apart from it in fixed-size
 //! chunks, one body per held line, so neither a sparse slot array nor a
-//! rehash pays for them (a write-domain overlay can hold tens of
-//! thousands of lines).
+//! rehash pays for them.
 //!
 //! A hash table has no order, and two things need one:
 //!
@@ -94,8 +91,6 @@ impl LineTable {
                 return (slot, false);
             }
             slot = (slot + 1) & mask;
-            #[cfg(test)]
-            tests::PROBE_STEPS.with(|steps| steps.set(steps.get() + 1));
         }
     }
 
@@ -151,6 +146,7 @@ impl LineTable {
     }
 
     /// Set the bytes of `line`, inserting or overwriting.
+    #[cfg(test)]
     pub(crate) fn insert(&mut self, line: u64, bytes: [u8; CACHELINE]) {
         *self.get_or_insert_with(line, || bytes) = bytes;
     }
@@ -183,35 +179,7 @@ impl LineTable {
         }
         self.keys[hole] = EMPTY;
         self.len -= 1;
-        self.shrink_if_drained();
         Some(bytes)
-    }
-
-    /// Give back the memory of a dirty set that has since drained (a large
-    /// write-domain overlay is absorbed whole and then evicted down to the
-    /// cache capacity): rebuild once fewer than one slot in eight is used.
-    fn shrink_if_drained(&mut self) {
-        if self.keys.len() > MIN_SLOTS && self.len * 8 < self.keys.len() {
-            let mut small = LineTable::default();
-            small.merge(self);
-            small.order = self.order.take();
-            *self = small;
-        }
-    }
-
-    /// Insert every line of `other`, overwriting the lines already held.
-    pub(crate) fn merge(&mut self, other: &LineTable) {
-        // Room for all of them first: `other` yields its lines in hash
-        // order, and a table that doubles its way up while it is fed in
-        // that order has them pile into the low slots of every size it
-        // passes through (probe runs as long as the table).
-        let slots = ((self.len + other.len) * 4).div_ceil(3).next_power_of_two();
-        if slots > self.keys.len() {
-            self.rehash(slots.max(MIN_SLOTS));
-        }
-        for (line, bytes) in other.iter() {
-            self.insert(line, *bytes);
-        }
     }
 
     /// Remove and return the line with the lowest index.
@@ -459,36 +427,6 @@ mod tests {
         let heap = t.order.as_ref().unwrap().len();
         assert!(heap <= 4 * t.len() + MIN_SLOTS, "heap holds {heap} entries for {} lines", t.len());
         assert_eq!(t.pop_lowest().map(|(l, _)| l), Some(1));
-    }
-
-    thread_local! {
-        /// Slots stepped over by `probe` on this thread.
-        pub(super) static PROBE_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    }
-
-    #[test]
-    fn merge_keeps_probe_runs_short() {
-        // An overlay's worth of lines, read back in the overlay's slot
-        // (= hash) order, lands in a small cache; draining the cache then
-        // rebuilds it small through the same path.
-        let mut overlay = LineTable::default();
-        for l in 0..50_000u64 {
-            overlay.insert(20_000 + l, line_bytes(l as u8));
-        }
-        let mut cache = LineTable::default();
-        for l in 0..100u64 {
-            cache.insert(l, line_bytes(0));
-        }
-        PROBE_STEPS.with(|steps| steps.set(0));
-        cache.merge(&overlay);
-        assert_eq!(cache.len(), 50_100);
-        assert_eq!(cache.get(20_007), Some(&line_bytes(7)));
-        for l in 0..50_000u64 {
-            cache.remove(20_000 + l);
-        }
-        assert!(cache.keys.len() <= 8 * 128);
-        let steps = PROBE_STEPS.with(|steps| steps.get());
-        assert!(steps < 4 * 50_000, "{steps} probe steps to merge and drain 50 000 lines");
     }
 
     #[test]

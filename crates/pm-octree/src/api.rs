@@ -61,11 +61,10 @@ pub enum PmError {
     /// The tenant is exclusively leased (checked out) by another client;
     /// retry after the lease is released.
     TenantBusy(String),
-    /// The NVBM device (or a write domain's allocator lease) is full. The
-    /// failed mutation left nothing half-linked: COW paths allocate every
-    /// copy before the single publication write, so the pre-mutation
-    /// version stays intact and restorable; orphaned copies are ordinary
-    /// GC garbage.
+    /// The NVBM device is full. The failed mutation left nothing
+    /// half-linked: COW paths allocate every copy before the single
+    /// publication write, so the pre-mutation version stays intact and
+    /// restorable; orphaned copies are ordinary GC garbage.
     Full(String),
 }
 
@@ -446,30 +445,22 @@ impl PmOctree {
             }
             self.current_root = domains::apply(&mut self.store, self.current_root, op, self.epoch)?;
         }
-        if self.account(op) {
-            self.after_mutation();
-        }
-        Ok(())
-    }
-
-    /// Leaf-count, depth and leaf-index bookkeeping for one applied op
-    /// (per-op return and batch join alike). Returns whether the op
-    /// changed the structure, i.e. whether `after_mutation` is due.
-    pub(crate) fn account(&mut self, op: DomainOp) -> bool {
+        // Leaf-count, depth and leaf-index bookkeeping; a structural
+        // change is also what makes `after_mutation` due.
         match op {
             DomainOp::Refine(k) => {
                 self.leaves += 7;
                 self.depth = self.depth.max(k.level() + 1);
                 self.index.on_refine_uniform(k, 0);
-                true
             }
             DomainOp::Coarsen(k) => {
                 self.leaves -= 7;
                 self.index.on_coarsen(k, 0);
-                true
             }
-            DomainOp::SetData(..) => false,
+            DomainOp::SetData(..) => return Ok(()),
         }
+        self.after_mutation();
+        Ok(())
     }
 
     /// `op` inside the DRAM tree `id` that owns its key.
@@ -518,7 +509,7 @@ impl PmOctree {
 
     /// Is some child of the NVBM octant at `key` a DRAM subtree? Answered
     /// from the forest, without touching NVBM.
-    pub(crate) fn has_c0_children(&self, key: OctKey) -> bool {
+    fn has_c0_children(&self, key: OctKey) -> bool {
         key.level() < OctKey::MAX_LEVEL
             && (0..8).any(|c| self.forest.owner_of(&key.child(c)).is_some())
     }
@@ -548,31 +539,26 @@ impl PmOctree {
         absorb.into_iter().try_for_each(|id| self.evict_c0(id))
     }
 
-    // ---- domain-parallel batch mutation ----------------------------------
+    // ---- batch mutation ----------------------------------------------------
 
-    /// Refine a batch of leaves, sharded across per-subtree write domains
-    /// and executed on the worker pool (see [`crate::domains`]). Returns
-    /// one success flag per key, in input order; a key that is missing,
+    /// Refine a batch of leaves: [`PmOctree::refine`] per key, in input
+    /// order. Returns one success flag per key; a key that is missing,
     /// not a leaf, or hits a full device reports `false` and leaves the
-    /// tree unchanged at that key. Deterministic: results, media, clock
-    /// and trace are byte-identical for any worker count.
+    /// tree unchanged at that key.
     pub fn refine_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
-        domains::run_batch(self, &keys.iter().map(|&k| DomainOp::Refine(k)).collect::<Vec<_>>())
+        keys.iter().map(|&k| self.refine(k).is_ok()).collect()
     }
 
-    /// Coarsen a batch of octants domain-parallel; same contract as
-    /// [`PmOctree::refine_many`].
+    /// Coarsen a batch of octants: [`PmOctree::coarsen`] per key, in input
+    /// order; same contract as [`PmOctree::refine_many`].
     pub fn coarsen_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
-        domains::run_batch(self, &keys.iter().map(|&k| DomainOp::Coarsen(k)).collect::<Vec<_>>())
+        keys.iter().map(|&k| self.coarsen(k).is_ok()).collect()
     }
 
-    /// Overwrite a batch of leaf payloads domain-parallel; same contract
-    /// as [`PmOctree::refine_many`].
+    /// Overwrite a batch of payloads: [`PmOctree::set_data`] per key, in
+    /// input order; same contract as [`PmOctree::refine_many`].
     pub fn set_data_many(&mut self, ops: &[(OctKey, CellData)]) -> Vec<bool> {
-        domains::run_batch(
-            self,
-            &ops.iter().map(|&(k, d)| DomainOp::SetData(k, d)).collect::<Vec<_>>(),
-        )
+        ops.iter().map(|&(k, d)| self.set_data(k, d).is_ok()).collect()
     }
 
     // ---- traversal ---------------------------------------------------------
@@ -774,22 +760,9 @@ impl PmOctree {
         let mut merged_offsets: Vec<(u32, POffset)> = Vec::with_capacity(ids.len());
         let mut root = self.current_root;
         for id in &ids {
-            let shadow = self.shadow_of(*id);
-            // Clean trees: the shadow image is still exact; re-link it
-            // without reading a single octant.
-            let (dirty, key) = {
-                let t = self.forest.get(*id);
-                (t.dirty, t.subtree_key)
-            };
-            let off = if !dirty && !shadow.is_null() {
-                shadow
-            } else {
-                let octants = self.forest.get(*id).collect();
-                let off = c1::merge_subtree(&mut self.store, &octants, shadow.opt(), self.epoch)?;
-                self.events.merges += 1;
-                off
-            };
-            root = c1::replace_slot(&mut self.store, root, key, ChildPtr::Nvbm(off), self.epoch)?;
+            let (linked, off, merged) = self.link_c0_image(*id, root)?;
+            root = linked;
+            self.events.merges += u64::from(merged);
             merged_offsets.push((*id, off));
         }
         self.store.arena.failpoint("persist::merge");
@@ -915,7 +888,16 @@ impl PmOctree {
         id
     }
 
-    /// Should a refine at `key` seed a new DRAM subtree there?
+    /// The DRAM-pressure line (`threshold_DRAM` of the C0 capacity):
+    /// above it, `after_mutation` evicts.
+    fn c0_eviction_line(&self) -> usize {
+        (self.cfg.c0_capacity_octants as f64 * self.cfg.threshold_dram) as usize
+    }
+
+    /// Should a refine at `key` seed a new DRAM subtree there? Only if
+    /// the 9 octants it brings (the seeded leaf and its 8 children) keep
+    /// the forest at or under the eviction line: a seed above it would be
+    /// evicted on return.
     fn should_seed_c0(&mut self, key: OctKey) -> bool {
         if key.level() == 0 {
             return false; // the root must remain in NVBM
@@ -924,7 +906,7 @@ impl PmOctree {
             return false;
         }
         let l = sampling::l_sub(self.depth.max(key.level() + 1), self.cfg.c0_capacity_octants);
-        key.level() >= l && self.forest.total_octants + 9 <= self.cfg.c0_capacity_octants
+        key.level() >= l && self.forest.total_octants + 9 <= self.c0_eviction_line()
     }
 
     /// Post-mutation housekeeping: DRAM-pressure eviction and on-demand GC.
@@ -933,7 +915,7 @@ impl PmOctree {
         // eviction that fails for lack of NVBM space is abandoned (the
         // subtree simply stays in DRAM); the on-demand GC below is the
         // mechanism that makes room.
-        let cap = (self.cfg.c0_capacity_octants as f64 * self.cfg.threshold_dram) as usize;
+        let cap = self.c0_eviction_line();
         while self.forest.total_octants > cap && !self.forest.is_empty() {
             let Some(victim) = self.forest.coldest() else {
                 break;
@@ -965,30 +947,38 @@ impl PmOctree {
     }
 
     fn evict_c0_inner(&mut self, id: u32) -> Result<(), PmError> {
-        let shadow = self.shadow_of(id);
-        let (dirty, key) = {
-            let t = self.forest.get(id);
-            (t.dirty, t.subtree_key)
-        };
-        let off = if !dirty && !shadow.is_null() {
-            shadow
-        } else {
-            let octants = self.forest.get(id).collect();
-            c1::merge_subtree(&mut self.store, &octants, shadow.opt(), self.epoch)?
-        };
-        self.current_root = c1::replace_slot(
-            &mut self.store,
-            self.current_root,
-            key,
-            ChildPtr::Nvbm(off),
-            self.epoch,
-        )?;
+        (self.current_root, _, _) = self.link_c0_image(id, self.current_root)?;
         // Only now that the subtree is fully re-linked in NVBM does the
         // DRAM copy go away: a failure above leaves it untouched.
         self.forest.remove(id);
         self.set_shadow(id, POffset::NULL);
         self.events.merges += 1;
         Ok(())
+    }
+
+    /// Write the C0 tree `id` to C1 and link the image under `root` at the
+    /// tree's subtree key (persist merge and eviction alike). A clean tree
+    /// with a shadow re-links the shadow, which is still exact, without
+    /// reading a single octant; any other is diff-merged against its
+    /// shadow. Returns the new root, the linked image, and whether a merge
+    /// ran.
+    fn link_c0_image(
+        &mut self,
+        id: u32,
+        root: POffset,
+    ) -> Result<(POffset, POffset, bool), PmError> {
+        let shadow = self.shadow_of(id);
+        let t = self.forest.get(id);
+        let key = t.subtree_key;
+        let merge = t.dirty || shadow.is_null();
+        let off = if merge {
+            let octants = t.collect();
+            c1::merge_subtree(&mut self.store, &octants, shadow.opt(), self.epoch)?
+        } else {
+            shadow
+        };
+        let root = c1::replace_slot(&mut self.store, root, key, ChildPtr::Nvbm(off), self.epoch)?;
+        Ok((root, off, merge))
     }
 }
 
@@ -1168,29 +1158,53 @@ mod tests {
         t.for_each_leaf(|_, d| assert_eq!(d.pressure, 2.0));
     }
 
-    #[test]
-    fn dram_pressure_evicts() {
+    /// A tree whose DRAM subtree at child 0 (seeded at 9 octants, under
+    /// the 16-octant eviction line) grew to 17 inside DRAM: the refine
+    /// that crossed the line evicted it.
+    fn grown_past_the_line() -> PmOctree {
         let mut cfg = small_cfg();
-        cfg.c0_capacity_octants = 16;
-        cfg.threshold_dram = 0.5; // evict above 8 octants
+        cfg.c0_capacity_octants = 32;
+        cfg.threshold_dram = 0.5; // evict above 16 octants
         let mut t = PmOctree::create(arena(), cfg);
         t.refine(OctKey::root()).unwrap();
-        t.refine(OctKey::root().child(0)).unwrap(); // seed: 9 DRAM octants > 8
+        t.refine(OctKey::root().child(0)).unwrap(); // seed: 9 DRAM octants
+        assert_eq!(t.c0_octants(), 9, "seeding expected");
+        t.refine(OctKey::root().child(0).child(3)).unwrap(); // in DRAM: 17 > 16
+        t
+    }
+
+    #[test]
+    fn dram_pressure_evicts() {
+        let mut t = grown_past_the_line();
         assert_eq!(t.c0_octants(), 0, "eviction should have emptied C0");
-        assert!(t.events.evictions >= 1);
+        assert_eq!(t.events.evictions, 1);
         // The tree is still correct.
-        assert_eq!(t.leaf_count(), 15);
-        assert_eq!(t.is_leaf(OctKey::root().child(0).child(3)), Some(true));
+        assert_eq!(t.leaf_count(), 22);
+        assert_eq!(t.is_leaf(OctKey::root().child(0).child(3).child(1)), Some(true));
+    }
+
+    #[test]
+    fn seeding_stays_under_the_eviction_line() {
+        let mut cfg = small_cfg();
+        cfg.c0_capacity_octants = 32;
+        cfg.threshold_dram = 0.5; // the line: 16 octants
+        let mut t = PmOctree::create(arena(), cfg);
+        t.refine(OctKey::root()).unwrap();
+        for i in 0..8 {
+            t.refine(OctKey::root().child(i)).unwrap();
+            // Only the first refine fits a 9-octant seed under the line;
+            // every later one stays in NVBM instead of seeding a subtree
+            // the next `after_mutation` would evict.
+            assert_eq!(t.c0_octants(), 9, "child {i}");
+            assert_eq!(t.events.evictions, 0, "child {i}: a seed was evicted on return");
+        }
+        assert_eq!(t.c0_subtree_keys(), vec![OctKey::root().child(0)]);
+        assert_eq!(t.leaf_count(), 64);
     }
 
     #[test]
     fn persist_after_eviction_shares() {
-        let mut cfg = small_cfg();
-        cfg.c0_capacity_octants = 16;
-        cfg.threshold_dram = 0.5;
-        let mut t = PmOctree::create(arena(), cfg);
-        t.refine(OctKey::root()).unwrap();
-        t.refine(OctKey::root().child(0)).unwrap();
+        let mut t = grown_past_the_line();
         t.persist();
         t.persist(); // nothing changed: V_i == V_{i-1} fully shared
         let (total, shared) = t.events.last_overlap.unwrap();

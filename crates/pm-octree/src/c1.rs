@@ -45,9 +45,8 @@
 //! allocation exhaustion surfaces as [`PmError::Full`] *before* any
 //! publication write, so the pre-mutation version stays reachable and the
 //! partially-allocated copies are unreachable garbage for GC. The
-//! functions are generic over [`OctAccess`] so the same COW logic runs
-//! against the serial [`PmStore`] and against per-domain `ShardStore`s
-//! during domain-parallel sweeps.
+//! functions are generic over [`OctAccess`], which [`PmStore`] implements
+//! over the live arena.
 
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::POffset;

@@ -1,78 +1,27 @@
-//! Concurrent write domains: domain-parallel batched mutation of one
-//! [`PmOctree`].
+//! One mesh mutation and the kernel that applies it.
 //!
-//! A batch of refine/coarsen/set-data operations is partitioned by each
-//! key's ancestor at `DOMAIN_LEVEL` — a fixed shallow cut through the
-//! key space — into disjoint *write domains*. Each domain gets its own
-//! [`ShardStore`]: a read view of the arena's fork-point snapshot, a
-//! private write overlay, and a pre-carved allocator lease, so N worker
-//! threads mutate one tree with no shared mutable state. The protocol:
+//! [`DomainOp`] names a refine, coarsen or set-data; [`apply`] is the one
+//! place an op meets the `c1` COW routines. Every route to it goes through
+//! `PmOctree::apply_op`, the per-op API's body: a batch
+//! ([`PmOctree::refine_many`](crate::PmOctree::refine_many) and its two
+//! siblings) is that call in a loop, in input order, so a batched op
+//! succeeds, fails, seeds a DRAM (C0) subtree and mutates exactly as its
+//! per-op call would.
 //!
-//! 1. **Serial pre-pass.** Every domain root is made epoch-exclusive with
-//!    one COW path walk. After this, the spine above the domain cut
-//!    belongs to `V_i` alone, and each domain root offset is *final*: no
-//!    shard operation can move it (COW inside a shard terminates at the
-//!    exclusive domain root). Shards therefore never write outside their
-//!    own subtree or lease.
-//! 2. **Parallel execution.** Domains run on the worker pool
-//!    (`rayon::par_iter_mut`), each applying its operations in batch
-//!    input order against its `ShardStore`. Buffered shard stores fire
-//!    **no** crash opportunities — a domain's writes are invisible to the
-//!    device until publication.
-//! 3. **Serial join.** In fixed (sorted) domain order, each shard's
-//!    overlay is absorbed into the arena
-//!    ([`NvbmArena::absorb_shard`](pmoctree_nvbm::NvbmArena::absorb_shard)),
-//!    firing one `sweep::interleave` crash opportunity per domain whose
-//!    oracle view is the base image plus a deterministic *prefix* of the
-//!    domain overlays — exactly the per-thread interleaving schedules the
-//!    crash sweep enumerates. Lease tails are released, registries
-//!    appended, and leaf/depth/index bookkeeping
-//!    ([`PmOctree::account`]) replayed in input order.
-//!
-//! Why any interleaving of domain publication recovers cleanly (the
-//! NVTraverse flush-at-destination argument): the pre-pass made every
-//! octant a shard writes in place epoch-exclusive, i.e. unreachable from
-//! the durable `V_{i-1}` roots; newly allocated octants live in lease
-//! regions no durable pointer names. So the dirty image after *any*
-//! prefix of domain absorptions differs from the base only in lines the
-//! persisted version never reads — only the publication edges (the
-//! persist protocol's root swap) need ordering, and those remain serial.
-//!
-//! The batch always runs through this sharded path, whatever the worker
-//! count; the rayon shim's worker-count-independent chunk grid plus the
-//! fixed-order join make reports, media, clock and trace byte-identical
-//! for 1, 2, 4 or N workers.
-//!
-//! Batch semantics: every route applies an op through the one kernel
-//! ([`apply`]: one walk → precondition → COW), so a batched op succeeds,
-//! fails and mutates exactly as its per-op call would. Ops a shard cannot
-//! run go through [`PmOctree::apply_op`], the per-op API's own body, in
-//! input order: C0-owned or above-the-cut keys and coarsens whose children
-//! live in DRAM (absorbed first, which an NVBM-only shard view cannot do)
-//! *before* the pre-pass; domains whose root is absent, and every domain
-//! op when a lease cannot be carved or runs out, *after* the join. The
-//! only per-op/batch difference left: a sharded refine never seeds a DRAM
-//! (C0) subtree (a shard cannot touch the forest); a serial one may.
-
-use std::collections::BTreeMap;
+//! One tree has one writer. The paper parallelises across MPI ranks, each
+//! with its own octree and device (the `cluster` crate's worker pool runs
+//! those); inside one tree the only edge that needs ordering is an op's
+//! publication link store, and an op applied to the live arena already
+//! has exactly that edge — the crash sweep checks every store of it.
 
 use pmoctree_morton::OctKey;
-use pmoctree_nvbm::{AllocLease, ArenaSnapshot, POffset, ShardDelta};
-use rayon::prelude::*;
+use pmoctree_nvbm::POffset;
 
-use crate::api::{PmError, PmOctree};
+use crate::api::PmError;
 use crate::c1;
-use crate::octant::{CellData, OctAccess, ShardStore};
+use crate::octant::{CellData, OctAccess};
 
-/// Tree level at which batched mutations shard into concurrent write
-/// domains: every octant key at or below this level belongs to the
-/// domain of its level-`DOMAIN_LEVEL` ancestor (up to 8 domains). Batches
-/// always shard — for any worker count — so results are byte-identical
-/// whether 1 or N workers execute the domains.
-pub(crate) const DOMAIN_LEVEL: u8 = 1;
-
-/// One mesh mutation: what the per-op API applies directly and a batch
-/// routes to a write domain by its key.
+/// One mesh mutation, as the per-op API and a batch apply it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DomainOp {
     /// Refine the leaf at this key into 8 children.
@@ -89,29 +38,16 @@ impl DomainOp {
             DomainOp::Refine(k) | DomainOp::Coarsen(k) | DomainOp::SetData(k, _) => k,
         }
     }
-
-    /// Upper bound on octant allocations this op can make inside its
-    /// shard: one COW copy per level below the (already exclusive)
-    /// domain root, plus 8 children for a refine.
-    fn lease_blocks(&self) -> usize {
-        let path = self.key().level().saturating_sub(DOMAIN_LEVEL) as usize;
-        match self {
-            DomainOp::Refine(_) => path + 8,
-            DomainOp::Coarsen(_) | DomainOp::SetData(..) => path,
-        }
-    }
 }
 
-/// The op kernel — the one place an op meets the `c1` COW routines, for
-/// the serial [`PmStore`](crate::octant::PmStore) and a [`ShardStore`]
-/// overlay alike (only the publication edge needs ordering, so the same
-/// code is correct against both). Each routine walks from `root` to the
-/// target once, checks the op's precondition on the navigation line the
-/// walk ended on — refine: a leaf; coarsen: *not* a leaf; set-data:
-/// exists — and applies the op copy-on-write through the frames it holds.
-/// Returns the possibly-new root; a refusal ([`PmError::NotFound`],
-/// [`PmError::NotALeaf`], [`PmError::NotCoarsenable`]) or
-/// [`PmError::Full`] leaves the tree's content unchanged.
+/// The op kernel — the one place an op meets the `c1` COW routines. Each
+/// routine walks from `root` to the target once, checks the op's
+/// precondition on the navigation line the walk ended on — refine: a
+/// leaf; coarsen: *not* a leaf; set-data: exists — and applies the op
+/// copy-on-write through the frames it holds. Returns the possibly-new
+/// root; a refusal ([`PmError::NotFound`], [`PmError::NotALeaf`],
+/// [`PmError::NotCoarsenable`]) or [`PmError::Full`] leaves the tree's
+/// content unchanged.
 pub(crate) fn apply<S: OctAccess>(
     store: &mut S,
     root: POffset,
@@ -125,158 +61,11 @@ pub(crate) fn apply<S: OctAccess>(
     }
 }
 
-/// A domain's work order: its exclusive root, its slice of the batch (in
-/// input order), its allocator lease, and — after the parallel phase —
-/// its outcome (`None`: the lease ran out).
-struct Task {
-    root: POffset,
-    ops: Vec<(usize, DomainOp)>,
-    lease: AllocLease,
-    out: Option<ShardOut>,
-}
-
-type ShardOut = (ShardDelta, AllocLease, Vec<POffset>, Vec<(usize, bool)>);
-
-/// Execute `ops` against `t`, domain-parallel where possible. Returns one
-/// success flag per op, in input order. Device-full inside a shard (lease
-/// exhausted) or at lease carving sends the whole domain portion down the
-/// serial route — the conditions are data-dependent, never
-/// worker-count-dependent, so results stay deterministic.
-pub fn run_batch(t: &mut PmOctree, ops: &[DomainOp]) -> Vec<bool> {
-    let mut results = vec![false; ops.len()];
-    if ops.is_empty() {
-        return results;
-    }
-    // Partition: what a shard cannot run is applied serially, up front;
-    // everything else shards by domain ancestor.
-    let mut tail: Vec<(usize, DomainOp)> = Vec::new();
-    let mut domains: BTreeMap<OctKey, Vec<(usize, DomainOp)>> = BTreeMap::new();
-    for (i, &op) in ops.iter().enumerate() {
-        let k = op.key();
-        let c0_children = matches!(op, DomainOp::Coarsen(_)) && t.has_c0_children(k);
-        if k.level() < DOMAIN_LEVEL || t.forest.owner_of(&k).is_some() || c0_children {
-            tail.push((i, op));
-        } else {
-            domains.entry(k.ancestor_at(DOMAIN_LEVEL)).or_default().push((i, op));
-        }
-    }
-    run_serial(t, std::mem::take(&mut tail), &mut results);
-    // From here on `tail` collects the domain ops that fall out of the
-    // sharded path; they run after the join.
-    // Serial pre-pass: materialize each domain root as epoch-exclusive.
-    let mut pending: Vec<(POffset, Vec<(usize, DomainOp)>)> = Vec::new();
-    for (dk, dops) in domains {
-        // An absent domain root (`NotFound`) and a full device alike send
-        // the domain's ops down the serial route.
-        match c1::cow_path(&mut t.store, t.current_root, dk, t.epoch) {
-            Ok((root, off)) => {
-                t.current_root = root;
-                pending.push((off, dops));
-            }
-            Err(_) => tail.extend(dops),
-        }
-    }
-    // Carve one bump-region lease per domain. Carving failure means the
-    // device cannot promise every domain its worst case up front.
-    t.store.alloc.set_limit(t.store.arena.live_rt_floor());
-    let mut tasks: Vec<Task> = Vec::new();
-    let mut carved = true;
-    for (root, dops) in pending {
-        let blocks: usize = dops.iter().map(|(_, op)| op.lease_blocks()).sum::<usize>().max(1);
-        match t.store.alloc.carve_lease(blocks) {
-            Some(lease) => tasks.push(Task { root, ops: dops, lease, out: None }),
-            None => {
-                tail.extend(dops);
-                carved = false;
-            }
-        }
-    }
-    t.store.arena.publish_bump(t.store.alloc.bump());
-    // Parallel phase: one ShardStore per domain over a shared fork-point
-    // snapshot. Buffered stores fire no crash opportunities; each shard
-    // is single-threaded and deterministic.
-    if carved {
-        let epoch = t.epoch;
-        let snap = t.store.arena.snapshot();
-        tasks.par_iter_mut().for_each(|task| {
-            task.out = run_shard(&snap, epoch, task.root, &task.ops, task.lease);
-        });
-    }
-    if tasks.iter().all(|task| task.out.is_some()) {
-        // Serial join, in fixed (sorted-domain) order: publish each
-        // overlay — one `sweep::interleave` crash opportunity per domain
-        // — release the unused lease tail, and append the domain's
-        // allocations; then bookkeeping in batch input order.
-        let mut flags: Vec<(usize, bool)> = Vec::new();
-        for (delta, lease, regs, shard_flags) in tasks.into_iter().filter_map(|task| task.out) {
-            t.store.arena.absorb_shard("sweep::interleave", delta);
-            t.store.alloc.release_lease(lease, lease.cursor());
-            t.store.registry.extend(regs);
-            flags.extend(shard_flags);
-        }
-        flags.sort_unstable_by_key(|&(i, _)| i);
-        let mut mutated = false;
-        for (i, ok) in flags {
-            results[i] = ok;
-            mutated |= ok && t.account(ops[i]);
-        }
-        if mutated {
-            t.after_mutation();
-        }
-    } else {
-        // No lease, or a shard over-ran its own (device effectively
-        // full): nothing was published — discard every overlay (the tree
-        // is untouched beyond content-identical pre-pass spine copies).
-        for task in tasks {
-            t.store.alloc.release_lease(task.lease, task.lease.start());
-            tail.extend(task.ops);
-        }
-    }
-    run_serial(t, tail, &mut results);
-    results
-}
-
-/// Apply `ops` one by one, in batch input order, through the body of the
-/// per-op API.
-fn run_serial(t: &mut PmOctree, mut ops: Vec<(usize, DomainOp)>, results: &mut [bool]) {
-    ops.sort_unstable_by_key(|&(i, _)| i);
-    for (i, op) in ops {
-        results[i] = t.apply_op(op).is_ok();
-    }
-}
-
-/// One domain's worker body: apply its ops in input order against a
-/// private shard. Only lease exhaustion ([`PmError::Full`]) aborts the
-/// shard (`None`, sending the batch down the serial route); per-op
-/// refusals report `false`.
-fn run_shard(
-    snap: &ArenaSnapshot<'_>,
-    epoch: u32,
-    root: POffset,
-    ops: &[(usize, DomainOp)],
-    lease: AllocLease,
-) -> Option<ShardOut> {
-    let mut shard = ShardStore::new(snap, lease);
-    let mut flags = Vec::with_capacity(ops.len());
-    for &(i, op) in ops {
-        let ok = match apply(&mut shard, root, op, epoch) {
-            Ok(r) => {
-                debug_assert_eq!(r, root, "shard mutation moved the domain root");
-                true
-            }
-            Err(PmError::Full(_)) => return None,
-            Err(_) => false,
-        };
-        flags.push((i, ok));
-    }
-    let (delta, lease, regs) = shard.into_parts();
-    Some((delta, lease, regs, flags))
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::api::PmOctree;
     use crate::config::PmConfig;
     use pmoctree_nvbm::{CrashMode, DeviceModel, NvbmArena};
     use proptest::prelude::*;
@@ -297,7 +86,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_refine_across_all_domains() {
+    fn batch_refine_of_every_root_child() {
         let mut t = tree();
         t.refine(OctKey::root()).unwrap();
         let ok = t.refine_many(&children_of_root());
@@ -346,26 +135,15 @@ mod tests {
     }
 
     #[test]
-    fn same_domain_ops_run_in_input_order() {
+    fn a_batch_runs_in_input_order() {
         let mut t = tree();
-        t.refine(OctKey::root()).unwrap();
         let k = OctKey::root().child(3);
-        assert!(t.refine_many(&[k]).iter().all(|&b| b));
-        let kk = k.child(0);
-        // Refine then coarsen the same octant in one batch: both succeed
-        // only if the shard applies them in input order.
-        let r = run_batch(&mut t, &[DomainOp::Refine(kk), DomainOp::Coarsen(kk)]);
+        // Each key exists only once the one before it is refined.
+        let r = t.refine_many(&[OctKey::root(), k, k.child(0)]);
+        assert_eq!(r, vec![true, true, true]);
+        let r = t.coarsen_many(&[k.child(0), k]);
         assert_eq!(r, vec![true, true]);
-        assert_eq!(t.is_leaf(kk), Some(true));
-    }
-
-    #[test]
-    fn shallow_keys_take_the_serial_path() {
-        let mut t = tree();
-        // Root is above the domain cut (level 0 < DOMAIN_LEVEL).
-        let ok = t.refine_many(&[OctKey::root()]);
-        assert_eq!(ok, vec![true]);
-        assert_eq!(t.leaf_count(), 8);
+        assert_eq!(t.is_leaf(k), Some(true));
     }
 
     #[test]
@@ -395,9 +173,9 @@ mod tests {
     }
 
     #[test]
-    fn tight_device_falls_back_to_serial_and_stays_consistent() {
-        // Arena too small to promise every domain its worst-case lease:
-        // the batch must fall back and still produce correct per-op flags.
+    fn a_batch_on_a_filling_device_stays_consistent() {
+        // The device fills mid-batch: the ops it cannot hold report false
+        // and the bookkeeping still matches the tree.
         let mut t = tree_with(96 << 10);
         t.refine(OctKey::root()).unwrap();
         let mut frontier = children_of_root();
@@ -413,21 +191,6 @@ mod tests {
             frontier = succeeded.iter().flat_map(|k| (0..8).map(|i| k.child(i))).collect();
         }
         assert!(t.leaf_count() >= 8, "nothing refined before the device filled");
-    }
-
-    #[test]
-    fn batch_fires_interleave_opportunities_under_a_plan() {
-        use pmoctree_nvbm::FailPlan;
-        let mut t = tree();
-        t.refine(OctKey::root()).unwrap();
-        t.store.arena.set_fail_plan(FailPlan::count());
-        assert!(t.refine_many(&children_of_root()).iter().all(|&b| b));
-        let plan = t.store.arena.take_fail_plan().unwrap();
-        assert_eq!(
-            plan.interleavings(),
-            8,
-            "one publication-boundary crash opportunity per domain"
-        );
     }
 
     /// Counts what an op reads from the device before its first store.
@@ -474,7 +237,7 @@ mod tests {
         for d in 0..5 {
             root = apply(&mut s, root, DomainOp::Refine(at(d)), 1).unwrap();
         }
-        let walk = |store: &mut dyn FnMut(DomainOp) -> (usize, usize, bool), d: u8| {
+        for d in 0..=5 {
             let data = CellData { phi: 2.5, ..Default::default() };
             let ops = [
                 (d == 5).then_some(DomainOp::Refine(at(d))),
@@ -482,30 +245,14 @@ mod tests {
                 Some(DomainOp::SetData(at(d), data)),
             ];
             for op in ops.into_iter().flatten() {
+                let mut w = Watch { inner: &mut s, nav_reads: 0, payload_reads: 0, stored: false };
+                let new_root = apply(&mut w, root, op, 2).unwrap();
                 // d + 1 navigation lines, root to target; the target's
                 // copy reads the payload line unless the op brings one.
                 let payload = usize::from(!matches!(op, DomainOp::SetData(..)));
-                assert_eq!(store(op), (d as usize + 1, payload, true), "{op:?} at level {d}");
+                let got = (w.nav_reads, w.payload_reads, w.stored, new_root != root);
+                assert_eq!(got, (d as usize + 1, payload, true, true), "{op:?} at level {d}");
             }
-        };
-        for d in 0..=5 {
-            let serial = &mut |op| {
-                let mut w = Watch { inner: &mut s, nav_reads: 0, payload_reads: 0, stored: false };
-                let new_root = apply(&mut w, root, op, 2).unwrap();
-                (w.nav_reads, w.payload_reads, new_root != root)
-            };
-            walk(serial, d);
-            s.alloc.set_limit(s.arena.live_rt_floor());
-            let lease = s.alloc.carve_lease(64).unwrap();
-            let snap = s.arena.snapshot();
-            let mut shard = ShardStore::new(&snap, lease);
-            let sharded = &mut |op| {
-                let mut w =
-                    Watch { inner: &mut shard, nav_reads: 0, payload_reads: 0, stored: false };
-                let new_root = apply(&mut w, root, op, 2).unwrap();
-                (w.nav_reads, w.payload_reads, new_root != root)
-            };
-            walk(sharded, d);
         }
         // Refusals come off the same walk, before the first copy: nothing
         // is stored and nothing allocated.
@@ -534,12 +281,13 @@ mod tests {
         assert_eq!((s.arena.stats.nvbm.write_lines, s.registry.len()), (writes, allocated));
     }
 
-    /// Fixtures of `every_route_applies_an_op_the_same_way`.
+    /// Fixtures of `every_route_applies_an_op_the_same_way` and
+    /// `a_batch_is_the_per_op_loop`.
     mod routes {
         use super::*;
 
         /// The octant reached from the root by these child indices.
-        fn c(path: &[usize]) -> OctKey {
+        pub(super) fn c(path: &[usize]) -> OctKey {
             path.iter().fold(OctKey::root(), |k, &i| k.child(i))
         }
 
@@ -556,8 +304,8 @@ mod tests {
             for path in [&[][..], &[0], &[1], &[2], &[3], &[5], &[7], &[0, 0], &[3, 1]] {
                 t.refine(c(path)).unwrap();
             }
-            // Seeding is the per-op refine's prelude; switched off again
-            // below so all routes run under one config.
+            // Seeding is the refine prelude that builds the DRAM tier;
+            // off again below, so ops meet the tiers as built here.
             t.cfg.seed_c0 = true;
             for path in [&[1, 1][..], &[2, 0], &[2, 6], &[3, 0]] {
                 t.refine(c(path)).unwrap();
@@ -592,11 +340,11 @@ mod tests {
             let d = CellData { phi: 7.5, ..Default::default() };
             vec![
                 DomainOp::Coarsen(c(&[4])),       // coarsen of a leaf
-                DomainOp::Coarsen(c(&[0, 0, 2])), // ... a deep, sharded one
+                DomainOp::Coarsen(c(&[0, 0, 2])), // ... a deep one
                 DomainOp::Refine(c(&[0])),        // non-leaf refine
                 DomainOp::Refine(c(&[4, 1])),     // missing key
                 DomainOp::SetData(c(&[6, 6]), d), // missing key
-                DomainOp::Refine(OctKey::root()), // above the cut
+                DomainOp::Refine(OctKey::root()), // the root
                 DomainOp::SetData(OctKey::root(), d),
                 DomainOp::Coarsen(OctKey::root()),
                 DomainOp::Refine(c(&[1, 1, 4])), // C0-owned
@@ -605,7 +353,7 @@ mod tests {
                 DomainOp::Coarsen(c(&[3])), // DRAM child beside a refined sibling
                 DomainOp::Coarsen(c(&[2])), // DRAM children, absorbed
                 DomainOp::SetData(c(&[2]), d),
-                DomainOp::Refine(c(&[0, 0, 1])), // plain sharded ops
+                DomainOp::Refine(c(&[0, 0, 1])), // plain NVBM ops
                 DomainOp::Coarsen(c(&[5])),
             ]
         }
@@ -677,31 +425,14 @@ mod tests {
         /// exclusive and shared octants alike) down `route` on one tree
         /// and through the per-op API on its clone: same flags, same
         /// state, and after a crash both are back at the persist.
-        /// `batch_order` calls the per-op API in the order a batch
-        /// documents — the ops no shard can run, then the sharded ones
-        /// (domains are disjoint, so input order) — instead of input order.
         pub(super) fn check_route(
             halves: [&[DomainOp]; 2],
-            batch_order: bool,
             route: impl Fn(&mut PmOctree, &[DomainOp]) -> Vec<bool>,
         ) {
             let (mut r, mut m) = (mixed_tier_tree(), mixed_tier_tree());
             let mut persisted = None;
             for half in halves {
-                let (mut order, sharded): (Vec<usize>, Vec<usize>) =
-                    (0..half.len()).partition(|&i| {
-                        let k = half[i].key();
-                        !batch_order
-                            || k.level() < DOMAIN_LEVEL
-                            || m.forest.owner_of(&k).is_some()
-                            || matches!(half[i], DomainOp::Coarsen(_)) && m.has_c0_children(k)
-                    });
-                order.extend(sharded);
-                let reordered: Vec<DomainOp> = order.iter().map(|&i| half[i]).collect();
-                let mut expect = vec![false; half.len()];
-                for (&i, o) in order.iter().zip(per_op(&mut m, &reordered)) {
-                    expect[i] = o == "ok";
-                }
+                let expect: Vec<bool> = per_op(&mut m, half).iter().map(|&o| o == "ok").collect();
                 assert_eq!(route(&mut r, half), expect);
                 assert_eq!(state(&mut r), state(&mut m));
                 if persisted.is_none() {
@@ -713,10 +444,84 @@ mod tests {
             assert_eq!(Some(crash_and_restore(r)), persisted);
             assert_eq!(Some(crash_and_restore(m)), persisted);
         }
+
+        /// `ops` through the batch entry points: each run of one kind of op
+        /// is one `*_many` call.
+        pub(super) fn batched(t: &mut PmOctree, ops: &[DomainOp]) -> Vec<bool> {
+            let mut flags = Vec::with_capacity(ops.len());
+            for run in ops.chunk_by(|a, b| std::mem::discriminant(a) == std::mem::discriminant(b)) {
+                let keys: Vec<OctKey> = run.iter().map(DomainOp::key).collect();
+                flags.extend(match run[0] {
+                    DomainOp::Refine(_) => t.refine_many(&keys),
+                    DomainOp::Coarsen(_) => t.coarsen_many(&keys),
+                    DomainOp::SetData(..) => t.set_data_many(
+                        &run.iter()
+                            .map(|op| match *op {
+                                DomainOp::SetData(k, d) => (k, d),
+                                _ => unreachable!("a run holds one kind of op"),
+                            })
+                            .collect::<Vec<_>>(),
+                    ),
+                });
+            }
+            flags
+        }
     }
 
-    // Every route an op can take — the per-op API, a batch of one, a mixed
-    // batch (serial ops + shards) — against one oracle.
+    #[test]
+    fn a_batch_is_the_per_op_loop() {
+        // Seeding on: a refine of an NVBM leaf outside every DRAM subtree
+        // seeds one, so a batch that skipped the seeding prelude (or
+        // applied the ops in another order) leaves a different forest,
+        // different events and a different device.
+        let (mut b, mut p) = (mixed_tier_tree(), mixed_tier_tree());
+        b.cfg.seed_c0 = true;
+        p.cfg.seed_c0 = true;
+        let d = CellData { phi: -3.25, ..Default::default() };
+        let ops = [
+            DomainOp::Refine(c(&[4])),
+            DomainOp::Refine(c(&[4, 1])), // inside the subtree just seeded
+            DomainOp::Refine(c(&[6])),
+            DomainOp::Refine(c(&[0, 0, 1])),
+            DomainOp::Refine(c(&[5, 3])),
+            DomainOp::Refine(c(&[0])),       // not a leaf
+            DomainOp::Refine(c(&[7, 7, 7])), // missing
+            DomainOp::SetData(c(&[4, 1, 2]), d),
+            DomainOp::SetData(c(&[2]), d),
+            DomainOp::SetData(c(&[6, 6, 6]), d), // missing
+            DomainOp::Coarsen(c(&[4, 1])),
+            DomainOp::Coarsen(c(&[2])), // absorbs its DRAM children
+            DomainOp::Coarsen(c(&[5])), // a refined child: refused
+            DomainOp::Coarsen(c(&[6])),
+        ];
+        let flags = batched(&mut b, &ops);
+        let expect: Vec<bool> = ops
+            .iter()
+            .map(|&op| match op {
+                DomainOp::Refine(k) => p.refine(k),
+                DomainOp::Coarsen(k) => p.coarsen(k),
+                DomainOp::SetData(k, d) => p.set_data(k, d),
+            })
+            .map(|r| r.is_ok())
+            .collect();
+        assert_eq!(flags, expect);
+        assert_eq!(flags.iter().filter(|&&ok| ok).count(), 10, "{flags:?}");
+        assert!(b.c0_subtree_keys().contains(&c(&[4])), "the batch seeded no DRAM subtree");
+        for t in [&mut b, &mut p] {
+            t.persist();
+        }
+        assert_eq!(b.leaves_sorted(), p.leaves_sorted());
+        assert_eq!(b.c0_subtree_keys(), p.c0_subtree_keys());
+        assert_eq!(format!("{:?}", b.events), format!("{:?}", p.events));
+        assert_eq!(b.store.registry, p.store.registry);
+        // The flight recorder stamps the clock into the media, so equal
+        // media also says every op charged the same lines.
+        assert_eq!(b.store.arena.clock.now_ns(), p.store.arena.clock.now_ns());
+        assert!(b.store.arena.clone_media() == p.store.arena.clone_media(), "media differ");
+    }
+
+    // Every route an op can take — the per-op API, a batch of one, a
+    // batch of runs through the `*_many` entry points — against one oracle.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -733,10 +538,10 @@ mod tests {
                 }
             }));
             let (first, second) = ops.split_at(cut.min(ops.len()));
-            check_route([first, second], false, |t, ops| {
-                ops.iter().map(|&op| run_batch(t, &[op])[0]).collect()
+            check_route([first, second], |t, ops| {
+                ops.iter().flat_map(|op| batched(t, std::slice::from_ref(op))).collect()
             });
-            check_route([first, second], true, run_batch);
+            check_route([first, second], batched);
         }
     }
 }

@@ -63,7 +63,7 @@ pub use api::{Events, PersistHook, PmError, PmOctree};
 pub use config::{PmConfig, PmConfigBuilder};
 pub use domains::DomainOp;
 pub use gc::GcReport;
-pub use octant::{CellData, ChildPtr, OctAccess, Octant, PmStore, ShardStore, FANOUT, OCTANT_SIZE};
+pub use octant::{CellData, ChildPtr, OctAccess, Octant, PmStore, FANOUT, OCTANT_SIZE};
 pub use replica::ReplicaSet;
 pub use sampling::FeatureFn;
 pub use verify::{check_invariants, scan_tree, RecoveryReport, TreeScan};

@@ -36,7 +36,7 @@
 
 use crate::api::PmError;
 use pmoctree_morton::OctKey;
-use pmoctree_nvbm::{AllocLease, ArenaSnapshot, NvbmArena, POffset, PmemAllocator, ShardWriter};
+use pmoctree_nvbm::{NvbmArena, POffset, PmemAllocator};
 
 /// Size of one on-media octant record.
 pub const OCTANT_SIZE: usize = 128;
@@ -304,11 +304,9 @@ impl OctAccess for PmStore {
 /// Octant-granular access over any device view that can read bytes,
 /// write bytes, and allocate 128-byte records.
 ///
-/// [`PmStore`] implements it over the live arena (the single-writer
-/// path); [`ShardStore`] implements it over a snapshot plus a private
-/// overlay and allocator lease (one write domain of a domain-parallel
-/// sweep). The COW mutation code in `c1` is generic over this trait, so
-/// the exact same path-copy discipline runs serially or sharded.
+/// [`PmStore`] implements it over the live arena; the COW mutation code
+/// in `c1` is generic over it, so a test can put a counting view between
+/// an op and the device.
 ///
 /// The read side is two questions, one per line of the record:
 /// [`OctAccess::nav_line`] (checked: [`OctAccess::nav_line_checked`]) and
@@ -324,8 +322,7 @@ pub trait OctAccess {
     fn io_write(&mut self, offset: u64, data: &[u8]);
 
     /// Allocate one cacheline-aligned [`OCTANT_SIZE`] record.
-    /// [`PmError::Full`] when the device (or this domain's lease) is
-    /// exhausted.
+    /// [`PmError::Full`] when the device is exhausted.
     fn alloc_block(&mut self) -> Result<POffset, PmError>;
 
     /// Allocate a new octant and store its whole record (one two-line
@@ -442,55 +439,6 @@ fn decode_nav_tail(buf: &[u8; 64], children: [ChildPtr; FANOUT]) -> NavLine {
         epoch: u32::from_le_bytes(
             buf[OFF_EPOCH as usize..OFF_EPOCH as usize + 4].try_into().expect("4"),
         ),
-    }
-}
-
-/// One write domain's octant store during a domain-parallel sweep: reads
-/// fall through a private overlay to the shared fork-point
-/// [`ArenaSnapshot`]; writes buffer into the overlay; allocations walk a
-/// pre-carved [`AllocLease`], so concurrent domains never contend for the
-/// allocator or interleave lines. Everything it produces — the dirty
-/// overlay, the consumed lease prefix, newly allocated offsets — is
-/// handed back at the serial join point via [`ShardStore::into_parts`].
-pub struct ShardStore<'a> {
-    w: ShardWriter<'a>,
-    lease: AllocLease,
-    registry: Vec<POffset>,
-}
-
-impl<'a> ShardStore<'a> {
-    /// A store for one domain over the sweep's fork-point snapshot and
-    /// the domain's allocator lease.
-    pub fn new(snap: &'a ArenaSnapshot<'a>, lease: AllocLease) -> Self {
-        ShardStore { w: ShardWriter::new(snap), lease, registry: Vec::new() }
-    }
-
-    /// Finish the domain: the buffered device delta (for
-    /// [`NvbmArena::absorb_shard`]), the lease with its cursor advanced
-    /// past the consumed prefix (release the tail back to the
-    /// allocator), and the offsets allocated by this domain (append to
-    /// the live registry in domain order).
-    pub fn into_parts(self) -> (pmoctree_nvbm::ShardDelta, AllocLease, Vec<POffset>) {
-        (self.w.into_delta(), self.lease, self.registry)
-    }
-}
-
-impl OctAccess for ShardStore<'_> {
-    fn io_read(&mut self, offset: u64, buf: &mut [u8]) {
-        self.w.read(offset, buf);
-    }
-
-    fn io_write(&mut self, offset: u64, data: &[u8]) {
-        self.w.write(offset, data);
-    }
-
-    fn alloc_block(&mut self) -> Result<POffset, PmError> {
-        let p = self
-            .lease
-            .alloc()
-            .ok_or_else(|| PmError::Full("write-domain lease exhausted".into()))?;
-        self.registry.push(p);
-        Ok(p)
     }
 }
 
@@ -719,48 +667,6 @@ mod tests {
         match s.nav_line_checked(q) {
             Err(PmError::Corrupt(m)) => assert!(m.contains("reserved byte 57"), "{m}"),
             other => panic!("expected Corrupt, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn shard_store_is_invisible_until_absorbed() {
-        let mut s = store();
-        let root = s.alloc_octant(&Octant::leaf(OctKey::root(), 0, CellData::default())).unwrap();
-        s.alloc.set_limit(s.arena.live_rt_floor());
-        let lease = s.alloc.carve_lease(4).unwrap();
-        let snap_root = s.nav_line(root);
-        let (delta, lease, regs) = {
-            let snap = s.arena.snapshot();
-            let mut shard = ShardStore::new(&snap, lease);
-            assert_eq!(shard.nav_line(root), snap_root, "shard reads the snapshot");
-            let c = shard
-                .alloc_octant(&Octant::leaf(OctKey::root().child(2), 1, CellData::default()))
-                .unwrap();
-            shard.set_child(root, 2, ChildPtr::Nvbm(c));
-            shard.into_parts()
-        };
-        assert_eq!(regs, vec![POffset(lease.start())]);
-        assert_eq!(s.nav_line(root), snap_root, "buffered shard writes are invisible");
-        s.arena.absorb_shard("sweep::interleave", delta);
-        s.alloc.release_lease(lease, lease.cursor());
-        s.registry.extend(regs);
-        let nav = s.nav_line(root);
-        assert_eq!((nav.children[2], nav.mask), (ChildPtr::Nvbm(POffset(lease.start())), 1 << 2));
-        assert_eq!(s.read_octant(POffset(lease.start())).key, OctKey::root().child(2));
-    }
-
-    #[test]
-    fn shard_lease_exhaustion_is_full_not_panic() {
-        let mut s = store();
-        s.alloc.set_limit(s.arena.live_rt_floor());
-        let lease = s.alloc.carve_lease(1).unwrap();
-        let snap = s.arena.snapshot();
-        let mut shard = ShardStore::new(&snap, lease);
-        let o = Octant::leaf(OctKey::root(), 0, CellData::default());
-        assert!(shard.alloc_octant(&o).is_ok());
-        match shard.alloc_octant(&o) {
-            Err(PmError::Full(_)) => {}
-            other => panic!("expected Full, got {other:?}"),
         }
     }
 }
