@@ -77,13 +77,21 @@ cargo test --release -p pm-octree --lib c1::tests::cursor_parity -q
 cargo test --release -p pm-octree --lib domains::tests::an_op_walks_its_path_once -q
 cargo test --release -p pm-octree --lib c1::tests::merge_reads_each_shadow_octant_once -q
 cargo test --release -p pm-octree --lib c1::tests::descend_outside_the_root_is_not_found -q
-# A COW walk stores each copy once: d record writes and one link store
-# (or a new root), counted in write lines and in crash opportunities; a
-# rewritten shared leaf is one such copy carrying its new payload, read
-# from the two lines the walker holds, and the link store leaves the
-# presence mask as the recovery scan wants it.
+# A COW walk stores each copy once: d record writes — one line for a leaf,
+# two for an interior octant — and one link store (or a new root), counted
+# in write lines and in crash opportunities. A leaf is one line: its
+# payload sits in the link bytes it has no use for, so a sweep reads one
+# line per octant, a rewritten shared leaf is one one-line copy carrying
+# its new payload plus the link store, and the link store leaves the
+# presence mask as the recovery scan wants it. Refine and coarsen move the
+# payload between the two places and keep it; any 64 bytes decode to a
+# navigation line or to `Corrupt`.
 cargo test --release -p pm-octree --lib c1::tests::cow_stores_each_copy_once -q
 cargo test --release -p pm-octree --lib c1::tests::updating_a_shared_leaf_costs_one_copy_and_one_link -q
+cargo test --release -p pm-octree --lib c1::tests::a_sweep_reads_one_line_per_octant -q
+cargo test --release -p pm-octree --lib octant::tests::a_leaf_is_one_line -q
+cargo test --release -p pm-octree --lib octant::tests::any_navigation_line_decodes_or_is_corrupt -q
+cargo test --release -p pm-octree --lib api::tests::a_leaf_keeps_its_payload_across_refine_and_coarsen -q
 cargo test --release -p pm-octree --lib octant::tests::set_link_leaves_the_mask_coherent -q
 cargo test --release -p pmoctree-amr --test prop_backends batched_coarsen_legality -q
 no_fork 'fn deepest\|fn traverse' crates/pm-octree/src/c1.rs crates/pm-octree/src/api.rs

@@ -492,10 +492,9 @@ impl PmOctree {
         let Locate::Nvbm(p) = c1::locate(&mut self.store, self.current_root, key) else {
             return Err(PmError::NotFound(format!("{key:?}")));
         };
-        if self.store.nav_line(p).mask != 0 {
+        let Some(data) = self.store.nav_line(p).leaf else {
             return Err(PmError::NotALeaf(format!("{key:?}")));
-        }
-        let data = self.store.data(p);
+        };
         let id = self.register_c0(C0Tree::new(key, data), p);
         self.current_root = c1::replace_slot(
             &mut self.store,
@@ -1046,6 +1045,74 @@ mod tests {
         t.set_data(k, CellData { phi: 3.5, ..Default::default() }).unwrap();
         assert_eq!(t.get_data(k).unwrap().phi, 3.5);
         assert!(t.set_data(k.child(0), CellData::default()).is_err());
+    }
+
+    #[test]
+    fn a_leaf_keeps_its_payload_across_refine_and_coarsen() {
+        /// The record of the NVBM octant at `key`, as the media holds it.
+        fn record(t: &mut PmOctree, key: OctKey) -> [u8; 128] {
+            let Locate::Nvbm(p) = c1::locate(&mut t.store, t.current_root, key) else {
+                panic!("{key:?} is not an NVBM octant")
+            };
+            let mut b = [0u8; 128];
+            t.store.arena.read(p.0, &mut b);
+            b
+        }
+        fn le(d: CellData) -> Vec<u8> {
+            [d.phi, d.pressure, d.vof, d.work].iter().flat_map(|x| x.to_le_bytes()).collect()
+        }
+        let cfg = PmConfig { seed_c0: false, ..small_cfg() };
+        let k = OctKey::root().child(6);
+        let d = CellData { phi: -0.5, pressure: 2.0, vof: 0.25, work: 8.0 };
+        let kid = |i: usize| {
+            let x = i as f64;
+            CellData { phi: x, pressure: 2.0 * x, vof: 0.125 * x, work: 1.0 }
+        };
+        for mode in [CrashMode::LoseDirty, CrashMode::CommitRandom { p: 0.5, seed: 26 }] {
+            let mut t = PmOctree::create(arena(), cfg);
+            t.refine(OctKey::root()).unwrap();
+            t.set_data(k, d).unwrap();
+            t.persist();
+            // A leaf: its payload in bytes 0..32, then reserved zeros.
+            let leaf = record(&mut t, k);
+            assert_eq!((&leaf[..32], &leaf[32..48]), (&le(d)[..], &[0u8; 16][..]));
+            // Refined (a shared leaf, so copied first): the children
+            // inherit the payload in their first line, the now-interior
+            // key keeps it on line 1 and still answers `get_data` with it.
+            t.refine(k).unwrap();
+            assert_eq!(t.get_data(k), Some(d));
+            assert_eq!(&record(&mut t, k)[72..104], &le(d)[..]);
+            for i in 0..8 {
+                assert_eq!(t.get_data(k.child(i)), Some(d));
+                assert_eq!(&record(&mut t, k.child(i))[..32], &le(d)[..]);
+            }
+            // Exclusive leaves: each payload update is one store in place.
+            for i in 0..8 {
+                t.set_data(k.child(i), kid(i)).unwrap();
+            }
+            t.persist();
+            let persisted = t.leaves_sorted();
+            // Coarsened: the mean of the children over the links.
+            t.coarsen(k).unwrap();
+            let mean = CellData { phi: 3.5, pressure: 7.0, vof: 0.4375, work: 1.0 };
+            assert_eq!(t.get_data(k), Some(mean));
+            let coarse = record(&mut t, k);
+            assert_eq!((&coarse[..32], &coarse[32..48]), (&le(mean)[..], &[0u8; 16][..]));
+            // A crash before the next persist recovers V_{i-1}: k interior
+            // with its payload on line 1, its children leaves with theirs
+            // on line 0.
+            let mut a = t.store.arena;
+            a.crash(mode);
+            let mut r = PmOctree::restore(a, cfg).unwrap();
+            crate::verify::check_invariants(&mut r).unwrap();
+            assert_eq!(r.leaves_sorted(), persisted, "{mode:?}");
+            assert_eq!(r.get_data(k), Some(d), "{mode:?}");
+            assert_eq!(&record(&mut r, k)[72..104], &le(d)[..]);
+            for i in 0..8 {
+                assert_eq!(r.get_data(k.child(i)), Some(kid(i)));
+                assert_eq!(&record(&mut r, k.child(i))[..32], &le(kid(i))[..]);
+            }
+        }
     }
 
     #[test]

@@ -32,8 +32,9 @@ const NODE_LINES: u64 = (OCTANT_SIZE / 64) as u64;
 
 /// C0 nodes are charged like their on-media image, which since octant
 /// layout v2 is split hot/cold: children + key + presence mask share the
-/// first cacheline, the payload lives on the second. A descent hop or a
-/// payload touch therefore costs one line, not `NODE_LINES`.
+/// first cacheline, an interior payload lives on the second (a leaf's
+/// shares the first since v3). A descent hop or a payload touch
+/// therefore costs one line, not `NODE_LINES`.
 const CACHELINE: u64 = 64;
 
 #[derive(Clone, Debug)]

@@ -18,19 +18,29 @@
 //!    longer reaches it from a root ([`crate::gc`]). Nothing recovery
 //!    reads lives in an unlinked octant, so there is nothing to store
 //!    there.
+//! 4. **Only refine and coarsen move a payload, and only on an exclusive
+//!    octant.** A leaf keeps its payload in the bytes an interior octant
+//!    keeps its links in (layout v3, [`crate::octant`]), so turning one
+//!    into the other moves the payload. [`refine`] does it after [`own`]:
+//!    the leaf's payload to line 1, then the links. [`coarsen`] does it
+//!    after [`own`]: the children's mean together with the null links.
+//!    Every other store keeps the mask: a copy's record carries the
+//!    original's, and [`replace_slot`] only re-points an occupied slot.
 //!
-//! Because of (1)–(3), a crash at *any* point leaves the tree reachable
+//! Because of (1)–(4), a crash at *any* point leaves the tree reachable
 //! from the persisted `V_{i-1}` root byte-identical to what
 //! `pm_persistent` flushed — no fence or flush ordering is required on
 //! the octant writes themselves.
 //!
 //! For the same reason nothing constrains *how* a copy is put together:
 //! it is unreachable until the one link store (or root swap) that
-//! publishes it. So a copy is stored once — one two-line record built
-//! from the navigation line the walker already holds ([`Frame`]) and, for
-//! an octant being overwritten, carrying its new payload — and the
-//! publication re-points an occupied slot with the link store alone.
-//! Nothing is read twice and no line of a copy is stored twice.
+//! publishes it. So a copy is stored once — one record built from the
+//! navigation line the walker already holds ([`Frame`]), one line for a
+//! leaf (its payload came with that line) and two for an interior octant
+//! (its payload line read once), and, for an octant being overwritten,
+//! carrying its new payload — and the publication re-points an occupied
+//! slot with the link store alone. Nothing is read twice and no line of a
+//! copy is stored twice.
 //!
 //! There is one root walk, [`Cursor::locate`]: every lookup ([`locate`])
 //! and every mutation ([`refine`], [`coarsen`], [`update_data`],
@@ -89,9 +99,12 @@ pub fn locate<S: OctAccess>(store: &mut S, root: POffset, key: OctKey) -> Locate
 ///   `frames[i]`.
 /// * A frame whose `nav.epoch` is older than the working epoch is
 ///   *shared* and has not been written since it was read, so `nav` is its
-///   on-media navigation line — all a copy needs besides the payload. A
-///   frame at the working epoch is exclusive, and — exclusivity being
-///   hereditary — so is every frame above it.
+///   on-media navigation line — all a copy of a leaf needs, payload
+///   included, and all a copy of an interior octant needs besides its
+///   payload line. A frame at the working epoch is exclusive, and —
+///   exclusivity being hereditary — so is every frame above it. A payload
+///   stored through a frame does not refresh its `nav.leaf`; nothing
+///   reads it after.
 /// * [`make_exclusive`] re-points `off` at the copy it allocates and
 ///   stamps `nav.epoch`; only the link in the slot of the frame below
 ///   ever changes in a copied or exclusive octant, and only from one
@@ -203,12 +216,13 @@ fn descend<S: OctAccess>(store: &mut S, root: POffset, key: OctKey) -> Result<Ve
 /// re-pointing each copied frame, then publish with one link store there
 /// — or return the new root when the root itself was copied.
 ///
-/// Each copy is one two-line record store built from its frame — a shared
-/// frame *is* the original's navigation line — with the epoch stamped and
-/// the link to the copy below already in place. The last frame's copy
-/// carries `payload` when the caller is about to overwrite it anyway
-/// (nothing of the original is read); otherwise, like every interior
-/// copy, the original's payload line. A copy is unreachable until the
+/// Each copy is one record store built from its frame — a shared frame
+/// *is* the original's navigation line — with the epoch stamped and the
+/// link to the copy below already in place: one line for a leaf, two for
+/// an interior octant. The last frame's copy carries `payload` when the
+/// caller is about to overwrite it anyway; otherwise it carries the
+/// original's, which a leaf's frame holds and an interior octant's
+/// payload line is read for. A copy is unreachable until the
 /// publication, so `V_{i-1}` cannot tell how it was put together.
 ///
 /// On [`PmError::Full`] no link has been published: the copies allocated
@@ -239,7 +253,7 @@ fn make_exclusive<S: OctAccess>(
             children,
             key: OctKey::from_raw(frame.nav.code, frame.nav.level),
             epoch,
-            data: payload.take().unwrap_or_else(|| store.data(frame.off)),
+            data: payload.take().unwrap_or_else(|| store.payload(frame.off, &frame.nav)),
         };
         let off = store.alloc_octant(&copy)?;
         frame.off = off;
@@ -306,19 +320,20 @@ fn store_payload<S: OctAccess>(
 ) -> Result<Option<POffset>, PmError> {
     let leaf = &frames[frames.len() - 1];
     if leaf.nav.epoch == epoch {
-        store.set_data(leaf.off, data);
+        store.set_payload(leaf.off, &leaf.nav, data);
         return Ok(None);
     }
     make_exclusive(store, frames, epoch, Some(*data))
 }
 
-/// Refine the NVBM leaf at `key`: create its 8 children (all exclusive),
-/// each inheriting the parent's payload. Returns the possibly-new root.
+/// Refine the NVBM leaf at `key`: create its 8 children (all exclusive,
+/// one line each), each inheriting the parent's payload, which the
+/// leaf's own navigation line delivered. Returns the possibly-new root.
 /// One walk: the leaf test reads the frame the walk ended on, so a
 /// non-leaf is refused ([`PmError::NotALeaf`]) before anything is copied.
 ///
-/// All eight children are allocated before the single bulk link write,
-/// so a [`PmError::Full`] mid-way leaves the leaf a leaf.
+/// All eight children are allocated before the parent turns interior, so
+/// a [`PmError::Full`] mid-way leaves the leaf a leaf.
 pub fn refine<S: OctAccess>(
     store: &mut S,
     root: POffset,
@@ -326,19 +341,18 @@ pub fn refine<S: OctAccess>(
     epoch: u32,
 ) -> Result<POffset, PmError> {
     let frames = descend(store, root, key)?;
-    if frames[frames.len() - 1].nav.mask != 0 {
+    let Some(data) = frames[frames.len() - 1].nav.leaf else {
         return Err(PmError::NotALeaf(format!("{key:?}")));
-    }
+    };
     let (root, leaf) = own(store, root, frames, epoch)?;
-    let data = store.data(leaf.off);
     let mut cs = [ChildPtr::Null; FANOUT];
     for (i, slot) in cs.iter_mut().enumerate() {
         let o = Octant::leaf(key.child(i), epoch, data);
         let p = store.alloc_octant(&o)?;
         *slot = ChildPtr::Nvbm(p);
     }
-    // One bulk link write instead of eight mask read-modify-writes.
-    store.set_children(leaf.off, &cs);
+    // The payload to line 1, then the links over the bytes it held.
+    store.set_children(leaf.off, &cs, &data);
     Ok(root)
 }
 
@@ -362,18 +376,23 @@ pub fn coarsen<S: OctAccess>(
     // Validate every child before the first in-place write so a refusal
     // leaves the tree untouched (COW copies from the path walk are
     // already linked but content-identical, so the tree is unchanged).
-    let mut kids: [Option<POffset>; FANOUT] = [None; FANOUT];
-    for (kid, c) in kids.iter_mut().zip(node.nav.children) {
+    // Restriction operator: the new leaf takes the mean of its children,
+    // whose payloads come with the lines the validation reads.
+    let mut mean = CellData::default();
+    for c in node.nav.children {
         match c {
             ChildPtr::Nvbm(c) => {
                 let nav = store.nav_line(c);
-                if nav.mask != 0 {
+                let Some(d) = nav.leaf else {
                     return Err(PmError::NotCoarsenable(format!(
                         "coarsen at {key:?}: child {:?} is not a leaf",
                         OctKey::from_raw(nav.code, nav.level)
                     )));
-                }
-                *kid = Some(c);
+                };
+                mean.phi += d.phi / 8.0;
+                mean.pressure += d.pressure / 8.0;
+                mean.vof += d.vof / 8.0;
+                mean.work += d.work / 8.0;
             }
             ChildPtr::Null => {}
             ChildPtr::Volatile(id) => {
@@ -383,18 +402,8 @@ pub fn coarsen<S: OctAccess>(
             }
         }
     }
-    let mut mean = CellData::default();
-    for c in kids.into_iter().flatten() {
-        let d = store.data(c);
-        mean.phi += d.phi / 8.0;
-        mean.pressure += d.pressure / 8.0;
-        mean.vof += d.vof / 8.0;
-        mean.work += d.work / 8.0;
-    }
-    // Unlink all children with one bulk write to the navigation line.
-    store.set_children(node.off, &[ChildPtr::Null; FANOUT]);
-    // Restriction operator: the new leaf takes the mean of its children.
-    store.set_data(node.off, &mean);
+    // The mean over the links, then the null mask.
+    store.set_children(node.off, &[ChildPtr::Null; FANOUT], &mean);
     Ok(root)
 }
 
@@ -411,11 +420,14 @@ pub fn update_data<S: OctAccess>(
     Ok(store_payload(store, &mut frames, epoch, data)?.unwrap_or(root))
 }
 
-/// Replace the child slot that holds `key`'s position under `root` with
-/// `ptr` (used to attach merged subtrees and volatile handles). `key`
-/// must not be the root itself, and its parent must be an NVBM octant
-/// under `root` ([`PmError::NotFound`] otherwise). Returns the
-/// possibly-new root.
+/// Re-point the occupied child slot that holds `key`'s position under
+/// `root` at the non-null `ptr` (used to attach merged subtrees and
+/// volatile handles). `key` must not be the root itself, and its parent
+/// must be an NVBM octant under `root` with something at `key`
+/// ([`PmError::NotFound`] otherwise, before anything is copied). The
+/// parent stays interior, so its mask and payload stay where they are —
+/// filling or emptying a slot is refine's and coarsen's business. Returns
+/// the possibly-new root.
 pub fn replace_slot<S: OctAccess>(
     store: &mut S,
     root: POffset,
@@ -423,18 +435,18 @@ pub fn replace_slot<S: OctAccess>(
     ptr: ChildPtr,
     epoch: u32,
 ) -> Result<POffset, PmError> {
+    if ptr.is_null() {
+        return Err(PmError::Corrupt(format!("replace_slot cannot empty the slot of {key:?}")));
+    }
     let parent_key =
         key.parent().ok_or_else(|| PmError::Corrupt("cannot replace the root slot".to_string()))?;
     let frames = descend(store, root, parent_key)?;
-    let (root, parent) = own(store, root, frames, epoch)?;
     let slot = key.sibling_index();
-    // Re-pointing an occupied slot cannot change the mask; only a slot
-    // whose nullness changes pays the mask read-modify-write.
-    if ptr.is_null() || parent.nav.children[slot].is_null() {
-        store.set_child(parent.off, slot, ptr);
-    } else {
-        store.set_link(parent.off, slot, ptr);
+    if frames[frames.len() - 1].nav.children[slot].is_null() {
+        return Err(PmError::NotFound(format!("{key:?}: no slot to re-point")));
     }
+    let (root, parent) = own(store, root, frames, epoch)?;
+    store.set_link(parent.off, slot, ptr);
     Ok(root)
 }
 
@@ -448,10 +460,11 @@ pub fn replace_slot<S: OctAccess>(
 /// is made copy-on-write *through the path it is standing on* instead of
 /// re-entering from the root, and from the lines it already holds: it is
 /// [`update_data`] on the same leaf minus the descent — the same
-/// allocations in the same order and the same bytes on the media. A
-/// shared leaf costs its two line reads, one two-line store per copy (the
-/// leaf's carrying the new payload) and one link store; an exclusive leaf
-/// one payload store.
+/// allocations in the same order and the same bytes on the media. Every
+/// octant costs the walk one line read, a leaf's payload included. A
+/// shared leaf then costs one record store per copy (the leaf's one line,
+/// carrying the new payload; an ancestor's two) and one link store; an
+/// exclusive leaf one payload store.
 ///
 /// On [`PmError::Full`] the sweep stops: no link of the failing leaf has
 /// been published, earlier leaves keep their updates, and a shared
@@ -472,15 +485,15 @@ pub fn sweep_leaves<S: OctAccess>(
     let mut from = 0;
     loop {
         if let Some((off, slot)) = enter.take() {
-            // One navigation-line read delivers children, key and mask.
+            // One navigation-line read delivers children, key and mask —
+            // and a leaf's payload.
             let nav = push_frame(store, &mut frames, off, slot);
             for c in nav.children.iter().rev() {
                 if let ChildPtr::Volatile(id) = *c {
                     on_volatile(id);
                 }
             }
-            if nav.mask == 0 {
-                let data = store.data(off);
+            if let Some(data) = nav.leaf {
                 if let Some(new) = f(OctKey::from_raw(nav.code, nav.level), &data) {
                     if let Some(new_root) = store_payload(store, &mut frames, epoch, &new)? {
                         root = new_root;
@@ -529,8 +542,9 @@ pub fn merge_subtree(
 
 /// Returns (offset, was_shared, entries_consumed). A shadow octant costs
 /// one navigation-line read — its links seed the children's shadows and
-/// settle "same structure" — and its payload line only when everything
-/// else already says it can be shared.
+/// settle "same structure", and a leaf's payload comes with it — and an
+/// interior octant's payload line only when everything else already says
+/// it can be shared.
 fn merge_rec(
     store: &mut PmStore,
     octants: &[(OctKey, CellData, bool)],
@@ -569,7 +583,7 @@ fn merge_rec(
             && old.children == children
             && (old.code, old.level) == (key.raw(), key.level());
         if same_octant {
-            let old = store.data(s);
+            let old = store.payload(s, &old);
             let data_same = old.phi.to_bits() == data.phi.to_bits()
                 && old.pressure.to_bits() == data.pressure.to_bits()
                 && old.vof.to_bits() == data.vof.to_bits()
@@ -585,7 +599,8 @@ fn merge_rec(
 }
 
 /// Collect an NVBM subtree into a pre-order (key, data) list (used when
-/// promoting a hot subtree into DRAM): two line reads per octant. Returns
+/// promoting a hot subtree into DRAM): one line read per leaf, two per
+/// interior octant. Returns
 /// `None` when the subtree contains a volatile handle — such a region is
 /// already partly DRAM-resident and cannot be promoted wholesale.
 pub fn collect_subtree(store: &mut PmStore, p: POffset) -> Option<Vec<(OctKey, CellData)>> {
@@ -599,7 +614,7 @@ pub fn collect_subtree(store: &mut PmStore, p: POffset) -> Option<Vec<(OctKey, C
 
 fn collect_rec(store: &mut PmStore, p: POffset, out: &mut Vec<(OctKey, CellData)>) -> bool {
     let nav = store.nav_line(p);
-    out.push((OctKey::from_raw(nav.code, nav.level), store.data(p)));
+    out.push((OctKey::from_raw(nav.code, nav.level), store.payload(p, &nav)));
     for c in nav.children {
         match c {
             ChildPtr::Nvbm(cp) => {
@@ -767,12 +782,14 @@ mod tests {
             s.arena.set_fail_plan(FailPlan::count());
             let (new_root, _) = cow_path(&mut s, root, target, 2).unwrap();
             let stores = s.arena.take_fail_plan().unwrap().opportunities();
-            // One two-line record write per copy, then the one link store
-            // that publishes them — or nothing, the new root does.
+            // One record write per copy — two lines, or one for the leaf
+            // at the bottom of the chain — then the one link store that
+            // publishes them, or nothing: the new root does.
             let publication = u64::from(exclusive_ancestor);
+            let leaf = u64::from(target == deep);
             assert_eq!(
                 (s.registry.len() - allocated, s.arena.stats.nvbm.write_lines - lines, stores),
-                (d as usize, 2 * d as u64 + publication, d as u64 + publication),
+                (d as usize, 2 * d as u64 - leaf + publication, d as u64 + publication),
                 "d = {d}, exclusive ancestor: {exclusive_ancestor}"
             );
             assert_eq!(new_root == root, exclusive_ancestor);
@@ -807,13 +824,13 @@ mod tests {
                 assert_eq!(new_root, Ok(root));
             };
             // What the walk reads whether or not it updates: the sweep a
-            // navigation line per octant and a payload line per leaf, the
-            // per-op form the two navigation lines of its descent.
-            let walk = if sweep { 1 + 2 * 8 } else { 2 };
-            // Shared: the record store (two lines, the new payload on
+            // navigation line per octant, payloads included, the per-op
+            // form the two navigation lines of its descent.
+            let walk = if sweep { 1 + 8 } else { 2 };
+            // Shared: the record store (one line, the new payload on
             // board) and the link store that publishes it.
             let d = CellData { phi: 4.5, work: 1.0, ..Default::default() };
-            assert_eq!(cost(&mut s, |s| update(s, d)), (walk, 3, 2), "sweep: {sweep}");
+            assert_eq!(cost(&mut s, |s| update(s, d)), (walk, 2, 2), "sweep: {sweep}");
             assert_eq!(s.registry.len(), allocated + 1);
             let copy = *s.registry.last().unwrap();
             assert_eq!(locate(&mut s, root, key), Locate::Nvbm(copy));
@@ -925,11 +942,12 @@ mod tests {
         s.arena.set_fail_plan(FailPlan::count());
         assert_eq!(coarsen(&mut s, root, OctKey::root(), 1), Ok(root));
         let stores = s.arena.take_fail_plan().unwrap().opportunities();
-        // Three stores, one line each: the root's links, its mask, its
-        // payload. A flag per child was eight more, and eight more reads.
-        // Read: the root, then both lines of every child.
+        // Two stores, one line each: the root's mean over its links, then
+        // its mask. A flag per child was eight more, and eight more reads.
+        // Read: the root, then the one line of every child, its payload
+        // included.
         let stats = &s.arena.stats.nvbm;
-        assert_eq!((stats.read_lines - reads, stats.write_lines - writes, stores), (17, 3, 3));
+        assert_eq!((stats.read_lines - reads, stats.write_lines - writes, stores), (9, 2, 2));
         assert_eq!(images(&mut s, &children), before, "an unlinked child was written");
         assert_eq!(s.nav_line(root).mask, 0);
         assert_eq!(crate::gc::collect(&mut s, &[root], 1).0.freed, 8);
@@ -969,7 +987,7 @@ mod tests {
         // A sibling subtree's keys, under the subtree at child 2...
         assert_eq!(locate(&mut s, sub, sibling.child(1)), Locate::Missing(None));
         not_found(cow_path(&mut s, sub, sibling.child(1), 2).map(|(root, _)| root));
-        not_found(replace_slot(&mut s, sub, sibling.child(1), ChildPtr::Null, 2));
+        not_found(replace_slot(&mut s, sub, sibling.child(1), ChildPtr::Volatile(9), 2));
         not_found(update_data(&mut s, sub, sibling, &CellData::default(), 2));
         // ...an ancestor of the walk's root...
         not_found(refine(&mut s, sub, OctKey::root(), 2));
@@ -977,7 +995,7 @@ mod tests {
         not_found(coarsen(&mut s, root, OctKey::root().child(2).child(3).child(0), 2));
         not_found(cow_path(&mut s, root, OctKey::root().child(6), 2).map(|(root, _)| root));
         let deep = OctKey::root().child(6).child(1).child(1);
-        not_found(replace_slot(&mut s, root, deep, ChildPtr::Null, 2));
+        not_found(replace_slot(&mut s, root, deep, ChildPtr::Volatile(9), 2));
         assert_eq!((s.arena.stats.nvbm.write_lines, s.registry.len()), (writes, allocated));
     }
 
@@ -1061,19 +1079,20 @@ mod tests {
         let n = octants.len() as u64;
         let shadow = merge_subtree(&mut s, &octants, None, 1).unwrap();
         let reads = |s: &PmStore| s.arena.stats.nvbm.read_lines;
-        // Fully shared: the navigation line and the payload line of every
-        // shadow octant, each once, and not a store.
+        // Fully shared: the navigation line of every shadow octant — a
+        // leaf's payload with it — and the payload line of the 3 interior
+        // ones, each once, and not a store.
         let (before, writes) = (reads(&s), s.arena.stats.nvbm.write_lines);
         assert_eq!(merge_subtree(&mut s, &octants, Some(shadow), 2), Ok(shadow));
-        assert_eq!(reads(&s) - before, 2 * n);
+        assert_eq!(reads(&s) - before, n + 3);
         assert_eq!(s.arena.stats.nvbm.write_lines, writes);
         // One payload differs: its ancestors' payload lines are not read
-        // (a changed child already rules sharing out).
+        // (a changed child already rules sharing out), child 5's is.
         let mut changed = octants.clone();
         changed[4].1.phi = -1.0; // a leaf under child 2: depth 2 in the subtree
         let before = reads(&s);
         assert_ne!(merge_subtree(&mut s, &changed, Some(shadow), 2), Ok(shadow));
-        assert_eq!(reads(&s) - before, 2 * n - 2);
+        assert_eq!(reads(&s) - before, n + 1);
     }
 
     #[test]
@@ -1131,6 +1150,40 @@ mod tests {
         assert_eq!(locate(&mut s, root2, k), Locate::Volatile(42));
         // The old version still sees the NVBM child.
         assert!(matches!(locate(&mut s, root, k), Locate::Nvbm(_)));
+        // Only an occupied slot is re-pointed, and only at something: a
+        // slot under a leaf, or a null pointer, is refused before a copy.
+        let (writes, allocated) = (s.arena.stats.nvbm.write_lines, s.registry.len());
+        let under_leaf =
+            replace_slot(&mut s, root2, OctKey::root().child(1).child(0), ChildPtr::Volatile(7), 3);
+        assert!(matches!(under_leaf, Err(PmError::NotFound(_))), "{under_leaf:?}");
+        let emptied = replace_slot(&mut s, root2, k, ChildPtr::Null, 3);
+        assert!(matches!(emptied, Err(PmError::Corrupt(_))), "{emptied:?}");
+        assert_eq!((s.arena.stats.nvbm.write_lines, s.registry.len()), (writes, allocated));
+    }
+
+    #[test]
+    fn a_sweep_reads_one_line_per_octant() {
+        let mut s = store();
+        let mut root = root_tree(&mut s, 1);
+        for path in [&[][..], &[2], &[5], &[2, 7], &[2, 7, 0]] {
+            let key = path.iter().fold(OctKey::root(), |k, &i| k.child(i));
+            root = refine(&mut s, root, key, 1).unwrap();
+        }
+        let (octants, leaves) = (s.registry.len(), 1 + 5 * 7);
+        let mut seen = Vec::new();
+        let before = s.arena.stats.nvbm.read_lines;
+        let f = &mut |k, d: &CellData| {
+            seen.push((k, *d));
+            None
+        };
+        assert_eq!(sweep_leaves(&mut s, root, 1, f, &mut |_| {}), Ok(root));
+        // Every octant's navigation line once; a leaf's payload is on it.
+        assert_eq!(s.arena.stats.nvbm.read_lines - before, octants as u64);
+        assert_eq!(seen.len(), leaves);
+        for (k, d) in seen {
+            let Locate::Nvbm(p) = locate(&mut s, root, k) else { panic!("{k:?}") };
+            assert_eq!(s.read_octant(p).data, d);
+        }
     }
 
     #[test]

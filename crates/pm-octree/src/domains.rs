@@ -248,8 +248,10 @@ mod tests {
                 let mut w = Watch { inner: &mut s, nav_reads: 0, payload_reads: 0, stored: false };
                 let new_root = apply(&mut w, root, op, 2).unwrap();
                 // d + 1 navigation lines, root to target; the target's
-                // copy reads the payload line unless the op brings one.
-                let payload = usize::from(!matches!(op, DomainOp::SetData(..)));
+                // copy reads a payload line only if it is interior (a
+                // leaf's came with its navigation line) and the op brings
+                // none: the coarsen.
+                let payload = usize::from(matches!(op, DomainOp::Coarsen(_)));
                 let got = (w.nav_reads, w.payload_reads, w.stored, new_root != root);
                 assert_eq!(got, (d as usize + 1, payload, true, true), "{op:?} at level {d}");
             }

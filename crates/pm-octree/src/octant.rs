@@ -1,29 +1,41 @@
 //! On-media octant layout and the persistent store.
 //!
-//! Each NVBM-resident octant is a fixed 128-byte record — exactly two
-//! cachelines, split **hot/cold** (layout v2): the first line carries
-//! *everything a root-to-leaf descent needs* — compact child links, the
-//! locational key, the child-presence mask, and the epoch — while the
-//! second line holds the solver payload. A tree walk therefore charges
-//! exactly one NVBM line per hop: one read ([`OctAccess::nav_line`])
-//! answers every question asked of an octant on the way — which child,
-//! which key, leaf or not, shared or exclusive; data sweeps touch only
-//! the cold line.
+//! Each NVBM-resident octant is a fixed 128-byte record — two cachelines
+//! (layout v3). The first is the *navigation line*: everything a
+//! root-to-leaf descent needs — the locational key, the child-presence
+//! mask, the epoch — and, in bytes 0..48, whichever of two things the
+//! octant has: the eight child links of an interior octant, or the
+//! payload of a leaf, which has no links to store. The mask is the switch
+//! (`mask == 0` ⟺ leaf). So one read ([`OctAccess::nav_line`]) answers
+//! every question asked of an octant on the way — which child, which key,
+//! leaf or not, shared or exclusive — and, for a leaf, what it holds: a
+//! leaf (about 7/8 of a tree) is visited with one line read and copied
+//! with one line store. The second line holds an interior octant's
+//! payload and is unused by a leaf.
 //!
 //! ```text
-//! line 0 (hot / navigation):
-//!      0..48   children[8]  8 × 6-byte compact links (see encoding)
+//! line 0 (navigation):
+//!      0..48   interior (mask ≠ 0): children[8], 8 × 6-byte compact links
+//!              leaf (mask = 0):     payload 0..32 (4 × f64, CellData),
+//!                                   32..48 reserved, zero — the recovery
+//!                                   scan rejects anything else
 //!     48..56   key code     u64 Morton code
 //!     56       key level    u8
 //!     57       (reserved, zero — the recovery scan rejects anything else)
 //!     58       child mask   u8  bit i set ⟺ children[i] non-null
 //!     59       (pad)
 //!     60..64   epoch        u32 creation epoch (version ownership)
-//! line 1 (cold / payload):
+//! line 1 (an interior octant's payload; a leaf's is not read):
 //!     64..72   (reserved, zero)
 //!     72..104  payload      4 × f64 (CellData)
 //!    104..128  (pad)
 //! ```
+//!
+//! The record stays 128 bytes because an interior octant keeps a payload
+//! too (`get_data` answers for any key), and the bytes its links occupy
+//! are taken. A leaf turns interior, or back, only while exclusive to the
+//! working version, and only through [`OctAccess::set_children`], which
+//! moves the payload to the place the new mask names.
 //!
 //! **Pointer encoding** (the paper's "special pointers" linking persistent
 //! and volatile octants): a 6-byte child link holds 0 (null), an NVBM
@@ -36,7 +48,7 @@
 
 use crate::api::PmError;
 use pmoctree_morton::OctKey;
-use pmoctree_nvbm::{NvbmArena, POffset, PmemAllocator};
+use pmoctree_nvbm::{NvbmArena, POffset, PmemAllocator, CACHELINE};
 
 /// Size of one on-media octant record.
 pub const OCTANT_SIZE: usize = 128;
@@ -46,11 +58,18 @@ pub const FANOUT: usize = 8;
 
 const OFF_LINKS: u64 = 0;
 const LINK_SIZE: u64 = 6;
+/// Bytes 0..48 of the navigation line: an interior octant's links, or a
+/// leaf's payload followed by [`LEAF_RESERVED`].
+const BODY_SIZE: usize = 48;
+/// The bytes of a leaf's body after its payload: reserved, zero.
+const LEAF_RESERVED: std::ops::Range<usize> = 32..BODY_SIZE;
 const OFF_CODE: u64 = 48;
 const OFF_LEVEL: u64 = 56;
 const OFF_RESERVED: u64 = 57;
 const OFF_MASK: u64 = 58;
 const OFF_EPOCH: u64 = 60;
+/// Line 1, where an interior octant keeps its payload.
+const OFF_LINE1: u64 = 64;
 const OFF_DATA: u64 = 72;
 
 /// Bit 47 of a compact child link marks a volatile (DRAM) handle.
@@ -150,6 +169,31 @@ fn get_link(buf: &[u8], i: usize) -> u64 {
     u64::from_le_bytes(b)
 }
 
+/// Fill the body (bytes 0..48) of a navigation line: the links `cs`, or —
+/// all of them null — the leaf payload `d` followed by the reserved zeros.
+/// Returns the presence mask, which says which of the two was written.
+fn put_body(body: &mut [u8; BODY_SIZE], cs: &[ChildPtr; FANOUT], d: &CellData) -> u8 {
+    let mut mask = 0u8;
+    for (i, c) in cs.iter().enumerate() {
+        put_link(body, i, c.encode());
+        if !c.is_null() {
+            mask |= 1 << i;
+        }
+    }
+    if mask == 0 {
+        body[..LEAF_RESERVED.start].copy_from_slice(&d.to_bytes());
+    }
+    mask
+}
+
+/// Line 1 of an interior octant: its payload between reserved zeros.
+fn payload_line(d: &CellData) -> [u8; CACHELINE] {
+    let mut line = [0u8; CACHELINE];
+    let at = (OFF_DATA - OFF_LINE1) as usize;
+    line[at..at + 32].copy_from_slice(&d.to_bytes());
+    line
+}
+
 /// Per-cell simulation payload: the fields a Gerris-style finite-volume
 /// multiphase solver keeps per cell.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -182,13 +226,17 @@ impl CellData {
 
 /// A decoded navigation line (octant line 0): every hot field of an
 /// octant, delivered by one cacheline read ([`OctAccess::nav_line`]).
-/// Whatever a walker wants to know about an octant short of its payload
-/// — a child link, the key, leaf or not (`mask == 0`), shared or exclusive
-/// (`epoch`) — it takes from here, so no octant is charged twice.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Whatever a walker wants to know about an octant — a child link, the
+/// key, leaf or not (`mask == 0`), shared or exclusive (`epoch`), and a
+/// leaf's payload — it takes from here, so no octant is charged twice.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NavLine {
-    /// Child pointers in Morton order.
+    /// Child pointers in Morton order (all null for a leaf).
     pub children: [ChildPtr; FANOUT],
+    /// A leaf's payload, which its navigation line carries: `Some`
+    /// exactly when `mask == 0`. An interior octant's is on line 1
+    /// ([`OctAccess::payload`]).
+    pub leaf: Option<CellData>,
     /// Raw Morton code. Unvalidated: `OctKey::from_raw` panics on a
     /// malformed pair, so recovery checks it before decoding.
     pub code: u64,
@@ -220,22 +268,25 @@ impl Octant {
         Octant { children: [ChildPtr::Null; FANOUT], key, epoch, data }
     }
 
-    /// The 128-byte on-media record (presence mask derived from the
-    /// links, reserved bytes zero).
-    fn to_bytes(self) -> [u8; OCTANT_SIZE] {
+    /// The on-media record: the navigation line (presence mask derived
+    /// from the links, the payload in the body if that mask is zero,
+    /// reserved bytes zero), then — for an interior octant only — the
+    /// payload line. A leaf's record is its navigation line alone, so
+    /// this returns the bytes and how many of them make the record.
+    fn to_bytes(self) -> ([u8; OCTANT_SIZE], usize) {
         let mut buf = [0u8; OCTANT_SIZE];
-        for (i, c) in self.children.iter().enumerate() {
-            put_link(&mut buf, i, c.encode());
-            if !c.is_null() {
-                buf[OFF_MASK as usize] |= 1 << i;
-            }
-        }
+        let body: &mut [u8; BODY_SIZE] = (&mut buf[..BODY_SIZE]).try_into().expect("48");
+        let mask = put_body(body, &self.children, &self.data);
         buf[OFF_CODE as usize..OFF_CODE as usize + 8]
             .copy_from_slice(&self.key.raw().to_le_bytes());
         buf[OFF_LEVEL as usize] = self.key.level();
+        buf[OFF_MASK as usize] = mask;
         buf[OFF_EPOCH as usize..OFF_EPOCH as usize + 4].copy_from_slice(&self.epoch.to_le_bytes());
-        buf[OFF_DATA as usize..OFF_DATA as usize + 32].copy_from_slice(&self.data.to_bytes());
-        buf
+        if mask == 0 {
+            return (buf, CACHELINE);
+        }
+        buf[CACHELINE..].copy_from_slice(&payload_line(&self.data));
+        (buf, OCTANT_SIZE)
     }
 }
 
@@ -308,12 +359,14 @@ impl OctAccess for PmStore {
 /// in `c1` is generic over it, so a test can put a counting view between
 /// an op and the device.
 ///
-/// The read side is two questions, one per line of the record:
-/// [`OctAccess::nav_line`] (checked: [`OctAccess::nav_line_checked`]) and
-/// [`OctAccess::data`]. There are no per-field probes — a caller that
-/// wants a link, the key, the mask or the epoch decodes the navigation
-/// line once and keeps it, which is what makes "one charged line per
-/// octant visited" a property of the interface instead of a habit.
+/// The read side is the navigation line — [`OctAccess::nav_line`]
+/// (checked: [`OctAccess::nav_line_checked`]), which carries a leaf's
+/// payload — and, behind an interior octant's, its payload line
+/// ([`OctAccess::payload`]; [`OctAccess::data`] when no line is held).
+/// There are no per-field probes — a caller that wants a link, the key,
+/// the mask, the epoch or a leaf's payload decodes the navigation line
+/// once and keeps it, which is what makes "one charged line per octant
+/// visited" a property of the interface instead of a habit.
 pub trait OctAccess {
     /// Read `buf.len()` bytes at `offset` from this view of the device.
     fn io_read(&mut self, offset: u64, buf: &mut [u8]);
@@ -325,40 +378,56 @@ pub trait OctAccess {
     /// [`PmError::Full`] when the device is exhausted.
     fn alloc_block(&mut self) -> Result<POffset, PmError>;
 
-    /// Allocate a new octant and store its whole record (one two-line
-    /// write); returns its offset, or [`PmError::Full`] with nothing
-    /// mutated when space is exhausted.
+    /// Allocate a new octant and store its record in one write — one line
+    /// for a leaf, two for an interior octant; returns its offset, or
+    /// [`PmError::Full`] with nothing mutated when space is exhausted.
     fn alloc_octant(&mut self, o: &Octant) -> Result<POffset, PmError> {
         let p = self.alloc_block()?;
-        self.io_write(p.0, &o.to_bytes());
+        let (record, len) = o.to_bytes();
+        self.io_write(p.0, &record[..len]);
         Ok(p)
     }
 
-    /// Decode the whole navigation line in one 64-byte read: children,
-    /// raw key, presence mask, and epoch — exactly one charged line.
+    /// Decode the whole navigation line in one 64-byte read: children (or
+    /// a leaf's payload), raw key, presence mask, and epoch — exactly one
+    /// charged line.
     #[inline]
     fn nav_line(&mut self, p: POffset) -> NavLine {
-        let mut buf = [0u8; 64];
+        let mut buf = [0u8; CACHELINE];
         self.io_read(p.0, &mut buf);
         let mut children = [ChildPtr::Null; FANOUT];
-        for (i, c) in children.iter_mut().enumerate() {
-            *c = ChildPtr::decode(get_link(&buf, i));
+        if buf[OFF_MASK as usize] != 0 {
+            for (i, c) in children.iter_mut().enumerate() {
+                *c = ChildPtr::decode(get_link(&buf, i));
+            }
         }
         decode_nav_tail(&buf, children)
     }
 
     /// [`OctAccess::nav_line`] with checked decoding: a corrupted child
-    /// link or a non-zero reserved byte surfaces as [`PmError::Corrupt`]
-    /// instead of a panic (or of going unnoticed). Recovery validation
-    /// and `verify` scans use this — they run over media that a crash (or
-    /// a poison test) may have mangled, and must report, not abort.
+    /// link, a leaf's non-zero reserved body byte or a non-zero reserved
+    /// byte 57 surfaces as [`PmError::Corrupt`] instead of a panic (or of
+    /// going unnoticed). Recovery validation and `verify` scans use this —
+    /// they run over media that a crash (or a poison test) may have
+    /// mangled, and must report, not abort.
     fn nav_line_checked(&mut self, p: POffset) -> Result<NavLine, PmError> {
-        let mut buf = [0u8; 64];
+        let mut buf = [0u8; CACHELINE];
         self.io_read(p.0, &mut buf);
         let mut children = [ChildPtr::Null; FANOUT];
-        for (i, c) in children.iter_mut().enumerate() {
-            *c = ChildPtr::try_decode(get_link(&buf, i))
-                .map_err(|e| PmError::Corrupt(format!("octant {:#x} child {i}: {e}", p.0)))?;
+        if buf[OFF_MASK as usize] == 0 {
+            // A zeroed mask over links leaves the high links in these
+            // bytes: the torn-line check a leaf's payload cannot give.
+            if let Some(i) = LEAF_RESERVED.clone().find(|&i| buf[i] != 0) {
+                return Err(PmError::Corrupt(format!(
+                    "octant {:#x}: a leaf (mask 0) holds {:#04x} in reserved byte {i}",
+                    p.0, buf[i]
+                )));
+            }
+        } else {
+            for (i, c) in children.iter_mut().enumerate() {
+                *c = ChildPtr::try_decode(get_link(&buf, i))
+                    .map_err(|e| PmError::Corrupt(format!("octant {:#x} child {i}: {e}", p.0)))?;
+            }
         }
         if buf[OFF_RESERVED as usize] != 0 {
             return Err(PmError::Corrupt(format!(
@@ -369,39 +438,39 @@ pub trait OctAccess {
         Ok(decode_nav_tail(&buf, children))
     }
 
-    /// Read the payload (the cold line).
+    /// The payload of the octant at `p`, whose navigation line is `nav`: a
+    /// leaf's came with the line; an interior octant's is one more line
+    /// read.
+    #[inline]
+    fn payload(&mut self, p: POffset, nav: &NavLine) -> CellData {
+        nav.leaf.unwrap_or_else(|| line1_payload(self, p))
+    }
+
+    /// The payload of the octant at `p` with no line of it held yet: its
+    /// navigation line — all a leaf costs — and, for an interior octant,
+    /// line 1. Only the mask and the payload are decoded.
     #[inline]
     fn data(&mut self, p: POffset) -> CellData {
-        let mut b = [0u8; 32];
-        self.io_read(p.0 + OFF_DATA, &mut b);
-        CellData::from_bytes(&b)
+        let mut buf = [0u8; CACHELINE];
+        self.io_read(p.0, &mut buf);
+        leaf_payload(&buf).unwrap_or_else(|| line1_payload(self, p))
     }
 
-    /// Write the payload.
+    /// Overwrite the payload of the octant at `p` in place, where its
+    /// navigation line `nav` says it lives: one 32-byte store, at offset 0
+    /// for a leaf and on line 1 for an interior octant.
     #[inline]
-    fn set_data(&mut self, p: POffset, d: &CellData) {
-        self.io_write(p.0 + OFF_DATA, &d.to_bytes());
-    }
-
-    /// Write one child pointer, keeping the presence mask coherent (one
-    /// mask read-modify-write; all traffic stays on the navigation line).
-    #[inline]
-    fn set_child(&mut self, p: POffset, i: usize, c: ChildPtr) {
-        debug_assert!(i < FANOUT);
-        let raw = c.encode();
-        self.io_write(p.0 + OFF_LINKS + LINK_SIZE * i as u64, &raw.to_le_bytes()[..6]);
-        let mut m = [0u8; 1];
-        self.io_read(p.0 + OFF_MASK, &mut m);
-        let nm = if c.is_null() { m[0] & !(1 << i) } else { m[0] | (1 << i) };
-        self.io_write(p.0 + OFF_MASK, &[nm]);
+    fn set_payload(&mut self, p: POffset, nav: &NavLine, d: &CellData) {
+        let at = if nav.mask == 0 { 0 } else { OFF_DATA };
+        self.io_write(p.0 + at, &d.to_bytes());
     }
 
     /// Re-point the *occupied* slot `i` at `c` (non-null): the 6-byte link
     /// store alone. A non-null link replacing a non-null link leaves the
-    /// presence mask as it is, so there is nothing to read or fix up — a
-    /// slot whose nullness changes goes through [`OctAccess::set_child`].
-    /// The caller vouches for the old link (it holds the line it came
-    /// from); probing it here would cost the read this call saves.
+    /// presence mask as it is, so there is nothing to read or fix up, and
+    /// the octant stays interior. The caller vouches for the old link (it
+    /// holds the line it came from); probing it here would cost the read
+    /// this call saves.
     #[inline]
     fn set_link(&mut self, p: POffset, i: usize, c: ChildPtr) {
         debug_assert!(i < FANOUT);
@@ -409,28 +478,43 @@ pub trait OctAccess {
         self.io_write(p.0 + OFF_LINKS + LINK_SIZE * i as u64, &c.encode().to_le_bytes()[..6]);
     }
 
-    /// Replace all 8 child pointers and the presence mask in two writes
-    /// to the navigation line — the bulk form refine/coarsen use instead
-    /// of eight `set_child` read-modify-writes.
+    /// Replace all 8 child pointers and the presence mask, `d` being the
+    /// octant's payload. Besides [`OctAccess::alloc_octant`] this is the
+    /// only store of the mask, so the only one that turns a leaf interior
+    /// (a link in `cs`: `d` to line 1, then the links and the mask) or
+    /// back (none: `d` and the reserved zeros over the links, then the
+    /// null mask). Refine and coarsen call it on an exclusive octant.
     #[inline]
-    fn set_children(&mut self, p: POffset, cs: &[ChildPtr; FANOUT]) {
-        let mut buf = [0u8; 48];
-        let mut mask = 0u8;
-        for (i, c) in cs.iter().enumerate() {
-            put_link(&mut buf, i, c.encode());
-            if !c.is_null() {
-                mask |= 1 << i;
-            }
+    fn set_children(&mut self, p: POffset, cs: &[ChildPtr; FANOUT], d: &CellData) {
+        let mut body = [0u8; BODY_SIZE];
+        let mask = put_body(&mut body, cs, d);
+        if mask != 0 {
+            self.io_write(p.0 + OFF_LINE1, &payload_line(d));
         }
-        self.io_write(p.0 + OFF_LINKS, &buf);
+        self.io_write(p.0 + OFF_LINKS, &body);
         self.io_write(p.0 + OFF_MASK, &[mask]);
     }
 }
 
-/// Decode the non-link fields of a navigation-line buffer.
-fn decode_nav_tail(buf: &[u8; 64], children: [ChildPtr; FANOUT]) -> NavLine {
+/// The payload a navigation-line buffer carries, if it is a leaf's.
+fn leaf_payload(buf: &[u8; CACHELINE]) -> Option<CellData> {
+    let payload: &[u8; 32] = buf[..LEAF_RESERVED.start].try_into().expect("32");
+    (buf[OFF_MASK as usize] == 0).then(|| CellData::from_bytes(payload))
+}
+
+/// An interior octant's payload: one read of line 1.
+fn line1_payload<S: OctAccess + ?Sized>(store: &mut S, p: POffset) -> CellData {
+    let mut b = [0u8; 32];
+    store.io_read(p.0 + OFF_DATA, &mut b);
+    CellData::from_bytes(&b)
+}
+
+/// Decode the non-link fields of a navigation-line buffer, and a leaf's
+/// payload.
+fn decode_nav_tail(buf: &[u8; CACHELINE], children: [ChildPtr; FANOUT]) -> NavLine {
     NavLine {
         children,
+        leaf: leaf_payload(buf),
         code: u64::from_le_bytes(
             buf[OFF_CODE as usize..OFF_CODE as usize + 8].try_into().expect("8"),
         ),
@@ -442,32 +526,37 @@ fn decode_nav_tail(buf: &[u8; 64], children: [ChildPtr; FANOUT]) -> NavLine {
     }
 }
 
-/// Test support: the whole-record reader and the per-field probes
+/// Test support: the whole-record reader, the per-field probes
 /// [`OctAccess`] offered before every question went to one `nav_line`
-/// decode, with the single-field reads (and charges) they had. The
-/// reference models that stand in for replaced code (`sweep_parity`,
-/// `cursor_parity`, the GC census) are written against them.
+/// decode — each still charged the one line it always read — and the two
+/// stores that found their place with a probe: `set_child`'s mask
+/// read-modify-write and `set_data`'s leaf test. The reference models that
+/// stand in for replaced code (`sweep_parity`, `cursor_parity`, the GC
+/// census) are written against them.
 #[cfg(test)]
 pub(crate) trait Probes: OctAccess {
     fn read_octant(&mut self, p: POffset) -> Octant {
         let mut buf = [0u8; OCTANT_SIZE];
         self.io_read(p.0, &mut buf);
-        let line0: &[u8; 64] = buf[..64].try_into().expect("64");
-        let nav =
-            decode_nav_tail(line0, std::array::from_fn(|i| ChildPtr::decode(get_link(&buf, i))));
+        let line0: &[u8; CACHELINE] = buf[..CACHELINE].try_into().expect("64");
+        let children = std::array::from_fn(|i| match line0[OFF_MASK as usize] {
+            0 => ChildPtr::Null,
+            _ => ChildPtr::decode(get_link(line0, i)),
+        });
+        let nav = decode_nav_tail(line0, children);
         let data = buf[OFF_DATA as usize..OFF_DATA as usize + 32].try_into().expect("32");
         Octant {
-            children: nav.children,
+            children,
             key: OctKey::from_raw(nav.code, nav.level),
             epoch: nav.epoch,
-            data: CellData::from_bytes(data),
+            data: nav.leaf.unwrap_or_else(|| CellData::from_bytes(data)),
         }
     }
 
+    /// A leaf's link bytes hold its payload, so a link probe decodes the
+    /// line it lies in.
     fn child(&mut self, p: POffset, i: usize) -> ChildPtr {
-        let mut b = [0u8; 6];
-        self.io_read(p.0 + OFF_LINKS + LINK_SIZE * i as u64, &mut b);
-        ChildPtr::decode(get_link(&b, 0))
+        self.nav_line(p).children[i]
     }
 
     fn key(&mut self, p: POffset) -> OctKey {
@@ -487,6 +576,26 @@ pub(crate) trait Probes: OctAccess {
         self.io_read(p.0 + OFF_MASK, &mut m);
         m[0] == 0
     }
+
+    /// Write one child pointer of an interior octant, keeping the presence
+    /// mask coherent (one mask read-modify-write). A slot whose nullness
+    /// changes would move the payload: that is `set_children`'s job.
+    fn set_child(&mut self, p: POffset, i: usize, c: ChildPtr) {
+        debug_assert!(i < FANOUT);
+        let raw = c.encode();
+        self.io_write(p.0 + OFF_LINKS + LINK_SIZE * i as u64, &raw.to_le_bytes()[..6]);
+        let mut m = [0u8; 1];
+        self.io_read(p.0 + OFF_MASK, &mut m);
+        let nm = if c.is_null() { m[0] & !(1 << i) } else { m[0] | (1 << i) };
+        self.io_write(p.0 + OFF_MASK, &[nm]);
+    }
+
+    /// Overwrite the payload, probing the navigation line for where it
+    /// lives.
+    fn set_data(&mut self, p: POffset, d: &CellData) {
+        let nav = self.nav_line(p);
+        self.set_payload(p, &nav, d);
+    }
 }
 
 #[cfg(test)]
@@ -497,58 +606,99 @@ impl<S: OctAccess> Probes for S {}
 mod tests {
     use super::*;
     use pmoctree_nvbm::DeviceModel;
+    use proptest::prelude::*;
 
     fn store() -> PmStore {
         PmStore::new(NvbmArena::new(1 << 20, DeviceModel::default()))
+    }
+
+    fn raw(s: &mut PmStore, p: POffset) -> [u8; OCTANT_SIZE] {
+        let mut raw = [0xffu8; OCTANT_SIZE];
+        s.arena.read(p.0, &mut raw);
+        raw
     }
 
     #[test]
     fn octant_roundtrip() {
         let mut s = store();
         let key = OctKey::root().child(3).child(5);
-        let mut o =
-            Octant::leaf(key, 7, CellData { phi: -0.5, pressure: 101.3, vof: 0.25, work: 2.0 });
+        let data = CellData { phi: -0.5, pressure: 101.3, vof: 0.25, work: 2.0 };
+        // A leaf: the payload in the body of its navigation line.
+        let o = Octant::leaf(key, 7, data);
+        let p = s.alloc_octant(&o).unwrap();
+        assert_eq!(s.read_octant(p), o);
+        let nav = s.nav_line(p);
+        assert_eq!((nav.children, nav.leaf, nav.mask, nav.epoch), (o.children, Some(data), 0, 7));
+        assert_eq!(OctKey::from_raw(nav.code, nav.level), key);
+        let raw_leaf = raw(&mut s, p);
+        assert_eq!(raw_leaf[..32], data.to_bytes());
+        assert_eq!(raw_leaf[32..48], [0; 16], "bytes 32..48 of a leaf are reserved-zero");
+        // An interior octant: links in the body, the payload on line 1.
+        let mut o = o;
         o.children[2] = ChildPtr::Nvbm(POffset(0x1000));
         o.children[5] = ChildPtr::Volatile(17);
         let p = s.alloc_octant(&o).unwrap();
-        let r = s.read_octant(p);
-        assert_eq!(r, o);
+        assert_eq!(s.read_octant(p), o);
         let nav = s.nav_line(p);
-        assert_eq!((nav.children, nav.epoch, nav.mask), (o.children, 7, (1 << 2) | (1 << 5)));
-        assert_eq!(OctKey::from_raw(nav.code, nav.level), key);
+        assert_eq!((nav.children, nav.leaf, nav.mask), (o.children, None, (1 << 2) | (1 << 5)));
         assert_eq!(s.data(p), o.data);
-        let mut raw = [0xffu8; OCTANT_SIZE];
-        s.arena.read(p.0, &mut raw);
+        let raw = raw(&mut s, p);
         assert_eq!((raw[57], raw[59]), (0, 0), "byte 57 and the pad are reserved-zero");
         assert_eq!(raw[64..72], [0; 8], "bytes 64..72 are reserved-zero");
+        assert_eq!(raw[72..104], data.to_bytes());
         assert_eq!(raw[104..], [0; 24]);
     }
 
     #[test]
-    fn field_stores_show_in_both_lines() {
+    fn the_mask_says_where_the_payload_lives() {
         let mut s = store();
         let key = OctKey::root().child(1);
         let o = Octant::leaf(key, 3, CellData { phi: 1.0, ..Default::default() });
         let p = s.alloc_octant(&o).unwrap();
-        assert_eq!(s.nav_line(p).children[0], ChildPtr::Null);
-        s.set_child(p, 0, ChildPtr::Nvbm(POffset(512)));
-        s.set_data(p, &CellData { vof: 0.75, ..Default::default() });
+        let d = CellData { vof: 0.75, ..Default::default() };
         let nav = s.nav_line(p);
-        assert_eq!((nav.children[0], nav.mask, nav.epoch), (ChildPtr::Nvbm(POffset(512)), 1, 3));
-        assert_eq!(s.data(p).vof, 0.75);
-        let mut expect = Octant::leaf(key, 3, CellData { vof: 0.75, ..Default::default() });
-        expect.children[0] = ChildPtr::Nvbm(POffset(512));
-        assert_eq!(s.read_octant(p), expect);
+        s.set_payload(p, &nav, &d);
+        assert_eq!(s.read_octant(p), Octant::leaf(key, 3, d));
+        // Leaf → interior: the payload moves to line 1 under the links.
+        let mut cs = [ChildPtr::Null; FANOUT];
+        cs[0] = ChildPtr::Nvbm(POffset(512));
+        s.set_children(p, &cs, &d);
+        let nav = s.nav_line(p);
+        assert_eq!((nav.children, nav.mask, nav.leaf, nav.epoch), (cs, 1, None, 3));
+        assert_eq!(s.payload(p, &nav), d);
+        let d = CellData { work: -2.0, ..d };
+        s.set_payload(p, &nav, &d);
+        assert_eq!(s.read_octant(p), Octant { children: cs, ..Octant::leaf(key, 3, d) });
+        // Interior → leaf: the payload back over the links, line 1 left.
+        let mean = CellData { pressure: 4.0, ..Default::default() };
+        s.set_children(p, &[ChildPtr::Null; FANOUT], &mean);
+        let nav = s.nav_line_checked(p).unwrap();
+        assert_eq!((nav.mask, nav.leaf), (0, Some(mean)));
+        assert_eq!(s.read_octant(p), Octant::leaf(key, 3, mean));
     }
 
     #[test]
-    fn octant_is_two_lines() {
+    fn a_leaf_is_one_line() {
         let mut s = store();
-        let o = Octant::leaf(OctKey::root(), 0, CellData::default());
-        let before = s.arena.stats.nvbm.write_lines;
-        let p = s.alloc_octant(&o).unwrap();
-        assert_eq!(s.arena.stats.nvbm.write_lines - before, 2);
-        assert_eq!(p.0 % 64, 0, "octants are cacheline aligned");
+        let lines = |s: &PmStore| (s.arena.stats.nvbm.read_lines, s.arena.stats.nvbm.write_lines);
+        let d = CellData { phi: 0.5, ..Default::default() };
+        let leaf = Octant::leaf(OctKey::root(), 0, d);
+        let mut interior = leaf;
+        interior.children[4] = ChildPtr::Nvbm(POffset(0x4000));
+        for (o, want) in [(leaf, 1), (interior, 2)] {
+            // Stored in `want` lines, and read back — payload included —
+            // in as many.
+            let (r0, w0) = lines(&s);
+            let p = s.alloc_octant(&o).unwrap();
+            assert_eq!(p.0 % 64, 0, "octants are cacheline aligned");
+            assert_eq!(s.data(p), d);
+            let (r1, w1) = lines(&s);
+            assert_eq!((r1 - r0, w1 - w0), (want, want), "{o:?}");
+            // An in-place payload update is one line either way.
+            let nav = s.nav_line(p);
+            s.set_payload(p, &nav, &d);
+            assert_eq!(lines(&s), (r1 + 1, w1 + 1));
+        }
     }
 
     #[test]
@@ -573,19 +723,18 @@ mod tests {
         let o = Octant::leaf(OctKey::root(), 0, CellData::default());
         let p = s.alloc_octant(&o).unwrap();
         assert_eq!(s.nav_line(p).mask, 0);
-        s.set_child(p, 3, ChildPtr::Nvbm(POffset(0x1000)));
-        s.set_child(p, 6, ChildPtr::Volatile(2));
-        assert_eq!(s.nav_line(p).mask, (1 << 3) | (1 << 6));
-        s.set_child(p, 3, ChildPtr::Null);
-        assert_eq!(s.nav_line(p).mask, 1 << 6);
         let mut cs = [ChildPtr::Null; FANOUT];
-        cs[0] = ChildPtr::Nvbm(POffset(0x2000));
-        s.set_children(p, &cs);
+        cs[3] = ChildPtr::Nvbm(POffset(0x1000));
+        cs[6] = ChildPtr::Volatile(2);
+        s.set_children(p, &cs, &o.data);
+        assert_eq!(s.nav_line(p).mask, (1 << 3) | (1 << 6));
+        cs[3] = ChildPtr::Null;
+        s.set_children(p, &cs, &o.data);
         let nav = s.nav_line(p);
-        assert_eq!((nav.mask, nav.children), (1, cs));
+        assert_eq!((nav.mask, nav.children), (1 << 6, cs));
         // A stored record derives the mask from its children array.
         let q = s.alloc_octant(&Octant { children: cs, ..o }).unwrap();
-        assert_eq!(s.nav_line(q).mask, 1);
+        assert_eq!(s.nav_line(q).mask, 1 << 6);
     }
 
     #[test]
@@ -597,7 +746,7 @@ mod tests {
         for i in [2, 5] {
             kids[i] = ChildPtr::Nvbm(leaf(&mut s, OctKey::root().child(i)).unwrap());
         }
-        s.set_children(root, &kids);
+        s.set_children(root, &kids, &CellData::default());
         let twin = leaf(&mut s, OctKey::root().child(5)).unwrap();
         let (reads, writes) = (s.arena.stats.nvbm.read_lines, s.arena.stats.nvbm.write_lines);
         // Nvbm → Volatile → Nvbm: the slot stays occupied throughout.
@@ -651,22 +800,86 @@ mod tests {
     #[test]
     fn nav_line_checked_reports_corruption() {
         let mut s = store();
-        let o = Octant::leaf(OctKey::root(), 0, CellData::default());
+        let mut o = Octant::leaf(OctKey::root(), 0, CellData::default());
+        o.children[1] = ChildPtr::Nvbm(POffset(0x1000));
         let p = s.alloc_octant(&o).unwrap();
         assert!(s.nav_line_checked(p).is_ok());
-        // Poison child slot 0 with a volatile link carrying reserved bits.
+        // Poison child slot 0 of an interior octant with a volatile link
+        // carrying reserved bits.
         let raw = VOLATILE_BIT | (1 << 40) | 3;
         s.arena.write(p.0, &raw.to_le_bytes()[..6]);
         match s.nav_line_checked(p) {
             Err(PmError::Corrupt(m)) => assert!(m.contains("child 0"), "{m}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        // The byte the deleted flag used to live in: nothing stores there.
-        let q = s.alloc_octant(&o).unwrap();
-        s.arena.write(q.0 + 57, &[1]);
+        // A leaf's body after its payload: nothing stores there.
+        let leaf =
+            Octant::leaf(OctKey::root(), 0, CellData { phi: f64::NAN, ..Default::default() });
+        let q = s.alloc_octant(&leaf).unwrap();
+        assert!(s.nav_line_checked(q).is_ok(), "a payload is any 32 bytes");
+        s.arena.write(q.0 + 40, &[1]);
         match s.nav_line_checked(q) {
+            Err(PmError::Corrupt(m)) => {
+                assert!(m.contains("mask 0") && m.contains("byte 40"), "{m}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // The byte the deleted flag used to live in: nothing stores there.
+        let r = s.alloc_octant(&o).unwrap();
+        s.arena.write(r.0 + 57, &[1]);
+        match s.nav_line_checked(r) {
             Err(PmError::Corrupt(m)) => assert!(m.contains("reserved byte 57"), "{m}"),
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any 64 bytes through the checked decoder: `Ok` or `Corrupt`,
+        /// never a panic; and where it accepts a line, the hot-path
+        /// decoder reads the same thing off it. The mask byte is drawn
+        /// zero half the time, and each other byte a quarter of the
+        /// time, so leaves, interior octants and both reserved rules all
+        /// occur.
+        #[test]
+        fn any_navigation_line_decodes_or_is_corrupt(
+            bytes in prop::collection::vec(any::<u8>(), CACHELINE),
+            zeros in any::<u64>(),
+            also in any::<u64>(),
+            leaf in any::<bool>(),
+        ) {
+            let mut line: [u8; CACHELINE] = bytes.try_into().unwrap();
+            for (i, b) in line.iter_mut().enumerate() {
+                if (zeros & also) >> i & 1 == 1 {
+                    *b = 0;
+                }
+            }
+            if leaf {
+                line[OFF_MASK as usize] = 0;
+            }
+            let mut s = store();
+            let p = s.alloc_octant(&Octant::leaf(OctKey::root(), 0, CellData::default())).unwrap();
+            s.arena.write(p.0, &line);
+            match s.nav_line_checked(p) {
+                Ok(nav) => {
+                    let mask = line[OFF_MASK as usize];
+                    prop_assert_eq!(nav.mask, mask);
+                    prop_assert_eq!(nav.leaf.is_some(), mask == 0);
+                    if let Some(d) = nav.leaf {
+                        prop_assert_eq!(d.to_bytes(), line[..32]);
+                        prop_assert_eq!(nav.children, [ChildPtr::Null; FANOUT]);
+                    } else {
+                        let links = std::array::from_fn(|i| ChildPtr::decode(get_link(&line, i)));
+                        prop_assert_eq!(nav.children, links);
+                    }
+                    let hot = s.nav_line(p);
+                    prop_assert_eq!(hot.leaf.map(|d| d.to_bytes()), nav.leaf.map(|d| d.to_bytes()));
+                    prop_assert_eq!((hot.children, hot.code, hot.level, hot.epoch),
+                        (nav.children, nav.code, nav.level, nav.epoch));
+                }
+                Err(e) => prop_assert!(matches!(e, PmError::Corrupt(_)), "{e}"),
+            }
         }
     }
 }

@@ -57,7 +57,8 @@ pub fn sample_nvbm_freq(
     let mut evals = 0usize;
     for _ in 0..walks {
         // Random walk from the subtree root to some leaf: one navigation
-        // line per octant stood on, the last one also giving the key.
+        // line per octant stood on, the last one also giving the key and,
+        // at a leaf, the payload.
         let mut cur = off;
         let mut nav = root_nav;
         loop {
@@ -71,7 +72,7 @@ pub fn sample_nvbm_freq(
             nav = store.nav_line(cur);
         }
         let key = OctKey::from_raw(nav.code, nav.level);
-        let data = store.data(cur);
+        let data = store.payload(cur, &nav);
         for f in features {
             evals += 1;
             if f(&key, &data) {

@@ -96,9 +96,11 @@ pub fn scan_tree(store: &mut PmStore, root: POffset) -> Result<TreeScan, PmError
                 p.0
             )));
         }
-        // The whole hot line — children, raw key, mask, epoch — arrives in
-        // one validated read; a torn child link (instead of a decode
-        // panic) or a non-zero reserved byte surfaces as `Corrupt` here.
+        // The whole hot line — children or a leaf's payload, raw key,
+        // mask, epoch — arrives in one validated read; a torn child link
+        // (instead of a decode panic) or a non-zero reserved byte — a
+        // leaf's 32..48 among them, where a zeroed mask over links
+        // leaves the high links — surfaces as `Corrupt` here.
         let nav = store.nav_line_checked(p)?;
         let key = checked_key(p, nav.code, nav.level)?;
         if let Some(want) = expected.remove(&p) {
@@ -109,8 +111,8 @@ pub fn scan_tree(store: &mut PmStore, root: POffset) -> Result<TreeScan, PmError
                 )));
             }
         }
-        // The presence mask is redundant with the links; a disagreement
-        // means a torn navigation line.
+        // An interior octant's presence mask is redundant with its links;
+        // a disagreement means a torn navigation line.
         let links_mask =
             nav.children
                 .iter()
