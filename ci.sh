@@ -185,34 +185,27 @@ rm -f trace_smoke.json
 # Worker-pool determinism gate: the cluster smoke must emit byte-identical
 # JSON whether the pool runs 1 worker or 4 (only wall-clock may differ).
 diff_gate "cluster smoke" cluster-smoke -- BENCH_cluster_smoke.json
-# Multi-tenant service gate: the Zipf-skewed service benchmark (>=100
-# tenants, pinned-snapshot isolation checks, quota rejections) must pass
-# its internal gates and emit byte-identical JSON under 1 and 4 workers
-# (the driver is single-threaded over the virtual clock by design).
-diff_gate "service benchmark" service --smoke -- BENCH_service.json
 # Flight-recorder gate: the blackbox run (recorder on, recovered from the
 # arena's own media, overhead measured against a recorder-off run) must
 # pass its internal gates — well-formed dump, <=5% virtual-clock
 # inflation — and emit byte-identical JSON under 1 and 4 workers.
 diff_gate "blackbox run" blackbox --quick -- BENCH_blackbox.json
-# Wear-telemetry gate: after the write_fraction and service runs above,
-# BENCH_wear.json must hold complete per-region/per-phase attribution
-# for BOTH drivers (the shape is checked by trace-check below).
+# Wear-telemetry gate: write_fraction writes BENCH_wear.json whole, so a
+# valid entry an earlier run left behind (planted here as driver "stale")
+# must not survive it, and the droplet driver's per-region/per-phase
+# attribution must be there (the shape is checked by trace-check below).
+# The service workload's checks (snapshot rereads, quota rejections,
+# relocations, bytes per commit) run in perf/check.sh's service_zipf.
+stale='{"driver":"stale","wear":{"bytes_by_region":[{"name":"root_table","bytes":0},{"name":"octree","bytes":0},{"name":"rt_heap","bytes":0},{"name":"recorder","bytes":0}],"bytes_by_phase":[{"name":"mutate","bytes":0}],"wear_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"max_wear":0,"max_wear_offset":0,"bytes_committed":0}}'
+printf '{"experiment":"wear","drivers":[\n%s\n]}\n' "$stale" >BENCH_wear.json
+cargo run --release -p pmoctree-bench --bin repro -- trace-check BENCH_wear.json
 cargo run --release -p pmoctree-bench --bin repro -- write_fraction --quick
-for d in droplet service; do
-    if ! grep -q "\"driver\":\"$d\"" BENCH_wear.json; then
-        echo "BENCH_wear.json is missing the $d driver" >&2
-        exit 1
-    fi
-done
-# Log-structured wear-leveling gate: the wear-level driver must pass its
-# internal gates (>=1 wear-GC relocation, pinned snapshots byte-identical
-# under relocation, bytes/commit and flatness against recorded baselines)
-# and both its documents — BENCH_wear_level.json and the merged
-# BENCH_wear.json — must be byte-identical under 1 and 4 workers.
-diff_gate "wear-level benchmark" wear-level --smoke -- BENCH_wear_level.json BENCH_wear.json
-if ! grep -q "\"driver\":\"wear-level\"" BENCH_wear.json; then
-    echo "BENCH_wear.json is missing the wear-level driver" >&2
+if grep -q '"driver":"stale"' BENCH_wear.json; then
+    echo "BENCH_wear.json kept the stale driver entry of an earlier run" >&2
+    exit 1
+fi
+if ! grep -q '"driver":"droplet"' BENCH_wear.json; then
+    echo "BENCH_wear.json is missing the droplet driver" >&2
     exit 1
 fi
 # BENCH-document shape gate: trace-check validates every emitted

@@ -6,8 +6,6 @@
 //! [--quick] [--workers N]
 //! repro crash-sweep [--smoke]
 //! repro recovery-rt [--smoke]
-//! repro service [--smoke]
-//! repro wear-level [--smoke]
 //! repro droplet [--quick] [--trace out.json] [--metrics out.prom]
 //! repro blackbox [--quick]
 //! repro cluster-smoke [--workers N]
@@ -29,23 +27,12 @@
 //! over the multi-tenant service front-end (`svc::*` failpoints, batch
 //! all-or-nothing oracle). It exits non-zero on any contract violation.
 //!
-//! `service` (not part of `all`) drives the multi-tenant versioned state
-//! service with a Zipf-skewed workload (≥100 tenants, s≈1.0): batched
-//! commands, MVCC snapshot pin/reread gates, per-tenant quotas. Writes
-//! throughput, p50/p99 virtual-clock latency, and bytes-per-commit to
-//! `BENCH_service.json`; exits non-zero if a pinned snapshot ever
-//! changes. Single-threaded and virtual-clock only, so the JSON is part
-//! of the `ci.sh` determinism gates.
+//! The multi-tenant service workload (Zipf-skewed tenants, MVCC snapshot
+//! rereads, quota rejections, wear-GC relocations) is the benchmark
+//! package's `perf --workload service_zipf`.
 //!
-//! `wear-level` (not part of `all`) measures the log-structured region
-//! manager's endurance levers: rt-heap bytes written per commit on the
-//! service workload and wear-histogram flatness on the droplet workload,
-//! both against recorded pre-log baselines, plus the wear GC's
-//! relocation counters. Writes `BENCH_wear_level.json` and merges the
-//! `wear-level` entry (with its `wear_leveling` section) into
-//! `BENCH_wear.json`; exits non-zero if a pinned snapshot changed under
-//! relocation or the wear GC never relocated a blob. Virtual-clock
-//! deterministic, part of the `ci.sh` 1-vs-4-worker byte-diff gates.
+//! `write_fraction` also writes `BENCH_wear.json`, the droplet driver's
+//! per-region/per-phase wear attribution, whole on every run.
 //!
 //! `recovery-rt` (not part of `all`) exercises the pm-rt
 //! orthogonal-persistence runtime: sampled crashes (including at
@@ -174,7 +161,7 @@ fn main() {
         let run = droplet_untraced(scale.steps, scale.recovery_level);
         println!("NVBM wear attribution (droplet driver):");
         println!("{}", wear_str(&run.wear));
-        write_wear_json("droplet", &run.wear);
+        write_bench_json("wear", &wear_json("droplet", &run.wear));
     }
     if all || what == "layout" {
         println!("{}", layout_str(&layout_ablation()));
@@ -268,44 +255,6 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-        }
-    }
-    if what == "wear-level" {
-        let cfg = if args.iter().any(|a| a == "--smoke") || quick {
-            WearLevelConfig::smoke()
-        } else {
-            WearLevelConfig::full()
-        };
-        let b = wear_level_bench(&cfg);
-        println!("{}", wear_level_str(&b));
-        write_bench_json("wear_level", &wear_level_json(&b));
-        write_wear_json_leveled("wear-level", &b.wear, &b.leveling);
-        if !b.service_snapshot_ok {
-            eprintln!("wear-level: a pinned snapshot changed under relocation");
-            std::process::exit(1);
-        }
-        if b.leveling.relocations == 0 {
-            eprintln!("wear-level: the wear GC never relocated a blob");
-            std::process::exit(1);
-        }
-    }
-    if what == "service" {
-        let cfg = if args.iter().any(|a| a == "--smoke") || quick {
-            ServiceBenchConfig::smoke()
-        } else {
-            ServiceBenchConfig::full()
-        };
-        let b = service_bench(&cfg);
-        println!("{}", service_str(&b));
-        write_bench_json("service", &service_json(&b));
-        write_wear_json("service", &b.wear);
-        if !b.snapshot_ok {
-            eprintln!("service: a pinned snapshot changed under later commits");
-            std::process::exit(1);
-        }
-        if b.tenants < 100 {
-            eprintln!("service: acceptance needs >= 100 tenants, ran {}", b.tenants);
-            std::process::exit(1);
         }
     }
     if what == "recovery-rt" {

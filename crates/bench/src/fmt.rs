@@ -328,64 +328,6 @@ pub fn service_sweep_str(sweep: &crate::crash_sweep::ServiceSweep) -> String {
     s
 }
 
-/// Render the multi-tenant service benchmark.
-pub fn service_str(b: &crate::service_bench::ServiceBench) -> String {
-    let mut s = format!(
-        "Multi-tenant service: {} tenants, Zipf s={:.2} (hottest tenant took {:.1}% of ops)\n",
-        b.tenants,
-        b.zipf_s,
-        100.0 * b.hot_tenant_share
-    );
-    s.push_str(&format!(
-        "{} ops in {:.4} virtual s => {:.0} ops/s; latency p50 {} ns, p99 {} ns\n",
-        b.ops, b.total_virtual_secs, b.ops_per_virtual_sec, b.p50_ns, b.p99_ns
-    ));
-    s.push_str(&format!(
-        "batch-flush (root swap) latency: p50 {} ns, p99 {} ns\n",
-        b.commit_p50_ns, b.commit_p99_ns
-    ));
-    s.push_str(&format!(
-        "{} root swaps, {} bytes written => {:.0} bytes/commit; {} quota rejections\n",
-        b.commits, b.bytes_written, b.bytes_per_commit, b.quota_rejections
-    ));
-    s.push_str(&format!(
-        "snapshot isolation: {} pinned rereads, {}\n",
-        b.snapshot_checks,
-        if b.snapshot_ok { "all byte-identical" } else { "VIOLATED" }
-    ));
-    s.push_str(&format!("per-tenant telemetry: {} labelled series\n", b.labeled_series));
-    s.push_str(&wear_str(&b.wear));
-    s
-}
-
-/// Render the wear-leveling benchmark: both endurance readouts against
-/// their recorded pre-log baselines, plus the wear GC's counters.
-pub fn wear_level_str(b: &crate::wear_bench::WearLevelBench) -> String {
-    let mut s = format!(
-        "Wear leveling: service {} commits, {} bytes => {:.0} bytes/commit \
-         (baseline {:.0}, {:.1}% reduction)\n",
-        b.service_commits,
-        b.service_bytes_written,
-        b.service_bytes_per_commit,
-        b.baseline_bytes_per_commit,
-        b.bytes_per_commit_reduction_percent
-    );
-    s.push_str(&format!(
-        "droplet flatness (hottest/mean block wear): {:.3} (baseline {:.2}); \
-         {} steps, {} elements\n",
-        b.droplet_flatness, b.baseline_flatness, b.droplet_steps, b.droplet_elements
-    ));
-    s.push_str(&format!(
-        "wear GC: watermark {:.2}, {} relocations, {} bytes moved; snapshots {}\n",
-        b.leveling.occupancy_watermark,
-        b.leveling.relocations,
-        b.leveling.bytes_moved,
-        if b.service_snapshot_ok { "byte-identical under relocation" } else { "VIOLATED" }
-    ));
-    s.push_str(&wear_str(&b.wear));
-    s
-}
-
 /// Render a wear / write-amplification report: per-region and per-phase
 /// committed bytes plus the block-wear histogram.
 pub fn wear_str(w: &pmoctree_nvbm::WearReport) -> String {

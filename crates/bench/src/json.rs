@@ -233,121 +233,24 @@ pub fn recovery_rt_json(r: &crate::recovery_rt::RecoveryRt) -> String {
 }
 
 #[derive(Serialize)]
-struct ServiceDoc {
-    experiment: &'static str,
-    bench: crate::service_bench::ServiceBench,
-}
-
-/// JSON for the multi-tenant service benchmark. Virtual-clock and count
-/// fields only — a 1-worker and a 4-worker run must emit byte-identical
-/// files (the `ci.sh` determinism gate diffs them).
-pub fn service_json(b: &crate::service_bench::ServiceBench) -> String {
-    json_doc(&ServiceDoc { experiment: "service", bench: b.clone() })
-}
-
-#[derive(Serialize)]
 struct WearDriverDoc {
     driver: String,
     wear: pmoctree_nvbm::WearReport,
-    /// The wear GC's own counters — an object on the `wear-level`
-    /// driver's entry (where `trace-check` requires it), JSON `null` on
-    /// every other driver's.
-    wear_leveling: Option<crate::wear_bench::WearLeveling>,
-}
-
-/// Render one driver's wear entry (a single line, used by the
-/// `BENCH_wear.json` merge below).
-fn wear_driver_line(driver: &str, wear: &pmoctree_nvbm::WearReport) -> String {
-    json_doc(&WearDriverDoc { driver: driver.to_string(), wear: wear.clone(), wear_leveling: None })
-}
-
-/// Render the whole wear document from per-driver entry lines.
-fn wear_doc(lines: &[String]) -> String {
-    format!("{{\"experiment\":\"wear\",\"drivers\":[\n{}\n]}}", lines.join(",\n"))
-}
-
-/// Build a full wear document in memory — test seam for the
-/// `trace-check` shape validator, bypassing the filesystem merge. Each
-/// driver optionally carries its `wear_leveling` section.
-#[cfg(test)]
-pub(crate) fn wear_doc_for_tests(
-    drivers: &[(&str, &pmoctree_nvbm::WearReport, Option<&crate::wear_bench::WearLeveling>)],
-) -> String {
-    let lines: Vec<String> = drivers
-        .iter()
-        .map(|(d, w, l)| {
-            json_doc(&WearDriverDoc {
-                driver: d.to_string(),
-                wear: (*w).clone(),
-                wear_leveling: l.cloned(),
-            })
-        })
-        .collect();
-    wear_doc(&lines)
 }
 
 #[derive(Serialize)]
-struct WearLevelDoc {
+struct WearDoc {
     experiment: &'static str,
-    bench: crate::wear_bench::WearLevelBench,
+    drivers: Vec<WearDriverDoc>,
 }
 
-/// JSON for the wear-leveling benchmark (`BENCH_wear_level.json`).
-/// Virtual-clock and count fields only — part of the `ci.sh`
-/// 1-vs-4-worker byte-diff gates.
-pub fn wear_level_json(b: &crate::wear_bench::WearLevelBench) -> String {
-    json_doc(&WearLevelDoc { experiment: "wear_level", bench: b.clone() })
-}
-
-/// Merge the `wear-level` driver's entry — wear report *plus* the
-/// required `wear_leveling` GC-counter section — into `BENCH_wear.json`.
-pub fn write_wear_json_leveled(
-    driver: &str,
-    wear: &pmoctree_nvbm::WearReport,
-    leveling: &crate::wear_bench::WearLeveling,
-) {
-    let line = json_doc(&WearDriverDoc {
-        driver: driver.to_string(),
-        wear: wear.clone(),
-        wear_leveling: Some(leveling.clone()),
-    });
-    merge_wear_line(driver, line);
-}
-
-/// Merge one driver's wear report into `BENCH_wear.json`: the file holds
-/// one entry per driver (`droplet` from `repro write_fraction`, `service`
-/// from `repro service`, `wear-level` from `repro wear-level`), each on
-/// its own line, sorted by driver name — so the subcommands can update it
-/// independently and the result is byte-stable under any invocation
-/// order.
-pub fn write_wear_json(driver: &str, wear: &pmoctree_nvbm::WearReport) {
-    merge_wear_line(driver, wear_driver_line(driver, wear));
-}
-
-fn merge_wear_line(driver: &str, rendered: String) {
-    let path = "BENCH_wear.json";
-    // Keep the other drivers' lines from an existing (valid) file.
-    let mut entries: Vec<(String, String)> = Vec::new();
-    if let Ok(text) = std::fs::read_to_string(path) {
-        if serde_json::from_str(&text).is_ok() {
-            for line in text.lines() {
-                let line = line.trim_end_matches(',');
-                if let Some(rest) = line.strip_prefix("{\"driver\":\"") {
-                    if let Some(name) = rest.split('"').next() {
-                        if name != driver {
-                            entries.push((name.to_string(), line.to_string()));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    entries.push((driver.to_string(), rendered));
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    let lines: Vec<String> = entries.into_iter().map(|(_, l)| l).collect();
-    let body = wear_doc(&lines);
-    debug_assert!(serde_json::from_str(&body).is_ok(), "wear doc must be valid JSON");
-    write_bench_json("wear", &body);
+/// JSON for `BENCH_wear.json`: one driver's wear attribution, rendered
+/// whole (no entry from an earlier run survives a rewrite).
+pub fn wear_json(driver: &str, wear: &pmoctree_nvbm::WearReport) -> String {
+    json_doc(&WearDoc {
+        experiment: "wear",
+        drivers: vec![WearDriverDoc { driver: driver.to_string(), wear: wear.clone() }],
+    })
 }
 
 #[derive(Serialize)]

@@ -14,13 +14,9 @@ pub mod experiments;
 pub mod fmt;
 pub mod json;
 pub mod recovery_rt;
-pub mod service_bench;
 pub mod trace_check;
-pub mod wear_bench;
 
 pub use crash_sweep::*;
 pub use experiments::*;
 pub use recovery_rt::{recovery_rt, CrashResumeRow, RecoveryRt, RecoveryRtConfig};
-pub use service_bench::{service_bench, ServiceBench, ServiceBenchConfig};
 pub use trace_check::{check_bench_doc, check_trace, looks_like_bench_doc, TraceSummary};
-pub use wear_bench::{wear_level_bench, WearLevelBench, WearLevelConfig, WearLeveling};

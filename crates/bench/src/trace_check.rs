@@ -133,36 +133,12 @@ fn check_wear_section(wear: &Value, ctx: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The `wear-level` driver's entry must additionally carry the wear
-/// GC's own counters: the occupancy watermark the compaction pass
-/// triggers at (a fraction in `(0, 1]`) plus the relocation totals.
-fn check_wear_leveling_section(entry: &Value) -> Result<(), String> {
-    let lev = entry
-        .get("wear_leveling")
-        .filter(|v| v.as_object().is_some())
-        .ok_or_else(|| "driver \"wear-level\": missing \"wear_leveling\" section".to_string())?;
-    let wm = lev
-        .get("occupancy_watermark")
-        .and_then(Value::as_f64)
-        .ok_or_else(|| "wear_leveling: missing numeric \"occupancy_watermark\"".to_string())?;
-    if !(wm > 0.0 && wm <= 1.0) {
-        return Err(format!("wear_leveling: occupancy_watermark {wm} outside (0, 1]"));
-    }
-    for field in ["relocations", "bytes_moved"] {
-        if lev.get(field).and_then(Value::as_u64).is_none() {
-            return Err(format!("wear_leveling: missing numeric \"{field}\""));
-        }
-    }
-    Ok(())
-}
-
 /// Validate a `BENCH_*.json` document's shape. Every document must be
 /// strict JSON with an `"experiment"` string; wear and blackbox
 /// documents additionally must carry complete wear attribution (all
 /// four regions, a non-empty phase breakdown, the 16-bucket histogram)
-/// and — for blackbox — a well-formed recovered recorder dump. The
-/// `wear-level` driver entry of a wear document must also carry its
-/// `wear_leveling` GC-counter section. Returns the experiment name.
+/// and — for blackbox — a well-formed recovered recorder dump. Returns
+/// the experiment name.
 pub fn check_bench_doc(text: &str) -> Result<String, String> {
     let doc = serde_json::from_str(text).map_err(|e| format!("not valid JSON: {e}"))?;
     let kind = doc
@@ -187,9 +163,6 @@ pub fn check_bench_doc(text: &str) -> Result<String, String> {
                 let wear =
                     d.get("wear").ok_or_else(|| format!("wear: driver {name:?} lacks \"wear\""))?;
                 check_wear_section(wear, &format!("driver {name:?}"))?;
-                if name == "wear-level" {
-                    check_wear_leveling_section(d)?;
-                }
             }
         }
         "blackbox" => {
@@ -279,32 +252,13 @@ mod tests {
         let mut st = pmoctree_nvbm::MemStats::default();
         st.wear_commit(0, 64);
         let wear = st.wear_report();
-        let body =
-            crate::json::wear_doc_for_tests(&[("droplet", &wear, None), ("service", &wear, None)]);
+        let body = crate::json::wear_json("droplet", &wear);
         assert!(looks_like_bench_doc(&body));
         assert_eq!(check_bench_doc(&body).unwrap(), "wear");
 
         // A wear doc missing a region must be rejected.
         let truncated = body.replace("root_table", "root_tably");
         assert!(check_bench_doc(&truncated).unwrap_err().contains("root_table"));
-
-        // The wear-level driver's entry must carry the wear_leveling
-        // section — absent on other drivers, required on it.
-        let bare = crate::json::wear_doc_for_tests(&[("wear-level", &wear, None)]);
-        assert!(check_bench_doc(&bare).unwrap_err().contains("wear_leveling"));
-        let lev = crate::wear_bench::WearLeveling {
-            occupancy_watermark: pm_rt::COMPACT_WATERMARK,
-            relocations: 3,
-            bytes_moved: 1024,
-        };
-        let leveled = crate::json::wear_doc_for_tests(&[
-            ("droplet", &wear, None),
-            ("wear-level", &wear, Some(&lev)),
-        ]);
-        assert_eq!(check_bench_doc(&leveled).unwrap(), "wear");
-        let bad_wm = crate::wear_bench::WearLeveling { occupancy_watermark: 0.0, ..lev };
-        let rejected = crate::json::wear_doc_for_tests(&[("wear-level", &wear, Some(&bad_wm))]);
-        assert!(check_bench_doc(&rejected).unwrap_err().contains("occupancy_watermark"));
 
         // Unknown experiments only need the experiment key.
         assert_eq!(check_bench_doc(r#"{"experiment":"fig6","rows":[]}"#).unwrap(), "fig6");

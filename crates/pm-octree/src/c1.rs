@@ -44,7 +44,7 @@
 //!
 //! There is one root walk, [`Cursor::locate`]: every lookup ([`locate`])
 //! and every mutation ([`refine`], [`coarsen`], [`update_data`],
-//! [`cow_path`], [`replace_slot`]) steps down the child links through it,
+//! `cow_path`, [`replace_slot`]) steps down the child links through it,
 //! reading one navigation line per level and keeping it, so whatever is
 //! asked of an octant on the path afterwards — leaf? exclusive? which
 //! links? — is answered from the frame, not from the device.
@@ -298,6 +298,7 @@ fn own<S: OctAccess>(
 /// [`PmError::NotFound`] when `key` is not an NVBM octant under `root`.
 /// On [`PmError::Full`] no link has been published: copies allocated so
 /// far are unreachable and the caller's tree is unchanged.
+#[cfg(test)]
 pub fn cow_path<S: OctAccess>(
     store: &mut S,
     root: POffset,

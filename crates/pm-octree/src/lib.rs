@@ -11,17 +11,17 @@
 //! * **Crash consistency without fences** — updates are copy-on-write;
 //!   `V_{i-1}` is immutable until the single atomic root swap at
 //!   [`PmOctree::persist`]. Arbitrary loss/reordering of unflushed
-//!   cachelines cannot corrupt the persisted version ([`c1`]).
+//!   cachelines cannot corrupt the persisted version (`c1`).
 //! * **Structural sharing** — unchanged subtrees are shared between
 //!   versions; merging diffs against a shadow image so that quiet time
-//!   steps persist almost for free ([`c1::merge_subtree`]).
+//!   steps persist almost for free (`c1::merge_subtree`).
 //! * **Deferred deletion + mark-and-sweep GC** — a delete rewrites the
 //!   (exclusive) parent's links and never the octant it unlinks; space is
-//!   reclaimed by [`gc`], whose mark pass also rebuilds the allocator
+//!   reclaimed by `gc`, whose mark pass also rebuilds the allocator
 //!   after a crash.
 //! * **Feature-directed dynamic layout transformation** — application
 //!   feature functions are pre-executed on sampled octants to decide
-//!   which subtrees deserve DRAM ([`sampling`], [`transform`]).
+//!   which subtrees deserve DRAM (`sampling`, `transform`).
 //! * **Orthogonal persistence** — the Table 1 interface
 //!   (`pm_create` / `pm_persistent` / `pm_restore` / `pm_delete`) is
 //!   [`PmOctree::create`] / [`PmOctree::persist`] / [`PmOctree::restore`]
@@ -47,23 +47,22 @@
 // explicit `#[allow]` with their proof, and tests opt out per-module.
 #![warn(clippy::unwrap_used)]
 
-pub mod api;
-pub mod c0;
-pub mod c1;
-pub mod config;
-pub mod domains;
-pub mod gc;
-pub mod octant;
-pub mod replica;
-pub mod sampling;
-pub mod transform;
-pub mod verify;
+mod api;
+mod c0;
+mod c1;
+mod config;
+mod domains;
+mod gc;
+mod octant;
+mod replica;
+mod sampling;
+mod transform;
+mod verify;
 
 pub use api::{Events, PersistHook, PmError, PmOctree};
 pub use config::{PmConfig, PmConfigBuilder};
-pub use domains::DomainOp;
 pub use gc::GcReport;
-pub use octant::{CellData, ChildPtr, OctAccess, Octant, PmStore, FANOUT, OCTANT_SIZE};
+pub use octant::{CellData, OctAccess, Octant, PmStore, OCTANT_SIZE};
 pub use replica::ReplicaSet;
 pub use sampling::FeatureFn;
-pub use verify::{check_invariants, scan_tree, RecoveryReport, TreeScan};
+pub use verify::check_invariants;

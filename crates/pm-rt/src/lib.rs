@@ -56,7 +56,7 @@ pub use heap::LogHeap;
 pub use log::{Record, RecordKind};
 pub use mvcc::Snapshot;
 pub use pm_octree::PmError;
-pub use rt::{PPtr, PmRt, RtError, CHECKPOINT_EVERY, COMPACT_WATERMARK};
+pub use rt::{PPtr, PmRt, RtError, CHECKPOINT_EVERY};
 pub use service::{
     BatchReport, CmdResult, ServiceCmd, ServiceConfig, ServiceConfigBuilder, ServiceReply,
     ServiceStats, StateService, TenantLease,

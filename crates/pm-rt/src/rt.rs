@@ -833,7 +833,7 @@ impl PmRt {
     }
 
     /// Ring occupancy (live bytes over window) — the compaction
-    /// watermark input, surfaced for the wear-leveling bench.
+    /// watermark input, reported as the `pm-rt.log_occupancy` metric.
     pub fn log_occupancy(&self) -> f64 {
         self.heap.occupancy()
     }

@@ -620,7 +620,7 @@ impl StateService {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use pmoctree_nvbm::{CrashMode, DeviceModel, FailPlan};
+    use pmoctree_nvbm::{CrashMode, DeviceModel, FailPlan, Tracer};
 
     fn arena() -> NvbmArena {
         NvbmArena::new(1 << 20, DeviceModel::default())
@@ -725,6 +725,41 @@ mod tests {
         assert_eq!(audit["small"]["a"], vec![0; 100]);
         assert!(!audit["small"].contains_key("b"));
         assert_eq!(audit["big"]["a"], vec![7; 500]);
+    }
+
+    #[test]
+    fn traced_flush_publishes_per_tenant_series() {
+        let mut a = arena();
+        a.tracer = Tracer::enabled(0);
+        let mut s = svc(&mut a);
+        s.submit(&mut a, ServiceCmd::Create { tenant: "t".into(), quota: Some(1024) }).unwrap();
+        s.flush_batch(&mut a).unwrap();
+        s.submit(
+            &mut a,
+            ServiceCmd::Put { tenant: "t".into(), root: "a".into(), bytes: vec![1; 96] },
+        )
+        .unwrap();
+        s.submit(
+            &mut a,
+            ServiceCmd::Put { tenant: "t".into(), root: "b".into(), bytes: vec![0xFF; 2048] },
+        )
+        .unwrap();
+        let rep = s.flush_batch(&mut a).unwrap();
+        assert_eq!(rep.replies[0], Ok(ServiceReply::Put));
+        assert!(matches!(rep.replies[1], Err(PmError::QuotaExceeded(_))));
+        let m = a.tracer.metrics();
+        let label = "tenant=\"t\"";
+        for name in ["svc.flush_ns", "svc.write_bytes"] {
+            assert!(
+                m.labeled_histograms().any(|(n, l, h)| n == name && l == label && h.count > 0),
+                "no {name} series for {label}"
+            );
+        }
+        assert!(
+            m.labeled_counters()
+                .any(|(n, l, v)| n == "svc.quota_rejections" && l == label && v == 1),
+            "no svc.quota_rejections series for {label}"
+        );
     }
 
     #[test]

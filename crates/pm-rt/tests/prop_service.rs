@@ -2,8 +2,9 @@
 //! workspace-wide error-taxonomy contract.
 //!
 //! * **Snapshot isolation** — whatever interleaving of tenant writes,
-//!   batch flushes, and GC runs after a snapshot is pinned, rereading
-//!   the snapshot is byte-identical to the capture taken at pin time.
+//!   batch flushes, wear-GC relocations and GC runs after a snapshot is
+//!   pinned, rereading the snapshot is byte-identical to the capture
+//!   taken at pin time.
 //! * **Quota isolation** — a tenant exhausting its quota is rejected
 //!   *before* touching media and never perturbs any other tenant: the
 //!   final audited state equals a shadow model driven purely by the
@@ -61,12 +62,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Pin a snapshot of tenant 0 mid-workload; apply the rest of the
-    /// interleaving (writes to all tenants, flushes, a final GC); the
-    /// snapshot must reread byte-identical to its pin-time capture.
+    /// interleaving (writes to all tenants, flushes), then `churn`
+    /// one-put commits to tenant 1 and a final GC; the snapshot must
+    /// reread byte-identical to its pin-time capture. Every commit's
+    /// compaction pass relocates the oldest committed blob it did not
+    /// restage, so 12 churn commits — at least one per other blob (4
+    /// tenants x 3 roots + the registry, less the churned root) — copy
+    /// every blob the pin holds while it is live.
     #[test]
     fn pinned_snapshot_rereads_byte_identical(
         warmup in arb_steps(4, 96),
         after in arb_steps(4, 96),
+        churn in 12usize..24,
     ) {
         let mut arena = NvbmArena::new(4 << 20, DeviceModel::default());
         let mut svc = service(&mut arena, 4, 64 << 10);
@@ -88,6 +95,7 @@ proptest! {
             .into_iter()
             .map(|n| { let v = snap.get_bytes(&mut arena, &n).expect("capture"); (n, v) })
             .collect();
+        let relocations = arena.stats.relocations();
 
         for s in after {
             match s {
@@ -100,8 +108,15 @@ proptest! {
             }
         }
         svc.flush_batch(&mut arena).expect("post flush");
+        for i in 0..churn {
+            svc.submit(&mut arena, ServiceCmd::Put {
+                tenant: tname(1), root: "r0".into(), bytes: vec![i as u8; 32],
+            }).expect("submit");
+            svc.flush_batch(&mut arena).expect("churn flush");
+        }
         svc.collect(&mut arena);
 
+        prop_assert!(arena.stats.relocations() >= relocations + churn as u64);
         prop_assert!(snap.is_live());
         for (name, want) in &captured {
             let got = snap.get_bytes(&mut arena, name).expect("reread");
