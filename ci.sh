@@ -60,21 +60,28 @@ no_fork() {
 }
 no_fork 'BTreeMap<u64, \[u8; CACHELINE\]>' crates/nvbm/src/*.rs
 no_fork '\.splice(' crates/morton/src/index.rs
-# Descent-free time-step gates: the sweep that copies on write through
-# the path it stands on against the gather-then-re-descend loop it
-# replaced (same callbacks, allocations and media; never more reads or
-# stores), the one root walk (`c1::Cursor::locate`, per key and as a
-# Z-ordered batch) against the per-key `locate` loop it replaced, and
-# batched coarsen legality against the per-key rule on all three backends
-# — in optimized builds. The replaced code must be gone, not kept beside
-# them: one whole-tree NVBM walker (`c1::sweep_leaves`) and one
-# root-to-key walker (the cursor — an op descends its path once, a merge
-# reads each shadow octant once), no re-locating the copy `cow_path` just
-# allocated, no per-leaf root re-entry in `update_leaves`, no per-key
-# probe loop in `can_coarsen`.
-cargo test --release -p pm-octree --lib c1::tests::sweep_parity -q
-cargo test --release -p pm-octree --lib c1::tests::cursor_parity -q
-cargo test --release -p pm-octree --lib domains::tests::an_op_walks_its_path_once -q
+# The executable specification: one octree model (a map from every octant
+# of V_i to its payload, plus the V_{i-1} copy taken at each persist) held
+# to the public API after every step of random refine / coarsen /
+# set-data / sweep / persist / crash streams, over three tier
+# configurations and a filling device — outcomes, every read per key and
+# batched, the persist census, and crashes between ops or at any crash
+# opportunity of a persist under every crash mode — in optimized builds.
+# A refusal stores nothing. The oracles it replaced (verbatim copies of
+# replaced code) must stay deleted.
+cargo test --release -p pm-octree --test model -q
+if grep -rn 'fn model_cow_path\|fn model_update_leaves\|fn model_locate\|trait Probes' crates/ ||
+    [ -e crates/pm-octree/src/domains.rs ]; then
+    echo "a replaced-code oracle or domains.rs is back (the octree model in tests/model.rs checks that code)" >&2
+    exit 1
+fi
+# Descent-free time-step gates, by exact count: batched coarsen legality
+# against the per-key rule on all three backends, in optimized builds.
+# One whole-tree NVBM walker (`c1::sweep_leaves`) and one root-to-key
+# walker (the cursor — an op descends its path once, a merge reads each
+# shadow octant once), no per-leaf root re-entry in `update_leaves`, no
+# per-key probe loop in `can_coarsen`.
+cargo test --release -p pm-octree --lib c1::tests::an_op_walks_its_path_once -q
 cargo test --release -p pm-octree --lib c1::tests::merge_reads_each_shadow_octant_once -q
 cargo test --release -p pm-octree --lib c1::tests::descend_outside_the_root_is_not_found -q
 # A COW walk stores each copy once: d record writes — one line for a leaf,
@@ -119,28 +126,21 @@ no_fork 'balance_subset(' crates/cluster/src/rank.rs
 cargo test --release -p pmoctree-morton --lib index::tests::resolve_batch -q
 cargo test --release -p pmoctree-cluster --lib rank::tests::full_range_rank_step -q
 # One-kernel / one-census gates: a refine/coarsen/set-data meets the c1
-# COW routines in exactly one place outside c1.rs (`domains::apply`, under
-# the per-op API; a batch is that API in a loop, seeding and all), and the
-# Fig. 3 overlap and the replica delta are read off the GC mark walk —
-# every route against one oracle, a batch against the per-op calls down to
-# the flushed media, a seeding refine against the eviction line, the census
-# against the walk and the registry filter it replaced, in optimized
-# builds. The replaced copies and the two caller-less subsystems must be
-# gone, not kept beside them.
-cargo test --release -p pm-octree --lib domains::tests::every_route_applies_an_op_the_same_way -q
-cargo test --release -p pm-octree --lib domains::tests::a_batch_is_the_per_op_loop -q
+# COW routines in exactly one place outside c1.rs (`PmOctree::apply_op`,
+# the per-op API's body; a batch is that API in a loop, seeding and all),
+# and the Fig. 3 overlap and the replica delta are read off the GC mark
+# walk (the model checks the census), a seeding refine against the
+# eviction line, in optimized builds. The replaced copies and the two
+# caller-less subsystems must be gone, not kept beside them.
 cargo test --release -p pm-octree --lib api::tests::seeding_stays_under_the_eviction_line -q
-cargo test --release -p pm-octree --lib gc::tests::census_counts_what_count_shared_counted -q
 for call in 'c1::refine(' 'c1::coarsen(' 'c1::update_data('; do
-    sites=$(for f in crates/pm-octree/src/api.rs crates/pm-octree/src/domains.rs; do
-        sed '/^#\[cfg(test)\]/,$d' "$f"
-    done | grep -c "$call" || true)
+    sites=$(sed '/^#\[cfg(test)\]/,$d' crates/pm-octree/src/api.rs | grep -c "$call" || true)
     if [ "$sites" != 1 ]; then
-        echo "$call has $sites call sites in api.rs + domains.rs, want exactly one (domains::apply)" >&2
+        echo "$call has $sites call sites in api.rs, want exactly one (PmOctree::apply_op)" >&2
         exit 1
     fi
 done
-no_fork 'fn count_shared\|fn apply_serial\|fn replay_serial' crates/pm-octree/src/c1.rs crates/pm-octree/src/domains.rs
+no_fork 'fn count_shared\|fn apply_serial\|fn replay_serial' crates/pm-octree/src/c1.rs
 if [ -e crates/cluster/src/replica_sched.rs ]; then
     echo "crates/cluster/src/replica_sched.rs is back (it had no non-test caller)" >&2
     exit 1

@@ -23,6 +23,9 @@ enum MeshOp {
     RefineBalanced(Vec<usize>),
     CoarsenBalanced(Vec<usize>),
     SetData(Vec<usize>, f64),
+    /// Refine the child-`i` chain from the root down to `MAX_LEVEL`, then
+    /// that deepest leaf once more: every backend refuses it unchanged.
+    Chain(usize),
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<MeshOp>> {
@@ -32,6 +35,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<MeshOp>> {
             4 => path.clone().prop_map(MeshOp::RefineBalanced),
             2 => path.clone().prop_map(MeshOp::CoarsenBalanced),
             2 => (path, -5.0f64..5.0).prop_map(|(p, v)| MeshOp::SetData(p, v)),
+            1 => (0usize..8).prop_map(MeshOp::Chain),
         ],
         1..25,
     )
@@ -55,6 +59,14 @@ fn apply(b: &mut dyn OctreeBackend, op: &MeshOp) {
         }
         MeshOp::SetData(p, v) => {
             let _ = b.set_data(key_of(p), [*v, 0.0, 0.0, 0.0]);
+        }
+        MeshOp::Chain(i) => {
+            let mut k = OctKey::root();
+            while k.level() < OctKey::MAX_LEVEL {
+                refine_balanced(b, k);
+                k = k.child(*i);
+            }
+            assert!(!refine_balanced(b, k), "{}: refined past MAX_LEVEL", b.name());
         }
     }
 }
@@ -134,7 +146,10 @@ proptest! {
             let leaves = b.leaf_keys_sorted();
             let mut candidates: Vec<OctKey> = leaves
                 .iter()
-                .flat_map(|k| k.path_from_root().into_iter().chain([k.child(3)]))
+                .flat_map(|k| {
+                    let below = (k.level() < OctKey::MAX_LEVEL).then(|| k.child(3));
+                    k.path_from_root().into_iter().chain(below)
+                })
                 .collect();
             candidates.sort_unstable();
             candidates.dedup();

@@ -391,8 +391,12 @@ impl EtreeOctree {
         Some(rec)
     }
 
-    /// Refine the leaf at `key`: replace it with its 8 children.
+    /// Refine the leaf at `key`: replace it with its 8 children. A key at
+    /// `OctKey::MAX_LEVEL` has none: refused before its record is touched.
     pub fn refine(&mut self, key: OctKey) -> bool {
+        if key.level() == OctKey::MAX_LEVEL {
+            return false;
+        }
         let Some(rec) = self.remove_record(key) else {
             return false;
         };

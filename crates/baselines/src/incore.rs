@@ -280,12 +280,13 @@ impl InCoreOctree {
         }
     }
 
-    /// Split the leaf at `key` into 8 children inheriting its payload.
+    /// Split the leaf at `key` into 8 children inheriting its payload. A
+    /// leaf at `OctKey::MAX_LEVEL` has none to make: refused.
     pub fn refine(&mut self, key: OctKey) -> bool {
         let Some(i) = self.find(key) else {
             return false;
         };
-        if !self.is_leaf_idx(i) {
+        if !self.is_leaf_idx(i) || key.level() == OctKey::MAX_LEVEL {
             return false;
         }
         let (k, data) = {

@@ -20,8 +20,7 @@ use rand::SeedableRng;
 
 use crate::c0::{C0Forest, C0Tree, CoarsenError};
 use crate::c1::{self, Locate};
-use crate::config::PmConfig;
-use crate::domains::{self, DomainOp};
+use crate::config::{PmConfig, THRESHOLD_DRAM, THRESHOLD_NVBM};
 use crate::gc::{self, GcReport};
 use crate::octant::{CellData, ChildPtr, OctAccess, Octant, PmStore};
 use crate::replica::ReplicaSet;
@@ -39,7 +38,8 @@ pub type PersistHook<'a> = dyn FnMut(&mut NvbmArena) -> Result<Vec<(u64, u32)>, 
 pub enum PmError {
     /// No octant exists at this key in `V_i`.
     NotFound(String),
-    /// Refinement of a non-leaf, or coarsening of a leaf.
+    /// Refinement of a non-leaf or of a leaf at `OctKey::MAX_LEVEL`, or
+    /// coarsening of a leaf.
     NotALeaf(String),
     /// Coarsening would violate structure (children not all leaves).
     NotCoarsenable(String),
@@ -112,6 +112,22 @@ impl Events {
         match self.last_overlap {
             Some((total, shared)) if total > 0 => shared as f64 / total as f64,
             _ => 0.0,
+        }
+    }
+}
+
+/// One mesh mutation, as the per-op API applies it.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Refine(OctKey),
+    Coarsen(OctKey),
+    SetData(OctKey, CellData),
+}
+
+impl Op {
+    fn key(&self) -> OctKey {
+        match *self {
+            Op::Refine(k) | Op::Coarsen(k) | Op::SetData(k, _) => k,
         }
     }
 }
@@ -410,77 +426,91 @@ impl PmOctree {
 
     /// Refine the leaf at `key` into 8 children inheriting its payload.
     pub fn refine(&mut self, key: OctKey) -> Result<(), PmError> {
-        self.apply_op(DomainOp::Refine(key))
+        self.apply_op(Op::Refine(key))
     }
 
     /// Coarsen the octant at `key`: its children (which must all be
     /// leaves) are removed.
     pub fn coarsen(&mut self, key: OctKey) -> Result<(), PmError> {
-        self.apply_op(DomainOp::Coarsen(key))
+        self.apply_op(Op::Coarsen(key))
     }
 
     /// Overwrite the payload of the octant at `key`.
     pub fn set_data(&mut self, key: OctKey, data: CellData) -> Result<(), PmError> {
-        self.apply_op(DomainOp::SetData(key, data))
+        self.apply_op(Op::SetData(key, data))
     }
 
     /// Apply one op to `V_i`: inside the DRAM tree that owns its key, or
-    /// — after the two C0 preludes — through the NVBM kernel
-    /// ([`domains::apply`]).
-    pub(crate) fn apply_op(&mut self, op: DomainOp) -> Result<(), PmError> {
+    /// — after the two C0 preludes — through the NVBM routine of its kind.
+    /// This is the one place an op meets the `c1` COW routines; a batch
+    /// ([`PmOctree::refine_many`] and its siblings) is the per-op call in
+    /// a loop. A refusal ([`PmError::NotFound`], [`PmError::NotALeaf`],
+    /// [`PmError::NotCoarsenable`]) stores nothing.
+    fn apply_op(&mut self, op: Op) -> Result<(), PmError> {
         let key = op.key();
+        if matches!(op, Op::Refine(_)) && key.level() == OctKey::MAX_LEVEL {
+            // No children to make: refused like any non-leaf, ahead of
+            // seeding and of every store.
+            return Err(match self.is_leaf(key) {
+                Some(_) => PmError::NotALeaf(format!("{key:?} is at the deepest level")),
+                None => PmError::NotFound(format!("{key:?}")),
+            });
+        }
         if let Some(id) = self.forest.owner_of(&key) {
             self.apply_c0(id, op)?;
         } else {
             match op {
-                DomainOp::Refine(_) if self.should_seed_c0(key) => {
+                Op::Refine(_) if self.should_seed_c0(key) => {
                     // Now C0-owned: the refinement happens at DRAM speed.
                     self.seed_c0(key)?;
                     return self.apply_op(op);
                 }
-                DomainOp::Coarsen(_) if self.has_c0_children(key) => {
-                    self.absorb_c0_children(key)?
-                }
+                Op::Coarsen(_) if self.has_c0_children(key) => self.absorb_c0_children(key)?,
                 _ => {}
             }
-            self.current_root = domains::apply(&mut self.store, self.current_root, op, self.epoch)?;
+            let (store, root, epoch) = (&mut self.store, self.current_root, self.epoch);
+            self.current_root = match op {
+                Op::Refine(k) => c1::refine(store, root, k, epoch),
+                Op::Coarsen(k) => c1::coarsen(store, root, k, epoch),
+                Op::SetData(k, d) => c1::update_data(store, root, k, &d, epoch),
+            }?;
         }
         // Leaf-count, depth and leaf-index bookkeeping; a structural
         // change is also what makes `after_mutation` due.
         match op {
-            DomainOp::Refine(k) => {
+            Op::Refine(k) => {
                 self.leaves += 7;
                 self.depth = self.depth.max(k.level() + 1);
                 self.index.on_refine_uniform(k, 0);
             }
-            DomainOp::Coarsen(k) => {
+            Op::Coarsen(k) => {
                 self.leaves -= 7;
                 self.index.on_coarsen(k, 0);
             }
-            DomainOp::SetData(..) => return Ok(()),
+            Op::SetData(..) => return Ok(()),
         }
         self.after_mutation();
         Ok(())
     }
 
     /// `op` inside the DRAM tree `id` that owns its key.
-    fn apply_c0(&mut self, id: u32, op: DomainOp) -> Result<(), PmError> {
+    fn apply_c0(&mut self, id: u32, op: Op) -> Result<(), PmError> {
         let key = op.key();
         let arena = &mut self.store.arena;
         self.forest.with_tree(id, |t| {
             let i = t.find(key, arena).ok_or_else(|| PmError::NotFound(format!("{key:?}")))?;
             match op {
-                DomainOp::Refine(_) if !t.is_leaf(i) => {
+                Op::Refine(_) if !t.is_leaf(i) => {
                     return Err(PmError::NotALeaf(format!("{key:?}")))
                 }
-                DomainOp::Refine(_) => {
+                Op::Refine(_) => {
                     t.refine(i, arena);
                 }
-                DomainOp::Coarsen(_) => t.coarsen(i, arena).map_err(|e| match e {
+                Op::Coarsen(_) => t.coarsen(i, arena).map_err(|e| match e {
                     CoarsenError::Leaf => PmError::NotALeaf(format!("{key:?}")),
                     CoarsenError::DeepChildren => PmError::NotCoarsenable(format!("{key:?}")),
                 })?,
-                DomainOp::SetData(_, d) => t.set_data(i, d, arena),
+                Op::SetData(_, d) => t.set_data(i, d, arena),
             }
             Ok(())
         })
@@ -888,9 +918,9 @@ impl PmOctree {
     }
 
     /// The DRAM-pressure line (`threshold_DRAM` of the C0 capacity):
-    /// above it, `after_mutation` evicts.
-    fn c0_eviction_line(&self) -> usize {
-        (self.cfg.c0_capacity_octants as f64 * self.cfg.threshold_dram) as usize
+    /// above it, `after_mutation` evicts, and a promotion must fit under it.
+    pub(crate) fn c0_eviction_line(&self) -> usize {
+        (self.cfg.c0_capacity_octants as f64 * THRESHOLD_DRAM) as usize
     }
 
     /// Should a refine at `key` seed a new DRAM subtree there? Only if
@@ -925,7 +955,7 @@ impl PmOctree {
             self.events.evictions += 1;
         }
         // NVBM pressure: on-demand GC.
-        if self.store.alloc.available_fraction() < self.cfg.threshold_nvbm {
+        if self.store.alloc.available_fraction() < THRESHOLD_NVBM {
             let roots = [self.current_root, self.prev_root];
             let (report, _) = gc::collect(&mut self.store, &roots, self.epoch);
             self.events.gc_runs += 1;
@@ -1230,8 +1260,7 @@ mod tests {
     /// that crossed the line evicted it.
     fn grown_past_the_line() -> PmOctree {
         let mut cfg = small_cfg();
-        cfg.c0_capacity_octants = 32;
-        cfg.threshold_dram = 0.5; // evict above 16 octants
+        cfg.c0_capacity_octants = 18; // evict above ⌊18 × 0.9⌋ = 16 octants
         let mut t = PmOctree::create(arena(), cfg);
         t.refine(OctKey::root()).unwrap();
         t.refine(OctKey::root().child(0)).unwrap(); // seed: 9 DRAM octants
@@ -1253,8 +1282,7 @@ mod tests {
     #[test]
     fn seeding_stays_under_the_eviction_line() {
         let mut cfg = small_cfg();
-        cfg.c0_capacity_octants = 32;
-        cfg.threshold_dram = 0.5; // the line: 16 octants
+        cfg.c0_capacity_octants = 18; // the line: ⌊18 × 0.9⌋ = 16 octants
         let mut t = PmOctree::create(arena(), cfg);
         t.refine(OctKey::root()).unwrap();
         for i in 0..8 {

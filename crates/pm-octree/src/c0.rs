@@ -221,7 +221,7 @@ impl C0Tree {
     }
 
     /// Remove the children of node `i` (all must be leaves), making `i` a
-    /// leaf again. The parent keeps its own payload. Fails (with no
+    /// leaf again with the restriction of their payloads. Fails (with no
     /// mutation) when `i` is a leaf or has non-leaf children.
     pub fn coarsen(&mut self, i: u32, arena: &mut NvbmArena) -> Result<(), CoarsenError> {
         let children = self.node(i).children;
@@ -234,17 +234,9 @@ impl C0Tree {
         // Restriction: the surviving leaf takes the mean of its children
         // (all backends agree on this operator, including the linear
         // octree which has no stored internal payload to fall back on).
-        let mut mean = CellData::default();
-        for &c in &children {
-            if c != NIL {
-                let d = &self.nodes[c as usize].data;
-                mean.phi += d.phi / 8.0;
-                mean.pressure += d.pressure / 8.0;
-                mean.vof += d.vof / 8.0;
-                mean.work += d.work / 8.0;
-                self.free_node(c);
-            }
-        }
+        let live = children.into_iter().filter(|&c| c != NIL);
+        let mean = CellData::restrict(live.clone().map(|c| &self.nodes[c as usize].data));
+        live.for_each(|c| self.free_node(c));
         self.nodes[i as usize].data = mean;
         self.nodes[i as usize].children = [NIL; 8];
         charge_write_lines(arena, NODE_LINES);

@@ -51,7 +51,8 @@
 //!
 //! Every mutation entry point is fallible: a key that names no NVBM
 //! octant under the root is [`PmError::NotFound`] and an unmet
-//! precondition [`PmError::NotALeaf`], both before anything is copied;
+//! precondition [`PmError::NotALeaf`] or [`PmError::NotCoarsenable`],
+//! all before anything is copied — a refusal stores nothing;
 //! allocation exhaustion surfaces as [`PmError::Full`] *before* any
 //! publication write, so the pre-mutation version stays reachable and the
 //! partially-allocated copies are unreachable garbage for GC. The
@@ -360,9 +361,12 @@ pub fn refine<S: OctAccess>(
 /// Coarsen the NVBM octant at `key`: unlink its children (which must all
 /// be NVBM leaves), making it a leaf. The children themselves are not
 /// written — shared ones stay `V_{i-1}`'s, exclusive ones are garbage the
-/// moment the parent's links are gone. A leaf is refused
-/// ([`PmError::NotALeaf`]) before anything is copied, off the frame the
-/// one walk ended on.
+/// moment the parent's links are gone. Every refusal comes off the one
+/// walk before anything is copied: a leaf ([`PmError::NotALeaf`]) off the
+/// frame it ended on, a child that is not an NVBM leaf
+/// ([`PmError::NotCoarsenable`]) off the children's lines, read through
+/// that frame's links — so a refused coarsen stores and allocates
+/// nothing, at any epoch.
 pub fn coarsen<S: OctAccess>(
     store: &mut S,
     root: POffset,
@@ -370,17 +374,14 @@ pub fn coarsen<S: OctAccess>(
     epoch: u32,
 ) -> Result<POffset, PmError> {
     let frames = descend(store, root, key)?;
-    if frames[frames.len() - 1].nav.mask == 0 {
+    let node = frames[frames.len() - 1].nav;
+    if node.mask == 0 {
         return Err(PmError::NotALeaf(format!("{key:?}")));
     }
-    let (root, node) = own(store, root, frames, epoch)?;
-    // Validate every child before the first in-place write so a refusal
-    // leaves the tree untouched (COW copies from the path walk are
-    // already linked but content-identical, so the tree is unchanged).
-    // Restriction operator: the new leaf takes the mean of its children,
-    // whose payloads come with the lines the validation reads.
-    let mut mean = CellData::default();
-    for c in node.nav.children {
+    // The children's payloads come with the lines the validation reads;
+    // the new leaf takes their restriction.
+    let mut kids = [None; FANOUT];
+    for (kid, c) in kids.iter_mut().zip(node.children) {
         match c {
             ChildPtr::Nvbm(c) => {
                 let nav = store.nav_line(c);
@@ -390,10 +391,7 @@ pub fn coarsen<S: OctAccess>(
                         OctKey::from_raw(nav.code, nav.level)
                     )));
                 };
-                mean.phi += d.phi / 8.0;
-                mean.pressure += d.pressure / 8.0;
-                mean.vof += d.vof / 8.0;
-                mean.work += d.work / 8.0;
+                *kid = Some(d);
             }
             ChildPtr::Null => {}
             ChildPtr::Volatile(id) => {
@@ -403,6 +401,8 @@ pub fn coarsen<S: OctAccess>(
             }
         }
     }
+    let mean = CellData::restrict(kids.iter().flatten());
+    let (root, node) = own(store, root, frames, epoch)?;
     // The mean over the links, then the null mask.
     store.set_children(node.off, &[ChildPtr::Null; FANOUT], &mean);
     Ok(root)
@@ -634,7 +634,7 @@ fn collect_rec(store: &mut PmStore, p: POffset, out: &mut Vec<(OctKey, CellData)
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::octant::Probes;
+    use crate::octant::read_octant;
     use pmoctree_nvbm::{DeviceModel, FailPlan, NvbmArena};
 
     fn store() -> PmStore {
@@ -654,7 +654,7 @@ mod tests {
         root = refine(&mut s, root, OctKey::root(), 1).unwrap();
         let k = OctKey::root().child(3);
         match locate(&mut s, root, k) {
-            Locate::Nvbm(p) => assert_eq!(s.key(p), k),
+            Locate::Nvbm(p) => assert_eq!(read_octant(&mut s, p).key, k),
             other => panic!("{other:?}"),
         }
         // `k` is a leaf: the walk stops on it, one level above the key.
@@ -683,13 +683,15 @@ mod tests {
         // Old version intact: child 2 of the old root is still a leaf.
         match locate(&mut s, old_root, OctKey::root().child(2)) {
             Locate::Nvbm(p) => {
-                assert!((0..8).all(|i| s.child(p, i).is_null()), "old version mutated!");
+                assert_eq!(s.nav_line(p).mask, 0, "old version mutated!");
             }
             other => panic!("{other:?}"),
         }
         // New version has the refinement.
         match locate(&mut s, new_root, OctKey::root().child(2).child(5)) {
-            Locate::Nvbm(p) => assert_eq!(s.key(p), OctKey::root().child(2).child(5)),
+            Locate::Nvbm(p) => {
+                assert_eq!(read_octant(&mut s, p).key, OctKey::root().child(2).child(5))
+            }
             other => panic!("{other:?}"),
         }
         // Unmodified siblings are shared, not copied.
@@ -748,7 +750,7 @@ mod tests {
         assert_ne!(root2, root);
         assert_eq!(s.registry.len(), before + 3);
         assert_eq!(target, at(&mut s, root2, key));
-        assert_eq!(s.epoch_of(target), 2);
+        assert_eq!(s.nav_line(target).epoch, 2);
         assert_eq!(at(&mut s, root, key), here, "the old version keeps the original");
         // Exclusive ancestors (root2 and child 4 are at epoch 2 now): one
         // copy, published into the exclusive parent.
@@ -835,12 +837,12 @@ mod tests {
             assert_eq!(s.registry.len(), allocated + 1);
             let copy = *s.registry.last().unwrap();
             assert_eq!(locate(&mut s, root, key), Locate::Nvbm(copy));
-            assert_eq!(s.read_octant(copy), Octant::leaf(key, 2, d));
+            assert_eq!(read_octant(&mut s, copy), Octant::leaf(key, 2, d));
             // Exclusive now: the payload store and nothing else.
             let d = CellData { phi: -1.0, ..d };
             assert_eq!(cost(&mut s, |s| update(s, d)), (walk, 1, 1), "sweep: {sweep}");
             assert_eq!(s.registry.len(), allocated + 1);
-            assert_eq!(s.read_octant(copy), Octant::leaf(key, 2, d));
+            assert_eq!(read_octant(&mut s, copy), Octant::leaf(key, 2, d));
         }
     }
 
@@ -1000,6 +1002,122 @@ mod tests {
         assert_eq!((s.arena.stats.nvbm.write_lines, s.registry.len()), (writes, allocated));
     }
 
+    /// Counts what an op reads from the device before its first store.
+    struct Watch<'a, S> {
+        inner: &'a mut S,
+        nav_reads: usize,
+        payload_reads: usize,
+        stored: bool,
+    }
+
+    impl<S: OctAccess> OctAccess for Watch<'_, S> {
+        fn io_read(&mut self, offset: u64, buf: &mut [u8]) {
+            if !self.stored {
+                match buf.len() {
+                    64 => self.nav_reads += 1,
+                    32 => self.payload_reads += 1,
+                    n => panic!("a {n}-byte read: neither a navigation line nor a payload"),
+                }
+            }
+            self.inner.io_read(offset, buf);
+        }
+
+        fn io_write(&mut self, offset: u64, data: &[u8]) {
+            self.stored = true;
+            self.inner.io_write(offset, data);
+        }
+
+        fn alloc_block(&mut self) -> Result<POffset, PmError> {
+            self.inner.alloc_block()
+        }
+    }
+
+    #[test]
+    fn an_op_walks_its_path_once() {
+        #[derive(Clone, Copy, Debug)]
+        enum Op {
+            Refine(OctKey),
+            Coarsen(OctKey),
+            SetData(OctKey),
+        }
+        fn apply<S: OctAccess>(
+            s: &mut S,
+            root: POffset,
+            op: Op,
+            epoch: u32,
+        ) -> Result<POffset, PmError> {
+            match op {
+                Op::Refine(k) => refine(s, root, k, epoch),
+                Op::Coarsen(k) => coarsen(s, root, k, epoch),
+                Op::SetData(k) => {
+                    update_data(s, root, k, &CellData { phi: 2.5, ..Default::default() }, epoch)
+                }
+            }
+        }
+        // A chain root → child 3 → … → level 5, built at epoch 1. Seen
+        // from epoch 2 every octant is shared, so an op's first store is
+        // the copy of its target, and what it read before that is its
+        // walk. Copies never touch `root`'s tree: every op meets it whole.
+        let at = |d: u8| (0..d).fold(OctKey::root(), |k, _| k.child(3));
+        let mut s = store();
+        let mut root = root_tree(&mut s, 1);
+        for d in 0..5 {
+            root = refine(&mut s, root, at(d), 1).unwrap();
+        }
+        for d in 0..=5 {
+            let ops = [
+                (d == 5).then_some(Op::Refine(at(d))),
+                (d == 4).then_some(Op::Coarsen(at(d))),
+                Some(Op::SetData(at(d))),
+            ];
+            for op in ops.into_iter().flatten() {
+                let mut w = Watch { inner: &mut s, nav_reads: 0, payload_reads: 0, stored: false };
+                let new_root = apply(&mut w, root, op, 2).unwrap();
+                // d + 1 navigation lines, root to target; a coarsen then
+                // reads its 8 children, and its target's copy reads a
+                // payload line (the target is interior, and the op brings
+                // none to carry) — all before the first store.
+                let (nav, payload) = match op {
+                    Op::Coarsen(_) => (d as usize + 1 + 8, 1),
+                    _ => (d as usize + 1, 0),
+                };
+                let got = (w.nav_reads, w.payload_reads, w.stored, new_root != root);
+                assert_eq!(got, (nav, payload, true, true), "{op:?} at level {d}");
+            }
+        }
+        // Refusals come off the same walk, before the first copy: nothing
+        // is stored and nothing allocated, whether the target is shared
+        // (epoch 2) or exclusive (epoch 1).
+        let (writes, allocated) = (s.arena.stats.nvbm.write_lines, s.registry.len());
+        for (op, epoch, want) in [
+            (Op::Refine(at(5).child(1)), 2, "not-found"),
+            (Op::SetData(at(2).child(0).child(0)), 2, "not-found"),
+            (Op::Coarsen(at(4).child(6).child(6)), 2, "not-found"),
+            (Op::Refine(at(2)), 2, "not-a-leaf"),
+            (Op::Coarsen(at(5)), 2, "not-a-leaf"),
+            (Op::Coarsen(at(3)), 1, "not-coarsenable"),
+            (Op::Coarsen(at(3)), 2, "not-coarsenable"),
+        ] {
+            let mut w = Watch { inner: &mut s, nav_reads: 0, payload_reads: 0, stored: false };
+            let got = match apply(&mut w, root, op, epoch) {
+                Err(PmError::NotFound(_)) => "not-found",
+                Err(PmError::NotALeaf(_)) => "not-a-leaf",
+                Err(PmError::NotCoarsenable(_)) => "not-coarsenable",
+                other => panic!("{op:?}: {other:?}"),
+            };
+            assert_eq!(
+                (got, w.stored, w.payload_reads),
+                (want, false, 0),
+                "{op:?} at epoch {epoch}"
+            );
+            let level = match op {
+                Op::Refine(k) | Op::Coarsen(k) | Op::SetData(k) => k.level() as usize,
+            };
+            assert!(w.nav_reads <= level + 9, "{op:?}: {} reads", w.nav_reads);
+        }
+        assert_eq!((s.arena.stats.nvbm.write_lines, s.registry.len()), (writes, allocated));
+    }
+
     #[test]
     fn alloc_failure_mid_refine_leaves_tree_restorable() {
         // Arena small enough that a refinement sweep eventually hits
@@ -1029,7 +1147,7 @@ mod tests {
         let failed = failed_at.expect("arena never filled");
         // The failed refine published nothing: the target is still a leaf.
         match locate(&mut s, root, failed) {
-            Locate::Nvbm(p) => assert!(s.is_leaf_octant(p), "partial refine was published"),
+            Locate::Nvbm(p) => assert_eq!(s.nav_line(p).mask, 0, "partial refine was published"),
             other => panic!("{other:?}"),
         }
         // Every octant reachable from the root still decodes cleanly.
@@ -1183,7 +1301,7 @@ mod tests {
         assert_eq!(seen.len(), leaves);
         for (k, d) in seen {
             let Locate::Nvbm(p) = locate(&mut s, root, k) else { panic!("{k:?}") };
-            assert_eq!(s.read_octant(p).data, d);
+            assert_eq!(read_octant(&mut s, p).data, d);
         }
     }
 
@@ -1207,381 +1325,5 @@ mod tests {
             [0, 1, 3, 4, 6, 7].iter().map(|&i| OctKey::root().child(i)).collect();
         assert_eq!(keys, expect, "the 6 NVBM leaves, pre-order");
         assert_eq!(vols, vec![9, 7], "highest slot first");
-    }
-
-    /// Random trees for the parity suites: refine / coarsen / set-data /
-    /// persist cycles over three tier configurations, so that shared,
-    /// exclusive and C0-resident (volatile-handle) regions all occur.
-    mod random_trees {
-        use crate::api::PmOctree;
-        use crate::config::PmConfig;
-        use crate::octant::CellData;
-        use pmoctree_morton::OctKey;
-        use pmoctree_nvbm::{DeviceModel, NvbmArena};
-        use proptest::prelude::*;
-
-        #[derive(Debug, Clone)]
-        pub enum Op {
-            /// Refine the `i % n`-th leaf.
-            Refine(usize),
-            /// Coarsen the parent of the `i % n`-th leaf (often refused).
-            Coarsen(usize),
-            /// Overwrite the `i % n`-th leaf's `phi`.
-            Set(usize, f64),
-            Persist,
-        }
-
-        pub fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-            prop::collection::vec(
-                prop_oneof![
-                    5 => (0usize..4096).prop_map(Op::Refine),
-                    2 => (0usize..4096).prop_map(Op::Coarsen),
-                    3 => (0usize..4096, -10.0f64..10.0).prop_map(|(i, v)| Op::Set(i, v)),
-                    2 => Just(Op::Persist),
-                ],
-                0..40,
-            )
-        }
-
-        pub const CONFIGS: usize = 3;
-
-        fn config(i: usize) -> PmConfig {
-            let base = PmConfig { dynamic_transform: false, ..PmConfig::default() };
-            match i {
-                // No DRAM tier at all.
-                0 => PmConfig { seed_c0: false, c0_capacity_octants: 0, ..base },
-                // DRAM tier under eviction pressure.
-                1 => PmConfig { c0_capacity_octants: 32, threshold_dram: 0.5, ..base },
-                // Roomy DRAM tier: seeded subtrees stay resident.
-                _ => PmConfig { c0_capacity_octants: 256, ..base },
-            }
-        }
-
-        /// Replay `ops` on a fresh device. Deterministic, so two calls
-        /// give two clones of one device. Also returns the leaves of the
-        /// last persisted version.
-        pub fn build(ops: &[Op], cfg: usize) -> (PmOctree, Vec<(OctKey, CellData)>) {
-            let arena = NvbmArena::new(4 << 20, DeviceModel::default());
-            let mut t = PmOctree::create(arena, config(cfg));
-            let mut persisted = t.leaves_sorted();
-            for op in ops {
-                let leaves = t.leaf_keys_sorted();
-                let pick = |i: usize| leaves[i % leaves.len()];
-                // Refusals (not a leaf family, device pressure) are part
-                // of the stream; both replays refuse identically.
-                match *op {
-                    Op::Refine(i) => {
-                        let _ = t.refine(pick(i));
-                    }
-                    Op::Coarsen(i) => {
-                        if let Some(p) = pick(i).parent() {
-                            let _ = t.coarsen(p);
-                        }
-                    }
-                    Op::Set(i, v) => {
-                        let _ = t.set_data(pick(i), CellData { phi: v, ..Default::default() });
-                    }
-                    Op::Persist => {
-                        t.persist();
-                        persisted = t.leaves_sorted();
-                    }
-                }
-            }
-            (t, persisted)
-        }
-    }
-
-    /// The fused sweep against the code it replaced: gather the updates
-    /// in one walk, then re-enter from the root once per updated leaf,
-    /// copy each octant by reading it back and store the payload last.
-    mod sweep_parity {
-        use super::random_trees::{arb_ops, build, CONFIGS};
-        use super::*;
-        use crate::api::PmOctree;
-        use pmoctree_nvbm::CrashMode;
-        use proptest::prelude::*;
-
-        /// The replaced `cow_path`, verbatim: descend by `child` reads,
-        /// probe `epoch_of` per ancestor, re-locate the copy afterwards.
-        fn model_cow_path(
-            store: &mut PmStore,
-            root: POffset,
-            key: OctKey,
-            epoch: u32,
-        ) -> Result<(POffset, POffset), PmError> {
-            let relocate = |store: &mut PmStore, root| match locate(store, root, key) {
-                Locate::Nvbm(p) => Ok(p),
-                other => Err(PmError::Corrupt(format!("octant vanished during COW: {other:?}"))),
-            };
-            let root_key = store.key(root);
-            let mut path: Vec<(POffset, usize)> = Vec::new();
-            let mut cur = root;
-            for l in root_key.level()..key.level() {
-                let idx = key.ancestor_at(l + 1).sibling_index();
-                match store.child(cur, idx) {
-                    ChildPtr::Nvbm(p) => {
-                        path.push((cur, idx));
-                        cur = p;
-                    }
-                    other => return Err(PmError::Corrupt(format!("{other:?} on the path"))),
-                }
-            }
-            if store.epoch_of(cur) == epoch {
-                return Ok((root, cur));
-            }
-            let mut copy = store.read_octant(cur);
-            copy.epoch = epoch;
-            let mut child_off = store.alloc_octant(&copy)?;
-            while let Some((anc, idx)) = path.pop() {
-                if store.epoch_of(anc) == epoch {
-                    store.set_child(anc, idx, ChildPtr::Nvbm(child_off));
-                    return Ok((root, relocate(store, root)?));
-                }
-                let mut anc_copy = store.read_octant(anc);
-                anc_copy.epoch = epoch;
-                anc_copy.children[idx] = ChildPtr::Nvbm(child_off);
-                let anc_off = store.alloc_octant(&anc_copy)?;
-                child_off = anc_off;
-            }
-            Ok((child_off, relocate(store, child_off)?))
-        }
-
-        /// The replaced `PmOctree::update_leaves`, verbatim: stack walk
-        /// gathering `(key, new)` pairs, then one `update_data` per pair.
-        fn model_update_leaves(
-            t: &mut PmOctree,
-            mut f: impl FnMut(OctKey, &CellData) -> Option<CellData>,
-        ) {
-            let mut updates: Vec<(OctKey, CellData)> = Vec::new();
-            let mut volatile_ids = Vec::new();
-            let mut stack = vec![t.current_root];
-            while let Some(cur) = stack.pop() {
-                let nav = t.store.nav_line(cur);
-                let mut kids = Vec::new();
-                for c in nav.children.iter().rev() {
-                    match *c {
-                        ChildPtr::Null => {}
-                        ChildPtr::Nvbm(c) => kids.push(c),
-                        ChildPtr::Volatile(id) => volatile_ids.push(id),
-                    }
-                }
-                if nav.mask == 0 {
-                    let d = t.store.data(cur);
-                    if let Some(nd) = f(OctKey::from_raw(nav.code, nav.level), &d) {
-                        updates.push((OctKey::from_raw(nav.code, nav.level), nd));
-                    }
-                }
-                stack.extend(kids);
-            }
-            for (k, nd) in updates {
-                let (root, node) =
-                    model_cow_path(&mut t.store, t.current_root, k, t.epoch).unwrap();
-                t.store.set_data(node, &nd);
-                t.current_root = root;
-            }
-            for id in volatile_ids {
-                let store = &mut t.store;
-                t.forest.with_tree(id, |c| c.update_leaves(&mut store.arena, &mut f));
-            }
-            t.after_mutation();
-        }
-
-        #[derive(Debug, Clone, Copy)]
-        enum Pick {
-            None,
-            All,
-            /// Only the `n % leaves`-th leaf visited.
-            Single(usize),
-            /// Leaves whose key hashes below `per_mille`.
-            Some(u64, u64),
-        }
-
-        fn arb_pick() -> impl Strategy<Value = Pick> {
-            prop_oneof![
-                Just(Pick::None),
-                Just(Pick::All),
-                (0usize..4096).prop_map(Pick::Single),
-                (any::<u64>(), 0u64..1000).prop_map(|(salt, pm)| Pick::Some(salt, pm)),
-            ]
-        }
-
-        type Seen = Vec<(OctKey, CellData)>;
-
-        /// The update predicate as a sweep callback that also records
-        /// everything it is shown.
-        fn updater(
-            pick: Pick,
-            leaves: usize,
-            seen: &mut Seen,
-        ) -> impl FnMut(OctKey, &CellData) -> Option<CellData> + '_ {
-            move |k, d| {
-                let nth = seen.len();
-                seen.push((k, *d));
-                let hit = match pick {
-                    Pick::None => false,
-                    Pick::All => true,
-                    Pick::Single(n) => nth == n % leaves,
-                    Pick::Some(salt, per_mille) => {
-                        (k.raw() ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32 < per_mille << 22
-                    }
-                };
-                hit.then_some(CellData { pressure: d.pressure + 1.0, work: nth as f64, ..*d })
-            }
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(96))]
-
-            #[test]
-            fn sweep_equals_gather_then_update(
-                ops in arb_ops(),
-                pick in arb_pick(),
-                cfg in 0..CONFIGS,
-                crash_seed in any::<u64>(),
-            ) {
-                let (mut new, persisted) = build(&ops, cfg);
-                let (mut old, _) = build(&ops, cfg);
-                let leaves = new.leaf_count();
-                let (mut seen_new, mut seen_old) = (Seen::new(), Seen::new());
-                new.update_leaves(updater(pick, leaves, &mut seen_new));
-                model_update_leaves(&mut old, updater(pick, leaves, &mut seen_old));
-                // Same callbacks, same allocations; never more stores.
-                prop_assert_eq!(&seen_new, &seen_old);
-                prop_assert_eq!(seen_new.len(), leaves);
-                prop_assert_eq!(new.current_root, old.current_root);
-                prop_assert_eq!(&new.store.registry, &old.store.registry);
-                let (sn, so) = (&new.store.arena.stats, &old.store.arena.stats);
-                prop_assert!(sn.nvbm.write_lines <= so.nvbm.write_lines);
-                prop_assert_eq!(sn.dram.write_lines, so.dram.write_lines);
-                prop_assert!(sn.nvbm.read_lines <= so.nvbm.read_lines);
-                prop_assert!(new.store.arena.clock.now_ns() <= old.store.arena.clock.now_ns());
-                prop_assert_eq!(new.leaves_sorted(), old.leaves_sorted());
-                // A crash before the next persist restores V_{i-1}, whatever
-                // subset of the sweep's lines reached the media...
-                let (mut lossy, _) = build(&ops, cfg);
-                lossy.update_leaves(updater(pick, leaves, &mut Seen::new()));
-                let mut arena = lossy.store.arena;
-                arena.crash(CrashMode::CommitRandom { p: 0.5, seed: crash_seed });
-                let mut r = PmOctree::restore(arena, new.cfg).unwrap();
-                prop_assert_eq!(&r.leaves_sorted(), &persisted);
-                // ...including all of them: the media images are identical.
-                prop_assert_eq!(new.store.arena.clone_media(), old.store.arena.clone_media());
-                let (sn, so) = (&new.store.arena.stats, &old.store.arena.stats);
-                for (n, o) in sn.bytes_by_region().into_iter().zip(so.bytes_by_region()) {
-                    prop_assert!(n <= o, "{n} > {o} bytes committed to a region");
-                }
-                let (wn, wo) = (sn.wear_report(), so.wear_report());
-                prop_assert!(wn.max_wear <= wo.max_wear && wn.mean_wear <= wo.mean_wear);
-                prop_assert_eq!(wn.blocks_touched, wo.blocks_touched);
-                let mut r = PmOctree::restore(new.store.arena, new.cfg).unwrap();
-                prop_assert_eq!(&r.leaves_sorted(), &persisted);
-            }
-        }
-    }
-
-    /// The one walk — per key ([`locate`]) and as a Z-ordered [`Cursor`] —
-    /// against the per-key `locate` loop it replaced.
-    mod cursor_parity {
-        use super::random_trees::{arb_ops, build, CONFIGS};
-        use super::*;
-        use proptest::prelude::*;
-
-        /// Keys worth asking about: every leaf, its ancestors, a key below
-        /// it (absent, or inside a C0 subtree), in Z-order.
-        fn probe_keys(leaves: &[OctKey]) -> Vec<OctKey> {
-            let mut keys: Vec<OctKey> = leaves
-                .iter()
-                .flat_map(|k| {
-                    k.path_from_root().into_iter().chain([k.child(5), k.child(5).child(2)])
-                })
-                .collect();
-            keys.sort_unstable();
-            keys.dedup();
-            keys
-        }
-
-        fn reads(s: &PmStore) -> u64 {
-            s.arena.stats.nvbm.read_lines
-        }
-
-        /// The replaced `locate`, verbatim but for saying where a missing
-        /// link stopped it: the root's key, then one `child` probe per
-        /// level (so the root's line is read twice).
-        fn model_locate(store: &mut PmStore, root: POffset, key: OctKey) -> Locate {
-            let root_key = store.key(root);
-            if !root_key.contains(&key) {
-                return Locate::Missing(None);
-            }
-            let mut cur = root;
-            for l in root_key.level()..key.level() {
-                let idx = key.ancestor_at(l + 1).sibling_index();
-                match store.child(cur, idx) {
-                    ChildPtr::Null => return Locate::Missing(Some(l)),
-                    ChildPtr::Volatile(id) => return Locate::Volatile(id),
-                    ChildPtr::Nvbm(p) => cur = p,
-                }
-            }
-            Locate::Nvbm(cur)
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(96))]
-
-            #[test]
-            fn one_walk_equals_the_old_locate(
-                ops in arb_ops(),
-                cfg in 0..CONFIGS,
-                order in 0usize..4,
-                shuffle in any::<u64>(),
-                sub_root in 0usize..9,
-            ) {
-                let (mut t, _) = build(&ops, cfg);
-                let leaves = t.leaf_keys_sorted();
-                let mut keys = probe_keys(&leaves);
-                match order {
-                    0 => {}
-                    1 => keys.reverse(),
-                    2 => keys.sort_by_key(|k| (k.raw() ^ shuffle).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    // Z-order with every key asked twice in a row.
-                    _ => keys = keys.iter().flat_map(|&k| [k, k]).collect(),
-                }
-                // Root the walk at the tree root, or at one of its NVBM
-                // children (then most keys lie outside the root).
-                let root = match sub_root.checked_sub(1).map(|i| t.store.child(t.current_root, i)) {
-                    Some(ChildPtr::Nvbm(p)) => p,
-                    _ => t.current_root,
-                };
-                let s = &mut t.store;
-                // Same answers, never more reads: a fresh walk per key
-                // against the old loop key by key, the cursor against
-                // the fresh walks over the batch.
-                let mut per_key_reads = 0;
-                let mut per_key = Vec::with_capacity(keys.len());
-                for &k in &keys {
-                    let before = reads(s);
-                    let old = model_locate(s, root, k);
-                    let old_reads = reads(s) - before;
-                    let new = locate(s, root, k);
-                    let new_reads = reads(s) - before - old_reads;
-                    prop_assert_eq!(new, old, "{:?}", k);
-                    prop_assert!(new_reads <= old_reads, "{:?}: {} > {}", k, new_reads, old_reads);
-                    per_key_reads += new_reads;
-                    per_key.push(new);
-                }
-                let before = reads(s);
-                let mut cursor = Cursor::new(root);
-                let batched: Vec<Locate> = keys.iter().map(|&k| cursor.locate(s, k)).collect();
-                let batched_reads = reads(s) - before;
-                prop_assert_eq!(batched, per_key);
-                prop_assert!(batched_reads <= per_key_reads, "{batched_reads} > {per_key_reads}");
-                // The public batch agrees with the per-key reads, C0 included.
-                let one_by_one: Vec<Option<CellData>> = keys.iter().map(|&k| t.get_data(k)).collect();
-                let is_leaf = |k: &OctKey| leaves.binary_search(k).is_ok();
-                let many = t.get_data_many(&keys);
-                for ((k, many), one) in keys.iter().zip(many).zip(one_by_one) {
-                    prop_assert_eq!(many, one.filter(|_| is_leaf(k)), "{:?}", k);
-                }
-            }
-        }
     }
 }

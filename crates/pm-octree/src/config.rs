@@ -1,5 +1,18 @@
 //! Tunables of the PM-octree (§3 defaults).
 
+/// `threshold_DRAM` (§3.2): merge a least-frequently-accessed C0 subtree
+/// out to C1 when C0 holds more than this fraction of its capacity.
+pub(crate) const THRESHOLD_DRAM: f64 = 0.9;
+
+/// `threshold_NVBM` (§3.2): run GC on demand when the NVBM free fraction
+/// drops below this.
+pub(crate) const THRESHOLD_NVBM: f64 = 0.1;
+
+/// `T_transform` (§3.3, "set empirically"): re-layout when the hottest
+/// NVBM subtree's access frequency exceeds the coldest DRAM subtree's by
+/// this factor.
+pub(crate) const T_TRANSFORM: f64 = 1.5;
+
 /// Configuration for a [`PmOctree`](crate::api::PmOctree).
 ///
 /// `PartialEq` lets recovery paths assert that a restored tree runs
@@ -8,22 +21,11 @@
 pub struct PmConfig {
     /// DRAM capacity reserved for the C0 tree, in octants (the paper
     /// configures this in GB — 8 GB default; we configure in octants:
-    /// `bytes / 128`).
+    /// `bytes / 128`). C0 evicts above `threshold_DRAM` (0.9) of it.
     pub c0_capacity_octants: usize,
-    /// Merge a least-frequently-accessed C0 subtree out to C1 when C0
-    /// holds more than this fraction of its capacity
-    /// (`threshold_DRAM` in §3.2).
-    pub threshold_dram: f64,
-    /// Run GC on demand when the NVBM free fraction drops below this
-    /// (`threshold_NVBM` in §3.2).
-    pub threshold_nvbm: f64,
     /// Number of octants sampled per subtree by feature-directed sampling;
     /// the effective count is `min(n_sample, subtree_size)` (§3.3).
     pub n_sample: usize,
-    /// Transformation threshold `T_transform`: re-layout when the hottest
-    /// NVBM subtree's access frequency exceeds the coldest DRAM subtree's
-    /// by this factor (§3.3, "set empirically").
-    pub t_transform: f64,
     /// Enable the dynamic layout transformation (§3.3). Off reproduces
     /// the "without transformation" arm of Fig. 11.
     pub dynamic_transform: bool,
@@ -40,10 +42,7 @@ impl Default for PmConfig {
     fn default() -> Self {
         PmConfig {
             c0_capacity_octants: 64 * 1024,
-            threshold_dram: 0.9,
-            threshold_nvbm: 0.1,
             n_sample: 100,
-            t_transform: 1.5,
             dynamic_transform: true,
             seed_c0: true,
             replicas: false,
@@ -60,8 +59,7 @@ impl PmConfig {
     /// Validating builder, starting from [`PmConfig::default`]. Prefer
     /// this over field-literal construction: [`PmConfigBuilder::build`]
     /// rejects configurations the runtime would silently misbehave under
-    /// (zero DRAM capacity, thresholds outside their ranges, a zero
-    /// sampling rate).
+    /// (zero DRAM capacity, a zero sampling rate).
     pub fn builder() -> PmConfigBuilder {
         PmConfigBuilder { cfg: PmConfig::default() }
     }
@@ -86,27 +84,9 @@ impl PmConfigBuilder {
         self
     }
 
-    /// `threshold_DRAM`: C0 eviction high-water fraction, in `(0, 1]`.
-    pub fn threshold_dram(mut self, v: f64) -> Self {
-        self.cfg.threshold_dram = v;
-        self
-    }
-
-    /// `threshold_NVBM`: on-demand GC low-water free fraction, in `[0, 1)`.
-    pub fn threshold_nvbm(mut self, v: f64) -> Self {
-        self.cfg.threshold_nvbm = v;
-        self
-    }
-
     /// Octants sampled per subtree by feature-directed sampling (≥ 1).
     pub fn n_sample(mut self, n: usize) -> Self {
         self.cfg.n_sample = n;
-        self
-    }
-
-    /// Transformation threshold `T_transform` (must exceed 1).
-    pub fn t_transform(mut self, v: f64) -> Self {
-        self.cfg.t_transform = v;
         self
     }
 
@@ -136,27 +116,8 @@ impl PmConfigBuilder {
         if c.c0_capacity_octants == 0 {
             return Err(PmError::Recovery("c0_capacity_octants must be nonzero".into()));
         }
-        if !(c.threshold_dram > 0.0 && c.threshold_dram <= 1.0) {
-            return Err(PmError::Recovery(format!(
-                "threshold_dram {} outside (0, 1]",
-                c.threshold_dram
-            )));
-        }
-        if !(0.0..1.0).contains(&c.threshold_nvbm) {
-            return Err(PmError::Recovery(format!(
-                "threshold_nvbm {} outside [0, 1)",
-                c.threshold_nvbm
-            )));
-        }
         if c.n_sample == 0 {
             return Err(PmError::Recovery("n_sample must be at least 1".into()));
-        }
-        // `<= 1.0` would accept NaN; an explicit partial_cmp rejects it.
-        if c.t_transform.partial_cmp(&1.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(PmError::Recovery(format!(
-                "t_transform {} must exceed 1 (a ratio at which a swap pays off)",
-                c.t_transform
-            )));
         }
         Ok(c)
     }
@@ -170,10 +131,7 @@ mod tests {
     #[test]
     fn defaults_sane() {
         let c = PmConfig::default();
-        assert!(c.threshold_dram > 0.0 && c.threshold_dram <= 1.0);
-        assert!(c.threshold_nvbm >= 0.0 && c.threshold_nvbm < 1.0);
-        assert_eq!(c.n_sample, 100);
-        assert!(c.t_transform > 1.0);
+        assert_eq!((c.c0_capacity_octants, c.n_sample), (64 * 1024, 100));
     }
 
     #[test]
@@ -186,19 +144,17 @@ mod tests {
     #[test]
     fn builder_accepts_defaults_and_setters() {
         let c = PmConfig::builder().build().unwrap();
-        assert_eq!(c.n_sample, PmConfig::default().n_sample);
+        assert_eq!(c, PmConfig::default());
         let c = PmConfig::builder()
             .c0_capacity_bytes(1 << 20)
-            .threshold_dram(0.5)
-            .threshold_nvbm(0.2)
             .n_sample(10)
-            .t_transform(2.0)
             .dynamic_transform(false)
             .seed_c0(false)
             .replicas(true)
             .build()
             .unwrap();
         assert_eq!(c.c0_capacity_octants, (1 << 20) / 128);
+        assert_eq!(c.n_sample, 10);
         assert!(c.replicas);
         assert!(!c.dynamic_transform && !c.seed_c0);
     }
@@ -208,13 +164,7 @@ mod tests {
         use crate::api::PmError;
         let bad = [
             PmConfig::builder().c0_capacity_octants(0).build(),
-            PmConfig::builder().threshold_dram(0.0).build(),
-            PmConfig::builder().threshold_dram(1.5).build(),
-            PmConfig::builder().threshold_nvbm(1.0).build(),
-            PmConfig::builder().threshold_nvbm(-0.1).build(),
             PmConfig::builder().n_sample(0).build(),
-            PmConfig::builder().t_transform(1.0).build(),
-            PmConfig::builder().threshold_dram(f64::NAN).build(),
         ];
         for b in bad {
             assert!(matches!(b, Err(PmError::Recovery(_))), "{b:?}");

@@ -94,8 +94,8 @@ pub fn collect(store: &mut PmStore, roots: &[POffset], epoch: u32) -> (GcReport,
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::c1::{coarsen, refine, update_data};
-    use crate::octant::{CellData, Octant, Probes, OCTANT_SIZE};
+    use crate::c1::{coarsen, refine};
+    use crate::octant::{CellData, Octant, OCTANT_SIZE};
     use pmoctree_morton::OctKey;
     use pmoctree_nvbm::{DeviceModel, NvbmArena};
 
@@ -118,7 +118,7 @@ mod tests {
         // Coarsen at the same epoch: the children are unlinked, nothing
         // more — the mark from the root is what finds them gone.
         let root = coarsen(&mut s, root, OctKey::root(), 1).unwrap();
-        assert!(children.iter().all(|&c| s.read_octant(c).epoch == 1));
+        assert!(children.iter().all(|&c| s.nav_line(c).epoch == 1));
         let (r, _) = collect(&mut s, &[root], 1);
         assert_eq!(r.live, 1);
         assert_eq!(r.freed, 8);
@@ -171,58 +171,5 @@ mod tests {
         .unwrap();
         let marked = mark(&mut s, &[root], 1).live;
         assert_eq!(marked.len(), 8, "root + 7 children (one slot volatile)");
-    }
-    #[test]
-    fn census_counts_what_count_shared_counted() {
-        /// The walk `c1::count_shared` made for the Fig. 3 overlap, kept
-        /// as the reference.
-        fn walk(s: &mut PmStore, root: POffset, epoch: u32) -> (usize, usize) {
-            let (mut total, mut shared) = (0, 0);
-            let mut stack = vec![root];
-            while let Some(p) = stack.pop() {
-                total += 1;
-                let o = s.read_octant(p);
-                shared += usize::from(o.epoch < epoch);
-                for c in o.children {
-                    if let ChildPtr::Nvbm(c) = c {
-                        stack.push(c);
-                    }
-                }
-            }
-            (total, shared)
-        }
-        let at = |path: &[usize]| path.iter().fold(OctKey::root(), |k, &i| k.child(i));
-        let mut s = store();
-        let mut root = root_tree(&mut s, 1);
-        for path in [&[][..], &[1], &[4], &[6], &[4, 2]] {
-            root = refine(&mut s, root, at(path), 1).unwrap();
-        }
-        // Epoch 2: every path copy orphans its original, the copies and
-        // the new leaves are fresh, untouched subtrees stay shared.
-        root = refine(&mut s, root, at(&[4, 2, 5]), 2).unwrap();
-        root = coarsen(&mut s, root, at(&[6]), 2).unwrap();
-        let d = CellData { phi: 1.0, ..Default::default() };
-        root = update_data(&mut s, root, at(&[1, 3]), &d, 2).unwrap();
-        // The working epoch, then one at which everything is shared.
-        for epoch in [2, 3] {
-            let census = mark(&mut s, &[root], epoch);
-            let (total, shared) = walk(&mut s, root, epoch);
-            assert_eq!((census.live.len(), census.shared), (total, shared), "epoch {epoch}");
-            assert_eq!(census.fresh.len(), total - shared);
-        }
-        let allocated = s.registry.len();
-        let (report, mut fresh) = collect(&mut s, &[root], 2);
-        let (total, shared) = walk(&mut s, root, 2);
-        assert_eq!((report.live, report.shared), (total, shared));
-        assert!(shared > 0 && shared < total, "{shared} of {total} shared");
-        assert!(report.freed > 0, "the superseded originals are orphans");
-        assert_eq!(report.live + report.freed, allocated);
-        // The replica delta persist used to gather: the swept registry
-        // (now exactly the live set), filtered by epoch.
-        let mut by_filter: Vec<POffset> = s.registry.clone();
-        by_filter.retain(|&p| s.read_octant(p).epoch == 2);
-        by_filter.sort_unstable();
-        fresh.sort_unstable();
-        assert_eq!(fresh, by_filter);
     }
 }

@@ -51,7 +51,6 @@ mod api;
 mod c0;
 mod c1;
 mod config;
-mod domains;
 mod gc;
 mod octant;
 mod replica;

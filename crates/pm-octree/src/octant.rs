@@ -222,6 +222,18 @@ impl CellData {
         let f = |r: std::ops::Range<usize>| f64::from_le_bytes(b[r].try_into().expect("8 bytes"));
         CellData { phi: f(0..8), pressure: f(8..16), vof: f(16..24), work: f(24..32) }
     }
+
+    /// The restriction operator: a coarsened leaf's payload is the mean of
+    /// its children's, each field summed as `d / 8.0` in slot order. Both
+    /// tiers (and so every coarsen) call this one function.
+    pub(crate) fn restrict<'a>(children: impl IntoIterator<Item = &'a CellData>) -> CellData {
+        children.into_iter().fold(CellData::default(), |m, d| CellData {
+            phi: m.phi + d.phi / 8.0,
+            pressure: m.pressure + d.pressure / 8.0,
+            vof: m.vof + d.vof / 8.0,
+            work: m.work + d.work / 8.0,
+        })
+    }
 }
 
 /// A decoded navigation line (octant line 0): every hot field of an
@@ -526,80 +538,19 @@ fn decode_nav_tail(buf: &[u8; CACHELINE], children: [ChildPtr; FANOUT]) -> NavLi
     }
 }
 
-/// Test support: the whole-record reader, the per-field probes
-/// [`OctAccess`] offered before every question went to one `nav_line`
-/// decode — each still charged the one line it always read — and the two
-/// stores that found their place with a probe: `set_child`'s mask
-/// read-modify-write and `set_data`'s leaf test. The reference models that
-/// stand in for replaced code (`sweep_parity`, `cursor_parity`, the GC
-/// census) are written against them.
+/// Test support: the whole record, decoded — the navigation line and
+/// the payload where its mask says it lives.
 #[cfg(test)]
-pub(crate) trait Probes: OctAccess {
-    fn read_octant(&mut self, p: POffset) -> Octant {
-        let mut buf = [0u8; OCTANT_SIZE];
-        self.io_read(p.0, &mut buf);
-        let line0: &[u8; CACHELINE] = buf[..CACHELINE].try_into().expect("64");
-        let children = std::array::from_fn(|i| match line0[OFF_MASK as usize] {
-            0 => ChildPtr::Null,
-            _ => ChildPtr::decode(get_link(line0, i)),
-        });
-        let nav = decode_nav_tail(line0, children);
-        let data = buf[OFF_DATA as usize..OFF_DATA as usize + 32].try_into().expect("32");
-        Octant {
-            children,
-            key: OctKey::from_raw(nav.code, nav.level),
-            epoch: nav.epoch,
-            data: nav.leaf.unwrap_or_else(|| CellData::from_bytes(data)),
-        }
-    }
-
-    /// A leaf's link bytes hold its payload, so a link probe decodes the
-    /// line it lies in.
-    fn child(&mut self, p: POffset, i: usize) -> ChildPtr {
-        self.nav_line(p).children[i]
-    }
-
-    fn key(&mut self, p: POffset) -> OctKey {
-        let mut b = [0u8; 9];
-        self.io_read(p.0 + OFF_CODE, &mut b);
-        OctKey::from_raw(u64::from_le_bytes(b[..8].try_into().expect("8 bytes")), b[8])
-    }
-
-    fn epoch_of(&mut self, p: POffset) -> u32 {
-        let mut b = [0u8; 4];
-        self.io_read(p.0 + OFF_EPOCH, &mut b);
-        u32::from_le_bytes(b)
-    }
-
-    fn is_leaf_octant(&mut self, p: POffset) -> bool {
-        let mut m = [0u8; 1];
-        self.io_read(p.0 + OFF_MASK, &mut m);
-        m[0] == 0
-    }
-
-    /// Write one child pointer of an interior octant, keeping the presence
-    /// mask coherent (one mask read-modify-write). A slot whose nullness
-    /// changes would move the payload: that is `set_children`'s job.
-    fn set_child(&mut self, p: POffset, i: usize, c: ChildPtr) {
-        debug_assert!(i < FANOUT);
-        let raw = c.encode();
-        self.io_write(p.0 + OFF_LINKS + LINK_SIZE * i as u64, &raw.to_le_bytes()[..6]);
-        let mut m = [0u8; 1];
-        self.io_read(p.0 + OFF_MASK, &mut m);
-        let nm = if c.is_null() { m[0] & !(1 << i) } else { m[0] | (1 << i) };
-        self.io_write(p.0 + OFF_MASK, &[nm]);
-    }
-
-    /// Overwrite the payload, probing the navigation line for where it
-    /// lives.
-    fn set_data(&mut self, p: POffset, d: &CellData) {
-        let nav = self.nav_line(p);
-        self.set_payload(p, &nav, d);
+pub(crate) fn read_octant<S: OctAccess>(store: &mut S, p: POffset) -> Octant {
+    let nav = store.nav_line(p);
+    let data = store.payload(p, &nav);
+    Octant {
+        children: nav.children,
+        key: OctKey::from_raw(nav.code, nav.level),
+        epoch: nav.epoch,
+        data,
     }
 }
-
-#[cfg(test)]
-impl<S: OctAccess> Probes for S {}
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
@@ -626,7 +577,7 @@ mod tests {
         // A leaf: the payload in the body of its navigation line.
         let o = Octant::leaf(key, 7, data);
         let p = s.alloc_octant(&o).unwrap();
-        assert_eq!(s.read_octant(p), o);
+        assert_eq!(read_octant(&mut s, p), o);
         let nav = s.nav_line(p);
         assert_eq!((nav.children, nav.leaf, nav.mask, nav.epoch), (o.children, Some(data), 0, 7));
         assert_eq!(OctKey::from_raw(nav.code, nav.level), key);
@@ -638,7 +589,7 @@ mod tests {
         o.children[2] = ChildPtr::Nvbm(POffset(0x1000));
         o.children[5] = ChildPtr::Volatile(17);
         let p = s.alloc_octant(&o).unwrap();
-        assert_eq!(s.read_octant(p), o);
+        assert_eq!(read_octant(&mut s, p), o);
         let nav = s.nav_line(p);
         assert_eq!((nav.children, nav.leaf, nav.mask), (o.children, None, (1 << 2) | (1 << 5)));
         assert_eq!(s.data(p), o.data);
@@ -658,7 +609,7 @@ mod tests {
         let d = CellData { vof: 0.75, ..Default::default() };
         let nav = s.nav_line(p);
         s.set_payload(p, &nav, &d);
-        assert_eq!(s.read_octant(p), Octant::leaf(key, 3, d));
+        assert_eq!(read_octant(&mut s, p), Octant::leaf(key, 3, d));
         // Leaf → interior: the payload moves to line 1 under the links.
         let mut cs = [ChildPtr::Null; FANOUT];
         cs[0] = ChildPtr::Nvbm(POffset(512));
@@ -668,13 +619,13 @@ mod tests {
         assert_eq!(s.payload(p, &nav), d);
         let d = CellData { work: -2.0, ..d };
         s.set_payload(p, &nav, &d);
-        assert_eq!(s.read_octant(p), Octant { children: cs, ..Octant::leaf(key, 3, d) });
+        assert_eq!(read_octant(&mut s, p), Octant { children: cs, ..Octant::leaf(key, 3, d) });
         // Interior → leaf: the payload back over the links, line 1 left.
         let mean = CellData { pressure: 4.0, ..Default::default() };
         s.set_children(p, &[ChildPtr::Null; FANOUT], &mean);
         let nav = s.nav_line_checked(p).unwrap();
         assert_eq!((nav.mask, nav.leaf), (0, Some(mean)));
-        assert_eq!(s.read_octant(p), Octant::leaf(key, 3, mean));
+        assert_eq!(read_octant(&mut s, p), Octant::leaf(key, 3, mean));
     }
 
     #[test]

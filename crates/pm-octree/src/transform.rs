@@ -15,6 +15,7 @@ use pmoctree_nvbm::POffset;
 use crate::api::PmOctree;
 use crate::c0::C0Tree;
 use crate::c1::{self};
+use crate::config::T_TRANSFORM;
 use crate::octant::{ChildPtr, OctAccess};
 use crate::sampling;
 
@@ -109,11 +110,11 @@ impl PmOctree {
             // to beat and promotion is free.
             if let Some(&(_, coldest_f)) = victims.peek() {
                 let ratio = if coldest_f > 0.0 { hot_f / coldest_f } else { f64::INFINITY };
-                if ratio <= self.cfg.t_transform {
+                if ratio <= T_TRANSFORM {
                     continue;
                 }
             }
-            let cap = (self.cfg.c0_capacity_octants as f64 * self.cfg.threshold_dram) as usize;
+            let cap = self.c0_eviction_line();
             // Demote cold residents until the hot subtree fits, but only
             // while Ratio_access clears T_transform (paper step 4).
             while self.forest.total_octants + octants.len() > cap {
@@ -121,7 +122,7 @@ impl PmOctree {
                     continue 'promote;
                 };
                 let ratio = if vf > 0.0 { hot_f / vf } else { f64::INFINITY };
-                if ratio <= self.cfg.t_transform {
+                if ratio <= T_TRANSFORM {
                     // Too warm to demote: leave it resident (and still
                     // peekable as later candidates' gate denominator).
                     continue 'promote;
