@@ -78,10 +78,11 @@ fi
 # Descent-free time-step gates, by exact count: batched coarsen legality
 # against the per-key rule on all three backends, in optimized builds.
 # One whole-tree NVBM walker (`c1::sweep_leaves`) and one root-to-key
-# walker (the cursor — an op descends its path once, a merge reads each
-# shadow octant once), no per-leaf root re-entry in `update_leaves`, no
-# per-key probe loop in `can_coarsen`.
+# walker (the cursor — an op descends its path once, a batch reads a
+# shared prefix once, a merge reads each shadow octant once), no per-leaf
+# root re-entry in `update_leaves`, no per-key probe loop in `can_coarsen`.
 cargo test --release -p pm-octree --lib c1::tests::an_op_walks_its_path_once -q
+cargo test --release -p pm-octree --lib c1::tests::a_cursor_reads_a_shared_prefix_once -q
 cargo test --release -p pm-octree --lib c1::tests::merge_reads_each_shadow_octant_once -q
 cargo test --release -p pm-octree --lib c1::tests::descend_outside_the_root_is_not_found -q
 # A COW walk stores each copy once: d record writes — one line for a leaf,

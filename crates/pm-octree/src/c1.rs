@@ -1002,6 +1002,33 @@ mod tests {
         assert_eq!((s.arena.stats.nvbm.write_lines, s.registry.len()), (writes, allocated));
     }
 
+    #[test]
+    fn a_cursor_reads_a_shared_prefix_once() {
+        // root → child 3 → child 5, refined: eight level-3 keys share a
+        // two-line path; then the leaf child 6, a key below it, and that
+        // key again.
+        let mut s = store();
+        let mut root = root_tree(&mut s, 1);
+        let mid = OctKey::root().child(3).child(5);
+        for k in [OctKey::root(), OctKey::root().child(3), mid] {
+            root = refine(&mut s, root, k, 1).unwrap();
+        }
+        let below = OctKey::root().child(6).child(2);
+        let keys: Vec<OctKey> =
+            mid.children().chain([OctKey::root().child(6), below, below]).collect();
+        let reads = |s: &PmStore| s.arena.stats.nvbm.read_lines;
+        let before = reads(&s);
+        let per_key: Vec<Locate> = keys.iter().map(|&k| locate(&mut s, root, k)).collect();
+        let per_key_reads = reads(&s) - before;
+        let before = reads(&s);
+        let mut cursor = Cursor::new(root);
+        let batched: Vec<Locate> = keys.iter().map(|&k| cursor.locate(&mut s, k)).collect();
+        assert_eq!(batched, per_key);
+        // Per key, one line per level above the key: 8 × 3 + 1 + 2 + 2.
+        // Batched, the shared path once and then child 6's line once.
+        assert_eq!((per_key_reads, reads(&s) - before), (29, 4));
+    }
+
     /// Counts what an op reads from the device before its first store.
     struct Watch<'a, S> {
         inner: &'a mut S,

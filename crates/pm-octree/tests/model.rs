@@ -7,11 +7,12 @@
 //! op stores is reachable before its one publication link store or the
 //! persist's root swap, so a crash recovers `V_{i-1}` — or `V_i` once
 //! `persist::root_swap` has fired. (The recovery root is stored and
-//! written back after `persist::root_swap_half`, so a crash between the
-//! two labels may recover either; the harness reads which one off the
-//! restored tree and holds every later check to it.) The model is that
-//! statement made executable: a map from every octant key of `V_i` to its
-//! payload, and the `V_{i-1}` copy taken at each persist.
+//! written back after `persist::root_swap_half`, so a crash at that label
+//! recovers `V_{i-1}` and one strictly between the two labels may recover
+//! either; the harness reads which one off the restored tree there and
+//! holds every later check to it.) The model is that statement made
+//! executable: a map from every octant key of `V_i` to its payload, and
+//! the `V_{i-1}` copy taken at each persist.
 //!
 //! * Refine(k): absent → `NotFound`; interior, or a leaf at `MAX_LEVEL`
 //!   → `NotALeaf`; otherwise 8 children inheriting k's payload.
@@ -29,10 +30,10 @@ mod common;
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use common::crash_in_persist;
+use common::{crash_in_persist, PHASES};
 use pm_octree::{check_invariants, CellData, PmConfig, PmError, PmOctree, OCTANT_SIZE};
 use pmoctree_morton::OctKey;
-use pmoctree_nvbm::{CrashMode, DeviceModel, FailPlan, NvbmArena, HEADER_SIZE};
+use pmoctree_nvbm::{CrashMode, CrashView, DeviceModel, FailPlan, NvbmArena, HEADER_SIZE};
 use proptest::prelude::*;
 
 /// What an op came to: `Ok`, or the kind of its error.
@@ -243,9 +244,9 @@ enum Step {
     /// The node is lost between two steps: a new one restores from the
     /// remote replica (in the tier that keeps one).
     NodeLoss,
-    /// A crash at the n-th crash opportunity of a persist, or just after
-    /// it when it has fewer.
-    CrashInPersist(u64, CrashMode),
+    /// A crash inside a persist: at a protocol label, or else at its n-th
+    /// crash opportunity (just after it when it has fewer).
+    CrashInPersist(Option<&'static str>, u64, CrashMode),
 }
 
 struct Harness {
@@ -462,17 +463,25 @@ impl Harness {
                     self.restore(arena, Some(false));
                 }
             }
-            Step::CrashInPersist(n, mode) => {
-                match crash_in_persist(&mut self.t, move |v| v.opportunity == n, mode) {
-                    Some((arena, fired)) => {
+            Step::CrashInPersist(label, n, mode) => {
+                let at = move |v: &CrashView<'_>| {
+                    if label.is_some() {
+                        v.label == label
+                    } else {
+                        v.opportunity == n
+                    }
+                };
+                match crash_in_persist(&mut self.t, at, mode) {
+                    Some((arena, fired, at)) => {
                         self.census();
-                        // Between the two root-swap labels: either version.
+                        // The recovery root is stored strictly between the
+                        // two root-swap labels: only there may either
+                        // version come back.
+                        let half = "persist::root_swap_half";
                         let recovers_new = if fired.contains(&"persist::root_swap") {
                             Some(true)
-                        } else if fired.contains(&"persist::root_swap_half") {
-                            None
                         } else {
-                            Some(false)
+                            (!fired.contains(&half) || at == Some(half)).then_some(false)
                         };
                         self.restore(arena, recovers_new);
                     }
@@ -523,6 +532,8 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
     let pick = (0usize..4096, prop_oneof![3 => Just(false), 1 => Just(true)], -9.0f64..9.0);
     let run = (kind, prop::collection::vec(pick, 1..4), any::<bool>());
     let per_1024 = prop_oneof![Just(0u64), Just(1024), 0u64..1024];
+    let label =
+        prop_oneof![2 => Just(None), 1 => prop::sample::select(PHASES.to_vec()).prop_map(Some)];
     prop::collection::vec(
         prop_oneof![
             12 => run.prop_map(|(k, picks, batched)| Step::Run(k, picks, batched)),
@@ -532,7 +543,7 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
             2 => Just(Step::Persist),
             1 => arb_mode().prop_map(Step::Crash),
             1 => Just(Step::NodeLoss),
-            2 => (0u64..48, arb_mode()).prop_map(|(n, mode)| Step::CrashInPersist(n, mode)),
+            2 => (label, 0u64..48, arb_mode()).prop_map(|(l, n, m)| Step::CrashInPersist(l, n, m)),
         ],
         0..32,
     )

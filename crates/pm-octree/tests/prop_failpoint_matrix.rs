@@ -6,18 +6,10 @@
 
 mod common;
 
-use common::crash_in_persist;
+use common::{crash_in_persist, PHASES};
 use pm_octree::{CellData, PmConfig, PmOctree};
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::{CrashMode, DeviceModel, NvbmArena};
-
-/// The persist protocol's failpoint labels, in protocol order. A crash at
-/// `persist::merge` or `persist::flush` happens before any root moved; at
-/// `persist::root_swap_half` root slot 0 names the new version but the
-/// recovery slot 1 still names the old one; only at `persist::root_swap`
-/// has the recovery root been published.
-const PHASES: [&str; 4] =
-    ["persist::merge", "persist::flush", "persist::root_swap_half", "persist::root_swap"];
 
 fn modes(seed: u64, p: f64) -> [CrashMode; 3] {
     [CrashMode::LoseDirty, CrashMode::CommitRandom { p, seed }, CrashMode::TornWrite { seed }]
@@ -49,7 +41,7 @@ fn spans_stay_balanced_when_persist_crashes_mid_protocol() {
             t.set_data(OctKey::root().child(1), CellData { phi: 1.0, ..Default::default() })
                 .unwrap();
             let cfg = t.cfg;
-            let (arena, _) = crash_in_persist(&mut t, move |v| v.label == Some(phase), mode)
+            let (arena, ..) = crash_in_persist(&mut t, move |v| v.label == Some(phase), mode)
                 .unwrap_or_else(|| panic!("{phase} never fired"));
             let events = t.store.arena.tracer.events();
             obsv::chrome::validate_events(&events)
