@@ -75,6 +75,22 @@ if grep -rn 'fn model_cow_path\|fn model_update_leaves\|fn model_locate\|trait P
     echo "a replaced-code oracle or domains.rs is back (the octree model in tests/model.rs checks that code)" >&2
     exit 1
 fi
+# The runtime's executable specification: one pm-rt model (the staged and
+# committed root maps, and the view every live snapshot pinned) held to
+# the public API after every step of random stage / unregister / revert /
+# commit / pin / collect / service batch / lease / crash streams — raw and
+# through tenant handles, on a roomy and a filling device — with crashes
+# between steps and at any opportunity or label of a commit or flush,
+# under every crash mode, in optimized builds. The shadow-map oracles it
+# replaced, the caller-less log scan and the caller-less rank
+# resurrection must stay deleted.
+cargo test --release -p pm-rt --test model -q
+if [ -e crates/pm-rt/tests/prop_prefix.rs ] ||
+    grep -rn 'fn log_compaction_preserves_byte_identity\|resurrect_from_replica' crates/ ||
+    grep -n 'pub fn scan' crates/pm-rt/src/log.rs; then
+    echo "a replaced pm-rt oracle, the log scan or rank resurrection is back (the pm-rt model in tests/model.rs checks that code)" >&2
+    exit 1
+fi
 # Descent-free time-step gates, by exact count: batched coarsen legality
 # against the per-key rule on all three backends, in optimized builds.
 # One whole-tree NVBM walker (`c1::sweep_leaves`) and one root-to-key

@@ -236,7 +236,7 @@ fn main() {
             std::process::exit(1);
         }
         let svc = service_crash_sweep(&cfg);
-        println!("{}", service_sweep_str(&svc));
+        println!("{}", crash_sweep_str(&svc));
         if svc.total_violations() > 0 {
             eprintln!("service crash sweep found {} violations", svc.total_violations());
             std::process::exit(1);

@@ -106,9 +106,20 @@ pub struct Violation {
     pub reason: String,
 }
 
-/// Full sweep outcome.
-#[derive(Clone, Debug)]
+/// What a sweep found: the droplet sweep ([`crash_sweep`]) and the
+/// service sweep ([`service_crash_sweep`]) alike.
+#[derive(Clone, Debug, Default)]
 pub struct CrashSweep {
+    /// How the report names the sweep, its steps and its elements, e.g.
+    /// `["Crash-point sweep", "steps", "final elements"]`.
+    pub names: [&'static str; 3],
+    /// Steps executed (droplet) or batches flushed (service).
+    pub steps: usize,
+    /// Leaf count of the final persisted version (droplet) or tenants in
+    /// the service.
+    pub elements: usize,
+    /// What a clean sweep proves: the report's closing line.
+    pub contract: &'static str,
     /// Total crash opportunities the workload had.
     pub opportunities: u64,
     /// Occurrence count per failpoint label (protocol coverage).
@@ -117,10 +128,6 @@ pub struct CrashSweep {
     pub rows: Vec<CrashModeRow>,
     /// First violations encountered (empty on a clean sweep).
     pub violations: Vec<Violation>,
-    /// Leaf count of the final persisted version.
-    pub elements: usize,
-    /// Steps executed.
-    pub steps: usize,
     /// Recovered flight-recorder dumps validated (one per opportunity ×
     /// mode; failures count as violations in their mode's row).
     pub recorder_checked: u64,
@@ -130,6 +137,29 @@ impl CrashSweep {
     /// Total violations across all modes.
     pub fn total_violations(&self) -> u64 {
         self.rows.iter().map(|r| r.violations).sum()
+    }
+
+    /// The teardown both sweeps share: take the hook plan off `arena`,
+    /// count its labels, and take back the stats the hook shared (dropping
+    /// the plan drops the hook's handle on them).
+    fn settle(self, arena: &mut NvbmArena, stats: Arc<Mutex<SweepStats>>) -> Self {
+        let plan = arena.take_fail_plan().expect("plan installed");
+        let mut label_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
+        for (_, l) in plan.labels() {
+            *label_counts.entry(l).or_insert(0) += 1;
+        }
+        let opportunities = plan.opportunities();
+        drop(plan);
+        let st = Arc::try_unwrap(stats).map_err(|_| "stats still shared").expect("hook dropped");
+        let st = st.into_inner().expect("stats lock");
+        CrashSweep {
+            opportunities,
+            label_counts: label_counts.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
+            rows: st.rows,
+            violations: st.violations,
+            recorder_checked: st.recorder_checked,
+            ..self
+        }
     }
 }
 
@@ -441,57 +471,19 @@ pub fn crash_sweep(cfg: &CrashSweepConfig) -> CrashSweep {
     let reread = PmRt::restore(&mut t.store.arena).expect("rt reattach");
     assert_eq!(reread.epoch(), rt.epoch(), "reattached rt must see every commit");
 
-    let plan = t.store.arena.take_fail_plan().expect("plan installed");
-    let opportunities = plan.opportunities();
-    let mut label_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for (_, l) in plan.labels() {
-        *label_counts.entry(l).or_insert(0) += 1;
-    }
-    drop(plan); // releases the hook's clones of the shared state
-    let st = Arc::try_unwrap(stats).map_err(|_| "stats still shared").expect("hook dropped");
-    let st = st.into_inner().expect("stats lock");
     CrashSweep {
-        opportunities,
-        label_counts: label_counts.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-        rows: st.rows,
-        violations: st.violations,
-        elements: t.leaf_count(),
+        names: ["Crash-point sweep", "steps", "final elements"],
         steps: cfg.steps,
-        recorder_checked: st.recorder_checked,
+        elements: t.leaf_count(),
+        contract: "every crash recovers to exactly V_i or V_i-1 with invariants intact",
+        ..CrashSweep::default()
     }
+    .settle(&mut t.store.arena, stats)
 }
 
 /// A decoded multi-tenant service state: tenant → root → raw bytes, as
 /// reported by [`StateService::audit`].
 type AuditState = BTreeMap<String, BTreeMap<String, Vec<u8>>>;
-
-/// Outcome of the multi-tenant service crash sweep
-/// ([`service_crash_sweep`]).
-#[derive(Clone, Debug)]
-pub struct ServiceSweep {
-    /// Total crash opportunities the service workload had.
-    pub opportunities: u64,
-    /// Occurrence count per failpoint label (protocol coverage).
-    pub label_counts: Vec<(String, u64)>,
-    /// One row per crash mode.
-    pub rows: Vec<CrashModeRow>,
-    /// First violations encountered (empty on a clean sweep).
-    pub violations: Vec<Violation>,
-    /// Batches flushed under the plan.
-    pub batches: usize,
-    /// Tenants in the service.
-    pub tenants: usize,
-    /// Recovered flight-recorder dumps validated (one per opportunity ×
-    /// mode; failures count as violations in their mode's row).
-    pub recorder_checked: u64,
-}
-
-impl ServiceSweep {
-    /// Total violations across all modes.
-    pub fn total_violations(&self) -> u64 {
-        self.rows.iter().map(|r| r.violations).sum()
-    }
-}
 
 /// When a recovered audit state matches neither the committed nor the
 /// in-flight batch version, distinguish the two failure shapes: a
@@ -523,7 +515,7 @@ fn diagnose_service_state(got: &AuditState, valid: &[AuditState]) -> String {
 /// all-or-nothing for every tenant it touches. Pinned MVCC snapshots
 /// are taken under the plan (covering `svc::snapshot_pin`) and must
 /// keep reading the pre-batch bytes after the batch lands.
-pub fn service_crash_sweep(cfg: &CrashSweepConfig) -> ServiceSweep {
+pub fn service_crash_sweep(cfg: &CrashSweepConfig) -> CrashSweep {
     const TENANTS: usize = 3;
     /// Quota for tenant `t0`: two cacheline-class roots fit, the
     /// oversized write each batch retries does not.
@@ -639,24 +631,14 @@ pub fn service_crash_sweep(cfg: &CrashSweepConfig) -> ServiceSweep {
         *oracle.lock().expect("oracle lock") = vec![after];
     }
 
-    let plan = arena.take_fail_plan().expect("plan installed");
-    let opportunities = plan.opportunities();
-    let mut label_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for (_, l) in plan.labels() {
-        *label_counts.entry(l).or_insert(0) += 1;
+    CrashSweep {
+        names: ["Service crash sweep", "batches", "tenants"],
+        steps: batches,
+        elements: TENANTS,
+        contract: "every crash recovers a batch all-or-nothing for every tenant",
+        ..CrashSweep::default()
     }
-    drop(plan);
-    let st = Arc::try_unwrap(stats).map_err(|_| "stats still shared").expect("hook dropped");
-    let st = st.into_inner().expect("stats lock");
-    ServiceSweep {
-        opportunities,
-        label_counts: label_counts.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-        rows: st.rows,
-        violations: st.violations,
-        batches,
-        tenants: TENANTS,
-        recorder_checked: st.recorder_checked,
-    }
+    .settle(&mut arena, stats)
 }
 
 #[cfg(test)]

@@ -289,45 +289,6 @@ pub fn recovery_rt_str(r: &crate::recovery_rt::RecoveryRt) -> String {
     s
 }
 
-/// Render the multi-tenant service crash sweep.
-pub fn service_sweep_str(sweep: &crate::crash_sweep::ServiceSweep) -> String {
-    let mut s = format!(
-        "Service crash sweep: {} opportunities x {} modes over {} batches ({} tenants)\n",
-        sweep.opportunities,
-        sweep.rows.len(),
-        sweep.batches,
-        sweep.tenants
-    );
-    s.push_str("mode                          |  checked | V_i-1 | V_i | violations\n");
-    for r in &sweep.rows {
-        s.push_str(&format!(
-            "{:<29} | {:>8} | {:>5} | {:>3} | {:>10}\n",
-            r.mode, r.checked, r.recovered_committed, r.recovered_in_flight, r.violations
-        ));
-    }
-    s.push_str("failpoint coverage: ");
-    let cov: Vec<String> = sweep.label_counts.iter().map(|(l, n)| format!("{l} x{n}")).collect();
-    s.push_str(&cov.join(", "));
-    s.push('\n');
-    for v in &sweep.violations {
-        s.push_str(&format!(
-            "VIOLATION at opportunity {} ({}) under {}: {}\n",
-            v.opportunity,
-            v.label.unwrap_or("unlabelled"),
-            v.mode,
-            v.reason
-        ));
-    }
-    s.push_str(&format!(
-        "flight recorder: {} recovered dumps validated against the injected crash points\n",
-        sweep.recorder_checked
-    ));
-    if sweep.total_violations() == 0 {
-        s.push_str("every crash recovers a batch all-or-nothing for every tenant\n");
-    }
-    s
-}
-
 /// Render a wear / write-amplification report: per-region and per-phase
 /// committed bytes plus the block-wear histogram.
 pub fn wear_str(w: &pmoctree_nvbm::WearReport) -> String {
@@ -389,10 +350,11 @@ pub fn blackbox_str(b: &crate::experiments::BlackboxRun) -> String {
     s
 }
 
-/// Render the crash-point sweep outcome.
+/// Render a crash sweep's outcome (droplet or service).
 pub fn crash_sweep_str(sweep: &crate::crash_sweep::CrashSweep) -> String {
+    let [name, steps, elements] = sweep.names;
     let mut s = format!(
-        "Crash-point sweep: {} opportunities x {} modes over {} steps ({} final elements)\n",
+        "{name}: {} opportunities x {} modes over {} {steps} ({} {elements})\n",
         sweep.opportunities,
         sweep.rows.len(),
         sweep.steps,
@@ -423,7 +385,8 @@ pub fn crash_sweep_str(sweep: &crate::crash_sweep::CrashSweep) -> String {
         sweep.recorder_checked
     ));
     if sweep.total_violations() == 0 {
-        s.push_str("every crash recovers to exactly V_i or V_i-1 with invariants intact\n");
+        s.push_str(sweep.contract);
+        s.push('\n');
     }
     s
 }

@@ -15,14 +15,9 @@
 use pm_octree::{PmConfig, PmOctree};
 use pmoctree_amr::{InCoreBackend, PmBackend};
 use pmoctree_baselines::InCoreOctree;
-use pmoctree_morton::ZRange;
 use pmoctree_nvbm::{CrashMode, DeviceModel, NetworkModel, NvbmArena, TraversalStats};
-use pmoctree_solver::{
-    resume_persistent, run_persistent, run_persistent_partial, SimConfig, Simulation,
-};
+use pmoctree_solver::{SimConfig, Simulation};
 use serde::Serialize;
-
-use crate::rank::Rank;
 
 /// Recovery timings for one scheme, in virtual seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -182,93 +177,6 @@ pub fn etree_recovery(cfg: SimConfig, steps_before_kill: usize) -> RecoveryRepor
     }
 }
 
-/// Whole-application recovery with the `pm-rt` runtime: not just the
-/// mesh but the *run* (config, step index, timing history) comes back.
-#[derive(Debug, Clone, Serialize)]
-pub struct RtRecoveryReport {
-    /// Step the resumed run continues at (steps completed pre-kill).
-    pub resumed_step: usize,
-    /// Same-node whole-application restart: runtime swizzle + run-state
-    /// read + tree reattach, in virtual seconds.
-    pub same_node_restart_secs: f64,
-    /// New-node restart: replica transfer over the interconnect plus the
-    /// same local restart, in virtual seconds.
-    pub new_node_restart_secs: f64,
-    /// Mesh elements at the resume point.
-    pub elements: usize,
-    /// Whether the resumed run (same node *and* resurrected node) drove
-    /// to completion with a report identical to the uncrashed run's.
-    pub report_identical: bool,
-}
-
-/// Kill a whole-application persistent run after `steps_before_kill`
-/// steps and bring the *rank* back twice: on the rebooted node (NVBM
-/// intact minus dirty lines) and on a fresh node from the replica (whose
-/// deltas carried the `pm-rt` root bundle along with the octants).
-pub fn rt_recovery(
-    cfg: SimConfig,
-    steps_before_kill: usize,
-    arena_bytes: usize,
-) -> RtRecoveryReport {
-    let pm_cfg = pm_experiment_config();
-    // The uncrashed reference run.
-    let baseline = run_persistent(cfg, pm_cfg, NvbmArena::new(arena_bytes, DeviceModel::default()))
-        .expect("baseline persistent run");
-    // The victim: identical run killed mid-flight.
-    let (mut b, _rt, _done) = run_persistent_partial(
-        cfg,
-        pm_cfg,
-        NvbmArena::new(arena_bytes, DeviceModel::default()),
-        steps_before_kill,
-    )
-    .expect("staged persistent run");
-    let replica = b.tree.replicas.clone().expect("replicas enabled");
-    b.tree.store.arena.crash(CrashMode::LoseDirty);
-    let media = b.tree.store.arena.clone_media();
-
-    // Same node: a cold process reattaches to the surviving device. The
-    // virtual clock starts at zero, so elapsed time after reattach is the
-    // whole-application restart latency.
-    let cold = NvbmArena::from_media(media.clone(), DeviceModel::default());
-    let (restart_ns, elements, resumed_step) =
-        match pmoctree_solver::reattach(cold, pm_cfg).expect("same-node reattach") {
-            pmoctree_solver::Reattach::Resumable(backend, _rt, state) => (
-                backend.tree.store.arena.clock.now_ns(),
-                backend.tree.leaf_count(),
-                state.next_step as usize,
-            ),
-            pmoctree_solver::Reattach::Nothing(_) => {
-                panic!("combined commits exist after {steps_before_kill} steps")
-            }
-        };
-
-    // New node: the replica image crosses the interconnect and the rank
-    // is resurrected whole.
-    let net = NetworkModel::infiniband_fdr();
-    let (rank, _rt2, state2, moved) =
-        Rank::resurrect_from_replica(0, ZRange::all(), arena_bytes, &replica, pm_cfg)
-            .expect("replica resurrection");
-    let new_node_ns = rank.backend.elapsed_ns() + net.transfer_ns(moved);
-    assert_eq!(state2.next_step as usize, resumed_step, "replica carries the same commit");
-
-    // Both crash copies must drive to the uncrashed run's exact report.
-    let same = resume_persistent(NvbmArena::from_media(media, DeviceModel::default()), cfg, pm_cfg)
-        .expect("same-node resume");
-    let mut from_replica = NvbmArena::new(arena_bytes, DeviceModel::default());
-    from_replica.restore_media(replica.image());
-    let newn = resume_persistent(from_replica, cfg, pm_cfg).expect("new-node resume");
-    let report_identical =
-        same.report.steps == baseline.report.steps && newn.report.steps == baseline.report.steps;
-
-    RtRecoveryReport {
-        resumed_step,
-        same_node_restart_secs: restart_ns as f64 * 1e-9,
-        new_node_restart_secs: new_node_ns as f64 * 1e-9,
-        elements,
-        report_identical,
-    }
-}
-
 /// Run all three recovery experiments at the same scale.
 pub fn recovery_comparison(
     cfg: SimConfig,
@@ -323,21 +231,6 @@ mod tests {
         let r = etree_recovery(cfg(), 6);
         assert!(r.same_node_secs >= 0.0);
         assert_eq!(r.new_node_secs, None, "etree is unrecoverable on a new node");
-    }
-
-    #[test]
-    fn rt_recovery_resurrects_the_whole_rank() {
-        let r = rt_recovery(SimConfig { steps: 4, ..cfg() }, 2, 48 << 20);
-        assert_eq!(r.resumed_step, 2);
-        assert!(r.elements > 100);
-        assert!(r.same_node_restart_secs > 0.0);
-        assert!(
-            r.new_node_restart_secs > r.same_node_restart_secs,
-            "replica transfer costs extra: {} vs {}",
-            r.new_node_restart_secs,
-            r.same_node_restart_secs
-        );
-        assert!(r.report_identical, "resumed runs must reproduce the uncrashed report");
     }
 
     #[test]

@@ -20,8 +20,7 @@ pub mod rank;
 pub mod scaling;
 
 pub use failure::{
-    etree_recovery, incore_recovery, pm_recovery, recovery_comparison, rt_recovery, RecoveryReport,
-    RtRecoveryReport,
+    etree_recovery, incore_recovery, pm_recovery, recovery_comparison, RecoveryReport,
 };
 pub use rank::{RangedCriterion, Rank, Scheme};
 pub use scaling::{max_level_for, ClusterReport, ClusterSim, ClusterStep};

@@ -182,37 +182,6 @@ impl Rank {
         let a = anchor::<3>(key);
         a >= self.range.lo && a < self.range.hi
     }
-
-    /// Resurrect a dead PM rank on a **new node** from its replica.
-    ///
-    /// The replica image carries the whole device — mesh versions *and*
-    /// the `pm-rt` root bundle shipped with every persist delta — so the
-    /// transferred bytes are enough to bring back the entire rank: the
-    /// octree is restored at the root the committed
-    /// [`RunState`](pmoctree_solver::RunState) pairs with, and the run
-    /// state itself (config, step index, timing history) comes out of
-    /// the runtime's named-root registry. Returns the rank, the restored
-    /// runtime + state, and the bytes that crossed the network (the
-    /// caller charges its interconnect model with them).
-    pub fn resurrect_from_replica(
-        id: usize,
-        range: ZRange<3>,
-        arena_bytes: usize,
-        replica: &pm_octree::ReplicaSet,
-        pm_cfg: PmConfig,
-    ) -> Result<(Self, pm_rt::PmRt, pmoctree_solver::RunState, u64), pm_octree::PmError> {
-        let mut fresh = NvbmArena::new(arena_bytes, DeviceModel::default());
-        fresh.restore_media(replica.image());
-        match pmoctree_solver::reattach(fresh, pm_cfg)? {
-            pmoctree_solver::Reattach::Resumable(backend, rt, state) => {
-                let rank = Rank { id, backend, range };
-                Ok((rank, rt, state, replica.live_bytes()))
-            }
-            pmoctree_solver::Reattach::Nothing(_) => {
-                Err(pm_octree::PmError::Recovery("replica carries no committed run state".into()))
-            }
-        }
-    }
 }
 
 #[cfg(test)]

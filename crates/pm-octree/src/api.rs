@@ -1314,10 +1314,9 @@ mod tests {
         let old_root = t.store.arena.root(1);
         let gc_before = t.events.gc_runs;
         t.refine(OctKey::root().child(0)).unwrap();
-        let err = t
-            .persist_with_hook(&mut |_| Err(PmError::Recovery("rt heap full".into())))
-            .unwrap_err();
-        assert!(matches!(err, PmError::Recovery(_)));
+        let err =
+            t.persist_with_hook(&mut |_| Err(PmError::Full("rt heap full".into()))).unwrap_err();
+        assert!(matches!(err, PmError::Full(_)));
         assert_eq!(t.events.gc_runs, gc_before, "GC must not run after a failed hook");
         // The handle adopted the durable new version and stays usable...
         assert_eq!(t.leaf_count(), 15);

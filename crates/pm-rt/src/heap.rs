@@ -110,11 +110,6 @@ impl LogHeap {
         self.base
     }
 
-    /// Fixed ring top.
-    pub fn top(&self) -> u64 {
-        self.top
-    }
-
     /// Refresh the lower limit (the octree's live bump pointer). Called
     /// before every allocation — the octree grows between runtime calls.
     pub fn set_limit(&mut self, limit: u64) {
@@ -122,6 +117,7 @@ impl LogHeap {
     }
 
     /// Sum of live record footprints.
+    #[cfg(test)]
     pub fn live_bytes(&self) -> u64 {
         self.live_bytes
     }
@@ -142,6 +138,7 @@ impl LogHeap {
     }
 
     /// Number of head wraps so far.
+    #[cfg(test)]
     pub fn laps(&self) -> u64 {
         self.laps
     }
@@ -164,8 +161,9 @@ impl LogHeap {
     }
 
     /// The wrap gap produced by the last [`LogHeap::alloc`], if any:
-    /// `(offset, skip)` for a pad header the caller must write so a
-    /// forward scan can jump the gap. Draining is the caller's job.
+    /// `(offset, skip)` for the pad header the caller must write, which
+    /// keeps the ring framed as records across the gap. Draining is the
+    /// caller's job.
     pub fn take_pending_pad(&mut self) -> Option<(u64, u64)> {
         self.pending_pad.take()
     }
@@ -183,7 +181,7 @@ impl LogHeap {
             at
         } else {
             // The head abandons its hole: stamp a pad header over the
-            // free bytes so a forward scan can jump the seam. The pad
+            // free bytes so the seam stays framed as a record. The pad
             // must stop at the next live island, not the top — under
             // next-fit the span `[head, top)` can contain live records,
             // and the head can sit flush against one (a probe places

@@ -44,16 +44,14 @@
 #![warn(clippy::unwrap_used)]
 
 pub mod data;
-pub mod heap;
-pub mod log;
+mod heap;
+mod log;
 pub mod mvcc;
 pub mod rt;
 pub mod service;
 pub mod tenant;
 
 pub use data::{ByteReader, ByteWriter, PmData};
-pub use heap::LogHeap;
-pub use log::{Record, RecordKind};
 pub use mvcc::Snapshot;
 pub use pm_octree::PmError;
 pub use rt::{PPtr, PmRt, RtError, CHECKPOINT_EVERY};

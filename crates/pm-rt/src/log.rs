@@ -18,17 +18,14 @@
 //! ```
 //!
 //! `Pad` records are header-only (24 bytes on media): `payload_len`
-//! holds the number of bytes a scanner must *skip* after the header, so
-//! a wrap gap at the top of the ring costs one cacheline-sized header,
-//! not a full dummy payload. A torn pad header fails the magic/kind
-//! check and cleanly terminates the scan.
+//! holds the number of bytes of dead space after the header, so a wrap
+//! gap at the top of the ring costs one cacheline-sized header, not a
+//! full dummy payload.
 //!
-//! Recovery of the *table* never scans forward — it chain-walks commit
-//! records from the durable root pointer, each validated by checksum —
-//! but [`scan`] gives the torn-tail-safe forward reader the property
-//! tests (and debugging tools) use: scanning stops at the first record
-//! whose header or checksum does not validate, so a crash mid-append
-//! truncates to exactly the fully-written prefix.
+//! Recovery never scans the ring: it chain-walks commit records from the
+//! durable root pointer, each read through [`parse_header`] and validated
+//! by [`checksum_ok`], so a torn append past the last root swap is never
+//! reached.
 
 use pmoctree_nvbm::recorder::fnv32;
 
@@ -102,21 +99,6 @@ pub fn encode_pad(seq: u64, skip: usize) -> [u8; REC_HEADER] {
     out
 }
 
-/// A record decoded from a buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
-    /// Offset of the record header within the scanned buffer.
-    pub off: usize,
-    /// Append sequence number.
-    pub seq: u64,
-    /// Record kind (never `Pad`; pads are skipped by [`scan`]).
-    pub kind: RecordKind,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
-    /// Total on-media footprint including header/trailer/padding.
-    pub size: usize,
-}
-
 /// The fields of a record header whose magic validated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Header {
@@ -157,50 +139,15 @@ pub fn checksum_ok(rec: &[u8]) -> bool {
         .is_some_and(|(body, trailer)| fnv32(body).to_le_bytes() == *trailer)
 }
 
-/// Decode the record starting at `off`, validating magic, kind, bounds
-/// and checksum. Returns `None` for anything that does not validate —
-/// including a torn tail and an `off` outside `buf`. For `Pad` records
-/// the payload is empty and `size` covers the skipped gap.
-pub fn decode_at(buf: &[u8], off: usize) -> Option<Record> {
-    let tail = buf.get(off..)?;
-    let header = parse_header(tail.first_chunk()?).ok()?;
-    let Header { len, seq, .. } = header;
-    let kind = header.kind?;
-    if kind == RecordKind::Pad {
-        let size = REC_HEADER.checked_add(len)?;
-        if size > tail.len() {
-            return None;
-        }
-        return Some(Record { off, seq, kind, payload: Vec::new(), size });
-    }
-    let size = record_size(len);
-    let rec = tail.get(..size)?;
-    if !checksum_ok(&rec[..header.unpadded_size()]) {
-        return None;
-    }
-    Some(Record { off, seq, kind, payload: rec[REC_HEADER..REC_HEADER + len].to_vec(), size })
-}
-
-/// Forward-scan `[start, end)` for records, skipping pads, stopping at
-/// the first offset that does not validate (torn tail, garbage, or the
-/// end of the window). Returns the fully-written records in order.
-pub fn scan(buf: &[u8], start: usize, end: usize) -> Vec<Record> {
-    let mut out = Vec::new();
-    let mut off = start;
-    // A decoded record lies inside `buf`, so its end cannot overflow.
-    while let Some(r) = decode_at(buf, off).filter(|r| r.off + r.size <= end) {
-        off += r.size;
-        if r.kind != RecordKind::Pad {
-            out.push(r);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+
+    /// The header of an encoded record, parsed back.
+    fn header(rec: &[u8]) -> Result<Header, u32> {
+        parse_header(rec.first_chunk().unwrap())
+    }
 
     #[test]
     fn record_roundtrip_and_alignment() {
@@ -209,24 +156,13 @@ mod tests {
             let rec = encode_record(42, RecordKind::Blob, &payload);
             assert_eq!(rec.len(), record_size(len));
             assert_eq!(rec.len() % 8, 0, "records must stay 8-byte aligned");
-            let d = decode_at(&rec, 0).unwrap();
-            assert_eq!(d.seq, 42);
-            assert_eq!(d.kind, RecordKind::Blob);
-            assert_eq!(d.payload, payload);
-            assert_eq!(d.size, rec.len());
+            let h = header(&rec).unwrap();
+            assert_eq!(h, Header { len, seq: 42, kind: Some(RecordKind::Blob) });
+            assert!(checksum_ok(&rec[..h.unpadded_size()]));
+            assert_eq!(&rec[REC_HEADER..REC_HEADER + len], &payload[..]);
         }
-    }
-
-    /// `decode_at` and `scan` are `pub`: an offset from outside must be
-    /// answered, not added to.
-    #[test]
-    fn offsets_outside_the_buffer_decode_to_nothing() {
-        let buf = [0u8; 64];
-        for off in [64, 65, usize::MAX - REC_HEADER, usize::MAX - 3, usize::MAX] {
-            assert_eq!(decode_at(&buf, off), None, "off {off:#x}");
-            assert!(scan(&buf, off, buf.len()).is_empty(), "off {off:#x}");
-            assert!(scan(&buf, off, usize::MAX).is_empty(), "off {off:#x}");
-        }
+        let pad = encode_pad(9, 40);
+        assert_eq!(header(&pad), Ok(Header { len: 40, seq: 9, kind: Some(RecordKind::Pad) }));
     }
 
     #[test]
@@ -234,111 +170,17 @@ mod tests {
         let payload = b"log structured".to_vec();
         let rec = encode_record(7, RecordKind::Commit, &payload);
         // Flip each byte of header+payload+trailer in turn; every flip
-        // must be detected (magic, kind, length, or checksum).
+        // must be detected (magic, kind, length, or checksum) — the
+        // checksum covers the length field, so a corrupted length never
+        // validates either.
         for i in 0..REC_HEADER + payload.len() + REC_TRAILER {
             let mut bad = rec.clone();
             bad[i] ^= 0xFF;
-            let d = decode_at(&bad, 0);
-            // A corrupted length can still decode iff the checksum were
-            // right — it never is, because the checksum covers the
-            // length field.
-            assert!(d.is_none(), "flip at {i} must not validate");
+            let valid = header(&bad).is_ok_and(|h| {
+                h.kind == Some(RecordKind::Commit)
+                    && bad.get(..h.unpadded_size()).is_some_and(checksum_ok)
+            });
+            assert!(!valid, "flip at {i} must not validate");
         }
-    }
-
-    /// Satellite: torn write at every tail byte → clean truncation.
-    /// Mirrors `nvbm::recorder`'s torn-slot test shape: build a log of
-    /// records, truncate at *every* byte position, and require that the
-    /// scan recovers exactly the records fully written before the cut.
-    #[test]
-    fn torn_tail_at_every_byte_truncates_cleanly() {
-        let mut buf = Vec::new();
-        // Content end of each record (through the checksum trailer): a
-        // cut inside the trailing alignment padding loses only zeros the
-        // blank media already holds, so such a record still recovers.
-        let mut ends = Vec::new();
-        for i in 0..6u64 {
-            let payload: Vec<u8> =
-                (0..(i as usize * 13 + 5)).map(|j| (j + i as usize) as u8).collect();
-            ends.push(buf.len() + REC_HEADER + payload.len() + REC_TRAILER);
-            buf.extend_from_slice(&encode_record(i, RecordKind::Blob, &payload));
-        }
-        for cut in 0..=buf.len() {
-            let mut torn = buf[..cut].to_vec();
-            // Zero-fill the rest of the window, as unwritten media.
-            torn.resize(buf.len(), 0);
-            let got = scan(&torn, 0, torn.len());
-            let want = ends.iter().filter(|&&e| e <= cut).count();
-            assert_eq!(got.len(), want, "cut at byte {cut}");
-            for (i, r) in got.iter().enumerate() {
-                assert_eq!(r.seq, i as u64, "recovered prefix must be in order");
-            }
-        }
-    }
-
-    /// Satellite: wraparound at arbitrary capacities. Emulate a ring of
-    /// every capacity in a range: append records until the head would
-    /// pass the top, place a pad over the wrap gap, continue from the
-    /// base, and require the scanner to walk the whole lap.
-    #[test]
-    fn wraparound_at_arbitrary_capacities() {
-        for cap in (96..512).step_by(8) {
-            let mut buf = vec![0u8; cap];
-            let mut head = 0usize;
-            let mut appended = Vec::new();
-            let mut seq = 0u64;
-            // Fill one lap: append until the next record no longer fits
-            // before the top, then pad out the wrap gap.
-            loop {
-                let payload: Vec<u8> = (0..(seq as usize % 40)).map(|j| j as u8).collect();
-                let rec = encode_record(seq, RecordKind::Blob, &payload);
-                if head + rec.len() > cap {
-                    let gap = cap - head;
-                    if gap >= REC_HEADER {
-                        let pad = encode_pad(seq, gap - REC_HEADER);
-                        buf[head..head + REC_HEADER].copy_from_slice(&pad);
-                    }
-                    break;
-                }
-                buf[head..head + rec.len()].copy_from_slice(&rec);
-                appended.push((head, seq, payload));
-                head += rec.len();
-                seq += 1;
-            }
-            let got = scan(&buf, 0, cap);
-            assert_eq!(got.len(), appended.len(), "cap {cap}");
-            for (r, (off, s, payload)) in got.iter().zip(&appended) {
-                assert_eq!(r.off, *off);
-                assert_eq!(r.seq, *s);
-                assert_eq!(&r.payload, payload);
-            }
-        }
-    }
-
-    #[test]
-    fn pad_header_skips_gap_and_scan_continues() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&encode_record(0, RecordKind::Blob, b"a"));
-        let pad_off = buf.len();
-        buf.extend_from_slice(&encode_pad(1, 40));
-        buf.resize(pad_off + REC_HEADER + 40, 0xEE); // dead gap bytes
-        buf.extend_from_slice(&encode_record(2, RecordKind::Commit, b"bb"));
-        let got = scan(&buf, 0, buf.len());
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].kind, RecordKind::Blob);
-        assert_eq!(got[1].kind, RecordKind::Commit);
-        assert_eq!(got[1].off, pad_off + REC_HEADER + 40);
-    }
-
-    #[test]
-    fn torn_pad_header_ends_scan() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&encode_record(0, RecordKind::Blob, b"x"));
-        let mut pad = encode_pad(1, 64).to_vec();
-        pad[16] = 0; // kind word never reached the media
-        buf.extend_from_slice(&pad);
-        buf.resize(buf.len() + 64, 0);
-        let got = scan(&buf, 0, buf.len());
-        assert_eq!(got.len(), 1);
     }
 }

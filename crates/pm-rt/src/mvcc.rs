@@ -135,48 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_rereads_byte_identical_across_commits_and_gc() {
-        let mut a = arena();
-        let mut rt = PmRt::create(&mut a).unwrap();
-        rt.stage(&mut a, "t/x", &0xAABBu64).unwrap();
-        rt.stage(&mut a, "t/y", &"hello".to_string()).unwrap();
-        rt.commit(&mut a).unwrap();
-        let snap = rt.snapshot_prefix(&mut a, "t/");
-        let e = snap.epoch();
-        let x0 = snap.get_bytes(&mut a, "x").unwrap().unwrap();
-        let y0 = snap.get_bytes(&mut a, "y").unwrap().unwrap();
-        // ≥10 subsequent commits rewriting both roots, plus GC passes.
-        for i in 0..12u64 {
-            rt.stage(&mut a, "t/x", &i).unwrap();
-            rt.stage(&mut a, "t/y", &format!("v{i}")).unwrap();
-            rt.commit(&mut a).unwrap();
-            rt.collect(&mut a);
-        }
-        assert!(!rt.deferred.is_empty(), "pin must defer frees");
-        assert_eq!(snap.get_bytes(&mut a, "x").unwrap().unwrap(), x0);
-        assert_eq!(snap.get_bytes(&mut a, "y").unwrap().unwrap(), y0);
-        assert_eq!(snap.get::<u64>(&mut a, "x").unwrap(), Some(0xAABB));
-        assert_eq!(snap.epoch(), e);
-        // Dropping the snapshot lets collect reclaim the old versions.
-        drop(snap);
-        assert!(rt.collect(&mut a) > 0);
-        assert!(rt.deferred.is_empty());
-    }
-
-    #[test]
-    fn snapshot_never_observes_staged_writes() {
-        let mut a = arena();
-        let mut rt = PmRt::create(&mut a).unwrap();
-        rt.stage(&mut a, "x", &1u64).unwrap();
-        rt.commit(&mut a).unwrap();
-        rt.stage(&mut a, "x", &2u64).unwrap(); // in-flight, not committed
-        rt.stage(&mut a, "new", &3u64).unwrap();
-        let snap = rt.snapshot(&mut a);
-        assert_eq!(snap.get::<u64>(&mut a, "x").unwrap(), Some(1));
-        assert_eq!(snap.get::<u64>(&mut a, "new").unwrap(), None);
-    }
-
-    #[test]
     fn snapshot_gone_after_media_restore() {
         let mut a = arena();
         let mut rt = PmRt::create(&mut a).unwrap();
@@ -190,7 +148,7 @@ mod tests {
         assert!(matches!(snap.get::<u64>(&mut a, "x"), Err(PmError::SnapshotGone(_))));
     }
 
-    /// Acceptance property: a blob a pinned snapshot references is never
+    /// Acceptance property:a blob a pinned snapshot references is never
     /// relocated or reclaimed until the pin drops — the wear/compaction
     /// GC only ever *copies* live blobs and defers the original, so the
     /// snapshot rereads byte-identical data at the original offset all

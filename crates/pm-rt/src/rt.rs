@@ -75,7 +75,7 @@ impl From<RtError> for PmError {
         match e {
             RtError::Corrupt(m) => PmError::Corrupt(m),
             RtError::Missing(m) => PmError::NotFound(m),
-            RtError::Full(m) => PmError::Recovery(m),
+            RtError::Full(m) => PmError::Full(m),
         }
     }
 }
@@ -222,6 +222,10 @@ pub struct PmRt {
     /// entry it had (`None` = name did not exist). Drives both
     /// [`PmRt::revert_staged_prefix`] and the commit record's delta.
     staged_origin: NameMap<Option<Entry>>,
+    /// Roots the running commit's wear and compaction passes relocated:
+    /// a commit that fails reverts them, so it leaves the staged window
+    /// as it found it.
+    relocated: Vec<Arc<str>>,
 }
 
 impl PmRt {
@@ -244,6 +248,7 @@ impl PmRt {
             chain: Vec::new(),
             staged: Vec::new(),
             staged_origin: BTreeMap::new(),
+            relocated: Vec::new(),
         };
         arena.publish_rt_floor(rt.heap.floor());
         // Carry the bootstrap commit's regions forward instead of
@@ -344,6 +349,7 @@ impl PmRt {
             chain,
             staged: Vec::new(),
             staged_origin: BTreeMap::new(),
+            relocated: Vec::new(),
         })
     }
 
@@ -521,12 +527,24 @@ impl PmRt {
     /// Blobs the new commit supersedes are reclaimed immediately when no
     /// MVCC snapshot pins an older epoch, and deferred to
     /// [`PmRt::collect`] otherwise.
+    ///
+    /// A commit that fails (a full ring: [`PmError::Full`]) publishes
+    /// nothing and changes nothing the API shows: the epoch stays, and
+    /// the blobs its passes relocated go back to their committed records.
     pub fn commit(&mut self, arena: &mut NvbmArena) -> Result<Vec<(u64, u32)>, PmError> {
         // Committed bytes (commit record, flushed staged blobs) are
         // charged to the `rt::commit` phase; restore the caller's phase on
         // every exit, including errors.
         let prev_phase = arena.set_phase("rt::commit");
         let r = self.commit_inner(arena).map_err(PmError::from);
+        if r.is_err() {
+            for name in std::mem::take(&mut self.relocated) {
+                if let Some((name, origin)) = self.staged_origin.remove_entry(&name) {
+                    self.reinstate(name, origin);
+                }
+            }
+        }
+        self.relocated.clear();
         arena.set_phase(prev_phase);
         r
     }
@@ -535,16 +553,17 @@ impl PmRt {
         let _s = arena.span("rt::commit");
         self.wear_pass(arena)?;
         self.compact_pass(arena)?;
-        self.epoch += 1;
+        let epoch = self.epoch + 1;
         // Checkpoint on schedule. Old chain records left behind by the
         // cut are dead islands the next-fit allocator walks over, so a
         // wrapped log needs no early cut — the delta chain keeps paying
         // off in steady state.
         let checkpoint = self.chain.is_empty() || self.chain.len() >= CHECKPOINT_EVERY;
         let prev = if checkpoint { 0 } else { *self.chain.last().expect("chain non-empty") };
-        let payload = self.build_commit_payload(checkpoint, prev);
+        let payload = self.build_commit_payload(epoch, checkpoint, prev);
         arena.failpoint("heap::append");
         let (rec_off, size) = self.append_record(arena, RecordKind::Commit, &payload)?;
+        self.epoch = epoch;
         self.staged.push((rec_off, size as u32));
         // Persist the ring floor *before* the swap: a stale floor after a
         // crash wastes space below the clamped floor, never corrupts.
@@ -593,7 +612,7 @@ impl PmRt {
     /// Serialize the commit record payload: epoch, previous-record
     /// pointer, then either the full table (checkpoint) or the delta the
     /// staged window produced.
-    fn build_commit_payload(&self, checkpoint: bool, prev: u64) -> Vec<u8> {
+    fn build_commit_payload(&self, epoch: u64, checkpoint: bool, prev: u64) -> Vec<u8> {
         let mut upserts: Vec<(&str, Entry)> = Vec::new();
         let mut removes: Vec<&str> = Vec::new();
         if checkpoint {
@@ -617,7 +636,7 @@ impl PmRt {
         let mut payload =
             Vec::with_capacity(32 + 20 * upserts.len() + 8 * removes.len() + name_bytes);
         let mut w = ByteWriter::new(&mut payload);
-        w.u64(self.epoch);
+        w.u64(epoch);
         w.u64(prev);
         w.u64(upserts.len() as u64);
         w.u64(removes.len() as u64);
@@ -642,7 +661,7 @@ impl PmRt {
         arena.failpoint("wear::relocate");
         if let Some((w, name)) = self.wear_victim(arena) {
             if w > 0 {
-                match self.relocate(arena, &name) {
+                match self.relocate(arena, name) {
                     // A full ring just means no headroom to level into;
                     // the commit itself must not fail over optional GC.
                     Err(RtError::Full(_)) => {}
@@ -686,7 +705,7 @@ impl PmRt {
                 break;
             }
             let Some(name) = self.oldest_relocatable() else { break };
-            match self.relocate(arena, &name) {
+            match self.relocate(arena, name) {
                 Err(RtError::Full(_)) => break,
                 other => other?,
             }
@@ -711,13 +730,14 @@ impl PmRt {
     /// log head and retire the old record through the standard
     /// supersede → defer → collect path, so pinned snapshots keep reading
     /// the original bytes until their pins drop.
-    fn relocate(&mut self, arena: &mut NvbmArena, name: &str) -> Result<(), RtError> {
-        let Some(&e) = self.table.get(name) else {
+    fn relocate(&mut self, arena: &mut NvbmArena, name: Arc<str>) -> Result<(), RtError> {
+        let Some(&e) = self.table.get(&name) else {
             return Ok(());
         };
         let payload = read_blob(arena, e.off, Some(e.len))?;
         let old_rec = e.record_off();
-        self.stage_bytes(arena, name, &payload)?;
+        self.stage_bytes(arena, &name, &payload)?;
+        self.relocated.push(name);
         arena.stats.note_relocation(old_rec, e.footprint());
         arena.tracer.counter_add("rt.wear.relocations", 1);
         Ok(())
@@ -760,26 +780,31 @@ impl PmRt {
     pub fn revert_staged_prefix(&mut self, prefix: &str) -> usize {
         let reverted: Vec<(Arc<str>, Option<Entry>)> =
             prefix_range(&self.staged_origin, prefix).map(|(n, o)| (n.clone(), *o)).collect();
-        for (name, origin) in &reverted {
-            self.staged_origin.remove(name);
-            // Reinstate the committed-time entry and reclaim the record
-            // staged under the name (unless it is that committed blob).
-            let staged = match origin {
-                Some(e) => self.table.insert(name.clone(), *e),
-                None => self.table.remove(name),
-            };
-            if let Some(cur) = staged.filter(|cur| Some(*cur) != *origin) {
-                self.heap.mark_dead(cur.record_off());
-            }
-            // Cancel the pending retirement: the committed blob is
-            // reachable again.
-            let retired =
-                origin.and_then(|e| self.retired.iter().position(|&o| o == e.record_off()));
-            if let Some(i) = retired {
-                self.retired.swap_remove(i);
-            }
+        let n = reverted.len();
+        for (name, origin) in reverted {
+            self.staged_origin.remove(&name);
+            self.reinstate(name, origin);
         }
-        reverted.len()
+        n
+    }
+
+    /// Undo `name`'s staged modification, its journal entry already
+    /// taken: reinstate the committed-time entry `origin`, reclaim the
+    /// record staged under the name (unless it is that committed blob),
+    /// and cancel the pending retirement — the committed blob is
+    /// reachable again.
+    fn reinstate(&mut self, name: Arc<str>, origin: Option<Entry>) {
+        let staged = match origin {
+            Some(e) => self.table.insert(name, e),
+            None => self.table.remove(&name),
+        };
+        if let Some(cur) = staged.filter(|cur| Some(*cur) != origin) {
+            self.heap.mark_dead(cur.record_off());
+        }
+        let retired = origin.and_then(|e| self.retired.iter().position(|&o| o == e.record_off()));
+        if let Some(i) = retired {
+            self.retired.swap_remove(i);
+        }
     }
 
     /// Ring bytes (full record footprints) currently charged to roots
@@ -987,105 +1012,10 @@ pub(crate) fn read_blob(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::data::PmData;
     use pmoctree_nvbm::{CrashMode, DeviceModel, FailPlan};
 
     fn arena() -> NvbmArena {
         NvbmArena::new(1 << 20, DeviceModel::default())
-    }
-
-    /// A little application-state struct, as a non-octree PmData example.
-    #[derive(Debug, Clone, PartialEq)]
-    struct RunState {
-        step: u64,
-        t: f64,
-        tag: String,
-    }
-
-    impl PmData for RunState {
-        fn encode(&self, out: &mut Vec<u8>) {
-            self.step.encode(out);
-            self.t.encode(out);
-            self.tag.encode(out);
-        }
-        fn decode(r: &mut ByteReader<'_>) -> Result<Self, RtError> {
-            Ok(RunState { step: u64::decode(r)?, t: f64::decode(r)?, tag: String::decode(r)? })
-        }
-    }
-
-    #[test]
-    fn stage_commit_restore_roundtrip() {
-        let mut a = arena();
-        let mut rt = PmRt::create(&mut a).unwrap();
-        let st = RunState { step: 12, t: 0.25, tag: "droplet".into() };
-        rt.stage(&mut a, "run", &st).unwrap();
-        rt.stage(&mut a, "answer", &42u64).unwrap();
-        rt.commit(&mut a).unwrap();
-        a.crash(CrashMode::LoseDirty);
-        let mut r = PmRt::restore(&mut a).unwrap();
-        assert_eq!(r.load::<RunState>(&mut a, "run").unwrap(), Some(st));
-        assert_eq!(r.load::<u64>(&mut a, "answer").unwrap(), Some(42));
-        assert_eq!(r.load::<u64>(&mut a, "nope").unwrap(), None);
-    }
-
-    #[test]
-    fn uncommitted_stage_is_lost_committed_survives() {
-        let mut a = arena();
-        let mut rt = PmRt::create(&mut a).unwrap();
-        rt.stage(&mut a, "x", &1u64).unwrap();
-        rt.commit(&mut a).unwrap();
-        rt.stage(&mut a, "x", &2u64).unwrap(); // staged, not committed
-        a.crash(CrashMode::LoseDirty);
-        let mut r = PmRt::restore(&mut a).unwrap();
-        assert_eq!(r.load::<u64>(&mut a, "x").unwrap(), Some(1));
-    }
-
-    #[test]
-    fn crash_armed_at_every_opportunity_recovers_old_or_new() {
-        // Count the opportunities of one stage+commit, then crash at each
-        // one under every mode: restore must see x == 1 or x == 2, and
-        // the commit, append, compaction and wear failpoints must all be
-        // among the opportunities.
-        let mut a = arena();
-        let mut rt = PmRt::create(&mut a).unwrap();
-        rt.stage(&mut a, "x", &1u64).unwrap();
-        rt.commit(&mut a).unwrap();
-        let before = a.clone_media();
-        a.set_fail_plan(FailPlan::count());
-        rt.stage(&mut a, "x", &2u64).unwrap();
-        rt.commit(&mut a).unwrap();
-        let plan = a.take_fail_plan().expect("plan installed");
-        let n = plan.opportunities();
-        assert!(n > 0);
-        for want in ["rt::commit", "heap::append", "heap::compact", "wear::relocate"] {
-            assert!(
-                plan.labels().iter().any(|(_, l)| *l == want),
-                "{want} must be a labelled opportunity"
-            );
-        }
-        for mode in [
-            CrashMode::LoseDirty,
-            CrashMode::CommitRandom { p: 0.5, seed: 7 },
-            CrashMode::TornWrite { seed: 7 },
-        ] {
-            for at in 1..=n {
-                let mut b = NvbmArena::new(1 << 20, DeviceModel::default());
-                b.restore_media(&before);
-                let mut rtb = PmRt::restore(&mut b).unwrap();
-                b.set_fail_plan(FailPlan::armed(at, mode));
-                rtb.stage(&mut b, "x", &2u64).unwrap();
-                let _ = rtb.commit(&mut b);
-                if let Some(cap) = b.take_fail_plan().and_then(|mut p| p.take_capture()) {
-                    let mut c = NvbmArena::from_media(cap.media, DeviceModel::default());
-                    let mut rec = PmRt::restore(&mut c).unwrap();
-                    let x = rec.load::<u64>(&mut c, "x").unwrap();
-                    assert!(
-                        x == Some(1) || x == Some(2),
-                        "crash at {at}/{n} under {mode:?} saw {x:?}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -1181,7 +1111,7 @@ mod tests {
         // And the other direction: with the device full of octants, an
         // oversized runtime allocation fails cleanly.
         let big = "B".repeat(12 << 10);
-        assert!(matches!(r.stage(&mut t.store.arena, "big", &big), Err(PmError::Recovery(_))));
+        assert!(matches!(r.stage(&mut t.store.arena, "big", &big), Err(PmError::Full(_))));
     }
 
     #[test]
@@ -1208,8 +1138,8 @@ mod tests {
         let top = t.store.arena.rt_heap_top();
         let big = "B".repeat((top as usize - (8 << 10)) - 64);
         match rt.stage(&mut t.store.arena, "big", &big) {
-            Err(PmError::Recovery(m)) => assert!(m.contains("cross"), "wrong full cause: {m}"),
-            other => panic!("expected Recovery(cross), got {other:?}"),
+            Err(PmError::Full(m)) => assert!(m.contains("cross"), "wrong full cause: {m}"),
+            other => panic!("expected Full(cross), got {other:?}"),
         }
         assert!(rt.heap.floor() >= bump);
         // Nothing was written: the persisted tree is untouched.
@@ -1220,20 +1150,6 @@ mod tests {
         arena.crash(CrashMode::LoseDirty);
         let mut r = PmOctree::restore(arena, PmConfig::default()).unwrap();
         assert_eq!(r.leaves_sorted(), leaves);
-    }
-
-    #[test]
-    fn unregister_drops_root_after_commit() {
-        let mut a = arena();
-        let mut rt = PmRt::create(&mut a).unwrap();
-        rt.stage(&mut a, "x", &5u64).unwrap();
-        rt.commit(&mut a).unwrap();
-        assert!(rt.unregister("x"));
-        assert!(!rt.unregister("x"));
-        rt.commit(&mut a).unwrap();
-        a.crash(CrashMode::LoseDirty);
-        let mut r = PmRt::restore(&mut a).unwrap();
-        assert_eq!(r.load::<u64>(&mut a, "x").unwrap(), None);
     }
 
     #[test]
@@ -1329,56 +1245,37 @@ mod tests {
         assert_eq!(r.load::<Vec<u8>>(&mut a, "cold").unwrap(), Some(vec![7u8; 200]));
     }
 
+    /// A failed commit leaves the staged window as it found it: the epoch
+    /// stays, and the blob its wear pass relocated goes back to its
+    /// committed record, so a revert counts only what the caller staged.
+    /// (The model's filling streams fail their commits on rings too full
+    /// for any relocation; this is the case between.)
+    #[test]
+    fn a_failed_commit_reverts_its_relocations() {
+        let mut a = NvbmArena::new(64 << 10, DeviceModel::default());
+        let mut rt = PmRt::create(&mut a).unwrap();
+        rt.stage(&mut a, "cold", &vec![1u8; 8]).unwrap();
+        rt.commit(&mut a).unwrap();
+        let cold = rt.resolve::<Vec<u8>>("cold");
+        // A long name makes the commit record far larger than the blob the
+        // wear pass relocates, and an octree bump at the ring floor keeps
+        // the ring from growing to fit it.
+        let long = "n".repeat(4000);
+        rt.stage(&mut a, &long, &0u64).unwrap();
+        a.publish_bump(rt.heap.floor());
+        let (epoch, relocations) = (rt.epoch(), a.stats.relocations());
+        assert!(matches!(rt.commit(&mut a), Err(PmError::Full(_))));
+        assert_eq!(a.stats.relocations(), relocations + 1, "the wear pass relocated first");
+        assert_eq!(rt.epoch(), epoch);
+        assert_eq!(rt.resolve::<Vec<u8>>("cold"), cold);
+        assert_eq!(rt.revert_staged_prefix(""), 1, "only the long name was staged");
+    }
+
     /// Deterministic LCG behind the random-interleaving tests.
     fn lcg(mut rng: u64) -> impl FnMut() -> usize {
         move || {
             rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (rng >> 33) as usize
-        }
-    }
-
-    /// Satellite property test: compaction preserves byte-identity of
-    /// all live blobs under random put/remove/commit interleavings
-    /// (deterministic LCG, shadow-model oracle, final crash+restore).
-    #[test]
-    fn log_compaction_preserves_byte_identity_under_random_interleavings() {
-        let mut a = arena();
-        let mut rt = PmRt::create(&mut a).unwrap();
-        let mut shadow: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-        let mut committed_shadow: BTreeMap<String, Vec<u8>>;
-        let mut step = lcg(0x1234_5678_9abc_def0);
-        for op in 0..600 {
-            let name = format!("r{}", step() % 12);
-            match step() % 10 {
-                0..=5 => {
-                    let len = step() % 300;
-                    let payload: Vec<u8> = (0..len).map(|i| (i + op) as u8).collect();
-                    rt.stage(&mut a, &name, &payload).unwrap();
-                    shadow.insert(name, payload);
-                }
-                6..=7 => {
-                    assert_eq!(rt.unregister(&name), shadow.remove(&name).is_some());
-                }
-                _ => {
-                    rt.commit(&mut a).unwrap();
-                    committed_shadow = shadow.clone();
-                    for (n, want) in &committed_shadow {
-                        assert_eq!(
-                            rt.load::<Vec<u8>>(&mut a, n).unwrap().as_ref(),
-                            Some(want),
-                            "root {n} diverged at op {op}"
-                        );
-                    }
-                }
-            }
-        }
-        rt.commit(&mut a).unwrap();
-        committed_shadow = shadow.clone();
-        a.crash(CrashMode::LoseDirty);
-        let mut r = PmRt::restore(&mut a).unwrap();
-        assert_eq!(r.len(), committed_shadow.len());
-        for (n, want) in &committed_shadow {
-            assert_eq!(r.load::<Vec<u8>>(&mut a, n).unwrap().as_ref(), Some(want));
         }
     }
 
@@ -1416,18 +1313,14 @@ mod tests {
     /// Differential test of the delta-maintained commit state: under
     /// random stage/unregister/revert/commit/pin/unpin interleavings the
     /// GC victims equal the whole-table definitions at every step, and
-    /// after every commit the committed view equals the staged one and
-    /// the reverse index equals one recomputed from scratch. A shadow
-    /// model checks the values themselves, through a final crash.
+    /// after every commit (and a restore) the committed view equals the
+    /// staged one and the reverse index equals one recomputed from
+    /// scratch. The values themselves are the model's (`tests/model.rs`).
     #[test]
     fn delta_commit_state_matches_whole_table_references() {
         for seed in [0x1234_5678_9abc_def0u64, 7] {
             let mut a = arena();
             let mut rt = PmRt::create(&mut a).unwrap();
-            let mut shadow: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-            let mut committed_shadow = shadow.clone();
-            // Names staged or unregistered since the last commit.
-            let mut dirty: BTreeSet<String> = BTreeSet::new();
             let mut pins = Vec::new();
             let mut relocated = false;
             let mut step = lcg(seed);
@@ -1439,23 +1332,12 @@ mod tests {
                         let len = step() % 200;
                         let payload: Vec<u8> = (0..len).map(|i| (i + op) as u8).collect();
                         rt.stage(&mut a, &name, &payload).unwrap();
-                        shadow.insert(name.clone(), payload);
-                        dirty.insert(name);
                     }
                     8..=9 => {
-                        let existed = shadow.remove(&name).is_some();
-                        assert_eq!(rt.unregister(&name), existed);
-                        if existed {
-                            dirty.insert(name);
-                        }
+                        rt.unregister(&name);
                     }
                     10 => {
-                        let want = dirty.iter().filter(|n| n.starts_with(&tenant)).count();
-                        assert_eq!(rt.revert_staged_prefix(&tenant), want, "op {op}");
-                        dirty.retain(|n| !n.starts_with(&tenant));
-                        shadow.retain(|n, _| !n.starts_with(&tenant));
-                        let kept = committed_shadow.iter().filter(|(n, _)| n.starts_with(&tenant));
-                        shadow.extend(kept.map(|(n, v)| (n.clone(), v.clone())));
+                        rt.revert_staged_prefix(&tenant);
                     }
                     11 => pins.push(rt.snapshot(&mut a)),
                     12 => drop(pins.pop()),
@@ -1463,83 +1345,21 @@ mod tests {
                         let before = a.stats.relocations();
                         rt.commit(&mut a).unwrap();
                         relocated |= a.stats.relocations() > before;
-                        committed_shadow = shadow.clone();
-                        dirty.clear();
                         assert_eq!(rt.committed, rt.table, "seed {seed:#x} op {op}");
                         assert_eq!(rt.committed_at, naive_index(&rt), "seed {seed:#x} op {op}");
                     }
                 }
                 assert_eq!(rt.oldest_relocatable(), naive_oldest_relocatable(&rt), "op {op}");
                 assert_eq!(rt.wear_victim(&a), naive_wear_victim(&rt, &a), "op {op}");
-                let names: Vec<&str> = rt.names().collect();
-                assert_eq!(names, shadow.keys().map(String::as_str).collect::<Vec<_>>());
             }
             assert!(relocated, "the interleaving must exercise the GC victims");
             drop(pins);
             rt.commit(&mut a).unwrap();
             a.crash(CrashMode::LoseDirty);
-            let mut r = PmRt::restore(&mut a).unwrap();
+            let r = PmRt::restore(&mut a).unwrap();
             assert_eq!(r.committed, r.table);
             assert_eq!(r.committed_at, naive_index(&r), "restore reseeds the reverse index");
-            assert_eq!(r.len(), shadow.len());
-            for (n, want) in &shadow {
-                assert_eq!(r.load::<Vec<u8>>(&mut a, n).unwrap().as_ref(), Some(want));
-            }
         }
-    }
-
-    #[test]
-    fn revert_staged_prefix_restores_committed_view() {
-        let mut a = arena();
-        let mut rt = PmRt::create(&mut a).unwrap();
-        rt.stage(&mut a, "t1/x", &1u64).unwrap();
-        rt.stage(&mut a, "t2/y", &10u64).unwrap();
-        rt.commit(&mut a).unwrap();
-        // Tenant t1 stages a rewrite, a new root, and a removal; t2 also
-        // stages. Reverting t1 must not disturb t2's staged write.
-        rt.stage(&mut a, "t1/x", &2u64).unwrap();
-        rt.stage(&mut a, "t1/z", &3u64).unwrap();
-        rt.stage(&mut a, "t2/y", &20u64).unwrap();
-        assert_eq!(rt.revert_staged_prefix("t1/"), 2);
-        assert_eq!(rt.load::<u64>(&mut a, "t1/x").unwrap(), Some(1));
-        assert_eq!(rt.load::<u64>(&mut a, "t1/z").unwrap(), None);
-        assert_eq!(rt.load::<u64>(&mut a, "t2/y").unwrap(), Some(20));
-        rt.commit(&mut a).unwrap();
-        a.crash(CrashMode::LoseDirty);
-        let mut r = PmRt::restore(&mut a).unwrap();
-        assert_eq!(r.load::<u64>(&mut a, "t1/x").unwrap(), Some(1));
-        assert_eq!(r.load::<u64>(&mut a, "t1/z").unwrap(), None);
-        assert_eq!(r.load::<u64>(&mut a, "t2/y").unwrap(), Some(20));
-    }
-
-    #[test]
-    fn revert_after_unregister_reinstates_root() {
-        let mut a = arena();
-        let mut rt = PmRt::create(&mut a).unwrap();
-        rt.stage(&mut a, "t/x", &5u64).unwrap();
-        rt.commit(&mut a).unwrap();
-        rt.stage(&mut a, "t/x", &6u64).unwrap();
-        assert!(rt.unregister("t/x"));
-        assert_eq!(rt.revert_staged_prefix("t/"), 1);
-        assert_eq!(rt.load::<u64>(&mut a, "t/x").unwrap(), Some(5));
-        rt.commit(&mut a).unwrap();
-        let mut r = PmRt::restore(&mut a).unwrap();
-        assert_eq!(r.load::<u64>(&mut a, "t/x").unwrap(), Some(5));
-    }
-
-    #[test]
-    fn prefix_usage_tracks_staged_view() {
-        let mut a = arena();
-        let mut rt = PmRt::create(&mut a).unwrap();
-        assert_eq!(rt.prefix_usage("t/"), 0);
-        rt.stage(&mut a, "t/x", &vec![0u8; 100]).unwrap();
-        let one = rt.prefix_usage("t/");
-        assert!(one >= 100);
-        rt.stage(&mut a, "t/y", &vec![0u8; 100]).unwrap();
-        assert!(rt.prefix_usage("t/") > one);
-        rt.unregister("t/y");
-        assert_eq!(rt.prefix_usage("t/"), one);
-        assert_eq!(rt.prefix_usage("u/"), 0);
     }
 
     #[test]

