@@ -4,30 +4,6 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# diff_gate <label> <subcommand…> -- <file…>: run the repro subcommand
-# with `--workers 1`, keep a copy of each named document, run it again
-# with `--workers 4`, and fail unless every document is byte-identical
-# (only wall-clock may differ between worker counts).
-diff_gate() {
-    local label=$1 cmd=() f
-    shift
-    while [ "$1" != "--" ]; do
-        cmd+=("$1")
-        shift
-    done
-    shift
-    cargo run --release -p pmoctree-bench --bin repro -- "${cmd[@]}" --workers 1
-    for f in "$@"; do cp "$f" "${f%.json}.w1.json"; done
-    cargo run --release -p pmoctree-bench --bin repro -- "${cmd[@]}" --workers 4
-    for f in "$@"; do
-        if ! diff -q "${f%.json}.w1.json" "$f"; then
-            echo "$label diverged between 1 and 4 workers" >&2
-            exit 1
-        fi
-        rm -f "${f%.json}.w1.json"
-    done
-}
-
 cargo build --release
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
@@ -188,25 +164,22 @@ cargo run --release -p pmoctree-bench --bin repro -- crash-sweep --smoke
 # its own tree and device) must report and trace byte-identically whether
 # 1, 2 or 4 workers execute the ranks.
 cargo test --release -p pmoctree-cluster --test thread_invariance -q
-# Orthogonal-persistence gate: runs crashed at sampled FailPlan
-# opportunities (including rt::commit) must resume to a report — and
-# hence a BENCH JSON — byte-identical to the uncrashed run, and
-# whole-application PM restart must beat the fsync-charged
-# file-checkpoint baseline >=10x (exits non-zero on either failure).
-cargo run --release -p pmoctree-bench --bin repro -- recovery-rt --smoke
-# Observability gate: a traced smoke workload must export a Chrome trace
-# that the independent JSON-level validator accepts.
+# Orthogonal-persistence gates: a run crashed at every labelled
+# opportunity of one step (rt::commit among them) and at evenly spaced
+# opportunities of the whole run resumes to the uncrashed run's report,
+# and whole-application reattach beats the restart from an fsync-charged
+# file checkpoint >=10x on the virtual clock.
+cargo test --release -p pmoctree-solver --lib persistent::tests -q
+# Observability gates: traces validate, tracing costs the virtual clock
+# nothing and the flight recorder at most 5%; and a traced smoke workload
+# must export a Chrome trace that the JSON-level validator accepts.
+cargo test --release -p pmoctree-bench --test trace_acceptance -q
 cargo run --release -p pmoctree-bench --bin repro -- droplet --quick --trace trace_smoke.json
 cargo run --release -p pmoctree-bench --bin repro -- trace-check trace_smoke.json
 rm -f trace_smoke.json
-# Worker-pool determinism gate: the cluster smoke must emit byte-identical
-# JSON whether the pool runs 1 worker or 4 (only wall-clock may differ).
-diff_gate "cluster smoke" cluster-smoke -- BENCH_cluster_smoke.json
-# Flight-recorder gate: the blackbox run (recorder on, recovered from the
-# arena's own media, overhead measured against a recorder-off run) must
-# pass its internal gates — well-formed dump, <=5% virtual-clock
-# inflation — and emit byte-identical JSON under 1 and 4 workers.
-diff_gate "blackbox run" blackbox --quick -- BENCH_blackbox.json
+# An unknown repro subcommand exits 2 with the usage text, so a script
+# naming one repro does not run fails instead of passing silently.
+cargo test --release -p pmoctree-bench --test cli -q
 # Wear-telemetry gate: write_fraction writes BENCH_wear.json whole, so a
 # valid entry an earlier run left behind (planted here as driver "stale")
 # must not survive it, and the droplet driver's per-region/per-phase
@@ -227,7 +200,7 @@ if ! grep -q '"driver":"droplet"' BENCH_wear.json; then
 fi
 # BENCH-document shape gate: trace-check validates every emitted
 # BENCH_*.json (wear docs need all four regions + the 16-bucket
-# histogram; blackbox needs a well-formed recovered dump).
+# histogram).
 for f in BENCH_*.json; do
     cargo run --release -p pmoctree-bench --bin repro -- trace-check "$f"
 done

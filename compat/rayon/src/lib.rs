@@ -25,9 +25,9 @@
 //!   available visits items in the same left-to-right order.
 //!
 //! Nested parallelism is flattened: a `par_*` call made from inside a pool
-//! worker runs sequentially on that worker (a thread-local guard), so
-//! kernels like `neighbor_queries` that are parallel at top level do not
-//! explode the thread count when invoked from inside a per-rank closure.
+//! worker runs sequentially on that worker (a thread-local guard), so a
+//! kernel that is parallel at top level does not explode the thread count
+//! when invoked from inside a per-rank closure.
 //!
 //! The worker count defaults to `RAYON_NUM_THREADS` or, failing that, the
 //! machine's available parallelism. [`set_num_threads`] overrides it at

@@ -123,7 +123,7 @@ pub trait OctreeBackend {
     /// Returns, per source, the distinct containing leaves of its neighbor
     /// keys (sorted, deduplicated; unresolved/internal neighbors omitted).
     fn neighbor_leaves_many(&mut self, sources: &[OctKey], full: bool) -> Vec<Vec<OctKey>> {
-        let (queries, spans) = neighbor_queries(sources, full);
+        let (queries, spans) = pmoctree_morton::simd::neighbors_many(sources, full);
         let resolved = self.containing_leaf_many(&queries);
         spans
             .iter()
@@ -215,13 +215,6 @@ impl<T: OctreeBackend + ?Sized> OctreeBackend for &mut T {
     fn neighbor_leaves_many(&mut self, sources: &[OctKey], full: bool) -> Vec<Vec<OctKey>> {
         (**self).neighbor_leaves_many(sources, full)
     }
-}
-
-/// Generate the flat neighbor-key query batch for `sources` plus the
-/// per-source `[start, end)` spans into it: the batch form of the per-key
-/// `face_neighbors` / `all_neighbors` calculus, in its order.
-pub fn neighbor_queries(sources: &[OctKey], full: bool) -> (Vec<OctKey>, Vec<(usize, usize)>) {
-    pmoctree_morton::simd::neighbors_many(sources, full)
 }
 
 // ---------------------------------------------------------------- PM-octree
@@ -558,11 +551,7 @@ impl OctreeBackend for EtreeBackend {
     }
 
     fn is_leaf(&mut self, key: OctKey) -> Option<bool> {
-        match self.tree.is_leaf(key) {
-            Some(true) => Some(true),
-            Some(false) => Some(false),
-            None => None,
-        }
+        self.tree.is_leaf(key)
     }
 
     fn containing_leaf(&mut self, key: OctKey) -> Option<OctKey> {

@@ -25,7 +25,7 @@ pub mod partition;
 pub mod refine;
 pub mod vtk;
 
-pub use backend::{neighbor_queries, Cell, EtreeBackend, InCoreBackend, OctreeBackend, PmBackend};
+pub use backend::{Cell, EtreeBackend, InCoreBackend, OctreeBackend, PmBackend};
 pub use balance::{
     balance, balance26, balance_subset, can_coarsen, can_coarsen_many, check_balance,
     check_balance26, coarsen_balanced, refine_balanced,

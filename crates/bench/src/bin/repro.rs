@@ -1,25 +1,10 @@
 //! Regenerate every table and figure of the paper's evaluation at
-//! laptop scale. Usage:
-//!
-//! ```text
-//! repro [table2|fig3|write_fraction|layout|fig6|fig7|fig8|fig9|fig10|fig11|recovery|ablations|all]
-//! [--quick] [--workers N]
-//! repro crash-sweep [--smoke]
-//! repro recovery-rt [--smoke]
-//! repro droplet [--quick] [--trace out.json] [--metrics out.prom]
-//! repro blackbox [--quick]
-//! repro cluster-smoke [--workers N]
-//! repro trace-check FILE
-//! ```
+//! laptop scale, and run the two crash sweeps. Usage is [`USAGE`]; an
+//! unknown subcommand prints it and exits 2.
 //!
 //! `--workers N` pins the worker-pool size for any subcommand (default:
 //! `RAYON_NUM_THREADS` or the machine's cores). By the determinism
 //! invariant it may only change wall-clock time, never results.
-//!
-//! `cluster-smoke` (not part of `all`) runs a fixed 4-rank scaling point
-//! and writes `BENCH_cluster_smoke.json` containing virtual-time results
-//! only; `ci.sh` runs it under 1 and 4 workers and fails if the two files
-//! differ by a byte.
 //!
 //! `crash-sweep` (not part of `all`) enumerates every crash opportunity
 //! of a droplet workload under every crash mode and verifies recovery at
@@ -34,28 +19,12 @@
 //! `write_fraction` also writes `BENCH_wear.json`, the droplet driver's
 //! per-region/per-phase wear attribution, whole on every run.
 //!
-//! `recovery-rt` (not part of `all`) exercises the pm-rt
-//! orthogonal-persistence runtime: sampled crashes (including at
-//! `rt::commit`) must resume through `pm_restore` to a byte-identical
-//! report, and whole-application restart must beat the file-checkpoint
-//! baseline ≥10x. Writes `BENCH_recovery_rt.json`; exits non-zero if
-//! either claim fails.
-//!
 //! `droplet` (not part of `all`) runs the droplet workload with tracing
 //! on, prints the span attribution and per-timestep tables, and writes
 //! `BENCH_droplet.json`; `--trace` additionally exports the journal as
 //! Chrome trace-event JSON (load in `chrome://tracing` or Perfetto) and
 //! `--metrics` dumps a Prometheus text snapshot. `trace-check` validates
 //! such an exported trace file and exits non-zero if it is malformed.
-//!
-//! `blackbox` (not part of `all`) runs the droplet workload with the
-//! persistent flight recorder enabled, recovers the ring from the
-//! arena's own media, prints the tail of the recovered entries, and
-//! measures the recorder's virtual-clock overhead against a
-//! recorder-off run of the same workload. Writes `BENCH_blackbox.json`
-//! (virtual-clock deterministic, part of the `ci.sh` 1-vs-4-worker
-//! byte-diff gates); exits non-zero if the recovered dump is malformed
-//! or the overhead exceeds the 5% bound.
 //!
 //! `trace-check FILE` validates an exported Chrome trace, or — when the
 //! file is a `BENCH_*.json` document carrying an `"experiment"` key —
@@ -70,6 +39,18 @@
 use pmoctree_bench::fmt::*;
 use pmoctree_bench::json::*;
 use pmoctree_bench::*;
+
+const USAGE: &str = "\
+usage: repro [table2|fig3|write_fraction|layout|fig6|fig7|fig8|fig9|fig10|fig11|recovery|ablations|all]
+             [--quick] [--workers N]
+       repro crash-sweep [--smoke]
+       repro droplet [--quick] [--trace out.json] [--metrics out.prom]
+       repro trace-check FILE
+";
+
+/// Every subcommand `main` dispatches on.
+const SUBCOMMANDS: &str = "table2 fig3 write_fraction layout fig6 fig7 fig8 fig9 fig10 fig11 \
+                           recovery ablations all crash-sweep droplet trace-check";
 
 struct Scale {
     fig3_steps: usize,
@@ -143,6 +124,10 @@ fn main() {
         }
     }
     let what = positionals.first().cloned().unwrap_or_else(|| "all".into());
+    if !SUBCOMMANDS.split_whitespace().any(|s| s == what) {
+        eprint!("repro: unknown subcommand {what:?}\n{USAGE}");
+        std::process::exit(2);
+    }
     let all = what == "all";
 
     if all || what == "table2" {
@@ -257,27 +242,6 @@ fn main() {
             }
         }
     }
-    if what == "recovery-rt" {
-        let cfg = if args.iter().any(|a| a == "--smoke") || quick {
-            RecoveryRtConfig::smoke()
-        } else {
-            RecoveryRtConfig::full()
-        };
-        let r = recovery_rt(&cfg);
-        println!("{}", recovery_rt_str(&r));
-        write_bench_json("recovery_rt", &recovery_rt_json(&r));
-        if !r.all_identical() {
-            eprintln!("recovery-rt: a crashed run did not resume to the identical report");
-            std::process::exit(1);
-        }
-        if r.speedup() < 10.0 {
-            eprintln!(
-                "recovery-rt: whole-app PM restart only {:.2}x faster than the file baseline",
-                r.speedup()
-            );
-            std::process::exit(1);
-        }
-    }
     if what == "droplet" {
         let run = droplet_traced(scale.steps, scale.recovery_level);
         println!("{}", droplet_str(&run));
@@ -305,27 +269,6 @@ fn main() {
                 }
             }
         }
-    }
-    if what == "blackbox" {
-        let b = blackbox(scale.steps, scale.recovery_level);
-        print!("{}", blackbox_str(&b));
-        write_bench_json("blackbox", &blackbox_json(&b));
-        if !b.dump.header_ok || b.dump.entries.is_empty() {
-            eprintln!("blackbox: recovered flight-recorder dump is malformed");
-            std::process::exit(1);
-        }
-        if b.overhead.inflation_percent() > 5.0 {
-            eprintln!(
-                "blackbox: recorder inflates the traced droplet run by {:.2}% (bound: 5%)",
-                b.overhead.inflation_percent()
-            );
-            std::process::exit(1);
-        }
-    }
-    if what == "cluster-smoke" {
-        let smoke = cluster_smoke();
-        println!("{}", cluster_smoke_str(&smoke));
-        write_bench_json("cluster_smoke", &cluster_smoke_json(&smoke));
     }
     if what == "trace-check" {
         let Some(path) = positionals.get(1) else {

@@ -280,32 +280,6 @@ pub fn run_point(scheme: Scheme, procs: usize, max_level: u8, steps: usize) -> S
     }
 }
 
-/// The fixed smoke configuration `ci.sh` runs twice (1 worker, then 4)
-/// to prove the determinism invariant end-to-end: virtual-time rows
-/// only, so [`crate::json::cluster_smoke_json`] must serialize to the
-/// same bytes for any worker count. Wall-clock and the worker count are
-/// carried for the stdout report and never serialized.
-pub struct ClusterSmoke {
-    /// One row per scheme at the fixed smoke point.
-    pub rows: Vec<ScalingRow>,
-    /// Wall-clock seconds of the whole smoke (stdout only).
-    pub wall_secs: f64,
-    /// Worker count the smoke ran under (stdout only).
-    pub workers: usize,
-}
-
-/// Run the cluster smoke: PM-octree and the in-core baseline at a fixed
-/// 4-rank point.
-pub fn cluster_smoke() -> ClusterSmoke {
-    let t0 = std::time::Instant::now();
-    let rows = vec![run_point(Scheme::pm_default(), 4, 4, 3), run_point(Scheme::InCore, 4, 4, 3)];
-    ClusterSmoke {
-        rows,
-        wall_secs: t0.elapsed().as_secs_f64(),
-        workers: rayon::current_num_threads(),
-    }
-}
-
 /// Figures 6 & 7: weak scaling. `points` are `(procs, max_level)` pairs
 /// chosen so elements/proc stays roughly constant; all three schemes run
 /// at every point.
@@ -523,8 +497,6 @@ pub struct DropletRun {
     pub trav: TraversalStats,
     /// Wear / write-amplification attribution of the run's NVBM device.
     pub wear: pmoctree_nvbm::WearReport,
-    /// Recovered flight-recorder dump (from the durable media view).
-    pub blackbox: pmoctree_nvbm::RecorderDump,
 }
 
 /// Run the droplet workload with tracing attached (tid 0). Deterministic:
@@ -568,7 +540,6 @@ fn droplet_run(steps: usize, max_level: u8, traced: bool, recorder: bool) -> Dro
         metrics: tr.metrics(),
         trav: b.tree.store.arena.stats.trav,
         wear: b.tree.store.arena.stats.wear_report(),
-        blackbox: b.tree.store.arena.recorder_dump(),
         report,
     }
 }
@@ -577,7 +548,7 @@ fn droplet_run(steps: usize, max_level: u8, traced: bool, recorder: bool) -> Dro
 /// with the recorder enabled vs disabled, compared on the virtual clock.
 /// Both runs are untraced so the comparison isolates the recorder's
 /// line writes + flushes from the (DRAM-side) journal cost.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RecorderOverhead {
     /// Total virtual seconds with the recorder on.
     pub on_secs: f64,
@@ -602,38 +573,6 @@ pub fn recorder_overhead(steps: usize, max_level: u8) -> RecorderOverhead {
     let on = droplet_run(steps, max_level, false, true);
     let off = droplet_run(steps, max_level, false, false);
     RecorderOverhead { on_secs: on.report.total_secs(), off_secs: off.report.total_secs() }
-}
-
-/// The `repro blackbox` result: a deterministic droplet run, its
-/// recovered flight-recorder dump (exactly what a post-crash reboot
-/// would read from the media), and the recorder's measured overhead.
-#[derive(Debug, Clone)]
-pub struct BlackboxRun {
-    /// Final element count of the run.
-    pub elements: usize,
-    /// Steps executed.
-    pub steps: usize,
-    /// The recovered ring, oldest surviving entry first.
-    pub dump: pmoctree_nvbm::RecorderDump,
-    /// Wear attribution of the same run.
-    pub wear: pmoctree_nvbm::WearReport,
-    /// Recorder on/off virtual-clock comparison.
-    pub overhead: RecorderOverhead,
-}
-
-/// Run the blackbox experiment: drive the droplet workload with the
-/// recorder on, then recover the ring from the durable media view — the
-/// same path `recorder::recover` takes after a real crash. Virtual-clock
-/// deterministic: worker count must not change a byte of the output.
-pub fn blackbox(steps: usize, max_level: u8) -> BlackboxRun {
-    let run = droplet_run(steps, max_level, false, true);
-    BlackboxRun {
-        elements: run.elements,
-        steps,
-        dump: run.blackbox,
-        wear: run.wear,
-        overhead: recorder_overhead(steps, max_level),
-    }
 }
 
 // ------------------------------------------------- §5.6 recovery

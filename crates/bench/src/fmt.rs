@@ -104,18 +104,6 @@ pub fn scaling_str(title: &str, rows: &[ScalingRow]) -> String {
     s
 }
 
-/// Render the cluster smoke: the scaling rows plus the wall-clock /
-/// worker-count line (stdout only — these two never enter the JSON, so
-/// the emitted file stays byte-identical across worker counts).
-pub fn cluster_smoke_str(s: &ClusterSmoke) -> String {
-    let mut out = scaling_str("Cluster smoke (fixed 4-rank point; determinism gate)", &s.rows);
-    out.push_str(&format!(
-        "workers: {}  wall-clock: {:.3}s (reported here only; never serialized)\n",
-        s.workers, s.wall_secs
-    ));
-    out
-}
-
 /// Render Figure 10.
 pub fn fig10_str(rows: &[Fig10Row]) -> String {
     let mut s = String::from(
@@ -262,33 +250,6 @@ pub fn trace_check_str(path: &str, s: &crate::trace_check::TraceSummary) -> Stri
     )
 }
 
-/// Render the whole-application restart experiment.
-pub fn recovery_rt_str(r: &crate::recovery_rt::RecoveryRt) -> String {
-    let mut s = format!(
-        "Whole-application restart (pm-rt): {} steps, {} elements, {} crash opportunities\n",
-        r.steps, r.elements, r.opportunities
-    );
-    s.push_str("crash at    | label            | resumed at | identical report\n");
-    for row in &r.rows {
-        s.push_str(&format!(
-            "{:>11} | {:<16} | {:<10} | {}\n",
-            row.opportunity,
-            row.label.as_deref().unwrap_or("-"),
-            row.resumed_at.map_or("scratch".to_string(), |at| format!("step {at}")),
-            if row.identical { "yes" } else { "NO" },
-        ));
-    }
-    s.push_str(&format!(
-        "restart latency (virtual s): pm-rt reattach {:.6} vs file checkpoint {:.6} \
-         (read + rebuild + {} replayed steps) => {:.1}x\n",
-        r.pm_restart_secs,
-        r.baseline_restart_secs,
-        r.baseline_lost_steps,
-        r.speedup()
-    ));
-    s
-}
-
 /// Render a wear / write-amplification report: per-region and per-phase
 /// committed bytes plus the block-wear histogram.
 pub fn wear_str(w: &pmoctree_nvbm::WearReport) -> String {
@@ -310,43 +271,6 @@ pub fn wear_str(w: &pmoctree_nvbm::WearReport) -> String {
         .map(|(i, &n)| format!("2^{i}:{n}"))
         .collect();
     s.push_str(&format!("  wear histogram (log2 buckets): {}\n", hist.join(" ")));
-    s
-}
-
-/// Render the blackbox (flight recorder) run: the recovered ring and the
-/// recorder's measured overhead.
-pub fn blackbox_str(b: &crate::experiments::BlackboxRun) -> String {
-    let mut s = format!(
-        "Blackbox: droplet run, {} steps, {} elements; recovered flight recorder holds \
-         {} entries ({} slots, {} dropped, {} truncated)\n",
-        b.steps,
-        b.elements,
-        b.dump.entries.len(),
-        b.dump.slots,
-        b.dump.dropped_slots,
-        b.dump.truncated
-    );
-    s.push_str("   seq |        t_ns | kind       | label                      | arg\n");
-    for e in b.dump.entries.iter().rev().take(20).rev() {
-        s.push_str(&format!(
-            "{:>6} | {:>11} | {:<10} | {:<26} | {}\n",
-            e.seq,
-            e.t_ns,
-            e.kind.as_str(),
-            e.label,
-            e.arg
-        ));
-    }
-    if b.dump.entries.len() > 20 {
-        s.push_str(&format!("   ... ({} older entries not shown)\n", b.dump.entries.len() - 20));
-    }
-    s.push_str(&format!(
-        "recorder overhead: {:.4} virtual s on vs {:.4} off => {:.2}% inflation (bound: 5%)\n",
-        b.overhead.on_secs,
-        b.overhead.off_secs,
-        b.overhead.inflation_percent()
-    ));
-    s.push_str(&wear_str(&b.wear));
     s
 }
 

@@ -4,8 +4,8 @@
 //!
 //! Serialization is serde-derived: each experiment's row struct carries
 //! `#[derive(Serialize)]` and the functions here wrap the rows in a small
-//! document struct (`{"experiment": ..., "rows": [...]}`), so fields
-//! added to a row automatically appear in its JSON.
+//! document (`{"experiment": ..., "rows": [...]}`), so fields added to a
+//! row automatically appear in its JSON.
 
 use crate::experiments::*;
 use pmoctree_nvbm::TraversalStats;
@@ -42,56 +42,30 @@ pub fn write_fraction_json(w: &WriteFraction) -> String {
     })
 }
 
-#[derive(Serialize)]
-struct ScalingDoc {
-    experiment: String,
-    rows: Vec<ScalingRow>,
+/// The `{"experiment": ..., "rows": [...]}` document every row-table
+/// experiment writes.
+fn rows_doc<T: Serialize>(experiment: &str, rows: &[T]) -> String {
+    format!(r#"{{"experiment":{},"rows":{}}}"#, json_doc(experiment), json_doc(rows))
 }
 
 /// JSON for a scaling experiment (Figs 6/7 or 8/9).
 pub fn scaling_json(experiment: &str, rows: &[ScalingRow]) -> String {
-    json_doc(&ScalingDoc { experiment: experiment.to_string(), rows: rows.to_vec() })
-}
-
-/// JSON for the cluster smoke. Only the virtual-time rows are
-/// serialized — wall-clock and worker count deliberately stay out, so a
-/// 1-worker and a 4-worker run must emit byte-identical files (the
-/// `ci.sh` determinism gate diffs them).
-pub fn cluster_smoke_json(s: &ClusterSmoke) -> String {
-    json_doc(&ScalingDoc { experiment: "cluster_smoke".to_string(), rows: s.rows.to_vec() })
-}
-
-#[derive(Serialize)]
-struct Fig10Doc {
-    experiment: &'static str,
-    rows: Vec<Fig10Row>,
+    rows_doc(experiment, rows)
 }
 
 /// JSON for Figure 10 (DRAM size sweep).
 pub fn fig10_json(rows: &[Fig10Row]) -> String {
-    json_doc(&Fig10Doc { experiment: "fig10", rows: rows.to_vec() })
-}
-
-#[derive(Serialize)]
-struct Fig11Doc {
-    experiment: &'static str,
-    rows: Vec<Fig11Row>,
+    rows_doc("fig10", rows)
 }
 
 /// JSON for Figure 11 (dynamic transformation off/on).
 pub fn fig11_json(rows: &[Fig11Row]) -> String {
-    json_doc(&Fig11Doc { experiment: "fig11", rows: rows.to_vec() })
-}
-
-#[derive(Serialize)]
-struct RecoveryDoc {
-    experiment: &'static str,
-    rows: Vec<pmoctree_cluster::RecoveryReport>,
+    rows_doc("fig11", rows)
 }
 
 /// JSON for the §5.6 recovery comparison.
 pub fn recovery_json(rows: &[pmoctree_cluster::RecoveryReport]) -> String {
-    json_doc(&RecoveryDoc { experiment: "recovery", rows: rows.to_vec() })
+    rows_doc("recovery", rows)
 }
 
 #[derive(Serialize)]
@@ -175,64 +149,6 @@ pub fn droplet_json(run: &DropletRun) -> String {
 }
 
 #[derive(Serialize)]
-struct RecoveryRtStepDoc {
-    step: usize,
-    refine_ns: u64,
-    balance_ns: u64,
-    solve_ns: u64,
-    persist_ns: u64,
-    leaves: usize,
-}
-
-#[derive(Serialize)]
-struct RecoveryRtDoc {
-    experiment: &'static str,
-    steps: usize,
-    elements: usize,
-    opportunities: u64,
-    all_identical: bool,
-    pm_restart_secs: f64,
-    baseline_restart_secs: f64,
-    baseline_lost_steps: usize,
-    speedup: f64,
-    crashes: Vec<crate::recovery_rt::CrashResumeRow>,
-    report: Vec<RecoveryRtStepDoc>,
-}
-
-/// JSON for the whole-application restart experiment. The `report`
-/// rows come from the *reference* run, which every sampled crashed run
-/// reproduced byte-for-byte when `all_identical` holds — so a crashed
-/// repro of this experiment emits this exact file.
-pub fn recovery_rt_json(r: &crate::recovery_rt::RecoveryRt) -> String {
-    json_doc(&RecoveryRtDoc {
-        experiment: "recovery_rt",
-        steps: r.steps,
-        elements: r.elements,
-        opportunities: r.opportunities,
-        all_identical: r.all_identical(),
-        pm_restart_secs: r.pm_restart_secs,
-        baseline_restart_secs: r.baseline_restart_secs,
-        baseline_lost_steps: r.baseline_lost_steps,
-        speedup: r.speedup(),
-        crashes: r.rows.clone(),
-        report: r
-            .report
-            .steps
-            .iter()
-            .enumerate()
-            .map(|(i, s)| RecoveryRtStepDoc {
-                step: i,
-                refine_ns: s.refine_ns,
-                balance_ns: s.balance_ns,
-                solve_ns: s.solve_ns,
-                persist_ns: s.persist_ns,
-                leaves: s.leaves,
-            })
-            .collect(),
-    })
-}
-
-#[derive(Serialize)]
 struct WearDriverDoc {
     driver: String,
     wear: pmoctree_nvbm::WearReport,
@@ -253,32 +169,7 @@ pub fn wear_json(driver: &str, wear: &pmoctree_nvbm::WearReport) -> String {
     })
 }
 
-#[derive(Serialize)]
-struct BlackboxDoc {
-    experiment: &'static str,
-    steps: usize,
-    elements: usize,
-    recorder_overhead_percent: f64,
-    dump: pmoctree_nvbm::RecorderDump,
-    wear: pmoctree_nvbm::WearReport,
-}
-
-/// JSON for the `repro blackbox` run: the recovered flight-recorder ring
-/// plus the run's wear attribution and the recorder's measured
-/// virtual-clock overhead. Virtual-clock deterministic — part of the
-/// `ci.sh` 1-vs-4-worker byte-diff gates.
-pub fn blackbox_json(b: &crate::experiments::BlackboxRun) -> String {
-    json_doc(&BlackboxDoc {
-        experiment: "blackbox",
-        steps: b.steps,
-        elements: b.elements,
-        recorder_overhead_percent: b.overhead.inflation_percent(),
-        dump: b.dump.clone(),
-        wear: b.wear.clone(),
-    })
-}
-
-fn json_doc<T: Serialize>(doc: &T) -> String {
+fn json_doc<T: Serialize + ?Sized>(doc: &T) -> String {
     serde_json::to_string(doc).unwrap_or_else(|e| format!("{{\"error\": \"{e}\"}}"))
 }
 

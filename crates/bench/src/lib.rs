@@ -13,10 +13,8 @@ pub mod crash_sweep;
 pub mod experiments;
 pub mod fmt;
 pub mod json;
-pub mod recovery_rt;
 pub mod trace_check;
 
 pub use crash_sweep::*;
 pub use experiments::*;
-pub use recovery_rt::{recovery_rt, CrashResumeRow, RecoveryRt, RecoveryRtConfig};
 pub use trace_check::{check_bench_doc, check_trace, looks_like_bench_doc, TraceSummary};

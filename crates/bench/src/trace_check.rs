@@ -134,11 +134,10 @@ fn check_wear_section(wear: &Value, ctx: &str) -> Result<(), String> {
 }
 
 /// Validate a `BENCH_*.json` document's shape. Every document must be
-/// strict JSON with an `"experiment"` string; wear and blackbox
-/// documents additionally must carry complete wear attribution (all
-/// four regions, a non-empty phase breakdown, the 16-bucket histogram)
-/// and — for blackbox — a well-formed recovered recorder dump. Returns
-/// the experiment name.
+/// strict JSON with an `"experiment"` string; wear documents
+/// additionally must carry complete wear attribution per driver (all
+/// four regions, a non-empty phase breakdown, the 16-bucket histogram).
+/// Returns the experiment name.
 pub fn check_bench_doc(text: &str) -> Result<String, String> {
     let doc = serde_json::from_str(text).map_err(|e| format!("not valid JSON: {e}"))?;
     let kind = doc
@@ -146,41 +145,23 @@ pub fn check_bench_doc(text: &str) -> Result<String, String> {
         .and_then(Value::as_str)
         .ok_or_else(|| "missing \"experiment\" string".to_string())?
         .to_string();
-    match kind.as_str() {
-        "wear" => {
-            let drivers = doc
-                .get("drivers")
-                .and_then(Value::as_array)
-                .ok_or_else(|| "wear: missing \"drivers\" array".to_string())?;
-            if drivers.is_empty() {
-                return Err("wear: no drivers recorded".to_string());
-            }
-            for d in drivers {
-                let name = d
-                    .get("driver")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| "wear: driver entry without \"driver\" name".to_string())?;
-                let wear =
-                    d.get("wear").ok_or_else(|| format!("wear: driver {name:?} lacks \"wear\""))?;
-                check_wear_section(wear, &format!("driver {name:?}"))?;
-            }
+    if kind == "wear" {
+        let drivers = doc
+            .get("drivers")
+            .and_then(Value::as_array)
+            .ok_or_else(|| "wear: missing \"drivers\" array".to_string())?;
+        if drivers.is_empty() {
+            return Err("wear: no drivers recorded".to_string());
         }
-        "blackbox" => {
-            let dump = doc.get("dump").ok_or_else(|| "blackbox: missing \"dump\"".to_string())?;
-            if dump.get("header_ok").and_then(Value::as_bool) != Some(true) {
-                return Err("blackbox: dump.header_ok is not true".to_string());
-            }
-            let entries = dump
-                .get("entries")
-                .and_then(Value::as_array)
-                .ok_or_else(|| "blackbox: dump lacks \"entries\" array".to_string())?;
-            if entries.is_empty() {
-                return Err("blackbox: recovered dump has no entries".to_string());
-            }
-            let wear = doc.get("wear").ok_or_else(|| "blackbox: missing \"wear\"".to_string())?;
-            check_wear_section(wear, "blackbox")?;
+        for d in drivers {
+            let name = d
+                .get("driver")
+                .and_then(Value::as_str)
+                .ok_or_else(|| "wear: driver entry without \"driver\" name".to_string())?;
+            let wear =
+                d.get("wear").ok_or_else(|| format!("wear: driver {name:?} lacks \"wear\""))?;
+            check_wear_section(wear, &format!("driver {name:?}"))?;
         }
-        _ => {}
     }
     Ok(kind)
 }

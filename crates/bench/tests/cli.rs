@@ -1,0 +1,16 @@
+//! `repro` rejects what it does not run: an unknown subcommand (a typo,
+//! or a script still naming a removed one) prints the usage text and
+//! exits 2 instead of running nothing and exiting 0.
+
+use std::process::Command;
+
+#[test]
+fn unknown_subcommands_exit_2_with_usage() {
+    for sub in ["recovery-rt", "blackbox", "cluster-smoke", "fig12"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro")).arg(sub).output().expect("repro runs");
+        assert_eq!(out.status.code(), Some(2), "repro {sub}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: repro"), "repro {sub} printed no usage: {stderr}");
+        assert!(out.stdout.is_empty(), "repro {sub} ran something");
+    }
+}

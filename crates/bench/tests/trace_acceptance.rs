@@ -5,13 +5,13 @@
 //!    the `step::persist` spans agree with the driver's breakdown,
 //! 3. two same-seed runs produce byte-identical traces,
 //! 4. tracing inflates the virtual clock by exactly 0 (the tracer is a
-//!    pure observer; only arena operations advance the clock),
-//! 5. worker-count invariance: the cluster smoke's BENCH JSON bytes, its
-//!    exported trace, and the trace-check summary are identical under
-//!    1, 2 and 4 pool workers.
+//!    pure observer; only arena operations advance the clock), and the
+//!    persistent flight recorder by at most 5%,
+//! 5. a traced two-rank cluster run exports a valid trace (its
+//!    worker-count invariance is `pmoctree-cluster`'s
+//!    `thread_invariance` test).
 
-use pmoctree_bench::json::cluster_smoke_json;
-use pmoctree_bench::{check_trace, cluster_smoke, droplet_traced, droplet_untraced, sim_cfg};
+use pmoctree_bench::{check_trace, droplet_traced, droplet_untraced, recorder_overhead, sim_cfg};
 use pmoctree_cluster::{ClusterSim, Scheme};
 use pmoctree_obsv::{chrome, coverage, inclusive_totals, step_table};
 
@@ -75,32 +75,15 @@ fn same_seed_runs_emit_byte_identical_traces() {
     assert_eq!(ja, jb, "exported traces diverge between identical runs");
 }
 
-/// The worker-pool determinism gate at the artifact level: everything
-/// `repro cluster-smoke` and a traced cluster run emit must be
-/// byte-identical whether the pool has 1, 2 or 4 workers. This is what
-/// lets `ci.sh` diff two smoke runs as a hard failure condition.
 #[test]
-fn cluster_artifacts_byte_identical_across_worker_counts() {
-    let run = |workers: usize| {
-        rayon::set_num_threads(workers);
-        let json = cluster_smoke_json(&cluster_smoke());
-        let mut c = ClusterSim::new(Scheme::pm_default(), 2, sim_cfg(2, 4), 32 << 20);
-        c.enable_tracing();
-        c.run(2);
-        let trace = chrome::trace_json(&c.trace_threads());
-        let summary = check_trace(&trace).expect("cluster trace must validate");
-        (json, trace, summary)
-    };
-    let prev = rayon::current_num_threads();
-    let (json_1, trace_1, summary_1) = run(1);
-    assert!(summary_1.spans > 0, "cluster trace must contain spans");
-    for workers in [2, 4] {
-        let (json, trace, summary) = run(workers);
-        assert_eq!(json, json_1, "BENCH_cluster_smoke.json bytes differ under {workers} workers");
-        assert_eq!(trace, trace_1, "exported trace differs under {workers} workers");
-        assert_eq!(summary, summary_1, "trace-check output differs under {workers} workers");
-    }
-    rayon::set_num_threads(prev);
+fn traced_cluster_run_exports_a_valid_trace() {
+    let mut c = ClusterSim::new(Scheme::pm_default(), 2, sim_cfg(2, 4), 32 << 20);
+    c.enable_tracing();
+    c.run(2);
+    let summary =
+        check_trace(&chrome::trace_json(&c.trace_threads())).expect("cluster trace must validate");
+    assert_eq!(summary.threads, 2, "one stream per rank");
+    assert!(summary.spans > 0, "cluster trace must contain spans");
 }
 
 #[test]
@@ -117,4 +100,17 @@ fn tracing_does_not_inflate_the_virtual_clock() {
     );
     assert_eq!(traced.report.total_secs(), untraced.report.total_secs());
     assert_eq!(traced.elements, untraced.elements);
+}
+
+#[test]
+fn flight_recorder_inflates_the_virtual_clock_at_most_5_percent() {
+    let o = recorder_overhead(STEPS, LEVEL);
+    println!(
+        "recorder overhead: {:.2}% ({} vs {} virtual s)",
+        o.inflation_percent(),
+        o.on_secs,
+        o.off_secs
+    );
+    assert!(o.on_secs > o.off_secs, "the recorder's line writes must cost something: {o:?}");
+    assert!(o.inflation_percent() <= 5.0, "recorder inflates the droplet run by {o:?}");
 }

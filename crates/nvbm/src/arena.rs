@@ -152,8 +152,6 @@ const MAGIC: u64 = 0x504d_4f43_5452_4545; // "PMOCTREE"-ish
 const OFF_MAGIC: u64 = 0;
 const OFF_EPOCH: u64 = 8;
 const OFF_ROOT0: u64 = 16;
-#[allow(dead_code)]
-const OFF_ROOT1: u64 = 24;
 const OFF_BUMP: u64 = 32;
 const OFF_RT_ROOT: u64 = 40;
 const OFF_RT_BUMP: u64 = 48;
@@ -288,29 +286,40 @@ impl NvbmArena {
     /// image: recording continues after the last surviving entry.
     pub fn from_media(media: Vec<u8>, model: DeviceModel) -> Self {
         assert!(media.len() as u64 >= HEADER_SIZE, "image too small");
-        let mut stats = MemStats::new(media.len());
-        let (octree_edge, rt_floor) = derive_live_bounds(&media);
-        let (rec_base, rec_slots) = recorder::region_of(&media).unwrap_or((0, 0));
-        let rec_next_seq = recorder::recover(&media).last().map_or(1, |e| e.seq + 1);
-        stats.set_region_bounds(rec_base, rt_floor);
-        let regions =
-            RegionManager::from_bounds(media.len() as u64, rec_base, octree_edge, rt_floor);
-        NvbmArena {
+        let capacity = media.len();
+        let mut a = NvbmArena {
             media,
             cache: LineTable::default(),
             cache_cap: CACHE_LINES,
             model,
             clock: VirtualClock::new(),
-            stats,
+            stats: MemStats::new(capacity),
             tracer: Tracer::default(),
             plan: None,
-            regions,
+            regions: RegionManager::new(capacity as u64, 0),
             rt_pins: EpochPins::new(),
-            rec_base,
-            rec_slots,
-            rec_next_seq,
+            rec_base: 0,
+            rec_slots: 0,
+            rec_next_seq: 1,
             rec_enabled: true,
-        }
+        };
+        a.adopt_media_layout();
+        a
+    }
+
+    /// Re-derive what the arena keeps about its media's layout from the
+    /// image itself: the region bounds from the header hints, the flight
+    /// recorder ring (recording continues after its last surviving entry)
+    /// and the stats' region bounds.
+    fn adopt_media_layout(&mut self) {
+        let (octree_edge, rt_floor) = derive_live_bounds(&self.media);
+        let (rec_base, rec_slots) = recorder::region_of(&self.media).unwrap_or((0, 0));
+        let capacity = self.media.len() as u64;
+        self.regions = RegionManager::from_bounds(capacity, rec_base, octree_edge, rt_floor);
+        self.rec_base = rec_base;
+        self.rec_slots = rec_slots;
+        self.rec_next_seq = recorder::recover(&self.media).last().map_or(1, |e| e.seq + 1);
+        self.stats.set_region_bounds(rec_base, rt_floor);
     }
 
     // ---- tracing ---------------------------------------------------------
@@ -772,16 +781,8 @@ impl NvbmArena {
         assert_eq!(image.len(), self.media.len(), "image size mismatch");
         self.media.copy_from_slice(image);
         self.cache.clear();
-        let (bump, floor) = derive_live_bounds(&self.media);
         self.rt_pins.invalidate();
-        // The image carries its own flight recorder: adopt its ring and
-        // continue recording after its last surviving entry.
-        let (rec_base, rec_slots) = recorder::region_of(&self.media).unwrap_or((0, 0));
-        self.regions = RegionManager::from_bounds(self.media.len() as u64, rec_base, bump, floor);
-        self.rec_base = rec_base;
-        self.rec_slots = rec_slots;
-        self.rec_next_seq = recorder::recover(&self.media).last().map_or(1, |e| e.seq + 1);
-        self.stats.set_region_bounds(rec_base, floor);
+        self.adopt_media_layout();
     }
 }
 

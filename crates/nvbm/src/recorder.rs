@@ -365,6 +365,19 @@ mod tests {
         assert!(d.entries.is_empty());
         // Too-small image.
         assert!(!recover(&[0u8; 16]).header_ok);
+        // A valid base with slot counts whose byte size overflows, that
+        // name more slots than the device holds, and that run one slot
+        // past its end.
+        let device_slots = m.len() as u64 / CACHELINE as u64;
+        for slots in [u64::MAX / CACHELINE as u64 + 1, u64::MAX, device_slots + 1, 5] {
+            let (mut m, _) = media_with_ring(4);
+            m[OFF_REC_SLOTS as usize..OFF_REC_SLOTS as usize + 8]
+                .copy_from_slice(&slots.to_le_bytes());
+            assert_eq!(region_of(&m), None, "{slots} slots");
+            let d = recover(&m);
+            assert!(!d.header_ok, "{slots} slots");
+            assert!(d.entries.is_empty());
+        }
     }
 
     #[test]

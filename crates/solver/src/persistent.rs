@@ -143,7 +143,7 @@ pub fn run_persistent(
 
 /// Run only the first `until_step` steps of a persistent run and hand
 /// back the live pieces mid-flight. This is the staging primitive for
-/// failure experiments (`repro recovery-rt`, the `restart_l9` workload):
+/// failure experiments (the restart-speed test, the `restart_l9` workload):
 /// run part of the way, kill the node, and exercise whole-application
 /// recovery from whatever survived.
 pub fn run_persistent_partial(
@@ -282,7 +282,10 @@ fn drive(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use pmoctree_amr::{InCoreBackend, OctreeBackend};
+    use pmoctree_baselines::InCoreOctree;
     use pmoctree_nvbm::{CrashMode, DeviceModel, FailPlan};
+    use pmoctree_simfs::SimFs;
 
     const ARENA: usize = 48 << 20;
 
@@ -392,5 +395,85 @@ mod tests {
                 "crash at opportunity {at} must resume to the baseline report"
             );
         }
+
+        // Evenly spaced unlabelled opportunities of the whole run, from
+        // construct to the last persist: each crashed run restarts from
+        // scratch or resumes from its last combined commit, and either
+        // way finishes with the baseline report.
+        const SAMPLES: u64 = 8;
+        let mut counting = arena();
+        counting.set_fail_plan(FailPlan::count());
+        let mut counted = run_persistent(cfg(), PmConfig::default(), counting).unwrap();
+        assert_eq!(report_fingerprint(&counted.report), fp, "a counting plan perturbed the run");
+        let plan = counted.backend.tree.store.arena.take_fail_plan().unwrap();
+        let total = plan.opportunities();
+        let labelled: Vec<u64> = plan.labels().iter().map(|&(at, _)| at).collect();
+        let mut resumed_at = Vec::new();
+        let spaced = (1..=SAMPLES).map(|i| i * total / (SAMPLES + 1));
+        for at in spaced.filter(|at| !labelled.contains(at)) {
+            let mut armed = arena();
+            armed.set_fail_plan(FailPlan::armed(at, CrashMode::LoseDirty));
+            let mut run = run_persistent(cfg(), PmConfig::default(), armed).unwrap();
+            let mut plan = run.backend.tree.store.arena.take_fail_plan().unwrap();
+            let cap = plan.take_capture().expect("armed opportunity fired");
+            let crashed = NvbmArena::from_media(cap.media, DeviceModel::default());
+            let resumed = resume_persistent(crashed, cfg(), PmConfig::default()).unwrap();
+            assert_eq!(
+                report_fingerprint(&resumed.report),
+                fp,
+                "crash at opportunity {at} of {total} must resume to the baseline report"
+            );
+            resumed_at.push(resumed.resumed_at);
+        }
+        println!("{total} opportunities; evenly spaced crashes resumed at {resumed_at:?}");
+        assert!(
+            resumed_at.contains(&None) && resumed_at.iter().any(Option::is_some),
+            "the samples must reach both the fresh start and a resume: {resumed_at:?}"
+        );
+    }
+
+    /// The paper's instant-restart claim, on the virtual clock: reattaching
+    /// the whole application to the crashed device beats restarting from a
+    /// file checkpoint at least tenfold. The baseline's checkpoint was
+    /// written after construct through the fsync-charged write path of a
+    /// disk-class file system; its restart re-reads it, rebuilds the tree
+    /// and replays every step since, because the file holds no newer state.
+    #[test]
+    fn whole_application_reattach_beats_a_file_checkpoint_restart_tenfold() {
+        const KILL_AFTER: usize = 2;
+        let (mut b, _rt, _done) =
+            run_persistent_partial(cfg(), PmConfig::default(), arena(), KILL_AFTER).unwrap();
+        b.tree.store.arena.crash(CrashMode::LoseDirty);
+        let cold = NvbmArena::from_media(b.tree.store.arena.clone_media(), DeviceModel::default());
+        let Reattach::Resumable(pm, _, state) = reattach(cold, PmConfig::default()).unwrap() else {
+            panic!("{KILL_AFTER} combined commits precede the crash");
+        };
+        assert_eq!(state.next_step, KILL_AFTER as u64);
+        let pm_ns = pm.elapsed_ns();
+
+        let sim = Simulation::new(cfg());
+        let mut ib = InCoreBackend::new();
+        ib.fs = SimFs::on_disk();
+        sim.construct(&mut ib);
+        ib.tree.snapshot(&mut ib.fs, "checkpoint-0.gfs");
+        for s in 0..KILL_AFTER {
+            sim.step(&mut ib, s);
+        }
+        // Kill: DRAM is gone, only the file survives.
+        let InCoreBackend { mut fs, .. } = ib;
+        let t0 = fs.clock.now_ns();
+        let tree = InCoreOctree::restore(&mut fs, "checkpoint-0.gfs").unwrap();
+        let read_ns = fs.clock.now_ns() - t0;
+        let rebuild_ns = tree.clock.now_ns();
+        let mut rb = InCoreBackend { tree, fs, ..InCoreBackend::new() };
+        let replay0 = rb.elapsed_ns();
+        for s in 0..KILL_AFTER {
+            sim.step(&mut rb, s);
+        }
+        let file_ns = read_ns + rebuild_ns + rb.elapsed_ns() - replay0;
+
+        let ratio = file_ns as f64 / pm_ns.max(1) as f64;
+        println!("reattach {pm_ns} ns vs file checkpoint {file_ns} ns => {ratio:.1}x");
+        assert!(ratio >= 10.0, "reattach only {ratio:.2}x faster ({pm_ns} vs {file_ns} ns)");
     }
 }
