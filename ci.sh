@@ -67,6 +67,22 @@ if [ -e crates/pm-rt/tests/prop_prefix.rs ] ||
     echo "a replaced pm-rt oracle, the log scan or rank resurrection is back (the pm-rt model in tests/model.rs checks that code)" >&2
     exit 1
 fi
+# One commit record: the octree and the runtime publish through one sealed
+# header line, written to the slot the committed record does not hold;
+# recovery takes the valid slot with the higher seq. Every publication
+# (create, persist, persist with an rt commit, service flush) commits
+# exactly 64 header bytes; a torn or flipped slot leaves the other slot's
+# version, a record naming nonsense is refused or its hints clamped, and no
+# reachable octant may be stamped past the record's epoch — in optimized
+# builds. The staged header fields, the second root slot and the separate
+# rt root store must stay deleted.
+cargo test --release -p pm-rt --test commit_record -q
+cargo test --release -p pmoctree-nvbm --lib arena::tests -q
+cargo test --release -p pm-octree --lib verify::tests::restore_refuses_an_octant_stamped_past_the_record -q
+if grep -rn 'stage_epoch\|stage_bump_hint\|set_rt_root\|root_swap_half\|ROOT_SLOTS' crates/; then
+    echo "a staged header field, the second root slot or the separate rt root store is back (one commit record publishes both)" >&2
+    exit 1
+fi
 # Descent-free time-step gates, by exact count: batched coarsen legality
 # against the per-key rule on all three backends, in optimized builds.
 # One whole-tree NVBM walker (`c1::sweep_leaves`) and one root-to-key

@@ -221,7 +221,7 @@ mod tests {
         let mut b = backend();
         ftt_cell_refine(&mut b, OctKey::root());
         pm_persistent(&mut b);
-        let mut arena = pm_delete(b);
-        assert!(arena.root(1).is_null());
+        let arena = pm_delete(b);
+        assert!(arena.committed().root.is_null());
     }
 }

@@ -13,8 +13,9 @@
 //! it, runs the full invariant checker, and compares the recovered leaf
 //! set against the version oracle: it must be *exactly* the last
 //! committed version `V_{i-1}`, or — for opportunities inside `persist`
-//! after the root publication — the in-flight version `V_i`. Never a
-//! mixture, never a panic.
+//! once the commit record naming it is on media — the in-flight version
+//! `V_i`, with the pm-rt value the same record publishes. Never a mixture,
+//! never a panic.
 //!
 //! A single workload pass therefore proves the crash-consistency
 //! contract for every (opportunity × mode) pair, instead of `O(n)`
@@ -170,10 +171,9 @@ struct Oracle {
     /// last committed version; index 1 (present only while a persist is
     /// executing) is the in-flight version being published.
     valid: Vec<Snapshot>,
-    /// Legal values of the pm-rt `sweep::step` root, same indexing. The
-    /// rt table commits *after* the tree root swap inside the combined
-    /// persist, so recovering the new rt value together with the old
-    /// tree version is a protocol-ordering violation.
+    /// Legal values of the pm-rt `sweep::step` root, same indexing. One
+    /// commit record publishes both inside the combined persist, so the
+    /// rt value must come back with the tree version of the same index.
     rt_valid: Vec<u64>,
 }
 
@@ -294,10 +294,9 @@ fn check_recorder(
     Ok(())
 }
 
-/// pm-rt side of the recovery oracle: the registry must swizzle, hold a
-/// legal `sweep::step` value, and respect the combined-commit ordering —
-/// the rt table publishes *after* the tree root swap, so the in-flight
-/// rt value together with the old tree version can never be observed.
+/// pm-rt side of the recovery oracle: the registry must swizzle and hold
+/// the `sweep::step` value of the tree version recovered — one commit
+/// record publishes both, so they pair exactly.
 fn check_rt(r: &mut PmOctree, rt_valid: &[u64], tree_version: usize) -> Result<(), String> {
     let mut rt =
         PmRt::restore(&mut r.store.arena).map_err(|e| format!("rt restore failed: {e}"))?;
@@ -309,11 +308,11 @@ fn check_rt(r: &mut PmOctree, rt_valid: &[u64], tree_version: usize) -> Result<(
         .map_err(|e| format!("rt read failed: {e}"))?
         .ok_or_else(|| format!("rt root {RT_ROOT_NAME:?} missing after recovery"))?;
     match rt_valid.iter().position(|&x| x == v) {
-        None => Err(format!("rt value {v} is neither the committed nor the in-flight one")),
-        Some(1) if tree_version == 0 => {
-            Err(format!("rt published in-flight value {v} before the tree root swap"))
+        Some(i) if i == tree_version => Ok(()),
+        Some(i) => {
+            Err(format!("rt value {v} (commit {i}) recovered with tree version {tree_version}"))
         }
-        Some(_) => Ok(()),
+        None => Err(format!("rt value {v} is neither the committed nor the in-flight one")),
     }
 }
 
@@ -660,7 +659,6 @@ mod tests {
         for label in [
             "persist::merge",
             "persist::flush",
-            "persist::root_swap_half",
             "persist::root_swap",
             "gc::sweep",
             "replica::ship",

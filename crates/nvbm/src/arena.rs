@@ -145,19 +145,93 @@ pub(crate) fn commit_line_to(
     }
 }
 
-/// Size of the device header (root slots, epoch, allocator bump pointer).
+/// Size of the device header: the format line (magic, recorder ring
+/// descriptor), then the two commit-record slots.
 pub const HEADER_SIZE: u64 = 256;
 
 const MAGIC: u64 = 0x504d_4f43_5452_4545; // "PMOCTREE"-ish
 const OFF_MAGIC: u64 = 0;
-const OFF_EPOCH: u64 = 8;
-const OFF_ROOT0: u64 = 16;
-const OFF_BUMP: u64 = 32;
-const OFF_RT_ROOT: u64 = 40;
-const OFF_RT_BUMP: u64 = 48;
 
-/// Number of 8-byte root slots in the header.
-pub const ROOT_SLOTS: usize = 2;
+/// The two commit-record slots, one cacheline each. The record with
+/// sequence number `s` lives in slot `s % 2`, so a publication never
+/// overwrites the record it supersedes.
+const RECORD_AT: [u64; 2] = [64, 128];
+
+/// The one durable publication: everything recovery starts from, sealed
+/// in one cacheline. The octree and the `pm-rt` runtime publish through
+/// the same record ([`NvbmArena::publish`]), so they commit together or
+/// not at all.
+///
+/// ```text
+/// 0..8    seq       publication number (0 = nothing published yet)
+/// 8..16   epoch     octree epoch of the published version
+/// 16..24  root      octree root of the published version
+/// 24..32  bump      octree allocator bump pointer (a hint)
+/// 32..40  rt_root   newest pm-rt commit record (0 = none)
+/// 40..48  rt_floor  pm-rt heap floor (a hint; 0 = heap never used)
+/// 48..60  zero
+/// 60..64  checksum  FNV-1a-32 over bytes 0..60
+/// ```
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CommitRecord {
+    /// Publication number, assigned by [`NvbmArena::publish`].
+    pub seq: u64,
+    /// Octree epoch of the published version: no octant it reaches is
+    /// stamped later.
+    pub epoch: u64,
+    /// Root of the published octree version (null: no tree).
+    pub root: POffset,
+    /// Octree allocator bump pointer. A hint: recovery clamps it.
+    pub bump: u64,
+    /// Newest `pm-rt` commit record (null: no runtime).
+    pub rt_root: POffset,
+    /// Floor of the `pm-rt` heap. A hint: recovery clamps it; 0 means the
+    /// heap was never used.
+    pub rt_floor: u64,
+}
+
+impl CommitRecord {
+    fn encode(&self) -> [u8; CACHELINE] {
+        let mut line = [0u8; CACHELINE];
+        let fields = [self.seq, self.epoch, self.root.0, self.bump, self.rt_root.0, self.rt_floor];
+        for (i, v) in fields.into_iter().enumerate() {
+            line[8 * i..8 * i + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        recorder::seal(&mut line);
+        line
+    }
+
+    /// The record slot `slot` of a media image holds: `None` unless the
+    /// line is sealed and its `seq` names that slot. A `seq` in the upper
+    /// half of its range is damage — no device publishes 2^63 times — and
+    /// refusing it keeps every later `seq + 1` from overflowing.
+    fn decode(media: &[u8], slot: usize) -> Option<Self> {
+        let off = RECORD_AT[slot] as usize;
+        let line = media.get(off..off + CACHELINE)?;
+        if !recorder::is_sealed(line) {
+            return None;
+        }
+        let f = |i: usize| u64::from_le_bytes(line[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+        let r = CommitRecord {
+            seq: f(0),
+            epoch: f(1),
+            root: POffset(f(2)),
+            bump: f(3),
+            rt_root: POffset(f(4)),
+            rt_floor: f(5),
+        };
+        ((1..1 << 63).contains(&r.seq) && r.seq % 2 == slot as u64).then_some(r)
+    }
+
+    /// The valid record with the higher `seq` in a media image; the empty
+    /// record when neither slot holds one.
+    fn newest(media: &[u8]) -> Self {
+        (0..RECORD_AT.len())
+            .filter_map(|slot| Self::decode(media, slot))
+            .max_by_key(|r| r.seq)
+            .unwrap_or_default()
+    }
+}
 
 /// Dirty-line cache capacity in lines (256 KiB, an L2-ish footprint).
 const CACHE_LINES: usize = 4096;
@@ -205,26 +279,31 @@ pub struct NvbmArena {
     /// Recorder on/off switch (volatile). On by default; benches flip it
     /// off to measure the recorder's virtual-clock overhead.
     rec_enabled: bool,
+    /// The record the last [`NvbmArena::publish`] made durable, or the
+    /// newest valid one on adopted media: what a crash now recovers.
+    committed: CommitRecord,
+    /// The record the next [`NvbmArena::publish`] writes. Each publisher
+    /// edits its own fields — a persist the octree's, a runtime commit
+    /// the `rt_*` ones — and `publish` assigns `seq`. Volatile; equal to
+    /// the committed record after every publication.
+    pub next: CommitRecord,
 }
 
-/// Derive the live allocation boundaries from a media image's header:
-/// the persisted bump / rt-floor hints, clamped into the arena. A zero
-/// rt hint means the rt heap was never used (floor = top of the heap —
-/// the flight-recorder ring base when one is present, else capacity).
-fn derive_live_bounds(media: &[u8]) -> (u64, u64) {
+/// Derive the live allocation boundaries from a media image's commit
+/// record: the persisted rt-floor hint clamped under the top of the heap
+/// (the flight-recorder ring base when one is present, else capacity),
+/// and the bump hint clamped under that floor, since octants only ever
+/// live below the rt heap. A zero rt hint means the rt heap was never
+/// used (floor = top).
+fn derive_live_bounds(media: &[u8], record: &CommitRecord) -> (u64, u64) {
     let cap = media.len() as u64;
-    let rd = |off: u64| {
-        let s = off as usize;
-        u64::from_le_bytes(media[s..s + 8].try_into().expect("header slot"))
-    };
-    let bump = rd(OFF_BUMP).clamp(HEADER_SIZE, cap);
     let top = match recorder::region_of(media) {
         Some((base, slots)) if slots > 0 => base,
         _ => cap,
     };
-    let rt = rd(OFF_RT_BUMP);
+    let rt = record.rt_floor;
     let floor = if rt == 0 { top } else { rt.clamp(HEADER_SIZE, top) };
-    (bump, floor)
+    (record.bump.clamp(HEADER_SIZE, floor), floor)
 }
 
 impl NvbmArena {
@@ -275,6 +354,8 @@ impl NvbmArena {
             rec_slots: slots,
             rec_next_seq: 1,
             rec_enabled: true,
+            committed: CommitRecord::default(),
+            next: CommitRecord::default(),
         };
         a.format();
         a
@@ -302,17 +383,22 @@ impl NvbmArena {
             rec_slots: 0,
             rec_next_seq: 1,
             rec_enabled: true,
+            committed: CommitRecord::default(),
+            next: CommitRecord::default(),
         };
         a.adopt_media_layout();
         a
     }
 
     /// Re-derive what the arena keeps about its media's layout from the
-    /// image itself: the region bounds from the header hints, the flight
-    /// recorder ring (recording continues after its last surviving entry)
-    /// and the stats' region bounds.
+    /// image itself: the committed record (the valid slot with the higher
+    /// `seq`), the region bounds from its hints, the flight recorder ring
+    /// (recording continues after its last surviving entry) and the
+    /// stats' region bounds.
     fn adopt_media_layout(&mut self) {
-        let (octree_edge, rt_floor) = derive_live_bounds(&self.media);
+        self.committed = CommitRecord::newest(&self.media);
+        self.next = self.committed;
+        let (octree_edge, rt_floor) = derive_live_bounds(&self.media, &self.committed);
         let (rec_base, rec_slots) = recorder::region_of(&self.media).unwrap_or((0, 0));
         let capacity = self.media.len() as u64;
         self.regions = RegionManager::from_bounds(capacity, rec_base, octree_edge, rt_floor);
@@ -490,15 +576,13 @@ impl NvbmArena {
         self.evict_over_cap();
     }
 
-    /// Write the header magic, zeroed roots, and the flight-recorder ring
-    /// descriptor, bypassing the cache (a freshly formatted device is by
-    /// definition persistent).
+    /// Write the header magic and the flight-recorder ring descriptor,
+    /// with both record slots empty, bypassing the cache (a freshly
+    /// formatted device is by definition persistent).
     fn format(&mut self) {
         self.media[..HEADER_SIZE as usize].fill(0);
         self.media[OFF_MAGIC as usize..OFF_MAGIC as usize + 8]
             .copy_from_slice(&MAGIC.to_le_bytes());
-        let bump = HEADER_SIZE;
-        self.media[OFF_BUMP as usize..OFF_BUMP as usize + 8].copy_from_slice(&bump.to_le_bytes());
         self.media[OFF_REC_BASE as usize..OFF_REC_BASE as usize + 8]
             .copy_from_slice(&self.rec_base.to_le_bytes());
         self.media[OFF_REC_SLOTS as usize..OFF_REC_SLOTS as usize + 8]
@@ -613,98 +697,35 @@ impl NvbmArena {
 
     // ---- device header -------------------------------------------------
 
-    /// An 8-byte header write, immediately flushed: the one place the
-    /// protocol relies on an atomic persistent store (root-pointer swap).
-    fn header_write_u64(&mut self, off: u64, v: u64) {
-        debug_assert!(off + 8 <= HEADER_SIZE);
-        self.write(off, &v.to_le_bytes());
-        self.flush_line(off);
-    }
-
-    fn header_read_u64(&mut self, off: u64) -> u64 {
-        let mut b = [0u8; 8];
-        self.read(off, &mut b);
-        u64::from_le_bytes(b)
-    }
-
     /// Is the device formatted (magic present on persistent media)?
     pub fn is_formatted(&mut self) -> bool {
-        self.header_read_u64(OFF_MAGIC) == MAGIC
+        let mut b = [0u8; 8];
+        self.read(OFF_MAGIC, &mut b);
+        u64::from_le_bytes(b) == MAGIC
     }
 
-    /// Get persistent root slot `i` (`ADDR(V_i)` / `ADDR(V_{i-1})`).
-    pub fn root(&mut self, slot: usize) -> POffset {
-        assert!(slot < ROOT_SLOTS);
-        POffset(self.header_read_u64(OFF_ROOT0 + 8 * slot as u64))
+    /// The last published record: what a crash now recovers.
+    pub fn committed(&self) -> CommitRecord {
+        self.committed
     }
 
-    /// Atomically set persistent root slot `i`.
-    pub fn set_root(&mut self, slot: usize, p: POffset) {
-        assert!(slot < ROOT_SLOTS);
-        self.header_write_u64(OFF_ROOT0 + 8 * slot as u64, p.0);
-    }
-
-    /// Persistent epoch counter (incremented at every persist point).
-    pub fn epoch(&mut self) -> u64 {
-        self.header_read_u64(OFF_EPOCH)
-    }
-
-    /// Set the persistent epoch.
-    pub fn set_epoch(&mut self, e: u64) {
-        self.header_write_u64(OFF_EPOCH, e);
-    }
-
-    /// Persisted allocator bump pointer.
-    pub fn bump_hint(&mut self) -> u64 {
-        self.header_read_u64(OFF_BUMP)
-    }
-
-    /// Persist the allocator bump pointer.
-    pub fn set_bump_hint(&mut self, b: u64) {
-        self.header_write_u64(OFF_BUMP, b);
-    }
-
-    /// Stage the allocator bump pointer *without* the immediate line
-    /// flush: the hint rides the next atomic header write's media commit
-    /// (the root swap shares the cacheline), halving block-0 wear per
-    /// persist. Safe because recovery treats the bump slot as a hint —
-    /// a torn line persisting it without the root swap only wastes
-    /// space, never corrupts.
-    pub fn stage_bump_hint(&mut self, b: u64) {
-        self.write(OFF_BUMP, &b.to_le_bytes());
-    }
-
-    /// Stage the persistent epoch without the immediate line flush (see
-    /// [`NvbmArena::stage_bump_hint`]). Safe because the epoch is a
-    /// monotone counter recovery only lower-bounds: a torn line that
-    /// persists the epoch without the root swap merely inflates it, and
-    /// restore already resumes at `max(header_epoch, scan.max_epoch)+1`.
-    pub fn stage_epoch(&mut self, e: u64) {
-        self.write(OFF_EPOCH, &e.to_le_bytes());
-    }
-
-    /// Persistent root of the orthogonal-persistence runtime (`pm-rt`)
-    /// object table. `0` means no table has ever been committed.
-    pub fn rt_root(&mut self) -> POffset {
-        POffset(self.header_read_u64(OFF_RT_ROOT))
-    }
-
-    /// Atomically publish a new `pm-rt` object table: the runtime's one
-    /// commit point, same atomicity argument as [`NvbmArena::set_root`].
-    pub fn set_rt_root(&mut self, p: POffset) {
-        self.header_write_u64(OFF_RT_ROOT, p.0);
-    }
-
-    /// Persisted floor of the `pm-rt` downward-growing heap (grows from
-    /// the top of the device toward the octree's bump allocator). `0`
-    /// means the heap has never been used (floor = capacity).
-    pub fn rt_bump_hint(&mut self) -> u64 {
-        self.header_read_u64(OFF_RT_BUMP)
-    }
-
-    /// Persist the `pm-rt` heap floor.
-    pub fn set_rt_bump_hint(&mut self, b: u64) {
-        self.header_write_u64(OFF_RT_BUMP, b);
+    /// Publish [`NvbmArena::next`]: store it, sealed, in the slot the
+    /// committed record does not occupy and flush that one line — the one
+    /// commit point of the octree and the runtime alike. Until the line is
+    /// on media a crash recovers the committed record; a torn line fails
+    /// its seal, so recovery still takes the committed one. Stores nothing
+    /// when `next` equals the committed record.
+    pub fn publish(&mut self) {
+        let seq = self.committed.seq + 1;
+        let record = CommitRecord { seq, ..self.next };
+        if record == (CommitRecord { seq, ..self.committed }) {
+            return;
+        }
+        let off = RECORD_AT[(seq % 2) as usize];
+        self.write(off, &record.encode());
+        self.flush_line(off);
+        self.committed = record;
+        self.next = record;
     }
 
     // ---- live allocation boundaries --------------------------------------
@@ -922,23 +943,75 @@ mod tests {
         assert_eq!(&buf, b"important");
     }
 
+    /// Publish `root` (with the given octree epoch) as the next record.
+    fn publish_root(a: &mut NvbmArena, epoch: u64, root: u64) {
+        a.next.epoch = epoch;
+        a.next.root = POffset(root);
+        a.publish();
+    }
+
     #[test]
-    fn root_slots_are_atomic_persistent() {
+    fn a_publication_is_one_sealed_line_in_the_other_slot() {
         let mut a = arena();
-        a.set_root(0, POffset(12345));
-        a.set_root(1, POffset(999));
+        assert_eq!(a.committed(), CommitRecord::default());
+        for seq in 1..=3u64 {
+            let (lines, bytes) = (a.stats.nvbm.write_lines, a.stats.bytes_by_region()[0]);
+            publish_root(&mut a, seq, 4096 * seq);
+            assert_eq!(a.committed().seq, seq);
+            assert_eq!(a.stats.nvbm.write_lines - lines, 1, "one line store");
+            assert_eq!(a.stats.bytes_by_region()[0] - bytes, 64, "one header line commit");
+            assert_eq!(a.dirty_lines(), 0, "flushed");
+            // The slot seq names holds it; the other still holds seq - 1.
+            let img = a.clone_media();
+            assert_eq!(CommitRecord::decode(&img, (seq % 2) as usize), Some(a.committed()));
+            let older = CommitRecord::decode(&img, ((seq + 1) % 2) as usize).map(|r| r.seq);
+            assert_eq!(older, (seq > 1).then_some(seq - 1));
+        }
+        // An unchanged record publishes nothing.
+        let lines = a.stats.nvbm.write_lines;
+        a.publish();
+        assert_eq!((a.stats.nvbm.write_lines, a.committed().seq), (lines, 3));
         a.crash(CrashMode::LoseDirty);
-        assert_eq!(a.root(0), POffset(12345));
-        assert_eq!(a.root(1), POffset(999));
+        let b = NvbmArena::from_media(a.clone_media(), DeviceModel::default());
+        assert_eq!((b.committed(), b.next), (a.committed(), a.committed()));
+    }
+
+    #[test]
+    fn recovery_takes_the_valid_slot_with_the_higher_seq() {
+        let mut a = arena();
+        publish_root(&mut a, 1, 4096);
+        publish_root(&mut a, 2, 8192);
+        let img = a.clone_media();
+        let (old, new) = (CommitRecord::decode(&img, 1).unwrap(), a.committed());
+        let adopt = |img: &[u8]| NvbmArena::from_media(img.to_vec(), DeviceModel::default());
+        assert_eq!(adopt(&img).committed(), new);
+        // Any one bit of the newer line flipped: its seal fails.
+        for bit in 0..CACHELINE * 8 {
+            let mut bad = img.clone();
+            bad[RECORD_AT[0] as usize + bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(adopt(&bad).committed(), old, "bit {bit}");
+        }
+        // A sealed record in slot 0 whose seq names slot 1 (a stale copy),
+        // or whose seq is in the upper half of the range, is no record.
+        for seq in [3, 1 << 63] {
+            let mut bad = img.clone();
+            let line = CommitRecord { seq, ..new }.encode();
+            bad[RECORD_AT[0] as usize..RECORD_AT[0] as usize + CACHELINE].copy_from_slice(&line);
+            assert_eq!(adopt(&bad).committed(), old, "seq {seq}");
+        }
+        // Neither slot valid: the empty record.
+        let mut none = img.clone();
+        none[RECORD_AT[1] as usize] ^= 1;
+        none[RECORD_AT[0] as usize] ^= 1;
+        assert_eq!(adopt(&none).committed(), CommitRecord::default());
     }
 
     #[test]
     fn header_formatted() {
         let mut a = arena();
         assert!(a.is_formatted());
-        assert_eq!(a.epoch(), 0);
-        assert_eq!(a.root(0), POffset::NULL);
-        assert_eq!(a.bump_hint(), HEADER_SIZE);
+        assert_eq!(a.committed(), CommitRecord::default());
+        assert_eq!(a.live_bump(), HEADER_SIZE);
     }
 
     #[test]
@@ -963,11 +1036,11 @@ mod tests {
         let path = dir.join("image.nvbm");
         let mut a = arena();
         a.write(5000, b"survives reboot");
-        a.set_root(0, POffset(5000));
+        publish_root(&mut a, 1, 5000);
         a.save(&path).unwrap();
         let mut b = NvbmArena::load(&path, DeviceModel::default()).unwrap();
         assert!(b.is_formatted());
-        assert_eq!(b.root(0), POffset(5000));
+        assert_eq!(b.committed().root, POffset(5000));
         let mut buf = [0u8; 15];
         b.read(5000, &mut buf);
         assert_eq!(&buf, b"survives reboot");
@@ -990,15 +1063,17 @@ mod tests {
         assert_eq!(rec_base, (1 << 20) - 256 * 64);
         assert_eq!(a.live_bump(), HEADER_SIZE);
         assert_eq!(a.live_rt_floor(), rec_base);
-        a.set_bump_hint(4096);
-        a.set_rt_bump_hint(rec_base - 8192);
+        a.next.bump = 4096;
+        a.next.rt_floor = rec_base - 8192;
+        a.publish();
         let b = NvbmArena::from_media(a.clone_media(), DeviceModel::default());
         assert_eq!(b.live_bump(), 4096);
         assert_eq!(b.live_rt_floor(), rec_base - 8192);
         // restore_media re-derives too; a zero rt hint means floor = ring
-        // base; an rt hint above the ring base is clamped under it.
+        // base.
         let mut c = arena();
-        c.set_bump_hint(2048);
+        c.next.bump = 2048;
+        c.publish();
         let img = c.clone_media();
         let mut d = arena();
         d.publish_bump(9999);
@@ -1006,6 +1081,17 @@ mod tests {
         d.restore_media(&img);
         assert_eq!(d.live_bump(), 2048);
         assert_eq!(d.live_rt_floor(), rec_base);
+        // Hostile hints are clamped: an rt floor inside the recorder ring
+        // or past the device under the ring, a bump past either under the
+        // floor.
+        for (bump, floor) in [(u64::MAX, rec_base + 64), (rec_base + 64, u64::MAX)] {
+            let mut e = arena();
+            e.next.bump = bump;
+            e.next.rt_floor = floor;
+            e.publish();
+            let f = NvbmArena::from_media(e.clone_media(), DeviceModel::default());
+            assert_eq!((f.live_bump(), f.live_rt_floor()), (rec_base, rec_base));
+        }
     }
 
     #[test]

@@ -203,7 +203,8 @@ mod tests {
         a.failpoint("phase::one");
         a.write(8192, b"bbbb");
         a.flush_all();
-        a.set_root(0, POffset(4096));
+        a.next.root = POffset(4096);
+        a.publish();
         a.failpoint("phase::two");
         a.write(12288, b"cccc");
     }
@@ -221,7 +222,7 @@ mod tests {
         let (n2, l2) = count(1);
         assert_eq!(n1, n2);
         assert_eq!(l1, l2);
-        assert!(n1 >= 7, "writes + flushes + 2 labels + root store: {n1}");
+        assert!(n1 >= 7, "writes + flushes + 2 labels + record store: {n1}");
         assert_eq!(l1.iter().filter(|(_, l)| *l == "phase::one").count(), 1);
     }
 
@@ -277,13 +278,14 @@ mod tests {
     #[test]
     fn torn_image_preserves_word_atomicity() {
         let mut a = arena();
-        // Persist a known root, then overwrite it without flushing.
-        a.set_root(0, POffset(0x1000));
-        a.write(16, &0x2000u64.to_le_bytes()); // root slot 0, dirty
+        // Persist a known word, then overwrite it without flushing.
+        a.write(4112, &0x1000u64.to_le_bytes());
+        a.flush_all();
+        a.write(4112, &0x2000u64.to_le_bytes());
         a.set_fail_plan(FailPlan::armed(0, CrashMode::TornWrite { seed: 7 }));
         a.failpoint("check");
         let cap = a.take_fail_plan().unwrap().take_capture().unwrap();
-        let raw = u64::from_le_bytes(cap.media[16..24].try_into().unwrap());
+        let raw = u64::from_le_bytes(cap.media[4112..4120].try_into().unwrap());
         assert!(raw == 0x1000 || raw == 0x2000, "8-byte store must not tear mid-word: {raw:#x}");
     }
 }

@@ -15,8 +15,9 @@
 //!   let recovery code prove it can live with the result;
 //! * a [`PmemAllocator`] whose free stack is volatile and rebuilt from
 //!   the GC mark phase after a crash (no allocator logging);
-//! * persistent **root slots** in a device header written with atomic
-//!   8-byte flushed stores (`ADDR(V_i)` / `ADDR(V_{i-1})` in the paper);
+//! * one sealed **commit record** per publication ([`CommitRecord`]),
+//!   written to the header slot the committed record does not occupy, so
+//!   a torn publication leaves the previous one recoverable;
 //! * wear and access statistics ([`MemStats`]) for the write-reduction
 //!   experiments.
 #![forbid(unsafe_code)]
@@ -39,7 +40,7 @@ pub mod stats;
 pub use pmoctree_obsv as obsv;
 
 pub use alloc::PmemAllocator;
-pub use arena::{ArenaSnapshot, CrashMode, NvbmArena, POffset, HEADER_SIZE, ROOT_SLOTS};
+pub use arena::{ArenaSnapshot, CommitRecord, CrashMode, NvbmArena, POffset, HEADER_SIZE};
 pub use clock::VirtualClock;
 pub use failplan::{CrashCapture, CrashView, FailHook, FailPlan};
 pub use model::{BlockDeviceModel, DeviceModel, MemLatency, NetworkModel, CACHELINE, PAGE};

@@ -41,9 +41,9 @@ use crate::arena::HEADER_SIZE;
 use crate::model::CACHELINE;
 
 /// Byte offset of the persisted ring base pointer in the device header.
-pub(crate) const OFF_REC_BASE: u64 = 56;
+pub(crate) const OFF_REC_BASE: u64 = 8;
 /// Byte offset of the persisted ring slot count in the device header.
-pub(crate) const OFF_REC_SLOTS: u64 = 64;
+pub(crate) const OFF_REC_SLOTS: u64 = 16;
 
 /// Longest label an entry can carry (longer labels are truncated).
 pub const REC_LABEL_MAX: usize = 34;
@@ -140,7 +140,7 @@ impl RecorderDump {
 }
 
 /// FNV-1a 32-bit over `bytes` — the checksum of every self-validating
-/// on-media record (recorder slots here, `pm-rt` log records).
+/// on-media record (sealed lines here, `pm-rt` log records).
 pub fn fnv32(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
     for &b in bytes {
@@ -148,6 +148,22 @@ pub fn fnv32(bytes: &[u8]) -> u32 {
         h = h.wrapping_mul(0x0100_0193);
     }
     h
+}
+
+/// Where a sealed line's checksum starts.
+const SEAL_AT: usize = CACHELINE - 4;
+
+/// Seal a one-cacheline record: FNV-1a-32 over bytes 0..60, stored at
+/// 60..64. The one checksum layout of nvbm's self-validating lines — the
+/// recorder slots and the arena's commit records.
+pub(crate) fn seal(line: &mut [u8; CACHELINE]) {
+    let c = fnv32(&line[..SEAL_AT]);
+    line[SEAL_AT..].copy_from_slice(&c.to_le_bytes());
+}
+
+/// Is `line` one whole cacheline carrying a matching seal?
+pub(crate) fn is_sealed(line: &[u8]) -> bool {
+    line.len() == CACHELINE && fnv32(&line[..SEAL_AT]).to_le_bytes() == line[SEAL_AT..]
 }
 
 /// Encode one slot. Labels longer than [`REC_LABEL_MAX`] are truncated at
@@ -170,23 +186,18 @@ pub(crate) fn encode_slot(
     }
     s[25] = n as u8;
     s[26..26 + n].copy_from_slice(&label.as_bytes()[..n]);
-    let c = fnv32(&s[..60]);
-    s[60..64].copy_from_slice(&c.to_le_bytes());
+    seal(&mut s);
     s
 }
 
 /// Decode one slot; `None` for empty, torn, or corrupt slots.
 pub(crate) fn decode_slot(s: &[u8]) -> Option<RecEntry> {
-    if s.len() < CACHELINE {
+    if !is_sealed(s) {
         return None;
     }
     let rd = |o: usize| u64::from_le_bytes(s[o..o + 8].try_into().expect("slot bounds checked"));
     let seq = rd(0);
     if seq == 0 {
-        return None;
-    }
-    let stored = u32::from_le_bytes(s[60..64].try_into().expect("slot bounds checked"));
-    if fnv32(&s[..60]) != stored {
         return None;
     }
     let kind = RecKind::from_code(s[24])?;

@@ -19,7 +19,7 @@ use crate::arena::HEADER_SIZE;
 /// The four typed regions of an NVBM device, in address order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegionKind {
-    /// The device header: magic, epoch, root slots, allocator hints.
+    /// The device header: magic, recorder descriptor, commit records.
     RootTable,
     /// The octree allocator's upward-growing territory.
     Octree,

@@ -90,9 +90,9 @@ impl TraversalStats {
 }
 
 /// Canonical attribution regions of an NVBM device, in reporting order:
-/// the header (root slots + allocator hints), the octree allocator's
-/// upward territory, the `pm-rt` heap growing down from the top, and the
-/// flight-recorder ring above it.
+/// the header (format line + the two commit-record slots), the octree
+/// allocator's upward territory, the `pm-rt` heap growing down from the
+/// top, and the flight-recorder ring above it.
 pub const REGIONS: [&str; 4] = ["root_table", "octree", "rt_heap", "recorder"];
 
 /// A `(name, bytes)` attribution row — the compat serde has no map

@@ -14,7 +14,7 @@
 //! | `pm_delete`        | [`PmOctree::delete`]  |
 
 use pmoctree_morton::{LeafIndex, OctKey};
-use pmoctree_nvbm::{NvbmArena, POffset, RecKind};
+use pmoctree_nvbm::{CommitRecord, NvbmArena, POffset, RecKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,10 +27,11 @@ use crate::replica::ReplicaSet;
 use crate::sampling::{self, FeatureFn};
 
 /// Application-state commit hook run inside [`PmOctree::persist_with_hook`]
-/// between the tree root swap and GC; returns the byte regions it wrote
-/// (shipped with the persist's replica delta), or the error that stopped
-/// its commit — in which case the persist skips GC and replica shipping
-/// (see [`PmOctree::persist_with_hook`]).
+/// after the flush, with the tree's fields staged in the arena's next
+/// commit record; returns the byte regions it wrote (shipped with the
+/// persist's replica delta), or the error that stopped its commit — in
+/// which case the persist publishes nothing (see
+/// [`PmOctree::persist_with_hook`]).
 pub type PersistHook<'a> = dyn FnMut(&mut NvbmArena) -> Result<Vec<(u64, u32)>, PmError> + 'a;
 
 /// Errors surfaced by the meshing and recovery interface.
@@ -176,10 +177,9 @@ impl PmOctree {
         let root_octant = Octant::leaf(OctKey::root(), 1, CellData::default());
         let root = store.alloc_octant(&root_octant).expect("arena too small for the root");
         store.arena.flush_all();
-        store.arena.set_root(0, root);
-        store.arena.set_root(1, root);
-        store.arena.set_epoch(1);
-        store.arena.set_bump_hint(store.alloc.bump());
+        let bump = store.alloc.bump();
+        store.arena.next = CommitRecord { epoch: 1, root, bump, ..store.arena.next };
+        store.arena.publish();
         let replicas = cfg.replicas.then(|| {
             let mut r = ReplicaSet::new();
             r.full_sync(&mut store.arena);
@@ -205,77 +205,67 @@ impl PmOctree {
 
     /// `pm_restore`: recover from `arena` after a failure on the same
     /// node. Returns a handle whose working tree is exactly the last
-    /// persisted version — near-instantaneous: only the header is read,
-    /// plus one validated reachability pass to rebuild volatile state.
+    /// published version — near-instantaneous: only the commit record is
+    /// read, plus one validated reachability pass to rebuild volatile
+    /// state.
     ///
     /// The pass ([`crate::verify::scan_tree`]) checks every pointer before
     /// following it, so a device whose persisted tree is structurally
     /// damaged (which the protocol makes impossible for real crashes, but
     /// media corruption can still produce) yields
-    /// [`PmError::Corrupt`] rather than a panic. An unformatted or empty
-    /// device yields [`PmError::Recovery`].
-    pub fn restore(mut arena: NvbmArena, cfg: PmConfig) -> Result<Self, PmError> {
-        if !arena.is_formatted() {
-            return Err(PmError::Recovery("device is not a PM-octree (bad magic)".into()));
-        }
-        let prev = arena.root(1);
-        Self::restore_at(arena, prev, cfg)
+    /// [`PmError::Corrupt`] rather than a panic. An unformatted device, or
+    /// one with no valid commit record, yields [`PmError::Recovery`].
+    pub fn restore(arena: NvbmArena, cfg: PmConfig) -> Result<Self, PmError> {
+        let root = arena.committed().root;
+        Self::restore_at(arena, root, cfg)
     }
 
     /// [`PmOctree::restore`] at an explicitly named tree root instead of
-    /// the header's recovery slot. The `pm-rt` runtime records which tree
-    /// root its committed bundle pairs with; when a crash lands between
-    /// the tree's root swap and the runtime's (so the header already
-    /// names a newer version than the bundle), whole-application resume
-    /// restores *at the recorded root* — still allocated, because GC only
-    /// runs after the runtime commit. Octants unreachable from `root`
-    /// (including any newer version) are reclaimed by the allocator
-    /// rebuild, exactly like ordinary orphans.
+    /// the commit record's. A root other than the record's is published
+    /// as the new record's root once the scan accepts it, because the
+    /// allocator rebuild reclaims every octant `root` does not reach —
+    /// the record's own version among them.
     pub fn restore_at(mut arena: NvbmArena, root: POffset, cfg: PmConfig) -> Result<Self, PmError> {
         if !arena.is_formatted() {
             return Err(PmError::Recovery("device is not a PM-octree (bad magic)".into()));
         }
-        let prev = root;
-        if prev.is_null() {
-            return Err(PmError::Recovery(
-                "no persisted version to restore (null recovery root)".into(),
-            ));
+        if root.is_null() {
+            return Err(PmError::Recovery("no persisted version to restore (null root)".into()));
         }
-        let header_epoch = arena.epoch() as u32;
+        let record = arena.committed();
         let mut store = PmStore::new(arena);
-        // Validated reachability scan: the recovery root must name a
-        // structurally closed tree. V_i octants not in V_{i-1} are
-        // implicitly discarded (the paper's "mark deleted, GC recycles in
-        // background") — the allocator and registry are rebuilt from the
-        // live set alone, so every orphan's space is reclaimed here.
-        let scan = crate::verify::scan_tree(&mut store, prev)?;
-        if scan.max_epoch > header_epoch + 1 {
-            return Err(PmError::Corrupt(format!(
-                "reachable octant from epoch {} but header says {header_epoch}",
-                scan.max_epoch
-            )));
-        }
+        // Validated reachability scan: the root must name a structurally
+        // closed tree. V_i octants not in V_{i-1} are implicitly discarded
+        // (the paper's "mark deleted, GC recycles in background") — the
+        // allocator and registry are rebuilt from the live set alone, so
+        // every orphan's space is reclaimed here.
+        let scan = crate::verify::scan_tree(&mut store, root)?;
+        // The record names a version no later than its own epoch, so no
+        // reachable octant is stamped above it; the working epoch resumes
+        // just past it.
+        let epoch = u32::try_from(record.epoch)
+            .ok()
+            .filter(|&e| scan.max_epoch <= e)
+            .and_then(|e| e.checked_add(1))
+            .ok_or_else(|| {
+                PmError::Corrupt(format!(
+                    "reachable octant from epoch {} but the commit record says {}",
+                    scan.max_epoch, record.epoch
+                ))
+            })?;
         store.rebuild_from_live(scan.live);
-        // Resume strictly above every persisted octant's epoch. The header
-        // epoch alone is not enough: a crash between the root swap and the
-        // epoch publish leaves slot 1 pointing at octants stamped
-        // `header_epoch + 1`, and treating those as exclusive would mutate
-        // the persisted version in place.
-        let epoch = header_epoch.max(scan.max_epoch) + 1;
-        // Re-point both root slots at the restored version: when restoring
-        // at an explicitly named (older) root, the header's recovery slot
-        // may still name a newer version whose octants the allocator
-        // rebuild just reclaimed — leaving it dangling would break a
-        // subsequent plain `restore`.
-        store.arena.set_root(0, prev);
-        store.arena.set_root(1, prev);
+        if root != record.root {
+            store.arena.next.root = root;
+            store.arena.next.bump = store.alloc.bump();
+            store.arena.publish();
+        }
         let mut t = PmOctree {
             store,
             forest: C0Forest::new(),
             shadows: Vec::new(),
             cfg,
-            current_root: prev,
-            prev_root: prev,
+            current_root: root,
+            prev_root: root,
             epoch,
             depth: scan.depth,
             leaves: scan.leaves,
@@ -312,10 +302,11 @@ impl PmOctree {
         Ok((Self::restore(arena, cfg)?, moved))
     }
 
-    /// `pm_delete`: drop every octant and clear the persistent roots.
+    /// `pm_delete`: drop every octant and publish a record without a
+    /// tree.
     pub fn delete(mut self) -> NvbmArena {
-        self.store.arena.set_root(0, POffset::NULL);
-        self.store.arena.set_root(1, POffset::NULL);
+        self.store.arena.next.root = POffset::NULL;
+        self.store.arena.publish();
         for p in std::mem::take(&mut self.store.registry) {
             self.store.free_octant(p);
         }
@@ -731,48 +722,43 @@ impl PmOctree {
 
     // ---- persistence ---------------------------------------------------------
 
-    /// `pm_persistent`: merge `C0` into `C1`, flush, atomically advance
-    /// the persistent roots, GC the previous version, then (if enabled)
-    /// run the dynamic layout transformation. On return, `V_{i-1}` is the
-    /// tree as of this call.
+    /// `pm_persistent`: merge `C0` into `C1`, flush, publish the commit
+    /// record naming the new version, GC the previous version, then (if
+    /// enabled) run the dynamic layout transformation. On return,
+    /// `V_{i-1}` is the tree as of this call.
     ///
     /// Crash-testing the protocol goes through the arena's
     /// [`FailPlan`](pmoctree_nvbm::FailPlan): every phase boundary is a
     /// labelled failpoint (`persist::merge`, `persist::flush`,
-    /// `persist::root_swap_half`, `persist::root_swap`). A crash at the
-    /// first three recovers the *previous* version; at `root_swap`, the
-    /// *new* one (root slot 1 — the recovery root — is written last, so
-    /// it always names a fully-flushed tree).
+    /// `persist::root_swap`). A crash recovers the *previous* version
+    /// until the record's one line is on media and the *new* one after —
+    /// so at the first two labels `V_{i-1}`, at `root_swap` `V_i`.
     pub fn persist(&mut self) {
         self.persist_with_hook(&mut |_| Ok(Vec::new()))
             .expect("persist failed: NVBM device cannot hold the merged working set");
     }
 
     /// Persist with an application-state commit hook (the `pm-rt`
-    /// integration point). The hook runs *after* the tree's atomic root
-    /// swap and *before* GC reclaims the superseded version, and returns
-    /// the byte regions it wrote (shipped with this persist's replica
-    /// delta).
+    /// integration point). The hook runs once the new version is flushed,
+    /// with the tree's fields staged in the arena's next commit record
+    /// ([`NvbmArena::next`]); a runtime commit inside it adds its own
+    /// fields and publishes the one record naming both. It returns the
+    /// byte regions it wrote (shipped with this persist's replica delta).
     ///
-    /// That ordering is what makes the combined commit need no new
-    /// consistency argument: a crash before the tree swap recovers
-    /// `V_{i-1}` for both subsystems; a crash between the tree swap and
-    /// the hook's own root swap leaves the runtime bundle naming
-    /// `V_{i-1}`'s tree root, whose octants are all still allocated
-    /// precisely because GC has not yet run — so restoring *at the root
-    /// the bundle names* is always structurally sound.
+    /// That is why the combined commit needs no new consistency argument:
+    /// there is one publication, so a crash recovers `V_{i-1}` with the
+    /// runtime's previous commit, or `V_i` with its new one — never a mix.
     ///
     /// # Errors
     ///
-    /// If the hook fails (e.g. the runtime heap is full), the persist
-    /// stops before GC and replica shipping and returns the hook's
-    /// error: the superseded version stays allocated, so whichever tree
-    /// root the last *committed* runtime bundle names remains
-    /// restorable, and no replica receives a delta missing the runtime
-    /// regions. The octree handle itself stays coherent (the new tree
-    /// version is durable and current), but the run should be treated as
-    /// failed: the hook's own volatile state (e.g. a `pm-rt` instance
-    /// that died mid-commit) must be discarded and re-restored.
+    /// If the hook fails (e.g. the runtime heap is full) it must not have
+    /// published; the persist resets the next record to the committed one
+    /// and returns the hook's error before publishing, GC and replica
+    /// shipping, so the record, the replica and every octant of `V_{i-1}`
+    /// stay as they were. The handle keeps the merged tree as its working
+    /// version, but the run should be treated as failed: the hook's own
+    /// volatile state (e.g. a `pm-rt` instance that died mid-commit) must
+    /// be discarded and re-restored.
     pub fn persist_with_hook(&mut self, hook: &mut PersistHook<'_>) -> Result<(), PmError> {
         // Span taxonomy mirrors the failpoint labels one-to-one; the
         // guards close in reverse order on every early (error) return,
@@ -796,58 +782,41 @@ impl PmOctree {
         }
         self.store.arena.failpoint("persist::merge");
         drop(span_merge);
-        // (2) Flush everything, then the atomic root/epoch advance. Until
-        // the set_root below lands, recovery uses the old V_{i-1}.
+        // (2) Flush everything: V_i is on media, unreachable until the
+        // record naming it is.
         self.store.arena.set_phase("persist::flush");
         let span_flush = self.store.arena.span("persist::flush");
         self.store.arena.flush_all();
         self.store.arena.failpoint("persist::flush");
         drop(span_flush);
-        self.store.arena.set_phase("persist::root_swap");
-        let span_half = self.store.arena.span("persist::root_swap_half");
-        // The header publication is batched into two media commits
-        // instead of four: the bump hint and epoch are *staged* (no
-        // flush) so they ride the forward root slot's atomic line write.
-        // A torn prefix of that line can persist the epoch without the
-        // root — pure inflation, which restore already tolerates
-        // (`max(header_epoch, scan.max_epoch) + 1`) — while recovery
-        // reads slot 1, untouched until the second commit below.
-        self.store.arena.stage_bump_hint(self.store.alloc.bump());
-        self.store.arena.stage_epoch(self.epoch as u64);
-        self.store.arena.set_root(0, root);
-        self.store.arena.failpoint("persist::root_swap_half");
-        drop(span_half);
-        let span_swap = self.store.arena.span("persist::root_swap");
-        self.store.arena.set_root(1, root);
-        self.store.arena.failpoint("persist::root_swap");
-        drop(span_swap);
-        // (3) Application-state commit (`pm-rt`): the runtime stages and
-        // atomically publishes its root bundle while the superseded tree
-        // version is still allocated (GC below has not run), so whichever
-        // tree root the bundle names remains restorable. If it fails, GC
-        // must NOT run: the last committed bundle may pair with the
-        // superseded tree root, and reclaiming those octants (or shipping
-        // a replica delta missing the runtime regions) would corrupt the
-        // state whole-application resume restores at.
-        self.store.arena.set_phase("rt::commit");
-        let extra_regions = match hook(&mut self.store.arena) {
+        // (3) Stage the tree's fields, then the application-state commit
+        // (`pm-rt`), whose publication writes the record naming both.
+        let bump = self.store.alloc.bump();
+        let arena = &mut self.store.arena;
+        arena.next = CommitRecord { epoch: self.epoch as u64, root, bump, ..arena.next };
+        arena.set_phase("rt::commit");
+        let extra_regions = match hook(arena) {
             Ok(regions) => regions,
             Err(e) => {
+                self.store.arena.next = self.store.arena.committed();
                 self.store.arena.set_phase(prev_phase);
-                // The tree swap is durable; adopt it so the handle
-                // stays coherent (the merged subtrees are already in
-                // NVBM — dropping their DRAM copies loses nothing),
-                // then surface the hook's error with the superseded
-                // version still allocated and no delta shipped.
-                self.prev_root = root;
+                // The merged subtrees are in NVBM under `root`: adopt it
+                // so the handle stays coherent (dropping their DRAM
+                // copies loses nothing).
                 self.current_root = root;
                 self.forest = C0Forest::new();
                 self.shadows = Vec::new();
-                self.epoch += 1;
                 return Err(e);
             }
         };
-        // (4) The previous version is now garbage; reclaim it. The mark
+        // (4) Publish: one sealed header line — none when the hook's
+        // commit already wrote this record. From here a crash recovers V_i.
+        self.store.arena.set_phase("persist::root_swap");
+        let span_swap = self.store.arena.span("persist::root_swap");
+        self.store.arena.publish();
+        self.store.arena.failpoint("persist::root_swap");
+        drop(span_swap);
+        // (5) The previous version is now garbage; reclaim it. The mark
         // walk doubles as the census of the version just published: the
         // Fig. 3 overlap (shared = older than this epoch) and the octants
         // created this epoch.
@@ -858,7 +827,7 @@ impl PmOctree {
         self.events.last_gc = Some(report);
         self.events.last_overlap = Some((report.live, report.shared));
         self.events.persists += 1;
-        // (5) Replica delta shipping: the octants created this epoch.
+        // (6) Replica delta shipping: the octants created this epoch.
         if let Some(mut r) = self.replicas.take() {
             self.store.arena.set_phase("replica::ship");
             let _span_ship = self.store.arena.span("replica::ship");
@@ -866,11 +835,11 @@ impl PmOctree {
             r.push_delta(&mut self.store.arena, &fresh, &extra_regions);
             self.replicas = Some(r);
         }
-        // (6) New working epoch; everything persisted is now shared.
+        // (7) New working epoch; everything persisted is now shared.
         self.store.arena.set_phase("persist::reattach");
         let span_reattach = self.store.arena.span("persist::reattach");
         self.epoch += 1;
-        // (7) Re-attach the retained DRAM subtrees to the working tree
+        // (8) Re-attach the retained DRAM subtrees to the working tree
         //     and remember their merged images as diff shadows.
         self.shadows = Vec::new();
         for (id, off) in merged_offsets {
@@ -888,7 +857,7 @@ impl PmOctree {
         self.forest.decay_access(0.5);
         drop(span_reattach);
         self.store.arena.set_phase(prev_phase);
-        // (8) Dynamic layout transformation (§3.3) runs after merging:
+        // (9) Dynamic layout transformation (§3.3) runs after merging:
         // one detection pass, promoting up to 16 of the hottest NVBM
         // subtrees.
         if self.cfg.dynamic_transform {
@@ -1311,26 +1280,31 @@ mod tests {
         let mut t = PmOctree::create(arena(), small_cfg());
         t.refine(OctKey::root()).unwrap();
         t.persist();
-        let old_root = t.store.arena.root(1);
+        let committed = t.store.arena.committed();
         let gc_before = t.events.gc_runs;
         t.refine(OctKey::root().child(0)).unwrap();
-        let err =
-            t.persist_with_hook(&mut |_| Err(PmError::Full("rt heap full".into()))).unwrap_err();
+        let err = t
+            .persist_with_hook(&mut |arena| {
+                arena.next.rt_root = POffset(4096);
+                Err(PmError::Full("rt heap full".into()))
+            })
+            .unwrap_err();
         assert!(matches!(err, PmError::Full(_)));
         assert_eq!(t.events.gc_runs, gc_before, "GC must not run after a failed hook");
-        // The handle adopted the durable new version and stays usable...
+        let arena = &t.store.arena;
+        assert_eq!((arena.committed(), arena.next), (committed, committed), "nothing published");
+        // The handle keeps the merged tree and stays usable...
         assert_eq!(t.leaf_count(), 15);
         t.refine(OctKey::root().child(1)).unwrap();
         t.refine(OctKey::root().child(2)).unwrap();
-        // ...while the superseded version — which the last *committed*
-        // application bundle may pair with — was neither reclaimed nor
-        // overwritten, so restoring at its root still works.
+        // ...while the committed version was neither reclaimed nor
+        // overwritten, so a crash recovers it.
         let mut arena = {
             let PmOctree { store, .. } = t;
             store.arena
         };
         arena.crash(CrashMode::LoseDirty);
-        let r = PmOctree::restore_at(arena, old_root, small_cfg()).unwrap();
+        let r = PmOctree::restore(arena, small_cfg()).unwrap();
         assert_eq!(r.leaf_count(), 8);
     }
 
@@ -1339,9 +1313,10 @@ mod tests {
         let mut t = PmOctree::create(arena(), small_cfg());
         t.refine(OctKey::root()).unwrap();
         t.persist();
-        let mut arena = t.delete();
-        assert_eq!(arena.root(0), POffset::NULL);
-        assert_eq!(arena.root(1), POffset::NULL);
+        let arena = t.delete();
+        assert_eq!(arena.committed().root, POffset::NULL);
+        let restored = PmOctree::restore(arena, small_cfg());
+        assert!(matches!(restored, Err(PmError::Recovery(_))));
     }
 
     #[test]

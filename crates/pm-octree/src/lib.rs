@@ -9,8 +9,8 @@
 //! Key properties, each enforced by tests in the corresponding module:
 //!
 //! * **Crash consistency without fences** — updates are copy-on-write;
-//!   `V_{i-1}` is immutable until the single atomic root swap at
-//!   [`PmOctree::persist`]. Arbitrary loss/reordering of unflushed
+//!   `V_{i-1}` is immutable until the single commit-record publication
+//!   at [`PmOctree::persist`]. Arbitrary loss/reordering of unflushed
 //!   cachelines cannot corrupt the persisted version (`c1`).
 //! * **Structural sharing** — unchanged subtrees are shared between
 //!   versions; merging diffs against a shadow image so that quiet time

@@ -327,15 +327,15 @@ impl PmStore {
     }
 
     /// Crash recovery of the volatile state from the address-sorted set
-    /// of reachable octants: the allocator is rebuilt around them (every
-    /// orphan's space is reclaimed — the paper's "no allocator logging"),
-    /// its bump pointer published, and the registry replaced by the live
-    /// set.
+    /// of reachable octants: the allocator is rebuilt around them below
+    /// the arena's live octree edge (every orphan's space is reclaimed —
+    /// the paper's "no allocator logging"), its bump pointer published,
+    /// and the registry replaced by the live set.
     pub fn rebuild_from_live(&mut self, live: Vec<POffset>) {
         self.alloc = PmemAllocator::rebuild(
             self.arena.capacity(),
             OCTANT_SIZE,
-            self.arena.bump_hint(),
+            self.arena.live_bump(),
             live.iter().copied(),
         );
         self.arena.publish_bump(self.alloc.bump());

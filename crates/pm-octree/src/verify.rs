@@ -39,20 +39,18 @@ pub struct TreeScan {
     pub leaves: usize,
     /// Deepest reachable refinement level.
     pub depth: u8,
-    /// Highest creation epoch among reachable octants. Recovery must
-    /// resume *above* this — the header epoch alone is not enough when the
-    /// crash hit between the root swap and the epoch publish.
+    /// Highest creation epoch among reachable octants. Recovery refuses a
+    /// tree stamped later than its commit record's epoch.
     pub max_epoch: u32,
 }
 
-/// Is `p` a plausible octant offset for this arena? Checked before any
-/// read, because the arena itself asserts on out-of-range access.
-fn check_offset(p: POffset, capacity: u64, what: &str) -> Result<(), PmError> {
-    if p.0 < HEADER_SIZE || p.0.saturating_add(OCTANT_SIZE as u64) > capacity {
-        return Err(PmError::Corrupt(format!(
-            "{what} {:#x} out of bounds (capacity {capacity:#x})",
-            p.0
-        )));
+/// Is `p` a plausible octant offset for this arena — between the header
+/// and the top of the heaps (the flight-recorder ring starts there)?
+/// Checked before any read, because the arena itself asserts on
+/// out-of-range access.
+fn check_offset(p: POffset, top: u64, what: &str) -> Result<(), PmError> {
+    if p.0 < HEADER_SIZE || p.0.saturating_add(OCTANT_SIZE as u64) > top {
+        return Err(PmError::Corrupt(format!("{what} {:#x} out of bounds (top {top:#x})", p.0)));
     }
     if !p.0.is_multiple_of(CACHELINE as u64) {
         return Err(PmError::Corrupt(format!("{what} {:#x} not cacheline aligned", p.0)));
@@ -83,8 +81,8 @@ fn checked_key(p: POffset, code: u64, level: u8) -> Result<OctKey, PmError> {
 /// before it is followed; structural violations come back as
 /// [`PmError::Corrupt`] describing the first problem found.
 pub fn scan_tree(store: &mut PmStore, root: POffset) -> Result<TreeScan, PmError> {
-    let capacity = store.arena.capacity() as u64;
-    check_offset(root, capacity, "root")?;
+    let top = store.arena.rt_heap_top();
+    check_offset(root, top, "root")?;
     let mut scan = TreeScan::default();
     let mut seen: HashSet<POffset> = HashSet::new();
     let mut expected: HashMap<POffset, OctKey> = HashMap::new();
@@ -138,7 +136,7 @@ pub fn scan_tree(store: &mut PmStore, root: POffset) -> Result<TreeScan, PmError
                 }
                 ChildPtr::Nvbm(q) => {
                     leaf = false;
-                    check_offset(q, capacity, "child pointer")?;
+                    check_offset(q, top, "child pointer")?;
                     if key.level() >= OctKey::MAX_LEVEL {
                         return Err(PmError::Corrupt(format!(
                             "octant {:#x} at max level {} has children",
@@ -176,7 +174,7 @@ pub struct RecoveryReport {
 /// reported as [`PmError::Corrupt`].
 ///
 /// Checks, in order:
-/// 1. the recovery root (slot 1) names a structurally closed tree
+/// 1. the commit record's root names a structurally closed tree
 ///    ([`scan_tree`]) whose leaf/depth counts match the handle's;
 /// 2. rebuilding the leaf index gives exactly the leaf set a direct tree
 ///    walk finds;
@@ -185,10 +183,10 @@ pub struct RecoveryReport {
 ///    allocator's live byte count equals the reachable set — recovery
 ///    already reclaimed every orphan.
 pub fn check_invariants(t: &mut PmOctree) -> Result<RecoveryReport, PmError> {
-    // (1) Structural closure from the recovery root.
-    let root = t.store.arena.root(1);
+    // (1) Structural closure from the committed root.
+    let root = t.store.arena.committed().root;
     if root.is_null() {
-        return Err(PmError::Corrupt("recovery root (slot 1) is null".into()));
+        return Err(PmError::Corrupt("the commit record names no tree".into()));
     }
     let scan = scan_tree(&mut t.store, root)?;
     if scan.leaves != t.leaf_count() {
@@ -291,7 +289,7 @@ mod tests {
         t.refine(OctKey::root()).unwrap();
         t.refine(OctKey::root().child(2)).unwrap();
         t.persist();
-        let root = t.store.arena.root(1);
+        let root = t.store.arena.committed().root;
         let scan = scan_tree(&mut t.store, root).unwrap();
         assert_eq!(scan.leaves, 15);
         assert_eq!(scan.depth, 2);
@@ -326,7 +324,7 @@ mod tests {
         let mut t = PmOctree::create(arena(), cfg());
         t.refine(OctKey::root()).unwrap();
         t.persist();
-        let root = t.store.arena.root(1);
+        let root = t.store.arena.committed().root;
         // Corrupt child slot 0 with a huge offset (links store offset/64).
         poison_link(&mut t, root, 0, (1u64 << 40) >> 6);
         let err = scan_tree(&mut t.store, root).unwrap_err();
@@ -336,15 +334,13 @@ mod tests {
     #[test]
     fn scan_rejects_misaligned_root() {
         // The compact /64 link encoding cannot express a misaligned child,
-        // so the alignment check is exercised through the header's root
-        // slot (the one raw u64 offset a scan starts from).
+        // so the alignment check is exercised through the commit record's
+        // root (the one raw u64 offset a scan starts from).
         let mut t = PmOctree::create(arena(), cfg());
         t.refine(OctKey::root()).unwrap();
         t.persist();
-        let root = t.store.arena.root(1);
-        t.store.arena.set_root(1, POffset(root.0 + 8));
-        let torn = t.store.arena.root(1);
-        let err = scan_tree(&mut t.store, torn).unwrap_err();
+        let root = t.store.arena.committed().root;
+        let err = scan_tree(&mut t.store, POffset(root.0 + 8)).unwrap_err();
         assert!(err.to_string().contains("aligned"), "{err}");
     }
 
@@ -353,7 +349,7 @@ mod tests {
         let mut t = PmOctree::create(arena(), cfg());
         t.refine(OctKey::root()).unwrap();
         t.persist();
-        let root = t.store.arena.root(1);
+        let root = t.store.arena.committed().root;
         // Point child 0 of the root back at the root itself.
         poison_link(&mut t, root, 0, root.0 >> 6);
         let err = scan_tree(&mut t.store, root).unwrap_err();
@@ -366,7 +362,7 @@ mod tests {
         let mut t = PmOctree::create(arena(), cfg());
         t.refine(OctKey::root()).unwrap();
         t.persist();
-        let root = t.store.arena.root(1);
+        let root = t.store.arena.committed().root;
         // Overwrite the root's level byte (hot-line offset 56) with garbage.
         t.store.arena.write(root.0 + 56, &[200u8]);
         let err = scan_tree(&mut t.store, root).unwrap_err();
@@ -378,7 +374,7 @@ mod tests {
         let mut t = PmOctree::create(arena(), cfg());
         t.refine(OctKey::root()).unwrap();
         t.persist();
-        let root = t.store.arena.root(1);
+        let root = t.store.arena.committed().root;
         poison_link(&mut t, root, 1, (1u64 << 47) | 5);
         let err = scan_tree(&mut t.store, root).unwrap_err();
         assert!(err.to_string().contains("volatile"), "{err}");
@@ -389,7 +385,7 @@ mod tests {
         let mut t = PmOctree::create(arena(), cfg());
         t.refine(OctKey::root()).unwrap();
         t.persist();
-        let root = t.store.arena.root(1);
+        let root = t.store.arena.committed().root;
         let ChildPtr::Nvbm(leaf) = t.store.nav_line(root).children[4] else { panic!() };
         // Hot-line offset 57 held the deleted flag once; nothing stores
         // there now, so any bit set in a reachable octant is damage.
@@ -408,12 +404,34 @@ mod tests {
         assert!(matches!(PmOctree::restore(a, cfg()), Err(PmError::Corrupt(_))));
     }
 
+    /// The commit record bounds every reachable octant's epoch: one
+    /// stamped a single epoch later is damage, not a crash to tolerate.
+    #[test]
+    fn restore_refuses_an_octant_stamped_past_the_record() {
+        let mut t = PmOctree::create(arena(), cfg());
+        t.refine(OctKey::root()).unwrap();
+        t.persist();
+        let (root, epoch) = (t.store.arena.committed().root, t.store.arena.committed().epoch);
+        let ChildPtr::Nvbm(leaf) = t.store.nav_line(root).children[3] else { panic!() };
+        for (stamp, ok) in [(epoch, true), (epoch + 1, false)] {
+            // Hot-line offset 60 holds the creation epoch.
+            t.store.arena.write(leaf.0 + 60, &(stamp as u32).to_le_bytes());
+            t.store.arena.flush_all();
+            let image = t.store.arena.clone_media();
+            let r = PmOctree::restore(NvbmArena::from_media(image, DeviceModel::default()), cfg());
+            match r {
+                Ok(r) => assert!(ok && r.epoch() as u64 == epoch + 1, "stamp {stamp}"),
+                Err(e) => assert!(!ok && matches!(e, PmError::Corrupt(_)), "stamp {stamp}: {e}"),
+            }
+        }
+    }
+
     #[test]
     fn scan_rejects_mask_link_mismatch() {
         let mut t = PmOctree::create(arena(), cfg());
         t.refine(OctKey::root()).unwrap();
         t.persist();
-        let root = t.store.arena.root(1);
+        let root = t.store.arena.committed().root;
         // Zero the presence mask (hot-line offset 58) while the eight
         // child links stay populated: a torn navigation line.
         t.store.arena.write(root.0 + 58, &[0u8]);

@@ -7,12 +7,10 @@ use pm_octree::PmOctree;
 use pmoctree_nvbm::{CrashMode, CrashView, DeviceModel, FailPlan, NvbmArena};
 
 /// The persist protocol's failpoint labels, in protocol order. A crash at
-/// `persist::merge` or `persist::flush` happens before any root moved; at
-/// `persist::root_swap_half` root slot 0 names the new version but the
-/// recovery slot 1 still names the old one; only at `persist::root_swap`
-/// has the recovery root been published.
-pub const PHASES: [&str; 4] =
-    ["persist::merge", "persist::flush", "persist::root_swap_half", "persist::root_swap"];
+/// `persist::merge` or `persist::flush` happens before the commit record
+/// naming the new version is stored; at `persist::root_swap` it is on
+/// media.
+pub const PHASES: [&str; 3] = ["persist::merge", "persist::flush", "persist::root_swap"];
 
 /// Persist `t` and return the device a reboot would find had the process
 /// died under `mode` at the first of the persist's crash opportunities

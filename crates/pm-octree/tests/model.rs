@@ -5,12 +5,11 @@
 //! The paper promises that at least one complete version is always
 //! consistent. Stated as durable linearizability (NVTraverse): nothing an
 //! op stores is reachable before its one publication link store or the
-//! persist's root swap, so a crash recovers `V_{i-1}` — or `V_i` once
-//! `persist::root_swap` has fired. (The recovery root is stored and
-//! written back after `persist::root_swap_half`, so a crash at that label
-//! recovers `V_{i-1}` and one strictly between the two labels may recover
-//! either; the harness reads which one off the restored tree there and
-//! holds every later check to it.) The model is that statement made
+//! persist's commit record, so a crash recovers `V_{i-1}` until that
+//! record's line is on media and `V_i` after — at or before
+//! `persist::flush` `V_{i-1}`, from `persist::root_swap` on `V_i`, and in
+//! between, where the line is stored and written back, whichever version
+//! the crash image's record names. The model is that statement made
 //! executable: a map from every octant key of `V_i` to its payload, and
 //! the `V_{i-1}` copy taken at each persist.
 //!
@@ -174,8 +173,8 @@ impl Model {
         self.written.clear();
     }
 
-    /// A crash: the tree comes back as `V_i` once the recovery root was
-    /// published (`recovers_new`), as `V_{i-1}` before.
+    /// A crash: the tree comes back as `V_i` once the commit record naming
+    /// it is on media (`recovers_new`), as `V_{i-1}` before.
     fn crash(&mut self, recovers_new: bool) {
         if !recovers_new {
             self.tree = self.persisted.clone();
@@ -367,18 +366,13 @@ impl Harness {
         }
     }
 
-    /// Reboot on `arena`, which a crash left holding `V_i` (`Some(true)`),
-    /// `V_{i-1}` (`Some(false)`) or either (`None`): the restored tree
-    /// passes the invariant checker, holds nothing but that version's
-    /// octants, and carries on the stream.
-    fn restore(&mut self, arena: NvbmArena, recovers_new: Option<bool>) {
+    /// Reboot on `arena`, which a crash left holding `V_i`
+    /// (`recovers_new`) or `V_{i-1}`: the restored tree passes the
+    /// invariant checker, holds nothing but that version's octants, and
+    /// carries on the stream.
+    fn restore(&mut self, arena: NvbmArena, recovers_new: bool) {
         let mut r = PmOctree::restore(arena, self.t.cfg).expect("restore");
         check_invariants(&mut r).expect("invariants after restore");
-        let is_new = |r: &mut PmOctree, m: &Model| {
-            r.leaves_sorted() == m.leaves()
-                && m.tree.iter().all(|(k, d)| r.get_data(*k) == Some(*d))
-        };
-        let recovers_new = recovers_new.unwrap_or_else(|| is_new(&mut r, &self.m));
         self.m.crash(recovers_new);
         assert_eq!(r.memory_usage_bytes(), (OCTANT_SIZE * self.m.tree.len()) as u64);
         self.t = r;
@@ -387,7 +381,7 @@ impl Harness {
     fn crash_now(&mut self, mode: CrashMode, recovers_new: bool) {
         self.t.store.arena.crash(mode);
         let image = self.t.store.arena.clone_media();
-        self.restore(NvbmArena::from_media(image, DeviceModel::default()), Some(recovers_new));
+        self.restore(NvbmArena::from_media(image, DeviceModel::default()), recovers_new);
     }
 
     fn leaf(&self, i: usize) -> OctKey {
@@ -460,7 +454,7 @@ impl Harness {
                     let image = replica.image();
                     let mut arena = NvbmArena::new(image.len(), DeviceModel::default());
                     arena.restore_media(image);
-                    self.restore(arena, Some(false));
+                    self.restore(arena, false);
                 }
             }
             Step::CrashInPersist(label, n, mode) => {
@@ -474,15 +468,14 @@ impl Harness {
                 match crash_in_persist(&mut self.t, at, mode) {
                     Some((arena, fired, at)) => {
                         self.census();
-                        // The recovery root is stored strictly between the
-                        // two root-swap labels: only there may either
-                        // version come back.
-                        let half = "persist::root_swap_half";
-                        let recovers_new = if fired.contains(&"persist::root_swap") {
-                            Some(true)
-                        } else {
-                            (!fired.contains(&half) || at == Some(half)).then_some(false)
-                        };
+                        // The record is stored and written back strictly
+                        // between the last two labels: only there does the
+                        // crash image's record say which version is back.
+                        let (flushed, swapped) = (PHASES[1], PHASES[2]);
+                        let recovers_new = fired.contains(&swapped)
+                            || (fired.contains(&flushed)
+                                && at != Some(flushed)
+                                && arena.committed() == self.t.store.arena.committed());
                         self.restore(arena, recovers_new);
                     }
                     None => {

@@ -280,9 +280,11 @@ impl LogHeap {
     /// Rebuild after a crash: `live` is the set of `(offset, footprint)`
     /// records the recovered commit chain names (blob records of live
     /// entries plus the chain records themselves). The ring is re-seated
-    /// not-wrapped around them: base under the lowest record (clamped by
-    /// the persisted floor hint), head after the highest. Gaps between
-    /// live records are reclaimed as the tail sweeps past them.
+    /// not-wrapped around them: base under the lowest record and the
+    /// persisted floor hint (clamped under `top`; a hint below `limit`,
+    /// inside the octree's territory, is none), head after the highest.
+    /// Gaps between live records are reclaimed as the tail sweeps past
+    /// them.
     pub fn rebuild(
         limit: u64,
         top: u64,
@@ -292,7 +294,7 @@ impl LogHeap {
         let mut h = LogHeap::new(limit, top);
         let mut recs: Vec<(u64, u64)> = live.into_iter().map(|(p, s)| (p.0, s)).collect();
         recs.sort_unstable();
-        let mut base = h.top.min(if floor_hint == 0 { h.top } else { floor_hint });
+        let mut base = if floor_hint < limit { h.top } else { floor_hint.min(h.top) };
         if let Some(&(lowest, _)) = recs.first() {
             base = base.min(lowest);
         }

@@ -15,10 +15,11 @@
 //!   every restore;
 //! * **copy-on-write updates**: a `put` writes a fresh object blob and a
 //!   fresh table; nothing committed is ever modified in place;
-//! * **one atomic commit point**: publishing the new table is a single
-//!   8-byte flushed header store ([`NvbmArena::set_rt_root`]
-//!   (pmoctree_nvbm::NvbmArena::set_rt_root)) — exactly the root-swap
-//!   `pm-octree` already proves crash-consistent, so no new consistency
+//! * **one commit point**: publishing the new table is the arena's one
+//!   sealed header record ([`NvbmArena::publish`]
+//!   (pmoctree_nvbm::NvbmArena::publish)), the same publication
+//!   `pm-octree` persists through — inside a combined persist it is one
+//!   record naming the tree and the table, so no new consistency
 //!   argument is needed (see DESIGN.md). The commit and swizzle points
 //!   register as `FailPlan` failpoints `rt::commit` / `rt::swizzle` and
 //!   are covered by the crash-point sweep.

@@ -3,8 +3,8 @@
 //! Since the log-structured region rework, a commit no longer rewrites
 //! the whole object table: it appends one checksummed **commit record**
 //! (a table *delta* plus a pointer to the previous commit record) to the
-//! circular log the blobs themselves live in, and publishes it with the
-//! same single atomic 8-byte root store as before. Every
+//! circular log the blobs themselves live in, and publishes it through
+//! the arena's one sealed header record — the octree's too. Every
 //! [`CHECKPOINT_EVERY`] commits a full-table checkpoint record cuts the
 //! chain so recovery walks a bounded number of records.
 //!
@@ -183,7 +183,7 @@ fn prefix_range<'a, V>(
 /// The runtime does not own the arena — verbs borrow it, so the octree
 /// and the runtime share one device. The volatile side is a name → entry
 /// map plus the ring bookkeeping; the persistent side is the commit
-/// chain named by the `rt_root` header slot.
+/// chain named by the arena's commit record (its `rt_root`).
 ///
 /// Two views of the registry coexist: the **staged** table (what the next
 /// commit will publish) and the **committed** table (what the current
@@ -196,7 +196,7 @@ fn prefix_range<'a, V>(
 pub struct PmRt {
     /// Staged view: name → entry as of the next commit.
     table: NameMap<Entry>,
-    /// Committed view: name → entry as published by `rt_root`.
+    /// Committed view: name → entry as the published chain holds it.
     committed: NameMap<Entry>,
     /// Reverse index of the committed view: blob record offset → name.
     /// Both advance at commit by applying `staged_origin`; volatile, so
@@ -261,7 +261,7 @@ impl PmRt {
     }
 
     /// `pm_restore` for the runtime: walk the commit-record chain from
-    /// the durable root pointer (every record checksum-validated), replay
+    /// the arena's commit record (every record checksum-validated), replay
     /// the deltas oldest→newest, validate ("swizzle") every surviving
     /// entry against the arena, and re-seat the ring around the live
     /// records. Fails with [`PmError::NotFound`] if no chain was ever
@@ -272,14 +272,15 @@ impl PmRt {
 
     fn restore_inner(arena: &mut NvbmArena) -> Result<Self, RtError> {
         let _s = arena.span("rt::swizzle");
-        let root = arena.rt_root();
+        let record = arena.committed();
+        let root = record.rt_root;
         if root.is_null() {
             return Err(RtError::Missing("no committed rt commit chain".into()));
         }
         let top = arena.rt_heap_top();
         // Chain walk, newest → oldest. Torn appends past the last durable
-        // root swap are simply never reached: the chain only names
-        // records that were flushed before their root swap.
+        // publication are simply never reached: the chain only names
+        // records that were flushed before their publication.
         let mut walked: Vec<(u64, CommitPayload, usize)> = Vec::new();
         let mut off = root.0;
         let mut newer_epoch = u64::MAX;
@@ -330,12 +331,11 @@ impl PmRt {
         arena.failpoint("rt::swizzle");
 
         let limit = arena.live_bump().max(HEADER_SIZE);
-        let floor_hint = arena.rt_bump_hint();
         let live = table
             .values()
             .map(|e| (POffset(e.record_off()), e.footprint() as u64))
             .chain(walked.iter().map(|(o, _, size)| (POffset(*o), *size as u64)));
-        let heap = LogHeap::rebuild(limit, top, floor_hint, live)?;
+        let heap = LogHeap::rebuild(limit, top, record.rt_floor, live)?;
         arena.publish_rt_floor(heap.floor());
         let chain: Vec<u64> = walked.iter().rev().map(|(o, _, _)| *o).collect();
         Ok(PmRt {
@@ -353,13 +353,14 @@ impl PmRt {
         })
     }
 
-    /// `pm_delete` for the runtime: clear the persistent registry (the
-    /// header slots; log space is reclaimed implicitly, nothing is
-    /// scrubbed). Outstanding MVCC snapshots are invalidated — their
-    /// epochs no longer exist.
+    /// `pm_delete` for the runtime: publish a commit record without a
+    /// runtime (log space is reclaimed implicitly, nothing is scrubbed).
+    /// Outstanding MVCC snapshots are invalidated — their epochs no longer
+    /// exist.
     pub fn destroy(arena: &mut NvbmArena) {
-        arena.set_rt_root(POffset(0));
-        arena.set_rt_bump_hint(0);
+        arena.next.rt_root = POffset::NULL;
+        arena.next.rt_floor = 0;
+        arena.publish();
         arena.publish_rt_floor(arena.rt_heap_top());
         arena.rt_pins().invalidate();
     }
@@ -515,9 +516,11 @@ impl PmRt {
 
     /// `pm_persistent` for the runtime: append one commit record (a table
     /// delta chained to the previous commit, or a full checkpoint every
-    /// [`CHECKPOINT_EVERY`] commits), flush everything staged, and
-    /// publish the record with one atomic 8-byte header store — the same
-    /// root-swap commit point as the octree's persist, firing the
+    /// [`CHECKPOINT_EVERY`] commits), flush everything staged, and write
+    /// the record and the ring floor into the arena's next commit record
+    /// and publish it ([`NvbmArena::publish`]) — the octree's commit point
+    /// too: inside [`PmOctree::persist_with_hook`](pm_octree::PmOctree::persist_with_hook)
+    /// that one publication names the new tree as well. Fires the
     /// `rt::commit` failpoint. The wear-leveling and compaction passes
     /// run first (failpoints `wear::relocate` / `heap::compact`), and the
     /// record append fires `heap::append`. Returns the regions written
@@ -565,13 +568,12 @@ impl PmRt {
         let (rec_off, size) = self.append_record(arena, RecordKind::Commit, &payload)?;
         self.epoch = epoch;
         self.staged.push((rec_off, size as u32));
-        // Persist the ring floor *before* the swap: a stale floor after a
-        // crash wastes space below the clamped floor, never corrupts.
-        arena.set_rt_bump_hint(self.heap.floor());
         // Destination matters: the record and blobs must be on media
         // before anything names them.
         arena.flush_all();
-        arena.set_rt_root(POffset(rec_off)); // THE commit point (atomic 8-byte store)
+        arena.next.rt_root = POffset(rec_off);
+        arena.next.rt_floor = self.heap.floor();
+        arena.publish(); // THE commit point: one sealed header line
         arena.failpoint("rt::commit");
         // Post-swap bookkeeping. A checkpoint makes the old chain
         // unreachable from the durable root: those records die now (no
@@ -1018,6 +1020,12 @@ mod tests {
         NvbmArena::new(1 << 20, DeviceModel::default())
     }
 
+    /// Publish a sealed commit record whose `rt_root` is `p`.
+    fn publish_rt_root(a: &mut NvbmArena, p: POffset) {
+        a.next.rt_root = p;
+        a.publish();
+    }
+
     #[test]
     fn restore_fires_swizzle_failpoint() {
         let mut a = arena();
@@ -1042,10 +1050,11 @@ mod tests {
         let mut rt = PmRt::create(&mut a).unwrap();
         rt.stage(&mut a, "x", &5u64).unwrap();
         rt.commit(&mut a).unwrap();
-        // Point rt_root into the weeds.
-        a.set_rt_root(POffset(a.capacity() as u64 - 8));
+        // A valid record pointing into the weeds.
+        let end = a.capacity() as u64;
+        publish_rt_root(&mut a, POffset(end - 8));
         assert!(matches!(PmRt::restore(&mut a), Err(PmError::Corrupt(_))));
-        a.set_rt_root(POffset(HEADER_SIZE));
+        publish_rt_root(&mut a, POffset(HEADER_SIZE));
         assert!(PmRt::restore(&mut a).is_err());
     }
 
@@ -1055,9 +1064,9 @@ mod tests {
         let mut rt = PmRt::create(&mut a).unwrap();
         rt.stage(&mut a, "x", &5u64).unwrap();
         rt.commit(&mut a).unwrap();
-        // A torn header write can leave rt_root near u64::MAX; the bound
-        // check must not wrap around and panic inside the arena read.
-        a.set_rt_root(POffset(u64::MAX - 4));
+        // A sealed record naming a chain near u64::MAX: the bound check
+        // must not wrap around and panic inside the arena read.
+        publish_rt_root(&mut a, POffset(u64::MAX - 4));
         assert!(matches!(PmRt::restore(&mut a), Err(PmError::Corrupt(_))));
     }
 
@@ -1069,7 +1078,7 @@ mod tests {
         rt.commit(&mut a).unwrap();
         // A blob record is checksummed too, but it is not a commit
         // record: the kind check must reject it.
-        a.set_rt_root(POffset(p.offset() - REC_HEADER as u64));
+        publish_rt_root(&mut a, POffset(p.offset() - REC_HEADER as u64));
         assert!(matches!(PmRt::restore(&mut a), Err(PmError::Corrupt(_))));
     }
 

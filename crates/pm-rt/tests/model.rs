@@ -3,26 +3,31 @@
 //! commit / pin / collect / service-batch / lease / crash streams.
 //!
 //! The claim, as durable linearizability (NVTraverse): nothing staged is
-//! reachable before the one `rt_root` header store that publishes a
-//! commit, so a crash recovers the committed root map, or the new one
-//! once that store is durable. The model is two maps, name → bytes —
+//! reachable before the one sealed commit record that publishes a commit,
+//! so a crash recovers the committed root map until that record's line is
+//! on media, and the new one after. A commit inside an octree persist
+//! publishes the same record as the tree, so the tree comes back with the
+//! map it was published with. The model is two maps, name → bytes —
 //! staged and committed — and for every live snapshot the committed
-//! prefix view it pinned; a service adds tenants (a prefix `t/` with a
-//! quota and a lineage) and leases. A refusal (`Recovery` for a malformed
-//! name, `QuotaExceeded`, `NotFound`, `TenantBusy`, `Full`) stores
-//! nothing, and a commit or a batch that fails changes nothing the API
-//! shows. DESIGN.md "The pm-rt model" states the rules in full.
+//! prefix view it pinned, plus the tree's committed root payload; a
+//! service adds tenants (a prefix `t/` with a quota and a lineage) and
+//! leases. A refusal (`Recovery` for a malformed name, `QuotaExceeded`,
+//! `NotFound`, `TenantBusy`, `Full`) stores nothing, and a commit or a
+//! batch that fails changes nothing the API shows. DESIGN.md "The pm-rt
+//! model" states the rules in full.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::sync::{Arc, Mutex};
 
+use pm_octree::{CellData, PmConfig, PmOctree};
 use pm_rt::rt::blob_footprint;
 use pm_rt::{
     PmError, PmRt, ServiceCmd, ServiceConfig, ServiceReply, Snapshot, StateService, TenantHandle,
     TenantLease,
 };
-use pmoctree_nvbm::{CrashMode, CrashView, DeviceModel, FailPlan, NvbmArena};
+use pmoctree_morton::OctKey;
+use pmoctree_nvbm::{CrashMode, CrashView, DeviceModel, FailPlan, NvbmArena, HEADER_SIZE};
 use proptest::prelude::*;
 
 /// Names of runtime runs: the neighbourhood of the tenant prefix `a/` —
@@ -110,6 +115,8 @@ struct Model {
     published: BTreeMap<String, (u64, u64)>,
     /// Service runs: the checked-out tenants.
     leased: BTreeSet<String>,
+    /// The root payload (`phi`) of the tree the commit record names.
+    tree: f64,
 }
 
 impl Model {
@@ -318,6 +325,24 @@ fn via(
 /// at its n-th crash opportunity (just after the call when it has fewer).
 type Aim = Option<(Option<&'static str>, u64, CrashMode)>;
 
+/// The octree sharing the runtime's device: no DRAM tier, no
+/// transformation — a root whose payload each combined commit sets.
+fn tree_cfg() -> PmConfig {
+    PmConfig { seed_c0: false, dynamic_transform: false, ..PmConfig::default() }
+}
+
+/// `PmRt::commit` (a lease holder's, in a service run); `None` when a
+/// service run holds no lease.
+fn commit_sys(sys: &mut Sys, arena: &mut NvbmArena) -> Option<Result<Vec<(u64, u32)>, PmError>> {
+    match sys {
+        Sys::Rt(rt) => Some(rt.commit(arena)),
+        Sys::Svc(svc, leases) => {
+            let lease = leases.values().next()?;
+            Some(svc.handle(lease, arena).unwrap().commit())
+        }
+    }
+}
+
 #[derive(Clone, Debug)]
 enum Step {
     /// A run of one kind of op on picks `(index, length)`: through the raw
@@ -325,8 +350,9 @@ enum Step {
     /// writes go through a lease holder's handle and a pin through
     /// `StateService::snapshot`.
     Run(Kind, Vec<(usize, usize)>, bool),
-    /// `PmRt::commit`; in a service run, a lease holder's commit.
-    Commit(Aim),
+    /// `PmRt::commit`; in a service run, a lease holder's commit. Inside
+    /// an octree persist that sets the tree's root payload first (`true`).
+    Commit(Aim, bool),
     /// Service runs: commands, submitted, then one flush.
     Batch(Vec<ServiceCmd>, Aim),
     /// Service runs: check a tenant out (`true`), or release it.
@@ -355,8 +381,9 @@ struct Harness {
 
 impl Harness {
     fn new(svc: bool, filling: bool) -> Self {
-        let mut arena =
+        let device =
             NvbmArena::new(if filling { 64 << 10 } else { 1 << 20 }, DeviceModel::default());
+        let mut arena = PmOctree::create(device, tree_cfg()).store.arena;
         // `create` commits once; a service commits its empty registry too.
         let (sys, epoch) = if svc {
             let cfg = ServiceConfig::builder().max_tenants(3).batch_capacity(64).build().unwrap();
@@ -514,21 +541,45 @@ impl Harness {
         }
     }
 
-    /// `PmRt::commit` (a lease holder's, in a service run); whether it
-    /// published.
-    fn commit(&mut self) -> bool {
-        let r = match &mut self.sys {
-            Sys::Rt(rt) => rt.commit(&mut self.arena),
-            Sys::Svc(svc, leases) => match leases.values().next() {
-                Some(lease) => svc.handle(lease, &mut self.arena).unwrap().commit(),
-                None => return false,
-            },
+    /// Run `f` on the tree the device's commit record names, restored for
+    /// the call; the device comes back out of it afterwards.
+    fn with_tree<R>(&mut self, f: impl FnOnce(&mut PmOctree, &mut Sys) -> R) -> R {
+        let placeholder = NvbmArena::new(HEADER_SIZE as usize, DeviceModel::default());
+        let arena = std::mem::replace(&mut self.arena, placeholder);
+        let mut t = PmOctree::restore(arena, tree_cfg()).expect("the record names a tree");
+        let r = f(&mut t, &mut self.sys);
+        self.arena = t.store.arena;
+        r
+    }
+
+    /// A commit, alone or (`in_persist`) as the hook of an octree persist
+    /// that sets the tree's root payload to the next value first; whether
+    /// the runtime published.
+    fn commit(&mut self, in_persist: bool) -> bool {
+        let said = if in_persist {
+            let phi = self.m.tree + 1.0;
+            let (said, set) = self.with_tree(|t, sys| {
+                let set = t.set_data(OctKey::root(), CellData { phi, ..CellData::default() });
+                let mut said = None;
+                let persisted = t.persist_with_hook(&mut |arena| {
+                    said = commit_sys(sys, arena);
+                    said.clone().unwrap_or_else(|| Ok(Vec::new()))
+                });
+                (said, set.is_ok() && persisted.is_ok())
+            });
+            if set {
+                self.m.tree = phi;
+            }
+            said
+        } else {
+            commit_sys(&mut self.sys, &mut self.arena)
         };
-        match &r {
-            Ok(_) => self.m.commit(),
-            Err(e) => self.agree(&Err(kind(e)), &Ok(()), "commit"),
+        match &said {
+            Some(Ok(_)) => self.m.commit(),
+            Some(Err(e)) => self.agree(&Err(kind(e)), &Ok(()), "commit"),
+            None => {}
         }
-        r.is_ok()
+        matches!(said, Some(Ok(_)))
     }
 
     /// One batch: submit, flush, and hold every reply to the model's.
@@ -568,29 +619,28 @@ impl Harness {
         Some(changed)
     }
 
-    /// Run `call` — a commit or a flush that returns whether it published
-    /// — and crash where `aim` says, or just after it. At or before
-    /// `heap::append` the committed map must come back, at or after
-    /// `rt::commit` the new one; between them the root store decides:
-    /// once it is durable the new map, while it sits in the write-back
-    /// cache either, before it is issued the committed map.
+    /// Run `call` — a commit or a flush that returns whether the runtime
+    /// published — and crash where `aim` says, or just after it. The map
+    /// (and the tree) come back as the commit record names them: the
+    /// committed ones until the record's line is on media, the new ones
+    /// after. At or before `heap::append` that is the committed map, at or
+    /// after `rt::commit` the new one, and between them the record line is
+    /// stored and written back, so the crash image's record decides. A
+    /// persist whose hook published nothing has that window between
+    /// `persist::flush` and `persist::root_swap`.
     fn crash_in(
         &mut self,
         (label, n, mode): (Option<&'static str>, u64, CrashMode),
         call: impl FnOnce(&mut Self) -> bool,
     ) {
         let old = self.m.clone();
+        let before = self.arena.committed();
         let captured = Arc::new(Mutex::new(None));
         let sink = Arc::clone(&captured);
         self.arena.set_fail_plan(FailPlan::with_hook(Box::new(move |v: &CrashView<'_>| {
             let hit = if label.is_some() { v.label == label } else { v.opportunity == n };
             if hit {
-                sink.lock().unwrap().get_or_insert_with(|| {
-                    let root =
-                        |image| NvbmArena::from_media(image, DeviceModel::default()).rt_root();
-                    let roots = (root(v.image(CrashMode::LoseDirty)), root(v.full_image()));
-                    (v.image(mode), v.opportunity, roots)
-                });
+                sink.lock().unwrap().get_or_insert_with(|| (v.image(mode), v.opportunity));
             }
         })));
         let published = call(self);
@@ -601,31 +651,36 @@ impl Harness {
                 assert!(at(l).is_some(), "a commit that published fired no {l}");
             }
         }
-        let Some((image, op, (durable, issued))) = captured.lock().unwrap().take() else {
+        let Some((image, op)) = captured.lock().unwrap().take() else {
             return self.crash_now(mode);
         };
-        let new_root = published.then(|| self.arena.rt_root());
-        let recovers_new = match (at("heap::append"), at("rt::commit")) {
-            (Some(a), _) if op <= a => Some(false),
-            (_, Some(c)) if op >= c => Some(true),
-            _ if Some(durable) == new_root => Some(true),
-            _ if Some(issued) == new_root => None,
-            _ => Some(false),
+        let new = self.arena.committed();
+        let (last_old, first_new) = if published {
+            ("heap::append", "rt::commit")
+        } else {
+            ("persist::flush", "persist::root_swap")
         };
+        let recovers_new = new != before
+            && match (at(last_old), at(first_new)) {
+                (Some(a), _) if op <= a => false,
+                (_, Some(c)) if op >= c => true,
+                _ => {
+                    NvbmArena::from_media(image.clone(), DeviceModel::default()).committed() == new
+                }
+            };
         self.reboot(image, recovers_new, old);
     }
 
     fn crash_now(&mut self, mode: CrashMode) {
         self.arena.crash(mode);
         let image = self.arena.clone_media();
-        self.reboot(image, Some(true), self.m.clone());
+        self.reboot(image, true, self.m.clone());
     }
 
-    /// Reboot on `image`, which holds the model's committed map
-    /// (`Some(true)`), `old`'s (`Some(false)`) or either (`None`): every
-    /// snapshot is gone, and the stream carries on on the restored
-    /// runtime.
-    fn reboot(&mut self, image: Vec<u8>, recovers_new: Option<bool>, mut old: Model) {
+    /// Reboot on `image`, which holds the model's committed map and tree
+    /// (`recovers_new`) or `old`'s: every snapshot is gone, and the stream
+    /// carries on on the restored runtime.
+    fn reboot(&mut self, image: Vec<u8>, recovers_new: bool, mut old: Model) {
         self.arena.restore_media(&image);
         for (snap, ..) in self.pins.drain(..) {
             assert!(!snap.is_live());
@@ -640,12 +695,13 @@ impl Harness {
         };
         self.m.leased.clear();
         self.m.reboot();
-        let recovers_new = recovers_new.unwrap_or_else(|| self.view() == self.m.view(self.svc()));
         if !recovers_new {
             old.leased.clear();
             old.reboot();
             self.m = old;
         }
+        let tree = self.with_tree(|t, _| t.get_data(OctKey::root()).map(|d| d.phi));
+        assert_eq!(tree, Some(self.m.tree), "the tree came back with another map");
     }
 
     fn step(&mut self, step: &Step, salt: u64) {
@@ -655,10 +711,10 @@ impl Harness {
                     self.op(kind, pick, handles, salt ^ j as u64);
                 }
             }
-            Step::Commit(None) => {
-                self.commit();
+            Step::Commit(None, in_persist) => {
+                self.commit(in_persist);
             }
-            Step::Commit(Some(aim)) => self.crash_in(aim, Self::commit),
+            Step::Commit(Some(aim), in_persist) => self.crash_in(aim, |h| h.commit(in_persist)),
             Step::Batch(ref cmds, Some(aim)) => self.crash_in(aim, |h| h.batch(cmds) == Some(true)),
             Step::Batch(ref cmds, None) => {
                 self.arena.set_fail_plan(FailPlan::count());
@@ -727,7 +783,7 @@ fn run(svc: bool, filling: bool, steps: &[Step]) {
                 h.step(&Step::Batch(vec![put], None), 0);
             } else {
                 h.step(&Step::Run(Kind::Stage, vec![(k, len)], false), k as u64);
-                h.step(&Step::Commit(None), 0);
+                h.step(&Step::Commit(None, k % 2 == 0), 0);
             }
             h.step(&Step::Run(Kind::Pin, vec![(0, 0)], false), 0);
             h.check();
@@ -785,7 +841,7 @@ fn arb_steps(max_len: usize) -> impl Strategy<Value = Vec<Step>> {
     prop::collection::vec(
         prop_oneof![
             10 => (kind, picks, any::<bool>()).prop_map(|(k, p, h)| Step::Run(k, p, h)),
-            3 => arb_aim().prop_map(Step::Commit),
+            3 => (arb_aim(), any::<bool>()).prop_map(|(aim, p)| Step::Commit(aim, p)),
             6 => (cmds, arb_aim()).prop_map(|(c, aim)| Step::Batch(c, aim)),
             2 => (0usize..TENANTS.len(), any::<bool>()).prop_map(|(t, take)| Step::Lease(t, take)),
             1 => (0usize..8).prop_map(Step::Unpin),

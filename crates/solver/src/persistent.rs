@@ -5,8 +5,8 @@
 //! DRAM, so a crash still lost the simulation. This module closes that
 //! gap with the `pm-rt` orthogonal-persistence runtime: at every persist
 //! point the full [`RunState`] is staged into the runtime and committed
-//! by `pm-rt`'s atomic root-table swap, *inside* the octree's persist
-//! protocol (after the tree's root swap, before GC — see
+//! *inside* the octree's persist protocol, so one commit record publishes
+//! the mesh and the run state together (see
 //! [`PmOctree::persist_with_hook`]). A run killed at **any** crash
 //! opportunity — including mid-persist — resumes from the last combined
 //! commit and produces a byte-identical final [`RunReport`].
@@ -53,9 +53,8 @@ pub struct RunState {
     /// persist committed this state (its `persist_ns` is the value
     /// measured at the commit hook).
     pub steps: Vec<StepBreakdown>,
-    /// The tree root this state pairs with. Restoring *at this root*
-    /// (not at whatever the header names) keeps mesh and run state
-    /// consistent even when a crash lands between the two root swaps.
+    /// The tree root this state pairs with: the root the commit record
+    /// that publishes this state names.
     pub tree_root: u64,
 }
 
@@ -176,7 +175,8 @@ pub enum Reattach {
 }
 
 /// Reattach to a crashed device: restore the runtime, read the committed
-/// [`RunState`], and restore the tree *at the root the state pairs with*.
+/// [`RunState`], and restore the tree at the root it pairs with — the
+/// commit record's.
 /// The arena's virtual clock measures the whole-application restart
 /// latency: it starts at zero in the cold process, so
 /// `backend.elapsed_ns()` on [`Reattach::Resumable`] *is* the restart
@@ -243,7 +243,7 @@ fn drive(
                 let cfg = sim.cfg;
                 let committed = b.tree.persist_with_hook(&mut |arena| {
                     // Everything from the persist entry to this hook —
-                    // merge, flush, root swap — is the step's attributed
+                    // merge and flush — is the step's attributed
                     // persistence cost; stage it into the state itself so
                     // the resumed run reports the very same number.
                     let persist_ns = arena.clock.now_ns() - t3;
@@ -253,7 +253,7 @@ fn drive(
                         cfg,
                         next_step: s as u64 + 1,
                         steps,
-                        tree_root: arena.root(1).0,
+                        tree_root: arena.next.root.0,
                     };
                     let mut tenant = rt_ref.session(arena).tenant(RUN_TENANT)?;
                     tenant.put(RUN_ROOT, &state)?;
