@@ -17,6 +17,7 @@ use std::path::Path;
 use crate::clock::VirtualClock;
 use crate::failplan::FailPlan;
 use crate::lines::LineTable;
+use crate::media::{Media, SparseMedia};
 use crate::model::{DeviceModel, CACHELINE};
 use crate::pins::EpochPins;
 use crate::recorder::{self, RecKind, RecorderDump, OFF_REC_BASE, OFF_REC_SLOTS};
@@ -77,12 +78,13 @@ pub enum CrashMode {
 }
 
 /// Apply a crash to `media`: commit (part of) the dirty lines according to
-/// `mode`. Shared by [`NvbmArena::crash`] (which destroys the cache) and
+/// `mode`. Shared by [`NvbmArena::crash`] (which destroys the cache, on the
+/// live sparse media) and
 /// [`CrashView::image`](crate::failplan::CrashView::image) (which builds a
-/// virtual snapshot while the run continues). `stats` is charged for wear
-/// only when the caller is the live arena.
-pub(crate) fn apply_crash(
-    media: &mut [u8],
+/// virtual snapshot while the run continues, on a flat image). `stats` is
+/// charged for wear only when the caller is the live arena.
+pub(crate) fn apply_crash<M: Media + ?Sized>(
+    media: &mut M,
     cache: &LineTable,
     mode: CrashMode,
     mut stats: Option<&mut MemStats>,
@@ -117,11 +119,11 @@ pub(crate) fn apply_crash(
                     continue;
                 }
                 let s = line as usize * CACHELINE;
-                let e = (s + words * 8).min(media.len());
+                let e = (s + words * 8).min(media.size());
                 if s >= e {
                     continue;
                 }
-                media[s..e].copy_from_slice(&data[..e - s]);
+                media.write_at(s, &data[..e - s]);
                 if let Some(st) = stats.as_deref_mut() {
                     st.wear_commit(s as u64, e - s);
                 }
@@ -131,15 +133,15 @@ pub(crate) fn apply_crash(
 }
 
 /// Commit one full cacheline to `media`, charging wear when stats are live.
-pub(crate) fn commit_line_to(
-    media: &mut [u8],
+pub(crate) fn commit_line_to<M: Media + ?Sized>(
+    media: &mut M,
     stats: Option<&mut MemStats>,
     line: u64,
     data: &[u8; CACHELINE],
 ) {
     let s = line as usize * CACHELINE;
-    let e = (s + CACHELINE).min(media.len());
-    media[s..e].copy_from_slice(&data[..e - s]);
+    let e = (s + CACHELINE).min(media.size());
+    media.write_at(s, &data[..e - s]);
     if let Some(st) = stats {
         st.wear_commit(s as u64, e - s);
     }
@@ -205,10 +207,14 @@ impl CommitRecord {
     /// line is sealed and its `seq` names that slot. A `seq` in the upper
     /// half of its range is damage — no device publishes 2^63 times — and
     /// refusing it keeps every later `seq + 1` from overflowing.
-    fn decode(media: &[u8], slot: usize) -> Option<Self> {
+    fn decode(media: &(impl Media + ?Sized), slot: usize) -> Option<Self> {
         let off = RECORD_AT[slot] as usize;
-        let line = media.get(off..off + CACHELINE)?;
-        if !recorder::is_sealed(line) {
+        if off + CACHELINE > media.size() {
+            return None;
+        }
+        let mut line = [0u8; CACHELINE];
+        media.read_at(off, &mut line);
+        if !recorder::is_sealed(&line) {
             return None;
         }
         let f = |i: usize| u64::from_le_bytes(line[8 * i..8 * i + 8].try_into().expect("8 bytes"));
@@ -225,7 +231,7 @@ impl CommitRecord {
 
     /// The valid record with the higher `seq` in a media image; the empty
     /// record when neither slot holds one.
-    fn newest(media: &[u8]) -> Self {
+    fn newest(media: &(impl Media + ?Sized)) -> Self {
         (0..RECORD_AT.len())
             .filter_map(|slot| Self::decode(media, slot))
             .max_by_key(|r| r.seq)
@@ -238,7 +244,9 @@ const CACHE_LINES: usize = 4096;
 
 /// Emulated NVBM arena.
 pub struct NvbmArena {
-    media: Vec<u8>,
+    /// The persistent bytes: chunks materialised by the first commit that
+    /// reaches them (see [`crate::media`]).
+    media: SparseMedia,
     /// Dirty cachelines (line index → line bytes). Eviction is
     /// deterministic (lowest line first); crash randomness comes from
     /// [`CrashMode`].
@@ -295,8 +303,8 @@ pub struct NvbmArena {
 /// and the bump hint clamped under that floor, since octants only ever
 /// live below the rt heap. A zero rt hint means the rt heap was never
 /// used (floor = top).
-fn derive_live_bounds(media: &[u8], record: &CommitRecord) -> (u64, u64) {
-    let cap = media.len() as u64;
+fn derive_live_bounds(media: &(impl Media + ?Sized), record: &CommitRecord) -> (u64, u64) {
+    let cap = media.size() as u64;
     let top = match recorder::region_of(media) {
         Some((base, slots)) if slots > 0 => base,
         _ => cap,
@@ -309,7 +317,9 @@ fn derive_live_bounds(media: &[u8], record: &CommitRecord) -> (u64, u64) {
 impl NvbmArena {
     /// Create a fresh, zeroed arena of `capacity` bytes with a
     /// default-sized flight-recorder ring (see
-    /// [`NvbmArena::default_recorder_slots`]).
+    /// [`NvbmArena::default_recorder_slots`]). Host memory grows with the
+    /// bytes committed, not with `capacity` (see
+    /// [`NvbmArena::resident_bytes`]).
     pub fn new(capacity: usize, model: DeviceModel) -> Self {
         let slots = Self::default_recorder_slots(capacity);
         Self::new_with_recorder(capacity, model, slots)
@@ -340,7 +350,7 @@ impl NvbmArena {
         let mut stats = MemStats::new(capacity);
         stats.set_region_bounds(rec_base, heap_top);
         let mut a = NvbmArena {
-            media: vec![0; capacity],
+            media: SparseMedia::zeroed(capacity),
             cache: LineTable::default(),
             cache_cap: CACHE_LINES,
             model,
@@ -364,12 +374,13 @@ impl NvbmArena {
     /// Build an arena directly over a media image (e.g. a crash snapshot
     /// from a [`FailPlan`] capture). The dirty cache starts cold, exactly
     /// like a rebooted node. The flight recorder is recovered from the
-    /// image: recording continues after the last surviving entry.
-    pub fn from_media(media: Vec<u8>, model: DeviceModel) -> Self {
-        assert!(media.len() as u64 >= HEADER_SIZE, "image too small");
-        let capacity = media.len();
+    /// image: recording continues after the last surviving entry. Only the
+    /// image's non-zero chunks are kept.
+    pub fn from_media(image: Vec<u8>, model: DeviceModel) -> Self {
+        assert!(image.len() as u64 >= HEADER_SIZE, "image too small");
+        let capacity = image.len();
         let mut a = NvbmArena {
-            media,
+            media: SparseMedia::from_image(&image),
             cache: LineTable::default(),
             cache_cap: CACHE_LINES,
             model,
@@ -400,11 +411,11 @@ impl NvbmArena {
         self.next = self.committed;
         let (octree_edge, rt_floor) = derive_live_bounds(&self.media, &self.committed);
         let (rec_base, rec_slots) = recorder::region_of(&self.media).unwrap_or((0, 0));
-        let capacity = self.media.len() as u64;
+        let capacity = self.media.size() as u64;
         self.regions = RegionManager::from_bounds(capacity, rec_base, octree_edge, rt_floor);
         self.rec_base = rec_base;
         self.rec_slots = rec_slots;
-        self.rec_next_seq = recorder::recover(&self.media).last().map_or(1, |e| e.seq + 1);
+        self.rec_next_seq = recorder::recover_from(&self.media).last().map_or(1, |e| e.seq + 1);
         self.stats.set_region_bounds(rec_base, rt_floor);
     }
 
@@ -524,7 +535,7 @@ impl NvbmArena {
     /// media, not the dirty cache) — exactly what a post-crash reboot
     /// would see.
     pub fn recorder_dump(&self) -> RecorderDump {
-        recorder::recover(&self.media)
+        recorder::recover_from(&self.media)
     }
 
     // ---- write attribution ----------------------------------------------
@@ -576,23 +587,29 @@ impl NvbmArena {
         self.evict_over_cap();
     }
 
-    /// Write the header magic and the flight-recorder ring descriptor,
-    /// with both record slots empty, bypassing the cache (a freshly
-    /// formatted device is by definition persistent).
+    /// Write the header magic and the flight-recorder ring descriptor onto
+    /// the fresh all-zero media, so both record slots are empty, bypassing
+    /// the cache (a freshly formatted device is by definition persistent).
     fn format(&mut self) {
-        self.media[..HEADER_SIZE as usize].fill(0);
-        self.media[OFF_MAGIC as usize..OFF_MAGIC as usize + 8]
-            .copy_from_slice(&MAGIC.to_le_bytes());
-        self.media[OFF_REC_BASE as usize..OFF_REC_BASE as usize + 8]
-            .copy_from_slice(&self.rec_base.to_le_bytes());
-        self.media[OFF_REC_SLOTS as usize..OFF_REC_SLOTS as usize + 8]
-            .copy_from_slice(&(self.rec_slots as u64).to_le_bytes());
+        for (off, v) in [
+            (OFF_MAGIC, MAGIC),
+            (OFF_REC_BASE, self.rec_base),
+            (OFF_REC_SLOTS, self.rec_slots as u64),
+        ] {
+            self.media.write_at(off as usize, &v.to_le_bytes());
+        }
     }
 
     /// Device capacity in bytes.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.media.len()
+        self.media.size()
+    }
+
+    /// Host bytes the media holds: the chunks some commit or import has
+    /// materialised. Untouched device ranges cost nothing.
+    pub fn resident_bytes(&self) -> usize {
+        self.media.resident_bytes()
     }
 
     /// The timing model in force.
@@ -603,9 +620,9 @@ impl NvbmArena {
 
     fn check_range(&self, offset: u64, len: usize) {
         assert!(
-            offset.checked_add(len as u64).is_some_and(|end| end <= self.media.len() as u64),
+            offset.checked_add(len as u64).is_some_and(|end| end <= self.media.size() as u64),
             "NVBM access out of bounds: offset {offset} len {len} capacity {}",
-            self.media.len()
+            self.media.size()
         );
     }
 
@@ -616,7 +633,7 @@ impl NvbmArena {
         let lines = DeviceModel::lines(offset, buf.len());
         self.clock.advance(lines * self.model.nvbm.read_ns);
         self.stats.nvbm_read(buf.len(), lines);
-        buf.copy_from_slice(&self.media[offset as usize..offset as usize + buf.len()]);
+        self.media.read_at(offset as usize, buf);
         self.cache.apply_overlay(offset, buf);
     }
 
@@ -632,20 +649,15 @@ impl NvbmArena {
         self.clock.advance(lines * self.model.nvbm.write_ns);
         self.stats.nvbm_write(data.len(), lines);
         let media = &self.media;
-        self.cache.store(media.len(), offset, data, |start, buf| {
-            buf.copy_from_slice(&media[start as usize..start as usize + buf.len()]);
-        });
+        self.cache
+            .store(media.size(), offset, data, |start, buf| media.read_at(start as usize, buf));
         self.evict_over_cap();
-    }
-
-    fn commit_line(media: &mut [u8], stats: &mut MemStats, line: u64, data: &[u8; CACHELINE]) {
-        commit_line_to(media, Some(stats), line, data);
     }
 
     fn evict_over_cap(&mut self) {
         while self.cache.len() > self.cache_cap {
             let (line, data) = self.cache.pop_lowest().expect("cache non-empty");
-            Self::commit_line(&mut self.media, &mut self.stats, line, &data);
+            commit_line_to(&mut self.media, Some(&mut self.stats), line, &data);
         }
     }
 
@@ -659,7 +671,7 @@ impl NvbmArena {
         }
         if let Some(data) = self.cache.remove(line) {
             self.clock.advance(self.model.nvbm.write_ns);
-            Self::commit_line(&mut self.media, &mut self.stats, line, &data);
+            commit_line_to(&mut self.media, Some(&mut self.stats), line, &data);
         }
     }
 
@@ -672,7 +684,7 @@ impl NvbmArena {
         let cache = std::mem::take(&mut self.cache);
         self.clock.advance(cache.len() as u64 * self.model.nvbm.write_ns);
         for (line, data) in cache.sorted() {
-            Self::commit_line(&mut self.media, &mut self.stats, line, data);
+            commit_line_to(&mut self.media, Some(&mut self.stats), line, data);
         }
     }
 
@@ -770,8 +782,7 @@ impl NvbmArena {
     /// Flush and save the media image to a host file (simulates the NVBM
     /// DIMM surviving a node reboot — or a replica shipped elsewhere).
     pub fn save(&mut self, path: &Path) -> std::io::Result<()> {
-        self.flush_all();
-        std::fs::write(path, &self.media)
+        std::fs::write(path, self.clone_media())
     }
 
     /// Load a media image saved by [`Self::save`]. Clock and stats start
@@ -787,11 +798,13 @@ impl NvbmArena {
         Ok(Self::from_media(media, model))
     }
 
-    /// Clone the persistent image of this arena (flushes first). Used by
-    /// the replica feature to snapshot `V_{i-1}` onto another node.
+    /// Clone the persistent image of this arena (flushes first) as a flat
+    /// image of [`NvbmArena::capacity`] bytes. Used by the replica feature
+    /// to snapshot `V_{i-1}` onto another node. The untouched ranges stay
+    /// lazily zeroed pages, so the copy costs the touched bytes.
     pub fn clone_media(&mut self) -> Vec<u8> {
         self.flush_all();
-        self.media.clone()
+        self.media.to_image()
     }
 
     /// Overwrite this arena's media with `image` (replica restore). Any
@@ -799,8 +812,8 @@ impl NvbmArena {
     /// the pin registry is invalidated: surviving snapshot handles report
     /// `SnapshotGone` rather than reading reused blobs.
     pub fn restore_media(&mut self, image: &[u8]) {
-        assert_eq!(image.len(), self.media.len(), "image size mismatch");
-        self.media.copy_from_slice(image);
+        assert_eq!(image.len(), self.media.size(), "image size mismatch");
+        self.media = SparseMedia::from_image(image);
         self.cache.clear();
         self.rt_pins.invalidate();
         self.adopt_media_layout();
@@ -811,14 +824,14 @@ impl NvbmArena {
 /// ([`NvbmArena::snapshot`]): the persistent media plus a frozen copy of
 /// the dirty-line cache. Taking one has no clock or stats side effects.
 pub struct ArenaSnapshot<'a> {
-    media: &'a [u8],
+    media: &'a SparseMedia,
     dirty: LineTable,
 }
 
 impl ArenaSnapshot<'_> {
     /// Device capacity in bytes.
     pub fn capacity(&self) -> usize {
-        self.media.len()
+        self.media.size()
     }
 
     /// Number of dirty lines frozen into the snapshot.
@@ -831,6 +844,7 @@ impl ArenaSnapshot<'_> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::media::CHUNK;
 
     fn arena() -> NvbmArena {
         NvbmArena::new(1 << 20, DeviceModel::default())
@@ -963,8 +977,8 @@ mod tests {
             assert_eq!(a.dirty_lines(), 0, "flushed");
             // The slot seq names holds it; the other still holds seq - 1.
             let img = a.clone_media();
-            assert_eq!(CommitRecord::decode(&img, (seq % 2) as usize), Some(a.committed()));
-            let older = CommitRecord::decode(&img, ((seq + 1) % 2) as usize).map(|r| r.seq);
+            assert_eq!(CommitRecord::decode(&img[..], (seq % 2) as usize), Some(a.committed()));
+            let older = CommitRecord::decode(&img[..], ((seq + 1) % 2) as usize).map(|r| r.seq);
             assert_eq!(older, (seq > 1).then_some(seq - 1));
         }
         // An unchanged record publishes nothing.
@@ -982,7 +996,7 @@ mod tests {
         publish_root(&mut a, 1, 4096);
         publish_root(&mut a, 2, 8192);
         let img = a.clone_media();
-        let (old, new) = (CommitRecord::decode(&img, 1).unwrap(), a.committed());
+        let (old, new) = (CommitRecord::decode(&img[..], 1).unwrap(), a.committed());
         let adopt = |img: &[u8]| NvbmArena::from_media(img.to_vec(), DeviceModel::default());
         assert_eq!(adopt(&img).committed(), new);
         // Any one bit of the newer line flipped: its seal fails.
@@ -1198,6 +1212,134 @@ mod tests {
         assert_eq!((a.clock.now_ns(), a.stats.nvbm.read_lines), (t0, reads), "a snapshot is free");
         a.write(8192, b"later");
         assert_eq!(a.snapshot().dirty_lines(), 2);
+    }
+
+    /// Bytes `seed + i` for `i` in `0..len`, never zero.
+    fn pattern(len: usize, seed: u8) -> Vec<u8> {
+        (0..len).map(|i| (i as u8).wrapping_add(seed) | 1).collect()
+    }
+
+    fn read_vec(a: &mut NvbmArena, offset: u64, len: usize) -> Vec<u8> {
+        let mut buf = vec![0u8; len];
+        a.read(offset, &mut buf);
+        buf
+    }
+
+    #[test]
+    fn stores_across_a_chunk_boundary_behave_like_flat_memory() {
+        let b = CHUNK as u64;
+        // Four lines, b-128..b+128: the two middle ones touch the boundary.
+        let data = pattern(200, 1);
+        let mut a = arena();
+        a.write(b - 100, &data);
+        assert_eq!(read_vec(&mut a, b - 100, 200), data, "read through the cache");
+        a.flush_line(b - 64);
+        a.flush_line(b);
+        a.crash(CrashMode::LoseDirty);
+        let got = read_vec(&mut a, b - 100, 200);
+        assert_eq!(got[36..164], data[36..164], "the flushed lines survive");
+        assert!(got[..36].iter().chain(&got[164..]).all(|&x| x == 0), "the rest is lost");
+        // Eviction writes back the lowest lines across the boundary.
+        let mut a = arena();
+        a.set_cache_lines(1);
+        a.write(b - 100, &data);
+        a.crash(CrashMode::LoseDirty);
+        let got = read_vec(&mut a, b - 100, 200);
+        assert_eq!(got[..164], data[..164], "three evicted lines");
+        assert!(got[164..].iter().all(|&x| x == 0), "the dirty one is lost");
+        // A pm-rt-sized blob across a boundary, through the flat image.
+        let blob = pattern(4096 + 100, 7);
+        let mut a = arena();
+        a.write(2 * b - 2000, &blob);
+        let mut b2 = NvbmArena::from_media(a.clone_media(), DeviceModel::default());
+        assert_eq!(read_vec(&mut b2, 2 * b - 2000, blob.len()), blob);
+        assert_eq!(b2.resident_bytes(), 3 * CHUNK, "the header's chunk and the blob's two");
+    }
+
+    #[test]
+    fn every_crash_mode_commits_the_same_bytes_to_sparse_and_flat_media() {
+        let b = CHUNK as u64;
+        let modes = [
+            CrashMode::LoseDirty,
+            CrashMode::CommitRandom { p: 0.5, seed: 11 },
+            CrashMode::TornWrite { seed: 5 },
+        ];
+        for mode in modes {
+            let mut a = arena();
+            a.write(b - 1024, &pattern(2048, 3));
+            a.flush_all();
+            a.write(b - 1000, &pattern(2000, 9));
+            // The flat image a crash view builds at the last opportunity
+            // against the live sparse media crashed right after it.
+            let seen = std::sync::Arc::new(std::sync::Mutex::new(None));
+            let sink = seen.clone();
+            a.set_fail_plan(FailPlan::with_hook(Box::new(move |v| {
+                if v.label == Some("boundary") {
+                    *sink.lock().unwrap() = Some((v.image(mode), v.full_image()));
+                }
+            })));
+            a.failpoint("boundary");
+            a.take_fail_plan();
+            a.crash(mode);
+            let (flat, full) = seen.lock().unwrap().take().expect("the hook ran");
+            assert_eq!(a.clone_media(), flat, "{mode:?}");
+            assert_ne!(flat, full, "{mode:?}: something was lost");
+        }
+    }
+
+    #[test]
+    fn untouched_ranges_read_zeros_and_materialise_nothing() {
+        let mut a = NvbmArena::new(1 << 30, DeviceModel::default());
+        assert_eq!(a.resident_bytes(), CHUNK, "the header's chunk");
+        let mut buf = vec![0xFF; 3 * CHUNK];
+        a.read(5 * CHUNK as u64 - 7, &mut buf);
+        assert!(buf.iter().all(|&x| x == 0));
+        // A store a crash loses materialises nothing; a write-back does.
+        a.write(11 * CHUNK as u64, b"lost");
+        a.crash(CrashMode::LoseDirty);
+        assert_eq!(a.resident_bytes(), CHUNK);
+        a.write(11 * CHUNK as u64, b"kept");
+        a.flush_all();
+        assert_eq!(a.resident_bytes(), 2 * CHUNK);
+    }
+
+    #[test]
+    fn an_all_zero_image_adopts_no_chunk() {
+        let zeros = vec![0; 1 << 20];
+        assert_eq!(
+            NvbmArena::from_media(zeros.clone(), DeviceModel::default()).resident_bytes(),
+            0
+        );
+        let mut a = arena();
+        a.restore_media(&zeros);
+        assert_eq!(a.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn flat_images_round_trip_byte_equal() {
+        // A device whose end is neither chunk- nor line-aligned.
+        let cap = 5 * CHUNK + 1000;
+        let mut a = NvbmArena::new(cap, DeviceModel::default());
+        a.write(CHUNK as u64 - 50, &pattern(100, 2));
+        a.write(3 * CHUNK as u64 + 4096, &pattern(64, 4));
+        a.write(cap as u64 - 1, &[0xEE]);
+        publish_root(&mut a, 1, 4096);
+        let img = a.clone_media();
+        assert_eq!(img.len(), cap);
+        assert_eq!(img[cap - 1], 0xEE);
+        let b = NvbmArena::from_media(img.clone(), DeviceModel::default());
+        assert_eq!(b.resident_bytes(), a.resident_bytes());
+        let mut b = b;
+        assert_eq!(b.clone_media(), img, "clone_media → from_media");
+        let mut c = NvbmArena::new(cap, DeviceModel::default());
+        c.restore_media(&img);
+        assert_eq!(c.clone_media(), img, "restore_media");
+        let path = std::env::temp_dir().join(format!("nvbm_sparse_{}.img", std::process::id()));
+        a.save(&path).unwrap();
+        let mut d = NvbmArena::load(&path, DeviceModel::default()).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), img, "save");
+        assert_eq!(d.clone_media(), img, "save → load");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -28,6 +28,7 @@
 
 use crate::arena::{apply_crash, commit_line_to, CrashMode};
 use crate::lines::LineTable;
+use crate::media::SparseMedia;
 
 /// Callback invoked at every opportunity when a hook plan is installed.
 /// `Send` so an arena carrying a plan can still move across rank threads.
@@ -41,7 +42,7 @@ pub struct CrashView<'a> {
     /// Protocol label when this opportunity came from an explicit
     /// [`failpoint`](crate::arena::NvbmArena::failpoint) call.
     pub label: Option<&'static str>,
-    media: &'a [u8],
+    media: &'a SparseMedia,
     dirty: &'a LineTable,
 }
 
@@ -49,7 +50,7 @@ impl<'a> CrashView<'a> {
     pub(crate) fn new(
         opportunity: u64,
         label: Option<&'static str>,
-        media: &'a [u8],
+        media: &'a SparseMedia,
         dirty: &'a LineTable,
     ) -> Self {
         CrashView { opportunity, label, media, dirty }
@@ -61,10 +62,11 @@ impl<'a> CrashView<'a> {
     }
 
     /// The media image a reboot would find if the crash happened here
-    /// under `mode`. Allocates a fresh copy; the live arena is untouched.
+    /// under `mode`. Allocates a fresh flat copy; the live arena is
+    /// untouched.
     pub fn image(&self, mode: CrashMode) -> Vec<u8> {
-        let mut media = self.media.to_vec();
-        apply_crash(&mut media, self.dirty, mode, None);
+        let mut media = self.media.to_image();
+        apply_crash(&mut media[..], self.dirty, mode, None);
         media
     }
 
@@ -73,9 +75,9 @@ impl<'a> CrashView<'a> {
     /// the sweep oracle compares a crashed flight-recorder dump against
     /// the dump recovered from this image.
     pub fn full_image(&self) -> Vec<u8> {
-        let mut media = self.media.to_vec();
+        let mut media = self.media.to_image();
         for (line, data) in self.dirty.sorted() {
-            commit_line_to(&mut media, None, line, data);
+            commit_line_to(&mut media[..], None, line, data);
         }
         media
     }
@@ -166,7 +168,12 @@ impl FailPlan {
 
     /// Called by the arena at each opportunity. `media`/`dirty` describe
     /// the device state *before* the operation the opportunity precedes.
-    pub(crate) fn observe(&mut self, label: Option<&'static str>, media: &[u8], dirty: &LineTable) {
+    pub(crate) fn observe(
+        &mut self,
+        label: Option<&'static str>,
+        media: &SparseMedia,
+        dirty: &LineTable,
+    ) {
         let op = self.counter;
         self.counter += 1;
         if let Some(l) = label {

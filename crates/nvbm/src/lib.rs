@@ -29,6 +29,7 @@ pub mod arena;
 pub mod clock;
 pub mod failplan;
 mod lines;
+mod media;
 pub mod model;
 pub mod pins;
 pub mod recorder;

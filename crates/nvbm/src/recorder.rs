@@ -38,6 +38,7 @@
 use serde::Serialize;
 
 use crate::arena::HEADER_SIZE;
+use crate::media::Media;
 use crate::model::CACHELINE;
 
 /// Byte offset of the persisted ring base pointer in the device header.
@@ -209,20 +210,21 @@ pub(crate) fn decode_slot(s: &[u8]) -> Option<RecEntry> {
     Some(RecEntry { seq, t_ns: rd(8), arg: rd(16), kind, label })
 }
 
-/// Read the ring descriptor `(base, slots)` from a raw media image's
-/// header. `None` when the header is too small or the descriptor is
-/// insane (out of bounds, unaligned); `Some((_, 0))` when the device has
-/// the recorder disabled.
-pub fn region_of(media: &[u8]) -> Option<(u64, usize)> {
-    if (media.len() as u64) < HEADER_SIZE {
+/// Read the ring descriptor `(base, slots)` from a media header. `None`
+/// when the header is too small or the descriptor is insane (out of
+/// bounds, unaligned); `Some((_, 0))` when the device has the recorder
+/// disabled.
+pub(crate) fn region_of(media: &(impl Media + ?Sized)) -> Option<(u64, usize)> {
+    let size = media.size() as u64;
+    if size < HEADER_SIZE {
         return None;
     }
     let rd = |off: u64| {
-        let s = off as usize;
-        media[s..s + 8].try_into().map(u64::from_le_bytes).ok()
+        let mut word = [0u8; 8];
+        media.read_at(off as usize, &mut word);
+        u64::from_le_bytes(word)
     };
-    let base = rd(OFF_REC_BASE)?;
-    let slots = rd(OFF_REC_SLOTS)?;
+    let (base, slots) = (rd(OFF_REC_BASE), rd(OFF_REC_SLOTS));
     if slots == 0 {
         return Some((0, 0));
     }
@@ -230,8 +232,8 @@ pub fn region_of(media: &[u8]) -> Option<(u64, usize)> {
     let end = base.checked_add(bytes)?;
     let sane = base >= HEADER_SIZE
         && base % CACHELINE as u64 == 0
-        && end <= media.len() as u64
-        && slots <= media.len() as u64 / CACHELINE as u64;
+        && end <= size
+        && slots <= size / CACHELINE as u64;
     if sane {
         Some((base, slots as usize))
     } else {
@@ -239,11 +241,15 @@ pub fn region_of(media: &[u8]) -> Option<(u64, usize)> {
     }
 }
 
-/// Recover the flight recorder from a raw media image (a crash snapshot,
-/// a replica, or a live arena's durable view). Never panics: damaged
-/// slots are dropped and counted, a damaged header yields an empty dump
-/// with `header_ok == false`.
+/// Recover the flight recorder from a flat media image (a crash snapshot
+/// or a replica). Never panics: damaged slots are dropped and counted, a
+/// damaged header yields an empty dump with `header_ok == false`.
 pub fn recover(media: &[u8]) -> RecorderDump {
+    recover_from(media)
+}
+
+/// [`recover`] over any media, a live arena's durable view included.
+pub(crate) fn recover_from(media: &(impl Media + ?Sized)) -> RecorderDump {
     let Some((base, slots)) = region_of(media) else {
         return RecorderDump { header_ok: false, ..Default::default() };
     };
@@ -252,9 +258,10 @@ pub fn recover(media: &[u8]) -> RecorderDump {
     }
     let mut found: Vec<RecEntry> = Vec::new();
     let mut dropped = 0usize;
+    let mut line = [0u8; CACHELINE];
     for i in 0..slots {
-        let off = base as usize + i * CACHELINE;
-        match decode_slot(&media[off..off + CACHELINE]) {
+        media.read_at(base as usize + i * CACHELINE, &mut line);
+        match decode_slot(&line) {
             // A valid entry must sit in the slot its seq maps to —
             // anything else is a stale copy or corruption.
             Some(e) if (e.seq - 1) % slots as u64 == i as u64 => found.push(e),
@@ -384,7 +391,7 @@ mod tests {
             let (mut m, _) = media_with_ring(4);
             m[OFF_REC_SLOTS as usize..OFF_REC_SLOTS as usize + 8]
                 .copy_from_slice(&slots.to_le_bytes());
-            assert_eq!(region_of(&m), None, "{slots} slots");
+            assert_eq!(region_of(&m[..]), None, "{slots} slots");
             let d = recover(&m);
             assert!(!d.header_ok, "{slots} slots");
             assert!(d.entries.is_empty());

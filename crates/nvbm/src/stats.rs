@@ -7,6 +7,7 @@
 
 use serde::Serialize;
 
+use crate::media::CHUNK;
 use crate::region::{classify_at, RegionKind};
 
 /// Counters for one memory tier.
@@ -150,13 +151,11 @@ pub struct MemStats {
     pub nvbm: TierStats,
     /// Octant-location counters (root descents vs. leaf-index hits).
     pub trav: TraversalStats,
-    /// Writes per 4 KiB wear block of the NVBM arena (committed lines).
-    wear: Vec<u32>,
-    /// Wear level each block had when a relocation last vacated it; the
-    /// readouts subtract this so a block the GC has already cooled no
-    /// longer reads as the live hot spot (only its post-move traffic
-    /// counts).
-    wear_baseline: Vec<u32>,
+    /// Wear blocks on the device; commits past them are not mapped.
+    blocks: usize,
+    /// The wear map, one entry per media chunk, allocated by the first
+    /// commit into that chunk: an absent entry is all-zero wear.
+    wear: Vec<Option<Box<WearChunk>>>,
     /// Wear-leveling relocations recorded via [`MemStats::note_relocation`].
     relocations: u64,
     /// Bytes moved by those relocations.
@@ -183,6 +182,31 @@ pub struct MemStats {
 /// Wear-map block granularity.
 pub const WEAR_BLOCK: usize = 4096;
 
+/// Wear blocks per media chunk.
+const CHUNK_BLOCKS: usize = CHUNK / WEAR_BLOCK;
+
+/// The wear counters of one media chunk's blocks.
+#[derive(Debug, Clone, Default)]
+struct WearChunk {
+    /// Writes per 4 KiB wear block (committed lines).
+    wear: [u32; CHUNK_BLOCKS],
+    /// Wear level each block had when a relocation last vacated it; the
+    /// readouts subtract this so a block the GC has already cooled no
+    /// longer reads as the live hot spot (only its post-move traffic
+    /// counts).
+    baseline: [u32; CHUNK_BLOCKS],
+}
+
+impl WearChunk {
+    /// A block's *effective* wear: commits since a relocation last
+    /// vacated it (raw lifetime commits for blocks never relocated away
+    /// from).
+    #[inline]
+    fn effective(&self, j: usize) -> u32 {
+        self.wear[j].saturating_sub(self.baseline[j])
+    }
+}
+
 /// The attribution phase in force when none was ever set: ordinary
 /// mutation traffic between protocol phases.
 pub const PHASE_MUTATE: &str = "mutate";
@@ -200,8 +224,8 @@ impl MemStats {
             dram: TierStats::default(),
             nvbm: TierStats::default(),
             trav: TraversalStats::default(),
-            wear: vec![0; capacity.div_ceil(WEAR_BLOCK)],
-            wear_baseline: vec![0; capacity.div_ceil(WEAR_BLOCK)],
+            blocks: capacity.div_ceil(WEAR_BLOCK),
+            wear: vec![None; capacity.div_ceil(CHUNK)],
             relocations: 0,
             relocated_bytes: 0,
             phase: PHASE_MUTATE,
@@ -336,8 +360,9 @@ impl MemStats {
     #[inline]
     pub fn wear_commit(&mut self, offset: u64, bytes: usize) {
         let b = offset as usize / WEAR_BLOCK;
-        if let Some(w) = self.wear.get_mut(b) {
-            *w += 1;
+        if b < self.blocks {
+            self.wear[b / CHUNK_BLOCKS].get_or_insert_with(Box::default).wear[b % CHUNK_BLOCKS] +=
+                1;
         }
         self.bytes_by_region[self.region_index(offset)] += bytes as u64;
         let slot = match self.phase_slot {
@@ -361,11 +386,9 @@ impl MemStats {
     /// longer masks the live peak.
     pub fn note_relocation(&mut self, old_offset: u64, bytes: usize) {
         let b = old_offset as usize / WEAR_BLOCK;
-        if let Some(&w) = self.wear.get(b) {
-            if self.wear_baseline.len() < self.wear.len() {
-                self.wear_baseline.resize(self.wear.len(), 0);
-            }
-            self.wear_baseline[b] = w;
+        // A block of an absent chunk has no wear to baseline away.
+        if let Some(c) = self.wear.get_mut(b / CHUNK_BLOCKS).and_then(Option::as_mut) {
+            c.baseline[b % CHUNK_BLOCKS] = c.wear[b % CHUNK_BLOCKS];
         }
         self.relocations += 1;
         self.relocated_bytes += bytes as u64;
@@ -381,12 +404,12 @@ impl MemStats {
         self.relocated_bytes
     }
 
-    /// A block's *effective* wear: commits since a relocation last vacated
-    /// it (raw lifetime commits for blocks never relocated away from).
-    #[inline]
-    fn effective_wear(&self, block: usize) -> u32 {
-        let base = self.wear_baseline.get(block).copied().unwrap_or(0);
-        self.wear[block].saturating_sub(base)
+    /// Effective wear of every block of a present chunk, in offset order:
+    /// `(block index, effective wear)`. Blocks of absent chunks have none.
+    fn effective_wear(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.wear.iter().enumerate().filter_map(|(i, c)| c.as_ref().map(|c| (i, c))).flat_map(
+            |(i, c)| (0..CHUNK_BLOCKS).map(move |j| (i * CHUNK_BLOCKS + j, c.effective(j))),
+        )
     }
 
     /// Effective wear of the block containing byte `offset` (0 if out of
@@ -394,11 +417,10 @@ impl MemStats {
     /// blob to relocate toward cold lines.
     pub fn block_wear(&self, offset: u64) -> u32 {
         let b = offset as usize / WEAR_BLOCK;
-        if b < self.wear.len() {
-            self.effective_wear(b)
-        } else {
-            0
-        }
+        self.wear
+            .get(b / CHUNK_BLOCKS)
+            .and_then(Option::as_ref)
+            .map_or(0, |c| c.effective(b % CHUNK_BLOCKS))
     }
 
     /// Maximum effective writes any single wear block has absorbed, and
@@ -408,8 +430,7 @@ impl MemStats {
     /// tracks the *new* hot location rather than a stale pre-move peak.
     pub fn max_wear(&self) -> (u32, u64) {
         let mut best = (0u32, 0u64);
-        for i in 0..self.wear.len() {
-            let w = self.effective_wear(i);
+        for (i, w) in self.effective_wear() {
             if w > best.0 {
                 best = (w, (i * WEAR_BLOCK) as u64);
             }
@@ -421,11 +442,7 @@ impl MemStats {
     /// over effective (post-relocation) wear.
     pub fn wear_histogram(&self) -> [u64; 16] {
         let mut h = [0u64; 16];
-        for i in 0..self.wear.len() {
-            let w = self.effective_wear(i);
-            if w == 0 {
-                continue;
-            }
+        for (_, w) in self.effective_wear().filter(|&(_, w)| w > 0) {
             h[(w.ilog2() as usize).min(15)] += 1;
         }
         h
@@ -460,7 +477,13 @@ impl MemStats {
             max_wear,
             max_wear_offset,
             mean_wear: self.mean_wear(),
-            blocks_touched: self.wear.iter().filter(|&&w| w > 0).count() as u64,
+            blocks_touched: self
+                .wear
+                .iter()
+                .flatten()
+                .flat_map(|c| c.wear)
+                .filter(|&w| w > 0)
+                .count() as u64,
             bytes_committed: self.bytes_by_region.iter().sum(),
             relocations: self.relocations,
             relocated_bytes: self.relocated_bytes,
@@ -472,12 +495,9 @@ impl MemStats {
     /// wear, i.e. written since any relocation vacated them).
     pub fn mean_wear(&self) -> f64 {
         let (mut sum, mut n) = (0.0f64, 0u64);
-        for i in 0..self.wear.len() {
-            let w = self.effective_wear(i);
-            if w > 0 {
-                sum += w as f64;
-                n += 1;
-            }
+        for (_, w) in self.effective_wear().filter(|&(_, w)| w > 0) {
+            sum += w as f64;
+            n += 1;
         }
         if n == 0 {
             0.0
@@ -502,17 +522,18 @@ impl MemStats {
         self.dram.add(&other.dram);
         self.nvbm.add(&other.nvbm);
         self.trav.add(&other.trav);
+        self.blocks = self.blocks.max(other.blocks);
         if self.wear.len() < other.wear.len() {
-            self.wear.resize(other.wear.len(), 0);
+            self.wear.resize(other.wear.len(), None);
         }
         for (a, b) in self.wear.iter_mut().zip(&other.wear) {
-            *a += *b;
-        }
-        if self.wear_baseline.len() < other.wear_baseline.len() {
-            self.wear_baseline.resize(other.wear_baseline.len(), 0);
-        }
-        for (a, b) in self.wear_baseline.iter_mut().zip(&other.wear_baseline) {
-            *a += *b;
+            if let Some(b) = b {
+                let a = a.get_or_insert_with(Box::default);
+                for j in 0..CHUNK_BLOCKS {
+                    a.wear[j] += b.wear[j];
+                    a.baseline[j] += b.baseline[j];
+                }
+            }
         }
         self.relocations += other.relocations;
         self.relocated_bytes += other.relocated_bytes;
@@ -533,8 +554,7 @@ impl MemStats {
         self.dram = TierStats::default();
         self.nvbm = TierStats::default();
         self.trav = TraversalStats::default();
-        self.wear.fill(0);
-        self.wear_baseline.fill(0);
+        self.wear.fill(None);
         self.relocations = 0;
         self.relocated_bytes = 0;
         self.bytes_by_region = [0; REGIONS.len()];
@@ -553,6 +573,7 @@ impl MemStats {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn write_fraction_computation() {
@@ -695,6 +716,139 @@ mod tests {
         assert_eq!(h[0], 1);
         assert_eq!(h[2], 1);
         assert_eq!(h.iter().sum::<u64>(), 2);
+    }
+
+    /// The flat wear map the chunked one replaced: a counter and a
+    /// relocation baseline per block of the whole device.
+    #[derive(Clone)]
+    struct FlatWear {
+        wear: Vec<u32>,
+        base: Vec<u32>,
+    }
+
+    impl FlatWear {
+        fn new(capacity: usize) -> Self {
+            let blocks = capacity.div_ceil(WEAR_BLOCK);
+            FlatWear { wear: vec![0; blocks], base: vec![0; blocks] }
+        }
+
+        fn effective(&self) -> impl Iterator<Item = u32> + '_ {
+            self.wear.iter().zip(&self.base).map(|(w, b)| w.saturating_sub(*b))
+        }
+
+        fn merge(&mut self, o: &FlatWear) {
+            let n = self.wear.len().max(o.wear.len());
+            self.wear.resize(n, 0);
+            self.base.resize(n, 0);
+            for i in 0..o.wear.len() {
+                self.wear[i] += o.wear[i];
+                self.base[i] += o.base[i];
+            }
+        }
+
+        /// Every readout of [`MemStats`] the flat map answered.
+        fn check(&self, s: &MemStats) {
+            let mut best = (0u32, 0u64);
+            let (mut hist, mut sum, mut n) = ([0u64; 16], 0.0f64, 0u64);
+            for (i, w) in self.effective().enumerate() {
+                if w > best.0 {
+                    best = (w, (i * WEAR_BLOCK) as u64);
+                }
+                if w > 0 {
+                    hist[(w.ilog2() as usize).min(15)] += 1;
+                    sum += w as f64;
+                    n += 1;
+                }
+            }
+            let mean = if n == 0 { 0.0 } else { sum / n as f64 };
+            assert_eq!(s.max_wear(), best);
+            assert_eq!(s.wear_histogram(), hist);
+            assert_eq!(s.mean_wear().to_bits(), mean.to_bits());
+            let touched = self.wear.iter().filter(|&&w| w > 0).count() as u64;
+            assert_eq!(s.wear_report().blocks_touched, touched);
+            for (i, w) in self.effective().chain([0]).enumerate() {
+                assert_eq!(s.block_wear((i * WEAR_BLOCK) as u64 + 5), w, "block {i}");
+            }
+        }
+    }
+
+    /// A commit (`false`) or a relocation (`true`) at a byte offset.
+    type Touch = (bool, u64);
+
+    /// Apply `t` to the stats and the flat model alike.
+    fn touch(s: &mut MemStats, flat: &mut FlatWear, (relocate, off): Touch) {
+        let b = off as usize / WEAR_BLOCK;
+        if relocate {
+            s.note_relocation(off, 64);
+            if let Some(&w) = flat.wear.get(b) {
+                flat.base[b] = w;
+            }
+        } else {
+            s.wear_commit(off, 64);
+            if let Some(w) = flat.wear.get_mut(b) {
+                *w += 1;
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum WearOp {
+        Touch(Touch),
+        /// Merge in fresh stats of capacity `CAPS[i]` after these touches.
+        Merge(usize, Vec<Touch>),
+        Reset,
+    }
+
+    /// Capacities: empty, under one chunk, a ragged end, whole chunks.
+    const CAPS: [usize; 4] = [0, 3 * WEAR_BLOCK, CHUNK + 5 * WEAR_BLOCK + 17, 3 * CHUNK];
+
+    /// Offsets reach past every capacity, and cluster on a few blocks so
+    /// counts, relocations and ties repeat; one touch in five relocates.
+    fn arb_touch() -> impl Strategy<Value = Touch> {
+        let off =
+            prop_oneof![0u64..4 * CHUNK as u64, (0u64..6).prop_map(|b| b * 9 * WEAR_BLOCK as u64)];
+        ((0u8..5).prop_map(|r| r == 0), off)
+    }
+
+    fn arb_wear_ops() -> impl Strategy<Value = Vec<WearOp>> {
+        prop::collection::vec(
+            prop_oneof![
+                10 => arb_touch().prop_map(WearOp::Touch),
+                1 => (0..CAPS.len(), prop::collection::vec(arb_touch(), 0..20))
+                    .prop_map(|(c, ts)| WearOp::Merge(c, ts)),
+                1 => Just(WearOp::Reset),
+            ],
+            1..120,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn the_chunked_wear_map_answers_like_the_flat_one(cap in 0..CAPS.len(), ops in arb_wear_ops()) {
+            let mut s = MemStats::new(CAPS[cap]);
+            let mut flat = FlatWear::new(CAPS[cap]);
+            for op in ops {
+                match op {
+                    WearOp::Touch(t) => touch(&mut s, &mut flat, t),
+                    WearOp::Merge(c, ts) => {
+                        let (mut o, mut of) = (MemStats::new(CAPS[c]), FlatWear::new(CAPS[c]));
+                        for t in ts {
+                            touch(&mut o, &mut of, t);
+                        }
+                        s.merge(&o);
+                        flat.merge(&of);
+                    }
+                    WearOp::Reset => {
+                        s.reset();
+                        flat.wear.fill(0);
+                        flat.base.fill(0);
+                    }
+                }
+                flat.check(&s);
+            }
+        }
     }
 
     #[test]

@@ -290,13 +290,22 @@ impl PmOctree {
     /// Restore onto a *new* node from a remote replica (§3.4 second
     /// scenario): the replica image is transferred and becomes the local
     /// NVBM contents. Returns the handle plus the number of bytes that had
-    /// to cross the network (charged by the caller's network model).
+    /// to cross the network (charged by the caller's network model). A
+    /// replica that was never synced, or that copies a device of another
+    /// size, is [`PmError::Recovery`].
     pub fn restore_from_replica(
         mut arena: NvbmArena,
         replica: &ReplicaSet,
         cfg: PmConfig,
     ) -> Result<(Self, u64), PmError> {
         let image = replica.image();
+        if image.len() != arena.capacity() {
+            return Err(PmError::Recovery(format!(
+                "a {}-byte replica image does not fit a {}-byte device",
+                image.len(),
+                arena.capacity()
+            )));
+        }
         arena.restore_media(image);
         let moved = replica.live_bytes();
         Ok((Self::restore(arena, cfg)?, moved))
@@ -1329,5 +1338,27 @@ mod tests {
         t.persist();
         let m2 = t.memory_usage_bytes();
         assert_eq!(m1, m2);
+    }
+
+    #[test]
+    fn a_nominal_64_gib_device_holds_only_what_it_touches() {
+        // The arena's media chunk. The chunks under the bump round it up
+        // by less than one; the recorder ring at the top takes one more.
+        const CHUNK: usize = 64 << 10;
+        let mut t = PmOctree::create(NvbmArena::new(64 << 30, DeviceModel::default()), small_cfg());
+        let mut frontier = vec![OctKey::root()];
+        for _ in 0..3 {
+            for k in std::mem::take(&mut frontier) {
+                t.refine(k).unwrap();
+                frontier.extend((0..8).map(|i| k.child(i)));
+            }
+            t.persist();
+        }
+        assert_eq!(t.leaf_count(), 512);
+        let arena = &t.store.arena;
+        let bump = arena.live_bump() as usize;
+        assert!(bump > CHUNK, "the tree spans more than one chunk: bump {bump}");
+        let resident = arena.resident_bytes();
+        assert!(resident <= bump + 2 * CHUNK, "{resident} bytes resident, bump {bump}");
     }
 }

@@ -95,7 +95,8 @@ impl ReplicaSet {
 #[allow(clippy::unwrap_used)]
 mod tests {
 
-    use crate::api::PmOctree;
+    use super::ReplicaSet;
+    use crate::api::{PmError, PmOctree};
     use crate::config::PmConfig;
     use crate::octant::CellData;
     use pmoctree_morton::OctKey;
@@ -133,6 +134,23 @@ mod tests {
         assert!(moved > 0);
         assert_eq!(r.leaves_sorted(), persisted);
         assert_eq!(r.get_data(OctKey::root().child(6)).unwrap().vof, 0.66);
+    }
+
+    #[test]
+    fn an_unusable_replica_is_an_error_not_a_panic() {
+        let mut t = PmOctree::create(NvbmArena::new(8 << 20, DeviceModel::default()), cfg());
+        t.refine(OctKey::root()).unwrap();
+        t.persist();
+        let synced = t.replicas.as_ref().unwrap().clone();
+        for (replica, device) in [(ReplicaSet::new(), 8 << 20), (synced, 4 << 20)] {
+            let fresh = NvbmArena::new(device, DeviceModel::default());
+            let got = PmOctree::restore_from_replica(fresh, &replica, PmConfig::default());
+            let len = replica.image().len();
+            assert!(
+                matches!(got, Err(PmError::Recovery(_))),
+                "{len}-byte replica, {device}-byte device"
+            );
+        }
     }
 
     #[test]
