@@ -133,6 +133,19 @@ if sed -n '/^pub fn can_coarsen_many(/,/^pub fn coarsen_balanced(/p' crates/amr/
     echo "balance.rs: coarsen legality probes per key again" >&2
     exit 1
 fi
+# Read-what-the-answer-depends-on gates: 2:1 balance asks one lookup per
+# outward direction of a parent family (≤ 26 per family, no root descent)
+# and reaches the per-key `refine_balanced` fixed point on all three
+# backends, its checks naming the per-leaf scan's pair; a round the device
+# refuses whole ends the loop. The transform scan reads the octants above
+# L_sub and the impure ones, exactly — in optimized builds. The per-leaf
+# neighbor kernel must stay deleted.
+cargo test --release -p pmoctree-amr --test balance_traversal -q
+cargo test --release -p pmoctree-amr --test prop_balance -q
+cargo test --release -p pmoctree-amr --lib balance::tests::balance_returns_when_the_device_refuses_every_ripple -q
+cargo test --release -p pmoctree-cluster --lib scaling::tests::global_balance_returns_when_the_devices_are_full -q
+cargo test --release -p pm-octree --lib transform::tests::the_scan_reads_only_above_l_sub_and_the_impure -q
+no_fork 'neighbor_leaves_many' crates/amr/src/*.rs
 # Write-every-driver-once gates: the Criterion layer `perf/` superseded
 # must stay deleted, the index-batch protocol (argsort, gather,
 # merge-scan, scatter) is called from `LeafIndex::resolve_batch`, not

@@ -117,24 +117,6 @@ pub trait OctreeBackend {
     fn coarsen_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
         keys.iter().map(|&k| self.coarsen(k).is_ok()).collect()
     }
-
-    /// Neighbor-resolution kernel: resolve the face (6) or full (26)
-    /// same-level neighborhood of every source leaf in one batched query.
-    /// Returns, per source, the distinct containing leaves of its neighbor
-    /// keys (sorted, deduplicated; unresolved/internal neighbors omitted).
-    fn neighbor_leaves_many(&mut self, sources: &[OctKey], full: bool) -> Vec<Vec<OctKey>> {
-        let (queries, spans) = pmoctree_morton::simd::neighbors_many(sources, full);
-        let resolved = self.containing_leaf_many(&queries);
-        spans
-            .iter()
-            .map(|&(s, e)| {
-                let mut v: Vec<OctKey> = resolved[s..e].iter().flatten().copied().collect();
-                v.sort_unstable();
-                v.dedup();
-                v
-            })
-            .collect()
-    }
 }
 
 /// Mutable references forward to the referent, so drivers generic over
@@ -211,9 +193,6 @@ impl<T: OctreeBackend + ?Sized> OctreeBackend for &mut T {
     }
     fn coarsen_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
         (**self).coarsen_many(keys)
-    }
-    fn neighbor_leaves_many(&mut self, sources: &[OctKey], full: bool) -> Vec<Vec<OctKey>> {
-        (**self).neighbor_leaves_many(sources, full)
     }
 }
 

@@ -7,6 +7,11 @@
 //! page read — and the paper notes that balancing a *linear* octree must
 //! interrogate all neighbors per octant, which is exactly why the
 //! out-of-core baseline struggles on this routine (§5.4).
+//!
+//! The batched passes ([`balance`] and friends, the checks) ask the
+//! question per *family* instead: one lookup per face (or 26-neighbor)
+//! direction of a parent answers all eight children at once
+//! (`coarse_neighbors`).
 
 use pmoctree_morton::OctKey;
 
@@ -102,8 +107,98 @@ pub fn coarsen_balanced(b: &mut dyn OctreeBackend, key: OctKey) -> bool {
     can_coarsen(b, key) && b.coarsen(key).is_ok()
 }
 
+/// The same-level displacement numbered `m` in [`OctKey::all_neighbors`]
+/// order: `m = Σ (d[a] + 1)·3^a`, so 13 is the cell itself.
+fn displacement(m: u32) -> [i8; 3] {
+    [(m % 3) as i8 - 1, (m / 3 % 3) as i8 - 1, (m / 9) as i8 - 1]
+}
+
+/// The displacements (bit `m` per [`displacement`]) through which child
+/// `c` of a family looks out of it: along each axis only the side the child
+/// sits on leaves the parent. Face adjacency moves along one axis (3 bits),
+/// full adjacency along any non-empty set of axes (7 bits).
+fn outward(c: usize, full: bool) -> u32 {
+    let mut bits = 0u32;
+    for axes in 1..8usize {
+        if !full && axes.count_ones() != 1 {
+            continue;
+        }
+        let m: u32 = (0..3)
+            .map(|a| {
+                let digit = if axes >> a & 1 == 0 { 1 } else { 2 * (c >> a & 1) as u32 };
+                digit * 3u32.pow(a as u32)
+            })
+            .sum();
+        bits |= 1 << m;
+    }
+    bits
+}
+
+/// The family kernel behind balancing and its checks: for every source
+/// (Z-sorted, deduplicated) call `f(source, leaf)` for each leaf at least
+/// two levels coarser than the source that holds one of its face (or, with
+/// `full`, any) same-level neighbors.
+///
+/// A neighbor inside the source's own family never qualifies: the parent
+/// `P` is interior, so the sibling exists. A neighbor outside it lies in
+/// `P`'s same-level neighbor `N` in that direction, and its leaf is two
+/// levels coarser than the source exactly when the leaf containing `N` is
+/// coarser than `N` — and then it is that leaf. So one batched
+/// [`OctreeBackend::containing_leaf_many`] over each parent's neighbors in
+/// the directions its sources face (at most 6, or 26 with `full`) answers
+/// every source, where asking per source cost 6 (or 26) queries each.
+///
+/// Sources must be octants of the tree (a key below a leaf has no interior
+/// parent, and its in-family neighbors are not looked at).
+fn coarse_neighbors(
+    b: &mut dyn OctreeBackend,
+    sources: &[OctKey],
+    full: bool,
+    mut f: impl FnMut(OctKey, OctKey),
+) {
+    let sides: [u32; 8] = std::array::from_fn(|c| outward(c, full));
+    // (parent, directions its sources face, first query) — sorted by key.
+    let mut parents: Vec<(OctKey, u32, u32)> =
+        sources.iter().filter_map(|k| Some((k.parent()?, sides[k.sibling_index()], 0))).collect();
+    parents.sort_unstable_by_key(|p| p.0);
+    parents.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 |= later.1;
+        }
+        same
+    });
+    let mut queries: Vec<OctKey> = Vec::with_capacity(parents.len() * if full { 26 } else { 6 });
+    for (p, dirs, first) in &mut parents {
+        *first = queries.len() as u32;
+        let mut kept = 0u32;
+        for m in (0..27).filter(|m| *dirs >> m & 1 == 1) {
+            if let Some(n) = p.neighbor(displacement(m)) {
+                queries.push(n);
+                kept |= 1 << m;
+            }
+        }
+        *dirs = kept; // directions off the domain have nothing to ask
+    }
+    let resolved = b.containing_leaf_many(&queries);
+    for &k in sources {
+        let Some(p) = k.parent() else { continue };
+        let i = parents.partition_point(|e| e.0 < p);
+        let (_, dirs, first) = parents[i];
+        let mine = sides[k.sibling_index()] & dirs;
+        for m in (0..27).filter(|m| mine >> m & 1 == 1) {
+            let q = first + (dirs & ((1 << m) - 1)).count_ones();
+            if let Some(leaf) = resolved[q as usize] {
+                if leaf.level() + 1 < k.level() {
+                    f(k, leaf);
+                }
+            }
+        }
+    }
+}
+
 /// Worklist-driven 2:1 balancing over the face (6) or full (26)
-/// adjacency, built on the backends' batched leaf-index kernels.
+/// adjacency, built on the family kernel ([`coarse_neighbors`]).
 ///
 /// Violations are only *observable* from the fine side (the coarse side
 /// sees `containing_leaf → None` for a refined-deeper neighbor), so the
@@ -117,37 +212,36 @@ pub fn coarsen_balanced(b: &mut dyn OctreeBackend, key: OctKey) -> bool {
 ///
 /// The 2:1 closure of a tree is unique and independent of refinement
 /// order, so the resulting leaf set is identical to the former
-/// sweep-until-fixed-point implementation.
+/// sweep-until-fixed-point implementation. A round that refines none of
+/// its targets (the device is full) would meet the same tree again: the
+/// loop stops there and leaves the violation for [`check_balance`].
 fn balance_worklist(b: &mut dyn OctreeBackend, mut worklist: Vec<OctKey>, full: bool) -> usize {
     let mut total = 0usize;
     while !worklist.is_empty() {
         worklist.sort_unstable();
         worklist.dedup();
-        let neighborhoods = b.neighbor_leaves_many(&worklist, full);
         let mut targets: Vec<OctKey> = Vec::new();
         let mut next: Vec<OctKey> = Vec::new();
-        for (k, neighbors) in worklist.iter().zip(&neighborhoods) {
-            let mut violated = false;
-            for leaf in neighbors {
-                if leaf.level() + 1 < k.level() {
-                    violated = true;
-                    targets.push(*leaf);
-                }
+        coarse_neighbors(b, &worklist, full, |k, leaf| {
+            targets.push(leaf);
+            if next.last() != Some(&k) {
+                next.push(k);
             }
-            if violated {
-                next.push(*k);
-            }
-        }
+        });
         targets.sort_unstable();
         targets.dedup();
         // Violating coarse leaves are disjoint, so the whole round splits
         // in one batched call.
         let ok = b.refine_many(&targets);
+        let before = total;
         for (t, s) in targets.iter().zip(ok) {
             if s {
                 total += 1;
                 next.extend(t.children());
             }
+        }
+        if total == before {
+            break;
         }
         worklist = next;
     }
@@ -184,19 +278,18 @@ pub fn balance26(b: &mut dyn OctreeBackend) -> usize {
 }
 
 /// Batched constraint check shared by [`check_balance`] /
-/// [`check_balance26`]: one neighbor-resolution pass over the sorted leaf
-/// set, returning the first (fine, coarse) violating pair in Z-order.
+/// [`check_balance26`]: one family-kernel pass over the sorted leaf set,
+/// returning the first fine leaf in Z-order that sees a violation, with
+/// the first coarse leaf it sees.
 fn check_with(b: &mut dyn OctreeBackend, full: bool) -> Option<(OctKey, OctKey)> {
     let leaves = b.leaf_keys_sorted();
-    let neighborhoods = b.neighbor_leaves_many(&leaves, full);
-    for (k, neighbors) in leaves.iter().zip(&neighborhoods) {
-        for leaf in neighbors {
-            if leaf.level() + 1 < k.level() {
-                return Some((*k, *leaf));
-            }
-        }
-    }
-    None
+    let mut first: Option<(OctKey, OctKey)> = None;
+    coarse_neighbors(b, &leaves, full, |k, leaf| match first {
+        None => first = Some((k, leaf)),
+        Some((fk, fl)) if fk == k && leaf < fl => first = Some((k, leaf)),
+        Some(_) => {}
+    });
+    first
 }
 
 /// Verify the full 26-neighbor 2:1 constraint.
@@ -209,7 +302,8 @@ pub fn check_balance26(b: &mut dyn OctreeBackend) -> Option<(OctKey, OctKey)> {
 /// coarse neighbors, propagating through the same worklist scheme as
 /// [`balance`] (children of refined octants plus still-violating
 /// sources). Far cheaper than a full sweep when the change set is a thin
-/// band. Returns refinements performed.
+/// band. `keys` must be octants of the tree (the leaves of the band,
+/// typically). Returns refinements performed.
 pub fn balance_subset(b: &mut dyn OctreeBackend, keys: &[OctKey]) -> usize {
     balance_worklist(b, keys.to_vec(), false)
 }
@@ -226,7 +320,7 @@ mod tests {
     use super::*;
     use crate::backend::{EtreeBackend, InCoreBackend, OctreeBackend, PmBackend};
     use crate::construct::construct_path;
-    use pm_octree::{PmConfig, PmOctree};
+    use pm_octree::{PmConfig, PmError, PmOctree};
     use pmoctree_nvbm::{DeviceModel, NvbmArena};
 
     fn backends() -> Vec<Box<dyn OctreeBackend>> {
@@ -322,6 +416,42 @@ mod tests {
         balance26(&mut full);
         let full_cost = full.elapsed_ns() - t0;
         assert!(full_cost > 2 * face_cost, "26-neighbor {full_cost} vs face {face_cost}");
+    }
+
+    /// A ripple the device has no room for: balancing must stop once a
+    /// round refines none of its targets, leave the mesh as the refusals
+    /// left it, and the check must still name the violation.
+    #[test]
+    fn balance_returns_when_the_device_refuses_every_ripple() {
+        let mut b = PmBackend::new(PmOctree::create(
+            NvbmArena::new(64 << 10, DeviceModel::default()),
+            PmConfig { dynamic_transform: false, seed_c0: false, ..PmConfig::default() },
+        ));
+        let mut deep = OctKey::root();
+        for _ in 0..6 {
+            deep = deep.child(7);
+        }
+        construct_path(&mut b, deep);
+        // Deepen the corner until the device refuses: every level below 6
+        // widens the gap to the coarse leaves balance would have to split.
+        'fill: loop {
+            for k in b.leaf_keys_sorted() {
+                if k.level() >= 6 {
+                    match b.refine(k) {
+                        Ok(()) => {}
+                        Err(PmError::Full(_)) => break 'fill,
+                        Err(e) => panic!("unexpected refusal {e:?}"),
+                    }
+                }
+            }
+        }
+        let leaves = b.leaf_keys_sorted();
+        assert!(check_balance(&mut b).is_some(), "the filled corner must violate 2:1");
+        let refined = balance(&mut b);
+        assert!(check_balance(&mut b).is_some(), "a full device cannot have closed the ripple");
+        assert_eq!(b.leaf_keys_sorted().len(), leaves.len() + 7 * refined);
+        assert_eq!(balance_from(&mut b, &[deep]), 0);
+        assert_eq!(balance26(&mut b), 0);
     }
 
     #[test]

@@ -1,0 +1,142 @@
+//! 2:1 balance by the family kernel against the per-key path. On all three
+//! backends, over random unbalanced refine sets, every batched balance
+//! entry point reaches the leaf set of a `refine_balanced` fixed point
+//! driven by per-leaf `containing_leaf` probes, and the batched checks name
+//! the pair that per-leaf scan names.
+
+use pm_octree::{PmConfig, PmOctree};
+use pmoctree_amr::balance::balance_from;
+use pmoctree_amr::{
+    balance, balance26, balance_subset, check_balance, check_balance26, refine_balanced,
+    EtreeBackend, InCoreBackend, OctreeBackend, PmBackend,
+};
+use pmoctree_morton::OctKey;
+use pmoctree_nvbm::{DeviceModel, NvbmArena};
+use proptest::prelude::*;
+
+fn backend(which: usize) -> Box<dyn OctreeBackend> {
+    match which {
+        0 => Box::new(PmBackend::new(PmOctree::create(
+            NvbmArena::new(64 << 20, DeviceModel::default()),
+            PmConfig { dynamic_transform: false, c0_capacity_octants: 128, ..PmConfig::default() },
+        ))),
+        1 => Box::new(InCoreBackend::new()),
+        _ => Box::new(EtreeBackend::on_nvbm()),
+    }
+}
+
+/// Split every octant on each path from the root down, with no regard for
+/// 2:1. Returns the keys split, in order.
+fn grow(b: &mut dyn OctreeBackend, paths: &[Vec<usize>]) -> Vec<OctKey> {
+    let mut split = Vec::new();
+    for path in paths {
+        let mut k = OctKey::root();
+        for &i in path {
+            if b.is_leaf(k) == Some(true) && b.refine(k).is_ok() {
+                split.push(k);
+            }
+            k = k.child(i);
+        }
+    }
+    split
+}
+
+/// Every leaf in Z-order, by the per-leaf visitor.
+fn leaves(b: &mut dyn OctreeBackend) -> Vec<OctKey> {
+    let mut out = Vec::new();
+    b.for_each_leaf(&mut |k, _| out.push(k));
+    out.sort_unstable();
+    out
+}
+
+/// Each leaf's same-level neighbors resolved one `containing_leaf` at a
+/// time: the first leaf in Z-order that lies next to a leaf two or more
+/// levels coarser, with the first such coarse leaf.
+fn check_per_leaf(b: &mut dyn OctreeBackend, full: bool) -> Option<(OctKey, OctKey)> {
+    for k in leaves(b) {
+        let neighbors = if full { k.all_neighbors() } else { k.face_neighbors() };
+        let coarse = neighbors
+            .into_iter()
+            .filter_map(|n| b.containing_leaf(n))
+            .filter(|leaf| leaf.level() + 1 < k.level())
+            .min();
+        if let Some(leaf) = coarse {
+            return Some((k, leaf));
+        }
+    }
+    None
+}
+
+/// The 2:1 closure by the per-key path: split the coarse side of every
+/// violation the per-leaf scan sees with `refine_balanced` until it sees
+/// none. Every split is forced, so this is the unique closure.
+fn fixed_point(b: &mut dyn OctreeBackend, full: bool) {
+    loop {
+        let mut coarse: Vec<OctKey> = Vec::new();
+        for k in leaves(b) {
+            let neighbors = if full { k.all_neighbors() } else { k.face_neighbors() };
+            for n in neighbors {
+                coarse.extend(b.containing_leaf(n).filter(|leaf| leaf.level() + 1 < k.level()));
+            }
+        }
+        if coarse.is_empty() {
+            return;
+        }
+        coarse.sort_unstable();
+        coarse.dedup();
+        for leaf in coarse {
+            if b.is_leaf(leaf) == Some(true) {
+                assert!(refine_balanced(b, leaf), "{}: refine_balanced({leaf:?})", b.name());
+            }
+        }
+    }
+}
+
+fn arb_paths() -> impl Strategy<Value = Vec<Vec<usize>>> {
+    prop::collection::vec(prop::collection::vec(0usize..8, 1..5), 1..7)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn batched_balance_reaches_the_per_key_fixed_point(paths in arb_paths()) {
+        for which in 0..3 {
+            for full in [false, true] {
+                let mut reference = backend(which);
+                grow(reference.as_mut(), &paths);
+                fixed_point(reference.as_mut(), full);
+                let want = leaves(reference.as_mut());
+                let name = reference.name();
+                let entry_points: &[&str] =
+                    if full { &["balance26"] } else { &["balance", "balance_from", "balance_subset"] };
+                for &entry in entry_points {
+                    let mut b = backend(which);
+                    let split = grow(b.as_mut(), &paths);
+                    let raw = check_per_leaf(b.as_mut(), full);
+                    let batched =
+                        if full { check_balance26(b.as_mut()) } else { check_balance(b.as_mut()) };
+                    prop_assert_eq!(batched, raw, "{} full={}: check on the raw tree", name, full);
+                    match entry {
+                        "balance" => balance(b.as_mut()),
+                        "balance_from" => balance_from(b.as_mut(), &split),
+                        "balance26" => balance26(b.as_mut()),
+                        _ => {
+                            // The band a driver would pass: every leaf off
+                            // the top levels, unsorted and repeated.
+                            let mut band: Vec<OctKey> =
+                                leaves(b.as_mut()).into_iter().filter(|k| k.level() >= 2).rev().collect();
+                            band.extend(band.clone().iter().step_by(3));
+                            balance_subset(b.as_mut(), &band)
+                        }
+                    };
+                    prop_assert_eq!(&leaves(b.as_mut()), &want, "{} {}", name, entry);
+                    prop_assert_eq!(check_per_leaf(b.as_mut(), full), None, "{} {}", name, entry);
+                    let after =
+                        if full { check_balance26(b.as_mut()) } else { check_balance(b.as_mut()) };
+                    prop_assert_eq!(after, None, "{} {}: batched check after", name, entry);
+                }
+            }
+        }
+    }
+}

@@ -231,11 +231,20 @@ impl ClusterSim {
                 return refinements;
             }
             refinements += requests.iter().map(Vec::len).sum::<usize>();
+            let leaves =
+                |ranks: &[Rank]| ranks.iter().map(|r| r.backend.leaf_count()).sum::<usize>();
+            let before = leaves(&self.ranks);
             self.ranks.par_iter_mut().zip(requests).for_each(|(r, reqs)| {
                 for k in reqs {
                     pmoctree_amr::refine_balanced(r.backend.as_mut(), k);
                 }
             });
+            // Refining only adds leaves: a round that added none (every
+            // request refused, the devices full) would meet the same
+            // table again.
+            if leaves(&self.ranks) == before {
+                return refinements;
+            }
         }
     }
 
@@ -473,6 +482,16 @@ mod tests {
         let r = c.run(2);
         assert!(r.exec_secs() > 0.0);
         assert_eq!(r.scheme, "pm-octree");
+    }
+
+    /// Ranks whose devices fill before the mesh is 2:1 across them: the
+    /// global balance must stop once a round refines nothing.
+    #[test]
+    fn global_balance_returns_when_the_devices_are_full() {
+        let scheme = Scheme::Pm { transform: false, c0_octants: 1, replicas: false };
+        let mut c = ClusterSim::new(scheme, 2, cfg(6), 64 << 10);
+        c.global_balance();
+        assert!(c.elements() > 0);
     }
 
     #[test]

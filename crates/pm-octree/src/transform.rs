@@ -10,6 +10,7 @@
 //! image stays behind as both the `V_{i-1}` copy and the diff shadow, so
 //! promotion itself writes nothing to NVBM beyond one path copy).
 
+use pmoctree_morton::OctKey;
 use pmoctree_nvbm::POffset;
 
 use crate::api::PmOctree;
@@ -44,7 +45,9 @@ impl PmOctree {
         // promoted wholesale; one shallower than L_sub would not fit the
         // C0 budget).
         let root = self.root_offset();
-        let (_, candidates) = candidate_scan(&mut self.store, root, l);
+        let mut volatile = self.c0_subtree_keys();
+        volatile.sort_unstable();
+        let (_, candidates) = candidate_scan(&mut self.store, root, OctKey::root(), l, &volatile);
         if candidates.is_empty() {
             self.store.arena.set_phase(prev_phase);
             return 0;
@@ -175,24 +178,37 @@ impl PmOctree {
 }
 
 /// Bottom-up scan for promotion candidates: returns whether the subtree
-/// at `off` is volatile-free, plus the list of maximal volatile-free
-/// subtree roots at level ≥ `l_sub` (with their levels). A pure subtree
-/// at level ≥ `l_sub` supersedes any candidates inside it.
+/// at `off` (octant `key`) is volatile-free, plus the list of maximal
+/// volatile-free subtree roots at level ≥ `l_sub` (with their levels). A
+/// pure subtree at level ≥ `l_sub` supersedes any candidates inside it.
+///
+/// A subtree is impure only through a volatile link, and every volatile
+/// link sits at a live C0 tree's subtree key (`volatile`, Z-sorted). So an
+/// octant at level ≥ `l_sub` with no such key strictly inside it is a
+/// candidate without reading its line: its offset is its parent's link,
+/// its level its key's. Only the octants above `l_sub` and the impure ones
+/// are read.
 fn candidate_scan(
     store: &mut crate::octant::PmStore,
     off: POffset,
+    key: OctKey,
     l_sub: u8,
+    volatile: &[OctKey],
 ) -> (bool, Vec<(POffset, u8)>) {
+    let inside = volatile.partition_point(|v| *v <= key);
+    if key.level() >= l_sub && !volatile.get(inside).is_some_and(|v| key.contains(v)) {
+        return (true, vec![(off, key.level())]);
+    }
     // Level and child links share the navigation line: one read.
     let nav = store.nav_line(off);
     let mut pure = true;
     let mut collected: Vec<(POffset, u8)> = Vec::new();
-    for c in nav.children {
+    for (i, c) in nav.children.into_iter().enumerate() {
         match c {
             ChildPtr::Null => {}
             ChildPtr::Volatile(_) => pure = false,
             ChildPtr::Nvbm(p) => {
-                let (cp, mut cands) = candidate_scan(store, p, l_sub);
+                let (cp, mut cands) = candidate_scan(store, p, key.child(i), l_sub, volatile);
                 pure &= cp;
                 collected.append(&mut cands);
             }
@@ -301,6 +317,61 @@ mod tests {
         );
         assert_eq!(t.events.transforms, 1);
         assert!(t.c0_octants() >= 1);
+    }
+
+    fn offset_of(t: &mut PmOctree, key: OctKey) -> POffset {
+        let root = t.root_offset();
+        match c1::locate(&mut t.store, root, key) {
+            c1::Locate::Nvbm(p) => p,
+            other => panic!("{key:?} is not an NVBM octant: {other:?}"),
+        }
+    }
+
+    /// Move the NVBM subtree at `key` into C0 behind a volatile link, as a
+    /// promotion does.
+    fn link_to_c0(t: &mut PmOctree, key: OctKey) {
+        let p = offset_of(t, key);
+        let octants = c1::collect_subtree(&mut t.store, p).unwrap();
+        let id = t.register_c0(C0Tree::from_octants(key, &octants), p);
+        let (root, epoch) = (t.root_offset(), t.epoch());
+        let root =
+            c1::replace_slot(&mut t.store, root, key, ChildPtr::Volatile(id), epoch).unwrap();
+        t.set_root_offset(root);
+    }
+
+    /// The scan reads the octants above `L_sub` and the impure ones, and
+    /// nothing else: a pure octant at or below `L_sub` is a candidate on
+    /// its parent's link alone.
+    #[test]
+    fn the_scan_reads_only_above_l_sub_and_the_impure() {
+        let cfg = PmConfig { dynamic_transform: false, seed_c0: false, ..PmConfig::default() };
+        let mut t = PmOctree::create(arena(), cfg);
+        let r = OctKey::root();
+        for k in [r, r.child(0), r.child(1), r.child(2), r.child(0).child(5), r.child(1).child(0)] {
+            t.refine(k).unwrap();
+        }
+        // A C0 subtree below L_sub = 2 (inside level-2 `1.0`) and one at it.
+        link_to_c0(&mut t, r.child(1).child(0).child(2));
+        link_to_c0(&mut t, r.child(2).child(4));
+
+        let mut want: Vec<OctKey> = r.child(0).children().collect(); // pure, `0.5` unread
+        want.extend(r.child(1).child(0).children().filter(|k| k.sibling_index() != 2));
+        want.extend(r.child(1).children().skip(1));
+        want.extend(r.child(2).children().filter(|k| k.sibling_index() != 4));
+        let want: Vec<(POffset, u8)> =
+            want.into_iter().map(|k| (offset_of(&mut t, k), k.level())).collect();
+        assert_eq!(want.len(), 29);
+
+        let mut volatile = t.c0_subtree_keys();
+        volatile.sort_unstable();
+        let (root, before) = (t.root_offset(), t.store.arena.stats.nvbm.read_lines);
+        let (pure, got) = candidate_scan(&mut t.store, root, r, 2, &volatile);
+        let read = t.store.arena.stats.nvbm.read_lines - before;
+        assert!(!pure);
+        assert_eq!(got, want);
+        // The root, its 8 children (level 1 < L_sub) and the one impure
+        // octant at L_sub, `1.0`. A full scan reads all 47 NVBM octants.
+        assert_eq!(read, 1 + 8 + 1);
     }
 
     #[test]
