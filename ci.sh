@@ -219,9 +219,19 @@ cargo test --release -p pmoctree-bench --test trace_acceptance -q
 cargo run --release -p pmoctree-bench --bin repro -- droplet --quick --trace trace_smoke.json
 cargo run --release -p pmoctree-bench --bin repro -- trace-check trace_smoke.json
 rm -f trace_smoke.json
-# An unknown repro subcommand exits 2 with the usage text, so a script
-# naming one repro does not run fails instead of passing silently.
+# An unknown repro subcommand or option exits 2 with the usage text, so a
+# script naming one repro does not run fails instead of passing silently.
 cargo test --release -p pmoctree-bench --test cli -q
+# One counter registry: the tracer journals spans and instants, and the
+# device's counters live in `MemStats` (with `Events`, `ReplicaSet` and
+# `ServiceStats` beside it). The second registry, its Prometheus exporter,
+# the trace's counter events and the copies that fed them must stay
+# deleted.
+if [ -e crates/obsv/src/metrics.rs ] || [ -e crates/obsv/src/prom.rs ]; then
+    echo "crates/obsv/src/metrics.rs or prom.rs is back (MemStats is the one counter registry)" >&2
+    exit 1
+fi
+no_fork 'counter_add\|counter_set\|gauge_set\|observe_labeled\|observe_ns\|publish_metrics\|trace_json_with_metrics' crates/*/src/*.rs
 # Wear-telemetry gate: write_fraction writes BENCH_wear.json whole, so a
 # valid entry an earlier run left behind (planted here as driver "stale")
 # must not survive it, and the droplet driver's per-region/per-phase

@@ -22,9 +22,11 @@
 //! `droplet` (not part of `all`) runs the droplet workload with tracing
 //! on, prints the span attribution and per-timestep tables, and writes
 //! `BENCH_droplet.json`; `--trace` additionally exports the journal as
-//! Chrome trace-event JSON (load in `chrome://tracing` or Perfetto) and
-//! `--metrics` dumps a Prometheus text snapshot. `trace-check` validates
-//! such an exported trace file and exits non-zero if it is malformed.
+//! Chrome trace-event JSON (load in `chrome://tracing` or Perfetto).
+//! `trace-check` validates such an exported trace file and exits non-zero
+//! if it is malformed. The device's counters are read off `MemStats`: the
+//! traversal counters into `BENCH_droplet.json`, the wear per region and
+//! phase into `BENCH_wear.json` (`write_fraction`).
 //!
 //! `trace-check FILE` validates an exported Chrome trace, or — when the
 //! file is a `BENCH_*.json` document carrying an `"experiment"` key —
@@ -32,7 +34,9 @@
 //! four regions and the 16-bucket wear histogram).
 //!
 //! `--quick` shrinks problem sizes (used by CI/tests); default sizes take
-//! a few minutes. Output is plain text in the papers' row format —
+//! a few minutes. The options are `--quick`, `--smoke`, `--trace FILE` and
+//! `--workers N`; any other `--` argument prints the usage and exits 2.
+//! Output is plain text in the papers' row format —
 //! `repro all | tee results.txt` regenerates the data behind
 //! EXPERIMENTS.md.
 
@@ -44,7 +48,7 @@ const USAGE: &str = "\
 usage: repro [table2|fig3|write_fraction|layout|fig6|fig7|fig8|fig9|fig10|fig11|recovery|ablations|all]
              [--quick] [--workers N]
        repro crash-sweep [--smoke]
-       repro droplet [--quick] [--trace out.json] [--metrics out.prom]
+       repro droplet [--quick] [--trace out.json]
        repro trace-check FILE
 ";
 
@@ -99,19 +103,18 @@ impl Scale {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let scale = if quick { Scale::quick() } else { Scale::full() };
 
-    // `--trace`, `--metrics` and `--workers` consume a value, so the
-    // value must not be mistaken for the positional subcommand.
+    // `--trace` and `--workers` consume a value, so the value must not be
+    // mistaken for the positional subcommand.
+    let (mut quick, mut smoke) = (false, false);
     let mut positionals: Vec<String> = Vec::new();
     let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
+            "--quick" => quick = true,
+            "--smoke" => smoke = true,
             "--trace" => trace_path = it.next().cloned(),
-            "--metrics" => metrics_path = it.next().cloned(),
             "--workers" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => rayon::set_num_threads(n),
                 _ => {
@@ -119,10 +122,14 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            _ if a.starts_with("--") => {}
+            _ if a.starts_with("--") => {
+                eprint!("repro: unknown option {a:?}\n{USAGE}");
+                std::process::exit(2);
+            }
             _ => positionals.push(a.clone()),
         }
     }
+    let scale = if quick { Scale::quick() } else { Scale::full() };
     let what = positionals.first().cloned().unwrap_or_else(|| "all".into());
     if !SUBCOMMANDS.split_whitespace().any(|s| s == what) {
         eprint!("repro: unknown subcommand {what:?}\n{USAGE}");
@@ -208,11 +215,7 @@ fn main() {
         println!("{}", snapshot_interval_str(&ablation_snapshot_interval(&[1, 2, 5, 10], 20, 4)));
     }
     if what == "crash-sweep" {
-        let cfg = if args.iter().any(|a| a == "--smoke") || quick {
-            CrashSweepConfig::smoke()
-        } else {
-            CrashSweepConfig::full()
-        };
+        let cfg = if smoke || quick { CrashSweepConfig::smoke() } else { CrashSweepConfig::full() };
         let sweep = crash_sweep(&cfg);
         println!("{}", crash_sweep_str(&sweep));
         write_bench_json("crash_sweep", &crash_sweep_json(&sweep));
@@ -247,22 +250,9 @@ fn main() {
         println!("{}", droplet_str(&run));
         write_bench_json("droplet", &droplet_json(&run));
         if let Some(path) = &trace_path {
-            let json = pmoctree_obsv::chrome::trace_json_with_metrics(
-                &[(0, run.events.clone())],
-                &run.metrics,
-            );
+            let json = pmoctree_obsv::chrome::trace_json(&[(0, run.events.clone())]);
             match std::fs::write(path, &json) {
                 Ok(()) => println!("wrote Chrome trace to {path} ({} bytes)", json.len()),
-                Err(e) => {
-                    eprintln!("could not write {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        if let Some(path) = &metrics_path {
-            let text = pmoctree_obsv::prom::text(&run.metrics);
-            match std::fs::write(path, &text) {
-                Ok(()) => println!("wrote Prometheus snapshot to {path}"),
                 Err(e) => {
                     eprintln!("could not write {path}: {e}");
                     std::process::exit(1);

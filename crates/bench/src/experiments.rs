@@ -481,8 +481,8 @@ pub fn fig11_transform(levels: &[u8], c0_fraction: f64, steps: usize) -> Vec<Fig
 /// A fully traced single-rank PM droplet run: the observability demo
 /// behind `repro droplet`. The tracer journals every FailPlan-labelled
 /// phase (`persist::*`, `gc::sweep`, `c0::evict`, `replica::ship`,
-/// `transform`) plus the driver-level `step::*` spans, and the metrics
-/// registry absorbs the arena's `MemStats` at the end of the run.
+/// `transform`) plus the driver-level `step::*` spans; the device's
+/// counters come from its `MemStats` (`trav`, `wear`).
 pub struct DropletRun {
     /// Per-step breakdown from the driver (the span tree must agree with
     /// these totals — see the trace acceptance tests).
@@ -491,8 +491,6 @@ pub struct DropletRun {
     pub elements: usize,
     /// The event journal (single rank, tid 0).
     pub events: Vec<pmoctree_nvbm::Event>,
-    /// Metrics snapshot (counters, gauges, duration histograms).
-    pub metrics: pmoctree_nvbm::Metrics,
     /// Octant-location counters over the run.
     pub trav: TraversalStats,
     /// Wear / write-amplification attribution of the run's NVBM device.
@@ -506,8 +504,8 @@ pub fn droplet_traced(steps: usize, max_level: u8) -> DropletRun {
 }
 
 /// Same workload with the tracer compiled to its disabled (`None`) state:
-/// the zero-inflation control for the acceptance tests. Its `events` and
-/// `metrics` are empty.
+/// the zero-inflation control for the acceptance tests. Its `events` are
+/// empty.
 pub fn droplet_untraced(steps: usize, max_level: u8) -> DropletRun {
     droplet_run(steps, max_level, false, true)
 }
@@ -532,12 +530,9 @@ fn droplet_run(steps: usize, max_level: u8, traced: bool, recorder: bool) -> Dro
         b.set_tracer(pmoctree_nvbm::Tracer::enabled(0));
     }
     let report = sim.run(&mut b);
-    b.tree.store.arena.publish_metrics();
-    let tr = b.tracer();
     DropletRun {
         elements: b.leaf_count(),
-        events: tr.events(),
-        metrics: tr.metrics(),
+        events: b.tracer().events(),
         trav: b.tree.store.arena.stats.trav,
         wear: b.tree.store.arena.stats.wear_report(),
         report,

@@ -245,8 +245,8 @@ pub fn droplet_str(run: &DropletRun) -> String {
 /// Render a trace-check verdict.
 pub fn trace_check_str(path: &str, s: &crate::trace_check::TraceSummary) -> String {
     format!(
-        "{path}: valid Chrome trace — {} events, {} threads, {} complete spans, {} counters\n",
-        s.events, s.threads, s.spans, s.counters
+        "{path}: valid Chrome trace — {} events, {} threads, {} complete spans\n",
+        s.events, s.threads, s.spans
     )
 }
 

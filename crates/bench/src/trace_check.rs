@@ -20,9 +20,6 @@ pub struct TraceSummary {
     pub threads: usize,
     /// Complete spans (matched `B`/`E` pairs).
     pub spans: usize,
-    /// Counter (`ph:"C"`) events — metric snapshots appended by
-    /// [`pmoctree_obsv::chrome::trace_json_with_metrics`].
-    pub counters: usize,
 }
 
 /// Validate the text of a Chrome trace-event JSON file.
@@ -35,7 +32,6 @@ pub fn check_trace(text: &str) -> Result<TraceSummary, String> {
     let mut stacks: BTreeMap<(u64, u64), Vec<String>> = BTreeMap::new();
     let mut last_ts: BTreeMap<(u64, u64), f64> = BTreeMap::new();
     let mut spans = 0usize;
-    let mut counters = 0usize;
     for (i, e) in events.iter().enumerate() {
         let name = e
             .get("name")
@@ -49,16 +45,6 @@ pub fn check_trace(text: &str) -> Result<TraceSummary, String> {
             .get("ts")
             .and_then(Value::as_f64)
             .ok_or_else(|| format!("event {i}: missing numeric \"ts\""))?;
-        if ph == "C" {
-            // Counter snapshots are appended at ts 0 after the span
-            // stream; they are exempt from the per-tid monotone check
-            // but must carry an args payload.
-            if e.get("args").is_none() {
-                return Err(format!("event {i} ({name}): counter event without \"args\""));
-            }
-            counters += 1;
-            continue;
-        }
         let pid = e.get("pid").and_then(Value::as_u64).unwrap_or(0);
         let tid = e.get("tid").and_then(Value::as_u64).unwrap_or(0);
         let key = (pid, tid);
@@ -88,7 +74,7 @@ pub fn check_trace(text: &str) -> Result<TraceSummary, String> {
             return Err(format!("tid {tid}: trace ends with span {open} still open"));
         }
     }
-    Ok(TraceSummary { events: events.len(), threads: last_ts.len(), spans, counters })
+    Ok(TraceSummary { events: events.len(), threads: last_ts.len(), spans })
 }
 
 /// Does this text look like a `BENCH_*.json` document rather than a
@@ -212,17 +198,14 @@ mod tests {
     }
 
     #[test]
-    fn accepts_counter_events_from_metrics_exporter() {
-        let t = Tracer::enabled(0);
-        t.begin("step", 0, None);
-        t.end("step", 500);
-        let mut m = pmoctree_obsv::Metrics::new();
-        m.counter_add("nvbm.flush_lines", 3);
-        m.counter_add_labeled("svc.write_bytes", "tenant=\"t0\"", 42);
-        let json = chrome::trace_json_with_metrics(&[(0, t.events())], &m);
-        let s = check_trace(&json).unwrap();
-        assert_eq!(s.spans, 1);
-        assert!(s.counters >= 2, "both metric series become counter events: {s:?}");
+    fn rejects_counter_events() {
+        // The exporter writes spans and instants only; a counter event is
+        // an unsupported `ph`.
+        let counter = r#"{"traceEvents":[
+            {"name":"step","ph":"B","ts":0,"pid":0,"tid":0},
+            {"name":"step","ph":"E","ts":0.5,"pid":0,"tid":0},
+            {"name":"nvbm.write_lines","ph":"C","ts":1,"pid":0,"tid":0,"args":{"v":3}}]}"#;
+        assert!(check_trace(counter).unwrap_err().contains("unsupported ph \"C\""));
     }
 
     #[test]

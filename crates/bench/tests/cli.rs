@@ -1,6 +1,6 @@
-//! `repro` rejects what it does not run: an unknown subcommand (a typo,
-//! or a script still naming a removed one) prints the usage text and
-//! exits 2 instead of running nothing and exiting 0.
+//! `repro` rejects what it does not run: an unknown subcommand or option
+//! (a typo, or a script still naming a removed one) prints the usage text
+//! and exits 2 instead of running nothing, or the wrong thing, and exiting 0.
 
 use std::process::Command;
 
@@ -12,5 +12,19 @@ fn unknown_subcommands_exit_2_with_usage() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("usage: repro"), "repro {sub} printed no usage: {stderr}");
         assert!(out.stdout.is_empty(), "repro {sub} ran something");
+    }
+}
+
+#[test]
+fn unknown_options_exit_2_with_usage() {
+    // `--metrics` was removed; `--quikc` is a typo of `--quick` that would
+    // otherwise run the full-scale experiment.
+    for args in [&["droplet", "--metrics", "x.prom"][..], &["fig6", "--quikc"][..]] {
+        let out =
+            Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("repro runs");
+        assert_eq!(out.status.code(), Some(2), "repro {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: repro"), "repro {args:?} printed no usage: {stderr}");
+        assert!(out.stdout.is_empty(), "repro {args:?} ran something");
     }
 }

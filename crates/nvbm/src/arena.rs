@@ -431,65 +431,12 @@ impl NvbmArena {
         self.tracer.span(name, move || clock.now_ns())
     }
 
-    /// [`NvbmArena::span`] with a numeric argument (e.g. a step index).
-    pub fn span_arg(&self, name: &'static str, arg: u64) -> Span {
-        if !self.tracer.is_enabled() {
-            return Span::noop();
-        }
-        let clock = self.clock.clone();
-        self.tracer.span_arg(name, arg, move || clock.now_ns())
-    }
-
     /// Record a point event at the current virtual time (e.g. a sampling
     /// decision). No-op when tracing is disabled.
     pub fn instant(&self, name: &'static str, arg: Option<u64>) {
         if self.tracer.is_enabled() {
             self.tracer.instant(name, self.clock.now_ns(), arg);
         }
-    }
-
-    /// Publish the ad-hoc [`MemStats`] accumulators into the tracer's
-    /// metrics registry (counters for tier/traversal totals, gauges for
-    /// wear), so one metrics snapshot carries everything. No-op when
-    /// tracing is disabled.
-    pub fn publish_metrics(&self) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        let t = &self.tracer;
-        let s = &self.stats;
-        t.counter_set("nvbm.read_lines", s.nvbm.read_lines);
-        t.counter_set("nvbm.write_lines", s.nvbm.write_lines);
-        t.counter_set("nvbm.bytes_read", s.nvbm.bytes_read);
-        t.counter_set("nvbm.bytes_written", s.nvbm.bytes_written);
-        t.counter_set("dram.read_lines", s.dram.read_lines);
-        t.counter_set("dram.write_lines", s.dram.write_lines);
-        t.counter_set("dram.bytes_read", s.dram.bytes_read);
-        t.counter_set("dram.bytes_written", s.dram.bytes_written);
-        t.counter_set("trav.root_descents", s.trav.root_descents);
-        t.counter_set("trav.index_hits", s.trav.index_hits);
-        t.counter_set("trav.index_rebuilds", s.trav.index_rebuilds);
-        t.counter_set("trav.index_rebuild_octants", s.trav.index_rebuild_octants);
-        t.counter_set("trav.descent_lines", s.trav.descent_lines);
-        t.gauge_set("trav.charged_lines_per_descent", s.trav.charged_lines_per_descent());
-        let (max_wear, max_wear_offset) = s.max_wear();
-        t.gauge_set("wear.max", max_wear as f64);
-        t.gauge_set("wear.max_offset", max_wear_offset as f64);
-        t.gauge_set("wear.mean", s.mean_wear());
-        t.gauge_set("wear.flatness", s.wear_flatness());
-        t.counter_set("wear.relocations", s.relocations());
-        t.counter_set("wear.relocated_bytes", s.relocated_bytes());
-        let by_region = s.bytes_by_region();
-        t.counter_set("wear.bytes.root_table", by_region[0]);
-        t.counter_set("wear.bytes.octree", by_region[1]);
-        t.counter_set("wear.bytes.rt_heap", by_region[2]);
-        t.counter_set("wear.bytes.recorder", by_region[3]);
-        for (phase, bytes) in s.bytes_by_phase() {
-            t.counter_set_labeled("wear.bytes_by_phase", &format!("phase=\"{phase}\""), bytes);
-        }
-        t.counter_set("recorder.entries", self.rec_next_seq - 1);
-        t.gauge_set("write_fraction", s.overall_write_fraction());
-        t.gauge_set("clock.now_secs", self.clock.now_secs());
     }
 
     // ---- flight recorder -------------------------------------------------

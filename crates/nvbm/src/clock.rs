@@ -64,12 +64,6 @@ impl VirtualClock {
         self.now_ns.load(Ordering::Acquire)
     }
 
-    /// Current virtual time in seconds.
-    #[inline]
-    pub fn now_secs(&self) -> f64 {
-        self.now_ns() as f64 * 1e-9
-    }
-
     /// Advance the clock by `ns` nanoseconds.
     #[inline]
     pub fn advance(&self, ns: u64) {
@@ -100,7 +94,6 @@ mod tests {
         c.advance(150);
         c.advance(100);
         assert_eq!(c.now_ns(), 250);
-        assert!((c.now_secs() - 250e-9).abs() < 1e-18);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use clock::VirtualClock;
 pub use failplan::{CrashCapture, CrashView, FailHook, FailPlan};
 pub use model::{BlockDeviceModel, DeviceModel, MemLatency, NetworkModel, CACHELINE, PAGE};
 pub use pins::{EpochPins, PinGuard};
-pub use pmoctree_obsv::{Event, EventKind, Metrics, Span, Tracer};
+pub use pmoctree_obsv::{Event, EventKind, Span, Tracer};
 pub use recorder::{RecEntry, RecKind, RecorderDump, REC_LABEL_MAX};
 pub use region::{RegionKind, RegionManager};
 pub use stats::{MemStats, NamedBytes, TierStats, TraversalStats, WearReport, WEAR_BLOCK};

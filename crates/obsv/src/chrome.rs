@@ -6,21 +6,7 @@
 //! exactly three decimals via integer math — no float formatting — which
 //! keeps traces byte-identical across runs and platforms.
 
-use crate::metrics::Metrics;
 use crate::trace::{Event, EventKind};
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Format a nanosecond timestamp as a microsecond JSON number with three
 /// decimals (`1234567` → `"1234.567"`).
@@ -56,29 +42,6 @@ fn push_event(out: &mut String, tid: u32, e: &Event) {
 /// Serialize per-rank journals as one Chrome trace. `threads` pairs each
 /// rank id (`tid`) with its event journal in recording order.
 pub fn trace_json(threads: &[(u32, Vec<Event>)]) -> String {
-    trace_json_with_metrics(threads, &Metrics::new())
-}
-
-fn push_counter(out: &mut String, first: &mut bool, name: &str, value: &str) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push_str("{\"name\":\"");
-    out.push_str(&escape_json(name));
-    out.push_str(
-        "\",\"cat\":\"pm\",\"ph\":\"C\",\"ts\":0.000,\"pid\":0,\"tid\":0,\"args\":{\"v\":",
-    );
-    out.push_str(value);
-    out.push_str("}}");
-}
-
-/// [`trace_json`] plus the final metrics snapshot rendered as Chrome
-/// counter (`ph:"C"`) events at `ts` 0 — counters, gauges, and labeled
-/// counters, in registry (name, label set) order, so Perfetto shows the
-/// wear/bytes attribution tracks next to the span timeline and the bytes
-/// stay deterministic.
-pub fn trace_json_with_metrics(threads: &[(u32, Vec<Event>)], metrics: &Metrics) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut first = true;
     for (tid, events) in threads {
@@ -89,15 +52,6 @@ pub fn trace_json_with_metrics(threads: &[(u32, Vec<Event>)], metrics: &Metrics)
             first = false;
             push_event(&mut out, *tid, e);
         }
-    }
-    for (name, v) in metrics.counters() {
-        push_counter(&mut out, &mut first, name, &v.to_string());
-    }
-    for (name, v) in metrics.gauges() {
-        push_counter(&mut out, &mut first, name, &format!("{v}"));
-    }
-    for (name, labels, v) in metrics.labeled_counters() {
-        push_counter(&mut out, &mut first, &format!("{name}{{{labels}}}"), &v.to_string());
     }
     out.push_str("]}");
     out
@@ -161,24 +115,6 @@ mod tests {
         assert!(json.contains("\"ph\":\"B\""));
         assert!(json.contains("\"ts\":0.150"));
         assert!(validate_events(&events).is_ok());
-    }
-
-    #[test]
-    fn metrics_render_as_counter_events() {
-        let mut m = Metrics::new();
-        m.counter_add("nvbm.write_lines", 42);
-        m.counter_add_labeled("wear.bytes_by_phase", "phase=\"mutate\"", 512);
-        let json = trace_json_with_metrics(&[(0, vec![ev(0, EventKind::Instant, "x")])], &m);
-        assert!(json.contains("\"ph\":\"C\""));
-        assert!(json.contains("\"name\":\"nvbm.write_lines\""));
-        // Label quotes are escaped so the trace stays valid JSON.
-        assert!(json.contains("wear.bytes_by_phase{phase=\\\"mutate\\\"}"));
-        assert!(json.ends_with("]}"));
-        // Without metrics the output is unchanged from plain trace_json.
-        assert_eq!(
-            trace_json(&[(0, vec![ev(0, EventKind::Instant, "x")])]),
-            trace_json_with_metrics(&[(0, vec![ev(0, EventKind::Instant, "x")])], &Metrics::new())
-        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Observability for the PM-octree repro: spans, an event journal, and a
-//! metrics registry, all stamped with the deterministic virtual clock.
+//! Observability for the PM-octree repro: spans and an event journal,
+//! stamped with the deterministic virtual clock.
 //!
 //! The paper's headline numbers are *attributions* — virtual time spent in
 //! C0→C1 merges, GC sweeps, root swaps, layout transforms — so this crate
@@ -15,19 +15,19 @@
 //! one-to-one (`persist::merge`, `gc::sweep`, `c0::evict`, …) so a trace
 //! can be read against the crash-matrix taxonomy.
 //!
+//! The journal records time only. What the device counts — bytes and lines
+//! per tier, wear per region and phase — lives in `pmoctree_nvbm::MemStats`,
+//! bumped at the write site; the tracer keeps no copy of it.
+//!
 //! Exporters: [`chrome::trace_json`] (loadable in `chrome://tracing` /
-//! Perfetto), [`prom::text`] (Prometheus text exposition), and
-//! [`attribution`] tables for the `repro` harness.
+//! Perfetto) and [`attribution`] tables for the `repro` harness.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 
 pub mod attribution;
 pub mod chrome;
-pub mod metrics;
-pub mod prom;
 pub mod trace;
 
 pub use attribution::{coverage, inclusive_totals, step_table, AttrRow, SpanNode, StepAttr};
-pub use metrics::{Histogram, Metrics};
 pub use trace::{merge_threads, Event, EventKind, Span, Tracer};

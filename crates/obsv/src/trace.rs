@@ -1,6 +1,5 @@
 //! The tracer: an event journal fed by RAII span guards.
 
-use crate::metrics::Metrics;
 use std::sync::{Arc, Mutex};
 
 /// What an [`Event`] marks.
@@ -30,13 +29,7 @@ pub struct Event {
 
 struct Inner {
     tid: u32,
-    journal: Mutex<Journal>,
-}
-
-#[derive(Default)]
-struct Journal {
-    events: Vec<Event>,
-    metrics: Metrics,
+    journal: Mutex<Vec<Event>>,
 }
 
 /// Handle onto a per-rank event journal. Cloning shares the journal.
@@ -61,15 +54,10 @@ impl std::fmt::Debug for Tracer {
 }
 
 impl Tracer {
-    /// A disabled tracer (same as `Tracer::default()`).
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
     /// An enabled tracer with an empty journal. `tid` labels the rank in
     /// multi-rank traces.
     pub fn enabled(tid: u32) -> Self {
-        Tracer { inner: Some(Arc::new(Inner { tid, journal: Mutex::new(Journal::default()) })) }
+        Tracer { inner: Some(Arc::new(Inner { tid, journal: Mutex::new(Vec::new()) })) }
     }
 
     /// Is this tracer recording?
@@ -83,86 +71,33 @@ impl Tracer {
         self.inner.as_ref().map_or(0, |i| i.tid)
     }
 
-    fn with_journal(&self, f: impl FnOnce(&mut Journal)) {
+    fn push(&self, e: Event) {
         if let Some(inner) = &self.inner {
-            f(&mut inner.journal.lock().expect("tracer journal poisoned"));
+            inner.journal.lock().expect("tracer journal poisoned").push(e);
         }
     }
 
     /// Record a span-begin event.
     pub fn begin(&self, name: &'static str, t_ns: u64, arg: Option<u64>) {
-        self.with_journal(|j| j.events.push(Event { t_ns, kind: EventKind::Begin, name, arg }));
+        self.push(Event { t_ns, kind: EventKind::Begin, name, arg });
     }
 
     /// Record a span-end event.
     pub fn end(&self, name: &'static str, t_ns: u64) {
-        self.with_journal(|j| j.events.push(Event { t_ns, kind: EventKind::End, name, arg: None }));
+        self.push(Event { t_ns, kind: EventKind::End, name, arg: None });
     }
 
     /// Record a point event.
     pub fn instant(&self, name: &'static str, t_ns: u64, arg: Option<u64>) {
-        self.with_journal(|j| j.events.push(Event { t_ns, kind: EventKind::Instant, name, arg }));
-    }
-
-    /// Add to a monotone counter in the metrics registry.
-    pub fn counter_add(&self, name: &'static str, v: u64) {
-        self.with_journal(|j| j.metrics.counter_add(name, v));
-    }
-
-    /// Set a counter to an absolute cumulative value (for publishing an
-    /// externally accumulated total such as `MemStats`).
-    pub fn counter_set(&self, name: &'static str, v: u64) {
-        self.with_journal(|j| j.metrics.counter_set(name, v));
-    }
-
-    /// Set a gauge.
-    pub fn gauge_set(&self, name: &'static str, v: f64) {
-        self.with_journal(|j| j.metrics.gauge_set(name, v));
-    }
-
-    /// Add to a labeled monotone counter (`labels` is a rendered label
-    /// set without braces, e.g. `tenant="alpha"`).
-    pub fn counter_add_labeled(&self, name: &str, labels: &str, v: u64) {
-        self.with_journal(|j| j.metrics.counter_add_labeled(name, labels, v));
-    }
-
-    /// Set a labeled counter to an absolute cumulative value.
-    pub fn counter_set_labeled(&self, name: &str, labels: &str, v: u64) {
-        self.with_journal(|j| j.metrics.counter_set_labeled(name, labels, v));
-    }
-
-    /// Record a sample into a labeled histogram.
-    pub fn observe_labeled(&self, name: &str, labels: &str, v: u64) {
-        self.with_journal(|j| j.metrics.observe_labeled(name, labels, v));
-    }
-
-    /// Record a duration sample into the named histogram.
-    pub fn observe_ns(&self, name: &'static str, v: u64) {
-        self.with_journal(|j| j.metrics.observe(name, v));
+        self.push(Event { t_ns, kind: EventKind::Instant, name, arg });
     }
 
     /// Snapshot of the event journal.
     pub fn events(&self) -> Vec<Event> {
         match &self.inner {
             None => Vec::new(),
-            Some(i) => i.journal.lock().expect("tracer journal poisoned").events.clone(),
+            Some(i) => i.journal.lock().expect("tracer journal poisoned").clone(),
         }
-    }
-
-    /// Snapshot of the metrics registry.
-    pub fn metrics(&self) -> Metrics {
-        match &self.inner {
-            None => Metrics::default(),
-            Some(i) => i.journal.lock().expect("tracer journal poisoned").metrics.clone(),
-        }
-    }
-
-    /// Drop all recorded events and metrics (journal stays enabled).
-    pub fn clear(&self) {
-        self.with_journal(|j| {
-            j.events.clear();
-            j.metrics = Metrics::default();
-        });
     }
 
     /// Open a span. `now` reads the owning device's virtual clock; it is
@@ -172,60 +107,40 @@ impl Tracer {
     where
         F: Fn() -> u64 + Send + 'static,
     {
-        self.span_arg_opt(name, None, now)
-    }
-
-    /// [`Tracer::span`] with a numeric argument (step index, id, …).
-    pub fn span_arg<F>(&self, name: &'static str, arg: u64, now: F) -> Span
-    where
-        F: Fn() -> u64 + Send + 'static,
-    {
-        self.span_arg_opt(name, Some(arg), now)
-    }
-
-    fn span_arg_opt<F>(&self, name: &'static str, arg: Option<u64>, now: F) -> Span
-    where
-        F: Fn() -> u64 + Send + 'static,
-    {
         if !self.is_enabled() {
             return Span::noop();
         }
-        let t0 = now();
-        self.begin(name, t0, arg);
-        Span { tracer: self.clone(), name, t0, now: Some(Box::new(now)) }
+        self.begin(name, now(), None);
+        Span { tracer: self.clone(), name, now: Some(Box::new(now)) }
     }
 }
 
 /// RAII span guard: emits a Begin event when created (by
-/// [`Tracer::span`]) and an End event — plus a duration histogram sample —
-/// when dropped. Early returns and `?` therefore cannot leave the journal
-/// unbalanced.
+/// [`Tracer::span`]) and an End event when dropped. Early returns and `?`
+/// therefore cannot leave the journal unbalanced.
 pub struct Span {
     tracer: Tracer,
     name: &'static str,
-    t0: u64,
     now: Option<Box<dyn Fn() -> u64 + Send>>,
 }
 
 impl Span {
     /// A guard that does nothing (what a disabled tracer hands out).
     pub fn noop() -> Span {
-        Span { tracer: Tracer::default(), name: "", t0: 0, now: None }
+        Span { tracer: Tracer::default(), name: "", now: None }
     }
 }
 
 impl std::fmt::Debug for Span {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Span({:?} from {})", self.name, self.t0)
+        write!(f, "Span({:?})", self.name)
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(now) = &self.now {
-            let t1 = now();
-            self.tracer.end(self.name, t1);
-            self.tracer.observe_ns(self.name, t1.saturating_sub(self.t0));
+            self.tracer.end(self.name, now());
         }
     }
 }
@@ -267,14 +182,15 @@ mod tests {
 
     #[test]
     fn disabled_tracer_is_inert() {
-        let t = Tracer::disabled();
+        let t = Tracer::default();
         let (_c, now) = clock();
         {
             let _s = t.span("persist", now);
         }
-        t.counter_add("x", 1);
+        t.instant("x", 1, None);
+        assert!(!t.is_enabled());
         assert!(t.events().is_empty());
-        assert!(t.metrics().counters().next().is_none());
+        assert_eq!(t.tid(), 0);
     }
 
     #[test]
@@ -312,19 +228,5 @@ mod tests {
             merge_threads(vec![b, b2, a.clone()]),
             merge_threads(vec![a, (1, vec![ev(5)]), (1, vec![ev(9)])])
         );
-    }
-
-    #[test]
-    fn span_records_duration_histogram() {
-        let t = Tracer::enabled(0);
-        let (c, now) = clock();
-        {
-            let _s = t.span("gc::sweep", now);
-            c.store(4096, Ordering::Relaxed);
-        }
-        let m = t.metrics();
-        let h = m.histograms().find(|(n, _)| *n == "gc::sweep").unwrap().1;
-        assert_eq!(h.count, 1);
-        assert_eq!(h.sum, 4096);
     }
 }

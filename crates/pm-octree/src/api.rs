@@ -776,8 +776,25 @@ impl PmOctree {
         self.store.arena.rec_mark(RecKind::SpanBegin, "persist", self.epoch as u64);
         // Wear attribution: committed bytes are charged to the protocol
         // phase in force at commit time (write-back, so lines written in
-        // one phase may commit in a later flush — see `MemStats`).
+        // one phase may commit in a later flush — see `MemStats`). The
+        // phase is restored on every exit, failed steps included.
         let prev_phase = self.store.arena.set_phase("persist::merge");
+        let r = self.persist_inner(hook);
+        self.store.arena.set_phase(prev_phase);
+        r?;
+        // (9) Dynamic layout transformation (§3.3) runs after merging:
+        // one detection pass, promoting up to 16 of the hottest NVBM
+        // subtrees.
+        if self.cfg.dynamic_transform {
+            self.transform_pass(16);
+        }
+        self.store.arena.rec_mark(RecKind::SpanEnd, "persist", self.epoch as u64);
+        Ok(())
+    }
+
+    /// Steps (1)–(8) of [`PmOctree::persist_with_hook`], under the phases
+    /// it sets; the caller restores the phase in force before them.
+    fn persist_inner(&mut self, hook: &mut PersistHook<'_>) -> Result<(), PmError> {
         // (1) Merge every DRAM subtree into NVBM with diff-sharing.
         let span_merge = self.store.arena.span("persist::merge");
         let ids = self.forest.ids();
@@ -808,7 +825,6 @@ impl PmOctree {
             Ok(regions) => regions,
             Err(e) => {
                 self.store.arena.next = self.store.arena.committed();
-                self.store.arena.set_phase(prev_phase);
                 // The merged subtrees are in NVBM under `root`: adopt it
                 // so the handle stays coherent (dropping their DRAM
                 // copies loses nothing).
@@ -865,14 +881,6 @@ impl PmOctree {
         }
         self.forest.decay_access(0.5);
         drop(span_reattach);
-        self.store.arena.set_phase(prev_phase);
-        // (9) Dynamic layout transformation (§3.3) runs after merging:
-        // one detection pass, promoting up to 16 of the hottest NVBM
-        // subtrees.
-        if self.cfg.dynamic_transform {
-            self.transform_pass(16);
-        }
-        self.store.arena.rec_mark(RecKind::SpanEnd, "persist", self.epoch as u64);
         Ok(())
     }
 
@@ -1315,6 +1323,28 @@ mod tests {
         arena.crash(CrashMode::LoseDirty);
         let r = PmOctree::restore(arena, small_cfg()).unwrap();
         assert_eq!(r.leaf_count(), 8);
+    }
+
+    #[test]
+    fn a_failed_persist_restores_the_wear_phase() {
+        // A DRAM subtree grown past what the device can merge: the persist
+        // fails with `Full` in step (1), and later commits must not be
+        // charged to `persist::merge`.
+        let cfg = PmConfig { c0_capacity_octants: 1 << 16, ..small_cfg() };
+        let mut t = PmOctree::create(NvbmArena::new(256 << 10, DeviceModel::default()), cfg);
+        t.refine(OctKey::root()).unwrap();
+        let mut frontier = vec![OctKey::root().child(0)];
+        let err = loop {
+            for k in std::mem::take(&mut frontier) {
+                t.refine(k).unwrap();
+                frontier.extend((0..8).map(|i| k.child(i)));
+            }
+            if let Err(e) = t.persist_with_hook(&mut |_| Ok(Vec::new())) {
+                break e;
+            }
+        };
+        assert!(matches!(err, PmError::Full(_)), "{err:?}");
+        assert_eq!(t.store.arena.stats.phase(), pmoctree_nvbm::stats::PHASE_MUTATE);
     }
 
     #[test]

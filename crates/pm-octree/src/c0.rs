@@ -66,14 +66,12 @@ fn charge_read(arena: &mut NvbmArena, nodes: u64) {
     let m = arena.model().dram;
     arena.clock.advance(nodes * NODE_LINES * m.read_ns);
     arena.stats.dram_read((nodes * OCTANT_SIZE as u64) as usize, nodes * NODE_LINES);
-    arena.tracer.counter_add("c0.node_reads", nodes);
 }
 
 fn charge_write(arena: &mut NvbmArena, nodes: u64) {
     let m = arena.model().dram;
     arena.clock.advance(nodes * NODE_LINES * m.write_ns);
     arena.stats.dram_write((nodes * OCTANT_SIZE as u64) as usize, nodes * NODE_LINES);
-    arena.tracer.counter_add("c0.node_writes", nodes);
 }
 
 /// Charge `lines` single-cacheline reads (hot-line hops, payload reads).
@@ -81,7 +79,6 @@ fn charge_read_lines(arena: &mut NvbmArena, lines: u64) {
     let m = arena.model().dram;
     arena.clock.advance(lines * m.read_ns);
     arena.stats.dram_read((lines * CACHELINE) as usize, lines);
-    arena.tracer.counter_add("c0.line_reads", lines);
 }
 
 /// Charge `lines` single-cacheline writes.
@@ -89,7 +86,6 @@ fn charge_write_lines(arena: &mut NvbmArena, lines: u64) {
     let m = arena.model().dram;
     arena.clock.advance(lines * m.write_ns);
     arena.stats.dram_write((lines * CACHELINE) as usize, lines);
-    arena.tracer.counter_add("c0.line_writes", lines);
 }
 
 impl C0Tree {

@@ -535,7 +535,6 @@ pub fn merge_subtree(
     if octants.is_empty() {
         return Err(PmError::Corrupt("merging an empty subtree".to_string()));
     }
-    store.arena.tracer.counter_add("c1.merge_octants", octants.len() as u64);
     let (off, _shared, consumed) = merge_rec(store, octants, 0, shadow, epoch)?;
     debug_assert_eq!(consumed, octants.len(), "pre-order list not fully consumed");
     Ok(off)

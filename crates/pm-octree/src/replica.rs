@@ -76,8 +76,6 @@ impl ReplicaSet {
         }
         self.bytes_shipped_total += shipped;
         self.last_delta_bytes = shipped;
-        arena.tracer.counter_add("replica.bytes_shipped", shipped);
-        arena.tracer.counter_add("replica.deltas", 1);
     }
 
     /// The current replica image (restore onto a fresh node's NVBM).

@@ -80,8 +80,6 @@ pub fn sample_nvbm_freq(
             }
         }
     }
-    store.arena.tracer.counter_add("sampling.nvbm_evals", evals as u64);
-    store.arena.tracer.counter_add("sampling.nvbm_hits", hits as u64);
     hits as f64 / evals.max(1) as f64
 }
 

@@ -71,7 +71,6 @@ impl PmOctree {
         scored.sort_by(|a, b| b.1.total_cmp(&a.1));
         // The sampling decision: how many candidates scanned, how many
         // scored hot enough to consider.
-        self.store.arena.tracer.counter_add("sampling.decisions", 1);
         self.store.arena.instant("sampling::decision", Some(scored.len() as u64));
         // Sample DRAM trees once; coldest-first is the demotion order.
         let n = self.cfg.n_sample;
@@ -163,7 +162,6 @@ impl PmOctree {
                 }
             }
         }
-        self.store.arena.tracer.counter_add("transform.swaps", swaps as u64);
         self.store.arena.set_phase(prev_phase);
         swaps
     }

@@ -713,9 +713,6 @@ impl PmRt {
             }
             moved += 1;
         }
-        if moved > 0 {
-            arena.tracer.counter_add("rt.compact.relocated", moved as u64);
-        }
         Ok(())
     }
 
@@ -741,7 +738,6 @@ impl PmRt {
         self.stage_bytes(arena, &name, &payload)?;
         self.relocated.push(name);
         arena.stats.note_relocation(old_rec, e.footprint());
-        arena.tracer.counter_add("rt.wear.relocations", 1);
         Ok(())
     }
 

@@ -385,13 +385,6 @@ impl StateService {
             });
         }
         self.stats.batches += 1;
-        let t0_ns = arena.clock.now_ns();
-        // Distinct tenants with commands in this batch, for the
-        // per-tenant flush-latency histogram below (traced runs only).
-        let mut batch_tenants: BTreeSet<String> = BTreeSet::new();
-        if arena.tracer.is_enabled() {
-            batch_tenants.extend(cmds.iter().map(|c| c.tenant().to_string()));
-        }
         let mut registry_dirty = false;
         let mut mutated = false;
         let mut replies = Vec::with_capacity(cmds.len());
@@ -432,10 +425,6 @@ impl StateService {
         let bytes: u64 = regions.iter().map(|&(_, l)| u64::from(l)).sum();
         self.stats.commits += 1;
         self.stats.bytes_written += bytes;
-        let dt_ns = arena.clock.now_ns().saturating_sub(t0_ns);
-        for tenant in &batch_tenants {
-            arena.tracer.observe_labeled("svc.flush_ns", &format!("tenant=\"{tenant}\""), dt_ns);
-        }
         Ok(BatchReport { replies, epoch: self.rt.epoch(), bytes_written: bytes, committed: true })
     }
 
@@ -473,8 +462,6 @@ impl StateService {
                 validate_component("root", &root)?;
                 let qualified = format!("{tenant}/{root}");
                 let prefix = &qualified[..=tenant.len()];
-                // Per-tenant series label, rendered for traced runs only.
-                let label = arena.tracer.is_enabled().then(|| format!("tenant=\"{tenant}\""));
                 // Charge the full log-record footprint the blob will
                 // occupy in the ring (record header + object header +
                 // u64 length prefix + payload + checksum trailer), net
@@ -484,17 +471,11 @@ impl StateService {
                     self.rt.prefix_usage(prefix) - self.rt.entry_footprint(&qualified) + new_fp;
                 if projected > quota {
                     self.stats.quota_rejections += 1;
-                    if let Some(label) = &label {
-                        arena.tracer.counter_add_labeled("svc.quota_rejections", label, 1);
-                    }
                     return Err(PmError::QuotaExceeded(format!(
                         "tenant {tenant:?}: {projected} B projected > quota {quota} B"
                     )));
                 }
                 self.rt.stage(arena, &qualified, &bytes)?;
-                if let Some(label) = &label {
-                    arena.tracer.observe_labeled("svc.write_bytes", label, new_fp);
-                }
                 Ok(ServiceReply::Put)
             }
             ServiceCmd::Commit { tenant } => {
@@ -655,7 +636,7 @@ fn load_tenants(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use pmoctree_nvbm::{DeviceModel, FailPlan, Tracer};
+    use pmoctree_nvbm::{DeviceModel, FailPlan};
 
     fn arena() -> NvbmArena {
         NvbmArena::new(1 << 20, DeviceModel::default())
@@ -700,41 +681,6 @@ mod tests {
         }
         s.flush_batch(&mut a).unwrap();
         assert_eq!(s.epoch(), epoch + 1, "eight tenants' writes coalesced into one swap");
-    }
-
-    #[test]
-    fn traced_flush_publishes_per_tenant_series() {
-        let mut a = arena();
-        a.tracer = Tracer::enabled(0);
-        let mut s = svc(&mut a);
-        s.submit(&mut a, ServiceCmd::Create { tenant: "t".into(), quota: Some(1024) }).unwrap();
-        s.flush_batch(&mut a).unwrap();
-        s.submit(
-            &mut a,
-            ServiceCmd::Put { tenant: "t".into(), root: "a".into(), bytes: vec![1; 96] },
-        )
-        .unwrap();
-        s.submit(
-            &mut a,
-            ServiceCmd::Put { tenant: "t".into(), root: "b".into(), bytes: vec![0xFF; 2048] },
-        )
-        .unwrap();
-        let rep = s.flush_batch(&mut a).unwrap();
-        assert_eq!(rep.replies[0], Ok(ServiceReply::Put));
-        assert!(matches!(rep.replies[1], Err(PmError::QuotaExceeded(_))));
-        let m = a.tracer.metrics();
-        let label = "tenant=\"t\"";
-        for name in ["svc.flush_ns", "svc.write_bytes"] {
-            assert!(
-                m.labeled_histograms().any(|(n, l, h)| n == name && l == label && h.count > 0),
-                "no {name} series for {label}"
-            );
-        }
-        assert!(
-            m.labeled_counters()
-                .any(|(n, l, v)| n == "svc.quota_rejections" && l == label && v == 1),
-            "no svc.quota_rejections series for {label}"
-        );
     }
 
     #[test]
