@@ -54,7 +54,7 @@ fi
 # The runtime's executable specification: one pm-rt model (the staged and
 # committed root maps, and the view every live snapshot pinned) held to
 # the public API after every step of random stage / unregister / revert /
-# commit / pin / collect / service batch / lease / crash streams — raw and
+# commit / pin / collect / service batch / crash streams — raw and
 # through tenant handles, on a roomy and a filling device — with crashes
 # between steps and at any opportunity or label of a commit or flush,
 # under every crash mode, in optimized builds. The shadow-map oracles it
@@ -65,6 +65,18 @@ if [ -e crates/pm-rt/tests/prop_prefix.rs ] ||
     grep -rn 'fn log_compaction_preserves_byte_identity\|resurrect_from_replica' crates/ ||
     grep -n 'pub fn scan' crates/pm-rt/src/log.rs; then
     echo "a replaced pm-rt oracle, the log scan or rank resurrection is back (the pm-rt model in tests/model.rs checks that code)" >&2
+    exit 1
+fi
+# pm-rt keeps one of each: one error type (`PmError`, from the byte codec
+# up), one record index in the log heap (the live records by offset and by
+# append stamp, so the ring yields each live record once, oldest first,
+# and an emptied ring appends at its base — in optimized builds), and
+# batched commands as the one way into a tenant. The arena holds its two
+# live edges itself and `PmStore` is the one octant store. The 1:1
+# bridges, the second index and the lease door must stay deleted.
+cargo test --release -p pm-rt --lib heap::tests::the_ring_yields_each_live_record_once_oldest_first -q
+if grep -rn 'RtError\|RegionManager\|trait OctAccess\|TenantLease\|TenantBusy\|RecMeta\|advance_tail' crates/*/src; then
+    echo "a deleted pm-rt bridge, heap index, lease door, region manager or octant-store trait is back" >&2
     exit 1
 fi
 # One commit record: the octree and the runtime publish through one sealed

@@ -35,7 +35,9 @@
 //!
 //! `--quick` shrinks problem sizes (used by CI/tests); default sizes take
 //! a few minutes. The options are `--quick`, `--smoke`, `--trace FILE` and
-//! `--workers N`; any other `--` argument prints the usage and exits 2.
+//! `--workers N`; any other `--` argument, a `--trace` without a FILE, or
+//! a second positional other than `trace-check`'s FILE prints the usage
+//! and exits 2.
 //! Output is plain text in the papers' row format —
 //! `repro all | tee results.txt` regenerates the data behind
 //! EXPERIMENTS.md.
@@ -114,7 +116,13 @@ fn main() {
         match a.as_str() {
             "--quick" => quick = true,
             "--smoke" => smoke = true,
-            "--trace" => trace_path = it.next().cloned(),
+            "--trace" => match it.next().filter(|v| !v.starts_with("--")) {
+                Some(path) => trace_path = Some(path.clone()),
+                None => {
+                    eprint!("repro: --trace needs a file\n{USAGE}");
+                    std::process::exit(2);
+                }
+            },
             "--workers" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => rayon::set_num_threads(n),
                 _ => {
@@ -133,6 +141,11 @@ fn main() {
     let what = positionals.first().cloned().unwrap_or_else(|| "all".into());
     if !SUBCOMMANDS.split_whitespace().any(|s| s == what) {
         eprint!("repro: unknown subcommand {what:?}\n{USAGE}");
+        std::process::exit(2);
+    }
+    // Only `trace-check` takes a second positional (its FILE).
+    if let Some(extra) = positionals.get(if what == "trace-check" { 2 } else { 1 }) {
+        eprint!("repro: unexpected argument {extra:?}\n{USAGE}");
         std::process::exit(2);
     }
     let all = what == "all";

@@ -28,3 +28,19 @@ fn unknown_options_exit_2_with_usage() {
         assert!(out.stdout.is_empty(), "repro {args:?} ran something");
     }
 }
+
+#[test]
+fn a_missing_trace_file_or_an_extra_positional_exits_2_with_usage() {
+    // `--trace --quick` took `--quick` as the trace path and ran at full
+    // scale; a bare `--trace` wrote nothing; `table2 fig3` ran only table2.
+    for args in
+        [&["table2", "--trace", "--quick"][..], &["table2", "--trace"][..], &["table2", "fig3"][..]]
+    {
+        let out =
+            Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("repro runs");
+        assert_eq!(out.status.code(), Some(2), "repro {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: repro"), "repro {args:?} printed no usage: {stderr}");
+        assert!(out.stdout.is_empty(), "repro {args:?} ran something");
+    }
+}

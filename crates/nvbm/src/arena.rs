@@ -21,7 +21,6 @@ use crate::media::{Media, SparseMedia};
 use crate::model::{DeviceModel, CACHELINE};
 use crate::pins::EpochPins;
 use crate::recorder::{self, RecKind, RecorderDump, OFF_REC_BASE, OFF_REC_SLOTS};
-use crate::region::RegionManager;
 use crate::stats::MemStats;
 use pmoctree_obsv::{Span, Tracer};
 
@@ -263,16 +262,16 @@ pub struct NvbmArena {
     pub tracer: Tracer,
     /// Installed crash-opportunity plan (see [`FailPlan`]).
     plan: Option<FailPlan>,
-    /// The device address space as explicit typed regions (root table,
-    /// octree, rt heap, recorder) with live edges: the octree
-    /// bump-allocates upward in `[HEADER_SIZE, octree_edge)` and the
-    /// `pm-rt` heap grows downward in `[rt_floor, heap_top)`. Each side
-    /// publishes its edge here and consults the other's before growing,
-    /// so neither can silently overwrite committed state the other owns.
-    /// Not part of the media: re-derived (conservatively, from the
-    /// persisted header hints) on `from_media`/`restore_media`, then
+    /// The two live edges between the octree and `pm-rt` regions: the
+    /// octree bump-allocates upward in `[HEADER_SIZE, octree_edge)` and
+    /// the `pm-rt` heap grows downward in `[rt_floor, rt_heap_top)`. Each
+    /// side publishes its edge here and consults the other's before
+    /// growing, so neither can silently overwrite committed state the
+    /// other owns. Not part of the media: re-derived (conservatively, from
+    /// the commit record's hints) on `from_media`/`restore_media`, then
     /// corrected by each subsystem's restore.
-    regions: RegionManager,
+    octree_edge: u64,
+    rt_floor: u64,
     /// Refcounted pins on `pm-rt` root-table epochs (MVCC snapshot
     /// readers). Volatile: invalidated whenever the media is replaced,
     /// because the pinned epochs belong to the old lineage.
@@ -358,7 +357,8 @@ impl NvbmArena {
             stats,
             tracer: Tracer::default(),
             plan: None,
-            regions: RegionManager::new(capacity as u64, rec_base),
+            octree_edge: HEADER_SIZE,
+            rt_floor: heap_top,
             rt_pins: EpochPins::new(),
             rec_base,
             rec_slots: slots,
@@ -388,7 +388,8 @@ impl NvbmArena {
             stats: MemStats::new(capacity),
             tracer: Tracer::default(),
             plan: None,
-            regions: RegionManager::new(capacity as u64, 0),
+            octree_edge: HEADER_SIZE,
+            rt_floor: capacity as u64,
             rt_pins: EpochPins::new(),
             rec_base: 0,
             rec_slots: 0,
@@ -411,8 +412,7 @@ impl NvbmArena {
         self.next = self.committed;
         let (octree_edge, rt_floor) = derive_live_bounds(&self.media, &self.committed);
         let (rec_base, rec_slots) = recorder::region_of(&self.media).unwrap_or((0, 0));
-        let capacity = self.media.size() as u64;
-        self.regions = RegionManager::from_bounds(capacity, rec_base, octree_edge, rt_floor);
+        (self.octree_edge, self.rt_floor) = (octree_edge, rt_floor);
         self.rec_base = rec_base;
         self.rec_slots = rec_slots;
         self.rec_next_seq = recorder::recover_from(&self.media).last().map_or(1, |e| e.seq + 1);
@@ -446,7 +446,11 @@ impl NvbmArena {
     /// otherwise. `pm-rt` uses this instead of [`NvbmArena::capacity`] so
     /// heap objects never collide with the ring.
     pub fn rt_heap_top(&self) -> u64 {
-        self.regions.heap_top()
+        if self.rec_base == 0 {
+            self.capacity() as u64
+        } else {
+            self.rec_base
+        }
     }
 
     /// Disable or re-enable recording (volatile switch; the persisted
@@ -692,29 +696,31 @@ impl NvbmArena {
     /// The octree allocator's live bump pointer: the `pm-rt` heap must
     /// not grow below this. Volatile; free to read (no media access).
     pub fn live_bump(&self) -> u64 {
-        self.regions.octree_edge()
+        self.octree_edge
     }
 
     /// Publish the octree allocator's bump pointer. Called by the octree
     /// store after every allocation (and allocator rebuild) so the
-    /// `pm-rt` heap sees the boundary move in real time.
+    /// `pm-rt` heap sees the boundary move in real time. Clamped into
+    /// the device.
     pub fn publish_bump(&mut self, b: u64) {
-        self.regions.publish_octree_edge(b);
+        self.octree_edge = b.clamp(HEADER_SIZE, self.capacity() as u64);
     }
 
     /// The `pm-rt` heap's live floor: the octree allocator must not bump
     /// past this. Volatile; free to read (no media access).
     pub fn live_rt_floor(&self) -> u64 {
-        self.regions.rt_floor()
+        self.rt_floor
     }
 
     /// Publish the `pm-rt` heap floor. Called by the runtime after every
     /// heap allocation (and heap rebuild) so the octree allocator sees
     /// the boundary move in real time (and so wear attribution classifies
-    /// commits above it as runtime-heap traffic).
+    /// commits above it as runtime-heap traffic). Clamped into the
+    /// device.
     pub fn publish_rt_floor(&mut self, f: u64) {
-        let floor = self.regions.publish_rt_floor(f);
-        self.stats.set_rt_floor(floor);
+        self.rt_floor = f.clamp(HEADER_SIZE, self.capacity() as u64);
+        self.stats.set_rt_floor(self.rt_floor);
     }
 
     /// The device's registry of pinned `pm-rt` root-table epochs (MVCC

@@ -48,7 +48,7 @@ pub use model::{BlockDeviceModel, DeviceModel, MemLatency, NetworkModel, CACHELI
 pub use pins::{EpochPins, PinGuard};
 pub use pmoctree_obsv::{Event, EventKind, Span, Tracer};
 pub use recorder::{RecEntry, RecKind, RecorderDump, REC_LABEL_MAX};
-pub use region::{RegionKind, RegionManager};
+pub use region::RegionKind;
 pub use stats::{MemStats, NamedBytes, TierStats, TraversalStats, WearReport, WEAR_BLOCK};
 
 /// Compile-time `Send`/`Sync` audit for everything a rank carries across

@@ -22,7 +22,7 @@ use crate::c0::{C0Forest, C0Tree, CoarsenError};
 use crate::c1::{self, Locate};
 use crate::config::{PmConfig, THRESHOLD_DRAM, THRESHOLD_NVBM};
 use crate::gc::{self, GcReport};
-use crate::octant::{CellData, ChildPtr, OctAccess, Octant, PmStore};
+use crate::octant::{CellData, ChildPtr, Octant, PmStore};
 use crate::replica::ReplicaSet;
 use crate::sampling::{self, FeatureFn};
 
@@ -59,9 +59,6 @@ pub enum PmError {
     /// An MVCC snapshot handle outlived the state it pinned (media
     /// restored from a replica, or the runtime registry destroyed).
     SnapshotGone(String),
-    /// The tenant is exclusively leased (checked out) by another client;
-    /// retry after the lease is released.
-    TenantBusy(String),
     /// The NVBM device is full. The failed mutation left nothing
     /// half-linked: COW paths allocate every copy before the single
     /// publication write, so the pre-mutation version stays intact and
@@ -79,7 +76,6 @@ impl std::fmt::Display for PmError {
             PmError::Recovery(what) => write!(f, "recovery failed: {what}"),
             PmError::QuotaExceeded(what) => write!(f, "tenant quota exceeded: {what}"),
             PmError::SnapshotGone(what) => write!(f, "snapshot no longer valid: {what}"),
-            PmError::TenantBusy(what) => write!(f, "tenant busy: {what}"),
             PmError::Full(what) => write!(f, "NVBM full: {what}"),
         }
     }

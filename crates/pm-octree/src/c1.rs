@@ -56,14 +56,13 @@
 //! allocation exhaustion surfaces as [`PmError::Full`] *before* any
 //! publication write, so the pre-mutation version stays reachable and the
 //! partially-allocated copies are unreachable garbage for GC. The
-//! functions are generic over [`OctAccess`], which [`PmStore`] implements
-//! over the live arena.
+//! functions take the [`PmStore`] over the live arena.
 
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::POffset;
 
 use crate::api::PmError;
-use crate::octant::{CellData, ChildPtr, NavLine, OctAccess, Octant, PmStore, FANOUT};
+use crate::octant::{CellData, ChildPtr, NavLine, Octant, PmStore, FANOUT};
 
 /// Outcome of a root walk towards `key`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,7 +82,7 @@ pub enum Locate {
 /// Walk from `root` towards `key`; stop at the octant, a volatile handle,
 /// or a missing link. A fresh [`Cursor`]'s lookup: one navigation line
 /// per level above `key`'s, the target's own line not read.
-pub fn locate<S: OctAccess>(store: &mut S, root: POffset, key: OctKey) -> Locate {
+pub fn locate(store: &mut PmStore, root: POffset, key: OctKey) -> Locate {
     Cursor::new(root).locate(store, key)
 }
 
@@ -120,12 +119,7 @@ struct Frame {
 
 /// Read the navigation line of the octant at `off` (one charged line)
 /// and push its frame.
-fn push_frame<S: OctAccess>(
-    store: &mut S,
-    frames: &mut Vec<Frame>,
-    off: POffset,
-    slot: usize,
-) -> NavLine {
+fn push_frame(store: &mut PmStore, frames: &mut Vec<Frame>, off: POffset, slot: usize) -> NavLine {
     let nav = store.nav_line(off);
     frames.push(Frame { off, slot, nav });
     nav
@@ -159,7 +153,7 @@ impl Cursor {
     /// Walk towards `key`, re-reading only the part of its path that the
     /// previous lookup did not already walk. The target's own line is not
     /// read (a later, deeper key reads it if it has to pass through).
-    pub fn locate<S: OctAccess>(&mut self, store: &mut S, key: OctKey) -> Locate {
+    pub fn locate(&mut self, store: &mut PmStore, key: OctKey) -> Locate {
         if self.frames.is_empty() {
             self.frames.reserve(key.level() as usize + 1);
             let nav = push_frame(store, &mut self.frames, self.root, 0);
@@ -199,7 +193,7 @@ impl Cursor {
 /// per level. [`PmError::NotFound`] when `key` names no NVBM octant under
 /// `root` — it lies outside the root, or the path ends in an empty slot
 /// or a volatile handle.
-fn descend<S: OctAccess>(store: &mut S, root: POffset, key: OctKey) -> Result<Vec<Frame>, PmError> {
+fn descend(store: &mut PmStore, root: POffset, key: OctKey) -> Result<Vec<Frame>, PmError> {
     let mut cursor = Cursor::new(root);
     let Locate::Nvbm(p) = cursor.locate(store, key) else {
         return Err(PmError::NotFound(format!("{key:?}")));
@@ -230,8 +224,8 @@ fn descend<S: OctAccess>(store: &mut S, root: POffset, key: OctKey) -> Result<Ve
 /// so far are unreachable and the tree is unchanged — but the frames
 /// below the failed copy already name those orphans, so the caller must
 /// drop the stack.
-fn make_exclusive<S: OctAccess>(
-    store: &mut S,
+fn make_exclusive(
+    store: &mut PmStore,
     frames: &mut [Frame],
     epoch: u32,
     mut payload: Option<CellData>,
@@ -282,8 +276,8 @@ fn make_exclusive<S: OctAccess>(
 /// Hands back the possibly-new root and the octant's whole frame: its
 /// offset and the navigation line the walk read (every link and the mask
 /// still valid — no frame was entered below it).
-fn own<S: OctAccess>(
-    store: &mut S,
+fn own(
+    store: &mut PmStore,
     root: POffset,
     mut frames: Vec<Frame>,
     epoch: u32,
@@ -300,8 +294,8 @@ fn own<S: OctAccess>(
 /// On [`PmError::Full`] no link has been published: copies allocated so
 /// far are unreachable and the caller's tree is unchanged.
 #[cfg(test)]
-pub fn cow_path<S: OctAccess>(
-    store: &mut S,
+pub fn cow_path(
+    store: &mut PmStore,
     root: POffset,
     key: OctKey,
     epoch: u32,
@@ -314,8 +308,8 @@ pub fn cow_path<S: OctAccess>(
 /// place when the octant is already exclusive, otherwise *in* the copy
 /// [`make_exclusive`] stores — a shared octant's new payload is written
 /// once, with its record. Returns the new root if the root was copied.
-fn store_payload<S: OctAccess>(
-    store: &mut S,
+fn store_payload(
+    store: &mut PmStore,
     frames: &mut [Frame],
     epoch: u32,
     data: &CellData,
@@ -336,8 +330,8 @@ fn store_payload<S: OctAccess>(
 ///
 /// All eight children are allocated before the parent turns interior, so
 /// a [`PmError::Full`] mid-way leaves the leaf a leaf.
-pub fn refine<S: OctAccess>(
-    store: &mut S,
+pub fn refine(
+    store: &mut PmStore,
     root: POffset,
     key: OctKey,
     epoch: u32,
@@ -367,8 +361,8 @@ pub fn refine<S: OctAccess>(
 /// ([`PmError::NotCoarsenable`]) off the children's lines, read through
 /// that frame's links — so a refused coarsen stores and allocates
 /// nothing, at any epoch.
-pub fn coarsen<S: OctAccess>(
-    store: &mut S,
+pub fn coarsen(
+    store: &mut PmStore,
     root: POffset,
     key: OctKey,
     epoch: u32,
@@ -410,8 +404,8 @@ pub fn coarsen<S: OctAccess>(
 
 /// Update the payload of the NVBM octant at `key` (copy-on-write if
 /// shared). Returns the possibly-new root.
-pub fn update_data<S: OctAccess>(
-    store: &mut S,
+pub fn update_data(
+    store: &mut PmStore,
     root: POffset,
     key: OctKey,
     data: &CellData,
@@ -429,8 +423,8 @@ pub fn update_data<S: OctAccess>(
 /// parent stays interior, so its mask and payload stay where they are —
 /// filling or emptying a slot is refine's and coarsen's business. Returns
 /// the possibly-new root.
-pub fn replace_slot<S: OctAccess>(
-    store: &mut S,
+pub fn replace_slot(
+    store: &mut PmStore,
     root: POffset,
     key: OctKey,
     ptr: ChildPtr,
@@ -470,8 +464,8 @@ pub fn replace_slot<S: OctAccess>(
 /// On [`PmError::Full`] the sweep stops: no link of the failing leaf has
 /// been published, earlier leaves keep their updates, and a shared
 /// `root` still walks to the pre-sweep tree.
-pub fn sweep_leaves<S: OctAccess>(
-    store: &mut S,
+pub fn sweep_leaves(
+    store: &mut PmStore,
     root: POffset,
     epoch: u32,
     f: &mut impl FnMut(OctKey, &CellData) -> Option<CellData>,
@@ -1028,34 +1022,26 @@ mod tests {
         assert_eq!((per_key_reads, reads(&s) - before), (29, 4));
     }
 
-    /// Counts what an op reads from the device before its first store.
-    struct Watch<'a, S> {
-        inner: &'a mut S,
-        nav_reads: usize,
-        payload_reads: usize,
-        stored: bool,
-    }
-
-    impl<S: OctAccess> OctAccess for Watch<'_, S> {
-        fn io_read(&mut self, offset: u64, buf: &mut [u8]) {
-            if !self.stored {
-                match buf.len() {
-                    64 => self.nav_reads += 1,
-                    32 => self.payload_reads += 1,
-                    n => panic!("a {n}-byte read: neither a navigation line nor a payload"),
-                }
-            }
-            self.inner.io_read(offset, buf);
-        }
-
-        fn io_write(&mut self, offset: u64, data: &[u8]) {
-            self.stored = true;
-            self.inner.io_write(offset, data);
-        }
-
-        fn alloc_block(&mut self) -> Result<POffset, PmError> {
-            self.inner.alloc_block()
-        }
+    /// Run `op` and count the lines it reads before its first store —
+    /// off the virtual clock at that store's crash opportunity, where
+    /// only reads have been charged — or `None` when it stores nothing.
+    fn reads_before_first_store<R>(
+        s: &mut PmStore,
+        op: impl FnOnce(&mut PmStore) -> R,
+    ) -> (R, Option<u64>) {
+        use std::sync::{Arc, Mutex};
+        let clock = s.arena.clock.clone();
+        let t0 = clock.now_ns();
+        let first = Arc::new(Mutex::new(None));
+        let sink = Arc::clone(&first);
+        s.arena.set_fail_plan(FailPlan::with_hook(Box::new(move |_| {
+            sink.lock().unwrap().get_or_insert(clock.now_ns() - t0);
+        })));
+        let r = op(s);
+        s.arena.take_fail_plan();
+        let read_ns = DeviceModel::default().nvbm.read_ns;
+        let lines = first.lock().unwrap().map(|ns| ns / read_ns);
+        (r, lines)
     }
 
     #[test]
@@ -1066,12 +1052,7 @@ mod tests {
             Coarsen(OctKey),
             SetData(OctKey),
         }
-        fn apply<S: OctAccess>(
-            s: &mut S,
-            root: POffset,
-            op: Op,
-            epoch: u32,
-        ) -> Result<POffset, PmError> {
+        fn apply(s: &mut PmStore, root: POffset, op: Op, epoch: u32) -> Result<POffset, PmError> {
             match op {
                 Op::Refine(k) => refine(s, root, k, epoch),
                 Op::Coarsen(k) => coarsen(s, root, k, epoch),
@@ -1097,18 +1078,16 @@ mod tests {
                 Some(Op::SetData(at(d))),
             ];
             for op in ops.into_iter().flatten() {
-                let mut w = Watch { inner: &mut s, nav_reads: 0, payload_reads: 0, stored: false };
-                let new_root = apply(&mut w, root, op, 2).unwrap();
+                let (new_root, lines) = reads_before_first_store(&mut s, |s| apply(s, root, op, 2));
                 // d + 1 navigation lines, root to target; a coarsen then
                 // reads its 8 children, and its target's copy reads a
                 // payload line (the target is interior, and the op brings
                 // none to carry) — all before the first store.
-                let (nav, payload) = match op {
-                    Op::Coarsen(_) => (d as usize + 1 + 8, 1),
-                    _ => (d as usize + 1, 0),
+                let want = match op {
+                    Op::Coarsen(_) => d as u64 + 1 + 8 + 1,
+                    _ => d as u64 + 1,
                 };
-                let got = (w.nav_reads, w.payload_reads, w.stored, new_root != root);
-                assert_eq!(got, (nav, payload, true, true), "{op:?} at level {d}");
+                assert_eq!((lines, new_root.unwrap() != root), (Some(want), true), "{op:?} at {d}");
             }
         }
         // Refusals come off the same walk, before the first copy: nothing
@@ -1124,22 +1103,24 @@ mod tests {
             (Op::Coarsen(at(3)), 1, "not-coarsenable"),
             (Op::Coarsen(at(3)), 2, "not-coarsenable"),
         ] {
-            let mut w = Watch { inner: &mut s, nav_reads: 0, payload_reads: 0, stored: false };
-            let got = match apply(&mut w, root, op, epoch) {
+            let nvbm = |s: &PmStore| (s.arena.stats.nvbm.read_lines, s.arena.stats.nvbm.bytes_read);
+            let (lines0, bytes0) = nvbm(&s);
+            let (got, stored) = reads_before_first_store(&mut s, |s| apply(s, root, op, epoch));
+            let got = match got {
                 Err(PmError::NotFound(_)) => "not-found",
                 Err(PmError::NotALeaf(_)) => "not-a-leaf",
                 Err(PmError::NotCoarsenable(_)) => "not-coarsenable",
                 other => panic!("{op:?}: {other:?}"),
             };
-            assert_eq!(
-                (got, w.stored, w.payload_reads),
-                (want, false, 0),
-                "{op:?} at epoch {epoch}"
-            );
+            // Nothing stored, so every read is the walk's: navigation
+            // lines only (64 bytes each; a payload read is 32).
+            let (lines, bytes) = nvbm(&s);
+            let (lines, bytes) = (lines - lines0, bytes - bytes0);
+            assert_eq!((got, stored, bytes), (want, None, 64 * lines), "{op:?} at epoch {epoch}");
             let level = match op {
-                Op::Refine(k) | Op::Coarsen(k) | Op::SetData(k) => k.level() as usize,
+                Op::Refine(k) | Op::Coarsen(k) | Op::SetData(k) => k.level() as u64,
             };
-            assert!(w.nav_reads <= level + 9, "{op:?}: {} reads", w.nav_reads);
+            assert!(lines <= level + 9, "{op:?}: {lines} reads");
         }
         assert_eq!((s.arena.stats.nvbm.write_lines, s.registry.len()), (writes, allocated));
     }

@@ -14,7 +14,7 @@ use std::collections::HashSet;
 
 use pmoctree_nvbm::POffset;
 
-use crate::octant::{ChildPtr, OctAccess, PmStore};
+use crate::octant::{ChildPtr, PmStore};
 
 /// Result of a collection.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]

@@ -61,7 +61,7 @@ mod verify;
 pub use api::{Events, PersistHook, PmError, PmOctree};
 pub use config::{PmConfig, PmConfigBuilder};
 pub use gc::GcReport;
-pub use octant::{CellData, OctAccess, Octant, PmStore, OCTANT_SIZE};
+pub use octant::{CellData, Octant, PmStore, OCTANT_SIZE};
 pub use replica::ReplicaSet;
 pub use sampling::FeatureFn;
 pub use verify::check_invariants;

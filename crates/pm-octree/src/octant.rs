@@ -6,7 +6,7 @@
 //! mask, the epoch — and, in bytes 0..48, whichever of two things the
 //! octant has: the eight child links of an interior octant, or the
 //! payload of a leaf, which has no links to store. The mask is the switch
-//! (`mask == 0` ⟺ leaf). So one read ([`OctAccess::nav_line`]) answers
+//! (`mask == 0` ⟺ leaf). So one read ([`PmStore::nav_line`]) answers
 //! every question asked of an octant on the way — which child, which key,
 //! leaf or not, shared or exclusive — and, for a leaf, what it holds: a
 //! leaf (about 7/8 of a tree) is visited with one line read and copied
@@ -34,7 +34,7 @@
 //! The record stays 128 bytes because an interior octant keeps a payload
 //! too (`get_data` answers for any key), and the bytes its links occupy
 //! are taken. A leaf turns interior, or back, only while exclusive to the
-//! working version, and only through [`OctAccess::set_children`], which
+//! working version, and only through [`PmStore::set_children`], which
 //! moves the payload to the place the new mask names.
 //!
 //! **Pointer encoding** (the paper's "special pointers" linking persistent
@@ -114,7 +114,7 @@ impl ChildPtr {
     /// encodings instead of silently truncating them: a link wider than
     /// 6 bytes, or a volatile handle carrying garbage in bits 32..47, is
     /// a corrupted record, not a pointer. This is the checked entry point
-    /// recovery scans use ([`OctAccess::nav_line_checked`]); the hot path
+    /// recovery scans use ([`PmStore::nav_line_checked`]); the hot path
     /// goes through [`ChildPtr::decode`], which asserts instead.
     #[inline]
     pub fn try_decode(raw: u64) -> Result<Self, PmError> {
@@ -237,7 +237,7 @@ impl CellData {
 }
 
 /// A decoded navigation line (octant line 0): every hot field of an
-/// octant, delivered by one cacheline read ([`OctAccess::nav_line`]).
+/// octant, delivered by one cacheline read ([`PmStore::nav_line`]).
 /// Whatever a walker wants to know about an octant — a child link, the
 /// key, leaf or not (`mask == 0`), shared or exclusive (`epoch`), and a
 /// leaf's payload — it takes from here, so no octant is charged twice.
@@ -247,7 +247,7 @@ pub struct NavLine {
     pub children: [ChildPtr; FANOUT],
     /// A leaf's payload, which its navigation line carries: `Some`
     /// exactly when `mask == 0`. An interior octant's is on line 1
-    /// ([`OctAccess::payload`]).
+    /// ([`PmStore::payload`]).
     pub leaf: Option<CellData>,
     /// Raw Morton code. Unvalidated: `OctKey::from_raw` panics on a
     /// malformed pair, so recovery checks it before decoding.
@@ -261,7 +261,7 @@ pub struct NavLine {
     pub epoch: u32,
 }
 
-/// A whole octant record, as [`OctAccess::alloc_octant`] stores it.
+/// A whole octant record, as [`PmStore::alloc_octant`] stores it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Octant {
     /// Child pointers in Morton order.
@@ -343,16 +343,21 @@ impl PmStore {
     }
 }
 
-impl OctAccess for PmStore {
-    fn io_read(&mut self, offset: u64, buf: &mut [u8]) {
-        self.arena.read(offset, buf);
-    }
-
-    fn io_write(&mut self, offset: u64, data: &[u8]) {
-        self.arena.write(offset, data);
-    }
-
-    fn alloc_block(&mut self) -> Result<POffset, PmError> {
+/// Octant-granular access to the device.
+///
+/// The read side is the navigation line — [`PmStore::nav_line`]
+/// (checked: [`PmStore::nav_line_checked`]), which carries a leaf's
+/// payload — and, behind an interior octant's, its payload line
+/// ([`PmStore::payload`]; [`PmStore::data`] when no line is held).
+/// There are no per-field probes — a caller that wants a link, the key,
+/// the mask, the epoch or a leaf's payload decodes the navigation line
+/// once and keeps it, which is what makes "one charged line per octant
+/// visited" a property of the interface instead of a habit.
+impl PmStore {
+    /// Allocate a new octant and store its record in one write — one line
+    /// for a leaf, two for an interior octant; returns its offset, or
+    /// [`PmError::Full`] with nothing mutated when space is exhausted.
+    pub fn alloc_octant(&mut self, o: &Octant) -> Result<POffset, PmError> {
         self.alloc.set_limit(self.arena.live_rt_floor());
         let p = self
             .alloc
@@ -360,43 +365,8 @@ impl OctAccess for PmStore {
             .ok_or_else(|| PmError::Full("NVBM arena full allocating an octant".into()))?;
         self.arena.publish_bump(self.alloc.bump());
         self.registry.push(p);
-        Ok(p)
-    }
-}
-
-/// Octant-granular access over any device view that can read bytes,
-/// write bytes, and allocate 128-byte records.
-///
-/// [`PmStore`] implements it over the live arena; the COW mutation code
-/// in `c1` is generic over it, so a test can put a counting view between
-/// an op and the device.
-///
-/// The read side is the navigation line — [`OctAccess::nav_line`]
-/// (checked: [`OctAccess::nav_line_checked`]), which carries a leaf's
-/// payload — and, behind an interior octant's, its payload line
-/// ([`OctAccess::payload`]; [`OctAccess::data`] when no line is held).
-/// There are no per-field probes — a caller that wants a link, the key,
-/// the mask, the epoch or a leaf's payload decodes the navigation line
-/// once and keeps it, which is what makes "one charged line per octant
-/// visited" a property of the interface instead of a habit.
-pub trait OctAccess {
-    /// Read `buf.len()` bytes at `offset` from this view of the device.
-    fn io_read(&mut self, offset: u64, buf: &mut [u8]);
-
-    /// Write `data` at `offset` into this view of the device.
-    fn io_write(&mut self, offset: u64, data: &[u8]);
-
-    /// Allocate one cacheline-aligned [`OCTANT_SIZE`] record.
-    /// [`PmError::Full`] when the device is exhausted.
-    fn alloc_block(&mut self) -> Result<POffset, PmError>;
-
-    /// Allocate a new octant and store its record in one write — one line
-    /// for a leaf, two for an interior octant; returns its offset, or
-    /// [`PmError::Full`] with nothing mutated when space is exhausted.
-    fn alloc_octant(&mut self, o: &Octant) -> Result<POffset, PmError> {
-        let p = self.alloc_block()?;
         let (record, len) = o.to_bytes();
-        self.io_write(p.0, &record[..len]);
+        self.arena.write(p.0, &record[..len]);
         Ok(p)
     }
 
@@ -404,9 +374,9 @@ pub trait OctAccess {
     /// a leaf's payload), raw key, presence mask, and epoch — exactly one
     /// charged line.
     #[inline]
-    fn nav_line(&mut self, p: POffset) -> NavLine {
+    pub fn nav_line(&mut self, p: POffset) -> NavLine {
         let mut buf = [0u8; CACHELINE];
-        self.io_read(p.0, &mut buf);
+        self.arena.read(p.0, &mut buf);
         let mut children = [ChildPtr::Null; FANOUT];
         if buf[OFF_MASK as usize] != 0 {
             for (i, c) in children.iter_mut().enumerate() {
@@ -416,15 +386,15 @@ pub trait OctAccess {
         decode_nav_tail(&buf, children)
     }
 
-    /// [`OctAccess::nav_line`] with checked decoding: a corrupted child
+    /// [`PmStore::nav_line`] with checked decoding: a corrupted child
     /// link, a leaf's non-zero reserved body byte or a non-zero reserved
     /// byte 57 surfaces as [`PmError::Corrupt`] instead of a panic (or of
     /// going unnoticed). Recovery validation and `verify` scans use this —
     /// they run over media that a crash (or a poison test) may have
     /// mangled, and must report, not abort.
-    fn nav_line_checked(&mut self, p: POffset) -> Result<NavLine, PmError> {
+    pub fn nav_line_checked(&mut self, p: POffset) -> Result<NavLine, PmError> {
         let mut buf = [0u8; CACHELINE];
-        self.io_read(p.0, &mut buf);
+        self.arena.read(p.0, &mut buf);
         let mut children = [ChildPtr::Null; FANOUT];
         if buf[OFF_MASK as usize] == 0 {
             // A zeroed mask over links leaves the high links in these
@@ -454,7 +424,7 @@ pub trait OctAccess {
     /// leaf's came with the line; an interior octant's is one more line
     /// read.
     #[inline]
-    fn payload(&mut self, p: POffset, nav: &NavLine) -> CellData {
+    pub fn payload(&mut self, p: POffset, nav: &NavLine) -> CellData {
         nav.leaf.unwrap_or_else(|| line1_payload(self, p))
     }
 
@@ -462,9 +432,9 @@ pub trait OctAccess {
     /// navigation line — all a leaf costs — and, for an interior octant,
     /// line 1. Only the mask and the payload are decoded.
     #[inline]
-    fn data(&mut self, p: POffset) -> CellData {
+    pub fn data(&mut self, p: POffset) -> CellData {
         let mut buf = [0u8; CACHELINE];
-        self.io_read(p.0, &mut buf);
+        self.arena.read(p.0, &mut buf);
         leaf_payload(&buf).unwrap_or_else(|| line1_payload(self, p))
     }
 
@@ -472,9 +442,9 @@ pub trait OctAccess {
     /// navigation line `nav` says it lives: one 32-byte store, at offset 0
     /// for a leaf and on line 1 for an interior octant.
     #[inline]
-    fn set_payload(&mut self, p: POffset, nav: &NavLine, d: &CellData) {
+    pub fn set_payload(&mut self, p: POffset, nav: &NavLine, d: &CellData) {
         let at = if nav.mask == 0 { 0 } else { OFF_DATA };
-        self.io_write(p.0 + at, &d.to_bytes());
+        self.arena.write(p.0 + at, &d.to_bytes());
     }
 
     /// Re-point the *occupied* slot `i` at `c` (non-null): the 6-byte link
@@ -484,27 +454,27 @@ pub trait OctAccess {
     /// holds the line it came from); probing it here would cost the read
     /// this call saves.
     #[inline]
-    fn set_link(&mut self, p: POffset, i: usize, c: ChildPtr) {
+    pub fn set_link(&mut self, p: POffset, i: usize, c: ChildPtr) {
         debug_assert!(i < FANOUT);
         debug_assert!(!c.is_null(), "set_link cannot empty a slot");
-        self.io_write(p.0 + OFF_LINKS + LINK_SIZE * i as u64, &c.encode().to_le_bytes()[..6]);
+        self.arena.write(p.0 + OFF_LINKS + LINK_SIZE * i as u64, &c.encode().to_le_bytes()[..6]);
     }
 
     /// Replace all 8 child pointers and the presence mask, `d` being the
-    /// octant's payload. Besides [`OctAccess::alloc_octant`] this is the
+    /// octant's payload. Besides [`PmStore::alloc_octant`] this is the
     /// only store of the mask, so the only one that turns a leaf interior
     /// (a link in `cs`: `d` to line 1, then the links and the mask) or
     /// back (none: `d` and the reserved zeros over the links, then the
     /// null mask). Refine and coarsen call it on an exclusive octant.
     #[inline]
-    fn set_children(&mut self, p: POffset, cs: &[ChildPtr; FANOUT], d: &CellData) {
+    pub fn set_children(&mut self, p: POffset, cs: &[ChildPtr; FANOUT], d: &CellData) {
         let mut body = [0u8; BODY_SIZE];
         let mask = put_body(&mut body, cs, d);
         if mask != 0 {
-            self.io_write(p.0 + OFF_LINE1, &payload_line(d));
+            self.arena.write(p.0 + OFF_LINE1, &payload_line(d));
         }
-        self.io_write(p.0 + OFF_LINKS, &body);
-        self.io_write(p.0 + OFF_MASK, &[mask]);
+        self.arena.write(p.0 + OFF_LINKS, &body);
+        self.arena.write(p.0 + OFF_MASK, &[mask]);
     }
 }
 
@@ -515,9 +485,9 @@ fn leaf_payload(buf: &[u8; CACHELINE]) -> Option<CellData> {
 }
 
 /// An interior octant's payload: one read of line 1.
-fn line1_payload<S: OctAccess + ?Sized>(store: &mut S, p: POffset) -> CellData {
+fn line1_payload(store: &mut PmStore, p: POffset) -> CellData {
     let mut b = [0u8; 32];
-    store.io_read(p.0 + OFF_DATA, &mut b);
+    store.arena.read(p.0 + OFF_DATA, &mut b);
     CellData::from_bytes(&b)
 }
 
@@ -541,7 +511,7 @@ fn decode_nav_tail(buf: &[u8; CACHELINE], children: [ChildPtr; FANOUT]) -> NavLi
 /// Test support: the whole record, decoded — the navigation line and
 /// the payload where its mask says it lives.
 #[cfg(test)]
-pub(crate) fn read_octant<S: OctAccess>(store: &mut S, p: POffset) -> Octant {
+pub(crate) fn read_octant(store: &mut PmStore, p: POffset) -> Octant {
     let nav = store.nav_line(p);
     let data = store.payload(p, &nav);
     Octant {

@@ -17,7 +17,7 @@ use crate::api::PmOctree;
 use crate::c0::C0Tree;
 use crate::c1::{self};
 use crate::config::T_TRANSFORM;
-use crate::octant::{ChildPtr, OctAccess};
+use crate::octant::ChildPtr;
 use crate::sampling;
 
 impl PmOctree {

@@ -28,7 +28,7 @@ use pmoctree_nvbm::{POffset, CACHELINE, HEADER_SIZE};
 
 use crate::api::{PmError, PmOctree};
 use crate::gc;
-use crate::octant::{ChildPtr, OctAccess, PmStore, OCTANT_SIZE};
+use crate::octant::{ChildPtr, PmStore, OCTANT_SIZE};
 
 /// What a validated scan learned about the tree below one root.
 #[derive(Debug, Clone, Default)]

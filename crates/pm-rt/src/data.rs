@@ -6,7 +6,7 @@
 //! return `Err`, never panic. [`ByteWriter`] / [`ByteReader`] make
 //! hand-written impls three lines per field.
 
-use crate::rt::RtError;
+use pm_octree::PmError;
 
 /// A value the runtime can persist: encodes to / decodes from a
 /// self-contained byte string. Decoding must tolerate arbitrary
@@ -15,7 +15,7 @@ pub trait PmData {
     /// Append this value's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
     /// Decode a value from exactly the bytes `encode` produced.
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, RtError>
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, PmError>
     where
         Self: Sized;
 
@@ -28,14 +28,14 @@ pub trait PmData {
 
     /// Convenience: decode from a whole buffer, requiring that every byte
     /// is consumed (trailing garbage is corruption, not padding).
-    fn from_bytes(bytes: &[u8]) -> Result<Self, RtError>
+    fn from_bytes(bytes: &[u8]) -> Result<Self, PmError>
     where
         Self: Sized,
     {
         let mut r = ByteReader::new(bytes);
         let v = Self::decode(&mut r)?;
         if !r.is_empty() {
-            return Err(RtError::Corrupt(format!("{} trailing bytes after decode", r.remaining())));
+            return Err(PmError::Corrupt(format!("{} trailing bytes after decode", r.remaining())));
         }
         Ok(v)
     }
@@ -101,9 +101,9 @@ impl<'a> ByteReader<'a> {
         self.remaining() == 0
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], RtError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], PmError> {
         if self.remaining() < n {
-            return Err(RtError::Corrupt(format!(
+            return Err(PmError::Corrupt(format!(
                 "truncated: need {n} bytes at offset {}, have {}",
                 self.pos,
                 self.remaining()
@@ -115,34 +115,34 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Read a `u8`.
-    pub fn u8(&mut self) -> Result<u8, RtError> {
+    pub fn u8(&mut self) -> Result<u8, PmError> {
         Ok(self.take(1)?[0])
     }
 
     /// Read a `u32`.
-    pub fn u32(&mut self) -> Result<u32, RtError> {
+    pub fn u32(&mut self) -> Result<u32, PmError> {
         let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().map_err(|_| RtError::Corrupt("u32".into()))?))
+        Ok(u32::from_le_bytes(b.try_into().map_err(|_| PmError::Corrupt("u32".into()))?))
     }
 
     /// Read a `u64`.
-    pub fn u64(&mut self) -> Result<u64, RtError> {
+    pub fn u64(&mut self) -> Result<u64, PmError> {
         let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().map_err(|_| RtError::Corrupt("u64".into()))?))
+        Ok(u64::from_le_bytes(b.try_into().map_err(|_| PmError::Corrupt("u64".into()))?))
     }
 
     /// Read an `f64`.
-    pub fn f64(&mut self) -> Result<f64, RtError> {
+    pub fn f64(&mut self) -> Result<f64, PmError> {
         let b = self.take(8)?;
-        Ok(f64::from_le_bytes(b.try_into().map_err(|_| RtError::Corrupt("f64".into()))?))
+        Ok(f64::from_le_bytes(b.try_into().map_err(|_| PmError::Corrupt("f64".into()))?))
     }
 
     /// Read a length-prefixed byte string (length capped by the buffer
     /// itself, so a corrupt huge length cannot allocate unbounded memory).
-    pub fn bytes(&mut self) -> Result<&'a [u8], RtError> {
+    pub fn bytes(&mut self) -> Result<&'a [u8], PmError> {
         let n = self.u64()?;
         if n > self.remaining() as u64 {
-            return Err(RtError::Corrupt(format!(
+            return Err(PmError::Corrupt(format!(
                 "byte-string length {n} exceeds {} remaining",
                 self.remaining()
             )));
@@ -155,7 +155,7 @@ impl PmData for u64 {
     fn encode(&self, out: &mut Vec<u8>) {
         ByteWriter::new(out).u64(*self);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, RtError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, PmError> {
         r.u64()
     }
 }
@@ -164,7 +164,7 @@ impl PmData for u32 {
     fn encode(&self, out: &mut Vec<u8>) {
         ByteWriter::new(out).u32(*self);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, RtError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, PmError> {
         r.u32()
     }
 }
@@ -173,7 +173,7 @@ impl PmData for f64 {
     fn encode(&self, out: &mut Vec<u8>) {
         ByteWriter::new(out).f64(*self);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, RtError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, PmError> {
         r.f64()
     }
 }
@@ -182,9 +182,9 @@ impl PmData for String {
     fn encode(&self, out: &mut Vec<u8>) {
         ByteWriter::new(out).bytes(self.as_bytes());
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, RtError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, PmError> {
         let b = r.bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|e| RtError::Corrupt(format!("utf8: {e}")))
+        String::from_utf8(b.to_vec()).map_err(|e| PmError::Corrupt(format!("utf8: {e}")))
     }
 }
 
@@ -192,7 +192,7 @@ impl PmData for Vec<u8> {
     fn encode(&self, out: &mut Vec<u8>) {
         ByteWriter::new(out).bytes(self);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, RtError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, PmError> {
         Ok(r.bytes()?.to_vec())
     }
 }
@@ -204,12 +204,12 @@ impl<T: PmData> PmData for Vec<T> {
             v.encode(out);
         }
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, RtError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, PmError> {
         let n = r.u64()?;
         // Each element consumes ≥1 byte, so `n` can never legitimately
         // exceed the remaining input; reject before reserving memory.
         if n > r.remaining() as u64 {
-            return Err(RtError::Corrupt(format!("vec length {n} exceeds remaining input")));
+            return Err(PmError::Corrupt(format!("vec length {n} exceeds remaining input")));
         }
         let mut out = Vec::with_capacity(n as usize);
         for _ in 0..n {

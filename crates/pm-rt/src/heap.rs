@@ -1,16 +1,19 @@
 //! Circular-log heap for runtime objects (the rt region's ring).
 //!
 //! The octree bump-allocates **upward** from the device header; the
-//! runtime appends log records **downward-growing ring** carved from the
-//! top of the same arena. Unlike the old size-class free-list heap,
-//! allocation is strictly log-structured: every record is appended at
-//! the ring head, the tail chases the oldest still-live record, and
-//! space is reclaimed by the tail sweeping over records that died
-//! (superseded blobs, retired commit-chain records) — plus compaction,
-//! which relocates live tail records to the head so the tail can keep
-//! moving. Sequential appends are the point: writes spread over the
-//! whole ring instead of hammering a hot free-list block, which is what
-//! flattens the wear histogram (Circ-Tree's argument).
+//! runtime appends log records into a **downward-growing ring** carved
+//! from the top of the same arena. Allocation is strictly
+//! log-structured: every record is appended at the ring head, and space
+//! comes back when records die (superseded blobs, retired commit-chain
+//! records) — plus compaction, which relocates the oldest live records
+//! to the head so the space behind them opens up. Sequential appends are
+//! the point: writes spread over the whole ring instead of hammering a
+//! hot free-list block, which is what flattens the wear histogram
+//! (Circ-Tree's argument).
+//!
+//! The heap keeps one record index: the live records by offset, each
+//! with its append stamp, and the same records by stamp — the ring
+//! order, so the oldest live record is the first of `by_age`.
 //!
 //! All bookkeeping here is **volatile**. Recovery never trusts it: the
 //! committed table is rebuilt by chain-walking checksummed commit
@@ -24,38 +27,33 @@
 //! classic two:
 //!
 //! ```text
-//!  not wrapped:  base ... tail ███ head ──free──▶ top
-//!  wrapped:      base ███ head ──free──▶ tail ███ top
+//!  not wrapped:  base ... oldest ███ head ──free──▶ top
+//!  wrapped:      base ███ head ──free──▶ oldest ███ top
 //! ```
 //!
 //! but allocation is *next-fit*, not strict head-chasing: a record an
 //! MVCC snapshot pins stays live (and byte-stable) indefinitely, and a
 //! pure two-shape ring would wedge the moment the head came back around
-//! to a pinned tail. Instead the allocator probes forward from the head,
-//! jumping over live islands, wraps to the base when the top is
+//! to a pinned record. Instead the allocator probes forward from the
+//! head, jumping over live islands, wraps to the base when the top is
 //! exhausted, and only then grows the window downward (geometrically, so
 //! a working set that outgrows the window settles in O(log n) laps).
 //! With nothing pinned every record dies in ring order and next-fit
-//! degenerates to exactly the two shapes above.
+//! degenerates to exactly the two shapes above. With no record live the
+//! head returns to the base.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 
+use pm_octree::PmError;
 use pmoctree_nvbm::model::CACHELINE;
 use pmoctree_nvbm::POffset;
 
 use crate::log::REC_HEADER;
-use crate::rt::RtError;
 
 /// Step by which the ring grows downward when the current window is too
-/// small. Small on purpose: growth is the fallback, tail recycling the
+/// small. Small on purpose: growth is the fallback, recycling the
 /// steady state.
 pub const GROW_CHUNK: u64 = 1024;
-
-#[derive(Debug, Clone, Copy)]
-struct RecMeta {
-    size: u64,
-    live: bool,
-}
 
 /// Volatile bookkeeping for the circular record log in `[base, top)`.
 #[derive(Debug, Clone)]
@@ -70,13 +68,13 @@ pub struct LogHeap {
     head: u64,
     /// Next record sequence number.
     seq: u64,
-    /// Record offsets in append (ring) order, oldest first.
-    order: VecDeque<u64>,
-    /// Per-record footprint and liveness.
-    meta: HashMap<u64, RecMeta>,
-    /// Live records by offset — the spatial index the next-fit probe
-    /// walks to jump over pinned islands.
-    live_index: BTreeMap<u64, u64>,
+    /// Next append stamp.
+    stamp: u64,
+    /// Live records by offset: footprint and append stamp — the spatial
+    /// index the next-fit probe walks to jump over pinned islands.
+    live: BTreeMap<u64, (u64, u64)>,
+    /// Live record offsets by append stamp: the ring order, oldest first.
+    by_age: BTreeMap<u64, u64>,
     /// Sum of live record footprints.
     live_bytes: u64,
     /// Wrap gap the caller still has to stamp with a pad header.
@@ -96,9 +94,9 @@ impl LogHeap {
             limit,
             head: top,
             seq: 0,
-            order: VecDeque::new(),
-            meta: HashMap::new(),
-            live_index: BTreeMap::new(),
+            stamp: 0,
+            live: BTreeMap::new(),
+            by_age: BTreeMap::new(),
             live_bytes: 0,
             pending_pad: None,
             laps: 0,
@@ -150,14 +148,9 @@ impl LogHeap {
         s
     }
 
-    /// Is `off` a live record?
-    pub fn is_live(&self, off: u64) -> bool {
-        self.meta.get(&off).is_some_and(|m| m.live)
-    }
-
     /// Live record offsets in ring order, oldest first.
     pub fn ring_live(&self) -> impl Iterator<Item = u64> + '_ {
-        self.order.iter().copied().filter(|o| self.is_live(*o))
+        self.by_age.values().copied()
     }
 
     /// The wrap gap produced by the last [`LogHeap::alloc`], if any:
@@ -172,11 +165,10 @@ impl LogHeap {
     /// [`crate::log::record_size`]): next-fit from the head (jumping
     /// over live islands such as snapshot-pinned records), wrapping to
     /// the base, growing the window downward, or failing with
-    /// [`RtError::Full`] when the octree bump leaves no room.
-    pub fn alloc(&mut self, size: usize) -> Result<POffset, RtError> {
+    /// [`PmError::Full`] when the octree bump leaves no room.
+    pub fn alloc(&mut self, size: usize) -> Result<POffset, PmError> {
         debug_assert_eq!(size % 8, 0, "record sizes are 8-byte aligned");
         let need = size as u64;
-        self.advance_tail();
         let off = if let Some(at) = self.probe(self.head, need) {
             at
         } else {
@@ -187,8 +179,7 @@ impl LogHeap {
             // and the head can sit flush against one (a probe places
             // records ending exactly where an island begins), so a
             // top-sized pad would clobber a live record header.
-            let hole_end =
-                self.live_index.range(self.head..).next().map_or(self.top, |(&off, _)| off);
+            let hole_end = self.live.range(self.head..).next().map_or(self.top, |(&off, _)| off);
             let gap = hole_end - self.head;
             if gap >= REC_HEADER as u64 {
                 self.pending_pad = Some((self.head, gap - REC_HEADER as u64));
@@ -208,11 +199,16 @@ impl LogHeap {
             }
         };
         self.head = off + need;
-        self.order.push_back(off);
-        self.meta.insert(off, RecMeta { size: need, live: true });
-        self.live_index.insert(off, need);
-        self.live_bytes += need;
+        self.insert(off, need);
         Ok(POffset(off))
+    }
+
+    /// Index a new live record as the youngest.
+    fn insert(&mut self, off: u64, size: u64) {
+        self.live.insert(off, (size, self.stamp));
+        self.by_age.insert(self.stamp, off);
+        self.stamp += 1;
+        self.live_bytes += size;
     }
 
     /// Lowest offset `at >= from` where `need` bytes fit strictly below
@@ -226,8 +222,8 @@ impl LogHeap {
             if end > self.top {
                 return None;
             }
-            match self.live_index.range(at..).next() {
-                Some((&off, &sz)) if off < end => at = off + sz,
+            match self.live.range(at..).next() {
+                Some((&off, &(sz, _))) if off < end => at = off + sz,
                 _ => return Some(at),
             }
         }
@@ -235,44 +231,28 @@ impl LogHeap {
 
     /// Extend the window downward so `[new_base, old_base)` holds `need`
     /// bytes (cacheline-aligned), refusing to cross the octree bump.
-    fn grow_base(&mut self, need: u64) -> Result<(), RtError> {
+    fn grow_base(&mut self, need: u64) -> Result<(), PmError> {
         let line = CACHELINE as u64 - 1;
         let new_base = self.base.saturating_sub(need) & !line;
         if new_base >= self.limit && self.base - new_base >= need {
             self.base = new_base;
             return Ok(());
         }
-        Err(RtError::Full(format!(
+        Err(PmError::Full(format!(
             "rt log base {:#x} would cross the octree bump pointer {:#x} growing {need} bytes",
             self.base, self.limit
         )))
     }
 
     /// Mark the record at `off` dead; its space is free for the next
-    /// probe that reaches it.
+    /// probe that reaches it. With no record left live, the head returns
+    /// to the base.
     pub fn mark_dead(&mut self, off: u64) {
-        if let Some(m) = self.meta.get_mut(&off) {
-            if m.live {
-                m.live = false;
-                self.live_bytes -= m.size;
-                self.live_index.remove(&off);
-            }
+        if let Some((size, stamp)) = self.live.remove(&off) {
+            self.by_age.remove(&stamp);
+            self.live_bytes -= size;
         }
-        self.advance_tail();
-    }
-
-    /// Pop dead records off the ring tail.
-    fn advance_tail(&mut self) {
-        while let Some(&front) = self.order.front() {
-            match self.meta.get(&front) {
-                Some(m) if !m.live => {
-                    self.order.pop_front();
-                    self.meta.remove(&front);
-                }
-                _ => break,
-            }
-        }
-        if self.order.is_empty() {
+        if self.live.is_empty() {
             self.head = self.base;
         }
     }
@@ -283,14 +263,14 @@ impl LogHeap {
     /// not-wrapped around them: base under the lowest record and the
     /// persisted floor hint (clamped under `top`; a hint below `limit`,
     /// inside the octree's territory, is none), head after the highest.
-    /// Gaps between live records are reclaimed as the tail sweeps past
-    /// them.
+    /// Gaps between live records are free for the next probe; the records
+    /// age in offset order.
     pub fn rebuild(
         limit: u64,
         top: u64,
         floor_hint: u64,
         live: impl IntoIterator<Item = (POffset, u64)>,
-    ) -> Result<Self, RtError> {
+    ) -> Result<Self, PmError> {
         let mut h = LogHeap::new(limit, top);
         let mut recs: Vec<(u64, u64)> = live.into_iter().map(|(p, s)| (p.0, s)).collect();
         recs.sort_unstable();
@@ -300,30 +280,27 @@ impl LogHeap {
         }
         let base = base & !(CACHELINE as u64 - 1);
         if base < limit {
-            return Err(RtError::Corrupt(format!("rt log base {base:#x} below limit {limit:#x}")));
+            return Err(PmError::Corrupt(format!("rt log base {base:#x} below limit {limit:#x}")));
         }
         let mut cursor = base;
         for &(off, size) in &recs {
             if off < cursor {
-                return Err(RtError::Corrupt(format!("overlapping rt log records at {off:#x}")));
+                return Err(PmError::Corrupt(format!("overlapping rt log records at {off:#x}")));
             }
             let end = off
                 .checked_add(size)
-                .ok_or_else(|| RtError::Corrupt(format!("rt log record at {off:#x} overflows")))?;
+                .ok_or_else(|| PmError::Corrupt(format!("rt log record at {off:#x} overflows")))?;
             if end > h.top {
-                return Err(RtError::Corrupt(format!(
+                return Err(PmError::Corrupt(format!(
                     "rt log record ends at {end:#x} past top {:#x}",
                     h.top
                 )));
             }
-            h.order.push_back(off);
-            h.meta.insert(off, RecMeta { size, live: true });
-            h.live_index.insert(off, size);
-            h.live_bytes += size;
+            h.insert(off, size);
             cursor = end;
         }
         h.base = base;
-        h.head = if cursor == base { base } else { cursor };
+        h.head = cursor;
         Ok(h)
     }
 }
@@ -351,7 +328,7 @@ mod tests {
         let mut h = LogHeap::new(0, 4096);
         // Fill the initial 1024-byte window with 16 64-byte records.
         let offs: Vec<u64> = (0..16).map(|_| h.alloc(64).unwrap().0).collect();
-        // Kill the four oldest: the tail sweeps, the head can wrap.
+        // Kill the four oldest: their space opens up, the head can wrap.
         for &o in &offs[..4] {
             h.mark_dead(o);
         }
@@ -412,8 +389,31 @@ mod tests {
         assert!(h.take_pending_pad().is_none(), "no pad over the live island at the head");
         assert!(grown.0 < offs[0], "fully-live ring grows instead of overwriting");
         for &o in offs.iter().filter(|&&o| o != offs[2]) {
-            assert!(h.is_live(o), "live records survive the wrap");
+            assert!(h.live.contains_key(&o), "live records survive the wrap");
         }
+    }
+
+    #[test]
+    fn the_ring_yields_each_live_record_once_oldest_first() {
+        // `pad_never_covers_a_live_island`'s scenario: kill a mid-ring
+        // record, then wrap an append into its hole. The reused offset is
+        // the youngest record, listed once.
+        let mut h = LogHeap::new(0, 4096);
+        let offs: Vec<u64> = (0..16).map(|_| h.alloc(64).unwrap().0).collect();
+        h.mark_dead(offs[2]);
+        assert_eq!(h.alloc(64).unwrap().0, offs[2]);
+        let ring: Vec<u64> = h.ring_live().collect();
+        let mut want: Vec<u64> = offs.iter().copied().filter(|&o| o != offs[2]).collect();
+        want.push(offs[2]);
+        assert_eq!(ring, want, "each live record once, in append order");
+        assert_eq!(h.live_bytes(), 64 * 16);
+        // Every record dies, oldest first: the next append lands at the
+        // base, not behind a record that is gone.
+        for o in ring {
+            h.mark_dead(o);
+        }
+        assert_eq!((h.ring_live().count(), h.live_bytes()), (0, 0));
+        assert_eq!(h.alloc(64).unwrap().0, h.floor());
     }
 
     #[test]
@@ -423,15 +423,15 @@ mod tests {
         // overwrite a live record.
         let mut h = LogHeap::new(4096 - GROW_CHUNK, 4096);
         let offs: Vec<u64> = (0..16).map(|_| h.alloc(64).unwrap().0).collect();
-        h.mark_dead(offs[0]); // one tail slot free
+        h.mark_dead(offs[0]); // the oldest slot free
         let w = h.alloc(64).unwrap();
         assert_eq!(w.0, h.floor());
         // Gap now zero, every record live, growth blocked by the limit.
         let err = h.alloc(64).unwrap_err();
-        assert!(matches!(err, RtError::Full(_)));
+        assert!(matches!(err, PmError::Full(_)));
         assert!(format!("{err}").contains("cross the octree bump pointer"));
         for &o in &offs[1..] {
-            assert!(h.is_live(o), "no live record may be overwritten");
+            assert!(h.live.contains_key(&o), "no live record may be overwritten");
         }
     }
 

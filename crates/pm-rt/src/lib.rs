@@ -37,7 +37,7 @@
 //! * [`mvcc`] — pinned [`Snapshot`] readers over retained COW root-table
 //!   versions, with refcounted GC deferral;
 //! * [`service`] — the batched multi-tenant front-end ([`StateService`])
-//!   with per-tenant quotas, leases, and one root swap per batch.
+//!   with per-tenant quotas and one root swap per batch.
 //!
 //! All public verbs report the workspace [`PmError`] taxonomy.
 #![forbid(unsafe_code)]
@@ -55,9 +55,9 @@ pub mod tenant;
 pub use data::{ByteReader, ByteWriter, PmData};
 pub use mvcc::Snapshot;
 pub use pm_octree::PmError;
-pub use rt::{PPtr, PmRt, RtError, CHECKPOINT_EVERY};
+pub use rt::{PPtr, PmRt, CHECKPOINT_EVERY};
 pub use service::{
     BatchReport, CmdResult, ServiceCmd, ServiceConfig, ServiceConfigBuilder, ServiceReply,
-    ServiceStats, StateService, TenantLease,
+    ServiceStats, StateService,
 };
 pub use tenant::{RootHandle, Session, TenantHandle};

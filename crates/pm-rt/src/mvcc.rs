@@ -89,14 +89,14 @@ impl Snapshot {
         let Some(&e) = self.entries.get(name) else {
             return Ok(None);
         };
-        read_blob(arena, e.off, Some(e.len)).map(Some).map_err(PmError::from)
+        read_blob(arena, e.off, e.len).map(Some)
     }
 
     /// Read and decode a root as of the pinned epoch. `Ok(None)` if the
     /// name was not registered at that epoch.
     pub fn get<T: PmData>(&self, arena: &mut NvbmArena, name: &str) -> Result<Option<T>, PmError> {
         match self.get_bytes(arena, name)? {
-            Some(payload) => T::from_bytes(&payload).map(Some).map_err(PmError::from),
+            Some(payload) => T::from_bytes(&payload).map(Some),
             None => Ok(None),
         }
     }

@@ -8,10 +8,9 @@
 //! [`CHECKPOINT_EVERY`] commits a full-table checkpoint record cuts the
 //! chain so recovery walks a bounded number of records.
 //!
-//! Since the multi-tenant service redesign the public verbs return the
-//! workspace [`PmError`] taxonomy; [`RtError`] survives as the low-level
-//! codec error (what [`PmData`](crate::data::PmData) decoding reports)
-//! and converts losslessly via `From`.
+//! Every verb, and the codec under it, reports the workspace [`PmError`]
+//! taxonomy. The oldest live record — compaction's first candidate — is
+//! the first of the heap's ring order.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
@@ -38,47 +37,11 @@ pub const CHECKPOINT_EVERY: usize = 8;
 const MAX_CHAIN: usize = 64;
 
 /// Ring occupancy above which the commit-time compaction pass keeps
-/// relocating tail blobs (below it, one rotation per commit suffices).
+/// relocating the oldest blobs (below it, one rotation per commit suffices).
 pub const COMPACT_WATERMARK: f64 = 0.5;
 
 /// Upper bound on blobs the compaction pass relocates per commit.
 const MAX_COMPACT: usize = 8;
-
-/// Codec-layer errors. Every decode/validation failure is reported,
-/// never panicked — the input is post-crash media. Public runtime verbs
-/// fold these into [`PmError`]; only [`PmData`](crate::data::PmData)
-/// implementations still speak `RtError` directly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RtError {
-    /// On-media bytes failed validation (bad magic, truncation, overlap).
-    Corrupt(String),
-    /// The runtime heap cannot satisfy an allocation.
-    Full(String),
-    /// No committed object table / no such named root.
-    Missing(String),
-}
-
-impl std::fmt::Display for RtError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RtError::Corrupt(m) => write!(f, "corrupt rt state: {m}"),
-            RtError::Full(m) => write!(f, "rt heap full: {m}"),
-            RtError::Missing(m) => write!(f, "missing: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for RtError {}
-
-impl From<RtError> for PmError {
-    fn from(e: RtError) -> Self {
-        match e {
-            RtError::Corrupt(m) => PmError::Corrupt(m),
-            RtError::Missing(m) => PmError::NotFound(m),
-            RtError::Full(m) => PmError::Full(m),
-        }
-    }
-}
 
 /// A typed persistent pointer: an arena-relative offset plus the payload
 /// length, never a raw address. Obtained from [`PmRt::stage`] or
@@ -267,15 +230,11 @@ impl PmRt {
     /// records. Fails with [`PmError::NotFound`] if no chain was ever
     /// committed.
     pub fn restore(arena: &mut NvbmArena) -> Result<Self, PmError> {
-        Self::restore_inner(arena).map_err(PmError::from)
-    }
-
-    fn restore_inner(arena: &mut NvbmArena) -> Result<Self, RtError> {
         let _s = arena.span("rt::swizzle");
         let record = arena.committed();
         let root = record.rt_root;
         if root.is_null() {
-            return Err(RtError::Missing("no committed rt commit chain".into()));
+            return Err(PmError::NotFound("no committed rt commit chain".into()));
         }
         let top = arena.rt_heap_top();
         // Chain walk, newest → oldest. Torn appends past the last durable
@@ -288,7 +247,7 @@ impl PmRt {
             let (payload, size) = read_commit_record(arena, off, top)?;
             let rec = parse_commit_payload(&payload)?;
             if rec.epoch >= newer_epoch {
-                return Err(RtError::Corrupt(format!(
+                return Err(PmError::Corrupt(format!(
                     "commit chain epoch {} does not decrease at {off:#x}",
                     rec.epoch
                 )));
@@ -300,7 +259,7 @@ impl PmRt {
                 break;
             }
             if walked.len() >= MAX_CHAIN {
-                return Err(RtError::Corrupt(format!("commit chain longer than {MAX_CHAIN}")));
+                return Err(PmError::Corrupt(format!("commit chain longer than {MAX_CHAIN}")));
             }
             off = prev;
         }
@@ -320,13 +279,8 @@ impl PmRt {
         // below the flight-recorder ring, so bounds-check against the
         // heap top, not the raw device capacity.
         for (name, e) in &table {
-            if e.off < REC_HEADER as u64 {
-                return Err(RtError::Corrupt(format!("root {name:?}: blob below record header")));
-            }
-            check_bounds(top, e.off, e.len)
-                .map_err(|m| RtError::Corrupt(format!("root {name:?}: {m}")))?;
-            validate_blob_header(arena, e.off, e.len)
-                .map_err(|m| RtError::Corrupt(format!("root {name:?}: {m}")))?;
+            checked_len(arena, e.off, e.len)
+                .map_err(|err| PmError::Corrupt(format!("root {name:?}: {err}")))?;
         }
         arena.failpoint("rt::swizzle");
 
@@ -375,7 +329,7 @@ impl PmRt {
         arena: &mut NvbmArena,
         kind: RecordKind,
         payload: &[u8],
-    ) -> Result<(u64, usize), RtError> {
+    ) -> Result<(u64, usize), PmError> {
         let size = record_size(payload.len());
         self.heap.set_limit(arena.live_bump().max(HEADER_SIZE));
         let p = self.heap.alloc(size)?;
@@ -412,9 +366,9 @@ impl PmRt {
         arena: &mut NvbmArena,
         name: &str,
         payload: &[u8],
-    ) -> Result<Entry, RtError> {
+    ) -> Result<Entry, PmError> {
         let len = u32::try_from(payload.len())
-            .map_err(|_| RtError::Full(format!("object {name:?} over 4 GiB")))?;
+            .map_err(|_| PmError::Full(format!("object {name:?} over 4 GiB")))?;
         let blob_len = OBJ_HEADER + payload.len();
         let mut blob = Vec::with_capacity(blob_len);
         let mut w = ByteWriter::new(&mut blob);
@@ -467,9 +421,7 @@ impl PmRt {
         arena: &mut NvbmArena,
         ptr: PPtr<T>,
     ) -> Result<T, PmError> {
-        check_bounds(arena.rt_heap_top(), ptr.off, ptr.len)?;
-        let payload = read_blob(arena, ptr.off, Some(ptr.len))?;
-        Ok(T::from_bytes(&payload)?)
+        T::from_bytes(&read_blob(arena, ptr.off, ptr.len)?)
     }
 
     /// Unregister a named root. A committed blob is reclaimed after the
@@ -505,7 +457,7 @@ impl PmRt {
     /// A staged or committed blob under `name` was replaced or removed.
     /// Committed blobs retire (snapshot readers may still need them);
     /// blobs staged in this window were never snapshot-visible and die on
-    /// the spot, letting the ring tail sweep them.
+    /// the spot, their space free for the next append that reaches it.
     fn supersede(&mut self, name: &str, old: Entry) {
         if self.committed.get(name) == Some(&old) {
             self.retired.push(old.record_off());
@@ -539,7 +491,7 @@ impl PmRt {
         // charged to the `rt::commit` phase; restore the caller's phase on
         // every exit, including errors.
         let prev_phase = arena.set_phase("rt::commit");
-        let r = self.commit_inner(arena).map_err(PmError::from);
+        let r = self.commit_inner(arena);
         if r.is_err() {
             for name in std::mem::take(&mut self.relocated) {
                 if let Some((name, origin)) = self.staged_origin.remove_entry(&name) {
@@ -552,7 +504,7 @@ impl PmRt {
         r
     }
 
-    fn commit_inner(&mut self, arena: &mut NvbmArena) -> Result<Vec<(u64, u32)>, RtError> {
+    fn commit_inner(&mut self, arena: &mut NvbmArena) -> Result<Vec<(u64, u32)>, PmError> {
         let _s = arena.span("rt::commit");
         self.wear_pass(arena)?;
         self.compact_pass(arena)?;
@@ -658,7 +610,7 @@ impl PmRt {
     /// the log head — the coldest place by construction, since appends
     /// spread over the whole ring. Runs at every commit so the sweep
     /// always exercises the `wear::relocate` opportunity.
-    fn wear_pass(&mut self, arena: &mut NvbmArena) -> Result<(), RtError> {
+    fn wear_pass(&mut self, arena: &mut NvbmArena) -> Result<(), PmError> {
         let _s = arena.span("wear::relocate");
         arena.failpoint("wear::relocate");
         if let Some((w, name)) = self.wear_victim(arena) {
@@ -666,7 +618,7 @@ impl PmRt {
                 match self.relocate(arena, name) {
                     // A full ring just means no headroom to level into;
                     // the commit itself must not fail over optional GC.
-                    Err(RtError::Full(_)) => {}
+                    Err(PmError::Full(_)) => {}
                     other => other?,
                 }
             }
@@ -695,10 +647,10 @@ impl PmRt {
     }
 
     /// Compaction pass: rotate the ring by relocating the oldest
-    /// committed, un-restaged blob to the head (freeing the tail to sweep
-    /// over dead records behind it), and keep going while occupancy stays
-    /// above [`COMPACT_WATERMARK`], up to [`MAX_COMPACT`] blobs.
-    fn compact_pass(&mut self, arena: &mut NvbmArena) -> Result<(), RtError> {
+    /// committed, un-restaged blob to the head (opening up the space
+    /// around it), and keep going while occupancy stays above
+    /// [`COMPACT_WATERMARK`], up to [`MAX_COMPACT`] blobs.
+    fn compact_pass(&mut self, arena: &mut NvbmArena) -> Result<(), PmError> {
         let _s = arena.span("heap::compact");
         arena.failpoint("heap::compact");
         let mut moved = 0usize;
@@ -708,7 +660,7 @@ impl PmRt {
             }
             let Some(name) = self.oldest_relocatable() else { break };
             match self.relocate(arena, name) {
-                Err(RtError::Full(_)) => break,
+                Err(PmError::Full(_)) => break,
                 other => other?,
             }
             moved += 1;
@@ -716,7 +668,7 @@ impl PmRt {
         Ok(())
     }
 
-    /// The committed, un-restaged blob closest to the ring tail, if any.
+    /// The oldest committed, un-restaged blob in ring order, if any.
     fn oldest_relocatable(&self) -> Option<Arc<str>> {
         self.heap.ring_live().find_map(|off| {
             // Still staged under the record the committed view names?
@@ -729,11 +681,11 @@ impl PmRt {
     /// log head and retire the old record through the standard
     /// supersede → defer → collect path, so pinned snapshots keep reading
     /// the original bytes until their pins drop.
-    fn relocate(&mut self, arena: &mut NvbmArena, name: Arc<str>) -> Result<(), RtError> {
+    fn relocate(&mut self, arena: &mut NvbmArena, name: Arc<str>) -> Result<(), PmError> {
         let Some(&e) = self.table.get(&name) else {
             return Ok(());
         };
-        let payload = read_blob(arena, e.off, Some(e.len))?;
+        let payload = read_blob(arena, e.off, e.len)?;
         let old_rec = e.record_off();
         self.stage_bytes(arena, &name, &payload)?;
         self.relocated.push(name);
@@ -877,31 +829,31 @@ fn read_commit_record(
     arena: &mut NvbmArena,
     off: u64,
     top: u64,
-) -> Result<(Vec<u8>, usize), RtError> {
+) -> Result<(Vec<u8>, usize), PmError> {
     let hdr_end = off.checked_add(REC_HEADER as u64).ok_or_else(|| {
-        RtError::Corrupt(format!("commit record at {off:#x} wraps the address space"))
+        PmError::Corrupt(format!("commit record at {off:#x} wraps the address space"))
     })?;
     if off < HEADER_SIZE || hdr_end > top {
-        return Err(RtError::Corrupt(format!(
+        return Err(PmError::Corrupt(format!(
             "commit record header at {off:#x} outside the rt region"
         )));
     }
     let mut h = [0u8; REC_HEADER];
     arena.read(off, &mut h);
     let header = parse_header(&h).map_err(|magic| {
-        RtError::Corrupt(format!("bad log record magic {magic:#x} at {off:#x}"))
+        PmError::Corrupt(format!("bad log record magic {magic:#x} at {off:#x}"))
     })?;
     match header.kind {
         Some(RecordKind::Commit) => {}
         k => {
-            return Err(RtError::Corrupt(format!(
+            return Err(PmError::Corrupt(format!(
                 "record at {off:#x} is {k:?}, expected a commit record"
             )))
         }
     }
     let size = record_size(header.len);
     if off.checked_add(size as u64).is_none_or(|end| end > top) {
-        return Err(RtError::Corrupt(format!(
+        return Err(PmError::Corrupt(format!(
             "commit record at {off:#x} ({size} bytes) past the rt region top {top:#x}"
         )));
     }
@@ -910,7 +862,7 @@ fn read_commit_record(
     rec[..REC_HEADER].copy_from_slice(&h);
     arena.read(off + REC_HEADER as u64, &mut rec[REC_HEADER..]);
     if !checksum_ok(&rec) {
-        return Err(RtError::Corrupt(format!("commit record checksum mismatch at {off:#x}")));
+        return Err(PmError::Corrupt(format!("commit record checksum mismatch at {off:#x}")));
     }
     rec.drain(..REC_HEADER);
     rec.truncate(header.len);
@@ -919,7 +871,7 @@ fn read_commit_record(
 
 /// Parse a commit record payload (bounds-checked; duplicate names within
 /// one record are corruption).
-fn parse_commit_payload(payload: &[u8]) -> Result<CommitPayload, RtError> {
+fn parse_commit_payload(payload: &[u8]) -> Result<CommitPayload, PmError> {
     let mut r = ByteReader::new(payload);
     let epoch = r.u64()?;
     let prev = r.u64()?;
@@ -929,7 +881,7 @@ fn parse_commit_payload(payload: &[u8]) -> Result<CommitPayload, RtError> {
     let mut fresh_name = |r: &mut ByteReader<'_>| {
         let name: Arc<str> = String::decode(r)?.into();
         if !seen.insert(name.clone()) {
-            return Err(RtError::Corrupt(format!("duplicate root name {name:?} in commit record")));
+            return Err(PmError::Corrupt(format!("duplicate root name {name:?} in commit record")));
         }
         Ok(name)
     };
@@ -942,66 +894,43 @@ fn parse_commit_payload(payload: &[u8]) -> Result<CommitPayload, RtError> {
         removes.push(fresh_name(&mut r)?);
     }
     if !r.is_empty() {
-        return Err(RtError::Corrupt("trailing bytes after commit record payload".into()));
+        return Err(PmError::Corrupt("trailing bytes after commit record payload".into()));
     }
     Ok(CommitPayload { epoch, prev, upserts, removes })
 }
 
-fn check_bounds(cap: u64, off: u64, len: u32) -> Result<(), RtError> {
-    let end = off
-        .checked_add(OBJ_HEADER as u64 + len as u64)
-        .ok_or_else(|| RtError::Corrupt(format!("blob at {off:#x} wraps the address space")))?;
-    if off < HEADER_SIZE || end > cap {
-        return Err(RtError::Corrupt(format!("blob [{off:#x}, {end:#x}) outside arena")));
-    }
-    Ok(())
-}
-
-/// Validate an object blob header without reading the payload (the cheap
-/// swizzle check: one cacheline).
-fn validate_blob_header(arena: &mut NvbmArena, off: u64, want_len: u32) -> Result<(), String> {
-    let mut h = [0u8; OBJ_HEADER];
-    arena.read(off, &mut h);
-    let magic = u32::from_le_bytes(h[0..4].try_into().map_err(|_| "header")?);
-    let len = u32::from_le_bytes(h[4..8].try_into().map_err(|_| "header")?);
-    if magic != OBJ_MAGIC {
-        return Err(format!("bad object magic {magic:#x} at {off:#x}"));
-    }
-    if len != want_len {
-        return Err(format!("length mismatch at {off:#x}: blob says {len}, table says {want_len}"));
-    }
-    Ok(())
-}
-
-/// Read an object blob's payload, validating the header. `want_len`
-/// cross-checks a table entry when available.
-pub(crate) fn read_blob(
-    arena: &mut NvbmArena,
-    off: u64,
-    want_len: Option<u32>,
-) -> Result<Vec<u8>, RtError> {
-    let cap = arena.rt_heap_top();
-    // Checked add: a corrupted root near u64::MAX must report, not wrap
-    // past the bound and panic inside the arena read.
-    if off.checked_add(OBJ_HEADER as u64).is_none_or(|end| end > cap) {
-        return Err(RtError::Corrupt(format!("blob header at {off:#x} outside arena")));
+/// The payload length of the object blob at `off`, checked against the
+/// `want` its table entry or pointer names: the blob lies inside the rt
+/// heap, and its header carries the object magic and that length. One
+/// 8-byte header read — all the swizzle reads, and the first half of
+/// every payload read. The adds are checked: a corrupted root near
+/// `u64::MAX` must report, not wrap past the bound and panic inside the
+/// arena read.
+fn checked_len(arena: &mut NvbmArena, off: u64, want: u32) -> Result<usize, PmError> {
+    let end = off.checked_add(OBJ_HEADER as u64 + u64::from(want));
+    if off < HEADER_SIZE || end.is_none_or(|end| end > arena.rt_heap_top()) {
+        return Err(PmError::Corrupt(format!("{want}-byte blob at {off:#x} outside the rt heap")));
     }
     let mut h = [0u8; OBJ_HEADER];
     arena.read(off, &mut h);
-    let magic = u32::from_le_bytes(h[0..4].try_into().unwrap_or([0; 4]));
-    let len = u32::from_le_bytes(h[4..8].try_into().unwrap_or([0; 4]));
+    let [m0, m1, m2, m3, l0, l1, l2, l3] = h;
+    let magic = u32::from_le_bytes([m0, m1, m2, m3]);
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
     if magic != OBJ_MAGIC {
-        return Err(RtError::Corrupt(format!("bad object magic {magic:#x} at {off:#x}")));
+        return Err(PmError::Corrupt(format!("bad object magic {magic:#x} at {off:#x}")));
     }
-    if let Some(want) = want_len {
-        if len != want {
-            return Err(RtError::Corrupt(format!(
-                "length mismatch at {off:#x}: blob says {len}, pointer says {want}"
-            )));
-        }
+    if len != want {
+        return Err(PmError::Corrupt(format!(
+            "length mismatch at {off:#x}: blob says {len}, table says {want}"
+        )));
     }
-    check_bounds(cap, off, len)?;
-    let mut payload = vec![0u8; len as usize];
+    Ok(len as usize)
+}
+
+/// Read the payload of the object blob at `off`, whose table entry or
+/// pointer names `len` bytes.
+pub(crate) fn read_blob(arena: &mut NvbmArena, off: u64, len: u32) -> Result<Vec<u8>, PmError> {
+    let mut payload = vec![0u8; checked_len(arena, off, len)?];
     arena.read(off + OBJ_HEADER as u64, &mut payload);
     Ok(payload)
 }
@@ -1080,7 +1009,7 @@ mod tests {
 
     #[test]
     fn octree_bump_cannot_cross_committed_rt_blobs() {
-        use pm_octree::{CellData, OctAccess, Octant, PmConfig, PmOctree, OCTANT_SIZE};
+        use pm_octree::{CellData, Octant, PmConfig, PmOctree, OCTANT_SIZE};
         use pmoctree_morton::OctKey;
 
         // A tight shared device: the octree must report full at the
@@ -1193,7 +1122,7 @@ mod tests {
             rt.commit(&mut a).unwrap();
         }
         // 200 rewrites of one small root must not consume 200 records of
-        // fresh space: the ring head wraps over swept tail space, so the
+        // fresh space: the ring head wraps over dead records' space, so the
         // window stays within a few growth chunks of the top (which sits
         // just below the flight-recorder ring).
         assert!(

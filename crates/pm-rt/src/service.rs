@@ -5,8 +5,8 @@
 //! Clients enqueue [`ServiceCmd`]s; [`StateService::flush_batch`]
 //! applies them in submission order and publishes **one root-table swap
 //! for the whole batch** — the `left-curve/grug` shape, where a block of
-//! writes commits generationally. Because durability is a single atomic
-//! 8-byte store, a crash anywhere in a batch is all-or-nothing for
+//! writes commits generationally. Because durability is one sealed
+//! commit record, a crash anywhere in a batch is all-or-nothing for
 //! *every* tenant: either the whole batch's table is reachable or none
 //! of it is (the `svc::commit_batch` failpoint puts this under the
 //! crash-point sweep).
@@ -18,20 +18,18 @@
 //! [`PmError::QuotaExceeded`] *before* touching media — a tenant hitting
 //! its quota can never corrupt (or even slow) a neighbour.
 //!
-//! Exclusive access is a **lease**: [`StateService::checkout`] makes the
-//! service reject queued commands for that tenant with
-//! [`PmError::TenantBusy`] until [`StateService::release`], while the
-//! holder works through a typed [`TenantHandle`].
+//! Commands are the one way into a tenant: every write reaches the
+//! runtime through a batch.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use pm_octree::PmError;
 use pmoctree_nvbm::{NvbmArena, RecKind};
 
 use crate::data::{ByteReader, PmData};
 use crate::mvcc::Snapshot;
-use crate::rt::{blob_footprint, PmRt, RtError};
-use crate::tenant::{validate_component, TenantHandle};
+use crate::rt::{blob_footprint, PmRt};
+use crate::tenant::validate_component;
 
 /// The unqualified registry root. Tenant data always lives under
 /// `{tenant}/…` and tenant names cannot contain `/`, so this name is
@@ -201,19 +199,6 @@ pub struct BatchReport {
     pub committed: bool,
 }
 
-/// Exclusive access token for one tenant (see [`StateService::checkout`]).
-#[derive(Debug)]
-pub struct TenantLease {
-    tenant: String,
-}
-
-impl TenantLease {
-    /// The leased tenant.
-    pub fn tenant(&self) -> &str {
-        &self.tenant
-    }
-}
-
 /// Counters the Zipf service benchmark reports from.
 #[derive(Debug, Default, Clone)]
 pub struct ServiceStats {
@@ -254,7 +239,7 @@ impl PmData for TenantRec {
         self.quota.encode(out);
         self.commits.encode(out);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, RtError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, PmError> {
         Ok(TenantRec { name: String::decode(r)?, quota: u64::decode(r)?, commits: u64::decode(r)? })
     }
 }
@@ -273,7 +258,6 @@ pub struct StateService {
     rt: PmRt,
     tenants: BTreeMap<String, TenantMeta>,
     queue: Vec<ServiceCmd>,
-    leased: BTreeSet<String>,
     stats: ServiceStats,
 }
 
@@ -289,25 +273,16 @@ impl StateService {
             rt,
             tenants: BTreeMap::new(),
             queue: Vec::new(),
-            leased: BTreeSet::new(),
             stats: ServiceStats::default(),
         })
     }
 
     /// Reattach to a service registry committed earlier (post-crash or
-    /// handover). Leases and queued commands are volatile and start
-    /// empty.
+    /// handover). Queued commands are volatile and start empty.
     pub fn restore(arena: &mut NvbmArena, cfg: ServiceConfig) -> Result<Self, PmError> {
         let mut rt = PmRt::restore(arena)?;
         let tenants = load_tenants(&mut rt, arena)?;
-        Ok(StateService {
-            cfg,
-            rt,
-            tenants,
-            queue: Vec::new(),
-            leased: BTreeSet::new(),
-            stats: ServiceStats::default(),
-        })
+        Ok(StateService { cfg, rt, tenants, queue: Vec::new(), stats: ServiceStats::default() })
     }
 
     /// The service configuration.
@@ -362,13 +337,12 @@ impl StateService {
 
     /// Apply every queued command in submission order, then publish one
     /// root-table swap for the whole batch. Per-command failures (quota,
-    /// unknown tenant, lease conflicts) land in the report's `replies`;
+    /// unknown tenant, malformed names) land in the report's `replies`;
     /// only a failed swap is a batch-level error.
     ///
     /// A batch is all-or-nothing even when it fails without a crash: if
     /// the swap cannot be published (the ring is full), the flush reverts
-    /// the whole staged window — the batch's roots and any uncommitted
-    /// lease-holder writes — and reloads the tenant table from the
+    /// the whole staged window and reloads the tenant table from the
     /// committed registry, so the epoch, every root and every tenant are
     /// as the last published batch left them, and no later flush
     /// publishes part of this one. The error returned is the one that
@@ -434,9 +408,6 @@ impl StateService {
         cmd: ServiceCmd,
         registry_dirty: &mut bool,
     ) -> CmdResult {
-        if self.leased.contains(cmd.tenant()) {
-            return Err(PmError::TenantBusy(format!("tenant {:?} is checked out", cmd.tenant())));
-        }
         match cmd {
             ServiceCmd::Create { tenant, quota } => {
                 validate_component("tenant", &tenant)?;
@@ -540,35 +511,6 @@ impl StateService {
         // batch is durable. Nothing in between is reachable.
         arena.failpoint("svc::commit_batch");
         self.rt.commit(arena)
-    }
-
-    /// Take exclusive access to a tenant. While leased, queued commands
-    /// for it fail with [`PmError::TenantBusy`]; work through
-    /// [`StateService::handle`] instead. A flush that fails reverts the
-    /// whole staged window, so it also drops writes the holder staged
-    /// through the handle and has not committed yet.
-    pub fn checkout(&mut self, tenant: &str) -> Result<TenantLease, PmError> {
-        self.tenant_meta(tenant)?;
-        if !self.leased.insert(tenant.to_string()) {
-            return Err(PmError::TenantBusy(format!("tenant {tenant:?} already checked out")));
-        }
-        Ok(TenantLease { tenant: tenant.to_string() })
-    }
-
-    /// Return a lease; queued commands for the tenant flow again.
-    pub fn release(&mut self, lease: TenantLease) {
-        self.leased.remove(&lease.tenant);
-    }
-
-    /// A typed handle for the leased tenant. Its uncommitted writes share
-    /// the service's staged window: a failed [`StateService::flush_batch`]
-    /// drops them with the batch.
-    pub fn handle<'s>(
-        &'s mut self,
-        lease: &TenantLease,
-        arena: &'s mut NvbmArena,
-    ) -> Result<TenantHandle<'s>, PmError> {
-        self.rt.session(arena).tenant(&lease.tenant)
     }
 
     /// Pin an MVCC snapshot of a tenant's committed roots (bare names).
@@ -681,30 +623,6 @@ mod tests {
         }
         s.flush_batch(&mut a).unwrap();
         assert_eq!(s.epoch(), epoch + 1, "eight tenants' writes coalesced into one swap");
-    }
-
-    #[test]
-    fn lease_makes_queued_cmds_busy() {
-        let mut a = arena();
-        let mut s = svc(&mut a);
-        s.submit(&mut a, ServiceCmd::Create { tenant: "t".into(), quota: None }).unwrap();
-        s.flush_batch(&mut a).unwrap();
-        let lease = s.checkout("t").unwrap();
-        assert!(matches!(s.checkout("t"), Err(PmError::TenantBusy(_))));
-        s.submit(&mut a, ServiceCmd::Put { tenant: "t".into(), root: "x".into(), bytes: vec![1] })
-            .unwrap();
-        let rep = s.flush_batch(&mut a).unwrap();
-        assert!(matches!(rep.replies[0], Err(PmError::TenantBusy(_))));
-        // The lease holder works through the typed handle.
-        {
-            let mut h = s.handle(&lease, &mut a).unwrap();
-            h.put("x", &vec![9u8]).unwrap();
-            h.commit().unwrap();
-        }
-        s.release(lease);
-        s.submit(&mut a, ServiceCmd::Query { tenant: "t".into(), root: "x".into() }).unwrap();
-        let rep = s.flush_batch(&mut a).unwrap();
-        assert_eq!(rep.replies[0], Ok(ServiceReply::Value(Some(vec![9u8]))));
     }
 
     #[test]

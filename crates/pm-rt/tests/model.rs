@@ -1,6 +1,6 @@
 //! The executable specification of the runtime: one model, held to the
 //! public API after every step of random stage / unregister / revert /
-//! commit / pin / collect / service-batch / lease / crash streams.
+//! commit / pin / collect / service-batch / crash streams.
 //!
 //! The claim, as durable linearizability (NVTraverse): nothing staged is
 //! reachable before the one sealed commit record that publishes a commit,
@@ -10,9 +10,9 @@
 //! map it was published with. The model is two maps, name → bytes —
 //! staged and committed — and for every live snapshot the committed
 //! prefix view it pinned, plus the tree's committed root payload; a
-//! service adds tenants (a prefix `t/` with a quota and a lineage) and
-//! leases. A refusal (`Recovery` for a malformed name, `QuotaExceeded`,
-//! `NotFound`, `TenantBusy`, `Full`) stores nothing, and a commit or a
+//! service adds tenants (a prefix `t/` with a quota and a lineage), which
+//! only batches write. A refusal (`Recovery` for a malformed name,
+//! `QuotaExceeded`, `NotFound`, `Full`) stores nothing, and a commit or a
 //! batch that fails changes nothing the API shows. DESIGN.md "The pm-rt
 //! model" states the rules in full.
 
@@ -24,7 +24,6 @@ use pm_octree::{CellData, PmConfig, PmOctree};
 use pm_rt::rt::blob_footprint;
 use pm_rt::{
     PmError, PmRt, ServiceCmd, ServiceConfig, ServiceReply, Snapshot, StateService, TenantHandle,
-    TenantLease,
 };
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::{CrashMode, CrashView, DeviceModel, FailPlan, NvbmArena, HEADER_SIZE};
@@ -83,7 +82,6 @@ fn kind(e: &PmError) -> &'static str {
         PmError::NotFound(_) => "not-found",
         PmError::Recovery(_) => "recovery",
         PmError::QuotaExceeded(_) => "quota",
-        PmError::TenantBusy(_) => "busy",
         PmError::Full(_) => FULL,
         other => panic!("a call failed with {other}"),
     }
@@ -113,8 +111,6 @@ struct Model {
     /// Service runs: tenant → (quota, lineage), now and as last published.
     tenants: BTreeMap<String, (u64, u64)>,
     published: BTreeMap<String, (u64, u64)>,
-    /// Service runs: the checked-out tenants.
-    leased: BTreeSet<String>,
     /// The root payload (`phi`) of the tree the commit record names.
     tree: f64,
 }
@@ -180,9 +176,6 @@ impl Model {
     }
 
     fn query(&self, t: &str, root: &str) -> Said<ServiceReply> {
-        if self.leased.contains(t) {
-            return Err("busy");
-        }
         self.tenants.get(t).ok_or("not-found")?;
         Ok(ServiceReply::Value(self.staged.get(&format!("{t}/{root}")).cloned()))
     }
@@ -190,9 +183,6 @@ impl Model {
     /// One service command, as `StateService::flush_batch` must apply it.
     fn cmd(&mut self, cmd: &ServiceCmd, cfg: &ServiceConfig) -> Said<ServiceReply> {
         let t = cmd.tenant();
-        if self.leased.contains(t) {
-            return Err("busy");
-        }
         let prefix = format!("{t}/");
         Ok(match cmd {
             ServiceCmd::Create { quota, .. } => {
@@ -253,9 +243,6 @@ impl Model {
                 for r in ROOTS {
                     v.push(format!("query {t:?} {r:?}: {:?}", self.query(t, r)));
                 }
-            }
-            for t in &self.leased {
-                v.push(self.tenant_line(t));
             }
         } else {
             v.push(format!("names {:?} ({})", self.names(""), self.staged.len()));
@@ -331,32 +318,26 @@ fn tree_cfg() -> PmConfig {
     PmConfig { seed_c0: false, dynamic_transform: false, ..PmConfig::default() }
 }
 
-/// `PmRt::commit` (a lease holder's, in a service run); `None` when a
-/// service run holds no lease.
+/// `PmRt::commit`; `None` in a service run, which commits by batch.
 fn commit_sys(sys: &mut Sys, arena: &mut NvbmArena) -> Option<Result<Vec<(u64, u32)>, PmError>> {
     match sys {
         Sys::Rt(rt) => Some(rt.commit(arena)),
-        Sys::Svc(svc, leases) => {
-            let lease = leases.values().next()?;
-            Some(svc.handle(lease, arena).unwrap().commit())
-        }
+        Sys::Svc(_) => None,
     }
 }
 
 #[derive(Clone, Debug)]
 enum Step {
     /// A run of one kind of op on picks `(index, length)`: through the raw
-    /// `PmRt` calls or (`true`) the tenant handles. In a service run the
-    /// writes go through a lease holder's handle and a pin through
+    /// `PmRt` calls or (`true`) the tenant handles. A service run, which
+    /// writes only by batch, runs the pins, through
     /// `StateService::snapshot`.
     Run(Kind, Vec<(usize, usize)>, bool),
-    /// `PmRt::commit`; in a service run, a lease holder's commit. Inside
-    /// an octree persist that sets the tree's root payload first (`true`).
+    /// `PmRt::commit` (none in a service run). Inside an octree persist
+    /// that sets the tree's root payload first (`true`).
     Commit(Aim, bool),
     /// Service runs: commands, submitted, then one flush.
     Batch(Vec<ServiceCmd>, Aim),
-    /// Service runs: check a tenant out (`true`), or release it.
-    Lease(usize, bool),
     Unpin(usize),
     Collect,
     /// A crash between two steps.
@@ -365,7 +346,7 @@ enum Step {
 
 enum Sys {
     Rt(PmRt),
-    Svc(StateService, BTreeMap<String, TenantLease>),
+    Svc(StateService),
 }
 
 struct Harness {
@@ -387,7 +368,7 @@ impl Harness {
         // `create` commits once; a service commits its empty registry too.
         let (sys, epoch) = if svc {
             let cfg = ServiceConfig::builder().max_tenants(3).batch_capacity(64).build().unwrap();
-            (Sys::Svc(StateService::create(&mut arena, cfg).unwrap(), BTreeMap::new()), 2)
+            (Sys::Svc(StateService::create(&mut arena, cfg).unwrap()), 2)
         } else {
             (Sys::Rt(PmRt::create(&mut arena).unwrap()), 1)
         };
@@ -429,7 +410,7 @@ impl Harness {
                 }
                 v
             }
-            Sys::Svc(svc, leases) => {
+            Sys::Svc(svc) => {
                 let mut v = vec![format!("epoch {}", svc.epoch())];
                 v.push(format!("tenants {:?}", svc.tenants().collect::<Vec<_>>()));
                 for t in TENANTS {
@@ -447,9 +428,6 @@ impl Harness {
                         let reply = replies.next().unwrap().map_err(|e| kind(&e));
                         v.push(format!("query {t:?} {r:?}: {reply:?}"));
                     }
-                }
-                for (t, lease) in leases.iter() {
-                    v.push(handle_line(t, &svc.handle(lease, arena).unwrap()));
                 }
                 v
             }
@@ -502,7 +480,7 @@ impl Harness {
                 };
                 (got, pin, name.to_string(), p.to_string(), None)
             }
-            Sys::Svc(svc, _) if kind == Kind::Pin => {
+            Sys::Svc(svc) if kind == Kind::Pin => {
                 let t = TENANTS[i % TENANTS.len()];
                 let (got, pin) = match svc.snapshot(arena, t) {
                     Ok(snap) => (Ok(0), Some(snap)),
@@ -511,14 +489,9 @@ impl Harness {
                 let answer = (!self.m.tenants.contains_key(t)).then_some(Err("not-found"));
                 (got, pin, String::new(), format!("{t}/"), answer)
             }
-            Sys::Svc(svc, leases) => {
-                let Some((t, lease)) = leases.iter().nth(i % leases.len().max(1)) else {
-                    arena.take_fail_plan();
-                    return;
-                };
-                let root = ROOTS[i % ROOTS.len()];
-                let (got, pin) = via(svc.handle(lease, arena), kind, root, v.clone());
-                (got, pin, format!("{t}/{root}"), format!("{t}/"), malformed(kind, root))
+            Sys::Svc(_) => {
+                arena.take_fail_plan();
+                return;
             }
         };
         let stores = self.arena.take_fail_plan().unwrap().opportunities();
@@ -586,7 +559,7 @@ impl Harness {
     /// Returns whether a command changed something (and so the batch
     /// published), or `None` when the flush failed.
     fn batch(&mut self, cmds: &[ServiceCmd]) -> Option<bool> {
-        let Sys::Svc(svc, _) = &mut self.sys else { return Some(false) };
+        let Sys::Svc(svc) = &mut self.sys else { return Some(false) };
         for cmd in cmds {
             assert!(svc.submit(&mut self.arena, cmd.clone()).unwrap().is_none());
         }
@@ -687,16 +660,13 @@ impl Harness {
             assert!(matches!(snap.get_bytes(&mut self.arena, ""), Err(PmError::SnapshotGone(_))));
         }
         self.sys = match &self.sys {
-            Sys::Svc(svc, _) => {
-                let svc = StateService::restore(&mut self.arena, svc.config().clone());
-                Sys::Svc(svc.unwrap(), BTreeMap::new())
+            Sys::Svc(svc) => {
+                Sys::Svc(StateService::restore(&mut self.arena, svc.config().clone()).unwrap())
             }
             Sys::Rt(_) => Sys::Rt(PmRt::restore(&mut self.arena).unwrap()),
         };
-        self.m.leased.clear();
         self.m.reboot();
         if !recovers_new {
-            old.leased.clear();
             old.reboot();
             self.m = old;
         }
@@ -722,27 +692,6 @@ impl Harness {
                 let stores = self.arena.take_fail_plan().unwrap().opportunities();
                 assert!(changed != Some(false) || stores == 0, "a refused batch stored");
             }
-            Step::Lease(t, take) => {
-                let Sys::Svc(svc, leases) = &mut self.sys else { return };
-                let t = TENANTS[t % TENANTS.len()];
-                if !take {
-                    if let Some(lease) = leases.remove(t) {
-                        svc.release(lease);
-                        self.m.leased.remove(t);
-                    }
-                    return;
-                }
-                let got = svc.checkout(t).map_err(|e| kind(&e));
-                let want = match self.m.tenants.contains_key(t) {
-                    false => Err("not-found"),
-                    true => self.m.leased.insert(t.to_string()).then_some(()).ok_or("busy"),
-                };
-                assert_eq!(got.as_ref().map(|_| ()).map_err(|e| *e), want, "checkout {t:?}");
-                if let Ok(lease) = got {
-                    assert_eq!(lease.tenant(), t);
-                    leases.insert(t.to_string(), lease);
-                }
-            }
             Step::Unpin(i) => {
                 if !self.pins.is_empty() {
                     let i = i % self.pins.len();
@@ -752,7 +701,7 @@ impl Harness {
             Step::Collect => {
                 match &mut self.sys {
                     Sys::Rt(rt) => rt.collect(&mut self.arena),
-                    Sys::Svc(svc, _) => svc.collect(&mut self.arena),
+                    Sys::Svc(svc) => svc.collect(&mut self.arena),
                 };
             }
             Step::Crash(mode) => self.crash_now(mode),
@@ -843,7 +792,6 @@ fn arb_steps(max_len: usize) -> impl Strategy<Value = Vec<Step>> {
             10 => (kind, picks, any::<bool>()).prop_map(|(k, p, h)| Step::Run(k, p, h)),
             3 => (arb_aim(), any::<bool>()).prop_map(|(aim, p)| Step::Commit(aim, p)),
             6 => (cmds, arb_aim()).prop_map(|(c, aim)| Step::Batch(c, aim)),
-            2 => (0usize..TENANTS.len(), any::<bool>()).prop_map(|(t, take)| Step::Lease(t, take)),
             1 => (0usize..8).prop_map(Step::Unpin),
             1 => Just(Step::Collect),
             1 => arb_mode().prop_map(Step::Crash),

@@ -30,7 +30,7 @@
 //!   allocations happen to land).
 
 use pm_octree::{PmConfig, PmError, PmOctree};
-use pm_rt::{ByteReader, PmData, PmRt, RtError};
+use pm_rt::{ByteReader, PmData, PmRt};
 use pmoctree_amr::PmBackend;
 use pmoctree_nvbm::{NvbmArena, POffset};
 
@@ -66,7 +66,7 @@ impl PmData for StepBreakdown {
         self.persist_ns.encode(out);
         (self.leaves as u64).encode(out);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, RtError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, PmError> {
         Ok(StepBreakdown {
             refine_ns: u64::decode(r)?,
             balance_ns: u64::decode(r)?,
@@ -90,7 +90,7 @@ impl PmData for RunState {
         self.steps.encode(out);
         self.tree_root.encode(out);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, RtError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, PmError> {
         let cfg = SimConfig {
             steps: u64::decode(r)? as usize,
             t0: f64::decode(r)?,
