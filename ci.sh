@@ -91,19 +91,28 @@ fi
 cargo test --release -p pm-rt --test commit_record -q
 cargo test --release -p pmoctree-nvbm --lib arena::tests -q
 cargo test --release -p pm-octree --lib verify::tests::restore_refuses_an_octant_stamped_past_the_record -q
-# Sparse media: the device holds the chunks some commit or import reached.
+# Sparse media: the device holds the chunks some commit or load reached.
 # Stores, write-backs, evictions and every crash mode across a chunk
-# boundary act as on flat memory, and the live crash and a crash view's
-# flat image commit the same bytes (`arena::tests`, above); untouched
-# ranges and all-zero images materialise nothing; flat images round-trip
+# boundary act as on flat memory, and the live crash and a crash view
+# commit the same bytes (`arena::tests`, above); untouched ranges and
+# all-zero files materialise nothing; the saved file round-trips
 # byte-equal; the chunked wear map answers like the flat one; an octree
-# on a 64 GiB nominal device holds its bump plus two chunks; an unusable
-# replica is an error — in optimized builds. The capacity-sized media
-# vector must not come back.
+# on a 64 GiB nominal device holds its bump plus two chunks, and so do its
+# replica and a crash view at its last root swap; an unusable replica is
+# an error; §5.6's new-node restore beats the in-core re-read — in
+# optimized builds. The capacity-sized media vector must not come back.
+# The chunk set is the one media value: the second media trait and its
+# flat-slice impl, the second recovery entry and the replica's
+# whole-device byte count must stay deleted, and neither crash captures
+# nor replicas may go through a flat export.
 cargo test --release -p pmoctree-nvbm --lib stats::tests -q
 cargo test --release -p pm-octree --lib replica::tests -q
 cargo test --release -p pm-octree --lib api::tests::a_nominal_64_gib_device_holds_only_what_it_touches -q
+cargo test --release -p pmoctree-cluster --lib failure::tests::paper_ordering_holds -q
 no_fork 'vec!\[0; capacity\]\|media: Vec<u8>' crates/nvbm/src/arena.rs
+no_fork 'trait Media\|impl Media for\|fn recover_from\|live_octant_bytes' \
+    crates/nvbm/src/*.rs crates/pm-octree/src/replica.rs
+no_fork 'to_image()' crates/nvbm/src/failplan.rs crates/pm-octree/src/replica.rs
 if grep -rn 'stage_epoch\|stage_bump_hint\|set_rt_root\|root_swap_half\|ROOT_SLOTS' crates/; then
     echo "a staged header field, the second root slot or the separate rt root store is back (one commit record publishes both)" >&2
     exit 1

@@ -28,7 +28,7 @@ use pm_octree::{check_invariants, CellData, PmConfig, PmOctree};
 use pm_rt::{PmRt, ServiceCmd, ServiceConfig, StateService};
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::recorder::{self, RecorderDump};
-use pmoctree_nvbm::{CrashMode, CrashView, DeviceModel, FailPlan, NvbmArena, RecKind};
+use pmoctree_nvbm::{CrashMode, CrashView, DeviceModel, FailPlan, NvbmArena, RecKind, SparseMedia};
 
 /// The pm-rt tenant namespace the sweep workload commits each step.
 const RT_TENANT: &str = "sweep";
@@ -45,7 +45,7 @@ pub struct CrashSweepConfig {
     pub steps: usize,
     /// Maximum refinement level of the droplet band.
     pub max_level: u8,
-    /// Emulated device size in bytes (small keeps image copies cheap).
+    /// Emulated device size in bytes.
     pub arena_bytes: usize,
     /// Seeds for the randomised crash modes; each seed adds a
     /// `CommitRandom` and a `TornWrite` column to the matrix.
@@ -222,7 +222,7 @@ impl SweepStats {
         &mut self,
         view: &CrashView<'_>,
         modes: &[(String, CrashMode)],
-        mut verdict: impl FnMut(Vec<u8>) -> Result<usize, String>,
+        mut verdict: impl FnMut(SparseMedia) -> Result<usize, String>,
     ) {
         let full_dump = recorder::recover(&view.full_image());
         for (i, (name, mode)) in modes.iter().enumerate() {
@@ -257,7 +257,7 @@ impl SweepStats {
 /// immediately before the opportunity fires, so every crash image
 /// already carries it.
 fn check_recorder(
-    image: &[u8],
+    image: &SparseMedia,
     full: &RecorderDump,
     label: Option<&'static str>,
 ) -> Result<(), String> {

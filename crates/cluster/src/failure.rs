@@ -83,9 +83,9 @@ fn pm_recovery_detailed(
     };
     let same_node_secs = (restored.store.arena.clock.now_ns() - t0) as f64 * 1e-9;
 
-    // Scenario 2: new node. The replica image crosses the §5.6
-    // InfiniBand network, then the same restore runs locally — again
-    // under the pre-crash config.
+    // Scenario 2: new node. The replica's media — the chunks it holds —
+    // crosses the §5.6 InfiniBand network, then the same restore runs
+    // locally — again under the pre-crash config.
     let net = NetworkModel::infiniband_fdr();
     let fresh = NvbmArena::new(arena_bytes, DeviceModel::default());
     let (restored2, moved) = match PmOctree::restore_from_replica(fresh, &replica, pm_cfg) {
@@ -236,7 +236,9 @@ mod tests {
     #[test]
     fn paper_ordering_holds() {
         // §5.6: in-core (42.9s) >> PM-octree (2.1s) > etree (~0);
-        // new node: PM 3.48s (2.1 + 1.38 transfer), etree impossible.
+        // new node: PM 3.48s (2.1 + 1.38 transfer) < in-core 42.9s (the
+        // same snapshot read from the shared file system), etree
+        // impossible.
         let rs = recovery_comparison(cfg(), 12, 64 << 20);
         let incore = rs.iter().find(|r| r.scheme == "in-core").unwrap();
         let pm = rs.iter().find(|r| r.scheme == "pm-octree").unwrap();
@@ -249,6 +251,12 @@ mod tests {
         );
         assert!(pm.same_node_secs > et.same_node_secs);
         assert!(pm.new_node_secs.unwrap() > pm.same_node_secs);
+        assert!(
+            pm.new_node_secs.unwrap() < incore.new_node_secs.unwrap(),
+            "new node: in-core {:?} vs pm {:?}",
+            incore.new_node_secs,
+            pm.new_node_secs
+        );
         assert!(et.new_node_secs.is_none());
     }
 }

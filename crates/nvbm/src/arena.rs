@@ -17,7 +17,7 @@ use std::path::Path;
 use crate::clock::VirtualClock;
 use crate::failplan::FailPlan;
 use crate::lines::LineTable;
-use crate::media::{Media, SparseMedia};
+use crate::media::SparseMedia;
 use crate::model::{DeviceModel, CACHELINE};
 use crate::pins::EpochPins;
 use crate::recorder::{self, RecKind, RecorderDump, OFF_REC_BASE, OFF_REC_SLOTS};
@@ -78,12 +78,11 @@ pub enum CrashMode {
 
 /// Apply a crash to `media`: commit (part of) the dirty lines according to
 /// `mode`. Shared by [`NvbmArena::crash`] (which destroys the cache, on the
-/// live sparse media) and
-/// [`CrashView::image`](crate::failplan::CrashView::image) (which builds a
-/// virtual snapshot while the run continues, on a flat image). `stats` is
-/// charged for wear only when the caller is the live arena.
-pub(crate) fn apply_crash<M: Media + ?Sized>(
-    media: &mut M,
+/// live media) and [`CrashView::image`](crate::failplan::CrashView::image)
+/// (which builds a virtual snapshot while the run continues, on a clone).
+/// `stats` is charged for wear only when the caller is the live arena.
+pub(crate) fn apply_crash(
+    media: &mut SparseMedia,
     cache: &LineTable,
     mode: CrashMode,
     mut stats: Option<&mut MemStats>,
@@ -132,8 +131,8 @@ pub(crate) fn apply_crash<M: Media + ?Sized>(
 }
 
 /// Commit one full cacheline to `media`, charging wear when stats are live.
-pub(crate) fn commit_line_to<M: Media + ?Sized>(
-    media: &mut M,
+pub(crate) fn commit_line_to(
+    media: &mut SparseMedia,
     stats: Option<&mut MemStats>,
     line: u64,
     data: &[u8; CACHELINE],
@@ -202,11 +201,11 @@ impl CommitRecord {
         line
     }
 
-    /// The record slot `slot` of a media image holds: `None` unless the
+    /// The record slot `slot` of `media` holds: `None` unless the
     /// line is sealed and its `seq` names that slot. A `seq` in the upper
     /// half of its range is damage — no device publishes 2^63 times — and
     /// refusing it keeps every later `seq + 1` from overflowing.
-    fn decode(media: &(impl Media + ?Sized), slot: usize) -> Option<Self> {
+    fn decode(media: &SparseMedia, slot: usize) -> Option<Self> {
         let off = RECORD_AT[slot] as usize;
         if off + CACHELINE > media.size() {
             return None;
@@ -228,9 +227,9 @@ impl CommitRecord {
         ((1..1 << 63).contains(&r.seq) && r.seq % 2 == slot as u64).then_some(r)
     }
 
-    /// The valid record with the higher `seq` in a media image; the empty
-    /// record when neither slot holds one.
-    fn newest(media: &(impl Media + ?Sized)) -> Self {
+    /// The valid record with the higher `seq` in `media`; the empty record
+    /// when neither slot holds one.
+    fn newest(media: &SparseMedia) -> Self {
         (0..RECORD_AT.len())
             .filter_map(|slot| Self::decode(media, slot))
             .max_by_key(|r| r.seq)
@@ -296,13 +295,13 @@ pub struct NvbmArena {
     pub next: CommitRecord,
 }
 
-/// Derive the live allocation boundaries from a media image's commit
-/// record: the persisted rt-floor hint clamped under the top of the heap
-/// (the flight-recorder ring base when one is present, else capacity),
-/// and the bump hint clamped under that floor, since octants only ever
-/// live below the rt heap. A zero rt hint means the rt heap was never
-/// used (floor = top).
-fn derive_live_bounds(media: &(impl Media + ?Sized), record: &CommitRecord) -> (u64, u64) {
+/// Derive the live allocation boundaries from the media's commit record:
+/// the persisted rt-floor hint clamped under the top of the heap (the
+/// flight-recorder ring base when one is present, else capacity), and the
+/// bump hint clamped under that floor, since octants only ever live below
+/// the rt heap. A zero rt hint means the rt heap was never used (floor =
+/// top).
+fn derive_live_bounds(media: &SparseMedia, record: &CommitRecord) -> (u64, u64) {
     let cap = media.size() as u64;
     let top = match recorder::region_of(media) {
         Some((base, slots)) if slots > 0 => base,
@@ -371,16 +370,15 @@ impl NvbmArena {
         a
     }
 
-    /// Build an arena directly over a media image (e.g. a crash snapshot
-    /// from a [`FailPlan`] capture). The dirty cache starts cold, exactly
-    /// like a rebooted node. The flight recorder is recovered from the
-    /// image: recording continues after the last surviving entry. Only the
-    /// image's non-zero chunks are kept.
-    pub fn from_media(image: Vec<u8>, model: DeviceModel) -> Self {
-        assert!(image.len() as u64 >= HEADER_SIZE, "image too small");
-        let capacity = image.len();
+    /// Build an arena directly over `media` (e.g. a crash snapshot from a
+    /// [`FailPlan`] capture), adopted as is. The dirty cache starts cold,
+    /// exactly like a rebooted node. The flight recorder is recovered from
+    /// the media: recording continues after the last surviving entry.
+    pub fn from_media(media: SparseMedia, model: DeviceModel) -> Self {
+        assert!(media.size() as u64 >= HEADER_SIZE, "media smaller than header");
+        let capacity = media.size();
         let mut a = NvbmArena {
-            media: SparseMedia::from_image(&image),
+            media,
             cache: LineTable::default(),
             cache_cap: CACHE_LINES,
             model,
@@ -403,7 +401,7 @@ impl NvbmArena {
     }
 
     /// Re-derive what the arena keeps about its media's layout from the
-    /// image itself: the committed record (the valid slot with the higher
+    /// media itself: the committed record (the valid slot with the higher
     /// `seq`), the region bounds from its hints, the flight recorder ring
     /// (recording continues after its last surviving entry) and the
     /// stats' region bounds.
@@ -415,7 +413,7 @@ impl NvbmArena {
         (self.octree_edge, self.rt_floor) = (octree_edge, rt_floor);
         self.rec_base = rec_base;
         self.rec_slots = rec_slots;
-        self.rec_next_seq = recorder::recover_from(&self.media).last().map_or(1, |e| e.seq + 1);
+        self.rec_next_seq = recorder::recover(&self.media).last().map_or(1, |e| e.seq + 1);
         self.stats.set_region_bounds(rec_base, rt_floor);
     }
 
@@ -486,7 +484,7 @@ impl NvbmArena {
     /// media, not the dirty cache) — exactly what a post-crash reboot
     /// would see.
     pub fn recorder_dump(&self) -> RecorderDump {
-        recorder::recover_from(&self.media)
+        recorder::recover(&self.media)
     }
 
     // ---- write attribution ----------------------------------------------
@@ -732,41 +730,42 @@ impl NvbmArena {
 
     // ---- whole-device persistence (node reboot) --------------------------
 
-    /// Flush and save the media image to a host file (simulates the NVBM
-    /// DIMM surviving a node reboot — or a replica shipped elsewhere).
+    /// Flush and save the media to a host file as a flat image of
+    /// [`NvbmArena::capacity`] bytes (simulates the NVBM DIMM surviving a
+    /// node reboot).
     pub fn save(&mut self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.clone_media())
+        self.flush_all();
+        std::fs::write(path, self.media.to_image())
     }
 
-    /// Load a media image saved by [`Self::save`]. Clock and stats start
-    /// fresh; the dirty cache is empty (a rebooted CPU cache is cold).
-    /// A file shorter than the device header (truncated or empty) is
-    /// [`std::io::ErrorKind::InvalidData`].
+    /// Load a media image saved by [`Self::save`]; only its non-zero
+    /// chunks are kept. Clock and stats start fresh; the dirty cache is
+    /// empty (a rebooted CPU cache is cold). A file shorter than the device
+    /// header (truncated or empty) is [`std::io::ErrorKind::InvalidData`].
     pub fn load(path: &Path, model: DeviceModel) -> std::io::Result<Self> {
-        let media = std::fs::read(path)?;
-        if (media.len() as u64) < HEADER_SIZE {
-            let short = format!("{}-byte image is shorter than the arena header", media.len());
+        let image = std::fs::read(path)?;
+        if (image.len() as u64) < HEADER_SIZE {
+            let short = format!("{}-byte image is shorter than the arena header", image.len());
             return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, short));
         }
-        Ok(Self::from_media(media, model))
+        Ok(Self::from_media(SparseMedia::from_image(&image), model))
     }
 
-    /// Clone the persistent image of this arena (flushes first) as a flat
-    /// image of [`NvbmArena::capacity`] bytes. Used by the replica feature
-    /// to snapshot `V_{i-1}` onto another node. The untouched ranges stay
-    /// lazily zeroed pages, so the copy costs the touched bytes.
-    pub fn clone_media(&mut self) -> Vec<u8> {
+    /// Clone the persistent media of this arena (flushes first). Used by
+    /// the replica feature to snapshot `V_{i-1}` onto another node. The
+    /// clone copies the present chunks only.
+    pub fn clone_media(&mut self) -> SparseMedia {
         self.flush_all();
-        self.media.to_image()
+        self.media.clone()
     }
 
-    /// Overwrite this arena's media with `image` (replica restore). Any
-    /// pinned `pm-rt` snapshot epochs belong to the replaced lineage, so
-    /// the pin registry is invalidated: surviving snapshot handles report
-    /// `SnapshotGone` rather than reading reused blobs.
-    pub fn restore_media(&mut self, image: &[u8]) {
-        assert_eq!(image.len(), self.media.size(), "image size mismatch");
-        self.media = SparseMedia::from_image(image);
+    /// Overwrite this arena's media with a copy of `media` (replica
+    /// restore). Any pinned `pm-rt` snapshot epochs belong to the replaced
+    /// lineage, so the pin registry is invalidated: surviving snapshot
+    /// handles report `SnapshotGone` rather than reading reused blobs.
+    pub fn restore_media(&mut self, media: &SparseMedia) {
+        assert_eq!(media.size(), self.media.size(), "media size mismatch");
+        self.media = media.clone();
         self.cache.clear();
         self.rt_pins.invalidate();
         self.adopt_media_layout();
@@ -910,6 +909,13 @@ mod tests {
         assert_eq!(&buf, b"important");
     }
 
+    /// Flip the bits of `mask` in the byte of `media` at `off`.
+    fn flip(media: &mut SparseMedia, off: usize, mask: u8) {
+        let mut b = [0u8];
+        media.read_at(off, &mut b);
+        media.write_at(off, &[b[0] ^ mask]);
+    }
+
     /// Publish `root` (with the given octree epoch) as the next record.
     fn publish_root(a: &mut NvbmArena, epoch: u64, root: u64) {
         a.next.epoch = epoch;
@@ -930,8 +936,8 @@ mod tests {
             assert_eq!(a.dirty_lines(), 0, "flushed");
             // The slot seq names holds it; the other still holds seq - 1.
             let img = a.clone_media();
-            assert_eq!(CommitRecord::decode(&img[..], (seq % 2) as usize), Some(a.committed()));
-            let older = CommitRecord::decode(&img[..], ((seq + 1) % 2) as usize).map(|r| r.seq);
+            assert_eq!(CommitRecord::decode(&img, (seq % 2) as usize), Some(a.committed()));
+            let older = CommitRecord::decode(&img, ((seq + 1) % 2) as usize).map(|r| r.seq);
             assert_eq!(older, (seq > 1).then_some(seq - 1));
         }
         // An unchanged record publishes nothing.
@@ -949,28 +955,27 @@ mod tests {
         publish_root(&mut a, 1, 4096);
         publish_root(&mut a, 2, 8192);
         let img = a.clone_media();
-        let (old, new) = (CommitRecord::decode(&img[..], 1).unwrap(), a.committed());
-        let adopt = |img: &[u8]| NvbmArena::from_media(img.to_vec(), DeviceModel::default());
-        assert_eq!(adopt(&img).committed(), new);
+        let (old, new) = (CommitRecord::decode(&img, 1).unwrap(), a.committed());
+        let adopt = |img: SparseMedia| NvbmArena::from_media(img, DeviceModel::default());
+        assert_eq!(adopt(img.clone()).committed(), new);
         // Any one bit of the newer line flipped: its seal fails.
         for bit in 0..CACHELINE * 8 {
             let mut bad = img.clone();
-            bad[RECORD_AT[0] as usize + bit / 8] ^= 1 << (bit % 8);
-            assert_eq!(adopt(&bad).committed(), old, "bit {bit}");
+            flip(&mut bad, RECORD_AT[0] as usize + bit / 8, 1 << (bit % 8));
+            assert_eq!(adopt(bad).committed(), old, "bit {bit}");
         }
         // A sealed record in slot 0 whose seq names slot 1 (a stale copy),
         // or whose seq is in the upper half of the range, is no record.
         for seq in [3, 1 << 63] {
             let mut bad = img.clone();
-            let line = CommitRecord { seq, ..new }.encode();
-            bad[RECORD_AT[0] as usize..RECORD_AT[0] as usize + CACHELINE].copy_from_slice(&line);
-            assert_eq!(adopt(&bad).committed(), old, "seq {seq}");
+            bad.write_at(RECORD_AT[0] as usize, &CommitRecord { seq, ..new }.encode());
+            assert_eq!(adopt(bad).committed(), old, "seq {seq}");
         }
         // Neither slot valid: the empty record.
         let mut none = img.clone();
-        none[RECORD_AT[1] as usize] ^= 1;
-        none[RECORD_AT[0] as usize] ^= 1;
-        assert_eq!(adopt(&none).committed(), CommitRecord::default());
+        flip(&mut none, RECORD_AT[1] as usize, 1);
+        flip(&mut none, RECORD_AT[0] as usize, 1);
+        assert_eq!(adopt(none).committed(), CommitRecord::default());
     }
 
     #[test]
@@ -1200,7 +1205,7 @@ mod tests {
         let got = read_vec(&mut a, b - 100, 200);
         assert_eq!(got[..164], data[..164], "three evicted lines");
         assert!(got[164..].iter().all(|&x| x == 0), "the dirty one is lost");
-        // A pm-rt-sized blob across a boundary, through the flat image.
+        // A pm-rt-sized blob across a boundary, through a media clone.
         let blob = pattern(4096 + 100, 7);
         let mut a = arena();
         a.write(2 * b - 2000, &blob);
@@ -1210,7 +1215,7 @@ mod tests {
     }
 
     #[test]
-    fn every_crash_mode_commits_the_same_bytes_to_sparse_and_flat_media() {
+    fn every_crash_mode_commits_the_same_bytes_live_and_in_a_crash_view() {
         let b = CHUNK as u64;
         let modes = [
             CrashMode::LoseDirty,
@@ -1222,8 +1227,8 @@ mod tests {
             a.write(b - 1024, &pattern(2048, 3));
             a.flush_all();
             a.write(b - 1000, &pattern(2000, 9));
-            // The flat image a crash view builds at the last opportunity
-            // against the live sparse media crashed right after it.
+            // The media a crash view builds at the last opportunity
+            // against the live media crashed right after it.
             let seen = std::sync::Arc::new(std::sync::Mutex::new(None));
             let sink = seen.clone();
             a.set_fail_plan(FailPlan::with_hook(Box::new(move |v| {
@@ -1234,9 +1239,9 @@ mod tests {
             a.failpoint("boundary");
             a.take_fail_plan();
             a.crash(mode);
-            let (flat, full) = seen.lock().unwrap().take().expect("the hook ran");
-            assert_eq!(a.clone_media(), flat, "{mode:?}");
-            assert_ne!(flat, full, "{mode:?}: something was lost");
+            let (view, full) = seen.lock().unwrap().take().expect("the hook ran");
+            assert_eq!(a.clone_media().to_image(), view.to_image(), "{mode:?}");
+            assert_ne!(view.to_image(), full.to_image(), "{mode:?}: something was lost");
         }
     }
 
@@ -1258,7 +1263,12 @@ mod tests {
 
     #[test]
     fn an_all_zero_image_adopts_no_chunk() {
-        let zeros = vec![0; 1 << 20];
+        let path = std::env::temp_dir().join(format!("nvbm_zeros_{}.img", std::process::id()));
+        std::fs::write(&path, vec![0; 1 << 20]).unwrap();
+        let loaded = NvbmArena::load(&path, DeviceModel::default()).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.resident_bytes(), 0);
+        let zeros = SparseMedia::zeroed(1 << 20);
         assert_eq!(
             NvbmArena::from_media(zeros.clone(), DeviceModel::default()).resident_bytes(),
             0
@@ -1278,20 +1288,21 @@ mod tests {
         a.write(cap as u64 - 1, &[0xEE]);
         publish_root(&mut a, 1, 4096);
         let img = a.clone_media();
-        assert_eq!(img.len(), cap);
-        assert_eq!(img[cap - 1], 0xEE);
-        let b = NvbmArena::from_media(img.clone(), DeviceModel::default());
+        assert_eq!((img.size(), img.resident_bytes()), (cap, a.resident_bytes()));
+        let flat = img.to_image();
+        assert_eq!((flat.len(), flat[cap - 1]), (cap, 0xEE));
+        let mut b = NvbmArena::from_media(img.clone(), DeviceModel::default());
         assert_eq!(b.resident_bytes(), a.resident_bytes());
-        let mut b = b;
-        assert_eq!(b.clone_media(), img, "clone_media → from_media");
+        assert_eq!(b.clone_media().to_image(), flat, "clone_media → from_media");
         let mut c = NvbmArena::new(cap, DeviceModel::default());
         c.restore_media(&img);
-        assert_eq!(c.clone_media(), img, "restore_media");
+        assert_eq!(c.clone_media().to_image(), flat, "restore_media");
         let path = std::env::temp_dir().join(format!("nvbm_sparse_{}.img", std::process::id()));
         a.save(&path).unwrap();
         let mut d = NvbmArena::load(&path, DeviceModel::default()).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), img, "save");
-        assert_eq!(d.clone_media(), img, "save → load");
+        assert_eq!(std::fs::read(&path).unwrap(), flat, "save");
+        assert_eq!(d.clone_media().to_image(), flat, "save → load");
+        assert_eq!(d.resident_bytes(), a.resident_bytes());
         std::fs::remove_file(&path).ok();
     }
 

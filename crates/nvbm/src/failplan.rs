@@ -11,16 +11,16 @@
 //! is reproducible: a counting run and a replay run visit the *same*
 //! opportunities in the same order. A crash injected at opportunity `k`
 //! therefore does not need to abort the process — the plan snapshots the
-//! media image a reboot would find (current media plus the dirty cache
-//! filtered through a [`CrashMode`]) and lets the workload continue. The
-//! snapshot is byte-identical to what re-running the workload and killing
-//! it at opportunity `k` would leave behind.
+//! media a reboot would find (a clone of the current media with the dirty
+//! cache filtered through a [`CrashMode`]) and lets the workload continue.
+//! The snapshot is byte-identical to what re-running the workload and
+//! killing it at opportunity `k` would leave behind.
 //!
 //! Three observation modes:
 //!
 //! * [`FailPlan::count`] — record how many opportunities the workload has
 //!   (the recorded run of a record/replay sweep);
-//! * [`FailPlan::armed`] — capture the crashed image at one opportunity
+//! * [`FailPlan::armed`] — capture the crashed media at one opportunity
 //!   (the replay run; drive it from a property test or a sweep driver);
 //! * [`FailPlan::with_hook`] — invoke a callback with a [`CrashView`] at
 //!   *every* opportunity, so a sweep can verify recovery for each
@@ -61,50 +61,40 @@ impl<'a> CrashView<'a> {
         self.dirty.len()
     }
 
-    /// The media image a reboot would find if the crash happened here
-    /// under `mode`. Allocates a fresh flat copy; the live arena is
-    /// untouched.
-    pub fn image(&self, mode: CrashMode) -> Vec<u8> {
-        let mut media = self.media.to_image();
-        apply_crash(&mut media[..], self.dirty, mode, None);
+    /// The media a reboot would find if the crash happened here under
+    /// `mode`: a clone of the media (its present chunks) with the crash
+    /// applied as [`NvbmArena::crash`](crate::arena::NvbmArena::crash)
+    /// applies it. The live arena is untouched.
+    pub fn image(&self, mode: CrashMode) -> SparseMedia {
+        let mut media = self.media.clone();
+        apply_crash(&mut media, self.dirty, mode, None);
         media
     }
 
-    /// The media image a *clean* shutdown would find: every dirty line
+    /// The media a *clean* shutdown would find: every dirty line
     /// committed. An upper bound for what any crash image can contain —
     /// the sweep oracle compares a crashed flight-recorder dump against
-    /// the dump recovered from this image.
-    pub fn full_image(&self) -> Vec<u8> {
-        let mut media = self.media.to_image();
+    /// the dump recovered from this media.
+    pub fn full_image(&self) -> SparseMedia {
+        let mut media = self.media.clone();
         for (line, data) in self.dirty.sorted() {
-            commit_line_to(&mut media[..], None, line, data);
+            commit_line_to(&mut media, None, line, data);
         }
         media
     }
 }
 
 /// The crashed-media snapshot captured by an armed plan.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct CrashCapture {
     /// Opportunity index the crash was injected at.
     pub opportunity: u64,
     /// Label of the opportunity, when it was an explicit failpoint.
     pub label: Option<&'static str>,
-    /// Crash mode that produced the image.
+    /// Crash mode that produced the media.
     pub mode: CrashMode,
-    /// Media image as a rebooted node would find it.
-    pub media: Vec<u8>,
-}
-
-impl std::fmt::Debug for CrashCapture {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CrashCapture")
-            .field("opportunity", &self.opportunity)
-            .field("label", &self.label)
-            .field("mode", &self.mode)
-            .field("media_len", &self.media.len())
-            .finish()
-    }
+    /// Media as a rebooted node would find it.
+    pub media: SparseMedia,
 }
 
 /// Crash-opportunity plan installed on an
@@ -137,8 +127,8 @@ impl FailPlan {
         FailPlan::default()
     }
 
-    /// An armed plan: capture the crashed image at opportunity `at` under
-    /// `mode`. The workload continues normally afterwards; fetch the image
+    /// An armed plan: capture the crashed media at opportunity `at` under
+    /// `mode`. The workload continues normally afterwards; fetch the media
     /// with [`FailPlan::take_capture`].
     pub fn armed(at: u64, mode: CrashMode) -> Self {
         FailPlan { armed: Some((at, mode)), ..FailPlan::default() }
@@ -160,7 +150,7 @@ impl FailPlan {
         &self.labels
     }
 
-    /// Take the captured crash image, if the armed opportunity has been
+    /// Take the captured crash media, if the armed opportunity has been
     /// reached.
     pub fn take_capture(&mut self) -> Option<CrashCapture> {
         self.capture.take()
@@ -249,7 +239,7 @@ mod tests {
             let cap = armed.take_fail_plan().unwrap().take_capture().expect("captured");
             assert_eq!(cap.opportunity, k);
             // Replay run: stop the workload at opportunity k and crash.
-            let stopper = Arc::new(Mutex::new(None::<Vec<u8>>));
+            let stopper = Arc::new(Mutex::new(None::<SparseMedia>));
             let got = stopper.clone();
             let mut replay = arena();
             replay.set_fail_plan(FailPlan::with_hook(Box::new(move |view| {
@@ -260,7 +250,7 @@ mod tests {
             })));
             workload(&mut replay);
             let replayed = stopper.lock().unwrap().take().expect("hook image");
-            assert_eq!(cap.media, replayed, "opportunity {k}");
+            assert_eq!(cap.media.to_image(), replayed.to_image(), "opportunity {k}");
         }
     }
 
@@ -292,7 +282,9 @@ mod tests {
         a.set_fail_plan(FailPlan::armed(0, CrashMode::TornWrite { seed: 7 }));
         a.failpoint("check");
         let cap = a.take_fail_plan().unwrap().take_capture().unwrap();
-        let raw = u64::from_le_bytes(cap.media[4112..4120].try_into().unwrap());
+        let mut word = [0u8; 8];
+        cap.media.read_at(4112, &mut word);
+        let raw = u64::from_le_bytes(word);
         assert!(raw == 0x1000 || raw == 0x2000, "8-byte store must not tear mid-word: {raw:#x}");
     }
 }

@@ -3,15 +3,12 @@
 //! A real NVBM pool is a mapped device that costs what is written to it;
 //! the emulated one should too. [`SparseMedia`] is a table of fixed-size
 //! chunks, each allocated by the first commit that reaches it, and an
-//! absent chunk reads as zeros. An import adopts only the chunks that hold
-//! a non-zero byte. What stays proportional to the device is the chunk
-//! table itself: one pointer per [`CHUNK`] bytes.
+//! absent chunk reads as zeros. What stays proportional to the device is
+//! the chunk table itself: one pointer per [`CHUNK`] bytes.
 //!
-//! Flat `Vec<u8>` images remain the exchange format (the saved file, crash
-//! captures, replicas): [`SparseMedia::to_image`] exports one — a lazily
-//! zeroed allocation plus copies of the present chunks — and
-//! [`SparseMedia::from_image`] adopts one. Readers and committers that
-//! serve both kinds are written once against [`Media`].
+//! It is the one media value: the live arena holds one, crash views and
+//! captures yield a clone with the crash applied, replicas keep one in
+//! sync. A flat image exists only as the file `NvbmArena::save` writes.
 
 use std::ops::Range;
 
@@ -23,47 +20,23 @@ use crate::model::CACHELINE;
 /// header, the recorder ring at the top) materialises little.
 pub(crate) const CHUNK: usize = 64 << 10;
 
-/// Byte-addressed access to on-media bytes, implemented by the live sparse
-/// media and by flat images. Every range passed must lie inside
-/// `0..size()`.
-pub(crate) trait Media {
-    /// Size of the device in bytes.
-    fn size(&self) -> usize;
-    /// Copy the bytes at `[offset, offset + buf.len())` into `buf`.
-    fn read_at(&self, offset: usize, buf: &mut [u8]);
-    /// Store `data` at `[offset, offset + data.len())`.
-    fn write_at(&mut self, offset: usize, data: &[u8]);
-}
-
-impl Media for [u8] {
-    fn size(&self) -> usize {
-        self.len()
-    }
-
-    fn read_at(&self, offset: usize, buf: &mut [u8]) {
-        buf.copy_from_slice(&self[offset..offset + buf.len()]);
-    }
-
-    fn write_at(&mut self, offset: usize, data: &[u8]) {
-        self[offset..offset + data.len()].copy_from_slice(data);
-    }
-}
-
-/// Device media as a table of [`CHUNK`]-byte chunks, allocated on first
-/// commit.
-pub(crate) struct SparseMedia {
+/// Device media as a table of 64 KiB chunks, allocated on first commit.
+/// A clone copies the present chunks only; the default is the empty,
+/// size-0 media.
+#[derive(Clone, Default)]
+pub struct SparseMedia {
     size: usize,
-    chunks: Vec<Option<Box<[u8; CHUNK]>>>,
+    chunks: Box<[Option<Box<[u8; CHUNK]>>]>,
 }
 
 impl SparseMedia {
     /// An all-zero device of `size` bytes; holds no chunk.
     pub(crate) fn zeroed(size: usize) -> Self {
-        SparseMedia { size, chunks: vec![None; size.div_ceil(CHUNK)] }
+        SparseMedia { size, chunks: vec![None; size.div_ceil(CHUNK)].into_boxed_slice() }
     }
 
-    /// Adopt a flat image: only its chunks holding a non-zero byte are
-    /// materialised.
+    /// Adopt a flat image (a saved file): only its chunks holding a
+    /// non-zero byte are materialised.
     pub(crate) fn from_image(image: &[u8]) -> Self {
         let mut media = SparseMedia::zeroed(image.len());
         for (slot, bytes) in media.chunks.iter_mut().zip(image.chunks(CHUNK)) {
@@ -76,8 +49,8 @@ impl SparseMedia {
         media
     }
 
-    /// Export a flat image: a lazily zeroed allocation plus a copy of
-    /// every present chunk, so the copy costs the touched bytes.
+    /// Export a flat image (the saved file): a lazily zeroed allocation
+    /// plus a copy of every present chunk.
     pub(crate) fn to_image(&self) -> Vec<u8> {
         let mut image = vec![0u8; self.size];
         for (bytes, chunk) in image.chunks_mut(CHUNK).zip(&self.chunks) {
@@ -88,20 +61,21 @@ impl SparseMedia {
         image
     }
 
-    /// Bytes held by materialised chunks.
-    pub(crate) fn resident_bytes(&self) -> usize {
-        self.chunks.iter().filter(|c| c.is_some()).count() * CHUNK
-    }
-}
-
-impl Media for SparseMedia {
-    fn size(&self) -> usize {
+    /// Size of the device in bytes.
+    pub fn size(&self) -> usize {
         self.size
     }
 
+    /// Host bytes held by materialised chunks.
+    pub fn resident_bytes(&self) -> usize {
+        self.chunks.iter().filter(|c| c.is_some()).count() * CHUNK
+    }
+
+    /// Copy the bytes at `[offset, offset + buf.len())` into `buf`. Panics
+    /// if the range runs past [`SparseMedia::size`].
     #[inline]
-    fn read_at(&self, offset: usize, buf: &mut [u8]) {
-        for (c, within, at) in pieces(offset, buf.len()) {
+    pub fn read_at(&self, offset: usize, buf: &mut [u8]) {
+        for (c, within, at) in pieces(offset, buf.len(), self.size) {
             match &self.chunks[c] {
                 Some(chunk) => buf[at].copy_from_slice(&chunk[within]),
                 None => buf[at].fill(0),
@@ -109,19 +83,36 @@ impl Media for SparseMedia {
         }
     }
 
+    /// Store `data` at `[offset, offset + data.len())`, materialising the
+    /// chunks it reaches. Panics if the range runs past
+    /// [`SparseMedia::size`].
     #[inline]
-    fn write_at(&mut self, offset: usize, data: &[u8]) {
-        for (c, within, at) in pieces(offset, data.len()) {
+    pub fn write_at(&mut self, offset: usize, data: &[u8]) {
+        for (c, within, at) in pieces(offset, data.len(), self.size) {
             self.chunks[c].get_or_insert_with(new_chunk)[within].copy_from_slice(&data[at]);
         }
     }
 }
 
+impl std::fmt::Debug for SparseMedia {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SparseMedia")
+            .field("size", &self.size)
+            .field("resident_bytes", &self.resident_bytes())
+            .finish()
+    }
+}
+
 /// `[offset, offset + len)` split at chunk boundaries: per piece, the
 /// chunk index, the range within that chunk and the range within the
-/// caller's buffer.
+/// caller's buffer. Panics if the range runs past `size`.
 #[inline]
-fn pieces(offset: usize, len: usize) -> impl Iterator<Item = (usize, Range<usize>, Range<usize>)> {
+fn pieces(
+    offset: usize,
+    len: usize,
+    size: usize,
+) -> impl Iterator<Item = (usize, Range<usize>, Range<usize>)> {
+    assert!(offset.checked_add(len).is_some_and(|end| end <= size), "media access out of bounds");
     let mut at = 0;
     std::iter::from_fn(move || {
         (at < len).then(|| {
@@ -144,4 +135,16 @@ fn new_chunk() -> Box<[u8; CHUNK]> {
 /// vectorises and a non-zero line ends the scan.
 fn is_zero(bytes: &[u8]) -> bool {
     bytes.chunks(CACHELINE).all(|line| line.iter().fold(0, |acc, &b| acc | b) == 0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn an_access_past_the_size_panics() {
+        // Inside the last chunk's allocation, past the device.
+        SparseMedia::zeroed(CHUNK + 10).write_at(CHUNK + 8, &[1, 2, 3]);
+    }
 }

@@ -5,7 +5,7 @@
 //! that with NVBM's own medicine: a fixed ring region at the **top** of
 //! the arena (below the `pm-rt` heap) whose entries are written with the
 //! same store → flush-line discipline as real data. After any crash the
-//! ring is recovered from the raw media image — no volatile state needed
+//! ring is recovered from the raw media — no volatile state needed
 //! — and dumped to explain the last N operations before the failure.
 //!
 //! ## Slot format
@@ -38,7 +38,7 @@
 use serde::Serialize;
 
 use crate::arena::HEADER_SIZE;
-use crate::media::Media;
+use crate::media::SparseMedia;
 use crate::model::CACHELINE;
 
 /// Byte offset of the persisted ring base pointer in the device header.
@@ -214,7 +214,7 @@ pub(crate) fn decode_slot(s: &[u8]) -> Option<RecEntry> {
 /// when the header is too small or the descriptor is insane (out of
 /// bounds, unaligned); `Some((_, 0))` when the device has the recorder
 /// disabled.
-pub(crate) fn region_of(media: &(impl Media + ?Sized)) -> Option<(u64, usize)> {
+pub(crate) fn region_of(media: &SparseMedia) -> Option<(u64, usize)> {
     let size = media.size() as u64;
     if size < HEADER_SIZE {
         return None;
@@ -241,15 +241,11 @@ pub(crate) fn region_of(media: &(impl Media + ?Sized)) -> Option<(u64, usize)> {
     }
 }
 
-/// Recover the flight recorder from a flat media image (a crash snapshot
-/// or a replica). Never panics: damaged slots are dropped and counted, a
-/// damaged header yields an empty dump with `header_ok == false`.
-pub fn recover(media: &[u8]) -> RecorderDump {
-    recover_from(media)
-}
-
-/// [`recover`] over any media, a live arena's durable view included.
-pub(crate) fn recover_from(media: &(impl Media + ?Sized)) -> RecorderDump {
+/// Recover the flight recorder from media: a crash snapshot, a replica or
+/// a live arena's durable view. Never panics: damaged slots are dropped
+/// and counted, a damaged header yields an empty dump with
+/// `header_ok == false`.
+pub fn recover(media: &SparseMedia) -> RecorderDump {
     let Some((base, slots)) = region_of(media) else {
         return RecorderDump { header_ok: false, ..Default::default() };
     };
@@ -285,26 +281,19 @@ pub(crate) fn recover_from(media: &(impl Media + ?Sized)) -> RecorderDump {
 mod tests {
     use super::*;
 
-    fn media_with_ring(slots: usize) -> (Vec<u8>, u64) {
+    fn media_with_ring(slots: usize) -> (SparseMedia, u64) {
         let cap = 1 << 16;
         let base = (cap - slots * CACHELINE) as u64;
-        let mut m = vec![0u8; cap];
-        m[OFF_REC_BASE as usize..OFF_REC_BASE as usize + 8].copy_from_slice(&base.to_le_bytes());
-        m[OFF_REC_SLOTS as usize..OFF_REC_SLOTS as usize + 8]
-            .copy_from_slice(&(slots as u64).to_le_bytes());
+        let mut m = SparseMedia::zeroed(cap);
+        m.write_at(OFF_REC_BASE as usize, &base.to_le_bytes());
+        m.write_at(OFF_REC_SLOTS as usize, &(slots as u64).to_le_bytes());
         (m, base)
     }
 
-    fn put(m: &mut [u8], base: u64, slots: usize, seq: u64, label: &str) {
+    fn put(m: &mut SparseMedia, base: u64, slots: usize, seq: u64, label: &str) {
         let slot = ((seq - 1) % slots as u64) as usize;
         let off = base as usize + slot * CACHELINE;
-        m[off..off + CACHELINE].copy_from_slice(&encode_slot(
-            seq,
-            seq * 10,
-            0,
-            RecKind::Note,
-            label,
-        ));
+        m.write_at(off, &encode_slot(seq, seq * 10, 0, RecKind::Note, label));
     }
 
     #[test]
@@ -364,9 +353,7 @@ mod tests {
         let (mut m, base) = media_with_ring(4);
         put(&mut m, base, 4, 1, "real");
         // A copy of entry 1 planted in slot 2: valid checksum, wrong slot.
-        let off = base as usize + 2 * CACHELINE;
-        let copy = encode_slot(1, 10, 0, RecKind::Note, "real");
-        m[off..off + CACHELINE].copy_from_slice(&copy);
+        m.write_at(base as usize + 2 * CACHELINE, &encode_slot(1, 10, 0, RecKind::Note, "real"));
         let d = recover(&m);
         assert_eq!(d.entries.len(), 1);
         assert_eq!(d.dropped_slots, 3);
@@ -376,22 +363,20 @@ mod tests {
     fn damaged_header_yields_empty_dump_not_panic() {
         let (mut m, _) = media_with_ring(4);
         // Base pointing past the device.
-        m[OFF_REC_BASE as usize..OFF_REC_BASE as usize + 8]
-            .copy_from_slice(&u64::MAX.to_le_bytes());
+        m.write_at(OFF_REC_BASE as usize, &u64::MAX.to_le_bytes());
         let d = recover(&m);
         assert!(!d.header_ok);
         assert!(d.entries.is_empty());
         // Too-small image.
-        assert!(!recover(&[0u8; 16]).header_ok);
+        assert!(!recover(&SparseMedia::zeroed(16)).header_ok);
         // A valid base with slot counts whose byte size overflows, that
         // name more slots than the device holds, and that run one slot
         // past its end.
-        let device_slots = m.len() as u64 / CACHELINE as u64;
+        let device_slots = m.size() as u64 / CACHELINE as u64;
         for slots in [u64::MAX / CACHELINE as u64 + 1, u64::MAX, device_slots + 1, 5] {
             let (mut m, _) = media_with_ring(4);
-            m[OFF_REC_SLOTS as usize..OFF_REC_SLOTS as usize + 8]
-                .copy_from_slice(&slots.to_le_bytes());
-            assert_eq!(region_of(&m[..]), None, "{slots} slots");
+            m.write_at(OFF_REC_SLOTS as usize, &slots.to_le_bytes());
+            assert_eq!(region_of(&m), None, "{slots} slots");
             let d = recover(&m);
             assert!(!d.header_ok, "{slots} slots");
             assert!(d.entries.is_empty());
@@ -400,8 +385,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_is_ok_and_empty() {
-        let m = vec![0u8; 4096];
-        let d = recover(&m);
+        let d = recover(&SparseMedia::zeroed(4096));
         assert!(d.header_ok);
         assert_eq!(d.slots, 0);
         assert!(d.entries.is_empty());

@@ -123,8 +123,10 @@ proptest! {
         let intact = recorder::recover(&media);
         prop_assert_eq!(intact.entries.last().map(|e| e.seq), Some(n));
         for k in 0..64 {
-            let mut torn = media.clone();
-            torn[base + tail_slot * 64 + k] ^= delta;
+            let (mut torn, at) = (media.clone(), base + tail_slot * 64 + k);
+            let mut byte = [0u8];
+            torn.read_at(at, &mut byte);
+            torn.write_at(at, &[byte[0] ^ delta]);
             let dump = recorder::recover(&torn);
             prop_assert!(dump.header_ok);
             // No phantom entries past what was ever written.

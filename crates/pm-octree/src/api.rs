@@ -284,21 +284,21 @@ impl PmOctree {
     }
 
     /// Restore onto a *new* node from a remote replica (§3.4 second
-    /// scenario): the replica image is transferred and becomes the local
+    /// scenario): the replica's media is transferred and becomes the local
     /// NVBM contents. Returns the handle plus the number of bytes that had
-    /// to cross the network (charged by the caller's network model). A
-    /// replica that was never synced, or that copies a device of another
-    /// size, is [`PmError::Recovery`].
+    /// to cross the network, the chunks the replica holds (charged by the
+    /// caller's network model). A replica that was never synced, or that
+    /// copies a device of another size, is [`PmError::Recovery`].
     pub fn restore_from_replica(
         mut arena: NvbmArena,
         replica: &ReplicaSet,
         cfg: PmConfig,
     ) -> Result<(Self, u64), PmError> {
         let image = replica.image();
-        if image.len() != arena.capacity() {
+        if image.size() != arena.capacity() {
             return Err(PmError::Recovery(format!(
                 "a {}-byte replica image does not fit a {}-byte device",
-                image.len(),
+                image.size(),
                 arena.capacity()
             )));
         }
@@ -997,7 +997,7 @@ impl PmOctree {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use pmoctree_nvbm::{CrashMode, DeviceModel};
+    use pmoctree_nvbm::{CrashMode, DeviceModel, FailPlan};
 
     fn arena() -> NvbmArena {
         NvbmArena::new(16 << 20, DeviceModel::default())
@@ -1370,21 +1370,45 @@ mod tests {
     fn a_nominal_64_gib_device_holds_only_what_it_touches() {
         // The arena's media chunk. The chunks under the bump round it up
         // by less than one; the recorder ring at the top takes one more.
+        // A crash view and a replica hold no other chunks.
         const CHUNK: usize = 64 << 10;
-        let mut t = PmOctree::create(NvbmArena::new(64 << 30, DeviceModel::default()), small_cfg());
-        let mut frontier = vec![OctKey::root()];
-        for _ in 0..3 {
-            for k in std::mem::take(&mut frontier) {
-                t.refine(k).unwrap();
-                frontier.extend((0..8).map(|i| k.child(i)));
+        for replicas in [false, true] {
+            let cfg = PmConfig { replicas, ..small_cfg() };
+            let mut t = PmOctree::create(NvbmArena::new(64 << 30, DeviceModel::default()), cfg);
+            let crashed = std::sync::Arc::new(std::sync::Mutex::new(None));
+            let mut frontier = vec![OctKey::root()];
+            for level in 0..3 {
+                for k in std::mem::take(&mut frontier) {
+                    t.refine(k).unwrap();
+                    frontier.extend((0..8).map(|i| k.child(i)));
+                }
+                if level == 2 {
+                    let sink = crashed.clone();
+                    t.store.arena.set_fail_plan(FailPlan::with_hook(Box::new(move |v| {
+                        if v.label == Some("persist::root_swap") {
+                            let media = v.image(CrashMode::LoseDirty);
+                            *sink.lock().unwrap() = Some(media.resident_bytes());
+                        }
+                    })));
+                }
+                t.persist();
             }
-            t.persist();
+            t.store.arena.take_fail_plan();
+            assert_eq!(t.leaf_count(), 512);
+            let bump = t.store.arena.live_bump() as usize;
+            assert!(bump > CHUNK, "the tree spans more than one chunk: bump {bump}");
+            let crash_view = crashed.lock().unwrap().expect("the last persist swaps its root");
+            let mut held =
+                vec![("device", t.store.arena.resident_bytes()), ("crash view", crash_view)];
+            if let Some(r) = &t.replicas {
+                held.push(("replica", r.live_bytes() as usize));
+            }
+            for (what, resident) in held {
+                assert!(
+                    resident <= bump + 2 * CHUNK,
+                    "{what}: {resident} bytes resident, bump {bump}, replicas {replicas}"
+                );
+            }
         }
-        assert_eq!(t.leaf_count(), 512);
-        let arena = &t.store.arena;
-        let bump = arena.live_bump() as usize;
-        assert!(bump > CHUNK, "the tree spans more than one chunk: bump {bump}");
-        let resident = arena.resident_bytes();
-        assert!(resident <= bump + 2 * CHUNK, "{resident} bytes resident, bump {bump}");
     }
 }

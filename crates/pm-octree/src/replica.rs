@@ -5,42 +5,42 @@
 //! the *differences* between consecutive persistent versions — cheap
 //! because of the high overlap ratio between adjacent time steps.
 //!
-//! The replica here is a byte image of the NVBM device kept in sync by
-//! deltas; the `cluster` crate charges its network model with
-//! [`ReplicaSet::last_delta_bytes`] per persist and
-//! [`ReplicaSet::live_bytes`] on a new-node restore.
+//! The replica holds the device's media in the form the device does: the
+//! chunks some commit or delta reached ([`SparseMedia`]), kept in sync by
+//! deltas. A new-node restore ships what it holds,
+//! [`ReplicaSet::live_bytes`], which the `cluster` crate's §5.6
+//! experiment charges to its network model. The per-persist
+//! [`ReplicaSet::last_delta_bytes`] is held by the octree model test to
+//! the header plus the epoch's fresh octants.
 
-use pmoctree_nvbm::{NvbmArena, POffset, HEADER_SIZE};
+use pmoctree_nvbm::{NvbmArena, POffset, SparseMedia, HEADER_SIZE};
 
 use crate::octant::OCTANT_SIZE;
 
-/// A peer-node copy of the persistent octree image.
+/// A peer-node copy of the persistent octree media.
 #[derive(Debug, Default, Clone)]
 pub struct ReplicaSet {
-    image: Vec<u8>,
+    image: SparseMedia,
     /// Bytes shipped over the lifetime of the replica.
     pub bytes_shipped_total: u64,
     /// Bytes shipped by the most recent delta (or full sync).
     pub last_delta_bytes: u64,
-    /// Octant payload bytes currently live in the replica (transfer size
-    /// for a new-node restore).
-    live_octant_bytes: u64,
 }
 
 impl ReplicaSet {
-    /// An empty, unsynced replica.
+    /// An empty, unsynced replica: size-0 media.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Full synchronization: copy the whole (flushed) device image. Done
-    /// once at creation; afterwards only deltas are shipped.
+    /// Full synchronization: copy the (flushed) device media, its present
+    /// chunks, and count their bytes as shipped. Done once at creation;
+    /// afterwards only deltas are shipped.
     pub fn full_sync(&mut self, arena: &mut NvbmArena) {
         self.image = arena.clone_media();
-        let shipped = self.image.len() as u64;
+        let shipped = self.image.resident_bytes() as u64;
         self.bytes_shipped_total += shipped;
         self.last_delta_bytes = shipped;
-        self.live_octant_bytes = shipped;
     }
 
     /// Ship the delta for one persist: the header, every octant created
@@ -55,37 +55,37 @@ impl ReplicaSet {
         new_octants: &[POffset],
         extra: &[(u64, u32)],
     ) {
-        assert!(!self.image.is_empty(), "push_delta before full_sync");
+        assert!(self.image.size() > 0, "push_delta before full_sync");
         // Header (contains the new roots and epoch — the octree's and the
         // runtime's: both live in the first header line's 256 bytes).
         let mut header = vec![0u8; HEADER_SIZE as usize];
         arena.read(0, &mut header);
-        self.image[..HEADER_SIZE as usize].copy_from_slice(&header);
+        self.image.write_at(0, &header);
         let mut shipped = HEADER_SIZE;
         let mut buf = [0u8; OCTANT_SIZE];
         for &p in new_octants {
             arena.read(p.0, &mut buf);
-            self.image[p.0 as usize..p.0 as usize + OCTANT_SIZE].copy_from_slice(&buf);
+            self.image.write_at(p.0 as usize, &buf);
             shipped += OCTANT_SIZE as u64;
         }
         for &(off, len) in extra {
             let mut region = vec![0u8; len as usize];
             arena.read(off, &mut region);
-            self.image[off as usize..off as usize + len as usize].copy_from_slice(&region);
+            self.image.write_at(off as usize, &region);
             shipped += len as u64;
         }
         self.bytes_shipped_total += shipped;
         self.last_delta_bytes = shipped;
     }
 
-    /// The current replica image (restore onto a fresh node's NVBM).
-    pub fn image(&self) -> &[u8] {
+    /// The current replica media (restore onto a fresh node's NVBM).
+    pub fn image(&self) -> &SparseMedia {
         &self.image
     }
 
-    /// Transfer size for a new-node restore.
+    /// Transfer size for a new-node restore: the bytes the replica holds.
     pub fn live_bytes(&self) -> u64 {
-        self.live_octant_bytes.min(self.image.len() as u64)
+        self.image.resident_bytes() as u64
     }
 }
 
@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn replica_tracks_persists() {
         let mut t = PmOctree::create(NvbmArena::new(8 << 20, DeviceModel::default()), cfg());
-        assert!(!t.replicas.as_ref().unwrap().image().is_empty(), "create syncs in full");
+        assert!(t.replicas.as_ref().unwrap().image().size() > 0, "create syncs in full");
         let full = t.replicas.as_ref().unwrap().bytes_shipped_total;
         t.refine(OctKey::root()).unwrap();
         t.persist();
@@ -143,7 +143,7 @@ mod tests {
         for (replica, device) in [(ReplicaSet::new(), 8 << 20), (synced, 4 << 20)] {
             let fresh = NvbmArena::new(device, DeviceModel::default());
             let got = PmOctree::restore_from_replica(fresh, &replica, PmConfig::default());
-            let len = replica.image().len();
+            let len = replica.image().size();
             assert!(
                 matches!(got, Err(PmError::Recovery(_))),
                 "{len}-byte replica, {device}-byte device"

@@ -452,7 +452,7 @@ impl Harness {
             Step::NodeLoss => {
                 if let Some(replica) = &self.t.replicas {
                     let image = replica.image();
-                    let mut arena = NvbmArena::new(image.len(), DeviceModel::default());
+                    let mut arena = NvbmArena::new(image.size(), DeviceModel::default());
                     arena.restore_media(image);
                     self.restore(arena, false);
                 }

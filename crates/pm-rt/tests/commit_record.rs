@@ -12,8 +12,8 @@ use pm_octree::{CellData, PmConfig, PmError, PmOctree};
 use pm_rt::{PmRt, ServiceCmd, ServiceConfig, StateService};
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::{
-    CommitRecord, CrashMode, CrashView, DeviceModel, FailPlan, NvbmArena, POffset, CACHELINE,
-    HEADER_SIZE,
+    CommitRecord, CrashMode, CrashView, DeviceModel, FailPlan, NvbmArena, POffset, SparseMedia,
+    CACHELINE, HEADER_SIZE,
 };
 
 /// The two commit-record slots: header lines 1 and 2.
@@ -59,14 +59,30 @@ fn version(t: &mut PmOctree, rt: &mut PmRt) -> Version {
     (t.leaves_sorted(), app.unwrap())
 }
 
+/// `len` bytes of `media` at `at`.
+fn bytes(media: &SparseMedia, at: usize, len: usize) -> Vec<u8> {
+    let mut buf = vec![0u8; len];
+    media.read_at(at, &mut buf);
+    buf
+}
+
+/// A copy of `media` with `edit` applied to its `len` bytes at `at`.
+fn edited(media: &SparseMedia, at: usize, len: usize, edit: impl Fn(&mut [u8])) -> SparseMedia {
+    let mut buf = bytes(media, at, len);
+    edit(&mut buf);
+    let mut media = media.clone();
+    media.write_at(at, &buf);
+    media
+}
+
 /// Reboot on `image`: the tree, then the runtime beside it.
-fn reboot(image: Vec<u8>) -> Result<(PmOctree, PmRt), PmError> {
+fn reboot(image: SparseMedia) -> Result<(PmOctree, PmRt), PmError> {
     let mut t = PmOctree::restore(NvbmArena::from_media(image, DeviceModel::default()), cfg())?;
     let rt = PmRt::restore(&mut t.store.arena)?;
     Ok((t, rt))
 }
 
-fn recover(image: Vec<u8>) -> Result<Version, PmError> {
+fn recover(image: SparseMedia) -> Result<Version, PmError> {
     reboot(image).map(|(mut t, mut rt)| version(&mut t, &mut rt))
 }
 
@@ -99,12 +115,13 @@ fn every_publication_commits_one_header_line() {
 
 /// A publication caught with its record line stored but not yet written
 /// back: the media under it and the line as stored.
-fn caught_publishing(t: &mut PmOctree, rt: &mut PmRt, s: u64) -> (Vec<u8>, Vec<u8>) {
+fn caught_publishing(t: &mut PmOctree, rt: &mut PmRt, s: u64) -> (SparseMedia, SparseMedia) {
     let captured = Arc::new(Mutex::new(None));
     let sink = Arc::clone(&captured);
     t.store.arena.set_fail_plan(FailPlan::with_hook(Box::new(move |v: &CrashView<'_>| {
         let (media, full) = (v.image(CrashMode::LoseDirty), v.full_image());
-        if media[..HEADER_SIZE as usize] != full[..HEADER_SIZE as usize] {
+        let header = |m: &SparseMedia| bytes(m, 0, HEADER_SIZE as usize);
+        if header(&media) != header(&full) {
             sink.lock().unwrap().get_or_insert((media, full));
         }
     })));
@@ -121,7 +138,7 @@ fn a_torn_or_flipped_slot_leaves_the_other_slots_version() {
     let (media, full) = caught_publishing(&mut t, &mut rt, 3);
     let new = version(&mut t, &mut rt);
     assert_ne!(old, new);
-    let line = |i: &[u8], s: usize| i[s..s + CACHELINE].to_vec();
+    let line = |i: &SparseMedia, s: usize| bytes(i, s, CACHELINE);
     let [slot, other] = match SLOTS.map(|s| line(&media, s) != line(&full, s)) {
         [true, false] => SLOTS,
         [false, true] => [SLOTS[1], SLOTS[0]],
@@ -130,7 +147,7 @@ fn a_torn_or_flipped_slot_leaves_the_other_slots_version() {
     // Torn at every 8-byte prefix: only the whole line publishes.
     let mut complete = media.clone();
     for words in 0..=8 {
-        complete[slot..slot + 8 * words].copy_from_slice(&full[slot..slot + 8 * words]);
+        complete.write_at(slot, &bytes(&full, slot, 8 * words));
         let want = if words == 8 { &new } else { &old };
         assert_eq!(recover(complete.clone()).as_ref(), Ok(want), "{words} words");
     }
@@ -138,13 +155,12 @@ fn a_torn_or_flipped_slot_leaves_the_other_slots_version() {
     // flipped: the other slot's version comes back.
     for (damaged, survivor) in [(slot, &old), (other, &new)] {
         for words in 1..=8 {
-            let mut bad = complete.clone();
-            bad[damaged..damaged + 8 * words].iter_mut().for_each(|b| *b = !*b);
+            let bad =
+                edited(&complete, damaged, 8 * words, |b| b.iter_mut().for_each(|b| *b = !*b));
             assert_eq!(recover(bad).as_ref(), Ok(survivor), "slot {damaged}: {words} words");
         }
         for bit in 0..CACHELINE * 8 {
-            let mut bad = complete.clone();
-            bad[damaged + bit / 8] ^= 1 << (bit % 8);
+            let bad = edited(&complete, damaged + bit / 8, 1, |b| b[0] ^= 1 << (bit % 8));
             assert_eq!(recover(bad).as_ref(), Ok(survivor), "slot {damaged}: bit {bit}");
         }
     }
@@ -155,7 +171,7 @@ fn with_no_valid_record_there_is_nothing_to_recover() {
     let (mut t, _rt) = device(1);
     let mut image = t.store.arena.clone_media();
     for s in SLOTS {
-        image[s] ^= 1;
+        image = edited(&image, s, 1, |b| b[0] ^= 1);
     }
     let arena = NvbmArena::from_media(image.clone(), DeviceModel::default());
     assert_eq!(arena.committed(), CommitRecord::default());

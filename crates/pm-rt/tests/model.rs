@@ -26,7 +26,9 @@ use pm_rt::{
     PmError, PmRt, ServiceCmd, ServiceConfig, ServiceReply, Snapshot, StateService, TenantHandle,
 };
 use pmoctree_morton::OctKey;
-use pmoctree_nvbm::{CrashMode, CrashView, DeviceModel, FailPlan, NvbmArena, HEADER_SIZE};
+use pmoctree_nvbm::{
+    CrashMode, CrashView, DeviceModel, FailPlan, NvbmArena, SparseMedia, HEADER_SIZE,
+};
 use proptest::prelude::*;
 
 /// Names of runtime runs: the neighbourhood of the tenant prefix `a/` —
@@ -653,7 +655,7 @@ impl Harness {
     /// Reboot on `image`, which holds the model's committed map and tree
     /// (`recovers_new`) or `old`'s: every snapshot is gone, and the stream
     /// carries on on the restored runtime.
-    fn reboot(&mut self, image: Vec<u8>, recovers_new: bool, mut old: Model) {
+    fn reboot(&mut self, image: SparseMedia, recovers_new: bool, mut old: Model) {
         self.arena.restore_media(&image);
         for (snap, ..) in self.pins.drain(..) {
             assert!(!snap.is_live());

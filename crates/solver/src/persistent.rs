@@ -326,7 +326,7 @@ mod tests {
             let sim = Simulation::new(cfg());
             sim.construct(&mut b);
             drive(&sim, &mut b, &mut rt, 0, 2, Vec::new()).unwrap();
-            let replica = b.tree.replicas.as_ref().map(|r| r.image().to_vec());
+            let replica = b.tree.replicas.as_ref().map(|r| r.image().clone());
             b.tree.store.arena.crash(CrashMode::LoseDirty);
             let media = b.tree.store.arena.clone_media();
             for image in std::iter::once(media).chain(replica) {
