@@ -184,10 +184,11 @@ cargo test --release -p pmoctree-cluster --lib rank::tests::full_range_rank_step
 # One-kernel / one-census gates: a refine/coarsen/set-data meets the c1
 # COW routines in exactly one place outside c1.rs (`PmOctree::apply_op`,
 # the per-op API's body; a batch is that API in a loop, seeding and all),
-# and the Fig. 3 overlap and the replica delta are read off the GC mark
-# walk (the model checks the census), a seeding refine against the
-# eviction line, in optimized builds. The replaced copies and the two
-# caller-less subsystems must be gone, not kept beside them.
+# and the Fig. 3 overlap and the replica delta are read off the
+# collection's counters (the model holds them to a mark walk of the
+# published version), a seeding refine against the eviction line, in
+# optimized builds. The replaced copies and the two caller-less
+# subsystems must be gone, not kept beside them.
 cargo test --release -p pm-octree --lib api::tests::seeding_stays_under_the_eviction_line -q
 for call in 'c1::refine(' 'c1::coarsen(' 'c1::update_data('; do
     sites=$(sed '/^#\[cfg(test)\]/,$d' crates/pm-octree/src/api.rs | grep -c "$call" || true)
@@ -201,6 +202,22 @@ if [ -e crates/cluster/src/replica_sched.rs ]; then
     echo "crates/cluster/src/replica_sched.rs is back (it had no non-test caller)" >&2
     exit 1
 fi
+# A time step does not re-walk the tree: `adapt` takes both votes in one
+# leaf sweep (a quiet pass reads exactly one sweep's lines; no family
+# refined in a pass is coarsened in it, alike on all three backends), and
+# persist frees what the step retired — it reads nothing for the leaves
+# the step left alone, on-demand GC keeps what V_{i-1} reaches, and a
+# persist out of room retires its partial image — with the registry held
+# to a mark walk after every model step. The owned leaves of 2- and
+# 4-rank PM clusters on 1 and 2 workers tile the domain 2:1 after every
+# step. In optimized builds; no whole-tree mark in persist or on-demand GC.
+cargo test --release -p pmoctree-amr --test prop_backends adapt_ -q
+cargo test --release -p pm-octree --lib gc::tests -q
+cargo test --release -p pm-octree --lib api::tests::persist_reads_what_the_step_changed -q
+cargo test --release -p pm-octree --lib api::tests::on_demand_gc_frees_only_what_the_previous_version_cannot_reach -q
+cargo test --release -p pm-octree --lib api::tests::a_persist_out_of_room_keeps_what_it_merged_and_retires_the_rest -q
+cargo test --release -p pmoctree-cluster --test prop_partition -q
+no_fork 'gc::mark' crates/pm-octree/src/api.rs crates/pm-octree/src/c1.rs
 # One-Morton-path / zero-unsafe gate: the batch entry points are loops
 # over the per-key calculus (held to it in optimized builds, where the
 # shifts and asserts are what ships), and nothing under crates/ or compat/

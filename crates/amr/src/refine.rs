@@ -42,20 +42,35 @@ pub struct AdaptReport {
 /// (below the cap), then coarsen every family whose 8 children all vote
 /// [`Target::Coarsen`] and whose merge is 2:1-legal.
 ///
+/// The mesh is read once: one leaf sweep takes both kinds of vote, so
+/// every vote is cast on the mesh as the pass found it. That makes the
+/// pass's one rule: **no family refined in a pass is coarsened in that
+/// pass.** The families that can be coarsened are the ones whose 8
+/// children were leaves at the sweep, so their parent was interior and
+/// neither a vote nor the 2:1 ripple refined it; the children of a leaf
+/// split this pass cast no vote. A voting family that lost a leaf to the
+/// ripple is offered all the same, and [`can_coarsen_many`] rejects it
+/// (a child is no longer a leaf).
+///
 /// Both phases run through the backend's batched mutators
-/// ([`OctreeBackend::refine_many`] / [`OctreeBackend::coarsen_many`]).
-/// The mesh is the same as the former one-key-at-a-time pass: the 2:1
-/// closure of a refinement set is unique, and same-level coarsen families
-/// are 2:1-independent of each other.
+/// ([`OctreeBackend::refine_many`] / [`OctreeBackend::coarsen_many`]):
+/// the 2:1 closure of a refinement set is unique, and same-level coarsen
+/// families are 2:1-independent of each other.
 pub fn adapt(b: &mut dyn OctreeBackend, criterion: &dyn AdaptCriterion) -> AdaptReport {
     let mut report = AdaptReport::default();
-    // --- refinement phase ---
+    // One sweep, both votes; a family merges only unanimously.
     let mut to_refine = Vec::new();
-    b.for_each_leaf(&mut |k, d| {
-        if k.level() < criterion.max_level() && criterion.target(&k, d) == Target::Refine {
-            to_refine.push(k);
+    let mut votes: std::collections::HashMap<OctKey, u8> = std::collections::HashMap::new();
+    b.for_each_leaf(&mut |k, d| match criterion.target(&k, d) {
+        Target::Refine if k.level() < criterion.max_level() => to_refine.push(k),
+        Target::Coarsen => {
+            if let Some(p) = k.parent() {
+                *votes.entry(p).or_insert(0) += 1;
+            }
         }
+        _ => {}
     });
+    // --- refinement phase ---
     to_refine.sort_unstable();
     // One batched split of every voted leaf, then one incremental balance
     // sweep seeded from the new fine leaves to restore 2:1.
@@ -65,15 +80,6 @@ pub fn adapt(b: &mut dyn OctreeBackend, criterion: &dyn AdaptCriterion) -> Adapt
     report.refined += refined.len();
     balance_from(b, &refined);
     // --- coarsening phase ---
-    // Group coarsen votes by parent; a family merges only unanimously.
-    let mut votes: std::collections::HashMap<OctKey, u8> = std::collections::HashMap::new();
-    b.for_each_leaf(&mut |k, d| {
-        if k.level() > 0 && criterion.target(&k, d) == Target::Coarsen {
-            if let Some(p) = k.parent() {
-                *votes.entry(p).or_insert(0) += 1;
-            }
-        }
-    });
     let mut parents: Vec<OctKey> = votes.iter().filter(|(_, &n)| n == 8).map(|(k, _)| *k).collect();
     // Deepest first, so nested coarsening cascades within one pass.
     // Families at one level cannot affect each other's 2:1 legality

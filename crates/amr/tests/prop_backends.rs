@@ -4,8 +4,9 @@
 
 use pm_octree::{PmConfig, PmOctree};
 use pmoctree_amr::{
-    adapt, can_coarsen_many, check_balance, coarsen_balanced, refine_balanced, AdaptCriterion,
-    Cell, EtreeBackend, InCoreBackend, OctreeBackend, PmBackend, Target,
+    adapt, can_coarsen_many, check_balance, coarsen_balanced, construct_uniform, refine_balanced,
+    AdaptCriterion, AdaptReport, Cell, EtreeBackend, InCoreBackend, OctreeBackend, PmBackend,
+    Target,
 };
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::{DeviceModel, NvbmArena};
@@ -231,4 +232,100 @@ fn adapt_with_persistence_stays_in_lockstep() {
     // The PM tree saw real sharing across persists.
     assert!(pm.tree.events.persists >= 6);
     assert!(pm.tree.events.overlap_ratio() > 0.0);
+}
+
+/// A criterion that votes nothing.
+struct Quiet;
+
+impl AdaptCriterion for Quiet {
+    fn target(&self, _key: &OctKey, _d: &Cell) -> Target {
+        Target::Keep
+    }
+    fn max_level(&self) -> u8 {
+        6
+    }
+}
+
+/// One `adapt` reads the mesh once: with nothing voted, a pass over an
+/// all-NVBM tree costs exactly one leaf sweep's navigation lines (the
+/// votes ride on that sweep; refine, balance and coarsen get empty
+/// batches).
+#[test]
+fn adapt_reads_the_mesh_once() {
+    let cfg = PmConfig {
+        dynamic_transform: false,
+        seed_c0: false,
+        c0_capacity_octants: 0,
+        ..PmConfig::default()
+    };
+    let mut pm =
+        PmBackend::new(PmOctree::create(NvbmArena::new(16 << 20, DeviceModel::default()), cfg));
+    construct_uniform(&mut pm, 3);
+    pm.end_of_step(0);
+    // A current leaf index: no query in the pass rebuilds it.
+    pm.leaf_keys_sorted();
+    let lines = |b: &PmBackend| b.mem_stats().nvbm.read_lines;
+    let before = lines(&pm);
+    pm.for_each_leaf(&mut |_, _| {});
+    let sweep = lines(&pm) - before;
+    assert_eq!(sweep, 1 + 8 + 64 + 512, "one line per octant");
+    let before = lines(&pm);
+    assert_eq!(adapt(&mut pm, &Quiet), AdaptReport::default());
+    assert_eq!(lines(&pm) - before, sweep);
+}
+
+/// Refines the leaves of child 0 above level 3 and votes every other leaf
+/// at level 2 or deeper for coarsening — the children it refines among
+/// them, were they asked.
+struct Flip;
+
+impl AdaptCriterion for Flip {
+    fn target(&self, key: &OctKey, _d: &Cell) -> Target {
+        if OctKey::root().child(0).contains(key) && key.level() < 3 {
+            Target::Refine
+        } else if key.level() >= 2 {
+            Target::Coarsen
+        } else {
+            Target::Keep
+        }
+    }
+    fn max_level(&self) -> u8 {
+        3
+    }
+}
+
+/// No family refined in a pass is coarsened in that pass, on every
+/// backend alike: the votes are cast on the mesh the pass found, where
+/// the new children did not exist. Child 0 ends at level 3; of the other
+/// level-1 families, the ones with no face on child 0 coarsen.
+#[test]
+fn one_adapt_pass_never_coarsens_a_family_it_refined() {
+    let mut backends: [Box<dyn OctreeBackend>; 3] =
+        [Box::new(pm_backend()), Box::new(InCoreBackend::new()), Box::new(EtreeBackend::on_nvbm())];
+    let mut meshes = Vec::new();
+    for b in &mut backends {
+        construct_uniform(b.as_mut(), 2);
+        let report = adapt(b.as_mut(), &Flip);
+        assert_eq!(report, AdaptReport { refined: 8, coarsened: 4 }, "{}", b.name());
+        assert!(check_balance(b.as_mut()).is_none(), "{}", b.name());
+        meshes.push(leaves(b.as_mut()));
+    }
+    assert_eq!(meshes[0], meshes[1], "pm vs in-core");
+    assert_eq!(meshes[0], meshes[2], "pm vs etree");
+    let level_of = |c: usize| {
+        let mut levels: Vec<u8> = meshes[0]
+            .iter()
+            .filter(|(k, _)| OctKey::root().child(c).contains(k))
+            .map(|(k, _)| k.level())
+            .collect();
+        levels.dedup();
+        levels
+    };
+    assert_eq!(level_of(0), vec![3]);
+    for c in [1, 2, 4] {
+        assert_eq!(level_of(c), vec![2], "child {c} has a face on child 0");
+    }
+    for c in [3, 5, 6, 7] {
+        assert_eq!(level_of(c), vec![1], "child {c}");
+    }
 }

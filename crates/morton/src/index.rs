@@ -23,7 +23,8 @@
 //!
 //! The index itself is DRAM-resident; owners are responsible for charging
 //! DRAM-read costs for probes (see [`LeafIndex::lines_for_entries`] and the
-//! touched-entry counts returned by the query methods).
+//! entry-read counts returned by the query methods: every entry a scan
+//! advances over plus one candidate re-read per query).
 
 use std::collections::BTreeMap;
 
@@ -228,7 +229,10 @@ impl<const D: usize> LeafIndex<D> {
 
     /// The merge-scan under both batch queries: `queries` ascend in
     /// Z-order, `emit(j, hit)` receives the `j`-th query's entry index.
-    /// Returns the number of index entries the scan advanced over.
+    /// Returns the number of entry reads it makes: every entry it advances
+    /// over, plus one re-read of the candidate (the entry just before the
+    /// scan position, tested for containment) per query that has one — so
+    /// a dense batch of `n` queries, one per entry, counts `2n`.
     fn merge_scan<'q>(
         &self,
         queries: impl Iterator<Item = &'q Key<D>>,
@@ -254,8 +258,9 @@ impl<const D: usize> LeafIndex<D> {
 
     /// Resolve a Z-order-ascending batch of queries in one merge-scan.
     ///
-    /// Returns per-query `Option<entry_index>` plus the number of index
-    /// entries the scan advanced over (for DRAM cost charging). Queries
+    /// Returns per-query `Option<entry_index>` plus the scan's entry-read
+    /// count (for DRAM cost charging): the entries it advanced over and
+    /// one candidate re-read per query that has a candidate. Queries
     /// **must** be sorted ascending (checked in debug builds); duplicates
     /// are fine.
     ///
@@ -274,9 +279,9 @@ impl<const D: usize> LeafIndex<D> {
     /// Resolve a batch of queries given in any order: Z-order argsort,
     /// one merge-scan over the keys in that order, each result stored
     /// where its key stands, so `out[i]` answers `keys[i]`. Returns the
-    /// per-key `Option<entry_index>` and the scan's touched-entry count
-    /// (the owner charges it) — what [`LeafIndex::resolve_sorted`] returns
-    /// on the sorted batch. Hits ascend in entry index exactly as their
+    /// per-key `Option<entry_index>` and the scan's entry-read count (the
+    /// owner charges it) — what [`LeafIndex::resolve_sorted`] returns on
+    /// the sorted batch. Hits ascend in entry index exactly as their
     /// keys ascend in Z-order.
     ///
     /// # Panics

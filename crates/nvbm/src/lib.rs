@@ -14,7 +14,7 @@
 //! * [`NvbmArena::crash`] — drop or randomly commit the dirty lines, then
 //!   let recovery code prove it can live with the result;
 //! * a [`PmemAllocator`] whose free stack is volatile and rebuilt from
-//!   the GC mark phase after a crash (no allocator logging);
+//!   the recovery scan's live set after a crash (no allocator logging);
 //! * one sealed **commit record** per publication ([`CommitRecord`]),
 //!   written to the header slot the committed record does not occupy, so
 //!   a torn publication leaves the previous one recoverable;

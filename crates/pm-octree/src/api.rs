@@ -62,7 +62,7 @@ pub enum PmError {
     /// The NVBM device is full. The failed mutation left nothing
     /// half-linked: COW paths allocate every copy before the single
     /// publication write, so the pre-mutation version stays intact and
-    /// restorable; orphaned copies are ordinary GC garbage.
+    /// restorable; orphaned copies are retired like any unlinked octant.
     Full(String),
 }
 
@@ -176,6 +176,7 @@ impl PmOctree {
         let bump = store.alloc.bump();
         store.arena.next = CommitRecord { epoch: 1, root, bump, ..store.arena.next };
         store.arena.publish();
+        store.shared = store.registry.len();
         let replicas = cfg.replicas.then(|| {
             let mut r = ReplicaSet::new();
             r.full_sync(&mut store.arena);
@@ -522,13 +523,16 @@ impl PmOctree {
             return Err(PmError::NotALeaf(format!("{key:?}")));
         };
         let id = self.register_c0(C0Tree::new(key, data), p);
-        self.current_root = c1::replace_slot(
-            &mut self.store,
-            self.current_root,
-            key,
-            ChildPtr::Volatile(id),
-            self.epoch,
-        )?;
+        let (store, epoch) = (&mut self.store, self.epoch);
+        match c1::replace_slot(store, self.current_root, key, ChildPtr::Volatile(id), epoch) {
+            Ok(root) => self.current_root = root,
+            Err(e) => {
+                // No room for the path copy: the leaf stays in NVBM.
+                self.forest.remove(id);
+                self.set_shadow(id, POffset::NULL);
+                return Err(e);
+            }
+        }
         Ok(())
     }
 
@@ -764,6 +768,11 @@ impl PmOctree {
     /// version, but the run should be treated as failed: the hook's own
     /// volatile state (e.g. a `pm-rt` instance that died mid-commit) must
     /// be discarded and re-restored.
+    ///
+    /// A merge that runs out of room returns [`PmError::Full`] before the
+    /// flush, with nothing published: the DRAM subtrees merged so far
+    /// stay linked in NVBM and leave DRAM, as evictions would; the others
+    /// stay.
     pub fn persist_with_hook(&mut self, hook: &mut PersistHook<'_>) -> Result<(), PmError> {
         // Span taxonomy mirrors the failpoint labels one-to-one; the
         // guards close in reverse order on every early (error) return,
@@ -797,7 +806,19 @@ impl PmOctree {
         let mut merged_offsets: Vec<(u32, POffset)> = Vec::with_capacity(ids.len());
         let mut root = self.current_root;
         for id in &ids {
-            let (linked, off, merged) = self.link_c0_image(*id, root)?;
+            let (linked, off, merged) = match self.link_c0_image(*id, root) {
+                Ok(linked) => linked,
+                Err(e) => {
+                    // The subtrees merged so far are in NVBM under `root`:
+                    // adopt it and let them go, as evictions would.
+                    self.current_root = root;
+                    for (id, _) in merged_offsets {
+                        self.forest.remove(id);
+                        self.set_shadow(id, POffset::NULL);
+                    }
+                    return Err(e);
+                }
+            };
             root = linked;
             self.events.merges += u64::from(merged);
             merged_offsets.push((*id, off));
@@ -837,13 +858,14 @@ impl PmOctree {
         self.store.arena.publish();
         self.store.arena.failpoint("persist::root_swap");
         drop(span_swap);
-        // (5) The previous version is now garbage; reclaim it. The mark
-        // walk doubles as the census of the version just published: the
-        // Fig. 3 overlap (shared = older than this epoch) and the octants
+        // (5) The previous version is now garbage: free what this epoch
+        // retired. The registry is then the version just published, and
+        // its counters are the census: the Fig. 3 overlap (shared = older
+        // than this epoch) and, after the shared prefix, the octants
         // created this epoch.
         self.prev_root = root;
         self.current_root = root;
-        let (report, fresh) = gc::collect(&mut self.store, &[root], self.epoch);
+        let report = gc::collect(&mut self.store);
         self.events.gc_runs += 1;
         self.events.last_gc = Some(report);
         self.events.last_overlap = Some((report.live, report.shared));
@@ -853,13 +875,15 @@ impl PmOctree {
             self.store.arena.set_phase("replica::ship");
             let _span_ship = self.store.arena.span("replica::ship");
             self.store.arena.failpoint("replica::ship");
-            r.push_delta(&mut self.store.arena, &fresh, &extra_regions);
+            let fresh = &self.store.registry[report.shared..];
+            r.push_delta(&mut self.store.arena, fresh, &extra_regions);
             self.replicas = Some(r);
         }
         // (7) New working epoch; everything persisted is now shared.
         self.store.arena.set_phase("persist::reattach");
         let span_reattach = self.store.arena.span("persist::reattach");
         self.epoch += 1;
+        self.store.shared = self.store.registry.len();
         // (8) Re-attach the retained DRAM subtrees to the working tree
         //     and remember their merged images as diff shadows.
         self.shadows = Vec::new();
@@ -936,10 +960,9 @@ impl PmOctree {
             }
             self.events.evictions += 1;
         }
-        // NVBM pressure: on-demand GC.
+        // NVBM pressure: on-demand GC of what `V_{i-1}` cannot reach.
         if self.store.alloc.available_fraction() < THRESHOLD_NVBM {
-            let roots = [self.current_root, self.prev_root];
-            let (report, _) = gc::collect(&mut self.store, &roots, self.epoch);
+            let report = gc::collect_fresh(&mut self.store, self.epoch);
             self.events.gc_runs += 1;
             self.events.last_gc = Some(report);
         }
@@ -947,7 +970,7 @@ impl PmOctree {
 
     /// Merge one C0 subtree out to C1 and drop it from the forest. On
     /// [`PmError::Full`] the forest keeps the subtree (the merge's
-    /// partial copies are ordinary GC garbage) and the tree is unchanged.
+    /// partial copies are retired) and the tree is unchanged.
     pub(crate) fn evict_c0(&mut self, id: u32) -> Result<(), PmError> {
         let _span = self.store.arena.span("c0::evict");
         let prev_phase = self.store.arena.set_phase("c0::evict");
@@ -971,8 +994,10 @@ impl PmOctree {
     /// tree's subtree key (persist merge and eviction alike). A clean tree
     /// with a shadow re-links the shadow, which is still exact, without
     /// reading a single octant; any other is diff-merged against its
-    /// shadow. Returns the new root, the linked image, and whether a merge
-    /// ran.
+    /// shadow, and the shadow octants the image does not reuse are retired
+    /// once it is linked. Returns the new root, the linked image, and
+    /// whether a merge ran. On [`PmError::Full`] the shadow stays the
+    /// tree's and the partial image is retired.
     fn link_c0_image(
         &mut self,
         id: u32,
@@ -982,13 +1007,16 @@ impl PmOctree {
         let t = self.forest.get(id);
         let key = t.subtree_key;
         let merge = t.dirty || shadow.is_null();
-        let off = if merge {
+        let (off, dropped) = if merge {
             let octants = t.collect();
             c1::merge_subtree(&mut self.store, &octants, shadow.opt(), self.epoch)?
         } else {
-            shadow
+            (shadow, Vec::new())
         };
+        // The slot's path is exclusive — the `replace_slot` that put the
+        // handle there copied it this epoch — so linking allocates nothing.
         let root = c1::replace_slot(&mut self.store, root, key, ChildPtr::Nvbm(off), self.epoch)?;
+        self.store.retired.extend(dropped);
         Ok((root, off, merge))
     }
 }
@@ -1277,6 +1305,117 @@ mod tests {
         }
         assert_eq!(t.c0_subtree_keys(), vec![OctKey::root().child(0)]);
         assert_eq!(t.leaf_count(), 64);
+    }
+
+    /// Refine breadth-first from `frontier` while `more` says so; the
+    /// keys refined, in order.
+    fn fill(
+        t: &mut PmOctree,
+        frontier: &[OctKey],
+        more: impl Fn(&PmOctree) -> bool,
+    ) -> Vec<OctKey> {
+        let mut frontier: std::collections::VecDeque<OctKey> = frontier.iter().copied().collect();
+        let mut refined = Vec::new();
+        while more(t) {
+            let k = frontier.pop_front().unwrap();
+            if t.refine(k).is_err() {
+                break;
+            }
+            refined.push(k);
+            frontier.extend(k.children());
+        }
+        refined
+    }
+
+    #[test]
+    fn persist_reads_what_the_step_changed() {
+        // N leaves in NVBM; a step rewrites k of them. Outside its merge
+        // (there is none without a DRAM tier) the persist reads nothing
+        // for the N - k it did not touch: no mark walk.
+        let cfg = PmConfig { seed_c0: false, c0_capacity_octants: 0, ..small_cfg() };
+        let mut t = PmOctree::create(arena(), cfg);
+        fill(&mut t, &[OctKey::root()], |t| t.leaf_count() < 4096);
+        t.persist();
+        let (n, k) = (t.leaf_count(), 8);
+        assert_eq!(n, 4096);
+        for key in t.leaf_keys_sorted().into_iter().step_by(n / k) {
+            t.set_data(key, CellData { phi: 1.0, ..Default::default() }).unwrap();
+        }
+        let before = t.store.arena.stats.nvbm.read_lines;
+        t.persist();
+        let reads = t.store.arena.stats.nvbm.read_lines - before;
+        assert!(reads <= k as u64, "{reads} lines read to persist {k} of {n} leaves");
+        // The census still counts the whole version: 4681 octants, of
+        // which the 8 leaves and their paths (5 levels, the root and the
+        // level-1 octants shared by several) are new.
+        let (live, shared) = t.events.last_overlap.unwrap();
+        assert_eq!(live, 4681);
+        assert_eq!(live - shared, 1 + 8 + 8 + 8 + 8);
+    }
+
+    #[test]
+    fn on_demand_gc_frees_only_what_the_previous_version_cannot_reach() {
+        let cfg = PmConfig { seed_c0: false, c0_capacity_octants: 0, ..small_cfg() };
+        // No flight-recorder ring, so the device fills past threshold_NVBM.
+        let device = NvbmArena::new_with_recorder(64 << 10, DeviceModel::default(), 0);
+        let mut t = PmOctree::create(device, cfg);
+        let refined =
+            fill(&mut t, &[OctKey::root()], |t| t.store.alloc.available_fraction() > 0.06);
+        t.persist();
+        let persisted = t.leaves_sorted();
+        let leaf = refined.last().unwrap().child(7);
+        // Below threshold_NVBM every mutation collects on demand. The
+        // rewrite copies a shared path: V_{i-1} still holds the
+        // originals, so the collection after the refine keeps them.
+        t.set_data(leaf, CellData { phi: 2.0, ..Default::default() }).unwrap();
+        let runs = t.events.gc_runs;
+        t.refine(leaf).unwrap();
+        assert_eq!(t.events.gc_runs, runs + 1);
+        assert_eq!(t.events.last_gc.unwrap().freed, 0);
+        crate::verify::check_registry(&mut t).unwrap();
+        // A refinement the step takes back is garbage at once.
+        t.coarsen(leaf).unwrap();
+        assert_eq!(t.events.last_gc.unwrap().freed, 8);
+        crate::verify::check_registry(&mut t).unwrap();
+        t.store.arena.crash(CrashMode::LoseDirty);
+        let image = t.store.arena.clone_media();
+        let mut r =
+            PmOctree::restore(NvbmArena::from_media(image, DeviceModel::default()), cfg).unwrap();
+        assert_eq!(r.leaves_sorted(), persisted, "V_{{i-1}} lost an octant");
+    }
+
+    #[test]
+    fn a_persist_out_of_room_keeps_what_it_merged_and_retires_the_rest() {
+        // Two DRAM subtrees: A (9 octants) fits the room left, B (73) not.
+        let cfg = PmConfig { c0_capacity_octants: 256, ..small_cfg() };
+        // No flight-recorder ring: the coarsens below collect on demand.
+        let device = NvbmArena::new_with_recorder(64 << 10, DeviceModel::default(), 0);
+        let mut t = PmOctree::create(device, cfg);
+        t.refine(OctKey::root()).unwrap();
+        t.persist();
+        let (a, b) = (OctKey::root().child(0), OctKey::root().child(1));
+        t.refine(a).unwrap();
+        t.refine(b).unwrap();
+        for i in 0..8 {
+            t.refine(b.child(i)).unwrap();
+        }
+        assert_eq!((t.c0_subtree_keys(), t.c0_octants()), (vec![a, b], 9 + 73));
+        // Fill NVBM elsewhere until a refine is refused, then take two
+        // of its refinements back: 16 octants of room.
+        t.cfg.seed_c0 = false;
+        let rest: Vec<OctKey> = (2..8).map(|i| OctKey::root().child(i)).collect();
+        let refined = fill(&mut t, &rest, |_| true);
+        for &k in refined.iter().rev().take(2) {
+            t.coarsen(k).unwrap();
+        }
+        let leaves = t.leaves_sorted();
+        let r = t.persist_with_hook(&mut |_| Ok(Vec::new()));
+        assert!(matches!(r, Err(PmError::Full(_))), "{r:?}");
+        // A's image is linked and A left DRAM, as an eviction would; B
+        // stays, its shadow its own, and its partial image is retired.
+        assert_eq!(t.c0_subtree_keys(), vec![b]);
+        assert_eq!(t.leaves_sorted(), leaves);
+        crate::verify::check_registry(&mut t).unwrap();
     }
 
     #[test]

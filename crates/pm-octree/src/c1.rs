@@ -14,10 +14,10 @@
 //! 3. **Deletion writes only the parent.** Unlinking rewrites the
 //!    (exclusive) parent's links and nothing else: the unlinked octant,
 //!    shared or exclusive, is left as it is. A shared one is still
-//!    `V_{i-1}`'s; either kind is reclaimed by the next GC mark that no
-//!    longer reaches it from a root ([`crate::gc`]). Nothing recovery
-//!    reads lives in an unlinked octant, so there is nothing to store
-//!    there.
+//!    `V_{i-1}`'s. The site that unlinks an octant retires it, stamp and
+//!    all, from the line it already holds ([`PmStore::retire`]); GC frees
+//!    it once no version needs it ([`crate::gc`]). Nothing recovery reads
+//!    lives in an unlinked octant, so there is nothing to store there.
 //! 4. **Only refine and coarsen move a payload, and only on an exclusive
 //!    octant.** A leaf keeps its payload in the bytes an interior octant
 //!    keeps its links in (layout v3, [`crate::octant`]), so turning one
@@ -55,14 +55,14 @@
 //! all before anything is copied — a refusal stores nothing;
 //! allocation exhaustion surfaces as [`PmError::Full`] *before* any
 //! publication write, so the pre-mutation version stays reachable and the
-//! partially-allocated copies are unreachable garbage for GC. The
+//! partially-allocated copies are unreachable — and retired. The
 //! functions take the [`PmStore`] over the live arena.
 
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::POffset;
 
 use crate::api::PmError;
-use crate::octant::{CellData, ChildPtr, NavLine, Octant, PmStore, FANOUT};
+use crate::octant::{CellData, ChildPtr, NavLine, Octant, PmStore, Retired, FANOUT};
 
 /// Outcome of a root walk towards `key`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -220,10 +220,14 @@ fn descend(store: &mut PmStore, root: POffset, key: OctKey) -> Result<Vec<Frame>
 /// payload line is read for. A copy is unreachable until the
 /// publication, so `V_{i-1}` cannot tell how it was put together.
 ///
+/// Each original a copy supersedes is retired: the publication unlinks it
+/// from the working version (a copied root, once the caller adopts the
+/// root it returns — every caller does).
+///
 /// On [`PmError::Full`] no link has been published: the copies allocated
-/// so far are unreachable and the tree is unchanged — but the frames
-/// below the failed copy already name those orphans, so the caller must
-/// drop the stack.
+/// so far are unreachable (retired in place of the originals) and the
+/// tree is unchanged — but the frames below the failed copy already name
+/// those orphans, so the caller must drop the stack.
 fn make_exclusive(
     store: &mut PmStore,
     frames: &mut [Frame],
@@ -238,6 +242,7 @@ fn make_exclusive(
     if first_shared == frames.len() {
         return Ok(None);
     }
+    let (allocated, listed) = (store.registry.len(), store.retired.len());
     let mut below: Option<(usize, POffset)> = None;
     for frame in frames[first_shared..].iter_mut().rev() {
         let mut children = frame.nav.children;
@@ -250,7 +255,15 @@ fn make_exclusive(
             epoch,
             data: payload.take().unwrap_or_else(|| store.payload(frame.off, &frame.nav)),
         };
-        let off = store.alloc_octant(&copy)?;
+        let off = match store.alloc_octant(&copy) {
+            Ok(off) => off,
+            Err(e) => {
+                store.retired.truncate(listed);
+                store.retire_since(allocated, epoch);
+                return Err(e);
+            }
+        };
+        store.retire(frame.nav.epoch, frame.off);
         frame.off = off;
         frame.nav.epoch = epoch;
         below = Some((frame.slot, off));
@@ -329,7 +342,9 @@ fn store_payload(
 /// non-leaf is refused ([`PmError::NotALeaf`]) before anything is copied.
 ///
 /// All eight children are allocated before the parent turns interior, so
-/// a [`PmError::Full`] mid-way leaves the leaf a leaf.
+/// a [`PmError::Full`] mid-way leaves the leaf a leaf: the children so far
+/// are retired, and so is a copied root with the path below it — the
+/// caller keeps `root`, and with it the originals.
 pub fn refine(
     store: &mut PmStore,
     root: POffset,
@@ -340,27 +355,39 @@ pub fn refine(
     let Some(data) = frames[frames.len() - 1].nav.leaf else {
         return Err(PmError::NotALeaf(format!("{key:?}")));
     };
-    let (root, leaf) = own(store, root, frames, epoch)?;
+    let (allocated, listed) = (store.registry.len(), store.retired.len());
+    let (new_root, leaf) = own(store, root, frames, epoch)?;
+    let copied = store.registry.len();
     let mut cs = [ChildPtr::Null; FANOUT];
     for (i, slot) in cs.iter_mut().enumerate() {
         let o = Octant::leaf(key.child(i), epoch, data);
-        let p = store.alloc_octant(&o)?;
-        *slot = ChildPtr::Nvbm(p);
+        match store.alloc_octant(&o) {
+            Ok(p) => *slot = ChildPtr::Nvbm(p),
+            Err(e) if new_root == root => {
+                store.retire_since(copied, epoch);
+                return Err(e);
+            }
+            Err(e) => {
+                store.retired.truncate(listed);
+                store.retire_since(allocated, epoch);
+                return Err(e);
+            }
+        }
     }
     // The payload to line 1, then the links over the bytes it held.
     store.set_children(leaf.off, &cs, &data);
-    Ok(root)
+    Ok(new_root)
 }
 
 /// Coarsen the NVBM octant at `key`: unlink its children (which must all
 /// be NVBM leaves), making it a leaf. The children themselves are not
 /// written — shared ones stay `V_{i-1}`'s, exclusive ones are garbage the
-/// moment the parent's links are gone. Every refusal comes off the one
-/// walk before anything is copied: a leaf ([`PmError::NotALeaf`]) off the
-/// frame it ended on, a child that is not an NVBM leaf
-/// ([`PmError::NotCoarsenable`]) off the children's lines, read through
-/// that frame's links — so a refused coarsen stores and allocates
-/// nothing, at any epoch.
+/// moment the parent's links are gone; both kinds are retired. Every
+/// refusal comes off the one walk before anything is copied: a leaf
+/// ([`PmError::NotALeaf`]) off the frame it ended on, a child that is not
+/// an NVBM leaf ([`PmError::NotCoarsenable`]) off the children's lines,
+/// read through that frame's links — so a refused coarsen stores and
+/// allocates nothing, at any epoch.
 pub fn coarsen(
     store: &mut PmStore,
     root: POffset,
@@ -385,7 +412,7 @@ pub fn coarsen(
                         OctKey::from_raw(nav.code, nav.level)
                     )));
                 };
-                *kid = Some(d);
+                *kid = Some((nav.epoch, c, d));
             }
             ChildPtr::Null => {}
             ChildPtr::Volatile(id) => {
@@ -395,10 +422,13 @@ pub fn coarsen(
             }
         }
     }
-    let mean = CellData::restrict(kids.iter().flatten());
+    let mean = CellData::restrict(kids.iter().flatten().map(|(_, _, d)| d));
     let (root, node) = own(store, root, frames, epoch)?;
     // The mean over the links, then the null mask.
     store.set_children(node.off, &[ChildPtr::Null; FANOUT], &mean);
+    for (stamp, c, _) in kids.into_iter().flatten() {
+        store.retire(stamp, c);
+    }
     Ok(root)
 }
 
@@ -423,6 +453,9 @@ pub fn update_data(
 /// parent stays interior, so its mask and payload stay where they are —
 /// filling or emptying a slot is refine's and coarsen's business. Returns
 /// the possibly-new root.
+///
+/// An NVBM octant the slot held is not retired: every caller hands it to
+/// the DRAM subtree the slot now names, as that subtree's shadow.
 pub fn replace_slot(
     store: &mut PmStore,
     root: POffset,
@@ -514,7 +547,11 @@ pub fn sweep_leaves(
 /// Merge a pre-order list of (key, data, is_leaf) octants — a C0 subtree —
 /// into NVBM, *diffing against the shadow subtree* (the NVBM image this
 /// region had at the last persist) so unchanged octants are shared rather
-/// than rewritten. Returns the ChildPtr for the subtree root.
+/// than rewritten. Returns the image's root, and the retirement entries
+/// for the shadow octants the image does not reuse: the caller retires
+/// them once it links the image (until then they are still the DRAM
+/// subtree's shadow). On [`PmError::Full`] the partial image is retired
+/// instead.
 ///
 /// Sharing rule: an old octant is reused iff its payload is bit-identical
 /// and every child slot resolved to the same offset (i.e. the entire
@@ -525,26 +562,39 @@ pub fn merge_subtree(
     octants: &[(OctKey, CellData, bool)],
     shadow: Option<POffset>,
     epoch: u32,
-) -> Result<POffset, PmError> {
+) -> Result<(POffset, Vec<Retired>), PmError> {
     if octants.is_empty() {
         return Err(PmError::Corrupt("merging an empty subtree".to_string()));
     }
-    let (off, _shared, consumed) = merge_rec(store, octants, 0, shadow, epoch)?;
-    debug_assert_eq!(consumed, octants.len(), "pre-order list not fully consumed");
-    Ok(off)
+    let allocated = store.registry.len();
+    let mut dropped = Vec::new();
+    match merge_rec(store, octants, 0, shadow, epoch, &mut dropped) {
+        Ok((off, _shared, consumed)) => {
+            debug_assert_eq!(consumed, octants.len(), "pre-order list not fully consumed");
+            Ok((off, dropped))
+        }
+        Err(e) => {
+            store.retire_since(allocated, epoch);
+            Err(e)
+        }
+    }
 }
 
 /// Returns (offset, was_shared, entries_consumed). A shadow octant costs
 /// one navigation-line read — its links seed the children's shadows and
 /// settle "same structure", and a leaf's payload comes with it — and an
 /// interior octant's payload line only when everything else already says
-/// it can be shared.
+/// it can be shared. A shadow octant the image does not reuse goes to
+/// `dropped`, and so does the subtree under a shadow link the C0 subtree
+/// has no octant for: whole and unread when the shadow octant is older
+/// than `epoch` (so is all of it), else one more line per octant.
 fn merge_rec(
     store: &mut PmStore,
     octants: &[(OctKey, CellData, bool)],
     at: usize,
     shadow: Option<POffset>,
     epoch: u32,
+    dropped: &mut Vec<Retired>,
 ) -> Result<(POffset, bool, usize), PmError> {
     let (key, data, is_leaf) = octants[at];
     let shadow = shadow.map(|s| (s, store.nav_line(s)));
@@ -565,14 +615,24 @@ fn merge_rec(
                 _ => None,
             });
             let (coff, cshared, ccons) =
-                merge_rec(store, octants, at + consumed, child_shadow, epoch)?;
+                merge_rec(store, octants, at + consumed, child_shadow, epoch, dropped)?;
             children[idx] = ChildPtr::Nvbm(coff);
             all_children_shared &= cshared;
             consumed += ccons;
         }
     }
-    // Try to share the shadow octant.
+    // Try to share the shadow octant; what the image does not reuse of
+    // the shadow is dropped.
     if let Some((s, old)) = shadow {
+        for (c, merged) in old.children.into_iter().zip(children) {
+            if let (ChildPtr::Nvbm(c), ChildPtr::Null) = (c, merged) {
+                if old.epoch < epoch {
+                    dropped.push(Retired { stamp: old.epoch, off: c, whole: true });
+                } else {
+                    drop_subtree(store, c, dropped);
+                }
+            }
+        }
         let same_octant = all_children_shared
             && old.children == children
             && (old.code, old.level) == (key.raw(), key.level());
@@ -586,10 +646,25 @@ fn merge_rec(
                 return Ok((s, true, consumed));
             }
         }
+        dropped.push(Retired { stamp: old.epoch, off: s, whole: false });
     }
     let o = Octant { children, key, epoch, data };
     let off = store.alloc_octant(&o)?;
     Ok((off, false, consumed))
+}
+
+/// Push every octant of the shadow subtree under `p` to `dropped`: one
+/// navigation-line read each.
+fn drop_subtree(store: &mut PmStore, p: POffset, dropped: &mut Vec<Retired>) {
+    let mut stack = vec![p];
+    while let Some(p) = stack.pop() {
+        let nav = store.nav_line(p);
+        dropped.push(Retired { stamp: nav.epoch, off: p, whole: false });
+        stack.extend(nav.children.iter().filter_map(|c| match *c {
+            ChildPtr::Nvbm(q) => Some(q),
+            _ => None,
+        }));
+    }
 }
 
 /// Collect an NVBM subtree into a pre-order (key, data) list (used when
@@ -946,7 +1021,7 @@ mod tests {
         assert_eq!((stats.read_lines - reads, stats.write_lines - writes, stores), (9, 2, 2));
         assert_eq!(images(&mut s, &children), before, "an unlinked child was written");
         assert_eq!(s.nav_line(root).mask, 0);
-        assert_eq!(crate::gc::collect(&mut s, &[root], 1).0.freed, 8);
+        assert_eq!(crate::gc::collect(&mut s).freed, 8);
     }
 
     #[test]
@@ -1171,17 +1246,21 @@ mod tests {
             std::iter::once((sub_key, CellData::default(), false))
                 .chain((0..8).map(|i| (sub_key.child(i), CellData::default(), true)))
                 .collect();
-        let shadow = merge_subtree(&mut s, &octants, None, 1).unwrap();
+        let (shadow, _) = merge_subtree(&mut s, &octants, None, 1).unwrap();
         // Re-merge identical content at epoch 2 against the shadow.
         let merged = merge_subtree(&mut s, &octants, Some(shadow), 2).unwrap();
-        assert_eq!(merged, shadow, "identical subtree must be fully shared");
-        // Change one leaf's data: only the path to it should be new.
+        assert_eq!(merged, (shadow, vec![]), "identical subtree must be fully shared");
+        // Change one leaf's data: only the path to it should be new, and
+        // the two shadow octants it replaces are what the image drops.
         let mut octants2 = octants.clone();
         octants2[3].1.phi = 1.5;
         let alloc_before = s.registry.len();
-        let merged2 = merge_subtree(&mut s, &octants2, Some(shadow), 2).unwrap();
+        let (merged2, dropped) = merge_subtree(&mut s, &octants2, Some(shadow), 2).unwrap();
         assert_ne!(merged2, shadow);
         assert_eq!(s.registry.len() - alloc_before, 2, "new leaf + new subtree root only");
+        let old_leaf = s.registry[alloc_before - 7];
+        let dropped_octant = |off| Retired { stamp: 1, off, whole: false };
+        assert_eq!(dropped, vec![dropped_octant(old_leaf), dropped_octant(shadow)]);
         let census = crate::gc::mark(&mut s, &[merged2], 2);
         assert_eq!(census.live.len(), 9);
         assert_eq!(census.shared, 7);
@@ -1203,13 +1282,13 @@ mod tests {
             }
         }
         let n = octants.len() as u64;
-        let shadow = merge_subtree(&mut s, &octants, None, 1).unwrap();
+        let (shadow, _) = merge_subtree(&mut s, &octants, None, 1).unwrap();
         let reads = |s: &PmStore| s.arena.stats.nvbm.read_lines;
         // Fully shared: the navigation line of every shadow octant — a
         // leaf's payload with it — and the payload line of the 3 interior
         // ones, each once, and not a store.
         let (before, writes) = (reads(&s), s.arena.stats.nvbm.write_lines);
-        assert_eq!(merge_subtree(&mut s, &octants, Some(shadow), 2), Ok(shadow));
+        assert_eq!(merge_subtree(&mut s, &octants, Some(shadow), 2), Ok((shadow, vec![])));
         assert_eq!(reads(&s) - before, n + 3);
         assert_eq!(s.arena.stats.nvbm.write_lines, writes);
         // One payload differs: its ancestors' payload lines are not read
@@ -1217,7 +1296,8 @@ mod tests {
         let mut changed = octants.clone();
         changed[4].1.phi = -1.0; // a leaf under child 2: depth 2 in the subtree
         let before = reads(&s);
-        assert_ne!(merge_subtree(&mut s, &changed, Some(shadow), 2), Ok(shadow));
+        let (merged, _) = merge_subtree(&mut s, &changed, Some(shadow), 2).unwrap();
+        assert_ne!(merged, shadow);
         assert_eq!(reads(&s) - before, n + 1);
     }
 
@@ -1229,7 +1309,7 @@ mod tests {
             std::iter::once((sub_key, CellData::default(), false))
                 .chain((0..8).map(|i| (sub_key.child(i), CellData::default(), true)))
                 .collect();
-        let shadow = merge_subtree(&mut s, &flat, None, 1).unwrap();
+        let (shadow, _) = merge_subtree(&mut s, &flat, None, 1).unwrap();
         // Refine child 0 in the new version.
         let mut deep = vec![
             (sub_key, CellData::default(), false),
@@ -1237,11 +1317,39 @@ mod tests {
         ];
         deep.extend((0..8).map(|i| (sub_key.child(0).child(i), CellData::default(), true)));
         deep.extend((1..8).map(|i| (sub_key.child(i), CellData::default(), true)));
-        let merged = merge_subtree(&mut s, &deep, Some(shadow), 2).unwrap();
+        let (merged, dropped) = merge_subtree(&mut s, &deep, Some(shadow), 2).unwrap();
         assert_ne!(merged, shadow);
         let census = crate::gc::mark(&mut s, &[merged], 2);
         assert_eq!(census.live.len(), 17);
         assert_eq!(census.shared, 7, "the 7 untouched leaves are shared");
+        assert_eq!(dropped.len(), 2, "the refined leaf and the shadow root");
+        // Coarsened back to one leaf: the whole 17-octant image is
+        // dropped. At the image's own epoch the merge reads every octant
+        // of it to list each with its stamp.
+        let reads = |s: &PmStore| s.arena.stats.nvbm.read_lines;
+        let before = reads(&s);
+        let leaf = [(sub_key, CellData::default(), true)];
+        let (_, dropped) = merge_subtree(&mut s, &leaf, Some(merged), 2).unwrap();
+        assert_eq!(reads(&s) - before, 17);
+        assert!(dropped.iter().all(|e| !e.whole));
+        let mut dropped: Vec<POffset> = dropped.into_iter().map(|e| e.off).collect();
+        let mut image: Vec<POffset> = census.live.iter().copied().collect();
+        dropped.sort_unstable();
+        image.sort_unstable();
+        assert_eq!(dropped, image);
+        // A later epoch reads the shadow root alone and lists its 8 child
+        // subtrees whole (older than the merge, and so all of them); the
+        // persist's collection walks them, one line per octant.
+        let before = reads(&s);
+        let (_, dropped) = merge_subtree(&mut s, &leaf, Some(merged), 3).unwrap();
+        assert_eq!(reads(&s) - before, 1);
+        assert_eq!(dropped.iter().filter(|e| e.whole).count(), 8);
+        assert_eq!(dropped.last(), Some(&Retired { stamp: 2, off: merged, whole: false }));
+        s.retired.extend(dropped);
+        let before = reads(&s);
+        assert_eq!(crate::gc::collect(&mut s).freed, 17);
+        assert_eq!(reads(&s) - before, 16);
+        assert!(census.live.iter().all(|p| !s.registry.contains(p)));
     }
 
     #[test]
@@ -1254,7 +1362,7 @@ mod tests {
                     (sub_key.child(i), CellData { vof: i as f64, ..Default::default() }, true)
                 }))
                 .collect();
-        let off = merge_subtree(&mut s, &octants, None, 1).unwrap();
+        let (off, _) = merge_subtree(&mut s, &octants, None, 1).unwrap();
         let collected = collect_subtree(&mut s, off).expect("pure NVBM subtree");
         assert_eq!(collected.len(), 9);
         assert_eq!(collected[0].0, sub_key);
@@ -1263,7 +1371,7 @@ mod tests {
             collected.iter().map(|&(k, d)| (k, d, k.level() > sub_key.level())).collect();
         // Re-merging the collected set against the original shares 100%.
         let again = merge_subtree(&mut s, &rebuilt, Some(off), 2).unwrap();
-        assert_eq!(again, off);
+        assert_eq!(again, (off, vec![]));
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //! * **Structural sharing** — unchanged subtrees are shared between
 //!   versions; merging diffs against a shadow image so that quiet time
 //!   steps persist almost for free (`c1::merge_subtree`).
-//! * **Deferred deletion + mark-and-sweep GC** — a delete rewrites the
-//!   (exclusive) parent's links and never the octant it unlinks; space is
-//!   reclaimed by `gc`, whose mark pass also rebuilds the allocator
-//!   after a crash.
+//! * **Deferred deletion + a retirement list** — a delete rewrites the
+//!   (exclusive) parent's links and never the octant it unlinks, and
+//!   retires it; `gc` frees the list once no version needs it. After a
+//!   crash, a validated reachability pass rebuilds the allocator
+//!   (`verify`).
 //! * **Feature-directed dynamic layout transformation** — application
 //!   feature functions are pre-executed on sampled octants to decide
 //!   which subtrees deserve DRAM (`sampling`, `transform`).
@@ -60,8 +61,8 @@ mod verify;
 
 pub use api::{Events, PersistHook, PmError, PmOctree};
 pub use config::{PmConfig, PmConfigBuilder};
-pub use gc::GcReport;
+pub use gc::{mark, Census, GcReport};
 pub use octant::{CellData, Octant, PmStore, OCTANT_SIZE};
 pub use replica::ReplicaSet;
 pub use sampling::FeatureFn;
-pub use verify::check_invariants;
+pub use verify::{check_invariants, check_registry};

@@ -303,34 +303,81 @@ impl Octant {
 }
 
 /// The persistent store: an NVBM arena + allocator + the volatile registry
-/// of allocated octants (rebuilt from the GC mark set after a crash).
+/// of allocated octants (rebuilt from the validated reachable set after a
+/// crash) and the retirement list of the ones the working version dropped.
 pub struct PmStore {
     /// The emulated NVBM device.
     pub arena: NvbmArena,
     /// Volatile free-space management.
     pub alloc: PmemAllocator,
-    /// Every currently-allocated octant offset (sweep set for GC).
+    /// Every currently-allocated octant offset, in allocation order: the
+    /// `shared` octants that predate the working epoch first, then the
+    /// ones it allocated.
     pub registry: Vec<POffset>,
+    /// How many registry entries (a prefix) predate the working epoch.
+    pub(crate) shared: usize,
+    /// Octants unlinked from the working version and not yet freed
+    /// ([`crate::gc`]).
+    pub(crate) retired: Vec<Retired>,
+}
+
+/// One entry of the retirement list: an octant the working version
+/// dropped, with its epoch stamp.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Retired {
+    /// The octant's epoch stamp (for a `whole` entry, its parent's: an
+    /// upper bound).
+    pub stamp: u32,
+    /// Where it lives.
+    pub off: POffset,
+    /// The entry stands for the whole subtree under `off`, stamped before
+    /// the working epoch: a shadow subtree a merge dropped unread, walked
+    /// when the persist's collection frees it.
+    pub whole: bool,
 }
 
 impl PmStore {
     /// A store over a fresh arena.
     pub fn new(arena: NvbmArena) -> Self {
         let cap = arena.capacity();
-        PmStore { arena, alloc: PmemAllocator::new(cap, OCTANT_SIZE), registry: Vec::new() }
+        PmStore {
+            arena,
+            alloc: PmemAllocator::new(cap, OCTANT_SIZE),
+            registry: Vec::new(),
+            shared: 0,
+            retired: Vec::new(),
+        }
     }
 
     /// Free an octant's space (GC sweep). The registry entry must be
-    /// removed separately (GC rebuilds the registry wholesale).
+    /// removed separately.
     pub fn free_octant(&mut self, p: POffset) {
         self.alloc.free(p);
+    }
+
+    /// Record that the working version dropped the octant at `p`, stamped
+    /// `epoch`: nothing of `V_i` links it any more. The list lives in
+    /// DRAM; the collection that frees an entry charges it
+    /// ([`crate::gc`]).
+    pub(crate) fn retire(&mut self, epoch: u32, p: POffset) {
+        self.retired.push(Retired { stamp: epoch, off: p, whole: false });
+    }
+
+    /// Retire every octant allocated since the registry held `mark`
+    /// entries: copies a failed mutation left unlinked, all stamped the
+    /// working `epoch`.
+    pub(crate) fn retire_since(&mut self, mark: usize, epoch: u32) {
+        for i in mark..self.registry.len() {
+            self.retire(epoch, self.registry[i]);
+        }
     }
 
     /// Crash recovery of the volatile state from the address-sorted set
     /// of reachable octants: the allocator is rebuilt around them below
     /// the arena's live octree edge (every orphan's space is reclaimed —
     /// the paper's "no allocator logging"), its bump pointer published,
-    /// and the registry replaced by the live set.
+    /// and the registry replaced by the live set, all of it shared with
+    /// the working epoch.
     pub fn rebuild_from_live(&mut self, live: Vec<POffset>) {
         self.alloc = PmemAllocator::rebuild(
             self.arena.capacity(),
@@ -339,6 +386,8 @@ impl PmStore {
             live.iter().copied(),
         );
         self.arena.publish_bump(self.alloc.bump());
+        self.shared = live.len();
+        self.retired = Vec::new();
         self.registry = live;
     }
 }

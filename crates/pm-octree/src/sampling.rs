@@ -139,8 +139,8 @@ mod tests {
                 .chain((0..8).map(|i| (k.child(i), CellData { phi, ..Default::default() }, true)))
                 .collect()
         };
-        let hot = merge_subtree(&mut s, &mk(hot_key, 0.01), None, 1).unwrap();
-        let cold = merge_subtree(&mut s, &mk(cold_key, 5.0), None, 1).unwrap();
+        let (hot, _) = merge_subtree(&mut s, &mk(hot_key, 0.01), None, 1).unwrap();
+        let (cold, _) = merge_subtree(&mut s, &mk(cold_key, 5.0), None, 1).unwrap();
         let features: Vec<FeatureFn> = vec![Box::new(|_k, d: &CellData| d.phi.abs() < 0.1)];
         let mut rng = StdRng::seed_from_u64(7);
         let hot_f = sample_nvbm_freq(&mut s, hot, 50, &features, &mut rng);

@@ -14,8 +14,11 @@
 //!   "this crash image is unrecoverable" from "the process blew up".
 //! * [`check_invariants`] — the post-restore contract: the structure is
 //!   closed, the rebuilt leaf index agrees with a direct tree walk, no
-//!   reachable octant sits on the allocator free list, and a GC pass finds
-//!   zero orphans (recovery already reclaimed every one).
+//!   reachable octant sits on the allocator free list, and the registry
+//!   holds the working version's octants and nothing else (recovery
+//!   reclaimed every orphan) — [`check_registry`], the collection's
+//!   invariant between any two operations: those octants plus the
+//!   retirement list.
 //!
 //! The remaining tentpole invariant — the restored tree equals `V_i` or
 //! `V_{i-1}` byte-for-byte — needs the pre-crash leaf snapshots and lives
@@ -179,9 +182,9 @@ pub struct RecoveryReport {
 /// 2. rebuilding the leaf index gives exactly the leaf set a direct tree
 ///    walk finds;
 /// 3. no reachable octant overlaps a block on the allocator free list;
-/// 4. a GC pass from the recovered roots finds zero orphans and the
-///    allocator's live byte count equals the reachable set — recovery
-///    already reclaimed every orphan.
+/// 4. [`check_registry`]: the registry is exactly what the working
+///    version reaches plus the (after a restore, empty) retirement list —
+///    recovery reclaimed every orphan.
 pub fn check_invariants(t: &mut PmOctree) -> Result<RecoveryReport, PmError> {
     // (1) Structural closure from the committed root.
     let root = t.store.arena.committed().root;
@@ -240,31 +243,90 @@ pub fn check_invariants(t: &mut PmOctree) -> Result<RecoveryReport, PmError> {
             off += CACHELINE as u64;
         }
     }
-    // (4) GC from the recovered roots reclaims nothing: restore already
-    // dropped every orphan when it rebuilt the registry and allocator.
-    let roots = [t.current_root, t.prev_root];
-    let (report, _) = gc::collect(&mut t.store, &roots, t.epoch);
-    if report.freed != 0 {
+    // (4) Restore rebuilt the registry and the allocator from the live
+    // set alone.
+    check_registry(t)?;
+    Ok(RecoveryReport { live: scan.live.len(), leaves: scan.leaves, depth: scan.depth })
+}
+
+/// The collection's invariant, which holds between any two operations:
+/// the registry is exactly the octants the working version reaches — its
+/// DRAM subtrees' shadows included, by a [`gc::mark`] walk — plus the
+/// retirement list, nothing listed twice or still linked, the octants
+/// stamped before the working epoch first; every octant the previous
+/// version reaches is still allocated; and the allocator's live byte
+/// count is the registry's. So nothing leaked, and freeing the list frees
+/// nothing the working version needs.
+pub fn check_registry(t: &mut PmOctree) -> Result<(), PmError> {
+    let mut roots = vec![t.current_root];
+    roots.extend(t.forest.ids().into_iter().map(|id| t.shadow_of(id)));
+    let working = gc::mark(&mut t.store, &roots, t.epoch);
+    let fresh: HashSet<POffset> = working.fresh.iter().copied().collect();
+    let mut stamps: HashMap<POffset, bool> =
+        working.live.iter().map(|p| (*p, fresh.contains(p))).collect();
+    let mut retired = Vec::new();
+    for e in t.store.retired.clone() {
+        if e.whole {
+            let subtree = gc::mark(&mut t.store, &[e.off], t.epoch);
+            if !subtree.fresh.is_empty() || e.stamp >= t.epoch {
+                return Err(PmError::Corrupt(format!(
+                    "subtree {:#x} retired whole holds octants of the working epoch",
+                    e.off.0
+                )));
+            }
+            retired.extend(subtree.live.into_iter().map(|p| (p, false)));
+        } else {
+            retired.push((e.off, e.stamp == t.epoch));
+        }
+    }
+    for (p, fresh) in retired {
+        if stamps.insert(p, fresh).is_some() {
+            return Err(PmError::Corrupt(format!(
+                "retired octant {:#x} is still linked or retired twice",
+                p.0
+            )));
+        }
+    }
+    if stamps.len() != t.store.registry.len() {
         return Err(PmError::Corrupt(format!(
-            "GC after recovery freed {} orphans — restore did not rebuild the live set",
-            report.freed
+            "registry holds {} octants, the working version and the retirement list {}",
+            t.store.registry.len(),
+            stamps.len()
         )));
     }
-    if report.live != scan.live.len() {
+    for (i, p) in t.store.registry.iter().enumerate() {
+        match stamps.remove(p) {
+            Some(fresh) if fresh == (i >= t.store.shared) => {}
+            Some(_) => {
+                return Err(PmError::Corrupt(format!(
+                    "registry entry {i} ({:#x}) is on the wrong side of the shared prefix ({})",
+                    p.0, t.store.shared
+                )))
+            }
+            None => {
+                return Err(PmError::Corrupt(format!(
+                    "registry entry {i} ({:#x}) is neither linked nor retired, or listed twice",
+                    p.0
+                )))
+            }
+        }
+    }
+    let previous = gc::mark(&mut t.store, &[t.prev_root], t.epoch);
+    let registered: HashSet<POffset> = t.store.registry.iter().copied().collect();
+    if let Some(p) = previous.live.iter().find(|p| !registered.contains(p)) {
         return Err(PmError::Corrupt(format!(
-            "GC sees {} live octants, validated scan found {}",
-            report.live,
-            scan.live.len()
+            "octant {:#x} of the previous version was freed before a persist",
+            p.0
         )));
     }
-    let live_bytes = (scan.live.len() * OCTANT_SIZE) as u64;
+    let live_bytes = (t.store.registry.len() * OCTANT_SIZE) as u64;
     if t.store.alloc.live_bytes() != live_bytes {
         return Err(PmError::Corrupt(format!(
-            "allocator reports {} live bytes, reachable set occupies {live_bytes}",
+            "allocator reports {} live bytes, the registry occupies {live_bytes}",
             t.store.alloc.live_bytes()
         )));
     }
-    Ok(RecoveryReport { live: scan.live.len(), leaves: scan.leaves, depth: scan.depth })
+    Ok(())
 }
 
 #[cfg(test)]

@@ -30,7 +30,9 @@ mod common;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use common::{crash_in_persist, PHASES};
-use pm_octree::{check_invariants, CellData, PmConfig, PmError, PmOctree, OCTANT_SIZE};
+use pm_octree::{
+    check_invariants, check_registry, mark, CellData, PmConfig, PmError, PmOctree, OCTANT_SIZE,
+};
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::{CrashMode, CrashView, DeviceModel, FailPlan, NvbmArena, HEADER_SIZE};
 use proptest::prelude::*;
@@ -193,8 +195,9 @@ enum Tier {
     C0Pressure,
     /// A roomy DRAM tier: seeded subtrees stay resident.
     C0Roomy,
-    /// A device filled breadth-first until a refine is `Full`, then ops
-    /// only: no sweep, persist or crash.
+    /// A device filled breadth-first until a refine is `Full`, then no
+    /// sweep: a persist leaves every octant shared, so the next ops run
+    /// out of room mid-COW.
     Filling,
 }
 
@@ -209,9 +212,22 @@ impl Tier {
             Tier::C0Pressure => PmConfig { c0_capacity_octants: 18, ..base },
             Tier::C0Roomy => PmConfig { c0_capacity_octants: 256, ..base },
         };
-        let bytes = if self == Tier::Filling { 32 << 10 } else { 1 << 20 };
-        PmOctree::create(NvbmArena::new(bytes, DeviceModel::default()), cfg)
+        // The filling device has no flight-recorder ring, so it fills
+        // past threshold_NVBM and every op then collects on demand.
+        let device = match self {
+            Tier::Filling => NvbmArena::new_with_recorder(32 << 10, DeviceModel::default(), 0),
+            _ => NvbmArena::new(1 << 20, DeviceModel::default()),
+        };
+        let mut t = PmOctree::create(device, cfg);
+        t.add_feature(hot());
+        t
     }
+}
+
+/// What a transform samples: a positive payload is hot, so a subtree a
+/// set-data warmed beats a DRAM one nothing did.
+fn hot() -> pm_octree::FeatureFn {
+    Box::new(|_, d| d.phi > 0.0)
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -246,6 +262,9 @@ enum Step {
     /// A crash inside a persist: at a protocol label, or else at its n-th
     /// crash opportunity (just after it when it has fewer).
     CrashInPersist(Option<&'static str>, u64, CrashMode),
+    /// Warm a leaf, then one dynamic layout transformation check: promote
+    /// the hottest NVBM subtree to DRAM (with a DRAM tier).
+    Transform(usize),
 }
 
 struct Harness {
@@ -325,9 +344,11 @@ impl Harness {
     }
 
     /// Everything the tree answers, against the model: the leaves, and
-    /// per probe key one at a time and batched.
+    /// per probe key one at a time and batched; and that the registry is
+    /// the working version plus the retirement list.
     fn check(&mut self, salt: u64) {
         let (t, m) = (&mut self.t, &self.m);
+        check_registry(t).expect("registry");
         let leaves = m.leaves();
         assert_eq!(t.leaves_sorted(), leaves);
         assert_eq!(t.leaf_count(), leaves.len());
@@ -350,18 +371,31 @@ impl Harness {
         assert_eq!(t.leaf_keys_sorted(), leaves.iter().map(|l| l.0).collect::<Vec<_>>());
     }
 
-    /// After a persist: its census counts the model's octants, and —
-    /// without a DRAM tier — exactly the unwritten ones as shared (and as
-    /// the replica delta), with nothing left allocated beyond `V_i`.
-    fn census(&self) {
+    /// After a persist: its census — the collection's report, the Fig. 3
+    /// overlap and the replica delta, read off counters — is what a mark
+    /// walk of the published version finds; it counts the model's
+    /// octants, and — without a DRAM tier — exactly the unwritten ones as
+    /// shared, with nothing left allocated beyond `V_i` but what the
+    /// retirement list holds.
+    fn census(&mut self) {
+        let t = &mut self.t;
+        let (root, persisted) = (t.store.arena.committed().root, t.epoch() - 1);
+        let marked = mark(&mut t.store, &[root], persisted);
+        let counted = (marked.live.len(), marked.shared);
+        let report = t.events.last_gc.expect("a persist collected");
+        assert_eq!((report.live, report.shared), counted, "collection report");
+        assert_eq!(t.events.last_overlap, Some(counted), "overlap");
+        if let Some(r) = &t.replicas {
+            let delta = HEADER_SIZE + (OCTANT_SIZE * marked.fresh.len()) as u64;
+            assert_eq!(r.last_delta_bytes, delta, "replica delta");
+        }
         let octants = self.m.tree.len();
-        let (live, shared) = self.t.events.last_overlap.expect("a persist ran");
+        let (live, shared) = counted;
         assert_eq!(live, octants, "census");
         if self.tier == Tier::NvbmOnly {
             let fresh = self.m.written.iter().filter(|k| self.m.tree.contains_key(k)).count();
             assert_eq!(shared, octants - fresh, "shared octants");
-            let delta = self.t.replicas.as_ref().expect("a replica").last_delta_bytes;
-            assert_eq!(delta, HEADER_SIZE + (OCTANT_SIZE * fresh) as u64, "replica delta");
+            assert_eq!(marked.fresh.len(), fresh, "fresh octants");
             assert_eq!(self.t.memory_usage_bytes(), (OCTANT_SIZE * octants) as u64, "leaked");
         }
     }
@@ -373,6 +407,7 @@ impl Harness {
     fn restore(&mut self, arena: NvbmArena, recovers_new: bool) {
         let mut r = PmOctree::restore(arena, self.t.cfg).expect("restore");
         check_invariants(&mut r).expect("invariants after restore");
+        r.add_feature(hot());
         self.m.crash(recovers_new);
         assert_eq!(r.memory_usage_bytes(), (OCTANT_SIZE * self.m.tree.len()) as u64);
         self.t = r;
@@ -484,6 +519,11 @@ impl Harness {
                     }
                 }
             }
+            Step::Transform(i) => {
+                let warm = CellData { phi: 1.0, ..Default::default() };
+                let _ = self.per_op(Op::SetData(self.leaf(i), warm));
+                self.t.maybe_transform();
+            }
         }
     }
 }
@@ -502,8 +542,7 @@ fn run(tier: Tier, steps: &[Step], salt: u64) {
     }
     h.check(salt);
     for (i, step) in steps.iter().enumerate() {
-        let op_only = matches!(step, Step::Run(..) | Step::Chain(_) | Step::Bounce(_));
-        if tier == Tier::Filling && !op_only {
+        if tier == Tier::Filling && matches!(step, Step::Sweep(..)) {
             continue;
         }
         h.step(step);
@@ -537,6 +576,7 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
             1 => arb_mode().prop_map(Step::Crash),
             1 => Just(Step::NodeLoss),
             2 => (label, 0u64..48, arb_mode()).prop_map(|(l, n, m)| Step::CrashInPersist(l, n, m)),
+            1 => (0usize..4096).prop_map(Step::Transform),
         ],
         0..32,
     )
