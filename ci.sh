@@ -42,7 +42,8 @@ no_fork '\.splice(' crates/morton/src/index.rs
 # set-data / sweep / persist / crash streams, over three tier
 # configurations and a filling device — outcomes, every read per key and
 # batched, the persist census, and crashes between ops or at any crash
-# opportunity of a persist under every crash mode — in optimized builds.
+# opportunity of a persist or of a sweep (whose stores a walk defers
+# until it leaves an octant) under every crash mode — in optimized builds.
 # A refusal stores nothing. The oracles it replaced (verbatim copies of
 # replaced code) must stay deleted.
 cargo test --release -p pm-octree --test model -q
@@ -127,16 +128,22 @@ cargo test --release -p pm-octree --lib c1::tests::an_op_walks_its_path_once -q
 cargo test --release -p pm-octree --lib c1::tests::a_cursor_reads_a_shared_prefix_once -q
 cargo test --release -p pm-octree --lib c1::tests::merge_reads_each_shadow_octant_once -q
 cargo test --release -p pm-octree --lib c1::tests::descend_outside_the_root_is_not_found -q
-# A COW walk stores each copy once: d record writes — one line for a leaf,
-# two for an interior octant — and one link store (or a new root), counted
-# in write lines and in crash opportunities. A leaf is one line: its
-# payload sits in the link bytes it has no use for, so a sweep reads one
-# line per octant, a rewritten shared leaf is one one-line copy carrying
-# its new payload plus the link store, and the link store leaves the
-# presence mask as the recovery scan wants it. Refine and coarsen move the
-# payload between the two places and keep it; any 64 bytes decode to a
-# navigation line or to `Corrupt`.
+# A COW walk stores each copy once: a per-op walk d record writes — one
+# line for a leaf, two for an interior octant — and one link store (or a
+# new root); a sweep each copy once with its final links when the walk
+# leaves it, and an exclusive octant whose links changed one body store —
+# no link store per rewritten leaf. Counted in write lines and in crash
+# opportunities. A leaf is one line: its payload sits in the link bytes it
+# has no use for, so a sweep reads one line per octant, a rewritten shared
+# leaf is one one-line copy carrying its new payload plus one store into
+# its parent's link line, and link and body stores leave the presence mask
+# as the recovery scan wants it. A sweep that runs out of room stores what
+# it reserved before it stops. Refine and coarsen move the payload between
+# the two places and keep it; any 64 bytes decode to a navigation line or
+# to `Corrupt`.
 cargo test --release -p pm-octree --lib c1::tests::cow_stores_each_copy_once -q
+cargo test --release -p pm-octree --lib c1::tests::a_sweep_stores_each_copy_once -q
+cargo test --release -p pm-octree --lib c1::tests::full_mid_sweep_publishes_nothing_of_the_failing_leaf -q
 cargo test --release -p pm-octree --lib c1::tests::updating_a_shared_leaf_costs_one_copy_and_one_link -q
 cargo test --release -p pm-octree --lib c1::tests::a_sweep_reads_one_line_per_octant -q
 cargo test --release -p pm-octree --lib octant::tests::a_leaf_is_one_line -q

@@ -25,7 +25,8 @@
 //!    the leaf's payload to line 1, then the links. [`coarsen`] does it
 //!    after [`own`]: the children's mean together with the null links.
 //!    Every other store keeps the mask: a copy's record carries the
-//!    original's, and [`replace_slot`] only re-points an occupied slot.
+//!    original's, and [`replace_slot`] and a sweep's body store
+//!    ([`PmStore::set_links`]) only re-point occupied slots.
 //!
 //! Because of (1)–(4), a crash at *any* point leaves the tree reachable
 //! from the persisted `V_{i-1}` root byte-identical to what
@@ -33,14 +34,16 @@
 //! the octant writes themselves.
 //!
 //! For the same reason nothing constrains *how* a copy is put together:
-//! it is unreachable until the one link store (or root swap) that
-//! publishes it. So a copy is stored once — one record built from the
+//! `V_{i-1}` never reaches it, and `V_i` only through the store that
+//! links it (or the root swap). So a copy is stored once — one record built from the
 //! navigation line the walker already holds ([`Frame`]), one line for a
 //! leaf (its payload came with that line) and two for an interior octant
 //! (its payload line read once), and, for an octant being overwritten,
-//! carrying its new payload — and the publication re-points an occupied
-//! slot with the link store alone. Nothing is read twice and no line of a
-//! copy is stored twice.
+//! carrying its new payload. A per-op mutation stores its copies at once
+//! and publishes them by re-pointing an occupied slot with the link store
+//! alone; [`sweep_leaves`] stores each copy, with its final links, when
+//! the walk leaves it. Nothing is read twice and no line of a copy is
+//! stored twice.
 //!
 //! There is one root walk, [`Cursor::locate`]: every lookup ([`locate`])
 //! and every mutation ([`refine`], [`coarsen`], [`update_data`],
@@ -90,8 +93,8 @@ pub fn locate(store: &mut PmStore, root: POffset, key: OctKey) -> Locate {
 /// single read delivered about the octant, plus where the octant lives
 /// and hangs in its parent. Path walks ([`Cursor`], [`sweep_leaves`])
 /// keep these instead of re-descending from the root, and
-/// [`make_exclusive`] builds every copy *from* them instead of reading
-/// the original again.
+/// [`copy_chain`] builds every copy *from* them instead of reading the
+/// original again.
 ///
 /// Invariants over a frame stack `frames[0..n]` (`frames[0]` the root):
 ///
@@ -105,24 +108,59 @@ pub fn locate(store: &mut PmStore, root: POffset, key: OctKey) -> Locate {
 ///   exclusivity being hereditary — so is every frame above it. A payload
 ///   stored through a frame does not refresh its `nav.leaf`; nothing
 ///   reads it after.
-/// * [`make_exclusive`] re-points `off` at the copy it allocates and
-///   stamps `nav.epoch`; only the link in the slot of the frame below
-///   ever changes in a copied or exclusive octant, and only from one
-///   octant to another, so `nav.children` stays valid for every slot not
-///   yet entered and `nav.mask` for all of them.
+/// * [`copy_chain`] re-points `off` at the copy it reserves and stamps
+///   `nav.epoch`; only the link in the slot of the frame below ever
+///   changes in a copied or exclusive octant, and only from one octant to
+///   another, so `nav.children` stays valid for every slot not yet entered
+///   and `nav.mask` for all of them. `nav.children` holds the links as the
+///   walk left them; what the media still lacks of them is `owed`.
 #[derive(Clone, Copy)]
 struct Frame {
     off: POffset,
     slot: usize,
     nav: NavLine,
+    owed: Owed,
+}
+
+/// What the media still lacks of a frame's octant: [`settle`] stores it
+/// and clears it. Only an exclusive frame owes anything, and only a
+/// sweep lets a debt outlive the mutation that made it.
+#[derive(Clone, Copy)]
+enum Owed {
+    /// Nothing: the media holds what the frame says.
+    Nothing,
+    /// An octant exclusive before the walk reached it whose links the
+    /// frame changed: its body ([`PmStore::set_links`]).
+    Links,
+    /// A reserved copy: its whole record, carrying this payload.
+    Record(CellData),
 }
 
 /// Read the navigation line of the octant at `off` (one charged line)
 /// and push its frame.
 fn push_frame(store: &mut PmStore, frames: &mut Vec<Frame>, off: POffset, slot: usize) -> NavLine {
     let nav = store.nav_line(off);
-    frames.push(Frame { off, slot, nav });
+    frames.push(Frame { off, slot, nav, owed: Owed::Nothing });
     nav
+}
+
+/// Store what `frame` owes the media in one write — a copy's record with
+/// the links and payload the frame holds, or an exclusive octant's
+/// links — and owe nothing more.
+fn settle(store: &mut PmStore, frame: &mut Frame) {
+    match std::mem::replace(&mut frame.owed, Owed::Nothing) {
+        Owed::Nothing => {}
+        Owed::Links => store.set_links(frame.off, &frame.nav),
+        Owed::Record(data) => {
+            let copy = Octant {
+                children: frame.nav.children,
+                key: OctKey::from_raw(frame.nav.code, frame.nav.level),
+                epoch: frame.nav.epoch,
+                data,
+            };
+            store.store_octant(frame.off, &copy);
+        }
+    }
 }
 
 /// The root walk. It remembers the frames of its last root-to-octant path
@@ -205,35 +243,33 @@ fn descend(store: &mut PmStore, root: POffset, key: OctKey) -> Result<Vec<Frame>
     Ok(frames)
 }
 
-/// Make the octant of the last frame exclusive to `epoch` (the paper's
-/// Figure 4 walk: copy 9→9', copy u→u', link, repeat to the root): copy
-/// it and its shared ancestors bottom-up until the first exclusive frame,
-/// re-pointing each copied frame, then publish with one link store there
-/// — or return the new root when the root itself was copied.
+/// The copy-on-write chain (the paper's Figure 4 walk: copy 9→9', copy
+/// u→u', link, repeat to the root), reserved: a copy of the last frame's
+/// octant and of each shared ancestor, bottom-up until the first exclusive
+/// frame, each frame re-pointed at its copy, stamped, given the link to
+/// the copy below and left owing its record ([`Owed::Record`]). Returns
+/// the index of the topmost copy's frame — the exclusive frame above it,
+/// if any, now holds the link to it, on the frame only — or `None` when
+/// the last frame is exclusive already. [`make_exclusive`] stores the
+/// chain at once; [`sweep_leaves`] as the walk leaves each frame.
 ///
-/// Each copy is one record store built from its frame — a shared frame
-/// *is* the original's navigation line — with the epoch stamped and the
-/// link to the copy below already in place: one line for a leaf, two for
-/// an interior octant. The last frame's copy carries `payload` when the
-/// caller is about to overwrite it anyway; otherwise it carries the
-/// original's, which a leaf's frame holds and an interior octant's
-/// payload line is read for. A copy is unreachable until the
-/// publication, so `V_{i-1}` cannot tell how it was put together.
+/// The last frame's copy carries `payload` when the caller is about to
+/// overwrite it anyway; otherwise it carries the original's, which a
+/// leaf's frame holds and an interior octant's payload line is read for,
+/// before its copy is reserved. Each original a copy supersedes is
+/// retired: the publication unlinks it from the working version (a copied
+/// root, once the caller adopts the new root — every caller does).
 ///
-/// Each original a copy supersedes is retired: the publication unlinks it
-/// from the working version (a copied root, once the caller adopts the
-/// root it returns — every caller does).
-///
-/// On [`PmError::Full`] no link has been published: the copies allocated
-/// so far are unreachable (retired in place of the originals) and the
-/// tree is unchanged — but the frames below the failed copy already name
-/// those orphans, so the caller must drop the stack.
-fn make_exclusive(
+/// On [`PmError::Full`] nothing is published: the copies reserved so far
+/// are stored and retired in place of the originals, and no frame above
+/// the failed copy has changed — but the frames below it name those
+/// orphans, so the caller must drop the stack.
+fn copy_chain(
     store: &mut PmStore,
     frames: &mut [Frame],
     epoch: u32,
     mut payload: Option<CellData>,
-) -> Result<Option<POffset>, PmError> {
+) -> Result<Option<usize>, PmError> {
     let first_shared = frames.iter().rposition(|f| f.nav.epoch == epoch).map_or(0, |i| i + 1);
     debug_assert!(
         frames[..first_shared].iter().all(|f| f.nav.epoch == epoch),
@@ -243,45 +279,67 @@ fn make_exclusive(
         return Ok(None);
     }
     let (allocated, listed) = (store.registry.len(), store.retired.len());
-    let mut below: Option<(usize, POffset)> = None;
-    for frame in frames[first_shared..].iter_mut().rev() {
-        let mut children = frame.nav.children;
-        if let Some((slot, child)) = below {
-            children[slot] = ChildPtr::Nvbm(child);
-        }
-        let copy = Octant {
-            children,
-            key: OctKey::from_raw(frame.nav.code, frame.nav.level),
-            epoch,
-            data: payload.take().unwrap_or_else(|| store.payload(frame.off, &frame.nav)),
-        };
-        let off = match store.alloc_octant(&copy) {
+    for i in (first_shared..frames.len()).rev() {
+        let data = payload.take().unwrap_or_else(|| store.payload(frames[i].off, &frames[i].nav));
+        let off = match store.reserve_octant() {
             Ok(off) => off,
             Err(e) => {
+                for frame in frames[i + 1..].iter_mut().rev() {
+                    settle(store, frame);
+                }
                 store.retired.truncate(listed);
                 store.retire_since(allocated, epoch);
                 return Err(e);
             }
         };
+        if let Some(&Frame { slot, off: below, .. }) = frames.get(i + 1) {
+            frames[i].nav.children[slot] = ChildPtr::Nvbm(below);
+        }
+        let frame = &mut frames[i];
         store.retire(frame.nav.epoch, frame.off);
         frame.off = off;
         frame.nav.epoch = epoch;
-        below = Some((frame.slot, off));
+        frame.owed = Owed::Record(data);
     }
-    let (slot, top) = below.expect("at least one shared frame was copied");
-    match first_shared.checked_sub(1) {
+    if let Some(anc) = first_shared.checked_sub(1) {
+        // It re-points an occupied slot, so the mask stands.
+        let Frame { slot, off: top, .. } = frames[first_shared];
+        debug_assert!(!frames[anc].nav.children[slot].is_null(), "publishing into an empty slot");
+        frames[anc].nav.children[slot] = ChildPtr::Nvbm(top);
+    }
+    Ok(Some(first_shared))
+}
+
+/// Make the octant of the last frame exclusive to `epoch`: reserve the
+/// [`copy_chain`], store each copy — one record store built from its
+/// frame, one line for a leaf, two for an interior octant — then publish
+/// with one link store in the first exclusive frame, or return the new
+/// root when the root itself was copied. A copy is unreachable until the
+/// publication, so `V_{i-1}` cannot tell how it was put together.
+///
+/// On [`PmError::Full`] no link has been published: see [`copy_chain`].
+fn make_exclusive(
+    store: &mut PmStore,
+    frames: &mut [Frame],
+    epoch: u32,
+    payload: Option<CellData>,
+) -> Result<Option<POffset>, PmError> {
+    let Some(top) = copy_chain(store, frames, epoch, payload)? else {
+        return Ok(None);
+    };
+    for frame in frames[top..].iter_mut().rev() {
+        settle(store, frame);
+    }
+    let (slot, copy) = (frames[top].slot, frames[top].off);
+    match top.checked_sub(1) {
         // Exclusive ancestor: this is the single publication write for
         // the whole walk — every copy below is fully written before it
-        // lands. It re-points an occupied slot, so the mask stands.
+        // lands.
         Some(anc) => {
-            debug_assert!(
-                !frames[anc].nav.children[slot].is_null(),
-                "publishing into an empty slot"
-            );
-            store.set_link(frames[anc].off, slot, ChildPtr::Nvbm(top));
+            store.set_link(frames[anc].off, slot, ChildPtr::Nvbm(copy));
             Ok(None)
         }
-        None => Ok(Some(top)),
+        None => Ok(Some(copy)),
     }
 }
 
@@ -486,16 +544,29 @@ pub fn replace_slot(
 ///
 /// The walker carries its root-to-leaf path as [`Frame`]s, so an update
 /// is made copy-on-write *through the path it is standing on* instead of
-/// re-entering from the root, and from the lines it already holds: it is
-/// [`update_data`] on the same leaf minus the descent — the same
-/// allocations in the same order and the same bytes on the media. Every
-/// octant costs the walk one line read, a leaf's payload included. A
-/// shared leaf then costs one record store per copy (the leaf's one line,
-/// carrying the new payload; an ancestor's two) and one link store; an
-/// exclusive leaf one payload store.
+/// re-entering from the root, and from the lines it already holds. It
+/// reserves the copies [`update_data`] on the same leaf would, in the
+/// same order, and retires the same originals ([`copy_chain`]), but it
+/// puts the new links in its frames, not on the media: each frame is
+/// stored once, when the walk leaves it ([`settle`]). Every octant costs
+/// the walk one line read, a leaf's payload included. A rewritten shared
+/// leaf then costs its copy's record store (one line, carrying the new
+/// payload); an ancestor copied for it one record store (two lines, its
+/// final links on board) however many of its leaves the sweep rewrites;
+/// an octant exclusive before the sweep whose links changed one 48-byte
+/// body store; an exclusive leaf one payload store. The media ends as a
+/// per-op loop over the same leaves leaves it, byte for byte — without
+/// the loop's link store per leaf into each copied parent.
 ///
-/// On [`PmError::Full`] the sweep stops: no link of the failing leaf has
-/// been published, earlier leaves keep their updates, and a shared
+/// Deferring costs no consistency argument: it only delays stores to
+/// octants exclusive to `V_i`, which no committed record names, and a
+/// persist flushes before it publishes.
+///
+/// On [`PmError::Full`] the failing leaf's chain is rolled back as
+/// [`make_exclusive`] rolls it back, and the sweep stores what every
+/// frame still on its stack owes before it stops: every reserved record
+/// is written, no link of the failing leaf has been published, earlier
+/// leaves keep their updates under an exclusive `root`, and a shared
 /// `root` still walks to the pre-sweep tree.
 pub fn sweep_leaves(
     store: &mut PmStore,
@@ -508,7 +579,8 @@ pub fn sweep_leaves(
     let mut frames: Vec<Frame> = Vec::new();
     // Each turn either enters an octant — `(offset, slot in the top
     // frame)` — or, with none left to enter, scans the top frame from
-    // slot `from` for the next one and pops the frame when it has none.
+    // slot `from` for the next one and pops the frame when it has none,
+    // storing what it owes.
     let mut enter = Some((root, 0));
     let mut from = 0;
     loop {
@@ -523,14 +595,31 @@ pub fn sweep_leaves(
             }
             if let Some(data) = nav.leaf {
                 if let Some(new) = f(OctKey::from_raw(nav.code, nav.level), &data) {
-                    if let Some(new_root) = store_payload(store, &mut frames, epoch, &new)? {
-                        root = new_root;
+                    if nav.epoch == epoch {
+                        store.set_payload(off, &nav, &new);
+                    } else {
+                        match copy_chain(store, &mut frames, epoch, Some(new)) {
+                            Ok(Some(0)) => root = frames[0].off,
+                            Ok(Some(top)) => {
+                                let anc = &mut frames[top - 1];
+                                if let Owed::Nothing = anc.owed {
+                                    anc.owed = Owed::Links;
+                                }
+                            }
+                            Ok(None) => unreachable!("a shared leaf is copied"),
+                            Err(e) => {
+                                for frame in frames.iter_mut().rev() {
+                                    settle(store, frame);
+                                }
+                                return Err(e);
+                            }
+                        }
                     }
                 }
             }
             from = 0;
         }
-        let Some(top) = frames.last() else {
+        let Some(top) = frames.last_mut() else {
             return Ok(root);
         };
         enter = (from..FANOUT).find_map(|i| match top.nav.children[i] {
@@ -539,6 +628,7 @@ pub fn sweep_leaves(
         });
         if enter.is_none() {
             from = top.slot + 1;
+            settle(store, top);
             frames.pop();
         }
     }
@@ -703,6 +793,8 @@ fn collect_rec(store: &mut PmStore, p: POffset, out: &mut Vec<(OctKey, CellData)
 mod tests {
     use super::*;
     use crate::octant::read_octant;
+    use crate::verify::{check_registry, scan_tree};
+    use crate::{PmConfig, PmOctree};
     use pmoctree_nvbm::{DeviceModel, FailPlan, NvbmArena};
 
     fn store() -> PmStore {
@@ -899,7 +991,9 @@ mod tests {
             // form the two navigation lines of its descent.
             let walk = if sweep { 1 + 8 } else { 2 };
             // Shared: the record store (one line, the new payload on
-            // board) and the link store that publishes it.
+            // board) and one store into the root's link line — the per-op
+            // form's link store that publishes the copy, the sweep's body
+            // store as it leaves the root.
             let d = CellData { phi: 4.5, work: 1.0, ..Default::default() };
             assert_eq!(cost(&mut s, |s| update(s, d)), (walk, 2, 2), "sweep: {sweep}");
             assert_eq!(s.registry.len(), allocated + 1);
@@ -912,6 +1006,60 @@ mod tests {
             assert_eq!(s.registry.len(), allocated + 1);
             assert_eq!(read_octant(&mut s, copy), Octant::leaf(key, 2, d));
         }
+    }
+
+    #[test]
+    fn a_sweep_stores_each_copy_once() {
+        // Eight leaves of epoch 1 under a parent of epoch 1, under a root
+        // already exclusive to 2: the sweep rewrites all eight.
+        let family = OctKey::root().child(5);
+        let build = || {
+            let mut s = store();
+            let mut root = root_tree(&mut s, 1);
+            root = refine(&mut s, root, OctKey::root(), 1).unwrap();
+            root = refine(&mut s, root, family, 1).unwrap();
+            root = cow_path(&mut s, root, OctKey::root(), 2).unwrap().0;
+            (s, root)
+        };
+        let new =
+            |k: OctKey| CellData { phi: k.sibling_index() as f64 + 0.5, ..Default::default() };
+        /// (lines written, crash opportunities) by `op` and the flush
+        /// that puts the result on the media, and the flushed media.
+        fn flushed(s: &mut PmStore, op: impl FnOnce(&mut PmStore)) -> ((u64, u64), Vec<u8>) {
+            let lines = s.arena.stats.nvbm.write_lines;
+            s.arena.set_fail_plan(FailPlan::count());
+            op(s);
+            s.arena.flush_all();
+            let stores = s.arena.take_fail_plan().unwrap().opportunities();
+            let media = s.arena.clone_media();
+            let mut image = vec![0u8; media.size()];
+            media.read_at(0, &mut image);
+            ((s.arena.stats.nvbm.write_lines - lines, stores), image)
+        }
+        let (mut swept, root) = build();
+        let allocated = swept.registry.len();
+        let (cost, swept_image) = flushed(&mut swept, |s| {
+            let f = &mut |k: OctKey, _: &CellData| (k.parent() == Some(family)).then(|| new(k));
+            assert_eq!(sweep_leaves(s, root, 2, f, &mut |_| {}), Ok(root));
+        });
+        // Eight leaf records of a line each, the parent's copy stored once
+        // with all eight new links on board (two lines), the root's links
+        // in one body store: 8 + 2 + 1 lines and ten stores — and the
+        // flush.
+        assert_eq!(cost, (8 + 2 + 1, 10 + 1));
+        assert_eq!(swept.registry.len() - allocated, 8 + 1);
+        // A per-op loop over the same leaves reserves and retires the same
+        // octants and leaves the same bytes; it stores the parent copy's
+        // link line once per later leaf on the way.
+        let (mut looped, root) = build();
+        let (cost, looped_image) = flushed(&mut looped, |s| {
+            for k in family.children() {
+                assert_eq!(update_data(s, root, k, &new(k), 2), Ok(root));
+            }
+        });
+        assert_eq!(cost, (8 + 2 + 1 + 7, 10 + 7 + 1));
+        assert_eq!((&looped.registry, &looped.retired), (&swept.registry, &swept.retired));
+        assert!(looped_image == swept_image, "the flushed media differ");
     }
 
     #[test]
@@ -929,7 +1077,7 @@ mod tests {
             }
             frontier.extend(k.children());
         }
-        let leaves_of = |s: &mut PmStore, root| {
+        fn leaves_of(s: &mut PmStore, root: POffset) -> Vec<(OctKey, CellData)> {
             let mut out = Vec::new();
             let f = &mut |k, d: &CellData| {
                 out.push((k, *d));
@@ -937,7 +1085,7 @@ mod tests {
             };
             sweep_leaves(s, root, 2, f, &mut |_| {}).unwrap();
             out
-        };
+        }
         let before = leaves_of(&mut s, root);
         assert!(before.len() > 64, "device too small to be interesting");
         let mut updated = 0usize;
@@ -950,6 +1098,83 @@ mod tests {
         assert!(updated < before.len(), "the sweep must stop at the failing leaf");
         // The pre-sweep root is shared, so nothing under it was written.
         assert_eq!(leaves_of(&mut s, root), before);
+
+        // An exclusive root: the device fills partway through a family.
+        // Two families of epoch 2 leaves under the root, made exclusive
+        // to 3 by a payload write, on a device with `room` octants left:
+        // 4 fail the first family's fourth leaf, with its parent's copy
+        // still owed; 10 the second family's first, between its leaf's
+        // copy and its parent's.
+        let (a, b) = (OctKey::root().child(2), OctKey::root().child(5));
+        for (room, kept, seen_by_then) in [(4usize, 3usize, 6usize), (10, 8, 13)] {
+            let cfg = PmConfig {
+                seed_c0: false,
+                c0_capacity_octants: 0,
+                dynamic_transform: false,
+                ..PmConfig::default()
+            };
+            let mut t = PmOctree::create(NvbmArena::new(1 << 20, DeviceModel::default()), cfg);
+            for k in [OctKey::root(), a, b] {
+                t.refine(k).unwrap();
+            }
+            t.persist();
+            t.set_data(OctKey::root(), CellData { vof: 1.0, ..Default::default() }).unwrap();
+            let (root, epoch) = (t.current_root, t.epoch);
+            let before = leaves_of(&mut t.store, root);
+            // Fill the device, then give back `room` octants.
+            let mut filler = Vec::new();
+            while let Ok(p) = t.store.reserve_octant() {
+                filler.push(p);
+            }
+            for p in filler.split_off(filler.len() - room).into_iter().rev() {
+                assert_eq!(t.store.registry.pop(), Some(p));
+                t.store.free_octant(p);
+            }
+            for &p in &filler {
+                t.store.retire(epoch, p);
+            }
+            let rewrite = |k: OctKey| {
+                let parent = k.parent().unwrap();
+                (parent == a || parent == b).then(|| CellData { phi: -2.0, ..Default::default() })
+            };
+            let mut seen = 0usize;
+            let f = &mut |k, _: &CellData| {
+                seen += 1;
+                rewrite(k)
+            };
+            let err = sweep_leaves(&mut t.store, root, epoch, f, &mut |_| {}).unwrap_err();
+            assert!(matches!(err, PmError::Full(_)), "{err}");
+            assert_eq!(seen, seen_by_then, "the sweep stops at the failing leaf");
+            // The leaves before the failing one keep their updates; it and
+            // the ones after it do not.
+            let mut updated = 0;
+            let want: Vec<(OctKey, CellData)> = before
+                .iter()
+                .map(|&(k, d)| match rewrite(k) {
+                    Some(new) if updated < kept => {
+                        updated += 1;
+                        (k, new)
+                    }
+                    _ => (k, d),
+                })
+                .collect();
+            assert_eq!(leaves_of(&mut t.store, root), want, "room {room}");
+            // Every reserved record is stored: the registry is the working
+            // version plus the retirement list (a failed chain's copies
+            // among them), and the flushed media alone walks to the tree.
+            check_registry(&mut t).unwrap();
+            let mut flushed = PmStore::new(NvbmArena::from_media(
+                t.store.arena.clone_media(),
+                DeviceModel::default(),
+            ));
+            assert_eq!(scan_tree(&mut flushed, root).unwrap().leaves, want.len());
+            assert_eq!(leaves_of(&mut flushed, root), want, "room {room}");
+            if room == 10 {
+                let orphan = *t.store.registry.last().unwrap();
+                let d = rewrite(b.child(0)).unwrap();
+                assert_eq!(read_octant(&mut t.store, orphan), Octant::leaf(b.child(0), epoch, d));
+            }
+        }
     }
 
     /// The 128 bytes of each record, as the CPU sees them.
@@ -1139,7 +1364,8 @@ mod tests {
         // A chain root → child 3 → … → level 5, built at epoch 1. Seen
         // from epoch 2 every octant is shared, so an op's first store is
         // the copy of its target, and what it read before that is its
-        // walk. Copies never touch `root`'s tree: every op meets it whole.
+        // walk and what its copies carry. Copies never touch `root`'s
+        // tree: every op meets it whole.
         let at = |d: u8| (0..d).fold(OctKey::root(), |k, _| k.child(3));
         let mut s = store();
         let mut root = root_tree(&mut s, 1);
@@ -1155,12 +1381,13 @@ mod tests {
             for op in ops.into_iter().flatten() {
                 let (new_root, lines) = reads_before_first_store(&mut s, |s| apply(s, root, op, 2));
                 // d + 1 navigation lines, root to target; a coarsen then
-                // reads its 8 children, and its target's copy reads a
-                // payload line (the target is interior, and the op brings
-                // none to carry) — all before the first store.
+                // reads its 8 children. The chain is reserved whole before
+                // its first copy is stored, so the payload line of every
+                // interior octant it copies with no payload to carry — the
+                // d ancestors, and a coarsen's target — is read first too.
                 let want = match op {
-                    Op::Coarsen(_) => d as u64 + 1 + 8 + 1,
-                    _ => d as u64 + 1,
+                    Op::Coarsen(_) => d as u64 + 1 + 8 + 1 + d as u64,
+                    _ => d as u64 + 1 + d as u64,
                 };
                 assert_eq!((lines, new_root.unwrap() != root), (Some(want), true), "{op:?} at {d}");
             }

@@ -8,7 +8,7 @@
 //! Nothing is re-learned by a walk: every site that unlinks an octant
 //! from the working version `V_i` already holds its offset and stamp, and
 //! retires it into [`PmStore::retire`]'s epoch-keyed list — the original
-//! a COW copy supersedes (`c1::make_exclusive`), the children a coarsen
+//! a COW copy supersedes (`c1::copy_chain`), the children a coarsen
 //! drops, the shadow octants a C0 merge does not reuse and the shadow
 //! subtrees it drops (`c1::merge_subtree`; one listed *whole* is older
 //! than the working epoch throughout and is walked only when freed), and

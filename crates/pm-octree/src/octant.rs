@@ -407,6 +407,16 @@ impl PmStore {
     /// for a leaf, two for an interior octant; returns its offset, or
     /// [`PmError::Full`] with nothing mutated when space is exhausted.
     pub fn alloc_octant(&mut self, o: &Octant) -> Result<POffset, PmError> {
+        let p = self.reserve_octant()?;
+        self.store_octant(p, o);
+        Ok(p)
+    }
+
+    /// The allocation half of [`PmStore::alloc_octant`]: a registered
+    /// offset whose record is not stored yet. Its owner stores it
+    /// ([`PmStore::store_octant`]) before anything that can reach the
+    /// media links it.
+    pub(crate) fn reserve_octant(&mut self) -> Result<POffset, PmError> {
         self.alloc.set_limit(self.arena.live_rt_floor());
         let p = self
             .alloc
@@ -414,9 +424,14 @@ impl PmStore {
             .ok_or_else(|| PmError::Full("NVBM arena full allocating an octant".into()))?;
         self.arena.publish_bump(self.alloc.bump());
         self.registry.push(p);
+        Ok(p)
+    }
+
+    /// The store half of [`PmStore::alloc_octant`]: the record of `o` at
+    /// the reserved `p`, in one write.
+    pub(crate) fn store_octant(&mut self, p: POffset, o: &Octant) {
         let (record, len) = o.to_bytes();
         self.arena.write(p.0, &record[..len]);
-        Ok(p)
     }
 
     /// Decode the whole navigation line in one 64-byte read: children (or
@@ -507,6 +522,18 @@ impl PmStore {
         debug_assert!(i < FANOUT);
         debug_assert!(!c.is_null(), "set_link cannot empty a slot");
         self.arena.write(p.0 + OFF_LINKS + LINK_SIZE * i as u64, &c.encode().to_le_bytes()[..6]);
+    }
+
+    /// Re-point any number of an interior octant's occupied slots at once:
+    /// the 48-byte body store of the links `nav` holds, which occupy the
+    /// slots its mask names — so the mask, like [`PmStore::set_link`]'s,
+    /// stands.
+    #[inline]
+    pub fn set_links(&mut self, p: POffset, nav: &NavLine) {
+        let mut body = [0u8; BODY_SIZE];
+        let mask = put_body(&mut body, &nav.children, &CellData::default());
+        debug_assert!(mask != 0 && mask == nav.mask, "set_links cannot fill or empty a slot");
+        self.arena.write(p.0 + OFF_LINKS, &body);
     }
 
     /// Replace all 8 child pointers and the presence mask, `d` being the

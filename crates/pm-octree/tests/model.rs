@@ -20,7 +20,10 @@
 //!   their mean, summed as `d / 8.0` in slot order.
 //! * Set-data(k, d): absent → `NotFound`; any octant takes `d`.
 //! * A full device (`Full`) leaves the model as it was.
-//! * `update_leaves(f)`: `f` applied to every leaf.
+//! * `update_leaves(f)`: `f` applied to every leaf. It publishes
+//!   nothing, so a crash at any of its crash opportunities, under any
+//!   crash mode, recovers `V_{i-1}` exactly — whatever the sweep stored
+//!   and whatever it still owed.
 //!
 //! A refusal stores nothing: no crash opportunity fires, nothing is
 //! allocated, no DRAM subtree moves.
@@ -29,7 +32,7 @@ mod common;
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use common::{crash_in_persist, PHASES};
+use common::{crash_in, crash_in_persist, PHASES};
 use pm_octree::{
     check_invariants, check_registry, mark, CellData, PmConfig, PmError, PmOctree, OCTANT_SIZE,
 };
@@ -253,6 +256,11 @@ enum Step {
     /// `update_leaves`, rewriting the leaves a salted key hash picks (out
     /// of 1 024).
     Sweep(u64, u64),
+    /// That sweep with a crash at its n-th crash opportunity (just after
+    /// it when it has fewer), under all three crash modes — seeded, with
+    /// the commit probability — and the stream resumed on the image of
+    /// the mode the index picks.
+    CrashInSweep(u64, u64, u64, (u64, f64), usize),
     Persist,
     /// A crash between two steps.
     Crash(CrashMode),
@@ -467,16 +475,34 @@ impl Harness {
                 let _ = self.per_op(Op::Coarsen(k.parent().unwrap_or(k)));
             }
             Step::Sweep(salt, per_1024) => {
-                let f = |k: OctKey, d: &CellData| {
-                    let hit = (k.raw() ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54 < per_1024;
-                    hit.then(|| CellData {
-                        pressure: d.pressure + 1.0,
-                        work: k.level() as f64,
-                        ..*d
-                    })
-                };
+                let f = rewrite(salt, per_1024);
                 self.t.update_leaves(f);
                 self.m.update_leaves(f);
+            }
+            Step::CrashInSweep(salt, per_1024, n, (seed, p), resume) => {
+                let f = rewrite(salt, per_1024);
+                let modes = [
+                    CrashMode::LoseDirty,
+                    CrashMode::CommitRandom { p, seed },
+                    CrashMode::TornWrite { seed },
+                ];
+                let at = move |v: &CrashView<'_>| v.opportunity == n;
+                let crashed = crash_in(&mut self.t, at, &modes, |t| t.update_leaves(f));
+                self.m.update_leaves(f);
+                let resume = resume % modes.len();
+                match crashed {
+                    // Nothing is published mid-sweep: every image reboots
+                    // to `V_{i-1}`, checked in full; the stream goes on
+                    // from the picked mode's, restored last.
+                    Some((mut arenas, ..)) => {
+                        arenas.rotate_left(resume + 1);
+                        for arena in arenas {
+                            self.restore(arena, false);
+                            self.check(n);
+                        }
+                    }
+                    None => self.crash_now(modes[resume], false),
+                }
             }
             Step::Persist => {
                 self.t.persist();
@@ -528,6 +554,15 @@ impl Harness {
     }
 }
 
+/// A sweep's rewrite: the leaves a salted key hash picks, `per_1024` out
+/// of 1 024, take a new pressure and work.
+fn rewrite(salt: u64, per_1024: u64) -> impl Fn(OctKey, &CellData) -> Option<CellData> + Copy {
+    move |k: OctKey, d: &CellData| {
+        let hit = (k.raw() ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54 < per_1024;
+        hit.then(|| CellData { pressure: d.pressure + 1.0, work: k.level() as f64, ..*d })
+    }
+}
+
 fn run(tier: Tier, steps: &[Step], salt: u64) {
     let mut h = Harness { t: tier.tree(), m: Model::new(), tier };
     if tier == Tier::Filling {
@@ -542,7 +577,7 @@ fn run(tier: Tier, steps: &[Step], salt: u64) {
     }
     h.check(salt);
     for (i, step) in steps.iter().enumerate() {
-        if tier == Tier::Filling && matches!(step, Step::Sweep(..)) {
+        if tier == Tier::Filling && matches!(step, Step::Sweep(..) | Step::CrashInSweep(..)) {
             continue;
         }
         h.step(step);
@@ -563,7 +598,7 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
         prop_oneof![5 => Just(Kind::Refine), 2 => Just(Kind::Coarsen), 3 => Just(Kind::SetData)];
     let pick = (0usize..4096, prop_oneof![3 => Just(false), 1 => Just(true)], -9.0f64..9.0);
     let run = (kind, prop::collection::vec(pick, 1..4), any::<bool>());
-    let per_1024 = prop_oneof![Just(0u64), Just(1024), 0u64..1024];
+    let per_1024 = || prop_oneof![Just(0u64), Just(1024), 0u64..1024];
     let label =
         prop_oneof![2 => Just(None), 1 => prop::sample::select(PHASES.to_vec()).prop_map(Some)];
     prop::collection::vec(
@@ -571,7 +606,9 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
             12 => run.prop_map(|(k, picks, batched)| Step::Run(k, picks, batched)),
             1 => (0usize..4096).prop_map(Step::Chain),
             1 => (0usize..4096).prop_map(Step::Bounce),
-            2 => (any::<u64>(), per_1024).prop_map(|(salt, n)| Step::Sweep(salt, n)),
+            2 => (any::<u64>(), per_1024()).prop_map(|(salt, n)| Step::Sweep(salt, n)),
+            1 => (any::<u64>(), per_1024(), 0u64..160, (any::<u64>(), 0.0f64..=1.0), 0usize..3)
+                .prop_map(|(salt, n, at, seeds, resume)| Step::CrashInSweep(salt, n, at, seeds, resume)),
             2 => Just(Step::Persist),
             1 => arb_mode().prop_map(Step::Crash),
             1 => Just(Step::NodeLoss),
