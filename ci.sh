@@ -147,6 +147,19 @@ cargo test --release -p pm-octree --lib c1::tests::full_mid_sweep_publishes_noth
 cargo test --release -p pm-octree --lib c1::tests::updating_a_shared_leaf_costs_one_copy_and_one_link -q
 cargo test --release -p pm-octree --lib c1::tests::a_sweep_reads_one_line_per_octant -q
 cargo test --release -p pm-octree --lib octant::tests::a_leaf_is_one_line -q
+# A C0 node is its record image: a leaf one 64-byte line, an interior
+# node its navigation line plus a payload line (size and alignment
+# const-asserted), and every C0 access charges the lines it touches — a
+# sweep of one subtree charges the same lines held in C0 as merged into
+# NVBM, refine 10 lines and coarsen 9 with the clock advanced by exactly
+# their latency, a point read of a C0 leaf its walk alone, a C0 sample one
+# line per draw — and the in-core baseline, which runs on the same node
+# store, by the same rule. (`c0::tests::a_freed_id_is_not_read` checks a
+# debug assertion, so it runs in the debug `cargo test --workspace` above.)
+cargo test --release -p pm-octree --lib c0::tests -q
+cargo test --release -p pm-octree --lib api::tests::reading_a_c0_leaf_charges_its_walk_alone -q
+cargo test --release -p pm-octree --lib sampling::tests::c0_sampling_reads_a_line_per_draw -q
+cargo test --release -p pmoctree-baselines --lib incore::tests::every_access_charges_the_lines_it_touches -q
 cargo test --release -p pm-octree --lib octant::tests::any_navigation_line_decodes_or_is_corrupt -q
 cargo test --release -p pm-octree --lib api::tests::a_leaf_keeps_its_payload_across_refine_and_coarsen -q
 cargo test --release -p pm-octree --lib octant::tests::set_link_leaves_the_mask_coherent -q

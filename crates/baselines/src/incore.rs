@@ -6,38 +6,32 @@
 //! paper snapshots every 10). On failure, the entire snapshot is read
 //! back — that file I/O is exactly what makes this baseline slow to
 //! recover (42.9 s vs PM-octree's 2.1 s in §5.6).
+//!
+//! The nodes are PM-octree's DRAM node store ([`C0Tree`]) holding the
+//! whole tree: the same line image (a leaf one line, an interior node two)
+//! and the same rule (every operation charges the lines it touches), so a
+//! comparison with the PM-octree's C0 tier differs in where nodes live,
+//! not in how they are charged.
 
+use pm_octree::{C0Tree, CellData};
 use pmoctree_morton::{LeafIndex, OctKey};
-use pmoctree_nvbm::{MemStats, VirtualClock};
+use pmoctree_nvbm::{DeviceModel, MemStats, VirtualClock};
 use pmoctree_simfs::SimFs;
 
 use crate::snapshot::{decode_octants, encode_octants, OctantRecord};
 
-const NIL: u32 = u32::MAX;
-/// Bytes per node charged to the DRAM model (same record size as the
-/// PM-octree octant so comparisons are fair).
-const NODE_BYTES: usize = 128;
-const NODE_LINES: u64 = (NODE_BYTES / 64) as u64;
+fn cell(d: [f64; 4]) -> CellData {
+    CellData { phi: d[0], pressure: d[1], vof: d[2], work: d[3] }
+}
 
-/// DRAM latency (matches `DeviceModel::default().dram`).
-const DRAM_READ_NS: u64 = 60;
-const DRAM_WRITE_NS: u64 = 60;
-
-#[derive(Clone, Debug)]
-struct Node {
-    key: OctKey,
-    children: [u32; 8],
-    data: [f64; 4],
-    live: bool,
+fn raw(d: &CellData) -> [f64; 4] {
+    [d.phi, d.pressure, d.vof, d.work]
 }
 
 /// Gerris-style in-core octree: slab-allocated, DRAM-only, with
 /// snapshot-file persistence.
 pub struct InCoreOctree {
-    nodes: Vec<Node>,
-    free: Vec<u32>,
-    root: u32,
-    leaves: usize,
+    tree: C0Tree,
     depth: u8,
     /// Virtual clock charged with DRAM latencies and (via [`SimFs`]) I/O.
     pub clock: VirtualClock,
@@ -57,57 +51,35 @@ impl Default for InCoreOctree {
 impl InCoreOctree {
     /// A tree holding the single root cell.
     pub fn new() -> Self {
-        InCoreOctree {
-            nodes: vec![Node {
-                key: OctKey::root(),
-                children: [NIL; 8],
-                data: [0.0; 4],
-                live: true,
-            }],
-            free: Vec::new(),
-            root: 0,
-            leaves: 1,
-            depth: 0,
-            clock: VirtualClock::new(),
-            stats: MemStats::new(0),
-            index: LeafIndex::new(),
-        }
+        let (mut clock, mut stats) = (VirtualClock::new(), MemStats::new(0));
+        let tree = C0Tree::new(OctKey::root(), CellData::default(), &mut (&mut clock, &mut stats));
+        InCoreOctree { tree, depth: 0, clock, stats, index: LeafIndex::new() }
+    }
+
+    /// The node store and the DRAM it charges.
+    fn split(&mut self) -> (&mut C0Tree, (&mut VirtualClock, &mut MemStats)) {
+        (&mut self.tree, (&mut self.clock, &mut self.stats))
     }
 
     /// Charge the DRAM clock/stats for touching `entries` leaf-index
     /// entries (the index lives in DRAM; it never costs NVBM accesses).
     fn charge_index_entries(&mut self, entries: usize) {
         let lines = LeafIndex::<3>::lines_for_entries(entries);
-        self.clock.advance(lines * DRAM_READ_NS);
+        self.clock.advance(lines * DeviceModel::default().dram.read_ns);
         self.stats.dram_read(entries * pmoctree_morton::index::ENTRY_BYTES, lines);
     }
 
     /// Bring the leaf index up to date before a query: fold the edits the
     /// mutation hooks recorded since the last query, or rebuild it if a
-    /// wholesale change invalidated it. The rebuild enumerates every node
-    /// once and charges that DRAM traversal.
+    /// wholesale change invalidated it. The rebuild is one leaf sweep.
     fn ensure_index(&mut self) {
         if self.index.is_valid() {
             self.index.settle();
             return;
         }
-        let mut entries = Vec::with_capacity(self.leaves);
-        let mut stack = vec![self.root];
-        let mut hops = 0u64;
-        while let Some(i) = stack.pop() {
-            hops += 1;
-            let n = &self.nodes[i as usize];
-            if n.children.iter().all(|&c| c == NIL) {
-                entries.push((n.key, i as u64));
-            } else {
-                for &c in n.children.iter().rev() {
-                    if c != NIL {
-                        stack.push(c);
-                    }
-                }
-            }
-        }
-        self.charge_read(hops);
+        let mut entries = Vec::with_capacity(self.leaf_count());
+        let (tree, mut dram) = self.split();
+        tree.for_each_leaf_slot(&mut dram, |i, k, _| entries.push((k, i as u64)));
         let n = self.index.rebuild(entries);
         self.stats.index_rebuild(n as u64);
     }
@@ -139,53 +111,32 @@ impl InCoreOctree {
     }
 
     /// Batched leaf payload reads: index probes (DRAM) locate each leaf's
-    /// slab slot, then exactly one destination node read is charged per
-    /// resolved key — no per-key root descent. Keys that are not current
-    /// leaves fall back to [`InCoreOctree::get_data`].
+    /// slab slot, then exactly one line — the leaf's, which carries its
+    /// payload — is read per resolved key, with no per-key root descent.
+    /// Keys that are not current leaves fall back to
+    /// [`InCoreOctree::get_data`].
     pub fn get_data_many(&mut self, keys: &[OctKey]) -> Vec<Option<[f64; 4]>> {
         let resolved = self.resolve_charged(keys);
         let mut out = vec![None; keys.len()];
-        let mut payload_reads = 0u64;
         let mut fallbacks = Vec::new();
+        let (tree, mut dram) = (&self.tree, (&mut self.clock, &mut self.stats));
         for (pos, r) in resolved.into_iter().enumerate() {
             match r.map(|e| self.index.entries()[e]) {
                 Some((leaf, slot)) if leaf == keys[pos] => {
-                    out[pos] = Some(self.nodes[slot as usize].data);
-                    payload_reads += 1;
+                    out[pos] = Some(raw(&tree.data_at(slot as u32, &mut dram)));
                 }
                 _ => fallbacks.push(pos),
             }
         }
-        self.charge_read(payload_reads);
         for pos in fallbacks {
             out[pos] = self.get_data(keys[pos]);
         }
         out
     }
 
-    fn charge_read(&mut self, nodes: u64) {
-        self.clock.advance(nodes * NODE_LINES * DRAM_READ_NS);
-        self.stats.dram_read(nodes as usize * NODE_BYTES, nodes * NODE_LINES);
-    }
-
-    fn charge_write(&mut self, nodes: u64) {
-        self.clock.advance(nodes * NODE_LINES * DRAM_WRITE_NS);
-        self.stats.dram_write(nodes as usize * NODE_BYTES, nodes * NODE_LINES);
-    }
-
-    fn alloc(&mut self, n: Node) -> u32 {
-        if let Some(i) = self.free.pop() {
-            self.nodes[i as usize] = n;
-            i
-        } else {
-            self.nodes.push(n);
-            (self.nodes.len() - 1) as u32
-        }
-    }
-
     /// Number of leaf octants (mesh elements).
     pub fn leaf_count(&self) -> usize {
-        self.leaves
+        self.tree.leaf_count()
     }
 
     /// Deepest level seen.
@@ -195,89 +146,45 @@ impl InCoreOctree {
 
     /// Total live octants.
     pub fn octant_count(&self) -> usize {
-        self.nodes.len() - self.free.len()
+        self.tree.octant_count()
     }
 
+    /// The slab id of the octant at `key`, if it exists: the walk's lines.
     fn find(&mut self, key: OctKey) -> Option<u32> {
-        let mut cur = self.root;
-        let mut hops = 1u64;
-        for l in 0..key.level() {
-            let idx = key.ancestor_at(l + 1).sibling_index();
-            let next = self.nodes[cur as usize].children[idx];
-            if next == NIL {
-                self.charge_read(hops);
-                return None;
-            }
-            cur = next;
-            hops += 1;
-        }
-        self.charge_read(hops);
-        Some(cur)
-    }
-
-    fn is_leaf_idx(&self, i: u32) -> bool {
-        self.nodes[i as usize].children.iter().all(|&c| c == NIL)
+        let (tree, mut dram) = self.split();
+        tree.find(key, &mut dram)
     }
 
     /// Does the octant exist, and is it a leaf?
     pub fn is_leaf(&mut self, key: OctKey) -> Option<bool> {
-        self.find(key).map(|i| self.is_leaf_idx(i))
+        self.find(key).map(|i| self.tree.is_leaf(i))
     }
 
     /// The leaf containing `key`'s region, or `None` if `key` is internal.
     pub fn containing_leaf(&mut self, key: OctKey) -> Option<OctKey> {
         let before = self.stats.total_lines_snapshot();
-        let out = self.containing_leaf_inner(key);
+        self.stats.root_descent();
+        let (tree, mut dram) = self.split();
+        let out = tree.containing_leaf(key, &mut dram);
         let lines = self.stats.total_lines_snapshot() - before;
         self.stats.descent_lines(lines);
         out
     }
 
-    fn containing_leaf_inner(&mut self, key: OctKey) -> Option<OctKey> {
-        self.stats.root_descent();
-        let mut cur = self.root;
-        let mut cur_key = OctKey::root();
-        let mut hops = 1u64;
-        for l in 0..key.level() {
-            if self.is_leaf_idx(cur) {
-                self.charge_read(hops);
-                return Some(cur_key);
-            }
-            let idx = key.ancestor_at(l + 1).sibling_index();
-            let next = self.nodes[cur as usize].children[idx];
-            if next == NIL {
-                self.charge_read(hops);
-                return Some(cur_key);
-            }
-            cur = next;
-            cur_key = key.ancestor_at(l + 1);
-            hops += 1;
-        }
-        self.charge_read(hops);
-        if self.is_leaf_idx(cur) {
-            Some(cur_key)
-        } else {
-            None
-        }
-    }
-
     /// Read a cell payload.
     pub fn get_data(&mut self, key: OctKey) -> Option<[f64; 4]> {
-        let i = self.find(key)?;
-        self.charge_read(1);
-        Some(self.nodes[i as usize].data)
+        let (tree, mut dram) = self.split();
+        tree.get_data(key, &mut dram).map(|d| raw(&d))
     }
 
     /// Write a cell payload.
     pub fn set_data(&mut self, key: OctKey, data: [f64; 4]) -> bool {
-        match self.find(key) {
-            Some(i) => {
-                self.charge_write(1);
-                self.nodes[i as usize].data = data;
-                true
-            }
-            None => false,
-        }
+        let Some(i) = self.find(key) else {
+            return false;
+        };
+        let (tree, mut dram) = self.split();
+        tree.set_data(i, cell(data), &mut dram);
+        true
     }
 
     /// Split the leaf at `key` into 8 children inheriting its payload. A
@@ -286,20 +193,11 @@ impl InCoreOctree {
         let Some(i) = self.find(key) else {
             return false;
         };
-        if !self.is_leaf_idx(i) || key.level() == OctKey::MAX_LEVEL {
+        if !self.tree.is_leaf(i) || key.level() == OctKey::MAX_LEVEL {
             return false;
         }
-        let (k, data) = {
-            let n = &self.nodes[i as usize];
-            (n.key, n.data)
-        };
-        let mut kids = [NIL; 8];
-        for (c, slot) in kids.iter_mut().enumerate() {
-            *slot = self.alloc(Node { key: k.child(c), children: [NIL; 8], data, live: true });
-        }
-        self.nodes[i as usize].children = kids;
-        self.charge_write(9);
-        self.leaves += 7;
+        let (tree, mut dram) = self.split();
+        let kids = tree.refine(i, &mut dram);
         self.depth = self.depth.max(key.level() + 1);
         let slots: Vec<u64> = kids.iter().map(|&c| c as u64).collect();
         self.index.on_refine(key, &slots);
@@ -311,81 +209,29 @@ impl InCoreOctree {
         let Some(i) = self.find(key) else {
             return false;
         };
-        if self.is_leaf_idx(i) {
+        let (tree, mut dram) = self.split();
+        if tree.coarsen(i, &mut dram).is_err() {
             return false;
         }
-        let children = self.nodes[i as usize].children;
-        if children.iter().any(|&c| c != NIL && !self.is_leaf_idx(c)) {
-            return false;
-        }
-        let mut mean = [0.0f64; 4];
-        for &c in &children {
-            if c != NIL {
-                for (m, v) in mean.iter_mut().zip(self.nodes[c as usize].data) {
-                    *m += v / 8.0;
-                }
-                self.nodes[c as usize].live = false;
-                self.free.push(c);
-            }
-        }
-        // Restriction: the surviving leaf takes the mean of its children.
-        self.nodes[i as usize].data = mean;
-        self.nodes[i as usize].children = [NIL; 8];
-        self.charge_write(1);
-        self.leaves -= 7;
         self.index.on_coarsen(key, i as u64);
         true
     }
 
     /// Visit every leaf in pre-order.
     pub fn for_each_leaf(&mut self, mut f: impl FnMut(OctKey, &[f64; 4])) {
-        let mut stack = vec![self.root];
-        let mut hops = 0u64;
-        while let Some(i) = stack.pop() {
-            hops += 1;
-            let n = &self.nodes[i as usize];
-            if n.children.iter().all(|&c| c == NIL) {
-                f(n.key, &n.data);
-            } else {
-                for &c in n.children.iter().rev() {
-                    if c != NIL {
-                        stack.push(c);
-                    }
-                }
-            }
-        }
-        self.charge_read(hops);
+        let (tree, mut dram) = self.split();
+        tree.for_each_leaf(&mut dram, |k, d| f(k, &raw(d)));
     }
 
     /// Solver sweep: `f` returns `Some(new_data)` to update a leaf.
     pub fn update_leaves(&mut self, mut f: impl FnMut(OctKey, &[f64; 4]) -> Option<[f64; 4]>) {
-        let mut stack = vec![self.root];
-        let mut reads = 0u64;
-        let mut writes = 0u64;
-        while let Some(i) = stack.pop() {
-            reads += 1;
-            let leaf = self.nodes[i as usize].children.iter().all(|&c| c == NIL);
-            if leaf {
-                let n = &self.nodes[i as usize];
-                if let Some(nd) = f(n.key, &n.data) {
-                    self.nodes[i as usize].data = nd;
-                    writes += 1;
-                }
-            } else {
-                for &c in self.nodes[i as usize].children.iter().rev() {
-                    if c != NIL {
-                        stack.push(c);
-                    }
-                }
-            }
-        }
-        self.charge_read(reads);
-        self.charge_write(writes);
+        let (tree, mut dram) = self.split();
+        tree.update_leaves(&mut dram, |k, d| f(k, &raw(d)).map(cell));
     }
 
     /// Collect all leaves sorted by Z-order.
     pub fn leaves_sorted(&mut self) -> Vec<(OctKey, [f64; 4])> {
-        let mut out = Vec::with_capacity(self.leaves);
+        let mut out = Vec::with_capacity(self.leaf_count());
         self.for_each_leaf(|k, d| out.push((k, *d)));
         out.sort_by_key(|a| a.0);
         out
@@ -393,22 +239,15 @@ impl InCoreOctree {
 
     // ---- snapshots (gfs_output_write / gfs_output_read analogues) -------
 
-    /// Serialize the whole tree into a snapshot file. Cost: one DRAM read
-    /// per octant plus the FS write of every byte.
+    /// Serialize the whole tree into a snapshot file. Cost: every line of
+    /// every octant read once, plus the FS write of every byte.
     pub fn snapshot(&mut self, fs: &mut SimFs, name: &str) {
-        let mut records = Vec::with_capacity(self.octant_count());
-        let mut stack = vec![self.root];
-        while let Some(i) = stack.pop() {
-            let n = &self.nodes[i as usize];
-            let leaf = n.children.iter().all(|&c| c == NIL);
-            records.push(OctantRecord { key: n.key, data: n.data, is_leaf: leaf });
-            for &c in n.children.iter().rev() {
-                if c != NIL {
-                    stack.push(c);
-                }
-            }
-        }
-        self.charge_read(records.len() as u64);
+        let (tree, mut dram) = self.split();
+        let records: Vec<OctantRecord> = tree
+            .collect(&mut dram)
+            .into_iter()
+            .map(|(key, d, is_leaf)| OctantRecord { key, data: raw(&d), is_leaf })
+            .collect();
         let bytes = encode_octants(&records);
         fs.write_all(name, &bytes);
         // A checkpoint that may still sit in the device write cache is no
@@ -419,7 +258,8 @@ impl InCoreOctree {
         self.clock.advance_to(self.clock.now_ns());
     }
 
-    /// Rebuild a tree from a snapshot file.
+    /// Rebuild a tree from a snapshot file: each record's refine and
+    /// payload store charge the lines they write.
     pub fn restore(fs: &mut SimFs, name: &str) -> Result<Self, String> {
         let bytes = fs.read_all(name)?;
         let records = decode_octants(&bytes)?;
@@ -435,7 +275,6 @@ impl InCoreOctree {
         for r in &records {
             t.set_data(r.key, r.data);
         }
-        t.charge_write(records.len() as u64);
         Ok(t)
     }
 }
@@ -539,6 +378,29 @@ mod tests {
         t.update_leaves(|_, d| Some([d[0] + 1.0, d[1], d[2], d[3]]));
         t.for_each_leaf(|_, d| assert_eq!(d[0], 1.0));
         assert_eq!(t.get_data(OctKey::root()).unwrap()[0], 0.0);
+    }
+
+    /// The C0 rule: refine writes the 8 child lines and the parent's two,
+    /// coarsen reads the 8 child lines and writes one, and a point read
+    /// costs its walk — plus the payload line of an interior octant.
+    #[test]
+    fn every_access_charges_the_lines_it_touches() {
+        let mut t = InCoreOctree::new();
+        let cost = |t: &mut InCoreOctree, f: &mut dyn FnMut(&mut InCoreOctree)| {
+            let (r, w) = (t.stats.dram.read_lines, t.stats.dram.write_lines);
+            f(t);
+            (t.stats.dram.read_lines - r, t.stats.dram.write_lines - w)
+        };
+        let k = OctKey::root().child(3);
+        assert_eq!(cost(&mut t, &mut |t| assert!(t.refine(OctKey::root()))), (1, 10));
+        assert_eq!(cost(&mut t, &mut |t| assert!(t.refine(k))), (2, 10));
+        assert_eq!(cost(&mut t, &mut |t| assert!(t.get_data(k.child(1)).is_some())), (3, 0));
+        assert_eq!(cost(&mut t, &mut |t| assert!(t.get_data(k).is_some())), (3, 0));
+        assert_eq!(cost(&mut t, &mut |t| assert!(t.set_data(k, [1.0; 4]))), (2, 1));
+        assert_eq!(cost(&mut t, &mut |t| t.for_each_leaf(|_, _| {})), (17, 0));
+        assert_eq!(cost(&mut t, &mut |t| t.update_leaves(|_, d| Some(*d))), (17, 15));
+        assert_eq!(cost(&mut t, &mut |t| assert!(t.coarsen(k))), (2 + 8, 1));
+        assert_eq!(t.get_data(k), Some([0.0; 4]), "the mean of the children");
     }
 
     #[test]

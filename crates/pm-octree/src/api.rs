@@ -342,10 +342,12 @@ impl PmOctree {
         self.epoch
     }
 
-    /// Total simulated memory in use: NVBM live bytes + DRAM C0 bytes.
+    /// Total simulated memory in use: NVBM live bytes + the DRAM lines
+    /// of the C0 forest.
     pub fn memory_usage_bytes(&self) -> u64 {
-        self.store.alloc.live_bytes()
-            + (self.forest.total_octants * crate::octant::OCTANT_SIZE) as u64
+        let c0_lines: usize =
+            self.forest.ids().into_iter().map(|id| self.forest.get(id).lines()).sum();
+        self.store.alloc.live_bytes() + (c0_lines * pmoctree_nvbm::CACHELINE) as u64
     }
 
     /// How many octants currently sit in DRAM (C0)?
@@ -414,9 +416,7 @@ impl PmOctree {
     /// Payload of `key` inside the C0 tree `id` that owns its region.
     fn c0_data(&mut self, id: u32, key: OctKey) -> Option<CellData> {
         let store = &mut self.store;
-        self.forest.with_tree(id, |t| {
-            t.find(key, &mut store.arena).map(|i| t.data_of(i, &mut store.arena))
-        })
+        self.forest.with_tree(id, |t| t.get_data(key, &mut store.arena))
     }
 
     // ---- mesh mutation ----------------------------------------------------
@@ -522,7 +522,8 @@ impl PmOctree {
         let Some(data) = self.store.nav_line(p).leaf else {
             return Err(PmError::NotALeaf(format!("{key:?}")));
         };
-        let id = self.register_c0(C0Tree::new(key, data), p);
+        let tree = C0Tree::new(key, data, &mut self.store.arena);
+        let id = self.register_c0(tree, p);
         let (store, epoch) = (&mut self.store, self.epoch);
         match c1::replace_slot(store, self.current_root, key, ChildPtr::Volatile(id), epoch) {
             Ok(root) => self.current_root = root,
@@ -1008,7 +1009,7 @@ impl PmOctree {
         let key = t.subtree_key;
         let merge = t.dirty || shadow.is_null();
         let (off, dropped) = if merge {
-            let octants = t.collect();
+            let octants = t.collect(&mut self.store.arena);
             c1::merge_subtree(&mut self.store, &octants, shadow.opt(), self.epoch)?
         } else {
             (shadow, Vec::new())
@@ -1263,6 +1264,32 @@ mod tests {
         assert!(t.c0_octants() > 0, "seeding expected");
         t.update_leaves(|_, d| Some(CellData { pressure: d.pressure + 2.0, ..*d }));
         t.for_each_leaf(|_, d| assert_eq!(d.pressure, 2.0));
+    }
+
+    /// A point read inside C0 costs the walk to the octant — whose line
+    /// carries a leaf's payload — and, for an interior octant, its payload
+    /// line; nothing of NVBM.
+    #[test]
+    fn reading_a_c0_leaf_charges_its_walk_alone() {
+        let mut cfg = small_cfg();
+        cfg.c0_capacity_octants = 32;
+        let mut t = PmOctree::create(arena(), cfg);
+        t.refine(OctKey::root()).unwrap();
+        let sub = OctKey::root().child(0);
+        t.refine(sub).unwrap(); // seeds C0 at child 0
+        t.refine(sub.child(5)).unwrap(); // inside DRAM
+        assert_eq!(t.c0_subtree_keys(), vec![sub]);
+        let mut read = |key| {
+            let stats = &t.store.arena.stats;
+            let (dram, nvbm) = (stats.dram.read_lines, stats.nvbm.total_lines());
+            assert!(t.get_data(key).is_some());
+            let stats = &t.store.arena.stats;
+            (stats.dram.read_lines - dram, stats.nvbm.total_lines() - nvbm)
+        };
+        assert_eq!(read(sub.child(5).child(2)), (3, 0), "a leaf: its three hops");
+        assert_eq!(read(sub.child(1)), (2, 0), "a leaf: its two hops");
+        assert_eq!(read(sub.child(5)), (3, 0), "an interior octant: two hops and its payload");
+        assert_eq!(read(sub), (2, 0), "the subtree root: one hop and its payload");
     }
 
     /// A tree whose DRAM subtree at child 0 (seeded at 9 octants, under

@@ -60,6 +60,7 @@ mod transform;
 mod verify;
 
 pub use api::{Events, PersistHook, PmError, PmOctree};
+pub use c0::{C0Tree, Dram};
 pub use config::{PmConfig, PmConfigBuilder};
 pub use gc::{mark, Census, GcReport};
 pub use octant::{CellData, Octant, PmStore, OCTANT_SIZE};

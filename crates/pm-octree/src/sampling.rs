@@ -11,7 +11,7 @@ use pmoctree_morton::OctKey;
 use pmoctree_nvbm::POffset;
 use rand::Rng;
 
-use crate::c0::C0Tree;
+use crate::c0::{C0Tree, Dram};
 use crate::octant::{CellData, ChildPtr, PmStore, FANOUT};
 
 /// An application feature function: returns `true` when the octant's
@@ -83,24 +83,27 @@ pub fn sample_nvbm_freq(
     hits as f64 / evals.max(1) as f64
 }
 
-/// Estimate the access frequency of a DRAM (C0) subtree the same way.
-pub fn sample_c0_freq(tree: &C0Tree, n: usize, features: &[FeatureFn], rng: &mut impl Rng) -> f64 {
+/// Estimate the access frequency of a DRAM (C0) subtree the same way,
+/// from `min(n, leaves)` leaves drawn uniformly by pre-order number: one
+/// line read per draw.
+pub fn sample_c0_freq(
+    tree: &C0Tree,
+    n: usize,
+    features: &[FeatureFn],
+    rng: &mut impl Rng,
+    dram: &mut impl Dram,
+) -> f64 {
     if features.is_empty() || n == 0 {
         return 0.0;
     }
-    // C0 trees are small; collect leaves once and sample uniformly.
-    let octants = tree.collect();
-    let leaves: Vec<&(OctKey, CellData, bool)> = octants.iter().filter(|o| o.2).collect();
-    if leaves.is_empty() {
-        return 0.0;
-    }
+    let leaves = tree.leaf_count();
+    let ranks: Vec<usize> = (0..n.min(leaves)).map(|_| rng.gen_range(0..leaves)).collect();
     let mut hits = 0usize;
     let mut evals = 0usize;
-    for _ in 0..n.min(leaves.len().max(1)) {
-        let pick = leaves[rng.gen_range(0..leaves.len())];
+    for (key, data) in tree.leaves_at(&ranks, dram) {
         for f in features {
             evals += 1;
-            if f(&pick.0, &pick.1) {
+            if f(&key, &data) {
                 hits += 1;
             }
         }
@@ -151,19 +154,43 @@ mod tests {
 
     #[test]
     fn c0_sampling_uses_features() {
-        let tree =
-            C0Tree::new(OctKey::root().child(3), CellData { vof: 0.9, ..Default::default() });
+        let mut a = NvbmArena::new(1 << 16, DeviceModel::default());
+        let d = CellData { vof: 0.9, ..Default::default() };
+        let tree = C0Tree::new(OctKey::root().child(3), d, &mut a);
         let features: Vec<FeatureFn> = vec![Box::new(|_k, d: &CellData| d.vof > 0.5)];
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(sample_c0_freq(&tree, 10, &features, &mut rng), 1.0);
+        assert_eq!(sample_c0_freq(&tree, 10, &features, &mut rng, &mut a), 1.0);
         let features2: Vec<FeatureFn> = vec![Box::new(|_k, d: &CellData| d.vof > 0.99)];
-        assert_eq!(sample_c0_freq(&tree, 10, &features2, &mut rng), 0.0);
+        assert_eq!(sample_c0_freq(&tree, 10, &features2, &mut rng, &mut a), 0.0);
+    }
+
+    #[test]
+    fn c0_sampling_reads_a_line_per_draw() {
+        let mut a = NvbmArena::new(1 << 16, DeviceModel::default());
+        let mut tree = C0Tree::new(OctKey::root(), CellData::default(), &mut a);
+        let root = tree.find(OctKey::root(), &mut a).unwrap();
+        let kids = tree.refine(root, &mut a);
+        tree.set_data(kids[6], CellData { vof: 1.0, ..Default::default() }, &mut a);
+        let features: Vec<FeatureFn> = vec![Box::new(|_k, d: &CellData| d.vof > 0.5)];
+        // The draws, the pre-order leaf numbering and so the estimate are
+        // those of drawing from the whole leaf list.
+        let (mut rng, mut twin) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+        let hits = (0..5).filter(|_| twin.gen_range(0..8usize) == 6).count();
+        let before = a.stats.dram.read_lines;
+        let f = sample_c0_freq(&tree, 5, &features, &mut rng, &mut a);
+        assert_eq!(f, hits as f64 / 5.0);
+        assert_eq!(a.stats.dram.read_lines - before, 5);
+        // At most one draw per leaf.
+        let before = a.stats.dram.read_lines;
+        sample_c0_freq(&tree, 50, &features, &mut rng, &mut a);
+        assert_eq!(a.stats.dram.read_lines - before, 8);
     }
 
     #[test]
     fn empty_features_yield_zero() {
-        let tree = C0Tree::new(OctKey::root(), CellData::default());
+        let mut a = NvbmArena::new(1 << 16, DeviceModel::default());
+        let tree = C0Tree::new(OctKey::root(), CellData::default(), &mut a);
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(sample_c0_freq(&tree, 10, &[], &mut rng), 0.0);
+        assert_eq!(sample_c0_freq(&tree, 10, &[], &mut rng, &mut a), 0.0);
     }
 }

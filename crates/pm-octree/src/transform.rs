@@ -78,7 +78,12 @@ impl PmOctree {
             .forest
             .ids()
             .into_iter()
-            .map(|id| (id, sampling::sample_c0_freq(self.forest.get(id), n, &features, &mut rng)))
+            .map(|id| {
+                let tree = self.forest.get(id);
+                let f =
+                    sampling::sample_c0_freq(tree, n, &features, &mut rng, &mut self.store.arena);
+                (id, f)
+            })
             .collect();
         dram.sort_by(|a, b| a.1.total_cmp(&b.1));
         self.features = features;
@@ -138,7 +143,7 @@ impl PmOctree {
                 }
             }
             let subtree_key = octants[0].0;
-            let tree = C0Tree::from_octants(subtree_key, &octants);
+            let tree = C0Tree::from_octants(subtree_key, &octants, &mut self.store.arena);
             let id = self.register_c0(tree, hot_off);
             let (root, epoch) = (self.root_offset(), self.epoch());
             match c1::replace_slot(
@@ -330,7 +335,8 @@ mod tests {
     fn link_to_c0(t: &mut PmOctree, key: OctKey) {
         let p = offset_of(t, key);
         let octants = c1::collect_subtree(&mut t.store, p).unwrap();
-        let id = t.register_c0(C0Tree::from_octants(key, &octants), p);
+        let tree = C0Tree::from_octants(key, &octants, &mut t.store.arena);
+        let id = t.register_c0(tree, p);
         let (root, epoch) = (t.root_offset(), t.epoch());
         let root =
             c1::replace_slot(&mut t.store, root, key, ChildPtr::Volatile(id), epoch).unwrap();
