@@ -120,49 +120,14 @@ if grep -rn 'stage_epoch\|stage_bump_hint\|set_rt_root\|root_swap_half\|ROOT_SLO
 fi
 # Descent-free time-step gates, by exact count: batched coarsen legality
 # against the per-key rule on all three backends, in optimized builds.
-# One whole-tree NVBM walker (`c1::sweep_leaves`) and one root-to-key
-# walker (the cursor — an op descends its path once, a batch reads a
-# shared prefix once, a merge reads each shadow octant once), no per-leaf
-# root re-entry in `update_leaves`, no per-key probe loop in `can_coarsen`.
-cargo test --release -p pm-octree --lib c1::tests::an_op_walks_its_path_once -q
-cargo test --release -p pm-octree --lib c1::tests::a_cursor_reads_a_shared_prefix_once -q
-cargo test --release -p pm-octree --lib c1::tests::merge_reads_each_shadow_octant_once -q
-cargo test --release -p pm-octree --lib c1::tests::descend_outside_the_root_is_not_found -q
-# A COW walk stores each copy once: a per-op walk d record writes — one
-# line for a leaf, two for an interior octant — and one link store (or a
-# new root); a sweep each copy once with its final links when the walk
-# leaves it, and an exclusive octant whose links changed one body store —
-# no link store per rewritten leaf. Counted in write lines and in crash
-# opportunities. A leaf is one line: its payload sits in the link bytes it
-# has no use for, so a sweep reads one line per octant, a rewritten shared
-# leaf is one one-line copy carrying its new payload plus one store into
-# its parent's link line, and link and body stores leave the presence mask
-# as the recovery scan wants it. A sweep that runs out of room stores what
-# it reserved before it stops. Refine and coarsen move the payload between
-# the two places and keep it; any 64 bytes decode to a navigation line or
-# to `Corrupt`.
-cargo test --release -p pm-octree --lib c1::tests::cow_stores_each_copy_once -q
-cargo test --release -p pm-octree --lib c1::tests::a_sweep_stores_each_copy_once -q
-cargo test --release -p pm-octree --lib c1::tests::full_mid_sweep_publishes_nothing_of_the_failing_leaf -q
-cargo test --release -p pm-octree --lib c1::tests::updating_a_shared_leaf_costs_one_copy_and_one_link -q
-cargo test --release -p pm-octree --lib c1::tests::a_sweep_reads_one_line_per_octant -q
-cargo test --release -p pm-octree --lib octant::tests::a_leaf_is_one_line -q
-# A C0 node is its record image: a leaf one 64-byte line, an interior
-# node its navigation line plus a payload line (size and alignment
-# const-asserted), and every C0 access charges the lines it touches — a
-# sweep of one subtree charges the same lines held in C0 as merged into
-# NVBM, refine 10 lines and coarsen 9 with the clock advanced by exactly
-# their latency, a point read of a C0 leaf its walk alone, a C0 sample one
-# line per draw — and the in-core baseline, which runs on the same node
-# store, by the same rule. (`c0::tests::a_freed_id_is_not_read` checks a
-# debug assertion, so it runs in the debug `cargo test --workspace` above.)
-cargo test --release -p pm-octree --lib c0::tests -q
-cargo test --release -p pm-octree --lib api::tests::reading_a_c0_leaf_charges_its_walk_alone -q
-cargo test --release -p pm-octree --lib sampling::tests::c0_sampling_reads_a_line_per_draw -q
-cargo test --release -p pmoctree-baselines --lib incore::tests::every_access_charges_the_lines_it_touches -q
-cargo test --release -p pm-octree --lib octant::tests::any_navigation_line_decodes_or_is_corrupt -q
-cargo test --release -p pm-octree --lib api::tests::a_leaf_keeps_its_payload_across_refine_and_coarsen -q
-cargo test --release -p pm-octree --lib octant::tests::set_link_leaves_the_mask_coherent -q
+# One walker over both tiers' line stores, in optimized builds: an op reads
+# its path once and a batch a shared prefix once; a sweep reads one line
+# per octant and a copy stores each copy once, publishing no link of a
+# leaf that ran out of room; a C0 node is its record image (a leaf one
+# line), and refine, coarsen, point reads, samples, the in-core baseline
+# and the tier-to-tier copy charge the lines they touch, alike in both
+# tiers op for op; any 64 bytes decode or are `Corrupt`.
+cargo test --release -p pm-octree -p pmoctree-baselines --lib -q
 cargo test --release -p pmoctree-amr --test prop_backends batched_coarsen_legality -q
 no_fork 'fn deepest\|fn traverse' crates/pm-octree/src/c1.rs crates/pm-octree/src/api.rs
 if sed -n '/pub fn update_leaves/,/^    }/p' crates/pm-octree/src/api.rs | grep -n 'update_data('; then
@@ -201,16 +166,16 @@ no_fork 'zorder_argsort' crates/pm-octree/src/api.rs crates/baselines/src/incore
 no_fork 'balance_subset(' crates/cluster/src/rank.rs
 cargo test --release -p pmoctree-morton --lib index::tests::resolve_batch -q
 cargo test --release -p pmoctree-cluster --lib rank::tests::full_range_rank_step -q
-# One-kernel / one-census gates: a refine/coarsen/set-data meets the c1
-# COW routines in exactly one place outside c1.rs (`PmOctree::apply_op`,
-# the per-op API's body; a batch is that API in a loop, seeding and all),
+# One-kernel / one-census gates: a refine/coarsen/set-data meets the
+# walker in exactly one place in api.rs (`PmOctree::apply_op`, the per-op
+# API's body; a batch is that API in a loop, seeding and all),
 # and the Fig. 3 overlap and the replica delta are read off the
 # collection's counters (the model holds them to a mark walk of the
 # published version), a seeding refine against the eviction line, in
 # optimized builds. The replaced copies and the two caller-less
 # subsystems must be gone, not kept beside them.
 cargo test --release -p pm-octree --lib api::tests::seeding_stays_under_the_eviction_line -q
-for call in 'c1::refine(' 'c1::coarsen(' 'c1::update_data('; do
+for call in 'walk::apply('; do
     sites=$(sed '/^#\[cfg(test)\]/,$d' crates/pm-octree/src/api.rs | grep -c "$call" || true)
     if [ "$sites" != 1 ]; then
         echo "$call has $sites call sites in api.rs, want exactly one (PmOctree::apply_op)" >&2

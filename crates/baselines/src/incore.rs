@@ -13,9 +13,9 @@
 //! comparison with the PM-octree's C0 tier differs in where nodes live,
 //! not in how they are charged.
 
-use pm_octree::{C0Tree, CellData};
+use pm_octree::{C0Tree, CellData, Op};
 use pmoctree_morton::{LeafIndex, OctKey};
-use pmoctree_nvbm::{DeviceModel, MemStats, VirtualClock};
+use pmoctree_nvbm::{DeviceModel, MemLatency, MemStats, VirtualClock};
 use pmoctree_simfs::SimFs;
 
 use crate::snapshot::{decode_octants, encode_octants, OctantRecord};
@@ -52,13 +52,14 @@ impl InCoreOctree {
     /// A tree holding the single root cell.
     pub fn new() -> Self {
         let (mut clock, mut stats) = (VirtualClock::new(), MemStats::new(0));
-        let tree = C0Tree::new(OctKey::root(), CellData::default(), &mut (&mut clock, &mut stats));
+        let dram = &mut (&mut clock, &mut stats, DeviceModel::default().dram);
+        let tree = C0Tree::new(OctKey::root(), CellData::default(), dram);
         InCoreOctree { tree, depth: 0, clock, stats, index: LeafIndex::new() }
     }
 
     /// The node store and the DRAM it charges.
-    fn split(&mut self) -> (&mut C0Tree, (&mut VirtualClock, &mut MemStats)) {
-        (&mut self.tree, (&mut self.clock, &mut self.stats))
+    fn split(&mut self) -> (&mut C0Tree, (&mut VirtualClock, &mut MemStats, MemLatency)) {
+        (&mut self.tree, (&mut self.clock, &mut self.stats, DeviceModel::default().dram))
     }
 
     /// Charge the DRAM clock/stats for touching `entries` leaf-index
@@ -79,7 +80,7 @@ impl InCoreOctree {
         }
         let mut entries = Vec::with_capacity(self.leaf_count());
         let (tree, mut dram) = self.split();
-        tree.for_each_leaf_slot(&mut dram, |i, k, _| entries.push((k, i as u64)));
+        tree.leaves(&mut dram, |i, k, _| entries.push((k, i as u64)));
         let n = self.index.rebuild(entries);
         self.stats.index_rebuild(n as u64);
     }
@@ -119,7 +120,8 @@ impl InCoreOctree {
         let resolved = self.resolve_charged(keys);
         let mut out = vec![None; keys.len()];
         let mut fallbacks = Vec::new();
-        let (tree, mut dram) = (&self.tree, (&mut self.clock, &mut self.stats));
+        let lat = DeviceModel::default().dram;
+        let (tree, mut dram) = (&mut self.tree, (&mut self.clock, &mut self.stats, lat));
         for (pos, r) in resolved.into_iter().enumerate() {
             match r.map(|e| self.index.entries()[e]) {
                 Some((leaf, slot)) if leaf == keys[pos] => {
@@ -149,15 +151,16 @@ impl InCoreOctree {
         self.tree.octant_count()
     }
 
-    /// The slab id of the octant at `key`, if it exists: the walk's lines.
-    fn find(&mut self, key: OctKey) -> Option<u32> {
-        let (tree, mut dram) = self.split();
-        tree.find(key, &mut dram)
-    }
-
     /// Does the octant exist, and is it a leaf?
     pub fn is_leaf(&mut self, key: OctKey) -> Option<bool> {
-        self.find(key).map(|i| self.tree.is_leaf(i))
+        let (tree, mut dram) = self.split();
+        tree.is_leaf(key, &mut dram)
+    }
+
+    /// Apply `op` to the node store; the slab id of the node it names.
+    fn apply(&mut self, op: Op) -> Option<u32> {
+        let (tree, mut dram) = self.split();
+        tree.apply(op, &mut dram).ok()
     }
 
     /// The leaf containing `key`'s region, or `None` if `key` is internal.
@@ -179,40 +182,30 @@ impl InCoreOctree {
 
     /// Write a cell payload.
     pub fn set_data(&mut self, key: OctKey, data: [f64; 4]) -> bool {
-        let Some(i) = self.find(key) else {
-            return false;
-        };
-        let (tree, mut dram) = self.split();
-        tree.set_data(i, cell(data), &mut dram);
-        true
+        self.apply(Op::SetData(key, cell(data))).is_some()
     }
 
     /// Split the leaf at `key` into 8 children inheriting its payload. A
     /// leaf at `OctKey::MAX_LEVEL` has none to make: refused.
     pub fn refine(&mut self, key: OctKey) -> bool {
-        let Some(i) = self.find(key) else {
-            return false;
-        };
-        if !self.tree.is_leaf(i) || key.level() == OctKey::MAX_LEVEL {
+        if key.level() == OctKey::MAX_LEVEL {
+            self.is_leaf(key);
             return false;
         }
-        let (tree, mut dram) = self.split();
-        let kids = tree.refine(i, &mut dram);
+        let Some(i) = self.apply(Op::Refine(key)) else {
+            return false;
+        };
         self.depth = self.depth.max(key.level() + 1);
-        let slots: Vec<u64> = kids.iter().map(|&c| c as u64).collect();
+        let slots = self.tree.children(i).map(u64::from);
         self.index.on_refine(key, &slots);
         true
     }
 
     /// Remove the (all-leaf) children of `key`.
     pub fn coarsen(&mut self, key: OctKey) -> bool {
-        let Some(i) = self.find(key) else {
+        let Some(i) = self.apply(Op::Coarsen(key)) else {
             return false;
         };
-        let (tree, mut dram) = self.split();
-        if tree.coarsen(i, &mut dram).is_err() {
-            return false;
-        }
         self.index.on_coarsen(key, i as u64);
         true
     }
@@ -220,13 +213,13 @@ impl InCoreOctree {
     /// Visit every leaf in pre-order.
     pub fn for_each_leaf(&mut self, mut f: impl FnMut(OctKey, &[f64; 4])) {
         let (tree, mut dram) = self.split();
-        tree.for_each_leaf(&mut dram, |k, d| f(k, &raw(d)));
+        tree.leaves(&mut dram, |_, k, d| f(k, &raw(d)));
     }
 
     /// Solver sweep: `f` returns `Some(new_data)` to update a leaf.
     pub fn update_leaves(&mut self, mut f: impl FnMut(OctKey, &[f64; 4]) -> Option<[f64; 4]>) {
         let (tree, mut dram) = self.split();
-        tree.update_leaves(&mut dram, |k, d| f(k, &raw(d)).map(cell));
+        tree.sweep(&mut dram, |k, d| f(k, &raw(d)).map(cell));
     }
 
     /// Collect all leaves sorted by Z-order.
@@ -243,19 +236,16 @@ impl InCoreOctree {
     /// every octant read once, plus the FS write of every byte.
     pub fn snapshot(&mut self, fs: &mut SimFs, name: &str) {
         let (tree, mut dram) = self.split();
-        let records: Vec<OctantRecord> = tree
-            .collect(&mut dram)
-            .into_iter()
-            .map(|(key, d, is_leaf)| OctantRecord { key, data: raw(&d), is_leaf })
-            .collect();
+        let mut records = Vec::with_capacity(tree.octant_count());
+        tree.octants(&mut dram, |key, d, is_leaf| {
+            records.push(OctantRecord { key, data: raw(&d), is_leaf })
+        });
         let bytes = encode_octants(&records);
         fs.write_all(name, &bytes);
         // A checkpoint that may still sit in the device write cache is no
         // checkpoint: pay the durability barrier, like fsync after
         // gfs_output_write.
         fs.sync();
-        // The snapshot stall is part of this tree's execution time.
-        self.clock.advance_to(self.clock.now_ns());
     }
 
     /// Rebuild a tree from a snapshot file: each record's refine and
@@ -345,9 +335,17 @@ mod tests {
         for i in 0..8 {
             t.refine(OctKey::root().child(i));
         }
-        let t0 = fs.clock.now_ns();
+        let (t0, tree0, read0) = (fs.clock.now_ns(), t.clock.now_ns(), t.stats.dram.read_lines);
         t.snapshot(&mut fs, "big");
         assert!(fs.clock.now_ns() - t0 >= small, "bigger tree, costlier snapshot");
+        // The in-core backend's elapsed time is the tree's clock plus the
+        // file system's: a snapshot advances it by exactly the file-system
+        // time and the DRAM lines it read — every line of the tree, 64
+        // leaves and 9 interior nodes of two lines each.
+        let lines = t.stats.dram.read_lines - read0;
+        assert_eq!(lines, 64 + 9 * 2);
+        let elapsed = fs.clock.now_ns() + t.clock.now_ns() - t0 - tree0;
+        assert_eq!(elapsed, fs.clock.now_ns() - t0 + lines * DeviceModel::default().dram.read_ns);
         assert!(fs.len("big").unwrap() > fs.len("small").unwrap());
     }
 

@@ -1,7 +1,7 @@
 //! The experiments behind every table and figure in §5 (scaled down per
 //! DESIGN.md; shapes, not absolute numbers, are the reproduction target).
 
-use pm_octree::{PmConfig, PmOctree};
+use pm_octree::{PmConfig, PmOctree, OCTANT_SIZE};
 use pmoctree_amr::{InCoreBackend, PmBackend};
 use pmoctree_cluster::{recovery_comparison, ClusterReport, ClusterSim, RecoveryReport, Scheme};
 use pmoctree_nvbm::{DeviceModel, NvbmArena, TraversalStats};
@@ -88,20 +88,22 @@ pub fn fig3_overlap(steps: usize, max_level: u8) -> Vec<Fig3Row> {
         let octants = total.max(1);
         // Memory holding both versions at the persist point: the octants
         // kept live (shared + V_i exclusive) plus the previous version's
-        // exclusive octants freed by this persist's GC.
+        // exclusive octants freed by this persist's GC. Fig. 3's "mem/1000
+        // oct" is this record size times an octant count: a model, not a
+        // measurement of the arena.
         let gc = b
             .tree
             .events
             .last_gc
             .unwrap_or(pm_octree::GcReport { live: octants, ..Default::default() });
-        let two_version_bytes = ((gc.live + gc.freed) * 128) as f64;
+        let two_version_bytes = ((gc.live + gc.freed) * OCTANT_SIZE) as f64;
         rows.push(Fig3Row {
             step: s,
             overlap: b.tree.events.overlap_ratio(),
             mem_per_1000: two_version_bytes / octants as f64 * 1000.0,
             // Two full copies of V_i (what a non-shared multi-version
-            // scheme would pay): 2 × octants × 128 B.
-            two_copies_per_1000: 2.0 * 128.0 * 1000.0,
+            // scheme would pay): 2 × octants × the record size.
+            two_copies_per_1000: 2.0 * OCTANT_SIZE as f64 * 1000.0,
             elements: b.tree.leaf_count(),
         });
     }
@@ -698,8 +700,8 @@ pub fn ablation_versions(max_versions: usize, steps: usize, max_level: u8) -> Ve
     for s in 0..steps {
         sim.step(&mut b, s);
         let (total, shared) = b.tree.events.last_overlap.unwrap_or((0, 0));
-        new_bytes_per_step.push(((total - shared) * 128) as u64);
-        base_bytes = (total * 128) as u64;
+        new_bytes_per_step.push(((total - shared) * OCTANT_SIZE) as u64);
+        base_bytes = (total * OCTANT_SIZE) as u64;
     }
     (1..=max_versions)
         .map(|v| VersionRow {

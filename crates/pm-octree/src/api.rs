@@ -18,13 +18,14 @@ use pmoctree_nvbm::{CommitRecord, NvbmArena, POffset, RecKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::c0::{C0Forest, C0Tree, CoarsenError};
-use crate::c1::{self, Locate};
+use crate::c0::{C0Forest, C0Tree};
+use crate::c1;
 use crate::config::{PmConfig, THRESHOLD_DRAM, THRESHOLD_NVBM};
 use crate::gc::{self, GcReport};
 use crate::octant::{CellData, ChildPtr, Octant, PmStore};
 use crate::replica::ReplicaSet;
 use crate::sampling::{self, FeatureFn};
+use crate::walk::{self, Cursor, Locate, Op};
 
 /// Application-state commit hook run inside [`PmOctree::persist_with_hook`]
 /// after the flush, with the tree's fields staged in the arena's next
@@ -113,22 +114,6 @@ impl Events {
     }
 }
 
-/// One mesh mutation, as the per-op API applies it.
-#[derive(Clone, Copy, Debug)]
-enum Op {
-    Refine(OctKey),
-    Coarsen(OctKey),
-    SetData(OctKey, CellData),
-}
-
-impl Op {
-    fn key(&self) -> OctKey {
-        match *self {
-            Op::Refine(k) | Op::Coarsen(k) | Op::SetData(k, _) => k,
-        }
-    }
-}
-
 /// A persistent merged octree over one NVBM device.
 pub struct PmOctree {
     /// The NVBM store (public for statistics access).
@@ -184,7 +169,7 @@ impl PmOctree {
         });
         PmOctree {
             store,
-            forest: C0Forest::new(),
+            forest: C0Forest::default(),
             shadows: Vec::new(),
             cfg,
             current_root: root,
@@ -258,7 +243,7 @@ impl PmOctree {
         }
         let mut t = PmOctree {
             store,
-            forest: C0Forest::new(),
+            forest: C0Forest::default(),
             shadows: Vec::new(),
             cfg,
             current_root: root,
@@ -364,12 +349,10 @@ impl PmOctree {
     pub fn is_leaf(&mut self, key: OctKey) -> Option<bool> {
         if let Some(id) = self.forest.owner_of(&key) {
             let store = &mut self.store;
-            return self
-                .forest
-                .with_tree(id, |t| t.find(key, &mut store.arena).map(|i| t.is_leaf(i)));
+            return self.forest.with_tree(id, |t| t.is_leaf(key, &mut store.arena));
         }
-        match c1::locate(&mut self.store, self.current_root, key) {
-            Locate::Nvbm(p) => Some(self.store.nav_line(p).mask == 0),
+        match walk::locate(&mut self.store, self.current_root, key) {
+            Locate::Found(p) => Some(self.store.nav_line(p).mask == 0),
             _ => None,
         }
     }
@@ -391,14 +374,13 @@ impl PmOctree {
             let store = &mut self.store;
             return self.forest.with_tree(id, |t| t.containing_leaf(key, &mut store.arena));
         }
-        match c1::locate(&mut self.store, self.current_root, key) {
-            Locate::Nvbm(p) => (self.store.nav_line(p).mask == 0).then_some(key),
+        match walk::containing_leaf(&mut self.store, self.current_root, key) {
+            Ok(leaf) => leaf,
             // Continue inside the C0 tree.
-            Locate::Volatile(id) => {
+            Err(id) => {
                 let store = &mut self.store;
                 self.forest.with_tree(id, |t| t.containing_leaf(key, &mut store.arena))
             }
-            Locate::Missing(stopped_at) => stopped_at.map(|l| key.ancestor_at(l)),
         }
     }
 
@@ -407,8 +389,8 @@ impl PmOctree {
         if let Some(id) = self.forest.owner_of(&key) {
             return self.c0_data(id, key);
         }
-        match c1::locate(&mut self.store, self.current_root, key) {
-            Locate::Nvbm(p) => Some(self.store.data(p)),
+        match walk::locate(&mut self.store, self.current_root, key) {
+            Locate::Found(p) => Some(self.store.data(p)),
             _ => None,
         }
     }
@@ -437,11 +419,10 @@ impl PmOctree {
         self.apply_op(Op::SetData(key, data))
     }
 
-    /// Apply one op to `V_i`: inside the DRAM tree that owns its key, or
-    /// — after the two C0 preludes — through the NVBM routine of its kind.
-    /// This is the one place an op meets the `c1` COW routines; a batch
-    /// ([`PmOctree::refine_many`] and its siblings) is the per-op call in
-    /// a loop. A refusal ([`PmError::NotFound`], [`PmError::NotALeaf`],
+    /// Apply one op to `V_i` through the one walker ([`walk::apply`]): in
+    /// the DRAM tree that owns its key, or — after the two C0 preludes —
+    /// in NVBM. A batch ([`PmOctree::refine_many`] and its siblings) is the
+    /// per-op call in a loop. A refusal ([`PmError::NotFound`], [`PmError::NotALeaf`],
     /// [`PmError::NotCoarsenable`]) stores nothing.
     fn apply_op(&mut self, op: Op) -> Result<(), PmError> {
         let key = op.key();
@@ -454,7 +435,8 @@ impl PmOctree {
             });
         }
         if let Some(id) = self.forest.owner_of(&key) {
-            self.apply_c0(id, op)?;
+            let arena = &mut self.store.arena;
+            self.forest.with_tree(id, |t| t.apply(op, arena))?;
         } else {
             match op {
                 Op::Refine(_) if self.should_seed_c0(key) => {
@@ -466,11 +448,7 @@ impl PmOctree {
                 _ => {}
             }
             let (store, root, epoch) = (&mut self.store, self.current_root, self.epoch);
-            self.current_root = match op {
-                Op::Refine(k) => c1::refine(store, root, k, epoch),
-                Op::Coarsen(k) => c1::coarsen(store, root, k, epoch),
-                Op::SetData(k, d) => c1::update_data(store, root, k, &d, epoch),
-            }?;
+            self.current_root = walk::apply(store, root, op, epoch)?.0;
         }
         // Leaf-count, depth and leaf-index bookkeeping; a structural
         // change is also what makes `after_mutation` due.
@@ -490,33 +468,10 @@ impl PmOctree {
         Ok(())
     }
 
-    /// `op` inside the DRAM tree `id` that owns its key.
-    fn apply_c0(&mut self, id: u32, op: Op) -> Result<(), PmError> {
-        let key = op.key();
-        let arena = &mut self.store.arena;
-        self.forest.with_tree(id, |t| {
-            let i = t.find(key, arena).ok_or_else(|| PmError::NotFound(format!("{key:?}")))?;
-            match op {
-                Op::Refine(_) if !t.is_leaf(i) => {
-                    return Err(PmError::NotALeaf(format!("{key:?}")))
-                }
-                Op::Refine(_) => {
-                    t.refine(i, arena);
-                }
-                Op::Coarsen(_) => t.coarsen(i, arena).map_err(|e| match e {
-                    CoarsenError::Leaf => PmError::NotALeaf(format!("{key:?}")),
-                    CoarsenError::DeepChildren => PmError::NotCoarsenable(format!("{key:?}")),
-                })?,
-                Op::SetData(_, d) => t.set_data(i, d, arena),
-            }
-            Ok(())
-        })
-    }
-
     /// Refine prelude: promote the NVBM leaf at `key` to a new DRAM
     /// subtree.
     fn seed_c0(&mut self, key: OctKey) -> Result<(), PmError> {
-        let Locate::Nvbm(p) = c1::locate(&mut self.store, self.current_root, key) else {
+        let Locate::Found(p) = walk::locate(&mut self.store, self.current_root, key) else {
             return Err(PmError::NotFound(format!("{key:?}")));
         };
         let Some(data) = self.store.nav_line(p).leaf else {
@@ -549,7 +504,7 @@ impl PmOctree {
     /// entirely in NVBM; deeper DRAM children mean the region is refined
     /// and coarsening is illegal anyway. Refuses before the first merge.
     fn absorb_c0_children(&mut self, key: OctKey) -> Result<(), PmError> {
-        let Locate::Nvbm(p) = c1::locate(&mut self.store, self.current_root, key) else {
+        let Locate::Found(p) = walk::locate(&mut self.store, self.current_root, key) else {
             return Ok(()); // nothing to absorb; the kernel reports the missing key
         };
         let mut absorb = Vec::new();
@@ -560,7 +515,7 @@ impl PmOctree {
                     absorb.push(id);
                     self.forest.get(id).octant_count() == 1
                 }
-                ChildPtr::Nvbm(c) => self.store.nav_line(c).mask == 0,
+                ChildPtr::Node(c) => self.store.nav_line(c).mask == 0,
             };
             if !coarsenable {
                 return Err(PmError::NotCoarsenable(format!("{key:?}")));
@@ -597,7 +552,7 @@ impl PmOctree {
     /// order within each part is pre-order).
     pub fn for_each_leaf(&mut self, mut f: impl FnMut(OctKey, &CellData)) {
         let mut volatile_ids = Vec::new();
-        c1::sweep_leaves(
+        walk::sweep_leaves(
             &mut self.store,
             self.current_root,
             self.epoch,
@@ -610,7 +565,7 @@ impl PmOctree {
         .expect("a sweep that updates nothing allocates nothing");
         for id in volatile_ids {
             let store = &mut self.store;
-            self.forest.with_tree(id, |t| t.for_each_leaf(&mut store.arena, &mut f));
+            self.forest.with_tree(id, |t| t.leaves(&mut store.arena, |_, k, d| f(k, d)));
         }
     }
 
@@ -687,7 +642,7 @@ impl PmOctree {
     /// are not current leaves without touching NVBM; each resolved leaf's
     /// payload is then fetched from the tier it lives in (the index never
     /// caches payloads). NVBM leaves are located in Z-order through one
-    /// [`c1::Cursor`], so a navigation line shared by several keys' paths
+    /// [`Cursor`], so a navigation line shared by several keys' paths
     /// is read (and charged) once per batch.
     pub fn get_data_many(&mut self, keys: &[OctKey]) -> Vec<Option<CellData>> {
         let resolved = self.resolve_charged(keys);
@@ -700,12 +655,12 @@ impl PmOctree {
             .collect();
         hits.sort_unstable();
         let mut out = vec![None; keys.len()];
-        let mut cursor = c1::Cursor::new(self.current_root);
+        let mut cursor = Cursor::new(self.current_root);
         for (_, pos) in hits {
             out[pos] = match self.forest.owner_of(&keys[pos]) {
                 Some(id) => self.c0_data(id, keys[pos]),
                 None => match cursor.locate(&mut self.store, keys[pos]) {
-                    Locate::Nvbm(p) => Some(self.store.data(p)),
+                    Locate::Found(p) => Some(self.store.data(p)),
                     _ => None,
                 },
             };
@@ -715,17 +670,17 @@ impl PmOctree {
 
     /// Solver sweep: `f` inspects each leaf and returns `Some(new_data)`
     /// to update it. NVBM updates are copy-on-write, made inside the one
-    /// tree walk ([`c1::sweep_leaves`]).
+    /// tree walk ([`walk::sweep_leaves`]).
     pub fn update_leaves(&mut self, mut f: impl FnMut(OctKey, &CellData) -> Option<CellData>) {
         let mut volatile_ids = Vec::new();
         self.current_root =
-            c1::sweep_leaves(&mut self.store, self.current_root, self.epoch, &mut f, &mut |id| {
+            walk::sweep_leaves(&mut self.store, self.current_root, self.epoch, &mut f, &mut |id| {
                 volatile_ids.push(id)
             })
             .expect("NVBM device full mid-sweep: updates need COW headroom");
         for id in volatile_ids {
             let store = &mut self.store;
-            self.forest.with_tree(id, |t| t.update_leaves(&mut store.arena, &mut f));
+            self.forest.with_tree(id, |t| t.sweep(&mut store.arena, &mut f));
         }
         self.after_mutation();
     }
@@ -847,7 +802,7 @@ impl PmOctree {
                 // so the handle stays coherent (dropping their DRAM
                 // copies loses nothing).
                 self.current_root = root;
-                self.forest = C0Forest::new();
+                self.forest = C0Forest::default();
                 self.shadows = Vec::new();
                 return Err(e);
             }
@@ -1005,18 +960,17 @@ impl PmOctree {
         root: POffset,
     ) -> Result<(POffset, POffset, bool), PmError> {
         let shadow = self.shadow_of(id);
-        let t = self.forest.get(id);
+        let t = self.forest.get_mut(id);
         let key = t.subtree_key;
         let merge = t.dirty || shadow.is_null();
         let (off, dropped) = if merge {
-            let octants = t.collect(&mut self.store.arena);
-            c1::merge_subtree(&mut self.store, &octants, shadow.opt(), self.epoch)?
+            t.merge(&mut self.store, shadow.opt(), self.epoch)?
         } else {
             (shadow, Vec::new())
         };
         // The slot's path is exclusive — the `replace_slot` that put the
         // handle there copied it this epoch — so linking allocates nothing.
-        let root = c1::replace_slot(&mut self.store, root, key, ChildPtr::Nvbm(off), self.epoch)?;
+        let root = c1::replace_slot(&mut self.store, root, key, ChildPtr::Node(off), self.epoch)?;
         self.store.retired.extend(dropped);
         Ok((root, off, merge))
     }
@@ -1092,7 +1046,7 @@ mod tests {
     fn a_leaf_keeps_its_payload_across_refine_and_coarsen() {
         /// The record of the NVBM octant at `key`, as the media holds it.
         fn record(t: &mut PmOctree, key: OctKey) -> [u8; 128] {
-            let Locate::Nvbm(p) = c1::locate(&mut t.store, t.current_root, key) else {
+            let Locate::Found(p) = walk::locate(&mut t.store, t.current_root, key) else {
                 panic!("{key:?} is not an NVBM octant")
             };
             let mut b = [0u8; 128];

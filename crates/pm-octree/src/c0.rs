@@ -1,47 +1,29 @@
 //! The volatile `C0` forest: frequently-accessed subtrees held in DRAM.
 //!
-//! `V_i`'s hot subtrees live here as slab-allocated trees — updates are
-//! in place and cost DRAM latency, not NVBM latency. Each [`C0Tree`] is a
-//! *complete* subtree of `V_i` rooted at `subtree_key`; its attachment
-//! point in the NVBM tree holds a
-//! [`ChildPtr::Volatile`](crate::octant::ChildPtr) handle carrying the
-//! tree's forest id.
+//! Each [`C0Tree`] is a *complete* subtree of `V_i` rooted at
+//! `subtree_key`, updated in place at DRAM latency; its attachment point
+//! in the NVBM tree holds a [`ChildPtr::Volatile`] handle carrying the
+//! tree's forest id. A C0 node is the record image of octant layout v3
+//! ([`crate::octant`]) with slab ids for links: a leaf is one 64-byte
+//! line, key and payload; an interior node its navigation line, key and
+//! child ids, plus a payload line in a second slab.
 //!
-//! A C0 node is the record image of octant layout v3 ([`crate::octant`]),
-//! with slab ids for links. A leaf is one 64-byte line: key and payload.
-//! An interior node is its navigation line — key and child slab ids — plus
-//! a payload line in a second slab. The variant of the line is the
-//! record's mask switch (a leaf has no links). Lines are read and written
-//! only through the slab accessors, each of which counts the one line it
-//! touches, and an operation charges what it counted to a [`Dram`] meter.
-//! So a node costs what an NVBM octant of the same shape costs, at DRAM
-//! latency:
-//! - a sweep reads one line per node and writes one per rewritten leaf;
-//! - a walk reads one line per node on its path, and a leaf's payload
-//!   comes with its line; an interior node's is one more;
-//! - refine writes 8 child lines and the parent's two; coarsen reads the
-//!   8 child lines its mean needs and writes the one line the parent
-//!   becomes.
-//!
-//! An operation handed a node by slab id (one a walk just found) holds its
-//! navigation line and does not read it again.
+//! A tree with the DRAM it charges ([`C0Tree::store`]) is the C0
+//! [`LineStore`]: ids are slab ids, and each line is charged to a [`Dram`]
+//! meter as it is touched. Its write policy is the trait's default: C0 is
+//! exclusive everywhere (it keeps no epoch) and writes in place, and any
+//! write makes the tree dirty. Every walk is the shared one ([`crate::walk`]), so a node costs
+//! what an NVBM octant of the same shape costs, at DRAM latency.
 
 use pmoctree_morton::OctKey;
-use pmoctree_nvbm::{DeviceModel, MemLatency, MemStats, NvbmArena, VirtualClock, CACHELINE};
+use pmoctree_nvbm::{MemLatency, MemStats, NvbmArena, POffset, VirtualClock, CACHELINE};
 
-use crate::octant::CellData;
+use crate::api::PmError;
+use crate::octant::{CellData, ChildPtr, NavLine, Octant, PmStore, Retired, FANOUT};
+use crate::walk::{self, LineStore, Op};
 
 /// Slab index of the absent node.
 const NIL: u32 = u32::MAX;
-
-/// Why a C0 coarsening was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoarsenError {
-    /// The target is itself a leaf.
-    Leaf,
-    /// Some child is refined deeper (removing it would drop a subtree).
-    DeepChildren,
-}
 
 /// The DRAM a C0 node store runs in: where it charges the lines it reads
 /// and writes. The PM-octree charges its arena's clock and counters; the
@@ -54,57 +36,34 @@ pub trait Dram {
 impl Dram for NvbmArena {
     fn charge(&mut self, reads: u64, writes: u64) {
         let lat = self.model().dram;
-        charge(&mut self.clock, &mut self.stats, lat, reads, writes);
+        (&mut self.clock, &mut self.stats, lat).charge(reads, writes);
     }
 }
 
-/// A clock and counters of their own (the in-core baseline's), at the
-/// default device's DRAM latency.
-impl Dram for (&mut VirtualClock, &mut MemStats) {
+/// A clock and counters at a DRAM latency (the in-core baseline's own).
+impl Dram for (&mut VirtualClock, &mut MemStats, MemLatency) {
     fn charge(&mut self, reads: u64, writes: u64) {
-        charge(self.0, self.1, DeviceModel::default().dram, reads, writes);
+        self.0.advance(reads * self.2.read_ns + writes * self.2.write_ns);
+        self.1.dram_read(reads as usize * CACHELINE, reads);
+        self.1.dram_write(writes as usize * CACHELINE, writes);
     }
 }
 
-fn charge(
-    clock: &mut VirtualClock,
-    stats: &mut MemStats,
-    lat: MemLatency,
-    reads: u64,
-    writes: u64,
-) {
-    clock.advance(reads * lat.read_ns + writes * lat.write_ns);
-    stats.dram_read(reads as usize * CACHELINE, reads);
-    stats.dram_write(writes as usize * CACHELINE, writes);
+/// Host bookkeeping: lines charged elsewhere, or not at all.
+impl Dram for () {
+    fn charge(&mut self, _: u64, _: u64) {}
 }
 
-/// The lines one operation touched, counted by the slab accessors.
-#[derive(Default)]
-struct Touched {
-    reads: u64,
-    writes: u64,
-}
-
-/// Run one operation `f` and charge `dram` the lines it touched.
-fn touching<R>(dram: &mut impl Dram, f: impl FnOnce(&mut Touched) -> R) -> R {
-    let mut t = Touched::default();
-    let r = f(&mut t);
-    dram.charge(t.reads, t.writes);
-    r
-}
-
-/// What a navigation line holds besides the key.
+/// What a navigation line holds besides the key: a leaf's payload, or an
+/// interior node's child slab ids (`NIL` for an empty slot) and the slab
+/// id of its payload line.
 #[derive(Clone, Copy, Debug)]
 enum Body {
-    /// A leaf's payload.
     Leaf(CellData),
-    /// An interior node's child slab ids (`NIL` for an empty slot) and
-    /// the slab id of its payload line.
     Interior { children: [u32; 8], payload: u32 },
 }
 
-/// A C0 node's navigation line: all of a leaf, the first line of an
-/// interior node.
+/// A C0 node's navigation line.
 #[repr(C, align(64))]
 #[derive(Clone, Copy, Debug)]
 struct Node {
@@ -122,7 +81,8 @@ const _: () = assert!(std::mem::align_of::<Node>() == CACHELINE);
 const _: () = assert!(std::mem::size_of::<PayloadLine>() == CACHELINE);
 const _: () = assert!(std::mem::align_of::<PayloadLine>() == CACHELINE);
 
-/// Lines of one kind, addressed by slab id; freed ids are reused.
+/// Lines of one kind, addressed by slab id; freed ids are reused. The
+/// store charges for them.
 #[derive(Clone, Debug)]
 struct Slab<T> {
     lines: Vec<T>,
@@ -138,29 +98,12 @@ impl<T: Copy> Slab<T> {
         Slab { lines: Vec::new(), free: Vec::new(), freed: Vec::new() }
     }
 
-    /// Line `i`, uncounted: one the operation already holds, or host
-    /// bookkeeping.
-    fn held(&self, i: u32) -> &T {
+    fn get(&mut self, i: u32) -> &mut T {
         debug_assert!(!self.freed[i as usize], "access to a freed C0 line");
-        &self.lines[i as usize]
+        &mut self.lines[i as usize]
     }
 
-    /// Read line `i`: one line.
-    fn read(&self, i: u32, t: &mut Touched) -> T {
-        t.reads += 1;
-        *self.held(i)
-    }
-
-    /// Overwrite line `i`: one line.
-    fn write(&mut self, i: u32, line: T, t: &mut Touched) {
-        self.held(i);
-        t.writes += 1;
-        self.lines[i as usize] = line;
-    }
-
-    /// Store `line` at a free id: one line.
-    fn alloc(&mut self, line: T, t: &mut Touched) -> u32 {
-        t.writes += 1;
+    fn alloc(&mut self, line: T) -> u32 {
         let i = self.free.pop().unwrap_or_else(|| {
             self.lines.push(line);
             self.freed.push(true);
@@ -171,9 +114,8 @@ impl<T: Copy> Slab<T> {
         i
     }
 
-    /// Give line `i` back: nothing touched.
     fn free(&mut self, i: u32) {
-        self.held(i);
+        self.get(i);
         self.freed[i as usize] = true;
         self.free.push(i);
     }
@@ -190,7 +132,7 @@ pub struct C0Tree {
     pub(crate) subtree_key: OctKey,
     nodes: Slab<Node>,
     payloads: Slab<PayloadLine>,
-    root: u32,
+    pub(crate) root: u32,
     leaves: usize,
     /// Access-frequency estimate used for LFU eviction and transformation
     /// decisions; decayed once per time step.
@@ -200,20 +142,120 @@ pub struct C0Tree {
     pub(crate) dirty: bool,
 }
 
+/// A [`C0Tree`] with the DRAM it charges: the C0 [`LineStore`].
+pub(crate) struct InDram<'a, D> {
+    tree: &'a mut C0Tree,
+    dram: &'a mut D,
+}
+
+impl<D: Dram> InDram<'_, D> {
+    /// The body of a record with links `cs` and payload `d`; an interior
+    /// node's payload line is stored first.
+    fn body(&mut self, cs: &[ChildPtr<u32>; FANOUT], d: &CellData) -> Body {
+        if cs.iter().all(ChildPtr::is_null) {
+            self.tree.leaves += 1;
+            return Body::Leaf(*d);
+        }
+        let children = cs.map(|c| if let ChildPtr::Node(c) = c { c } else { NIL });
+        self.wrote();
+        Body::Interior { children, payload: self.tree.payloads.alloc(PayloadLine(*d)) }
+    }
+
+    fn wrote(&mut self) {
+        self.dram.charge(0, 1);
+        self.tree.dirty = true;
+    }
+
+    /// Give up what node `i` holds besides its navigation line.
+    fn release(&mut self, i: u32) {
+        match self.tree.nodes.get(i).body {
+            Body::Leaf(_) => self.tree.leaves -= 1,
+            Body::Interior { payload, .. } => self.tree.payloads.free(payload),
+        }
+    }
+}
+
+impl<D: Dram> LineStore for InDram<'_, D> {
+    type Id = u32;
+
+    fn nav(&mut self, i: u32) -> NavLine<u32> {
+        self.dram.charge(1, 0);
+        let Node { key, body } = *self.tree.nodes.get(i);
+        let (mut children, mut leaf, mut mask) = ([ChildPtr::Null; FANOUT], None, 0);
+        match body {
+            Body::Leaf(d) => leaf = Some(d),
+            Body::Interior { children: ids, .. } => {
+                for (slot, id) in ids.into_iter().enumerate().filter(|&(_, id)| id != NIL) {
+                    children[slot] = ChildPtr::Node(id);
+                    mask |= 1 << slot;
+                }
+            }
+        }
+        NavLine { children, leaf, code: key.raw(), level: key.level(), mask, epoch: 0 }
+    }
+
+    fn payload(&mut self, i: u32, nav: &NavLine<u32>) -> CellData {
+        nav.leaf.unwrap_or_else(|| {
+            self.dram.charge(1, 0);
+            let Body::Interior { payload, .. } = self.tree.nodes.get(i).body else {
+                unreachable!("a navigation line without a payload is interior")
+            };
+            self.tree.payloads.get(payload).0
+        })
+    }
+
+    fn set_payload(&mut self, i: u32, _: &NavLine<u32>, d: &CellData) {
+        match &mut self.tree.nodes.get(i).body {
+            Body::Leaf(old) => *old = *d,
+            &mut Body::Interior { payload, .. } => {
+                *self.tree.payloads.get(payload) = PayloadLine(*d)
+            }
+        }
+        self.wrote();
+    }
+
+    fn set_children(&mut self, i: u32, cs: &[ChildPtr<u32>; FANOUT], d: &CellData) {
+        self.release(i);
+        let body = self.body(cs, d);
+        self.tree.nodes.get(i).body = body;
+        self.wrote();
+    }
+
+    fn alloc(&mut self, o: &Octant<u32>) -> Result<u32, PmError> {
+        let body = self.body(&o.children, &o.data);
+        self.wrote();
+        Ok(self.tree.nodes.alloc(Node { key: o.key, body }))
+    }
+
+    fn unlink(&mut self, _: u32, i: u32) {
+        self.release(i);
+        self.tree.nodes.free(i);
+    }
+}
+
 impl C0Tree {
-    /// A single-leaf subtree rooted at `key`: one line written.
-    pub fn new(key: OctKey, data: CellData, dram: &mut impl Dram) -> Self {
-        let mut nodes = Slab::new();
-        let root = touching(dram, |t| nodes.alloc(Node { key, body: Body::Leaf(data) }, t));
+    fn empty(subtree_key: OctKey) -> Self {
         C0Tree {
-            subtree_key: key,
-            nodes,
+            subtree_key,
+            nodes: Slab::new(),
             payloads: Slab::new(),
-            root,
-            leaves: 1,
+            root: NIL,
+            leaves: 0,
             access: 0.0,
             dirty: true,
         }
+    }
+
+    /// A single-leaf subtree rooted at `key`: one line written.
+    pub fn new(key: OctKey, data: CellData, dram: &mut impl Dram) -> Self {
+        let mut tree = C0Tree::empty(key);
+        tree.root = tree.store(dram).alloc(&Octant::leaf(key, 0, data)).expect("C0 never fills");
+        tree
+    }
+
+    /// The tree as the C0 line store, charging `dram`.
+    pub(crate) fn store<'a, D: Dram>(&'a mut self, dram: &'a mut D) -> InDram<'a, D> {
+        InDram { tree: self, dram }
     }
 
     /// Number of live octants.
@@ -226,320 +268,167 @@ impl C0Tree {
         self.leaves
     }
 
-    /// Node `i`'s navigation line, held by the caller.
-    fn node(&self, i: u32) -> &Node {
-        self.nodes.held(i)
+    /// Lines the tree occupies: one per leaf, two per interior node.
+    pub(crate) fn lines(&self) -> usize {
+        self.nodes.live() + self.payloads.live()
     }
 
-    /// The one walk: from the subtree root down the child links towards
-    /// `key`, which must lie inside this subtree, reading each node's line.
-    /// Returns the last node on the path that exists — `key`'s own, or the
-    /// ancestor whose slot towards it is empty — with its line.
-    fn walk(&self, key: OctKey, t: &mut Touched) -> (u32, Node) {
-        let mut cur = self.root;
-        let mut node = self.nodes.read(cur, t);
-        for l in self.subtree_key.level()..key.level() {
-            let Body::Interior { children, .. } = node.body else { break };
-            let next = children[key.ancestor_at(l + 1).sibling_index()];
-            if next == NIL {
-                break;
-            }
-            cur = next;
-            node = self.nodes.read(cur, t);
-        }
-        (cur, node)
+    /// The subtree root, if `key` is inside this subtree (else no line).
+    fn inside(&self, key: OctKey) -> Result<u32, PmError> {
+        let inside = self.subtree_key.contains(&key);
+        inside.then_some(self.root).ok_or_else(|| PmError::NotFound(format!("{key:?}")))
     }
 
-    /// Walk from the subtree root to `key`; returns the slab index if the
-    /// octant exists. Charges one line per node on the path.
-    pub fn find(&mut self, key: OctKey, dram: &mut impl Dram) -> Option<u32> {
-        if !self.subtree_key.contains(&key) {
-            return None;
-        }
-        let (i, node) = touching(dram, |t| self.walk(key, t));
-        if node.key != key {
-            return None;
-        }
+    /// The frame of the node at `key`, by its walk; an access.
+    fn find(&mut self, key: OctKey, dram: &mut impl Dram) -> Option<walk::Frame<u32>> {
+        let root = self.inside(key).ok()?;
+        let frames = walk::descend(&mut self.store(dram), root, key).ok()?;
         self.access += 1.0;
-        Some(i)
+        frames.last().copied()
     }
 
-    /// The leaf containing `key`'s region (one incremental descent —
-    /// `None` if `key` is internal or outside this subtree).
-    pub fn containing_leaf(&self, key: OctKey, dram: &mut impl Dram) -> Option<OctKey> {
-        if !self.subtree_key.contains(&key) {
-            return None;
-        }
-        let (_, node) = touching(dram, |t| self.walk(key, t));
-        (node.key != key || matches!(node.body, Body::Leaf(_))).then_some(node.key)
+    /// Does the octant at `key` exist, and is it a leaf? Its walk.
+    pub fn is_leaf(&mut self, key: OctKey, dram: &mut impl Dram) -> Option<bool> {
+        self.find(key, dram).map(|f| f.nav.mask == 0)
     }
 
-    /// Is node `i` a leaf?
-    pub fn is_leaf(&self, i: u32) -> bool {
-        matches!(self.node(i).body, Body::Leaf(_))
-    }
-
-    /// The payload that goes with navigation line `node`: a leaf's is on
-    /// it; an interior node's is its payload line, one more read.
-    fn payload(&self, node: &Node, t: &mut Touched) -> CellData {
-        match node.body {
-            Body::Leaf(d) => d,
-            Body::Interior { payload, .. } => self.payloads.read(payload, t).0,
-        }
+    /// The leaf containing `key`'s region (`None` if `key` is internal or
+    /// outside this subtree): one walk.
+    pub fn containing_leaf(&mut self, key: OctKey, dram: &mut impl Dram) -> Option<OctKey> {
+        let root = self.inside(key).ok()?;
+        walk::containing_leaf(&mut self.store(dram), root, key).ok().flatten()
     }
 
     /// The payload of the octant at `key`, if it exists: the walk to it,
     /// and an interior octant's payload line.
     pub fn get_data(&mut self, key: OctKey, dram: &mut impl Dram) -> Option<CellData> {
-        let i = self.find(key, dram)?;
-        Some(touching(dram, |t| self.payload(self.node(i), t)))
+        let f = self.find(key, dram)?;
+        Some(self.store(dram).payload(f.off, &f.nav))
     }
 
     /// The payload of node `i`, reached without a walk (a leaf index
     /// named it): its line, and an interior node's payload line.
-    pub fn data_at(&self, i: u32, dram: &mut impl Dram) -> CellData {
-        touching(dram, |t| self.payload(&self.nodes.read(i, t), t))
+    pub fn data_at(&mut self, i: u32, dram: &mut impl Dram) -> CellData {
+        let mut store = self.store(dram);
+        let nav = store.nav(i);
+        store.payload(i, &nav)
     }
 
-    /// Overwrite the payload of node `i`, which the caller found: one line
-    /// written, a leaf's own or an interior node's payload line.
-    pub fn set_data(&mut self, i: u32, d: CellData, dram: &mut impl Dram) {
-        touching(dram, |t| match *self.node(i) {
-            Node { key, body: Body::Leaf(_) } => {
-                self.nodes.write(i, Node { key, body: Body::Leaf(d) }, t)
-            }
-            Node { body: Body::Interior { payload, .. }, .. } => {
-                self.payloads.write(payload, PayloadLine(d), t)
-            }
-        });
-        self.access += 1.0;
-        self.dirty = true;
+    /// Apply `op` in place ([`walk::apply`]): the slab id of the node it
+    /// names. Finding the node is an access, a refine 9 more, a coarsen
+    /// or a payload write one.
+    pub fn apply(&mut self, op: Op, dram: &mut impl Dram) -> Result<u32, PmError> {
+        let root = self.inside(op.key())?;
+        let done = walk::apply(&mut self.store(dram), root, op, 0);
+        if !matches!(done, Err(PmError::NotFound(_))) {
+            self.access += 1.0;
+        }
+        let (_, i) = done?;
+        self.access += if let Op::Refine(_) = op { 9.0 } else { 1.0 };
+        Ok(i)
     }
 
-    /// Split leaf `i`, which the caller found, into 8 children each
-    /// inheriting its data: the 8 child lines written, then the parent's
-    /// payload line and its navigation line. Returns the child slab
-    /// indices. Panics if `i` is not a leaf.
-    pub fn refine(&mut self, i: u32, dram: &mut impl Dram) -> [u32; 8] {
-        let Node { key, body: Body::Leaf(data) } = *self.node(i) else {
-            panic!("refine of non-leaf C0 node")
-        };
-        let children = touching(dram, |t| {
-            let children = std::array::from_fn(|c| {
-                self.nodes.alloc(Node { key: key.child(c), body: Body::Leaf(data) }, t)
-            });
-            let payload = self.payloads.alloc(PayloadLine(data), t);
-            self.nodes.write(i, Node { key, body: Body::Interior { children, payload } }, t);
-            children
-        });
-        self.leaves += 7;
-        self.access += 9.0;
-        self.dirty = true;
-        children
-    }
-
-    /// Remove the children of node `i`, which the caller found (all must
-    /// be leaves), making `i` a leaf again with the restriction of their
-    /// payloads: the child lines read, the one line `i` becomes written.
-    /// Fails (with no mutation) when `i` is a leaf or has non-leaf
-    /// children.
-    pub fn coarsen(&mut self, i: u32, dram: &mut impl Dram) -> Result<(), CoarsenError> {
-        let Node { key, body: Body::Interior { children, payload } } = *self.node(i) else {
-            return Err(CoarsenError::Leaf);
-        };
-        let live = children.into_iter().filter(|&c| c != NIL);
-        let n = touching(dram, |t| {
-            // Restriction: the surviving leaf takes the mean of its
-            // children (all backends agree on this operator, including the
-            // linear octree which has no stored internal payload to fall
-            // back on).
-            let mut kids = [CellData::default(); 8];
-            let mut n = 0;
-            let mut deep = false;
-            for c in live.clone() {
-                match self.nodes.read(c, t).body {
-                    Body::Leaf(d) => {
-                        kids[n] = d;
-                        n += 1;
-                    }
-                    Body::Interior { .. } => deep = true,
-                }
-            }
-            if deep {
-                return Err(CoarsenError::DeepChildren);
-            }
-            live.for_each(|c| self.nodes.free(c));
-            self.payloads.free(payload);
-            let body = Body::Leaf(CellData::restrict(&kids[..n]));
-            self.nodes.write(i, Node { key, body }, t);
-            Ok(n)
-        })?;
-        self.leaves = self.leaves + 1 - n;
-        self.access += 1.0;
-        self.dirty = true;
-        Ok(())
-    }
-
-    /// Visit the nodes in pre-order (children in Morton order), reading
-    /// each node's line once.
-    fn visit(&self, t: &mut Touched, mut f: impl FnMut(u32, &Node, &mut Touched)) {
-        let mut stack = vec![self.root];
-        while let Some(i) = stack.pop() {
-            let node = self.nodes.read(i, t);
-            if let Body::Interior { children, .. } = node.body {
-                stack.extend(children.iter().rev().filter(|&&c| c != NIL));
-            }
-            f(i, &node, t);
+    /// The child slab ids of node `i` (host bookkeeping: uncharged).
+    pub fn children(&mut self, i: u32) -> [u32; 8] {
+        match self.nodes.get(i).body {
+            Body::Interior { children, .. } => children,
+            Body::Leaf(_) => [NIL; 8],
         }
     }
 
-    /// Leaf-only pre-order traversal: one line read per node.
-    pub fn for_each_leaf(&self, dram: &mut impl Dram, mut f: impl FnMut(OctKey, &CellData)) {
-        self.for_each_leaf_slot(dram, |_, k, d| f(k, d));
-    }
-
-    /// [`C0Tree::for_each_leaf`], also naming each leaf's slab id.
-    pub fn for_each_leaf_slot(
-        &self,
-        dram: &mut impl Dram,
-        mut f: impl FnMut(u32, OctKey, &CellData),
-    ) {
-        touching(dram, |t| {
-            self.visit(t, |i, node, _| {
-                if let Body::Leaf(d) = &node.body {
-                    f(i, node.key, d);
-                }
-            })
+    /// Visit the leaves in pre-order ([`walk::visit`]), each with its slab
+    /// id: one line read per node.
+    pub fn leaves(&mut self, dram: &mut impl Dram, mut f: impl FnMut(u32, OctKey, &CellData)) {
+        let root = self.root;
+        walk::visit(&mut self.store(dram), root, |_, i, nav| {
+            if let Some(d) = &nav.leaf {
+                f(i, OctKey::from_raw(nav.code, nav.level), d);
+            }
         });
     }
 
-    /// Mutable leaf sweep (solver relaxation): `f` returns the new data.
-    /// One line read per node, one written per rewritten leaf.
-    pub fn update_leaves(
+    /// Visit every node in pre-order with its payload and whether it is a
+    /// leaf: every line read once.
+    pub fn octants(&mut self, dram: &mut impl Dram, mut f: impl FnMut(OctKey, CellData, bool)) {
+        let root = self.root;
+        walk::visit(&mut self.store(dram), root, |store, i, nav| {
+            f(OctKey::from_raw(nav.code, nav.level), store.payload(i, nav), nav.mask == 0);
+        });
+    }
+
+    /// Leaf sweep ([`walk::sweep_leaves`]): `f` returns a leaf's new data.
+    /// Each line it reads or writes is an access.
+    pub fn sweep(
         &mut self,
         dram: &mut impl Dram,
         mut f: impl FnMut(OctKey, &CellData) -> Option<CellData>,
     ) {
-        let (reads, writes) = touching(dram, |t| {
-            let mut stack = vec![self.root];
-            while let Some(i) = stack.pop() {
-                let Node { key, body } = self.nodes.read(i, t);
-                match body {
-                    Body::Leaf(d) => {
-                        if let Some(nd) = f(key, &d) {
-                            self.nodes.write(i, Node { key, body: Body::Leaf(nd) }, t);
-                        }
-                    }
-                    Body::Interior { children, .. } => {
-                        stack.extend(children.iter().rev().filter(|&&c| c != NIL))
-                    }
-                }
-            }
-            (t.reads, t.writes)
-        });
-        self.access += (reads + writes) as f64;
-        self.dirty |= writes > 0;
+        let (root, mut writes) = (self.root, 0);
+        let mut count = |k, d: &CellData| {
+            let new = f(k, d);
+            writes += u64::from(new.is_some());
+            new
+        };
+        let swept = walk::sweep_leaves(&mut self.store(dram), root, 0, &mut count, &mut |_| {});
+        debug_assert_eq!(swept, Ok(root), "C0 writes in place");
+        self.access += (self.octant_count() as u64 + writes) as f64;
     }
 
-    /// Every live octant in pre-order, `(key, data, is_leaf)` — what a
-    /// merge writes out to NVBM: each node's lines read once, one for a
-    /// leaf and two for an interior node.
-    pub fn collect(&self, dram: &mut impl Dram) -> Vec<(OctKey, CellData, bool)> {
-        let mut out = Vec::with_capacity(self.octant_count());
-        touching(dram, |t| {
-            self.visit(t, |_, node, t| {
-                let leaf = matches!(node.body, Body::Leaf(_));
-                out.push((node.key, self.payload(node, t), leaf));
-            })
-        });
-        out
-    }
-
-    /// The leaves numbered `ranks` (each below [`C0Tree::leaf_count`]) in
-    /// pre-order, in the order asked: one line read per rank. Numbering
-    /// the leaves is host bookkeeping, so the walk that numbers them is
-    /// not charged, and no list of them is built.
-    pub fn leaves_at(&self, ranks: &[usize], dram: &mut impl Dram) -> Vec<(OctKey, CellData)> {
+    /// The leaves numbered `ranks` in pre-order, in the order asked: one
+    /// line read per rank. Numbering the leaves is host bookkeeping, not
+    /// charged.
+    pub(crate) fn leaves_at(
+        &mut self,
+        ranks: &[usize],
+        dram: &mut impl Dram,
+    ) -> Vec<(OctKey, CellData)> {
         let mut want: Vec<(usize, usize)> =
             ranks.iter().enumerate().map(|(at, &r)| (r, at)).collect();
         want.sort_unstable();
         let mut next = want.iter().peekable();
         let mut slot = vec![NIL; ranks.len()];
         let mut rank = 0;
-        self.visit(&mut Touched::default(), |i, node, _| {
-            if let Body::Leaf(_) = node.body {
-                while let Some(&(_, at)) = next.next_if(|w| w.0 == rank) {
-                    slot[at] = i;
-                }
-                rank += 1;
+        self.leaves(&mut (), |i, _, _| {
+            while let Some(&(_, at)) = next.next_if(|w| w.0 == rank) {
+                slot[at] = i;
             }
+            rank += 1;
         });
-        touching(dram, |t| {
-            let leaf = |i| match self.nodes.read(i, t) {
-                Node { key, body: Body::Leaf(d) } => (key, d),
-                _ => unreachable!("a rank numbers a leaf"),
-            };
-            slot.into_iter().map(leaf).collect()
-        })
+        let mut store = self.store(dram);
+        slot.into_iter()
+            .map(|i| {
+                let nav = store.nav(i);
+                (OctKey::from_raw(nav.code, nav.level), store.payload(i, &nav))
+            })
+            .collect()
     }
 
-    /// Lines the tree occupies: one per leaf, two per interior node.
-    pub(crate) fn lines(&self) -> usize {
-        self.nodes.live() + self.payloads.live()
+    /// Merge the tree into C1 against its `shadow` ([`walk::copy`]). The
+    /// copy reads every line of the tree once while the NVBM store holds
+    /// the arena, so those lines are charged first.
+    pub(crate) fn merge(
+        &mut self,
+        pm: &mut PmStore,
+        shadow: Option<POffset>,
+        epoch: u32,
+    ) -> Result<(POffset, Vec<Retired>), PmError> {
+        pm.arena.charge(self.lines() as u64, 0);
+        let root = self.root;
+        let image = walk::copy(&mut self.store(&mut ()), root, pm, shadow, epoch)?;
+        Ok(image.expect("a C0 tree holds no volatile handle"))
     }
 
-    /// Rebuild a subtree from a pre-order octant list (used when promoting
-    /// a hot NVBM subtree into DRAM): every line of it written once, one
-    /// per leaf and two per interior node. The first entry must be the
-    /// subtree root; parents must precede children.
-    pub fn from_octants(
-        subtree_key: OctKey,
-        octants: &[(OctKey, CellData)],
-        dram: &mut impl Dram,
-    ) -> Self {
-        assert!(
-            !octants.is_empty() && octants[0].0 == subtree_key,
-            "first octant must be the root"
-        );
-        // Host bookkeeping first: each entry's children, by list position,
-        // which is also its slab id.
-        let mut children = vec![[NIL; 8]; octants.len()];
-        let mut path = vec![0usize];
-        for (j, &(key, _)) in octants.iter().enumerate().skip(1) {
-            while path.last().is_some_and(|&p| !octants[p].0.contains(&key)) {
-                path.pop();
-            }
-            let p = *path.last().expect("octant outside the subtree");
-            assert!(
-                key.parent() == Some(octants[p].0),
-                "pre-order promotion: parent must precede child"
-            );
-            children[p][key.sibling_index()] = j as u32;
-            path.push(j);
-        }
-        let mut tree = C0Tree {
-            subtree_key,
-            nodes: Slab::new(),
-            payloads: Slab::new(),
-            root: 0,
-            leaves: 0,
-            access: 0.0,
-            // A promoted tree is byte-identical to its NVBM shadow.
-            dirty: false,
-        };
-        touching(dram, |t| {
-            for (&(key, data), children) in octants.iter().zip(children) {
-                let body = if children == [NIL; 8] {
-                    tree.leaves += 1;
-                    Body::Leaf(data)
-                } else {
-                    let payload = tree.payloads.alloc(PayloadLine(data), t);
-                    Body::Interior { children, payload }
-                };
-                tree.nodes.alloc(Node { key, body }, t);
-            }
-        });
-        tree
+    /// A clean DRAM copy of the NVBM subtree at `off` ([`walk::copy`]), or
+    /// `None` if it holds a volatile handle. Its own lines are charged when
+    /// it lands ([`C0Tree::lines`]).
+    pub(crate) fn copy_of(pm: &mut PmStore, off: POffset) -> Option<C0Tree> {
+        let mut tree = C0Tree::empty(OctKey::root());
+        let (root, _) = walk::copy(pm, off, &mut tree.store(&mut ()), None, 0).ok()??;
+        tree.subtree_key = tree.nodes.get(root).key;
+        tree.root = root;
+        // A promoted tree is its NVBM shadow, line for line.
+        tree.dirty = false;
+        Some(tree)
     }
 }
 
@@ -553,22 +442,15 @@ pub struct C0Forest {
 }
 
 impl C0Forest {
-    /// Empty forest.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Register a tree; returns its volatile id.
     pub fn insert(&mut self, tree: C0Tree) -> u32 {
         self.total_octants += tree.octant_count();
-        for (i, slot) in self.trees.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(tree);
-                return i as u32;
-            }
-        }
-        self.trees.push(Some(tree));
-        (self.trees.len() - 1) as u32
+        let Some(i) = self.trees.iter().position(Option::is_none) else {
+            self.trees.push(Some(tree));
+            return (self.trees.len() - 1) as u32;
+        };
+        self.trees[i] = Some(tree);
+        i as u32
     }
 
     /// Remove and return a tree.
@@ -583,8 +465,7 @@ impl C0Forest {
         self.trees[id as usize].as_ref().expect("absent C0 tree")
     }
 
-    /// Borrow a tree mutably. Note: callers adjusting octant counts must
-    /// go through [`Self::with_tree`] so `total_octants` stays accurate.
+    /// Borrow a tree mutably; [`Self::with_tree`] when octants change.
     pub fn get_mut(&mut self, id: u32) -> &mut C0Tree {
         self.trees[id as usize].as_mut().expect("absent C0 tree")
     }
@@ -601,11 +482,8 @@ impl C0Forest {
 
     /// Which tree (if any) owns `key`?
     pub fn owner_of(&self, key: &OctKey) -> Option<u32> {
-        self.trees
-            .iter()
-            .enumerate()
-            .find(|(_, t)| t.as_ref().is_some_and(|t| t.subtree_key.contains(key)))
-            .map(|(i, _)| i as u32)
+        let owns = |t: &Option<C0Tree>| t.as_ref().is_some_and(|t| t.subtree_key.contains(key));
+        self.trees.iter().position(owns).map(|i| i as u32)
     }
 
     /// Ids of all live trees.
@@ -623,22 +501,16 @@ impl C0Forest {
             .map(|(i, _)| i)
     }
 
-    /// Decay all access counters (called once per time step so frequency
-    /// reflects the recent past, not all history).
+    /// Decay all access counters (once per time step).
     pub fn decay_access(&mut self, factor: f64) {
         for t in self.trees.iter_mut().flatten() {
             t.access *= factor;
         }
     }
 
-    /// Number of live trees.
-    pub fn len(&self) -> usize {
-        self.trees.iter().flatten().count()
-    }
-
     /// Is the forest empty?
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.trees.iter().all(Option::is_none)
     }
 }
 
@@ -646,8 +518,6 @@ impl C0Forest {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::c1::{merge_subtree, sweep_leaves};
-    use crate::octant::PmStore;
     use pmoctree_nvbm::DeviceModel;
 
     fn arena() -> NvbmArena {
@@ -672,8 +542,7 @@ mod tests {
         let d = CellData { phi: 1.0, ..Default::default() };
         let mut t = C0Tree::new(k, d, &mut a);
         assert_eq!((t.octant_count(), t.leaf_count()), (1, 1));
-        let i = t.find(k, &mut a).unwrap();
-        assert!(t.is_leaf(i));
+        assert_eq!(t.is_leaf(k, &mut a), Some(true));
         assert_eq!(t.get_data(k, &mut a).unwrap().phi, 1.0);
     }
 
@@ -682,13 +551,12 @@ mod tests {
         let mut a = arena();
         let k = OctKey::root().child(0);
         let mut t = C0Tree::new(k, CellData::default(), &mut a);
-        let root = t.find(k, &mut a).unwrap();
-        let kids = t.refine(root, &mut a);
+        let root = t.apply(Op::Refine(k), &mut a).unwrap();
         assert_eq!((t.octant_count(), t.leaf_count()), (9, 8));
-        assert!(!t.is_leaf(root));
-        for (c, &ki) in kids.iter().enumerate() {
-            assert_eq!(t.node(ki).key, k.child(c));
-            assert!(t.is_leaf(ki));
+        assert_eq!(t.is_leaf(k, &mut a), Some(false));
+        for (c, ki) in t.children(root).into_iter().enumerate() {
+            assert_eq!(t.nodes.get(ki).key, k.child(c));
+            assert_eq!(t.is_leaf(k.child(c), &mut a), Some(true));
         }
     }
 
@@ -697,15 +565,15 @@ mod tests {
         let mut a = arena();
         let k = OctKey::root().child(0);
         let mut t = C0Tree::new(k, CellData::default(), &mut a);
-        let root = t.find(k, &mut a).unwrap();
-        let kids = t.refine(root, &mut a);
-        t.refine(kids[1], &mut a);
-        assert_eq!(t.coarsen(root, &mut a), Err(CoarsenError::DeepChildren));
-        t.coarsen(kids[1], &mut a).unwrap();
-        t.coarsen(root, &mut a).unwrap();
+        t.apply(Op::Refine(k), &mut a).unwrap();
+        t.apply(Op::Refine(k.child(1)), &mut a).unwrap();
+        let refused = t.apply(Op::Coarsen(k), &mut a);
+        assert!(matches!(refused, Err(PmError::NotCoarsenable(_))), "{refused:?}");
+        t.apply(Op::Coarsen(k.child(1)), &mut a).unwrap();
+        t.apply(Op::Coarsen(k), &mut a).unwrap();
         assert_eq!((t.octant_count(), t.leaf_count(), t.lines()), (1, 1, 1));
-        assert_eq!(t.coarsen(root, &mut a), Err(CoarsenError::Leaf));
-        assert!(t.is_leaf(root));
+        assert!(matches!(t.apply(Op::Coarsen(k), &mut a), Err(PmError::NotALeaf(_))));
+        assert_eq!(t.is_leaf(k, &mut a), Some(true));
     }
 
     #[test]
@@ -714,14 +582,15 @@ mod tests {
         let k = OctKey::root().child(4);
         let d = CellData { vof: 0.25, ..Default::default() };
         let mut t = C0Tree::new(k, d, &mut a);
-        let root = t.find(k, &mut a).unwrap();
-        // 8 child lines, the parent's navigation and payload lines.
-        assert_eq!(lines(&mut a, |a| _ = t.refine(root, a)), (0, 10));
+        let mut root = 0;
+        // The walk's one line; 8 child lines, the parent's navigation and
+        // payload lines.
+        assert_eq!(lines(&mut a, |a| root = t.apply(Op::Refine(k), a).unwrap()), (1, 10));
         // The parent's payload moved to its payload line: one more read.
         assert_eq!(lines(&mut a, |a| assert_eq!(t.data_at(root, a), d)), (2, 0));
-        // The 8 child lines the mean needs, and the one line the parent
-        // becomes.
-        assert_eq!(lines(&mut a, |a| t.coarsen(root, a).unwrap()), (8, 1));
+        // The walk; the 8 child lines the mean needs, and the one line the
+        // parent becomes.
+        assert_eq!(lines(&mut a, |a| _ = t.apply(Op::Coarsen(k), a).unwrap()), (1 + 8, 1));
         assert_eq!(lines(&mut a, |a| assert_eq!(t.data_at(root, a), d)), (1, 0));
         assert_eq!(a.stats.nvbm.total_lines(), 0, "no NVBM traffic from C0 ops");
     }
@@ -733,10 +602,10 @@ mod tests {
         let mut a = arena();
         let k = OctKey::root().child(4);
         let mut t = C0Tree::new(k, CellData::default(), &mut a);
-        let root = t.find(k, &mut a).unwrap();
-        let kids = t.refine(root, &mut a);
-        t.coarsen(root, &mut a).unwrap();
-        t.is_leaf(kids[3]);
+        let root = t.apply(Op::Refine(k), &mut a).unwrap();
+        let kids = t.children(root);
+        t.apply(Op::Coarsen(k), &mut a).unwrap();
+        t.data_at(kids[3], &mut a);
     }
 
     #[test]
@@ -744,34 +613,12 @@ mod tests {
         let mut a = arena();
         let k = OctKey::root().child(5);
         let mut t = C0Tree::new(k, CellData::default(), &mut a);
-        let root = t.find(k, &mut a).unwrap();
-        let kids = t.refine(root, &mut a);
-        t.refine(kids[3], &mut a);
+        t.apply(Op::Refine(k), &mut a).unwrap();
+        t.apply(Op::Refine(k.child(3)), &mut a).unwrap();
         let deep = k.child(3).child(6);
-        let i = t.find(deep, &mut a).unwrap();
-        assert_eq!(t.node(i).key, deep);
-        assert!(t.find(k.child(2).child(0), &mut a).is_none(), "unrefined region");
-        assert!(t.find(OctKey::root().child(1), &mut a).is_none(), "outside subtree");
-    }
-
-    #[test]
-    fn collect_and_rebuild_roundtrip() {
-        let mut a = arena();
-        let k = OctKey::root().child(7);
-        let mut t = C0Tree::new(k, CellData { vof: 0.5, ..Default::default() }, &mut a);
-        let root = t.find(k, &mut a).unwrap();
-        let kids = t.refine(root, &mut a);
-        t.refine(kids[0], &mut a);
-        // 15 leaves and 2 interior nodes: 15 + 2 × 2 lines either way.
-        let mut collected = Vec::new();
-        assert_eq!(lines(&mut a, |a| collected = t.collect(a)), (19, 0));
-        assert_eq!(collected.len(), 17);
-        let pairs: Vec<_> = collected.iter().map(|&(k, d, _)| (k, d)).collect();
-        let mut rebuilt = None;
-        assert_eq!(lines(&mut a, |a| rebuilt = Some(C0Tree::from_octants(k, &pairs, a))), (0, 19));
-        let rebuilt = rebuilt.unwrap();
-        assert_eq!((rebuilt.octant_count(), rebuilt.leaf_count()), (17, 15));
-        assert_eq!(rebuilt.collect(&mut a), collected);
+        assert_eq!(t.is_leaf(deep, &mut a), Some(true));
+        assert_eq!(t.is_leaf(k.child(2).child(0), &mut a), None, "unrefined region");
+        assert_eq!(t.is_leaf(OctKey::root().child(1), &mut a), None, "outside subtree");
     }
 
     #[test]
@@ -779,11 +626,10 @@ mod tests {
         let mut a = arena();
         let k = OctKey::root().child(1);
         let mut t = C0Tree::new(k, CellData::default(), &mut a);
-        let root = t.find(k, &mut a).unwrap();
-        let kids = t.refine(root, &mut a);
-        t.refine(kids[2], &mut a);
-        let leaves: Vec<_> =
-            t.collect(&mut a).into_iter().filter(|o| o.2).map(|(k, d, _)| (k, d)).collect();
+        t.apply(Op::Refine(k), &mut a).unwrap();
+        t.apply(Op::Refine(k.child(2)), &mut a).unwrap();
+        let mut leaves = Vec::new();
+        t.leaves(&mut (), |_, k, d| leaves.push((k, *d)));
         let ranks = [9, 0, 14, 9, 3];
         let mut got = Vec::new();
         assert_eq!(lines(&mut a, |a| got = t.leaves_at(&ranks, a)), (5, 0), "a line per rank");
@@ -795,63 +641,21 @@ mod tests {
         let mut a = arena();
         let k = OctKey::root();
         let mut t = C0Tree::new(k, CellData::default(), &mut a);
-        let root = t.find(k, &mut a).unwrap();
-        t.refine(root, &mut a);
-        t.update_leaves(&mut a, |_, d| Some(CellData { pressure: d.pressure + 1.0, ..*d }));
-        t.for_each_leaf(&mut a, |_, d| assert_eq!(d.pressure, 1.0));
+        t.apply(Op::Refine(k), &mut a).unwrap();
+        t.sweep(&mut a, |_, d| Some(CellData { pressure: d.pressure + 1.0, ..*d }));
+        t.leaves(&mut a, |_, _, d| assert_eq!(d.pressure, 1.0));
         // Internal node untouched.
         assert_eq!(t.get_data(k, &mut a).unwrap().pressure, 0.0);
-    }
-
-    /// The two tiers charge a sweep alike: one subtree held in C0, then
-    /// merged into NVBM exclusive to the working epoch, swept read-only
-    /// and with every leaf rewritten.
-    #[test]
-    fn a_c0_sweep_reads_one_line_per_octant() {
-        let mut s = PmStore::new(NvbmArena::new(1 << 20, DeviceModel::default()));
-        let k = OctKey::root();
-        let mut t = C0Tree::new(k, CellData::default(), &mut s.arena);
-        let root = t.find(k, &mut s.arena).unwrap();
-        let kids = t.refine(root, &mut s.arena);
-        let grand = t.refine(kids[2], &mut s.arena);
-        t.refine(grand[7], &mut s.arena);
-        t.refine(kids[5], &mut s.arena);
-        let (octants, leaves) = (t.octant_count() as u64, t.leaf_count() as u64);
-        assert_eq!((octants, leaves), (33, 29));
-        let image = t.collect(&mut s.arena);
-        let (off, _) = merge_subtree(&mut s, &image, None, 1).unwrap();
-        let nvbm = |s: &PmStore| (s.arena.stats.nvbm.read_lines, s.arena.stats.nvbm.write_lines);
-        let dram = |s: &PmStore| (s.arena.stats.dram.read_lines, s.arena.stats.dram.write_lines);
-        let bump = |_: OctKey, d: &CellData| Some(CellData { phi: d.phi + 1.0, ..*d });
-        for rewrite in [false, true] {
-            let f = |k, d: &CellData| if rewrite { bump(k, d) } else { None };
-            let (r0, w0) = nvbm(&s);
-            assert_eq!(sweep_leaves(&mut s, off, 1, &mut f.clone(), &mut |_| {}), Ok(off));
-            let (r1, w1) = nvbm(&s);
-            let (d0, e0) = dram(&s);
-            t.update_leaves(&mut s.arena, f);
-            let (d1, e1) = dram(&s);
-            let want = (octants, if rewrite { leaves } else { 0 });
-            assert_eq!((r1 - r0, w1 - w0), want, "NVBM, rewrite: {rewrite}");
-            assert_eq!((d1 - d0, e1 - e0), want, "C0, rewrite: {rewrite}");
-        }
-        // A read-only leaf sweep is the same walk.
-        let (d0, _) = dram(&s);
-        t.for_each_leaf(&mut s.arena, |_, _| {});
-        assert_eq!(dram(&s).0 - d0, octants);
     }
 
     #[test]
     fn forest_bookkeeping() {
         let mut a = arena();
-        let mut f = C0Forest::new();
+        let mut f = C0Forest::default();
         let id0 = f.insert(C0Tree::new(OctKey::root().child(0), CellData::default(), &mut a));
         let id1 = f.insert(C0Tree::new(OctKey::root().child(1), CellData::default(), &mut a));
         assert_eq!(f.total_octants, 2);
-        f.with_tree(id0, |t| {
-            let r = t.find(OctKey::root().child(0), &mut a).unwrap();
-            t.refine(r, &mut a);
-        });
+        f.with_tree(id0, |t| t.apply(Op::Refine(OctKey::root().child(0)), &mut a)).unwrap();
         assert_eq!(f.total_octants, 10);
         assert_eq!(f.owner_of(&OctKey::root().child(0).child(3)), Some(id0));
         assert_eq!(f.owner_of(&OctKey::root().child(2)), None);
@@ -863,14 +667,17 @@ mod tests {
         assert_eq!(id2, id1);
     }
 
+    /// What a lookup costs besides its walk (`walk::tests::an_op_walks_its_path_once`
+    /// counts that in both tiers): the tree counts it as an access when it
+    /// finds the node, never for `containing_leaf`, and a key outside the
+    /// subtree costs nothing.
     #[test]
-    fn lookups_charge_a_line_per_node_visited() {
+    fn a_lookup_is_an_access_when_it_finds() {
         let mut a = arena();
         let k = OctKey::root().child(5);
         let mut t = C0Tree::new(k, CellData::default(), &mut a);
-        let root = t.find(k, &mut a).unwrap();
-        let kids = t.refine(root, &mut a);
-        t.refine(kids[3], &mut a);
+        t.apply(Op::Refine(k), &mut a).unwrap();
+        t.apply(Op::Refine(k.child(3)), &mut a).unwrap();
         // (lines charged, `access` bumps) of one lookup.
         let mut cost = |t: &mut C0Tree, f: &mut dyn FnMut(&mut C0Tree, &mut NvbmArena)| {
             let (lines, access) = (a.stats.dram.read_lines, t.access);
@@ -878,39 +685,35 @@ mod tests {
             (a.stats.dram.read_lines - lines, t.access - access)
         };
         let deep = k.child(3).child(6);
-        // Found: every node on the path, and the tree counts as accessed.
-        assert_eq!(cost(&mut t, &mut |t, a| assert!(t.find(deep, a).is_some())), (3, 1.0));
-        assert_eq!(cost(&mut t, &mut |t, a| assert!(t.find(k, a).is_some())), (1, 1.0));
-        // A found leaf's payload came with its line; an interior node's is
-        // its payload line.
-        assert_eq!(cost(&mut t, &mut |t, a| assert!(t.get_data(deep, a).is_some())), (3, 1.0));
+        assert_eq!(cost(&mut t, &mut |t, a| assert!(t.is_leaf(deep, a).is_some())), (3, 1.0));
         assert_eq!(cost(&mut t, &mut |t, a| assert!(t.get_data(k, a).is_some())), (2, 1.0));
-        // Missing: the nodes up to the empty slot, no access.
         let below_a_leaf = k.child(2).child(0).child(0);
-        assert_eq!(cost(&mut t, &mut |t, a| assert!(t.find(below_a_leaf, a).is_none())), (2, 0.0));
-        // Outside the subtree: nothing is visited.
+        assert_eq!(
+            cost(&mut t, &mut |t, a| assert!(t.is_leaf(below_a_leaf, a).is_none())),
+            (2, 0.0)
+        );
         let outside = OctKey::root().child(1);
-        assert_eq!(cost(&mut t, &mut |t, a| assert!(t.find(outside, a).is_none())), (0, 0.0));
+        assert_eq!(cost(&mut t, &mut |t, a| assert!(t.is_leaf(outside, a).is_none())), (0, 0.0));
         assert_eq!(
             cost(&mut t, &mut |t, a| assert!(t.containing_leaf(outside, a).is_none())),
             (0, 0.0)
         );
-        // `containing_leaf` visits the same nodes and never counts as access.
-        let mut leaf_of = |key, want, lines| {
-            assert_eq!(
-                cost(&mut t, &mut |t, a| assert_eq!(t.containing_leaf(key, a), want)),
-                (lines, 0.0)
-            );
-        };
-        leaf_of(deep, Some(deep), 3);
-        leaf_of(below_a_leaf, Some(k.child(2)), 2);
-        leaf_of(k.child(3), None, 2); // internal
+        assert_eq!(
+            cost(&mut t, &mut |t, a| assert_eq!(t.containing_leaf(deep, a), Some(deep))),
+            (3, 0.0)
+        );
+        // A refused op found its node: an access. A refine counts 9 more.
+        let refused = cost(&mut t, &mut |t, a| assert!(t.apply(Op::Refine(k), a).is_err()));
+        assert_eq!(refused, (1, 1.0));
+        let before = t.access;
+        t.apply(Op::Refine(deep), &mut a).unwrap();
+        assert_eq!(t.access - before, 1.0 + 9.0);
     }
 
     #[test]
     fn lfu_coldest() {
         let mut arena = arena();
-        let mut f = C0Forest::new();
+        let mut f = C0Forest::default();
         let a = f.insert(C0Tree::new(OctKey::root().child(0), CellData::default(), &mut arena));
         let b = f.insert(C0Tree::new(OctKey::root().child(1), CellData::default(), &mut arena));
         f.get_mut(a).access = 10.0;

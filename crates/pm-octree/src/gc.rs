@@ -8,9 +8,9 @@
 //! Nothing is re-learned by a walk: every site that unlinks an octant
 //! from the working version `V_i` already holds its offset and stamp, and
 //! retires it into [`PmStore::retire`]'s epoch-keyed list — the original
-//! a COW copy supersedes (`c1::copy_chain`), the children a coarsen
+//! a COW copy supersedes (C1's `copy_chain`), the children a coarsen
 //! drops, the shadow octants a C0 merge does not reuse and the shadow
-//! subtrees it drops (`c1::merge_subtree`; one listed *whole* is older
+//! subtrees it drops (`walk::copy`; one listed *whole* is older
 //! than the working epoch throughout and is walked only when freed), and
 //! the copies a [`PmError::Full`](crate::PmError::Full) left unlinked. So the registry
 //! is always `V_i`'s octants — its DRAM subtrees' shadows among them —
@@ -86,7 +86,7 @@ pub fn mark(store: &mut PmStore, roots: &[POffset], epoch: u32) -> Census {
             census.fresh.push(p);
         }
         for c in nav.children {
-            if let ChildPtr::Nvbm(c) = c {
+            if let ChildPtr::Node(c) = c {
                 stack.push(c);
             }
         }
@@ -141,7 +141,7 @@ fn sweep(store: &mut PmStore, doomed: impl Fn(u32) -> bool) -> GcReport {
             let once = free.insert(p);
             debug_assert!(once, "octant {:#x} was retired twice", p.0);
             whole.extend(nav.children.iter().filter_map(|c| match *c {
-                ChildPtr::Nvbm(q) => Some(q),
+                ChildPtr::Node(q) => Some(q),
                 _ => None,
             }));
         }
@@ -169,8 +169,8 @@ fn sweep(store: &mut PmStore, doomed: impl Fn(u32) -> bool) -> GcReport {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::c1::{coarsen, refine};
     use crate::octant::{CellData, Octant, OCTANT_SIZE};
+    use crate::walk::{coarsen, refine};
     use pmoctree_morton::OctKey;
     use pmoctree_nvbm::{DeviceModel, NvbmArena};
 
@@ -187,12 +187,12 @@ mod tests {
     fn collect_frees_unreachable() {
         let mut s = store();
         let mut root = root_tree(&mut s, 1);
-        root = refine(&mut s, root, OctKey::root(), 1).unwrap();
+        root = refine(&mut s, root, OctKey::root(), 1).unwrap().0;
         assert_eq!(s.registry.len(), 9);
         let children = s.registry[1..].to_vec();
         // Coarsen at the same epoch: the children are unlinked, nothing
         // more — and retired, which is how the collection finds them.
-        let root = coarsen(&mut s, root, OctKey::root(), 1).unwrap();
+        let root = coarsen(&mut s, root, OctKey::root(), 1).unwrap().0;
         assert!(children.iter().all(|&c| s.nav_line(c).epoch == 1));
         let r = collect(&mut s);
         assert_eq!(r, GcReport { live: 1, shared: 0, freed: 8 });
@@ -203,19 +203,22 @@ mod tests {
     fn on_demand_gc_keeps_what_the_previous_version_holds() {
         let mut s = store();
         let mut root = root_tree(&mut s, 1);
-        root = refine(&mut s, root, OctKey::root(), 1).unwrap();
+        root = refine(&mut s, root, OctKey::root(), 1).unwrap().0;
         let old_root = root;
         s.shared = s.registry.len();
         // New epoch: refine child 0 → path copy creates a new root; the
         // old root and old child 0 are retired, and V_{i-1} still holds
         // them. Coarsening the copy drops its 8 fresh children.
         let child = OctKey::root().child(0);
-        let new_root = refine(&mut s, root, child, 2).unwrap();
-        let new_root = coarsen(&mut s, new_root, child, 2).unwrap();
+        let new_root = refine(&mut s, root, child, 2).unwrap().0;
+        let new_root = coarsen(&mut s, new_root, child, 2).unwrap().0;
         assert_eq!(s.retired.len(), 2 + 8);
         let r = collect_fresh(&mut s, 2);
         assert_eq!(r, GcReport { live: 9 + 2, shared: 9, freed: 8 });
-        assert!(matches!(crate::c1::locate(&mut s, old_root, child), crate::c1::Locate::Nvbm(_)));
+        assert!(matches!(
+            crate::walk::locate(&mut s, old_root, child),
+            crate::walk::Locate::Found(_)
+        ));
         // The persist's collection frees the rest: the old root and child.
         let r = collect(&mut s);
         assert_eq!(r, GcReport { live: 9, shared: 7, freed: 2 });
@@ -226,12 +229,12 @@ mod tests {
     fn freed_space_is_reused() {
         let mut s = store();
         let mut root = root_tree(&mut s, 1);
-        root = refine(&mut s, root, OctKey::root(), 1).unwrap();
-        root = coarsen(&mut s, root, OctKey::root(), 1).unwrap();
+        root = refine(&mut s, root, OctKey::root(), 1).unwrap().0;
+        root = coarsen(&mut s, root, OctKey::root(), 1).unwrap().0;
         collect(&mut s);
         let live_before = s.alloc.live_bytes();
         // New refinement reuses the freed blocks.
-        let _ = refine(&mut s, root, OctKey::root(), 1);
+        let _ = refine(&mut s, root, OctKey::root(), 1).map(|r| r.0);
         assert_eq!(s.alloc.live_bytes(), live_before + 8 * OCTANT_SIZE as u64);
     }
 
@@ -239,7 +242,7 @@ mod tests {
     fn mark_stops_at_volatile_handles() {
         let mut s = store();
         let mut root = root_tree(&mut s, 1);
-        root = refine(&mut s, root, OctKey::root(), 1).unwrap();
+        root = refine(&mut s, root, OctKey::root(), 1).unwrap().0;
         let root = crate::c1::replace_slot(
             &mut s,
             root,

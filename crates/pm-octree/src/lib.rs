@@ -14,7 +14,7 @@
 //!   cachelines cannot corrupt the persisted version (`c1`).
 //! * **Structural sharing** — unchanged subtrees are shared between
 //!   versions; merging diffs against a shadow image so that quiet time
-//!   steps persist almost for free (`c1::merge_subtree`).
+//!   steps persist almost for free (`walk::copy`).
 //! * **Deferred deletion + a retirement list** — a delete rewrites the
 //!   (exclusive) parent's links and never the octant it unlinks, and
 //!   retires it; `gc` frees the list once no version needs it. After a
@@ -58,6 +58,7 @@ mod replica;
 mod sampling;
 mod transform;
 mod verify;
+mod walk;
 
 pub use api::{Events, PersistHook, PmError, PmOctree};
 pub use c0::{C0Tree, Dram};
@@ -67,3 +68,4 @@ pub use octant::{CellData, Octant, PmStore, OCTANT_SIZE};
 pub use replica::ReplicaSet;
 pub use sampling::FeatureFn;
 pub use verify::{check_invariants, check_registry};
+pub use walk::Op;

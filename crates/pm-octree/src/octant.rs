@@ -75,15 +75,24 @@ const OFF_DATA: u64 = 72;
 /// Bit 47 of a compact child link marks a volatile (DRAM) handle.
 const VOLATILE_BIT: u64 = 1 << 47;
 
-/// A decoded child pointer.
+/// A decoded child pointer. `P` names a record in the store that holds
+/// the link: a media offset in NVBM, a slab id in a C0 tree.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChildPtr {
+pub enum ChildPtr<P = POffset> {
     /// Empty slot.
     Null,
-    /// Persistent octant in NVBM.
-    Nvbm(POffset),
+    /// An octant in the same store.
+    Node(P),
     /// DRAM-resident C0 subtree with this volatile id.
     Volatile(u32),
+}
+
+impl<P> ChildPtr<P> {
+    /// Is this an empty slot?
+    #[inline]
+    pub fn is_null(&self) -> bool {
+        matches!(self, ChildPtr::Null)
+    }
 }
 
 impl ChildPtr {
@@ -95,7 +104,7 @@ impl ChildPtr {
     pub fn encode(self) -> u64 {
         match self {
             ChildPtr::Null => 0,
-            ChildPtr::Nvbm(p) => {
+            ChildPtr::Node(p) => {
                 // Release-mode guard: an unaligned or null offset here
                 // would silently corrupt the link; the crash sweep runs
                 // in `--release`, so this must not be a debug_assert.
@@ -131,7 +140,7 @@ impl ChildPtr {
             }
             Ok(ChildPtr::Volatile((raw & 0xffff_ffff) as u32))
         } else {
-            Ok(ChildPtr::Nvbm(POffset(raw << 6)))
+            Ok(ChildPtr::Node(POffset(raw << 6)))
         }
     }
 
@@ -145,12 +154,6 @@ impl ChildPtr {
             Ok(c) => c,
             Err(e) => panic!("corrupt child link: {e}"),
         }
-    }
-
-    /// Is this an empty slot?
-    #[inline]
-    pub fn is_null(&self) -> bool {
-        matches!(self, ChildPtr::Null)
     }
 }
 
@@ -242,9 +245,9 @@ impl CellData {
 /// key, leaf or not (`mask == 0`), shared or exclusive (`epoch`), and a
 /// leaf's payload — it takes from here, so no octant is charged twice.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NavLine {
+pub struct NavLine<P = POffset> {
     /// Child pointers in Morton order (all null for a leaf).
-    pub children: [ChildPtr; FANOUT],
+    pub children: [ChildPtr<P>; FANOUT],
     /// A leaf's payload, which its navigation line carries: `Some`
     /// exactly when `mask == 0`. An interior octant's is on line 1
     /// ([`PmStore::payload`]).
@@ -263,9 +266,9 @@ pub struct NavLine {
 
 /// A whole octant record, as [`PmStore::alloc_octant`] stores it.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Octant {
+pub struct Octant<P = POffset> {
     /// Child pointers in Morton order.
-    pub children: [ChildPtr; FANOUT],
+    pub children: [ChildPtr<P>; FANOUT],
     /// Locational code.
     pub key: OctKey,
     /// Creation epoch.
@@ -274,12 +277,14 @@ pub struct Octant {
     pub data: CellData,
 }
 
-impl Octant {
+impl<P: Copy> Octant<P> {
     /// A fresh leaf octant.
     pub fn leaf(key: OctKey, epoch: u32, data: CellData) -> Self {
         Octant { children: [ChildPtr::Null; FANOUT], key, epoch, data }
     }
+}
 
+impl Octant {
     /// The on-media record: the navigation line (presence mask derived
     /// from the links, the payload in the body if that mask is zero,
     /// reserved bytes zero), then — for an interior octant only — the
@@ -324,12 +329,12 @@ pub struct PmStore {
 /// One entry of the retirement list: an octant the working version
 /// dropped, with its epoch stamp.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Retired {
+pub(crate) struct Retired<P = POffset> {
     /// The octant's epoch stamp (for a `whole` entry, its parent's: an
     /// upper bound).
     pub stamp: u32,
     /// Where it lives.
-    pub off: POffset,
+    pub off: P,
     /// The entry stands for the whole subtree under `off`, stamped before
     /// the working epoch: a shadow subtree a merge dropped unread, walked
     /// when the persist's collection frees it.
@@ -632,7 +637,7 @@ mod tests {
         assert_eq!(raw_leaf[32..48], [0; 16], "bytes 32..48 of a leaf are reserved-zero");
         // An interior octant: links in the body, the payload on line 1.
         let mut o = o;
-        o.children[2] = ChildPtr::Nvbm(POffset(0x1000));
+        o.children[2] = ChildPtr::Node(POffset(0x1000));
         o.children[5] = ChildPtr::Volatile(17);
         let p = s.alloc_octant(&o).unwrap();
         assert_eq!(read_octant(&mut s, p), o);
@@ -658,7 +663,7 @@ mod tests {
         assert_eq!(read_octant(&mut s, p), Octant::leaf(key, 3, d));
         // Leaf → interior: the payload moves to line 1 under the links.
         let mut cs = [ChildPtr::Null; FANOUT];
-        cs[0] = ChildPtr::Nvbm(POffset(512));
+        cs[0] = ChildPtr::Node(POffset(512));
         s.set_children(p, &cs, &d);
         let nav = s.nav_line(p);
         assert_eq!((nav.children, nav.mask, nav.leaf, nav.epoch), (cs, 1, None, 3));
@@ -681,7 +686,7 @@ mod tests {
         let d = CellData { phi: 0.5, ..Default::default() };
         let leaf = Octant::leaf(OctKey::root(), 0, d);
         let mut interior = leaf;
-        interior.children[4] = ChildPtr::Nvbm(POffset(0x4000));
+        interior.children[4] = ChildPtr::Node(POffset(0x4000));
         for (o, want) in [(leaf, 1), (interior, 2)] {
             // Stored in `want` lines, and read back — payload included —
             // in as many.
@@ -702,13 +707,13 @@ mod tests {
     fn child_ptr_encoding() {
         assert_eq!(ChildPtr::decode(0), ChildPtr::Null);
         // NVBM offsets are stored divided by 64 (records are aligned).
-        let n = ChildPtr::Nvbm(POffset(0x2000));
+        let n = ChildPtr::Node(POffset(0x2000));
         assert_eq!(n.encode(), 0x2000 >> 6);
         assert_eq!(ChildPtr::decode(n.encode()), n);
         let v = ChildPtr::Volatile(99);
         assert_eq!(ChildPtr::decode(v.encode()), v);
         // Every encoding fits the 6-byte link slot.
-        for c in [n, v, ChildPtr::Null, ChildPtr::Nvbm(POffset(1u64 << 52))] {
+        for c in [n, v, ChildPtr::Null, ChildPtr::Node(POffset(1u64 << 52))] {
             assert!(c.encode() < 1 << 48, "{c:?} does not fit 48 bits");
             assert_eq!(ChildPtr::decode(c.encode()), c);
         }
@@ -721,7 +726,7 @@ mod tests {
         let p = s.alloc_octant(&o).unwrap();
         assert_eq!(s.nav_line(p).mask, 0);
         let mut cs = [ChildPtr::Null; FANOUT];
-        cs[3] = ChildPtr::Nvbm(POffset(0x1000));
+        cs[3] = ChildPtr::Node(POffset(0x1000));
         cs[6] = ChildPtr::Volatile(2);
         s.set_children(p, &cs, &o.data);
         assert_eq!(s.nav_line(p).mask, (1 << 3) | (1 << 6));
@@ -741,7 +746,7 @@ mod tests {
         let root = leaf(&mut s, OctKey::root()).unwrap();
         let mut kids = [ChildPtr::Null; FANOUT];
         for i in [2, 5] {
-            kids[i] = ChildPtr::Nvbm(leaf(&mut s, OctKey::root().child(i)).unwrap());
+            kids[i] = ChildPtr::Node(leaf(&mut s, OctKey::root().child(i)).unwrap());
         }
         s.set_children(root, &kids, &CellData::default());
         let twin = leaf(&mut s, OctKey::root().child(5)).unwrap();
@@ -750,10 +755,10 @@ mod tests {
         s.set_link(root, 5, ChildPtr::Volatile(7));
         let nav = s.nav_line(root);
         assert_eq!((nav.children[5], nav.mask), (ChildPtr::Volatile(7), (1 << 2) | (1 << 5)));
-        s.set_link(root, 5, ChildPtr::Nvbm(twin));
+        s.set_link(root, 5, ChildPtr::Node(twin));
         let stats = &s.arena.stats.nvbm;
         assert_eq!((stats.read_lines - reads, stats.write_lines - writes), (1, 2), "one line each");
-        kids[5] = ChildPtr::Nvbm(twin);
+        kids[5] = ChildPtr::Node(twin);
         let nav = s.nav_line(root);
         assert_eq!((nav.children, nav.mask), (kids, (1 << 2) | (1 << 5)));
         // The recovery scan checks the mask against the links it reads.
@@ -766,7 +771,7 @@ mod tests {
         let mut s = store();
         let key = OctKey::root().child(4).child(2);
         let mut o = Octant::leaf(key, 9, CellData::default());
-        o.children[5] = ChildPtr::Nvbm(POffset(0x1540));
+        o.children[5] = ChildPtr::Node(POffset(0x1540));
         let p = s.alloc_octant(&o).unwrap();
         let before = s.arena.stats.nvbm.read_lines;
         let nav = s.nav_line(p);
@@ -785,7 +790,7 @@ mod tests {
         assert!(ChildPtr::try_decode(VOLATILE_BIT | (1 << 40) | 7).is_err());
         assert_eq!(ChildPtr::try_decode(VOLATILE_BIT | 7).unwrap(), ChildPtr::Volatile(7));
         assert_eq!(ChildPtr::try_decode(0).unwrap(), ChildPtr::Null);
-        assert_eq!(ChildPtr::try_decode(0x2000 >> 6).unwrap(), ChildPtr::Nvbm(POffset(0x2000)));
+        assert_eq!(ChildPtr::try_decode(0x2000 >> 6).unwrap(), ChildPtr::Node(POffset(0x2000)));
     }
 
     #[test]
@@ -798,7 +803,7 @@ mod tests {
     fn nav_line_checked_reports_corruption() {
         let mut s = store();
         let mut o = Octant::leaf(OctKey::root(), 0, CellData::default());
-        o.children[1] = ChildPtr::Nvbm(POffset(0x1000));
+        o.children[1] = ChildPtr::Node(POffset(0x1000));
         let p = s.alloc_octant(&o).unwrap();
         assert!(s.nav_line_checked(p).is_ok());
         // Poison child slot 0 of an interior octant with a volatile link

@@ -51,7 +51,7 @@ pub fn sample_nvbm_freq(
     }
     // A single-octant subtree needs exactly one evaluation, not n walks.
     let root_nav = store.nav_line(off);
-    let root_is_leaf = root_nav.children.iter().all(|c| !matches!(c, ChildPtr::Nvbm(_)));
+    let root_is_leaf = root_nav.children.iter().all(|c| !matches!(c, ChildPtr::Node(_)));
     let walks = if root_is_leaf { 1 } else { n };
     let mut hits = 0usize;
     let mut evals = 0usize;
@@ -64,7 +64,7 @@ pub fn sample_nvbm_freq(
         loop {
             let start = rng.gen_range(0..FANOUT);
             let next = (0..FANOUT).find_map(|d| match nav.children[(start + d) % FANOUT] {
-                ChildPtr::Nvbm(c) => Some(c),
+                ChildPtr::Node(c) => Some(c),
                 _ => None,
             });
             let Some(c) = next else { break };
@@ -87,7 +87,7 @@ pub fn sample_nvbm_freq(
 /// from `min(n, leaves)` leaves drawn uniformly by pre-order number: one
 /// line read per draw.
 pub fn sample_c0_freq(
-    tree: &C0Tree,
+    tree: &mut C0Tree,
     n: usize,
     features: &[FeatureFn],
     rng: &mut impl Rng,
@@ -115,7 +115,7 @@ pub fn sample_c0_freq(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::c1::merge_subtree;
+    use crate::walk::Op;
     use pmoctree_nvbm::{DeviceModel, NvbmArena};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -137,13 +137,12 @@ mod tests {
         let mut s = PmStore::new(NvbmArena::new(4 << 20, DeviceModel::default()));
         let hot_key = OctKey::root().child(0);
         let cold_key = OctKey::root().child(7);
-        let mk = |k: OctKey, phi: f64| -> Vec<(OctKey, CellData, bool)> {
-            std::iter::once((k, CellData { phi, ..Default::default() }, false))
-                .chain((0..8).map(|i| (k.child(i), CellData { phi, ..Default::default() }, true)))
-                .collect()
+        let mut mk = |k: OctKey, phi: f64| {
+            let mut t = C0Tree::new(k, CellData { phi, ..Default::default() }, &mut ());
+            t.apply(Op::Refine(k), &mut ()).unwrap();
+            t.merge(&mut s, None, 1).unwrap().0
         };
-        let (hot, _) = merge_subtree(&mut s, &mk(hot_key, 0.01), None, 1).unwrap();
-        let (cold, _) = merge_subtree(&mut s, &mk(cold_key, 5.0), None, 1).unwrap();
+        let (hot, cold) = (mk(hot_key, 0.01), mk(cold_key, 5.0));
         let features: Vec<FeatureFn> = vec![Box::new(|_k, d: &CellData| d.phi.abs() < 0.1)];
         let mut rng = StdRng::seed_from_u64(7);
         let hot_f = sample_nvbm_freq(&mut s, hot, 50, &features, &mut rng);
@@ -156,41 +155,41 @@ mod tests {
     fn c0_sampling_uses_features() {
         let mut a = NvbmArena::new(1 << 16, DeviceModel::default());
         let d = CellData { vof: 0.9, ..Default::default() };
-        let tree = C0Tree::new(OctKey::root().child(3), d, &mut a);
+        let mut tree = C0Tree::new(OctKey::root().child(3), d, &mut a);
         let features: Vec<FeatureFn> = vec![Box::new(|_k, d: &CellData| d.vof > 0.5)];
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(sample_c0_freq(&tree, 10, &features, &mut rng, &mut a), 1.0);
+        assert_eq!(sample_c0_freq(&mut tree, 10, &features, &mut rng, &mut a), 1.0);
         let features2: Vec<FeatureFn> = vec![Box::new(|_k, d: &CellData| d.vof > 0.99)];
-        assert_eq!(sample_c0_freq(&tree, 10, &features2, &mut rng, &mut a), 0.0);
+        assert_eq!(sample_c0_freq(&mut tree, 10, &features2, &mut rng, &mut a), 0.0);
     }
 
     #[test]
     fn c0_sampling_reads_a_line_per_draw() {
         let mut a = NvbmArena::new(1 << 16, DeviceModel::default());
         let mut tree = C0Tree::new(OctKey::root(), CellData::default(), &mut a);
-        let root = tree.find(OctKey::root(), &mut a).unwrap();
-        let kids = tree.refine(root, &mut a);
-        tree.set_data(kids[6], CellData { vof: 1.0, ..Default::default() }, &mut a);
+        tree.apply(Op::Refine(OctKey::root()), &mut a).unwrap();
+        let hot = Op::SetData(OctKey::root().child(6), CellData { vof: 1.0, ..Default::default() });
+        tree.apply(hot, &mut a).unwrap();
         let features: Vec<FeatureFn> = vec![Box::new(|_k, d: &CellData| d.vof > 0.5)];
         // The draws, the pre-order leaf numbering and so the estimate are
         // those of drawing from the whole leaf list.
         let (mut rng, mut twin) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
         let hits = (0..5).filter(|_| twin.gen_range(0..8usize) == 6).count();
         let before = a.stats.dram.read_lines;
-        let f = sample_c0_freq(&tree, 5, &features, &mut rng, &mut a);
+        let f = sample_c0_freq(&mut tree, 5, &features, &mut rng, &mut a);
         assert_eq!(f, hits as f64 / 5.0);
         assert_eq!(a.stats.dram.read_lines - before, 5);
         // At most one draw per leaf.
         let before = a.stats.dram.read_lines;
-        sample_c0_freq(&tree, 50, &features, &mut rng, &mut a);
+        sample_c0_freq(&mut tree, 50, &features, &mut rng, &mut a);
         assert_eq!(a.stats.dram.read_lines - before, 8);
     }
 
     #[test]
     fn empty_features_yield_zero() {
         let mut a = NvbmArena::new(1 << 16, DeviceModel::default());
-        let tree = C0Tree::new(OctKey::root(), CellData::default(), &mut a);
+        let mut tree = C0Tree::new(OctKey::root(), CellData::default(), &mut a);
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(sample_c0_freq(&tree, 10, &[], &mut rng, &mut a), 0.0);
+        assert_eq!(sample_c0_freq(&mut tree, 10, &[], &mut rng, &mut a), 0.0);
     }
 }

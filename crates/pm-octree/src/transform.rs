@@ -14,8 +14,8 @@ use pmoctree_morton::OctKey;
 use pmoctree_nvbm::POffset;
 
 use crate::api::PmOctree;
-use crate::c0::C0Tree;
-use crate::c1::{self};
+use crate::c0::{C0Tree, Dram};
+use crate::c1;
 use crate::config::T_TRANSFORM;
 use crate::octant::ChildPtr;
 use crate::sampling;
@@ -79,7 +79,7 @@ impl PmOctree {
             .ids()
             .into_iter()
             .map(|id| {
-                let tree = self.forest.get(id);
+                let tree = self.forest.get_mut(id);
                 let f =
                     sampling::sample_c0_freq(tree, n, &features, &mut rng, &mut self.store.arena);
                 (id, f)
@@ -103,12 +103,9 @@ impl PmOctree {
                 break;
             }
             // Subtrees containing DRAM regions cannot be promoted.
-            let Some(octants) = c1::collect_subtree(&mut self.store, hot_off) else {
+            let Some(tree) = C0Tree::copy_of(&mut self.store, hot_off) else {
                 continue;
             };
-            if octants.is_empty() {
-                continue;
-            }
             // Paper step 4: `Ratio_access` must clear `T_transform`
             // against the coldest DRAM resident even when C0 has room —
             // otherwise any lukewarm subtree (f > 0) would be copied into
@@ -124,7 +121,7 @@ impl PmOctree {
             let cap = self.c0_eviction_line();
             // Demote cold residents until the hot subtree fits, but only
             // while Ratio_access clears T_transform (paper step 4).
-            while self.forest.total_octants + octants.len() > cap {
+            while self.forest.total_octants + tree.octant_count() > cap {
                 let Some(&(vid, vf)) = victims.peek() else {
                     continue 'promote;
                 };
@@ -142,8 +139,9 @@ impl PmOctree {
                     break 'promote;
                 }
             }
-            let subtree_key = octants[0].0;
-            let tree = C0Tree::from_octants(subtree_key, &octants, &mut self.store.arena);
+            // The tree lands in DRAM: every line of it written once.
+            self.store.arena.charge(0, tree.lines() as u64);
+            let subtree_key = tree.subtree_key;
             let id = self.register_c0(tree, hot_off);
             let (root, epoch) = (self.root_offset(), self.epoch());
             match c1::replace_slot(
@@ -210,7 +208,7 @@ fn candidate_scan(
         match c {
             ChildPtr::Null => {}
             ChildPtr::Volatile(_) => pure = false,
-            ChildPtr::Nvbm(p) => {
+            ChildPtr::Node(p) => {
                 let (cp, mut cands) = candidate_scan(store, p, key.child(i), l_sub, volatile);
                 pure &= cp;
                 collected.append(&mut cands);
@@ -324,8 +322,8 @@ mod tests {
 
     fn offset_of(t: &mut PmOctree, key: OctKey) -> POffset {
         let root = t.root_offset();
-        match c1::locate(&mut t.store, root, key) {
-            c1::Locate::Nvbm(p) => p,
+        match crate::walk::locate(&mut t.store, root, key) {
+            crate::walk::Locate::Found(p) => p,
             other => panic!("{key:?} is not an NVBM octant: {other:?}"),
         }
     }
@@ -334,8 +332,8 @@ mod tests {
     /// promotion does.
     fn link_to_c0(t: &mut PmOctree, key: OctKey) {
         let p = offset_of(t, key);
-        let octants = c1::collect_subtree(&mut t.store, p).unwrap();
-        let tree = C0Tree::from_octants(key, &octants, &mut t.store.arena);
+        let tree = C0Tree::copy_of(&mut t.store, p).unwrap();
+        t.store.arena.charge(0, tree.lines() as u64);
         let id = t.register_c0(tree, p);
         let (root, epoch) = (t.root_offset(), t.epoch());
         let root =

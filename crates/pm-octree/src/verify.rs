@@ -137,7 +137,7 @@ pub fn scan_tree(store: &mut PmStore, root: POffset) -> Result<TreeScan, PmError
                         p.0
                     )));
                 }
-                ChildPtr::Nvbm(q) => {
+                ChildPtr::Node(q) => {
                     leaf = false;
                     check_offset(q, top, "child pointer")?;
                     if key.level() >= OctKey::MAX_LEVEL {
@@ -448,7 +448,7 @@ mod tests {
         t.refine(OctKey::root()).unwrap();
         t.persist();
         let root = t.store.arena.committed().root;
-        let ChildPtr::Nvbm(leaf) = t.store.nav_line(root).children[4] else { panic!() };
+        let ChildPtr::Node(leaf) = t.store.nav_line(root).children[4] else { panic!() };
         // Hot-line offset 57 held the deleted flag once; nothing stores
         // there now, so any bit set in a reachable octant is damage.
         for byte in [1u8, 0x80] {
@@ -474,7 +474,7 @@ mod tests {
         t.refine(OctKey::root()).unwrap();
         t.persist();
         let (root, epoch) = (t.store.arena.committed().root, t.store.arena.committed().epoch);
-        let ChildPtr::Nvbm(leaf) = t.store.nav_line(root).children[3] else { panic!() };
+        let ChildPtr::Node(leaf) = t.store.nav_line(root).children[3] else { panic!() };
         for (stamp, ok) in [(epoch, true), (epoch + 1, false)] {
             // Hot-line offset 60 holds the creation epoch.
             t.store.arena.write(leaf.0 + 60, &(stamp as u32).to_le_bytes());
