@@ -17,10 +17,10 @@ perf/check.sh
 # host work of the mesh write path are checked against executable models
 # in optimized builds (where the wrapping arithmetic of the hash and the
 # probe loops is what ships) — the leaf index's edit delta against the
-# per-octant splice it replaced, the dirty-line table against a BTreeMap
-# under forced collisions, growth and deletion chains. The replaced
-# structures must be gone, not kept beside the new ones.
-cargo test --release -p pmoctree-morton --lib index::tests::model_parity -q
+# per-octant splice it replaced (and its galloping scan against `find`),
+# the dirty-line table against a BTreeMap under forced collisions, growth
+# and deletion chains. The replaced structures must be gone.
+cargo test --release -p pmoctree-morton -q
 cargo test --release -p pmoctree-nvbm --lib lines::tests -q
 # no_fork <pattern> <file…>: fail if <pattern> occurs in a file's code
 # above its `#[cfg(test)]` module (the models live below it).
@@ -164,7 +164,6 @@ if [ -e crates/bench/benches ] || [ -e compat/criterion ] ||
 fi
 no_fork 'zorder_argsort' crates/pm-octree/src/api.rs crates/baselines/src/incore.rs crates/baselines/src/etree.rs
 no_fork 'balance_subset(' crates/cluster/src/rank.rs
-cargo test --release -p pmoctree-morton --lib index::tests::resolve_batch -q
 cargo test --release -p pmoctree-cluster --lib rank::tests::full_range_rank_step -q
 # One-kernel / one-census gates: a refine/coarsen/set-data meets the
 # walker in exactly one place in api.rs (`PmOctree::apply_op`, the per-op
@@ -204,11 +203,10 @@ cargo test --release -p pm-octree --lib api::tests::a_persist_out_of_room_keeps_
 cargo test --release -p pmoctree-cluster --test prop_partition -q
 no_fork 'gc::mark' crates/pm-octree/src/api.rs crates/pm-octree/src/c1.rs
 # One-Morton-path / zero-unsafe gate: the batch entry points are loops
-# over the per-key calculus (held to it in optimized builds, where the
-# shifts and asserts are what ships), and nothing under crates/ or compat/
-# — nor the recipes that describe them — forks on CPU features, reads a
-# knob to pick a path, or says `unsafe`; every crate root forbids it.
-cargo test --release -p pmoctree-morton --test prop_batch -q
+# over the per-key calculus (the morton crate's tests, above), and nothing
+# under crates/ or compat/ — nor the recipes that describe them — forks
+# on CPU features, reads a knob to pick a path, or says `unsafe`; every
+# crate root forbids it.
 if grep -rn 'unsafe\|target_feature\|is_x86_feature_detected\|FORCE_SCALAR' \
     crates/ compat/ README.md DESIGN.md .claude/ | grep -v ':#!\[forbid(unsafe_code)\]$'; then
     echo "a second Morton path, its knob, or unsafe code is back" >&2

@@ -6,8 +6,13 @@
 
 use std::collections::BTreeSet;
 
-use pmoctree_amr::{balance26, check_balance26, InCoreBackend, OctreeBackend};
+use pm_octree::{PmConfig, PmOctree};
+use pmoctree_amr::{
+    balance26, balance_subset, can_coarsen, check_balance26, construct_uniform, EtreeBackend,
+    InCoreBackend, OctreeBackend, PmBackend,
+};
 use pmoctree_morton::OctKey;
+use pmoctree_nvbm::{DeviceModel, NvbmArena};
 
 #[test]
 fn balance26_asks_per_family_not_per_leaf_at_1e5_octants() {
@@ -46,4 +51,46 @@ fn balance26_asks_per_family_not_per_leaf_at_1e5_octants() {
     );
     assert!(hits > 0);
     assert!(check_balance26(&mut b).is_none());
+}
+
+/// The leaf index answers a small batch by galloping, not by a pass over
+/// the entries: on 2^15 leaves one `can_coarsen` (33 queries in a few
+/// Z-order runs) reads O(log n) DRAM lines on every backend, where the
+/// linear scan read 4 727 — every entry up to the family's last
+/// neighbor. A dense batch, `balance_subset` over every leaf, still reads
+/// exactly the lines the linear scan read.
+#[test]
+fn small_batches_gallop_dense_batches_scan_on_every_backend() {
+    let backends: Vec<Box<dyn OctreeBackend>> = vec![
+        Box::new(PmBackend::new(PmOctree::create(
+            NvbmArena::new(64 << 20, DeviceModel::default()),
+            PmConfig { dynamic_transform: false, ..PmConfig::default() },
+        ))),
+        Box::new(InCoreBackend::new()),
+        Box::new(EtreeBackend::on_nvbm()),
+    ];
+    for mut b in backends {
+        construct_uniform(&mut *b, 5);
+        let leaves = b.leaf_keys_sorted(); // also brings the index up to date
+        let n = leaves.len();
+        assert_eq!(n, 1 << 15);
+        let lines = |b: &dyn OctreeBackend| b.mem_stats().dram.read_lines;
+
+        let before = lines(&*b);
+        let family = leaves[12_345].parent().unwrap();
+        assert!(can_coarsen(&mut *b, family));
+        let one = lines(&*b) - before;
+        let log2n = u64::from(usize::BITS - (n - 1).leading_zeros());
+        assert!(one <= 8 * log2n, "{}: one can_coarsen read {one} lines", b.name());
+
+        let before = lines(&*b);
+        assert_eq!(balance_subset(&mut *b, &leaves), 0);
+        let dense = lines(&*b) - before;
+        assert_eq!(
+            dense,
+            20_924,
+            "{}: the dense batch must read what the linear scan read",
+            b.name()
+        );
+    }
 }

@@ -13,7 +13,7 @@
 //! immediate: re-open the metadata, no replay needed.
 
 use pmoctree_morton::{anchor, LeafIndex, OctKey};
-use pmoctree_nvbm::{MemStats, PAGE};
+use pmoctree_nvbm::{MemStats, CACHELINE, PAGE};
 use pmoctree_simfs::SimFs;
 
 use crate::btree::DiskBTree;
@@ -111,11 +111,10 @@ impl EtreeOctree {
         })
     }
 
-    /// Charge DRAM costs for touching `entries` leaf-view entries.
-    fn charge_index_entries(&mut self, entries: usize) {
-        let lines = LeafIndex::<3>::lines_for_entries(entries);
+    /// Charge DRAM costs for `lines` leaf-view lines.
+    fn charge_index_lines(&mut self, lines: u64) {
         self.fs.clock.advance(lines * DRAM_READ_NS);
-        self.stats.dram_read(entries * pmoctree_morton::index::ENTRY_BYTES, lines);
+        self.stats.dram_read(lines as usize * CACHELINE, lines);
     }
 
     /// Bring the DRAM leaf view up to date before a query: fold the edits
@@ -143,7 +142,7 @@ impl EtreeOctree {
     /// the view is built).
     pub fn leaf_keys_sorted(&mut self) -> Vec<OctKey> {
         self.ensure_index();
-        self.charge_index_entries(self.leaf_view.len());
+        self.charge_index_lines(self.leaf_view.sweep_lines());
         self.leaf_view.entries().iter().map(|e| e.0).collect()
     }
 
@@ -152,8 +151,8 @@ impl EtreeOctree {
     /// Input order is arbitrary; results match input order.
     pub fn containing_leaf_many(&mut self, keys: &[OctKey]) -> Vec<Option<OctKey>> {
         self.ensure_index();
-        let (resolved, touched) = self.leaf_view.resolve_batch(keys);
-        self.charge_index_entries(touched);
+        let (resolved, lines) = self.leaf_view.resolve_batch(keys);
+        self.charge_index_lines(lines);
         self.stats.index_hits(keys.len() as u64);
         resolved.into_iter().map(|r| r.map(|e| self.leaf_view.entries()[e].0)).collect()
     }

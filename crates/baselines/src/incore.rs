@@ -15,7 +15,7 @@
 
 use pm_octree::{C0Tree, CellData, Op};
 use pmoctree_morton::{LeafIndex, OctKey};
-use pmoctree_nvbm::{DeviceModel, MemLatency, MemStats, VirtualClock};
+use pmoctree_nvbm::{DeviceModel, MemLatency, MemStats, VirtualClock, CACHELINE};
 use pmoctree_simfs::SimFs;
 
 use crate::snapshot::{decode_octants, encode_octants, OctantRecord};
@@ -62,12 +62,11 @@ impl InCoreOctree {
         (&mut self.tree, (&mut self.clock, &mut self.stats, DeviceModel::default().dram))
     }
 
-    /// Charge the DRAM clock/stats for touching `entries` leaf-index
-    /// entries (the index lives in DRAM; it never costs NVBM accesses).
-    fn charge_index_entries(&mut self, entries: usize) {
-        let lines = LeafIndex::<3>::lines_for_entries(entries);
+    /// Charge the DRAM clock/stats for `lines` leaf-index lines (the
+    /// index lives in DRAM; it never costs NVBM accesses).
+    fn charge_index_lines(&mut self, lines: u64) {
         self.clock.advance(lines * DeviceModel::default().dram.read_ns);
-        self.stats.dram_read(entries * pmoctree_morton::index::ENTRY_BYTES, lines);
+        self.stats.dram_read(lines as usize * CACHELINE, lines);
     }
 
     /// Bring the leaf index up to date before a query: fold the edits the
@@ -88,7 +87,7 @@ impl InCoreOctree {
     /// Z-order-sorted leaf keys, answered from the DRAM leaf index.
     pub fn leaf_keys_sorted(&mut self) -> Vec<OctKey> {
         self.ensure_index();
-        self.charge_index_entries(self.index.len());
+        self.charge_index_lines(self.index.sweep_lines());
         self.index.entries().iter().map(|e| e.0).collect()
     }
 
@@ -97,8 +96,8 @@ impl InCoreOctree {
     /// DRAM index reads.
     fn resolve_charged(&mut self, keys: &[OctKey]) -> Vec<Option<usize>> {
         self.ensure_index();
-        let (resolved, touched) = self.index.resolve_batch(keys);
-        self.charge_index_entries(touched);
+        let (resolved, lines) = self.index.resolve_batch(keys);
+        self.charge_index_lines(lines);
         self.stats.index_hits(keys.len() as u64);
         resolved
     }

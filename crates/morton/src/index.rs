@@ -21,10 +21,13 @@
 //! stays cheap: all incremental hooks become no-ops until the owner
 //! rebuilds it from a full leaf enumeration.
 //!
-//! The index itself is DRAM-resident; owners are responsible for charging
-//! DRAM-read costs for probes (see [`LeafIndex::lines_for_entries`] and the
-//! entry-read counts returned by the query methods: every entry a scan
-//! advances over plus one candidate re-read per query).
+//! The index itself is DRAM-resident; owners charge DRAM-read costs for
+//! the lines the query methods report. A batch is one merge-scan with a
+//! monotone cursor: per query it steps over at most 16 entries and, if
+//! the query is still ahead, gallops (probes at +16, +32, +64, …)
+//! and bisects the last interval. Stepped entries are packed into lines
+//! per batch; every probe is one whole line. A batch of k sparse queries
+//! reads O(k log(n/k)) lines, a dense batch exactly the stepped entries.
 
 use std::collections::BTreeMap;
 
@@ -32,10 +35,13 @@ use crate::code::Key;
 
 /// Bytes one index entry occupies in DRAM (16-byte key + 8-byte slot,
 /// padded to the struct layout actually stored).
-pub const ENTRY_BYTES: usize = std::mem::size_of::<(Key<3>, u64)>();
+const ENTRY_BYTES: usize = std::mem::size_of::<(Key<3>, u64)>();
 
 /// DRAM cacheline size used for cost conversion.
 const LINE: usize = 64;
+
+/// Entries a query's scan steps over one by one before it gallops.
+const RUN: usize = 16;
 
 /// Morton-sorted leaf array with incremental maintenance.
 ///
@@ -146,9 +152,17 @@ impl<const D: usize> LeafIndex<D> {
         &self.entries
     }
 
-    /// DRAM cachelines occupied by `n` index entries (for cost charging).
-    pub fn lines_for_entries(n: usize) -> u64 {
+    /// DRAM cachelines occupied by `n` index entries.
+    fn lines_for_entries(n: usize) -> u64 {
         ((n * ENTRY_BYTES).div_ceil(LINE)) as u64
+    }
+
+    /// DRAM cachelines one full sweep of the entries reads.
+    ///
+    /// # Panics
+    /// Panics if the index holds unsettled edits.
+    pub fn sweep_lines(&self) -> u64 {
+        Self::lines_for_entries(self.len())
     }
 
     /// Record that `k` stops being a leaf; `false` if it was not one.
@@ -229,69 +243,97 @@ impl<const D: usize> LeafIndex<D> {
 
     /// The merge-scan under both batch queries: `queries` ascend in
     /// Z-order, `emit(j, hit)` receives the `j`-th query's entry index.
-    /// Returns the number of entry reads it makes: every entry it advances
-    /// over, plus one re-read of the candidate (the entry just before the
-    /// scan position, tested for containment) per query that has one — so
-    /// a dense batch of `n` queries, one per entry, counts `2n`.
+    /// Per query the cursor steps over at most [`RUN`] entries; a query
+    /// still ahead then gallops — probes at +`RUN`, +2·`RUN`, +4·`RUN`, …
+    /// past the cursor — and bisects the last interval. Returns the DRAM
+    /// lines read: the stepped entries plus one candidate re-read per
+    /// query that has one (the entry just before the cursor, tested for
+    /// containment), packed into lines over the batch, plus one line per
+    /// probe. A batch whose queries never advance the cursor by more than
+    /// `RUN` entries makes no probe: a dense batch of `n` queries, one per
+    /// entry, reads the lines of `2n` entries.
     fn merge_scan<'q>(
         &self,
         queries: impl Iterator<Item = &'q Key<D>>,
         mut emit: impl FnMut(usize, Option<usize>),
-    ) -> usize {
+    ) -> u64 {
         let entries = self.entries();
+        let n = entries.len();
         let mut cur = 0usize; // number of entries known to be <= the query
-        let mut touched = 0usize;
+        let (mut stepped, mut probes) = (0usize, 0u64);
         for (j, q) in queries.enumerate() {
-            while cur < entries.len() && entries[cur].0.zcmp(q).is_le() {
+            let le = |i: usize| entries[i].0.zcmp(q).is_le();
+            let start = cur;
+            while cur < n && cur - start < RUN && le(cur) {
                 cur += 1;
-                touched += 1;
+            }
+            stepped += cur - start;
+            if cur - start == RUN && cur < n && le(cur) {
+                // Still ahead after RUN steps: entries[..=cur] are <= q.
+                let (mut lo, mut hi, mut step) = (cur + 1, n, RUN);
+                while cur + step < n {
+                    probes += 1;
+                    if !le(cur + step) {
+                        hi = cur + step;
+                        break;
+                    }
+                    lo = cur + step + 1;
+                    step *= 2;
+                }
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    probes += 1;
+                    if le(mid) {
+                        lo = mid + 1;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                cur = lo;
             }
             if cur == 0 {
                 emit(j, None);
                 continue;
             }
-            touched += 1;
+            stepped += 1;
             emit(j, entries[cur - 1].0.contains(q).then_some(cur - 1));
         }
-        touched
+        Self::lines_for_entries(stepped) + probes
     }
 
     /// Resolve a Z-order-ascending batch of queries in one merge-scan.
     ///
-    /// Returns per-query `Option<entry_index>` plus the scan's entry-read
-    /// count (for DRAM cost charging): the entries it advanced over and
-    /// one candidate re-read per query that has a candidate. Queries
-    /// **must** be sorted ascending (checked in debug builds); duplicates
-    /// are fine.
+    /// Returns per-query `Option<entry_index>` plus the DRAM lines the
+    /// scan read (the owner charges them). Queries **must** be sorted
+    /// ascending (checked in debug builds); duplicates are fine.
     ///
     /// # Panics
     /// Panics if the index is invalid or holds unsettled edits.
-    pub fn resolve_sorted(&self, queries: &[Key<D>]) -> (Vec<Option<usize>>, usize) {
+    pub fn resolve_sorted(&self, queries: &[Key<D>]) -> (Vec<Option<usize>>, u64) {
         debug_assert!(
             queries.windows(2).all(|w| w[0] <= w[1]),
             "resolve_sorted requires Z-order-ascending queries"
         );
         let mut out = Vec::with_capacity(queries.len());
-        let touched = self.merge_scan(queries.iter(), |_, hit| out.push(hit));
-        (out, touched)
+        let lines = self.merge_scan(queries.iter(), |_, hit| out.push(hit));
+        (out, lines)
     }
 
     /// Resolve a batch of queries given in any order: Z-order argsort,
     /// one merge-scan over the keys in that order, each result stored
     /// where its key stands, so `out[i]` answers `keys[i]`. Returns the
-    /// per-key `Option<entry_index>` and the scan's entry-read count (the
-    /// owner charges it) — what [`LeafIndex::resolve_sorted`] returns on
+    /// per-key `Option<entry_index>` and the DRAM lines the scan read (the
+    /// owner charges them) — what [`LeafIndex::resolve_sorted`] returns on
     /// the sorted batch. Hits ascend in entry index exactly as their
     /// keys ascend in Z-order.
     ///
     /// # Panics
     /// Panics if the index is invalid or holds unsettled edits.
-    pub fn resolve_batch(&self, keys: &[Key<D>]) -> (Vec<Option<usize>>, usize) {
+    pub fn resolve_batch(&self, keys: &[Key<D>]) -> (Vec<Option<usize>>, u64) {
         let order = crate::simd::zorder_argsort(keys);
         let mut out = vec![None; keys.len()];
-        let touched =
-            self.merge_scan(order.iter().map(|&i| &keys[i]), |j, hit| out[order[j]] = hit);
-        (out, touched)
+        let lines = self.merge_scan(order.iter().map(|&i| &keys[i]), |j, hit| out[order[j]] = hit);
+        (out, lines)
     }
 }
 
@@ -608,6 +650,150 @@ mod tests {
                     assert_eq!(idx.is_valid(), model.valid);
                 }
                 check_settled(&mut idx, &model);
+            }
+        }
+    }
+
+    mod gallop {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The merge-scan before it galloped, kept as the cost model: the
+        /// cursor steps over every entry. Returns the entries it reads
+        /// (stepped plus one candidate re-read per query that has one)
+        /// and the longest single advance of the cursor.
+        fn linear_scan(entries: &[(OctKey, u64)], sorted: &[OctKey]) -> (usize, usize) {
+            let (mut cur, mut read, mut longest) = (0, 0, 0);
+            for q in sorted {
+                let start = cur;
+                while cur < entries.len() && entries[cur].0.zcmp(q).is_le() {
+                    cur += 1;
+                }
+                longest = longest.max(cur - start);
+                read += cur - start + usize::from(cur > 0);
+            }
+            (read, longest)
+        }
+
+        /// The descendants of `top` `levels` levels below it.
+        fn uniform(top: OctKey, levels: usize) -> Vec<OctKey> {
+            (0..levels).fold(vec![top], |ks, _| ks.iter().flat_map(|k| k.children()).collect())
+        }
+
+        /// A leaf set under root child 3: level 3 below it, then `edits`
+        /// refine (`true`) or coarsen the family of the `i % len`-th leaf.
+        fn random_index(edits: &[(usize, bool)]) -> LeafIndex<3> {
+            let mut idx = build(&uniform(OctKey::root().child(3), 3));
+            for &(i, refine) in edits {
+                let leaf = idx.entries()[i % idx.len()].0;
+                let is_leaf = |c: OctKey| idx.find(&c).is_some_and(|h| h.1 == c);
+                match leaf.parent() {
+                    _ if refine && leaf.level() < 9 => idx.on_refine_uniform(leaf, i as u64),
+                    Some(p) if !refine && p.level() > 1 && p.children().all(is_leaf) => {
+                        idx.on_coarsen(p, i as u64)
+                    }
+                    _ => {}
+                }
+                idx.settle();
+            }
+            idx
+        }
+
+        #[derive(Debug, Clone)]
+        enum Shape {
+            One(usize),
+            Sparse(Vec<usize>),
+            Runs(Vec<(usize, usize)>),
+            Every,
+        }
+
+        /// The leaf at `p % n`, or (by `p / n`) one of its descendants.
+        fn near(entries: &[(OctKey, u64)], p: usize) -> OctKey {
+            let (k, v) = (entries[p % entries.len()].0, p / entries.len());
+            if v % 2 == 0 {
+                k
+            } else {
+                k.child(v / 2 % 8)
+            }
+        }
+
+        fn queries(idx: &LeafIndex<3>, shape: &Shape) -> Vec<OctKey> {
+            let e = idx.entries();
+            match shape {
+                Shape::One(p) => vec![near(e, *p)],
+                Shape::Sparse(ps) => ps.iter().map(|&p| near(e, p)).collect(),
+                Shape::Runs(runs) => runs
+                    .iter()
+                    .flat_map(|&(p, len)| (p..p + len).map(|i| e[i % e.len()].0))
+                    .collect(),
+                Shape::Every => {
+                    let root = OctKey::root();
+                    let outside = (0..8).filter(|&i| i != 3).map(|i| root.child(i).child(2));
+                    e.iter()
+                        .map(|x| x.0)
+                        .chain(e.iter().step_by(3).map(|x| x.0))
+                        .chain(e.iter().filter_map(|x| x.0.parent()))
+                        .chain(e.iter().step_by(5).map(|x| x.0.child(6).child(1)))
+                        .chain([root, root.child(3)])
+                        .chain(outside)
+                        .collect()
+                }
+            }
+        }
+
+        fn arb_shape() -> impl Strategy<Value = Shape> {
+            prop_oneof![
+                any::<usize>().prop_map(Shape::One),
+                prop::collection::vec(any::<usize>(), 1..40).prop_map(Shape::Sparse),
+                prop::collection::vec((any::<usize>(), 1usize..24), 1..6).prop_map(Shape::Runs),
+                Just(Shape::Every),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Every hit is what `find` answers; a batch whose cursor never
+            /// advances more than `RUN` entries at once reads exactly the
+            /// lines of the linear model.
+            #[test]
+            fn gallop_hits_match_find_and_dense_cost_matches_linear(
+                edits in prop::collection::vec((any::<usize>(), any::<bool>()), 0..300),
+                shape in arb_shape(),
+            ) {
+                let idx = random_index(&edits);
+                let batch = queries(&idx, &shape);
+                let (hits, lines) = idx.resolve_batch(&batch);
+                let want: Vec<Option<usize>> =
+                    batch.iter().map(|q| idx.find(q).map(|h| h.0)).collect();
+                prop_assert_eq!(hits, want);
+                let mut sorted = batch.clone();
+                sorted.sort_unstable();
+                prop_assert_eq!(idx.resolve_sorted(&sorted).1, lines);
+                let (read, longest) = linear_scan(idx.entries(), &sorted);
+                if longest <= RUN {
+                    prop_assert_eq!(lines, LeafIndex::<3>::lines_for_entries(read));
+                }
+            }
+
+            /// One query into an index of 2^15 leaves reads O(log n) lines.
+            #[test]
+            fn one_query_reads_logarithmic_lines(
+                refines in prop::collection::vec(any::<usize>(), 0..4),
+                p in any::<usize>(),
+            ) {
+                let mut idx = build(&uniform(OctKey::root(), 5));
+                for i in refines {
+                    idx.on_refine_uniform(idx.entries()[i % idx.len()].0, 0);
+                    idx.settle();
+                }
+                let n = idx.len();
+                prop_assert!(n >= 1 << 15);
+                let q = near(idx.entries(), p);
+                let (hits, lines) = idx.resolve_sorted(&[q]);
+                prop_assert_eq!(hits[0], idx.find(&q).map(|h| h.0));
+                let log2n = u64::from(usize::BITS - (n - 1).leading_zeros());
+                prop_assert!(lines <= 2 * log2n + 6, "{lines} lines for one query into {n}");
             }
         }
     }

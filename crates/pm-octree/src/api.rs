@@ -14,7 +14,7 @@
 //! | `pm_delete`        | [`PmOctree::delete`]  |
 
 use pmoctree_morton::{LeafIndex, OctKey};
-use pmoctree_nvbm::{CommitRecord, NvbmArena, POffset, RecKind};
+use pmoctree_nvbm::{CommitRecord, NvbmArena, POffset, RecKind, CACHELINE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -332,7 +332,7 @@ impl PmOctree {
     pub fn memory_usage_bytes(&self) -> u64 {
         let c0_lines: usize =
             self.forest.ids().into_iter().map(|id| self.forest.get(id).lines()).sum();
-        self.store.alloc.live_bytes() + (c0_lines * pmoctree_nvbm::CACHELINE) as u64
+        self.store.alloc.live_bytes() + (c0_lines * CACHELINE) as u64
     }
 
     /// How many octants currently sit in DRAM (C0)?
@@ -588,13 +588,12 @@ impl PmOctree {
         self.index.invalidate();
     }
 
-    /// Charge DRAM-read cost for touching `entries` leaf-index entries
-    /// (the index lives in DRAM regardless of where octants live).
-    fn charge_index_entries(&mut self, entries: usize) {
-        let lines = LeafIndex::<3>::lines_for_entries(entries);
+    /// Charge DRAM-read cost for `lines` leaf-index lines (the index lives
+    /// in DRAM regardless of where octants live).
+    fn charge_index_lines(&mut self, lines: u64) {
         let ns = self.store.arena.model().dram.read_ns;
         self.store.arena.clock.advance(lines * ns);
-        self.store.arena.stats.dram_read(entries * pmoctree_morton::index::ENTRY_BYTES, lines);
+        self.store.arena.stats.dram_read(lines as usize * CACHELINE, lines);
     }
 
     /// Bring the leaf index up to date before a query: fold the edits the
@@ -616,7 +615,7 @@ impl PmOctree {
     /// Z-order-sorted leaf keys, answered from the DRAM leaf index.
     pub fn leaf_keys_sorted(&mut self) -> Vec<OctKey> {
         self.ensure_index();
-        self.charge_index_entries(self.index.len());
+        self.charge_index_lines(self.index.sweep_lines());
         self.index.entries().iter().map(|e| e.0).collect()
     }
 
@@ -624,8 +623,8 @@ impl PmOctree {
     /// index entry, the merge-scan charged as DRAM reads — no NVBM descent.
     fn resolve_charged(&mut self, keys: &[OctKey]) -> Vec<Option<usize>> {
         self.ensure_index();
-        let (resolved, touched) = self.index.resolve_batch(keys);
-        self.charge_index_entries(touched);
+        let (resolved, lines) = self.index.resolve_batch(keys);
+        self.charge_index_lines(lines);
         self.store.arena.stats.index_hits(keys.len() as u64);
         resolved
     }
