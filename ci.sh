@@ -85,30 +85,24 @@ fi
 # recovery takes the valid slot with the higher seq. Every publication
 # (create, persist, persist with an rt commit, service flush) commits
 # exactly 64 header bytes; a torn or flipped slot leaves the other slot's
-# version, a record naming nonsense is refused or its hints clamped, and no
-# reachable octant may be stamped past the record's epoch — in optimized
-# builds. The staged header fields, the second root slot and the separate
-# rt root store must stay deleted.
+# version, and a record naming nonsense is refused or its hints clamped —
+# in optimized builds. The staged header fields, the second root slot and
+# the separate rt root store must stay deleted.
 cargo test --release -p pm-rt --test commit_record -q
 cargo test --release -p pmoctree-nvbm --lib arena::tests -q
-cargo test --release -p pm-octree --lib verify::tests::restore_refuses_an_octant_stamped_past_the_record -q
 # Sparse media: the device holds the chunks some commit or load reached.
 # Stores, write-backs, evictions and every crash mode across a chunk
 # boundary act as on flat memory, and the live crash and a crash view
 # commit the same bytes (`arena::tests`, above); untouched ranges and
 # all-zero files materialise nothing; the saved file round-trips
-# byte-equal; the chunked wear map answers like the flat one; an octree
-# on a 64 GiB nominal device holds its bump plus two chunks, and so do its
-# replica and a crash view at its last root swap; an unusable replica is
-# an error; §5.6's new-node restore beats the in-core re-read — in
-# optimized builds. The capacity-sized media vector must not come back.
+# byte-equal; the chunked wear map answers like the flat one; §5.6's
+# new-node restore beats the in-core re-read — in optimized builds. The
+# capacity-sized media vector must not come back.
 # The chunk set is the one media value: the second media trait and its
 # flat-slice impl, the second recovery entry and the replica's
 # whole-device byte count must stay deleted, and neither crash captures
 # nor replicas may go through a flat export.
 cargo test --release -p pmoctree-nvbm --lib stats::tests -q
-cargo test --release -p pm-octree --lib replica::tests -q
-cargo test --release -p pm-octree --lib api::tests::a_nominal_64_gib_device_holds_only_what_it_touches -q
 cargo test --release -p pmoctree-cluster --lib failure::tests::paper_ordering_holds -q
 no_fork 'vec!\[0; capacity\]\|media: Vec<u8>' crates/nvbm/src/arena.rs
 no_fork 'trait Media\|impl Media for\|fn recover_from\|live_octant_bytes' \
@@ -121,12 +115,20 @@ fi
 # Descent-free time-step gates, by exact count: batched coarsen legality
 # against the per-key rule on all three backends, in optimized builds.
 # One walker over both tiers' line stores, in optimized builds: an op reads
-# its path once and a batch a shared prefix once; a sweep reads one line
-# per octant and a copy stores each copy once, publishing no link of a
-# leaf that ran out of room; a C0 node is its record image (a leaf one
-# line), and refine, coarsen, point reads, samples, the in-core baseline
-# and the tier-to-tier copy charge the lines they touch, alike in both
-# tiers op for op; any 64 bytes decode or are `Corrupt`.
+# its path once, and a batch of lookups or links a shared prefix once; a
+# sweep reads one line per octant and a copy stores each copy once,
+# publishing no link of a leaf that ran out of room; a C0 node is its
+# record image (a leaf one line), and refine, coarsen, point reads,
+# samples (each walked line once), the in-core baseline and the
+# tier-to-tier copy charge the lines they touch, alike in both tiers op
+# for op; any 64 bytes decode or are `Corrupt`. The same run holds
+# persist to what the step changed (no read for an untouched leaf, a
+# common link path once per walk; GC frees only what V_{i-1} cannot
+# reach; out of room, the partial image is retired), the transform scan
+# to the octants above L_sub and the impure ones, a seeding refine to the
+# eviction line, a restore to refusing an octant stamped past the
+# record's epoch, and a 64 GiB nominal octree, its replica and a crash
+# view to its bump plus two chunks (an unusable replica is an error).
 cargo test --release -p pm-octree -p pmoctree-baselines --lib -q
 cargo test --release -p pmoctree-amr --test prop_backends batched_coarsen_legality -q
 no_fork 'fn deepest\|fn traverse' crates/pm-octree/src/c1.rs crates/pm-octree/src/api.rs
@@ -143,14 +145,12 @@ fi
 # outward direction of a parent family (≤ 26 per family, no root descent)
 # and reaches the per-key `refine_balanced` fixed point on all three
 # backends, its checks naming the per-leaf scan's pair; a round the device
-# refuses whole ends the loop. The transform scan reads the octants above
-# L_sub and the impure ones, exactly — in optimized builds. The per-leaf
+# refuses whole ends the loop — in optimized builds. The per-leaf
 # neighbor kernel must stay deleted.
 cargo test --release -p pmoctree-amr --test balance_traversal -q
 cargo test --release -p pmoctree-amr --test prop_balance -q
 cargo test --release -p pmoctree-amr --lib balance::tests::balance_returns_when_the_device_refuses_every_ripple -q
 cargo test --release -p pmoctree-cluster --lib scaling::tests::global_balance_returns_when_the_devices_are_full -q
-cargo test --release -p pm-octree --lib transform::tests::the_scan_reads_only_above_l_sub_and_the_impure -q
 no_fork 'neighbor_leaves_many' crates/amr/src/*.rs
 # Write-every-driver-once gates: the Criterion layer `perf/` superseded
 # must stay deleted, the index-batch protocol (argsort, gather,
@@ -170,10 +170,8 @@ cargo test --release -p pmoctree-cluster --lib rank::tests::full_range_rank_step
 # API's body; a batch is that API in a loop, seeding and all),
 # and the Fig. 3 overlap and the replica delta are read off the
 # collection's counters (the model holds them to a mark walk of the
-# published version), a seeding refine against the eviction line, in
-# optimized builds. The replaced copies and the two caller-less
+# published version). The replaced copies and the two caller-less
 # subsystems must be gone, not kept beside them.
-cargo test --release -p pm-octree --lib api::tests::seeding_stays_under_the_eviction_line -q
 for call in 'walk::apply('; do
     sites=$(sed '/^#\[cfg(test)\]/,$d' crates/pm-octree/src/api.rs | grep -c "$call" || true)
     if [ "$sites" != 1 ]; then
@@ -189,17 +187,11 @@ fi
 # A time step does not re-walk the tree: `adapt` takes both votes in one
 # leaf sweep (a quiet pass reads exactly one sweep's lines; no family
 # refined in a pass is coarsened in it, alike on all three backends), and
-# persist frees what the step retired — it reads nothing for the leaves
-# the step left alone, on-demand GC keeps what V_{i-1} reaches, and a
-# persist out of room retires its partial image — with the registry held
-# to a mark walk after every model step. The owned leaves of 2- and
-# 4-rank PM clusters on 1 and 2 workers tile the domain 2:1 after every
-# step. In optimized builds; no whole-tree mark in persist or on-demand GC.
+# persist frees what the step retired (the `--lib` run above), with the
+# registry held to a mark walk after every model step. The owned leaves
+# of 2- and 4-rank PM clusters on 1 and 2 workers tile the domain 2:1
+# after every step (optimized builds). No whole-tree mark in persist or GC.
 cargo test --release -p pmoctree-amr --test prop_backends adapt_ -q
-cargo test --release -p pm-octree --lib gc::tests -q
-cargo test --release -p pm-octree --lib api::tests::persist_reads_what_the_step_changed -q
-cargo test --release -p pm-octree --lib api::tests::on_demand_gc_frees_only_what_the_previous_version_cannot_reach -q
-cargo test --release -p pm-octree --lib api::tests::a_persist_out_of_room_keeps_what_it_merged_and_retires_the_rest -q
 cargo test --release -p pmoctree-cluster --test prop_partition -q
 no_fork 'gc::mark' crates/pm-octree/src/api.rs crates/pm-octree/src/c1.rs
 # One-Morton-path / zero-unsafe gate: the batch entry points are loops

@@ -757,16 +757,19 @@ impl PmOctree {
     fn persist_inner(&mut self, hook: &mut PersistHook<'_>) -> Result<(), PmError> {
         // (1) Merge every DRAM subtree into NVBM with diff-sharing.
         let span_merge = self.store.arena.span("persist::merge");
+        // One cursor links every image: a merge between two links only
+        // allocates, so the path lines it holds are read once.
         let ids = self.forest.ids();
         let mut merged_offsets: Vec<(u32, POffset)> = Vec::with_capacity(ids.len());
-        let mut root = self.current_root;
+        let mut cursor = Cursor::new(self.current_root);
         for id in &ids {
-            let (linked, off, merged) = match self.link_c0_image(*id, root) {
+            let (off, merged) = match self.link_c0_image(*id, &mut cursor) {
                 Ok(linked) => linked,
                 Err(e) => {
-                    // The subtrees merged so far are in NVBM under `root`:
-                    // adopt it and let them go, as evictions would.
-                    self.current_root = root;
+                    // The subtrees merged so far are in NVBM under the
+                    // cursor's root: adopt it and let them go, as
+                    // evictions would.
+                    self.current_root = cursor.root();
                     for (id, _) in merged_offsets {
                         self.forest.remove(id);
                         self.set_shadow(id, POffset::NULL);
@@ -774,10 +777,10 @@ impl PmOctree {
                     return Err(e);
                 }
             };
-            root = linked;
             self.events.merges += u64::from(merged);
             merged_offsets.push((*id, off));
         }
+        let root = cursor.root();
         self.store.arena.failpoint("persist::merge");
         drop(span_merge);
         // (2) Flush everything: V_i is on media, unreachable until the
@@ -841,18 +844,16 @@ impl PmOctree {
         self.store.shared = self.store.registry.len();
         // (8) Re-attach the retained DRAM subtrees to the working tree
         //     and remember their merged images as diff shadows.
+        //     One cursor links them all, as in (1).
         self.shadows = Vec::new();
+        let mut cursor = Cursor::new(self.current_root);
         for (id, off) in merged_offsets {
             self.set_shadow(id, off);
             let key = self.forest.get(id).subtree_key;
             self.forest.get_mut(id).dirty = false;
-            self.current_root = c1::replace_slot(
-                &mut self.store,
-                self.current_root,
-                key,
-                ChildPtr::Volatile(id),
-                self.epoch,
-            )?;
+            let linked = cursor.link(&mut self.store, key, ChildPtr::Volatile(id), self.epoch);
+            self.current_root = cursor.root();
+            linked?;
         }
         self.forest.decay_access(0.5);
         drop(span_reattach);
@@ -936,7 +937,9 @@ impl PmOctree {
     }
 
     fn evict_c0_inner(&mut self, id: u32) -> Result<(), PmError> {
-        (self.current_root, _, _) = self.link_c0_image(id, self.current_root)?;
+        let mut cursor = Cursor::new(self.current_root);
+        self.link_c0_image(id, &mut cursor)?;
+        self.current_root = cursor.root();
         // Only now that the subtree is fully re-linked in NVBM does the
         // DRAM copy go away: a failure above leaves it untouched.
         self.forest.remove(id);
@@ -945,19 +948,19 @@ impl PmOctree {
         Ok(())
     }
 
-    /// Write the C0 tree `id` to C1 and link the image under `root` at the
-    /// tree's subtree key (persist merge and eviction alike). A clean tree
-    /// with a shadow re-links the shadow, which is still exact, without
-    /// reading a single octant; any other is diff-merged against its
-    /// shadow, and the shadow octants the image does not reuse are retired
-    /// once it is linked. Returns the new root, the linked image, and
-    /// whether a merge ran. On [`PmError::Full`] the shadow stays the
-    /// tree's and the partial image is retired.
+    /// Write the C0 tree `id` to C1 and link the image at the tree's
+    /// subtree key through `cursor` (persist merge and eviction alike). A
+    /// clean tree with a shadow re-links the shadow, which is still exact,
+    /// without reading a single octant; any other is diff-merged against
+    /// its shadow, and the shadow octants the image does not reuse are
+    /// retired once it is linked. Returns the linked image and whether a
+    /// merge ran; the cursor's root is the new root. On [`PmError::Full`]
+    /// the shadow stays the tree's and the partial image is retired.
     fn link_c0_image(
         &mut self,
         id: u32,
-        root: POffset,
-    ) -> Result<(POffset, POffset, bool), PmError> {
+        cursor: &mut Cursor<POffset>,
+    ) -> Result<(POffset, bool), PmError> {
         let shadow = self.shadow_of(id);
         let t = self.forest.get_mut(id);
         let key = t.subtree_key;
@@ -967,11 +970,11 @@ impl PmOctree {
         } else {
             (shadow, Vec::new())
         };
-        // The slot's path is exclusive — the `replace_slot` that put the
-        // handle there copied it this epoch — so linking allocates nothing.
-        let root = c1::replace_slot(&mut self.store, root, key, ChildPtr::Node(off), self.epoch)?;
+        // The slot's path is exclusive — the link that put the handle
+        // there copied it this epoch — so linking allocates nothing.
+        cursor.link(&mut self.store, key, ChildPtr::Node(off), self.epoch)?;
         self.store.retired.extend(dropped);
-        Ok((root, off, merge))
+        Ok((off, merge))
     }
 }
 
@@ -1331,6 +1334,24 @@ mod tests {
         let (live, shared) = t.events.last_overlap.unwrap();
         assert_eq!(live, 4681);
         assert_eq!(live - shared, 1 + 8 + 8 + 8 + 8);
+        // m sibling DRAM trees under one level-2 parent. The merge reads
+        // each tree's shadow, a line, and links the images through one
+        // cursor: the common path (the root, level 1, level 2) once, not
+        // once per tree. The reattach walks it once more, copying it for
+        // the new epoch with its three payload lines.
+        let parent = OctKey::root().child(5).child(2);
+        for m in [1, 3, 8] {
+            let mut t = PmOctree::create(arena(), PmConfig { seed_c0: false, ..small_cfg() });
+            fill(&mut t, &[OctKey::root()], |t| t.leaf_count() < 512);
+            t.persist();
+            for i in 0..m {
+                t.seed_c0(parent.child(i)).unwrap();
+            }
+            let before = t.store.arena.stats.nvbm.read_lines;
+            t.persist();
+            let reads = t.store.arena.stats.nvbm.read_lines - before;
+            assert_eq!(reads, m as u64 + 3 + (3 + 3), "{m} sibling trees");
+        }
     }
 
     #[test]

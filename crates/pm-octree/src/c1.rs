@@ -41,7 +41,7 @@ use pmoctree_nvbm::POffset;
 
 use crate::api::PmError;
 use crate::octant::{CellData, ChildPtr, NavLine, Octant, PmStore, FANOUT};
-use crate::walk::{descend, own, Frame, LineStore, Owed};
+use crate::walk::{Cursor, Frame, LineStore, Owed};
 
 impl LineStore for PmStore {
     type Id = POffset;
@@ -196,6 +196,8 @@ impl LineStore for PmStore {
 /// otherwise, before anything is copied), and stays interior. Returns the
 /// possibly-new root. An NVBM octant the slot held is not retired: every
 /// caller hands it to the DRAM subtree the slot now names, as its shadow.
+/// A batch of links goes through one [`Cursor::link`]; this is a batch of
+/// one.
 pub fn replace_slot(
     store: &mut PmStore,
     root: POffset,
@@ -203,19 +205,9 @@ pub fn replace_slot(
     ptr: ChildPtr,
     epoch: u32,
 ) -> Result<POffset, PmError> {
-    if ptr.is_null() {
-        return Err(PmError::Corrupt(format!("replace_slot cannot empty the slot of {key:?}")));
-    }
-    let parent_key =
-        key.parent().ok_or_else(|| PmError::Corrupt("cannot replace the root slot".to_string()))?;
-    let frames = descend(store, root, parent_key)?;
-    let slot = key.sibling_index();
-    if frames[frames.len() - 1].nav.children[slot].is_null() {
-        return Err(PmError::NotFound(format!("{key:?}: no slot to re-point")));
-    }
-    let (root, parent) = own(store, root, frames, epoch)?;
-    store.set_link(parent.off, slot, ptr);
-    Ok(root)
+    let mut cursor = Cursor::new(root);
+    cursor.link(store, key, ptr, epoch)?;
+    Ok(cursor.root())
 }
 
 #[cfg(test)]
@@ -226,7 +218,9 @@ mod tests {
     use crate::octant::read_octant;
     use crate::octant::Retired;
     use crate::verify::{check_registry, scan_tree};
-    use crate::walk::{coarsen, locate, refine, sweep_leaves, update_data, Cursor, Locate, Op};
+    use crate::walk::{
+        coarsen, descend, locate, own, refine, sweep_leaves, update_data, Locate, Op,
+    };
     use crate::{PmConfig, PmOctree};
     use pmoctree_nvbm::{DeviceModel, FailPlan, NvbmArena};
 
@@ -477,11 +471,8 @@ mod tests {
             let lines = s.arena.stats.nvbm.write_lines;
             s.arena.set_fail_plan(FailPlan::count());
             op(s);
-            s.arena.flush_all();
+            let image = flushed_media(s);
             let stores = s.arena.take_fail_plan().unwrap().opportunities();
-            let media = s.arena.clone_media();
-            let mut image = vec![0u8; media.size()];
-            media.read_at(0, &mut image);
             ((s.arena.stats.nvbm.write_lines - lines, stores), image)
         }
         let (mut swept, root) = build();
@@ -1029,6 +1020,96 @@ mod tests {
         let emptied = replace_slot(&mut s, root2, k, ChildPtr::Null, 3);
         assert!(matches!(emptied, Err(PmError::Corrupt(_))), "{emptied:?}");
         assert_eq!((s.arena.stats.nvbm.write_lines, s.registry.len()), (writes, allocated));
+    }
+
+    /// The flushed media, byte for byte.
+    fn flushed_media(s: &mut PmStore) -> Vec<u8> {
+        s.arena.flush_all();
+        let media = s.arena.clone_media();
+        let mut image = vec![0u8; media.size()];
+        media.read_at(0, &mut image);
+        image
+    }
+
+    /// A batch of links through one cursor stores what per-key
+    /// [`replace_slot`] calls store, and reads each path line once.
+    #[test]
+    fn a_cursor_links_a_batch_as_per_key_links_do() {
+        let (two, five, six) =
+            (OctKey::root().child(2), OctKey::root().child(5), OctKey::root().child(6));
+        // Epoch 1: the root, 2, 2.3, 5 and 6 refined. A merged C0 image of
+        // 6 (6 and 6.1 refined) at epoch 2, not linked yet.
+        let build = || {
+            let mut s = store();
+            let mut root = root_tree(&mut s, 1);
+            for k in [OctKey::root(), two, two.child(3), five, six] {
+                root = refine(&mut s, root, k, 1).unwrap().0;
+            }
+            let image = c0_tree(six, &[&[], &[1]]).merge(&mut s, None, 2).unwrap().0;
+            (s, root, image)
+        };
+        let (mut per_key, root, image) = build();
+        let (mut batched, _, _) = build();
+        // At epoch 2: a shared root and path (2.3's slot 1), a sibling slot,
+        // a link below the path the first copied (2's slot 7), a sibling
+        // parent (5), then the image at 6 and a link through it.
+        let links = [
+            (two.child(3).child(1), ChildPtr::Volatile(1)),
+            (two.child(3).child(6), ChildPtr::Volatile(2)),
+            (two.child(7), ChildPtr::Volatile(3)),
+            (five.child(0), ChildPtr::Volatile(4)),
+            (six, ChildPtr::Node(image)),
+            (six.child(1).child(4), ChildPtr::Volatile(5)),
+        ];
+        let nvbm = |s: &PmStore| (s.arena.stats.nvbm.read_lines, s.arena.stats.nvbm.write_lines);
+        let since = |now: (u64, u64), then: (u64, u64)| (now.0 - then.0, now.1 - then.1);
+        let (allocated, before) = (per_key.registry.len(), nvbm(&per_key));
+        let mut r = root;
+        for &(k, ptr) in &links {
+            r = replace_slot(&mut per_key, r, k, ptr, 2).unwrap();
+        }
+        let per_key_cost = since(nvbm(&per_key), before);
+        let before = nvbm(&batched);
+        let mut cursor = Cursor::new(root);
+        for &(k, ptr) in &links {
+            cursor.link(&mut batched, k, ptr, 2).unwrap();
+        }
+        let batched_cost = since(nvbm(&batched), before);
+        assert_eq!(cursor.root(), r);
+        assert_ne!(r, root, "the shared root was copied");
+        // The copies: the root, 2, 2.3 and 5, each reading its payload
+        // line. Per key, every link walks its parent's whole path; batched,
+        // the distinct path lines — root, 2, 2.3, 5, the image and its
+        // 6.1 — are read once.
+        let copies = per_key.registry.len() - allocated;
+        assert_eq!(copies, 4);
+        assert_eq!(per_key_cost.0, 3 + 3 + 2 + 2 + 1 + 3 + copies as u64);
+        assert_eq!(batched_cost, (6 + copies as u64, per_key_cost.1));
+        assert_eq!((&batched.registry, &batched.retired), (&per_key.registry, &per_key.retired));
+        assert!(flushed_media(&mut batched) == flushed_media(&mut per_key), "the media differ");
+        assert_eq!(locate(&mut batched, r, six.child(1).child(4)), Locate::Volatile(5));
+        // Refusals store nothing and drop the frames: the next link walks
+        // from the root and still lands as a per-key one.
+        let writes = (batched.arena.stats.nvbm.write_lines, batched.registry.len());
+        for (k, ptr, want) in [
+            (five.child(4).child(0), ChildPtr::Volatile(9), "not-found"),
+            (OctKey::root().child(1).child(0).child(0), ChildPtr::Volatile(9), "not-found"),
+            (six.child(1).child(4).child(0), ChildPtr::Volatile(9), "not-found"),
+            (five.child(4), ChildPtr::Null, "corrupt"),
+            (OctKey::root(), ChildPtr::Volatile(9), "corrupt"),
+        ] {
+            let got = match cursor.link(&mut batched, k, ptr, 2) {
+                Err(PmError::NotFound(_)) => "not-found",
+                Err(PmError::Corrupt(_)) => "corrupt",
+                other => panic!("{k:?}: {other:?}"),
+            };
+            assert_eq!(got, want, "{k:?}");
+        }
+        assert_eq!((batched.arena.stats.nvbm.write_lines, batched.registry.len()), writes);
+        r = replace_slot(&mut per_key, r, five.child(7), ChildPtr::Volatile(6), 2).unwrap();
+        cursor.link(&mut batched, five.child(7), ChildPtr::Volatile(6), 2).unwrap();
+        assert_eq!(cursor.root(), r);
+        assert!(flushed_media(&mut batched) == flushed_media(&mut per_key), "the media differ");
     }
 
     #[test]

@@ -7,12 +7,14 @@
 //! candidate subtree. The fraction of "interesting" samples estimates the
 //! subtree's access frequency for the upcoming step.
 
+use std::collections::HashMap;
+
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::POffset;
 use rand::Rng;
 
 use crate::c0::{C0Tree, Dram};
-use crate::octant::{CellData, ChildPtr, PmStore, FANOUT};
+use crate::octant::{CellData, ChildPtr, NavLine, PmStore, FANOUT};
 
 /// An application feature function: returns `true` when the octant's
 /// domain is of interest (e.g. the refinement condition holds there).
@@ -39,16 +41,22 @@ pub fn l_sub(depth: u8, c0_capacity_octants: usize) -> u8 {
 /// towards shallow octants; that is acceptable because feature functions
 /// are spatial predicates — a hit anywhere on a root-to-leaf path means
 /// the path's subdomain is interesting.
+///
+/// The descents keep the navigation lines they read in `walked` (cleared
+/// first, so one map serves every candidate): the `n` walks read each line
+/// of the subtree at most once, and draw and decide as if they re-read it.
 pub fn sample_nvbm_freq(
     store: &mut PmStore,
     off: POffset,
     n: usize,
     features: &[FeatureFn],
     rng: &mut impl Rng,
+    walked: &mut HashMap<POffset, NavLine>,
 ) -> f64 {
     if features.is_empty() || n == 0 {
         return 0.0;
     }
+    walked.clear();
     // A single-octant subtree needs exactly one evaluation, not n walks.
     let root_nav = store.nav_line(off);
     let root_is_leaf = root_nav.children.iter().all(|c| !matches!(c, ChildPtr::Node(_)));
@@ -69,7 +77,7 @@ pub fn sample_nvbm_freq(
             });
             let Some(c) = next else { break };
             cur = c;
-            nav = store.nav_line(cur);
+            nav = *walked.entry(cur).or_insert_with(|| store.nav_line(cur));
         }
         let key = OctKey::from_raw(nav.code, nav.level);
         let data = store.payload(cur, &nav);
@@ -118,7 +126,7 @@ mod tests {
     use crate::walk::Op;
     use pmoctree_nvbm::{DeviceModel, NvbmArena};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn l_sub_matches_equation() {
@@ -144,11 +152,89 @@ mod tests {
         };
         let (hot, cold) = (mk(hot_key, 0.01), mk(cold_key, 5.0));
         let features: Vec<FeatureFn> = vec![Box::new(|_k, d: &CellData| d.phi.abs() < 0.1)];
-        let mut rng = StdRng::seed_from_u64(7);
-        let hot_f = sample_nvbm_freq(&mut s, hot, 50, &features, &mut rng);
-        let cold_f = sample_nvbm_freq(&mut s, cold, 50, &features, &mut rng);
+        let (mut rng, mut walked) = (StdRng::seed_from_u64(7), HashMap::new());
+        let hot_f = sample_nvbm_freq(&mut s, hot, 50, &features, &mut rng, &mut walked);
+        let cold_f = sample_nvbm_freq(&mut s, cold, 50, &features, &mut rng, &mut walked);
         assert!(hot_f > 0.9, "hot subtree frequency {hot_f}");
         assert!(cold_f < 0.1, "cold subtree frequency {cold_f}");
+    }
+
+    /// [`sample_nvbm_freq`] without the memo, every walk re-reading its
+    /// lines: the estimate, and the offsets whose lines the walks read
+    /// below the root.
+    fn sample_unmemoised(
+        store: &mut PmStore,
+        off: POffset,
+        n: usize,
+        features: &[FeatureFn],
+        rng: &mut impl Rng,
+    ) -> (f64, std::collections::BTreeSet<POffset>) {
+        let mut walked = std::collections::BTreeSet::new();
+        let root_nav = store.nav_line(off);
+        let root_is_leaf = root_nav.children.iter().all(|c| !matches!(c, ChildPtr::Node(_)));
+        let (mut hits, mut evals) = (0usize, 0usize);
+        for _ in 0..if root_is_leaf { 1 } else { n } {
+            let (mut cur, mut nav) = (off, root_nav);
+            loop {
+                let start = rng.gen_range(0..FANOUT);
+                let next = (0..FANOUT).find_map(|d| match nav.children[(start + d) % FANOUT] {
+                    ChildPtr::Node(c) => Some(c),
+                    _ => None,
+                });
+                let Some(c) = next else { break };
+                cur = c;
+                nav = store.nav_line(cur);
+                walked.insert(cur);
+            }
+            let key = OctKey::from_raw(nav.code, nav.level);
+            let data = store.payload(cur, &nav);
+            for f in features {
+                evals += 1;
+                hits += usize::from(f(&key, &data));
+            }
+        }
+        (hits as f64 / evals.max(1) as f64, walked)
+    }
+
+    #[test]
+    fn nvbm_sampling_reads_each_walked_line_once() {
+        let mut s = PmStore::new(NvbmArena::new(4 << 20, DeviceModel::default()));
+        // Two 25-octant subtrees (root, 8 children, 2 of them refined).
+        let mut mk = |k: OctKey| {
+            let mut t = C0Tree::new(k, CellData::default(), &mut ());
+            for c in [k, k.child(2), k.child(5)] {
+                t.apply(Op::Refine(c), &mut ()).unwrap();
+            }
+            t.sweep(&mut (), |k, d| Some(CellData { phi: (k.raw() % 7) as f64, ..*d }));
+            t.merge(&mut s, None, 1).unwrap().0
+        };
+        let subtrees = [mk(OctKey::root().child(1)), mk(OctKey::root().child(6))];
+        let features: Vec<FeatureFn> = vec![
+            Box::new(|_k, d: &CellData| d.phi < 3.0),
+            Box::new(|k: &OctKey, _d| k.sibling_index().is_multiple_of(3)),
+        ];
+        let reads = |s: &PmStore| s.arena.stats.nvbm.read_lines;
+        // One map for every candidate, as a transform pass keeps it.
+        let mut memo = HashMap::new();
+        for (i, &sub) in subtrees.iter().enumerate() {
+            for n in [1, 5, 40, 2000] {
+                let seed = 100 * i as u64 + n as u64;
+                let (mut rng, mut twin) =
+                    (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let (want, walked) = sample_unmemoised(&mut s, sub, n, &features, &mut twin);
+                let before = reads(&s);
+                let got = sample_nvbm_freq(&mut s, sub, n, &features, &mut rng, &mut memo);
+                let lines = reads(&s) - before;
+                // The same draws, so the same estimate and the same rng.
+                assert_eq!(got, want, "subtree {i}, n = {n}");
+                assert_eq!(rng.next_u64(), twin.next_u64(), "subtree {i}, n = {n}");
+                // The root, then each line the walks stood on, once.
+                assert_eq!(lines, 1 + walked.len() as u64, "subtree {i}, n = {n}");
+                if n == 2000 {
+                    assert_eq!(lines, 25, "n ≫ 25 walks every line of the subtree");
+                }
+            }
+        }
     }
 
     #[test]

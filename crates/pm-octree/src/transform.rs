@@ -10,6 +10,8 @@
 //! image stays behind as both the `V_{i-1}` copy and the diff shadow, so
 //! promotion itself writes nothing to NVBM beyond one path copy).
 
+use std::collections::HashMap;
+
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::POffset;
 
@@ -60,10 +62,12 @@ impl PmOctree {
         // Split borrows: move rng and features out during sampling.
         let mut rng = self.rng.clone();
         let features = std::mem::take(&mut self.features);
+        let mut walked = HashMap::new();
         for (p, lvl) in candidates {
             let est_size = 8usize.saturating_pow(depth.saturating_sub(lvl).min(6) as u32).max(1);
             let n = self.cfg.n_sample.min(est_size);
-            let f = sampling::sample_nvbm_freq(&mut self.store, p, n, &features, &mut rng);
+            let store = &mut self.store;
+            let f = sampling::sample_nvbm_freq(store, p, n, &features, &mut rng, &mut walked);
             if f > 0.0 {
                 scored.push((p, f));
             }

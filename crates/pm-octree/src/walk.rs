@@ -16,7 +16,7 @@ use pmoctree_morton::OctKey;
 use pmoctree_nvbm::POffset;
 
 use crate::api::PmError;
-use crate::octant::{CellData, ChildPtr, NavLine, Octant, Retired, FANOUT};
+use crate::octant::{CellData, ChildPtr, NavLine, Octant, PmStore, Retired, FANOUT};
 
 /// Octant-granular access to one tier; each access charges that tier.
 pub(crate) trait LineStore {
@@ -152,7 +152,9 @@ pub(crate) fn containing_leaf<S: LineStore>(
 /// The root walk. It keeps the frames of its last path and resumes each
 /// lookup from the deepest ancestor shared with the previous key, so a
 /// Z-ordered batch reads every navigation line on a shared prefix once.
-/// Valid only while the tree under `root` is not mutated between lookups.
+/// Valid only while the tree under `root` is not mutated between lookups
+/// other than by [`Cursor::link`], which keeps its frames what the store
+/// holds.
 pub(crate) struct Cursor<P> {
     root: P,
     /// Key of `frames[0]`, learnt by the first lookup.
@@ -212,6 +214,68 @@ impl<P: Copy + Eq + std::fmt::Debug> Cursor<P> {
             push_frame(store, &mut self.frames, p, key.sibling_index());
         }
         self.frames[self.frames.len() - 1]
+    }
+
+    /// The root the cursor walks: a [`Cursor::link`] that copied the root
+    /// moved it to the copy.
+    pub fn root(&self) -> P {
+        self.root
+    }
+}
+
+impl Cursor<POffset> {
+    /// Re-point the occupied slot of `key` (not the root) at the non-null
+    /// `ptr`, as [`crate::c1::replace_slot`] does, walking only the part of
+    /// the parent's path the previous lookup or link did not walk.
+    ///
+    /// The frames stay what the store holds: [`LineStore::make_exclusive`]
+    /// re-points the frames it copies and the one its publication link
+    /// lands in, the link lands in the top frame's line and in its `nav`,
+    /// and a copied root becomes the cursor's. Stores that only allocate
+    /// (a merge) may run between two links. On `Err` the frames are
+    /// dropped, and the next call walks from the root.
+    pub fn link(
+        &mut self,
+        store: &mut PmStore,
+        key: OctKey,
+        ptr: ChildPtr,
+        epoch: u32,
+    ) -> Result<(), PmError> {
+        let r = self.link_held(store, key, ptr, epoch);
+        if r.is_err() {
+            self.frames.clear();
+        }
+        r
+    }
+
+    fn link_held(
+        &mut self,
+        store: &mut PmStore,
+        key: OctKey,
+        ptr: ChildPtr,
+        epoch: u32,
+    ) -> Result<(), PmError> {
+        if ptr.is_null() {
+            return Err(PmError::Corrupt(format!("a link cannot empty the slot of {key:?}")));
+        }
+        let parent_key = key
+            .parent()
+            .ok_or_else(|| PmError::Corrupt("cannot replace the root slot".to_string()))?;
+        let Locate::Found(p) = self.locate(store, parent_key) else {
+            return Err(PmError::NotFound(format!("{parent_key:?}")));
+        };
+        let slot = key.sibling_index();
+        if self.path_to(store, p, parent_key).nav.children[slot].is_null() {
+            return Err(PmError::NotFound(format!("{key:?}: no slot to re-point")));
+        }
+        if let Some(root) = store.make_exclusive(&mut self.frames, epoch, None)? {
+            self.root = root;
+        }
+        let top = self.frames.len() - 1;
+        let parent = &mut self.frames[top];
+        store.set_link(parent.off, slot, ptr);
+        parent.nav.children[slot] = ptr;
+        Ok(())
     }
 }
 
