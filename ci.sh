@@ -112,8 +112,6 @@ if grep -rn 'stage_epoch\|stage_bump_hint\|set_rt_root\|root_swap_half\|ROOT_SLO
     echo "a staged header field, the second root slot or the separate rt root store is back (one commit record publishes both)" >&2
     exit 1
 fi
-# Descent-free time-step gates, by exact count: batched coarsen legality
-# against the per-key rule on all three backends, in optimized builds.
 # One walker over both tiers' line stores, in optimized builds: an op reads
 # its path once, and a batch of lookups or links a shared prefix once; a
 # sweep reads one line per octant and a copy stores each copy once,
@@ -130,7 +128,18 @@ fi
 # record's epoch, and a 64 GiB nominal octree, its replica and a crash
 # view to its bump plus two chunks (an unusable replica is an error).
 cargo test --release -p pm-octree -p pmoctree-baselines --lib -q
-cargo test --release -p pmoctree-amr --test prop_backends batched_coarsen_legality -q
+# The mesh routines read what the answer depends on — all of the amr
+# crate, by exact count, in optimized builds: batched coarsen legality
+# matches the per-key rule on all three backends; 2:1 balance asks one
+# lookup per outward direction of a parent family (≤ 26, no root descent),
+# reaches the per-key `refine_balanced` fixed point on all three backends
+# with checks naming the per-leaf scan's pair, and ends when the device
+# refuses a round whole; `adapt` takes both votes in one leaf sweep (a
+# quiet pass reads one sweep's lines; no family refined in a pass is
+# coarsened in it); `extract`'s corner count matches the definition (a
+# corner of every incident leaf) on random unbalanced trees and reads one
+# index sweep and no NVBM line.
+cargo test --release -p pmoctree-amr -q
 no_fork 'fn deepest\|fn traverse' crates/pm-octree/src/c1.rs crates/pm-octree/src/api.rs
 if sed -n '/pub fn update_leaves/,/^    }/p' crates/pm-octree/src/api.rs | grep -n 'update_data('; then
     echo "api.rs: update_leaves re-enters from the root per updated leaf again" >&2
@@ -141,15 +150,9 @@ if sed -n '/^pub fn can_coarsen_many(/,/^pub fn coarsen_balanced(/p' crates/amr/
     echo "balance.rs: coarsen legality probes per key again" >&2
     exit 1
 fi
-# Read-what-the-answer-depends-on gates: 2:1 balance asks one lookup per
-# outward direction of a parent family (≤ 26 per family, no root descent)
-# and reaches the per-key `refine_balanced` fixed point on all three
-# backends, its checks naming the per-leaf scan's pair; a round the device
-# refuses whole ends the loop — in optimized builds. The per-leaf
-# neighbor kernel must stay deleted.
-cargo test --release -p pmoctree-amr --test balance_traversal -q
-cargo test --release -p pmoctree-amr --test prop_balance -q
-cargo test --release -p pmoctree-amr --lib balance::tests::balance_returns_when_the_device_refuses_every_ripple -q
+# A cluster's global balance returns when the devices are full (the amr
+# run above holds one rank's balance to the same). The per-leaf neighbor
+# kernel must stay deleted.
 cargo test --release -p pmoctree-cluster --lib scaling::tests::global_balance_returns_when_the_devices_are_full -q
 no_fork 'neighbor_leaves_many' crates/amr/src/*.rs
 # Write-every-driver-once gates: the Criterion layer `perf/` superseded
@@ -185,13 +188,11 @@ if [ -e crates/cluster/src/replica_sched.rs ]; then
     exit 1
 fi
 # A time step does not re-walk the tree: `adapt` takes both votes in one
-# leaf sweep (a quiet pass reads exactly one sweep's lines; no family
-# refined in a pass is coarsened in it, alike on all three backends), and
-# persist frees what the step retired (the `--lib` run above), with the
-# registry held to a mark walk after every model step. The owned leaves
-# of 2- and 4-rank PM clusters on 1 and 2 workers tile the domain 2:1
-# after every step (optimized builds). No whole-tree mark in persist or GC.
-cargo test --release -p pmoctree-amr --test prop_backends adapt_ -q
+# leaf sweep (the amr run above), and persist frees what the step retired
+# (the `--lib` run above), with the registry held to a mark walk after
+# every model step. The owned leaves of 2- and 4-rank PM clusters on 1
+# and 2 workers tile the domain 2:1 after every step (optimized builds).
+# No whole-tree mark in persist or GC.
 cargo test --release -p pmoctree-cluster --test prop_partition -q
 no_fork 'gc::mark' crates/pm-octree/src/api.rs crates/pm-octree/src/c1.rs
 # One-Morton-path / zero-unsafe gate: the batch entry points are loops

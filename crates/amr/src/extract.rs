@@ -43,10 +43,24 @@ fn corner_coord(key: &OctKey, corner: usize) -> VCoord {
 /// to it; otherwise it lies strictly inside a coarser leaf's face or edge
 /// and is **dangling** — its field value must be interpolated rather than
 /// solved (Gerris treats these as constrained nodes).
+///
+/// The classification reads nothing past the sorted leaf list: it counts,
+/// per vertex, the leaves that name it as a corner. The finest-grid cells
+/// diagonally adjacent to a vertex — 2 per axis, 1 where the vertex lies
+/// on a domain face, so 8, 4, 2 or 1 — are each covered by exactly one
+/// leaf; a leaf with the vertex as a corner covers exactly one of them,
+/// any other incident leaf at least two. So a vertex is anchored exactly
+/// when its corner count equals its number of diagonal cells.
+///
+/// Precondition: the backend holds a whole tree, whose leaves tile the
+/// domain (2:1 balance is not needed). A leaf set with holes would count
+/// a vertex at a hole as dangling.
 pub fn extract(b: &mut dyn OctreeBackend) -> Mesh {
     let leaves = b.leaf_keys_sorted();
 
     let mut vid: HashMap<VCoord, u32> = HashMap::new();
+    // Per vertex: its diagonal finest cells no leaf corner has matched yet.
+    let mut unmatched: Vec<u8> = Vec::new();
     let mut mesh = Mesh::default();
     let side = 1u64 << MAXL;
     for k in &leaves {
@@ -59,65 +73,17 @@ pub fn extract(b: &mut dyn OctreeBackend) -> Mesh {
                     vc[1] as f64 / side as f64,
                     vc[2] as f64 / side as f64,
                 ]);
+                let diagonal = vc.iter().map(|&x| if x == 0 || x == side { 1 } else { 2 });
+                unmatched.push(diagonal.product());
                 u32::try_from(mesh.vertices.len() - 1).expect("vertex count fits u32")
             });
+            unmatched[id as usize] -= 1;
             *slot = id;
         }
         mesh.cells.push(cell);
         mesh.keys.push(*k);
     }
-
-    // Classification: for each vertex, check the (up to 8) leaves
-    // incident to it; the vertex must be a corner of each.
-    mesh.anchored = vec![true; mesh.vertices.len()];
-    let coords: Vec<VCoord> = {
-        let mut v = vec![[0u64; 3]; mesh.vertices.len()];
-        for (vc, &id) in &vid {
-            v[id as usize] = *vc;
-        }
-        v
-    };
-    // Gather every vertex's (up to 8) diagonal finest-grid probes, then
-    // resolve the whole batch through the backend's sorted leaf index in
-    // one pass instead of one root descent per probe.
-    let mut probe_keys: Vec<OctKey> = Vec::new();
-    let mut probe_owner: Vec<u32> = Vec::new();
-    for (id, vc) in coords.iter().enumerate() {
-        'octants: for oct in 0..8usize {
-            // The cell of the finest grid diagonally adjacent to the
-            // vertex in direction `oct` (bit a set = positive side).
-            let mut probe = [0u64; 3];
-            for a in 0..3 {
-                if (oct >> a) & 1 == 1 {
-                    if vc[a] >= side {
-                        continue 'octants;
-                    }
-                    probe[a] = vc[a];
-                } else {
-                    if vc[a] == 0 {
-                        continue 'octants;
-                    }
-                    probe[a] = vc[a] - 1;
-                }
-            }
-            probe_keys.push(OctKey::from_coords(probe, MAXL));
-            probe_owner.push(id as u32);
-        }
-    }
-    let resolved = b.containing_leaf_many(&probe_keys);
-    for (owner, leaf) in probe_owner.iter().zip(&resolved) {
-        let id = *owner as usize;
-        if !mesh.anchored[id] {
-            continue;
-        }
-        let Some(leaf) = leaf else { continue };
-        // Is the vertex one of the containing leaf's corners?
-        let vc = coords[id];
-        let is_corner = (0..8).any(|c| corner_coord(leaf, c) == vc);
-        if !is_corner {
-            mesh.anchored[id] = false;
-        }
-    }
+    mesh.anchored = unmatched.iter().map(|&n| n == 0).collect();
     mesh
 }
 

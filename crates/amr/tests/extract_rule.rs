@@ -1,0 +1,122 @@
+//! `extract`'s anchored/dangling classification against its definition:
+//! a vertex is anchored iff every leaf whose closed box contains it has it
+//! as a corner — checked by brute force over all leaves, on random
+//! unbalanced trees of both the in-core and the PM backend. And what the
+//! classification costs: one sweep of the DRAM leaf index, no NVBM line.
+
+use pm_octree::{PmConfig, PmOctree};
+use pmoctree_amr::{extract, InCoreBackend, Mesh, OctreeBackend, PmBackend};
+use pmoctree_morton::{LeafIndex, OctKey};
+use pmoctree_nvbm::{DeviceModel, NvbmArena};
+use proptest::prelude::*;
+
+const MAXL: u8 = OctKey::MAX_LEVEL;
+
+fn pm_backend() -> PmBackend {
+    PmBackend::new(PmOctree::create(
+        NvbmArena::new(16 << 20, DeviceModel::default()),
+        PmConfig { dynamic_transform: false, c0_capacity_octants: 64, ..PmConfig::default() },
+    ))
+}
+
+fn sorted_leaves(b: &mut dyn OctreeBackend) -> Vec<OctKey> {
+    let mut out = Vec::new();
+    b.for_each_leaf(&mut |k, _| out.push(k));
+    out.sort_by(|a, b| a.zcmp(b));
+    out
+}
+
+/// Refine, per pick, the leaf it names (modulo the leaf count) — no
+/// balance, so neighbours can differ by many levels. A pick of `None`
+/// drives one leaf's child-0 chain down to `MAX_LEVEL`.
+fn grow(b: &mut dyn OctreeBackend, picks: &[Option<usize>]) {
+    for pick in picks {
+        let leaves = sorted_leaves(b);
+        match *pick {
+            Some(i) => {
+                let k = leaves[i % leaves.len()];
+                if k.level() < 6 {
+                    b.refine(k).unwrap();
+                }
+            }
+            None => {
+                let mut k = leaves[leaves.len() / 2];
+                while k.level() < MAXL {
+                    b.refine(k).unwrap();
+                    k = k.child(0);
+                }
+            }
+        }
+    }
+}
+
+/// A leaf's closed box on the finest grid: `(lo, hi)` per axis.
+fn bounds(k: &OctKey) -> [(u64, u64); 3] {
+    let c = k.coords();
+    let span = 1u64 << (MAXL - k.level());
+    [0, 1, 2].map(|a| (c[a] * span, (c[a] + 1) * span))
+}
+
+/// The definition, by brute force: for every vertex, every leaf whose
+/// closed box contains it must have it as a corner.
+fn anchored_by_definition(m: &Mesh) -> Vec<bool> {
+    let side = (1u64 << MAXL) as f64;
+    let boxes: Vec<_> = m.keys.iter().map(bounds).collect();
+    m.vertices
+        .iter()
+        .map(|v| {
+            let v = v.map(|x| (x * side) as u64);
+            boxes.iter().all(|b| {
+                let inside = (0..3).all(|a| b[a].0 <= v[a] && v[a] <= b[a].1);
+                let corner = (0..3).all(|a| v[a] == b[a].0 || v[a] == b[a].1);
+                !inside || corner
+            })
+        })
+        .collect()
+}
+
+fn check(b: &mut dyn OctreeBackend) -> Mesh {
+    let m = extract(b);
+    assert_eq!(m.keys, sorted_leaves(b), "{}: one cell per leaf, in Z-order", b.name());
+    assert_eq!(m.anchored, anchored_by_definition(&m), "{}", b.name());
+    m
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn anchored_iff_a_corner_of_every_incident_leaf(
+        picks in prop::collection::vec(
+            prop_oneof![19 => (0usize..4096).prop_map(Some), 1 => Just(None)],
+            0..40,
+        ),
+    ) {
+        let mut ic = InCoreBackend::new();
+        let mut pm = pm_backend();
+        grow(&mut ic, &picks);
+        grow(&mut pm, &picks);
+        let (mi, mp) = (check(&mut ic), check(&mut pm));
+        prop_assert_eq!((mi.cells, mi.keys, mi.anchored), (mp.cells, mp.keys, mp.anchored));
+        prop_assert_eq!(mi.vertices, mp.vertices);
+    }
+}
+
+/// `extract` reads one sweep of the (warm) DRAM leaf index — the sorted
+/// key list — and nothing else: no NVBM line, no other DRAM line.
+#[test]
+fn extract_reads_one_index_sweep_and_no_nvbm_line() {
+    let mut b = pm_backend();
+    grow(&mut b, &[Some(0), Some(3), Some(9), None, Some(17), Some(40), Some(2)]);
+    let keys = b.leaf_keys_sorted(); // warm the index
+    let mut index = LeafIndex::new();
+    index.rebuild(keys.iter().map(|&k| (k, 0)));
+    let before = b.mem_stats();
+    let m = extract(&mut b);
+    let after = b.mem_stats();
+    assert_eq!(after.dram.read_lines - before.dram.read_lines, index.sweep_lines());
+    assert_eq!(after.nvbm.read_lines, before.nvbm.read_lines);
+    assert_eq!(after.trav.index_rebuilds, before.trav.index_rebuilds);
+    assert_eq!(m.keys, keys);
+    assert!(m.dangling_count() > 0, "the tree has hanging vertices to classify");
+}

@@ -144,7 +144,8 @@ pub struct PmOctree {
     pub replicas: Option<ReplicaSet>,
     pub(crate) rng: StdRng,
     /// Morton-sorted DRAM view of the leaf set, maintained incrementally
-    /// on refine/coarsen and rebuilt lazily on first batched query. Slots
+    /// on refine/coarsen, built by restore from its scan and otherwise
+    /// rebuilt lazily on the first batched query after an invalidation. Slots
     /// are unused (payloads move under COW); the index answers *where*
     /// queries, payload reads still walk to (and charge) the owning tier.
     pub(crate) index: LeafIndex<3>,
@@ -189,7 +190,7 @@ impl PmOctree {
     /// node. Returns a handle whose working tree is exactly the last
     /// published version — near-instantaneous: only the commit record is
     /// read, plus one validated reachability pass to rebuild volatile
-    /// state.
+    /// state (the allocator, the registry and the leaf index).
     ///
     /// The pass ([`crate::verify::scan_tree`]) checks every pointer before
     /// following it, so a device whose persisted tree is structurally
@@ -250,13 +251,17 @@ impl PmOctree {
             prev_root: root,
             epoch,
             depth: scan.depth,
-            leaves: scan.leaves,
+            leaves: scan.leaves.len(),
             features: Vec::new(),
             events: Events::default(),
             replicas: None,
             rng: StdRng::seed_from_u64(0x00C0_FFEE),
             index: LeafIndex::new(),
         };
+        // The scan decoded and validated every leaf key already: the index
+        // is built from them, with no second walk of the media.
+        let n = t.index.rebuild(scan.leaves.into_iter().map(|k| (k, 0)));
+        t.store.arena.stats.index_rebuild(n as u64);
         if cfg.replicas {
             let mut r = ReplicaSet::new();
             r.full_sync(&mut t.store.arena);
@@ -579,11 +584,10 @@ impl PmOctree {
 
     // ---- batched leaf-index queries --------------------------------------
 
-    /// Drop the volatile leaf index; the next batched query rebuilds it.
-    /// Whole-application persistence calls this after every combined
-    /// persist so a run resumed from the persist point (which necessarily
-    /// starts with a cold index) rebuilds at exactly the same points — and
-    /// therefore on exactly the same virtual clock — as the original run.
+    /// Drop the volatile leaf index; the next batched query rebuilds it
+    /// with a walk of the tree. Nothing on the mesh path needs this (the
+    /// hooks keep the index current and restore builds it); it lets a
+    /// measurement time the rebuild itself.
     pub fn invalidate_leaf_index(&mut self) {
         self.index.invalidate();
     }
@@ -1186,6 +1190,36 @@ mod tests {
             let p = r.store.alloc_octant(&o).unwrap();
             assert!(!live.contains(&p), "allocator reused a live octant");
         }
+    }
+
+    /// Restore builds the leaf index from its recovery scan: the entries
+    /// are what a rebuild from a tree walk holds, and the first batched
+    /// queries read no NVBM line and rebuild nothing.
+    #[test]
+    fn restore_seeds_the_leaf_index_from_its_scan() {
+        let mut t = PmOctree::create(arena(), small_cfg());
+        t.refine(OctKey::root()).unwrap();
+        t.refine(OctKey::root().child(3)).unwrap();
+        t.refine(OctKey::root().child(3).child(5)).unwrap();
+        t.persist();
+        t.refine(OctKey::root().child(0)).unwrap(); // unpersisted
+        let mut arena = t.store.arena;
+        arena.crash(CrashMode::LoseDirty);
+        let mut r = PmOctree::restore(arena, small_cfg()).unwrap();
+        assert_eq!(r.store.arena.stats.trav.index_rebuilds, 1);
+        let nvbm = r.store.arena.stats.nvbm.read_lines;
+        let sorted = r.leaf_keys_sorted();
+        let probes = [OctKey::root().child(0).child(1), OctKey::root().child(3).child(5).child(7)];
+        let found = r.containing_leaf_many(&probes);
+        assert_eq!(found, [Some(OctKey::root().child(0)), Some(probes[1])]);
+        assert_eq!(r.store.arena.stats.nvbm.read_lines, nvbm, "the first lookups read NVBM");
+        assert_eq!(r.store.arena.stats.trav.index_rebuilds, 1, "a lookup rebuilt the index");
+        let mut walked = LeafIndex::new();
+        let mut leaves = Vec::new();
+        r.for_each_leaf(|k, _| leaves.push((k, 0)));
+        walked.rebuild(leaves);
+        assert_eq!(r.index.entries(), walked.entries());
+        assert_eq!(sorted.len(), 22);
     }
 
     #[test]

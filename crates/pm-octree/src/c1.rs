@@ -606,7 +606,7 @@ mod tests {
                 t.store.arena.clone_media(),
                 DeviceModel::default(),
             ));
-            assert_eq!(scan_tree(&mut flushed, root).unwrap().leaves, want.len());
+            assert_eq!(scan_tree(&mut flushed, root).unwrap().leaves.len(), want.len());
             assert_eq!(leaves_of(&mut flushed, root), want, "room {room}");
             if room == 10 {
                 let orphan = *t.store.registry.last().unwrap();

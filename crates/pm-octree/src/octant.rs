@@ -763,7 +763,7 @@ mod tests {
         assert_eq!((nav.children, nav.mask), (kids, (1 << 2) | (1 << 5)));
         // The recovery scan checks the mask against the links it reads.
         let scan = crate::verify::scan_tree(&mut s, root).unwrap();
-        assert_eq!((scan.live.len(), scan.leaves), (3, 2));
+        assert_eq!((scan.live.len(), scan.leaves.len()), (3, 2));
     }
 
     #[test]

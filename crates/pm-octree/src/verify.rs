@@ -13,7 +13,7 @@
 //!   [`PmError::Corrupt`] instead of a panic, so callers can distinguish
 //!   "this crash image is unrecoverable" from "the process blew up".
 //! * [`check_invariants`] — the post-restore contract: the structure is
-//!   closed, the rebuilt leaf index agrees with a direct tree walk, no
+//!   closed, the leaf index restore built agrees with a direct tree walk, no
 //!   reachable octant sits on the allocator free list, and the registry
 //!   holds the working version's octants and nothing else (recovery
 //!   reclaimed every orphan) — [`check_registry`], the collection's
@@ -38,8 +38,9 @@ use crate::octant::{ChildPtr, PmStore, OCTANT_SIZE};
 pub struct TreeScan {
     /// Every reachable octant offset, sorted ascending.
     pub live: Vec<POffset>,
-    /// Reachable leaf count.
-    pub leaves: usize,
+    /// Key of every reachable leaf, in scan order: the leaf set the
+    /// restored handle's index is built from.
+    pub leaves: Vec<OctKey>,
     /// Deepest reachable refinement level.
     pub depth: u8,
     /// Highest creation epoch among reachable octants. Recovery refuses a
@@ -153,7 +154,7 @@ pub fn scan_tree(store: &mut PmStore, root: POffset) -> Result<TreeScan, PmError
             }
         }
         if leaf {
-            scan.leaves += 1;
+            scan.leaves.push(key);
         }
         scan.live.push(p);
     }
@@ -179,8 +180,7 @@ pub struct RecoveryReport {
 /// Checks, in order:
 /// 1. the commit record's root names a structurally closed tree
 ///    ([`scan_tree`]) whose leaf/depth counts match the handle's;
-/// 2. rebuilding the leaf index gives exactly the leaf set a direct tree
-///    walk finds;
+/// 2. the leaf index holds exactly the leaf set a direct tree walk finds;
 /// 3. no reachable octant overlaps a block on the allocator free list;
 /// 4. [`check_registry`]: the registry is exactly what the working
 ///    version reaches plus the (after a restore, empty) retirement list —
@@ -192,11 +192,11 @@ pub fn check_invariants(t: &mut PmOctree) -> Result<RecoveryReport, PmError> {
         return Err(PmError::Corrupt("the commit record names no tree".into()));
     }
     let scan = scan_tree(&mut t.store, root)?;
-    if scan.leaves != t.leaf_count() {
+    if scan.leaves.len() != t.leaf_count() {
         return Err(PmError::Corrupt(format!(
             "handle says {} leaves, scan found {}",
             t.leaf_count(),
-            scan.leaves
+            scan.leaves.len()
         )));
     }
     if scan.depth != t.depth() {
@@ -206,9 +206,9 @@ pub fn check_invariants(t: &mut PmOctree) -> Result<RecoveryReport, PmError> {
             scan.depth
         )));
     }
-    // (2) Leaf index rebuild matches a direct tree walk.
+    // (2) The leaf index matches a direct tree walk.
     let walk: Vec<OctKey> = {
-        let mut keys = Vec::with_capacity(scan.leaves);
+        let mut keys = Vec::with_capacity(scan.leaves.len());
         t.for_each_leaf(|k, _| keys.push(k));
         keys.sort_by(|a, b| a.zcmp(b));
         keys
@@ -246,7 +246,7 @@ pub fn check_invariants(t: &mut PmOctree) -> Result<RecoveryReport, PmError> {
     // (4) Restore rebuilt the registry and the allocator from the live
     // set alone.
     check_registry(t)?;
-    Ok(RecoveryReport { live: scan.live.len(), leaves: scan.leaves, depth: scan.depth })
+    Ok(RecoveryReport { live: scan.live.len(), leaves: scan.leaves.len(), depth: scan.depth })
 }
 
 /// The collection's invariant, which holds between any two operations:
@@ -353,7 +353,7 @@ mod tests {
         t.persist();
         let root = t.store.arena.committed().root;
         let scan = scan_tree(&mut t.store, root).unwrap();
-        assert_eq!(scan.leaves, 15);
+        assert_eq!(scan.leaves.len(), 15);
         assert_eq!(scan.depth, 2);
         assert_eq!(scan.live.len(), 17);
     }
@@ -499,5 +499,26 @@ mod tests {
         t.store.arena.write(root.0 + 58, &[0u8]);
         let err = scan_tree(&mut t.store, root).unwrap_err();
         assert!(err.to_string().contains("mask"), "{err}");
+    }
+
+    /// Restore builds its leaf index from the scan's leaf keys, so a
+    /// damaged image fails with the scan's own error: nothing is built
+    /// from a tree the scan refused.
+    #[test]
+    fn restore_returns_the_scan_error_before_building_an_index() {
+        let mut t = PmOctree::create(arena(), cfg());
+        t.refine(OctKey::root()).unwrap();
+        t.refine(OctKey::root().child(6)).unwrap();
+        t.persist();
+        let root = t.store.arena.committed().root;
+        let ChildPtr::Node(inner) = t.store.nav_line(root).children[6] else { panic!() };
+        t.store.arena.write(inner.0 + 58, &[0x0f]);
+        let want = scan_tree(&mut t.store, root).unwrap_err();
+        t.store.arena.flush_all();
+        let image = NvbmArena::from_media(t.store.arena.clone_media(), DeviceModel::default());
+        match PmOctree::restore(image, cfg()) {
+            Err(e) => assert_eq!(e.to_string(), want.to_string()),
+            Ok(_) => panic!("a torn presence mask restored"),
+        }
     }
 }

@@ -19,9 +19,11 @@
 //!   forest, so the original must too) and `dynamic_transform` off (the
 //!   transform migrates octants based on access history the resumed run
 //!   does not have);
-//! * the leaf index is invalidated after every combined persist
-//!   ([`PmOctree::invalidate_leaf_index`]) so both runs rebuild it at the
-//!   same points;
+//! * both runs cross every persist point with a warm leaf index over the
+//!   same leaf set: the original run's hooks keep its index current, and
+//!   restore builds the resumed run's from its recovery scan (a persist
+//!   never changes the key set, and index slots are 0), so neither run
+//!   rebuilds it after the persist point;
 //! * each step's `persist_ns` is measured *at the commit hook* and staged
 //!   into the persisted state itself; the trailing cost of the runtime
 //!   commit, GC, replica ship and re-attach is deliberately unattributed
@@ -264,9 +266,6 @@ fn drive(
                 if let Err(e) = committed {
                     *rt_failure = Some(e);
                 }
-                // Both the original and the resumed run cross every
-                // persist point with a cold index (see module docs).
-                b.tree.invalidate_leaf_index();
                 staged
             })
         };
