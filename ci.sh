@@ -19,9 +19,10 @@ perf/check.sh
 # probe loops is what ships) — the leaf index's edit delta against the
 # per-octant splice it replaced (and its galloping scan against `find`),
 # the dirty-line table against a BTreeMap under forced collisions, growth
-# and deletion chains. The replaced structures must be gone.
+# and deletion chains. The replaced structures must be gone. The nvbm run
+# also holds the sparse media and the chunked wear map (below).
 cargo test --release -p pmoctree-morton -q
-cargo test --release -p pmoctree-nvbm --lib lines::tests -q
+cargo test --release -p pmoctree-nvbm -q
 # no_fork <pattern> <file…>: fail if <pattern> occurs in a file's code
 # above its `#[cfg(test)]` module (the models live below it).
 no_fork() {
@@ -60,8 +61,9 @@ fi
 # between steps and at any opportunity or label of a commit or flush,
 # under every crash mode, in optimized builds. The shadow-map oracles it
 # replaced, the caller-less log scan and the caller-less rank
-# resurrection must stay deleted.
-cargo test --release -p pm-rt --test model -q
+# resurrection must stay deleted. The same run holds the heap and the
+# commit record (below) to their claims.
+cargo test --release -p pm-rt -q
 if [ -e crates/pm-rt/tests/prop_prefix.rs ] ||
     grep -rn 'fn log_compaction_preserves_byte_identity\|resurrect_from_replica' crates/ ||
     grep -n 'pub fn scan' crates/pm-rt/src/log.rs; then
@@ -71,11 +73,11 @@ fi
 # pm-rt keeps one of each: one error type (`PmError`, from the byte codec
 # up), one record index in the log heap (the live records by offset and by
 # append stamp, so the ring yields each live record once, oldest first,
-# and an emptied ring appends at its base — in optimized builds), and
-# batched commands as the one way into a tenant. The arena holds its two
-# live edges itself and `PmStore` is the one octant store. The 1:1
-# bridges, the second index and the lease door must stay deleted.
-cargo test --release -p pm-rt --lib heap::tests::the_ring_yields_each_live_record_once_oldest_first -q
+# and an emptied ring appends at its base — in optimized builds, the
+# pm-rt run above), and batched commands as the one way into a tenant.
+# The arena holds its two live edges itself and `PmStore` is the one
+# octant store. The 1:1 bridges, the second index and the lease door must
+# stay deleted.
 if grep -rn 'RtError\|RegionManager\|trait OctAccess\|TenantLease\|TenantBusy\|RecMeta\|advance_tail' crates/*/src; then
     echo "a deleted pm-rt bridge, heap index, lease door, region manager or octant-store trait is back" >&2
     exit 1
@@ -86,24 +88,20 @@ fi
 # (create, persist, persist with an rt commit, service flush) commits
 # exactly 64 header bytes; a torn or flipped slot leaves the other slot's
 # version, and a record naming nonsense is refused or its hints clamped —
-# in optimized builds. The staged header fields, the second root slot and
-# the separate rt root store must stay deleted.
-cargo test --release -p pm-rt --test commit_record -q
-cargo test --release -p pmoctree-nvbm --lib arena::tests -q
+# in optimized builds (the pm-rt run above). The staged header fields, the
+# second root slot and the separate rt root store must stay deleted.
 # Sparse media: the device holds the chunks some commit or load reached.
 # Stores, write-backs, evictions and every crash mode across a chunk
 # boundary act as on flat memory, and the live crash and a crash view
-# commit the same bytes (`arena::tests`, above); untouched ranges and
-# all-zero files materialise nothing; the saved file round-trips
-# byte-equal; the chunked wear map answers like the flat one; §5.6's
-# new-node restore beats the in-core re-read — in optimized builds. The
-# capacity-sized media vector must not come back.
+# commit the same bytes; untouched ranges and all-zero files materialise
+# nothing; the saved file round-trips byte-equal; the chunked wear map
+# answers like the flat one (the nvbm run above); §5.6's new-node restore
+# beats the in-core re-read (the cluster run below) — in optimized builds.
+# The capacity-sized media vector must not come back.
 # The chunk set is the one media value: the second media trait and its
 # flat-slice impl, the second recovery entry and the replica's
 # whole-device byte count must stay deleted, and neither crash captures
 # nor replicas may go through a flat export.
-cargo test --release -p pmoctree-nvbm --lib stats::tests -q
-cargo test --release -p pmoctree-cluster --lib failure::tests::paper_ordering_holds -q
 no_fork 'vec!\[0; capacity\]\|media: Vec<u8>' crates/nvbm/src/arena.rs
 no_fork 'trait Media\|impl Media for\|fn recover_from\|live_octant_bytes' \
     crates/nvbm/src/*.rs crates/pm-octree/src/replica.rs
@@ -131,7 +129,7 @@ cargo test --release -p pm-octree -p pmoctree-baselines --lib -q
 # The mesh routines read what the answer depends on — all of the amr
 # crate, by exact count, in optimized builds: batched coarsen legality
 # matches the per-key rule on all three backends; 2:1 balance asks one
-# lookup per outward direction of a parent family (≤ 26, no root descent),
+# lookup per outward face of a parent family (≤ 6, no root descent),
 # reaches the per-key `refine_balanced` fixed point on all three backends
 # with checks naming the per-leaf scan's pair, and ends when the device
 # refuses a round whole; `adapt` takes both votes in one leaf sweep (a
@@ -150,16 +148,16 @@ if sed -n '/^pub fn can_coarsen_many(/,/^pub fn coarsen_balanced(/p' crates/amr/
     echo "balance.rs: coarsen legality probes per key again" >&2
     exit 1
 fi
-# A cluster's global balance returns when the devices are full (the amr
-# run above holds one rank's balance to the same). The per-leaf neighbor
-# kernel must stay deleted.
-cargo test --release -p pmoctree-cluster --lib scaling::tests::global_balance_returns_when_the_devices_are_full -q
+# A cluster's global balance returns when the devices are full (the
+# cluster run below; the amr run above holds one rank's balance to the
+# same). The per-leaf neighbor kernel must stay deleted.
 no_fork 'neighbor_leaves_many' crates/amr/src/*.rs
 # Write-every-driver-once gates: the Criterion layer `perf/` superseded
 # must stay deleted, the index-batch protocol (argsort, gather,
 # merge-scan, scatter) is called from `LeafIndex::resolve_batch`, not
 # re-typed per backend, and a rank's time step is a call to
-# `Simulation::step_core`, not a copy of its six phases.
+# `Simulation::step_core`, not a copy of its six phases (the cluster run
+# below holds a full-range rank to the single-rank step).
 if [ -e crates/bench/benches ] || [ -e compat/criterion ] ||
     grep -ln criterion Cargo.toml crates/*/Cargo.toml compat/*/Cargo.toml perf/Cargo.toml; then
     echo "the Criterion benches/shim are back (the perf/ ladder measures those kernels)" >&2
@@ -167,7 +165,6 @@ if [ -e crates/bench/benches ] || [ -e compat/criterion ] ||
 fi
 no_fork 'zorder_argsort' crates/pm-octree/src/api.rs crates/baselines/src/incore.rs crates/baselines/src/etree.rs
 no_fork 'balance_subset(' crates/cluster/src/rank.rs
-cargo test --release -p pmoctree-cluster --lib rank::tests::full_range_rank_step -q
 # One-kernel / one-census gates: a refine/coarsen/set-data meets the
 # walker in exactly one place in api.rs (`PmOctree::apply_op`, the per-op
 # API's body; a batch is that API in a loop, seeding and all),
@@ -191,9 +188,8 @@ fi
 # leaf sweep (the amr run above), and persist frees what the step retired
 # (the `--lib` run above), with the registry held to a mark walk after
 # every model step. The owned leaves of 2- and 4-rank PM clusters on 1
-# and 2 workers tile the domain 2:1 after every step (optimized builds).
-# No whole-tree mark in persist or GC.
-cargo test --release -p pmoctree-cluster --test prop_partition -q
+# and 2 workers tile the domain 2:1 after every step (the cluster run
+# below). No whole-tree mark in persist or GC.
 no_fork 'gc::mark' crates/pm-octree/src/api.rs crates/pm-octree/src/c1.rs
 # One-Morton-path / zero-unsafe gate: the batch entry points are loops
 # over the per-key calculus (the morton crate's tests, above), and nothing
@@ -218,8 +214,9 @@ done
 cargo run --release -p pmoctree-bench --bin repro -- crash-sweep --smoke
 # Worker-pool determinism gate: cluster runs (ranks on the pool, each with
 # its own tree and device) must report and trace byte-identically whether
-# 1, 2 or 4 workers execute the ranks.
-cargo test --release -p pmoctree-cluster --test thread_invariance -q
+# 1, 2 or 4 workers execute the ranks. The same run, all of the cluster
+# crate in optimized builds, holds the cluster claims named above.
+cargo test --release -p pmoctree-cluster -q
 # Orthogonal-persistence gates: a run crashed at every labelled
 # opportunity of one step (rt::commit among them) and at evenly spaced
 # opportunities of the whole run resumes to the uncrashed run's report,

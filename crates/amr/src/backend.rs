@@ -503,11 +503,6 @@ impl EtreeBackend {
     pub fn on_nvbm() -> Self {
         EtreeBackend { tree: EtreeOctree::create(SimFs::on_nvbm()), tracer: Tracer::default() }
     }
-
-    /// Etree on a rotating disk (its original habitat).
-    pub fn on_disk() -> Self {
-        EtreeBackend { tree: EtreeOctree::create(SimFs::on_disk()), tracer: Tracer::default() }
-    }
 }
 
 impl OctreeBackend for EtreeBackend {

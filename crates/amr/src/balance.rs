@@ -4,14 +4,13 @@
 //! For pointer-based trees (`PM-octree`, in-core) a violated neighbor is
 //! found with one root descent. For the Etree baseline the same
 //! [`OctreeBackend::containing_leaf`] call costs a B-tree lookup plus a
-//! page read — and the paper notes that balancing a *linear* octree must
-//! interrogate all neighbors per octant, which is exactly why the
-//! out-of-core baseline struggles on this routine (§5.4).
+//! page read. The paper notes that balancing a *linear* octree must
+//! interrogate all 26 neighbors per octant (§5.4); that cost is not
+//! modelled: every backend here balances faces.
 //!
-//! The batched passes ([`balance`] and friends, the checks) ask the
-//! question per *family* instead: one lookup per face (or 26-neighbor)
-//! direction of a parent answers all eight children at once
-//! (`coarse_neighbors`).
+//! The batched passes ([`balance`] and friends, the check) ask the
+//! question per *family* instead: one lookup per face direction of a
+//! parent answers all eight children at once (`coarse_neighbors`).
 
 use pmoctree_morton::OctKey;
 
@@ -107,37 +106,21 @@ pub fn coarsen_balanced(b: &mut dyn OctreeBackend, key: OctKey) -> bool {
     can_coarsen(b, key) && b.coarsen(key).is_ok()
 }
 
-/// The same-level displacement numbered `m` in [`OctKey::all_neighbors`]
-/// order: `m = Σ (d[a] + 1)·3^a`, so 13 is the cell itself.
-fn displacement(m: u32) -> [i8; 3] {
-    [(m % 3) as i8 - 1, (m / 3 % 3) as i8 - 1, (m / 9) as i8 - 1]
-}
+/// The six face directions `(axis, dir)`; a family's queries are asked
+/// in this order.
+const FACES: [(usize, i8); 6] = [(2, -1), (1, -1), (0, -1), (0, 1), (1, 1), (2, 1)];
 
-/// The displacements (bit `m` per [`displacement`]) through which child
-/// `c` of a family looks out of it: along each axis only the side the child
-/// sits on leaves the parent. Face adjacency moves along one axis (3 bits),
-/// full adjacency along any non-empty set of axes (7 bits).
-fn outward(c: usize, full: bool) -> u32 {
-    let mut bits = 0u32;
-    for axes in 1..8usize {
-        if !full && axes.count_ones() != 1 {
-            continue;
-        }
-        let m: u32 = (0..3)
-            .map(|a| {
-                let digit = if axes >> a & 1 == 0 { 1 } else { 2 * (c >> a & 1) as u32 };
-                digit * 3u32.pow(a as u32)
-            })
-            .sum();
-        bits |= 1 << m;
-    }
-    bits
+/// The faces (bit `j` per [`FACES`]) through which child `c` of a family
+/// looks out of it: along each axis only the side the child sits on
+/// leaves the parent.
+fn outward(c: usize) -> u8 {
+    (0..3).fold(0, |bits, a| bits | if c >> a & 1 == 1 { 8 << a } else { 4 >> a })
 }
 
 /// The family kernel behind balancing and its checks: for every source
 /// (Z-sorted, deduplicated) call `f(source, leaf)` for each leaf at least
-/// two levels coarser than the source that holds one of its face (or, with
-/// `full`, any) same-level neighbors.
+/// two levels coarser than the source that holds one of its face
+/// neighbors.
 ///
 /// A neighbor inside the source's own family never qualifies: the parent
 /// `P` is interior, so the sibling exists. A neighbor outside it lies in
@@ -145,20 +128,19 @@ fn outward(c: usize, full: bool) -> u32 {
 /// levels coarser than the source exactly when the leaf containing `N` is
 /// coarser than `N` — and then it is that leaf. So one batched
 /// [`OctreeBackend::containing_leaf_many`] over each parent's neighbors in
-/// the directions its sources face (at most 6, or 26 with `full`) answers
-/// every source, where asking per source cost 6 (or 26) queries each.
+/// the directions its sources face (at most 6) answers every source,
+/// where asking per source cost 6 queries each.
 ///
 /// Sources must be octants of the tree (a key below a leaf has no interior
 /// parent, and its in-family neighbors are not looked at).
 fn coarse_neighbors(
     b: &mut dyn OctreeBackend,
     sources: &[OctKey],
-    full: bool,
     mut f: impl FnMut(OctKey, OctKey),
 ) {
-    let sides: [u32; 8] = std::array::from_fn(|c| outward(c, full));
+    let sides: [u8; 8] = std::array::from_fn(outward);
     // (parent, directions its sources face, first query) — sorted by key.
-    let mut parents: Vec<(OctKey, u32, u32)> =
+    let mut parents: Vec<(OctKey, u8, u32)> =
         sources.iter().filter_map(|k| Some((k.parent()?, sides[k.sibling_index()], 0))).collect();
     parents.sort_unstable_by_key(|p| p.0);
     parents.dedup_by(|later, kept| {
@@ -168,14 +150,14 @@ fn coarse_neighbors(
         }
         same
     });
-    let mut queries: Vec<OctKey> = Vec::with_capacity(parents.len() * if full { 26 } else { 6 });
+    let mut queries: Vec<OctKey> = Vec::with_capacity(parents.len() * FACES.len());
     for (p, dirs, first) in &mut parents {
         *first = queries.len() as u32;
-        let mut kept = 0u32;
-        for m in (0..27).filter(|m| *dirs >> m & 1 == 1) {
-            if let Some(n) = p.neighbor(displacement(m)) {
+        let mut kept = 0u8;
+        for (j, &(axis, dir)) in FACES.iter().enumerate().filter(|(j, _)| *dirs >> j & 1 == 1) {
+            if let Some(n) = p.face_neighbor(axis, dir) {
                 queries.push(n);
-                kept |= 1 << m;
+                kept |= 1 << j;
             }
         }
         *dirs = kept; // directions off the domain have nothing to ask
@@ -186,8 +168,8 @@ fn coarse_neighbors(
         let i = parents.partition_point(|e| e.0 < p);
         let (_, dirs, first) = parents[i];
         let mine = sides[k.sibling_index()] & dirs;
-        for m in (0..27).filter(|m| mine >> m & 1 == 1) {
-            let q = first + (dirs & ((1 << m) - 1)).count_ones();
+        for j in (0..FACES.len()).filter(|j| mine >> j & 1 == 1) {
+            let q = first + (dirs & ((1 << j) - 1)).count_ones();
             if let Some(leaf) = resolved[q as usize] {
                 if leaf.level() + 1 < k.level() {
                     f(k, leaf);
@@ -197,8 +179,8 @@ fn coarse_neighbors(
     }
 }
 
-/// Worklist-driven 2:1 balancing over the face (6) or full (26)
-/// adjacency, built on the family kernel ([`coarse_neighbors`]).
+/// Worklist-driven face 2:1 balancing, built on the family kernel
+/// ([`coarse_neighbors`]).
 ///
 /// Violations are only *observable* from the fine side (the coarse side
 /// sees `containing_leaf → None` for a refined-deeper neighbor), so the
@@ -215,14 +197,14 @@ fn coarse_neighbors(
 /// sweep-until-fixed-point implementation. A round that refines none of
 /// its targets (the device is full) would meet the same tree again: the
 /// loop stops there and leaves the violation for [`check_balance`].
-fn balance_worklist(b: &mut dyn OctreeBackend, mut worklist: Vec<OctKey>, full: bool) -> usize {
+fn balance_worklist(b: &mut dyn OctreeBackend, mut worklist: Vec<OctKey>) -> usize {
     let mut total = 0usize;
     while !worklist.is_empty() {
         worklist.sort_unstable();
         worklist.dedup();
         let mut targets: Vec<OctKey> = Vec::new();
         let mut next: Vec<OctKey> = Vec::new();
-        coarse_neighbors(b, &worklist, full, |k, leaf| {
+        coarse_neighbors(b, &worklist, |k, leaf| {
             targets.push(leaf);
             if next.last() != Some(&k) {
                 next.push(k);
@@ -256,7 +238,7 @@ fn balance_worklist(b: &mut dyn OctreeBackend, mut worklist: Vec<OctKey>, full: 
 /// refinements.
 pub fn balance_from(b: &mut dyn OctreeBackend, refined: &[OctKey]) -> usize {
     let seed: Vec<OctKey> = refined.iter().flat_map(|k| k.children()).collect();
-    balance_worklist(b, seed, false)
+    balance_worklist(b, seed)
 }
 
 /// One full balancing sweep over the tree: refine any leaf that violates
@@ -264,37 +246,7 @@ pub fn balance_from(b: &mut dyn OctreeBackend, refined: &[OctKey]) -> usize {
 /// fixed point; returns the number of refinements performed.
 pub fn balance(b: &mut dyn OctreeBackend) -> usize {
     let seed = b.leaf_keys_sorted();
-    balance_worklist(b, seed, false)
-}
-
-/// Full-adjacency 2:1 balance: like [`balance`] but across **all 26
-/// neighbors** (faces, edges, corners), the constraint linear-octree
-/// codes like Etree must enforce — and the reason the paper calls its
-/// balancing "very time-consuming ... it needs to search all its 26
-/// neighbors" (§5.4). Returns the number of refinements.
-pub fn balance26(b: &mut dyn OctreeBackend) -> usize {
-    let seed = b.leaf_keys_sorted();
-    balance_worklist(b, seed, true)
-}
-
-/// Batched constraint check shared by [`check_balance`] /
-/// [`check_balance26`]: one family-kernel pass over the sorted leaf set,
-/// returning the first fine leaf in Z-order that sees a violation, with
-/// the first coarse leaf it sees.
-fn check_with(b: &mut dyn OctreeBackend, full: bool) -> Option<(OctKey, OctKey)> {
-    let leaves = b.leaf_keys_sorted();
-    let mut first: Option<(OctKey, OctKey)> = None;
-    coarse_neighbors(b, &leaves, full, |k, leaf| match first {
-        None => first = Some((k, leaf)),
-        Some((fk, fl)) if fk == k && leaf < fl => first = Some((k, leaf)),
-        Some(_) => {}
-    });
-    first
-}
-
-/// Verify the full 26-neighbor 2:1 constraint.
-pub fn check_balance26(b: &mut dyn OctreeBackend) -> Option<(OctKey, OctKey)> {
-    check_with(b, true)
+    balance_worklist(b, seed)
 }
 
 /// Balance restricted to a set of recently-changed leaves ("enforced on
@@ -305,13 +257,22 @@ pub fn check_balance26(b: &mut dyn OctreeBackend) -> Option<(OctKey, OctKey)> {
 /// band. `keys` must be octants of the tree (the leaves of the band,
 /// typically). Returns refinements performed.
 pub fn balance_subset(b: &mut dyn OctreeBackend, keys: &[OctKey]) -> usize {
-    balance_worklist(b, keys.to_vec(), false)
+    balance_worklist(b, keys.to_vec())
 }
 
-/// Verify the 2:1 constraint across all face-adjacent leaves. Returns the
-/// violating pair if any.
+/// Verify the 2:1 constraint across all face-adjacent leaves: one
+/// family-kernel pass over the sorted leaf set, returning the first fine
+/// leaf in Z-order that sees a violation, with the first coarse leaf it
+/// sees.
 pub fn check_balance(b: &mut dyn OctreeBackend) -> Option<(OctKey, OctKey)> {
-    check_with(b, false)
+    let leaves = b.leaf_keys_sorted();
+    let mut first: Option<(OctKey, OctKey)> = None;
+    coarse_neighbors(b, &leaves, |k, leaf| match first {
+        None => first = Some((k, leaf)),
+        Some((fk, fl)) if fk == k && leaf < fl => first = Some((k, leaf)),
+        Some(_) => {}
+    });
+    first
 }
 
 #[cfg(test)]
@@ -380,44 +341,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn balance26_is_stricter_than_face_balance() {
-        for mut b in backends() {
-            // A deep block touching a coarse region only diagonally:
-            // face-balance accepts it, 26-balance refines further.
-            let deep = OctKey::root().child(0).child(7).child(7).child(7);
-            construct_path(b.as_mut(), deep);
-            balance(b.as_mut());
-            assert!(check_balance(b.as_mut()).is_none(), "{}", b.name());
-            let extra = balance26(b.as_mut());
-            assert!(extra > 0, "{}: edge/corner neighbors should force refinement", b.name());
-            assert!(check_balance26(b.as_mut()).is_none(), "{}", b.name());
-            // Full balance implies face balance.
-            assert!(check_balance(b.as_mut()).is_none(), "{}", b.name());
-        }
-    }
-
-    #[test]
-    fn balance26_costs_more_neighbor_lookups() {
-        // The §5.4 claim in miniature: 26-neighbor balancing on the
-        // out-of-core backend costs far more virtual time than
-        // face-balancing, because every lookup is an index+page access.
-        let mk = || {
-            let mut b = EtreeBackend::on_nvbm();
-            construct_path(&mut b, OctKey::root().child(0).child(7).child(7));
-            b
-        };
-        let mut face = mk();
-        let t0 = face.elapsed_ns();
-        balance(&mut face);
-        let face_cost = face.elapsed_ns() - t0;
-        let mut full = mk();
-        let t0 = full.elapsed_ns();
-        balance26(&mut full);
-        let full_cost = full.elapsed_ns() - t0;
-        assert!(full_cost > 2 * face_cost, "26-neighbor {full_cost} vs face {face_cost}");
-    }
-
     /// A ripple the device has no room for: balancing must stop once a
     /// round refines none of its targets, leave the mesh as the refusals
     /// left it, and the check must still name the violation.
@@ -451,7 +374,6 @@ mod tests {
         assert!(check_balance(&mut b).is_some(), "a full device cannot have closed the ripple");
         assert_eq!(b.leaf_keys_sorted().len(), leaves.len() + 7 * refined);
         assert_eq!(balance_from(&mut b, &[deep]), 0);
-        assert_eq!(balance26(&mut b), 0);
     }
 
     #[test]

@@ -27,11 +27,11 @@ pub mod vtk;
 
 pub use backend::{Cell, EtreeBackend, InCoreBackend, OctreeBackend, PmBackend};
 pub use balance::{
-    balance, balance26, balance_subset, can_coarsen, can_coarsen_many, check_balance,
-    check_balance26, coarsen_balanced, refine_balanced,
+    balance, balance_subset, can_coarsen, can_coarsen_many, check_balance, coarsen_balanced,
+    refine_balanced,
 };
 pub use construct::{construct_path, construct_uniform};
 pub use extract::{extract, Mesh};
-pub use partition::{migration_plan, partition, weighted_leaves, Migration};
-pub use refine::{adapt, AdaptCriterion, AdaptReport, BandCriterion, Target};
+pub use partition::{partition, weighted_leaves};
+pub use refine::{adapt, AdaptCriterion, AdaptReport, Target};
 pub use vtk::export_vtk_with_fields;

@@ -95,34 +95,6 @@ pub fn adapt(b: &mut dyn OctreeBackend, criterion: &dyn AdaptCriterion) -> Adapt
     report
 }
 
-/// A band criterion: refine where `|phi| < width · h(level)`, coarsen
-/// where `|phi| > 2 · width · h(level)` — the classic interface-band
-/// refinement of multiphase solvers (h = cell size at the leaf's level).
-pub struct BandCriterion {
-    /// Band half-width in units of the local cell size.
-    pub width: f64,
-    /// Maximum refinement level.
-    pub max_level: u8,
-}
-
-impl AdaptCriterion for BandCriterion {
-    fn target(&self, key: &OctKey, data: &Cell) -> Target {
-        let h = key.extent();
-        let phi = data[0].abs();
-        if phi < self.width * h {
-            Target::Refine
-        } else if phi > 2.0 * self.width * h {
-            Target::Coarsen
-        } else {
-            Target::Keep
-        }
-    }
-
-    fn max_level(&self) -> u8 {
-        self.max_level
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,6 +173,30 @@ mod tests {
 
     #[test]
     fn band_criterion_tracks_interface() {
+        /// Refine where `|phi| < width · h(level)`, coarsen where
+        /// `|phi| > 2 · width · h(level)` — the classic interface band
+        /// (h = cell size at the leaf's level).
+        struct BandCriterion {
+            width: f64,
+            max_level: u8,
+        }
+        impl AdaptCriterion for BandCriterion {
+            fn target(&self, key: &OctKey, data: &Cell) -> Target {
+                let (h, phi) = (key.extent(), data[0].abs());
+                if phi < self.width * h {
+                    Target::Refine
+                } else if phi > 2.0 * self.width * h {
+                    Target::Coarsen
+                } else {
+                    Target::Keep
+                }
+            }
+
+            fn max_level(&self) -> u8 {
+                self.max_level
+            }
+        }
+
         let mut b = InCoreBackend::new();
         construct_uniform(&mut b, 2);
         // phi = signed distance to the plane x = 0.5.

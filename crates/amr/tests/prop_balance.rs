@@ -1,14 +1,14 @@
 //! 2:1 balance by the family kernel against the per-key path. On all three
 //! backends, over random unbalanced refine sets, every batched balance
 //! entry point reaches the leaf set of a `refine_balanced` fixed point
-//! driven by per-leaf `containing_leaf` probes, and the batched checks name
+//! driven by per-leaf `containing_leaf` probes, and the batched check names
 //! the pair that per-leaf scan names.
 
 use pm_octree::{PmConfig, PmOctree};
 use pmoctree_amr::balance::balance_from;
 use pmoctree_amr::{
-    balance, balance26, balance_subset, check_balance, check_balance26, refine_balanced,
-    EtreeBackend, InCoreBackend, OctreeBackend, PmBackend,
+    balance, balance_subset, check_balance, refine_balanced, EtreeBackend, InCoreBackend,
+    OctreeBackend, PmBackend,
 };
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::{DeviceModel, NvbmArena};
@@ -49,13 +49,13 @@ fn leaves(b: &mut dyn OctreeBackend) -> Vec<OctKey> {
     out
 }
 
-/// Each leaf's same-level neighbors resolved one `containing_leaf` at a
-/// time: the first leaf in Z-order that lies next to a leaf two or more
-/// levels coarser, with the first such coarse leaf.
-fn check_per_leaf(b: &mut dyn OctreeBackend, full: bool) -> Option<(OctKey, OctKey)> {
+/// Each leaf's face neighbors resolved one `containing_leaf` at a time:
+/// the first leaf in Z-order that lies next to a leaf two or more levels
+/// coarser, with the first such coarse leaf.
+fn check_per_leaf(b: &mut dyn OctreeBackend) -> Option<(OctKey, OctKey)> {
     for k in leaves(b) {
-        let neighbors = if full { k.all_neighbors() } else { k.face_neighbors() };
-        let coarse = neighbors
+        let coarse = k
+            .face_neighbors()
             .into_iter()
             .filter_map(|n| b.containing_leaf(n))
             .filter(|leaf| leaf.level() + 1 < k.level())
@@ -70,12 +70,11 @@ fn check_per_leaf(b: &mut dyn OctreeBackend, full: bool) -> Option<(OctKey, OctK
 /// The 2:1 closure by the per-key path: split the coarse side of every
 /// violation the per-leaf scan sees with `refine_balanced` until it sees
 /// none. Every split is forced, so this is the unique closure.
-fn fixed_point(b: &mut dyn OctreeBackend, full: bool) {
+fn fixed_point(b: &mut dyn OctreeBackend) {
     loop {
         let mut coarse: Vec<OctKey> = Vec::new();
         for k in leaves(b) {
-            let neighbors = if full { k.all_neighbors() } else { k.face_neighbors() };
-            for n in neighbors {
+            for n in k.face_neighbors() {
                 coarse.extend(b.containing_leaf(n).filter(|leaf| leaf.level() + 1 < k.level()));
             }
         }
@@ -102,40 +101,31 @@ proptest! {
     #[test]
     fn batched_balance_reaches_the_per_key_fixed_point(paths in arb_paths()) {
         for which in 0..3 {
-            for full in [false, true] {
-                let mut reference = backend(which);
-                grow(reference.as_mut(), &paths);
-                fixed_point(reference.as_mut(), full);
-                let want = leaves(reference.as_mut());
-                let name = reference.name();
-                let entry_points: &[&str] =
-                    if full { &["balance26"] } else { &["balance", "balance_from", "balance_subset"] };
-                for &entry in entry_points {
-                    let mut b = backend(which);
-                    let split = grow(b.as_mut(), &paths);
-                    let raw = check_per_leaf(b.as_mut(), full);
-                    let batched =
-                        if full { check_balance26(b.as_mut()) } else { check_balance(b.as_mut()) };
-                    prop_assert_eq!(batched, raw, "{} full={}: check on the raw tree", name, full);
-                    match entry {
-                        "balance" => balance(b.as_mut()),
-                        "balance_from" => balance_from(b.as_mut(), &split),
-                        "balance26" => balance26(b.as_mut()),
-                        _ => {
-                            // The band a driver would pass: every leaf off
-                            // the top levels, unsorted and repeated.
-                            let mut band: Vec<OctKey> =
-                                leaves(b.as_mut()).into_iter().filter(|k| k.level() >= 2).rev().collect();
-                            band.extend(band.clone().iter().step_by(3));
-                            balance_subset(b.as_mut(), &band)
-                        }
-                    };
-                    prop_assert_eq!(&leaves(b.as_mut()), &want, "{} {}", name, entry);
-                    prop_assert_eq!(check_per_leaf(b.as_mut(), full), None, "{} {}", name, entry);
-                    let after =
-                        if full { check_balance26(b.as_mut()) } else { check_balance(b.as_mut()) };
-                    prop_assert_eq!(after, None, "{} {}: batched check after", name, entry);
-                }
+            let mut reference = backend(which);
+            grow(reference.as_mut(), &paths);
+            fixed_point(reference.as_mut());
+            let want = leaves(reference.as_mut());
+            let name = reference.name();
+            for entry in ["balance", "balance_from", "balance_subset"] {
+                let mut b = backend(which);
+                let split = grow(b.as_mut(), &paths);
+                let raw = check_per_leaf(b.as_mut());
+                prop_assert_eq!(check_balance(b.as_mut()), raw, "{}: check on the raw tree", name);
+                match entry {
+                    "balance" => balance(b.as_mut()),
+                    "balance_from" => balance_from(b.as_mut(), &split),
+                    _ => {
+                        // The band a driver would pass: every leaf off
+                        // the top levels, unsorted and repeated.
+                        let mut band: Vec<OctKey> =
+                            leaves(b.as_mut()).into_iter().filter(|k| k.level() >= 2).rev().collect();
+                        band.extend(band.clone().iter().step_by(3));
+                        balance_subset(b.as_mut(), &band)
+                    }
+                };
+                prop_assert_eq!(&leaves(b.as_mut()), &want, "{} {}", name, entry);
+                prop_assert_eq!(check_per_leaf(b.as_mut()), None, "{} {}", name, entry);
+                prop_assert_eq!(check_balance(b.as_mut()), None, "{} {}: batched check after", name, entry);
             }
         }
     }

@@ -180,11 +180,11 @@ fn main() {
                 &rows
             )
         );
-        write_bench_json("fig6", &scaling_json("fig6", &rows));
+        write_bench_json("fig6", &rows_json("fig6", &rows));
     }
     if all || what == "fig8" || what == "fig9" {
         let rows = fig8_strong_scaling(&scale.strong_procs, scale.strong_level, scale.steps);
-        write_bench_json("fig8", &scaling_json("fig8", &rows));
+        write_bench_json("fig8", &rows_json("fig8", &rows));
         println!(
             "{}",
             scaling_str("Fig 8/9: strong scaling (fixed problem size, varying processors)", &rows)
@@ -210,17 +210,17 @@ fn main() {
     if all || what == "fig10" {
         let rows = fig10_dram_size(&scale.fig10_sizes, scale.fig10_level, scale.steps);
         println!("{}", fig10_str(&rows));
-        write_bench_json("fig10", &fig10_json(&rows));
+        write_bench_json("fig10", &rows_json("fig10", &rows));
     }
     if all || what == "fig11" {
         let rows = fig11_transform(&scale.fig11_levels, 0.3, 8);
         println!("{}", fig11_str(&rows));
-        write_bench_json("fig11", &fig11_json(&rows));
+        write_bench_json("fig11", &rows_json("fig11", &rows));
     }
     if all || what == "recovery" {
         let rows = recovery(scale.recovery_level, 12);
         println!("{}", recovery_str(&rows));
-        write_bench_json("recovery", &recovery_json(&rows));
+        write_bench_json("recovery", &rows_json("recovery", &rows));
     }
     if all || what == "ablations" {
         println!("{}", sampling_str(&ablation_sampling(&[1, 10, 100, 1000])));

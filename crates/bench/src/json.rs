@@ -43,29 +43,9 @@ pub fn write_fraction_json(w: &WriteFraction) -> String {
 }
 
 /// The `{"experiment": ..., "rows": [...]}` document every row-table
-/// experiment writes.
-fn rows_doc<T: Serialize>(experiment: &str, rows: &[T]) -> String {
+/// experiment writes (Figs 6–11 and the §5.6 recovery comparison).
+pub fn rows_json<T: Serialize>(experiment: &str, rows: &[T]) -> String {
     format!(r#"{{"experiment":{},"rows":{}}}"#, json_doc(experiment), json_doc(rows))
-}
-
-/// JSON for a scaling experiment (Figs 6/7 or 8/9).
-pub fn scaling_json(experiment: &str, rows: &[ScalingRow]) -> String {
-    rows_doc(experiment, rows)
-}
-
-/// JSON for Figure 10 (DRAM size sweep).
-pub fn fig10_json(rows: &[Fig10Row]) -> String {
-    rows_doc("fig10", rows)
-}
-
-/// JSON for Figure 11 (dynamic transformation off/on).
-pub fn fig11_json(rows: &[Fig11Row]) -> String {
-    rows_doc("fig11", rows)
-}
-
-/// JSON for the §5.6 recovery comparison.
-pub fn recovery_json(rows: &[pmoctree_cluster::RecoveryReport]) -> String {
-    rows_doc("recovery", rows)
 }
 
 #[derive(Serialize)]
@@ -194,7 +174,7 @@ mod tests {
 
     #[test]
     fn scaling_json_is_wellformed() {
-        let j = scaling_json("fig6", &[row()]);
+        let j = rows_json("fig6", &[row()]);
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"nvbm_read_lines\":100"));
         let v = serde_json::from_str(&j).expect("valid JSON");
@@ -219,7 +199,7 @@ mod tests {
             elements: 9,
             trav: TraversalStats::default(),
         }];
-        let v = serde_json::from_str(&recovery_json(&rows)).expect("valid JSON");
+        let v = serde_json::from_str(&rows_json("recovery", &rows)).expect("valid JSON");
         let r0 = &v.get("rows").and_then(|r| r.as_array()).unwrap()[0];
         assert_eq!(r0.get("new_node_secs"), Some(&serde_json::Value::Null));
         assert_eq!(r0.get("elements").and_then(|e| e.as_u64()), Some(9));

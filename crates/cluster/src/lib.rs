@@ -23,4 +23,4 @@ pub use failure::{
     etree_recovery, incore_recovery, pm_recovery, recovery_comparison, RecoveryReport,
 };
 pub use rank::{RangedCriterion, Rank, Scheme};
-pub use scaling::{max_level_for, ClusterReport, ClusterSim, ClusterStep};
+pub use scaling::{ClusterReport, ClusterSim, ClusterStep};

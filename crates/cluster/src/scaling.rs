@@ -407,21 +407,6 @@ impl ClusterSim {
     }
 }
 
-/// Pick the refinement depth that yields roughly `target` global
-/// elements for the droplet workload (interface area ≈ 0.35 of the unit
-/// domain crossed by band cells: elements ≈ base + c·4^L).
-pub fn max_level_for(target: usize) -> u8 {
-    let mut level = 3u8;
-    while level < 10 {
-        let est = 520.0 + 2.2 * 4f64.powi(level as i32);
-        if est >= target as f64 {
-            break;
-        }
-        level += 1;
-    }
-    level
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -494,10 +479,32 @@ mod tests {
         assert!(c.elements() > 0);
     }
 
+    /// `repartition`'s migration count is the number of owned leaves
+    /// whose owner changes under the ranges it installs. Every rank holds
+    /// the same uniform mesh, so the gathered leaf set and its weights do
+    /// not depend on the ranges, and a repeated call moves nothing.
     #[test]
-    fn max_level_estimator_monotone() {
-        assert!(max_level_for(1_000) <= max_level_for(10_000));
-        assert!(max_level_for(10_000) <= max_level_for(200_000));
-        assert!(max_level_for(500) >= 3);
+    fn repartition_counts_the_leaves_that_change_owner() {
+        let mut c = ClusterSim::new(Scheme::InCore, 4, cfg(3), 0);
+        let end = pmoctree_morton::anchor_end::<3>(&OctKey::root());
+        // Skewed and rotated: every rank loses leaves, ranks 0 and 2 keep
+        // some, and not every move goes to a higher rank.
+        let cuts = [0, end / 8, end / 2, end / 8 * 5, u64::MAX];
+        for (i, r) in c.ranks.iter_mut().enumerate() {
+            r.backend = Scheme::InCore.make_backend(0);
+            pmoctree_amr::construct_uniform(r.backend.as_mut(), 3);
+            let seg = (i + 1) % 4;
+            r.range = ZRange { lo: cuts[seg], hi: cuts[seg + 1] };
+        }
+        let leaves = c.ranks[0].backend.leaf_keys_sorted();
+        let owner = |ranges: &[ZRange<3>], k: &OctKey| ranges.iter().position(|r| r.owns(k));
+        let old: Vec<ZRange<3>> = c.ranks.iter().map(|r| r.range).collect();
+        let (migrated, _) = c.repartition();
+        let new: Vec<ZRange<3>> = c.ranks.iter().map(|r| r.range).collect();
+        let expected = leaves.iter().filter(|k| owner(&old, k) != owner(&new, k)).count();
+        assert!(0 < expected && expected < leaves.len(), "{expected} of {} move", leaves.len());
+        assert_eq!(migrated, expected);
+        assert_eq!(c.repartition().0, 0, "unchanged weights must not migrate");
+        assert_eq!(c.ranks.iter().map(|r| r.range).collect::<Vec<_>>(), new);
     }
 }

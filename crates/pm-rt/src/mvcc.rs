@@ -178,7 +178,7 @@ mod tests {
         // offset: the pinned record was copied, not moved.
         assert_eq!(snap.get_bytes(&mut a, "cold").unwrap().unwrap(), raw0);
         assert_eq!(snap.get::<Vec<u8>>(&mut a, "cold").unwrap(), Some(cold.clone()));
-        assert!(!rt.deferred.is_empty(), "old record must sit deferred, not freed");
+        assert!(!rt.retired.is_empty(), "old record must sit deferred, not freed");
         // More churn while pinned: still byte-identical.
         for i in 0..40u64 {
             rt.stage(&mut a, "hot", &i).unwrap();
@@ -188,7 +188,7 @@ mod tests {
         // Only once the pin drops does collect reclaim the original.
         drop(snap);
         assert!(rt.collect(&mut a) > 0);
-        assert!(rt.deferred.is_empty());
+        assert!(rt.retired.is_empty());
         assert_eq!(rt.load::<Vec<u8>>(&mut a, "cold").unwrap(), Some(cold));
     }
 

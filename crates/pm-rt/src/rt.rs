@@ -167,14 +167,12 @@ pub struct PmRt {
     committed_at: BTreeMap<u64, Arc<str>>,
     pub(crate) heap: LogHeap,
     epoch: u64,
-    /// Record offsets of committed blobs superseded since the last
-    /// commit. They back the *committed* table until the next root swap,
-    /// so they are deferred (then freed) only after it.
-    retired: Vec<u64>,
-    /// Records retired by the commit that produced epoch `e` — still
-    /// reachable from pinned root-table versions older than `e`. Freed by
-    /// [`PmRt::collect`] once `min_pinned >= e` (or no pins remain).
-    pub(crate) deferred: Vec<(u64, u64)>,
+    /// Superseded committed blobs as `(e, record offset)`, stamped with
+    /// the epoch `e` of the commit that retires them: reachable from every
+    /// table version older than `e`, so freed by [`PmRt::collect`] once `e`
+    /// is committed and no pin older than `e` remains. Stamps past the
+    /// committed epoch are this window's, always the list's tail.
+    pub(crate) retired: Vec<(u64, u64)>,
     /// Offsets of the live commit-record chain, oldest (the checkpoint)
     /// first. Retired wholesale when the next checkpoint cuts a new
     /// chain.
@@ -207,7 +205,6 @@ impl PmRt {
             heap: LogHeap::new(limit, top),
             epoch: 0,
             retired: Vec::new(),
-            deferred: Vec::new(),
             chain: Vec::new(),
             staged: Vec::new(),
             staged_origin: BTreeMap::new(),
@@ -299,7 +296,6 @@ impl PmRt {
             heap,
             epoch,
             retired: Vec::new(),
-            deferred: Vec::new(),
             chain,
             staged: Vec::new(),
             staged_origin: BTreeMap::new(),
@@ -460,7 +456,7 @@ impl PmRt {
     /// the spot, their space free for the next append that reaches it.
     fn supersede(&mut self, name: &str, old: Entry) {
         if self.committed.get(name) == Some(&old) {
-            self.retired.push(old.record_off());
+            self.retired.push((self.epoch + 1, old.record_off()));
         } else {
             self.heap.mark_dead(old.record_off());
         }
@@ -537,10 +533,6 @@ impl PmRt {
             }
         }
         self.chain.push(rec_off);
-        let retired_at = self.epoch;
-        for off in self.retired.drain(..) {
-            self.deferred.push((retired_at, off));
-        }
         self.collect_inner(arena.rt_pins().min_pinned());
         // Advance the committed view and its reverse index by exactly the
         // names this window touched.
@@ -693,7 +685,7 @@ impl PmRt {
         Ok(())
     }
 
-    /// GC pass over deferred frees: reclaim every record whose retirement
+    /// GC pass over retired blobs: reclaim every record whose retirement
     /// epoch is no longer protected by a snapshot pin. Runs implicitly at
     /// every commit; call explicitly after dropping snapshots to recover
     /// space without committing. Returns the number of records freed.
@@ -706,16 +698,16 @@ impl PmRt {
     /// A blob retired by the commit that produced epoch `e` is still live
     /// in every table version `< e`; a pin at snapshot epoch `s` protects
     /// exactly the blobs with `e > s`. So `(e, blob)` is freeable iff no
-    /// pin `s < e` remains — i.e. `min_pinned` is absent or `e <= min`.
+    /// pin `s < e` remains — i.e. `min_pinned` is absent or `e <= min` —
+    /// and the commit stamped `e` has happened.
     fn collect_inner(&mut self, min_pinned: Option<u64>) -> usize {
-        let deferred = std::mem::take(&mut self.deferred);
         let mut freed = 0;
-        for (e, off) in deferred {
-            if min_pinned.is_none_or(|m| e <= m) {
+        for (e, off) in std::mem::take(&mut self.retired) {
+            if e <= self.epoch && min_pinned.is_none_or(|m| e <= m) {
                 self.heap.mark_dead(off);
                 freed += 1;
             } else {
-                self.deferred.push((e, off));
+                self.retired.push((e, off));
             }
         }
         freed
@@ -751,8 +743,8 @@ impl PmRt {
         if let Some(cur) = staged.filter(|cur| Some(*cur) != origin) {
             self.heap.mark_dead(cur.record_off());
         }
-        let retired = origin.and_then(|e| self.retired.iter().position(|&o| o == e.record_off()));
-        if let Some(i) = retired {
+        let pending = origin.map(|e| (self.epoch + 1, e.record_off()));
+        if let Some(i) = self.retired.iter().position(|&r| Some(r) == pending) {
             self.retired.swap_remove(i);
         }
     }
@@ -1131,7 +1123,7 @@ mod tests {
             a.rt_heap_top() - rt.heap.floor()
         );
         assert!(rt.heap.laps() > 0, "the ring must actually wrap");
-        assert_eq!(rt.deferred.len(), 0, "no pins, nothing deferred");
+        assert_eq!(rt.retired.len(), 0, "no pins, nothing deferred");
     }
 
     #[test]

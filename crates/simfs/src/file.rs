@@ -69,21 +69,10 @@ impl SimFs {
         self.files.get(name).map(Vec::len)
     }
 
-    /// Is the file system empty?
-    pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
-    }
-
     /// Create (or truncate) a file.
     pub fn create(&mut self, name: &str) {
         self.charge(0);
         self.files.insert(name.to_string(), Vec::new());
-    }
-
-    /// Delete a file. Returns whether it existed.
-    pub fn unlink(&mut self, name: &str) -> bool {
-        self.charge(0);
-        self.files.remove(name).is_some()
     }
 
     /// Write `data` at byte `offset`, extending the file as needed.
@@ -122,11 +111,6 @@ impl SimFs {
         self.charge(f.len());
         self.stats.bytes_read += f.len() as u64;
         Ok(f)
-    }
-
-    /// List file names (no I/O charge; directory walks are not modeled).
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.files.keys().map(String::as_str)
     }
 
     /// Durability barrier (`fsync`): charge the device's cache-flush cost.
@@ -179,15 +163,6 @@ mod tests {
         let mut fs = SimFs::on_nvbm();
         assert!(fs.read_all("nope").is_err());
         assert!(fs.write_at("nope", 0, b"x").is_err());
-    }
-
-    #[test]
-    fn unlink_removes() {
-        let mut fs = SimFs::on_nvbm();
-        fs.write_all("f", b"x");
-        assert!(fs.unlink("f"));
-        assert!(!fs.unlink("f"));
-        assert!(!fs.exists("f"));
     }
 
     #[test]

@@ -17,9 +17,7 @@
 #![warn(clippy::unwrap_used)]
 
 pub mod file;
-pub mod posix;
 
 pub use file::{FsStats, SimFs};
-pub use posix::{Fd, OpenMode, PosixError, PosixFs};
 
 pub use pmoctree_nvbm::model::BlockDeviceModel;

@@ -103,7 +103,7 @@ mod tests {
     }
 
     #[test]
-    fn criterion_refines_near_interface() {
+    fn criterion_refines_at_the_interface() {
         let time = SharedTime::new();
         time.set(0.3);
         let c = InterfaceCriterion {

@@ -128,11 +128,6 @@ impl DropletEjection {
             0.5 * (1.0 - p / eps - (std::f64::consts::PI * p / eps).sin() / std::f64::consts::PI)
         }
     }
-
-    /// Is any liquid present near `x` at `t` within distance `band`?
-    pub fn near_interface(&self, x: [f64; 3], t: f64, band: f64) -> bool {
-        self.phi(x, t).abs() < band
-    }
 }
 
 #[cfg(test)]
@@ -214,8 +209,8 @@ mod tests {
         let f = iface();
         let band = 0.03;
         let probe = [0.5, 0.5 + f.params.jet_radius, 0.25];
-        let near_early = f.near_interface(probe, 0.28, band);
-        let near_late = f.near_interface(probe, 0.9, band);
+        let near_early = f.phi(probe, 0.28).abs() < band;
+        let near_late = f.phi(probe, 0.9).abs() < band;
         assert!(near_early != near_late, "interface should move off the probe");
     }
 }

@@ -15,14 +15,12 @@
 pub mod criteria;
 pub mod driver;
 pub mod interface;
-pub mod levelset;
 pub mod persistent;
 pub mod sweeps;
 
 pub use criteria::{refinement_feature, solver_feature, InterfaceCriterion, SharedTime};
 pub use driver::{RunReport, SimConfig, Simulation, StepBreakdown};
 pub use interface::{DropletEjection, DropletParams};
-pub use levelset::{advect_levelset, BoilingFlow, DropletImpact, LevelSet, LevelSetCriterion};
 pub use persistent::{
     canonical_pm_cfg, reattach, resume_persistent, run_persistent, run_persistent_partial,
     PersistentRun, Reattach, RunState, RUN_ROOT, RUN_TENANT,

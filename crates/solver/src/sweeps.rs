@@ -88,7 +88,7 @@ mod tests {
     use pmoctree_amr::{construct_uniform, InCoreBackend};
 
     #[test]
-    fn advect_writes_near_interface_only() {
+    fn advect_writes_the_interface_band_only() {
         let mut b = InCoreBackend::new();
         construct_uniform(&mut b, 4);
         let f = DropletEjection::default();
