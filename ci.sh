@@ -46,8 +46,9 @@ no_fork '\.splice(' crates/morton/src/index.rs
 # opportunity of a persist or of a sweep (whose stores a walk defers
 # until it leaves an octant) under every crash mode — in optimized builds.
 # A refusal stores nothing. The oracles it replaced (verbatim copies of
-# replaced code) must stay deleted.
-cargo test --release -p pm-octree --test model -q
+# replaced code) must stay deleted. The same run, all of pm-octree and the
+# baselines in optimized builds, holds the walker (below) to its claims.
+cargo test --release -p pm-octree -p pmoctree-baselines -q
 if grep -rn 'fn model_cow_path\|fn model_update_leaves\|fn model_locate\|trait Probes' crates/ ||
     [ -e crates/pm-octree/src/domains.rs ]; then
     echo "a replaced-code oracle or domains.rs is back (the octree model in tests/model.rs checks that code)" >&2
@@ -124,8 +125,8 @@ fi
 # to the octants above L_sub and the impure ones, a seeding refine to the
 # eviction line, a restore to refusing an octant stamped past the
 # record's epoch, and a 64 GiB nominal octree, its replica and a crash
-# view to its bump plus two chunks (an unusable replica is an error).
-cargo test --release -p pm-octree -p pmoctree-baselines --lib -q
+# view to its bump plus two chunks (an unusable replica is an error) —
+# the pm-octree run above.
 # The mesh routines read what the answer depends on — all of the amr
 # crate, by exact count, in optimized builds: batched coarsen legality
 # matches the per-key rule on all three backends; 2:1 balance asks one
@@ -221,18 +222,19 @@ cargo test --release -p pmoctree-cluster -q
 # opportunity of one step (rt::commit among them) and at evenly spaced
 # opportunities of the whole run resumes to the uncrashed run's report,
 # and whole-application reattach beats the restart from an fsync-charged
-# file checkpoint >=10x on the virtual clock.
-cargo test --release -p pmoctree-solver --lib persistent::tests -q
+# file checkpoint >=10x on the virtual clock (the whole solver crate).
+cargo test --release -p pmoctree-solver -q
 # Observability gates: traces validate, tracing costs the virtual clock
 # nothing and the flight recorder at most 5%; and a traced smoke workload
-# must export a Chrome trace that the JSON-level validator accepts.
-cargo test --release -p pmoctree-bench --test trace_acceptance -q
+# must export a Chrome trace that the JSON-level validator accepts. The
+# same run (the whole bench crate) holds the repro CLI (below) to usage.
+cargo test --release -p pmoctree-bench -q
 cargo run --release -p pmoctree-bench --bin repro -- droplet --quick --trace trace_smoke.json
 cargo run --release -p pmoctree-bench --bin repro -- trace-check trace_smoke.json
 rm -f trace_smoke.json
 # An unknown repro subcommand or option exits 2 with the usage text, so a
-# script naming one repro does not run fails instead of passing silently.
-cargo test --release -p pmoctree-bench --test cli -q
+# script naming one repro does not run fails instead of passing silently
+# (the bench run above).
 # One counter registry: the tracer journals spans and instants, and the
 # device's counters live in `MemStats` (with `Events`, `ReplicaSet` and
 # `ServiceStats` beside it). The second registry, its Prometheus exporter,

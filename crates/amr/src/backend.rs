@@ -2,8 +2,10 @@
 //!
 //! The paper runs the same droplet-ejection simulation over three octree
 //! implementations (§5.1); [`OctreeBackend`] is the seam that makes that
-//! possible here. Adapters wrap each implementation together with its
-//! persistence mechanism:
+//! possible here. Each tree answers the contract itself — its mutators
+//! name their refusals in [`PmError`]'s taxonomy from the lookup the op
+//! makes anyway, so an adapter adds no access of its own — and an adapter
+//! only pairs the tree with its persistence mechanism:
 //!
 //! * [`PmBackend`] — PM-octree; `end_of_step` calls `pm_persistent`.
 //! * [`InCoreBackend`] — Gerris-style in-core tree; `end_of_step` writes a
@@ -25,9 +27,8 @@ pub type Cell = [f64; 4];
 /// Mutators are fallible and report *why* they were rejected via
 /// [`PmError`] (`NotFound` / `NotALeaf` / `NotCoarsenable`), so meshing
 /// drivers can distinguish "that cell doesn't exist" from "that cell
-/// can't legally change". Baseline adapters classify their trees' boolean
-/// rejections through the same taxonomy. The Gerris-style boolean shims
-/// live in [`crate::gerris`].
+/// can't legally change". The Gerris-style boolean shims live in
+/// [`crate::gerris`].
 pub trait OctreeBackend {
     /// Split the leaf at `key` into 8 children.
     fn refine(&mut self, key: OctKey) -> Result<(), PmError>;
@@ -60,51 +61,37 @@ pub trait OctreeBackend {
     fn end_of_step(&mut self, step: usize);
     /// Short scheme name for reports.
     fn name(&self) -> &'static str;
+    /// This backend as a trait object, for the phase routines a driver
+    /// generic over `B: OctreeBackend + ?Sized` calls
+    /// (`Simulation::step_core`).
+    fn as_dyn(&mut self) -> &mut dyn OctreeBackend;
 
     /// Aggregated memory-tier and traversal statistics. File-system-backed
     /// persistence traffic (snapshots, Etree pages) is folded into the
     /// NVBM tier at cacheline granularity so schemes stay comparable.
-    fn mem_stats(&self) -> MemStats {
-        MemStats::new(0)
-    }
+    fn mem_stats(&self) -> MemStats;
 
     /// Attach a tracing journal. The PM adapter routes it into the arena
     /// (so the internal `persist::*`/`gc`/`c0` spans land in the same
-    /// journal); baselines keep it for their persistence hooks. The
-    /// default ignores it, keeping the trait drop-in for simple backends.
-    fn set_tracer(&mut self, _tracer: Tracer) {}
+    /// journal); baselines keep it for their persistence hooks.
+    fn set_tracer(&mut self, tracer: Tracer);
 
     /// The attached tracer (disabled unless [`OctreeBackend::set_tracer`]
     /// was called). Drivers use it to emit spans around phases they time
     /// themselves, stamped with this backend's [`OctreeBackend::elapsed_ns`].
-    fn tracer(&self) -> Tracer {
-        Tracer::default()
-    }
+    fn tracer(&self) -> Tracer;
 
     // ---- batched queries (leaf-index fast paths) -------------------------
-    //
-    // Backends override these with their Morton-sorted leaf-index kernels;
-    // the defaults fall back to the per-key entry points so the trait stays
-    // drop-in for simple implementations.
 
     /// All leaf keys in Z-order.
-    fn leaf_keys_sorted(&mut self) -> Vec<OctKey> {
-        let mut out = Vec::with_capacity(self.leaf_count());
-        self.for_each_leaf(&mut |k, _| out.push(k));
-        out.sort_unstable();
-        out
-    }
+    fn leaf_keys_sorted(&mut self) -> Vec<OctKey>;
 
     /// Batched [`OctreeBackend::containing_leaf`]: results match input
     /// order; input order is arbitrary.
-    fn containing_leaf_many(&mut self, keys: &[OctKey]) -> Vec<Option<OctKey>> {
-        keys.iter().map(|&k| self.containing_leaf(k)).collect()
-    }
+    fn containing_leaf_many(&mut self, keys: &[OctKey]) -> Vec<Option<OctKey>>;
 
     /// Batched [`OctreeBackend::get_data`] for leaf keys.
-    fn get_data_many(&mut self, keys: &[OctKey]) -> Vec<Option<Cell>> {
-        keys.iter().map(|&k| self.get_data(k)).collect()
-    }
+    fn get_data_many(&mut self, keys: &[OctKey]) -> Vec<Option<Cell>>;
 
     /// Batched [`OctreeBackend::refine`]: the per-key entry point in a
     /// loop, one success flag per key, in input order.
@@ -116,83 +103,6 @@ pub trait OctreeBackend {
     /// [`OctreeBackend::refine_many`] for the contract.
     fn coarsen_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
         keys.iter().map(|&k| self.coarsen(k).is_ok()).collect()
-    }
-}
-
-/// Mutable references forward to the referent, so drivers generic over
-/// `B: OctreeBackend` (e.g. `Simulation::step_core`) also accept a
-/// `&mut dyn OctreeBackend`. Every method forwards — including the
-/// default-bodied ones, so a backend's batched fast paths survive the
-/// indirection.
-impl<T: OctreeBackend + ?Sized> OctreeBackend for &mut T {
-    fn refine(&mut self, key: OctKey) -> Result<(), PmError> {
-        (**self).refine(key)
-    }
-    fn coarsen(&mut self, key: OctKey) -> Result<(), PmError> {
-        (**self).coarsen(key)
-    }
-    fn is_leaf(&mut self, key: OctKey) -> Option<bool> {
-        (**self).is_leaf(key)
-    }
-    fn containing_leaf(&mut self, key: OctKey) -> Option<OctKey> {
-        (**self).containing_leaf(key)
-    }
-    fn get_data(&mut self, key: OctKey) -> Option<Cell> {
-        (**self).get_data(key)
-    }
-    fn set_data(&mut self, key: OctKey, data: Cell) -> Result<(), PmError> {
-        (**self).set_data(key, data)
-    }
-    fn for_each_leaf(&mut self, f: &mut dyn FnMut(OctKey, &Cell)) {
-        (**self).for_each_leaf(f)
-    }
-    fn update_leaves(&mut self, f: &mut dyn FnMut(OctKey, &Cell) -> Option<Cell>) {
-        (**self).update_leaves(f)
-    }
-    fn leaf_count(&self) -> usize {
-        (**self).leaf_count()
-    }
-    fn depth(&self) -> u8 {
-        (**self).depth()
-    }
-    fn elapsed_ns(&self) -> u64 {
-        (**self).elapsed_ns()
-    }
-    fn charge_external(&mut self, ns: u64) {
-        (**self).charge_external(ns)
-    }
-    fn barrier_to(&mut self, t_ns: u64) {
-        (**self).barrier_to(t_ns)
-    }
-    fn end_of_step(&mut self, step: usize) {
-        (**self).end_of_step(step)
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn mem_stats(&self) -> MemStats {
-        (**self).mem_stats()
-    }
-    fn set_tracer(&mut self, tracer: Tracer) {
-        (**self).set_tracer(tracer)
-    }
-    fn tracer(&self) -> Tracer {
-        (**self).tracer()
-    }
-    fn leaf_keys_sorted(&mut self) -> Vec<OctKey> {
-        (**self).leaf_keys_sorted()
-    }
-    fn containing_leaf_many(&mut self, keys: &[OctKey]) -> Vec<Option<OctKey>> {
-        (**self).containing_leaf_many(keys)
-    }
-    fn get_data_many(&mut self, keys: &[OctKey]) -> Vec<Option<Cell>> {
-        (**self).get_data_many(keys)
-    }
-    fn refine_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
-        (**self).refine_many(keys)
-    }
-    fn coarsen_many(&mut self, keys: &[OctKey]) -> Vec<bool> {
-        (**self).coarsen_many(keys)
     }
 }
 
@@ -219,29 +129,15 @@ fn from_cell(c: &Cell) -> CellData {
     CellData { phi: c[0], pressure: c[1], vof: c[2], work: c[3] }
 }
 
-fn not_found(key: OctKey) -> PmError {
-    PmError::NotFound(format!("{key:?}"))
-}
-
-fn not_a_leaf(key: OctKey) -> PmError {
-    PmError::NotALeaf(format!("{key:?}"))
-}
-
-/// Classify a baseline tree's boolean `refine` rejection: the trees only
-/// say *no*; the `is_leaf` probe recovers *why*.
-fn classify_refine(exists: Option<bool>, key: OctKey) -> PmError {
-    match exists {
-        None => not_found(key),
-        _ => not_a_leaf(key),
-    }
-}
-
-/// Classify a baseline tree's boolean `coarsen` rejection.
-fn classify_coarsen(exists: Option<bool>, key: OctKey) -> PmError {
-    match exists {
-        None => not_found(key),
-        Some(true) => not_a_leaf(key), // a leaf has no children to remove
-        Some(false) => PmError::NotCoarsenable(format!("{key:?}")),
+/// The trait's `set_data` contract on a tree that also writes interior
+/// payloads: payloads live on leaves (a linear octree has no internal
+/// payload, so the common interface exposes none), so `probe` — the
+/// tree's `is_leaf` of `key` — must name a leaf.
+fn leaf_only(key: OctKey, probe: Option<bool>) -> Result<(), PmError> {
+    match probe {
+        None => Err(PmError::NotFound(format!("{key:?}"))),
+        Some(false) => Err(PmError::NotALeaf(format!("{key:?}"))),
+        Some(true) => Ok(()),
     }
 }
 
@@ -267,13 +163,8 @@ impl OctreeBackend for PmBackend {
     }
 
     fn set_data(&mut self, key: OctKey, data: Cell) -> Result<(), PmError> {
-        // Trait semantics: payloads live on leaves (a linear octree has
-        // no internal payload, so the common interface exposes none).
-        match self.tree.is_leaf(key) {
-            None => Err(not_found(key)),
-            Some(false) => Err(not_a_leaf(key)),
-            Some(true) => self.tree.set_data(key, from_cell(&data)),
-        }
+        leaf_only(key, self.tree.is_leaf(key))?;
+        self.tree.set_data(key, from_cell(&data))
     }
 
     fn for_each_leaf(&mut self, f: &mut dyn FnMut(OctKey, &Cell)) {
@@ -312,6 +203,10 @@ impl OctreeBackend for PmBackend {
         "pm-octree"
     }
 
+    fn as_dyn(&mut self) -> &mut dyn OctreeBackend {
+        self
+    }
+
     fn leaf_keys_sorted(&mut self) -> Vec<OctKey> {
         self.tree.leaf_keys_sorted()
     }
@@ -338,6 +233,16 @@ impl OctreeBackend for PmBackend {
 }
 
 // ---------------------------------------------------------------- in-core
+
+/// A baseline's DRAM-side counters with its file-system traffic
+/// (snapshots, Etree pages) folded into the NVBM tier at cacheline
+/// granularity.
+fn with_fs_traffic(tree: &MemStats, fs: &SimFs) -> MemStats {
+    let mut s = tree.clone();
+    s.nvbm_read(fs.stats.bytes_read as usize, fs.stats.bytes_read.div_ceil(64));
+    s.nvbm_write(fs.stats.bytes_written as usize, fs.stats.bytes_written.div_ceil(64));
+    s
+}
 
 /// In-core baseline adapter: tree in DRAM + snapshot files on NVBM.
 pub struct InCoreBackend {
@@ -371,21 +276,11 @@ impl Default for InCoreBackend {
 
 impl OctreeBackend for InCoreBackend {
     fn refine(&mut self, key: OctKey) -> Result<(), PmError> {
-        let exists = self.tree.is_leaf(key);
-        if self.tree.refine(key) {
-            Ok(())
-        } else {
-            Err(classify_refine(exists, key))
-        }
+        self.tree.refine(key)
     }
 
     fn coarsen(&mut self, key: OctKey) -> Result<(), PmError> {
-        let exists = self.tree.is_leaf(key);
-        if self.tree.coarsen(key) {
-            Ok(())
-        } else {
-            Err(classify_coarsen(exists, key))
-        }
+        self.tree.coarsen(key)
     }
 
     fn is_leaf(&mut self, key: OctKey) -> Option<bool> {
@@ -401,18 +296,8 @@ impl OctreeBackend for InCoreBackend {
     }
 
     fn set_data(&mut self, key: OctKey, data: Cell) -> Result<(), PmError> {
-        // Leaves only — see the PmBackend note.
-        match self.tree.is_leaf(key) {
-            None => Err(not_found(key)),
-            Some(false) => Err(not_a_leaf(key)),
-            Some(true) => {
-                if self.tree.set_data(key, data) {
-                    Ok(())
-                } else {
-                    Err(not_found(key))
-                }
-            }
-        }
+        leaf_only(key, self.tree.is_leaf(key))?;
+        self.tree.set_data(key, data)
     }
 
     fn for_each_leaf(&mut self, f: &mut dyn FnMut(OctKey, &Cell)) {
@@ -458,6 +343,10 @@ impl OctreeBackend for InCoreBackend {
         "in-core"
     }
 
+    fn as_dyn(&mut self) -> &mut dyn OctreeBackend {
+        self
+    }
+
     fn leaf_keys_sorted(&mut self) -> Vec<OctKey> {
         self.tree.leaf_keys_sorted()
     }
@@ -471,11 +360,7 @@ impl OctreeBackend for InCoreBackend {
     }
 
     fn mem_stats(&self) -> MemStats {
-        let mut s = self.tree.stats.clone();
-        let fs = &self.fs.stats;
-        s.nvbm_read(fs.bytes_read as usize, fs.bytes_read.div_ceil(64));
-        s.nvbm_write(fs.bytes_written as usize, fs.bytes_written.div_ceil(64));
-        s
+        with_fs_traffic(&self.tree.stats, &self.fs)
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
@@ -507,21 +392,11 @@ impl EtreeBackend {
 
 impl OctreeBackend for EtreeBackend {
     fn refine(&mut self, key: OctKey) -> Result<(), PmError> {
-        let exists = self.tree.is_leaf(key);
-        if self.tree.refine(key) {
-            Ok(())
-        } else {
-            Err(classify_refine(exists, key))
-        }
+        self.tree.refine(key)
     }
 
     fn coarsen(&mut self, key: OctKey) -> Result<(), PmError> {
-        let exists = self.tree.is_leaf(key);
-        if self.tree.coarsen(key) {
-            Ok(())
-        } else {
-            Err(classify_coarsen(exists, key))
-        }
+        self.tree.coarsen(key)
     }
 
     fn is_leaf(&mut self, key: OctKey) -> Option<bool> {
@@ -537,17 +412,7 @@ impl OctreeBackend for EtreeBackend {
     }
 
     fn set_data(&mut self, key: OctKey, data: Cell) -> Result<(), PmError> {
-        match self.tree.is_leaf(key) {
-            None => Err(not_found(key)),
-            Some(false) => Err(not_a_leaf(key)),
-            Some(true) => {
-                if self.tree.set_data(key, data) {
-                    Ok(())
-                } else {
-                    Err(not_found(key))
-                }
-            }
-        }
+        self.tree.set_data(key, data)
     }
 
     fn for_each_leaf(&mut self, f: &mut dyn FnMut(OctKey, &Cell)) {
@@ -588,6 +453,10 @@ impl OctreeBackend for EtreeBackend {
         "out-of-core"
     }
 
+    fn as_dyn(&mut self) -> &mut dyn OctreeBackend {
+        self
+    }
+
     fn leaf_keys_sorted(&mut self) -> Vec<OctKey> {
         self.tree.leaf_keys_sorted()
     }
@@ -601,11 +470,7 @@ impl OctreeBackend for EtreeBackend {
     }
 
     fn mem_stats(&self) -> MemStats {
-        let mut s = self.tree.stats.clone();
-        let fs = &self.tree.fs.stats;
-        s.nvbm_read(fs.bytes_read as usize, fs.bytes_read.div_ceil(64));
-        s.nvbm_write(fs.bytes_written as usize, fs.bytes_written.div_ceil(64));
-        s
+        with_fs_traffic(&self.tree.stats, &self.tree.fs)
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {

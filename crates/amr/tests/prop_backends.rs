@@ -2,14 +2,16 @@
 //! observationally identical under any meshing sequence, and 2:1 balance
 //! must hold after the balanced primitives, whichever backend ran them.
 
-use pm_octree::{PmConfig, PmOctree};
+use pm_octree::{C0Tree, CellData, Op, PmConfig, PmError, PmOctree};
 use pmoctree_amr::{
     adapt, can_coarsen_many, check_balance, coarsen_balanced, construct_uniform, refine_balanced,
     AdaptCriterion, AdaptReport, Cell, EtreeBackend, InCoreBackend, OctreeBackend, PmBackend,
     Target,
 };
+use pmoctree_baselines::{EtreeOctree, InCoreOctree};
 use pmoctree_morton::OctKey;
-use pmoctree_nvbm::{DeviceModel, NvbmArena};
+use pmoctree_nvbm::{DeviceModel, MemStats, NvbmArena, VirtualClock};
+use pmoctree_simfs::SimFs;
 use proptest::prelude::*;
 
 fn pm_backend() -> PmBackend {
@@ -327,5 +329,125 @@ fn one_adapt_pass_never_coarsens_a_family_it_refined() {
     }
     for c in [3, 5, 6, 7] {
         assert_eq!(level_of(c), vec![1], "child {c}");
+    }
+}
+
+/// The baseline trees name their own refusals in the PM-octree's
+/// taxonomy (their adapters forward them untouched): a missing key, a
+/// refine of an interior octant or of a leaf at `MAX_LEVEL`, a coarsen of
+/// a leaf and a coarsen whose child is refined deeper.
+#[test]
+fn baseline_trees_name_their_refusals() {
+    let missing = OctKey::root().child(0).child(0);
+    let mut deepest = OctKey::root().child(5);
+    while deepest.level() < OctKey::MAX_LEVEL {
+        deepest = deepest.child(0);
+    }
+    macro_rules! check {
+        ($t:expr) => {{
+            let mut t = $t;
+            t.refine(OctKey::root()).unwrap();
+            t.refine(OctKey::root().child(2)).unwrap();
+            assert!(matches!(t.refine(missing), Err(PmError::NotFound(_))));
+            assert!(matches!(t.refine(OctKey::root()), Err(PmError::NotALeaf(_))));
+            assert!(matches!(t.coarsen(missing), Err(PmError::NotFound(_))));
+            assert!(matches!(t.coarsen(OctKey::root().child(1)), Err(PmError::NotALeaf(_))));
+            assert!(matches!(t.coarsen(OctKey::root()), Err(PmError::NotCoarsenable(_))));
+            assert!(matches!(t.refine(deepest), Err(PmError::NotFound(_))));
+            let mut k = OctKey::root().child(5);
+            while k.level() < OctKey::MAX_LEVEL {
+                t.refine(k).unwrap();
+                k = k.child(0);
+            }
+            assert!(matches!(t.refine(deepest), Err(PmError::NotALeaf(_))));
+            assert!(matches!(t.coarsen(deepest), Err(PmError::NotALeaf(_))));
+            assert_eq!(t.leaf_count(), 8 + 7 + 7 * (OctKey::MAX_LEVEL as usize - 1));
+        }};
+    }
+    check!(InCoreOctree::new());
+    check!(EtreeOctree::create(SimFs::on_nvbm()));
+}
+
+/// An in-core op reads and writes exactly the DRAM lines of the node
+/// store's own op on the same tree — no probe walk before it, whether it
+/// succeeds or is refused — and is refused alike.
+#[test]
+fn incore_ops_charge_their_node_store_op_alone() {
+    let lat = DeviceModel::default().dram;
+    let (mut clock, mut stats) = (VirtualClock::new(), MemStats::new(0));
+    let mut mirror =
+        C0Tree::new(OctKey::root(), CellData::default(), &mut (&mut clock, &mut stats, lat));
+    let mut b = InCoreBackend::new();
+    let (c3, missing) = (OctKey::root().child(3), OctKey::root().child(0).child(0));
+    let ops = [
+        Op::Refine(OctKey::root()),
+        Op::Refine(c3),
+        Op::Refine(c3.child(5)),
+        Op::Refine(OctKey::root()),
+        Op::Refine(missing),
+        Op::Coarsen(c3),
+        Op::Coarsen(c3.child(5)),
+        Op::Coarsen(c3.child(1)),
+        Op::Coarsen(missing),
+        Op::Coarsen(c3),
+    ];
+    let lines = |s: &MemStats| (s.dram.read_lines, s.dram.write_lines);
+    for op in ops {
+        let before = lines(&b.tree.stats);
+        let got = match op {
+            Op::Refine(k) => b.refine(k),
+            Op::Coarsen(k) => b.coarsen(k),
+            Op::SetData(..) => unreachable!(),
+        };
+        let after = lines(&b.tree.stats);
+        let mirror_before = lines(&stats);
+        let want = mirror.apply(op, &mut (&mut clock, &mut stats, lat)).map(|_| ());
+        assert_eq!(got, want, "{op:?}");
+        let (mr, mw) =
+            (stats.dram.read_lines - mirror_before.0, stats.dram.write_lines - mirror_before.1);
+        assert_eq!((after.0 - before.0, after.1 - before.1), (mr, mw), "{op:?}");
+    }
+    assert_eq!(b.leaf_count(), mirror.leaf_count());
+}
+
+/// An Etree op makes the one lookup its page edit needs: a successful
+/// refine or coarsen adds no root descent (no probe), and a refusal does
+/// the I/O of one record lookup of its key — a coarsen's, of its child 0 —
+/// and nothing more.
+#[test]
+fn etree_ops_make_no_probe() {
+    let mut b = EtreeBackend::on_nvbm();
+    let descents = |b: &EtreeBackend| b.tree.stats.trav.root_descents;
+    let (c2, missing) = (OctKey::root().child(2), OctKey::root().child(0).child(0));
+    b.refine(OctKey::root()).unwrap();
+    for (refine, k) in [(true, c2), (true, c2.child(1)), (false, c2.child(1)), (false, c2)] {
+        let before = descents(&b);
+        if refine { b.refine(k) } else { b.coarsen(k) }.unwrap();
+        assert_eq!(descents(&b), before, "refine {refine} at {k:?}");
+    }
+    b.refine(c2).unwrap();
+    b.refine(c2.child(0)).unwrap();
+    let io = |b: &EtreeBackend| (b.tree.fs.stats, b.tree.fs.clock.now_ns());
+    let cost = |b: &mut EtreeBackend, f: &mut dyn FnMut(&mut EtreeBackend)| {
+        let (s0, t0) = io(b);
+        f(b);
+        let (s1, t1) = io(b);
+        (
+            s1.ops - s0.ops,
+            s1.bytes_read - s0.bytes_read,
+            s1.bytes_written - s0.bytes_written,
+            t1 - t0,
+        )
+    };
+    let c1 = OctKey::root().child(1);
+    for (refine, k) in
+        [(true, OctKey::root()), (true, missing), (false, c2), (false, c1), (false, missing)]
+    {
+        let lookup = if refine { k } else { k.child(0) };
+        let one = cost(&mut b, &mut |b| assert_eq!(b.tree.get_data(lookup), None));
+        let refused = cost(&mut b, &mut |b| {
+            assert!(if refine { b.refine(k) } else { b.coarsen(k) }.is_err(), "{k:?}");
+        });
+        assert_eq!(refused, one, "refine {refine} at {k:?}");
     }
 }

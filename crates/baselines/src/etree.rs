@@ -12,8 +12,9 @@
 //! is written through to the file system, so recovery after a failure is
 //! immediate: re-open the metadata, no replay needed.
 
+use pm_octree::{Dram, PmError};
 use pmoctree_morton::{anchor, LeafIndex, OctKey};
-use pmoctree_nvbm::{MemStats, CACHELINE, PAGE};
+use pmoctree_nvbm::{DeviceModel, MemStats, PAGE};
 use pmoctree_simfs::SimFs;
 
 use crate::btree::DiskBTree;
@@ -42,9 +43,15 @@ pub struct EtreeOctree {
     leaf_view: LeafIndex<3>,
 }
 
-/// DRAM read latency charged for leaf-index probes (matches the in-core
-/// baseline and `DeviceModel::default().dram`).
-const DRAM_READ_NS: u64 = 60;
+/// Why `key` has no leaf record, from the record its lookup found `at`
+/// `key`'s anchor: a descendant there means `key` is refined deeper
+/// (interior), anything else that it is absent.
+fn no_leaf_at(key: OctKey, at: Option<OctKey>) -> PmError {
+    match at {
+        Some(at) if key.contains(&at) => PmError::NotALeaf(format!("{key:?}")),
+        _ => PmError::NotFound(format!("{key:?}")),
+    }
+}
 
 fn page_decode(buf: &[u8]) -> Vec<OctantRecord> {
     let n = u16::from_le_bytes(buf[0..2].try_into().expect("2")) as usize;
@@ -111,10 +118,10 @@ impl EtreeOctree {
         })
     }
 
-    /// Charge DRAM costs for `lines` leaf-view lines.
-    fn charge_index_lines(&mut self, lines: u64) {
-        self.fs.clock.advance(lines * DRAM_READ_NS);
-        self.stats.dram_read(lines as usize * CACHELINE, lines);
+    /// The DRAM the leaf view lives in, charged on the file system's clock
+    /// (the tree's one clock).
+    fn dram(&mut self) -> impl Dram + '_ {
+        (&mut self.fs.clock, &mut self.stats, DeviceModel::default().dram)
     }
 
     /// Bring the DRAM leaf view up to date before a query: fold the edits
@@ -142,7 +149,8 @@ impl EtreeOctree {
     /// the view is built).
     pub fn leaf_keys_sorted(&mut self) -> Vec<OctKey> {
         self.ensure_index();
-        self.charge_index_lines(self.leaf_view.sweep_lines());
+        let lines = self.leaf_view.sweep_lines();
+        self.dram().charge(lines, 0);
         self.leaf_view.entries().iter().map(|e| e.0).collect()
     }
 
@@ -152,7 +160,7 @@ impl EtreeOctree {
     pub fn containing_leaf_many(&mut self, keys: &[OctKey]) -> Vec<Option<OctKey>> {
         self.ensure_index();
         let (resolved, lines) = self.leaf_view.resolve_batch(keys);
-        self.charge_index_lines(lines);
+        self.dram().charge(lines, 0);
         self.stats.index_hits(keys.len() as u64);
         resolved.into_iter().map(|r| r.map(|e| self.leaf_view.entries()[e].0)).collect()
     }
@@ -299,35 +307,33 @@ impl EtreeOctree {
         }
     }
 
-    fn find_record(&mut self, key: OctKey) -> Option<(u32, usize, OctantRecord)> {
+    /// `key`'s leaf record with its page and slot, or else the key of the
+    /// record at `key`'s anchor, if one is: the leaf whose region starts
+    /// where `key`'s does. One page lookup either way.
+    fn find_record(&mut self, key: OctKey) -> Result<(u32, usize, OctantRecord), Option<OctKey>> {
         let a = anchor::<3>(&key);
-        let page = self.page_for(a)?;
+        let page = self.page_for(a).ok_or(None)?;
         let records = self.read_page(page);
         let i = records.partition_point(|r| anchor::<3>(&r.key) < a);
-        if i < records.len() && records[i].key == key {
-            let r = records[i];
-            Some((page, i, r))
-        } else {
-            None
+        match records.get(i) {
+            Some(r) if r.key == key => Ok((page, i, *r)),
+            r => Err(r.map(|r| r.key)),
         }
     }
 
     /// Read a leaf payload.
     pub fn get_data(&mut self, key: OctKey) -> Option<[f64; 4]> {
-        self.find_record(key).map(|(_, _, r)| r.data)
+        self.find_record(key).ok().map(|(_, _, r)| r.data)
     }
 
-    /// Write a leaf payload (read-modify-write of its page).
-    pub fn set_data(&mut self, key: OctKey, data: [f64; 4]) -> bool {
-        match self.find_record(key) {
-            Some((page, i, _)) => {
-                let mut records = self.read_page(page);
-                records[i].data = data;
-                self.write_page(page, &records);
-                true
-            }
-            None => false,
-        }
+    /// Write a leaf payload (read-modify-write of its page); a refusal is
+    /// named as [`EtreeOctree::refine`] names it.
+    pub fn set_data(&mut self, key: OctKey, data: [f64; 4]) -> Result<(), PmError> {
+        let (page, i, _) = self.find_record(key).map_err(|at| no_leaf_at(key, at))?;
+        let mut records = self.read_page(page);
+        records[i].data = data;
+        self.write_page(page, &records);
+        Ok(())
     }
 
     fn insert_record(&mut self, rec: OctantRecord) {
@@ -368,8 +374,9 @@ impl EtreeOctree {
         self.write_page(page, &records);
     }
 
-    fn remove_record(&mut self, key: OctKey) -> Option<OctantRecord> {
-        let (page, i, rec) = self.find_record(key)?;
+    /// Remove the record [`EtreeOctree::find_record`] found at `page`,
+    /// slot `i`.
+    fn remove_record(&mut self, (page, i, rec): (u32, usize, OctantRecord)) {
         let mut records = self.read_page(page);
         records.remove(i);
         if records.is_empty() {
@@ -380,25 +387,24 @@ impl EtreeOctree {
             if self.index.is_empty() {
                 self.index.insert(&mut self.fs, 0, page as u64);
                 self.write_page(page, &records);
-                return Some(rec);
+                return;
             }
         } else if i == 0 {
             self.index.remove(&mut self.fs, anchor::<3>(&rec.key));
             self.index.insert(&mut self.fs, anchor::<3>(&records[0].key), page as u64);
         }
         self.write_page(page, &records);
-        Some(rec)
     }
 
-    /// Refine the leaf at `key`: replace it with its 8 children. A key at
-    /// `OctKey::MAX_LEVEL` has none: refused before its record is touched.
-    pub fn refine(&mut self, key: OctKey) -> bool {
+    /// Refine the leaf at `key`: replace it with its 8 children. A leaf at
+    /// `OctKey::MAX_LEVEL` has no children to make.
+    pub fn refine(&mut self, key: OctKey) -> Result<(), PmError> {
+        let found = self.find_record(key).map_err(|at| no_leaf_at(key, at))?;
         if key.level() == OctKey::MAX_LEVEL {
-            return false;
+            return Err(PmError::NotALeaf(format!("{key:?} is at the deepest level")));
         }
-        let Some(rec) = self.remove_record(key) else {
-            return false;
-        };
+        let rec = found.2;
+        self.remove_record(found);
         for c in 0..8 {
             self.insert_record(OctantRecord { key: key.child(c), data: rec.data, is_leaf: true });
         }
@@ -407,31 +413,45 @@ impl EtreeOctree {
         // Slot is unused for this backend (pages shift on splits); payload
         // batches re-group by page at query time.
         self.leaf_view.on_refine_uniform(key, 0);
-        true
+        Ok(())
     }
 
-    /// Coarsen: replace the 8 child leaves of `key` by `key` itself
-    /// (payload taken from child 0). Fails if any child is missing
-    /// (i.e. refined deeper or never created).
-    pub fn coarsen(&mut self, key: OctKey) -> bool {
-        // Verify all 8 children exist as leaves before mutating.
-        for c in 0..8 {
-            if self.find_record(key.child(c)).is_none() {
-                return false;
+    /// Coarsen: replace the 8 child leaves of `key` by `key` itself, which
+    /// takes their mean. Refused unless all 8 are leaves; child 0's anchor
+    /// is `key`'s, so the record its lookup finds there names the refusal:
+    /// `key` itself (a leaf), a deeper descendant (a child refined deeper),
+    /// or anything else (`key` absent). Once child 0 is a leaf, `key` is
+    /// interior and a missing sibling is one refined deeper.
+    pub fn coarsen(&mut self, key: OctKey) -> Result<(), PmError> {
+        if key.level() == OctKey::MAX_LEVEL {
+            return Err(match self.find_record(key) {
+                Ok(_) => PmError::NotALeaf(format!("{key:?}")),
+                Err(_) => PmError::NotFound(format!("{key:?}")),
+            });
+        }
+        self.find_record(key.child(0)).map_err(|at| match at {
+            Some(at) if at == key => PmError::NotALeaf(format!("{key:?}")),
+            Some(at) if key.contains(&at) => PmError::NotCoarsenable(format!("{key:?}")),
+            _ => PmError::NotFound(format!("{key:?}")),
+        })?;
+        for c in 1..8 {
+            if self.find_record(key.child(c)).is_err() {
+                return Err(PmError::NotCoarsenable(format!("{key:?}")));
             }
         }
         // Restriction: the new leaf takes the mean of its children.
         let mut data = [0.0f64; 4];
         for c in 0..8 {
-            let rec = self.remove_record(key.child(c)).expect("verified above");
-            for (m, v) in data.iter_mut().zip(rec.data) {
+            let rec = self.find_record(key.child(c)).expect("verified above");
+            for (m, v) in data.iter_mut().zip(rec.2.data) {
                 *m += v / 8.0;
             }
+            self.remove_record(rec);
         }
         self.insert_record(OctantRecord { key, data, is_leaf: true });
         self.leaves -= 7;
         self.leaf_view.on_coarsen(key, 0);
-        true
+        Ok(())
     }
 
     /// Visit all leaves in Z-order.
@@ -492,46 +512,50 @@ mod tests {
     #[test]
     fn refine_replaces_leaf() {
         let mut t = tree();
-        assert!(t.refine(OctKey::root()));
+        t.refine(OctKey::root()).unwrap();
         assert_eq!(t.leaf_count(), 8);
         assert_eq!(t.is_leaf(OctKey::root()), Some(false), "root now internal");
         for c in 0..8 {
             assert_eq!(t.is_leaf(OctKey::root().child(c)), Some(true));
         }
-        assert!(!t.refine(OctKey::root()), "cannot refine an internal region");
+        assert!(matches!(t.refine(OctKey::root()), Err(PmError::NotALeaf(_))), "internal region");
     }
 
     #[test]
     fn coarsen_restores() {
         let mut t = tree();
-        t.refine(OctKey::root());
-        t.refine(OctKey::root().child(4));
-        assert!(!t.coarsen(OctKey::root()), "child 4 is refined deeper");
-        assert!(t.coarsen(OctKey::root().child(4)));
-        assert!(t.coarsen(OctKey::root()));
+        t.refine(OctKey::root()).unwrap();
+        t.refine(OctKey::root().child(4)).unwrap();
+        assert!(
+            matches!(t.coarsen(OctKey::root()), Err(PmError::NotCoarsenable(_))),
+            "child 4 deeper"
+        );
+        t.coarsen(OctKey::root().child(4)).unwrap();
+        t.coarsen(OctKey::root()).unwrap();
         assert_eq!(t.leaf_count(), 1);
     }
 
     #[test]
     fn data_roundtrip() {
         let mut t = tree();
-        t.refine(OctKey::root());
+        t.refine(OctKey::root()).unwrap();
         let k = OctKey::root().child(5);
-        assert!(t.set_data(k, [4.0, 3.0, 2.0, 1.0]));
+        t.set_data(k, [4.0, 3.0, 2.0, 1.0]).unwrap();
         assert_eq!(t.get_data(k), Some([4.0, 3.0, 2.0, 1.0]));
-        assert!(!t.set_data(k.child(1), [0.0; 4]));
+        assert!(matches!(t.set_data(k.child(1), [0.0; 4]), Err(PmError::NotFound(_))));
+        assert!(matches!(t.set_data(OctKey::root(), [0.0; 4]), Err(PmError::NotALeaf(_))));
     }
 
     #[test]
     fn deep_refinement_spans_pages() {
         let mut t = tree();
-        t.refine(OctKey::root());
+        t.refine(OctKey::root()).unwrap();
         // Refine to get > RECORDS_PER_PAGE leaves (1 + 7*n growth).
         let mut frontier = std::collections::VecDeque::from(vec![OctKey::root().child(0)]);
         let mut count = 8;
         while count <= 2 * RECORDS_PER_PAGE {
             let k = frontier.pop_front().expect("frontier");
-            assert!(t.refine(k), "refine {k:?}");
+            t.refine(k).unwrap();
             count += 7;
             frontier.extend((0..8).map(|c| k.child(c)));
         }
@@ -550,8 +574,8 @@ mod tests {
     #[test]
     fn containing_leaf_linear_search() {
         let mut t = tree();
-        t.refine(OctKey::root());
-        t.refine(OctKey::root().child(2));
+        t.refine(OctKey::root()).unwrap();
+        t.refine(OctKey::root().child(2)).unwrap();
         let probe = OctKey::root().child(2).child(3).child(1);
         assert_eq!(t.containing_leaf(probe), Some(OctKey::root().child(2).child(3)));
         let probe2 = OctKey::root().child(6).child(0);
@@ -561,7 +585,7 @@ mod tests {
     #[test]
     fn update_leaves_sweep() {
         let mut t = tree();
-        t.refine(OctKey::root());
+        t.refine(OctKey::root()).unwrap();
         t.update_leaves(|_, d| Some([d[0] + 5.0, d[1], d[2], d[3]]));
         t.for_each_leaf(|_, d| assert_eq!(d[0], 5.0));
     }
@@ -570,19 +594,19 @@ mod tests {
     fn io_charged_for_everything() {
         let mut t = tree();
         let ops0 = t.fs.stats.ops;
-        t.refine(OctKey::root());
+        t.refine(OctKey::root()).unwrap();
         assert!(t.fs.stats.ops > ops0, "refinement must do file I/O");
         let c0 = t.fs.clock.now_ns();
-        t.set_data(OctKey::root().child(1), [1.0; 4]);
+        t.set_data(OctKey::root().child(1), [1.0; 4]).unwrap();
         assert!(t.fs.clock.now_ns() > c0);
     }
 
     #[test]
     fn reopen_after_flush_preserves_tree() {
         let mut t = tree();
-        t.refine(OctKey::root());
-        t.refine(OctKey::root().child(7));
-        t.set_data(OctKey::root().child(7).child(7), [7.0; 4]);
+        t.refine(OctKey::root()).unwrap();
+        t.refine(OctKey::root().child(7)).unwrap();
+        t.set_data(OctKey::root().child(7).child(7), [7.0; 4]).unwrap();
         t.flush();
         let before = t.leaves_sorted();
         let EtreeOctree { fs, index, .. } = t;
@@ -596,8 +620,8 @@ mod tests {
         let mut nv = EtreeOctree::create(SimFs::on_nvbm());
         let mut hd = EtreeOctree::create(SimFs::on_disk());
         for t in [&mut nv, &mut hd] {
-            t.refine(OctKey::root());
-            t.refine(OctKey::root().child(0));
+            t.refine(OctKey::root()).unwrap();
+            t.refine(OctKey::root().child(0)).unwrap();
         }
         assert!(hd.fs.clock.now_ns() > 10 * nv.fs.clock.now_ns());
     }

@@ -13,9 +13,9 @@
 //! comparison with the PM-octree's C0 tier differs in where nodes live,
 //! not in how they are charged.
 
-use pm_octree::{C0Tree, CellData, Op};
+use pm_octree::{C0Tree, CellData, Dram, Op, PmError};
 use pmoctree_morton::{LeafIndex, OctKey};
-use pmoctree_nvbm::{DeviceModel, MemLatency, MemStats, VirtualClock, CACHELINE};
+use pmoctree_nvbm::{DeviceModel, MemLatency, MemStats, VirtualClock};
 use pmoctree_simfs::SimFs;
 
 use crate::snapshot::{decode_octants, encode_octants, OctantRecord};
@@ -62,13 +62,6 @@ impl InCoreOctree {
         (&mut self.tree, (&mut self.clock, &mut self.stats, DeviceModel::default().dram))
     }
 
-    /// Charge the DRAM clock/stats for `lines` leaf-index lines (the
-    /// index lives in DRAM; it never costs NVBM accesses).
-    fn charge_index_lines(&mut self, lines: u64) {
-        self.clock.advance(lines * DeviceModel::default().dram.read_ns);
-        self.stats.dram_read(lines as usize * CACHELINE, lines);
-    }
-
     /// Bring the leaf index up to date before a query: fold the edits the
     /// mutation hooks recorded since the last query, or rebuild it if a
     /// wholesale change invalidated it. The rebuild is one leaf sweep.
@@ -87,7 +80,8 @@ impl InCoreOctree {
     /// Z-order-sorted leaf keys, answered from the DRAM leaf index.
     pub fn leaf_keys_sorted(&mut self) -> Vec<OctKey> {
         self.ensure_index();
-        self.charge_index_lines(self.index.sweep_lines());
+        let lines = self.index.sweep_lines();
+        self.split().1.charge(lines, 0);
         self.index.entries().iter().map(|e| e.0).collect()
     }
 
@@ -97,7 +91,7 @@ impl InCoreOctree {
     fn resolve_charged(&mut self, keys: &[OctKey]) -> Vec<Option<usize>> {
         self.ensure_index();
         let (resolved, lines) = self.index.resolve_batch(keys);
-        self.charge_index_lines(lines);
+        self.split().1.charge(lines, 0);
         self.stats.index_hits(keys.len() as u64);
         resolved
     }
@@ -157,9 +151,9 @@ impl InCoreOctree {
     }
 
     /// Apply `op` to the node store; the slab id of the node it names.
-    fn apply(&mut self, op: Op) -> Option<u32> {
+    fn apply(&mut self, op: Op) -> Result<u32, PmError> {
         let (tree, mut dram) = self.split();
-        tree.apply(op, &mut dram).ok()
+        tree.apply(op, &mut dram)
     }
 
     /// The leaf containing `key`'s region, or `None` if `key` is internal.
@@ -179,34 +173,35 @@ impl InCoreOctree {
         tree.get_data(key, &mut dram).map(|d| raw(&d))
     }
 
-    /// Write a cell payload.
-    pub fn set_data(&mut self, key: OctKey, data: [f64; 4]) -> bool {
-        self.apply(Op::SetData(key, cell(data))).is_some()
+    /// Write a cell payload (a leaf's or an interior octant's).
+    pub fn set_data(&mut self, key: OctKey, data: [f64; 4]) -> Result<(), PmError> {
+        self.apply(Op::SetData(key, cell(data))).map(|_| ())
     }
 
-    /// Split the leaf at `key` into 8 children inheriting its payload. A
-    /// leaf at `OctKey::MAX_LEVEL` has none to make: refused.
-    pub fn refine(&mut self, key: OctKey) -> bool {
+    /// Split the leaf at `key` into 8 children inheriting its payload. The
+    /// refusal comes off the node store's walk; a leaf at
+    /// `OctKey::MAX_LEVEL` has no children to make and is refused after
+    /// one probe names it.
+    pub fn refine(&mut self, key: OctKey) -> Result<(), PmError> {
         if key.level() == OctKey::MAX_LEVEL {
-            self.is_leaf(key);
-            return false;
+            return Err(match self.is_leaf(key) {
+                Some(_) => PmError::NotALeaf(format!("{key:?} is at the deepest level")),
+                None => PmError::NotFound(format!("{key:?}")),
+            });
         }
-        let Some(i) = self.apply(Op::Refine(key)) else {
-            return false;
-        };
+        let i = self.apply(Op::Refine(key))?;
         self.depth = self.depth.max(key.level() + 1);
         let slots = self.tree.children(i).map(u64::from);
         self.index.on_refine(key, &slots);
-        true
+        Ok(())
     }
 
-    /// Remove the (all-leaf) children of `key`.
-    pub fn coarsen(&mut self, key: OctKey) -> bool {
-        let Some(i) = self.apply(Op::Coarsen(key)) else {
-            return false;
-        };
+    /// Remove the (all-leaf) children of `key`; the refusal comes off the
+    /// node store's walk.
+    pub fn coarsen(&mut self, key: OctKey) -> Result<(), PmError> {
+        let i = self.apply(Op::Coarsen(key))?;
         self.index.on_coarsen(key, i as u64);
-        true
+        Ok(())
     }
 
     /// Visit every leaf in pre-order.
@@ -253,16 +248,16 @@ impl InCoreOctree {
         let bytes = fs.read_all(name)?;
         let records = decode_octants(&bytes)?;
         let mut t = InCoreOctree::new();
-        // Pre-order: parents precede children; refine on demand.
+        // Pre-order: a parent's record precedes its children's, so its
+        // child 0's record is the point to refine it — no probe.
         for r in &records[1..] {
-            let parent = r.key.parent().expect("non-root record");
-            // Ensure the parent has been refined.
-            if t.is_leaf(parent) == Some(true) {
-                t.refine(parent);
+            if r.key.sibling_index() == 0 {
+                let parent = r.key.parent().expect("non-root record");
+                t.refine(parent).map_err(|e| format!("snapshot record {:?}: {e:?}", r.key))?;
             }
         }
         for r in &records {
-            t.set_data(r.key, r.data);
+            t.set_data(r.key, r.data).map_err(|e| format!("snapshot record {:?}: {e:?}", r.key))?;
         }
         Ok(t)
     }
@@ -276,22 +271,22 @@ mod tests {
     #[test]
     fn refine_coarsen_roundtrip() {
         let mut t = InCoreOctree::new();
-        assert!(t.refine(OctKey::root()));
-        assert!(t.refine(OctKey::root().child(3)));
+        t.refine(OctKey::root()).unwrap();
+        t.refine(OctKey::root().child(3)).unwrap();
         assert_eq!(t.leaf_count(), 15);
         assert_eq!(t.octant_count(), 17);
-        assert!(t.coarsen(OctKey::root().child(3)));
+        t.coarsen(OctKey::root().child(3)).unwrap();
         assert_eq!(t.leaf_count(), 8);
-        assert!(!t.coarsen(OctKey::root().child(3)), "now a leaf");
-        assert!(!t.refine(OctKey::root()), "not a leaf");
+        assert!(matches!(t.coarsen(OctKey::root().child(3)), Err(PmError::NotALeaf(_))));
+        assert!(matches!(t.refine(OctKey::root()), Err(PmError::NotALeaf(_))));
     }
 
     #[test]
     fn data_roundtrip() {
         let mut t = InCoreOctree::new();
-        t.refine(OctKey::root());
+        t.refine(OctKey::root()).unwrap();
         let k = OctKey::root().child(6);
-        assert!(t.set_data(k, [1.0, 2.0, 3.0, 4.0]));
+        t.set_data(k, [1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(t.get_data(k), Some([1.0, 2.0, 3.0, 4.0]));
         assert_eq!(t.get_data(k.child(0)), None);
     }
@@ -299,8 +294,8 @@ mod tests {
     #[test]
     fn containing_leaf_descends() {
         let mut t = InCoreOctree::new();
-        t.refine(OctKey::root());
-        t.refine(OctKey::root().child(0));
+        t.refine(OctKey::root()).unwrap();
+        t.refine(OctKey::root().child(0)).unwrap();
         let deep = OctKey::root().child(0).child(3).child(5);
         assert_eq!(t.containing_leaf(deep), Some(OctKey::root().child(0).child(3)));
         assert_eq!(
@@ -314,9 +309,9 @@ mod tests {
     fn snapshot_restore_identical() {
         let mut fs = SimFs::on_nvbm();
         let mut t = InCoreOctree::new();
-        t.refine(OctKey::root());
-        t.refine(OctKey::root().child(2));
-        t.set_data(OctKey::root().child(2).child(7), [9.0, 0.0, 0.5, 0.0]);
+        t.refine(OctKey::root()).unwrap();
+        t.refine(OctKey::root().child(2)).unwrap();
+        t.set_data(OctKey::root().child(2).child(7), [9.0, 0.0, 0.5, 0.0]).unwrap();
         t.snapshot(&mut fs, "snap.gfs");
         let before = t.leaves_sorted();
         let mut r = InCoreOctree::restore(&mut fs, "snap.gfs").unwrap();
@@ -328,11 +323,11 @@ mod tests {
     fn snapshot_cost_scales_with_tree() {
         let mut fs = SimFs::on_nvbm();
         let mut t = InCoreOctree::new();
-        t.refine(OctKey::root());
+        t.refine(OctKey::root()).unwrap();
         t.snapshot(&mut fs, "small");
         let small = fs.clock.now_ns();
         for i in 0..8 {
-            t.refine(OctKey::root().child(i));
+            t.refine(OctKey::root().child(i)).unwrap();
         }
         let (t0, tree0, read0) = (fs.clock.now_ns(), t.clock.now_ns(), t.stats.dram.read_lines);
         t.snapshot(&mut fs, "big");
@@ -358,7 +353,7 @@ mod tests {
         let cost = |model: BlockDeviceModel| {
             let mut fs = SimFs::new(model);
             let mut t = InCoreOctree::new();
-            t.refine(OctKey::root());
+            t.refine(OctKey::root()).unwrap();
             t.snapshot(&mut fs, "snap.gfs");
             fs.clock.now_ns()
         };
@@ -371,7 +366,7 @@ mod tests {
     #[test]
     fn update_leaves_only_touches_leaves() {
         let mut t = InCoreOctree::new();
-        t.refine(OctKey::root());
+        t.refine(OctKey::root()).unwrap();
         t.update_leaves(|_, d| Some([d[0] + 1.0, d[1], d[2], d[3]]));
         t.for_each_leaf(|_, d| assert_eq!(d[0], 1.0));
         assert_eq!(t.get_data(OctKey::root()).unwrap()[0], 0.0);
@@ -389,21 +384,21 @@ mod tests {
             (t.stats.dram.read_lines - r, t.stats.dram.write_lines - w)
         };
         let k = OctKey::root().child(3);
-        assert_eq!(cost(&mut t, &mut |t| assert!(t.refine(OctKey::root()))), (1, 10));
-        assert_eq!(cost(&mut t, &mut |t| assert!(t.refine(k))), (2, 10));
+        assert_eq!(cost(&mut t, &mut |t| t.refine(OctKey::root()).unwrap()), (1, 10));
+        assert_eq!(cost(&mut t, &mut |t| t.refine(k).unwrap()), (2, 10));
         assert_eq!(cost(&mut t, &mut |t| assert!(t.get_data(k.child(1)).is_some())), (3, 0));
         assert_eq!(cost(&mut t, &mut |t| assert!(t.get_data(k).is_some())), (3, 0));
-        assert_eq!(cost(&mut t, &mut |t| assert!(t.set_data(k, [1.0; 4]))), (2, 1));
+        assert_eq!(cost(&mut t, &mut |t| t.set_data(k, [1.0; 4]).unwrap()), (2, 1));
         assert_eq!(cost(&mut t, &mut |t| t.for_each_leaf(|_, _| {})), (17, 0));
         assert_eq!(cost(&mut t, &mut |t| t.update_leaves(|_, d| Some(*d))), (17, 15));
-        assert_eq!(cost(&mut t, &mut |t| assert!(t.coarsen(k))), (2 + 8, 1));
+        assert_eq!(cost(&mut t, &mut |t| t.coarsen(k).unwrap()), (2 + 8, 1));
         assert_eq!(t.get_data(k), Some([0.0; 4]), "the mean of the children");
     }
 
     #[test]
     fn dram_accounting() {
         let mut t = InCoreOctree::new();
-        t.refine(OctKey::root());
+        t.refine(OctKey::root()).unwrap();
         assert!(t.stats.dram.write_lines > 0);
         assert!(t.stats.nvbm.write_lines == 0);
         assert!(t.clock.now_ns() > 0);

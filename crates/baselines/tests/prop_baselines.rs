@@ -126,9 +126,9 @@ proptest! {
                 k = k.child(i);
             }
             if *coarsen {
-                t.coarsen(k);
+                let _ = t.coarsen(k);
             } else {
-                t.refine(k);
+                let _ = t.refine(k);
             }
         }
         let leaves = t.leaves_sorted();
@@ -157,8 +157,8 @@ proptest! {
             for &c in path {
                 k = k.child(c);
             }
-            t.refine(k);
-            t.set_data(k.child(0).min(k), [i as f64, 0.0, 0.0, 0.0]);
+            let _ = t.refine(k);
+            let _ = t.set_data(k.child(0).min(k), [i as f64, 0.0, 0.0, 0.0]);
         }
         t.flush();
         let before = t.leaves_sorted();

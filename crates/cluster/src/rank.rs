@@ -158,8 +158,7 @@ impl Rank {
     /// criterion, so cluster traces carry the single-rank span taxonomy.
     pub fn local_step(&mut self, sim: &Simulation, step_idx: usize) -> StepBreakdown {
         let crit = RangedCriterion { inner: &sim.criterion(), range: self.range };
-        let mut b: &mut dyn OctreeBackend = self.backend.as_mut();
-        sim.step_core(&mut b, &crit, step_idx, |b, _, _| {
+        sim.step_core(self.backend.as_mut(), &crit, step_idx, |b, _, _| {
             b.end_of_step(step_idx + 1);
             None
         })

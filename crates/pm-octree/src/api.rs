@@ -18,7 +18,7 @@ use pmoctree_nvbm::{CommitRecord, NvbmArena, POffset, RecKind, CACHELINE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::c0::{C0Forest, C0Tree};
+use crate::c0::{C0Forest, C0Tree, Dram};
 use crate::c1;
 use crate::config::{PmConfig, THRESHOLD_DRAM, THRESHOLD_NVBM};
 use crate::gc::{self, GcReport};
@@ -592,14 +592,6 @@ impl PmOctree {
         self.index.invalidate();
     }
 
-    /// Charge DRAM-read cost for `lines` leaf-index lines (the index lives
-    /// in DRAM regardless of where octants live).
-    fn charge_index_lines(&mut self, lines: u64) {
-        let ns = self.store.arena.model().dram.read_ns;
-        self.store.arena.clock.advance(lines * ns);
-        self.store.arena.stats.dram_read(lines as usize * CACHELINE, lines);
-    }
-
     /// Bring the leaf index up to date before a query: fold the edits the
     /// mutation hooks recorded since the last query, or rebuild it if
     /// stale. The enumeration runs through [`PmOctree::for_each_leaf`],
@@ -619,7 +611,8 @@ impl PmOctree {
     /// Z-order-sorted leaf keys, answered from the DRAM leaf index.
     pub fn leaf_keys_sorted(&mut self) -> Vec<OctKey> {
         self.ensure_index();
-        self.charge_index_lines(self.index.sweep_lines());
+        // The index lives in DRAM wherever the octants live.
+        self.store.arena.charge(self.index.sweep_lines(), 0);
         self.index.entries().iter().map(|e| e.0).collect()
     }
 
@@ -628,7 +621,7 @@ impl PmOctree {
     fn resolve_charged(&mut self, keys: &[OctKey]) -> Vec<Option<usize>> {
         self.ensure_index();
         let (resolved, lines) = self.index.resolve_batch(keys);
-        self.charge_index_lines(lines);
+        self.store.arena.charge(lines, 0);
         self.store.arena.stats.index_hits(keys.len() as u64);
         resolved
     }

@@ -35,8 +35,9 @@
 
 use std::collections::HashSet;
 
-use pmoctree_nvbm::{POffset, CACHELINE};
+use pmoctree_nvbm::POffset;
 
+use crate::c0::Dram;
 use crate::octant::{ChildPtr, PmStore, Retired};
 
 /// Retirement-list entries per charged DRAM line.
@@ -119,10 +120,7 @@ fn sweep(store: &mut PmStore, doomed: impl Fn(u32) -> bool) -> GcReport {
     let (listed, keep): (Vec<Retired>, Vec<Retired>) =
         std::mem::take(&mut store.retired).into_iter().partition(|e| doomed(e.stamp));
     store.retired = keep;
-    let lines = listed.len().div_ceil(RETIRED_PER_LINE) as u64;
-    let ns = store.arena.model().dram.write_ns;
-    store.arena.clock.advance(lines * ns);
-    store.arena.stats.dram_write(lines as usize * CACHELINE, lines);
+    store.arena.charge(0, listed.len().div_ceil(RETIRED_PER_LINE) as u64);
     let mut freed = 0usize;
     if !listed.is_empty() {
         let mut free = HashSet::with_capacity(listed.len());

@@ -153,8 +153,8 @@ impl Simulation {
     }
 
     /// Run one time step, returning its breakdown.
-    pub fn step(&self, mut b: &mut dyn OctreeBackend, step_idx: usize) -> StepBreakdown {
-        self.step_core(&mut b, &self.criterion(), step_idx, |b, _partial, _t3| {
+    pub fn step(&self, b: &mut dyn OctreeBackend, step_idx: usize) -> StepBreakdown {
+        self.step_core(b, &self.criterion(), step_idx, |b, _partial, _t3| {
             b.end_of_step(step_idx + 1);
             None
         })
@@ -170,8 +170,9 @@ impl Simulation {
     /// `persist_ns` (used when the persisted run state must itself
     /// contain the value — anything the persistence action spends *after*
     /// staging it is deliberately unattributed, identically in original
-    /// and resumed runs).
-    pub fn step_core<B: OctreeBackend>(
+    /// and resumed runs). `B` is the caller's backend type, so `persist`
+    /// reaches its own fields; the phases run on [`OctreeBackend::as_dyn`].
+    pub fn step_core<B: OctreeBackend + ?Sized>(
         &self,
         b: &mut B,
         crit: &dyn AdaptCriterion,
@@ -189,7 +190,7 @@ impl Simulation {
         let t0 = b.elapsed_ns();
         tr.begin("step", t0, Some(step_idx as u64));
         tr.begin("step::refine", t0, None);
-        adapt(b, crit);
+        adapt(b.as_dyn(), crit);
         let t1 = b.elapsed_ns();
         tr.end("step::refine", t1);
         tr.begin("step::balance", t1, None);
@@ -204,15 +205,15 @@ impl Simulation {
                 active.push(k);
             }
         });
-        balance_subset(b, &active);
+        balance_subset(b.as_dyn(), &active);
         let t2 = b.elapsed_ns();
         tr.end("step::balance", t2);
         tr.begin("step::solve", t2, None);
         out.balance_ns = t2 - t1;
 
-        advect(b, &self.interface, t);
-        relax_pressure(b, self.cfg.relax_iters);
-        estimate_work(b);
+        advect(b.as_dyn(), &self.interface, t);
+        relax_pressure(b.as_dyn(), self.cfg.relax_iters);
+        estimate_work(b.as_dyn());
         let t3 = b.elapsed_ns();
         tr.end("step::solve", t3);
         tr.begin("step::persist", t3, None);
