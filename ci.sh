@@ -213,6 +213,19 @@ done
 # The opportunity space is every store of every op the sweep's batches
 # apply, every write-back and every labelled protocol point.
 cargo run --release -p pmoctree-bench --bin repro -- crash-sweep --smoke
+# Artifact gate: the stdout of `repro all` at the default scale must be
+# the committed repro_results.txt byte for byte, so a change that moves a
+# §5 number regenerates the artifact that records it (about 6 s warm).
+# It runs in a temporary directory: the BENCH_*.json files it writes stay
+# out of the repo root.
+repro_tmp=$(mktemp -d)
+trap 'rm -rf "$repro_tmp"' EXIT
+(cd "$repro_tmp" && cargo run --release -q --manifest-path "$OLDPWD/Cargo.toml" \
+    -p pmoctree-bench --bin repro -- all) >"$repro_tmp/repro_all.txt"
+if ! diff -u repro_results.txt "$repro_tmp/repro_all.txt"; then
+    echo "repro all drifted from repro_results.txt: regenerate it with the change" >&2
+    exit 1
+fi
 # Worker-pool determinism gate: cluster runs (ranks on the pool, each with
 # its own tree and device) must report and trace byte-identically whether
 # 1, 2 or 4 workers execute the ranks. The same run, all of the cluster

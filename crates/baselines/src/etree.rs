@@ -307,62 +307,59 @@ impl EtreeOctree {
         }
     }
 
-    /// `key`'s leaf record with its page and slot, or else the key of the
-    /// record at `key`'s anchor, if one is: the leaf whose region starts
-    /// where `key`'s does. One page lookup either way.
-    fn find_record(&mut self, key: OctKey) -> Result<(u32, usize, OctantRecord), Option<OctKey>> {
+    /// `key`'s page, its slot there and the page's records, or else the
+    /// key of the record at `key`'s anchor, if one is: the leaf whose
+    /// region starts where `key`'s does. One page read either way; the
+    /// records are what [`Self::splice`] edits.
+    fn find_record(
+        &mut self,
+        key: OctKey,
+    ) -> Result<(u32, usize, Vec<OctantRecord>), Option<OctKey>> {
         let a = anchor::<3>(&key);
         let page = self.page_for(a).ok_or(None)?;
         let records = self.read_page(page);
         let i = records.partition_point(|r| anchor::<3>(&r.key) < a);
         match records.get(i) {
-            Some(r) if r.key == key => Ok((page, i, *r)),
+            Some(r) if r.key == key => Ok((page, i, records)),
             r => Err(r.map(|r| r.key)),
         }
     }
 
     /// Read a leaf payload.
     pub fn get_data(&mut self, key: OctKey) -> Option<[f64; 4]> {
-        self.find_record(key).ok().map(|(_, _, r)| r.data)
+        self.find_record(key).ok().map(|(_, i, records)| records[i].data)
     }
 
     /// Write a leaf payload (read-modify-write of its page); a refusal is
     /// named as [`EtreeOctree::refine`] names it.
     pub fn set_data(&mut self, key: OctKey, data: [f64; 4]) -> Result<(), PmError> {
-        let (page, i, _) = self.find_record(key).map_err(|at| no_leaf_at(key, at))?;
-        let mut records = self.read_page(page);
+        let (page, i, mut records) = self.find_record(key).map_err(|at| no_leaf_at(key, at))?;
         records[i].data = data;
         self.write_page(page, &records);
         Ok(())
     }
 
-    fn insert_record(&mut self, rec: OctantRecord) {
-        let a = anchor::<3>(&rec.key);
-        let page = self.page_for(a).expect("tree never empty");
-        let mut records = self.read_page(page);
-        let old_first = records.first().map(|r| anchor::<3>(&r.key));
-        let i = records.partition_point(|r| anchor::<3>(&r.key) < a);
-        debug_assert!(
-            i >= records.len() || records[i].key != rec.key,
-            "duplicate leaf insert at {:?}",
-            rec.key
-        );
-        records.insert(i, rec);
-        if i == 0 {
-            // Page's first anchor changed: re-key the index entry. An
-            // empty page carries the placeholder key 0 (see
-            // remove_record's last-page path).
-            match old_first {
-                Some(of) if of != a => {
-                    self.index.remove(&mut self.fs, of);
-                    self.index.insert(&mut self.fs, a, page as u64);
-                }
-                None => {
-                    self.index.remove(&mut self.fs, 0);
-                    self.index.insert(&mut self.fs, a, page as u64);
-                }
-                _ => {}
-            }
+    /// Replace `records[range]` of data `page` (as [`Self::find_record`]
+    /// read it) by `with`, and write the page back. The index follows the
+    /// page's first anchor: an emptied page leaves the index, and an
+    /// overfull one splits in half.
+    fn splice(
+        &mut self,
+        page: u32,
+        mut records: Vec<OctantRecord>,
+        range: std::ops::Range<usize>,
+        with: impl IntoIterator<Item = OctantRecord>,
+    ) {
+        let old_first = anchor::<3>(&records[0].key);
+        records.splice(range, with);
+        let Some(first) = records.first().map(|r| anchor::<3>(&r.key)) else {
+            // Page dead: it becomes garbage.
+            self.index.remove(&mut self.fs, old_first);
+            return;
+        };
+        if first != old_first {
+            self.index.remove(&mut self.fs, old_first);
+            self.index.insert(&mut self.fs, first, page as u64);
         }
         if records.len() > RECORDS_PER_PAGE {
             let right: Vec<OctantRecord> = records.split_off(records.len() / 2);
@@ -374,40 +371,16 @@ impl EtreeOctree {
         self.write_page(page, &records);
     }
 
-    /// Remove the record [`EtreeOctree::find_record`] found at `page`,
-    /// slot `i`.
-    fn remove_record(&mut self, (page, i, rec): (u32, usize, OctantRecord)) {
-        let mut records = self.read_page(page);
-        records.remove(i);
-        if records.is_empty() {
-            // Page dead: drop its index entry (page becomes garbage).
-            self.index.remove(&mut self.fs, anchor::<3>(&rec.key));
-            // Never drop the last page of the tree: keep it under the
-            // placeholder key 0 so the next insert can find and re-key it.
-            if self.index.is_empty() {
-                self.index.insert(&mut self.fs, 0, page as u64);
-                self.write_page(page, &records);
-                return;
-            }
-        } else if i == 0 {
-            self.index.remove(&mut self.fs, anchor::<3>(&rec.key));
-            self.index.insert(&mut self.fs, anchor::<3>(&records[0].key), page as u64);
-        }
-        self.write_page(page, &records);
-    }
-
     /// Refine the leaf at `key`: replace it with its 8 children. A leaf at
     /// `OctKey::MAX_LEVEL` has no children to make.
     pub fn refine(&mut self, key: OctKey) -> Result<(), PmError> {
-        let found = self.find_record(key).map_err(|at| no_leaf_at(key, at))?;
+        let (page, i, records) = self.find_record(key).map_err(|at| no_leaf_at(key, at))?;
         if key.level() == OctKey::MAX_LEVEL {
             return Err(PmError::NotALeaf(format!("{key:?} is at the deepest level")));
         }
-        let rec = found.2;
-        self.remove_record(found);
-        for c in 0..8 {
-            self.insert_record(OctantRecord { key: key.child(c), data: rec.data, is_leaf: true });
-        }
+        let data = records[i].data;
+        let children = (0..8).map(|c| OctantRecord { key: key.child(c), data, is_leaf: true });
+        self.splice(page, records, i..i + 1, children);
         self.leaves += 7;
         self.depth = self.depth.max(key.level() + 1);
         // Slot is unused for this backend (pages shift on splits); payload
@@ -421,7 +394,9 @@ impl EtreeOctree {
     /// is `key`'s, so the record its lookup finds there names the refusal:
     /// `key` itself (a leaf), a deeper descendant (a child refined deeper),
     /// or anything else (`key` absent). Once child 0 is a leaf, `key` is
-    /// interior and a missing sibling is one refined deeper.
+    /// interior and a missing sibling is one refined deeper. The family is
+    /// Z-consecutive, so it is read a page at a time: one page, or two
+    /// when it straddles a page boundary.
     pub fn coarsen(&mut self, key: OctKey) -> Result<(), PmError> {
         if key.level() == OctKey::MAX_LEVEL {
             return Err(match self.find_record(key) {
@@ -429,26 +404,40 @@ impl EtreeOctree {
                 Err(_) => PmError::NotFound(format!("{key:?}")),
             });
         }
-        self.find_record(key.child(0)).map_err(|at| match at {
-            Some(at) if at == key => PmError::NotALeaf(format!("{key:?}")),
-            Some(at) if key.contains(&at) => PmError::NotCoarsenable(format!("{key:?}")),
-            _ => PmError::NotFound(format!("{key:?}")),
-        })?;
-        for c in 1..8 {
-            if self.find_record(key.child(c)).is_err() {
-                return Err(PmError::NotCoarsenable(format!("{key:?}")));
+        let not_coarsenable = || PmError::NotCoarsenable(format!("{key:?}"));
+        // (page, the family's slots on it, the page's records)
+        let mut held = Vec::new();
+        let mut c = 0;
+        while c < 8 {
+            let (page, i, records) = self.find_record(key.child(c)).map_err(|at| match at {
+                _ if c > 0 => not_coarsenable(),
+                Some(at) if at == key => PmError::NotALeaf(format!("{key:?}")),
+                Some(at) if key.contains(&at) => not_coarsenable(),
+                _ => PmError::NotFound(format!("{key:?}")),
+            })?;
+            let run = records[i..].iter().zip(c..8).take_while(|(r, c)| r.key == key.child(*c));
+            let run = run.count();
+            c += run;
+            // The record after the run is not the next sibling: that one is
+            // refined deeper.
+            if c < 8 && i + run < records.len() {
+                return Err(not_coarsenable());
             }
+            held.push((page, i..i + run, records));
         }
         // Restriction: the new leaf takes the mean of its children.
         let mut data = [0.0f64; 4];
-        for c in 0..8 {
-            let rec = self.find_record(key.child(c)).expect("verified above");
-            for (m, v) in data.iter_mut().zip(rec.2.data) {
-                *m += v / 8.0;
+        for (_, run, records) in &held {
+            for r in &records[run.clone()] {
+                for (m, v) in data.iter_mut().zip(r.data) {
+                    *m += v / 8.0;
+                }
             }
-            self.remove_record(rec);
         }
-        self.insert_record(OctantRecord { key, data, is_leaf: true });
+        let mut parent = Some(OctantRecord { key, data, is_leaf: true });
+        for (page, run, records) in held {
+            self.splice(page, records, run, parent.take());
+        }
         self.leaves -= 7;
         self.leaf_view.on_coarsen(key, 0);
         Ok(())
@@ -553,9 +542,11 @@ mod tests {
         // Refine to get > RECORDS_PER_PAGE leaves (1 + 7*n growth).
         let mut frontier = std::collections::VecDeque::from(vec![OctKey::root().child(0)]);
         let mut count = 8;
+        let mut refined = Vec::new();
         while count <= 2 * RECORDS_PER_PAGE {
             let k = frontier.pop_front().expect("frontier");
             t.refine(k).unwrap();
+            refined.push(k);
             count += 7;
             frontier.extend((0..8).map(|c| k.child(c)));
         }
@@ -569,6 +560,41 @@ mod tests {
         for (k, _) in leaves.iter().step_by(17) {
             assert_eq!(t.is_leaf(*k), Some(true));
         }
+        // Coarsen everything back, deepest first: a family is read a page
+        // at a time, once per page it spans.
+        let mut straddled = 0;
+        for k in refined.into_iter().rev() {
+            let (lo, hi) = (anchor::<3>(&k), anchor::<3>(&k.child(7)));
+            let firsts = t.index.items(&mut t.fs);
+            let pages = 1 + firsts.iter().filter(|&&(a, _)| lo < a && a <= hi).count() as u64;
+            let before = t.fs.stats.bytes_read;
+            t.coarsen(k).unwrap();
+            assert_eq!((t.fs.stats.bytes_read - before) / PAGE as u64, pages, "coarsen {k:?}");
+            straddled += (pages > 1) as usize;
+        }
+        assert!(straddled > 0, "no family straddled a page boundary");
+        t.coarsen(OctKey::root()).unwrap();
+        assert_eq!(t.leaves_sorted().iter().map(|l| l.0).collect::<Vec<_>>(), [OctKey::root()]);
+    }
+
+    #[test]
+    fn mutations_read_the_data_page_once() {
+        // The index is one cached node here, so every page read is a data
+        // page read.
+        let mut t = tree();
+        t.refine(OctKey::root()).unwrap();
+        t.refine(OctKey::root().child(3)).unwrap();
+        let k = OctKey::root().child(5);
+        let mut reads = |op: &dyn Fn(&mut EtreeOctree)| {
+            let before = t.fs.stats.bytes_read;
+            op(&mut t);
+            (t.fs.stats.bytes_read - before) / PAGE as u64
+        };
+        assert_eq!(reads(&|t| t.set_data(k, [2.0; 4]).unwrap()), 1, "set_data");
+        assert_eq!(reads(&|t| t.refine(k).unwrap()), 1, "refine");
+        assert_eq!(reads(&|t| t.coarsen(k).unwrap()), 1, "coarsen");
+        assert_eq!(t.get_data(k), Some([2.0; 4]));
+        assert_eq!(t.leaf_count(), 15);
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl CrashSweepConfig {
 }
 
 /// Per-crash-mode outcome over all opportunities.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug, Default, serde::Serialize)]
 pub struct CrashModeRow {
     /// Human-readable mode name (e.g. `torn_write[seed=3]`).
     pub mode: String,
@@ -191,13 +191,7 @@ impl SweepStats {
         SweepStats {
             rows: modes
                 .iter()
-                .map(|(name, _)| CrashModeRow {
-                    mode: name.clone(),
-                    checked: 0,
-                    recovered_committed: 0,
-                    recovered_in_flight: 0,
-                    violations: 0,
-                })
+                .map(|(name, _)| CrashModeRow { mode: name.clone(), ..Default::default() })
                 .collect(),
             violations: Vec::new(),
             recorder_checked: 0,
@@ -325,8 +319,7 @@ fn mode_matrix(cfg: &CrashSweepConfig) -> Vec<(String, CrashMode)> {
             format!("commit_random[p={},seed={seed}]", cfg.p_commit),
             CrashMode::CommitRandom { p: cfg.p_commit, seed },
         ));
-        modes
-            .push((format!("torn_write[seed={seed}]", seed = seed), CrashMode::TornWrite { seed }));
+        modes.push((format!("torn_write[seed={seed}]"), CrashMode::TornWrite { seed }));
     }
     modes
 }

@@ -1,7 +1,7 @@
 //! The experiments behind every table and figure in §5 (scaled down per
 //! DESIGN.md; shapes, not absolute numbers, are the reproduction target).
 
-use pm_octree::{PmConfig, PmOctree, OCTANT_SIZE};
+use pm_octree::{PmConfig, PmConfigBuilder, PmOctree, OCTANT_SIZE};
 use pmoctree_amr::{InCoreBackend, PmBackend};
 use pmoctree_cluster::{recovery_comparison, ClusterReport, ClusterSim, RecoveryReport, Scheme};
 use pmoctree_nvbm::{DeviceModel, NvbmArena, TraversalStats};
@@ -21,6 +21,22 @@ pub const ARENA_BYTES: usize = 48 << 20;
 /// Simulation scale for single-rank experiments.
 pub fn sim_cfg(steps: usize, max_level: u8) -> SimConfig {
     SimConfig { steps, max_level, base_level: 2, ..SimConfig::default() }
+}
+
+/// A PM backend under `cfg` on a fresh `bytes`-sized device.
+fn pm_backend(bytes: usize, cfg: PmConfigBuilder) -> PmBackend {
+    let arena = NvbmArena::new(bytes, DeviceModel::default());
+    PmBackend::new(PmOctree::create(arena, cfg.build().expect("valid config")))
+}
+
+/// The layout and sampling probes' tree: `cfg` with no transformation, an
+/// unseeded C0 of 2^14 octants, and the root refined.
+fn probe_tree(cfg: PmConfigBuilder) -> PmOctree {
+    let cfg = cfg.dynamic_transform(false).seed_c0(false).c0_capacity_octants(1 << 14);
+    let arena = NvbmArena::new(ARENA_BYTES, DeviceModel::default());
+    let mut t = PmOctree::create(arena, cfg.build().expect("valid config"));
+    t.refine(pmoctree_morton::OctKey::root()).expect("a fresh tree's root is a leaf");
+    t
 }
 
 // ------------------------------------------------------------- Table 2
@@ -73,10 +89,7 @@ pub struct Fig3Row {
 /// memory reduction vs keeping two full copies).
 pub fn fig3_overlap(steps: usize, max_level: u8) -> Vec<Fig3Row> {
     let sim = Simulation::new(sim_cfg(steps, max_level));
-    let mut b = PmBackend::new(PmOctree::create(
-        NvbmArena::new(ARENA_BYTES, DeviceModel::default()),
-        PmConfig::builder().dynamic_transform(false).build().expect("valid config"),
-    ));
+    let mut b = pm_backend(ARENA_BYTES, PmConfig::builder().dynamic_transform(false));
     sim.construct(&mut b);
     // Persist the constructed mesh so step 0 measures a real V_{i-1}/V_i
     // overlap (the paper's series starts with an existing version).
@@ -137,11 +150,8 @@ pub fn write_fraction(steps: usize, max_level: u8) -> WriteFraction {
     // Sample the Construct phase first: refinement-dominated, this is
     // where the write share peaks (the paper's 72% max).
     sim.construct(&mut b);
-    {
-        let s = &b.tree.stats.dram;
-        if s.total_lines() > 0 {
-            fracs.push(s.write_fraction());
-        }
+    if b.tree.stats.dram.total_lines() > 0 {
+        fracs.push(b.tree.stats.dram.write_fraction());
     }
     for s in 0..steps {
         let r0 = b.tree.stats.dram.read_lines;
@@ -195,14 +205,7 @@ impl LayoutAblation {
 /// subdomain under both layouts.
 pub fn layout_ablation() -> LayoutAblation {
     let run = |aware: bool| -> u64 {
-        let cfg = PmConfig::builder()
-            .dynamic_transform(false)
-            .seed_c0(false)
-            .c0_capacity_octants(1 << 14)
-            .build()
-            .expect("valid config");
-        let mut t = PmOctree::create(NvbmArena::new(ARENA_BYTES, DeviceModel::default()), cfg);
-        t.refine(pmoctree_morton::OctKey::root()).expect("a fresh tree's root is a leaf");
+        let mut t = probe_tree(PmConfig::builder());
         for i in 0..8 {
             let phi = if i < 4 { 0.0 } else { 9.0 }; // octants 2-5 hot, 7-10 cold
             t.set_data(
@@ -282,28 +285,15 @@ pub fn run_point(scheme: Scheme, procs: usize, max_level: u8, steps: usize) -> S
     }
 }
 
-/// Figures 6 & 7: weak scaling. `points` are `(procs, max_level)` pairs
-/// chosen so elements/proc stays roughly constant; all three schemes run
-/// at every point.
-pub fn fig6_weak_scaling(points: &[(usize, u8)], steps: usize) -> Vec<ScalingRow> {
-    let mut rows = Vec::new();
-    for &(procs, level) in points {
-        for scheme in [Scheme::pm_default(), Scheme::InCore, Scheme::Etree] {
-            rows.push(run_point(scheme, procs, level, steps));
-        }
-    }
-    rows
-}
-
-/// Figures 8 & 9: strong scaling — fixed problem size, varying ranks.
-pub fn fig8_strong_scaling(procs_list: &[usize], max_level: u8, steps: usize) -> Vec<ScalingRow> {
-    let mut rows = Vec::new();
-    for &procs in procs_list {
-        for scheme in [Scheme::pm_default(), Scheme::InCore, Scheme::Etree] {
-            rows.push(run_point(scheme, procs, max_level, steps));
-        }
-    }
-    rows
+/// Figures 6–9: all three schemes at every `(procs, max_level)` point.
+/// Weak scaling (Figs 6/7) grows the level with the ranks so elements per
+/// rank stay roughly constant; strong scaling (Figs 8/9) fixes the level.
+pub fn scaling(points: &[(usize, u8)], steps: usize) -> Vec<ScalingRow> {
+    let schemes = [Scheme::pm_default(), Scheme::InCore, Scheme::Etree];
+    points
+        .iter()
+        .flat_map(|&(procs, level)| schemes.map(|scheme| run_point(scheme, procs, level, steps)))
+        .collect()
 }
 
 // ------------------------------------------------- Fig. 10 DRAM size
@@ -333,30 +323,25 @@ pub struct Fig10Row {
 /// varies, bracketed by the out-of-core and in-core baselines (paper:
 /// 1→8 GB gives 233.5 s → 89.1 s; 491 merges at the smallest size).
 pub fn fig10_dram_size(c0_sizes: &[usize], max_level: u8, steps: usize) -> Vec<Fig10Row> {
-    let mut rows = Vec::new();
-    let cfg = sim_cfg(steps, max_level);
-    // Out-of-core bound.
-    let r = run_point(Scheme::Etree, 1, max_level, steps);
-    rows.push(Fig10Row {
-        c0_octants: None,
-        scheme: "out-of-core",
-        exec_secs: r.exec_secs,
-        phases: r.phases,
-        merges: 0,
-        nvbm_read_lines: r.nvbm_read_lines,
-        nvbm_write_lines: r.nvbm_write_lines,
-        trav: r.trav,
-    });
+    // The single-rank baselines bracket the PM rows.
+    let baseline = |scheme| {
+        let r = run_point(scheme, 1, max_level, steps);
+        Fig10Row {
+            c0_octants: None,
+            scheme: r.scheme,
+            exec_secs: r.exec_secs,
+            phases: r.phases,
+            merges: 0,
+            nvbm_read_lines: r.nvbm_read_lines,
+            nvbm_write_lines: r.nvbm_write_lines,
+            trav: r.trav,
+        }
+    };
+    let mut rows = vec![baseline(Scheme::Etree)];
     for &c0 in c0_sizes {
-        let sim = Simulation::new(cfg);
-        let mut b = PmBackend::new(PmOctree::create(
-            NvbmArena::new(ARENA_BYTES, DeviceModel::default()),
-            PmConfig::builder()
-                .dynamic_transform(true)
-                .c0_capacity_octants(c0)
-                .build()
-                .expect("valid config"),
-        ));
+        let sim = Simulation::new(sim_cfg(steps, max_level));
+        let cfg = PmConfig::builder().dynamic_transform(true).c0_capacity_octants(c0);
+        let mut b = pm_backend(ARENA_BYTES, cfg);
         let report = sim.run(&mut b);
         let stats = &b.tree.store.arena.stats;
         rows.push(Fig10Row {
@@ -370,18 +355,7 @@ pub fn fig10_dram_size(c0_sizes: &[usize], max_level: u8, steps: usize) -> Vec<F
             trav: stats.trav,
         });
     }
-    // In-core bound.
-    let r = run_point(Scheme::InCore, 1, max_level, steps);
-    rows.push(Fig10Row {
-        c0_octants: None,
-        scheme: "in-core",
-        exec_secs: r.exec_secs,
-        phases: r.phases,
-        merges: 0,
-        nvbm_read_lines: r.nvbm_read_lines,
-        nvbm_write_lines: r.nvbm_write_lines,
-        trav: r.trav,
-    });
+    rows.push(baseline(Scheme::InCore));
     rows
 }
 
@@ -428,22 +402,16 @@ impl Fig11Row {
 /// (paper: −24.7% time, −31% NVBM writes at 224M elements where C0 held
 /// only 7% of octants).
 pub fn fig11_transform(levels: &[u8], c0_fraction: f64, steps: usize) -> Vec<Fig11Row> {
-    let mut rows = Vec::new();
-    for &level in levels {
+    let row = |level: u8| {
         // DRAM budget fixed relative to the mesh: the paper's largest
         // case fits only ~7% of octants in C0.
         let est_octants = (520.0 + 2.2 * 4f64.powi(level as i32)) as usize;
         let c0_octants = ((est_octants as f64 * c0_fraction) as usize).max(32);
-        let run = |transform: bool| -> (f64, u64, usize, [f64; 5], TraversalStats) {
+        let run = |transform: bool| {
             let sim = Simulation::new(sim_cfg(steps, level));
-            let mut b = PmBackend::new(PmOctree::create(
-                NvbmArena::new(ARENA_BYTES.max(1 << (2 * level + 10)), DeviceModel::default()),
-                PmConfig::builder()
-                    .dynamic_transform(transform)
-                    .c0_capacity_octants(c0_octants)
-                    .build()
-                    .expect("valid config"),
-            ));
+            let cfg =
+                PmConfig::builder().dynamic_transform(transform).c0_capacity_octants(c0_octants);
+            let mut b = pm_backend(ARENA_BYTES.max(1 << (2 * level + 10)), cfg);
             if transform {
                 b.tree.add_feature(pmoctree_solver::refinement_feature(
                     sim.interface,
@@ -452,30 +420,27 @@ pub fn fig11_transform(levels: &[u8], c0_fraction: f64, steps: usize) -> Vec<Fig
                 ));
                 b.tree.add_feature(pmoctree_solver::solver_feature());
             }
-            let report = sim.run(&mut b);
             (
-                report.total_secs(),
+                sim.run(&mut b),
                 b.tree.store.arena.stats.nvbm.write_lines,
-                report.peak_leaves(),
-                five_phase(report.component_secs()),
                 b.tree.store.arena.stats.trav,
             )
         };
-        let (without_secs, without_writes, elements, phases_without, trav_without) = run(false);
-        let (with_secs, with_writes, _, phases_with, trav_with) = run(true);
-        rows.push(Fig11Row {
-            elements,
-            without_secs,
-            with_secs,
+        let ((without, without_writes, trav_without), (with, with_writes, trav_with)) =
+            (run(false), run(true));
+        Fig11Row {
+            elements: without.peak_leaves(),
+            without_secs: without.total_secs(),
+            with_secs: with.total_secs(),
             without_writes,
             with_writes,
-            phases_without,
-            phases_with,
+            phases_without: five_phase(without.component_secs()),
+            phases_with: five_phase(with.component_secs()),
             trav_without,
             trav_with,
-        });
-    }
-    rows
+        }
+    };
+    levels.iter().map(|&level| row(level)).collect()
 }
 
 // ------------------------------------------------- traced droplet run
@@ -489,14 +454,46 @@ pub struct DropletRun {
     /// Per-step breakdown from the driver (the span tree must agree with
     /// these totals — see the trace acceptance tests).
     pub report: RunReport,
-    /// Final element count.
-    pub elements: usize,
     /// The event journal (single rank, tid 0).
     pub events: Vec<pmoctree_nvbm::Event>,
-    /// Octant-location counters over the run.
-    pub trav: TraversalStats,
     /// Wear / write-amplification attribution of the run's NVBM device.
     pub wear: pmoctree_nvbm::WearReport,
+    /// What `repro droplet` prints and writes to `BENCH_droplet.json`.
+    pub summary: DropletSummary,
+}
+
+/// The traced droplet run's figures: driver phase totals, the span
+/// attribution and the persist coverage (the acceptance tests hold the
+/// coverage to ≥ 97 %).
+#[derive(Debug, Clone, Serialize)]
+pub struct DropletSummary {
+    /// Time steps run.
+    pub steps: usize,
+    /// Final element count.
+    pub elements: usize,
+    /// Total virtual seconds.
+    pub total_secs: f64,
+    /// Phase seconds `[refine, balance, partition, solve, persist]`.
+    pub phases: [f64; 5],
+    /// Octant-location counters over the run.
+    pub trav: TraversalStats,
+    /// Virtual ns inside `persist` spans.
+    pub persist_ns: u64,
+    /// Of those, virtual ns inside their direct children.
+    pub persist_covered_ns: u64,
+    /// Inclusive virtual ns per span name, largest first.
+    pub attribution: Vec<SpanTotal>,
+}
+
+/// One row of the span attribution ([`pmoctree_obsv::AttrRow`]).
+#[derive(Debug, Clone, Serialize)]
+pub struct SpanTotal {
+    /// Span label.
+    pub name: &'static str,
+    /// Inclusive virtual ns over the outermost occurrences.
+    pub total_ns: u64,
+    /// Outermost occurrences.
+    pub count: u64,
 }
 
 /// Run the droplet workload with tracing attached (tid 0). Deterministic:
@@ -532,11 +529,27 @@ fn droplet_run(steps: usize, max_level: u8, traced: bool, recorder: bool) -> Dro
         b.set_tracer(pmoctree_nvbm::Tracer::enabled(0));
     }
     let report = sim.run(&mut b);
+    let events = b.tracer().events();
+    let attribution = pmoctree_obsv::inclusive_totals(&events).expect("the journal's spans nest");
+    let (persist_ns, persist_covered_ns) =
+        pmoctree_obsv::coverage(&events, "persist").expect("the journal's spans nest");
+    let stats = &b.tree.store.arena.stats;
     DropletRun {
-        elements: b.leaf_count(),
-        events: b.tracer().events(),
-        trav: b.tree.store.arena.stats.trav,
-        wear: b.tree.store.arena.stats.wear_report(),
+        summary: DropletSummary {
+            steps: report.steps.len(),
+            elements: b.leaf_count(),
+            total_secs: report.total_secs(),
+            phases: five_phase(report.component_secs()),
+            trav: stats.trav,
+            persist_ns,
+            persist_covered_ns,
+            attribution: attribution
+                .into_iter()
+                .map(|r| SpanTotal { name: r.name, total_ns: r.total_ns, count: r.count })
+                .collect(),
+        },
+        wear: stats.wear_report(),
+        events,
         report,
     }
 }
@@ -597,15 +610,7 @@ pub struct SamplingRow {
 pub fn ablation_sampling(ns: &[usize]) -> Vec<SamplingRow> {
     ns.iter()
         .map(|&n| {
-            let cfg = PmConfig::builder()
-                .dynamic_transform(false)
-                .seed_c0(false)
-                .n_sample(n)
-                .c0_capacity_octants(1 << 14)
-                .build()
-                .expect("valid config");
-            let mut t = PmOctree::create(NvbmArena::new(ARENA_BYTES, DeviceModel::default()), cfg);
-            t.refine(pmoctree_morton::OctKey::root()).expect("a fresh tree's root is a leaf");
+            let mut t = probe_tree(PmConfig::builder().n_sample(n));
             // Make child 0 deeply refined and hot, the rest cold.
             let k0 = pmoctree_morton::OctKey::root().child(0);
             t.refine(k0).expect("the root was just refined");
@@ -676,10 +681,7 @@ pub fn ablation_snapshot_interval(
         });
     }
     let sim = Simulation::new(sim_cfg(steps, max_level));
-    let mut b = PmBackend::new(PmOctree::create(
-        NvbmArena::new(ARENA_BYTES, DeviceModel::default()),
-        PmConfig::builder().dynamic_transform(false).build().expect("valid config"),
-    ));
+    let mut b = pm_backend(ARENA_BYTES, PmConfig::builder().dynamic_transform(false));
     let report = sim.run(&mut b);
     rows.push(SnapshotRow { interval: None, exec_secs: report.total_secs(), max_lost_steps: 0 });
     rows
@@ -690,10 +692,7 @@ pub fn ablation_snapshot_interval(
 pub fn ablation_versions(max_versions: usize, steps: usize, max_level: u8) -> Vec<VersionRow> {
     // Run once, recording per-step exclusive (new) bytes.
     let sim = Simulation::new(sim_cfg(steps, max_level));
-    let mut b = PmBackend::new(PmOctree::create(
-        NvbmArena::new(ARENA_BYTES, DeviceModel::default()),
-        PmConfig::builder().dynamic_transform(false).build().expect("valid config"),
-    ));
+    let mut b = pm_backend(ARENA_BYTES, PmConfig::builder().dynamic_transform(false));
     sim.construct(&mut b);
     let mut new_bytes_per_step = Vec::new();
     let mut base_bytes = 0u64;

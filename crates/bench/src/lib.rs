@@ -1,7 +1,7 @@
-//! Experiment harness: one function per table/figure of the paper's
-//! evaluation (§5), driven by the `repro` binary. Each function runs
-//! the scaled-down experiment and returns structured rows; `fmt` helpers
-//! print them in the paper's shape.
+//! Experiment harness: one function per table/figure of the paper's §5
+//! evaluation, driven by the `repro` binary. Each runs its experiment
+//! scaled down and returns rows that `fmt::table` renders in the paper's
+//! shape and [`json::write_bench_json`] writes to `BENCH_<experiment>.json`.
 //!
 //! See DESIGN.md for the experiment index and EXPERIMENTS.md for the
 //! recorded paper-vs-measured comparison.

@@ -84,32 +84,24 @@ pub fn looks_like_bench_doc(text: &str) -> bool {
     matches!(serde_json::from_str(text), Ok(doc) if doc.get("experiment").is_some())
 }
 
-/// The four device regions a wear report must attribute bytes to.
-const WEAR_REGIONS: [&str; 4] = ["root_table", "octree", "rt_heap", "recorder"];
-
 fn check_wear_section(wear: &Value, ctx: &str) -> Result<(), String> {
-    let regions = wear
-        .get("bytes_by_region")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{ctx}: missing \"bytes_by_region\" array"))?;
-    for want in WEAR_REGIONS {
+    let array = |key: &str| {
+        wear.get(key)
+            .and_then(Value::as_array)
+            .ok_or_else(|| format!("{ctx}: missing {key:?} array"))
+    };
+    let regions = array("bytes_by_region")?;
+    for want in pmoctree_nvbm::stats::REGIONS {
         if !regions.iter().any(|r| r.get("name").and_then(Value::as_str) == Some(want)) {
             return Err(format!("{ctx}: bytes_by_region lacks region {want:?}"));
         }
     }
-    let phases = wear
-        .get("bytes_by_phase")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{ctx}: missing \"bytes_by_phase\" array"))?;
-    if phases.is_empty() {
+    if array("bytes_by_phase")?.is_empty() {
         return Err(format!("{ctx}: bytes_by_phase is empty"));
     }
-    let hist = wear
-        .get("wear_hist")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{ctx}: missing \"wear_hist\" array"))?;
-    if hist.len() != 16 {
-        return Err(format!("{ctx}: wear_hist has {} buckets, want 16", hist.len()));
+    let buckets = array("wear_hist")?.len();
+    if buckets != 16 {
+        return Err(format!("{ctx}: wear_hist has {buckets} buckets, want 16"));
     }
     for field in ["max_wear", "max_wear_offset", "bytes_committed"] {
         if wear.get(field).and_then(Value::as_u64).is_none() {
@@ -216,7 +208,7 @@ mod tests {
         let mut st = pmoctree_nvbm::MemStats::default();
         st.wear_commit(0, 64);
         let wear = st.wear_report();
-        let body = crate::json::wear_json("droplet", &wear);
+        let body = crate::json::bench_doc("wear", &crate::json::WearDoc::new("droplet", &wear));
         assert!(looks_like_bench_doc(&body));
         assert_eq!(check_bench_doc(&body).unwrap(), "wear");
 

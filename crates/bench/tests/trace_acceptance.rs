@@ -99,7 +99,7 @@ fn tracing_does_not_inflate_the_virtual_clock() {
         "tracing changed the virtual phase costs"
     );
     assert_eq!(traced.report.total_secs(), untraced.report.total_secs());
-    assert_eq!(traced.elements, untraced.elements);
+    assert_eq!(traced.summary.elements, untraced.summary.elements);
 }
 
 #[test]
