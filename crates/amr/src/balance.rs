@@ -279,67 +279,10 @@ pub fn check_balance(b: &mut dyn OctreeBackend) -> Option<(OctKey, OctKey)> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::backend::{EtreeBackend, InCoreBackend, OctreeBackend, PmBackend};
+    use crate::backend::{OctreeBackend, PmBackend};
     use crate::construct::construct_path;
     use pm_octree::{PmConfig, PmError, PmOctree};
     use pmoctree_nvbm::{DeviceModel, NvbmArena};
-
-    fn backends() -> Vec<Box<dyn OctreeBackend>> {
-        vec![
-            Box::new(PmBackend::new(PmOctree::create(
-                NvbmArena::new(32 << 20, DeviceModel::default()),
-                PmConfig { dynamic_transform: false, ..PmConfig::default() },
-            ))),
-            Box::new(InCoreBackend::new()),
-            Box::new(EtreeBackend::on_nvbm()),
-        ]
-    }
-
-    #[test]
-    fn deep_path_then_balance_fixes_everything() {
-        for mut b in backends() {
-            // Deep block at the far corner of child 0: its finest leaves
-            // are face-adjacent to the untouched level-1 leaves of
-            // children 1/2/4, violating 2:1 by several levels.
-            let deep = OctKey::root().child(0).child(7).child(7).child(7);
-            construct_path(b.as_mut(), deep);
-            // A straight path badly violates 2:1.
-            assert!(check_balance(b.as_mut()).is_some(), "{}", b.name());
-            let n = balance(b.as_mut());
-            assert!(n > 0, "{}", b.name());
-            assert!(check_balance(b.as_mut()).is_none(), "{} still unbalanced", b.name());
-        }
-    }
-
-    #[test]
-    fn refine_balanced_ripples() {
-        for mut b in backends() {
-            // Refine one corner deeply with the balanced primitive; at
-            // every step the tree stays 2:1.
-            let mut k = OctKey::root();
-            for _ in 0..4 {
-                assert!(refine_balanced(b.as_mut(), k), "{}", b.name());
-                k = k.child(7);
-            }
-            assert!(check_balance(b.as_mut()).is_none(), "{}", b.name());
-        }
-    }
-
-    #[test]
-    fn can_coarsen_respects_neighbors() {
-        for mut b in backends() {
-            b.refine(OctKey::root()).unwrap();
-            b.refine(OctKey::root().child(0)).unwrap();
-            b.refine(OctKey::root().child(0).child(7)).unwrap(); // deep center
-                                                                 // Coarsening child 0 would leave a level-1 leaf next to
-                                                                 // level-3 leaves: forbidden.
-            assert!(!can_coarsen(b.as_mut(), OctKey::root().child(0)), "{}", b.name());
-            // Coarsening the deep corner itself is fine.
-            assert!(can_coarsen(b.as_mut(), OctKey::root().child(0).child(7)), "{}", b.name());
-            assert!(coarsen_balanced(b.as_mut(), OctKey::root().child(0).child(7)));
-            assert!(check_balance(b.as_mut()).is_none(), "{}", b.name());
-        }
-    }
 
     /// A ripple the device has no room for: balancing must stop once a
     /// round refines none of its targets, leave the mesh as the refusals
@@ -374,14 +317,5 @@ mod tests {
         assert!(check_balance(&mut b).is_some(), "a full device cannot have closed the ripple");
         assert_eq!(b.leaf_keys_sorted().len(), leaves.len() + 7 * refined);
         assert_eq!(balance_from(&mut b, &[deep]), 0);
-    }
-
-    #[test]
-    fn balance_is_idempotent() {
-        for mut b in backends() {
-            construct_path(b.as_mut(), OctKey::root().child(3).child(3).child(3));
-            balance(b.as_mut());
-            assert_eq!(balance(b.as_mut()), 0, "{}", b.name());
-        }
     }
 }

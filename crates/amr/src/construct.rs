@@ -32,31 +32,3 @@ pub fn construct_path(b: &mut dyn OctreeBackend, key: OctKey) {
         }
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::backend::InCoreBackend;
-
-    #[test]
-    fn uniform_levels() {
-        let mut b = InCoreBackend::new();
-        construct_uniform(&mut b, 3);
-        assert_eq!(b.leaf_count(), 512);
-        let mut levels = std::collections::HashSet::new();
-        b.for_each_leaf(&mut |k, _| {
-            levels.insert(k.level());
-        });
-        assert_eq!(levels.len(), 1);
-        assert!(levels.contains(&3));
-    }
-
-    #[test]
-    fn path_reaches_target() {
-        let mut b = InCoreBackend::new();
-        let key = OctKey::root().child(1).child(2).child(3);
-        construct_path(&mut b, key);
-        assert_eq!(b.is_leaf(key), Some(true));
-        assert_eq!(b.leaf_count(), 1 + 7 * 3);
-    }
-}

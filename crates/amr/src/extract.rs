@@ -103,79 +103,3 @@ impl Mesh {
         self.cells.len()
     }
 }
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used)]
-mod tests {
-    use super::*;
-    use crate::backend::InCoreBackend;
-    use crate::construct::construct_uniform;
-
-    #[test]
-    fn uniform_mesh_has_no_dangling_nodes() {
-        let mut b = InCoreBackend::new();
-        construct_uniform(&mut b, 2); // 4x4x4 cells
-        let m = extract(&mut b);
-        assert_eq!(m.cell_count(), 64);
-        assert_eq!(m.vertex_count(), 125); // 5^3
-        assert_eq!(m.dangling_count(), 0);
-    }
-
-    #[test]
-    fn single_cell() {
-        let mut b = InCoreBackend::new();
-        let m = extract(&mut b);
-        assert_eq!(m.cell_count(), 1);
-        assert_eq!(m.vertex_count(), 8);
-        assert_eq!(m.dangling_count(), 0);
-    }
-
-    #[test]
-    fn one_refined_cell_creates_hanging_nodes() {
-        let mut b = InCoreBackend::new();
-        b.refine(pmoctree_morton::OctKey::root()).unwrap();
-        b.refine(pmoctree_morton::OctKey::root().child(0)).unwrap();
-        let m = extract(&mut b);
-        assert_eq!(m.cell_count(), 15);
-        // The refined octant adds face/edge midpoints that hang on the
-        // three coarse neighbors sharing its outer faces.
-        assert!(m.dangling_count() > 0);
-        // Hanging nodes sit strictly inside the domain boundary faces of
-        // the fine block (x, y or z = 0.25 plane crossings at 0.25 steps).
-        for (i, v) in m.vertices.iter().enumerate() {
-            if !m.anchored[i] {
-                assert!(v.iter().all(|&x| x <= 0.5 + 1e-12), "hanging node at {v:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn vertex_positions_are_cell_corners() {
-        let mut b = InCoreBackend::new();
-        construct_uniform(&mut b, 1);
-        let m = extract(&mut b);
-        for (ci, cell) in m.cells.iter().enumerate() {
-            let k = m.keys[ci];
-            let lo = k.min_corner();
-            let h = k.extent();
-            for (corner, &vi) in cell.iter().enumerate() {
-                let v = m.vertices[vi as usize];
-                for a in 0..3 {
-                    let want = lo[a] + h * ((corner >> a) & 1) as f64;
-                    assert!((v[a] - want).abs() < 1e-12);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn counts_match_euler_style_sanity() {
-        let mut b = InCoreBackend::new();
-        construct_uniform(&mut b, 3);
-        let m = extract(&mut b);
-        assert_eq!(m.cell_count(), 512);
-        assert_eq!(m.vertex_count(), 9 * 9 * 9);
-        assert_eq!(m.keys.len(), m.cells.len());
-        assert_eq!(m.anchored.len(), m.vertices.len());
-    }
-}

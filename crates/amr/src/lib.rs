@@ -25,7 +25,7 @@ pub mod partition;
 pub mod refine;
 pub mod vtk;
 
-pub use backend::{Cell, EtreeBackend, InCoreBackend, OctreeBackend, PmBackend};
+pub use backend::{leaf_only, Cell, OctreeBackend, PmBackend};
 pub use balance::{
     balance, balance_subset, can_coarsen, can_coarsen_many, check_balance, coarsen_balanced,
     refine_balanced,

@@ -23,38 +23,3 @@ pub fn partition(b: &mut dyn OctreeBackend, parts: usize) -> Vec<ZRange<3>> {
     let leaves = weighted_leaves(b);
     partition_by_weight(&leaves, parts)
 }
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used)]
-mod tests {
-    use super::*;
-    use crate::backend::InCoreBackend;
-    use crate::construct::construct_uniform;
-
-    #[test]
-    fn partition_balances_uniform_mesh() {
-        let mut b = InCoreBackend::new();
-        construct_uniform(&mut b, 3); // 512 leaves
-        let ranges = partition(&mut b, 8);
-        assert_eq!(ranges.len(), 8);
-        let leaves = weighted_leaves(&mut b);
-        for r in &ranges {
-            let n = leaves.iter().filter(|(k, _)| r.owns(k)).count();
-            assert!((60..=68).contains(&n), "unbalanced: {n}");
-        }
-    }
-
-    #[test]
-    fn partition_honors_work_weights() {
-        let mut b = InCoreBackend::new();
-        construct_uniform(&mut b, 2); // 64 leaves
-                                      // The Z-order-first leaf carries huge work.
-        let leaves = weighted_leaves(&mut b);
-        let first = leaves[0].0;
-        b.set_data(first, [0.0, 0.0, 0.0, 63.0]).unwrap();
-        let ranges = partition(&mut b, 2);
-        let leaves = weighted_leaves(&mut b);
-        let n0 = leaves.iter().filter(|(k, _)| ranges[0].owns(k)).count();
-        assert!(n0 <= 2, "heavy leaf should sit almost alone: {n0}");
-    }
-}

@@ -94,138 +94,3 @@ pub fn adapt(b: &mut dyn OctreeBackend, criterion: &dyn AdaptCriterion) -> Adapt
     }
     report
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::backend::InCoreBackend;
-    use crate::balance::check_balance;
-    use crate::construct::construct_uniform;
-
-    struct CornerCriterion {
-        max: u8,
-    }
-
-    impl AdaptCriterion for CornerCriterion {
-        fn target(&self, key: &OctKey, _d: &Cell) -> Target {
-            // Interesting region: the corner cell at the origin.
-            let c = key.center();
-            if c.iter().all(|&x| x < 0.26) {
-                Target::Refine
-            } else {
-                Target::Coarsen
-            }
-        }
-
-        fn max_level(&self) -> u8 {
-            self.max
-        }
-    }
-
-    #[test]
-    fn adapt_refines_corner_only() {
-        let mut b = InCoreBackend::new();
-        construct_uniform(&mut b, 2);
-        let crit = CornerCriterion { max: 4 };
-        let r1 = adapt(&mut b, &crit);
-        assert!(r1.refined > 0);
-        assert!(check_balance(&mut b).is_none(), "2:1 after adapt");
-        // Depth grows only near the corner.
-        let mut max_far = 0u8;
-        let mut max_near = 0u8;
-        b.for_each_leaf(&mut |k, _| {
-            let c = k.center();
-            if c.iter().all(|&x| x < 0.25) {
-                max_near = max_near.max(k.level());
-            }
-            if c.iter().all(|&x| x > 0.75) {
-                max_far = max_far.max(k.level());
-            }
-        });
-        assert!(max_near > max_far);
-    }
-
-    #[test]
-    fn adapt_respects_level_cap() {
-        let mut b = InCoreBackend::new();
-        construct_uniform(&mut b, 1);
-        let crit = CornerCriterion { max: 3 };
-        for _ in 0..6 {
-            adapt(&mut b, &crit);
-        }
-        assert!(b.depth() <= 3);
-    }
-
-    #[test]
-    fn unanimous_coarsening_shrinks_mesh() {
-        let mut b = InCoreBackend::new();
-        construct_uniform(&mut b, 3);
-        let n0 = b.leaf_count();
-        // Everything is uninteresting except the corner: repeated passes
-        // coarsen distant families (bounded by 2:1 against corner depth).
-        let crit = CornerCriterion { max: 3 };
-        for _ in 0..4 {
-            adapt(&mut b, &crit);
-        }
-        assert!(b.leaf_count() < n0, "coarsening must shrink the mesh");
-        assert!(check_balance(&mut b).is_none());
-    }
-
-    #[test]
-    fn band_criterion_tracks_interface() {
-        /// Refine where `|phi| < width · h(level)`, coarsen where
-        /// `|phi| > 2 · width · h(level)` — the classic interface band
-        /// (h = cell size at the leaf's level).
-        struct BandCriterion {
-            width: f64,
-            max_level: u8,
-        }
-        impl AdaptCriterion for BandCriterion {
-            fn target(&self, key: &OctKey, data: &Cell) -> Target {
-                let (h, phi) = (key.extent(), data[0].abs());
-                if phi < self.width * h {
-                    Target::Refine
-                } else if phi > 2.0 * self.width * h {
-                    Target::Coarsen
-                } else {
-                    Target::Keep
-                }
-            }
-
-            fn max_level(&self) -> u8 {
-                self.max_level
-            }
-        }
-
-        let mut b = InCoreBackend::new();
-        construct_uniform(&mut b, 2);
-        // phi = signed distance to the plane x = 0.5.
-        let set_phi = |b: &mut InCoreBackend| {
-            b.update_leaves(&mut |k: OctKey, d: &Cell| {
-                let mut nd = *d;
-                nd[0] = k.center()[0] - 0.5;
-                Some(nd)
-            });
-        };
-        set_phi(&mut b);
-        let crit = BandCriterion { width: 1.0, max_level: 4 };
-        for _ in 0..3 {
-            adapt(&mut b, &crit);
-            set_phi(&mut b);
-        }
-        // Cells on the interface are at max level; far cells are not.
-        let mut at_interface = 0u8;
-        let mut far = 0u8;
-        b.for_each_leaf(&mut |k, _| {
-            let x = k.center()[0];
-            if (x - 0.5).abs() < 0.05 {
-                at_interface = at_interface.max(k.level());
-            }
-            if x < 0.1 {
-                far = far.max(k.level());
-            }
-        });
-        assert_eq!(at_interface, 4);
-        assert!(far < 4);
-    }
-}

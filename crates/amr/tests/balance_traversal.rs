@@ -2,21 +2,24 @@
 //! tree, `balance` must locate neighbors through the sorted leaf index
 //! (one merge-scan per worklist round) with no per-key root descent, and
 //! ask at most one lookup per face direction of each parent family
-//! rather than one per face neighbor of each leaf.
+//! rather than one per face neighbor of each leaf. And the balance
+//! primitives' 2:1 fixed points on all three backends.
 
 use std::collections::BTreeSet;
 
 use pm_octree::{PmConfig, PmOctree};
 use pmoctree_amr::{
-    balance, balance_subset, can_coarsen, check_balance, construct_uniform, EtreeBackend,
-    InCoreBackend, OctreeBackend, PmBackend,
+    balance, balance_subset, can_coarsen, check_balance, coarsen_balanced, construct_path,
+    construct_uniform, refine_balanced, OctreeBackend, PmBackend,
 };
+use pmoctree_baselines::{EtreeOctree, InCoreOctree};
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::{DeviceModel, NvbmArena};
+use pmoctree_simfs::SimFs;
 
 #[test]
 fn balance_asks_per_family_not_per_leaf_at_1e5_octants() {
-    let mut b = InCoreBackend::new();
+    let mut b = InCoreOctree::new();
     // Uniform refine to level 5 (32768 leaves), then deepen a Morton
     // prefix to level 6 to cross 10^5 leaves. A contiguous prefix keeps
     // every adjacent pair within one level, so the mesh is balanced and
@@ -66,8 +69,8 @@ fn small_batches_gallop_dense_batches_scan_on_every_backend() {
             NvbmArena::new(64 << 20, DeviceModel::default()),
             PmConfig { dynamic_transform: false, ..PmConfig::default() },
         ))),
-        Box::new(InCoreBackend::new()),
-        Box::new(EtreeBackend::on_nvbm()),
+        Box::new(InCoreOctree::new()),
+        Box::new(EtreeOctree::create(SimFs::on_nvbm())),
     ];
     for mut b in backends {
         construct_uniform(&mut *b, 5);
@@ -92,5 +95,71 @@ fn small_batches_gallop_dense_batches_scan_on_every_backend() {
             "{}: the dense batch must read what the linear scan read",
             b.name()
         );
+    }
+}
+
+fn backends() -> Vec<Box<dyn OctreeBackend>> {
+    vec![
+        Box::new(PmBackend::new(PmOctree::create(
+            NvbmArena::new(32 << 20, DeviceModel::default()),
+            PmConfig { dynamic_transform: false, ..PmConfig::default() },
+        ))),
+        Box::new(InCoreOctree::new()),
+        Box::new(EtreeOctree::create(SimFs::on_nvbm())),
+    ]
+}
+
+#[test]
+fn deep_path_then_balance_fixes_everything() {
+    for mut b in backends() {
+        // Deep block at the far corner of child 0: its finest leaves
+        // are face-adjacent to the untouched level-1 leaves of
+        // children 1/2/4, violating 2:1 by several levels.
+        let deep = OctKey::root().child(0).child(7).child(7).child(7);
+        construct_path(b.as_mut(), deep);
+        // A straight path badly violates 2:1.
+        assert!(check_balance(b.as_mut()).is_some(), "{}", b.name());
+        let n = balance(b.as_mut());
+        assert!(n > 0, "{}", b.name());
+        assert!(check_balance(b.as_mut()).is_none(), "{} still unbalanced", b.name());
+    }
+}
+
+#[test]
+fn refine_balanced_ripples() {
+    for mut b in backends() {
+        // Refine one corner deeply with the balanced primitive; at
+        // every step the tree stays 2:1.
+        let mut k = OctKey::root();
+        for _ in 0..4 {
+            assert!(refine_balanced(b.as_mut(), k), "{}", b.name());
+            k = k.child(7);
+        }
+        assert!(check_balance(b.as_mut()).is_none(), "{}", b.name());
+    }
+}
+
+#[test]
+fn can_coarsen_respects_neighbors() {
+    for mut b in backends() {
+        b.refine(OctKey::root()).unwrap();
+        b.refine(OctKey::root().child(0)).unwrap();
+        b.refine(OctKey::root().child(0).child(7)).unwrap(); // deep center
+                                                             // Coarsening child 0 would leave a level-1 leaf next to
+                                                             // level-3 leaves: forbidden.
+        assert!(!can_coarsen(b.as_mut(), OctKey::root().child(0)), "{}", b.name());
+        // Coarsening the deep corner itself is fine.
+        assert!(can_coarsen(b.as_mut(), OctKey::root().child(0).child(7)), "{}", b.name());
+        assert!(coarsen_balanced(b.as_mut(), OctKey::root().child(0).child(7)));
+        assert!(check_balance(b.as_mut()).is_none(), "{}", b.name());
+    }
+}
+
+#[test]
+fn balance_is_idempotent() {
+    for mut b in backends() {
+        construct_path(b.as_mut(), OctKey::root().child(3).child(3).child(3));
+        balance(b.as_mut());
+        assert_eq!(balance(b.as_mut()), 0, "{}", b.name());
     }
 }

@@ -5,8 +5,7 @@
 use pm_octree::{C0Tree, CellData, Op, PmConfig, PmError, PmOctree};
 use pmoctree_amr::{
     adapt, can_coarsen_many, check_balance, coarsen_balanced, construct_uniform, refine_balanced,
-    AdaptCriterion, AdaptReport, Cell, EtreeBackend, InCoreBackend, OctreeBackend, PmBackend,
-    Target,
+    AdaptCriterion, AdaptReport, Cell, OctreeBackend, PmBackend, Target,
 };
 use pmoctree_baselines::{EtreeOctree, InCoreOctree};
 use pmoctree_morton::OctKey;
@@ -110,8 +109,8 @@ proptest! {
     #[test]
     fn three_backends_observationally_equal(ops in arb_ops()) {
         let mut pm = pm_backend();
-        let mut ic = InCoreBackend::new();
-        let mut et = EtreeBackend::on_nvbm();
+        let mut ic = InCoreOctree::new();
+        let mut et = EtreeOctree::create(SimFs::on_nvbm());
         for op in &ops {
             apply(&mut pm, op);
             apply(&mut ic, op);
@@ -133,8 +132,8 @@ proptest! {
         raw_refines in prop::collection::vec(prop::collection::vec(0usize..8, 0..4), 0..6),
     ) {
         let mut pm = pm_backend();
-        let mut ic = InCoreBackend::new();
-        let mut et = EtreeBackend::on_nvbm();
+        let mut ic = InCoreOctree::new();
+        let mut et = EtreeOctree::create(SimFs::on_nvbm());
         let backends: [&mut dyn OctreeBackend; 3] = [&mut pm, &mut ic, &mut et];
         for b in backends {
             for op in &ops {
@@ -216,8 +215,8 @@ fn adapt_with_persistence_stays_in_lockstep() {
     }
 
     let mut pm = pm_backend();
-    let mut ic = InCoreBackend::new();
-    let mut et = EtreeBackend::on_nvbm();
+    let mut ic = InCoreOctree::new();
+    let mut et = EtreeOctree::create(SimFs::on_nvbm());
     for step in 0..6 {
         let crit = Band { x0: 0.1 + 0.15 * step as f64 };
         adapt(&mut pm, &crit);
@@ -302,8 +301,11 @@ impl AdaptCriterion for Flip {
 /// level-1 families, the ones with no face on child 0 coarsen.
 #[test]
 fn one_adapt_pass_never_coarsens_a_family_it_refined() {
-    let mut backends: [Box<dyn OctreeBackend>; 3] =
-        [Box::new(pm_backend()), Box::new(InCoreBackend::new()), Box::new(EtreeBackend::on_nvbm())];
+    let mut backends: [Box<dyn OctreeBackend>; 3] = [
+        Box::new(pm_backend()),
+        Box::new(InCoreOctree::new()),
+        Box::new(EtreeOctree::create(SimFs::on_nvbm())),
+    ];
     let mut meshes = Vec::new();
     for b in &mut backends {
         construct_uniform(b.as_mut(), 2);
@@ -377,7 +379,7 @@ fn incore_ops_charge_their_node_store_op_alone() {
     let (mut clock, mut stats) = (VirtualClock::new(), MemStats::new(0));
     let mut mirror =
         C0Tree::new(OctKey::root(), CellData::default(), &mut (&mut clock, &mut stats, lat));
-    let mut b = InCoreBackend::new();
+    let mut b = InCoreOctree::new();
     let (c3, missing) = (OctKey::root().child(3), OctKey::root().child(0).child(0));
     let ops = [
         Op::Refine(OctKey::root()),
@@ -393,13 +395,13 @@ fn incore_ops_charge_their_node_store_op_alone() {
     ];
     let lines = |s: &MemStats| (s.dram.read_lines, s.dram.write_lines);
     for op in ops {
-        let before = lines(&b.tree.stats);
+        let before = lines(&b.stats);
         let got = match op {
             Op::Refine(k) => b.refine(k),
             Op::Coarsen(k) => b.coarsen(k),
             Op::SetData(..) => unreachable!(),
         };
-        let after = lines(&b.tree.stats);
+        let after = lines(&b.stats);
         let mirror_before = lines(&stats);
         let want = mirror.apply(op, &mut (&mut clock, &mut stats, lat)).map(|_| ());
         assert_eq!(got, want, "{op:?}");
@@ -416,8 +418,8 @@ fn incore_ops_charge_their_node_store_op_alone() {
 /// and nothing more.
 #[test]
 fn etree_ops_make_no_probe() {
-    let mut b = EtreeBackend::on_nvbm();
-    let descents = |b: &EtreeBackend| b.tree.stats.trav.root_descents;
+    let mut b = EtreeOctree::create(SimFs::on_nvbm());
+    let descents = |b: &EtreeOctree| b.stats.trav.root_descents;
     let (c2, missing) = (OctKey::root().child(2), OctKey::root().child(0).child(0));
     b.refine(OctKey::root()).unwrap();
     for (refine, k) in [(true, c2), (true, c2.child(1)), (false, c2.child(1)), (false, c2)] {
@@ -427,8 +429,8 @@ fn etree_ops_make_no_probe() {
     }
     b.refine(c2).unwrap();
     b.refine(c2.child(0)).unwrap();
-    let io = |b: &EtreeBackend| (b.tree.fs.stats, b.tree.fs.clock.now_ns());
-    let cost = |b: &mut EtreeBackend, f: &mut dyn FnMut(&mut EtreeBackend)| {
+    let io = |b: &EtreeOctree| (b.fs.stats, b.fs.clock.now_ns());
+    let cost = |b: &mut EtreeOctree, f: &mut dyn FnMut(&mut EtreeOctree)| {
         let (s0, t0) = io(b);
         f(b);
         let (s1, t1) = io(b);
@@ -444,10 +446,91 @@ fn etree_ops_make_no_probe() {
         [(true, OctKey::root()), (true, missing), (false, c2), (false, c1), (false, missing)]
     {
         let lookup = if refine { k } else { k.child(0) };
-        let one = cost(&mut b, &mut |b| assert_eq!(b.tree.get_data(lookup), None));
+        let one = cost(&mut b, &mut |b| assert_eq!(b.get_data(lookup), None));
         let refused = cost(&mut b, &mut |b| {
             assert!(if refine { b.refine(k) } else { b.coarsen(k) }.is_err(), "{k:?}");
         });
         assert_eq!(refused, one, "refine {refine} at {k:?}");
+    }
+}
+
+fn backends() -> Vec<Box<dyn OctreeBackend>> {
+    vec![
+        Box::new(PmBackend::new(PmOctree::create(
+            NvbmArena::new(16 << 20, DeviceModel::default()),
+            PmConfig { dynamic_transform: false, ..PmConfig::default() },
+        ))),
+        Box::new(InCoreOctree::new()),
+        Box::new(EtreeOctree::create(SimFs::on_nvbm())),
+    ]
+}
+
+#[test]
+fn all_backends_agree_on_basic_meshing() {
+    for mut b in backends() {
+        assert_eq!(b.leaf_count(), 1, "{}", b.name());
+        b.refine(OctKey::root()).unwrap();
+        b.refine(OctKey::root().child(2)).unwrap();
+        assert_eq!(b.leaf_count(), 15, "{}", b.name());
+        assert_eq!(b.is_leaf(OctKey::root().child(2)), Some(false), "{}", b.name());
+        assert_eq!(b.is_leaf(OctKey::root().child(3)), Some(true), "{}", b.name());
+        assert_eq!(
+            b.containing_leaf(OctKey::root().child(3).child(1)),
+            Some(OctKey::root().child(3)),
+            "{}",
+            b.name()
+        );
+        b.set_data(OctKey::root().child(3), [1.0, 2.0, 3.0, 4.0]).unwrap();
+        assert_eq!(b.get_data(OctKey::root().child(3)), Some([1.0, 2.0, 3.0, 4.0]));
+        b.coarsen(OctKey::root().child(2)).unwrap();
+        assert_eq!(b.leaf_count(), 8, "{}", b.name());
+        let mut n = 0;
+        b.for_each_leaf(&mut |_, _| n += 1);
+        assert_eq!(n, 8, "{}", b.name());
+        b.end_of_step(10);
+        assert!(b.elapsed_ns() > 0, "{}", b.name());
+    }
+}
+
+#[test]
+fn all_backends_agree_on_error_taxonomy() {
+    for mut b in backends() {
+        b.refine(OctKey::root()).unwrap();
+        let name = b.name();
+        let missing = OctKey::root().child(0).child(0);
+        assert!(
+            matches!(b.refine(missing), Err(PmError::NotFound(_))),
+            "{name}: refine on a missing key"
+        );
+        assert!(
+            matches!(b.refine(OctKey::root()), Err(PmError::NotALeaf(_))),
+            "{name}: refine on an internal octant"
+        );
+        assert!(
+            matches!(b.coarsen(OctKey::root().child(1)), Err(PmError::NotALeaf(_))),
+            "{name}: coarsen on a leaf"
+        );
+        assert!(
+            matches!(b.coarsen(missing), Err(PmError::NotFound(_))),
+            "{name}: coarsen on a missing key"
+        );
+        assert!(
+            matches!(b.set_data(missing, [0.0; 4]), Err(PmError::NotFound(_))),
+            "{name}: set_data on a missing key"
+        );
+        assert!(
+            matches!(b.set_data(OctKey::root(), [0.0; 4]), Err(PmError::NotALeaf(_))),
+            "{name}: set_data on an internal octant"
+        );
+    }
+}
+
+#[test]
+fn update_leaves_consistent_across_backends() {
+    for mut b in backends() {
+        b.refine(OctKey::root()).unwrap();
+        b.update_leaves(&mut |_, d| Some([d[0] + 1.0, d[1], d[2], d[3]]));
+        let name = b.name();
+        b.for_each_leaf(&mut |_, d| assert_eq!(d[0], 1.0, "{name}"));
     }
 }

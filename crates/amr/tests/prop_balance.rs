@@ -7,11 +7,12 @@
 use pm_octree::{PmConfig, PmOctree};
 use pmoctree_amr::balance::balance_from;
 use pmoctree_amr::{
-    balance, balance_subset, check_balance, refine_balanced, EtreeBackend, InCoreBackend,
-    OctreeBackend, PmBackend,
+    balance, balance_subset, check_balance, refine_balanced, OctreeBackend, PmBackend,
 };
+use pmoctree_baselines::{EtreeOctree, InCoreOctree};
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::{DeviceModel, NvbmArena};
+use pmoctree_simfs::SimFs;
 use proptest::prelude::*;
 
 fn backend(which: usize) -> Box<dyn OctreeBackend> {
@@ -20,8 +21,8 @@ fn backend(which: usize) -> Box<dyn OctreeBackend> {
             NvbmArena::new(64 << 20, DeviceModel::default()),
             PmConfig { dynamic_transform: false, c0_capacity_octants: 128, ..PmConfig::default() },
         ))),
-        1 => Box::new(InCoreBackend::new()),
-        _ => Box::new(EtreeBackend::on_nvbm()),
+        1 => Box::new(InCoreOctree::new()),
+        _ => Box::new(EtreeOctree::create(SimFs::on_nvbm())),
     }
 }
 

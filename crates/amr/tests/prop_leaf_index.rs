@@ -5,9 +5,11 @@
 //! batched queries — and on PM-octree, across crash + restore.
 
 use pm_octree::{PmConfig, PmOctree};
-use pmoctree_amr::{EtreeBackend, InCoreBackend, OctreeBackend, PmBackend};
+use pmoctree_amr::{OctreeBackend, PmBackend};
+use pmoctree_baselines::{EtreeOctree, InCoreOctree};
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::{CrashMode, DeviceModel, NvbmArena};
+use pmoctree_simfs::SimFs;
 use proptest::prelude::*;
 
 fn pm_tree() -> PmOctree {
@@ -105,8 +107,8 @@ proptest! {
     fn index_matches_walk_on_all_backends(ops in arb_ops()) {
         let mut backends: Vec<Box<dyn OctreeBackend>> = vec![
             Box::new(PmBackend::new(pm_tree())),
-            Box::new(InCoreBackend::new()),
-            Box::new(EtreeBackend::on_nvbm()),
+            Box::new(InCoreOctree::new()),
+            Box::new(EtreeOctree::create(SimFs::on_nvbm())),
         ];
         for b in &mut backends {
             let mut step = 0usize;

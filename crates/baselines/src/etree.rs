@@ -13,12 +13,14 @@
 //! immediate: re-open the metadata, no replay needed.
 
 use pm_octree::{Dram, PmError};
+use pmoctree_amr::{Cell, OctreeBackend};
 use pmoctree_morton::{anchor, LeafIndex, OctKey};
-use pmoctree_nvbm::{DeviceModel, MemStats, PAGE};
+use pmoctree_nvbm::{DeviceModel, MemStats, Tracer, PAGE};
 use pmoctree_simfs::SimFs;
 
 use crate::btree::DiskBTree;
 use crate::snapshot::{decode_record, encode_record, OctantRecord, RECORD_SIZE};
+use crate::with_fs_traffic;
 
 /// Records per data page: (4096 - 16-byte header) / 48.
 pub const RECORDS_PER_PAGE: usize = (PAGE - 16) / RECORD_SIZE;
@@ -41,6 +43,8 @@ pub struct EtreeOctree {
     /// Morton-sorted DRAM view of the leaf set, maintained incrementally
     /// by `refine`/`coarsen` and rebuilt lazily after `reopen`.
     leaf_view: LeafIndex<3>,
+    /// Tracing journal for the flush phase.
+    pub tracer: Tracer,
 }
 
 /// Why `key` has no leaf record, from the record its lookup found `at`
@@ -89,6 +93,7 @@ impl EtreeOctree {
             depth: 0,
             stats: MemStats::new(0),
             leaf_view: LeafIndex::new(),
+            tracer: Tracer::default(),
         };
         t.save_meta();
         t
@@ -115,6 +120,7 @@ impl EtreeOctree {
             depth,
             stats: MemStats::new(0),
             leaf_view: LeafIndex::new(),
+            tracer: Tracer::default(),
         })
     }
 
@@ -145,77 +151,6 @@ impl EtreeOctree {
         self.stats.index_rebuild(n as u64);
     }
 
-    /// Z-order-sorted leaf keys from the DRAM leaf view (no page I/O once
-    /// the view is built).
-    pub fn leaf_keys_sorted(&mut self) -> Vec<OctKey> {
-        self.ensure_index();
-        let lines = self.leaf_view.sweep_lines();
-        self.dram().charge(lines, 0);
-        self.leaf_view.entries().iter().map(|e| e.0).collect()
-    }
-
-    /// Resolve a batch of containment queries against the DRAM leaf view
-    /// in one merge-scan — no per-key B-tree lookups or page reads.
-    /// Input order is arbitrary; results match input order.
-    pub fn containing_leaf_many(&mut self, keys: &[OctKey]) -> Vec<Option<OctKey>> {
-        self.ensure_index();
-        let (resolved, lines) = self.leaf_view.resolve_batch(keys);
-        self.dram().charge(lines, 0);
-        self.stats.index_hits(keys.len() as u64);
-        resolved.into_iter().map(|r| r.map(|e| self.leaf_view.entries()[e].0)).collect()
-    }
-
-    /// Batched leaf payload reads: queries resolve against the DRAM leaf
-    /// view, then every data page holding at least one queried leaf is
-    /// read exactly once (instead of one B-tree lookup + page read per
-    /// key). Keys that are not current leaves fall back to
-    /// [`EtreeOctree::get_data`].
-    pub fn get_data_many(&mut self, keys: &[OctKey]) -> Vec<Option<[f64; 4]>> {
-        self.ensure_index();
-        let resolved = self.containing_leaf_many(keys);
-        let mut out = vec![None; keys.len()];
-        // Exact leaf hits, grouped by anchor for the page merge below.
-        let mut wanted: Vec<(u64, usize)> = Vec::new();
-        let mut fallbacks = Vec::new();
-        for (pos, r) in resolved.iter().enumerate() {
-            match r {
-                Some(k) if *k == keys[pos] => wanted.push((anchor::<3>(k), pos)),
-                _ => fallbacks.push(pos),
-            }
-        }
-        wanted.sort_unstable();
-        if !wanted.is_empty() {
-            let items = self.index.items(&mut self.fs);
-            let mut w = 0usize;
-            for (pi, &(first, page)) in items.iter().enumerate() {
-                if w >= wanted.len() {
-                    break;
-                }
-                let next_first = items.get(pi + 1).map(|&(a, _)| a).unwrap_or(u64::MAX);
-                if wanted[w].0 >= next_first {
-                    continue;
-                }
-                // At least one wanted anchor lives in [first, next_first).
-                debug_assert!(wanted[w].0 >= first || pi == 0);
-                let records = self.read_page(page as u32);
-                while w < wanted.len() && wanted[w].0 < next_first {
-                    let (a, pos) = wanted[w];
-                    let ri = records.partition_point(|r| anchor::<3>(&r.key) < a);
-                    if ri < records.len() && records[ri].key == keys[pos] {
-                        out[pos] = Some(records[ri].data);
-                    } else {
-                        fallbacks.push(pos);
-                    }
-                    w += 1;
-                }
-            }
-        }
-        for pos in fallbacks {
-            out[pos] = self.get_data(keys[pos]);
-        }
-        out
-    }
-
     fn save_meta(&mut self) {
         let mut meta = vec![0u8; 24];
         meta[0..4].copy_from_slice(&self.next_page.to_le_bytes());
@@ -234,16 +169,6 @@ impl EtreeOctree {
     pub fn flush(&mut self) {
         self.index.flush(&mut self.fs);
         self.save_meta();
-    }
-
-    /// Number of leaf octants.
-    pub fn leaf_count(&self) -> usize {
-        self.leaves
-    }
-
-    /// Deepest level seen.
-    pub fn depth(&self) -> u8 {
-        self.depth
     }
 
     fn read_page(&mut self, page: u32) -> Vec<OctantRecord> {
@@ -266,47 +191,6 @@ impl EtreeOctree {
         self.index.items(&mut self.fs).first().map(|&(_, p)| p as u32)
     }
 
-    /// The leaf record containing `key`'s region: the record with the
-    /// greatest anchor ≤ anchor(key) (leaves tile the domain, so it is an
-    /// ancestor-or-self of `key` whenever key addresses an existing or
-    /// coarser region).
-    pub fn containing_leaf(&mut self, key: OctKey) -> Option<OctKey> {
-        let before = self.stats.total_lines_snapshot();
-        let out = self.containing_leaf_inner(key);
-        let lines = self.stats.total_lines_snapshot() - before;
-        self.stats.descent_lines(lines);
-        out
-    }
-
-    fn containing_leaf_inner(&mut self, key: OctKey) -> Option<OctKey> {
-        // Counted as a root descent: a full B-tree + page lookup, the
-        // per-key slow path the batched leaf-view queries avoid.
-        self.stats.root_descent();
-        let a = anchor::<3>(&key);
-        let page = self.page_for(a)?;
-        let records = self.read_page(page);
-        let i = records.partition_point(|r| anchor::<3>(&r.key) <= a);
-        let rec = if i > 0 { &records[i - 1] } else { records.first()? };
-        if rec.key.contains(&key) || key.contains(&rec.key) {
-            if rec.key.level() <= key.level() {
-                Some(rec.key)
-            } else {
-                None // key names an internal (refined-deeper) region
-            }
-        } else {
-            None
-        }
-    }
-
-    /// Does a leaf exist exactly at `key`?
-    pub fn is_leaf(&mut self, key: OctKey) -> Option<bool> {
-        match self.containing_leaf(key) {
-            Some(k) if k == key => Some(true),
-            Some(_) => None,     // a coarser leaf covers it: key itself absent
-            None => Some(false), // key region is refined deeper → internal
-        }
-    }
-
     /// `key`'s page, its slot there and the page's records, or else the
     /// key of the record at `key`'s anchor, if one is: the leaf whose
     /// region starts where `key`'s does. One page read either way; the
@@ -323,20 +207,6 @@ impl EtreeOctree {
             Some(r) if r.key == key => Ok((page, i, records)),
             r => Err(r.map(|r| r.key)),
         }
-    }
-
-    /// Read a leaf payload.
-    pub fn get_data(&mut self, key: OctKey) -> Option<[f64; 4]> {
-        self.find_record(key).ok().map(|(_, i, records)| records[i].data)
-    }
-
-    /// Write a leaf payload (read-modify-write of its page); a refusal is
-    /// named as [`EtreeOctree::refine`] names it.
-    pub fn set_data(&mut self, key: OctKey, data: [f64; 4]) -> Result<(), PmError> {
-        let (page, i, mut records) = self.find_record(key).map_err(|at| no_leaf_at(key, at))?;
-        records[i].data = data;
-        self.write_page(page, &records);
-        Ok(())
     }
 
     /// Replace `records[range]` of data `page` (as [`Self::find_record`]
@@ -371,9 +241,18 @@ impl EtreeOctree {
         self.write_page(page, &records);
     }
 
+    /// All leaves sorted by Z-order.
+    pub fn leaves_sorted(&mut self) -> Vec<(OctKey, Cell)> {
+        let mut out = Vec::with_capacity(self.leaves);
+        self.for_each_leaf(&mut |k, d| out.push((k, *d)));
+        out
+    }
+}
+
+impl OctreeBackend for EtreeOctree {
     /// Refine the leaf at `key`: replace it with its 8 children. A leaf at
     /// `OctKey::MAX_LEVEL` has no children to make.
-    pub fn refine(&mut self, key: OctKey) -> Result<(), PmError> {
+    fn refine(&mut self, key: OctKey) -> Result<(), PmError> {
         let (page, i, records) = self.find_record(key).map_err(|at| no_leaf_at(key, at))?;
         if key.level() == OctKey::MAX_LEVEL {
             return Err(PmError::NotALeaf(format!("{key:?} is at the deepest level")));
@@ -397,7 +276,7 @@ impl EtreeOctree {
     /// interior and a missing sibling is one refined deeper. The family is
     /// Z-consecutive, so it is read a page at a time: one page, or two
     /// when it straddles a page boundary.
-    pub fn coarsen(&mut self, key: OctKey) -> Result<(), PmError> {
+    fn coarsen(&mut self, key: OctKey) -> Result<(), PmError> {
         if key.level() == OctKey::MAX_LEVEL {
             return Err(match self.find_record(key) {
                 Ok(_) => PmError::NotALeaf(format!("{key:?}")),
@@ -443,8 +322,56 @@ impl EtreeOctree {
         Ok(())
     }
 
+    /// Does a leaf exist exactly at `key`?
+    fn is_leaf(&mut self, key: OctKey) -> Option<bool> {
+        match self.containing_leaf(key) {
+            Some(k) if k == key => Some(true),
+            Some(_) => None,     // a coarser leaf covers it: key itself absent
+            None => Some(false), // key region is refined deeper → internal
+        }
+    }
+
+    /// The leaf record containing `key`'s region: the record with the
+    /// greatest anchor ≤ anchor(key) (leaves tile the domain, so it is an
+    /// ancestor-or-self of `key` whenever key addresses an existing or
+    /// coarser region). Its page I/O is charged on `fs`, so no DRAM or
+    /// NVBM line of `stats` is attributed to the descent.
+    fn containing_leaf(&mut self, key: OctKey) -> Option<OctKey> {
+        // Counted as a root descent: a full B-tree + page lookup, the
+        // per-key slow path the batched leaf-view queries avoid.
+        self.stats.root_descent();
+        let a = anchor::<3>(&key);
+        let page = self.page_for(a)?;
+        let records = self.read_page(page);
+        let i = records.partition_point(|r| anchor::<3>(&r.key) <= a);
+        let rec = if i > 0 { &records[i - 1] } else { records.first()? };
+        if rec.key.contains(&key) || key.contains(&rec.key) {
+            if rec.key.level() <= key.level() {
+                Some(rec.key)
+            } else {
+                None // key names an internal (refined-deeper) region
+            }
+        } else {
+            None
+        }
+    }
+
+    /// Read a leaf payload.
+    fn get_data(&mut self, key: OctKey) -> Option<Cell> {
+        self.find_record(key).ok().map(|(_, i, records)| records[i].data)
+    }
+
+    /// Write a leaf payload (read-modify-write of its page); a refusal is
+    /// named as [`OctreeBackend::refine`] names it.
+    fn set_data(&mut self, key: OctKey, data: Cell) -> Result<(), PmError> {
+        let (page, i, mut records) = self.find_record(key).map_err(|at| no_leaf_at(key, at))?;
+        records[i].data = data;
+        self.write_page(page, &records);
+        Ok(())
+    }
+
     /// Visit all leaves in Z-order.
-    pub fn for_each_leaf(&mut self, mut f: impl FnMut(OctKey, &[f64; 4])) {
+    fn for_each_leaf(&mut self, f: &mut dyn FnMut(OctKey, &Cell)) {
         let pages: Vec<u32> =
             self.index.items(&mut self.fs).iter().map(|&(_, p)| p as u32).collect();
         for page in pages {
@@ -455,7 +382,7 @@ impl EtreeOctree {
     }
 
     /// Solver sweep with read-modify-write page I/O.
-    pub fn update_leaves(&mut self, mut f: impl FnMut(OctKey, &[f64; 4]) -> Option<[f64; 4]>) {
+    fn update_leaves(&mut self, f: &mut dyn FnMut(OctKey, &Cell) -> Option<Cell>) {
         let pages: Vec<u32> =
             self.index.items(&mut self.fs).iter().map(|&(_, p)| p as u32).collect();
         for page in pages {
@@ -473,10 +400,122 @@ impl EtreeOctree {
         }
     }
 
-    /// All leaves sorted by Z-order.
-    pub fn leaves_sorted(&mut self) -> Vec<(OctKey, [f64; 4])> {
-        let mut out = Vec::with_capacity(self.leaves);
-        self.for_each_leaf(|k, d| out.push((k, *d)));
+    /// Number of leaf octants.
+    fn leaf_count(&self) -> usize {
+        self.leaves
+    }
+
+    /// Deepest level seen.
+    fn depth(&self) -> u8 {
+        self.depth
+    }
+
+    fn elapsed_ns(&self) -> u64 {
+        self.fs.clock.now_ns()
+    }
+
+    fn charge_external(&mut self, ns: u64) {
+        self.fs.clock.advance(ns);
+    }
+
+    fn barrier_to(&mut self, t_ns: u64) {
+        self.fs.clock.advance_to(t_ns);
+    }
+
+    fn end_of_step(&mut self, step: usize) {
+        self.tracer.begin("flush", self.elapsed_ns(), Some(step as u64));
+        self.flush();
+        self.tracer.end("flush", self.elapsed_ns());
+    }
+
+    fn name(&self) -> &'static str {
+        "out-of-core"
+    }
+
+    fn as_dyn(&mut self) -> &mut dyn OctreeBackend {
+        self
+    }
+
+    fn mem_stats(&self) -> MemStats {
+        with_fs_traffic(&self.stats, &self.fs)
+    }
+
+    fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
+    }
+
+    fn tracer(&self) -> Tracer {
+        self.tracer.clone()
+    }
+
+    /// Z-order-sorted leaf keys from the DRAM leaf view (no page I/O once
+    /// the view is built).
+    fn leaf_keys_sorted(&mut self) -> Vec<OctKey> {
+        self.ensure_index();
+        let lines = self.leaf_view.sweep_lines();
+        self.dram().charge(lines, 0);
+        self.leaf_view.entries().iter().map(|e| e.0).collect()
+    }
+
+    /// Resolve a batch of containment queries against the DRAM leaf view
+    /// in one merge-scan — no per-key B-tree lookups or page reads.
+    /// Input order is arbitrary; results match input order.
+    fn containing_leaf_many(&mut self, keys: &[OctKey]) -> Vec<Option<OctKey>> {
+        self.ensure_index();
+        let (resolved, lines) = self.leaf_view.resolve_batch(keys);
+        self.dram().charge(lines, 0);
+        self.stats.index_hits(keys.len() as u64);
+        resolved.into_iter().map(|r| r.map(|e| self.leaf_view.entries()[e].0)).collect()
+    }
+
+    /// Batched leaf payload reads: queries resolve against the DRAM leaf
+    /// view, then every data page holding at least one queried leaf is
+    /// read exactly once (instead of one B-tree lookup + page read per
+    /// key). Keys that are not current leaves fall back to
+    /// [`OctreeBackend::get_data`].
+    fn get_data_many(&mut self, keys: &[OctKey]) -> Vec<Option<Cell>> {
+        self.ensure_index();
+        let resolved = self.containing_leaf_many(keys);
+        let mut out = vec![None; keys.len()];
+        // Exact leaf hits, grouped by anchor for the page merge below.
+        let mut wanted: Vec<(u64, usize)> = Vec::new();
+        let mut fallbacks = Vec::new();
+        for (pos, r) in resolved.iter().enumerate() {
+            match r {
+                Some(k) if *k == keys[pos] => wanted.push((anchor::<3>(k), pos)),
+                _ => fallbacks.push(pos),
+            }
+        }
+        wanted.sort_unstable();
+        if !wanted.is_empty() {
+            let items = self.index.items(&mut self.fs);
+            let mut w = 0usize;
+            for (pi, &(first, page)) in items.iter().enumerate() {
+                if w >= wanted.len() {
+                    break;
+                }
+                let next_first = items.get(pi + 1).map(|&(a, _)| a).unwrap_or(u64::MAX);
+                if wanted[w].0 >= next_first {
+                    continue;
+                }
+                // At least one wanted anchor lives in [first, next_first).
+                debug_assert!(wanted[w].0 >= first || pi == 0);
+                let records = self.read_page(page as u32);
+                while w < wanted.len() && wanted[w].0 < next_first {
+                    let (a, pos) = wanted[w];
+                    let ri = records.partition_point(|r| anchor::<3>(&r.key) < a);
+                    if ri < records.len() && records[ri].key == keys[pos] {
+                        out[pos] = Some(records[ri].data);
+                    } else {
+                        fallbacks.push(pos);
+                    }
+                    w += 1;
+                }
+            }
+        }
+        for pos in fallbacks {
+            out[pos] = self.get_data(keys[pos]);
+        }
         out
     }
 }
@@ -612,8 +651,8 @@ mod tests {
     fn update_leaves_sweep() {
         let mut t = tree();
         t.refine(OctKey::root()).unwrap();
-        t.update_leaves(|_, d| Some([d[0] + 5.0, d[1], d[2], d[3]]));
-        t.for_each_leaf(|_, d| assert_eq!(d[0], 5.0));
+        t.update_leaves(&mut |_, d| Some([d[0] + 5.0, d[1], d[2], d[3]]));
+        t.for_each_leaf(&mut |_, d| assert_eq!(d[0], 5.0));
     }
 
     #[test]

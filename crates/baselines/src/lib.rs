@@ -8,9 +8,9 @@
 //!   ([`btree::DiskBTree`]), every access through the file-system
 //!   interface.
 //!
-//! Both charge the same virtual-clock cost models as PM-octree, so the
-//! three implementations can be compared head-to-head by the `cluster`
-//! and `bench` crates.
+//! Both implement `pmoctree_amr::OctreeBackend` with PM-octree's cost
+//! models, so the three implementations can be compared head-to-head by
+//! the `cluster` and `bench` crates.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
@@ -24,3 +24,16 @@ pub use btree::DiskBTree;
 pub use etree::{EtreeOctree, RECORDS_PER_PAGE};
 pub use incore::InCoreOctree;
 pub use snapshot::{decode_octants, encode_octants, OctantRecord, RECORD_SIZE};
+
+use pmoctree_nvbm::MemStats;
+use pmoctree_simfs::SimFs;
+
+/// A baseline's DRAM-side counters with its file-system traffic
+/// (snapshots, Etree pages) folded into the NVBM tier at cacheline
+/// granularity, so schemes stay comparable.
+fn with_fs_traffic(tree: &MemStats, fs: &SimFs) -> MemStats {
+    let mut s = tree.clone();
+    s.nvbm_read(fs.stats.bytes_read as usize, fs.stats.bytes_read.div_ceil(64));
+    s.nvbm_write(fs.stats.bytes_written as usize, fs.stats.bytes_written.div_ceil(64));
+    s
+}

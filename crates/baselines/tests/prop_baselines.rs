@@ -2,6 +2,7 @@
 //! behaves like a sorted map, and the Etree linear octree maintains the
 //! leaf-tiling invariant under arbitrary refine/coarsen sequences.
 
+use pmoctree_amr::OctreeBackend;
 use pmoctree_baselines::{
     decode_octants, encode_octants, DiskBTree, EtreeOctree, OctantRecord, RECORD_SIZE,
 };

@@ -2,7 +2,8 @@
 //! DESIGN.md; shapes, not absolute numbers, are the reproduction target).
 
 use pm_octree::{PmConfig, PmConfigBuilder, PmOctree, OCTANT_SIZE};
-use pmoctree_amr::{InCoreBackend, PmBackend};
+use pmoctree_amr::PmBackend;
+use pmoctree_baselines::InCoreOctree;
 use pmoctree_cluster::{recovery_comparison, ClusterReport, ClusterSim, RecoveryReport, Scheme};
 use pmoctree_nvbm::{DeviceModel, NvbmArena, TraversalStats};
 use pmoctree_solver::{RunReport, SimConfig, Simulation};
@@ -145,17 +146,17 @@ pub struct WriteFraction {
 /// in-core tree (pure DRAM, like the paper's original profiling).
 pub fn write_fraction(steps: usize, max_level: u8) -> WriteFraction {
     let sim = Simulation::new(sim_cfg(steps, max_level));
-    let mut b = InCoreBackend::new();
+    let mut b = InCoreOctree::new();
     let mut fracs = Vec::new();
     // Sample the Construct phase first: refinement-dominated, this is
     // where the write share peaks (the paper's 72% max).
     sim.construct(&mut b);
-    if b.tree.stats.dram.total_lines() > 0 {
-        fracs.push(b.tree.stats.dram.write_fraction());
+    if b.stats.dram.total_lines() > 0 {
+        fracs.push(b.stats.dram.write_fraction());
     }
     for s in 0..steps {
-        let r0 = b.tree.stats.dram.read_lines;
-        let w0 = b.tree.stats.dram.write_lines;
+        let r0 = b.stats.dram.read_lines;
+        let w0 = b.stats.dram.write_lines;
         // Meshing + solve only (no balance-verification sweep): this is
         // the op mix the paper profiled.
         let t = sim.cfg.t0 + sim.cfg.dt * (s as f64 + 1.0);
@@ -163,8 +164,8 @@ pub fn write_fraction(steps: usize, max_level: u8) -> WriteFraction {
         pmoctree_amr::adapt(&mut b, &sim.criterion());
         pmoctree_solver::advect(&mut b, &sim.interface, t);
         pmoctree_solver::relax_pressure(&mut b, sim.cfg.relax_iters);
-        let dr = b.tree.stats.dram.read_lines - r0;
-        let dw = b.tree.stats.dram.write_lines - w0;
+        let dr = b.stats.dram.read_lines - r0;
+        let dw = b.stats.dram.write_lines - w0;
         if dr + dw > 0 {
             fracs.push(dw as f64 / (dr + dw) as f64);
         }
@@ -177,8 +178,8 @@ pub fn write_fraction(steps: usize, max_level: u8) -> WriteFraction {
     WriteFraction {
         avg: fracs.iter().sum::<f64>() / fracs.len().max(1) as f64,
         max: fracs.iter().copied().fold(0.0, f64::max),
-        aggregate: b.tree.stats.overall_write_fraction(),
-        trav: b.tree.stats.trav,
+        aggregate: b.stats.overall_write_fraction(),
+        trav: b.stats.trav,
     }
 }
 
@@ -671,7 +672,7 @@ pub fn ablation_snapshot_interval(
     let mut rows = Vec::new();
     for &interval in intervals {
         let sim = Simulation::new(sim_cfg(steps, max_level));
-        let mut b = InCoreBackend::new();
+        let mut b = InCoreOctree::new();
         b.snapshot_interval = interval;
         let report = sim.run(&mut b);
         rows.push(SnapshotRow {

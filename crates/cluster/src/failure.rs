@@ -13,9 +13,10 @@
 //!   Etree cannot recover (its octant database was not replicated).
 
 use pm_octree::{PmConfig, PmOctree};
-use pmoctree_amr::{InCoreBackend, PmBackend};
-use pmoctree_baselines::InCoreOctree;
+use pmoctree_amr::{OctreeBackend, PmBackend};
+use pmoctree_baselines::{EtreeOctree, InCoreOctree};
 use pmoctree_nvbm::{CrashMode, DeviceModel, NetworkModel, NvbmArena, TraversalStats};
+use pmoctree_simfs::SimFs;
 use pmoctree_solver::{SimConfig, Simulation};
 use serde::Serialize;
 
@@ -107,7 +108,7 @@ fn pm_recovery_detailed(
 /// In-core baseline recovery: re-read the latest snapshot file.
 pub fn incore_recovery(cfg: SimConfig, steps_before_kill: usize) -> RecoveryReport {
     let sim = Simulation::new(cfg);
-    let mut b = InCoreBackend::new();
+    let mut b = InCoreOctree::new();
     b.snapshot_interval = 10;
     sim.construct(&mut b);
     for s in 0..steps_before_kill {
@@ -118,16 +119,15 @@ pub fn incore_recovery(cfg: SimConfig, steps_before_kill: usize) -> RecoveryRepo
     let last_snap = (steps_before_kill / b.snapshot_interval) * b.snapshot_interval;
     let name = format!("snapshot-{last_snap}.gfs");
     if !b.fs.exists(&name) {
-        b.tree.snapshot(&mut b.fs, &name);
+        b.snapshot(&name);
     }
-    let elements = b.tree.leaf_count();
-    let trav = b.tree.stats.trav;
+    let elements = b.leaf_count();
+    let trav = b.stats.trav;
     // Kill: DRAM gone; only the snapshot file survives. Recovery time =
     // file read + tree rebuild.
-    let InCoreBackend { mut fs, .. } = b;
-    let t0 = fs.clock.now_ns();
-    let restored = InCoreOctree::restore(&mut fs, &name).expect("snapshot readable");
-    let io_secs = (fs.clock.now_ns() - t0) as f64 * 1e-9;
+    let t0 = b.fs.clock.now_ns();
+    let restored = InCoreOctree::restore(b.fs, &name).expect("snapshot readable");
+    let io_secs = (restored.fs.clock.now_ns() - t0) as f64 * 1e-9;
     let rebuild_secs = restored.clock.now_ns() as f64 * 1e-9;
     RecoveryReport {
         scheme: "in-core",
@@ -150,20 +150,18 @@ impl RecoveryReport {
 /// Etree recovery: reopen the octant database (metadata only).
 pub fn etree_recovery(cfg: SimConfig, steps_before_kill: usize) -> RecoveryReport {
     let sim = Simulation::new(cfg);
-    let mut b = pmoctree_amr::EtreeBackend::on_nvbm();
+    let mut b = EtreeOctree::create(SimFs::on_nvbm());
     sim.construct(&mut b);
     for s in 0..steps_before_kill {
         sim.step(&mut b, s);
     }
-    b.tree.flush();
-    let elements = b.tree.leaf_count();
-    let trav = b.tree.stats.trav;
-    let pmoctree_amr::EtreeBackend { tree, .. } = b;
-    let pmoctree_baselines::EtreeOctree { fs, .. } = tree;
+    b.flush();
+    let elements = b.leaf_count();
+    let trav = b.stats.trav;
     // The index pages persist in the file system; a reopen rebuilds the
     // handle from metadata. We model the index as re-created from its
     // file, which is the dominant reopen cost.
-    let mut fs = fs;
+    let mut fs = b.into_parts().0;
     let t0 = fs.clock.now_ns();
     let meta_ok = fs.read_all("etree.meta").is_ok();
     assert!(meta_ok);

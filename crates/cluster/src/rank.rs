@@ -10,11 +10,11 @@
 //! coarse halos.
 
 use pm_octree::{PmConfig, PmOctree};
-use pmoctree_amr::{
-    AdaptCriterion, Cell, EtreeBackend, InCoreBackend, OctreeBackend, PmBackend, Target,
-};
-use pmoctree_morton::{anchor, OctKey, ZRange};
+use pmoctree_amr::{AdaptCriterion, Cell, OctreeBackend, PmBackend, Target};
+use pmoctree_baselines::{EtreeOctree, InCoreOctree};
+use pmoctree_morton::{OctKey, ZRange};
 use pmoctree_nvbm::{DeviceModel, NvbmArena};
+use pmoctree_simfs::SimFs;
 use pmoctree_solver::{Simulation, StepBreakdown};
 
 /// Which octree implementation a cluster run uses.
@@ -66,8 +66,8 @@ impl Scheme {
                     cfg,
                 )))
             }
-            Scheme::InCore => Box::new(InCoreBackend::new()),
-            Scheme::Etree => Box::new(EtreeBackend::on_nvbm()),
+            Scheme::InCore => Box::new(InCoreOctree::new()),
+            Scheme::Etree => Box::new(EtreeOctree::create(SimFs::on_nvbm())),
         }
     }
 }
@@ -174,12 +174,6 @@ impl Rank {
         // as well as refine owned ones.
         let (base, passes) = (sim.cfg.base_level.min(2), sim.cfg.max_level.max(1));
         sim.construct_with(self.backend.as_mut(), &crit, base, passes);
-    }
-
-    /// Is `key`'s leaf owned by this rank?
-    pub fn owns(&self, key: &OctKey) -> bool {
-        let a = anchor::<3>(key);
-        a >= self.range.lo && a < self.range.hi
     }
 }
 

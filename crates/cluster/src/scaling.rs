@@ -102,6 +102,14 @@ pub struct ClusterSim {
     scheme: Scheme,
 }
 
+/// The BSP time of a global phase: the largest per-rank clock advance
+/// over it, given each rank's clock `before` and `after` the phase — the
+/// rule `ClusterSim::step` applies to the local phases too. A rank that
+/// entered the phase early does not hide its own work behind a later one.
+fn phase_ns(before: &[u64], after: &[u64]) -> u64 {
+    before.iter().zip(after).map(|(b, a)| a - b).max().unwrap_or(0)
+}
+
 impl ClusterSim {
     /// Build a cluster: uniform initial curve split, construct each
     /// rank's subdomain, then one load-balancing partition.
@@ -208,7 +216,7 @@ impl ClusterSim {
                                     let owner = self
                                         .ranks
                                         .iter()
-                                        .position(|r| r.owns(&leaf))
+                                        .position(|r| r.range.owns(&leaf))
                                         .expect("every leaf has an owner");
                                     requests[owner].push(leaf);
                                     any = true;
@@ -357,19 +365,18 @@ impl ClusterSim {
                 r.local_step(s, step_idx)
             })
             .collect();
-        let max_elapsed =
-            |c: &Self| c.ranks.iter().map(|r| r.backend.elapsed_ns()).max().unwrap_or(0);
+        let clocks = |c: &Self| c.ranks.iter().map(|r| r.backend.elapsed_ns()).collect::<Vec<_>>();
         // Cross-rank balance exchange (part of the Balance routine).
-        let t_bal0 = max_elapsed(self);
+        let t_bal0 = clocks(self);
         self.global_balance();
-        let bal_extra = max_elapsed(self) - t_bal0;
         // Partition phase (global): replan, charge traffic, materialize.
-        let t_part0 = max_elapsed(self);
+        let t_part0 = clocks(self);
         let (migrated, _) = self.repartition();
         if migrated > 0 {
             self.settle(t);
         }
-        let partition_ns = max_elapsed(self) - t_part0;
+        let bal_extra = phase_ns(&t_bal0, &t_part0);
+        let partition_ns = phase_ns(&t_part0, &clocks(self));
         self.barrier();
         let elements: usize = self.ranks.iter_mut().map(|r| r.owned_leaf_count()).sum();
         let maxof = |phase: fn(&StepBreakdown) -> u64| {
@@ -414,6 +421,14 @@ mod tests {
 
     fn cfg(max_level: u8) -> SimConfig {
         SimConfig { steps: 3, max_level, base_level: 2, ..SimConfig::default() }
+    }
+
+    /// A global phase costs the largest per-rank clock advance: a rank
+    /// that entered it early pays its own work, which the difference of
+    /// the clock maxima after and before (10 ns here) hides.
+    #[test]
+    fn phase_time_is_the_largest_per_rank_advance() {
+        assert_eq!(phase_ns(&[0, 100], &[50, 110]), 50);
     }
 
     #[test]

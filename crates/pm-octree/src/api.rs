@@ -120,9 +120,6 @@ pub struct PmOctree {
     pub store: PmStore,
     /// The DRAM (C0) forest.
     pub(crate) forest: C0Forest,
-    /// Per-C0-tree NVBM shadow: the subtree image at the last persist
-    /// (indexed by volatile id), used for diff-merging.
-    pub(crate) shadows: Vec<POffset>,
     /// Configuration.
     pub cfg: PmConfig,
     /// Root of the working version `V_i` (volatile mirror; the header is
@@ -171,7 +168,6 @@ impl PmOctree {
         PmOctree {
             store,
             forest: C0Forest::default(),
-            shadows: Vec::new(),
             cfg,
             current_root: root,
             prev_root: root,
@@ -245,7 +241,6 @@ impl PmOctree {
         let mut t = PmOctree {
             store,
             forest: C0Forest::default(),
-            shadows: Vec::new(),
             cfg,
             current_root: root,
             prev_root: root,
@@ -482,15 +477,15 @@ impl PmOctree {
         let Some(data) = self.store.nav_line(p).leaf else {
             return Err(PmError::NotALeaf(format!("{key:?}")));
         };
-        let tree = C0Tree::new(key, data, &mut self.store.arena);
-        let id = self.register_c0(tree, p);
+        let mut tree = C0Tree::new(key, data, &mut self.store.arena);
+        tree.shadow = p;
+        let id = self.forest.insert(tree);
         let (store, epoch) = (&mut self.store, self.epoch);
         match c1::replace_slot(store, self.current_root, key, ChildPtr::Volatile(id), epoch) {
             Ok(root) => self.current_root = root,
             Err(e) => {
                 // No room for the path copy: the leaf stays in NVBM.
                 self.forest.remove(id);
-                self.set_shadow(id, POffset::NULL);
                 return Err(e);
             }
         }
@@ -757,25 +752,21 @@ impl PmOctree {
         // One cursor links every image: a merge between two links only
         // allocates, so the path lines it holds are read once.
         let ids = self.forest.ids();
-        let mut merged_offsets: Vec<(u32, POffset)> = Vec::with_capacity(ids.len());
         let mut cursor = Cursor::new(self.current_root);
-        for id in &ids {
-            let (off, merged) = match self.link_c0_image(*id, &mut cursor) {
-                Ok(linked) => linked,
+        for (i, &id) in ids.iter().enumerate() {
+            match self.link_c0_image(id, &mut cursor) {
+                Ok(merged) => self.events.merges += u64::from(merged),
                 Err(e) => {
                     // The subtrees merged so far are in NVBM under the
                     // cursor's root: adopt it and let them go, as
                     // evictions would.
                     self.current_root = cursor.root();
-                    for (id, _) in merged_offsets {
+                    for &id in &ids[..i] {
                         self.forest.remove(id);
-                        self.set_shadow(id, POffset::NULL);
                     }
                     return Err(e);
                 }
-            };
-            self.events.merges += u64::from(merged);
-            merged_offsets.push((*id, off));
+            }
         }
         let root = cursor.root();
         self.store.arena.failpoint("persist::merge");
@@ -802,7 +793,6 @@ impl PmOctree {
                 // copies loses nothing).
                 self.current_root = root;
                 self.forest = C0Forest::default();
-                self.shadows = Vec::new();
                 return Err(e);
             }
         };
@@ -839,18 +829,22 @@ impl PmOctree {
         let span_reattach = self.store.arena.span("persist::reattach");
         self.epoch += 1;
         self.store.shared = self.store.registry.len();
-        // (8) Re-attach the retained DRAM subtrees to the working tree
-        //     and remember their merged images as diff shadows.
+        // (8) Re-attach the retained DRAM subtrees to the working tree;
+        //     their merged images are their diff shadows since (1).
         //     One cursor links them all, as in (1).
-        self.shadows = Vec::new();
         let mut cursor = Cursor::new(self.current_root);
-        for (id, off) in merged_offsets {
-            self.set_shadow(id, off);
+        for (i, &id) in ids.iter().enumerate() {
             let key = self.forest.get(id).subtree_key;
-            self.forest.get_mut(id).dirty = false;
             let linked = cursor.link(&mut self.store, key, ChildPtr::Volatile(id), self.epoch);
             self.current_root = cursor.root();
-            linked?;
+            if let Err(e) = linked {
+                // The subtrees not re-attached are their images in the
+                // published version: let them go, as evictions would.
+                for &id in &ids[i..] {
+                    self.forest.remove(id);
+                }
+                return Err(e);
+            }
         }
         self.forest.decay_access(0.5);
         drop(span_reattach);
@@ -858,23 +852,6 @@ impl PmOctree {
     }
 
     // ---- internals -------------------------------------------------------------
-
-    pub(crate) fn shadow_of(&self, id: u32) -> POffset {
-        self.shadows.get(id as usize).copied().unwrap_or(POffset::NULL)
-    }
-
-    pub(crate) fn set_shadow(&mut self, id: u32, off: POffset) {
-        if self.shadows.len() <= id as usize {
-            self.shadows.resize(id as usize + 1, POffset::NULL);
-        }
-        self.shadows[id as usize] = off;
-    }
-
-    pub(crate) fn register_c0(&mut self, tree: C0Tree, shadow: POffset) -> u32 {
-        let id = self.forest.insert(tree);
-        self.set_shadow(id, shadow);
-        id
-    }
 
     /// The DRAM-pressure line (`threshold_DRAM` of the C0 capacity):
     /// above it, `after_mutation` evicts, and a promotion must fit under it.
@@ -940,7 +917,6 @@ impl PmOctree {
         // Only now that the subtree is fully re-linked in NVBM does the
         // DRAM copy go away: a failure above leaves it untouched.
         self.forest.remove(id);
-        self.set_shadow(id, POffset::NULL);
         self.events.merges += 1;
         Ok(())
     }
@@ -950,17 +926,13 @@ impl PmOctree {
     /// clean tree with a shadow re-links the shadow, which is still exact,
     /// without reading a single octant; any other is diff-merged against
     /// its shadow, and the shadow octants the image does not reuse are
-    /// retired once it is linked. Returns the linked image and whether a
-    /// merge ran; the cursor's root is the new root. On [`PmError::Full`]
-    /// the shadow stays the tree's and the partial image is retired.
-    fn link_c0_image(
-        &mut self,
-        id: u32,
-        cursor: &mut Cursor<POffset>,
-    ) -> Result<(POffset, bool), PmError> {
-        let shadow = self.shadow_of(id);
+    /// retired once it is linked. The linked image is then the tree's
+    /// shadow, and the tree clean. Returns whether a merge ran; the
+    /// cursor's root is the new root. On [`PmError::Full`] the shadow
+    /// stays the tree's and the partial image is retired.
+    fn link_c0_image(&mut self, id: u32, cursor: &mut Cursor<POffset>) -> Result<bool, PmError> {
         let t = self.forest.get_mut(id);
-        let key = t.subtree_key;
+        let (key, shadow) = (t.subtree_key, t.shadow);
         let merge = t.dirty || shadow.is_null();
         let (off, dropped) = if merge {
             t.merge(&mut self.store, shadow.opt(), self.epoch)?
@@ -971,7 +943,10 @@ impl PmOctree {
         // there copied it this epoch — so linking allocates nothing.
         cursor.link(&mut self.store, key, ChildPtr::Node(off), self.epoch)?;
         self.store.retired.extend(dropped);
-        Ok((off, merge))
+        let t = self.forest.get_mut(id);
+        t.shadow = off;
+        t.dirty = false;
+        Ok(merge)
     }
 }
 
@@ -1444,6 +1419,49 @@ mod tests {
         assert_eq!(t.c0_subtree_keys(), vec![b]);
         assert_eq!(t.leaves_sorted(), leaves);
         crate::verify::check_registry(&mut t).unwrap();
+    }
+
+    #[test]
+    fn a_reattach_out_of_room_lets_the_trees_it_did_not_reach_go() {
+        // Three DRAM subtrees at level 3 under interior octants refined
+        // this epoch: step (8) must copy seven path octants (3 + 2 + 2),
+        // and the collection before it frees four (the old root leaf and
+        // the three shadows), so the second link runs out of room.
+        let cfg = PmConfig { seed_c0: false, ..small_cfg() };
+        let mut t = PmOctree::create(arena(), cfg);
+        t.persist();
+        t.refine(OctKey::root()).unwrap();
+        let trees: Vec<OctKey> =
+            (0..3).map(|i| OctKey::root().child(i).child(0).child(0)).collect();
+        for (i, &k) in trees.iter().enumerate() {
+            t.refine(k.parent().unwrap().parent().unwrap()).unwrap();
+            t.refine(k.parent().unwrap()).unwrap();
+            t.seed_c0(k).unwrap();
+            t.set_data(k, CellData { phi: 1.0 + i as f64, ..Default::default() }).unwrap();
+        }
+        let leaves = t.leaves_sorted();
+        // The hook moves the runtime heap's floor down to the bump
+        // pointer: from here only freed octants can be reused.
+        let r = t.persist_with_hook(&mut |arena| {
+            arena.publish_rt_floor(arena.next.bump);
+            Ok(Vec::new())
+        });
+        assert!(matches!(r, Err(PmError::Full(_))), "{r:?}");
+        // The published version holds every image; the trees the reattach
+        // did not link left DRAM, as evictions would.
+        assert_eq!(t.c0_subtree_keys(), vec![trees[0]]);
+        assert_eq!(t.leaves_sorted(), leaves);
+        crate::verify::check_registry(&mut t).unwrap();
+        let capacity = t.store.arena.capacity() as u64;
+        t.store.arena.publish_rt_floor(capacity);
+        for &k in &trees {
+            t.set_data(k, CellData { phi: 7.0, ..Default::default() }).unwrap();
+        }
+        t.persist();
+        crate::verify::check_registry(&mut t).unwrap();
+        for &k in &trees {
+            assert_eq!(t.get_data(k).unwrap().phi, 7.0);
+        }
     }
 
     #[test]

@@ -140,6 +140,10 @@ pub struct C0Tree {
     /// Has the tree been modified since the last persist? Clean trees
     /// skip the merge entirely (their shadow is still exact).
     pub(crate) dirty: bool,
+    /// The tree's NVBM shadow: its image at the last persist, or the NVBM
+    /// subtree it was promoted from (null when it has none), which the
+    /// next merge diffs against.
+    pub(crate) shadow: POffset,
 }
 
 /// A [`C0Tree`] with the DRAM it charges: the C0 [`LineStore`].
@@ -243,6 +247,7 @@ impl C0Tree {
             leaves: 0,
             access: 0.0,
             dirty: true,
+            shadow: POffset::NULL,
         }
     }
 
@@ -428,6 +433,7 @@ impl C0Tree {
         tree.root = root;
         // A promoted tree is its NVBM shadow, line for line.
         tree.dirty = false;
+        tree.shadow = off;
         Some(tree)
     }
 }

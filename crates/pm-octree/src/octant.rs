@@ -239,6 +239,19 @@ impl CellData {
     }
 }
 
+/// The payload as the meshing layer's plain array: `[phi, pressure, vof, work]`.
+impl From<[f64; 4]> for CellData {
+    fn from(c: [f64; 4]) -> Self {
+        CellData { phi: c[0], pressure: c[1], vof: c[2], work: c[3] }
+    }
+}
+
+impl From<CellData> for [f64; 4] {
+    fn from(d: CellData) -> Self {
+        [d.phi, d.pressure, d.vof, d.work]
+    }
+}
+
 /// A decoded navigation line (octant line 0): every hot field of an
 /// octant, delivered by one cacheline read ([`PmStore::nav_line`]).
 /// Whatever a walker wants to know about an octant — a child link, the

@@ -146,7 +146,7 @@ impl PmOctree {
             // The tree lands in DRAM: every line of it written once.
             self.store.arena.charge(0, tree.lines() as u64);
             let subtree_key = tree.subtree_key;
-            let id = self.register_c0(tree, hot_off);
+            let id = self.forest.insert(tree);
             let (root, epoch) = (self.root_offset(), self.epoch());
             match c1::replace_slot(
                 &mut self.store,
@@ -164,7 +164,6 @@ impl PmOctree {
                     // Path COW ran out of NVBM: unwind the registration
                     // and stop — the transformation is strictly optional.
                     self.forest.remove(id);
-                    self.set_shadow(id, pmoctree_nvbm::POffset::NULL);
                     break 'promote;
                 }
             }
@@ -338,7 +337,7 @@ mod tests {
         let p = offset_of(t, key);
         let tree = C0Tree::copy_of(&mut t.store, p).unwrap();
         t.store.arena.charge(0, tree.lines() as u64);
-        let id = t.register_c0(tree, p);
+        let id = t.forest.insert(tree);
         let (root, epoch) = (t.root_offset(), t.epoch());
         let root =
             c1::replace_slot(&mut t.store, root, key, ChildPtr::Volatile(id), epoch).unwrap();

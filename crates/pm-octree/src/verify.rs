@@ -259,7 +259,7 @@ pub fn check_invariants(t: &mut PmOctree) -> Result<RecoveryReport, PmError> {
 /// nothing the working version needs.
 pub fn check_registry(t: &mut PmOctree) -> Result<(), PmError> {
     let mut roots = vec![t.current_root];
-    roots.extend(t.forest.ids().into_iter().map(|id| t.shadow_of(id)));
+    roots.extend(t.forest.ids().into_iter().map(|id| t.forest.get(id).shadow));
     let working = gc::mark(&mut t.store, &roots, t.epoch);
     let fresh: HashSet<POffset> = working.fresh.iter().copied().collect();
     let mut stamps: HashMap<POffset, bool> =

@@ -124,8 +124,10 @@ proptest! {
 /// backends classify rejections through the same [`PmError`] taxonomy.
 #[test]
 fn service_runtime_and_backends_agree_on_error_taxonomy() {
-    use pmoctree_amr::{EtreeBackend, InCoreBackend, OctreeBackend, PmBackend};
+    use pmoctree_amr::{OctreeBackend, PmBackend};
+    use pmoctree_baselines::{EtreeOctree, InCoreOctree};
     use pmoctree_morton::OctKey;
+    use pmoctree_simfs::SimFs;
 
     // --- octree backends (mirrors amr::backend's taxonomy test) ---
     let backends: Vec<Box<dyn OctreeBackend>> = vec![
@@ -133,8 +135,8 @@ fn service_runtime_and_backends_agree_on_error_taxonomy() {
             NvbmArena::new(16 << 20, DeviceModel::default()),
             pm_octree::PmConfig { dynamic_transform: false, ..pm_octree::PmConfig::default() },
         ))),
-        Box::new(InCoreBackend::new()),
-        Box::new(EtreeBackend::on_nvbm()),
+        Box::new(InCoreOctree::new()),
+        Box::new(EtreeOctree::create(SimFs::on_nvbm())),
     ];
     for mut b in backends {
         b.refine(OctKey::root()).expect("refine root");

@@ -243,8 +243,10 @@ impl Simulation {
 mod tests {
     use super::*;
     use pm_octree::{PmConfig, PmOctree};
-    use pmoctree_amr::{check_balance, EtreeBackend, InCoreBackend, PmBackend};
+    use pmoctree_amr::{check_balance, PmBackend};
+    use pmoctree_baselines::{EtreeOctree, InCoreOctree};
     use pmoctree_nvbm::{DeviceModel, NvbmArena};
+    use pmoctree_simfs::SimFs;
 
     fn sim() -> Simulation {
         Simulation::new(SimConfig { steps: 6, max_level: 4, base_level: 2, ..SimConfig::default() })
@@ -260,7 +262,7 @@ mod tests {
     #[test]
     fn construct_adapts_to_interface() {
         let s = sim();
-        let mut b = InCoreBackend::new();
+        let mut b = InCoreOctree::new();
         s.construct(&mut b);
         assert!(b.depth() > s.cfg.base_level, "refinement beyond the base grid");
         assert!(b.leaf_count() > 64);
@@ -270,7 +272,7 @@ mod tests {
     #[test]
     fn run_produces_breakdowns() {
         let s = sim();
-        let mut b = InCoreBackend::new();
+        let mut b = InCoreOctree::new();
         let report = s.run(&mut b);
         assert_eq!(report.steps.len(), 6);
         for st in &report.steps {
@@ -285,11 +287,11 @@ mod tests {
     #[test]
     fn mesh_tracks_moving_interface() {
         let s = sim();
-        let mut b = InCoreBackend::new();
+        let mut b = InCoreOctree::new();
         s.construct(&mut b);
         // Fine cells at t0 follow the tip; after several steps the fine
         // region must have moved upward in z.
-        let fine_centroid_z = |b: &mut InCoreBackend| {
+        let fine_centroid_z = |b: &mut InCoreOctree| {
             let mut z = 0.0;
             let mut n = 0.0f64;
             b.for_each_leaf(&mut |k, _| {
@@ -312,8 +314,8 @@ mod tests {
     fn all_backends_complete_identical_meshes() {
         let s = sim();
         let mut pm = pm_backend();
-        let mut ic = InCoreBackend::new();
-        let mut et = EtreeBackend::on_nvbm();
+        let mut ic = InCoreOctree::new();
+        let mut et = EtreeOctree::create(SimFs::on_nvbm());
         let rp = s.run(&mut pm);
         let ri = s.run(&mut ic);
         let re = s.run(&mut et);

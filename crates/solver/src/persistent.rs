@@ -281,7 +281,7 @@ fn drive(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use pmoctree_amr::{InCoreBackend, OctreeBackend};
+    use pmoctree_amr::OctreeBackend;
     use pmoctree_baselines::InCoreOctree;
     use pmoctree_nvbm::{CrashMode, DeviceModel, FailPlan};
     use pmoctree_simfs::SimFs;
@@ -451,20 +451,18 @@ mod tests {
         let pm_ns = pm.elapsed_ns();
 
         let sim = Simulation::new(cfg());
-        let mut ib = InCoreBackend::new();
+        let mut ib = InCoreOctree::new();
         ib.fs = SimFs::on_disk();
         sim.construct(&mut ib);
-        ib.tree.snapshot(&mut ib.fs, "checkpoint-0.gfs");
+        ib.snapshot("checkpoint-0.gfs");
         for s in 0..KILL_AFTER {
             sim.step(&mut ib, s);
         }
         // Kill: DRAM is gone, only the file survives.
-        let InCoreBackend { mut fs, .. } = ib;
-        let t0 = fs.clock.now_ns();
-        let tree = InCoreOctree::restore(&mut fs, "checkpoint-0.gfs").unwrap();
-        let read_ns = fs.clock.now_ns() - t0;
-        let rebuild_ns = tree.clock.now_ns();
-        let mut rb = InCoreBackend { tree, fs, ..InCoreBackend::new() };
+        let t0 = ib.fs.clock.now_ns();
+        let mut rb = InCoreOctree::restore(ib.fs, "checkpoint-0.gfs").unwrap();
+        let read_ns = rb.fs.clock.now_ns() - t0;
+        let rebuild_ns = rb.clock.now_ns();
         let replay0 = rb.elapsed_ns();
         for s in 0..KILL_AFTER {
             sim.step(&mut rb, s);

@@ -85,11 +85,12 @@ pub fn estimate_work(b: &mut dyn OctreeBackend) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmoctree_amr::{construct_uniform, InCoreBackend};
+    use pmoctree_amr::construct_uniform;
+    use pmoctree_baselines::InCoreOctree;
 
     #[test]
     fn advect_writes_the_interface_band_only() {
-        let mut b = InCoreBackend::new();
+        let mut b = InCoreOctree::new();
         construct_uniform(&mut b, 4);
         let f = DropletEjection::default();
         let w1 = advect(&mut b, &f, 0.3);
@@ -104,7 +105,7 @@ mod tests {
 
     #[test]
     fn relaxation_converges() {
-        let mut b = InCoreBackend::new();
+        let mut b = InCoreOctree::new();
         construct_uniform(&mut b, 3);
         advect(&mut b, &DropletEjection::default(), 0.3);
         relax_pressure(&mut b, 50);
@@ -123,7 +124,7 @@ mod tests {
     #[test]
     fn write_fraction_realistic() {
         // The §1 claim: meshing + solving is write-intensive (41% average).
-        let mut b = InCoreBackend::new();
+        let mut b = InCoreOctree::new();
         construct_uniform(&mut b, 4);
         let f = DropletEjection::default();
         for step in 0..5 {
@@ -131,13 +132,13 @@ mod tests {
             advect(&mut b, &f, t);
             relax_pressure(&mut b, 2);
         }
-        let frac = b.tree.stats.overall_write_fraction();
+        let frac = b.stats.overall_write_fraction();
         assert!((0.05..0.8).contains(&frac), "write fraction {frac} outside plausible range");
     }
 
     #[test]
     fn work_estimates_weight_interface() {
-        let mut b = InCoreBackend::new();
+        let mut b = InCoreOctree::new();
         construct_uniform(&mut b, 4);
         advect(&mut b, &DropletEjection::default(), 0.3);
         estimate_work(&mut b);

@@ -2,7 +2,8 @@
 //! interface is physically sane at every time, and the solver sweeps
 //! preserve field invariants on arbitrary meshes.
 
-use pmoctree_amr::{construct_uniform, InCoreBackend, OctreeBackend};
+use pmoctree_amr::{construct_uniform, OctreeBackend};
+use pmoctree_baselines::InCoreOctree;
 use pmoctree_solver::{advect, relax_pressure, DropletEjection, SimConfig, Simulation};
 use proptest::prelude::*;
 
@@ -68,7 +69,7 @@ proptest! {
     /// pressure finite and non-negative-ish on any uniform mesh level.
     #[test]
     fn sweeps_preserve_invariants(level in 1u8..4, t in 0.05f64..1.0, iters in 1usize..6) {
-        let mut b = InCoreBackend::new();
+        let mut b = InCoreOctree::new();
         construct_uniform(&mut b, level);
         advect(&mut b, &DropletEjection::default(), t);
         prop_assert_eq!(advect(&mut b, &DropletEjection::default(), t), 0, "advect idempotent");
@@ -87,7 +88,7 @@ proptest! {
 fn simulation_is_deterministic() {
     let run = || {
         let sim = Simulation::new(SimConfig { steps: 5, max_level: 4, ..SimConfig::default() });
-        let mut b = InCoreBackend::new();
+        let mut b = InCoreOctree::new();
         let r = sim.run(&mut b);
         r.steps.iter().map(|s| s.leaves).collect::<Vec<_>>()
     };
@@ -106,7 +107,7 @@ fn element_count_follows_the_jet() {
         dt: 0.04,
         ..SimConfig::default()
     });
-    let mut b = InCoreBackend::new();
+    let mut b = InCoreOctree::new();
     let r = sim.run(&mut b);
     let counts: Vec<usize> = r.steps.iter().map(|s| s.leaves).collect();
     let peak = *counts.iter().max().unwrap();

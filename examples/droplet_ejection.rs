@@ -11,9 +11,11 @@
 //! cargo run --release --example droplet_ejection
 //! ```
 
-use pmoctree::amr::{EtreeBackend, InCoreBackend, OctreeBackend, PmBackend};
+use pmoctree::amr::{OctreeBackend, PmBackend};
+use pmoctree::baselines::{EtreeOctree, InCoreOctree};
 use pmoctree::nvbm::{DeviceModel, NvbmArena};
 use pmoctree::pm::{PmConfig, PmOctree};
+use pmoctree::simfs::SimFs;
 use pmoctree::solver::{SimConfig, Simulation};
 
 /// ASCII rendering of the x = 0.5 slice: one character per finest-level
@@ -56,8 +58,8 @@ fn main() {
         NvbmArena::new(128 << 20, DeviceModel::default()),
         PmConfig::default(),
     ));
-    let mut ic = InCoreBackend::new();
-    let mut et = EtreeBackend::on_nvbm();
+    let mut ic = InCoreOctree::new();
+    let mut et = EtreeOctree::create(SimFs::on_nvbm());
 
     sim.construct(&mut pm);
     sim.construct(&mut ic);

@@ -2,12 +2,12 @@
 //! pm-octree → nvbm) exercised end to end, including the paper's
 //! headline behaviours.
 
-use pmoctree::amr::{
-    check_balance, extract, EtreeBackend, InCoreBackend, OctreeBackend, PmBackend,
-};
+use pmoctree::amr::{check_balance, extract, OctreeBackend, PmBackend};
+use pmoctree::baselines::{EtreeOctree, InCoreOctree};
 use pmoctree::cluster::{ClusterSim, Scheme};
 use pmoctree::nvbm::{CrashMode, DeviceModel, NvbmArena};
 use pmoctree::pm::{PmConfig, PmOctree};
+use pmoctree::simfs::SimFs;
 use pmoctree::solver::{SimConfig, Simulation};
 
 fn pm_backend(transform: bool) -> PmBackend {
@@ -58,7 +58,7 @@ fn full_simulation_crash_restore_resume() {
 #[test]
 fn mesh_extraction_from_simulated_tree() {
     let s = sim(3);
-    let mut b = InCoreBackend::new();
+    let mut b = InCoreOctree::new();
     s.construct(&mut b);
     for step in 0..3 {
         s.step(&mut b, step);
@@ -133,8 +133,8 @@ fn nvbm_wear_stays_bounded() {
 #[test]
 fn etree_and_incore_survive_full_simulation() {
     let s = sim(6);
-    let mut et = EtreeBackend::on_nvbm();
-    let mut ic = InCoreBackend::new();
+    let mut et = EtreeOctree::create(SimFs::on_nvbm());
+    let mut ic = InCoreOctree::new();
     s.run(&mut et);
     let r = s.run(&mut ic);
     assert!(r.total_secs() > 0.0);
