@@ -53,6 +53,11 @@ if [ -e crates/pm-rt/tests/prop_prefix.rs ] ||
     echo "a replaced pm-rt oracle, the log scan or rank resurrection is back (the pm-rt model in tests/model.rs checks that code)" >&2
     exit 1
 fi
+# pm-rt stands on the device alone: the octree is a test-only dependency.
+if cargo tree --offline -e normal -p pm-rt | grep -n 'pm-octree'; then
+    echo "pm-rt depends on pm-octree again (PmError lives in pmoctree-nvbm)" >&2
+    exit 1
+fi
 # pm-rt keeps one of each: one error type (`PmError`), one record index in
 # the log heap, batched commands as the one way into a tenant, and
 # `PmStore` as the one octant store.
@@ -84,7 +89,7 @@ if sed -n '/pub fn update_leaves/,/^    }/p' crates/pm-octree/src/api.rs | grep 
     exit 1
 fi
 # Batched coarsen legality does not probe per key.
-if sed -n '/^pub fn can_coarsen_many(/,/^pub fn coarsen_balanced(/p' crates/amr/src/balance.rs |
+if sed -n '/^pub fn can_coarsen_many(/,/^}/p' crates/amr/src/balance.rs |
     grep -n 'containing_leaf(\|is_leaf('; then
     echo "balance.rs: coarsen legality probes per key again" >&2
     exit 1

@@ -82,9 +82,14 @@ pub fn ftt_cell_neighbor(
     b.containing_leaf(nk)
 }
 
-/// `ftt_cell_refine()`: split a leaf cell (2:1 ripple included).
+/// `ftt_cell_refine()`: split a leaf cell, then restore 2:1 around its
+/// children (the ripple); `false`, changing nothing, if it cannot split.
 pub fn ftt_cell_refine(b: &mut dyn OctreeBackend, cell: OctKey) -> bool {
-    crate::balance::refine_balanced(b, cell)
+    let split = b.refine(cell).is_ok();
+    if split {
+        crate::balance::balance_subset(b, &cell.children().collect::<Vec<_>>());
+    }
+    split
 }
 
 /// `ftt_cell_write()`: store the cell payload.
@@ -155,7 +160,9 @@ mod tests {
         let mut leaves = 0;
         ftt_cell_traverse(&mut b, FttTraverseType::Leafs, &mut |_, _| leaves += 1);
         assert_eq!(leaves, 15);
-        assert!(crate::balance::coarsen_balanced(&mut b, OctKey::root().child(2)));
+        let family = OctKey::root().child(2);
+        assert_eq!(crate::balance::can_coarsen_many(&mut b, &[family]), [true]);
+        assert!(b.coarsen(family).is_ok());
     }
 
     #[test]

@@ -26,10 +26,7 @@ pub mod refine;
 pub mod vtk;
 
 pub use backend::{leaf_only, Cell, OctreeBackend, PmBackend};
-pub use balance::{
-    balance, balance_subset, can_coarsen, can_coarsen_many, check_balance, coarsen_balanced,
-    refine_balanced,
-};
+pub use balance::{balance_subset, can_coarsen_many, check_balance, coarse_neighbors};
 pub use construct::{construct_path, construct_uniform};
 pub use extract::{extract, Mesh};
 pub use partition::{partition, weighted_leaves};

@@ -8,7 +8,7 @@
 use pmoctree_morton::OctKey;
 
 use crate::backend::{Cell, OctreeBackend};
-use crate::balance::{balance_from, can_coarsen_many};
+use crate::balance::{balance_subset, can_coarsen_many};
 
 /// What adaptation wants for one leaf.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +78,8 @@ pub fn adapt(b: &mut dyn OctreeBackend, criterion: &dyn AdaptCriterion) -> Adapt
     let refined: Vec<OctKey> =
         to_refine.iter().zip(&ok).filter(|&(_, &s)| s).map(|(&k, _)| k).collect();
     report.refined += refined.len();
-    balance_from(b, &refined);
+    let children: Vec<OctKey> = refined.iter().flat_map(|k| k.children()).collect();
+    balance_subset(b, &children);
     // --- coarsening phase ---
     let mut parents: Vec<OctKey> = votes.iter().filter(|(_, &n)| n == 8).map(|(k, _)| *k).collect();
     // Deepest first, so nested coarsening cascades within one pass.

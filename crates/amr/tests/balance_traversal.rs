@@ -1,16 +1,17 @@
 //! Acceptance check for the family balance kernel: on a ~10^5 octant
-//! tree, `balance` must locate neighbors through the sorted leaf index
-//! (one merge-scan per worklist round) with no per-key root descent, and
-//! ask at most one lookup per face direction of each parent family
-//! rather than one per face neighbor of each leaf. And the balance
-//! primitives' 2:1 fixed points on all three backends.
+//! tree, `balance_subset` over every leaf must locate neighbors through
+//! the sorted leaf index (one merge-scan per worklist round) with no
+//! per-key root descent, and ask at most one lookup per face direction of
+//! each parent family rather than one per face neighbor of each leaf. And
+//! the balance primitives' 2:1 fixed points on all three backends.
 
 use std::collections::BTreeSet;
 
 use pm_octree::{PmConfig, PmOctree};
+use pmoctree_amr::gerris::ftt_cell_refine;
 use pmoctree_amr::{
-    balance, balance_subset, can_coarsen, check_balance, coarsen_balanced, construct_path,
-    construct_uniform, refine_balanced, OctreeBackend, PmBackend,
+    balance_subset, can_coarsen_many, check_balance, construct_path, construct_uniform,
+    OctreeBackend, PmBackend,
 };
 use pmoctree_baselines::{EtreeOctree, InCoreOctree};
 use pmoctree_morton::OctKey;
@@ -40,7 +41,7 @@ fn balance_asks_per_family_not_per_leaf_at_1e5_octants() {
     let per_leaf: usize = leaves.iter().map(|k| k.face_neighbors().len()).sum();
 
     let before = b.mem_stats().trav;
-    let refined = balance(&mut b);
+    let refined = balance_subset(&mut b, &leaves);
     let after = b.mem_stats().trav;
     assert_eq!(refined, 0, "prefix-deepened mesh must already be balanced");
 
@@ -57,9 +58,9 @@ fn balance_asks_per_family_not_per_leaf_at_1e5_octants() {
 }
 
 /// The leaf index answers a small batch by galloping, not by a pass over
-/// the entries: on 2^15 leaves one `can_coarsen` (33 queries in a few
-/// Z-order runs) reads O(log n) DRAM lines on every backend, where the
-/// linear scan read 4 727 — every entry up to the family's last
+/// the entries: on 2^15 leaves one family's coarsen legality (33 queries
+/// in a few Z-order runs) reads O(log n) DRAM lines on every backend,
+/// where the linear scan read 4 727 — every entry up to the family's last
 /// neighbor. A dense batch, `balance_subset` over every leaf, still reads
 /// exactly the lines the linear scan read.
 #[test]
@@ -81,10 +82,10 @@ fn small_batches_gallop_dense_batches_scan_on_every_backend() {
 
         let before = lines(&*b);
         let family = leaves[12_345].parent().unwrap();
-        assert!(can_coarsen(&mut *b, family));
+        assert_eq!(can_coarsen_many(&mut *b, &[family]), [true]);
         let one = lines(&*b) - before;
         let log2n = u64::from(usize::BITS - (n - 1).leading_zeros());
-        assert!(one <= 8 * log2n, "{}: one can_coarsen read {one} lines", b.name());
+        assert!(one <= 8 * log2n, "{}: one family's legality read {one} lines", b.name());
 
         let before = lines(&*b);
         assert_eq!(balance_subset(&mut *b, &leaves), 0);
@@ -96,6 +97,12 @@ fn small_batches_gallop_dense_batches_scan_on_every_backend() {
             b.name()
         );
     }
+}
+
+/// Balance the whole tree: every leaf seeds the worklist.
+fn balance_all(b: &mut dyn OctreeBackend) -> usize {
+    let leaves = b.leaf_keys_sorted();
+    balance_subset(b, &leaves)
 }
 
 fn backends() -> Vec<Box<dyn OctreeBackend>> {
@@ -119,23 +126,25 @@ fn deep_path_then_balance_fixes_everything() {
         construct_path(b.as_mut(), deep);
         // A straight path badly violates 2:1.
         assert!(check_balance(b.as_mut()).is_some(), "{}", b.name());
-        let n = balance(b.as_mut());
+        let n = balance_all(b.as_mut());
         assert!(n > 0, "{}", b.name());
         assert!(check_balance(b.as_mut()).is_none(), "{} still unbalanced", b.name());
     }
 }
 
 #[test]
-fn refine_balanced_ripples() {
+fn cell_refine_ripples() {
     for mut b in backends() {
-        // Refine one corner deeply with the balanced primitive; at
-        // every step the tree stays 2:1.
+        // Refine towards the domain's center, each split followed by the
+        // ripple: the new children face the coarse leaves of the root's
+        // other children, and at every step the tree stays 2:1.
         let mut k = OctKey::root();
-        for _ in 0..4 {
-            assert!(refine_balanced(b.as_mut(), k), "{}", b.name());
-            k = k.child(7);
+        for i in [0, 7, 7, 7] {
+            assert!(ftt_cell_refine(b.as_mut(), k), "{}", b.name());
+            assert!(check_balance(b.as_mut()).is_none(), "{}", b.name());
+            k = k.child(i);
         }
-        assert!(check_balance(b.as_mut()).is_none(), "{}", b.name());
+        assert!(b.leaf_count() > 1 + 7 * 4, "{}: the ripple split no neighbor", b.name());
     }
 }
 
@@ -147,10 +156,11 @@ fn can_coarsen_respects_neighbors() {
         b.refine(OctKey::root().child(0).child(7)).unwrap(); // deep center
                                                              // Coarsening child 0 would leave a level-1 leaf next to
                                                              // level-3 leaves: forbidden.
-        assert!(!can_coarsen(b.as_mut(), OctKey::root().child(0)), "{}", b.name());
+        let (shallow, deep) = (OctKey::root().child(0), OctKey::root().child(0).child(7));
+        assert_eq!(can_coarsen_many(b.as_mut(), &[shallow]), [false], "{}", b.name());
         // Coarsening the deep corner itself is fine.
-        assert!(can_coarsen(b.as_mut(), OctKey::root().child(0).child(7)), "{}", b.name());
-        assert!(coarsen_balanced(b.as_mut(), OctKey::root().child(0).child(7)));
+        assert_eq!(can_coarsen_many(b.as_mut(), &[deep]), [true], "{}", b.name());
+        b.coarsen(deep).unwrap();
         assert!(check_balance(b.as_mut()).is_none(), "{}", b.name());
     }
 }
@@ -159,7 +169,7 @@ fn can_coarsen_respects_neighbors() {
 fn balance_is_idempotent() {
     for mut b in backends() {
         construct_path(b.as_mut(), OctKey::root().child(3).child(3).child(3));
-        balance(b.as_mut());
-        assert_eq!(balance(b.as_mut()), 0, "{}", b.name());
+        balance_all(b.as_mut());
+        assert_eq!(balance_all(b.as_mut()), 0, "{}", b.name());
     }
 }

@@ -1,11 +1,13 @@
 //! Cross-backend equivalence: the three octree implementations must be
 //! observationally identical under any meshing sequence, and 2:1 balance
-//! must hold after the balanced primitives, whichever backend ran them.
+//! must hold after every balanced refine and legal coarsen, whichever
+//! backend ran them.
 
 use pm_octree::{C0Tree, CellData, Op, PmConfig, PmError, PmOctree};
+use pmoctree_amr::gerris::ftt_cell_refine;
 use pmoctree_amr::{
-    adapt, can_coarsen_many, check_balance, coarsen_balanced, construct_uniform, refine_balanced,
-    AdaptCriterion, AdaptReport, Cell, OctreeBackend, PmBackend, Target,
+    adapt, can_coarsen_many, check_balance, construct_uniform, AdaptCriterion, AdaptReport, Cell,
+    OctreeBackend, PmBackend, Target,
 };
 use pmoctree_baselines::{EtreeOctree, InCoreOctree};
 use pmoctree_morton::OctKey;
@@ -54,10 +56,13 @@ fn key_of(path: &[usize]) -> OctKey {
 fn apply(b: &mut dyn OctreeBackend, op: &MeshOp) {
     match op {
         MeshOp::RefineBalanced(p) => {
-            refine_balanced(b, key_of(p));
+            ftt_cell_refine(b, key_of(p));
         }
         MeshOp::CoarsenBalanced(p) => {
-            coarsen_balanced(b, key_of(p));
+            let k = key_of(p);
+            if can_coarsen_many(b, &[k])[0] {
+                b.coarsen(k).unwrap();
+            }
         }
         MeshOp::SetData(p, v) => {
             let _ = b.set_data(key_of(p), [*v, 0.0, 0.0, 0.0]);
@@ -65,10 +70,10 @@ fn apply(b: &mut dyn OctreeBackend, op: &MeshOp) {
         MeshOp::Chain(i) => {
             let mut k = OctKey::root();
             while k.level() < OctKey::MAX_LEVEL {
-                refine_balanced(b, k);
+                ftt_cell_refine(b, k);
                 k = k.child(*i);
             }
-            assert!(!refine_balanced(b, k), "{}: refined past MAX_LEVEL", b.name());
+            assert!(!ftt_cell_refine(b, k), "{}: refined past MAX_LEVEL", b.name());
         }
     }
 }

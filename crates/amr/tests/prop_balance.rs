@@ -1,14 +1,11 @@
-//! 2:1 balance by the family kernel against the per-key path. On all three
-//! backends, over random unbalanced refine sets, every batched balance
-//! entry point reaches the leaf set of a `refine_balanced` fixed point
-//! driven by per-leaf `containing_leaf` probes, and the batched check names
-//! the pair that per-leaf scan names.
+//! 2:1 balance by the family kernel against the definition. On all three
+//! backends, over random unbalanced refine sets, `balance_subset` from
+//! every seed a caller passes reaches the leaf set that splitting the
+//! coarse side of every violation a per-leaf `containing_leaf` scan sees
+//! reaches, and the batched check names the pair that per-leaf scan names.
 
 use pm_octree::{PmConfig, PmOctree};
-use pmoctree_amr::balance::balance_from;
-use pmoctree_amr::{
-    balance, balance_subset, check_balance, refine_balanced, OctreeBackend, PmBackend,
-};
+use pmoctree_amr::{balance_subset, check_balance, OctreeBackend, PmBackend};
 use pmoctree_baselines::{EtreeOctree, InCoreOctree};
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::{DeviceModel, NvbmArena};
@@ -68,8 +65,8 @@ fn check_per_leaf(b: &mut dyn OctreeBackend) -> Option<(OctKey, OctKey)> {
     None
 }
 
-/// The 2:1 closure by the per-key path: split the coarse side of every
-/// violation the per-leaf scan sees with `refine_balanced` until it sees
+/// The 2:1 closure by its definition: split the coarse side of every
+/// violation the per-leaf scan sees with a plain `refine` until it sees
 /// none. Every split is forced, so this is the unique closure.
 fn fixed_point(b: &mut dyn OctreeBackend) {
     loop {
@@ -85,9 +82,7 @@ fn fixed_point(b: &mut dyn OctreeBackend) {
         coarse.sort_unstable();
         coarse.dedup();
         for leaf in coarse {
-            if b.is_leaf(leaf) == Some(true) {
-                assert!(refine_balanced(b, leaf), "{}: refine_balanced({leaf:?})", b.name());
-            }
+            assert!(b.refine(leaf).is_ok(), "{}: refine({leaf:?})", b.name());
         }
     }
 }
@@ -107,26 +102,27 @@ proptest! {
             fixed_point(reference.as_mut());
             let want = leaves(reference.as_mut());
             let name = reference.name();
-            for entry in ["balance", "balance_from", "balance_subset"] {
+            for seed in ["every leaf", "split children", "band"] {
                 let mut b = backend(which);
                 let split = grow(b.as_mut(), &paths);
                 let raw = check_per_leaf(b.as_mut());
                 prop_assert_eq!(check_balance(b.as_mut()), raw, "{}: check on the raw tree", name);
-                match entry {
-                    "balance" => balance(b.as_mut()),
-                    "balance_from" => balance_from(b.as_mut(), &split),
+                let keys: Vec<OctKey> = match seed {
+                    "every leaf" => leaves(b.as_mut()),
+                    "split children" => split.iter().flat_map(|k| k.children()).collect(),
                     _ => {
                         // The band a driver would pass: every leaf off
                         // the top levels, unsorted and repeated.
                         let mut band: Vec<OctKey> =
                             leaves(b.as_mut()).into_iter().filter(|k| k.level() >= 2).rev().collect();
                         band.extend(band.clone().iter().step_by(3));
-                        balance_subset(b.as_mut(), &band)
+                        band
                     }
                 };
-                prop_assert_eq!(&leaves(b.as_mut()), &want, "{} {}", name, entry);
-                prop_assert_eq!(check_per_leaf(b.as_mut()), None, "{} {}", name, entry);
-                prop_assert_eq!(check_balance(b.as_mut()), None, "{} {}: batched check after", name, entry);
+                balance_subset(b.as_mut(), &keys);
+                prop_assert_eq!(&leaves(b.as_mut()), &want, "{} {}", name, seed);
+                prop_assert_eq!(check_per_leaf(b.as_mut()), None, "{} {}", name, seed);
+                prop_assert_eq!(check_balance(b.as_mut()), None, "{} {}: batched check after", name, seed);
             }
         }
     }

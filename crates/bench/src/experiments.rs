@@ -220,7 +220,7 @@ pub fn layout_ablation() -> LayoutAblation {
         // version, as in steady-state operation.
         t.persist();
         if aware {
-            while t.maybe_transform() {}
+            while t.transform_pass(1) > 0 {}
         }
         // Measured window: a refinement burst over the hot subdomain
         // plus the end-of-step persist (the natural unit of meshing
@@ -624,7 +624,7 @@ pub fn ablation_sampling(ns: &[usize]) -> Vec<SamplingRow> {
             });
             t.add_feature(Box::new(|_k, d| d.phi.abs() < 0.5));
             let r0 = t.store.arena.stats.nvbm.read_lines;
-            let detected = t.maybe_transform()
+            let detected = t.transform_pass(1) > 0
                 && t.c0_subtree_keys().iter().any(|key| key.contains(&k0) || k0.contains(key));
             SamplingRow {
                 n_sample: n,

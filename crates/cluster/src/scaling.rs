@@ -17,9 +17,7 @@
 //! traces are therefore byte-identical for any worker count; threads only
 //! change which core runs which rank.
 
-use std::collections::HashSet;
-
-use pmoctree_morton::{partition_by_weight, OctKey, ZRange};
+use pmoctree_morton::{anchor, partition_by_weight, OctKey, ZRange};
 use pmoctree_nvbm::{Event, NetworkModel, Tracer};
 use pmoctree_solver::{SimConfig, Simulation, StepBreakdown};
 use rayon::prelude::*;
@@ -110,6 +108,14 @@ fn phase_ns(before: &[u64], after: &[u64]) -> u64 {
     before.iter().zip(after).map(|(b, a)| a - b).max().unwrap_or(0)
 }
 
+/// The index of the range that owns `k`, for ranges that are sorted and
+/// contiguous, empty ones allowed, as [`partition_by_weight`] returns
+/// them: one binary search over their upper bounds.
+fn owner(ranges: &[ZRange<3>], k: &OctKey) -> usize {
+    let a = anchor::<3>(k);
+    ranges.partition_point(|r| r.hi <= a)
+}
+
 impl ClusterSim {
     /// Build a cluster: uniform initial curve split, construct each
     /// rank's subdomain, then one load-balancing partition.
@@ -175,57 +181,46 @@ impl ClusterSim {
     }
 
     /// Parallel 2:1 balance (§2's `Balance` "enforced on the entire
-    /// parallel octree"): gather the global owned-leaf set, detect
-    /// cross-rank violations against it, and send refine requests to the
-    /// owners; iterate to a fixed point. Returns the number of
+    /// parallel octree"): gather the global owned-leaf set, find every
+    /// leaf in it two levels coarser than a face neighbor with the family
+    /// kernel ([`pmoctree_amr::coarse_neighbors`]), and send each to its
+    /// owner, which splits its share and restores 2:1 around the new
+    /// children; iterate to a fixed point. Returns the number of
     /// refinements requested.
     fn global_balance(&mut self) -> usize {
         let procs = self.ranks.len();
         if procs == 1 {
             return 0;
         }
+        let ranges: Vec<ZRange<3>> = self.ranks.iter().map(|r| r.range).collect();
         let mut refinements = 0usize;
         loop {
             // Global sorted leaf table (anchor-ordered): the linear-octree
-            // trick makes "containing leaf" a binary search.
+            // trick makes "containing leaf" a binary search. The owned
+            // leaves leave gaps at range boundaries (a rank's leaves past
+            // its range's end are nobody's); a query there answers the
+            // leaf before the gap, which does not contain it.
             let per_rank: Vec<Vec<OctKey>> = self
                 .ranks
                 .par_iter_mut()
                 .map(|r| r.owned_leaves().into_iter().map(|(k, _)| k).collect())
                 .collect();
-            let mut table: Vec<OctKey> = per_rank.iter().flatten().copied().collect();
-            table.sort();
-            let anchors: Vec<u64> = table.iter().map(pmoctree_morton::anchor::<3>).collect();
-            let containing = |k: &OctKey| -> OctKey {
-                let a = pmoctree_morton::anchor::<3>(k);
-                let i = anchors.partition_point(|&l| l <= a);
-                table[i.saturating_sub(1)]
+            let mut table: Vec<OctKey> = per_rank.into_iter().flatten().collect();
+            table.sort_unstable();
+            let containing = |queries: &[OctKey]| -> Vec<Option<OctKey>> {
+                queries
+                    .iter()
+                    .map(|q| {
+                        let a = anchor::<3>(q);
+                        let i = table.partition_point(|l| anchor::<3>(l) <= a);
+                        i.checked_sub(1).map(|i| table[i])
+                    })
+                    .collect()
             };
-            // Detect violations; route refine requests to owners (each
-            // leaf once, in first-seen order).
-            let mut requests: Vec<Vec<OctKey>> = vec![Vec::new(); procs];
-            let mut requested: HashSet<OctKey> = HashSet::new();
-            let mut any = false;
-            for leaves in &per_rank {
-                for k in leaves {
-                    for axis in 0..3 {
-                        for dir in [-1i8, 1] {
-                            if let Some(nk) = k.face_neighbor(axis, dir) {
-                                let leaf = containing(&nk);
-                                if leaf.level() + 1 < k.level() && requested.insert(leaf) {
-                                    let owner = self
-                                        .ranks
-                                        .iter()
-                                        .position(|r| r.range.owns(&leaf))
-                                        .expect("every leaf has an owner");
-                                    requests[owner].push(leaf);
-                                    any = true;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            let mut targets: Vec<OctKey> = Vec::new();
+            pmoctree_amr::coarse_neighbors(containing, &table, |_, leaf| targets.push(leaf));
+            targets.sort_unstable();
+            targets.dedup();
             // Charge one neighbor-exchange round to every rank. Balance
             // needs only boundary leaves from curve-adjacent peers, not
             // the full table — a halo exchange, so the per-rank volume
@@ -235,17 +230,28 @@ impl ClusterSim {
             for r in self.ranks.iter_mut() {
                 r.backend.charge_external(exch_ns);
             }
-            if !any {
+            if targets.is_empty() {
                 return refinements;
             }
-            refinements += requests.iter().map(Vec::len).sum::<usize>();
+            refinements += targets.len();
+            // Route each target to its owner; the targets stay sorted.
+            let mut requests: Vec<Vec<OctKey>> = vec![Vec::new(); procs];
+            for leaf in targets {
+                requests[owner(&ranges, &leaf)].push(leaf);
+            }
             let leaves =
                 |ranks: &[Rank]| ranks.iter().map(|r| r.backend.leaf_count()).sum::<usize>();
             let before = leaves(&self.ranks);
             self.ranks.par_iter_mut().zip(requests).for_each(|(r, reqs)| {
-                for k in reqs {
-                    pmoctree_amr::refine_balanced(r.backend.as_mut(), k);
-                }
+                let b = r.backend.as_mut();
+                let ok = b.refine_many(&reqs);
+                let children: Vec<OctKey> = reqs
+                    .iter()
+                    .zip(ok)
+                    .filter(|&(_, s)| s)
+                    .flat_map(|(k, _)| k.children())
+                    .collect();
+                pmoctree_amr::balance_subset(b, &children);
             });
             // Refining only adds leaves: a round that added none (every
             // request refused, the devices full) would meet the same
@@ -322,8 +328,7 @@ impl ClusterSim {
         let mut moved_bytes_per_rank = vec![0u64; procs];
         for (old_rank, leaves) in per_rank.iter().enumerate() {
             for (k, _) in leaves {
-                let new_owner =
-                    new_ranges.iter().position(|r| r.owns(k)).expect("ranges cover curve");
+                let new_owner = owner(&new_ranges, k);
                 if new_owner != old_rank {
                     migrated += 1;
                     moved_bytes_per_rank[old_rank] += 128;
@@ -418,6 +423,7 @@ impl ClusterSim {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use pmoctree_amr::OctreeBackend;
 
     fn cfg(max_level: u8) -> SimConfig {
         SimConfig { steps: 3, max_level, base_level: 2, ..SimConfig::default() }
@@ -492,6 +498,72 @@ mod tests {
         let mut c = ClusterSim::new(scheme, 2, cfg(6), 64 << 10);
         c.global_balance();
         assert!(c.elements() > 0);
+    }
+
+    /// The 2:1 closure by its definition, on one tree: split the coarse
+    /// side of every violation a per-leaf `containing_leaf` scan sees
+    /// until it sees none.
+    fn closure(b: &mut dyn OctreeBackend) {
+        loop {
+            let mut coarse = Vec::new();
+            for k in b.leaf_keys_sorted() {
+                for n in k.face_neighbors() {
+                    coarse.extend(b.containing_leaf(n).filter(|l| l.level() + 1 < k.level()));
+                }
+            }
+            if coarse.is_empty() {
+                return;
+            }
+            coarse.sort_unstable();
+            coarse.dedup();
+            for leaf in coarse {
+                b.refine(leaf).unwrap();
+            }
+        }
+    }
+
+    /// Cross-rank balance closes violations planted across range
+    /// boundaries to the 2:1 closure of the gathered global leaf set. Every
+    /// rank holds the uniform level-2 mesh plus the plants in its range, so
+    /// the owned leaves tile the domain; each plant splits a level-2 leaf
+    /// and then its child facing a neighbor of the root (+z from child 0,
+    /// −y from child 2, −z from child 5), whose level-4 leaves then face
+    /// level-2 leaves of another rank (or, at 2 ranks, of the same one).
+    #[test]
+    fn global_balance_reaches_the_closure_of_the_gathered_leaves() {
+        let root = OctKey::root();
+        let plants =
+            [(root.child(0).child(4), 4), (root.child(2).child(0), 0), (root.child(5).child(2), 2)];
+        let plant = |b: &mut dyn OctreeBackend, k: OctKey, c: usize| {
+            b.refine(k).unwrap();
+            b.refine(k.child(c)).unwrap();
+        };
+        let end = pmoctree_morton::anchor_end::<3>(&root);
+        for procs in [2u64, 4] {
+            let mut c = ClusterSim::new(Scheme::InCore, procs as usize, cfg(3), 0);
+            let mut reference = Scheme::InCore.make_backend(0);
+            pmoctree_amr::construct_uniform(reference.as_mut(), 2);
+            for (i, r) in (0..).zip(c.ranks.iter_mut()) {
+                r.backend = Scheme::InCore.make_backend(0);
+                pmoctree_amr::construct_uniform(r.backend.as_mut(), 2);
+                let hi = if i + 1 == procs { u64::MAX } else { end / procs * (i + 1) };
+                r.range = ZRange { lo: end / procs * i, hi };
+                for &(k, child) in plants.iter().filter(|(k, _)| r.range.owns(k)) {
+                    plant(r.backend.as_mut(), k, child);
+                    plant(reference.as_mut(), k, child);
+                }
+            }
+            let gathered = |c: &mut ClusterSim| {
+                let mut keys: Vec<OctKey> =
+                    c.ranks.iter_mut().flat_map(|r| r.owned_leaves()).map(|(k, _)| k).collect();
+                keys.sort_unstable();
+                keys
+            };
+            assert_eq!(gathered(&mut c), reference.leaf_keys_sorted(), "{procs} ranks: the plants");
+            assert!(c.global_balance() > 0, "{procs} ranks");
+            closure(reference.as_mut());
+            assert_eq!(gathered(&mut c), reference.leaf_keys_sorted(), "{procs} ranks");
+        }
     }
 
     /// `repartition`'s migration count is the number of owned leaves

@@ -301,31 +301,14 @@ impl<const D: usize> LeafIndex<D> {
         Self::lines_for_entries(stepped) + probes
     }
 
-    /// Resolve a Z-order-ascending batch of queries in one merge-scan.
-    ///
-    /// Returns per-query `Option<entry_index>` plus the DRAM lines the
-    /// scan read (the owner charges them). Queries **must** be sorted
-    /// ascending (checked in debug builds); duplicates are fine.
-    ///
-    /// # Panics
-    /// Panics if the index is invalid or holds unsettled edits.
-    pub fn resolve_sorted(&self, queries: &[Key<D>]) -> (Vec<Option<usize>>, u64) {
-        debug_assert!(
-            queries.windows(2).all(|w| w[0] <= w[1]),
-            "resolve_sorted requires Z-order-ascending queries"
-        );
-        let mut out = Vec::with_capacity(queries.len());
-        let lines = self.merge_scan(queries.iter(), |_, hit| out.push(hit));
-        (out, lines)
-    }
-
     /// Resolve a batch of queries given in any order: Z-order argsort,
     /// one merge-scan over the keys in that order, each result stored
     /// where its key stands, so `out[i]` answers `keys[i]`. Returns the
     /// per-key `Option<entry_index>` and the DRAM lines the scan read (the
-    /// owner charges them) — what [`LeafIndex::resolve_sorted`] returns on
-    /// the sorted batch. Hits ascend in entry index exactly as their
-    /// keys ascend in Z-order.
+    /// owner charges them), which do not depend on the input order: a
+    /// permutation of the batch reads what the sorted batch reads. Hits
+    /// ascend in entry index exactly as their keys ascend in Z-order;
+    /// duplicates are fine.
     ///
     /// # Panics
     /// Panics if the index is invalid or holds unsettled edits.
@@ -377,7 +360,7 @@ mod tests {
     }
 
     #[test]
-    fn resolve_sorted_matches_find() {
+    fn resolve_batch_on_sorted_queries_matches_find() {
         let leaves = sample_leaves();
         let idx = build(&leaves);
         let mut queries: Vec<OctKey> = leaves
@@ -386,7 +369,7 @@ mod tests {
             .chain([OctKey::root().child(3)])
             .collect();
         queries.sort_unstable();
-        let (resolved, touched) = idx.resolve_sorted(&queries);
+        let (resolved, touched) = idx.resolve_batch(&queries);
         assert!(touched > 0);
         for (q, r) in queries.iter().zip(&resolved) {
             assert_eq!(r.map(|i| idx.entries()[i].0), idx.find(q).map(|(_, k, _)| k));
@@ -415,7 +398,7 @@ mod tests {
         }
         let duplicated: Vec<OctKey> = shuffled.iter().chain(&reversed).copied().collect();
 
-        let touched_sorted = idx.resolve_sorted(&sorted).1;
+        let touched_sorted = idx.resolve_batch(&sorted).1;
         for (name, batch) in [("sorted", &sorted), ("reversed", &reversed), ("shuffled", &shuffled)]
         {
             let (got, touched) = idx.resolve_batch(batch);
@@ -565,7 +548,7 @@ mod tests {
         }
 
         /// Settle, then everything a caller can observe must agree with
-        /// the model: validity, entries, `find`, and `resolve_sorted`
+        /// the model: validity, entries, `find`, and `resolve_batch`
         /// including its `touched` count.
         fn check_settled(idx: &mut LeafIndex<3>, model: &SpliceModel) {
             idx.settle();
@@ -586,7 +569,7 @@ mod tests {
             for q in &queries {
                 assert_eq!(idx.find(q), reference.find(q));
             }
-            assert_eq!(idx.resolve_sorted(&queries), reference.resolve_sorted(&queries));
+            assert_eq!(idx.resolve_batch(&queries), reference.resolve_batch(&queries));
         }
 
         fn refine(idx: &mut LeafIndex<3>, model: &mut SpliceModel, key: OctKey, slots: &[u64]) {
@@ -769,7 +752,7 @@ mod tests {
                 prop_assert_eq!(hits, want);
                 let mut sorted = batch.clone();
                 sorted.sort_unstable();
-                prop_assert_eq!(idx.resolve_sorted(&sorted).1, lines);
+                prop_assert_eq!(idx.resolve_batch(&sorted).1, lines);
                 let (read, longest) = linear_scan(idx.entries(), &sorted);
                 if longest <= RUN {
                     prop_assert_eq!(lines, LeafIndex::<3>::lines_for_entries(read));
@@ -790,7 +773,7 @@ mod tests {
                 let n = idx.len();
                 prop_assert!(n >= 1 << 15);
                 let q = near(idx.entries(), p);
-                let (hits, lines) = idx.resolve_sorted(&[q]);
+                let (hits, lines) = idx.resolve_batch(&[q]);
                 prop_assert_eq!(hits[0], idx.find(&q).map(|h| h.0));
                 let log2n = u64::from(usize::BITS - (n - 1).leading_zeros());
                 prop_assert!(lines <= 2 * log2n + 6, "{lines} lines for one query into {n}");

@@ -17,7 +17,9 @@
 //! * [`simd`] — batch entry points (`encode_many`, `decode_many`,
 //!   `cmp_keys_many`, `zorder_argsort`, `neighbors_many`): the per-key
 //!   calculus of [`bits`] and [`code`] over a whole slice, one portable
-//!   path. The name is historical and stays because `perf/` imports it.
+//!   path. [`LeafIndex`] sorts with `zorder_argsort`; the `perf/` ladder
+//!   times all five. The name is historical and stays because `perf/`
+//!   imports it.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]

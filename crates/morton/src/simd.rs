@@ -1,12 +1,14 @@
 //! Batch entry points over the per-key calculus: one portable path.
 //!
 //! [`encode_many`], [`decode_many`], [`cmp_keys_many`], [`zorder_argsort`]
-//! and [`neighbors_many`] take a whole slice where [`Key`] takes one key,
-//! so the sorted leaf index, the `amr` worklist sweeps and the partitioner
-//! hand over a batch instead of looping themselves. Each is one loop over
-//! the per-key kernel in [`crate::bits`] / [`crate::code`] and answers
-//! exactly what that kernel answers, panics included; `tests/prop_batch.rs`
-//! holds every one of them to it.
+//! and [`neighbors_many`] take a whole slice where [`Key`] takes one key.
+//! The one caller in the stack is the sorted leaf index
+//! ([`crate::LeafIndex`]), which orders its rebuilds and query batches
+//! with [`zorder_argsort`]; the `perf/` ladder times all five as the
+//! Morton layer's kernels. Each is one loop over the per-key kernel in
+//! [`crate::bits`] / [`crate::code`] and answers exactly what that kernel
+//! answers, panics included; `tests/prop_batch.rs` holds every one of
+//! them to it.
 //!
 //! The name is from when a CPU-specific second path lived here
 //! (EXPERIMENTS.md, "PR 20", has why it went); it stays because `perf/`

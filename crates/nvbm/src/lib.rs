@@ -27,6 +27,7 @@
 pub mod alloc;
 pub mod arena;
 pub mod clock;
+mod error;
 pub mod failplan;
 mod lines;
 mod media;
@@ -43,6 +44,7 @@ pub use pmoctree_obsv as obsv;
 pub use alloc::PmemAllocator;
 pub use arena::{ArenaSnapshot, CommitRecord, CrashMode, NvbmArena, POffset, HEADER_SIZE};
 pub use clock::VirtualClock;
+pub use error::PmError;
 pub use failplan::{CrashCapture, CrashView, FailHook, FailPlan};
 pub use media::SparseMedia;
 pub use model::{BlockDeviceModel, DeviceModel, MemLatency, NetworkModel, CACHELINE, PAGE};

@@ -35,54 +35,7 @@ use crate::walk::{self, Cursor, Locate, Op};
 /// [`PmOctree::persist_with_hook`]).
 pub type PersistHook<'a> = dyn FnMut(&mut NvbmArena) -> Result<Vec<(u64, u32)>, PmError> + 'a;
 
-/// Errors surfaced by the meshing and recovery interface.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PmError {
-    /// No octant exists at this key in `V_i`.
-    NotFound(String),
-    /// Refinement of a non-leaf or of a leaf at `OctKey::MAX_LEVEL`, or
-    /// coarsening of a leaf.
-    NotALeaf(String),
-    /// Coarsening would violate structure (children not all leaves).
-    NotCoarsenable(String),
-    /// On-media state failed structural validation: an out-of-bounds or
-    /// misaligned pointer, a key inconsistent with its position, a cycle,
-    /// a non-zero reserved byte, or a live octant on the free list.
-    /// Recovery and the invariant checker report this instead of
-    /// panicking on corrupt media.
-    Corrupt(String),
-    /// Recovery could not start (unformatted device, no persisted
-    /// version) or a configuration was rejected.
-    Recovery(String),
-    /// A tenant's write would exceed its byte quota (`pm-rt` service
-    /// layer). The operation was rejected before touching media.
-    QuotaExceeded(String),
-    /// An MVCC snapshot handle outlived the state it pinned (media
-    /// restored from a replica, or the runtime registry destroyed).
-    SnapshotGone(String),
-    /// The NVBM device is full. The failed mutation left nothing
-    /// half-linked: COW paths allocate every copy before the single
-    /// publication write, so the pre-mutation version stays intact and
-    /// restorable; orphaned copies are retired like any unlinked octant.
-    Full(String),
-}
-
-impl std::fmt::Display for PmError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PmError::NotFound(k) => write!(f, "octant not found: {k}"),
-            PmError::NotALeaf(k) => write!(f, "octant is not a leaf: {k}"),
-            PmError::NotCoarsenable(k) => write!(f, "octant cannot be coarsened: {k}"),
-            PmError::Corrupt(what) => write!(f, "persistent state corrupt: {what}"),
-            PmError::Recovery(what) => write!(f, "recovery failed: {what}"),
-            PmError::QuotaExceeded(what) => write!(f, "tenant quota exceeded: {what}"),
-            PmError::SnapshotGone(what) => write!(f, "snapshot no longer valid: {what}"),
-            PmError::Full(what) => write!(f, "NVBM full: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for PmError {}
+pub use pmoctree_nvbm::PmError;
 
 /// Operation counters surfaced to the experiment harness.
 #[derive(Debug, Default, Clone)]
@@ -479,17 +432,28 @@ impl PmOctree {
         };
         let mut tree = C0Tree::new(key, data, &mut self.store.arena);
         tree.shadow = p;
+        // Without room for the path copy the leaf stays in NVBM.
+        self.install_c0(tree)
+    }
+
+    /// The one way into C0: register `tree` in the forest and link a
+    /// volatile handle at its subtree key with one path copy. When the
+    /// copy runs out of NVBM the tree leaves the forest again and the
+    /// error is returned, the NVBM image untouched.
+    pub(crate) fn install_c0(&mut self, tree: C0Tree) -> Result<(), PmError> {
+        let key = tree.subtree_key;
         let id = self.forest.insert(tree);
         let (store, epoch) = (&mut self.store, self.epoch);
         match c1::replace_slot(store, self.current_root, key, ChildPtr::Volatile(id), epoch) {
-            Ok(root) => self.current_root = root,
+            Ok(root) => {
+                self.current_root = root;
+                Ok(())
+            }
             Err(e) => {
-                // No room for the path copy: the leaf stays in NVBM.
                 self.forest.remove(id);
-                return Err(e);
+                Err(e)
             }
         }
-        Ok(())
     }
 
     /// Is some child of the NVBM octant at `key` a DRAM subtree? Answered

@@ -17,23 +17,16 @@ use pmoctree_nvbm::POffset;
 
 use crate::api::PmOctree;
 use crate::c0::{C0Tree, Dram};
-use crate::c1;
 use crate::config::T_TRANSFORM;
 use crate::octant::ChildPtr;
 use crate::sampling;
 
 impl PmOctree {
-    /// Run one transformation check; swap at most one subtree per call
-    /// (the paper swaps "the subtree having the maximum Ratio_access").
-    /// Returns whether a swap happened.
-    pub fn maybe_transform(&mut self) -> bool {
-        self.transform_pass(1) > 0
-    }
-
     /// One detection pass: scan + sample the NVBM candidates *once*, then
     /// promote up to `max_swaps` of the hottest (demoting cold DRAM
     /// residents when the budget requires it). Returns the number of
-    /// swaps performed.
+    /// swaps performed. `transform_pass(1)` is the paper's check, which
+    /// swaps "the subtree having the maximum Ratio_access".
     pub fn transform_pass(&mut self, max_swaps: usize) -> usize {
         if self.features.is_empty() || max_swaps == 0 {
             return 0;
@@ -46,7 +39,7 @@ impl PmOctree {
         // level ≥ L_sub (a region already partly in DRAM cannot be
         // promoted wholesale; one shallower than L_sub would not fit the
         // C0 budget).
-        let root = self.root_offset();
+        let root = self.current_root;
         let mut volatile = self.c0_subtree_keys();
         volatile.sort_unstable();
         let (_, candidates) = candidate_scan(&mut self.store, root, OctKey::root(), l, &volatile);
@@ -145,39 +138,16 @@ impl PmOctree {
             }
             // The tree lands in DRAM: every line of it written once.
             self.store.arena.charge(0, tree.lines() as u64);
-            let subtree_key = tree.subtree_key;
-            let id = self.forest.insert(tree);
-            let (root, epoch) = (self.root_offset(), self.epoch());
-            match c1::replace_slot(
-                &mut self.store,
-                root,
-                subtree_key,
-                ChildPtr::Volatile(id),
-                epoch,
-            ) {
-                Ok(new_root) => {
-                    self.set_root_offset(new_root);
-                    self.events.transforms += 1;
-                    swaps += 1;
-                }
-                Err(_) => {
-                    // Path COW ran out of NVBM: unwind the registration
-                    // and stop — the transformation is strictly optional.
-                    self.forest.remove(id);
-                    break 'promote;
-                }
+            if self.install_c0(tree).is_err() {
+                // Path COW ran out of NVBM: stop — the transformation is
+                // strictly optional.
+                break 'promote;
             }
+            self.events.transforms += 1;
+            swaps += 1;
         }
         self.store.arena.set_phase(prev_phase);
         swaps
-    }
-
-    pub(crate) fn root_offset(&self) -> POffset {
-        self.current_root
-    }
-
-    pub(crate) fn set_root_offset(&mut self, p: POffset) {
-        self.current_root = p;
     }
 }
 
@@ -255,7 +225,7 @@ mod tests {
         }
         t.add_feature(Box::new(|_k, d| d.phi.abs() < 0.5));
         // Depth 1, capacity huge → L_sub clamps to 1: children are candidates.
-        let swapped = t.maybe_transform();
+        let swapped = t.transform_pass(1) > 0;
         assert!(swapped, "hot subtree should be promoted");
         assert!(t.c0_octants() >= 1);
         assert_eq!(t.events.transforms, 1);
@@ -285,12 +255,12 @@ mod tests {
         t.add_feature(Box::new(|_k, d| d.phi.abs() < 0.5));
         // First pass: DRAM is empty, so the hottest candidate (child 0,
         // first in scan order among the f = 1.0 ties) promotes freely.
-        assert!(t.maybe_transform());
+        assert!(t.transform_pass(1) > 0);
         assert_eq!(t.events.transforms, 1);
         // Child 1 is exactly as hot as the resident it would have to beat
         // (ratio 1.0 ≤ T_transform = 1.5). It fits the budget without any
         // demotion — the buggy path — and must still be rejected.
-        assert!(!t.maybe_transform(), "equally-hot candidate must not clear the ratio gate");
+        assert!(t.transform_pass(1) == 0, "equally-hot candidate must not clear the ratio gate");
         assert_eq!(t.events.transforms, 1);
     }
 
@@ -316,7 +286,7 @@ mod tests {
         }
         t.add_feature(Box::new(|_k, d| d.phi.abs() < 0.5));
         assert!(
-            t.maybe_transform(),
+            t.transform_pass(1) > 0,
             "the fitting candidate must be promoted even though a hotter one bailed first"
         );
         assert_eq!(t.events.transforms, 1);
@@ -324,7 +294,7 @@ mod tests {
     }
 
     fn offset_of(t: &mut PmOctree, key: OctKey) -> POffset {
-        let root = t.root_offset();
+        let root = t.current_root;
         match crate::walk::locate(&mut t.store, root, key) {
             crate::walk::Locate::Found(p) => p,
             other => panic!("{key:?} is not an NVBM octant: {other:?}"),
@@ -337,11 +307,7 @@ mod tests {
         let p = offset_of(t, key);
         let tree = C0Tree::copy_of(&mut t.store, p).unwrap();
         t.store.arena.charge(0, tree.lines() as u64);
-        let id = t.forest.insert(tree);
-        let (root, epoch) = (t.root_offset(), t.epoch());
-        let root =
-            c1::replace_slot(&mut t.store, root, key, ChildPtr::Volatile(id), epoch).unwrap();
-        t.set_root_offset(root);
+        t.install_c0(tree).unwrap();
     }
 
     /// The scan reads the octants above `L_sub` and the impure ones, and
@@ -369,7 +335,7 @@ mod tests {
 
         let mut volatile = t.c0_subtree_keys();
         volatile.sort_unstable();
-        let (root, before) = (t.root_offset(), t.store.arena.stats.nvbm.read_lines);
+        let (root, before) = (t.current_root, t.store.arena.stats.nvbm.read_lines);
         let (pure, got) = candidate_scan(&mut t.store, root, r, 2, &volatile);
         let read = t.store.arena.stats.nvbm.read_lines - before;
         assert!(!pure);
@@ -383,7 +349,7 @@ mod tests {
     fn no_features_no_transform() {
         let mut t = PmOctree::create(arena(), PmConfig::default());
         t.refine(OctKey::root()).unwrap();
-        assert!(!t.maybe_transform());
+        assert!(t.transform_pass(1) == 0);
     }
 
     #[test]
@@ -393,7 +359,7 @@ mod tests {
         t.refine(OctKey::root()).unwrap();
         t.update_leaves(|_, d| Some(CellData { phi: 100.0, ..*d }));
         t.add_feature(Box::new(|_k, d| d.phi.abs() < 0.5));
-        assert!(!t.maybe_transform(), "nothing is hot; no swap");
+        assert!(t.transform_pass(1) == 0, "nothing is hot; no swap");
         assert_eq!(t.events.transforms, 0);
     }
 
@@ -416,7 +382,7 @@ mod tests {
             }
             t.add_feature(Box::new(|_k, d| d.phi.abs() < 0.5));
             if transform {
-                assert!(t.maybe_transform());
+                assert!(t.transform_pass(1) > 0);
             }
             let before = t.store.arena.stats.nvbm.write_lines;
             // Refinement burst inside the hot region.

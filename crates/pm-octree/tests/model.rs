@@ -548,7 +548,7 @@ impl Harness {
             Step::Transform(i) => {
                 let warm = CellData { phi: 1.0, ..Default::default() };
                 let _ = self.per_op(Op::SetData(self.leaf(i), warm));
-                self.t.maybe_transform();
+                self.t.transform_pass(1);
             }
         }
     }

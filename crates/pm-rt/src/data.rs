@@ -6,7 +6,7 @@
 //! return `Err`, never panic. [`ByteWriter`] / [`ByteReader`] make
 //! hand-written impls three lines per field.
 
-use pm_octree::PmError;
+use pmoctree_nvbm::PmError;
 
 /// A value the runtime can persist: encodes to / decodes from a
 /// self-contained byte string. Decoding must tolerate arbitrary

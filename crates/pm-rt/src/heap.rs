@@ -44,9 +44,9 @@
 
 use std::collections::BTreeMap;
 
-use pm_octree::PmError;
 use pmoctree_nvbm::model::CACHELINE;
 use pmoctree_nvbm::POffset;
+use pmoctree_nvbm::PmError;
 
 use crate::log::REC_HEADER;
 

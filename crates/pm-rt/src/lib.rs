@@ -54,7 +54,7 @@ pub mod tenant;
 
 pub use data::{ByteReader, ByteWriter, PmData};
 pub use mvcc::Snapshot;
-pub use pm_octree::PmError;
+pub use pmoctree_nvbm::PmError;
 pub use rt::{PPtr, PmRt, CHECKPOINT_EVERY};
 pub use service::{
     BatchReport, CmdResult, ServiceCmd, ServiceConfig, ServiceConfigBuilder, ServiceReply,

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use pm_octree::PmError;
+use pmoctree_nvbm::PmError;
 use pmoctree_nvbm::{NvbmArena, PinGuard};
 
 use crate::data::PmData;

@@ -17,7 +17,7 @@ use std::marker::PhantomData;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use pm_octree::PmError;
+use pmoctree_nvbm::PmError;
 use pmoctree_nvbm::{NvbmArena, POffset, HEADER_SIZE};
 
 use crate::data::{ByteReader, ByteWriter, PmData};
@@ -467,7 +467,7 @@ impl PmRt {
     /// [`CHECKPOINT_EVERY`] commits), flush everything staged, and write
     /// the record and the ring floor into the arena's next commit record
     /// and publish it ([`NvbmArena::publish`]) — the octree's commit point
-    /// too: inside [`PmOctree::persist_with_hook`](pm_octree::PmOctree::persist_with_hook)
+    /// too: inside pm-octree's `PmOctree::persist_with_hook`
     /// that one publication names the new tree as well. Fires the
     /// `rt::commit` failpoint. The wear-leveling and compaction passes
     /// run first (failpoints `wear::relocate` / `heap::compact`), and the

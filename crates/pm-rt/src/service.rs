@@ -23,7 +23,7 @@
 
 use std::collections::BTreeMap;
 
-use pm_octree::PmError;
+use pmoctree_nvbm::PmError;
 use pmoctree_nvbm::{NvbmArena, RecKind};
 
 use crate::data::{ByteReader, PmData};

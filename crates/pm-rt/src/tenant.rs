@@ -22,8 +22,8 @@
 //! `/` is reserved as the separator, so unqualified service-internal
 //! roots (like the tenant registry) can never collide with tenant data.
 
-use pm_octree::PmError;
 use pmoctree_nvbm::NvbmArena;
+use pmoctree_nvbm::PmError;
 
 use crate::data::PmData;
 use crate::mvcc::Snapshot;
