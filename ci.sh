@@ -8,6 +8,9 @@ cargo build --release
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
+# Rustdoc clean: no dead intra-doc link, no public doc linking a private
+# item (about 5 s warm).
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 # Benchmark-package gate: perf/ is a workspace of its own that
 # path-depends on the crates above, so nothing else here compiles it and
 # a changed public signature would break it unnoticed. Build, harness

@@ -88,7 +88,8 @@ pub trait OctreeBackend {
     /// order; input order is arbitrary.
     fn containing_leaf_many(&mut self, keys: &[OctKey]) -> Vec<Option<OctKey>>;
 
-    /// Batched [`OctreeBackend::get_data`] for leaf keys.
+    /// Batched [`OctreeBackend::get_data`]: results match input order;
+    /// `None` for a key that is not a current leaf.
     fn get_data_many(&mut self, keys: &[OctKey]) -> Vec<Option<Cell>>;
 
     /// Batched [`OctreeBackend::refine`]: the per-key entry point in a

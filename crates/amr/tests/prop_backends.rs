@@ -166,6 +166,40 @@ proptest! {
         }
     }
 
+    /// One batched-read contract on all three trees: over every leaf,
+    /// every interior octant and keys below the leaves, in no particular
+    /// order, `get_data_many` answers `get_data` on a leaf and `None`
+    /// elsewhere.
+    #[test]
+    fn get_data_many_answers_current_leaves_only(ops in arb_ops()) {
+        let mut pm = pm_backend();
+        let mut ic = InCoreOctree::new();
+        let mut et = EtreeOctree::create(SimFs::on_nvbm());
+        let backends: [&mut dyn OctreeBackend; 3] = [&mut pm, &mut ic, &mut et];
+        for b in backends {
+            for op in &ops {
+                apply(b, op);
+            }
+            let leaves = b.leaf_keys_sorted();
+            let mut keys: Vec<OctKey> = leaves
+                .iter()
+                .flat_map(|k| {
+                    let below = (k.level() < OctKey::MAX_LEVEL).then(|| k.child(5));
+                    k.path_from_root().into_iter().chain(below)
+                })
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys.reverse();
+            let expected: Vec<Option<Cell>> = keys
+                .iter()
+                .map(|&k| leaves.binary_search(&k).ok().and_then(|_| b.get_data(k)))
+                .collect();
+            prop_assert!(expected.iter().filter(|d| d.is_some()).count() == leaves.len());
+            prop_assert_eq!(b.get_data_many(&keys), expected, "{}", b.name());
+        }
+    }
+
     #[test]
     fn balanced_primitives_preserve_two_to_one(ops in arb_ops()) {
         let mut pm = pm_backend();

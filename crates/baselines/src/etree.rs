@@ -144,7 +144,7 @@ impl EtreeOctree {
         let mut entries = Vec::with_capacity(self.leaves);
         for page in pages {
             for r in self.read_page(page) {
-                entries.push((r.key, page as u64));
+                entries.push((r.key, 0));
             }
         }
         let n = self.leaf_view.rebuild(entries);
@@ -471,19 +471,16 @@ impl OctreeBackend for EtreeOctree {
     /// Batched leaf payload reads: queries resolve against the DRAM leaf
     /// view, then every data page holding at least one queried leaf is
     /// read exactly once (instead of one B-tree lookup + page read per
-    /// key). Keys that are not current leaves fall back to
-    /// [`OctreeBackend::get_data`].
+    /// key). `None` for a key that is not a current leaf.
     fn get_data_many(&mut self, keys: &[OctKey]) -> Vec<Option<Cell>> {
         self.ensure_index();
         let resolved = self.containing_leaf_many(keys);
         let mut out = vec![None; keys.len()];
         // Exact leaf hits, grouped by anchor for the page merge below.
         let mut wanted: Vec<(u64, usize)> = Vec::new();
-        let mut fallbacks = Vec::new();
         for (pos, r) in resolved.iter().enumerate() {
-            match r {
-                Some(k) if *k == keys[pos] => wanted.push((anchor::<3>(k), pos)),
-                _ => fallbacks.push(pos),
+            if let Some(k) = r.filter(|k| *k == keys[pos]) {
+                wanted.push((anchor::<3>(&k), pos));
             }
         }
         wanted.sort_unstable();
@@ -506,15 +503,10 @@ impl OctreeBackend for EtreeOctree {
                     let ri = records.partition_point(|r| anchor::<3>(&r.key) < a);
                     if ri < records.len() && records[ri].key == keys[pos] {
                         out[pos] = Some(records[ri].data);
-                    } else {
-                        fallbacks.push(pos);
                     }
                     w += 1;
                 }
             }
-        }
-        for pos in fallbacks {
-            out[pos] = self.get_data(keys[pos]);
         }
         out
     }

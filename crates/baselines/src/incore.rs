@@ -296,24 +296,18 @@ impl OctreeBackend for InCoreOctree {
     /// Batched leaf payload reads: index probes (DRAM) locate each leaf's
     /// slab slot, then exactly one line — the leaf's, which carries its
     /// payload — is read per resolved key, with no per-key root descent.
-    /// Keys that are not current leaves fall back to
-    /// [`OctreeBackend::get_data`].
+    /// `None` for a key that is not a current leaf.
     fn get_data_many(&mut self, keys: &[OctKey]) -> Vec<Option<Cell>> {
         let resolved = self.resolve_charged(keys);
         let mut out = vec![None; keys.len()];
-        let mut fallbacks = Vec::new();
         let lat = DeviceModel::default().dram;
         let (tree, mut dram) = (&mut self.tree, (&mut self.clock, &mut self.stats, lat));
         for (pos, r) in resolved.into_iter().enumerate() {
-            match r.map(|e| self.index.entries()[e]) {
-                Some((leaf, slot)) if leaf == keys[pos] => {
+            if let Some((leaf, slot)) = r.map(|e| self.index.entries()[e]) {
+                if leaf == keys[pos] {
                     out[pos] = Some(tree.data_at(slot as u32, &mut dram).into());
                 }
-                _ => fallbacks.push(pos),
             }
-        }
-        for pos in fallbacks {
-            out[pos] = self.get_data(keys[pos]);
         }
         out
     }

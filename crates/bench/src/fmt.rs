@@ -1,5 +1,5 @@
 //! Printers: render experiment results in the paper's shape. Every row
-//! table goes through [`table`]; prose outputs are single `format!`s.
+//! table goes through `table`; prose outputs are single `format!`s.
 
 use crate::experiments::*;
 

@@ -26,8 +26,6 @@ pub enum Scheme {
         transform: bool,
         /// DRAM budget for the C0 tree, in octants.
         c0_octants: usize,
-        /// Keep remote replicas of `V_{i-1}`.
-        replicas: bool,
     },
     /// Gerris-style in-core octree + snapshot files.
     InCore,
@@ -38,7 +36,7 @@ pub enum Scheme {
 impl Scheme {
     /// Default PM-octree scheme used by the scaling studies.
     pub fn pm_default() -> Self {
-        Scheme::Pm { transform: true, c0_octants: 1 << 14, replicas: false }
+        Scheme::Pm { transform: true, c0_octants: 1 << 14 }
     }
 
     /// Short display name.
@@ -54,11 +52,10 @@ impl Scheme {
     /// per-rank NVBM device.
     pub fn make_backend(&self, arena_bytes: usize) -> Box<dyn OctreeBackend + Send> {
         match *self {
-            Scheme::Pm { transform, c0_octants, replicas } => {
+            Scheme::Pm { transform, c0_octants } => {
                 let cfg = PmConfig {
                     dynamic_transform: transform,
                     c0_capacity_octants: c0_octants,
-                    replicas,
                     ..PmConfig::default()
                 };
                 Box::new(PmBackend::new(PmOctree::create(

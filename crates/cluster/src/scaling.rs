@@ -494,7 +494,7 @@ mod tests {
     /// global balance must stop once a round refines nothing.
     #[test]
     fn global_balance_returns_when_the_devices_are_full() {
-        let scheme = Scheme::Pm { transform: false, c0_octants: 1, replicas: false };
+        let scheme = Scheme::Pm { transform: false, c0_octants: 1 };
         let mut c = ClusterSim::new(scheme, 2, cfg(6), 64 << 10);
         c.global_balance();
         assert!(c.elements() > 0);

@@ -334,7 +334,10 @@ impl NvbmArena {
 
     /// [`NvbmArena::new`] with an explicit flight-recorder ring capacity
     /// (`slots` one-cacheline entries carved from the top of the device;
-    /// 0 disables the recorder).
+    /// 0 disables the recorder). Formats zeroed media — the header magic
+    /// and the ring descriptor, so both record slots are empty — and
+    /// adopts it as [`NvbmArena::from_media`] adopts any other media (a
+    /// freshly formatted device is by definition persistent).
     pub fn new_with_recorder(capacity: usize, model: DeviceModel, slots: usize) -> Self {
         assert!(capacity as u64 >= HEADER_SIZE, "arena smaller than header");
         let rec_bytes = (slots * CACHELINE) as u64;
@@ -344,36 +347,20 @@ impl NvbmArena {
         );
         let rec_base =
             if slots == 0 { 0 } else { (capacity as u64 - rec_bytes) & !(CACHELINE as u64 - 1) };
-        let heap_top = if slots == 0 { capacity as u64 } else { rec_base };
-        let mut stats = MemStats::new(capacity);
-        stats.set_region_bounds(rec_base, heap_top);
-        let mut a = NvbmArena {
-            media: SparseMedia::zeroed(capacity),
-            cache: LineTable::default(),
-            cache_cap: CACHE_LINES,
-            model,
-            clock: VirtualClock::new(),
-            stats,
-            tracer: Tracer::default(),
-            plan: None,
-            octree_edge: HEADER_SIZE,
-            rt_floor: heap_top,
-            rt_pins: EpochPins::new(),
-            rec_base,
-            rec_slots: slots,
-            rec_next_seq: 1,
-            rec_enabled: true,
-            committed: CommitRecord::default(),
-            next: CommitRecord::default(),
-        };
-        a.format();
-        a
+        let mut media = SparseMedia::zeroed(capacity);
+        for (off, v) in
+            [(OFF_MAGIC, MAGIC), (OFF_REC_BASE, rec_base), (OFF_REC_SLOTS, slots as u64)]
+        {
+            media.write_at(off as usize, &v.to_le_bytes());
+        }
+        Self::from_media(media, model)
     }
 
-    /// Build an arena directly over `media` (e.g. a crash snapshot from a
-    /// [`FailPlan`] capture), adopted as is. The dirty cache starts cold,
-    /// exactly like a rebooted node. The flight recorder is recovered from
-    /// the media: recording continues after the last surviving entry.
+    /// Build an arena directly over `media` (freshly formatted, loaded, a
+    /// crash image from a [`FailPlan`] hook or a replica), adopted as is:
+    /// the one way an arena is made. The dirty cache starts cold, exactly
+    /// like a rebooted node. The flight recorder is recovered from the
+    /// media: recording continues after the last surviving entry.
     pub fn from_media(media: SparseMedia, model: DeviceModel) -> Self {
         assert!(media.size() as u64 >= HEADER_SIZE, "media smaller than header");
         let capacity = media.size();
@@ -534,19 +521,6 @@ impl NvbmArena {
     fn set_cache_lines(&mut self, lines: usize) {
         self.cache_cap = lines.max(1);
         self.evict_over_cap();
-    }
-
-    /// Write the header magic and the flight-recorder ring descriptor onto
-    /// the fresh all-zero media, so both record slots are empty, bypassing
-    /// the cache (a freshly formatted device is by definition persistent).
-    fn format(&mut self) {
-        for (off, v) in [
-            (OFF_MAGIC, MAGIC),
-            (OFF_REC_BASE, self.rec_base),
-            (OFF_REC_SLOTS, self.rec_slots as u64),
-        ] {
-            self.media.write_at(off as usize, &v.to_le_bytes());
-        }
     }
 
     /// Device capacity in bytes.

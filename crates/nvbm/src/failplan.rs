@@ -10,21 +10,18 @@
 //! RNGs, line-ordered dirty-line eviction), the opportunity sequence of a workload
 //! is reproducible: a counting run and a replay run visit the *same*
 //! opportunities in the same order. A crash injected at opportunity `k`
-//! therefore does not need to abort the process — the plan snapshots the
-//! media a reboot would find (a clone of the current media with the dirty
-//! cache filtered through a [`CrashMode`]) and lets the workload continue.
-//! The snapshot is byte-identical to what re-running the workload and
-//! killing it at opportunity `k` would leave behind.
+//! therefore does not need to abort the process — a hook takes the media
+//! a reboot would find ([`CrashView::image`]: a clone of the current media
+//! with the dirty cache filtered through a [`CrashMode`]) and the workload
+//! continues. The image is byte-identical to what re-running the workload
+//! and killing it at opportunity `k` would leave behind.
 //!
-//! Three observation modes:
-//!
-//! * [`FailPlan::count`] — record how many opportunities the workload has
-//!   (the recorded run of a record/replay sweep);
-//! * [`FailPlan::armed`] — capture the crashed media at one opportunity
-//!   (the replay run; drive it from a property test or a sweep driver);
-//! * [`FailPlan::with_hook`] — invoke a callback with a [`CrashView`] at
-//!   *every* opportunity, so a sweep can verify recovery for each
-//!   opportunity × mode pair in a single pass instead of `O(n)` replays.
+//! A plan counts the opportunities and records their labels
+//! ([`FailPlan::count`]); a hook plan ([`FailPlan::with_hook`]) also hands
+//! a [`CrashView`] of *every* opportunity to a callback, so a sweep
+//! verifies recovery for each opportunity × mode pair — or a test keeps
+//! the images of the opportunities it wants — in a single pass instead of
+//! `O(n)` replays.
 
 use crate::arena::{apply_crash, commit_line_to, CrashMode};
 use crate::lines::LineTable;
@@ -84,26 +81,11 @@ impl<'a> CrashView<'a> {
     }
 }
 
-/// The crashed-media snapshot captured by an armed plan.
-#[derive(Clone, Debug)]
-pub struct CrashCapture {
-    /// Opportunity index the crash was injected at.
-    pub opportunity: u64,
-    /// Label of the opportunity, when it was an explicit failpoint.
-    pub label: Option<&'static str>,
-    /// Crash mode that produced the media.
-    pub mode: CrashMode,
-    /// Media as a rebooted node would find it.
-    pub media: SparseMedia,
-}
-
 /// Crash-opportunity plan installed on an
 /// [`NvbmArena`](crate::arena::NvbmArena).
 #[derive(Default)]
 pub struct FailPlan {
     counter: u64,
-    armed: Option<(u64, CrashMode)>,
-    capture: Option<CrashCapture>,
     hook: Option<FailHook>,
     labels: Vec<(u64, &'static str)>,
 }
@@ -112,8 +94,6 @@ impl std::fmt::Debug for FailPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FailPlan")
             .field("counter", &self.counter)
-            .field("armed", &self.armed)
-            .field("captured", &self.capture.is_some())
             .field("hook", &self.hook.is_some())
             .field("labels", &self.labels.len())
             .finish()
@@ -125,13 +105,6 @@ impl FailPlan {
     /// nothing.
     pub fn count() -> Self {
         FailPlan::default()
-    }
-
-    /// An armed plan: capture the crashed media at opportunity `at` under
-    /// `mode`. The workload continues normally afterwards; fetch the media
-    /// with [`FailPlan::take_capture`].
-    pub fn armed(at: u64, mode: CrashMode) -> Self {
-        FailPlan { armed: Some((at, mode)), ..FailPlan::default() }
     }
 
     /// A hook plan: `f` runs at every opportunity with a [`CrashView`].
@@ -150,12 +123,6 @@ impl FailPlan {
         &self.labels
     }
 
-    /// Take the captured crash media, if the armed opportunity has been
-    /// reached.
-    pub fn take_capture(&mut self) -> Option<CrashCapture> {
-        self.capture.take()
-    }
-
     /// Called by the arena at each opportunity. `media`/`dirty` describe
     /// the device state *before* the operation the opportunity precedes.
     pub(crate) fn observe(
@@ -169,15 +136,8 @@ impl FailPlan {
         if let Some(l) = label {
             self.labels.push((op, l));
         }
-        let view = CrashView::new(op, label, media, dirty);
-        if let Some((at, mode)) = self.armed {
-            if at == op && self.capture.is_none() {
-                self.capture =
-                    Some(CrashCapture { opportunity: op, label, mode, media: view.image(mode) });
-            }
-        }
         if let Some(hook) = self.hook.as_mut() {
-            hook(&view);
+            hook(&CrashView::new(op, label, media, dirty));
         }
     }
 }
@@ -224,37 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn armed_capture_equals_replay_crash() {
-        // Count first.
-        let mut a = arena();
-        a.set_fail_plan(FailPlan::count());
-        workload(&mut a);
-        let total = a.take_fail_plan().unwrap().opportunities();
-        for k in 0..total {
-            let mode = CrashMode::LoseDirty;
-            // Armed run: capture at k, workload continues to completion.
-            let mut armed = arena();
-            armed.set_fail_plan(FailPlan::armed(k, mode));
-            workload(&mut armed);
-            let cap = armed.take_fail_plan().unwrap().take_capture().expect("captured");
-            assert_eq!(cap.opportunity, k);
-            // Replay run: stop the workload at opportunity k and crash.
-            let stopper = Arc::new(Mutex::new(None::<SparseMedia>));
-            let got = stopper.clone();
-            let mut replay = arena();
-            replay.set_fail_plan(FailPlan::with_hook(Box::new(move |view| {
-                let mut slot = got.lock().unwrap();
-                if view.opportunity == k && slot.is_none() {
-                    *slot = Some(view.image(mode));
-                }
-            })));
-            workload(&mut replay);
-            let replayed = stopper.lock().unwrap().take().expect("hook image");
-            assert_eq!(cap.media.to_image(), replayed.to_image(), "opportunity {k}");
-        }
-    }
-
-    #[test]
     fn hook_sees_every_opportunity_in_order() {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let log = seen.clone();
@@ -279,11 +208,17 @@ mod tests {
         a.write(4112, &0x1000u64.to_le_bytes());
         a.flush_all();
         a.write(4112, &0x2000u64.to_le_bytes());
-        a.set_fail_plan(FailPlan::armed(0, CrashMode::TornWrite { seed: 7 }));
+        let image = Arc::new(Mutex::new(None::<SparseMedia>));
+        let slot = image.clone();
+        a.set_fail_plan(FailPlan::with_hook(Box::new(move |view| {
+            slot.lock()
+                .unwrap()
+                .get_or_insert_with(|| view.image(CrashMode::TornWrite { seed: 7 }));
+        })));
         a.failpoint("check");
-        let cap = a.take_fail_plan().unwrap().take_capture().unwrap();
+        let media = image.lock().unwrap().take().expect("the failpoint fired the hook");
         let mut word = [0u8; 8];
-        cap.media.read_at(4112, &mut word);
+        media.read_at(4112, &mut word);
         let raw = u64::from_le_bytes(word);
         assert!(raw == 0x1000 || raw == 0x2000, "8-byte store must not tear mid-word: {raw:#x}");
     }

@@ -45,7 +45,7 @@ pub use alloc::PmemAllocator;
 pub use arena::{ArenaSnapshot, CommitRecord, CrashMode, NvbmArena, POffset, HEADER_SIZE};
 pub use clock::VirtualClock;
 pub use error::PmError;
-pub use failplan::{CrashCapture, CrashView, FailHook, FailPlan};
+pub use failplan::{CrashView, FailHook, FailPlan};
 pub use media::SparseMedia;
 pub use model::{BlockDeviceModel, DeviceModel, MemLatency, NetworkModel, CACHELINE, PAGE};
 pub use pins::{EpochPins, PinGuard};

@@ -10,12 +10,12 @@
 //! retirement epoch remains.
 //!
 //! Pins are **volatile** — they describe live readers in this process,
-//! not persistent state. A reboot (or [`NvbmArena::restore_media`]
-//! (crate::NvbmArena::restore_media), which models one) drops every
-//! reader, so the registry is *invalidated*: its generation counter
-//! bumps, outstanding [`PinGuard`]s stop counting, and a snapshot that
-//! survived the swap reports `SnapshotGone` instead of reading blobs the
-//! new lineage may have reused.
+//! not persistent state. A reboot (or
+//! [`NvbmArena::restore_media`](crate::NvbmArena::restore_media), which
+//! models one) drops every reader, so the registry is *invalidated*: its
+//! generation counter bumps, outstanding [`PinGuard`]s stop counting, and
+//! a snapshot that survived the swap reports `SnapshotGone` instead of
+//! reading blobs the new lineage may have reused.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};

@@ -141,7 +141,7 @@ impl PmOctree {
     /// read, plus one validated reachability pass to rebuild volatile
     /// state (the allocator, the registry and the leaf index).
     ///
-    /// The pass ([`crate::verify::scan_tree`]) checks every pointer before
+    /// The pass (`verify::scan_tree`) checks every pointer before
     /// following it, so a device whose persisted tree is structurally
     /// damaged (which the protocol makes impossible for real crashes, but
     /// media corruption can still produce) yields
@@ -597,8 +597,8 @@ impl PmOctree {
     /// are not current leaves without touching NVBM; each resolved leaf's
     /// payload is then fetched from the tier it lives in (the index never
     /// caches payloads). NVBM leaves are located in Z-order through one
-    /// [`Cursor`], so a navigation line shared by several keys' paths
-    /// is read (and charged) once per batch.
+    /// cursor, so a navigation line shared by several keys' paths is read
+    /// (and charged) once per batch.
     pub fn get_data_many(&mut self, keys: &[OctKey]) -> Vec<Option<CellData>> {
         let resolved = self.resolve_charged(keys);
         // Exact leaf hits by entry: the Z-order the cursor needs.
@@ -625,7 +625,7 @@ impl PmOctree {
 
     /// Solver sweep: `f` inspects each leaf and returns `Some(new_data)`
     /// to update it. NVBM updates are copy-on-write, made inside the one
-    /// tree walk ([`walk::sweep_leaves`]).
+    /// tree walk (`walk::sweep_leaves`).
     pub fn update_leaves(&mut self, mut f: impl FnMut(OctKey, &CellData) -> Option<CellData>) {
         let mut volatile_ids = Vec::new();
         self.current_root =

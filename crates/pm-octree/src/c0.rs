@@ -319,7 +319,7 @@ impl C0Tree {
         store.payload(i, &nav)
     }
 
-    /// Apply `op` in place ([`walk::apply`]): the slab id of the node it
+    /// Apply `op` in place (`walk::apply`): the slab id of the node it
     /// names. Finding the node is an access, a refine 9 more, a coarsen
     /// or a payload write one.
     pub fn apply(&mut self, op: Op, dram: &mut impl Dram) -> Result<u32, PmError> {
@@ -341,7 +341,7 @@ impl C0Tree {
         }
     }
 
-    /// Visit the leaves in pre-order ([`walk::visit`]), each with its slab
+    /// Visit the leaves in pre-order (`walk::visit`), each with its slab
     /// id: one line read per node.
     pub fn leaves(&mut self, dram: &mut impl Dram, mut f: impl FnMut(u32, OctKey, &CellData)) {
         let root = self.root;
@@ -361,7 +361,7 @@ impl C0Tree {
         });
     }
 
-    /// Leaf sweep ([`walk::sweep_leaves`]): `f` returns a leaf's new data.
+    /// Leaf sweep (`walk::sweep_leaves`): `f` returns a leaf's new data.
     /// Each line it reads or writes is an access.
     pub fn sweep(
         &mut self,

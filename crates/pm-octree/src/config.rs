@@ -51,11 +51,6 @@ impl Default for PmConfig {
 }
 
 impl PmConfig {
-    /// Express the C0 capacity as simulated DRAM bytes (128 B/octant).
-    pub fn c0_capacity_bytes(&self) -> usize {
-        self.c0_capacity_octants * crate::octant::OCTANT_SIZE
-    }
-
     /// Validating builder, starting from [`PmConfig::default`]. Prefer
     /// this over field-literal construction: [`PmConfigBuilder::build`]
     /// rejects configurations the runtime would silently misbehave under
@@ -75,12 +70,6 @@ impl PmConfigBuilder {
     /// DRAM (C0) capacity in octants.
     pub fn c0_capacity_octants(mut self, n: usize) -> Self {
         self.cfg.c0_capacity_octants = n;
-        self
-    }
-
-    /// DRAM (C0) capacity in bytes (128 B/octant).
-    pub fn c0_capacity_bytes(mut self, bytes: usize) -> Self {
-        self.cfg.c0_capacity_octants = bytes / crate::octant::OCTANT_SIZE;
         self
     }
 
@@ -135,25 +124,18 @@ mod tests {
     }
 
     #[test]
-    fn c0_bytes_roundtrip() {
-        let c = PmConfig::builder().c0_capacity_bytes(1 << 20).build().unwrap();
-        assert_eq!(c.c0_capacity_octants, (1 << 20) / 128);
-        assert_eq!(c.c0_capacity_bytes(), 1 << 20);
-    }
-
-    #[test]
     fn builder_accepts_defaults_and_setters() {
         let c = PmConfig::builder().build().unwrap();
         assert_eq!(c, PmConfig::default());
         let c = PmConfig::builder()
-            .c0_capacity_bytes(1 << 20)
+            .c0_capacity_octants(8192)
             .n_sample(10)
             .dynamic_transform(false)
             .seed_c0(false)
             .replicas(true)
             .build()
             .unwrap();
-        assert_eq!(c.c0_capacity_octants, (1 << 20) / 128);
+        assert_eq!(c.c0_capacity_octants, 8192);
         assert_eq!(c.n_sample, 10);
         assert!(c.replicas);
         assert!(!c.dynamic_transform && !c.seed_c0);

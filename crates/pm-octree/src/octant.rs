@@ -122,9 +122,11 @@ impl ChildPtr {
     /// Decode from the compact 48-bit link value, rejecting malformed
     /// encodings instead of silently truncating them: a link wider than
     /// 6 bytes, or a volatile handle carrying garbage in bits 32..47, is
-    /// a corrupted record, not a pointer. This is the checked entry point
-    /// recovery scans use ([`PmStore::nav_line_checked`]); the hot path
-    /// goes through [`ChildPtr::decode`], which asserts instead.
+    /// a corrupted record, not a pointer. The one link decoder: recovery
+    /// scans report its error ([`PmStore::nav_line_checked`]), the hot
+    /// path panics on it ([`PmStore::nav_line`]) — in release builds too,
+    /// because following a corrupted link silently is how a bad traversal
+    /// turns into bad committed state.
     #[inline]
     pub fn try_decode(raw: u64) -> Result<Self, PmError> {
         if raw >= 1 << 48 {
@@ -141,18 +143,6 @@ impl ChildPtr {
             Ok(ChildPtr::Volatile((raw & 0xffff_ffff) as u32))
         } else {
             Ok(ChildPtr::Node(POffset(raw << 6)))
-        }
-    }
-
-    /// Decode from the compact 48-bit link value. Panics on a malformed
-    /// encoding — in release builds too (see [`ChildPtr::try_decode`]):
-    /// following a corrupted link silently is how a bad traversal turns
-    /// into bad committed state.
-    #[inline]
-    pub fn decode(raw: u64) -> Self {
-        match Self::try_decode(raw) {
-            Ok(c) => c,
-            Err(e) => panic!("corrupt child link: {e}"),
         }
     }
 }
@@ -412,9 +402,9 @@ impl PmStore {
 
 /// Octant-granular access to the device.
 ///
-/// The read side is the navigation line — [`PmStore::nav_line`]
-/// (checked: [`PmStore::nav_line_checked`]), which carries a leaf's
-/// payload — and, behind an interior octant's, its payload line
+/// The read side is the navigation line — [`PmStore::nav_line_checked`],
+/// or [`PmStore::nav_line`] that panics where it reports — which carries
+/// a leaf's payload, and, behind an interior octant's, its payload line
 /// ([`PmStore::payload`]; [`PmStore::data`] when no line is held).
 /// There are no per-field probes — a caller that wants a link, the key,
 /// the mask, the epoch or a leaf's payload decodes the navigation line
@@ -452,54 +442,28 @@ impl PmStore {
         self.arena.write(p.0, &record[..len]);
     }
 
-    /// Decode the whole navigation line in one 64-byte read: children (or
-    /// a leaf's payload), raw key, presence mask, and epoch — exactly one
-    /// charged line.
+    /// [`PmStore::nav_line_checked`] on a line the caller trusts: the
+    /// whole navigation line in one 64-byte read — children (or a leaf's
+    /// payload), raw key, presence mask and epoch, exactly one charged
+    /// line. Panics on a corrupt line, in release builds too.
     #[inline]
     pub fn nav_line(&mut self, p: POffset) -> NavLine {
         let mut buf = [0u8; CACHELINE];
         self.arena.read(p.0, &mut buf);
-        let mut children = [ChildPtr::Null; FANOUT];
-        if buf[OFF_MASK as usize] != 0 {
-            for (i, c) in children.iter_mut().enumerate() {
-                *c = ChildPtr::decode(get_link(&buf, i));
-            }
-        }
-        decode_nav_tail(&buf, children)
+        decode_line(&buf)
+            .unwrap_or_else(|| panic!("corrupt navigation line: {}", corrupt_line(p, &buf)))
     }
 
-    /// [`PmStore::nav_line`] with checked decoding: a corrupted child
-    /// link, a leaf's non-zero reserved body byte or a non-zero reserved
-    /// byte 57 surfaces as [`PmError::Corrupt`] instead of a panic (or of
-    /// going unnoticed). Recovery validation and `verify` scans use this —
-    /// they run over media that a crash (or a poison test) may have
-    /// mangled, and must report, not abort.
+    /// Decode the navigation line at `p` in one 64-byte read, checked: a
+    /// corrupted child link, a leaf's non-zero reserved body byte or a
+    /// non-zero reserved byte 57 surfaces as [`PmError::Corrupt`] instead
+    /// of going unnoticed. Recovery validation and `verify` scans use this
+    /// directly — they run over media that a crash (or a poison test) may
+    /// have mangled, and must report, not abort.
     pub fn nav_line_checked(&mut self, p: POffset) -> Result<NavLine, PmError> {
         let mut buf = [0u8; CACHELINE];
         self.arena.read(p.0, &mut buf);
-        let mut children = [ChildPtr::Null; FANOUT];
-        if buf[OFF_MASK as usize] == 0 {
-            // A zeroed mask over links leaves the high links in these
-            // bytes: the torn-line check a leaf's payload cannot give.
-            if let Some(i) = LEAF_RESERVED.clone().find(|&i| buf[i] != 0) {
-                return Err(PmError::Corrupt(format!(
-                    "octant {:#x}: a leaf (mask 0) holds {:#04x} in reserved byte {i}",
-                    p.0, buf[i]
-                )));
-            }
-        } else {
-            for (i, c) in children.iter_mut().enumerate() {
-                *c = ChildPtr::try_decode(get_link(&buf, i))
-                    .map_err(|e| PmError::Corrupt(format!("octant {:#x} child {i}: {e}", p.0)))?;
-            }
-        }
-        if buf[OFF_RESERVED as usize] != 0 {
-            return Err(PmError::Corrupt(format!(
-                "octant {:#x}: reserved byte {OFF_RESERVED} holds {:#04x}, nothing stores there",
-                p.0, buf[OFF_RESERVED as usize]
-            )));
-        }
-        Ok(decode_nav_tail(&buf, children))
+        decode_line(&buf).ok_or_else(|| corrupt_line(p, &buf))
     }
 
     /// The payload of the octant at `p`, whose navigation line is `nav`: a
@@ -512,12 +476,11 @@ impl PmStore {
 
     /// The payload of the octant at `p` with no line of it held yet: its
     /// navigation line — all a leaf costs — and, for an interior octant,
-    /// line 1. Only the mask and the payload are decoded.
+    /// line 1.
     #[inline]
     pub fn data(&mut self, p: POffset) -> CellData {
-        let mut buf = [0u8; CACHELINE];
-        self.arena.read(p.0, &mut buf);
-        leaf_payload(&buf).unwrap_or_else(|| line1_payload(self, p))
+        let nav = self.nav_line(p);
+        self.payload(p, &nav)
     }
 
     /// Overwrite the payload of the octant at `p` in place, where its
@@ -572,12 +535,6 @@ impl PmStore {
     }
 }
 
-/// The payload a navigation-line buffer carries, if it is a leaf's.
-fn leaf_payload(buf: &[u8; CACHELINE]) -> Option<CellData> {
-    let payload: &[u8; 32] = buf[..LEAF_RESERVED.start].try_into().expect("32");
-    (buf[OFF_MASK as usize] == 0).then(|| CellData::from_bytes(payload))
-}
-
 /// An interior octant's payload: one read of line 1.
 fn line1_payload(store: &mut PmStore, p: POffset) -> CellData {
     let mut b = [0u8; 32];
@@ -585,21 +542,63 @@ fn line1_payload(store: &mut PmStore, p: POffset) -> CellData {
     CellData::from_bytes(&b)
 }
 
-/// Decode the non-link fields of a navigation-line buffer, and a leaf's
-/// payload.
-fn decode_nav_tail(buf: &[u8; CACHELINE], children: [ChildPtr; FANOUT]) -> NavLine {
-    NavLine {
-        children,
-        leaf: leaf_payload(buf),
-        code: u64::from_le_bytes(
-            buf[OFF_CODE as usize..OFF_CODE as usize + 8].try_into().expect("8"),
-        ),
-        level: buf[OFF_LEVEL as usize],
-        mask: buf[OFF_MASK as usize],
-        epoch: u32::from_le_bytes(
-            buf[OFF_EPOCH as usize..OFF_EPOCH as usize + 4].try_into().expect("4"),
-        ),
+/// The one navigation-line decoder: children (or a leaf's payload), raw
+/// key, presence mask and epoch; `None` for a line that breaks a rule
+/// [`corrupt_line`] names. `Option`, not `Result`: every walk decodes
+/// each line it visits, and carrying a `PmError` through that path cost
+/// about 8 % of `droplet_l9` host throughput, so the error is built only
+/// on refusal.
+#[inline(always)]
+fn decode_line(buf: &[u8; CACHELINE]) -> Option<NavLine> {
+    let mut children = [ChildPtr::Null; FANOUT];
+    let mask = buf[OFF_MASK as usize];
+    if mask == 0 {
+        // A zeroed mask over links leaves the high links in these bytes:
+        // the torn-line check a leaf's payload cannot give.
+        if buf[LEAF_RESERVED] != [0; BODY_SIZE - LEAF_RESERVED.start] {
+            return None;
+        }
+    } else {
+        for (i, c) in children.iter_mut().enumerate() {
+            *c = ChildPtr::try_decode(get_link(buf, i)).ok()?;
+        }
     }
+    if buf[OFF_RESERVED as usize] != 0 {
+        return None;
+    }
+    let field = |at: u64, len: usize| &buf[at as usize..at as usize + len];
+    Some(NavLine {
+        children,
+        leaf: (mask == 0)
+            .then(|| CellData::from_bytes(buf[..LEAF_RESERVED.start].try_into().expect("32"))),
+        code: u64::from_le_bytes(field(OFF_CODE, 8).try_into().expect("8")),
+        level: buf[OFF_LEVEL as usize],
+        mask,
+        epoch: u32::from_le_bytes(field(OFF_EPOCH, 4).try_into().expect("4")),
+    })
+}
+
+/// What [`PmStore::nav_line_checked`] reports for a line [`decode_line`]
+/// refuses at `p`: the first rule it breaks — a leaf's reserved body byte
+/// or a child link, then reserved byte 57.
+#[cold]
+fn corrupt_line(p: POffset, buf: &[u8; CACHELINE]) -> PmError {
+    let body = if buf[OFF_MASK as usize] == 0 {
+        LEAF_RESERVED.clone().find(|&i| buf[i] != 0).map(|i| {
+            format!("octant {:#x}: a leaf (mask 0) holds {:#04x} in reserved byte {i}", p.0, buf[i])
+        })
+    } else {
+        (0..FANOUT).find_map(|i| {
+            let e = ChildPtr::try_decode(get_link(buf, i)).err()?;
+            Some(format!("octant {:#x} child {i}: {e}", p.0))
+        })
+    };
+    PmError::Corrupt(body.unwrap_or_else(|| {
+        format!(
+            "octant {:#x}: reserved byte {OFF_RESERVED} holds {:#04x}, nothing stores there",
+            p.0, buf[OFF_RESERVED as usize]
+        )
+    }))
 }
 
 /// Test support: the whole record, decoded — the navigation line and
@@ -718,17 +717,17 @@ mod tests {
 
     #[test]
     fn child_ptr_encoding() {
-        assert_eq!(ChildPtr::decode(0), ChildPtr::Null);
+        assert_eq!(ChildPtr::try_decode(0).unwrap(), ChildPtr::Null);
         // NVBM offsets are stored divided by 64 (records are aligned).
         let n = ChildPtr::Node(POffset(0x2000));
         assert_eq!(n.encode(), 0x2000 >> 6);
-        assert_eq!(ChildPtr::decode(n.encode()), n);
+        assert_eq!(ChildPtr::try_decode(n.encode()).unwrap(), n);
         let v = ChildPtr::Volatile(99);
-        assert_eq!(ChildPtr::decode(v.encode()), v);
+        assert_eq!(ChildPtr::try_decode(v.encode()).unwrap(), v);
         // Every encoding fits the 6-byte link slot.
         for c in [n, v, ChildPtr::Null, ChildPtr::Node(POffset(1u64 << 52))] {
             assert!(c.encode() < 1 << 48, "{c:?} does not fit 48 bits");
-            assert_eq!(ChildPtr::decode(c.encode()), c);
+            assert_eq!(ChildPtr::try_decode(c.encode()).unwrap(), c);
         }
     }
 
@@ -807,9 +806,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "corrupt child link")]
+    #[should_panic(expected = "corrupt navigation line")]
     fn decode_checks_links_in_release_builds_too() {
-        let _ = ChildPtr::decode(VOLATILE_BIT | (1 << 40));
+        let mut s = store();
+        let mut o = Octant::leaf(OctKey::root(), 0, CellData::default());
+        o.children[1] = ChildPtr::Node(POffset(0x1000));
+        let p = s.alloc_octant(&o).unwrap();
+        s.arena.write(p.0, &(VOLATILE_BIT | (1 << 40)).to_le_bytes()[..6]);
+        let _ = s.nav_line(p);
     }
 
     #[test]
@@ -852,8 +856,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Any 64 bytes through the checked decoder: `Ok` or `Corrupt`,
-        /// never a panic; and where it accepts a line, the hot-path
-        /// decoder reads the same thing off it. The mask byte is drawn
+        /// never a panic; and where it accepts a line, it reads the
+        /// line's fields off it. The mask byte is drawn
         /// zero half the time, and each other byte a quarter of the
         /// time, so leaves, interior octants and both reserved rules all
         /// occur.
@@ -885,13 +889,13 @@ mod tests {
                         prop_assert_eq!(d.to_bytes(), line[..32]);
                         prop_assert_eq!(nav.children, [ChildPtr::Null; FANOUT]);
                     } else {
-                        let links = std::array::from_fn(|i| ChildPtr::decode(get_link(&line, i)));
+                        let links =
+                            std::array::from_fn(|i| ChildPtr::try_decode(get_link(&line, i)).unwrap());
                         prop_assert_eq!(nav.children, links);
                     }
-                    let hot = s.nav_line(p);
-                    prop_assert_eq!(hot.leaf.map(|d| d.to_bytes()), nav.leaf.map(|d| d.to_bytes()));
-                    prop_assert_eq!((hot.children, hot.code, hot.level, hot.epoch),
-                        (nav.children, nav.code, nav.level, nav.epoch));
+                    prop_assert_eq!(nav.code, u64::from_le_bytes(line[OFF_CODE as usize..][..8].try_into().unwrap()));
+                    prop_assert_eq!((nav.level, nav.epoch), (line[OFF_LEVEL as usize],
+                        u32::from_le_bytes(line[OFF_EPOCH as usize..][..4].try_into().unwrap())));
                 }
                 Err(e) => prop_assert!(matches!(e, PmError::Corrupt(_)), "{e}"),
             }

@@ -179,7 +179,7 @@ pub struct RecoveryReport {
 ///
 /// Checks, in order:
 /// 1. the commit record's root names a structurally closed tree
-///    ([`scan_tree`]) whose leaf/depth counts match the handle's;
+///    (`scan_tree`) whose leaf/depth counts match the handle's;
 /// 2. the leaf index holds exactly the leaf set a direct tree walk finds;
 /// 3. no reachable octant overlaps a block on the allocator free list;
 /// 4. [`check_registry`]: the registry is exactly what the working

@@ -126,7 +126,7 @@ pub fn blob_footprint(encoded_len: usize) -> usize {
     record_size(OBJ_HEADER + encoded_len)
 }
 
-/// A name-ordered root map. Every view holding a root (staged, committed,
+/// A name-ordered root map. Every view holding a root (staged table,
 /// staged-origin journal, reverse index) shares its one name allocation.
 type NameMap<V> = BTreeMap<Arc<str>, V>;
 
@@ -149,8 +149,9 @@ fn prefix_range<'a, V>(
 /// chain named by the arena's commit record (its `rt_root`).
 ///
 /// Two views of the registry coexist: the **staged** table (what the next
-/// commit will publish) and the **committed** table (what the current
-/// `rt_root` names). MVCC [`Snapshot`](crate::mvcc::Snapshot) handles pin
+/// commit will publish) and the **committed** view (what the current
+/// `rt_root` names): the staged table with `staged_origin` laid over it.
+/// MVCC [`Snapshot`](crate::mvcc::Snapshot) handles pin
 /// the committed view at an epoch: blobs a later commit supersedes are
 /// *deferred*, not freed, until no snapshot older than their retirement
 /// epoch remains (see [`PmRt::collect`]) — a pinned blob is never
@@ -159,10 +160,8 @@ fn prefix_range<'a, V>(
 pub struct PmRt {
     /// Staged view: name → entry as of the next commit.
     table: NameMap<Entry>,
-    /// Committed view: name → entry as the published chain holds it.
-    committed: NameMap<Entry>,
     /// Reverse index of the committed view: blob record offset → name.
-    /// Both advance at commit by applying `staged_origin`; volatile, so
+    /// Advances at commit by applying `staged_origin`; volatile, so
     /// restore reseeds it from the table the chain walk rebuilds.
     committed_at: BTreeMap<u64, Arc<str>>,
     pub(crate) heap: LogHeap,
@@ -200,7 +199,6 @@ impl PmRt {
         let limit = arena.live_bump().max(HEADER_SIZE);
         let mut rt = PmRt {
             table: BTreeMap::new(),
-            committed: BTreeMap::new(),
             committed_at: BTreeMap::new(),
             heap: LogHeap::new(limit, top),
             epoch: 0,
@@ -290,7 +288,6 @@ impl PmRt {
         arena.publish_rt_floor(heap.floor());
         let chain: Vec<u64> = walked.iter().rev().map(|(o, _, _)| *o).collect();
         Ok(PmRt {
-            committed: table.clone(),
             committed_at: table.iter().map(|(n, e)| (e.record_off(), n.clone())).collect(),
             table,
             heap,
@@ -371,15 +368,16 @@ impl PmRt {
         w.u32(OBJ_MAGIC);
         w.u32(len);
         blob.extend_from_slice(payload);
-        if let Some(cur) = self.table.get_mut(name) {
-            let staged_only = self.committed.get(name) != Some(cur);
-            if staged_only && cur.footprint() == record_size(blob.len()) {
-                // Staged-only means this window already noted its origin.
-                debug_assert!(self.staged_origin.contains_key(name));
-                let seq = self.heap.next_seq();
-                arena.write(cur.record_off(), &encode_record(seq, RecordKind::Blob, &blob));
-                cur.len = len;
-                return Ok(*cur);
+        // Staged-only: touched in this window, and not its origin.
+        if let Some(&origin) = self.staged_origin.get(name) {
+            match self.table.get_mut(name) {
+                Some(cur) if origin != Some(*cur) && cur.footprint() == record_size(blob.len()) => {
+                    let seq = self.heap.next_seq();
+                    arena.write(cur.record_off(), &encode_record(seq, RecordKind::Blob, &blob));
+                    cur.len = len;
+                    return Ok(*cur);
+                }
+                _ => {}
             }
         }
         let (rec_off, size) = self.append_record(arena, RecordKind::Blob, &blob)?;
@@ -425,24 +423,22 @@ impl PmRt {
     /// this window is reclaimed immediately. Returns whether the name
     /// existed.
     pub fn unregister(&mut self, name: &str) -> bool {
-        match self.table.remove(name) {
-            Some(e) => {
-                self.note_origin(name);
-                self.supersede(name, e);
-                true
-            }
-            None => false,
-        }
+        let Some(&e) = self.table.get(name) else { return false };
+        self.note_origin(name);
+        self.table.remove(name);
+        self.supersede(name, e);
+        true
     }
 
     /// Record the committed-time entry for `name` on its first
-    /// modification in this commit window. Returns the shared name key
-    /// (the committed table's allocation when the root already exists).
+    /// modification in this commit window, before the staged entry moves.
+    /// Returns the shared name key (the table's allocation when the root
+    /// already exists).
     fn note_origin(&mut self, name: &str) -> Arc<str> {
         if let Some((key, _)) = self.staged_origin.get_key_value(name) {
             return key.clone();
         }
-        let (key, origin) = match self.committed.get_key_value(name) {
+        let (key, origin) = match self.table.get_key_value(name) {
             Some((key, e)) => (key.clone(), Some(*e)),
             None => (Arc::from(name), None),
         };
@@ -450,12 +446,13 @@ impl PmRt {
         key
     }
 
-    /// A staged or committed blob under `name` was replaced or removed.
+    /// A staged or committed blob under `name`, whose origin is noted,
+    /// was replaced or removed: it is committed iff it is the origin.
     /// Committed blobs retire (snapshot readers may still need them);
     /// blobs staged in this window were never snapshot-visible and die on
     /// the spot, their space free for the next append that reaches it.
     fn supersede(&mut self, name: &str, old: Entry) {
-        if self.committed.get(name) == Some(&old) {
+        if self.staged_origin.get(name) == Some(&Some(old)) {
             self.retired.push((self.epoch + 1, old.record_off()));
         } else {
             self.heap.mark_dead(old.record_off());
@@ -534,23 +531,16 @@ impl PmRt {
         }
         self.chain.push(rec_off);
         self.collect_inner(arena.rt_pins().min_pinned());
-        // Advance the committed view and its reverse index by exactly the
-        // names this window touched.
+        // The staged table is now the committed view: advance its reverse
+        // index by exactly the names this window touched.
         for (name, origin) in std::mem::take(&mut self.staged_origin) {
             if let Some(old) = origin {
                 self.committed_at.remove(&old.record_off());
             }
-            match self.table.get(&name) {
-                Some(&e) => {
-                    self.committed_at.insert(e.record_off(), name.clone());
-                    self.committed.insert(name, e);
-                }
-                None => {
-                    self.committed.remove(&name);
-                }
+            if let Some(e) = self.table.get(&name) {
+                self.committed_at.insert(e.record_off(), name);
             }
         }
-        debug_assert_eq!(self.committed, self.table);
         arena.publish_rt_floor(self.heap.floor());
         Ok(std::mem::take(&mut self.staged))
     }
@@ -619,17 +609,11 @@ impl PmRt {
     }
 
     /// The committed, un-restaged blob on the hottest block (first in
-    /// name order among equals) and that block's wear. Both views are
-    /// name-ordered, so one lockstep pass pairs them without a search
-    /// per root.
+    /// name order among equals) and that block's wear. A name this window
+    /// touched is skipped: its old blob retires anyway.
     fn wear_victim(&self, arena: &NvbmArena) -> Option<(u32, Arc<str>)> {
-        let mut staged = self.table.iter().peekable();
         let mut best: Option<(u32, &Arc<str>)> = None;
-        for (name, e) in &self.committed {
-            while staged.next_if(|(n, _)| *n < name).is_some() {}
-            if staged.peek() != Some(&(name, e)) {
-                continue; // modified this window; its old blob retires anyway
-            }
+        for (name, e) in self.untouched("") {
             let w = arena.stats.block_wear(e.record_off());
             if best.is_none_or(|(bw, _)| w > bw) {
                 best = Some((w, name));
@@ -762,11 +746,26 @@ impl PmRt {
         self.table.get(name).map_or(0, |e| e.footprint() as u64)
     }
 
-    /// Committed table entries whose name starts with `prefix`, keyed by
-    /// the rest of the name (what an MVCC snapshot captures).
+    /// Committed entries whose name starts with `prefix`, keyed by the
+    /// rest of the name (what an MVCC snapshot captures): the staged
+    /// prefix range with this window's origins laid over it.
     pub(crate) fn committed_with_prefix(&self, prefix: &str) -> BTreeMap<String, Entry> {
-        let bare = |(n, e): (&Arc<str>, &Entry)| (n[prefix.len()..].to_string(), *e);
-        prefix_range(&self.committed, prefix).map(bare).collect()
+        let untouched = self.untouched(prefix).map(|(n, e)| (n, *e));
+        let origins =
+            prefix_range(&self.staged_origin, prefix).filter_map(|(n, o)| Some((n, (*o)?)));
+        untouched.chain(origins).map(|(n, e)| (n[prefix.len()..].to_string(), e)).collect()
+    }
+
+    /// The staged entries under `prefix` that this window did not touch,
+    /// in name order: the committed entries the two views share. Both
+    /// maps are name-ordered, so one lockstep pass skips the touched
+    /// names without a search per root.
+    fn untouched<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = (&'a Arc<str>, &'a Entry)> {
+        let mut touched = prefix_range(&self.staged_origin, prefix).map(|(n, _)| n).peekable();
+        prefix_range(&self.table, prefix).filter(move |(n, _)| {
+            while touched.next_if(|t| t < n).is_some() {}
+            touched.peek() != Some(n)
+        })
     }
 
     /// Committed table epoch (increments at every commit).
@@ -1206,15 +1205,20 @@ mod tests {
     }
 
     // Whole-table reference definitions of the state `commit` maintains
-    // by delta, recomputed from scratch on every call.
+    // by delta, recomputed from scratch on every call over the derived
+    // committed view.
+
+    fn committed(rt: &PmRt) -> NameMap<Entry> {
+        rt.committed_with_prefix("").into_iter().map(|(n, e)| (Arc::from(n), e)).collect()
+    }
 
     fn naive_index(rt: &PmRt) -> BTreeMap<u64, Arc<str>> {
-        rt.committed.iter().map(|(n, e)| (e.record_off(), n.clone())).collect()
+        committed(rt).into_iter().map(|(n, e)| (e.record_off(), n)).collect()
     }
 
     fn naive_oldest_relocatable(rt: &PmRt) -> Option<Arc<str>> {
-        let by_rec: BTreeMap<u64, &Arc<str>> = rt
-            .committed
+        let committed = committed(rt);
+        let by_rec: BTreeMap<u64, &Arc<str>> = committed
             .iter()
             .filter(|(n, e)| rt.table.get(*n) == Some(*e))
             .map(|(n, e)| (e.record_off(), n))
@@ -1224,7 +1228,7 @@ mod tests {
 
     fn naive_wear_victim(rt: &PmRt, arena: &NvbmArena) -> Option<(u32, Arc<str>)> {
         let mut best: Option<(u32, Arc<str>)> = None;
-        for (name, e) in &rt.committed {
+        for (name, e) in &committed(rt) {
             if rt.table.get(name) != Some(e) {
                 continue;
             }
@@ -1271,7 +1275,7 @@ mod tests {
                         let before = a.stats.relocations();
                         rt.commit(&mut a).unwrap();
                         relocated |= a.stats.relocations() > before;
-                        assert_eq!(rt.committed, rt.table, "seed {seed:#x} op {op}");
+                        assert_eq!(committed(&rt), rt.table, "seed {seed:#x} op {op}");
                         assert_eq!(rt.committed_at, naive_index(&rt), "seed {seed:#x} op {op}");
                     }
                 }
@@ -1283,7 +1287,7 @@ mod tests {
             rt.commit(&mut a).unwrap();
             a.crash(CrashMode::LoseDirty);
             let r = PmRt::restore(&mut a).unwrap();
-            assert_eq!(r.committed, r.table);
+            assert_eq!(committed(&r), r.table);
             assert_eq!(r.committed_at, naive_index(&r), "restore reseeds the reverse index");
         }
     }

@@ -283,8 +283,9 @@ mod tests {
     use super::*;
     use pmoctree_amr::OctreeBackend;
     use pmoctree_baselines::InCoreOctree;
-    use pmoctree_nvbm::{CrashMode, DeviceModel, FailPlan};
+    use pmoctree_nvbm::{CrashMode, DeviceModel, FailPlan, SparseMedia};
     use pmoctree_simfs::SimFs;
+    use std::sync::{Arc, Mutex};
 
     const ARENA: usize = 48 << 20;
 
@@ -354,13 +355,30 @@ mod tests {
         assert_eq!(report_fingerprint(&rerun.report), report_fingerprint(&baseline.report));
     }
 
+    /// Power-fail images by opportunity, in opportunity order.
+    type Images = Arc<Mutex<Vec<(u64, SparseMedia)>>>;
+
+    /// A hook plan that keeps the power-fail image of each opportunity in
+    /// `wanted` (sorted).
+    fn keep_images(wanted: Vec<u64>) -> (FailPlan, Images) {
+        let images = Arc::new(Mutex::new(Vec::new()));
+        let sink = images.clone();
+        let plan = FailPlan::with_hook(Box::new(move |view| {
+            if wanted.binary_search(&view.opportunity).is_ok() {
+                sink.lock().unwrap().push((view.opportunity, view.image(CrashMode::LoseDirty)));
+            }
+        }));
+        (plan, images)
+    }
+
     #[test]
     fn crash_at_every_labelled_opportunity_of_one_step_resumes_identically() {
         let baseline = run_persistent(cfg(), PmConfig::default(), arena()).unwrap();
         let fp = report_fingerprint(&baseline.report);
         // Drive two steps, then enumerate step 3's crash opportunities
-        // and resume from a capture at each labelled one (cheaper than
-        // all ~10^4 of them; the bench sweep covers the rest).
+        // and resume from the image of each labelled one (cheaper than
+        // all ~10^4 of them; the bench sweep covers the rest): one
+        // counting pass, then one hooked pass that keeps every image.
         let stage = || {
             let mut b =
                 PmBackend::new(PmOctree::create(arena(), canonical_pm_cfg(PmConfig::default())));
@@ -380,13 +398,14 @@ mod tests {
             plan.labels().iter().any(|(_, l)| *l == "rt::commit"),
             "combined persist must expose the rt::commit failpoint"
         );
-        for at in labelled {
-            let (mut b, mut rt) = stage();
-            b.tree.store.arena.set_fail_plan(FailPlan::armed(at, CrashMode::LoseDirty));
-            drive(&sim, &mut b, &mut rt, 2, 3, baseline.report.steps[..2].to_vec()).unwrap();
-            let mut plan = b.tree.store.arena.take_fail_plan().unwrap();
-            let cap = plan.take_capture().expect("armed opportunity fired");
-            let crashed = NvbmArena::from_media(cap.media, DeviceModel::default());
+        let (mut b, mut rt) = stage();
+        let (plan, images) = keep_images(labelled.clone());
+        b.tree.store.arena.set_fail_plan(plan);
+        drive(&sim, &mut b, &mut rt, 2, 3, baseline.report.steps[..2].to_vec()).unwrap();
+        let images = std::mem::take(&mut *images.lock().unwrap());
+        assert_eq!(images.iter().map(|(at, _)| *at).collect::<Vec<_>>(), labelled);
+        for (at, media) in images {
+            let crashed = NvbmArena::from_media(media, DeviceModel::default());
             let resumed = resume_persistent(crashed, cfg(), PmConfig::default()).unwrap();
             assert_eq!(
                 report_fingerprint(&resumed.report),
@@ -408,14 +427,18 @@ mod tests {
         let total = plan.opportunities();
         let labelled: Vec<u64> = plan.labels().iter().map(|&(at, _)| at).collect();
         let mut resumed_at = Vec::new();
-        let spaced = (1..=SAMPLES).map(|i| i * total / (SAMPLES + 1));
-        for at in spaced.filter(|at| !labelled.contains(at)) {
-            let mut armed = arena();
-            armed.set_fail_plan(FailPlan::armed(at, CrashMode::LoseDirty));
-            let mut run = run_persistent(cfg(), PmConfig::default(), armed).unwrap();
-            let mut plan = run.backend.tree.store.arena.take_fail_plan().unwrap();
-            let cap = plan.take_capture().expect("armed opportunity fired");
-            let crashed = NvbmArena::from_media(cap.media, DeviceModel::default());
+        let spaced: Vec<u64> = (1..=SAMPLES)
+            .map(|i| i * total / (SAMPLES + 1))
+            .filter(|at| !labelled.contains(at))
+            .collect();
+        let mut hooked = arena();
+        let (plan, images) = keep_images(spaced.clone());
+        hooked.set_fail_plan(plan);
+        run_persistent(cfg(), PmConfig::default(), hooked).unwrap();
+        let images = std::mem::take(&mut *images.lock().unwrap());
+        assert_eq!(images.iter().map(|(at, _)| *at).collect::<Vec<_>>(), spaced);
+        for (at, media) in images {
+            let crashed = NvbmArena::from_media(media, DeviceModel::default());
             let resumed = resume_persistent(crashed, cfg(), PmConfig::default()).unwrap();
             assert_eq!(
                 report_fingerprint(&resumed.report),
