@@ -91,6 +91,14 @@ if sed -n '/pub fn update_leaves/,/^    }/p' crates/pm-octree/src/api.rs | grep 
     echo "api.rs: update_leaves re-enters from the root per updated leaf again" >&2
     exit 1
 fi
+# A cold restart does not hash: the recovery scan checks each child against
+# the key its slot implies instead of keeping a visited set or a key map,
+# and extract keys its vertex map on one packed u64, not a coordinate array.
+if sed -n '/^pub fn scan_tree(/,/^}/p' crates/pm-octree/src/verify.rs | grep -n 'HashSet\|HashMap'; then
+    echo "verify.rs: scan_tree hashes the octants it visits again" >&2
+    exit 1
+fi
+no_fork 'HashMap<VCoord' crates/amr/src/extract.rs
 # Batched coarsen legality does not probe per key.
 if sed -n '/^pub fn can_coarsen_many(/,/^}/p' crates/amr/src/balance.rs |
     grep -n 'containing_leaf(\|is_leaf('; then

@@ -1,9 +1,11 @@
 //! `extract`'s anchored/dangling classification against its definition:
 //! a vertex is anchored iff every leaf whose closed box contains it has it
 //! as a corner — checked by brute force over all leaves, on random
-//! unbalanced trees of both the in-core and the PM backend. And what the
-//! classification costs: one sweep of the DRAM leaf index, no NVBM line;
-//! and the counts and corner positions of small in-core meshes.
+//! unbalanced trees of both the in-core and the PM backend, together with
+//! the numbering: each cell's vertex `j` is its leaf's corner `j`, and
+//! vertex ids first appear in increasing (leaf, corner) order. And what
+//! the classification costs: one sweep of the DRAM leaf index, no NVBM
+//! line; and the counts and corner positions of small in-core meshes.
 
 use pm_octree::{PmConfig, PmOctree};
 use pmoctree_amr::{construct_uniform, extract, Mesh, OctreeBackend, PmBackend};
@@ -77,10 +79,38 @@ fn anchored_by_definition(m: &Mesh) -> Vec<bool> {
         .collect()
 }
 
+/// Corner `j` of a leaf on the finest grid: bit `a` of `j` picks the
+/// low or high end of axis `a`.
+fn corner(k: &OctKey, j: usize) -> [u64; 3] {
+    let b = bounds(k);
+    [0, 1, 2].map(|a| if (j >> a) & 1 == 0 { b[a].0 } else { b[a].1 })
+}
+
 fn check(b: &mut dyn OctreeBackend) -> Mesh {
     let m = extract(b);
     assert_eq!(m.keys, sorted_leaves(b), "{}: one cell per leaf, in Z-order", b.name());
     assert_eq!(m.anchored, anchored_by_definition(&m), "{}", b.name());
+    let side = (1u64 << MAXL) as f64;
+    let mut next = 0u32;
+    for (c, cell) in m.cells.iter().enumerate() {
+        for (j, &v) in cell.iter().enumerate() {
+            let at = m.vertices[v as usize].map(|x| x * side);
+            assert_eq!(
+                at,
+                corner(&m.keys[c], j).map(|x| x as f64),
+                "{}: cell {c} corner {j}",
+                b.name()
+            );
+            // First-seen numbering: a vertex's id is the number of
+            // distinct vertices met before it in (leaf, corner) order.
+            assert!(v <= next, "{}: vertex {v} first appears after {next}", b.name());
+            next = next.max(v + 1);
+        }
+    }
+    assert_eq!(next as usize, m.vertex_count(), "{}: every vertex is some cell's corner", b.name());
+    for far in [[0.0; 3], [1.0; 3]] {
+        assert!(m.vertices.contains(&far), "{}: the domain corner {far:?} is a vertex", b.name());
+    }
     m
 }
 
@@ -102,6 +132,18 @@ proptest! {
         prop_assert_eq!((mi.cells, mi.keys, mi.anchored), (mp.cells, mp.keys, mp.anchored));
         prop_assert_eq!(mi.vertices, mp.vertices);
     }
+}
+
+/// The `None` pick reaches `MAX_LEVEL`, where a corner's coordinate is
+/// one finest-grid step from its neighbour's: the packed key still tells
+/// them apart.
+#[test]
+fn a_max_level_chain_meshes_by_definition() {
+    let mut b = InCoreOctree::new();
+    grow(&mut b, &[Some(0), None]);
+    assert!(sorted_leaves(&mut b).iter().any(|k| k.level() == MAXL));
+    let m = check(&mut b);
+    assert_eq!(m.cell_count(), 8 + 7 * (MAXL as usize - 1), "one refine a level below the root");
 }
 
 /// `extract` reads one sweep of the (warm) DRAM leaf index — the sorted

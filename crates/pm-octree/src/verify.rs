@@ -8,8 +8,12 @@
 //!   Unlike [`gc::mark`](crate::gc::mark), which trusts every pointer it
 //!   follows (and would panic inside the arena on a torn offset), the scan
 //!   checks each step before taking it: bounds, cacheline alignment,
-//!   key/position consistency, no cycles, reserved bytes of the navigation
-//!   line zero, no volatile handles in a persisted tree. A violation is reported as
+//!   key/position consistency, reserved bytes of the navigation line zero,
+//!   no volatile handles in a persisted tree. It keeps no visited set:
+//!   a child must carry the key its slot implies (`parent.child(slot)`),
+//!   and two paths to one offset imply two keys, so a cycle or an aliased
+//!   slot fails that position check and the scan accepts each offset at
+//!   most once. A violation is reported as
 //!   [`PmError::Corrupt`] instead of a panic, so callers can distinguish
 //!   "this crash image is unrecoverable" from "the process blew up".
 //! * [`check_invariants`] — the post-restore contract: the structure is
@@ -88,16 +92,10 @@ pub fn scan_tree(store: &mut PmStore, root: POffset) -> Result<TreeScan, PmError
     let top = store.arena.rt_heap_top();
     check_offset(root, top, "root")?;
     let mut scan = TreeScan::default();
-    let mut seen: HashSet<POffset> = HashSet::new();
-    let mut expected: HashMap<POffset, OctKey> = HashMap::new();
-    let mut stack = vec![root];
-    while let Some(p) = stack.pop() {
-        if !seen.insert(p) {
-            return Err(PmError::Corrupt(format!(
-                "octant {:#x} reachable along two paths (cycle or aliased child slot)",
-                p.0
-            )));
-        }
+    // Each entry carries the key its slot path implies (none for the
+    // root): the position check below is what rules out a second path.
+    let mut stack: Vec<(POffset, Option<OctKey>)> = vec![(root, None)];
+    while let Some((p, want)) = stack.pop() {
         // The whole hot line — children or a leaf's payload, raw key,
         // mask, epoch — arrives in one validated read; a torn child link
         // (instead of a decode panic) or a non-zero reserved byte — a
@@ -105,7 +103,7 @@ pub fn scan_tree(store: &mut PmStore, root: POffset) -> Result<TreeScan, PmError
         // leaves the high links — surfaces as `Corrupt` here.
         let nav = store.nav_line_checked(p)?;
         let key = checked_key(p, nav.code, nav.level)?;
-        if let Some(want) = expected.remove(&p) {
+        if let Some(want) = want {
             if key != want {
                 return Err(PmError::Corrupt(format!(
                     "octant {:#x}: key {key:?} does not match its position {want:?}",
@@ -148,8 +146,7 @@ pub fn scan_tree(store: &mut PmStore, root: POffset) -> Result<TreeScan, PmError
                             OctKey::MAX_LEVEL
                         )));
                     }
-                    expected.insert(q, key.child(i));
-                    stack.push(q);
+                    stack.push((q, Some(key.child(i))));
                 }
             }
         }
@@ -181,7 +178,8 @@ pub struct RecoveryReport {
 /// 1. the commit record's root names a structurally closed tree
 ///    (`scan_tree`) whose leaf/depth counts match the handle's;
 /// 2. the leaf index holds exactly the leaf set a direct tree walk finds;
-/// 3. no reachable octant overlaps a block on the allocator free list;
+/// 3. no reachable octant overlaps a block on the allocator free list (one
+///    merge sweep over the sorted live set and the sorted free list);
 /// 4. [`check_registry`]: the registry is exactly what the working
 ///    version reaches plus the (after a restore, empty) retirement list —
 ///    recovery reclaimed every orphan.
@@ -222,25 +220,17 @@ pub fn check_invariants(t: &mut PmOctree) -> Result<RecoveryReport, PmError> {
         )));
     }
     // (3) Free-list disjointness: no free block may overlap a live octant.
-    // Both sides are cacheline-granular, so compare by occupied lines.
-    let mut live_lines: HashSet<u64> = HashSet::new();
-    for &p in &scan.live {
-        let mut off = p.0;
-        while off < p.0 + OCTANT_SIZE as u64 {
-            live_lines.insert(off);
-            off += CACHELINE as u64;
-        }
-    }
+    // Both lists are sorted and every interval is one octant long, so one
+    // merge sweep finds any overlap: the first live octant not wholly
+    // below a free block is the only one that can reach into it.
+    let mut live = scan.live.iter().peekable();
     for block in t.store.alloc.free_blocks() {
-        let mut off = block.0;
-        while off < block.0 + OCTANT_SIZE as u64 {
-            if live_lines.contains(&off) {
-                return Err(PmError::Corrupt(format!(
-                    "free block {:#x}+{OCTANT_SIZE} overlaps a reachable octant at line {off:#x}",
-                    block.0
-                )));
-            }
-            off += CACHELINE as u64;
+        while live.next_if(|p| p.0 + OCTANT_SIZE as u64 <= block.0).is_some() {}
+        if let Some(p) = live.peek().filter(|p| p.0 < block.0 + OCTANT_SIZE as u64) {
+            return Err(PmError::Corrupt(format!(
+                "free block {:#x}+{OCTANT_SIZE} overlaps the reachable octant at {:#x}",
+                block.0, p.0
+            )));
         }
     }
     // (4) Restore rebuilt the registry and the allocator from the live
@@ -415,8 +405,92 @@ mod tests {
         // Point child 0 of the root back at the root itself.
         poison_link(&mut t, root, 0, root.0 >> 6);
         let err = scan_tree(&mut t.store, root).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("two paths") || msg.contains("does not match"), "{msg}");
+        assert!(err.to_string().contains("does not match"), "{err}");
+    }
+
+    /// A three-persist tree: the root, `child(2)` and `child(2).child(5)`
+    /// refined, each in its own epoch.
+    fn three_epoch_tree() -> (PmOctree, POffset) {
+        let mut t = PmOctree::create(arena(), cfg());
+        let c2 = OctKey::root().child(2);
+        for k in [OctKey::root(), c2, c2.child(5)] {
+            t.refine(k).unwrap();
+            t.set_data(k.child(1), CellData { phi: 0.5, ..Default::default() }).unwrap();
+            t.persist();
+        }
+        let root = t.store.arena.committed().root;
+        (t, root)
+    }
+
+    fn child_of(t: &mut PmOctree, p: POffset, i: usize) -> POffset {
+        let ChildPtr::Node(q) = t.store.nav_line(p).children[i] else { panic!("slot {i}") };
+        q
+    }
+
+    #[test]
+    fn scan_rejects_aliased_slot() {
+        let (mut t, root) = three_epoch_tree();
+        // Root slot 1 names child 0's octant: one offset, two paths.
+        let c0 = child_of(&mut t, root, 0);
+        poison_link(&mut t, root, 1, c0.0 >> 6);
+        let err = scan_tree(&mut t.store, root).unwrap_err();
+        assert!(matches!(&err, PmError::Corrupt(m) if m.contains("does not match")), "{err}");
+    }
+
+    #[test]
+    fn scan_rejects_deep_cycle_and_terminates() {
+        let (mut t, root) = three_epoch_tree();
+        // A grandchild's slot 3 points back at its parent.
+        let parent = child_of(&mut t, root, 2);
+        let grandchild = child_of(&mut t, parent, 5);
+        poison_link(&mut t, grandchild, 3, parent.0 >> 6);
+        let err = scan_tree(&mut t.store, root).unwrap_err();
+        assert!(matches!(&err, PmError::Corrupt(m) if m.contains("does not match")), "{err}");
+    }
+
+    /// The scan's report on a healthy tree, field by field, against what
+    /// each field is defined as: `live` is the marked set in ascending
+    /// order; `leaves` comes in pop order — children pushed in slot order
+    /// and popped last first, so descending Z-order; `depth` and
+    /// `max_epoch` are the extremes over the live octants.
+    #[test]
+    fn scan_reports_a_healthy_tree_field_by_field() {
+        let (mut t, root) = three_epoch_tree();
+        let scan = scan_tree(&mut t.store, root).unwrap();
+        let mut live: Vec<POffset> =
+            gc::mark(&mut t.store, &[root], t.epoch).live.into_iter().collect();
+        live.sort_unstable();
+        assert_eq!(scan.live, live);
+        let mut leaves = t.leaf_keys_sorted();
+        leaves.reverse();
+        assert_eq!(scan.leaves, leaves);
+        assert_eq!((scan.leaves.len(), scan.depth), (22, 3));
+        assert_eq!(scan.depth, t.depth());
+        let max_epoch = live.iter().map(|&p| t.store.nav_line(p).epoch).max().unwrap();
+        assert_eq!(scan.max_epoch, max_epoch);
+        assert!(max_epoch >= 2, "the three persists stamped distinct epochs");
+    }
+
+    #[test]
+    fn check_invariants_rejects_a_free_block_over_a_live_octant() {
+        let restored = || {
+            let (t, _) = three_epoch_tree();
+            let mut a = t.store.arena;
+            a.crash(CrashMode::LoseDirty);
+            PmOctree::restore(a, cfg()).unwrap()
+        };
+        let mut r = restored();
+        check_invariants(&mut r).unwrap();
+        let root = r.store.arena.committed().root;
+        let inner = child_of(&mut r, root, 2);
+        // A block exactly on a live octant, and one straddling the second
+        // half of one octant and the first half of the next line up.
+        for block in [inner, POffset(inner.0 + CACHELINE as u64)] {
+            let mut r = restored();
+            r.store.alloc.free(block);
+            let err = check_invariants(&mut r).unwrap_err();
+            assert!(matches!(&err, PmError::Corrupt(m) if m.contains("overlaps")), "{err}");
+        }
     }
 
     #[test]
