@@ -107,6 +107,13 @@ if sed -n '/^pub fn can_coarsen_many(/,/^}/p' crates/amr/src/balance.rs |
 fi
 # The per-leaf neighbor kernel stays deleted.
 no_fork 'neighbor_leaves_many' crates/amr/src/*.rs
+# The cluster's 2:1 exchange reads sorted leaf slices: the gather takes
+# each rank's owned keys off its leaf index instead of walking its tree,
+# the rank-order table is not re-sorted, and the family kernel folds its
+# parents on a stack instead of sorting them.
+no_fork 'table.sort_unstable()' crates/cluster/src/scaling.rs
+no_fork 'owned_leaves().into_iter().map(|(k, _)| k)' crates/cluster/src/scaling.rs
+no_fork 'parents.sort_unstable' crates/amr/src/balance.rs
 # Write every driver once: the Criterion layer `perf/` superseded stays
 # deleted, the index-batch protocol is `LeafIndex::resolve_batch`'s, not
 # re-typed per backend, and a rank's time step calls

@@ -75,11 +75,32 @@ fn outward(c: usize) -> u8 {
     (0..3).fold(0, |bits, a| bits | if c >> a & 1 == 1 { 8 << a } else { 4 >> a })
 }
 
-/// The family kernel behind every 2:1 question: for every source
-/// (Z-sorted, deduplicated) call `f(source, leaf)` for each leaf at least
-/// two levels coarser than the source that holds one of its face
-/// neighbors. `resolve`, called once, answers a batch of keys with the
-/// leaf containing each one, or `None` where the key is interior.
+/// Each source with a parent, that parent and its entry's index in
+/// first-met order. Z-sorted sources' parents nest (a parent's run of
+/// children is interrupted only by sources deeper inside it), so a stack
+/// of open parents meets each one once: one entry per parent with no
+/// sort, and a replay of the walk finds each source's entry again.
+fn families(sources: &[OctKey]) -> impl Iterator<Item = (OctKey, OctKey, usize)> + '_ {
+    let mut open: Vec<(OctKey, usize)> = Vec::with_capacity(OctKey::MAX_LEVEL as usize);
+    let mut opened = 0usize;
+    sources.iter().filter_map(move |&k| {
+        let p = k.parent()?;
+        while open.last().is_some_and(|(top, _)| !top.contains(&p)) {
+            open.pop();
+        }
+        if open.last().map(|top| top.0) != Some(p) {
+            open.push((p, opened));
+            opened += 1;
+        }
+        Some((k, p, open[open.len() - 1].1))
+    })
+}
+
+/// The family kernel behind every 2:1 question: for every source call
+/// `f(source, leaf)` for each leaf at least two levels coarser than the
+/// source that holds one of its face neighbors. `resolve`, called once,
+/// answers a batch of keys with the leaf containing each one, or `None`
+/// where the key is interior.
 ///
 /// A neighbor inside the source's own family never qualifies: the parent
 /// `P` is interior, so the sibling exists. A neighbor outside it lies in
@@ -89,33 +110,26 @@ fn outward(c: usize) -> u8 {
 /// parent's neighbors in the directions its sources face (at most 6)
 /// answers every source, where asking per source cost 6 queries each.
 ///
-/// Sources must be leaves or interior octants of the tree `resolve`
-/// answers for (a key below a leaf has no interior parent, and its
-/// in-family neighbors are not looked at).
+/// Sources must be Z-sorted and distinct (checked in debug builds), so
+/// that their parents fold on a stack (`families`), and leaves or
+/// interior octants of the tree `resolve` answers for (a key below a leaf
+/// has no interior parent, and its in-family neighbors are not looked at).
 pub fn coarse_neighbors(
     resolve: impl FnOnce(&[OctKey]) -> Vec<Option<OctKey>>,
     sources: &[OctKey],
     mut f: impl FnMut(OctKey, OctKey),
 ) {
+    debug_assert!(sources.windows(2).all(|w| w[0] < w[1]), "sources not Z-sorted and distinct");
     let sides: [u8; 8] = std::array::from_fn(outward);
-    // (parent, directions its sources face, first query) — sorted by key.
-    // Adjacent siblings fold as they arrive: about one entry per family.
+    // (parent, directions its sources face, first query), first-met order.
     let mut parents: Vec<(OctKey, u8, u32)> = Vec::new();
-    for k in sources {
-        let Some(p) = k.parent() else { continue };
-        match parents.last_mut() {
-            Some(last) if last.0 == p => last.1 |= sides[k.sibling_index()],
-            _ => parents.push((p, sides[k.sibling_index()], 0)),
+    for (k, p, e) in families(sources) {
+        let side = sides[k.sibling_index()];
+        match parents.get_mut(e) {
+            Some(entry) => entry.1 |= side,
+            None => parents.push((p, side, 0)),
         }
     }
-    parents.sort_unstable_by_key(|p| p.0);
-    parents.dedup_by(|later, kept| {
-        let same = later.0 == kept.0;
-        if same {
-            kept.1 |= later.1;
-        }
-        same
-    });
     let mut queries: Vec<OctKey> = Vec::with_capacity(parents.len() * FACES.len());
     for (p, dirs, first) in &mut parents {
         *first = queries.len() as u32;
@@ -129,10 +143,8 @@ pub fn coarse_neighbors(
         *dirs = kept; // directions off the domain have nothing to ask
     }
     let resolved = resolve(&queries);
-    for &k in sources {
-        let Some(p) = k.parent() else { continue };
-        let i = parents.partition_point(|e| e.0 < p);
-        let (_, dirs, first) = parents[i];
+    for (k, _, e) in families(sources) {
+        let (_, dirs, first) = parents[e];
         let mine = sides[k.sibling_index()] & dirs;
         for j in (0..FACES.len()).filter(|j| mine >> j & 1 == 1) {
             let q = first + (dirs & ((1 << j) - 1)).count_ones();

@@ -3,9 +3,12 @@
 //! every seed a caller passes reaches the leaf set that splitting the
 //! coarse side of every violation a per-leaf `containing_leaf` scan sees
 //! reaches, and the batched check names the pair that per-leaf scan names.
+//! The family kernel under both reports exactly the (source, leaf) pairs a
+//! brute-force scan of each source's six face neighbors finds, asking each
+//! parent's neighbors once.
 
 use pm_octree::{PmConfig, PmOctree};
-use pmoctree_amr::{balance_subset, check_balance, OctreeBackend, PmBackend};
+use pmoctree_amr::{balance_subset, check_balance, coarse_neighbors, OctreeBackend, PmBackend};
 use pmoctree_baselines::{EtreeOctree, InCoreOctree};
 use pmoctree_morton::OctKey;
 use pmoctree_nvbm::{DeviceModel, NvbmArena};
@@ -87,12 +90,104 @@ fn fixed_point(b: &mut dyn OctreeBackend) {
     }
 }
 
+/// Run the kernel over `sources` against the tree's own resolver and check
+/// it against the definition: the pairs are exactly those a per-source
+/// `containing_leaf` scan of the six face neighbors finds, and the batch
+/// holds, per distinct parent, its neighbor in each direction one of its
+/// sources faces out of the family — once. Returns the number of pairs.
+fn check_kernel(b: &mut dyn OctreeBackend, sources: &[OctKey]) -> usize {
+    let mut asked: Vec<OctKey> = Vec::new();
+    let mut got: Vec<(OctKey, OctKey)> = Vec::new();
+    coarse_neighbors(
+        |q| {
+            asked = q.to_vec();
+            b.containing_leaf_many(q)
+        },
+        sources,
+        |k, leaf| got.push((k, leaf)),
+    );
+    let mut want: Vec<(OctKey, OctKey)> = Vec::new();
+    for &k in sources {
+        for n in k.face_neighbors() {
+            want.extend(b.containing_leaf(n).filter(|l| l.level() + 1 < k.level()).map(|l| (k, l)));
+        }
+    }
+    got.sort_unstable();
+    want.sort_unstable();
+    assert_eq!(got, want, "{}: pairs of {} sources", b.name(), sources.len());
+    let mut faced: Vec<(OctKey, usize, i8)> = Vec::new();
+    for k in sources {
+        let Some(p) = k.parent() else { continue };
+        for axis in 0..3 {
+            faced.push((p, axis, if k.sibling_index() >> axis & 1 == 1 { 1 } else { -1 }));
+        }
+    }
+    faced.sort_unstable();
+    faced.dedup();
+    let mut expected: Vec<OctKey> =
+        faced.into_iter().filter_map(|(p, axis, dir)| p.face_neighbor(axis, dir)).collect();
+    expected.sort_unstable();
+    asked.sort_unstable();
+    assert_eq!(asked, expected, "{}: one query per parent and faced direction", b.name());
+    got.len()
+}
+
+/// A family met again after a deeper one closes: `P`'s children 0 and 7
+/// are leaves, child 3 is split and its children are sources too, and the
+/// plants around `P` leave leaves two levels coarser on both sides.
+#[test]
+fn kernel_reopens_a_parent_after_a_deeper_family() {
+    let p = OctKey::root().child(7).child(0);
+    for which in 0..3 {
+        let mut b = backend(which);
+        grow(b.as_mut(), &[vec![7, 0, 3, 0], vec![0]]);
+        let mut sources = vec![OctKey::root(), p.child(0)];
+        sources.extend(p.child(3).children());
+        sources.extend([p.child(3), p.child(7)]);
+        sources.sort_unstable();
+        assert!(check_kernel(b.as_mut(), &sources) > 0, "{}: the plant must violate 2:1", b.name());
+    }
+}
+
+/// Sources out of Z-order would split a parent's entry; debug builds
+/// refuse them.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "sources not Z-sorted")]
+fn kernel_rejects_unsorted_sources() {
+    let r = OctKey::root();
+    coarse_neighbors(|q| vec![None; q.len()], &[r.child(1), r.child(0)], |_, _| {});
+}
+
 fn arb_paths() -> impl Strategy<Value = Vec<Vec<usize>>> {
     prop::collection::vec(prop::collection::vec(0usize..8, 1..5), 1..7)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random unbalanced trees, sources a random mix of leaves and split
+    /// (interior) octants plus the root: a parent's run of children is
+    /// interrupted by deeper families wherever a split child is kept.
+    #[test]
+    fn kernel_pairs_are_the_brute_force_pairs(
+        paths in arb_paths(),
+        mask in prop::collection::vec(any::<bool>(), 1..16),
+    ) {
+        for which in 0..3 {
+            let mut b = backend(which);
+            let split = grow(b.as_mut(), &paths);
+            let mut octants = leaves(b.as_mut());
+            octants.extend(split);
+            octants.sort_unstable();
+            let mut sources: Vec<OctKey> =
+                octants.into_iter().enumerate().filter(|(i, _)| mask[i % mask.len()]).map(|(_, k)| k).collect();
+            sources.push(OctKey::root());
+            sources.sort_unstable();
+            sources.dedup();
+            check_kernel(b.as_mut(), &sources);
+        }
+    }
 
     #[test]
     fn batched_balance_reaches_the_per_key_fixed_point(paths in arb_paths()) {

@@ -12,7 +12,7 @@
 use pm_octree::{PmConfig, PmOctree};
 use pmoctree_amr::{AdaptCriterion, Cell, OctreeBackend, PmBackend, Target};
 use pmoctree_baselines::{EtreeOctree, InCoreOctree};
-use pmoctree_morton::{OctKey, ZRange};
+use pmoctree_morton::{anchor, OctKey, ZRange};
 use pmoctree_nvbm::{DeviceModel, NvbmArena};
 use pmoctree_simfs::SimFs;
 use pmoctree_solver::{Simulation, StepBreakdown};
@@ -138,16 +138,21 @@ impl Rank {
         out
     }
 
+    /// Owned leaf keys in Z-order: the range's slice of the backend's
+    /// DRAM leaf index ([`OctreeBackend::leaf_keys_sorted`], charged as
+    /// its index lines), cut in place by two searches on the anchor —
+    /// no walk of the tree.
+    pub fn owned_keys(&mut self) -> Vec<OctKey> {
+        let mut keys = self.backend.leaf_keys_sorted();
+        let ZRange { lo, hi } = self.range;
+        keys.truncate(keys.partition_point(|k| anchor::<3>(k) < hi));
+        keys.drain(..keys.partition_point(|k| anchor::<3>(k) < lo));
+        keys
+    }
+
     /// Number of owned leaves.
     pub fn owned_leaf_count(&mut self) -> usize {
-        let mut n = 0usize;
-        let range = self.range;
-        self.backend.for_each_leaf(&mut |k, _| {
-            if range.owns(&k) {
-                n += 1;
-            }
-        });
-        n
+        self.owned_keys().len()
     }
 
     /// Run the local meshing + solve phases of one step:

@@ -196,17 +196,17 @@ impl ClusterSim {
         let mut refinements = 0usize;
         loop {
             // Global sorted leaf table (anchor-ordered): the linear-octree
-            // trick makes "containing leaf" a binary search. The owned
-            // leaves leave gaps at range boundaries (a rank's leaves past
-            // its range's end are nobody's); a query there answers the
-            // leaf before the gap, which does not contain it.
-            let per_rank: Vec<Vec<OctKey>> = self
-                .ranks
-                .par_iter_mut()
-                .map(|r| r.owned_leaves().into_iter().map(|(k, _)| k).collect())
-                .collect();
-            let mut table: Vec<OctKey> = per_rank.into_iter().flatten().collect();
-            table.sort_unstable();
+            // trick makes "containing leaf" a binary search. Each rank's
+            // slice is sorted and the ranges ascend in rank order, so the
+            // slices joined in rank order are the table (each one freed as
+            // it is consumed). The owned leaves leave gaps at range
+            // boundaries (a rank's leaves past its range's end are
+            // nobody's); a query there answers the leaf before the gap,
+            // which does not contain it.
+            let per_rank: Vec<Vec<OctKey>> =
+                self.ranks.par_iter_mut().map(|r| r.owned_keys()).collect();
+            let table: Vec<OctKey> = per_rank.into_iter().flatten().collect();
+            debug_assert!(table.windows(2).all(|w| w[0] < w[1]), "gathered table not ascending");
             let containing = |queries: &[OctKey]| -> Vec<Option<OctKey>> {
                 queries
                     .iter()
@@ -554,10 +554,7 @@ mod tests {
                 }
             }
             let gathered = |c: &mut ClusterSim| {
-                let mut keys: Vec<OctKey> =
-                    c.ranks.iter_mut().flat_map(|r| r.owned_leaves()).map(|(k, _)| k).collect();
-                keys.sort_unstable();
-                keys
+                c.ranks.iter_mut().flat_map(|r| r.owned_keys()).collect::<Vec<OctKey>>()
             };
             assert_eq!(gathered(&mut c), reference.leaf_keys_sorted(), "{procs} ranks: the plants");
             assert!(c.global_balance() > 0, "{procs} ranks");

@@ -4,9 +4,13 @@
 //! 2:1 on its own. The step's local `adapt` runs through
 //! `RangedCriterion`, and the partition's `settle` re-runs it to a fixed
 //! point, so this is what holds both to the global mesh.
+//!
+//! The balance gather reads each rank's owned keys off its leaf index: on
+//! every scheme they are the range's share of the tree's leaves, their
+//! rank-order concatenation ascends, and on NVBM they read no line.
 
 use pmoctree_amr::check_balance;
-use pmoctree_cluster::{ClusterSim, Scheme};
+use pmoctree_cluster::{ClusterSim, Rank, Scheme};
 use pmoctree_morton::{anchor, anchor_end, OctKey};
 use pmoctree_solver::SimConfig;
 use proptest::prelude::*;
@@ -74,5 +78,46 @@ proptest! {
             }
         }
         rayon::set_num_threads(prev);
+    }
+}
+
+/// The rank's owned keys by their definition: every leaf the tree visits
+/// whose anchor the range owns, sorted.
+fn owned_by_walk(r: &mut Rank) -> Vec<OctKey> {
+    let (range, mut keys) = (r.range, Vec::new());
+    r.backend.for_each_leaf(&mut |k, _| keys.extend(range.owns(&k).then_some(k)));
+    keys.sort_unstable();
+    keys
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn owned_keys_are_the_range_filter_of_the_walk(
+        max_level in 3u8..=4,
+        t0 in 0.05f64..0.4,
+        steps in 0usize..3,
+    ) {
+        let schemes = [Scheme::pm_default(), Scheme::InCore, Scheme::Etree];
+        for (scheme, procs) in schemes.iter().flat_map(|s| [(*s, 2), (*s, 4)]) {
+            let cfg = SimConfig { steps: 3, t0, max_level, base_level: 2, ..SimConfig::default() };
+            let mut c = ClusterSim::new(scheme, procs, cfg, 16 << 20);
+            for step in 0..steps {
+                c.step(step);
+            }
+            let mut gathered = Vec::new();
+            for r in &mut c.ranks {
+                let lines = r.backend.mem_stats().nvbm.read_lines;
+                let keys = r.owned_keys();
+                if matches!(scheme, Scheme::Pm { .. }) {
+                    prop_assert_eq!(r.backend.mem_stats().nvbm.read_lines, lines, "rank {} read NVBM", r.id);
+                }
+                prop_assert_eq!(&keys, &owned_by_walk(r), "{} rank {}", scheme.name(), r.id);
+                gathered.extend(keys);
+            }
+            prop_assert!(gathered.windows(2).all(|w| w[0] < w[1]), "{} x{}: not ascending", scheme.name(), procs);
+            prop_assert_eq!(gathered.len(), c.elements());
+        }
     }
 }

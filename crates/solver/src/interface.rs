@@ -119,7 +119,12 @@ impl DropletEjection {
     /// Volume-of-fluid fraction: a smoothed Heaviside of `phi` over a
     /// band of width `eps` (the cell size at the evaluation point).
     pub fn vof(&self, x: [f64; 3], t: f64, eps: f64) -> f64 {
-        let p = self.phi(x, t);
+        Self::vof_of_phi(self.phi(x, t), eps)
+    }
+
+    /// [`DropletEjection::vof`] from an already evaluated `phi`, for a
+    /// sweep that needs both at one point.
+    pub fn vof_of_phi(p: f64, eps: f64) -> f64 {
         if p < -eps {
             1.0
         } else if p > eps {

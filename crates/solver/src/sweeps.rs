@@ -26,8 +26,9 @@ pub fn advect(b: &mut dyn OctreeBackend, interface: &DropletEjection, t: f64) ->
         // saturated value ±NARROW_BAND, which does not change while the
         // interface stays away — so far-field cells are read but not
         // written, exactly like a real VOF/level-set advection.
-        let phi = interface.phi(k.center(), t).clamp(-NARROW_BAND, NARROW_BAND);
-        let vof = interface.vof(k.center(), t, h);
+        let raw = interface.phi(k.center(), t);
+        let phi = raw.clamp(-NARROW_BAND, NARROW_BAND);
+        let vof = DropletEjection::vof_of_phi(raw, h);
         let changed = (d[0] - phi).abs() > 1e-6 * h || (d[2] - vof).abs() > 1e-9;
         if changed {
             written += 1;

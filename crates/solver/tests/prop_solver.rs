@@ -33,6 +33,8 @@ proptest! {
         let p = f.phi([x, y, z], t);
         let v = f.vof([x, y, z], t, eps);
         prop_assert!((0.0..=1.0).contains(&v));
+        // The advection sweep's one-`phi` path gives the same bits.
+        prop_assert_eq!(DropletEjection::vof_of_phi(p, eps).to_bits(), v.to_bits());
         if p < -eps {
             prop_assert_eq!(v, 1.0);
         }
