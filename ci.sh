@@ -114,6 +114,10 @@ no_fork 'neighbor_leaves_many' crates/amr/src/*.rs
 no_fork 'table.sort_unstable()' crates/cluster/src/scaling.rs
 no_fork 'owned_leaves().into_iter().map(|(k, _)| k)' crates/cluster/src/scaling.rs
 no_fork 'parents.sort_unstable' crates/amr/src/balance.rs
+# Pressure relaxation is one leaf walk: its iterations run per leaf
+# inside a single `update_leaves`, so no sweep calls `update_leaves`
+# from inside a loop (rustfmt puts such a call 8 columns in).
+no_fork '^        b\.update_leaves(' crates/solver/src/sweeps.rs
 # Write every driver once: the Criterion layer `perf/` superseded stays
 # deleted, the index-batch protocol is `LeafIndex::resolve_batch`'s, not
 # re-typed per backend, and a rank's time step calls

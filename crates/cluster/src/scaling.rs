@@ -380,10 +380,12 @@ impl ClusterSim {
         if migrated > 0 {
             self.settle(t);
         }
+        // The end-of-step element count reads each rank's leaf index: it
+        // is partition work, charged before the barrier.
+        let elements = self.elements();
         let bal_extra = phase_ns(&t_bal0, &t_part0);
         let partition_ns = phase_ns(&t_part0, &clocks(self));
         self.barrier();
-        let elements: usize = self.ranks.iter_mut().map(|r| r.owned_leaf_count()).sum();
         let maxof = |phase: fn(&StepBreakdown) -> u64| {
             deltas.iter().map(phase).max().unwrap_or(0) as f64 * 1e-9
         };
@@ -435,6 +437,22 @@ mod tests {
     #[test]
     fn phase_time_is_the_largest_per_rank_advance() {
         assert_eq!(phase_ns(&[0, 100], &[50, 110]), 50);
+    }
+
+    /// Every nanosecond a step charges falls in one of its phases: on one
+    /// rank (no barrier wait) the phase sum is the clock's advance.
+    #[test]
+    fn one_rank_phases_sum_to_the_clock_advance() {
+        for scheme in [Scheme::InCore, Scheme::Etree, Scheme::pm_default()] {
+            let mut c = ClusterSim::new(scheme, 1, cfg(4), 64 << 20);
+            for i in 0..3 {
+                let before = c.ranks[0].backend.elapsed_ns();
+                let s = c.step(i);
+                let advance = c.ranks[0].backend.elapsed_ns() - before;
+                let sum = (s.total_s() * 1e9).round() as u64;
+                assert_eq!(sum, advance, "{} step {i}", scheme.name());
+            }
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub struct StepBreakdown {
     pub refine_ns: u64,
     /// Balance time.
     pub balance_ns: u64,
-    /// Solve (advect + relax) time.
+    /// Solve (advect + relax + work estimate) time.
     pub solve_ns: u64,
     /// Persistence time (persist / snapshot / flush).
     pub persist_ns: u64,
