@@ -68,6 +68,12 @@ if grep -rn 'RtError\|RegionManager\|trait OctAccess\|TenantLease\|TenantBusy\|R
     echo "a deleted pm-rt bridge, heap index, lease door, region manager or octant-store trait is back" >&2
     exit 1
 fi
+# A pm-rt commit stores what its window staged, once: a staged record
+# waits in DRAM until the commit, so no stage stores over a staged slot,
+# and commit records front-code their names instead of length-prefixing
+# each one whole.
+no_fork 'arena.write(cur.record_off()' crates/pm-rt/src/rt.rs
+no_fork 'w.bytes(name.as_bytes())' crates/pm-rt/src/rt.rs
 # Sparse media: the device holds the chunks some commit or load reached.
 # The capacity-sized media vector, the second media trait and its
 # flat-slice impl, the second recovery entry and the replica's

@@ -75,8 +75,28 @@ impl<'a> ByteWriter<'a> {
     /// Append a length-prefixed byte string.
     pub fn bytes(&mut self, v: &[u8]) {
         self.u64(v.len() as u64);
+        self.raw(v);
+    }
+
+    /// Append bytes as they are, with no length prefix.
+    pub(crate) fn raw(&mut self, v: &[u8]) {
         self.out.extend_from_slice(v);
     }
+
+    /// Append a `u64` as an unsigned LEB128 varint: seven bits a byte,
+    /// low bits first, the top bit set on every byte but the last.
+    pub(crate) fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.out.push(v as u8);
+    }
+}
+
+/// Bytes [`ByteWriter::varint`] takes for `v` (1 to 10).
+pub(crate) fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 /// Bounds-checked little-endian reader over a byte slice.
@@ -141,6 +161,12 @@ impl<'a> ByteReader<'a> {
     /// itself, so a corrupt huge length cannot allocate unbounded memory).
     pub fn bytes(&mut self) -> Result<&'a [u8], PmError> {
         let n = self.u64()?;
+        self.raw(n)
+    }
+
+    /// Read `n` bytes with no length prefix; `n` is checked against the
+    /// bytes remaining before anything is taken.
+    pub(crate) fn raw(&mut self, n: u64) -> Result<&'a [u8], PmError> {
         if n > self.remaining() as u64 {
             return Err(PmError::Corrupt(format!(
                 "byte-string length {n} exceeds {} remaining",
@@ -148,6 +174,24 @@ impl<'a> ByteReader<'a> {
             )));
         }
         self.take(n as usize)
+    }
+
+    /// Read an unsigned LEB128 varint ([`ByteWriter::varint`]). More than
+    /// ten bytes, or bits past the 64th, are corruption.
+    pub(crate) fn varint(&mut self) -> Result<u64, PmError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            let bits = u64::from(b & 0x7f);
+            if shift == 63 && bits > 1 {
+                return Err(PmError::Corrupt("varint overflows 64 bits".into()));
+            }
+            v |= bits << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(PmError::Corrupt("varint longer than 10 bytes".into()))
     }
 }
 
@@ -253,6 +297,27 @@ mod tests {
         ByteWriter::new(&mut bad).u64(u64::MAX);
         assert!(Vec::<u64>::from_bytes(&bad).is_err());
         assert!(String::from_bytes(&bad).is_err());
+    }
+
+    #[test]
+    fn varints_roundtrip_and_reject_overflow() {
+        for v in [0, 1, 127, 128, 255, 300, 16_383, 16_384, u32::MAX as u64, u64::MAX - 1, u64::MAX]
+        {
+            let mut out = Vec::new();
+            ByteWriter::new(&mut out).varint(v);
+            assert_eq!(out.len(), varint_len(v), "{v}");
+            let mut r = ByteReader::new(&out);
+            assert_eq!(r.varint().unwrap(), v);
+            assert!(r.is_empty());
+            for cut in 0..out.len() {
+                assert!(ByteReader::new(&out[..cut]).varint().is_err(), "{v} cut at {cut}");
+            }
+        }
+        // Bits past the 64th, and an eleventh byte.
+        let mut over = vec![0xFF; 9];
+        over.push(0x02);
+        assert!(ByteReader::new(&over).varint().is_err());
+        assert!(ByteReader::new(&[0x80; 11]).varint().is_err());
     }
 
     #[test]

@@ -69,23 +69,28 @@ pub const fn record_size(payload_len: usize) -> usize {
     (REC_HEADER + payload_len + REC_TRAILER + 7) & !7
 }
 
-/// Encode a full Blob/Commit record (header + payload + checksum +
-/// alignment padding). The returned buffer is exactly
-/// [`record_size`]`(payload.len())` bytes.
-pub fn encode_record(seq: u64, kind: RecordKind, payload: &[u8]) -> Vec<u8> {
+/// Start a Blob/Commit record in `out` (cleared first): the header, with
+/// the payload length and sequence number left for [`seal_record`] to
+/// stamp once the caller has appended the payload behind it.
+pub fn open_record(out: &mut Vec<u8>, kind: RecordKind) {
     debug_assert!(kind != RecordKind::Pad, "pads are header-only; use encode_pad");
-    let total = record_size(payload.len());
-    let mut out = Vec::with_capacity(total);
+    out.clear();
     out.extend_from_slice(&LOG_MAGIC.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&[0u8; 12]);
     out.push(kind as u8);
     out.extend_from_slice(&[0u8; 7]);
-    out.extend_from_slice(payload);
-    let fnv = fnv32(&out);
+}
+
+/// Finish the record [`open_record`] began in `out`: stamp the payload
+/// length and `seq`, append the checksum trailer and pad to exactly
+/// [`record_size`] of the payload.
+pub fn seal_record(out: &mut Vec<u8>, seq: u64) {
+    let len = out.len() - REC_HEADER;
+    out[4..8].copy_from_slice(&(len as u32).to_le_bytes());
+    out[8..16].copy_from_slice(&seq.to_le_bytes());
+    let fnv = fnv32(out);
     out.extend_from_slice(&fnv.to_le_bytes());
-    out.resize(total, 0);
-    out
+    out.resize(record_size(len), 0);
 }
 
 /// Encode a pad header covering `skip` bytes of dead space after it
@@ -143,6 +148,15 @@ pub fn checksum_ok(rec: &[u8]) -> bool {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+
+    /// A whole record of `kind` around `payload`.
+    fn encode_record(seq: u64, kind: RecordKind, payload: &[u8]) -> Vec<u8> {
+        let mut rec = Vec::new();
+        open_record(&mut rec, kind);
+        rec.extend_from_slice(payload);
+        seal_record(&mut rec, seq);
+        rec
+    }
 
     /// The header of an encoded record, parsed back.
     fn header(rec: &[u8]) -> Result<Header, u32> {

@@ -11,8 +11,8 @@
 //! collect (or commit) reclaims whatever it was protecting.
 //!
 //! A snapshot never observes in-flight state: it is built from the
-//! *committed* table only, so staged writes — even ones already sitting
-//! in NVBM — are invisible until their root swap. If the media is
+//! *committed* table only, so staged writes — held in DRAM until the
+//! commit stores them — are invisible until their root swap. If the media is
 //! replaced under a live snapshot (replica restore, registry destroy)
 //! the pin registry is invalidated and every read reports
 //! [`PmError::SnapshotGone`] instead of touching reused blobs.

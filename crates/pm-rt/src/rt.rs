@@ -12,18 +12,19 @@
 //! taxonomy. The oldest live record — compaction's first candidate — is
 //! the first of the heap's ring order.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::ops::Bound;
 use std::sync::Arc;
 
 use pmoctree_nvbm::PmError;
-use pmoctree_nvbm::{NvbmArena, POffset, HEADER_SIZE};
+use pmoctree_nvbm::{NvbmArena, POffset, CACHELINE, HEADER_SIZE};
 
-use crate::data::{ByteReader, ByteWriter, PmData};
+use crate::data::{varint_len, ByteReader, ByteWriter, PmData};
 use crate::heap::LogHeap;
 use crate::log::{
-    checksum_ok, encode_pad, encode_record, parse_header, record_size, RecordKind, REC_HEADER,
+    checksum_ok, encode_pad, open_record, parse_header, record_size, seal_record, RecordKind,
+    REC_HEADER,
 };
 
 /// A full-table checkpoint record is written every this many commits,
@@ -186,6 +187,15 @@ pub struct PmRt {
     /// a commit that fails reverts them, so it leaves the staged window
     /// as it found it.
     relocated: Vec<Arc<str>>,
+    /// The records this window staged, encoded whole and keyed by the
+    /// ring slot reserved for each. The commit stores each one once, so
+    /// an in-window rewrite stores nothing; until then only
+    /// [`PmRt::load_ptr`] reads them (snapshots, relocation and recovery
+    /// read committed records), and a crash loses them as it loses dirty
+    /// lines.
+    pending: BTreeMap<u64, Vec<u8>>,
+    /// Encode buffer for staged values, reused across stages.
+    scratch: Vec<u8>,
 }
 
 impl PmRt {
@@ -207,6 +217,8 @@ impl PmRt {
             staged: Vec::new(),
             staged_origin: BTreeMap::new(),
             relocated: Vec::new(),
+            pending: BTreeMap::new(),
+            scratch: Vec::new(),
         };
         arena.publish_rt_floor(rt.heap.floor());
         // Carry the bootstrap commit's regions forward instead of
@@ -274,7 +286,7 @@ impl PmRt {
         // below the flight-recorder ring, so bounds-check against the
         // heap top, not the raw device capacity.
         for (name, e) in &table {
-            checked_len(arena, e.off, e.len)
+            read_checked(arena, e.off, e.len, &mut [0u8; OBJ_HEADER])
                 .map_err(|err| PmError::Corrupt(format!("root {name:?}: {err}")))?;
         }
         arena.failpoint("rt::swizzle");
@@ -297,6 +309,8 @@ impl PmRt {
             staged: Vec::new(),
             staged_origin: BTreeMap::new(),
             relocated: Vec::new(),
+            pending: BTreeMap::new(),
+            scratch: Vec::new(),
         })
     }
 
@@ -312,28 +326,21 @@ impl PmRt {
         arena.rt_pins().invalidate();
     }
 
-    /// Append a record to the ring against the *live* octree bump: the
-    /// octree grows its territory between runtime calls, so the boundary
-    /// is refreshed on every allocation and the new floor published back
-    /// — the two allocators sharing the arena can fail, never overlap.
-    /// Writes the wrap-gap pad header when the head wraps.
-    fn append_record(
-        &mut self,
-        arena: &mut NvbmArena,
-        kind: RecordKind,
-        payload: &[u8],
-    ) -> Result<(u64, usize), PmError> {
-        let size = record_size(payload.len());
+    /// Reserve a ring slot of `size` bytes against the *live* octree
+    /// bump: the octree grows its territory between runtime calls, so the
+    /// boundary is refreshed on every allocation and the new floor
+    /// published back — the two allocators sharing the arena can fail,
+    /// never overlap. Writes the wrap-gap pad header when the head wraps;
+    /// the caller stamps its record with the next sequence number.
+    fn reserve(&mut self, arena: &mut NvbmArena, size: usize) -> Result<u64, PmError> {
         self.heap.set_limit(arena.live_bump().max(HEADER_SIZE));
         let p = self.heap.alloc(size)?;
         if let Some((pad_off, skip)) = self.heap.take_pending_pad() {
             arena.write(pad_off, &encode_pad(self.heap.next_seq(), skip as usize));
             self.staged.push((pad_off, REC_HEADER as u32));
         }
-        let seq = self.heap.next_seq();
-        arena.write(p.0, &encode_record(seq, kind, payload));
         arena.publish_rt_floor(self.heap.floor());
-        Ok((p.0, size))
+        Ok(p.0)
     }
 
     /// Stage `value` under `name` (copy-on-write: a fresh blob record,
@@ -345,15 +352,21 @@ impl PmRt {
         name: &str,
         value: &T,
     ) -> Result<PPtr<T>, PmError> {
-        let e = self.stage_bytes(arena, name, &value.to_bytes())?;
-        Ok(PPtr::from_entry(e))
+        let mut payload = std::mem::take(&mut self.scratch);
+        payload.clear();
+        value.encode(&mut payload);
+        let e = self.stage_bytes(arena, name, &payload);
+        self.scratch = payload;
+        Ok(PPtr::from_entry(e?))
     }
 
-    /// Stage raw payload bytes under `name`. A rewrite of a root already
-    /// staged in this window reuses its record slot in place when the
-    /// footprint matches — an uncommitted record is invisible to both
-    /// snapshots and crash recovery, so nothing durable is updated in
-    /// place, and staged churn does not eat ring space.
+    /// Stage raw payload bytes under `name`: reserve the record's ring
+    /// slot now, and encode the record straight into the buffer the
+    /// commit will store. A rewrite of a root already staged in this
+    /// window takes over its slot when the footprint matches, replacing
+    /// the buffer — an uncommitted record is invisible to both snapshots
+    /// and crash recovery, so nothing durable is updated in place, and
+    /// staged churn neither eats ring space nor stores a line.
     fn stage_bytes(
         &mut self,
         arena: &mut NvbmArena,
@@ -362,25 +375,23 @@ impl PmRt {
     ) -> Result<Entry, PmError> {
         let len = u32::try_from(payload.len())
             .map_err(|_| PmError::Full(format!("object {name:?} over 4 GiB")))?;
-        let blob_len = OBJ_HEADER + payload.len();
-        let mut blob = Vec::with_capacity(blob_len);
-        let mut w = ByteWriter::new(&mut blob);
-        w.u32(OBJ_MAGIC);
-        w.u32(len);
-        blob.extend_from_slice(payload);
+        let size = blob_footprint(payload.len());
         // Staged-only: touched in this window, and not its origin.
         if let Some(&origin) = self.staged_origin.get(name) {
             match self.table.get_mut(name) {
-                Some(cur) if origin != Some(*cur) && cur.footprint() == record_size(blob.len()) => {
-                    let seq = self.heap.next_seq();
-                    arena.write(cur.record_off(), &encode_record(seq, RecordKind::Blob, &blob));
+                Some(cur) if origin != Some(*cur) && cur.footprint() == size => {
                     cur.len = len;
+                    let rec = self.pending.entry(cur.record_off()).or_default();
+                    encode_blob(rec, payload, self.heap.next_seq());
                     return Ok(*cur);
                 }
                 _ => {}
             }
         }
-        let (rec_off, size) = self.append_record(arena, RecordKind::Blob, &blob)?;
+        let rec_off = self.reserve(arena, size)?;
+        let mut rec = Vec::with_capacity(size);
+        encode_blob(&mut rec, payload, self.heap.next_seq());
+        self.pending.insert(rec_off, rec);
         self.staged.push((rec_off, size as u32));
         let key = self.note_origin(name);
         let e = Entry { off: rec_off + REC_HEADER as u64, len };
@@ -409,13 +420,18 @@ impl PmRt {
     }
 
     /// Dereference a persistent pointer: validate the blob header, read
-    /// the payload, decode.
+    /// the payload, decode. A record staged in this window is answered
+    /// from its buffer.
     pub fn load_ptr<T: PmData>(
         &mut self,
         arena: &mut NvbmArena,
         ptr: PPtr<T>,
     ) -> Result<T, PmError> {
-        T::from_bytes(&read_blob(arena, ptr.off, ptr.len)?)
+        let staged = ptr.off.checked_sub(REC_HEADER as u64).and_then(|r| self.pending.get(&r));
+        match staged {
+            Some(rec) => T::from_bytes(blob_payload(&rec[REC_HEADER..], ptr.off, ptr.len)?),
+            None => T::from_bytes(&read_blob(arena, ptr.off, ptr.len)?),
+        }
     }
 
     /// Unregister a named root. A committed blob is reclaimed after the
@@ -455,13 +471,21 @@ impl PmRt {
         if self.staged_origin.get(name) == Some(&Some(old)) {
             self.retired.push((self.epoch + 1, old.record_off()));
         } else {
-            self.heap.mark_dead(old.record_off());
+            self.discard(old.record_off());
         }
     }
 
-    /// `pm_persistent` for the runtime: append one commit record (a table
-    /// delta chained to the previous commit, or a full checkpoint every
-    /// [`CHECKPOINT_EVERY`] commits), flush everything staged, and write
+    /// Reclaim the record staged in this window at `rec_off`: its slot is
+    /// free again, and the commit will not store it.
+    fn discard(&mut self, rec_off: u64) {
+        self.heap.mark_dead(rec_off);
+        self.pending.remove(&rec_off);
+    }
+
+    /// `pm_persistent` for the runtime: store the records staged in this
+    /// window, append one commit record (a table delta chained to the
+    /// previous commit, or a full checkpoint every [`CHECKPOINT_EVERY`]
+    /// commits), flush everything staged, and write
     /// the record and the ring floor into the arena's next commit record
     /// and publish it ([`NvbmArena::publish`]) — the octree's commit point
     /// too: inside pm-octree's `PmOctree::persist_with_hook`
@@ -501,6 +525,11 @@ impl PmRt {
         let _s = arena.span("rt::commit");
         self.wear_pass(arena)?;
         self.compact_pass(arena)?;
+        // Every record the window staged, the passes' relocations among
+        // them, stored once now that no rewrite can replace it.
+        for (off, rec) in std::mem::take(&mut self.pending) {
+            arena.write(off, &rec);
+        }
         let epoch = self.epoch + 1;
         // Checkpoint on schedule. Old chain records left behind by the
         // cut are dead islands the next-fit allocator walks over, so a
@@ -508,9 +537,12 @@ impl PmRt {
         // off in steady state.
         let checkpoint = self.chain.is_empty() || self.chain.len() >= CHECKPOINT_EVERY;
         let prev = if checkpoint { 0 } else { *self.chain.last().expect("chain non-empty") };
-        let payload = self.build_commit_payload(epoch, checkpoint, prev);
+        let mut rec = self.commit_record(epoch, checkpoint, prev);
         arena.failpoint("heap::append");
-        let (rec_off, size) = self.append_record(arena, RecordKind::Commit, &payload)?;
+        let size = record_size(rec.len() - REC_HEADER);
+        let rec_off = self.reserve(arena, size)?;
+        seal_record(&mut rec, self.heap.next_seq());
+        arena.write(rec_off, &rec);
         self.epoch = epoch;
         self.staged.push((rec_off, size as u32));
         // Destination matters: the record and blobs must be on media
@@ -545,46 +577,29 @@ impl PmRt {
         Ok(std::mem::take(&mut self.staged))
     }
 
-    /// Serialize the commit record payload: epoch, previous-record
-    /// pointer, then either the full table (checkpoint) or the delta the
-    /// staged window produced.
-    fn build_commit_payload(&self, epoch: u64, checkpoint: bool, prev: u64) -> Vec<u8> {
-        let mut upserts: Vec<(&str, Entry)> = Vec::new();
-        let mut removes: Vec<&str> = Vec::new();
+    /// The commit record, unsealed: epoch, previous-record pointer, then
+    /// either the full table (checkpoint) or the delta the staged window
+    /// produced.
+    fn commit_record(&self, epoch: u64, checkpoint: bool, prev: u64) -> Vec<u8> {
         if checkpoint {
-            upserts.extend(self.table.iter().map(|(n, e)| (&**n, *e)));
+            let upserts = self.table.iter().map(|(n, e)| (&**n, *e));
+            encode_commit(epoch, prev, upserts, std::iter::empty())
         } else {
-            for (name, origin) in &self.staged_origin {
-                match self.table.get(name) {
-                    Some(e) => upserts.push((name, *e)),
-                    // Removing a name the committed table never held is
-                    // no delta at all.
-                    None if origin.is_some() => removes.push(name),
-                    None => {}
-                }
-            }
+            // Each touched name's staged entry, looked up once: `None`
+            // removes it. Removing a name the committed table never held
+            // is no delta at all.
+            let delta: Vec<(&str, Option<Entry>)> = self
+                .staged_origin
+                .iter()
+                .filter_map(|(n, origin)| match self.table.get(n) {
+                    Some(e) => Some((&**n, Some(*e))),
+                    None => origin.is_some().then_some((&**n, None)),
+                })
+                .collect();
+            let upserts = delta.iter().filter_map(|&(n, e)| Some((n, e?)));
+            let removes = delta.iter().filter(|(_, e)| e.is_none()).map(|&(n, _)| n);
+            encode_commit(epoch, prev, upserts, removes)
         }
-        // Sized exactly (4 u64 header fields; a u64 length per name; 12
-        // entry bytes per upsert): a checkpoint payload is the largest
-        // transient buffer of a commit.
-        let name_bytes: usize =
-            upserts.iter().map(|(n, _)| n).chain(&removes).map(|n| n.len()).sum();
-        let mut payload =
-            Vec::with_capacity(32 + 20 * upserts.len() + 8 * removes.len() + name_bytes);
-        let mut w = ByteWriter::new(&mut payload);
-        w.u64(epoch);
-        w.u64(prev);
-        w.u64(upserts.len() as u64);
-        w.u64(removes.len() as u64);
-        for (name, e) in &upserts {
-            w.bytes(name.as_bytes());
-            w.u64(e.off);
-            w.u32(e.len);
-        }
-        for name in &removes {
-            w.bytes(name.as_bytes());
-        }
-        payload
     }
 
     /// Wear-leveling pass: relocate the committed, un-restaged blob whose
@@ -725,7 +740,7 @@ impl PmRt {
             None => self.table.remove(&name),
         };
         if let Some(cur) = staged.filter(|cur| Some(*cur) != origin) {
-            self.heap.mark_dead(cur.record_off());
+            self.discard(cur.record_off());
         }
         let pending = origin.map(|e| (self.epoch + 1, e.record_off()));
         if let Some(i) = self.retired.iter().position(|&r| Some(r) == pending) {
@@ -813,9 +828,105 @@ struct CommitPayload {
     removes: Vec<Arc<str>>,
 }
 
+/// Encode `payload` as a whole blob record into `rec`: log header, object
+/// header (magic, length), payload, checksum trailer.
+fn encode_blob(rec: &mut Vec<u8>, payload: &[u8], seq: u64) {
+    open_record(rec, RecordKind::Blob);
+    let mut w = ByteWriter::new(rec);
+    w.u32(OBJ_MAGIC);
+    w.u32(payload.len() as u32);
+    w.raw(payload);
+    seal_record(rec, seq);
+}
+
+/// Front-coding of one name-ordered list: a name is stored as the number
+/// of leading bytes it shares with the list's previous name (a `u8`,
+/// capped at 255), the LEB128 length of the rest, and the rest. Each
+/// list starts from the empty name.
+#[derive(Default)]
+struct FrontCoder<'a> {
+    prev: &'a str,
+}
+
+impl<'a> FrontCoder<'a> {
+    /// The next name's shared-prefix length and suffix.
+    fn split(&mut self, name: &'a str) -> (u8, &'a [u8]) {
+        let shared = self
+            .prev
+            .bytes()
+            .zip(name.bytes())
+            .take(u8::MAX as usize)
+            .take_while(|(a, b)| a == b)
+            .count();
+        self.prev = name;
+        (shared as u8, &name.as_bytes()[shared..])
+    }
+
+    /// Bytes the next name codes to.
+    fn coded_len(&mut self, name: &'a str) -> usize {
+        let (_, suffix) = self.split(name);
+        1 + varint_len(suffix.len() as u64) + suffix.len()
+    }
+
+    /// Append the next name.
+    fn put(&mut self, w: &mut ByteWriter<'_>, name: &'a str) {
+        let (shared, suffix) = self.split(name);
+        w.u8(shared);
+        w.varint(suffix.len() as u64);
+        w.raw(suffix);
+    }
+}
+
+/// Bytes an upsert codes to besides its name: `off: u64`, `len: u32`.
+const UPSERT_ENTRY: usize = 12;
+
+/// The commit record, unsealed: a header, then the payload — `epoch`,
+/// `prev`, the upsert and remove counts (four `u64`s), every upsert as
+/// its front-coded name and entry, every remove as its front-coded name.
+/// Both lists come in name order. Sized exactly by a first pass: a
+/// checkpoint's record is the largest transient buffer of a commit.
+fn encode_commit<'a>(
+    epoch: u64,
+    prev: u64,
+    upserts: impl Iterator<Item = (&'a str, Entry)> + Clone,
+    removes: impl Iterator<Item = &'a str> + Clone,
+) -> Vec<u8> {
+    let mut names = FrontCoder::default();
+    let (mut nup, mut payload) = (0u64, 32);
+    for (name, _) in upserts.clone() {
+        nup += 1;
+        payload += names.coded_len(name) + UPSERT_ENTRY;
+    }
+    let mut names = FrontCoder::default();
+    let mut nrm = 0u64;
+    for name in removes.clone() {
+        nrm += 1;
+        payload += names.coded_len(name);
+    }
+    let mut rec = Vec::with_capacity(record_size(payload));
+    open_record(&mut rec, RecordKind::Commit);
+    let mut w = ByteWriter::new(&mut rec);
+    w.u64(epoch);
+    w.u64(prev);
+    w.u64(nup);
+    w.u64(nrm);
+    let mut names = FrontCoder::default();
+    for (name, e) in upserts {
+        names.put(&mut w, name);
+        w.u64(e.off);
+        w.u32(e.len);
+    }
+    let mut names = FrontCoder::default();
+    for name in removes {
+        names.put(&mut w, name);
+    }
+    rec
+}
+
 /// Read and checksum-validate the commit record at `off` (bounds-checked
 /// against the rt heap top). Returns the payload and the record's ring
-/// footprint.
+/// footprint. The header is read to the end of its line and the rest of
+/// the record after it, so no line is charged twice.
 fn read_commit_record(
     arena: &mut NvbmArena,
     off: u64,
@@ -829,9 +940,11 @@ fn read_commit_record(
             "commit record header at {off:#x} outside the rt region"
         )));
     }
-    let mut h = [0u8; REC_HEADER];
-    arena.read(off, &mut h);
-    let header = parse_header(&h).map_err(|magic| {
+    let mut head = [0u8; REC_HEADER + CACHELINE];
+    let head = &mut head[..(hdr_end.next_multiple_of(CACHELINE as u64).min(top) - off) as usize];
+    arena.read(off, head);
+    let h = head.first_chunk().expect("the read reaches past the header");
+    let header = parse_header(h).map_err(|magic| {
         PmError::Corrupt(format!("bad log record magic {magic:#x} at {off:#x}"))
     })?;
     match header.kind {
@@ -849,9 +962,14 @@ fn read_commit_record(
         )));
     }
     // Header, payload and trailer side by side, as the checksum covers them.
-    let mut rec = vec![0u8; header.unpadded_size()];
-    rec[..REC_HEADER].copy_from_slice(&h);
-    arena.read(off + REC_HEADER as u64, &mut rec[REC_HEADER..]);
+    let whole = header.unpadded_size();
+    let have = head.len().min(whole);
+    let mut rec = Vec::with_capacity(whole);
+    rec.extend_from_slice(&head[..have]);
+    rec.resize(whole, 0);
+    if have < whole {
+        arena.read(off + have as u64, &mut rec[have..]);
+    }
     if !checksum_ok(&rec) {
         return Err(PmError::Corrupt(format!("commit record checksum mismatch at {off:#x}")));
     }
@@ -860,51 +978,88 @@ fn read_commit_record(
     Ok((rec, size))
 }
 
-/// Parse a commit record payload (bounds-checked; duplicate names within
-/// one record are corruption).
+/// Parse a commit record payload. Bounds-checked throughout: a count or
+/// length is checked against the bytes left before anything is sized by
+/// it. Names must ascend strictly within each list, and no name may be
+/// both upserted and removed.
 fn parse_commit_payload(payload: &[u8]) -> Result<CommitPayload, PmError> {
     let mut r = ByteReader::new(payload);
     let epoch = r.u64()?;
     let prev = r.u64()?;
     let nup = r.u64()?;
     let nrm = r.u64()?;
-    let mut seen: BTreeSet<Arc<str>> = BTreeSet::new();
-    let mut fresh_name = |r: &mut ByteReader<'_>| {
-        let name: Arc<str> = String::decode(r)?.into();
-        if !seen.insert(name.clone()) {
-            return Err(PmError::Corrupt(format!("duplicate root name {name:?} in commit record")));
-        }
-        Ok(name)
-    };
-    let mut upserts = Vec::new();
-    for _ in 0..nup {
-        upserts.push((fresh_name(&mut r)?, Entry { off: r.u64()?, len: r.u32()? }));
+    // An upsert codes to at least two name bytes and its entry, a remove
+    // to at least two.
+    let least = nup.checked_mul(2 + UPSERT_ENTRY as u64).zip(nrm.checked_mul(2));
+    if least.and_then(|(u, m)| u.checked_add(m)).is_none_or(|b| b > r.remaining() as u64) {
+        return Err(PmError::Corrupt(format!(
+            "commit record counts {nup} + {nrm} exceed its {} payload bytes",
+            payload.len()
+        )));
     }
-    let mut removes = Vec::new();
+    let mut name = Vec::new();
+    let mut upserts: Vec<(Arc<str>, Entry)> = Vec::with_capacity(nup as usize);
+    for _ in 0..nup {
+        let n = next_name(&mut r, &mut name, upserts.last().map(|(n, _)| n))?;
+        upserts.push((n, Entry { off: r.u64()?, len: r.u32()? }));
+    }
+    name.clear();
+    let mut removes: Vec<Arc<str>> = Vec::with_capacity(nrm as usize);
     for _ in 0..nrm {
-        removes.push(fresh_name(&mut r)?);
+        let n = next_name(&mut r, &mut name, removes.last())?;
+        removes.push(n);
     }
     if !r.is_empty() {
         return Err(PmError::Corrupt("trailing bytes after commit record payload".into()));
     }
+    // Both lists ascend, so one merge walk finds a name in both.
+    let mut rm = removes.iter().peekable();
+    for (n, _) in &upserts {
+        while rm.next_if(|r| *r < n).is_some() {}
+        if rm.peek() == Some(&n) {
+            return Err(PmError::Corrupt(format!(
+                "root {n:?} both upserted and removed in one commit record"
+            )));
+        }
+    }
     Ok(CommitPayload { epoch, prev, upserts, removes })
 }
 
-/// The payload length of the object blob at `off`, checked against the
-/// `want` its table entry or pointer names: the blob lies inside the rt
-/// heap, and its header carries the object magic and that length. One
-/// 8-byte header read — all the swizzle reads, and the first half of
-/// every payload read. The adds are checked: a corrupted root near
-/// `u64::MAX` must report, not wrap past the bound and panic inside the
-/// arena read.
-fn checked_len(arena: &mut NvbmArena, off: u64, want: u32) -> Result<usize, PmError> {
-    let end = off.checked_add(OBJ_HEADER as u64 + u64::from(want));
-    if off < HEADER_SIZE || end.is_none_or(|end| end > arena.rt_heap_top()) {
-        return Err(PmError::Corrupt(format!("{want}-byte blob at {off:#x} outside the rt heap")));
+/// Decode the next name of a front-coded list (see [`FrontCoder`]) into
+/// `buf`, which holds the list's previous name — empty at its start —
+/// and must strictly follow `last`, that name as decoded.
+fn next_name(
+    r: &mut ByteReader<'_>,
+    buf: &mut Vec<u8>,
+    last: Option<&Arc<str>>,
+) -> Result<Arc<str>, PmError> {
+    let shared = usize::from(r.u8()?);
+    if shared > buf.len() {
+        return Err(PmError::Corrupt(format!(
+            "root name shares {shared} bytes with a {}-byte previous name",
+            buf.len()
+        )));
     }
-    let mut h = [0u8; OBJ_HEADER];
-    arena.read(off, &mut h);
-    let [m0, m1, m2, m3, l0, l1, l2, l3] = h;
+    let len = r.varint()?;
+    let suffix = r.raw(len)?;
+    buf.truncate(shared);
+    buf.extend_from_slice(suffix);
+    let name = std::str::from_utf8(buf)
+        .map_err(|e| PmError::Corrupt(format!("root name in commit record: {e}")))?;
+    if let Some(last) = last {
+        if **last >= *name {
+            return Err(PmError::Corrupt(format!(
+                "root name {name:?} does not follow {last:?} in commit record"
+            )));
+        }
+    }
+    Ok(Arc::from(name))
+}
+
+/// Check an object header read at `off` against the `want` its table
+/// entry or pointer names: the object magic and that length.
+fn check_header(h: &[u8; OBJ_HEADER], off: u64, want: u32) -> Result<(), PmError> {
+    let [m0, m1, m2, m3, l0, l1, l2, l3] = *h;
     let magic = u32::from_le_bytes([m0, m1, m2, m3]);
     let len = u32::from_le_bytes([l0, l1, l2, l3]);
     if magic != OBJ_MAGIC {
@@ -915,15 +1070,40 @@ fn checked_len(arena: &mut NvbmArena, off: u64, want: u32) -> Result<usize, PmEr
             "length mismatch at {off:#x}: blob says {len}, table says {want}"
         )));
     }
-    Ok(len as usize)
+    Ok(())
+}
+
+/// The payload of `blob` — the object blob at `off`, possibly followed by
+/// more bytes — whose header must name `want` bytes ([`check_header`]).
+fn blob_payload(blob: &[u8], off: u64, want: u32) -> Result<&[u8], PmError> {
+    let short = || PmError::Corrupt(format!("object at {off:#x} cut short"));
+    let (h, rest) = blob.split_first_chunk::<OBJ_HEADER>().ok_or_else(short)?;
+    check_header(h, off, want)?;
+    rest.get(..want as usize).ok_or_else(short)
+}
+
+/// Read the first `buf.len()` bytes — the header, then as much payload as
+/// `buf` holds — of the `want`-byte object blob at `off`, and check them:
+/// the whole blob lies inside the rt heap, and the header names `want`
+/// bytes ([`check_header`]). The adds are checked: a corrupted root near
+/// `u64::MAX` must report, not wrap past the bound and panic inside the
+/// arena read.
+fn read_checked(arena: &mut NvbmArena, off: u64, want: u32, buf: &mut [u8]) -> Result<(), PmError> {
+    let end = off.checked_add(OBJ_HEADER as u64 + u64::from(want));
+    if off < HEADER_SIZE || end.is_none_or(|end| end > arena.rt_heap_top()) {
+        return Err(PmError::Corrupt(format!("{want}-byte blob at {off:#x} outside the rt heap")));
+    }
+    arena.read(off, buf);
+    check_header(buf.first_chunk().expect("a blob read covers its header"), off, want)
 }
 
 /// Read the payload of the object blob at `off`, whose table entry or
-/// pointer names `len` bytes.
+/// pointer names `len` bytes: header and payload in one read.
 pub(crate) fn read_blob(arena: &mut NvbmArena, off: u64, len: u32) -> Result<Vec<u8>, PmError> {
-    let mut payload = vec![0u8; checked_len(arena, off, len)?];
-    arena.read(off + OBJ_HEADER as u64, &mut payload);
-    Ok(payload)
+    let mut blob = vec![0u8; OBJ_HEADER + len as usize];
+    read_checked(arena, off, len, &mut blob)?;
+    blob.drain(..OBJ_HEADER);
+    Ok(blob)
 }
 
 #[cfg(test)]
