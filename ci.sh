@@ -5,7 +5,8 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
-cargo test --workspace -q
+# --no-fail-fast: one failing test target must not hide the ones after it.
+cargo test --workspace -q --no-fail-fast
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 # Rustdoc clean: no dead intra-doc link, no public doc linking a private
@@ -25,7 +26,7 @@ perf/check.sh
 # dirty-line table against their models; the mesh routines' exact read
 # counts on all three backends; worker-count invariance of cluster runs;
 # whole-application reattach against a file checkpoint; and the repro CLI.
-cargo test --release --workspace -q
+cargo test --release --workspace -q --no-fail-fast
 # no_fork <pattern> <file…>: fail if <pattern> occurs in a file's code
 # above its `#[cfg(test)]` module (the models live below it).
 no_fork() {
@@ -72,7 +73,7 @@ fi
 # waits in DRAM until the commit, so no stage stores over a staged slot,
 # and commit records front-code their names instead of length-prefixing
 # each one whole.
-no_fork 'arena.write(cur.record_off()' crates/pm-rt/src/rt.rs
+no_fork 'arena.write(cur.off' crates/pm-rt/src/rt.rs
 no_fork 'w.bytes(name.as_bytes())' crates/pm-rt/src/rt.rs
 # Sparse media: the device holds the chunks some commit or load reached.
 # The capacity-sized media vector, the second media trait and its
@@ -169,8 +170,17 @@ done
 # Crash-consistency gate: every crash opportunity x every injection mode
 # must recover to exactly V_i or V_{i-1} (exits non-zero on violation).
 # The opportunity space is every store of every op the sweep's batches
-# apply, every write-back and every labelled protocol point.
-cargo run --release -p pmoctree-bench --bin repro -- crash-sweep --smoke
+# apply, every write-back and every labelled protocol point. Its two
+# counts are pinned: a change that adds, drops or moves a store restates
+# them here.
+sweep=$(cargo run --release -p pmoctree-bench --bin repro -- crash-sweep --smoke)
+printf '%s\n' "$sweep"
+for want in 'Crash-point sweep: 1151 opportunities' 'Service crash sweep: 107 opportunities'; do
+    if ! grep -qF "$want" <<<"$sweep"; then
+        echo "crash-sweep --smoke no longer reports '$want'" >&2
+        exit 1
+    fi
+done
 # Artifact gate: the stdout of `repro all` at the default scale must be
 # the committed repro_results.txt byte for byte, so a change that moves a
 # §5 number regenerates the artifact that records it (about 6 s warm).

@@ -18,7 +18,9 @@
 //! All bookkeeping here is **volatile**. Recovery never trusts it: the
 //! committed table is rebuilt by chain-walking checksummed commit
 //! records from the durable root pointer, and [`LogHeap::rebuild`]
-//! re-seats the ring around exactly the records that walk names.
+//! re-seats the ring around exactly the records that walk names. Nothing
+//! reads the ring between records, so a hole the head abandons is left
+//! as it is, unmarked.
 //!
 //! Geometry: the ring occupies `[base, top)`. `top` is fixed (the
 //! bottom of the flight-recorder region); `base` is the published rt
@@ -48,8 +50,6 @@ use pmoctree_nvbm::model::CACHELINE;
 use pmoctree_nvbm::POffset;
 use pmoctree_nvbm::PmError;
 
-use crate::log::REC_HEADER;
-
 /// Step by which the ring grows downward when the current window is too
 /// small. Small on purpose: growth is the fallback, recycling the
 /// steady state.
@@ -66,8 +66,6 @@ pub struct LogHeap {
     limit: u64,
     /// Next append offset.
     head: u64,
-    /// Next record sequence number.
-    seq: u64,
     /// Next append stamp.
     stamp: u64,
     /// Live records by offset: footprint and append stamp — the spatial
@@ -77,10 +75,6 @@ pub struct LogHeap {
     by_age: BTreeMap<u64, u64>,
     /// Sum of live record footprints.
     live_bytes: u64,
-    /// Wrap gap the caller still has to stamp with a pad header.
-    pending_pad: Option<(u64, u64)>,
-    /// Number of head wraps (telemetry).
-    laps: u64,
 }
 
 impl LogHeap {
@@ -93,13 +87,10 @@ impl LogHeap {
             top,
             limit,
             head: top,
-            seq: 0,
             stamp: 0,
             live: BTreeMap::new(),
             by_age: BTreeMap::new(),
             live_bytes: 0,
-            pending_pad: None,
-            laps: 0,
         }
     }
 
@@ -135,30 +126,9 @@ impl LogHeap {
         }
     }
 
-    /// Number of head wraps so far.
-    #[cfg(test)]
-    pub fn laps(&self) -> u64 {
-        self.laps
-    }
-
-    /// Next record sequence number (consumes it).
-    pub fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
-    }
-
     /// Live record offsets in ring order, oldest first.
     pub fn ring_live(&self) -> impl Iterator<Item = u64> + '_ {
         self.by_age.values().copied()
-    }
-
-    /// The wrap gap produced by the last [`LogHeap::alloc`], if any:
-    /// `(offset, skip)` for the pad header the caller must write, which
-    /// keeps the ring framed as records across the gap. Draining is the
-    /// caller's job.
-    pub fn take_pending_pad(&mut self) -> Option<(u64, u64)> {
-        self.pending_pad.take()
     }
 
     /// Append a record of `size` bytes (8-byte aligned, from
@@ -169,25 +139,9 @@ impl LogHeap {
     pub fn alloc(&mut self, size: usize) -> Result<POffset, PmError> {
         debug_assert_eq!(size % 8, 0, "record sizes are 8-byte aligned");
         let need = size as u64;
-        let off = if let Some(at) = self.probe(self.head, need) {
-            at
-        } else {
-            // The head abandons its hole: stamp a pad header over the
-            // free bytes so the seam stays framed as a record. The pad
-            // must stop at the next live island, not the top — under
-            // next-fit the span `[head, top)` can contain live records,
-            // and the head can sit flush against one (a probe places
-            // records ending exactly where an island begins), so a
-            // top-sized pad would clobber a live record header.
-            let hole_end = self.live.range(self.head..).next().map_or(self.top, |(&off, _)| off);
-            let gap = hole_end - self.head;
-            if gap >= REC_HEADER as u64 {
-                self.pending_pad = Some((self.head, gap - REC_HEADER as u64));
-            }
-            if let Some(at) = self.probe(self.base, need) {
-                self.laps += 1;
-                at
-            } else {
+        let off = match self.probe(self.head, need).or_else(|| self.probe(self.base, need)) {
+            Some(at) => at,
+            None => {
                 // No gap anywhere in the window: grow it downward —
                 // geometrically when the octree permits, minimally if
                 // that is too greedy — and place at the new base.
@@ -309,7 +263,7 @@ impl LogHeap {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::log::record_size;
+    use crate::log::{record_size, REC_HEADER, REC_TRAILER};
 
     #[test]
     fn appends_are_sequential_and_grow_on_demand() {
@@ -332,9 +286,10 @@ mod tests {
         for &o in &offs[..4] {
             h.mark_dead(o);
         }
+        let floor = h.floor();
         let wrapped = h.alloc(64).unwrap();
-        assert_eq!(wrapped.0, h.floor(), "wrap lands at the ring base");
-        assert_eq!(h.laps(), 1);
+        assert!(wrapped.0 < offs[15], "the append lands below an earlier one");
+        assert_eq!((wrapped.0, h.floor()), (floor, floor), "wrap lands at the ring base");
         // The wrapped gap holds three more records; with the gap
         // exhausted and every remaining record live, the next append
         // grows the window below the old base — never an overwrite.
@@ -357,23 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn wrap_gap_yields_a_pending_pad() {
-        let mut h = LogHeap::new(0, 4096);
-        // 240-byte records: 4 fit in the 1024 window with a 64-byte gap.
-        let offs: Vec<u64> = (0..4).map(|_| h.alloc(240).unwrap().0).collect();
-        for &o in &offs[..2] {
-            h.mark_dead(o);
-        }
-        let w = h.alloc(240).unwrap();
-        assert_eq!(w.0, h.floor());
-        let (pad_off, skip) = h.take_pending_pad().unwrap();
-        assert_eq!(pad_off, offs[3] + 240);
-        assert_eq!(skip as usize, 64 - REC_HEADER);
-        assert!(h.take_pending_pad().is_none(), "pad drains once");
-    }
-
-    #[test]
-    fn pad_never_covers_a_live_island() {
+    fn a_head_flush_against_a_live_island_grows_past_it() {
         let mut h = LogHeap::new(0, 4096);
         let offs: Vec<u64> = (0..16).map(|_| h.alloc(64).unwrap().0).collect();
         // Free one mid-ring slot; the next alloc wraps into it and
@@ -381,12 +320,9 @@ mod tests {
         h.mark_dead(offs[2]);
         let w = h.alloc(64).unwrap();
         assert_eq!(w.0, offs[2]);
-        assert!(h.take_pending_pad().is_none(), "zero-width top hole yields no pad");
-        // The head now sits exactly at a live record. The next alloc
-        // abandons the (zero-width) hole and wraps again; stamping a
-        // top-sized pad here would overwrite the live header at the head.
+        // The head now sits exactly at a live record, and every record
+        // is live: the next alloc must grow, not land on the island.
         let grown = h.alloc(64).unwrap();
-        assert!(h.take_pending_pad().is_none(), "no pad over the live island at the head");
         assert!(grown.0 < offs[0], "fully-live ring grows instead of overwriting");
         for &o in offs.iter().filter(|&&o| o != offs[2]) {
             assert!(h.live.contains_key(&o), "live records survive the wrap");
@@ -395,9 +331,9 @@ mod tests {
 
     #[test]
     fn the_ring_yields_each_live_record_once_oldest_first() {
-        // `pad_never_covers_a_live_island`'s scenario: kill a mid-ring
-        // record, then wrap an append into its hole. The reused offset is
-        // the youngest record, listed once.
+        // `a_head_flush_against_a_live_island_grows_past_it`'s scenario:
+        // kill a mid-ring record, then wrap an append into its hole. The
+        // reused offset is the youngest record, listed once.
         let mut h = LogHeap::new(0, 4096);
         let offs: Vec<u64> = (0..16).map(|_| h.alloc(64).unwrap().0).collect();
         h.mark_dead(offs[2]);
@@ -473,7 +409,7 @@ mod tests {
         // codec's sizing stays 8-byte aligned for any payload.
         for len in 0..128 {
             assert_eq!(record_size(len) % 8, 0);
-            assert!(record_size(len) >= REC_HEADER + len + 4);
+            assert!(record_size(len) >= REC_HEADER + len + REC_TRAILER);
         }
     }
 }

@@ -23,8 +23,8 @@ use pmoctree_nvbm::{NvbmArena, POffset, CACHELINE, HEADER_SIZE};
 use crate::data::{varint_len, ByteReader, ByteWriter, PmData};
 use crate::heap::LogHeap;
 use crate::log::{
-    checksum_ok, encode_pad, open_record, parse_header, record_size, seal_record, RecordKind,
-    REC_HEADER,
+    checksum_ok, open_record, parse_header, record_size, seal_record, LOG_MAGIC, OBJ_MAGIC,
+    REC_HEADER, REC_TRAILER,
 };
 
 /// A full-table checkpoint record is written every this many commits,
@@ -76,7 +76,7 @@ impl<T> std::fmt::Debug for PPtr<T> {
 }
 
 impl<T> PPtr<T> {
-    /// Arena-relative offset of the object blob.
+    /// Arena-relative offset of the blob record.
     pub fn offset(&self) -> u64 {
         self.off
     }
@@ -96,11 +96,7 @@ impl<T> PPtr<T> {
     }
 }
 
-/// Magic tag at the head of every object blob.
-pub(crate) const OBJ_MAGIC: u32 = 0x504d_5254; // "PMRT"
-/// Object blob header: `[u32 magic][u32 payload len]`.
-pub(crate) const OBJ_HEADER: usize = 8;
-
+/// A table entry: the offset of a blob record and its payload length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Entry {
     pub(crate) off: u64,
@@ -108,23 +104,16 @@ pub(crate) struct Entry {
 }
 
 impl Entry {
-    /// The blob's full ring footprint: log record header + object blob
-    /// (header + payload) + checksum trailer, 8-byte aligned.
+    /// The blob record's ring footprint.
     pub(crate) fn footprint(&self) -> usize {
-        record_size(OBJ_HEADER + self.len as usize)
-    }
-
-    /// Offset of the log record wrapping this blob (`off` points at the
-    /// object header *inside* the record, one record header below).
-    pub(crate) fn record_off(&self) -> u64 {
-        self.off - REC_HEADER as u64
+        record_size(self.len as usize)
     }
 }
 
 /// The blob record footprint a payload of `encoded_len` bytes will
 /// occupy in the ring — the quota currency (Circ-Tree's bytes-written).
 pub fn blob_footprint(encoded_len: usize) -> usize {
-    record_size(OBJ_HEADER + encoded_len)
+    record_size(encoded_len)
 }
 
 /// A name-ordered root map. Every view holding a root (staged table,
@@ -286,7 +275,7 @@ impl PmRt {
         // below the flight-recorder ring, so bounds-check against the
         // heap top, not the raw device capacity.
         for (name, e) in &table {
-            read_checked(arena, e.off, e.len, &mut [0u8; OBJ_HEADER])
+            read_checked(arena, e.off, e.len, &mut [0u8; REC_HEADER])
                 .map_err(|err| PmError::Corrupt(format!("root {name:?}: {err}")))?;
         }
         arena.failpoint("rt::swizzle");
@@ -294,13 +283,13 @@ impl PmRt {
         let limit = arena.live_bump().max(HEADER_SIZE);
         let live = table
             .values()
-            .map(|e| (POffset(e.record_off()), e.footprint() as u64))
+            .map(|e| (POffset(e.off), e.footprint() as u64))
             .chain(walked.iter().map(|(o, _, size)| (POffset(*o), *size as u64)));
         let heap = LogHeap::rebuild(limit, top, record.rt_floor, live)?;
         arena.publish_rt_floor(heap.floor());
         let chain: Vec<u64> = walked.iter().rev().map(|(o, _, _)| *o).collect();
         Ok(PmRt {
-            committed_at: table.iter().map(|(n, e)| (e.record_off(), n.clone())).collect(),
+            committed_at: table.iter().map(|(n, e)| (e.off, n.clone())).collect(),
             table,
             heap,
             epoch,
@@ -330,15 +319,10 @@ impl PmRt {
     /// bump: the octree grows its territory between runtime calls, so the
     /// boundary is refreshed on every allocation and the new floor
     /// published back — the two allocators sharing the arena can fail,
-    /// never overlap. Writes the wrap-gap pad header when the head wraps;
-    /// the caller stamps its record with the next sequence number.
+    /// never overlap.
     fn reserve(&mut self, arena: &mut NvbmArena, size: usize) -> Result<u64, PmError> {
         self.heap.set_limit(arena.live_bump().max(HEADER_SIZE));
         let p = self.heap.alloc(size)?;
-        if let Some((pad_off, skip)) = self.heap.take_pending_pad() {
-            arena.write(pad_off, &encode_pad(self.heap.next_seq(), skip as usize));
-            self.staged.push((pad_off, REC_HEADER as u32));
-        }
         arena.publish_rt_floor(self.heap.floor());
         Ok(p.0)
     }
@@ -381,8 +365,7 @@ impl PmRt {
             match self.table.get_mut(name) {
                 Some(cur) if origin != Some(*cur) && cur.footprint() == size => {
                     cur.len = len;
-                    let rec = self.pending.entry(cur.record_off()).or_default();
-                    encode_blob(rec, payload, self.heap.next_seq());
+                    encode_blob(self.pending.entry(cur.off).or_default(), payload);
                     return Ok(*cur);
                 }
                 _ => {}
@@ -390,11 +373,11 @@ impl PmRt {
         }
         let rec_off = self.reserve(arena, size)?;
         let mut rec = Vec::with_capacity(size);
-        encode_blob(&mut rec, payload, self.heap.next_seq());
+        encode_blob(&mut rec, payload);
         self.pending.insert(rec_off, rec);
         self.staged.push((rec_off, size as u32));
         let key = self.note_origin(name);
-        let e = Entry { off: rec_off + REC_HEADER as u64, len };
+        let e = Entry { off: rec_off, len };
         if let Some(old) = self.table.insert(key, e) {
             self.supersede(name, old);
         }
@@ -419,17 +402,16 @@ impl PmRt {
         self.table.get(name).map(|&e| PPtr::from_entry(e))
     }
 
-    /// Dereference a persistent pointer: validate the blob header, read
-    /// the payload, decode. A record staged in this window is answered
-    /// from its buffer.
+    /// Dereference a persistent pointer: read the blob record, validate
+    /// its header and checksum, decode. A record staged in this window is
+    /// answered from its buffer.
     pub fn load_ptr<T: PmData>(
         &mut self,
         arena: &mut NvbmArena,
         ptr: PPtr<T>,
     ) -> Result<T, PmError> {
-        let staged = ptr.off.checked_sub(REC_HEADER as u64).and_then(|r| self.pending.get(&r));
-        match staged {
-            Some(rec) => T::from_bytes(blob_payload(&rec[REC_HEADER..], ptr.off, ptr.len)?),
+        match self.pending.get(&ptr.off) {
+            Some(rec) => T::from_bytes(blob_payload(rec, ptr.off, ptr.len)?),
             None => T::from_bytes(&read_blob(arena, ptr.off, ptr.len)?),
         }
     }
@@ -469,9 +451,9 @@ impl PmRt {
     /// the spot, their space free for the next append that reaches it.
     fn supersede(&mut self, name: &str, old: Entry) {
         if self.staged_origin.get(name) == Some(&Some(old)) {
-            self.retired.push((self.epoch + 1, old.record_off()));
+            self.retired.push((self.epoch + 1, old.off));
         } else {
-            self.discard(old.record_off());
+            self.discard(old.off);
         }
     }
 
@@ -493,8 +475,8 @@ impl PmRt {
     /// `rt::commit` failpoint. The wear-leveling and compaction passes
     /// run first (failpoints `wear::relocate` / `heap::compact`), and the
     /// record append fires `heap::append`. Returns the regions written
-    /// since the previous commit (blobs, pads, the commit record), for
-    /// replica delta shipping.
+    /// since the previous commit (its blob records and the commit
+    /// record), for replica delta shipping.
     ///
     /// Blobs the new commit supersedes are reclaimed immediately when no
     /// MVCC snapshot pins an older epoch, and deferred to
@@ -541,7 +523,7 @@ impl PmRt {
         arena.failpoint("heap::append");
         let size = record_size(rec.len() - REC_HEADER);
         let rec_off = self.reserve(arena, size)?;
-        seal_record(&mut rec, self.heap.next_seq());
+        seal_record(&mut rec);
         arena.write(rec_off, &rec);
         self.epoch = epoch;
         self.staged.push((rec_off, size as u32));
@@ -567,10 +549,10 @@ impl PmRt {
         // index by exactly the names this window touched.
         for (name, origin) in std::mem::take(&mut self.staged_origin) {
             if let Some(old) = origin {
-                self.committed_at.remove(&old.record_off());
+                self.committed_at.remove(&old.off);
             }
             if let Some(e) = self.table.get(&name) {
-                self.committed_at.insert(e.record_off(), name);
+                self.committed_at.insert(e.off, name);
             }
         }
         arena.publish_rt_floor(self.heap.floor());
@@ -629,7 +611,7 @@ impl PmRt {
     fn wear_victim(&self, arena: &NvbmArena) -> Option<(u32, Arc<str>)> {
         let mut best: Option<(u32, &Arc<str>)> = None;
         for (name, e) in self.untouched("") {
-            let w = arena.stats.block_wear(e.record_off());
+            let w = arena.stats.block_wear(e.off);
             if best.is_none_or(|(bw, _)| w > bw) {
                 best = Some((w, name));
             }
@@ -664,7 +646,7 @@ impl PmRt {
         self.heap.ring_live().find_map(|off| {
             // Still staged under the record the committed view names?
             let name = self.committed_at.get(&off)?;
-            (self.table.get(name).map(Entry::record_off) == Some(off)).then(|| name.clone())
+            (self.table.get(name).map(|e| e.off) == Some(off)).then(|| name.clone())
         })
     }
 
@@ -677,10 +659,9 @@ impl PmRt {
             return Ok(());
         };
         let payload = read_blob(arena, e.off, e.len)?;
-        let old_rec = e.record_off();
         self.stage_bytes(arena, &name, &payload)?;
         self.relocated.push(name);
-        arena.stats.note_relocation(old_rec, e.footprint());
+        arena.stats.note_relocation(e.off, e.footprint());
         Ok(())
     }
 
@@ -740,9 +721,9 @@ impl PmRt {
             None => self.table.remove(&name),
         };
         if let Some(cur) = staged.filter(|cur| Some(*cur) != origin) {
-            self.discard(cur.record_off());
+            self.discard(cur.off);
         }
-        let pending = origin.map(|e| (self.epoch + 1, e.record_off()));
+        let pending = origin.map(|e| (self.epoch + 1, e.off));
         if let Some(i) = self.retired.iter().position(|&r| Some(r) == pending) {
             self.retired.swap_remove(i);
         }
@@ -828,15 +809,11 @@ struct CommitPayload {
     removes: Vec<Arc<str>>,
 }
 
-/// Encode `payload` as a whole blob record into `rec`: log header, object
-/// header (magic, length), payload, checksum trailer.
-fn encode_blob(rec: &mut Vec<u8>, payload: &[u8], seq: u64) {
-    open_record(rec, RecordKind::Blob);
-    let mut w = ByteWriter::new(rec);
-    w.u32(OBJ_MAGIC);
-    w.u32(payload.len() as u32);
-    w.raw(payload);
-    seal_record(rec, seq);
+/// Encode `payload` as a whole blob record into `rec`.
+fn encode_blob(rec: &mut Vec<u8>, payload: &[u8]) {
+    open_record(rec, OBJ_MAGIC);
+    rec.extend_from_slice(payload);
+    seal_record(rec);
 }
 
 /// Front-coding of one name-ordered list: a name is stored as the number
@@ -904,7 +881,7 @@ fn encode_commit<'a>(
         payload += names.coded_len(name);
     }
     let mut rec = Vec::with_capacity(record_size(payload));
-    open_record(&mut rec, RecordKind::Commit);
+    open_record(&mut rec, LOG_MAGIC);
     let mut w = ByteWriter::new(&mut rec);
     w.u64(epoch);
     w.u64(prev);
@@ -944,25 +921,15 @@ fn read_commit_record(
     let head = &mut head[..(hdr_end.next_multiple_of(CACHELINE as u64).min(top) - off) as usize];
     arena.read(off, head);
     let h = head.first_chunk().expect("the read reaches past the header");
-    let header = parse_header(h).map_err(|magic| {
-        PmError::Corrupt(format!("bad log record magic {magic:#x} at {off:#x}"))
-    })?;
-    match header.kind {
-        Some(RecordKind::Commit) => {}
-        k => {
-            return Err(PmError::Corrupt(format!(
-                "record at {off:#x} is {k:?}, expected a commit record"
-            )))
-        }
-    }
-    let size = record_size(header.len);
+    let len = check_header(h, off, LOG_MAGIC, None)?;
+    let size = record_size(len);
     if off.checked_add(size as u64).is_none_or(|end| end > top) {
         return Err(PmError::Corrupt(format!(
             "commit record at {off:#x} ({size} bytes) past the rt region top {top:#x}"
         )));
     }
     // Header, payload and trailer side by side, as the checksum covers them.
-    let whole = header.unpadded_size();
+    let whole = REC_HEADER + len + REC_TRAILER;
     let have = head.len().min(whole);
     let mut rec = Vec::with_capacity(whole);
     rec.extend_from_slice(&head[..have]);
@@ -970,11 +937,9 @@ fn read_commit_record(
     if have < whole {
         arena.read(off + have as u64, &mut rec[have..]);
     }
-    if !checksum_ok(&rec) {
-        return Err(PmError::Corrupt(format!("commit record checksum mismatch at {off:#x}")));
-    }
+    check_sum(&rec, off)?;
+    rec.truncate(REC_HEADER + len);
     rec.drain(..REC_HEADER);
-    rec.truncate(header.len);
     Ok((rec, size))
 }
 
@@ -1056,54 +1021,75 @@ fn next_name(
     Ok(Arc::from(name))
 }
 
-/// Check an object header read at `off` against the `want` its table
-/// entry or pointer names: the object magic and that length.
-fn check_header(h: &[u8; OBJ_HEADER], off: u64, want: u32) -> Result<(), PmError> {
-    let [m0, m1, m2, m3, l0, l1, l2, l3] = *h;
-    let magic = u32::from_le_bytes([m0, m1, m2, m3]);
-    let len = u32::from_le_bytes([l0, l1, l2, l3]);
-    if magic != OBJ_MAGIC {
-        return Err(PmError::Corrupt(format!("bad object magic {magic:#x} at {off:#x}")));
-    }
-    if len != want {
+/// Check a record header read at `off`: the `magic` of the kind its
+/// reader expects and, when a table entry or pointer names the record,
+/// the `want` payload bytes it names. Returns the payload length.
+fn check_header(
+    h: &[u8; REC_HEADER],
+    off: u64,
+    magic: u32,
+    want: Option<u32>,
+) -> Result<usize, PmError> {
+    let (found, len) = parse_header(h);
+    if found != magic {
         return Err(PmError::Corrupt(format!(
-            "length mismatch at {off:#x}: blob says {len}, table says {want}"
+            "bad record magic {found:#x} at {off:#x}, expected {magic:#x}"
         )));
+    }
+    match want {
+        Some(want) if want as usize != len => Err(PmError::Corrupt(format!(
+            "length mismatch at {off:#x}: record says {len}, table says {want}"
+        ))),
+        _ => Ok(len),
+    }
+}
+
+/// Check the checksum of `rec` — the whole record read at `off`: header,
+/// payload and trailer, nothing after.
+fn check_sum(rec: &[u8], off: u64) -> Result<(), PmError> {
+    if !checksum_ok(rec) {
+        return Err(PmError::Corrupt(format!("record checksum mismatch at {off:#x}")));
     }
     Ok(())
 }
 
-/// The payload of `blob` — the object blob at `off`, possibly followed by
-/// more bytes — whose header must name `want` bytes ([`check_header`]).
-fn blob_payload(blob: &[u8], off: u64, want: u32) -> Result<&[u8], PmError> {
-    let short = || PmError::Corrupt(format!("object at {off:#x} cut short"));
-    let (h, rest) = blob.split_first_chunk::<OBJ_HEADER>().ok_or_else(short)?;
-    check_header(h, off, want)?;
-    rest.get(..want as usize).ok_or_else(short)
+/// The payload of `rec` — the blob record at `off`, possibly followed by
+/// more bytes — whose header must name `want` bytes ([`check_header`])
+/// and whose checksum must hold.
+fn blob_payload(rec: &[u8], off: u64, want: u32) -> Result<&[u8], PmError> {
+    let short = || PmError::Corrupt(format!("blob record at {off:#x} cut short"));
+    let len = check_header(rec.first_chunk().ok_or_else(short)?, off, OBJ_MAGIC, Some(want))?;
+    let rec = rec.get(..REC_HEADER + len + REC_TRAILER).ok_or_else(short)?;
+    check_sum(rec, off)?;
+    Ok(&rec[REC_HEADER..REC_HEADER + len])
 }
 
-/// Read the first `buf.len()` bytes — the header, then as much payload as
-/// `buf` holds — of the `want`-byte object blob at `off`, and check them:
-/// the whole blob lies inside the rt heap, and the header names `want`
-/// bytes ([`check_header`]). The adds are checked: a corrupted root near
-/// `u64::MAX` must report, not wrap past the bound and panic inside the
-/// arena read.
+/// Read the first `buf.len()` bytes — the header, then as much of the
+/// record as `buf` holds — of the `want`-byte blob record at `off`, and
+/// check them: the whole record lies inside the rt heap, and the header
+/// names a blob of `want` bytes ([`check_header`]). The adds are checked:
+/// a corrupted root near `u64::MAX` must report, not wrap past the bound
+/// and panic inside the arena read.
 fn read_checked(arena: &mut NvbmArena, off: u64, want: u32, buf: &mut [u8]) -> Result<(), PmError> {
-    let end = off.checked_add(OBJ_HEADER as u64 + u64::from(want));
+    let end = off.checked_add(record_size(want as usize) as u64);
     if off < HEADER_SIZE || end.is_none_or(|end| end > arena.rt_heap_top()) {
         return Err(PmError::Corrupt(format!("{want}-byte blob at {off:#x} outside the rt heap")));
     }
     arena.read(off, buf);
-    check_header(buf.first_chunk().expect("a blob read covers its header"), off, want)
+    let h = buf.first_chunk().expect("a blob read covers its header");
+    check_header(h, off, OBJ_MAGIC, Some(want)).map(drop)
 }
 
-/// Read the payload of the object blob at `off`, whose table entry or
-/// pointer names `len` bytes: header and payload in one read.
+/// Read the payload of the blob record at `off`, whose table entry or
+/// pointer names `len` bytes: the whole record in one read, its header
+/// and then its checksum checked.
 pub(crate) fn read_blob(arena: &mut NvbmArena, off: u64, len: u32) -> Result<Vec<u8>, PmError> {
-    let mut blob = vec![0u8; OBJ_HEADER + len as usize];
-    read_checked(arena, off, len, &mut blob)?;
-    blob.drain(..OBJ_HEADER);
-    Ok(blob)
+    let mut rec = vec![0u8; REC_HEADER + len as usize + REC_TRAILER];
+    read_checked(arena, off, len, &mut rec)?;
+    check_sum(&rec, off)?;
+    rec.truncate(REC_HEADER + len as usize);
+    rec.drain(..REC_HEADER);
+    Ok(rec)
 }
 
 #[cfg(test)]
@@ -1173,8 +1159,8 @@ mod tests {
         let p = rt.stage(&mut a, "x", &5u64).unwrap();
         rt.commit(&mut a).unwrap();
         // A blob record is checksummed too, but it is not a commit
-        // record: the kind check must reject it.
-        publish_rt_root(&mut a, POffset(p.offset() - REC_HEADER as u64));
+        // record: the magic check must reject it.
+        publish_rt_root(&mut a, POffset(p.offset()));
         assert!(matches!(PmRt::restore(&mut a), Err(PmError::Corrupt(_))));
     }
 
@@ -1284,25 +1270,64 @@ mod tests {
         assert_eq!(r.load::<u64>(&mut a, "drop").unwrap(), None);
     }
 
+    /// 200 rewrites of one small root recycle the ring, and each commit
+    /// stores its records and nothing else: the regions it returns (the
+    /// replica delta) add up to its blob record's footprint plus its
+    /// commit record's, also when the head wraps.
     #[test]
     fn heap_space_is_recycled_across_commits() {
         let mut a = arena();
         let mut rt = PmRt::create(&mut a).unwrap();
-        for i in 0..200u64 {
-            rt.stage(&mut a, "x", &i).unwrap();
-            rt.commit(&mut a).unwrap();
+        // The first commit also returns `create`'s bootstrap checkpoint.
+        rt.commit(&mut a).unwrap();
+        let (mut wrapped, mut last) = (false, u64::MAX);
+        for i in 0..200usize {
+            let floor = rt.heap.floor();
+            let p = rt.stage(&mut a, "x", &vec![i as u8; i % 40]).unwrap();
+            // A wrap: the append lands below an earlier one, and the
+            // window did not grow to make room for it.
+            wrapped |= p.offset() < last && rt.heap.floor() == floor;
+            last = p.offset();
+            let regions = rt.commit(&mut a).unwrap();
+            let stored: usize = regions.iter().map(|&(_, n)| n as usize).sum();
+            let mut h = [0u8; REC_HEADER];
+            a.read(a.committed().rt_root.0, &mut h);
+            let commit = record_size(parse_header(&h).1);
+            assert_eq!(stored, record_size(p.len() as usize) + commit, "commit {i}: {regions:?}");
         }
-        // 200 rewrites of one small root must not consume 200 records of
-        // fresh space: the ring head wraps over dead records' space, so the
-        // window stays within a few growth chunks of the top (which sits
-        // just below the flight-recorder ring).
+        // The window stays within a few growth chunks of the top (which
+        // sits just below the flight-recorder ring).
         assert!(
             a.rt_heap_top() - rt.heap.floor() <= 4096,
             "ring window grew to {} bytes",
             a.rt_heap_top() - rt.heap.floor()
         );
-        assert!(rt.heap.laps() > 0, "the ring must actually wrap");
+        assert!(wrapped, "the ring must actually wrap");
         assert_eq!(rt.retired.len(), 0, "no pins, nothing deferred");
+    }
+
+    /// Every whole-blob read checks the record's checksum: a payload byte
+    /// flipped on media is `Corrupt` to `load`, to a snapshot and to the
+    /// commit whose compaction pass would relocate the blob, while
+    /// restore's swizzle pass, which reads headers only, still succeeds.
+    #[test]
+    fn a_flipped_blob_byte_is_corrupt() {
+        let mut a = arena();
+        let mut rt = PmRt::create(&mut a).unwrap();
+        let p = rt.stage(&mut a, "x", &vec![7u8; 100]).unwrap();
+        rt.commit(&mut a).unwrap();
+        let at = p.offset() + REC_HEADER as u64 + 50;
+        let mut byte = [0u8];
+        a.read(at, &mut byte);
+        a.write(at, &[byte[0] ^ 1]);
+        a.flush_all();
+        a.crash(CrashMode::LoseDirty);
+        let mut r = PmRt::restore(&mut a).unwrap();
+        assert!(matches!(r.load::<Vec<u8>>(&mut a, "x"), Err(PmError::Corrupt(_))));
+        let snap = r.snapshot(&mut a);
+        assert!(matches!(snap.get_bytes(&mut a, "x"), Err(PmError::Corrupt(_))));
+        drop(snap);
+        assert!(matches!(r.commit(&mut a), Err(PmError::Corrupt(_))));
     }
 
     #[test]
@@ -1393,7 +1418,7 @@ mod tests {
     }
 
     fn naive_index(rt: &PmRt) -> BTreeMap<u64, Arc<str>> {
-        committed(rt).into_iter().map(|(n, e)| (e.record_off(), n)).collect()
+        committed(rt).into_iter().map(|(n, e)| (e.off, n)).collect()
     }
 
     fn naive_oldest_relocatable(rt: &PmRt) -> Option<Arc<str>> {
@@ -1401,7 +1426,7 @@ mod tests {
         let by_rec: BTreeMap<u64, &Arc<str>> = committed
             .iter()
             .filter(|(n, e)| rt.table.get(*n) == Some(*e))
-            .map(|(n, e)| (e.record_off(), n))
+            .map(|(n, e)| (e.off, n))
             .collect();
         rt.heap.ring_live().find_map(|off| by_rec.get(&off).map(|n| (*n).clone()))
     }
@@ -1412,7 +1437,7 @@ mod tests {
             if rt.table.get(name) != Some(e) {
                 continue;
             }
-            let w = arena.stats.block_wear(e.record_off());
+            let w = arena.stats.block_wear(e.off);
             if best.as_ref().is_none_or(|(bw, _)| w > *bw) {
                 best = Some((w, name.clone()));
             }

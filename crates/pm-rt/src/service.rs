@@ -433,10 +433,10 @@ impl StateService {
                 validate_component("root", &root)?;
                 let qualified = format!("{tenant}/{root}");
                 let prefix = &qualified[..=tenant.len()];
-                // Charge the full log-record footprint the blob will
-                // occupy in the ring (record header + object header +
-                // u64 length prefix + payload + checksum trailer), net
-                // of the record it replaces.
+                // Charge the full record footprint the blob will occupy
+                // in the ring (record header + u64 length prefix +
+                // payload + checksum trailer), net of the record it
+                // replaces.
                 let new_fp = blob_footprint(8 + bytes.len()) as u64;
                 let projected =
                     self.rt.prefix_usage(prefix) - self.rt.entry_footprint(&qualified) + new_fp;

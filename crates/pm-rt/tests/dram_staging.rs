@@ -68,9 +68,7 @@ fn a_query_after_a_put_in_one_batch_answers_the_staged_bytes() {
 #[test]
 fn a_revert_leaves_the_commit_nothing_to_store() {
     // Twin devices in the same committed state: one commits an empty
-    // window, the other a window whose every stage was reverted. The
-    // values are small enough that neither ring wraps, so neither commit
-    // stores a pad header.
+    // window, the other a window whose every stage was reverted.
     let committed_bytes = |revert: &dyn Fn(&mut PmRt, &mut NvbmArena)| {
         let mut a = arena();
         let mut rt = runtime(&mut a);

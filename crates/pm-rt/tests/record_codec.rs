@@ -5,13 +5,16 @@
 //! passes it to the decoder — restores or fails with `PmError::Corrupt`,
 //! never a panic.
 //!
-//! Payload layout (all integers little-endian): `epoch: u64`,
-//! `prev: u64`, the upsert and remove counts as `u64`s, then each upsert
-//! as a front-coded name, `off: u64` and `len: u32`, then each remove as
-//! a front-coded name. A front-coded name is the number of leading bytes
-//! it shares with the previous name of its list (`u8`, capped at 255;
-//! each list starts from the empty name), the LEB128 length of the rest,
-//! and the rest.
+//! Record layout (all integers little-endian): the magic `"RTLG"` as a
+//! `u32`, the payload length as a `u32`, the payload, and the FNV-1a-32
+//! of all three as a `u32`.
+//!
+//! Payload layout: `epoch: u64`, `prev: u64`, the upsert and remove
+//! counts as `u64`s, then each upsert as a front-coded name, `off: u64`
+//! and `len: u32`, then each remove as a front-coded name. A front-coded
+//! name is the number of leading bytes it shares with the previous name
+//! of its list (`u8`, capped at 255; each list starts from the empty
+//! name), the LEB128 length of the rest, and the rest.
 
 use std::collections::BTreeMap;
 
@@ -21,8 +24,10 @@ use pmoctree_nvbm::{CrashMode, DeviceModel, NvbmArena, SparseMedia};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Log record header bytes, and the payload length's place in it.
-const REC_HEADER: usize = 24;
+/// Commit record magic (`"RTLG"`), header bytes, and the payload
+/// length's place in the header.
+const LOG_MAGIC: u32 = 0x474c_5452;
+const REC_HEADER: usize = 8;
 const LEN_AT: usize = 4;
 
 type Table = BTreeMap<String, Vec<u8>>;
@@ -167,24 +172,31 @@ fn device(checkpoint: bool) -> (SparseMedia, u64, Vec<u8>, Entries) {
     (image, off, body, before)
 }
 
-/// `image` with the record at `off` carrying `body` instead, resealed
-/// under a valid checksum.
-fn resealed(image: &SparseMedia, off: u64, body: &[u8]) -> SparseMedia {
-    let mut rec = vec![0u8; REC_HEADER];
-    image.read_at(off as usize, &mut rec);
-    rec[LEN_AT..LEN_AT + 4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+/// The commit record around `body`, in the documented layout.
+fn record(body: &[u8]) -> Vec<u8> {
+    let mut rec = LOG_MAGIC.to_le_bytes().to_vec();
+    rec.extend_from_slice(&(body.len() as u32).to_le_bytes());
     rec.extend_from_slice(body);
     let fnv = fnv32(&rec);
     rec.extend_from_slice(&fnv.to_le_bytes());
+    rec
+}
+
+/// `image` with the record at `off` carrying `body` instead, resealed
+/// under a valid checksum.
+fn resealed(image: &SparseMedia, off: u64, body: &[u8]) -> SparseMedia {
     let mut image = image.clone();
-    image.write_at(off as usize, &rec);
+    image.write_at(off as usize, &record(body));
     image
 }
 
 #[test]
 fn the_record_is_the_documented_front_coded_layout() {
     for checkpoint in [true, false] {
-        let (image, _, body, before) = device(checkpoint);
+        let (image, off, body, before) = device(checkpoint);
+        let mut rec = vec![0u8; REC_HEADER + body.len() + 4];
+        image.read_at(off as usize, &mut rec);
+        assert_eq!(rec, record(&body), "checkpoint {checkpoint}: the record's framing");
         let [epoch, prev] =
             [0, 8].map(|at| u64::from_le_bytes(body[at..at + 8].try_into().unwrap()));
         assert_eq!(prev == 0, checkpoint);
