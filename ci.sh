@@ -75,6 +75,11 @@ fi
 # each one whole.
 no_fork 'arena.write(cur.off' crates/pm-rt/src/rt.rs
 no_fork 'w.bytes(name.as_bytes())' crates/pm-rt/src/rt.rs
+# Each run of pending records in adjacent slots is one store, not one
+# store per record, and a commit record codes its entries' offsets and
+# lengths as varints, not as fixed-width fields.
+no_fork 'arena.write(off, &rec)' crates/pm-rt/src/rt.rs
+no_fork 'w.u64(e.off)' crates/pm-rt/src/rt.rs
 # Sparse media: the device holds the chunks some commit or load reached.
 # The capacity-sized media vector, the second media trait and its
 # flat-slice impl, the second recovery entry and the replica's

@@ -24,7 +24,7 @@
 //!
 //! Geometry: the ring occupies `[base, top)`. `top` is fixed (the
 //! bottom of the flight-recorder region); `base` is the published rt
-//! floor and only grows downward — in [`GROW_CHUNK`] steps, never past
+//! floor and only grows downward — by at least [`GROW_CHUNK`], never past
 //! the octree's live bump pointer (`limit`). The common shapes are the
 //! classic two:
 //!
@@ -38,8 +38,12 @@
 //! pure two-shape ring would wedge the moment the head came back around
 //! to a pinned record. Instead the allocator probes forward from the
 //! head, jumping over live islands, wraps to the base when the top is
-//! exhausted, and only then grows the window downward (geometrically, so
-//! a working set that outgrows the window settles in O(log n) laps).
+//! exhausted, and only then grows the window downward: geometrically
+//! when the live bytes crowd it (so a working set that outgrows the
+//! window settles in O(log n) laps), and by no more than keeps it at most
+//! half live when it is merely fragmented — where long-lived islands
+//! leave no gap wide enough for one large record, how much the window
+//! grows must not hinge on where the islands happen to sit.
 //! With nothing pinned every record dies in ring order and next-fit
 //! degenerates to exactly the two shapes above. With no record live the
 //! head returns to the base.
@@ -143,9 +147,13 @@ impl LogHeap {
             Some(at) => at,
             None => {
                 // No gap anywhere in the window: grow it downward —
-                // geometrically when the octree permits, minimally if
-                // that is too greedy — and place at the new base.
-                let want = need.max(GROW_CHUNK).max(self.window() / 2);
+                // by half, at most, when the octree permits, minimally
+                // if that is too greedy — and place at the new base. The
+                // step is what the window lacks to stay at most half
+                // live with the new record, so a fragmented window grows
+                // by about the record and a crowded one geometrically.
+                let lack = (2 * (self.live_bytes + need)).saturating_sub(self.window());
+                let want = need.max(GROW_CHUNK).max(lack.min(self.window() / 2));
                 if self.grow_base(want).is_err() {
                     self.grow_base(need)?;
                 }
@@ -196,6 +204,22 @@ impl LogHeap {
             "rt log base {:#x} would cross the octree bump pointer {:#x} growing {need} bytes",
             self.base, self.limit
         )))
+    }
+
+    /// Footprint of the live record at `off`.
+    pub fn footprint(&self, off: u64) -> Option<u64> {
+        self.live.get(&off).map(|&(size, _)| size)
+    }
+
+    /// Store a new record of at most the footprint of the live record at
+    /// `off` in its slot: the new record is the youngest, and the slot
+    /// keeps its footprint (the head stays).
+    pub fn reuse(&mut self, off: u64) {
+        if let Some((size, stamp)) = self.live.remove(&off) {
+            self.by_age.remove(&stamp);
+            self.live_bytes -= size;
+            self.insert(off, size);
+        }
     }
 
     /// Mark the record at `off` dead; its space is free for the next
@@ -309,6 +333,25 @@ mod tests {
         let grown = h.alloc(64).unwrap();
         assert!(grown.0 < offs[0], "growth extends below the old base");
         assert_eq!(h.floor(), offs[0] - GROW_CHUNK);
+    }
+
+    /// A window whose live bytes would fill a quarter of it, in islands
+    /// too close for a large record, grows by that record; a window the
+    /// live bytes fill grows by half.
+    #[test]
+    fn a_fragmented_window_grows_by_the_record_a_crowded_one_by_half() {
+        let (top, window) = (1u64 << 20, 64u64 << 10);
+        let grown = |every: u64| {
+            // 64-byte records every `every` bytes over the whole window.
+            let live = (0..window / every).map(|i| (POffset(top - window + i * every), 64));
+            let mut h = LogHeap::rebuild(0, top, top - window, live).unwrap();
+            assert_eq!(h.window(), window);
+            let big = h.alloc(2048).unwrap();
+            assert_eq!(big.0, h.floor(), "the record lands at the new base");
+            top - window - h.floor()
+        };
+        assert_eq!(grown(256), 2048, "fragmented: grown by the record");
+        assert_eq!(grown(64), window / 2, "crowded: grown by half");
     }
 
     #[test]

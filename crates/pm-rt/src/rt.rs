@@ -166,6 +166,10 @@ pub struct PmRt {
     /// first. Retired wholesale when the next checkpoint cuts a new
     /// chain.
     chain: Vec<u64>,
+    /// The slot of the checkpoint before the newest one: unreachable from
+    /// the durable root, but kept live in the ring so that the next
+    /// checkpoint is stored there instead of needing a fresh gap.
+    spare: Option<u64>,
     /// Regions written since the last commit, for replica delta shipping.
     staged: Vec<(u64, u32)>,
     /// For every name modified since the last commit: the committed-time
@@ -183,7 +187,8 @@ pub struct PmRt {
     /// read committed records), and a crash loses them as it loses dirty
     /// lines.
     pending: BTreeMap<u64, Vec<u8>>,
-    /// Encode buffer for staged values, reused across stages.
+    /// Encode buffer for staged values, reused across stages, and the
+    /// commit's run of adjacent pending records.
     scratch: Vec<u8>,
 }
 
@@ -203,6 +208,7 @@ impl PmRt {
             epoch: 0,
             retired: Vec::new(),
             chain: Vec::new(),
+            spare: None,
             staged: Vec::new(),
             staged_origin: BTreeMap::new(),
             relocated: Vec::new(),
@@ -295,6 +301,7 @@ impl PmRt {
             epoch,
             retired: Vec::new(),
             chain,
+            spare: None,
             staged: Vec::new(),
             staged_origin: BTreeMap::new(),
             relocated: Vec::new(),
@@ -508,10 +515,23 @@ impl PmRt {
         self.wear_pass(arena)?;
         self.compact_pass(arena)?;
         // Every record the window staged, the passes' relocations among
-        // them, stored once now that no rewrite can replace it.
+        // them, stored once now that no rewrite can replace it. A record
+        // fills its slot exactly, so records in adjacent slots are
+        // byte-contiguous: each run of them is one store, and a line two
+        // records share is stored once.
+        let mut run = std::mem::take(&mut self.scratch);
+        run.clear();
+        let mut start = 0;
         for (off, rec) in std::mem::take(&mut self.pending) {
-            arena.write(off, &rec);
+            if start + run.len() as u64 != off {
+                arena.write(start, &run); // an empty run stores nothing
+                run.clear();
+                start = off;
+            }
+            run.extend_from_slice(&rec);
         }
+        arena.write(start, &run);
+        self.scratch = run;
         let epoch = self.epoch + 1;
         // Checkpoint on schedule. Old chain records left behind by the
         // cut are dead islands the next-fit allocator walks over, so a
@@ -522,7 +542,21 @@ impl PmRt {
         let mut rec = self.commit_record(epoch, checkpoint, prev);
         arena.failpoint("heap::append");
         let size = record_size(rec.len() - REC_HEADER);
-        let rec_off = self.reserve(arena, size)?;
+        // A checkpoint goes into the slot of the one before the newest
+        // (double buffering: the durable chain names neither that record
+        // nor its slot), so a checkpoint never needs a fresh gap in a
+        // ring that small records keep fragmented.
+        let rec_off = match self.spare.take_if(|_| checkpoint) {
+            Some(off) if self.heap.footprint(off) >= Some(size as u64) => {
+                self.heap.reuse(off);
+                off
+            }
+            Some(off) => {
+                self.heap.mark_dead(off);
+                self.reserve(arena, size)?
+            }
+            None => self.reserve(arena, size)?,
+        };
         seal_record(&mut rec);
         arena.write(rec_off, &rec);
         self.epoch = epoch;
@@ -539,7 +573,9 @@ impl PmRt {
         // snapshot ever dereferences a chain record — pins only protect
         // blobs). Superseded committed blobs defer until unpinned.
         if checkpoint {
-            for off in self.chain.drain(..) {
+            let mut old = self.chain.drain(..);
+            self.spare = old.next();
+            for off in old {
                 self.heap.mark_dead(off);
             }
         }
@@ -854,13 +890,17 @@ impl<'a> FrontCoder<'a> {
     }
 }
 
-/// Bytes an upsert codes to besides its name: `off: u64`, `len: u32`.
-const UPSERT_ENTRY: usize = 12;
+/// Bytes an upsert codes to besides its name: its record offset, then
+/// its payload length, both LEB128.
+fn entry_len(e: Entry) -> usize {
+    varint_len(e.off) + varint_len(u64::from(e.len))
+}
 
 /// The commit record, unsealed: a header, then the payload — `epoch`,
-/// `prev`, the upsert and remove counts (four `u64`s), every upsert as
-/// its front-coded name and entry, every remove as its front-coded name.
-/// Both lists come in name order. Sized exactly by a first pass: a
+/// `prev`, the upsert and remove counts, every upsert as its front-coded
+/// name and entry ([`entry_len`]), every remove as its front-coded name.
+/// Every integer is a LEB128 varint, and both lists come in name order.
+/// Sized exactly by a first pass: a
 /// checkpoint's record is the largest transient buffer of a commit.
 fn encode_commit<'a>(
     epoch: u64,
@@ -869,10 +909,10 @@ fn encode_commit<'a>(
     removes: impl Iterator<Item = &'a str> + Clone,
 ) -> Vec<u8> {
     let mut names = FrontCoder::default();
-    let (mut nup, mut payload) = (0u64, 32);
-    for (name, _) in upserts.clone() {
+    let (mut nup, mut payload) = (0u64, varint_len(epoch) + varint_len(prev));
+    for (name, e) in upserts.clone() {
         nup += 1;
-        payload += names.coded_len(name) + UPSERT_ENTRY;
+        payload += names.coded_len(name) + entry_len(e);
     }
     let mut names = FrontCoder::default();
     let mut nrm = 0u64;
@@ -880,18 +920,18 @@ fn encode_commit<'a>(
         nrm += 1;
         payload += names.coded_len(name);
     }
+    payload += varint_len(nup) + varint_len(nrm);
     let mut rec = Vec::with_capacity(record_size(payload));
     open_record(&mut rec, LOG_MAGIC);
     let mut w = ByteWriter::new(&mut rec);
-    w.u64(epoch);
-    w.u64(prev);
-    w.u64(nup);
-    w.u64(nrm);
+    for v in [epoch, prev, nup, nrm] {
+        w.varint(v);
+    }
     let mut names = FrontCoder::default();
     for (name, e) in upserts {
         names.put(&mut w, name);
-        w.u64(e.off);
-        w.u32(e.len);
+        w.varint(e.off);
+        w.varint(u64::from(e.len));
     }
     let mut names = FrontCoder::default();
     for name in removes {
@@ -949,13 +989,13 @@ fn read_commit_record(
 /// both upserted and removed.
 fn parse_commit_payload(payload: &[u8]) -> Result<CommitPayload, PmError> {
     let mut r = ByteReader::new(payload);
-    let epoch = r.u64()?;
-    let prev = r.u64()?;
-    let nup = r.u64()?;
-    let nrm = r.u64()?;
-    // An upsert codes to at least two name bytes and its entry, a remove
-    // to at least two.
-    let least = nup.checked_mul(2 + UPSERT_ENTRY as u64).zip(nrm.checked_mul(2));
+    let epoch = r.varint()?;
+    let prev = r.varint()?;
+    let nup = r.varint()?;
+    let nrm = r.varint()?;
+    // An upsert codes to at least four bytes (two name bytes, one each
+    // for its offset and length), a remove to at least two.
+    let least = nup.checked_mul(4).zip(nrm.checked_mul(2));
     if least.and_then(|(u, m)| u.checked_add(m)).is_none_or(|b| b > r.remaining() as u64) {
         return Err(PmError::Corrupt(format!(
             "commit record counts {nup} + {nrm} exceed its {} payload bytes",
@@ -966,7 +1006,10 @@ fn parse_commit_payload(payload: &[u8]) -> Result<CommitPayload, PmError> {
     let mut upserts: Vec<(Arc<str>, Entry)> = Vec::with_capacity(nup as usize);
     for _ in 0..nup {
         let n = next_name(&mut r, &mut name, upserts.last().map(|(n, _)| n))?;
-        upserts.push((n, Entry { off: r.u64()?, len: r.u32()? }));
+        let off = r.varint()?;
+        let len = u32::try_from(r.varint()?)
+            .map_err(|_| PmError::Corrupt(format!("root {n:?} names a blob over 4 GiB")))?;
+        upserts.push((n, Entry { off, len }));
     }
     name.clear();
     let mut removes: Vec<Arc<str>> = Vec::with_capacity(nrm as usize);
@@ -1096,7 +1139,7 @@ pub(crate) fn read_blob(arena: &mut NvbmArena, off: u64, len: u32) -> Result<Vec
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use pmoctree_nvbm::{CrashMode, DeviceModel, FailPlan};
+    use pmoctree_nvbm::{CrashMode, CrashView, DeviceModel, FailPlan, SparseMedia};
 
     fn arena() -> NvbmArena {
         NvbmArena::new(1 << 20, DeviceModel::default())
@@ -1268,6 +1311,66 @@ mod tests {
         let mut r = PmRt::restore(&mut a).unwrap();
         assert_eq!(r.load::<u64>(&mut a, "keep").unwrap(), Some(CHECKPOINT_EVERY as u64 + 1));
         assert_eq!(r.load::<u64>(&mut a, "drop").unwrap(), None);
+    }
+
+    /// Checkpoints alternate between two slots: each is stored over the
+    /// one before the newest, which the durable chain no longer names, so
+    /// a crash anywhere in that store, lost or torn, restores the
+    /// previous epoch.
+    #[test]
+    fn a_checkpoint_is_stored_over_the_one_before_last() {
+        let mut a = arena();
+        let mut rt = PmRt::create(&mut a).unwrap();
+        let mut checkpoints = Vec::new();
+        let mut views = None;
+        for i in 0..3 * CHECKPOINT_EVERY as u64 {
+            rt.stage(&mut a, "x", &i).unwrap();
+            if rt.chain_len() == CHECKPOINT_EVERY && checkpoints.len() == 2 {
+                let sink: Arc<std::sync::Mutex<Vec<_>>> = Arc::default();
+                let hook = Arc::clone(&sink);
+                a.set_fail_plan(FailPlan::with_hook(Box::new(move |v: &CrashView<'_>| {
+                    let modes = [3, 5].map(|seed| CrashMode::TornWrite { seed });
+                    let images = [CrashMode::LoseDirty].into_iter().chain(modes);
+                    hook.lock().unwrap().push((v.label, images.map(|m| v.image(m)).collect()));
+                })));
+                views = Some((rt.epoch(), i, sink));
+            }
+            rt.commit(&mut a).unwrap();
+            if rt.chain_len() == 1 {
+                checkpoints.push(a.committed().rt_root.0);
+            }
+        }
+        a.take_fail_plan();
+        assert_eq!(checkpoints.len(), 3);
+        assert_ne!(checkpoints[1], checkpoints[0]);
+        assert_eq!(checkpoints[2], checkpoints[0], "the third checkpoint reuses the first's slot");
+
+        let (epoch, value, sink) = views.unwrap();
+        let views: Vec<(Option<&str>, Vec<SparseMedia>)> =
+            std::mem::take(&mut sink.lock().unwrap());
+        // Every image restores the previous epoch until the publication,
+        // the new one from then on; the checkpoint's store and its flush
+        // fall before it.
+        let (old, new) = ((epoch, Some(value - 1)), (epoch + 1, Some(value)));
+        let states: Vec<Vec<(u64, Option<u64>)>> = views
+            .iter()
+            .map(|(_, images)| {
+                let restore = |image: &SparseMedia| {
+                    let mut b = NvbmArena::from_media(image.clone(), DeviceModel::default());
+                    let mut r = PmRt::restore(&mut b).unwrap();
+                    (r.epoch(), r.load::<u64>(&mut b, "x").unwrap())
+                };
+                images.iter().map(restore).collect()
+            })
+            .collect();
+        let flip = states.iter().position(|s| s.iter().all(|&st| st == new)).unwrap();
+        let append = views.iter().position(|v| v.0 == Some("heap::append")).unwrap();
+        assert!(flip > append + 1, "views {append}..{flip} hold the checkpoint's store");
+        for (i, s) in states.iter().enumerate() {
+            let want = if i < flip { old } else { new };
+            assert!(s.iter().all(|&st| st == want), "view {i}: {s:?}");
+        }
+        assert_eq!(views.last().unwrap().0, Some("rt::commit"));
     }
 
     /// 200 rewrites of one small root recycle the ring, and each commit
